@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test test-race fuzz-smoke bench bench-quick bench-cluster clean
+.PHONY: check vet build test test-race fuzz-smoke bench bench-quick bench-cluster bench-smoke clean
 
 # The full tier-1 gate: vet, build everything, the race-enabled short
 # test run, then a short coverage-guided fuzz of the binary frame
@@ -60,6 +60,13 @@ bench-quick:
 # cell must clear 2x; CI uploads BENCH_cluster.json per run.
 bench-cluster:
 	$(GO) test -run xx -bench BenchmarkClusterScaling -benchtime 3x -json . | tee BENCH_cluster.json
+
+# The repository's benchmark (BENCHMARK.json) is a nested module that
+# root `go test ./...` does not reach: vet and test the harness, then
+# run every workload in both modes with every check at 1/50 size.
+bench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh -smoke
 
 clean:
 	$(GO) clean ./...

@@ -26,14 +26,11 @@ func TestBatchResponseEncodePooled(t *testing.T) {
 		results[i] = wireBatchResult{Status: 200, ETag: "42"}
 	}
 	encode := func() {
-		be := batchEncPool.Get().(*batchEncoder)
-		be.bw.Reset(io.Discard)
+		be := getEncoder(io.Discard)
 		for _, r := range results {
 			be.enc.Encode(r)
 		}
-		be.bw.Flush()
-		be.bw.Reset(nil)
-		batchEncPool.Put(be)
+		be.flushAndPut()
 	}
 	// encoding/json allocates once per Encode call regardless of the
 	// writer, so the pooled floor is one alloc per item; the bound

@@ -4,11 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
@@ -107,8 +105,7 @@ func (c *Client) checkAsOfEcho(resp *http.Response) error {
 		return nil // inconclusive; don't latch, let the status surface
 	}
 	c.caps.asOfUnsupported.Store(true)
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
+	drainClose(resp)
 	return errAsOfUnsupported
 }
 
@@ -129,12 +126,11 @@ func (c *Client) readWireAsOf(ctx context.Context, table, key string, ts int64) 
 	if err := c.checkAsOfEcho(resp); err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
 		return nil, statusError(resp)
 	}
 	var wr wireRecord
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
+	if err := decodeBody(resp, &wr); err != nil {
 		return nil, fmt.Errorf("httpkv: decoding record: %w", err)
 	}
 	return &wr, nil
@@ -166,18 +162,10 @@ func (c *Client) scanWireAsOf(ctx context.Context, table, startKey string, count
 	if err := c.checkAsOfEcho(resp); err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
 		return nil, statusError(resp)
 	}
-	if strings.Contains(resp.Header.Get("Content-Type"), NDJSONContentType) {
-		return decodeScanNDJSON(resp.Body, count)
-	}
-	var wrs []wireRecord
-	if err := json.NewDecoder(resp.Body).Decode(&wrs); err != nil {
-		return nil, fmt.Errorf("httpkv: decoding scan: %w", err)
-	}
-	return wrs, nil
+	return decodeScanBody(resp, count)
 }
 
 // SnapshotTS fetches a snapshot timestamp from GET /v1/ts. An old
@@ -195,9 +183,8 @@ func (c *Client) SnapshotTS(ctx context.Context) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
 	var ts wireTS
-	if err := json.NewDecoder(resp.Body).Decode(&ts); err != nil || ts.TS <= 0 {
+	if err := decodeBody(resp, &ts); err != nil || ts.TS <= 0 {
 		c.caps.asOfUnsupported.Store(true)
 		return 0, errAsOfUnsupported
 	}

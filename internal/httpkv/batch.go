@@ -2,11 +2,11 @@ package httpkv
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -52,21 +52,37 @@ const DeadlineHeader = "X-Deadline-Ms"
 // maxBatchItems bounds one batch request independently of body bytes.
 const maxBatchItems = 4096
 
-// Pooled per-request machinery: every /v1/batch round trip used to
-// allocate a bufio.Writer + json.Encoder for the response and a fresh
-// op slice for the request. At benchmark batch sizes these dominate
-// the handler's steady-state garbage, so both recycle through
+// Pooled per-request machinery: a bufio.Writer + json.Encoder per
+// response and a fresh op slice per /v1/batch request would dominate
+// the handlers' steady-state garbage, so both recycle through
 // sync.Pools (the encoder keeps its writer for life; Reset retargets
 // it per request).
-type batchEncoder struct {
+type respEncoder struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
 }
 
-var batchEncPool = sync.Pool{New: func() any {
+var respEncPool = sync.Pool{New: func() any {
 	bw := bufio.NewWriterSize(nil, 4096)
-	return &batchEncoder{bw: bw, enc: json.NewEncoder(bw)}
+	return &respEncoder{bw: bw, enc: json.NewEncoder(bw)}
 }}
+
+// getEncoder borrows a pooled encoder writing to w; the hot response
+// bodies (batch results, single records, NDJSON scan pages) all go
+// through one.
+func getEncoder(w io.Writer) *respEncoder {
+	be := respEncPool.Get().(*respEncoder)
+	be.bw.Reset(w)
+	return be
+}
+
+// flushAndPut sends what is buffered and returns the encoder to the
+// pool, dropping the ResponseWriter first.
+func (be *respEncoder) flushAndPut() {
+	be.bw.Flush()
+	be.bw.Reset(nil)
+	respEncPool.Put(be)
+}
 
 var batchOpsPool = sync.Pool{New: func() any {
 	ops := make([]wireBatchOp, 0, 64)
@@ -229,14 +245,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.core.ExecBatchInto(r.Context(), cb.ops, cb.res)
 	w.Header().Set("Content-Type", NDJSONContentType)
-	be := batchEncPool.Get().(*batchEncoder)
-	be.bw.Reset(w)
+	be := getEncoder(w)
 	for _, res := range cb.res {
 		be.enc.Encode(fromResult(res))
 	}
-	be.bw.Flush()
-	be.bw.Reset(nil) // drop the ResponseWriter before pooling
-	batchEncPool.Put(be)
+	be.flushAndPut()
 }
 
 // decodeBatchOps reads the NDJSON request lines into a pooled slice;
@@ -371,19 +384,11 @@ func (c *Client) ExecBatch(ctx context.Context, ops []db.BatchOp) []db.BatchResu
 // errNoBatchRoute marks a server without the /v1/batch route.
 var errNoBatchRoute = errors.New("httpkv: server has no batch route")
 
-// bodyBufPool recycles batch request bodies across POSTs. A buffer
-// goes back to the pool only after sendRetry has fully finished with
-// the request: net/http snapshots the buffer's bytes into GetBody at
-// request build time, and a 429 retry replays that snapshot — reusing
-// the buffer earlier would corrupt the replayed body.
-var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // postBatch ships the wire ops and parses the positional NDJSON
 // response.
 func (c *Client) postBatch(ctx context.Context, wire []wireBatchOp) ([]wireBatchResult, error) {
-	body := bodyBufPool.Get().(*bytes.Buffer)
-	body.Reset()
-	defer bodyBufPool.Put(body)
+	body := getBodyBuf()
+	defer putBodyBuf(body) // after sendRetry: a 429 retry replays the buffer
 	enc := json.NewEncoder(body)
 	for _, op := range wire {
 		if err := enc.Encode(op); err != nil {
@@ -400,15 +405,16 @@ func (c *Client) postBatch(ctx context.Context, wire []wireBatchOp) ([]wireBatch
 	if err != nil {
 		return nil, fmt.Errorf("httpkv: %w", err)
 	}
-	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusNotFound, resp.StatusCode == http.StatusMethodNotAllowed:
 		// An old server answers the unknown route from its generic
 		// handlers; fall back to the single-op protocol.
+		drainClose(resp)
 		return nil, errNoBatchRoute
 	case resp.StatusCode >= 400:
 		return nil, statusError(resp)
 	}
+	defer drainClose(resp)
 	results := make([]wireBatchResult, 0, len(wire))
 	dec := json.NewDecoder(resp.Body)
 	for dec.More() {

@@ -1,15 +1,14 @@
 package httpkv
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
+	"sync/atomic"
 	"time"
 
 	"ycsbt/internal/cluster"
@@ -40,14 +39,22 @@ const (
 // newPooledHTTPClient builds the binding's dedicated HTTP client:
 // never http.DefaultClient (whose zero timeout hangs forever on a
 // dead server and whose shared transport lets one binding's settings
-// leak into every other user of the process).
-func newPooledHTTPClient(poolSize int, timeout time.Duration) *http.Client {
+// leak into every other user of the process). The second result counts
+// the TCP connections the transport dials: a healthy run dials once per
+// pooled connection, and a count that climbs with the request count
+// means responses are being closed short of EOF (see response.go). It
+// is counted in DialContext, not in a RoundTripper wrapper — behind any
+// type but *http.Transport, http.Client.Timeout costs a timer and a
+// goroutine per request.
+func newPooledHTTPClient(poolSize int, timeout time.Duration) (*http.Client, *atomic.Int64) {
 	if poolSize <= 0 {
 		poolSize = DefaultPoolSize
 	}
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
+	dials := new(atomic.Int64)
+	var dialer net.Dialer
 	return &http.Client{
 		Timeout: timeout,
 		Transport: &http.Transport{
@@ -55,8 +62,12 @@ func newPooledHTTPClient(poolSize int, timeout time.Duration) *http.Client {
 			MaxIdleConns:        poolSize * 2,
 			MaxIdleConnsPerHost: poolSize,
 			IdleConnTimeout:     90 * time.Second,
+			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				dials.Add(1)
+				return dialer.DialContext(ctx, network, addr)
+			},
 		},
-	}
+	}, dials
 }
 
 // Client is the "rawhttp" DB binding: it speaks the httpkv protocol
@@ -91,16 +102,30 @@ type Client struct {
 	// connection pool (0 = kvwire.DefaultMaxConns). See wire.go.
 	wireMode  string
 	wireConns int
+	// dials counts the connections hc's transport has opened; nil when
+	// the caller supplied hc.
+	dials *atomic.Int64
+}
+
+// Dials reports how many TCP connections the client's own pooled
+// transport has opened (0 when the http.Client was supplied by the
+// caller, whose transport this package cannot see into).
+func (c *Client) Dials() int64 {
+	if c.dials == nil {
+		return 0
+	}
+	return c.dials.Load()
 }
 
 // NewClient returns a binding that talks to the server at baseURL
 // (e.g. "http://127.0.0.1:8077"). A nil hc gets a dedicated pooled
 // client with default sizing.
 func NewClient(baseURL string, hc *http.Client) *Client {
+	c := &Client{base: baseURL, hc: hc, caps: &endpointCaps{}, retry429: DefaultRetry429, retry429Max: DefaultRetry429Max}
 	if hc == nil {
-		hc = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
+		c.hc, c.dials = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
 	}
-	return &Client{base: baseURL, hc: hc, caps: &endpointCaps{}, retry429: DefaultRetry429, retry429Max: DefaultRetry429Max}
+	return c
 }
 
 func init() {
@@ -119,7 +144,7 @@ func (c *Client) Init(p *properties.Properties) error {
 		c.caps = &endpointCaps{}
 	}
 	if c.hc == nil {
-		c.hc = newPooledHTTPClient(
+		c.hc, c.dials = newPooledHTTPClient(
 			p.GetInt("rawhttp.pool_size", DefaultPoolSize),
 			time.Duration(p.GetInt64("rawhttp.timeout_ms", int64(DefaultTimeout/time.Millisecond)))*time.Millisecond,
 		)
@@ -164,16 +189,17 @@ func (c *Client) recordURL(table, key string) string {
 // 410 becomes a typed *cluster.MovedError carrying the responding
 // node's map version and owner hint, so routers and middleware can
 // tell a stale shard map apart from a genuine client error instead of
-// pattern-matching on a generic 4xx.
+// pattern-matching on a generic 4xx. It consumes the response (see
+// response.go), so a 404/412/429 storm reuses its connections too.
 func statusError(resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	body := errorText(resp)
 	switch resp.StatusCode {
 	case http.StatusNotFound:
-		return fmt.Errorf("%w: %s", db.ErrNotFound, bytes.TrimSpace(body))
+		return fmt.Errorf("%w: %s", db.ErrNotFound, body)
 	case http.StatusPreconditionFailed:
-		return fmt.Errorf("%w: %s", db.ErrConflict, bytes.TrimSpace(body))
+		return fmt.Errorf("%w: %s", db.ErrConflict, body)
 	case http.StatusTooManyRequests:
-		return fmt.Errorf("%w: %s", db.ErrThrottled, bytes.TrimSpace(body))
+		return fmt.Errorf("%w: %s", db.ErrThrottled, body)
 	case http.StatusGone:
 		ver, _ := strconv.ParseInt(resp.Header.Get(cluster.HeaderMapVersion), 10, 64)
 		return &cluster.MovedError{
@@ -181,7 +207,7 @@ func statusError(resp *http.Response) error {
 			MapVersion: ver,
 		}
 	default:
-		return fmt.Errorf("httpkv: server returned %s: %s", resp.Status, bytes.TrimSpace(body))
+		return fmt.Errorf("httpkv: server returned %s: %s", resp.Status, body)
 	}
 }
 
@@ -232,8 +258,7 @@ func (c *Client) sendRetry(req *http.Request) (*http.Response, error) {
 		if d, ok := req.Context().Deadline(); ok && time.Until(d) <= wait {
 			return resp, err // would expire mid-backoff; let the caller see the 429
 		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
+		drainClose(resp)
 		select {
 		case <-time.After(wait):
 		case <-req.Context().Done():
@@ -282,7 +307,6 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 		return nil, fmt.Errorf("httpkv: %w", err)
 	}
 	if resp.StatusCode >= 400 {
-		defer resp.Body.Close()
 		return nil, statusError(resp)
 	}
 	return resp, nil
@@ -319,12 +343,14 @@ func (c *Client) Read(ctx context.Context, table, key string, fields []string) (
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	var wr wireRecord
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
+	if err := decodeBody(resp, &wr); err != nil {
 		return nil, fmt.Errorf("httpkv: decoding record: %w", err)
 	}
 	db.ReportReadVersion(ctx, wr.Version)
+	if fields == nil {
+		return wr.Fields, nil // freshly decoded: already the caller's own map
+	}
 	return db.ProjectFields(wr.Fields, fields), nil
 }
 
@@ -348,9 +374,8 @@ func (c *Client) ReadVersioned(ctx context.Context, table, key string) (*kvstore
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	var wr wireRecord
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
+	if err := decodeBody(resp, &wr); err != nil {
 		return nil, fmt.Errorf("httpkv: decoding record: %w", err)
 	}
 	return &kvstore.VersionedRecord{Version: wr.Version, Fields: wr.Fields}, nil
@@ -384,17 +409,10 @@ func (c *Client) scanWireHTTP(ctx context.Context, table, startKey string, count
 	if err != nil {
 		return nil, 0, err
 	}
-	defer resp.Body.Close()
 	mapVer, _ = strconv.ParseInt(resp.Header.Get(cluster.HeaderMapVersion), 10, 64)
-	if strings.Contains(resp.Header.Get("Content-Type"), NDJSONContentType) {
-		wrs, err := decodeScanNDJSON(resp.Body, count)
-		if err != nil {
-			return nil, 0, err
-		}
-		return wrs, mapVer, nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&wrs); err != nil {
-		return nil, 0, fmt.Errorf("httpkv: decoding scan: %w", err)
+	wrs, err = decodeScanBody(resp, count)
+	if err != nil {
+		return nil, 0, err
 	}
 	return wrs, mapVer, nil
 }
@@ -418,28 +436,50 @@ func (c *Client) Scan(ctx context.Context, table, startKey string, count int, fi
 	return out, nil
 }
 
-// writeReq sends method with a JSON fields body and optional headers.
-func (c *Client) writeReq(ctx context.Context, method, u string, values db.Record, hdr map[string]string) error {
-	body, err := json.Marshal(wireRecord{Fields: values})
-	if err != nil {
-		return err
+// setCond stamps the conditional-write headers for expect.
+func setCond(req *http.Request, expect uint64) {
+	switch expect {
+	case kvstore.AnyVersion:
+	case kvstore.MustNotExist:
+		req.Header.Set("If-None-Match", "*")
+	default:
+		req.Header.Set("If-Match", strconv.FormatUint(expect, 10))
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
+}
+
+// writeReq sends method with a JSON fields body (built in a pooled
+// buffer) conditional on expect, and returns the response's ETag —
+// the version the server assigned.
+func (c *Client) writeReq(ctx context.Context, method, u string, values db.Record, expect uint64) (string, error) {
+	body := getBodyBuf()
+	defer putBodyBuf(body) // after do: a 429 retry replays the buffer
+	if err := json.NewEncoder(body).Encode(wireRecord{Fields: values}); err != nil {
+		return "", err
+	}
+	body.Truncate(body.Len() - 1) // Encode's newline: keep the body what json.Marshal sent
+	req, err := http.NewRequestWithContext(ctx, method, u, body)
 	if err != nil {
-		return err
+		return "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
+	setCond(req, expect)
 	resp, err := c.do(req)
+	if err != nil {
+		return "", err
+	}
+	drainClose(resp)
+	return resp.Header.Get("ETag"), nil
+}
+
+// write is writeReq for the db.DB mutations: the server stamps write
+// responses with the new version as the ETag, reported when a history
+// capture is armed.
+func (c *Client) write(ctx context.Context, method, table, key string, values db.Record) error {
+	etag, err := c.writeReq(ctx, method, c.recordURL(table, key), values, kvstore.AnyVersion)
 	if err != nil {
 		return err
 	}
-	resp.Body.Close()
-	// The server stamps write responses with the new version as the
-	// ETag; report it when a history capture is armed.
-	if ver, perr := strconv.ParseUint(resp.Header.Get("ETag"), 10, 64); perr == nil {
+	if ver, perr := strconv.ParseUint(etag, 10, 64); perr == nil {
 		db.ReportWriteVersion(ctx, ver)
 	}
 	return nil
@@ -476,7 +516,7 @@ func (c *Client) Update(ctx context.Context, table, key string, values db.Record
 		}
 		return err
 	}
-	return c.writeReq(ctx, http.MethodPatch, c.recordURL(table, key), values, nil)
+	return c.write(ctx, http.MethodPatch, table, key, values)
 }
 
 // Insert implements db.DB (unconditional put).
@@ -487,7 +527,7 @@ func (c *Client) Insert(ctx context.Context, table, key string, values db.Record
 		}
 		return err
 	}
-	return c.writeReq(ctx, http.MethodPut, c.recordURL(table, key), values, nil)
+	return c.write(ctx, http.MethodPut, table, key, values)
 }
 
 // PutIfVersion performs a conditional put via If-Match /
@@ -497,43 +537,17 @@ func (c *Client) PutIfVersion(ctx context.Context, table, key string, values db.
 	return err
 }
 
-// condHeaders builds the conditional-write headers for expect.
-func condHeaders(expect uint64) map[string]string {
-	hdr := map[string]string{}
-	switch expect {
-	case kvstore.AnyVersion:
-	case kvstore.MustNotExist:
-		hdr["If-None-Match"] = "*"
-	default:
-		hdr["If-Match"] = strconv.FormatUint(expect, 10)
-	}
-	return hdr
-}
-
 // putVersioned performs a conditional put and returns the new version
 // from the response ETag.
 func (c *Client) putVersioned(ctx context.Context, table, key string, values db.Record, expect uint64) (uint64, error) {
 	if ver, served, err := c.wireWrite(ctx, kvwire.KindPut, table, key, values, expect); served {
 		return ver, err
 	}
-	body, err := json.Marshal(wireRecord{Fields: values})
+	etag, err := c.writeReq(ctx, http.MethodPut, c.recordURL(table, key), values, expect)
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.recordURL(table, key), bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	for k, v := range condHeaders(expect) {
-		req.Header.Set(k, v)
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	ver, err := strconv.ParseUint(resp.Header.Get("ETag"), 10, 64)
+	ver, err := strconv.ParseUint(etag, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("httpkv: missing ETag on put response: %w", err)
 	}
@@ -549,14 +563,12 @@ func (c *Client) deleteVersioned(ctx context.Context, table, key string, expect 
 	if err != nil {
 		return err
 	}
-	for k, v := range condHeaders(expect) {
-		req.Header.Set(k, v)
-	}
+	setCond(req, expect)
 	resp, err := c.do(req)
 	if err != nil {
 		return err
 	}
-	resp.Body.Close()
+	drainClose(resp)
 	return nil
 }
 
@@ -578,17 +590,5 @@ func (c *Client) scanVersioned(ctx context.Context, table, startKey string, coun
 
 // Delete implements db.DB.
 func (c *Client) Delete(ctx context.Context, table, key string) error {
-	if _, served, err := c.wireWrite(ctx, kvwire.KindDelete, table, key, nil, kvstore.AnyVersion); served {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.recordURL(table, key), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	return nil
+	return c.deleteVersioned(ctx, table, key, kvstore.AnyVersion)
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -81,7 +80,7 @@ func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int,
 // MigrateSlotOpts is MigrateSlot with tuning options.
 func MigrateSlotOpts(ctx context.Context, hc *http.Client, m *cluster.Map, slot int, dest string, opts MigrateOptions) (*cluster.Map, error) {
 	if hc == nil {
-		hc = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
+		hc, _ = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
 	}
 	if slot < 0 || slot >= m.Slots {
 		return nil, fmt.Errorf("cluster: migrate slot %d out of range [0,%d)", slot, m.Slots)
@@ -225,11 +224,10 @@ func postFreeze(ctx context.Context, hc *http.Client, base string, slot int, tha
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body))
+		return fmt.Errorf("%s: %s", resp.Status, errorText(resp))
 	}
+	drainClose(resp)
 	return nil
 }
 
@@ -243,9 +241,8 @@ func fetchSnapshotTS(ctx context.Context, hc *http.Client, base string) (int64, 
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
 	var ts wireTS
-	if err := json.NewDecoder(resp.Body).Decode(&ts); err != nil || ts.TS <= 0 {
+	if err := decodeBody(resp, &ts); err != nil || ts.TS <= 0 {
 		return 0, fmt.Errorf("node %s serves no snapshot clock", base)
 	}
 	return ts.TS, nil
@@ -261,14 +258,14 @@ func fetchTables(ctx context.Context, hc *http.Client, base string) ([]string, e
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		drainClose(resp)
 		return nil, fmt.Errorf("listing tables: %s", resp.Status)
 	}
 	var body struct {
 		Tables []string `json:"tables"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	if err := decodeBody(resp, &body); err != nil {
 		return nil, err
 	}
 	return body.Tables, nil
@@ -288,11 +285,10 @@ func copySlot(ctx context.Context, hc *http.Client, src, dest, table string, slo
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("scanning source: %s: %s", resp.Status, bytes.TrimSpace(body))
+		return fmt.Errorf("scanning source: %s: %s", resp.Status, errorText(resp))
 	}
+	defer drainClose(resp)
 	if resp.Header.Get(AsOfServedHeader) == "" {
 		return fmt.Errorf("source node %s ignored the as-of scan (pre-MVCC server?)", src)
 	}
@@ -345,11 +341,10 @@ func postIngest(ctx context.Context, hc *http.Client, dest, table string, body *
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("ingest on %s: %s: %s", dest, resp.Status, bytes.TrimSpace(b))
+		return fmt.Errorf("ingest on %s: %s: %s", dest, resp.Status, errorText(resp))
 	}
+	drainClose(resp)
 	return nil
 }
 
@@ -380,7 +375,7 @@ func putShardMap(ctx context.Context, hc *http.Client, base string, m *cluster.M
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	body := errorText(resp) // consumes the response on every path
 	if resp.StatusCode == http.StatusOK {
 		return nil
 	}
@@ -389,6 +384,5 @@ func putShardMap(ctx context.Context, hc *http.Client, base string, m *cluster.M
 			return nil // already there or ahead
 		}
 	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	return fmt.Errorf("installing map v%d on %s: %s: %s", m.Version, base, resp.Status, bytes.TrimSpace(body))
+	return fmt.Errorf("installing map v%d on %s: %s: %s", m.Version, base, resp.Status, body)
 }

@@ -2,7 +2,6 @@ package httpkv
 
 import (
 	"context"
-	"io"
 	"net/http"
 
 	"ycsbt/internal/kvwire"
@@ -39,8 +38,7 @@ func sniffNodeWireStream(ctx context.Context, hc *http.Client, base string) (str
 	if err != nil {
 		return "", false
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
+	drainClose(resp)
 	if resp.Header.Get(WireStreamHeader) == "" {
 		return "", false
 	}

@@ -87,7 +87,7 @@ type routerMetrics struct {
 	batchItems map[string]*obs.Histogram // httpkv_routed_batch_items per node
 }
 
-func newRouterMetrics(reg *obs.Registry, mapVersion func() float64) *routerMetrics {
+func newRouterMetrics(reg *obs.Registry, dials *atomic.Int64, mapVersion func() float64) *routerMetrics {
 	m := &routerMetrics{reg: reg, batchItems: make(map[string]*obs.Histogram)}
 	reg.Help("cluster_map_refetch_total", "Shard-map re-fetches triggered by moved errors or bootstrap.")
 	reg.Help("httpkv_client_moved_total", "Moved (410) answers observed by the cluster router.")
@@ -96,6 +96,16 @@ func newRouterMetrics(reg *obs.Registry, mapVersion func() float64) *routerMetri
 	m.refetch = reg.Counter("cluster_map_refetch_total")
 	m.moved = reg.Counter("httpkv_client_moved_total")
 	reg.GaugeFunc("cluster_client_shardmap_version", mapVersion)
+	if dials != nil { // nil: the caller's own http.Client
+		reg.RegisterCollector(func() []obs.Sample {
+			return []obs.Sample{{
+				Name:  "httpkv_client_dials_total",
+				Kind:  obs.KindCounter,
+				Help:  "TCP connections dialled by the router's pooled HTTP transport (tracks requests when responses are closed short of EOF).",
+				Value: float64(dials.Load()),
+			}}
+		})
+	}
 	return m
 }
 
@@ -142,10 +152,11 @@ func NewRouter(seeds []string, hc *http.Client, reg *obs.Registry) (*Router, err
 		nodes:   make(map[string]*Client),
 		caps:    make(map[string]*endpointCaps),
 	}
+	var dials *atomic.Int64
 	if r.hc == nil {
-		r.hc = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
+		r.hc, dials = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
 	}
-	r.metrics = newRouterMetrics(reg, func() float64 {
+	r.metrics = newRouterMetrics(reg, dials, func() float64 {
 		if m := r.cur.Load(); m != nil {
 			return float64(m.Version)
 		}
@@ -169,7 +180,8 @@ func (r *Router) Init(p *properties.Properties) error {
 	if len(seeds) == 0 {
 		return errors.New("cluster: missing required property cluster.nodes")
 	}
-	r.hc = newPooledHTTPClient(
+	var dials *atomic.Int64
+	r.hc, dials = newPooledHTTPClient(
 		p.GetInt("rawhttp.pool_size", DefaultPoolSize),
 		time.Duration(p.GetInt64("rawhttp.timeout_ms", int64(DefaultTimeout/time.Millisecond)))*time.Millisecond,
 	)
@@ -182,7 +194,7 @@ func (r *Router) Init(p *properties.Properties) error {
 		r.caps = make(map[string]*endpointCaps)
 	}
 	reg := obs.Enabled(p.GetBool("obs.enabled", false))
-	r.metrics = newRouterMetrics(reg, func() float64 {
+	r.metrics = newRouterMetrics(reg, dials, func() float64 {
 		if m := r.cur.Load(); m != nil {
 			return float64(m.Version)
 		}
@@ -250,7 +262,7 @@ func fetchShardMap(ctx context.Context, hc *http.Client, base string) (*cluster.
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("shardmap fetch: %s", resp.Status)
 	}

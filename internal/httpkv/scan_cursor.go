@@ -84,7 +84,10 @@ func (sc *scanCursor) next() (*wireRecord, error) {
 		return nil, nil
 	}
 	var re *kvwire.RequestError
+	var ce *kvwire.StreamCountError
 	switch {
+	case errors.As(err, &ce):
+		return nil, err // a protocol defect, not a dead connection: no quiet rescan
 	case errors.As(err, &re) && re.Status == http.StatusConflict:
 		// The shard map changed under the node's scan.
 		return nil, errScanRescan

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"strings"
 	"sync"
 )
 
@@ -31,6 +33,21 @@ var scanDecPool = sync.Pool{New: func() any {
 	sd.dec = json.NewDecoder(&sd.src)
 	return sd
 }}
+
+// decodeScanBody consumes one scan page response in whichever
+// representation the server speaks: NDJSON when the Content-Type says
+// so, else the JSON array old servers answer.
+func decodeScanBody(resp *http.Response, count int) ([]wireRecord, error) {
+	if strings.Contains(resp.Header.Get("Content-Type"), NDJSONContentType) {
+		defer drainClose(resp)
+		return decodeScanNDJSON(resp.Body, count)
+	}
+	var wrs []wireRecord
+	if err := decodeBody(resp, &wrs); err != nil {
+		return nil, fmt.Errorf("httpkv: decoding scan: %w", err)
+	}
+	return wrs, nil
+}
 
 // decodeScanNDJSON reads one NDJSON scan page. count sizes the result
 // slice up front when the caller asked for a bounded page (count <= 0

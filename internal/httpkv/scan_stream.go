@@ -55,6 +55,10 @@ func (c *Client) scanStream(ctx context.Context, table, start string, count int,
 			// authoritative — HTTP would answer the same.
 			return nil, 0, true, wireResultErr(kvwire.Result{Status: re.Status, Err: re.Msg})
 		}
+		var ce *kvwire.StreamCountError
+		if errors.As(err, &ce) {
+			return nil, 0, true, err // a protocol defect, not a dead connection: no quiet fallback
+		}
 		if ctx.Err() != nil {
 			return nil, 0, true, ctx.Err()
 		}

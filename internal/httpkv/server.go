@@ -343,10 +343,11 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request, table string
 	// JSON array.
 	if strings.Contains(r.Header.Get("Accept"), NDJSONContentType) {
 		w.Header().Set("Content-Type", NDJSONContentType)
-		enc := json.NewEncoder(w)
+		be := getEncoder(w)
 		for _, kv := range kvs {
-			enc.Encode(toWire(kv))
+			be.enc.Encode(toWire(kv))
 		}
+		be.flushAndPut()
 		return
 	}
 	out := make([]wireRecord, 0, len(kvs))
@@ -376,8 +377,7 @@ func condition(r *http.Request) (uint64, error) {
 
 func decodeFields(r *http.Request) (map[string][]byte, error) {
 	var body wireRecord
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&body); err != nil {
+	if err := unmarshalFrom(r.Body, &body); err != nil {
 		return nil, err
 	}
 	if body.Fields == nil {
@@ -449,7 +449,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, table, key
 func writeRecord(w http.ResponseWriter, key string, rec *kvstore.VersionedRecord) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("ETag", strconv.FormatUint(rec.Version, 10))
-	json.NewEncoder(w).Encode(wireRecord{Key: key, Version: rec.Version, CommitTS: rec.CommitTS, Fields: rec.Fields})
+	be := getEncoder(w)
+	be.enc.Encode(wireRecord{Key: key, Version: rec.Version, CommitTS: rec.CommitTS, Fields: rec.Fields})
+	be.flushAndPut()
 }
 
 func writeStoreError(w http.ResponseWriter, err error) {

@@ -96,3 +96,75 @@ func TestAuditCatchesMutation(t *testing.T) {
 		t.Fatal("Verify missed a map insert")
 	}
 }
+
+// TestUpdateSharesUnchangedValues pins the merge path's memory
+// contract: an Update builds a new version that copies only the fields
+// it carries and shares every other value slice with the version
+// before it (safe because published records are immutable). Runs on
+// the bare store and under the audit wrapper, which would catch the
+// sharing going wrong — a later write editing a shared slice in place.
+func TestUpdateSharesUnchangedValues(t *testing.T) {
+	engines := map[string]func() (Engine, func() error){
+		"store": func() (Engine, func() error) { return OpenMemoryShards(2), func() error { return nil } },
+		"audit": func() (Engine, func() error) { a := NewAuditEngine(OpenMemoryShards(2)); return a, a.Verify },
+	}
+	for name, open := range engines {
+		t.Run(name, func(t *testing.T) {
+			e, verify := open()
+			defer e.Close()
+			if _, err := e.Put("t", "k", map[string][]byte{"f0": []byte("zero"), "f1": []byte("one"), "f2": []byte("two")}); err != nil {
+				t.Fatal(err)
+			}
+			old, err := e.Get("t", "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := e.SnapshotTS()
+			input := map[string][]byte{"f1": []byte("ONE")}
+			if _, err := e.Update("t", "k", input); err != nil {
+				t.Fatal(err)
+			}
+			head, err := e.Get("t", "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []string{"f0", "f2"} {
+				if &head.Fields[f][0] != &old.Fields[f][0] {
+					t.Errorf("unchanged field %s was copied, want it to share the previous version's bytes", f)
+				}
+			}
+			if &head.Fields["f1"][0] == &old.Fields["f1"][0] || &head.Fields["f1"][0] == &input["f1"][0] {
+				t.Error("changed field f1 aliases the previous version or the caller's input")
+			}
+			// The caller keeps its map; scribbling on it reaches no version.
+			input["f1"][0] = 'x'
+			input["f0"] = []byte("injected")
+			if got := string(head.Fields["f1"]); got != "ONE" {
+				t.Errorf("head f1 = %q after the caller mutated its input, want ONE", got)
+			}
+			if got := string(head.Fields["f0"]); got != "zero" {
+				t.Errorf("head f0 = %q, want zero", got)
+			}
+			asOf, err := e.GetAsOf("t", "k", ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if asOf != old || string(asOf.Fields["f1"]) != "one" || asOf.Version != 1 {
+				t.Errorf("as-of read at %d = v%d f1=%q, want the untouched v1 f1=one", ts, asOf.Version, asOf.Fields["f1"])
+			}
+			// More merges over the shared slices must leave every
+			// handed-out version as it was.
+			for i := 0; i < 3; i++ {
+				if _, err := e.Update("t", "k", map[string][]byte{fmt.Sprintf("f%d", i): []byte("again")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if string(head.Fields["f0"]) != "zero" || string(old.Fields["f2"]) != "two" {
+				t.Error("a later merge edited a published version in place")
+			}
+			if err := verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -223,8 +223,15 @@ func (p *partition) putLocked(w *wal, table, key string, fields map[string][]byt
 		if live == nil {
 			return 0, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
 		}
-		stored = live.clone()
-		stored.Version = cur.Version + 1
+		// Published records are immutable, so the new version shares
+		// the value slices of the fields the update leaves alone and
+		// copies only what the caller passed in (which the caller still
+		// owns). With retention keeping a minute of versions, a deep
+		// clone per PATCH would hold a full record per update.
+		stored = &VersionedRecord{Version: cur.Version + 1, Fields: make(map[string][]byte, len(live.Fields))}
+		for f, b := range live.Fields {
+			stored.Fields[f] = b
+		}
 		for f, b := range fields {
 			stored.Fields[f] = append([]byte(nil), b...)
 		}

@@ -77,11 +77,7 @@ type VersionedRecord struct {
 // Clone deep-copies the record's data (version, commit ts, fields).
 // The clone carries no chain link — use it when a caller needs a
 // private, mutable copy of an engine-returned record.
-func (v *VersionedRecord) Clone() *VersionedRecord { return v.clone() }
-
-// clone deep-copies the record (internal spelling; the write path uses
-// it to build fresh merge results).
-func (v *VersionedRecord) clone() *VersionedRecord {
+func (v *VersionedRecord) Clone() *VersionedRecord {
 	out := &VersionedRecord{Version: v.Version, CommitTS: v.CommitTS, Fields: make(map[string][]byte, len(v.Fields))}
 	for f, b := range v.Fields {
 		out.Fields[f] = append([]byte(nil), b...)

@@ -195,6 +195,23 @@ type ScanStream struct {
 	mapVer int64
 	done   bool
 	err    error
+
+	// term holds a terminal event recv took while chunks were still
+	// buffered; delivered counts the records of every chunk received,
+	// checked against the stream-end's declared count.
+	term      *streamEvent
+	delivered uint64
+}
+
+// StreamCountError reports a scan stream whose clean end declared a
+// different record count than its chunks delivered: records were lost
+// (or invented) between the server's producer and this consumer.
+type StreamCountError struct {
+	Delivered, Declared uint64
+}
+
+func (e *StreamCountError) Error() string {
+	return fmt.Sprintf("kvwire: scan stream delivered %d records, its end frame declares %d", e.Delivered, e.Declared)
 }
 
 // Scan opens one streamed scan. req.Window chooses the credit window
@@ -249,21 +266,11 @@ func (s *ScanStream) Next() bool {
 			return false
 		}
 	}
-	// Drain buffered chunks before looking at a terminal event: the
-	// read loop only delivers term after every prior chunk is in ev.
-	var e streamEvent
-	select {
-	case e = <-s.st.ev:
-	default:
-		select {
-		case e = <-s.st.ev:
-		case e = <-s.st.term:
-		case <-s.ctx.Done():
-			s.fail(s.ctx.Err(), false)
-			return false
-		}
-	}
+	e, err := s.recv()
 	switch {
+	case err != nil:
+		s.fail(err, false)
+		return false
 	case e.err != nil:
 		s.fail(e.err, true)
 		return false
@@ -272,13 +279,44 @@ func (s *ScanStream) Next() bool {
 		if e.mapVer != 0 {
 			s.mapVer = e.mapVer
 		}
-		if e.status != http.StatusOK {
+		switch {
+		case e.status != http.StatusOK:
 			s.err = &RequestError{Status: e.status, Msg: e.msg}
+		case e.count != s.delivered:
+			s.err = &StreamCountError{Delivered: s.delivered, Declared: e.count}
 		}
 		return false
 	}
 	s.chunk, s.idx, s.mapVer = e.recs, 0, e.mapVer
+	s.delivered += uint64(len(e.recs))
 	return true
+}
+
+// recv blocks for the stream's next event, chunks first. The read loop
+// fills term only after every chunk sent before it is in ev, so once
+// term is readable ev already holds all that is left — but a select
+// with both ready picks either, so a terminal event is held back until
+// ev has been emptied; honouring it at once would drop the stream's
+// last chunks.
+func (s *ScanStream) recv() (streamEvent, error) {
+	for {
+		select {
+		case e := <-s.st.ev:
+			return e, nil
+		default:
+		}
+		if s.term != nil {
+			return *s.term, nil
+		}
+		select {
+		case e := <-s.st.ev:
+			return e, nil
+		case e := <-s.st.term:
+			s.term = &e
+		case <-s.ctx.Done():
+			return streamEvent{}, s.ctx.Err()
+		}
+	}
 }
 
 // fail terminates the stream on a local error. connDead drops the

@@ -181,12 +181,14 @@ func (s *Server) runScan(ctx context.Context, c *serverConn, id uint64, sc *serv
 				Fields:   kv.Record.Fields,
 			})
 		}
+		// Counted before the write, so a consumer that has seen the chunk
+		// never reads a counter that has not.
+		s.metrics.scanChunks.Inc()
 		if err := s.writeFrame(c, func(buf []byte) []byte {
 			return AppendChunk(buf, id, mapVersion, recs)
 		}); err != nil {
 			return err
 		}
-		s.metrics.scanChunks.Inc()
 		total += uint64(len(chunk))
 		return nil
 	})

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"testing"
 	"time"
 
@@ -288,5 +291,64 @@ func TestStreamScanRejectsBadParams(t *testing.T) {
 			t.Fatalf("req %+v: Err() = %v, want 400 RequestError", req, s.Err())
 		}
 		s.Close()
+	}
+}
+
+// injectCtx runs inject the first time the consumer evaluates Done() —
+// which ScanStream does on entering its blocking select, after it has
+// found the chunk mailbox empty.
+type injectCtx struct {
+	context.Context
+	inject func()
+}
+
+func (c *injectCtx) Done() <-chan struct{} {
+	if c.inject != nil {
+		c.inject()
+		c.inject = nil
+	}
+	return c.Context.Done()
+}
+
+// TestScanStreamEndDoesNotOvertakeChunk: when a stream's last chunk
+// and its end frame both land while the consumer is between polls, the
+// chunk must still be delivered before the end is honoured. The select
+// over both mailboxes used to pick the end about half the time, and
+// the scan came back short with a nil error.
+func TestScanStreamEndDoesNotOvertakeChunk(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	go io.Copy(io.Discard, server) // the consumer's credit frames
+	c := &clientConn{conn: client, streams: make(map[uint64]*clientStream)}
+
+	for i := 0; i < 200; i++ {
+		st := c.openStream(false, DefaultStreamWindow)
+		s := &ScanStream{c: c, st: st, ctx: &injectCtx{Context: context.Background(), inject: func() {
+			st.ev <- streamEvent{recs: []StreamRecord{{Key: "a"}, {Key: "b"}}}
+			c.takeStream(st.id)
+			st.deliverTerm(streamEvent{end: true, status: http.StatusOK, count: 2})
+		}}}
+		n := 0
+		for s.Next() {
+			n++
+		}
+		if n != 2 || s.Err() != nil {
+			t.Fatalf("iteration %d: scan delivered %d of 2 records, err %v", i, n, s.Err())
+		}
+	}
+
+	// A stream that really is short of its declared count is an error.
+	st := c.openStream(false, DefaultStreamWindow)
+	s := &ScanStream{c: c, st: st, ctx: &injectCtx{Context: context.Background(), inject: func() {
+		st.ev <- streamEvent{recs: []StreamRecord{{Key: "a"}}}
+		c.takeStream(st.id)
+		st.deliverTerm(streamEvent{end: true, status: http.StatusOK, count: 3})
+	}}}
+	for s.Next() {
+	}
+	var ce *StreamCountError
+	if !errors.As(s.Err(), &ce) || ce.Delivered != 1 || ce.Declared != 3 {
+		t.Fatalf("short stream: Err() = %v, want StreamCountError{1, 3}", s.Err())
 	}
 }

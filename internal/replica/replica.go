@@ -598,6 +598,10 @@ func (s *Store) Promote() (lost int64) {
 				break drain
 			}
 		}
+		// A batch the applier had already taken off the queue was
+		// shipped before the crash: it lands before the backup takes
+		// over, so every acknowledged write is either lost or present.
+		s.Flush()
 	}
 	if s.cfg.Mode == Sync {
 		// Every lane finishes its backlog, then the lanes are rebuilt
