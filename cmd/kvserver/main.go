@@ -151,6 +151,7 @@ func run() error {
 	// One transport-neutral core serves both front ends, so HTTP and
 	// binary requests share a single admission limit and ownership gate.
 	core := kvwire.NewCore(eng, cs, *maxInflight)
+	core.Instrument(metrics)
 
 	var wireSrv *kvwire.Server
 	var wireLnAddr string

@@ -36,6 +36,15 @@ type clusterNode struct {
 // hash map over the given slot count.
 func startTestCluster(t *testing.T, n, slots int) []*clusterNode {
 	t.Helper()
+	return startTestClusterWithMap(t, n, func(addrs []string) (*cluster.Map, error) {
+		return cluster.NewUniform(cluster.PlacementHash, slots, addrs, nil)
+	})
+}
+
+// startTestClusterWithMap boots n cluster-mode nodes sharing the map
+// build returns for their addresses.
+func startTestClusterWithMap(t *testing.T, n int, build func(addrs []string) (*cluster.Map, error)) []*clusterNode {
+	t.Helper()
 	nodes := make([]*clusterNode, n)
 	for i := range nodes {
 		tn := &clusterNode{}
@@ -57,7 +66,7 @@ func startTestCluster(t *testing.T, n, slots int) []*clusterNode {
 	for i, tn := range nodes {
 		addrs[i] = tn.URL
 	}
-	m, err := cluster.NewUniform(cluster.PlacementHash, slots, addrs, nil)
+	m, err := build(addrs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
+	"ycsbt/internal/kvwire"
 	"ycsbt/internal/obs"
 	"ycsbt/internal/properties"
 )
@@ -454,27 +455,66 @@ func (r *Router) Delete(ctx context.Context, table, key string) error {
 // filters), and the router k-way merges the sorted, disjoint results
 // back into one global key order.
 func (r *Router) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
-	merged, err := r.scanMerged(ctx, table, startKey, count)
-	if err != nil {
-		return nil, err
+	return scanMerged(ctx, r, table, startKey, count, func(rec *kvwire.StreamRecord) db.KV {
+		if fields == nil {
+			return db.KV{Key: rec.Key, Record: rec.Fields} // freshly decoded: already the caller's own map
+		}
+		return db.KV{Key: rec.Key, Record: db.ProjectFields(rec.Fields, fields)}
+	})
+}
+
+// nodeShares is how many records a fleet scan for count from startKey
+// asks of each node up front: the node's expected part of the result
+// plus a margin, which depends on how the map places keys.
+//
+// Hash placement scatters any key range evenly over the slots, so the
+// expected part is count times the fraction of slots the node owns.
+// The margin, a quarter and a constant, is about 1.5 standard
+// deviations of the node's real part at YCSB scan lengths: shipping a
+// spare record costs microseconds and a top-up costs a round trip, so
+// it pays to let a node in ten come up short rather than have every
+// node ship half as much again.
+//
+// Range placement keeps neighbours together: the owner of startKey's
+// slot can expect to deliver the whole result and is asked for count;
+// the others are asked for the constant alone — a head for the merge —
+// and topped up if the scan does run off the end of the owner's range.
+func nodeShares(startKey string, count int, m *cluster.Map) []int {
+	shares := make([]int, len(m.Nodes))
+	if count < 0 || len(shares) == 1 {
+		for i := range shares {
+			shares[i] = count
+		}
+		return shares
 	}
-	out := make([]db.KV, 0, len(merged))
-	for _, wr := range merged {
-		out = append(out, db.KV{Key: wr.Key, Record: db.ProjectFields(wr.Fields, fields)})
+	if m.Placement == cluster.PlacementRange {
+		for i := range shares {
+			shares[i] = min(count, 2)
+		}
+		shares[m.Assign[m.SlotOf(startKey)]] = count
+		return shares
 	}
-	return out, nil
+	for _, n := range m.Assign {
+		shares[n]++ // slots owned, for now
+	}
+	for i, owned := range shares {
+		// ceil(count × owned / slots) without overflowing on a huge count.
+		part := count/m.Slots*owned + (count%m.Slots*owned+m.Slots-1)/m.Slots
+		shares[i] = min(count, part+part/4+2)
+	}
+	return shares
 }
 
 // scanMerged fans one scan out to the whole fleet and merges the
 // per-node sorted, disjoint results into one slice of at most count
-// records. Nodes that answer 404 for the table contribute nothing (a
-// table can live on a subset of nodes until writes spread).
+// records, built once through conv in the caller's own record type.
+// Nodes that answer 404 for the table contribute nothing (a table can
+// live on a subset of nodes until writes spread).
 //
-// Stream-capable nodes are consumed lazily through scanCursor: each
-// buffers at most a credit window of chunks, and the moment the merge
-// has count records every remaining stream is cancelled — the fleet no
-// longer materializes count records per node for a merge that keeps
-// only count total. HTTP-only nodes still contribute one eager page.
+// Each node is asked for its nodeShares records through a scanCursor and
+// consumed lazily; a node the merge drains is topped up with what the
+// merge still lacks, and the moment the merge holds count every
+// stream still running is cancelled.
 //
 // Each node reports the shard map version it scanned under. If the
 // reports disagree, the fan-out straddled a migration cutover: the
@@ -482,14 +522,15 @@ func (r *Router) Scan(ctx context.Context, table, startKey string, count int, fi
 // it... or doesn't own it yet), and so does the node at v+1 — the
 // slot's records would silently vanish from the merged result. The
 // same applies when one node's stream aborts 409 (its map changed
-// mid-scan) or a wire connection dies partway. In every case the
+// mid-scan), a top-up is answered under a newer map, or a wire
+// connection dies partway. In every case the
 // router refetches the map, backs off, and rescans until a round
 // completes under one version, bounded by the usual retry budget.
 // Pre-echo servers report version 0 and are exempt from the check —
 // best effort is all a mixed-version fleet can offer.
-func (r *Router) scanMerged(ctx context.Context, table, startKey string, count int) ([]wireRecord, error) {
+func scanMerged[T any](ctx context.Context, r *Router, table, startKey string, count int, conv func(*kvwire.StreamRecord) T) ([]T, error) {
 	for attempt := 0; ; attempt++ {
-		out, err := r.scanRound(ctx, table, startKey, count)
+		out, err := scanRound(ctx, r, table, startKey, count, conv)
 		if err == nil {
 			return out, nil
 		}
@@ -515,27 +556,31 @@ func (r *Router) scanMerged(ctx context.Context, table, startKey string, count i
 // scanRound runs one fan-out round: open a cursor per node (priming
 // each with its first record concurrently), verify the fleet answered
 // under one map version, then merge. Any errScanRescan — from a
-// stream's 409, a dead wire connection, or cross-node version skew —
-// aborts the round for scanMerged to retry.
-func (r *Router) scanRound(ctx context.Context, table, startKey string, count int) ([]wireRecord, error) {
+// stream's 409, a dead wire connection, or version skew across nodes
+// or between one node's fetches — aborts the round for scanMerged to
+// retry.
+func scanRound[T any](ctx context.Context, r *Router, table, startKey string, count int, conv func(*kvwire.StreamRecord) T) ([]T, error) {
+	if count == 0 {
+		return nil, nil
+	}
 	m := r.cur.Load()
 	roundCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	cursors := make([]*scanCursor, len(m.Nodes))
-	heads := make([]*wireRecord, len(m.Nodes))
 	errs := make([]error, len(m.Nodes))
+	shares := nodeShares(startKey, count, m)
 	var wg sync.WaitGroup
 	for i, addr := range m.Nodes {
 		wg.Add(1)
 		go func(i int, c *Client) {
 			defer wg.Done()
-			sc, err := c.openScanCursor(roundCtx, table, startKey, count)
+			sc, err := c.openScanCursor(roundCtx, table, startKey, shares[i])
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			cursors[i] = sc
-			heads[i], errs[i] = sc.next()
+			errs[i] = sc.next(shares[i])
 		}(i, r.node(addr))
 	}
 	wg.Wait()
@@ -546,22 +591,24 @@ func (r *Router) scanRound(ctx context.Context, table, startKey string, count in
 			}
 		}
 	}()
-	for i, err := range errs {
-		if err == nil || errors.Is(err, db.ErrNotFound) {
-			continue
-		}
+	nodeErr := func(i int, err error) error {
 		if errors.Is(err, errScanRescan) {
-			return nil, err
+			return err
 		}
-		return nil, fmt.Errorf("cluster: scan on %s: %w", m.Nodes[i], err)
+		return fmt.Errorf("cluster: scan on %s: %w", m.Nodes[i], err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, nodeErr(i, err)
+		}
 	}
 	// After priming, every cursor knows its node's map version (streams
 	// learn it from the first chunk or the end frame) and per-node
-	// consistency is the stream's own 409 check — so one cross-node
+	// consistency is the cursor's own check — so one cross-node
 	// comparison here covers the whole round.
 	skew := int64(0)
 	for _, sc := range cursors {
-		if sc == nil || sc.ver == 0 {
+		if sc.ver == 0 {
 			continue // pre-echo server or single-node; nothing to compare
 		}
 		if skew == 0 {
@@ -570,35 +617,24 @@ func (r *Router) scanRound(ctx context.Context, table, startKey string, count in
 			return nil, errScanRescan
 		}
 	}
-	var out []wireRecord
-	if count >= 0 {
-		out = make([]wireRecord, 0, count)
-	}
+	out := make([]T, 0, scanPrealloc(count))
 	for {
 		best := -1
-		for i, h := range heads {
-			if h == nil {
-				continue
-			}
-			if best < 0 || h.Key < heads[best].Key {
+		for i, sc := range cursors {
+			if sc.head != nil && (best < 0 || sc.head.Key < cursors[best].head.Key) {
 				best = i
 			}
 		}
-		if best < 0 || (count >= 0 && len(out) >= count) {
+		if best < 0 {
 			return out, nil
 		}
-		out = append(out, *heads[best])
-		h, err := cursors[best].next()
-		if err != nil {
-			if errors.Is(err, db.ErrNotFound) {
-				h = nil
-			} else if errors.Is(err, errScanRescan) {
-				return nil, err
-			} else {
-				return nil, fmt.Errorf("cluster: scan on %s: %w", m.Nodes[best], err)
-			}
+		out = append(out, conv(cursors[best].head))
+		if len(out) == count {
+			return out, nil
 		}
-		heads[best] = h
+		if err := cursors[best].next(count - len(out)); err != nil {
+			return nil, nodeErr(best, err)
+		}
 	}
 }
 

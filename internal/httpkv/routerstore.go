@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/kvwire"
 )
 
 // RouterStore adapts a cluster Router to the transaction libraries'
@@ -72,16 +73,11 @@ func (s *RouterStore) Delete(ctx context.Context, table, key string, expect uint
 // Scan implements the store interface: per-node sorted results merged
 // into global key order, like the binding's Scan.
 func (s *RouterStore) Scan(ctx context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error) {
-	merged, err := s.r.scanMerged(ctx, table, startKey, count)
-	if err != nil {
-		return nil, remoteTranslate(err)
-	}
-	out := make([]kvstore.VersionedKV, 0, len(merged))
-	for _, wr := range merged {
-		out = append(out, kvstore.VersionedKV{
-			Key:    wr.Key,
-			Record: &kvstore.VersionedRecord{Version: wr.Version, Fields: wr.Fields},
-		})
-	}
-	return out, nil
+	out, err := scanMerged(ctx, s.r, table, startKey, count, func(rec *kvwire.StreamRecord) kvstore.VersionedKV {
+		return kvstore.VersionedKV{
+			Key:    rec.Key,
+			Record: &kvstore.VersionedRecord{Version: rec.Version, Fields: rec.Fields},
+		}
+	})
+	return out, remoteTranslate(err)
 }

@@ -5,80 +5,143 @@ import (
 	"errors"
 	"net/http"
 
+	"ycsbt/internal/db"
 	"ycsbt/internal/kvwire"
 )
 
 // errScanRescan marks a scan round the fleet invalidated mid-flight —
-// a stream answered 409 (the shard map changed under it) or a wire
-// connection died partway through a chunk sequence. Scans are
+// a stream answered 409 (the shard map changed under it), a wire
+// connection died partway through a chunk sequence, or a node answered
+// a top-up under a different map than its first fetch. Scans are
 // idempotent, so the router's answer is always the same: refetch the
 // map, back off, scan again.
 var errScanRescan = errors.New("httpkv: scan raced a shard map change; rescan")
 
 // scanCursor yields one node's sorted scan results for the router's
-// k-way merge. Over a stream-capable wire endpoint it is lazy: records
-// are pulled chunk by chunk as the merge consumes them, so a node
-// whose keys mostly lose the merge race buffers at most a credit
-// window of chunks instead of materializing the full count — and
-// close() cancels the server's producer as soon as the merge has
-// enough. The HTTP fallback keeps the old shape: one eager full page.
+// k-way merge. The merge rarely needs more than its share of count
+// from any one node, so a cursor asks its node for that share, not for
+// count, and tops the node up — a further fetch from just past the
+// last key it delivered — only when the merge has consumed everything
+// it sent and still wants more. A fetch is a wire scan stream consumed
+// chunk by chunk (so even a large share buffers at most a credit
+// window) or, on nodes without streaming, one HTTP page; both run
+// through the same top-up rule.
 type scanCursor struct {
-	ctx    context.Context
-	stream *kvwire.ScanStream // nil on the HTTP path
-	page   []wireRecord
+	c     *Client
+	ctx   context.Context
+	table string
+
+	stream *kvwire.ScanStream // the current fetch; nil on the HTTP path
+	page   []wireRecord       // the current fetch on the HTTP path
 	idx    int
-	ver    int64 // shard map version the node scanned under
-	cur    wireRecord
+
+	asked int   // records the current fetch asked the node for; < 0 = all
+	got   int   // records it has delivered
+	ver   int64 // shard map version the node scanned under
+
+	// head is the cursor's current record — the node's smallest key the
+	// merge has not consumed — or nil once the node is exhausted. It
+	// points into the fetch's own buffer and is valid until next.
+	head *kvwire.StreamRecord
 }
 
-// openScanCursor opens one node's side of a fleet scan, streaming when
-// the endpoint negotiated it and falling back to one eager HTTP page
-// otherwise (same per-call fallback shape as scanStream).
-func (c *Client) openScanCursor(ctx context.Context, table, start string, count int) (*scanCursor, error) {
-	if ep, ok := c.wireStreamEndpoint(); ok {
-		s, err := ep.Scan(ctx, &kvwire.ScanRequest{Table: table, Start: start, Count: count, Slot: -1})
-		if err == nil {
-			return &scanCursor{ctx: ctx, stream: s}, nil
-		}
-		if errors.Is(err, kvwire.ErrUnavailable) {
-			c.caps.wireUnsupported.Store(true)
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		// Transient open failure: HTTP for this call only.
-	}
-	page, ver, err := c.scanWireHTTP(ctx, table, start, count)
-	if err != nil {
+// openScanCursor starts one node's side of a fleet scan by asking it
+// for its first n records from start. The caller primes the cursor
+// with next.
+func (c *Client) openScanCursor(ctx context.Context, table, start string, n int) (*scanCursor, error) {
+	sc := &scanCursor{c: c, ctx: ctx, table: table}
+	if err := sc.fetch(start, n); err != nil {
 		return nil, err
 	}
-	return &scanCursor{ctx: ctx, page: page, ver: ver}, nil
+	return sc, nil
 }
 
-// next returns the node's next record, or (nil, nil) when the cursor
-// is exhausted. The returned pointer is valid until the next call.
-func (sc *scanCursor) next() (*wireRecord, error) {
+// fetch asks the node for up to n records from start, streaming when
+// the endpoint negotiated it and falling back to one HTTP page
+// otherwise (same per-call fallback shape as scanStream).
+func (sc *scanCursor) fetch(start string, n int) error {
+	sc.stream, sc.page, sc.idx = nil, nil, 0
+	sc.asked, sc.got = n, 0
+	if ep, ok := sc.c.wireStreamEndpoint(); ok {
+		s, err := ep.Scan(sc.ctx, &kvwire.ScanRequest{Table: sc.table, Start: start, Count: n, Slot: -1})
+		if err == nil {
+			sc.stream = s
+			return nil
+		}
+		if errors.Is(err, kvwire.ErrUnavailable) {
+			sc.c.caps.wireUnsupported.Store(true)
+		}
+		if cerr := sc.ctx.Err(); cerr != nil {
+			return cerr
+		}
+		// Transient open failure: HTTP for this fetch only.
+	}
+	page, ver, err := sc.c.scanWireHTTP(sc.ctx, sc.table, start, n)
+	if errors.Is(err, db.ErrNotFound) {
+		return nil // the table has not reached this node: nothing to merge
+	}
+	if err != nil {
+		return err
+	}
+	sc.page = page
+	return sc.sawVersion(ver)
+}
+
+// sawVersion records the map version a fetch reports. One cursor's
+// fetches must all be filtered under the same map, or the slot filter
+// changed between them and records may be missing from the seam.
+func (sc *scanCursor) sawVersion(ver int64) error {
+	if ver == 0 {
+		return nil // pre-echo server or single-node
+	}
+	if sc.ver != 0 && sc.ver != ver {
+		return errScanRescan
+	}
+	sc.ver = ver
+	return nil
+}
+
+// next advances head to the node's next record (nil when the node has
+// no more). want is how many records the merge could still take from
+// this node: if the current fetch delivered everything it was asked
+// for, the node may hold more, and next tops it up with a fetch for
+// want — which, being all the merge can still use, is this node's
+// last.
+func (sc *scanCursor) next(want int) error {
+	for {
+		rec, err := sc.advance()
+		if err == nil && rec == nil && sc.asked >= 0 && sc.got >= sc.asked {
+			// The fetch delivered all it was asked for: the node may hold more.
+			if err = sc.fetch(sc.head.Key+"\x00", want); err == nil {
+				continue
+			}
+		}
+		if rec != nil {
+			sc.got++
+		}
+		sc.head = rec // nil: the node ran out, or err
+		return err
+	}
+}
+
+// advance returns the current fetch's next record, or nil at its end.
+func (sc *scanCursor) advance() (*kvwire.StreamRecord, error) {
 	if sc.stream == nil {
 		if sc.idx >= len(sc.page) {
 			return nil, nil
 		}
-		wr := &sc.page[sc.idx]
+		// wireRecord is StreamRecord with JSON tags.
+		rec := (*kvwire.StreamRecord)(&sc.page[sc.idx])
 		sc.idx++
-		return wr, nil
+		return rec, nil
 	}
-	if sc.stream.Next() {
-		rec := sc.stream.Record()
-		sc.ver = sc.stream.MapVersion()
-		sc.cur = wireRecord{
-			Key:      rec.Key,
-			Version:  rec.Version,
-			CommitTS: rec.CommitTS,
-			Deleted:  rec.Deleted,
-			Fields:   rec.Fields,
-		}
-		return &sc.cur, nil
+	more := sc.stream.Next()
+	if err := sc.sawVersion(sc.stream.MapVersion()); err != nil {
+		return nil, err
 	}
-	sc.ver = sc.stream.MapVersion()
+	if more {
+		return sc.stream.Record(), nil
+	}
 	err := sc.stream.Err()
 	if err == nil {
 		return nil, nil
@@ -91,6 +154,8 @@ func (sc *scanCursor) next() (*wireRecord, error) {
 	case errors.As(err, &re) && re.Status == http.StatusConflict:
 		// The shard map changed under the node's scan.
 		return nil, errScanRescan
+	case errors.As(err, &re) && re.Status == http.StatusNotFound:
+		return nil, nil // the table has not reached this node: nothing to merge
 	case errors.As(err, &re):
 		return nil, wireResultErr(kvwire.Result{Status: re.Status, Err: re.Msg})
 	case sc.ctx.Err() != nil:
@@ -102,7 +167,7 @@ func (sc *scanCursor) next() (*wireRecord, error) {
 }
 
 // close cancels a still-running stream so the server stops producing;
-// a no-op for exhausted streams and HTTP pages.
+// a no-op for ended streams and HTTP pages.
 func (sc *scanCursor) close() {
 	if sc.stream != nil {
 		sc.stream.Close()

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+
+	"ycsbt/internal/kvwire"
 )
 
 // Pooled NDJSON scan decoding. scanWire and scanWireAsOf used to spin
@@ -49,16 +51,21 @@ func decodeScanBody(resp *http.Response, count int) ([]wireRecord, error) {
 	return wrs, nil
 }
 
-// decodeScanNDJSON reads one NDJSON scan page. count sizes the result
-// slice up front when the caller asked for a bounded page (count <= 0
-// — unbounded migration scans — starts empty and grows).
+// scanPrealloc is the result capacity a scan for count reserves before
+// a single record has arrived: count is the client's number
+// (maxscanlength, ?count=), so it is honoured only up to one engine
+// page — past that the slice grows with the records that really
+// exist. Unbounded scans (count < 0) start empty.
+func scanPrealloc(count int) int {
+	return max(0, min(count, kvwire.ScanPageCap))
+}
+
+// decodeScanNDJSON reads one NDJSON scan page, sizing the result slice
+// up front by scanPrealloc.
 func decodeScanNDJSON(body io.Reader, count int) ([]wireRecord, error) {
 	sd := scanDecPool.Get().(*scanDecoder)
 	sd.src.r = body
-	var wrs []wireRecord
-	if count > 0 {
-		wrs = make([]wireRecord, 0, count)
-	}
+	wrs := make([]wireRecord, 0, scanPrealloc(count))
 	for sd.dec.More() {
 		var wr wireRecord
 		if err := sd.dec.Decode(&wr); err != nil {

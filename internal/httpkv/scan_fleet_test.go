@@ -1,0 +1,367 @@
+package httpkv
+
+import (
+	"context"
+	"fmt"
+	"net/http/httptest"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"ycsbt/internal/cluster"
+	"ycsbt/internal/db"
+	"ycsbt/internal/kvstore"
+	"ycsbt/internal/obs"
+	"ycsbt/internal/properties"
+)
+
+// scanFleet is a 3-node cluster with a stream-capable wire listener on
+// every node and two routers over it: one riding scan streams, one
+// with the wire off, so every assertion runs on both cursors.
+type scanFleet struct {
+	nodes  []*clusterNode
+	regs   []*obs.Registry
+	stream *Router
+	http   *Router
+}
+
+func newScanFleet(t *testing.T, build func(addrs []string) (*cluster.Map, error)) *scanFleet {
+	t.Helper()
+	f := &scanFleet{nodes: startTestClusterWithMap(t, 3, build)}
+	urls := make([]string, len(f.nodes))
+	for i, tn := range f.nodes {
+		f.regs = append(f.regs, upgradeClusterNodeToStreams(t, tn))
+		urls[i] = tn.URL
+	}
+	f.stream = newTestRouter(t, f.nodes, nil)
+	f.http = &Router{}
+	p := properties.New()
+	p.Set("cluster.nodes", strings.Join(urls, ","))
+	p.Set("rawhttp.wire", WireModeOff)
+	if err := f.http.Init(p); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.http.Cleanup() })
+	return f
+}
+
+func (f *scanFleet) routers() map[string]*Router {
+	return map[string]*Router{"stream": f.stream, "http": f.http}
+}
+
+// counter sums one wire-registry counter over the fleet.
+func (f *scanFleet) counter(name string) int64 {
+	var n int64
+	for _, reg := range f.regs {
+		n += reg.Counter(name).Value()
+	}
+	return n
+}
+
+func fleetKey(i int) string { return fmt.Sprintf("user%05d", i) }
+
+// loadRouted inserts keys [0, n) through the router: every node stores
+// exactly the keys it owns.
+func (f *scanFleet) loadRouted(t *testing.T, n int) []string {
+	t.Helper()
+	keys := make([]string, n)
+	ops := make([]db.BatchOp, n)
+	for i := range ops {
+		keys[i] = fleetKey(i)
+		ops[i] = db.BatchOp{Op: db.OpInsert, Table: "t", Key: keys[i], Values: rec("v-" + keys[i])}
+	}
+	for _, res := range f.stream.ExecBatch(context.Background(), ops) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	return keys
+}
+
+// loadEverywhere writes keys [0, n) into every node's engine, owned or
+// not — the state a fleet is in after migrations, which leave the
+// source's copy behind — so every scan has to filter its way through
+// two foreign records for each one it may return.
+func (f *scanFleet) loadEverywhere(t *testing.T, n int) []string {
+	t.Helper()
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fleetKey(i)
+		for _, tn := range f.nodes {
+			if _, err := tn.store.PutIfVersion("t", keys[i], rec("v-"+keys[i]), kvstore.AnyVersion); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return keys
+}
+
+// checkFleetScans compares Router.Scan against the sorted key list for
+// every count × start of the matrix, on both cursors.
+func checkFleetScans(t *testing.T, f *scanFleet, keys []string) {
+	t.Helper()
+	ctx := context.Background()
+	starts := map[string]string{
+		"first":       keys[0],
+		"mid-range":   keys[len(keys)/2],
+		"between":     keys[len(keys)/3] + "x",
+		"last":        keys[len(keys)-1],
+		"past-end":    keys[len(keys)-1] + "z",
+		"before-all":  "",
+		"skew-border": keys[min(499, len(keys)-1)],
+	}
+	for name, r := range f.routers() {
+		for _, count := range []int{1, 2, 33, 100, 257, 1025, 5000} {
+			for sname, start := range starts {
+				lo := sort.SearchStrings(keys, start)
+				want := keys[lo:min(len(keys), lo+count)]
+				got, err := r.Scan(ctx, "t", start, count, nil)
+				if err != nil {
+					t.Fatalf("%s count=%d start=%s: %v", name, count, sname, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s count=%d start=%s: %d records, want %d", name, count, sname, len(got), len(want))
+				}
+				for i, kv := range got {
+					if kv.Key != want[i] || string(kv.Record["f"]) != "v-"+want[i] {
+						t.Fatalf("%s count=%d start=%s: record %d = %s/%q, want %s", name, count, sname, i, kv.Key, kv.Record["f"], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func uniformHash(addrs []string) (*cluster.Map, error) {
+	return cluster.NewUniform(cluster.PlacementHash, 16, addrs, nil)
+}
+
+// The harness checks that a scan is ordered and no longer than asked;
+// only an oracle can say it is complete. Every count × start against
+// the sorted key list, over a real wire fleet, on both cursors.
+func TestFleetScanCompleteness(t *testing.T) {
+	t.Run("routed", func(t *testing.T) {
+		f := newScanFleet(t, uniformHash)
+		checkFleetScans(t, f, f.loadRouted(t, 1500))
+	})
+	// Every node holds every record: a node's first count-sized page is
+	// two-thirds foreign, so it is complete only if the node keeps
+	// paging until it has its count or runs off the table.
+	t.Run("foreign-records", func(t *testing.T) {
+		f := newScanFleet(t, uniformHash)
+		checkFleetScans(t, f, f.loadEverywhere(t, 1500))
+	})
+	// Range placement with one node owning every slot of the first 500
+	// keys: the other two must page through 500 records they may not
+	// return before finding one they may, and the owner is drained by
+	// the merge over and over while they idle.
+	t.Run("skewed-ownership", func(t *testing.T) {
+		f := newScanFleet(t, func(addrs []string) (*cluster.Map, error) {
+			bounds := []string{fleetKey(100), fleetKey(200), fleetKey(300), fleetKey(400), fleetKey(500), fleetKey(800), fleetKey(1100)}
+			m, err := cluster.NewUniform(cluster.PlacementRange, len(bounds)+1, addrs, bounds)
+			if err != nil {
+				return nil, err
+			}
+			copy(m.Assign, []int{0, 0, 0, 0, 0, 1, 2, 1})
+			return m, m.Validate()
+		})
+		checkFleetScans(t, f, f.loadEverywhere(t, 1500))
+	})
+}
+
+// A client-chosen count (maxscanlength, ?count=) must not size anything
+// before the records exist: count = 1<<40 over a 300-record fleet
+// returns the 300 records for well under a megabyte.
+func TestFleetScanHugeCountAllocatesByResult(t *testing.T) {
+	f := newScanFleet(t, uniformHash)
+	keys := f.loadRouted(t, 300)
+	ctx := context.Background()
+	for name, r := range f.routers() {
+		scan := func() []db.KV {
+			got, err := r.Scan(ctx, "t", "", 1<<40, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return got
+		}
+		scan() // dial, negotiate, warm the pools
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := scan()
+		runtime.ReadMemStats(&after)
+		if len(got) != len(keys) || got[0].Key != keys[0] || got[len(got)-1].Key != keys[len(keys)-1] {
+			t.Fatalf("%s: scan returned %d records, want all %d", name, len(got), len(keys))
+		}
+		// Whole process: router, three servers and their engines.
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Fatalf("%s: count=1<<40 over %d records allocated %d bytes, want < 1 MiB", name, len(keys), n)
+		}
+	}
+}
+
+// The regression guard for the scan diet that needs no benchmark: for
+// 100-record scans on a 3-node fleet, a node reads at most 4 engine
+// records per record it emits, and the fleet ships at most 2 records
+// per record the router returns.
+func TestFleetScanOverfetchBounds(t *testing.T) {
+	// Range placement: twelve 250-key slots dealt round-robin, so a
+	// 100-record scan starts on one node and two in five cross into the
+	// next node's range.
+	uniformRange := func(addrs []string) (*cluster.Map, error) {
+		var bounds []string
+		for s := 1; s < 12; s++ {
+			bounds = append(bounds, fleetKey(s*250))
+		}
+		return cluster.NewUniform(cluster.PlacementRange, 12, addrs, bounds)
+	}
+	for _, load := range []string{"routed", "foreign-records", "range-placed"} {
+		t.Run(load, func(t *testing.T) {
+			var f *scanFleet
+			var keys []string
+			switch load {
+			case "routed":
+				f = newScanFleet(t, uniformHash)
+				keys = f.loadRouted(t, 3000)
+			case "foreign-records":
+				f = newScanFleet(t, uniformHash)
+				keys = f.loadEverywhere(t, 3000)
+			case "range-placed":
+				f = newScanFleet(t, uniformRange)
+				keys = f.loadRouted(t, 3000)
+			}
+			ctx := context.Background()
+			for name, r := range f.routers() {
+				engine0, wire0 := f.counter("kvwire_scan_engine_records_total"), f.counter("kvwire_scan_records_total")
+				merged := 0
+				for i := 0; i < 50; i++ {
+					got, err := r.Scan(ctx, "t", keys[i*53], 100, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					merged += len(got)
+				}
+				engine := f.counter("kvwire_scan_engine_records_total") - engine0
+				wire := f.counter("kvwire_scan_records_total") - wire0
+				t.Logf("%s: %d engine records, %d shipped, %d merged", name, engine, wire, merged)
+				if merged != 5000 {
+					t.Fatalf("%s: merged %d records, want 5000", name, merged)
+				}
+				if ratio := float64(engine) / float64(wire); ratio > 4 {
+					t.Errorf("%s: engine records / emitted records = %d/%d = %.2f, want <= 4", name, engine, wire, ratio)
+				}
+				if ratio := float64(wire) / float64(merged); ratio > 2 {
+					t.Errorf("%s: shipped records / merged records = %d/%d = %.2f, want <= 2", name, wire, merged, ratio)
+				}
+			}
+		})
+	}
+}
+
+// What the router asks of each node follows the map's placement: a
+// slot-share of count plus margin under hash, all of count from the
+// start key's owner and a head from everyone else under range.
+func TestNodeSharesFollowPlacement(t *testing.T) {
+	addrs := []string{"a", "b", "c"}
+	hash, err := uniformHash(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []string{fleetKey(100), fleetKey(200), fleetKey(300), fleetKey(400), fleetKey(500)}
+	rng, err := cluster.NewUniform(cluster.PlacementRange, len(bounds)+1, addrs, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		m     *cluster.Map
+		start string
+		count int
+		want  []int
+	}{
+		{"hash", hash, fleetKey(150), 96, []int{47, 39, 39}}, // 6, 5, 5 of 16 slots: 36+9+2, 30+7+2
+		{"hash-one", hash, fleetKey(150), 1, []int{1, 1, 1}},
+		{"hash-all", hash, fleetKey(150), -1, []int{-1, -1, -1}},
+		{"range", rng, fleetKey(150), 96, []int{2, 96, 2}}, // slot 1 → node b
+		{"range-later-slot", rng, fleetKey(450), 96, []int{2, 96, 2}},
+		{"range-first", rng, "", 96, []int{96, 2, 2}},
+		{"range-one", rng, fleetKey(250), 1, []int{1, 1, 1}},
+		{"range-huge", rng, fleetKey(250), 1 << 62, []int{2, 2, 1 << 62}},
+	} {
+		got := nodeShares(tc.start, tc.count, tc.m)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: nodeShares(%q, %d) = %v, want %v", tc.name, tc.start, tc.count, got, tc.want)
+		}
+	}
+}
+
+// A node without a wire listener serves scans through the same paging
+// loop, so it exports the same two counters.
+func TestHTTPOnlyServerExportsScanCounters(t *testing.T) {
+	store, err := kvstore.Open(kvstore.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	reg := obs.NewRegistry()
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{Metrics: reg}))
+	defer srv.Close()
+	c := newWireClient(t, srv.URL, nil)
+	loadFixtureKeys(t, c, 100)
+	got, err := c.Scan(context.Background(), "t", "user00010", 60, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkScan(t, got, 10, 60)
+	if n := reg.Counter("kvwire_scan_records_total").Value(); n != 60 {
+		t.Errorf("kvwire_scan_records_total = %d, want 60", n)
+	}
+	if n := reg.Counter("kvwire_scan_engine_records_total").Value(); n < 60 || n > 240 {
+		t.Errorf("kvwire_scan_engine_records_total = %d, want 60..240", n)
+	}
+}
+
+// A merge that holds count while its nodes still have chunks to send
+// cancels them: afterwards no producer goroutine is left on any node
+// and none has leaked in the router, scan after scan.
+func TestFleetScanEarlyStopLeavesNothingRunning(t *testing.T) {
+	f := newScanFleet(t, uniformHash)
+	keys := f.loadRouted(t, 6000)
+	ctx := context.Background()
+	scan := func() {
+		// ~1250 records asked of each node, five chunks apiece: the merge
+		// finishes with every stream still mid-flight.
+		got, err := f.stream.Scan(ctx, "t", keys[100], 3000, nil)
+		if err != nil || len(got) != 3000 {
+			t.Fatalf("scan: %d records, err %v", len(got), err)
+		}
+	}
+	scan() // dial every node: pooled connections and their read loops stay
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for end := time.Now().Add(5 * time.Second); time.Now().Before(end); {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				return n
+			}
+			n = m
+		}
+		return n
+	}
+	baseline := settled()
+	chunks0 := f.counter("kvwire_scan_chunks_total")
+	for i := 0; i < 20; i++ {
+		scan()
+	}
+	if n := settled(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after 20 early-stopped scans, %d before:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+	// More than one chunk per stream, or the merge never stopped a
+	// stream mid-flight and this test proved nothing.
+	if chunks := f.counter("kvwire_scan_chunks_total") - chunks0; chunks <= 60 {
+		t.Fatalf("only %d chunks for 20 fleet scans: streams were not multi-chunk", chunks)
+	}
+}

@@ -35,9 +35,7 @@ func (c *Client) scanStream(ctx context.Context, table, start string, count int,
 		return nil, 0, false, nil
 	}
 	defer s.Close()
-	if count > 0 {
-		wrs = make([]wireRecord, 0, count)
-	}
+	wrs = make([]wireRecord, 0, scanPrealloc(count))
 	for s.Next() {
 		rec := s.Record()
 		wrs = append(wrs, wireRecord{

@@ -23,6 +23,7 @@ func startStreamListenerFor(t *testing.T, core *kvwire.Core) (string, *obs.Regis
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.Instrument(reg)
 	ws := kvwire.NewServer(core, kvwire.ServerOptions{Metrics: reg})
 	go ws.Serve(ln)
 	t.Cleanup(func() { ws.Close() })

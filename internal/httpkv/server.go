@@ -138,6 +138,7 @@ func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
 	s.core = s.opts.Core
 	if s.core == nil {
 		s.core = kvwire.NewCore(store, s.opts.Cluster, s.opts.MaxInflightBatches)
+		s.core.Instrument(opts.Metrics)
 	} else if s.opts.Cluster == nil {
 		// A shared core carries the cluster gate; the HTTP management
 		// routes need it too.

@@ -257,13 +257,17 @@ func (s *ScanStream) Next() bool {
 		return true
 	}
 	if s.chunk != nil {
-		// Finished a chunk: grant the server one more.
+		// Finished a chunk: grant the server one more — unless its
+		// stream-end has already arrived, when the credit would buy
+		// nothing and cost a frame each way.
 		s.chunk = nil
-		if err := s.c.writeStreamFrame(func(buf []byte) []byte {
-			return AppendCredit(buf, s.st.id, 1)
-		}); err != nil {
-			s.fail(err, true)
-			return false
+		if !s.ended() {
+			if err := s.c.writeStreamFrame(func(buf []byte) []byte {
+				return AppendCredit(buf, s.st.id, 1)
+			}); err != nil {
+				s.fail(err, true)
+				return false
+			}
 		}
 	}
 	e, err := s.recv()
@@ -290,6 +294,20 @@ func (s *ScanStream) Next() bool {
 	s.chunk, s.idx, s.mapVer = e.recs, 0, e.mapVer
 	s.delivered += uint64(len(e.recs))
 	return true
+}
+
+// ended reports whether the stream's terminal event has arrived,
+// taking it off the mailbox if so (recv still delivers the chunks
+// sent before it first).
+func (s *ScanStream) ended() bool {
+	if s.term == nil {
+		select {
+		case e := <-s.st.term:
+			s.term = &e
+		default:
+		}
+	}
+	return s.term != nil
 }
 
 // recv blocks for the stream's next event, chunks first. The read loop

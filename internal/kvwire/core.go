@@ -21,6 +21,7 @@ import (
 
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/obs"
 )
 
 // Kind identifies one operation. The zero value is KindInvalid: a
@@ -84,6 +85,12 @@ type Core struct {
 	store    kvstore.Engine
 	cluster  *cluster.State
 	inflight chan struct{} // batch admission semaphore (nil = unlimited)
+
+	// Scan over-fetch, visible from a running node: records the engine
+	// returned to scans against records scans handed to a front end.
+	// Nil (no-op) unless Instrument was called.
+	scanEngineRecords *obs.Counter
+	scanRecords       *obs.Counter
 }
 
 // NewCore builds a core over store. cs may be nil (single-node mode);
@@ -94,6 +101,20 @@ func NewCore(store kvstore.Engine, cs *cluster.State, maxInflightBatches int) *C
 		c.inflight = make(chan struct{}, maxInflightBatches)
 	}
 	return c
+}
+
+// Instrument registers the core's scan counters on reg, next to the
+// wire server's kvwire_scan_chunks_total. They live on the core, not
+// on a front end, because the paging loop is shared: a scan counts
+// whether the wire or the HTTP server asked for it, and a node without
+// a wire listener exports them too. Call it where the core is built,
+// before any front end serves from it; a nil reg leaves the counters
+// off.
+func (c *Core) Instrument(reg *obs.Registry) {
+	reg.Help("kvwire_scan_engine_records_total", "Records engine scan calls returned to serve scans (before the ownership filter and the count cut).")
+	reg.Help("kvwire_scan_records_total", "Records scans handed to a front end (after the filter and the cut); engine records over these is the node's scan over-fetch.")
+	c.scanEngineRecords = reg.Counter("kvwire_scan_engine_records_total")
+	c.scanRecords = reg.Counter("kvwire_scan_records_total")
 }
 
 // Store exposes the engine (front-end routes that bypass the op model:
@@ -192,6 +213,13 @@ func (c *Core) Delete(table, key string, expect uint64) error {
 // clock.
 func (c *Core) SnapshotTS() int64 { return c.store.SnapshotTS() }
 
+// ScanPageCap is the largest engine page a cluster-mode scan reads in
+// one call, and therefore the ceiling a client-chosen count may size
+// anything to before the first record exists: pages, chunk buffers and
+// result preallocations all clamp to it, so count=1<<40 costs what
+// count=1024 costs until the records actually arrive.
+const ScanPageCap = 1024
+
 // Scan serves one ordered scan. In cluster mode the result is always
 // filtered — owned slots by default, exactly slot when slot ≥ 0 (the
 // migration copy path) — and pages through the engine until count
@@ -205,7 +233,7 @@ func (c *Core) Scan(ctx context.Context, table, start string, count int, ts int6
 	err := c.scanPages(ctx, table, start, count, ts, slot, tombstones, func(kv kvstore.VersionedKV) error {
 		out = append(out, kv)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +244,24 @@ func (c *Core) Scan(ctx context.Context, table, start string, count int, ts int6
 // pages through the engine, applies the cluster slot/ownership filter,
 // and hands every kept record to emit until count records are emitted,
 // the table is exhausted, ctx is done, or emit returns an error.
-func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts int64, slot int, tombstones bool, emit func(kvstore.VersionedKV) error) error {
+//
+// The request's count bounds what is read, not just what is returned:
+// the first page asks the engine for count records (a node stores the
+// keys it owns, so the filter normally passes all of them and one page
+// is the whole scan), and a page that came back full without
+// satisfying count sizes the next from what the scan has seen (see
+// nextScanPage), never past ScanPageCap. Unlimited drains (count < 0)
+// want the whole table and read at the cap from the start.
+// pageEnd, when non-nil, runs after every page smaller than the cap
+// that did not finish the scan: the streaming front end ships what the
+// small pages found and parks there until its consumer asks for more,
+// so a scan nobody is waiting on stops reading.
+func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts int64, slot int, tombstones bool, emit func(kvstore.VersionedKV) error, pageEnd func() error) error {
+	if count == 0 {
+		return nil
+	}
+	emitted := 0
+	defer func() { c.scanRecords.Add(int64(emitted)) }()
 	if c.cluster == nil {
 		var page []kvstore.VersionedKV
 		var err error
@@ -228,10 +273,12 @@ func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts
 		if err != nil {
 			return err
 		}
+		c.scanEngineRecords.Add(int64(len(page)))
 		for _, kv := range page {
 			if err := emit(kv); err != nil {
 				return err
 			}
+			emitted++
 		}
 		return nil
 	}
@@ -243,11 +290,11 @@ func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts
 		}
 		return m.OwnerOfSlot(sl) == c.cluster.Self()
 	}
-	pageSize := 1024
-	if count >= 0 && count > pageSize {
+	pageSize := ScanPageCap
+	if count > 0 && count < pageSize {
 		pageSize = count
 	}
-	emitted := 0
+	scanned := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -265,6 +312,7 @@ func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts
 		if err != nil {
 			return err
 		}
+		c.scanEngineRecords.Add(int64(len(page)))
 		for _, kv := range page {
 			if !keep(kv.Key) {
 				continue
@@ -281,7 +329,32 @@ func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts
 			return nil
 		}
 		start = page[len(page)-1].Key + "\x00"
+		scanned += len(page)
+		if pageSize < ScanPageCap && pageEnd != nil {
+			if err := pageEnd(); err != nil {
+				return err
+			}
+		}
+		pageSize = nextScanPage(pageSize, count-emitted, emitted, scanned)
 	}
+}
+
+// nextScanPage sizes the engine page after one of size last that left
+// a bounded scan need records short (need < 0: a drain). The filter
+// has passed emitted of the scanned records so far, so the page most
+// likely to finish the scan is need divided by that fraction, plus an
+// eighth so an unlucky stretch does not cost one more engine call; a
+// scan that has found nothing yet has no fraction to go by and
+// doubles.
+func nextScanPage(last, need, emitted, scanned int) int {
+	switch {
+	case need < 0 || need >= ScanPageCap:
+		return ScanPageCap
+	case emitted == 0:
+		return min(2*last, ScanPageCap)
+	}
+	page := (need*scanned-1)/emitted + 1
+	return min(page+page/8+1, ScanPageCap)
 }
 
 // StreamError aborts a stream with a status in the HTTP space, which
@@ -316,19 +389,32 @@ func (c *Core) ValidateScan(req *ScanRequest) *StreamError {
 	return nil
 }
 
-// StreamScan serves one scan as a sequence of bounded chunks: emit is
-// called with each full chunk (and the shard map version it was
-// filtered under) as the paging loop produces it, so the caller's
-// memory holds one chunk, not the result. In cluster mode the shard
-// map version is re-checked per chunk: a map change mid-stream means
-// the slot filter silently changed underneath the scan, so the stream
-// aborts with 409 and the client rescans under the new map — the
-// streaming form of the router's fan-out skew check. An emit error
-// (credits gone, peer gone, ctx done) stops the scan immediately.
-// The returned map version is the one the whole stream was filtered
-// under (0 single-node), reported even when the scan emits nothing so
-// an empty node still participates in the fan-out skew check.
-func (c *Core) StreamScan(ctx context.Context, req *ScanRequest, emit func(chunk []kvstore.VersionedKV, mapVersion int64) error) (int64, error) {
+// StreamScan serves one scan as a sequence of bounded chunks. admit
+// is called before the work for each chunk begins and blocks until the
+// consumer wants one (the wire server parks it on stream credits), so
+// the engine is read only as far ahead as the consumer has asked. emit
+// is then handed the staged records (and the shard map version they
+// were filtered under) and ships a prefix of them as one chunk — as
+// many as fit the transport's frame, at least one — returning how
+// many; the rest wait for the next admit. last tells emit the scan
+// has nothing beyond these records, so a transport that ships them all
+// may send its end of stream along. The caller's memory
+// therefore holds one chunk, not the result. Records are staged until
+// streamChunkRecords of them wait or — while the engine page is still
+// growing, see scanPages — until the page that fed them ends: a
+// count-bounded scan ships its first page's records at once instead
+// of waiting for a full chunk.
+//
+// In cluster mode the shard map version is re-checked per chunk: a map
+// change mid-stream means the slot filter silently changed underneath
+// the scan, so the stream aborts with 409 and the client rescans under
+// the new map — the streaming form of the router's fan-out skew check.
+// An admit or emit error (peer gone, ctx done) stops the scan
+// immediately. The returned map version is the one the whole stream
+// was filtered under (0 single-node), reported even when the scan
+// emits nothing so an empty node still participates in the fan-out
+// skew check.
+func (c *Core) StreamScan(ctx context.Context, req *ScanRequest, admit func() error, emit func(recs []kvstore.VersionedKV, mapVersion int64, last bool) (int, error)) (int64, error) {
 	var mapVer int64
 	if c.cluster != nil {
 		mapVer = c.cluster.Map().Version
@@ -336,43 +422,50 @@ func (c *Core) StreamScan(ctx context.Context, req *ScanRequest, emit func(chunk
 	if serr := c.ValidateScan(req); serr != nil {
 		return mapVer, serr
 	}
-	chunk := make([]kvstore.VersionedKV, 0, streamChunkRecords)
-	bytes := 0
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
+	limit := streamChunkRecords
+	if req.Count >= 0 && req.Count < limit {
+		limit = req.Count
+	}
+	staged := make([]kvstore.VersionedKV, 0, limit)
+	// ship sends everything staged, one admitted chunk at a time. more
+	// says the scan goes on, so the credit for its next chunk is taken
+	// here, before the engine is read for it.
+	ship := func(more bool) error {
+		rest := staged
+		for len(rest) > 0 {
+			if c.cluster != nil && c.cluster.Map().Version != mapVer {
+				return &StreamError{Status: http.StatusConflict, Msg: "shard map changed mid-scan"}
+			}
+			n, err := emit(rest, mapVer, !more)
+			if err != nil {
+				return err
+			}
+			rest = rest[n:]
+			if len(rest) > 0 || more {
+				if err := admit(); err != nil {
+					return err
+				}
+			}
 		}
-		if c.cluster != nil && c.cluster.Map().Version != mapVer {
-			return &StreamError{Status: http.StatusConflict, Msg: "shard map changed mid-scan"}
-		}
-		if err := emit(chunk, mapVer); err != nil {
-			return err
-		}
-		chunk = chunk[:0]
-		bytes = 0
+		staged = staged[:0]
 		return nil
 	}
+	if err := admit(); err != nil {
+		return mapVer, err
+	}
 	err := c.scanPages(ctx, req.Table, req.Start, req.Count, req.AsOf, req.Slot, req.Tombstones, func(kv kvstore.VersionedKV) error {
-		chunk = append(chunk, kv)
-		bytes += len(kv.Key) + recordBytes(kv.Record)
-		if len(chunk) >= streamChunkRecords || bytes >= streamChunkBytes {
-			return flush()
+		if len(staged) >= streamChunkRecords {
+			if err := ship(true); err != nil {
+				return err
+			}
 		}
+		staged = append(staged, kv)
 		return nil
-	})
+	}, func() error { return ship(true) })
 	if err != nil {
 		return mapVer, err
 	}
-	return mapVer, flush()
-}
-
-// recordBytes estimates a record's encoded size for chunk flushing.
-func recordBytes(r *kvstore.VersionedRecord) int {
-	n := 16
-	for k, v := range r.Fields {
-		n += len(k) + len(v) + 4
-	}
-	return n
+	return mapVer, ship(false)
 }
 
 // StreamIngest merges streamed record chunks into table, preserving

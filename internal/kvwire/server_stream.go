@@ -162,36 +162,39 @@ func (s *Server) startScan(c *serverConn, id uint64, req *ScanRequest, window in
 	return true
 }
 
-// runScan drives Core.StreamScan, writing one chunk frame per credit
-// and a terminal stream-end frame.
+// runScan drives Core.StreamScan, taking one credit before each chunk
+// is produced — the engine is read only for a chunk the consumer has
+// already asked for — then writing the chunk frame, and finally a
+// terminal stream-end frame. The end of a scan that finishes cleanly
+// rides in the same write as its last chunk: the common scan is one
+// chunk, and a second write is a second syscall on each side.
 func (s *Server) runScan(ctx context.Context, c *serverConn, id uint64, sc *serverScan, req *ScanRequest) {
 	var total uint64
-	recs := make([]StreamRecord, 0, streamChunkRecords)
-	mapVer, err := s.core.StreamScan(ctx, req, func(chunk []kvstore.VersionedKV, mapVersion int64) error {
-		if err := sc.take(ctx, s.metrics.creditsStalled.Inc); err != nil {
-			return err
-		}
-		recs = recs[:0]
-		for _, kv := range chunk {
-			recs = append(recs, StreamRecord{
-				Key:      kv.Key,
-				Version:  kv.Record.Version,
-				CommitTS: kv.Record.CommitTS,
-				Deleted:  kv.Record.Tombstone(),
-				Fields:   kv.Record.Fields,
-			})
-		}
+	ended := false
+	mapVer, err := s.core.StreamScan(ctx, req, func() error {
+		return sc.take(ctx, s.metrics.creditsStalled.Inc)
+	}, func(recs []kvstore.VersionedKV, mapVersion int64, last bool) (int, error) {
 		// Counted before the write, so a consumer that has seen the chunk
 		// never reads a counter that has not.
 		s.metrics.scanChunks.Inc()
-		if err := s.writeFrame(c, func(buf []byte) []byte {
-			return AppendChunk(buf, id, mapVersion, recs)
-		}); err != nil {
-			return err
+		var n int
+		err := s.writeFrame(c, func(buf []byte) []byte {
+			buf, n = appendScanChunk(buf, id, mapVersion, recs)
+			total += uint64(n)
+			if last && n == len(recs) {
+				ended = true
+				buf = AppendStreamEnd(buf, id, http.StatusOK, mapVersion, total, "")
+			}
+			return buf
+		})
+		if err == nil && ended {
+			s.metrics.framesOut.Inc() // writeFrame counted the chunk
 		}
-		total += uint64(len(chunk))
-		return nil
+		return n, err
 	})
+	if ended {
+		return
+	}
 	status, msg := http.StatusOK, ""
 	switch {
 	case err == nil:

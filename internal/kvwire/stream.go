@@ -3,6 +3,9 @@ package kvwire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+
+	"ycsbt/internal/kvstore"
 )
 
 // The streaming half of the framed protocol: scans and migration
@@ -174,26 +177,52 @@ func AppendChunk(buf []byte, id uint64, mapVersion int64, recs []StreamRecord) [
 	buf = binary.AppendVarint(buf, mapVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
 	for i := range recs {
-		buf = appendStreamRecord(buf, &recs[i])
+		r := &recs[i]
+		buf = appendStreamRecord(buf, r.Key, r.Version, r.CommitTS, r.Deleted, r.Fields)
 	}
 	return finishFrame(buf, off)
 }
 
-func appendStreamRecord(buf []byte, r *StreamRecord) []byte {
+// appendScanChunk encodes one chunk frame straight from engine records
+// (a scan producer needs no StreamRecord staging slice), stopping once
+// the frame reaches streamChunkBytes: it returns how many of kvs —
+// at least one — the frame carries. The record count is written as a
+// two-byte uvarint whatever its value, so it can be patched once the
+// cut is known; decoders accept the padded form.
+func appendScanChunk(buf []byte, id uint64, mapVersion int64, kvs []kvstore.VersionedKV) ([]byte, int) {
+	off := len(buf)
+	buf = appendFrameHeader(buf, frameChunk, id)
+	buf = binary.AppendVarint(buf, mapVersion)
+	countAt := len(buf)
+	buf = append(buf, 0, 0)
+	n := 0
+	for _, kv := range kvs {
+		r := kv.Record
+		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Tombstone(), r.Fields)
+		n++
+		if len(buf)-off >= streamChunkBytes {
+			break
+		}
+	}
+	buf[countAt], buf[countAt+1] = byte(n)|0x80, byte(n>>7)
+	return finishFrame(buf, off), n
+}
+
+func appendStreamRecord(buf []byte, key string, version uint64, commitTS int64, deleted bool, fields map[string][]byte) []byte {
 	var flags byte
-	if r.Deleted {
+	if deleted {
 		flags |= recFlagDeleted
 	}
-	if r.Fields != nil {
+	if fields != nil {
 		flags |= recFlagFields
 	}
 	buf = append(buf, flags)
-	buf = appendBytes(buf, r.Key)
-	buf = binary.AppendUvarint(buf, r.Version)
-	buf = binary.AppendVarint(buf, r.CommitTS)
+	buf = appendBytes(buf, key)
+	buf = binary.AppendUvarint(buf, version)
+	buf = binary.AppendVarint(buf, commitTS)
 	if flags&recFlagFields != 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(r.Fields)))
-		for k, v := range r.Fields {
+		buf = binary.AppendUvarint(buf, uint64(len(fields)))
+		for k, v := range fields {
 			buf = appendBytes(buf, k)
 			buf = append(binary.AppendUvarint(buf, uint64(len(v))), v...)
 		}
@@ -219,7 +248,7 @@ func DecodeChunk(payload []byte, dst []StreamRecord) (mapVersion int64, recs []S
 	if count > uint64(len(payload)/4)+1 {
 		return 0, dst, errTruncated
 	}
-	recs = dst
+	recs = slices.Grow(dst, int(count))
 	for i := uint64(0); i < count; i++ {
 		var r StreamRecord
 		r, payload, err = readStreamRecord(payload)
