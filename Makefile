@@ -27,7 +27,11 @@ test:
 	$(GO) test ./...
 
 # Short mode keeps the race run quick; the race detector covers the
-# sharded measurement path and the per-thread middleware chains.
+# sharded measurement path and the per-thread middleware chains. It is
+# also where the transaction schedule is guarded: internal/txn's
+# TestCommitScheduleStoreCalls counts store calls per commit (exact,
+# so no benchmark is needed to notice an extra round trip), next to
+# the read-set trap tests and kvwire's frame segmentation tests.
 test-race:
 	$(GO) test -race -short ./...
 

@@ -1,6 +1,7 @@
 package kvwire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -159,14 +160,19 @@ func (e *Endpoint) dial(ctx context.Context) (*clientConn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
+	// One buffered reader serves the handshake echo and every frame
+	// after it: a frame's header and payload (and whatever the peer
+	// coalesced behind them) arrive in one read of the socket.
+	br := bufio.NewReader(conn)
 	var echo [len(Magic)]byte
-	if _, err := io.ReadFull(conn, echo[:]); err != nil || string(echo[:]) != Magic {
+	if _, err := io.ReadFull(br, echo[:]); err != nil || string(echo[:]) != Magic {
 		conn.Close()
 		return nil, fmt.Errorf("%w: bad handshake", ErrUnavailable)
 	}
 	conn.SetDeadline(time.Time{})
 	c := &clientConn{
 		conn:    conn,
+		br:      br,
 		pending: make(map[uint64]chan<- wireReply),
 		streams: make(map[uint64]*clientStream),
 	}
@@ -212,6 +218,7 @@ type wireReply struct {
 
 type clientConn struct {
 	conn net.Conn
+	br   *bufio.Reader // read side of conn; owned by readLoop
 
 	wmu  sync.Mutex
 	wbuf []byte
@@ -257,7 +264,7 @@ func (c *clientConn) writeRequest(id uint64, deadlineMs uint64, ops []Op) error 
 func (c *clientConn) readLoop() {
 	var payload []byte
 	for {
-		typ, id, p, err := ReadFrame(c.conn, payload)
+		typ, id, p, err := ReadFrame(c.br, payload)
 		if err != nil {
 			c.fail(err)
 			return

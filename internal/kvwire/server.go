@@ -1,6 +1,7 @@
 package kvwire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -148,8 +149,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
+	// One buffered reader serves the magic and every frame after it: a
+	// frame's header and payload (and whatever the peer pipelined
+	// behind them) arrive in one read of the socket.
+	br := bufio.NewReader(conn)
 	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(conn, magic[:]); err != nil || string(magic[:]) != Magic {
+	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != Magic {
 		if err == nil {
 			s.metrics.decodeErrs.Inc()
 		}
@@ -164,7 +169,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		var typ byte
 		var id uint64
 		var err error
-		typ, id, payload, err = ReadFrame(conn, payload)
+		typ, id, payload, err = ReadFrame(br, payload)
 		if err != nil {
 			if err != io.EOF && !s.closed.Load() {
 				s.metrics.decodeErrs.Inc()

@@ -33,22 +33,46 @@ func userFields(fields map[string][]byte) map[string][]byte {
 	return out
 }
 
+// readEntry is one key's committed image as a transaction observed
+// it: what the read set keeps, so the transaction never asks a store
+// again for something it already holds.
+type readEntry struct {
+	// fields is the committed user image. It is shared — with the
+	// store when the record was fetched clean — and never edited;
+	// Txn.Read hands out copies.
+	fields map[string][]byte
+	ver    uint64
+	// clean reports that the store held exactly fields at version ver
+	// when it was read, so a conditional put expecting ver both
+	// validates the read and replaces that image. A read-around is not
+	// clean: its fields are the in-flight writer's previous image, its
+	// ver that writer's prepared record (see resolveRecord), and a put
+	// expecting ver would overwrite the prepare.
+	clean bool
+}
+
+// isMismatch reports a failed conditional put or delete: the record is
+// not at the version (or absence) the caller expected.
+func isMismatch(err error) bool {
+	return errors.Is(err, kvstore.ErrVersionMismatch) || errors.Is(err, kvstore.ErrExists)
+}
+
 // readResolved gets a record and resolves it to its committed user
-// image, returning the version that image is filed under.
-func (m *Manager) readResolved(ctx context.Context, s Store, table, key string) (map[string][]byte, uint64, error) {
+// image and the version that image is filed under.
+func (m *Manager) readResolved(ctx context.Context, s Store, table, key string) (readEntry, error) {
 	rec, err := s.Get(ctx, table, key)
 	if err != nil {
 		if errors.Is(err, kvstore.ErrNotFound) {
-			return nil, 0, fmt.Errorf("%w: %s/%s/%s", ErrNotFound, s.Name(), table, key)
+			return readEntry{}, fmt.Errorf("%w: %s/%s/%s", ErrNotFound, s.Name(), table, key)
 		}
-		return nil, 0, err
+		return readEntry{}, err
 	}
 	return m.resolveRecord(ctx, s, table, key, rec)
 }
 
 // resolveRecord turns a fetched record into its committed user image.
-// Clean records pass through. For prepared records it consults the
-// writer's TSR:
+// Clean records pass through uncopied. For prepared records it
+// consults the writer's TSR:
 //
 //   - TSR committed → the new image is the committed one; roll the
 //     record forward opportunistically.
@@ -56,10 +80,10 @@ func (m *Manager) readResolved(ctx context.Context, s Store, table, key string) 
 //     recovery timeout → the previous image is current; roll back.
 //   - TSR absent and the prepare is fresh → the writer is in flight;
 //     return the previous image (read-around) without touching the
-//     record.
-func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string, rec *kvstore.VersionedRecord) (map[string][]byte, uint64, error) {
+//     record. This is the one result that is not clean.
+func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string, rec *kvstore.VersionedRecord) (readEntry, error) {
 	if !isPrepared(rec.Fields) {
-		return userFields(rec.Fields), rec.Version, nil
+		return readEntry{fields: rec.Fields, ver: rec.Version, clean: true}, nil
 	}
 
 	writerID := string(rec.Fields[metaID])
@@ -76,9 +100,9 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 		m.recovered.Add(1)
 		if isDelete {
 			if err := s.Delete(ctx, table, key, rec.Version); err != nil && !errors.Is(err, kvstore.ErrVersionMismatch) && !errors.Is(err, kvstore.ErrNotFound) {
-				return nil, 0, err
+				return readEntry{}, err
 			}
-			return nil, 0, fmt.Errorf("%w: %s/%s/%s (deleted by committed txn)", ErrNotFound, s.Name(), table, key)
+			return readEntry{}, fmt.Errorf("%w: %s/%s/%s (deleted by committed txn)", ErrNotFound, s.Name(), table, key)
 		}
 		clean := userFields(rec.Fields)
 		newVer, err := s.Put(ctx, table, key, clean, rec.Version)
@@ -87,9 +111,9 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 			if errors.Is(err, kvstore.ErrVersionMismatch) {
 				return m.readResolved(ctx, s, table, key)
 			}
-			return nil, 0, err
+			return readEntry{}, err
 		}
-		return clean, newVer, nil
+		return readEntry{fields: clean, ver: newVer, clean: true}, nil
 
 	case tsrAborted:
 		m.recovered.Add(1)
@@ -105,27 +129,27 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 		// Read around the in-flight writer: its previous image is the
 		// committed state.
 		if len(prevImage) == 0 {
-			return nil, 0, fmt.Errorf("%w: %s/%s/%s (prepared insert in flight)", ErrNotFound, s.Name(), table, key)
+			return readEntry{}, fmt.Errorf("%w: %s/%s/%s (prepared insert in flight)", ErrNotFound, s.Name(), table, key)
 		}
 		prev, err := decodeImage(prevImage)
 		if err != nil {
-			return nil, 0, err
+			return readEntry{}, err
 		}
-		// The version reported is the prepared record's version: a
-		// committing reader that validates on it will conflict with
-		// the in-flight writer, which is the safe outcome.
-		return userFields(prev), rec.Version, nil
+		// The version reported is the prepared record's version, and
+		// the entry is not clean: a reader that goes on to write the key
+		// conflicts with the in-flight writer, which is the safe outcome.
+		return readEntry{fields: prev, ver: rec.Version}, nil
 	}
 }
 
 // rollbackAndRead restores the previous committed image over a dead
 // prepared record, then returns it.
-func (m *Manager) rollbackAndRead(ctx context.Context, s Store, table, key string, preparedVer uint64, prevImage []byte, prevExisted bool) (map[string][]byte, uint64, error) {
+func (m *Manager) rollbackAndRead(ctx context.Context, s Store, table, key string, preparedVer uint64, prevImage []byte, prevExisted bool) (readEntry, error) {
 	if err := m.rollbackRecord(ctx, s, table, key, preparedVer, prevImage, prevExisted); err != nil {
-		return nil, 0, err
+		return readEntry{}, err
 	}
 	if !prevExisted {
-		return nil, 0, fmt.Errorf("%w: %s/%s/%s (aborted insert)", ErrNotFound, s.Name(), table, key)
+		return readEntry{}, fmt.Errorf("%w: %s/%s/%s (aborted insert)", ErrNotFound, s.Name(), table, key)
 	}
 	return m.readResolved(ctx, s, table, key)
 }

@@ -34,6 +34,24 @@
 // deadline well under the recovery timeout so a live writer is never
 // rolled back by an impatient reader.
 //
+// Store calls. On a remote backend every store call is a blocking
+// round trip, and their number per commit is what a transaction
+// costs, so the library asks a store only for what the transaction
+// does not already hold. The read set keeps each fetched image with
+// its version (readEntry): a repeated Read, the binding's
+// read-merge-write Update and the prepare of a key the transaction
+// read are all served from it — the prepare's conditional put on the
+// version read is the validation, so a concurrent change surfaces as
+// ErrConflict there. Only a clean entry licenses that put; an entry
+// read around an in-flight writer carries the version of that
+// writer's prepared record and conflicts instead. An insert prepares
+// create-only without looking first. A read-modify-write of n keys is
+// therefore n gets, n prepare puts, the TSR put, n roll-forward puts
+// and the TSR delete — 3n+2 calls, 8 for the CEW's two accounts — and
+// an insert is 4; a blind write or delete still fetches the previous
+// image its prepared record must carry (5). All calls run on the
+// transaction's own goroutine, one after another.
+//
 // Records need no gateway or daemon: transaction state lives in
 // reserved "_txn:" fields of the records themselves and in the "_tsr"
 // table, so the library works across heterogeneous stores — anything
@@ -284,13 +302,17 @@ func (m *Manager) store(name string) (Store, error) {
 // record.
 func (m *Manager) Begin(ctx context.Context) (*Txn, error) {
 	startTS := m.opts.Clock.Now()
+	// "t<manager>-<start ts>-<seq>", both numbers in hex.
+	id := append(make([]byte, 0, 40), 't')
+	id = append(append(id, m.id...), '-')
+	id = append(strconv.AppendInt(id, startTS, 16), '-')
+	id = strconv.AppendUint(id, m.seq.Add(1), 16)
 	return &Txn{
 		m:       m,
-		id:      fmt.Sprintf("t%s-%x-%x", m.id, startTS, m.seq.Add(1)),
+		id:      string(id),
 		startTS: startTS,
 		session: db.SessionFromContext(ctx),
-		reads:   make(map[wkey]uint64),
-		writes:  make(map[wkey]*pendingWrite),
+		reads:   make(map[wkey]readEntry),
 	}, nil
 }
 
@@ -370,15 +392,21 @@ type Txn struct {
 	session int
 	done    bool
 
-	reads  map[wkey]uint64 // version observed for each read key
-	writes map[wkey]*pendingWrite
+	// reads holds what was read, not just its version: a key is
+	// fetched at most once per transaction, and prepare takes the
+	// previous image and the expected version from here.
+	reads  map[wkey]readEntry
+	writes map[wkey]*pendingWrite // nil until the first buffered write
 }
 
 // ID returns the transaction id.
 func (t *Txn) ID() string { return t.id }
 
 // Read returns the committed user fields of store/table/key, seeing
-// the transaction's own buffered writes first.
+// the transaction's own buffered writes first. A key already in the
+// read set is served from it — reads repeat by construction, and a
+// concurrent change to the key surfaces as ErrConflict when the
+// transaction prepares a write on it.
 func (t *Txn) Read(ctx context.Context, store, table, key string) (map[string][]byte, error) {
 	if t.done {
 		return nil, ErrTxnDone
@@ -394,26 +422,26 @@ func (t *Txn) Read(ctx context.Context, store, table, key string) (map[string][]
 		}
 		return cloneFields(w.fields), nil
 	}
-	fields, ver, err := t.m.readResolved(ctx, s, table, key)
-	if err != nil {
-		return nil, err
+	r, ok := t.reads[k]
+	if !ok {
+		if r, err = t.m.readResolved(ctx, s, table, key); err != nil {
+			return nil, err
+		}
+		t.reads[k] = r
 	}
-	if err := t.noteRead(k, ver); err != nil {
-		return nil, err
-	}
-	return fields, nil
+	return userFields(r.fields), nil
 }
 
-// noteRead records the version observed for a key and enforces
+// noteRead files what a scan observed for a key and enforces
 // repeatable reads: seeing a different version than an earlier read
 // in the same transaction means a concurrent commit slid underneath
 // us, and any derived write would be based on stale data — conflict
-// now rather than silently losing an update at prepare time.
-func (t *Txn) noteRead(k wkey, ver uint64) error {
-	if prev, ok := t.reads[k]; ok && prev != ver {
-		return fmt.Errorf("%w: %s read at v%d then v%d", ErrConflict, k, prev, ver)
+// now rather than at prepare time.
+func (t *Txn) noteRead(k wkey, r readEntry) error {
+	if prev, ok := t.reads[k]; ok && prev.ver != r.ver {
+		return fmt.Errorf("%w: %s read at v%d then v%d", ErrConflict, k, prev.ver, r.ver)
 	}
-	t.reads[k] = ver
+	t.reads[k] = r
 	return nil
 }
 
@@ -446,6 +474,9 @@ func (t *Txn) buffer(store, table, key string, kind writeKind, fields map[string
 			return fmt.Errorf("txn: field name %q is reserved", f)
 		}
 	}
+	if t.writes == nil {
+		t.writes = make(map[wkey]*pendingWrite)
+	}
 	t.writes[wkey{s.Name(), table, key}] = &pendingWrite{kind: kind, fields: cloneFields(fields)}
 	return nil
 }
@@ -475,17 +506,17 @@ func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int
 			}
 			continue
 		}
-		fields, ver, err := t.m.resolveRecord(ctx, s, table, kv.Key, kv.Record)
+		r, err := t.m.resolveRecord(ctx, s, table, kv.Key, kv.Record)
 		if err != nil {
 			if errors.Is(err, ErrNotFound) {
 				continue // prepared insert whose txn aborted
 			}
 			return nil, err
 		}
-		if err := t.noteRead(k, ver); err != nil {
+		if err := t.noteRead(k, r); err != nil {
 			return nil, err
 		}
-		resolved = append(resolved, ScanKV{Key: kv.Key, Fields: fields})
+		resolved = append(resolved, ScanKV{Key: kv.Key, Fields: userFields(r.fields)})
 	}
 	// Overlay buffered inserts/puts that fall in range but were not
 	// returned by the store.
@@ -596,6 +627,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 		})
 	}
 
+	// The coordinating store — where the TSR goes, and what every
+	// prepared record names so readers know where to look for it — is
+	// the store of the first write in prepare order.
+	coordName := keys[0].store
+	coord := t.m.stores[coordName]
+
 	prepareStart := time.Now()
 	prepTS := t.m.opts.Clock.Now()
 
@@ -605,7 +642,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 
 	// Phase 1: prepare every write in order.
 	for _, k := range keys {
-		if err := t.prepareOne(ctx, k, prepTS); err != nil {
+		if err := t.prepareOne(ctx, k, coordName, prepTS); err != nil {
 			t.done = true
 			t.m.conflicts.Add(1)
 			t.m.aborts.Add(1)
@@ -626,9 +663,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 
 	// Phase 2: the commit point — write the TSR to the coordinating
-	// store (the store of the first write in the global order).
-	coordName := keys[0].store
-	coord := t.m.stores[coordName]
+	// store.
 	commitTS := t.m.opts.Clock.Now()
 	tsrFields := map[string][]byte{
 		tsrState:    []byte(tsrCommitted),
@@ -672,11 +707,11 @@ func (t *Txn) emitTrace() {
 	if tr == nil {
 		return
 	}
-	for k, ver := range t.reads {
+	for k, r := range t.reads {
 		if _, written := t.writes[k]; written {
 			continue
 		}
-		tr.Read(t.id, k.String(), ver)
+		tr.Read(t.id, k.String(), r.ver)
 	}
 	for k, w := range t.writes {
 		if w.prepared {
@@ -712,8 +747,8 @@ func (t *Txn) emitHistory(committed bool, commitTS int64) {
 		rec.CommitTS = commitTS
 	}
 	rec.Ops = make([]history.Op, 0, len(t.reads)+len(t.writes))
-	for k, ver := range t.reads {
-		rec.Ops = append(rec.Ops, history.Op{Kind: history.OpRead, Store: k.store, Table: k.table, Key: k.key, Ver: ver})
+	for k, r := range t.reads {
+		rec.Ops = append(rec.Ops, history.Op{Kind: history.OpRead, Store: k.store, Table: k.table, Key: k.key, Ver: r.ver})
 	}
 	if committed {
 		for k, w := range t.writes {
@@ -732,61 +767,75 @@ func (t *Txn) emitHistory(committed bool, commitTS int64) {
 	}
 }
 
-// prepareOne installs the prepared image for one write.
-func (t *Txn) prepareOne(ctx context.Context, k wkey, prepTS int64) error {
-	w := t.writes[k]
-	s := t.m.stores[k.store]
+// prepareOne installs the prepared image for one write, asking the
+// store only for what the transaction does not already know:
+//
+//   - a key the transaction read clean is prepared straight from the
+//     read set — the conditional put on the version read is the
+//     validation, and the image read is the previous image;
+//   - a key it read around an in-flight writer conflicts: the version
+//     it holds is that writer's prepared record, which must survive;
+//   - an insert it never read is put create-only, and only a mismatch
+//     sends it to the fetch below (the occupant may be a dead or
+//     already-committed prepare);
+//   - anything else (a blind write or delete) fetches the current
+//     record, resolving a prepared one, to learn the previous image.
+func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS int64) error {
+	if r, ok := t.reads[k]; ok {
+		if !r.clean {
+			return errors.New("read around an in-flight writer")
+		}
+		return t.putPrepared(ctx, k, coordName, prepTS, r.fields, r.ver)
+	}
+	if t.writes[k].kind == kindInsert {
+		err := t.putPrepared(ctx, k, coordName, prepTS, nil, kvstore.MustNotExist)
+		if !isMismatch(err) {
+			return err // prepared, or a failure a fetch would not explain
+		}
+	}
 
-	// Determine the expected version: what we read in this
-	// transaction, or the current committed version fetched now.
-	expect, haveExpect := t.reads[k]
-	var prevImage []byte
-	var prevExisted bool
+	s := t.m.stores[k.store]
 	cur, err := s.Get(ctx, k.table, k.key)
+	if err == nil && isPrepared(cur.Fields) {
+		// Another transaction holds this record; try to resolve it (it
+		// may be long-committed or long-dead).
+		if _, rerr := t.m.resolveRecord(ctx, s, k.table, k.key, cur); rerr != nil && !errors.Is(rerr, ErrNotFound) {
+			return fmt.Errorf("record held by %s", cur.Fields[metaID])
+		}
+		cur, err = s.Get(ctx, k.table, k.key)
+		if err == nil && isPrepared(cur.Fields) {
+			return fmt.Errorf("record still held by %s", cur.Fields[metaID])
+		}
+	}
 	switch {
 	case err == nil:
-		if isPrepared(cur.Fields) {
-			// Another transaction holds this record; try to resolve
-			// it (it may be long-committed or long-dead).
-			if _, _, rerr := t.m.resolveRecord(ctx, s, k.table, k.key, cur); rerr != nil && !errors.Is(rerr, ErrNotFound) {
-				return fmt.Errorf("record held by %s", cur.Fields[metaID])
-			}
-			cur, err = s.Get(ctx, k.table, k.key)
-			if err != nil && !errors.Is(err, kvstore.ErrNotFound) {
-				return err
-			}
-			if cur != nil && isPrepared(cur.Fields) {
-				return fmt.Errorf("record still held by %s", cur.Fields[metaID])
-			}
-		}
-		if cur != nil {
-			if haveExpect && cur.Version != expect {
-				return fmt.Errorf("version moved %d → %d", expect, cur.Version)
-			}
-			expect = cur.Version
-			prevImage = encodeImage(cur.Fields)
-			prevExisted = true
-		} else {
-			expect = kvstore.MustNotExist
-		}
+		return t.putPrepared(ctx, k, coordName, prepTS, cur.Fields, cur.Version)
 	case errors.Is(err, kvstore.ErrNotFound):
-		if haveExpect {
-			return fmt.Errorf("record vanished (read version %d)", expect)
-		}
-		expect = kvstore.MustNotExist
+		return t.putPrepared(ctx, k, coordName, prepTS, nil, kvstore.MustNotExist)
 	default:
 		return err
 	}
+}
 
-	if w.kind == kindInsert && prevExisted {
-		return fmt.Errorf("insert of existing key")
+// putPrepared writes the prepared image of k's buffered write over the
+// committed image prev, conditional on expect: prev's version, or
+// kvstore.MustNotExist when there is no committed image.
+func (t *Txn) putPrepared(ctx context.Context, k wkey, coordName string, prepTS int64, prev map[string][]byte, expect uint64) error {
+	w := t.writes[k]
+	prevExisted := expect != kvstore.MustNotExist
+	switch {
+	case w.kind == kindInsert && prevExisted:
+		return errors.New("insert of existing key")
+	case w.kind == kindDelete && !prevExisted:
+		return errors.New("delete of missing key")
+	case w.kind == kindReadLock:
+		// The materialized read re-writes the image it observed (a
+		// read-lock's key is always in the read set, so prev exists).
+		w.fields = prev
 	}
-	if (w.kind == kindDelete || w.kind == kindReadLock) && !prevExisted {
-		return fmt.Errorf("%s of missing key", map[writeKind]string{kindDelete: "delete", kindReadLock: "read-lock"}[w.kind])
-	}
-	if w.kind == kindReadLock {
-		// The materialized read re-writes the image it observed.
-		w.fields = userFields(cur.Fields)
+	var prevImage []byte
+	if prevExisted {
+		prevImage = encodeImage(prev)
 	}
 
 	prepared := make(map[string][]byte, len(w.fields)+6)
@@ -795,14 +844,14 @@ func (t *Txn) prepareOne(ctx context.Context, k wkey, prepTS int64) error {
 	}
 	prepared[metaState] = []byte("P")
 	prepared[metaID] = []byte(t.id)
-	prepared[metaCoord] = []byte(t.coordName())
+	prepared[metaCoord] = []byte(coordName)
 	prepared[metaPrepareTS] = []byte(strconv.FormatInt(prepTS, 10))
 	prepared[metaPrev] = prevImage
 	if w.kind == kindDelete {
 		prepared[metaDelete] = []byte("1")
 	}
 
-	ver, err := s.Put(ctx, k.table, k.key, prepared, expect)
+	ver, err := t.m.stores[k.store].Put(ctx, k.table, k.key, prepared, expect)
 	if err != nil {
 		return err
 	}
@@ -811,20 +860,6 @@ func (t *Txn) prepareOne(ctx context.Context, k wkey, prepTS int64) error {
 	w.prevImage = prevImage
 	w.prevExisted = prevExisted
 	return nil
-}
-
-// coordName returns the coordinating store's name: the first write in
-// global order.
-func (t *Txn) coordName() string {
-	var best wkey
-	first := true
-	for k := range t.writes {
-		if first || k.store < best.store || (k.store == best.store && (k.table < best.table || (k.table == best.table && k.key < best.key))) {
-			best = k
-			first = false
-		}
-	}
-	return best.store
 }
 
 func cloneFields(in map[string][]byte) map[string][]byte {

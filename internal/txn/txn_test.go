@@ -238,7 +238,26 @@ func TestTransactionalDelete(t *testing.T) {
 	}
 }
 
+// rmwStyles are the two ways a transaction writes a key it has read:
+// a full-record Write of a value computed from the read, and the
+// binding's read-merge-write (txUpdate), whose inner read is served
+// from the read set — so only the prepare can catch a stale image.
+var rmwStyles = map[string]func(ctx context.Context, tx *Txn, table, key string, fields map[string][]byte) error{
+	"write": func(_ context.Context, tx *Txn, table, key string, fields map[string][]byte) error {
+		return tx.Write("", table, key, fields)
+	},
+	"update": func(ctx context.Context, tx *Txn, table, key string, fields map[string][]byte) error {
+		return txUpdate(ctx, tx, "", table, key, fields)
+	},
+}
+
 func TestNoLostUpdatesUnderConcurrency(t *testing.T) {
+	for name, put := range rmwStyles {
+		t.Run(name, func(t *testing.T) { testNoLostUpdates(t, put) })
+	}
+}
+
+func testNoLostUpdates(t *testing.T, put func(context.Context, *Txn, string, string, map[string][]byte) error) {
 	// The core Tier 6 property: concurrent transactional RMW
 	// increments never lose updates (every successful commit is
 	// reflected), unlike the raw store.
@@ -261,7 +280,7 @@ func TestNoLostUpdatesUnderConcurrency(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					return tx.Write("", "t", "ctr", bal(getBal(t, f)+1))
+					return put(ctx, tx, "t", "ctr", bal(getBal(t, f)+1))
 				})
 				if err == nil {
 					mu.Lock()
@@ -290,6 +309,12 @@ func TestNoLostUpdatesUnderConcurrency(t *testing.T) {
 }
 
 func TestMoneyTransferInvariant(t *testing.T) {
+	for name, put := range rmwStyles {
+		t.Run(name, func(t *testing.T) { testMoneyTransfer(t, put) })
+	}
+}
+
+func testMoneyTransfer(t *testing.T, put func(context.Context, *Txn, string, string, map[string][]byte) error) {
 	// CEW in miniature: concurrent transfers preserve total balance.
 	ctx := context.Background()
 	m, inner := newTestManager(t, Options{})
@@ -320,10 +345,10 @@ func TestMoneyTransferInvariant(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					if err := tx.Write("", "acct", from, bal(getBal(t, ff)-1)); err != nil {
+					if err := put(ctx, tx, "acct", from, bal(getBal(t, ff)-1)); err != nil {
 						return err
 					}
-					return tx.Write("", "acct", to, bal(getBal(t, tf)+1))
+					return put(ctx, tx, "acct", to, bal(getBal(t, tf)+1))
 				})
 			}
 		}(w)

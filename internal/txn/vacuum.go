@@ -48,7 +48,7 @@ func (m *Manager) Vacuum(ctx context.Context) (tsrsRemoved, recordsResolved int,
 				if err != nil {
 					continue // store no longer registered
 				}
-				if _, _, rerr := m.readResolved(ctx, ws, wk.table, wk.key); rerr == nil || errors.Is(rerr, ErrNotFound) {
+				if _, rerr := m.readResolved(ctx, ws, wk.table, wk.key); rerr == nil || errors.Is(rerr, ErrNotFound) {
 					recordsResolved++
 				}
 			}
