@@ -45,9 +45,9 @@ bench:
 # lock-free snapshot read path vs the emulated locked+clone baseline),
 # BENCH_mvcc.json (as-of scan throughput under concurrent writers
 # plus the head-read path, whose 0-alloc budget must not regress now
-# that records carry version chains) and BENCH_wire.json (the framed
-# binary transport vs HTTP/NDJSON at 32 client threads — the Read
-# cells carry the ≥2x acceptance bound) so all regressions are
+# that records carry version chains), BENCH_wire.json (16-op request
+# frames at 32 client threads) and BENCH_scan.json (1000-record scan
+# streams and the framed slot migration) so all regressions are
 # visible per run. BENCH_history.json carries the history-capture
 # overhead cells (CaptureOn vs CaptureOff; budget ≤5%).
 bench-quick:
@@ -55,9 +55,9 @@ bench-quick:
 	$(GO) test -run xx -bench 'BenchmarkReadHeavy|BenchmarkGetScanParallel' -benchtime 300ms -cpu 4 -json ./internal/kvstore/ | tee BENCH_read.json
 	$(GO) test -run xx -bench BenchmarkAsOfScanUnderWrites -benchtime 300ms -cpu 4 -json ./internal/kvstore/ | tee BENCH_mvcc.json
 	$(GO) test -run xx -bench BenchmarkStoreParallel -benchtime 300ms -json . | tee -a BENCH_mvcc.json
-	$(GO) test -run xx -bench BenchmarkWireVsHTTP -benchtime 1s -json . | tee BENCH_wire.json
+	$(GO) test -run xx -bench BenchmarkWireTransport -benchtime 1s -json . | tee BENCH_wire.json
 	$(GO) test -run xx -bench BenchmarkHistoryCaptureOverhead -benchtime 500ms -cpu 4 -json . | tee BENCH_history.json
-	$(GO) test -run xx -bench BenchmarkScanWireVsHTTP -benchtime 1s -json . | tee BENCH_scan.json
+	$(GO) test -run xx -bench BenchmarkWireScan -benchtime 1s -json . | tee BENCH_scan.json
 
 # Cluster scaling acceptance bench: identical capacity-bound nodes,
 # read-heavy load routed by the shard map, 1 node vs 3. The 3-node

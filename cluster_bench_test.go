@@ -1,7 +1,7 @@
 // Cluster scaling acceptance bench: the same read-heavy workload
 // against a 1-node and a 3-node fleet of cluster-mode servers, each
-// node given an identical fixed service capacity (one request at a
-// time, fixed service latency — the cloudsim idiom for modeling a
+// node given an identical fixed service capacity (one request frame at
+// a time, fixed service latency — the cloudsim idiom for modeling a
 // capacity-bound store). Aggregate capacity triples with the node
 // count, so routed throughput must scale; the acceptance bound is
 // 3-node ≥ 2x 1-node.
@@ -10,13 +10,10 @@ package ycsbt_test
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"testing"
 	"time"
 
 	"ycsbt/internal/client"
-	"ycsbt/internal/cluster"
 	"ycsbt/internal/httpkv"
 	"ycsbt/internal/kvstore"
 	"ycsbt/internal/measurement"
@@ -33,41 +30,10 @@ const perNodeService = 150 * time.Microsecond
 // the fixed capacity model, and returns their base URLs.
 func startCapacityCluster(tb testing.TB, n, slots int) []string {
 	tb.Helper()
-	lns := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	m, err := cluster.NewUniform(cluster.PlacementHash, slots, urls, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for i, ln := range lns {
-		store, err := kvstore.Open(kvstore.Options{Shards: 2})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		st, err := cluster.NewState(urls[i], m, nil)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		inner := httpkv.NewServerWithOptions(store, httpkv.ServerOptions{Cluster: st})
-		sem := make(chan struct{}, 1)
-		srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sem <- struct{}{}
-			time.Sleep(perNodeService)
-			inner.ServeHTTP(w, r)
-			<-sem
-		})}
-		go srv.Serve(ln)
-		tb.Cleanup(func() { srv.Close(); store.Close() })
-	}
-	return urls
+	nodes, _ := startFleet(tb, n, slots, func(eng kvstore.Engine) kvstore.Engine {
+		return &serviceModel{Engine: eng, delay: perNodeService, sem: make(chan struct{}, 1)}
+	})
+	return nodeURLs(nodes)
 }
 
 // clusterReadCell loads records through the router, then measures a

@@ -44,6 +44,16 @@ func freeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
+// buildKVServer compiles cmd/kvserver into the test's temp dir.
+func buildKVServer(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "kvserver")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/kvserver").CombinedOutput(); err != nil {
+		t.Fatalf("building kvserver: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // startClusterProcs builds the kvserver binary once and spawns one
 // real process per address, all sharing a uniform bootstrap map. Every
 // node also gets a binary wire listener and an ops listener, so the
@@ -52,10 +62,7 @@ func freeAddrs(t *testing.T, n int) []string {
 // receives one ops base URL per node when non-nil.
 func startClusterProcs(t *testing.T, addrs []string, slots int, opsURLs *[]string) []string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "kvserver")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/kvserver").CombinedOutput(); err != nil {
-		t.Fatalf("building kvserver: %v\n%s", err, out)
-	}
+	bin := buildKVServer(t)
 	urls := make([]string, len(addrs))
 	for i, a := range addrs {
 		urls[i] = "http://" + a

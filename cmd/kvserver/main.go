@@ -1,6 +1,8 @@
 // Command kvserver serves the embedded key-value store over HTTP —
 // the reproduction's stand-in for the paper's "WiredTiger key-value
-// store augmented with an HTTP interface".
+// store augmented with an HTTP interface" — and, with -wire-addr, over
+// the framed binary protocol that carries everything beyond single-key
+// REST (batches, as-of reads, streamed scans, migration).
 //
 // Run it, then point the benchmark client at it:
 //
@@ -18,7 +20,9 @@
 // -shardmap for an explicit one), serves only the slots the map
 // assigns it, and answers everything else 410 Gone with routing
 // hints. POST /admin/migrate?slot=N&dest=URL live-migrates one slot
-// to another member (freeze, pinned-ts copy, map version bump).
+// to another member (freeze, pinned-ts copy, map version bump). A
+// cluster node must run a frame listener (-wire-addr): routers and
+// migrations reach its data over frames only.
 package main
 
 import (
@@ -56,12 +60,12 @@ func run() error {
 	shards := flag.Int("shards", kvstore.DefaultShards, "hash partitions of the store (an existing WAL layout wins)")
 	groupCommit := flag.Duration("group-commit", 0, "WAL group-commit window, e.g. 2ms (0 = sync inline)")
 	delay := flag.Duration("delay", 0, "artificial per-request service latency")
-	maxInflight := flag.Int("max-inflight", 0, "concurrent /v1/batch requests admitted before 429 (0 = unlimited)")
+	maxInflight := flag.Int("max-inflight", 0, "concurrent request frames admitted before 429 (0 = unlimited)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap in bytes, larger bodies get 413 (0 = default 1MiB)")
 	retention := flag.Duration("retention", kvstore.DefaultRetention, "how long overwritten record versions stay readable via as-of reads")
 	vacuumInterval := flag.Duration("vacuum-interval", 0, "background version-vacuum sweep interval (0 = write-path trimming only)")
 	opsAddr := flag.String("ops-addr", "", "ops listener address serving /metrics, /healthz, /debug/pprof (empty = disabled)")
-	wireAddr := flag.String("wire-addr", "", "binary wire protocol listener address; advertised to clients via the X-KV-Wire response header (empty = disabled)")
+	wireAddr := flag.String("wire-addr", "", "frame listener address; advertised to clients via the X-KV-Wire response header (empty = disabled; required with -cluster-node-id)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: how long in-flight requests on the HTTP, wire and ops listeners get to finish")
 	backups := flag.Int("backups", 0, "serve a replicated in-memory store with this many backups instead of the embedded engine (-wal is ignored)")
 	replicaLag := flag.Duration("replica-lag", 0, "async replication delay per backup hop (with -backups)")
@@ -73,6 +77,9 @@ func run() error {
 	clusterSlots := flag.Int("cluster-slots", cluster.DefaultSlots, "key-space slots in the bootstrap shard map (with -peers)")
 	clusterPlacement := flag.String("cluster-placement", cluster.PlacementHash, "bootstrap placement, hash or range; range needs explicit bounds, so boot it from -shardmap (with -peers)")
 	flag.Parse()
+	if *clusterNodeID != "" && *wireAddr == "" {
+		return fmt.Errorf("-cluster-node-id needs -wire-addr: a cluster node serves routers and migrations over frames only")
+	}
 
 	reg := obs.Default()
 	var metrics *obs.Registry
@@ -148,8 +155,8 @@ func run() error {
 		desc += fmt.Sprintf(" cluster node=%s slots=%d/%d map=v%d", *clusterNodeID, len(m.SlotsOf(*clusterNodeID)), m.Slots, m.Version)
 	}
 
-	// One transport-neutral core serves both front ends, so HTTP and
-	// binary requests share a single admission limit and ownership gate.
+	// One core serves both listeners, so REST and frame requests share a
+	// single ownership gate.
 	core := kvwire.NewCore(eng, cs, *maxInflight)
 	core.Instrument(metrics)
 
@@ -171,12 +178,11 @@ func run() error {
 	}
 
 	var handler http.Handler = httpkv.NewServerWithOptions(eng, httpkv.ServerOptions{
-		MaxInflightBatches: *maxInflight,
-		MaxBodyBytes:       *maxBodyBytes,
-		Metrics:            metrics,
-		Cluster:            cs,
-		Core:               core,
-		WireAddr:           wireLnAddr,
+		MaxBodyBytes: *maxBodyBytes,
+		Metrics:      metrics,
+		Cluster:      cs,
+		Core:         core,
+		WireAddr:     wireLnAddr,
 	})
 	if *delay > 0 {
 		inner := handler

@@ -45,6 +45,13 @@ func ExecBatch(ctx context.Context, d DB, ops []BatchOp) []BatchResult {
 	if bdb, ok := d.(BatchDB); ok {
 		return bdb.ExecBatch(ctx, ops)
 	}
+	return ExecEach(ctx, d, ops)
+}
+
+// ExecEach answers ops with one single operation each, in order: the
+// fallback under ExecBatch, and what a BatchDB binding answers with
+// when the endpoint it talks to has no batch path.
+func ExecEach(ctx context.Context, d DB, ops []BatchOp) []BatchResult {
 	out := make([]BatchResult, len(ops))
 	for i := range ops {
 		out[i] = execOne(ctx, d, ops[i])
@@ -52,7 +59,6 @@ func ExecBatch(ctx context.Context, d DB, ops []BatchOp) []BatchResult {
 	return out
 }
 
-// execOne runs a single BatchOp through the plain DB interface.
 func execOne(ctx context.Context, d DB, op BatchOp) BatchResult {
 	switch op.Op {
 	case OpRead:

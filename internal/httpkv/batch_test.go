@@ -2,9 +2,7 @@ package httpkv
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,237 +12,100 @@ import (
 
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
-	"ycsbt/internal/kvwire"
 	"ycsbt/internal/properties"
 )
-
-// newLegacyServer builds a server with the pre-batch wire surface
-// (no /v1/batch route), standing in for an old deployment in interop
-// tests.
-func newLegacyServer(store kvstore.Engine) *Server {
-	s := &Server{store: store, core: kvwire.NewCore(store, nil, 0), mux: http.NewServeMux(), opts: ServerOptions{}.withDefaults()}
-	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.mux.HandleFunc("/v1/", s.handleRecord)
-	return s
-}
 
 // slowEngine delays batch execution so admission-control tests can
 // hold a request in flight deterministically.
 type slowEngine struct {
 	kvstore.Engine
 	delay   time.Duration
-	entered chan struct{} // closed once the first batch starts (optional)
+	entered chan struct{} // closed once the first batch starts
 	once    sync.Once
 }
 
 func (e *slowEngine) BatchGet(reqs []kvstore.GetReq) []kvstore.GetResult {
-	if e.entered != nil {
-		e.once.Do(func() { close(e.entered) })
-	}
+	e.once.Do(func() { close(e.entered) })
 	time.Sleep(e.delay)
 	return e.Engine.BatchGet(reqs)
 }
 
-func (e *slowEngine) BatchApply(muts []kvstore.Mutation) []kvstore.MutResult {
-	if e.entered != nil {
-		e.once.Do(func() { close(e.entered) })
-	}
-	time.Sleep(e.delay)
-	return e.Engine.BatchApply(muts)
-}
-
+// One batch, same per-item answers on both transports: a request frame
+// on a frame endpoint, sequential single operations over REST.
 func TestBatchRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	store, c, done := newPair(t)
-	defer done()
-	if _, err := store.Put("t", "a", map[string][]byte{"f": []byte("v1"), "g": []byte("keep")}); err != nil {
-		t.Fatal(err)
-	}
-
-	res := c.ExecBatch(ctx, []db.BatchOp{
-		{Op: db.OpRead, Table: "t", Key: "a", Fields: []string{"f"}},
-		{Op: db.OpInsert, Table: "t", Key: "b", Values: db.Record{"f": []byte("v2")}},
-		{Op: db.OpUpdate, Table: "t", Key: "a", Values: db.Record{"f": []byte("v1b")}},
-		{Op: db.OpRead, Table: "t", Key: "missing"},
-		{Op: db.OpUpdate, Table: "t", Key: "nope", Values: db.Record{"f": []byte("x")}},
-		{Op: db.OpDelete, Table: "t", Key: "b"},
-		{Op: db.OpScan, Table: "t", Key: "a"}, // not batchable, client-side error
-	})
-	if res[0].Err != nil || string(res[0].Record["f"]) != "v1" || len(res[0].Record) != 1 {
-		t.Fatalf("item 0 (projected read): %+v", res[0])
-	}
-	if res[1].Err != nil || res[2].Err != nil || res[5].Err != nil {
-		t.Fatalf("write items: %v %v %v", res[1].Err, res[2].Err, res[5].Err)
-	}
-	for _, i := range []int{3, 4} {
-		if !errors.Is(res[i].Err, db.ErrNotFound) {
-			t.Fatalf("item %d: got %v, want ErrNotFound", i, res[i].Err)
-		}
-	}
-	if !errors.Is(res[6].Err, db.ErrNotSupported) {
-		t.Fatalf("item 6: got %v, want ErrNotSupported", res[6].Err)
-	}
-	// The interleaved order held: the update (item 2) ran after the
-	// read (item 0), and the delete removed item 1's insert.
-	rec, err := store.Get("t", "a")
-	if err != nil || string(rec.Fields["f"]) != "v1b" || string(rec.Fields["g"]) != "keep" {
-		t.Fatalf("after batch: %v %v", rec, err)
-	}
-	if _, err := store.Get("t", "b"); !errors.Is(err, kvstore.ErrNotFound) {
-		t.Fatalf("deleted key: %v", err)
-	}
-}
-
-// TestBatchWireConditionals drives the raw NDJSON protocol, checking
-// per-item statuses and ETags without the client's translation.
-func TestBatchWireConditionals(t *testing.T) {
-	store, c, done := newPair(t)
-	defer done()
-	if _, err := store.Put("t", "a", map[string][]byte{"f": []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-
-	body := strings.Join([]string{
-		`{"op":"put","table":"t","key":"a","fields":{"f":"eA=="},"if_none_match":"*"}`,
-		`{"op":"put","table":"t","key":"a","fields":{"f":"eA=="},"if_match":"1"}`,
-		`{"op":"get","table":"t","key":"a"}`,
-		`{"op":"delete","table":"t","key":"a","if_match":"999"}`,
-		`{"op":"frobnicate","table":"t","key":"a"}`,
-	}, "\n")
-	resp, err := c.hc.Post(c.base+"/v1/batch", NDJSONContentType, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Content-Type"); !strings.Contains(got, NDJSONContentType) {
-		t.Fatalf("Content-Type %q", got)
-	}
-	var results []wireBatchResult
-	dec := json.NewDecoder(resp.Body)
-	for dec.More() {
-		var r wireBatchResult
-		if err := dec.Decode(&r); err != nil {
+	bothTransports(t, func(t *testing.T, mode string) {
+		ctx := context.Background()
+		tn := startNode(t, nil)
+		c := tn.client(t, mode)
+		if _, err := tn.store.Put("t", "a", map[string][]byte{"f": []byte("v1"), "g": []byte("keep")}); err != nil {
 			t.Fatal(err)
 		}
-		results = append(results, r)
-	}
-	wantStatus := []int{http.StatusPreconditionFailed, http.StatusOK, http.StatusOK, http.StatusPreconditionFailed, http.StatusBadRequest}
-	if len(results) != len(wantStatus) {
-		t.Fatalf("got %d results, want %d", len(results), len(wantStatus))
-	}
-	for i, want := range wantStatus {
-		if results[i].Status != want {
-			t.Errorf("item %d: status %d, want %d (%s)", i, results[i].Status, want, results[i].Error)
+
+		res := c.ExecBatch(ctx, []db.BatchOp{
+			{Op: db.OpRead, Table: "t", Key: "a", Fields: []string{"f"}},
+			{Op: db.OpInsert, Table: "t", Key: "b", Values: db.Record{"f": []byte("v2")}},
+			{Op: db.OpUpdate, Table: "t", Key: "a", Values: db.Record{"f": []byte("v1b")}},
+			{Op: db.OpRead, Table: "t", Key: "missing"},
+			{Op: db.OpUpdate, Table: "t", Key: "nope", Values: db.Record{"f": []byte("x")}},
+			{Op: db.OpDelete, Table: "t", Key: "b"},
+			{Op: db.OpScan, Table: "t", Key: "a"}, // not batchable, client-side error
+		})
+		if res[0].Err != nil || string(res[0].Record["f"]) != "v1" || len(res[0].Record) != 1 {
+			t.Fatalf("item 0 (projected read): %+v", res[0])
 		}
-	}
-	// The CAS put bumped the version; the get returns the new ETag.
-	if results[1].ETag != "2" || results[2].ETag != "2" {
-		t.Errorf("etags %q %q, want 2 2", results[1].ETag, results[2].ETag)
-	}
-	if string(results[2].Fields["f"]) != "x" {
-		t.Errorf("get fields %v", results[2].Fields)
-	}
+		if res[1].Err != nil || res[2].Err != nil || res[5].Err != nil {
+			t.Fatalf("write items: %v %v %v", res[1].Err, res[2].Err, res[5].Err)
+		}
+		for _, i := range []int{3, 4} {
+			if !errors.Is(res[i].Err, db.ErrNotFound) {
+				t.Fatalf("item %d: got %v, want ErrNotFound", i, res[i].Err)
+			}
+		}
+		if !errors.Is(res[6].Err, db.ErrNotSupported) {
+			t.Fatalf("item 6: got %v, want ErrNotSupported", res[6].Err)
+		}
+		// The interleaved order held: the update (item 2) ran after the
+		// read (item 0), and the delete removed item 1's insert.
+		rec, err := tn.store.Get("t", "a")
+		if err != nil || string(rec.Fields["f"]) != "v1b" || string(rec.Fields["g"]) != "keep" {
+			t.Fatalf("after batch: %v %v", rec, err)
+		}
+		if _, err := tn.store.Get("t", "b"); !errors.Is(err, kvstore.ErrNotFound) {
+			t.Fatalf("deleted key: %v", err)
+		}
+		// The batch was one request frame, or no frame at all.
+		want := int64(0)
+		if mode == WireModeAuto {
+			want = 1
+		}
+		if frames := tn.counter("kvwire_frames_total", "dir", "in"); frames != want {
+			t.Fatalf("wire=%s: server read %d frames, want %d", mode, frames, want)
+		}
+	})
 }
 
+// A shed request frame (the wire-level 429 and its retry hint are
+// asserted in kvwire's TestWireAdmissionShed) surfaces as ErrThrottled
+// on every item once the client's retries are spent.
 func TestBatchAdmissionControl(t *testing.T) {
-	entered := make(chan struct{})
-	eng := &slowEngine{Engine: kvstore.OpenMemory(), delay: 750 * time.Millisecond, entered: entered}
-	srv := httptest.NewServer(NewServerWithOptions(eng, ServerOptions{MaxInflightBatches: 1}))
-	defer srv.Close()
+	eng := &slowEngine{Engine: kvstore.OpenMemory(), delay: 750 * time.Millisecond, entered: make(chan struct{})}
 	defer eng.Close()
-	c := NewClient(srv.URL, srv.Client())
-	if err := c.Init(properties.New()); err != nil {
-		t.Fatal(err)
-	}
-	c.retry429 = 0 // this test asserts the raw 429 surface; retry has its own test
+	tn := listenNode(t)
+	tn.serve(t, eng, nil, 1)
+	// retry429=0: this test asserts the shed itself; retry has its own.
+	c := tn.client(t, WireModeAuto, "rawhttp.retry429", "0")
 
 	ops := []db.BatchOp{{Op: db.OpRead, Table: "t", Key: "k"}}
 	first := make(chan []db.BatchResult)
 	go func() { first <- c.ExecBatch(context.Background(), ops) }()
-	<-entered // the slow batch now owns the one admission slot
+	<-eng.entered // the slow batch now owns the one admission slot
 
-	// Wire level: immediate 429 with a Retry-After hint, no queueing.
-	resp, err := c.hc.Post(srv.URL+"/v1/batch", NDJSONContentType,
-		strings.NewReader(`{"op":"get","table":"t","key":"k"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After %q, want \"1\"", ra)
-	}
-
-	// Client level: the rejection maps to ErrThrottled per item.
 	res := c.ExecBatch(context.Background(), ops)
 	if !errors.Is(res[0].Err, db.ErrThrottled) {
 		t.Fatalf("second batch: got %v, want ErrThrottled", res[0].Err)
 	}
 	if res := <-first; !errors.Is(res[0].Err, db.ErrNotFound) {
 		t.Fatalf("first batch: got %v, want ErrNotFound (empty store)", res[0].Err)
-	}
-}
-
-func TestBatchDeadlineExpired(t *testing.T) {
-	eng := &slowEngine{Engine: kvstore.OpenMemory(), delay: 100 * time.Millisecond}
-	srv := httptest.NewServer(NewServerWithOptions(eng, ServerOptions{}))
-	defer srv.Close()
-	defer eng.Close()
-
-	// Two same-kind runs split by a mutation: the first run eats the
-	// deadline, the rest must report 504 per item instead of running.
-	body := strings.Join([]string{
-		`{"op":"get","table":"t","key":"a"}`,
-		`{"op":"put","table":"t","key":"b","fields":{"f":"eA=="}}`,
-	}, "\n")
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/batch", strings.NewReader(body))
-	req.Header.Set(DeadlineHeader, "30")
-	resp, err := srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var results []wireBatchResult
-	dec := json.NewDecoder(resp.Body)
-	for dec.More() {
-		var r wireBatchResult
-		if err := dec.Decode(&r); err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, r)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	if results[0].Status != http.StatusNotFound {
-		t.Errorf("item 0 ran before the deadline: status %d", results[0].Status)
-	}
-	if results[1].Status != http.StatusGatewayTimeout {
-		t.Errorf("item 1: status %d, want 504", results[1].Status)
-	}
-	// The abandoned put never reached the store.
-	if _, err := eng.Get("t", "b"); !errors.Is(err, kvstore.ErrNotFound) {
-		t.Errorf("abandoned put landed: %v", err)
-	}
-
-	// A malformed deadline header is rejected outright.
-	req, _ = http.NewRequest(http.MethodGet, srv.URL+"/v1/t/a", nil)
-	req.Header.Set(DeadlineHeader, "soon")
-	resp2, err := srv.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad deadline header: status %d, want 400", resp2.StatusCode)
 	}
 }
 
@@ -272,106 +133,32 @@ func TestServerRejectsMalformedAndOversized(t *testing.T) {
 	if got := post("/v1/t/k", "{not json", nil, http.MethodPut); got != http.StatusBadRequest {
 		t.Errorf("malformed put: %d, want 400", got)
 	}
-	if got := post("/v1/batch", "{not json", nil, http.MethodPost); got != http.StatusBadRequest {
-		t.Errorf("malformed batch: %d, want 400", got)
-	}
-	if got := post("/v1/batch", "", nil, http.MethodPost); got != http.StatusBadRequest {
-		t.Errorf("empty batch: %d, want 400", got)
-	}
 	// Missing fields → 400.
 	if got := post("/v1/t/k", `{"version":1}`, nil, http.MethodPut); got != http.StatusBadRequest {
 		t.Errorf("missing fields: %d, want 400", got)
 	}
-	// Unknown methods → 405.
+	// Unknown methods → 405; that is also all that is left of the batch
+	// and ingest routes, which exist on frames only.
 	if got := post("/v1/t/k", "", nil, http.MethodPost); got != http.StatusMethodNotAllowed {
 		t.Errorf("POST on record: %d, want 405", got)
 	}
-	if got := post("/v1/batch", "", nil, http.MethodGet); got != http.StatusMethodNotAllowed {
-		t.Errorf("GET on batch: %d, want 405", got)
+	for _, gone := range []string{"batch", "ingest"} {
+		if got := post("/v1/"+gone, `{"op":"get","table":"t","key":"k"}`, nil, http.MethodPost); got != http.StatusMethodNotAllowed {
+			t.Errorf("POST /v1/%s: %d, want 405", gone, got)
+		}
 	}
-	// Oversized bodies → 413 on both routes.
+	// Oversized bodies → 413.
 	big := `{"fields":{"f":"` + strings.Repeat("QUFB", 200) + `"}}`
 	if got := post("/v1/t/k", big, nil, http.MethodPut); got != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized put: %d, want 413", got)
-	}
-	if got := post("/v1/batch", `{"op":"put","table":"t","key":"k",`+big[1:], nil, http.MethodPost); got != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized batch: %d, want 413", got)
 	}
 	// Bad path → 400.
 	if got := post("/v1/", "", nil, http.MethodGet); got != http.StatusBadRequest {
 		t.Errorf("bad path: %d, want 400", got)
 	}
-}
-
-// TestBatchFallbackToLegacyServer checks a batch-speaking client
-// against a pre-batch server: the first attempt discovers the missing
-// route and every batch — including later ones — is answered through
-// the single-op protocol with identical semantics.
-func TestBatchFallbackToLegacyServer(t *testing.T) {
-	ctx := context.Background()
-	store := kvstore.OpenMemory()
-	defer store.Close()
-	srv := httptest.NewServer(newLegacyServer(store))
-	defer srv.Close()
-	c := NewClient(srv.URL, srv.Client())
-	if err := c.Init(properties.New()); err != nil {
-		t.Fatal(err)
-	}
-
-	for round := 0; round < 2; round++ {
-		res := c.ExecBatch(ctx, []db.BatchOp{
-			{Op: db.OpInsert, Table: "t", Key: fmt.Sprintf("k%d", round), Values: db.Record{"f": []byte("v")}},
-			{Op: db.OpRead, Table: "t", Key: fmt.Sprintf("k%d", round)},
-			{Op: db.OpRead, Table: "t", Key: "missing"},
-		})
-		if res[0].Err != nil || res[1].Err != nil || string(res[1].Record["f"]) != "v" {
-			t.Fatalf("round %d: %+v %+v", round, res[0], res[1])
-		}
-		if !errors.Is(res[2].Err, db.ErrNotFound) {
-			t.Fatalf("round %d item 2: %v", round, res[2].Err)
-		}
-	}
-	if !c.caps.batchUnsupported.Load() {
-		t.Error("fallback latch not set after talking to a legacy server")
-	}
-
-	// The legacy array scan still parses through the NDJSON-asking
-	// client.
-	kvs, err := c.Scan(ctx, "t", "", 10, nil)
-	if err != nil || len(kvs) != 2 {
-		t.Fatalf("legacy scan: %v %v", kvs, err)
-	}
-}
-
-// TestScanNDJSONStreaming checks the new server streams scans when
-// asked and that the client round-trips them.
-func TestScanNDJSONStreaming(t *testing.T) {
-	ctx := context.Background()
-	store, c, done := newPair(t)
-	defer done()
-	for i := 0; i < 5; i++ {
-		if _, err := store.Put("t", fmt.Sprintf("k%d", i), map[string][]byte{"f": []byte{byte('0' + i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	req, _ := http.NewRequest(http.MethodGet, c.base+"/v1/t?start=&count=10", nil)
-	req.Header.Set("Accept", NDJSONContentType)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Type"); !strings.Contains(got, NDJSONContentType) {
-		t.Fatalf("Content-Type %q, want NDJSON", got)
-	}
-	kvs, err := c.Scan(ctx, "t", "", 10, nil)
-	if err != nil || len(kvs) != 5 {
-		t.Fatalf("ndjson scan: %d records, err %v", len(kvs), err)
-	}
-	for i, kv := range kvs {
-		if kv.Key != fmt.Sprintf("k%d", i) {
-			t.Fatalf("scan order: %v", kvs)
-		}
+	// A malformed deadline header is rejected outright.
+	if got := post("/v1/t/a", "", map[string]string{DeadlineHeader: "soon"}, http.MethodGet); got != http.StatusBadRequest {
+		t.Errorf("bad deadline header: status %d, want 400", got)
 	}
 }
 
@@ -400,6 +187,7 @@ func TestClientMaxInflight(t *testing.T) {
 	c := NewClient(srv.URL, srv.Client())
 	p := properties.New()
 	p.Set("rawhttp.max_inflight", "2")
+	p.Set("rawhttp.wire", WireModeOff) // this handler would park the probe too
 	if err := c.Init(p); err != nil {
 		t.Fatal(err)
 	}

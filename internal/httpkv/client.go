@@ -3,7 +3,9 @@ package httpkv
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -73,35 +75,31 @@ func newPooledHTTPClient(poolSize int, timeout time.Duration) (*http.Client, *at
 // Client is the "rawhttp" DB binding: it speaks the httpkv protocol
 // to a remote (or in-process httptest) server. Like the paper's
 // RawHttpDB it has no transaction support — Start/Commit/Abort fall
-// back to the DB class's no-op defaults. It does implement db.BatchDB
-// (batch.go), so stacked under the batching middleware one POST moves
-// a whole multi-key batch.
+// back to the DB class's no-op defaults. It implements db.BatchDB
+// (batch.go): on a frame endpoint one request frame moves a whole
+// multi-key batch.
 type Client struct {
 	db.NoTransactions
 	base string
 	hc   *http.Client
-	// sem bounds in-flight requests client-side (nil = unbounded):
+	// sem bounds in-flight HTTP requests client-side (nil = unbounded):
 	// bounded pipelining keeps a saturated benchmark from opening
 	// unlimited sockets when the server slows down.
 	sem chan struct{}
-	// caps holds this endpoint's negotiated-capability latches
-	// (batch-route fallback, as-of fast-fail). Scoped per endpoint so
-	// a cluster router's nodes latch independently; see caps.go.
-	caps *endpointCaps
-	// asOf, when non-zero, routes every read through the as-of wire
-	// protocol at that snapshot timestamp (the "as_of" property).
+	// wire is the endpoint's frame transport; nil means the endpoint is
+	// HTTP. Set once — by Init from the rawhttp.wire property, or by the
+	// Router when it mounts a node — before the first operation, and
+	// never changed after (see wire.go). A client that was never
+	// initialised is HTTP.
+	wire *kvwire.Endpoint
+	// asOf, when non-zero, serves every read at that snapshot timestamp
+	// (the "as_of" property); frames only.
 	asOf int64
 	// retry429 / retry429Max configure the throttle retry loop (see
-	// sendRetry): up to retry429 re-sends, each sleeping the server's
-	// Retry-After (doubled per attempt) capped at retry429Max.
+	// sendRetry and exec): up to retry429 re-sends, each sleeping the
+	// server's retry hint (doubled per attempt) capped at retry429Max.
 	retry429    int
 	retry429Max time.Duration
-	// wireMode steers the binary transport: "auto" (or empty) sniffs
-	// the X-KV-Wire header, "off" stays on HTTP, anything else is an
-	// explicit host:port dial address. wireConns sizes the binary
-	// connection pool (0 = kvwire.DefaultMaxConns). See wire.go.
-	wireMode  string
-	wireConns int
 	// dials counts the connections hc's transport has opened; nil when
 	// the caller supplied hc.
 	dials *atomic.Int64
@@ -119,9 +117,10 @@ func (c *Client) Dials() int64 {
 
 // NewClient returns a binding that talks to the server at baseURL
 // (e.g. "http://127.0.0.1:8077"). A nil hc gets a dedicated pooled
-// client with default sizing.
+// client with default sizing. Until Init resolves rawhttp.wire the
+// client is HTTP.
 func NewClient(baseURL string, hc *http.Client) *Client {
-	c := &Client{base: baseURL, hc: hc, caps: &endpointCaps{}, retry429: DefaultRetry429, retry429Max: DefaultRetry429Max}
+	c := &Client{base: baseURL, hc: hc, retry429: DefaultRetry429, retry429Max: DefaultRetry429Max}
 	if hc == nil {
 		c.hc, c.dials = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
 	}
@@ -133,15 +132,12 @@ func init() {
 }
 
 // Init reads the "rawhttp.url", "rawhttp.pool_size",
-// "rawhttp.timeout_ms", "rawhttp.max_inflight", "rawhttp.retry429"
-// and "rawhttp.retry429_max_ms" properties when the binding was
-// opened by name through the registry.
+// "rawhttp.timeout_ms", "rawhttp.max_inflight", "rawhttp.retry429",
+// "rawhttp.retry429_max_ms", "rawhttp.wire", "rawhttp.wire_conns" and
+// "as_of" properties, and settles the endpoint's transport.
 func (c *Client) Init(p *properties.Properties) error {
 	if c.base == "" {
 		c.base = p.GetString("rawhttp.url", "http://127.0.0.1:8077")
-	}
-	if c.caps == nil {
-		c.caps = &endpointCaps{}
 	}
 	if c.hc == nil {
 		c.hc, c.dials = newPooledHTTPClient(
@@ -156,14 +152,33 @@ func (c *Client) Init(p *properties.Properties) error {
 	}
 	c.retry429 = p.GetInt("rawhttp.retry429", DefaultRetry429)
 	c.retry429Max = time.Duration(p.GetInt64("rawhttp.retry429_max_ms", int64(DefaultRetry429Max/time.Millisecond))) * time.Millisecond
-	c.wireMode = p.GetString("rawhttp.wire", WireModeAuto)
-	c.wireConns = p.GetInt("rawhttp.wire_conns", 0)
+	ctx := context.Background()
+	if c.wire == nil {
+		// The frame listener's address: named outright, none, or
+		// whatever the server advertises.
+		addr := p.GetString("rawhttp.wire", WireModeAuto)
+		switch addr {
+		case WireModeOff:
+			addr = ""
+		case WireModeAuto:
+			var err error
+			if addr, err = probeWire(ctx, c.hc, c.base); err != nil {
+				return err
+			}
+		}
+		if addr != "" {
+			c.wire = kvwire.NewEndpoint(addr, p.GetInt("rawhttp.wire_conns", 0))
+		}
+	}
 	// as_of pins every read this binding issues to one snapshot
 	// timestamp: an explicit positive commit ts, or -1 to freeze at
 	// whatever the server's clock reads now (fetched once via /v1/ts).
 	if ts := p.GetInt64("as_of", 0); ts != 0 {
+		if c.wire == nil {
+			return fmt.Errorf("httpkv: as_of=%d against %s: %w", ts, c.base, errAsOfNeedsFrames)
+		}
 		if ts < 0 {
-			now, err := c.SnapshotTS(context.Background())
+			now, err := c.SnapshotTS(ctx)
 			if err != nil {
 				return fmt.Errorf("httpkv: resolving as_of=-1: %w", err)
 			}
@@ -177,7 +192,9 @@ func (c *Client) Init(p *properties.Properties) error {
 // Cleanup implements db.DB.
 func (c *Client) Cleanup() error {
 	c.hc.CloseIdleConnections()
-	c.caps.closeWire()
+	if c.wire != nil {
+		c.wire.Close()
+	}
 	return nil
 }
 
@@ -229,11 +246,7 @@ func (c *Client) send(req *http.Request) (*http.Response, error) {
 			return nil, req.Context().Err()
 		}
 	}
-	resp, err := c.hc.Do(req)
-	if err == nil {
-		c.sniffWire(resp)
-	}
-	return resp, err
+	return c.hc.Do(req)
 }
 
 // sendRetry is send plus the 429 policy: a throttled response is
@@ -312,59 +325,19 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// Read implements db.DB.
-func (c *Client) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
-	if c.asOf == 0 || !c.caps.asOfUnsupported.Load() {
-		op := kvwire.Op{Kind: kvwire.KindGet, Table: table, Key: key, AsOf: c.asOf}
-		if res, served, err := c.wireSingle(ctx, op); served {
-			if err != nil {
-				return nil, err
-			}
-			if err := wireResultErr(res); err != nil {
-				return nil, err
-			}
-			db.ReportReadVersion(ctx, res.Version)
-			return db.ProjectFields(res.Fields, fields), nil
-		}
-	}
-	if c.asOf != 0 {
-		wr, err := c.readWireAsOf(ctx, table, key, c.asOf)
+// get fetches one record with its version, from the head or (asOf > 0,
+// frames only) the version history. The fields map is freshly decoded:
+// the caller's own.
+func (c *Client) get(ctx context.Context, table, key string, asOf int64) (*kvstore.VersionedRecord, error) {
+	if c.wire != nil {
+		res, err := c.execOne(ctx, kvwire.Op{Kind: kvwire.KindGet, Table: table, Key: key, AsOf: asOf})
 		if err != nil {
-			return nil, err
-		}
-		db.ReportReadVersion(ctx, wr.Version)
-		return db.ProjectFields(wr.Fields, fields), nil
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.recordURL(table, key), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	var wr wireRecord
-	if err := decodeBody(resp, &wr); err != nil {
-		return nil, fmt.Errorf("httpkv: decoding record: %w", err)
-	}
-	db.ReportReadVersion(ctx, wr.Version)
-	if fields == nil {
-		return wr.Fields, nil // freshly decoded: already the caller's own map
-	}
-	return db.ProjectFields(wr.Fields, fields), nil
-}
-
-// ReadVersioned fetches a record together with its version (ETag);
-// used by tests and by callers that need the CAS handle.
-func (c *Client) ReadVersioned(ctx context.Context, table, key string) (*kvstore.VersionedRecord, error) {
-	if res, served, err := c.wireSingle(ctx, kvwire.Op{Kind: kvwire.KindGet, Table: table, Key: key}); served {
-		if err != nil {
-			return nil, err
-		}
-		if err := wireResultErr(res); err != nil {
 			return nil, err
 		}
 		return &kvstore.VersionedRecord{Version: res.Version, Fields: res.Fields}, nil
+	}
+	if asOf != 0 {
+		return nil, errAsOfNeedsFrames
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.recordURL(table, key), nil)
 	if err != nil {
@@ -381,59 +354,118 @@ func (c *Client) ReadVersioned(ctx context.Context, table, key string) (*kvstore
 	return &kvstore.VersionedRecord{Version: wr.Version, Fields: wr.Fields}, nil
 }
 
-// scanWire fetches one scan page, asking for NDJSON and decoding
-// whichever representation the server speaks (old servers answer a
-// JSON array; the Content-Type decides). mapVer is the shard map
-// version the serving node scanned under (echoed on cluster-mode
-// responses; 0 from non-cluster or pre-echo servers) — the router's
-// fan-out compares it across nodes to detect a scan that straddled a
-// migration cutover.
-func (c *Client) scanWire(ctx context.Context, table, startKey string, count int) (wrs []wireRecord, mapVer int64, err error) {
-	if wrs, mapVer, served, err := c.scanStream(ctx, table, startKey, count, 0, -1, false); served {
-		return wrs, mapVer, err
+// Read implements db.DB.
+func (c *Client) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
+	rec, err := c.get(ctx, table, key, c.asOf)
+	if err != nil {
+		return nil, err
 	}
-	return c.scanWireHTTP(ctx, table, startKey, count)
+	db.ReportReadVersion(ctx, rec.Version)
+	if fields == nil {
+		return rec.Fields, nil
+	}
+	return db.ProjectFields(rec.Fields, fields), nil
 }
 
-// scanWireHTTP is the HTTP page fetch under scanWire — also the
-// fallback the router's streaming cursor uses directly, so a failed
-// stream open does not re-probe the stream path within the same call.
-func (c *Client) scanWireHTTP(ctx context.Context, table, startKey string, count int) (wrs []wireRecord, mapVer int64, err error) {
-	u := c.base + "/v1/" + url.PathEscape(table) + "?start=" + url.QueryEscape(startKey) + "&count=" + strconv.Itoa(count)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, 0, err
+// ReadVersioned fetches a record together with its version (ETag);
+// used by tests and by callers that need the CAS handle.
+func (c *Client) ReadVersioned(ctx context.Context, table, key string) (*kvstore.VersionedRecord, error) {
+	return c.get(ctx, table, key, 0)
+}
+
+// kvConv renders scan records as db.KVs projected to fields.
+func kvConv(fields []string) func(*kvwire.StreamRecord) db.KV {
+	return func(rec *kvwire.StreamRecord) db.KV {
+		if fields == nil {
+			return db.KV{Key: rec.Key, Record: rec.Fields} // freshly decoded: already the caller's own map
+		}
+		return db.KV{Key: rec.Key, Record: db.ProjectFields(rec.Fields, fields)}
 	}
-	req.Header.Set("Accept", NDJSONContentType)
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, 0, err
+}
+
+// versionedConv renders scan records with their versions, for the
+// transaction stores.
+func versionedConv(rec *kvwire.StreamRecord) kvstore.VersionedKV {
+	return kvstore.VersionedKV{
+		Key:    rec.Key,
+		Record: &kvstore.VersionedRecord{Version: rec.Version, Fields: rec.Fields},
 	}
-	mapVer, _ = strconv.ParseInt(resp.Header.Get(cluster.HeaderMapVersion), 10, 64)
-	wrs, err = decodeScanBody(resp, count)
-	if err != nil {
-		return nil, 0, err
+}
+
+// scanPrealloc is the result capacity a scan for count reserves before
+// a single record has arrived: count is the client's number
+// (maxscanlength, ?count=), so it is honoured only up to one engine
+// page — past that the slice grows with the records that really
+// exist. Unbounded scans (count < 0) start empty.
+func scanPrealloc(count int) int {
+	return max(0, min(count, kvwire.ScanPageCap))
+}
+
+// scanInto fetches up to count records (count < 0: the rest of the
+// table) from start in key order, built once through conv: one scan
+// stream on a frame endpoint, REST pages otherwise. asOf > 0 reads the
+// version history and needs frames.
+func scanInto[T any](ctx context.Context, c *Client, table, start string, count int, asOf int64, conv func(*kvwire.StreamRecord) T) ([]T, error) {
+	if c.wire == nil && asOf != 0 {
+		return nil, errAsOfNeedsFrames
 	}
-	return wrs, mapVer, nil
+	out := make([]T, 0, scanPrealloc(count))
+	if c.wire != nil {
+		s, err := c.wire.Scan(ctx, &kvwire.ScanRequest{Table: table, Start: start, Count: count, AsOf: asOf, Slot: -1})
+		if err != nil {
+			return nil, fmt.Errorf("httpkv: %w", err)
+		}
+		defer s.Close()
+		for s.Next() {
+			out = append(out, conv(s.Record()))
+		}
+		var re *kvwire.RequestError
+		switch err := s.Err(); {
+		case err == nil:
+			return out, nil
+		case errors.As(err, &re):
+			return nil, wireResultErr(kvwire.Result{Status: re.Status, Err: re.Msg})
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
+		default:
+			return nil, fmt.Errorf("httpkv: %w", err)
+		}
+	}
+	// The server clamps a page to kvwire.ScanPageCap; ask for no more,
+	// so a page shorter than asked means the table ran out.
+	for count < 0 || len(out) < count {
+		n := kvwire.ScanPageCap
+		if count >= 0 {
+			n = min(n, count-len(out))
+		}
+		u := c.base + "/v1/" + url.PathEscape(table) + "?start=" + url.QueryEscape(start) + "&count=" + strconv.Itoa(n)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := c.do(req)
+		if err != nil {
+			return nil, err
+		}
+		var page []wireRecord
+		if err := decodeBody(resp, &page); err != nil {
+			return nil, fmt.Errorf("httpkv: decoding scan: %w", err)
+		}
+		for i := range page {
+			// wireRecord is StreamRecord with JSON tags.
+			out = append(out, conv((*kvwire.StreamRecord)(&page[i])))
+		}
+		if len(page) < n {
+			break
+		}
+		start = page[len(page)-1].Key + "\x00"
+	}
+	return out, nil
 }
 
 // Scan implements db.DB.
 func (c *Client) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
-	var wrs []wireRecord
-	var err error
-	if c.asOf != 0 {
-		wrs, err = c.scanWireAsOf(ctx, table, startKey, count, c.asOf)
-	} else {
-		wrs, _, err = c.scanWire(ctx, table, startKey, count)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]db.KV, 0, len(wrs))
-	for _, wr := range wrs {
-		out = append(out, db.KV{Key: wr.Key, Record: db.ProjectFields(wr.Fields, fields)})
-	}
-	return out, nil
+	return scanInto(ctx, c, table, startKey, count, c.asOf, kvConv(fields))
 }
 
 // setCond stamps the conditional-write headers for expect.
@@ -447,148 +479,90 @@ func setCond(req *http.Request, expect uint64) {
 	}
 }
 
-// writeReq sends method with a JSON fields body (built in a pooled
-// buffer) conditional on expect, and returns the response's ETag —
-// the version the server assigned.
-func (c *Client) writeReq(ctx context.Context, method, u string, values db.Record, expect uint64) (string, error) {
-	body := getBodyBuf()
-	defer putBodyBuf(body) // after do: a 429 retry replays the buffer
-	if err := json.NewEncoder(body).Encode(wireRecord{Fields: values}); err != nil {
-		return "", err
-	}
-	body.Truncate(body.Len() - 1) // Encode's newline: keep the body what json.Marshal sent
-	req, err := http.NewRequestWithContext(ctx, method, u, body)
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	setCond(req, expect)
-	resp, err := c.do(req)
-	if err != nil {
-		return "", err
-	}
-	drainClose(resp)
-	return resp.Header.Get("ETag"), nil
-}
-
-// write is writeReq for the db.DB mutations: the server stamps write
-// responses with the new version as the ETag, reported when a history
-// capture is armed.
-func (c *Client) write(ctx context.Context, method, table, key string, values db.Record) error {
-	etag, err := c.writeReq(ctx, method, c.recordURL(table, key), values, kvstore.AnyVersion)
-	if err != nil {
-		return err
-	}
-	if ver, perr := strconv.ParseUint(etag, 10, 64); perr == nil {
-		db.ReportWriteVersion(ctx, ver)
-	}
-	return nil
-}
-
-// wireWrite runs one mutation over the binary protocol when it is
-// negotiated, returning served=false to send the caller down the HTTP
-// path. A nil fields map would answer 400 from the core's batch
-// validation, so it rides as an empty one — matching the single-op
-// HTTP route, which accepts a missing fields object.
-func (c *Client) wireWrite(ctx context.Context, kind kvwire.Kind, table, key string, values db.Record, expect uint64) (ver uint64, served bool, err error) {
-	op := kvwire.Op{Kind: kind, Table: table, Key: key, Fields: values, Expect: expect}
-	if op.Fields == nil && kind != kvwire.KindDelete {
-		op.Fields = map[string][]byte{}
-	}
-	res, served, err := c.wireSingle(ctx, op)
-	if !served {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, true, err
-	}
-	if err := wireResultErr(res); err != nil {
-		return 0, true, err
-	}
-	return res.Version, true, nil
-}
-
-// Update implements db.DB (merge semantics, key must exist).
-func (c *Client) Update(ctx context.Context, table, key string, values db.Record) error {
-	if ver, served, err := c.wireWrite(ctx, kvwire.KindPatch, table, key, values, kvstore.AnyVersion); served {
-		if err == nil {
-			db.ReportWriteVersion(ctx, ver)
+// mutate runs one put, patch or delete conditional on expect and
+// returns the version the server assigned (0 for an HTTP delete, which
+// answers no ETag).
+func (c *Client) mutate(ctx context.Context, kind kvwire.Kind, table, key string, values db.Record, expect uint64) (uint64, error) {
+	if c.wire != nil {
+		op := kvwire.Op{Kind: kind, Table: table, Key: key, Fields: values, Expect: expect}
+		// A nil fields map would answer 400 from the core's batch
+		// validation, so it rides as an empty one — matching the REST
+		// route, which accepts an empty fields object.
+		if op.Fields == nil && kind != kvwire.KindDelete {
+			op.Fields = map[string][]byte{}
 		}
-		return err
+		res, err := c.execOne(ctx, op)
+		return res.Version, err
 	}
-	return c.write(ctx, http.MethodPatch, table, key, values)
-}
-
-// Insert implements db.DB (unconditional put).
-func (c *Client) Insert(ctx context.Context, table, key string, values db.Record) error {
-	if ver, served, err := c.wireWrite(ctx, kvwire.KindPut, table, key, values, kvstore.AnyVersion); served {
-		if err == nil {
-			db.ReportWriteVersion(ctx, ver)
+	method := http.MethodDelete
+	var body io.Reader
+	if kind != kvwire.KindDelete {
+		method = http.MethodPut
+		if kind == kvwire.KindPatch {
+			method = http.MethodPatch
 		}
-		return err
+		// The JSON fields body is built in a pooled buffer, returned
+		// after do: a 429 retry replays it.
+		buf := getBodyBuf()
+		defer putBodyBuf(buf)
+		if err := json.NewEncoder(buf).Encode(wireRecord{Fields: values}); err != nil {
+			return 0, err
+		}
+		buf.Truncate(buf.Len() - 1) // Encode's newline: keep the body what json.Marshal sent
+		body = buf
 	}
-	return c.write(ctx, http.MethodPut, table, key, values)
-}
-
-// PutIfVersion performs a conditional put via If-Match /
-// If-None-Match, exposing the store's test-and-set over HTTP.
-func (c *Client) PutIfVersion(ctx context.Context, table, key string, values db.Record, expect uint64) error {
-	_, err := c.putVersioned(ctx, table, key, values, expect)
-	return err
-}
-
-// putVersioned performs a conditional put and returns the new version
-// from the response ETag.
-func (c *Client) putVersioned(ctx context.Context, table, key string, values db.Record, expect uint64) (uint64, error) {
-	if ver, served, err := c.wireWrite(ctx, kvwire.KindPut, table, key, values, expect); served {
-		return ver, err
-	}
-	etag, err := c.writeReq(ctx, http.MethodPut, c.recordURL(table, key), values, expect)
+	req, err := http.NewRequestWithContext(ctx, method, c.recordURL(table, key), body)
 	if err != nil {
 		return 0, err
 	}
-	ver, err := strconv.ParseUint(etag, 10, 64)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	setCond(req, expect)
+	resp, err := c.do(req)
 	if err != nil {
-		return 0, fmt.Errorf("httpkv: missing ETag on put response: %w", err)
+		return 0, err
+	}
+	drainClose(resp)
+	if body == nil {
+		return 0, nil
+	}
+	ver, err := strconv.ParseUint(resp.Header.Get("ETag"), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("httpkv: missing ETag on %s response: %w", method, err)
 	}
 	return ver, nil
 }
 
-// deleteVersioned performs a conditional delete.
-func (c *Client) deleteVersioned(ctx context.Context, table, key string, expect uint64) error {
-	if _, served, err := c.wireWrite(ctx, kvwire.KindDelete, table, key, nil, expect); served {
-		return err
+// write is mutate for the db.DB mutations: the new version is reported
+// when a history capture is armed.
+func (c *Client) write(ctx context.Context, kind kvwire.Kind, table, key string, values db.Record) error {
+	ver, err := c.mutate(ctx, kind, table, key, values, kvstore.AnyVersion)
+	if err == nil {
+		db.ReportWriteVersion(ctx, ver)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.recordURL(table, key), nil)
-	if err != nil {
-		return err
-	}
-	setCond(req, expect)
-	resp, err := c.do(req)
-	if err != nil {
-		return err
-	}
-	drainClose(resp)
-	return nil
+	return err
 }
 
-// scanVersioned fetches a scan page with record versions.
-func (c *Client) scanVersioned(ctx context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error) {
-	wrs, _, err := c.scanWire(ctx, table, startKey, count)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]kvstore.VersionedKV, 0, len(wrs))
-	for _, wr := range wrs {
-		out = append(out, kvstore.VersionedKV{
-			Key:    wr.Key,
-			Record: &kvstore.VersionedRecord{Version: wr.Version, Fields: wr.Fields},
-		})
-	}
-	return out, nil
+// Update implements db.DB (merge semantics, key must exist).
+func (c *Client) Update(ctx context.Context, table, key string, values db.Record) error {
+	return c.write(ctx, kvwire.KindPatch, table, key, values)
+}
+
+// Insert implements db.DB (unconditional put).
+func (c *Client) Insert(ctx context.Context, table, key string, values db.Record) error {
+	return c.write(ctx, kvwire.KindPut, table, key, values)
+}
+
+// PutIfVersion performs a conditional put (If-Match / If-None-Match
+// over REST), exposing the store's test-and-set.
+func (c *Client) PutIfVersion(ctx context.Context, table, key string, values db.Record, expect uint64) error {
+	_, err := c.mutate(ctx, kvwire.KindPut, table, key, values, expect)
+	return err
 }
 
 // Delete implements db.DB.
 func (c *Client) Delete(ctx context.Context, table, key string) error {
-	return c.deleteVersioned(ctx, table, key, kvstore.AnyVersion)
+	_, err := c.mutate(ctx, kvwire.KindDelete, table, key, nil, kvstore.AnyVersion)
+	return err
 }

@@ -2,30 +2,25 @@ package httpkv
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 
 	"ycsbt/internal/cluster"
-	"ycsbt/internal/kvstore"
 )
 
 // Server-side cluster mode: when ServerOptions.Cluster is set, the
 // node serves only the shard-map slots it owns and answers everything
 // else with 410 Gone plus routing hints (X-Shard-Map-Version and, for
-// settled slots, X-Shard-Owner). Four management routes appear:
+// settled slots, X-Shard-Owner). The control-plane routes a migration
+// drives:
 //
 //	GET  /v1/shardmap               → 200 the node's current map JSON
 //	PUT  /v1/shardmap               → install a newer map (409 if stale)
 //	POST /v1/shardmap/freeze?slot=N → drain writes to one slot ("&thaw=1" reverts)
-//	POST /v1/ingest?table=T         → NDJSON version-preserving record merge
 //	GET  /v1/tables                 → 200 {"tables":[...]}
 //
-// A non-cluster server answers the first two paths from its generic
-// record handler (a scan of a table named "shardmap"), which the
-// cluster client detects as "no cluster support" — the same
-// old-server negotiation idiom as /v1/ts. The table names "shardmap",
-// "ingest" and "tables" are reserved by these routes.
+// A non-cluster server answers the shardmap routes 404. The records
+// themselves move over frames (migrate.go).
 //
 // Reads keep serving while a slot drains (the data is still local and
 // immutable past the migration snapshot); only writes 410 during the
@@ -39,20 +34,6 @@ func writeMoved(w http.ResponseWriter, me *cluster.MovedError) {
 		w.Header().Set(cluster.HeaderOwner, me.Owner)
 	}
 	http.Error(w, me.Error(), http.StatusGone)
-}
-
-// checkRead gates a single-key read; it reports true when the request
-// was rejected (response already written).
-func (s *Server) checkRead(w http.ResponseWriter, key string) bool {
-	cs := s.opts.Cluster
-	if cs == nil {
-		return false
-	}
-	if err := cs.CheckRead(key); err != nil {
-		writeMoved(w, err.(*cluster.MovedError))
-		return true
-	}
-	return false
 }
 
 // handleShardMap serves GET (fetch) and PUT (install) /v1/shardmap.
@@ -129,43 +110,6 @@ func (s *Server) handleFreeze(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// handleIngest serves POST /v1/ingest?table=T: NDJSON wireRecord lines
-// (key, version, commit_ts, fields) merged version-preservingly into
-// the engine — the receiving half of a slot migration. No ownership
-// gate: the point is to land records for a slot this node does not
-// own yet.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	table := r.URL.Query().Get("table")
-	if table == "" {
-		http.Error(w, "missing table", http.StatusBadRequest)
-		return
-	}
-	var kvs []kvstore.BulkKV
-	dec := json.NewDecoder(r.Body)
-	for dec.More() {
-		var wr wireRecord
-		if err := dec.Decode(&wr); err != nil {
-			writeDecodeError(w, fmt.Errorf("line %d: %w", len(kvs)+1, err))
-			return
-		}
-		if wr.Key == "" {
-			http.Error(w, fmt.Sprintf("line %d: missing key", len(kvs)+1), http.StatusBadRequest)
-			return
-		}
-		kvs = append(kvs, kvstore.BulkKV{Key: wr.Key, Fields: wr.Fields, Version: wr.Version, CommitTS: wr.CommitTS, Deleted: wr.Deleted})
-	}
-	if err := s.store.Ingest(table, kvs); err != nil {
-		writeStoreError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"ingested\":%d}\n", len(kvs))
-}
-
 // handleTables serves GET /v1/tables so the migrator can enumerate
 // what to copy.
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
@@ -180,4 +124,3 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string][]string{"tables": tables})
 }
-

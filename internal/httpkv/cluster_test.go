@@ -3,113 +3,29 @@ package httpkv
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
-	"ycsbt/internal/kvstore"
+	"ycsbt/internal/kvwire"
 )
-
-// clusterNode is one in-process cluster member: a real Server behind a
-// real HTTP listener, late-bound so the shard map can name the
-// listener's URL before the Server exists.
-type clusterNode struct {
-	URL   string
-	state *cluster.State
-	store *kvstore.Store
-	srv   *httptest.Server
-	h     atomic.Pointer[Server]
-	// pre intercepts requests before the Server sees them (handled
-	// when it returns true) — used to fake old-version nodes.
-	pre atomic.Pointer[func(http.ResponseWriter, *http.Request) bool]
-}
-
-// startTestCluster boots n cluster-mode nodes sharing one uniform
-// hash map over the given slot count.
-func startTestCluster(t *testing.T, n, slots int) []*clusterNode {
-	t.Helper()
-	return startTestClusterWithMap(t, n, func(addrs []string) (*cluster.Map, error) {
-		return cluster.NewUniform(cluster.PlacementHash, slots, addrs, nil)
-	})
-}
-
-// startTestClusterWithMap boots n cluster-mode nodes sharing the map
-// build returns for their addresses.
-func startTestClusterWithMap(t *testing.T, n int, build func(addrs []string) (*cluster.Map, error)) []*clusterNode {
-	t.Helper()
-	nodes := make([]*clusterNode, n)
-	for i := range nodes {
-		tn := &clusterNode{}
-		tn.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if pre := tn.pre.Load(); pre != nil && (*pre)(w, r) {
-				return
-			}
-			if s := tn.h.Load(); s != nil {
-				s.ServeHTTP(w, r)
-				return
-			}
-			http.Error(w, "booting", http.StatusServiceUnavailable)
-		}))
-		tn.URL = tn.srv.URL
-		t.Cleanup(tn.srv.Close)
-		nodes[i] = tn
-	}
-	addrs := make([]string, n)
-	for i, tn := range nodes {
-		addrs[i] = tn.URL
-	}
-	m, err := build(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tn := range nodes {
-		st, err := cluster.NewState(tn.URL, m, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, err := kvstore.Open(kvstore.Options{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { store.Close() })
-		tn.state = st
-		tn.store = store
-		tn.h.Store(NewServerWithOptions(store, ServerOptions{Cluster: st}))
-	}
-	return nodes
-}
-
-// keyOwnedBy generates a key the given node owns under m.
-func keyOwnedBy(t *testing.T, m *cluster.Map, addr, prefix string) string {
-	t.Helper()
-	for i := 0; i < 100000; i++ {
-		k := fmt.Sprintf("%s%05d", prefix, i)
-		if owner, _ := m.Owner(k); owner == addr {
-			return k
-		}
-	}
-	t.Fatalf("no key with prefix %q owned by %s", prefix, addr)
-	return ""
-}
-
-func rec(v string) db.Record { return db.Record{"f": []byte(v)} }
 
 // A cluster node must answer operations on keys it does not own with
 // 410 plus routing hints, and serve its own keys normally.
 func TestClusterSingleOpMoved(t *testing.T) {
+	bothTransports(t, testClusterSingleOpMoved)
+}
+
+func testClusterSingleOpMoved(t *testing.T, mode string) {
 	nodes := startTestCluster(t, 2, 8)
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	ca := NewClient(a.URL, a.srv.Client())
+	ca := a.client(t, mode)
 
 	theirs := keyOwnedBy(t, m, b.URL, "user")
 	var me *cluster.MovedError
@@ -133,14 +49,14 @@ func TestClusterSingleOpMoved(t *testing.T) {
 	}
 }
 
-// Batch envelopes gate per item: foreign items answer 410 results with
-// routing hints while owned items in the same envelope succeed.
+// A request frame gates per item: foreign items answer 410 results
+// with routing hints while owned items in the same frame succeed.
 func TestClusterBatchPartialMoved(t *testing.T) {
 	nodes := startTestCluster(t, 2, 8)
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	ca := NewClient(a.URL, a.srv.Client())
+	ca := a.client(t, WireModeAuto)
 
 	mine := keyOwnedBy(t, m, a.URL, "user")
 	theirs := keyOwnedBy(t, m, b.URL, "user")
@@ -167,11 +83,15 @@ func TestClusterBatchPartialMoved(t *testing.T) {
 // A frozen slot drains writes (410, no owner hint — the slot has not
 // moved yet) while reads keep serving; thaw restores writes.
 func TestClusterFreezeWindow(t *testing.T) {
+	bothTransports(t, testClusterFreezeWindow)
+}
+
+func testClusterFreezeWindow(t *testing.T, mode string) {
 	nodes := startTestCluster(t, 2, 8)
 	a := nodes[0]
 	m := a.state.Map()
 	ctx := context.Background()
-	ca := NewClient(a.URL, a.srv.Client())
+	ca := a.client(t, mode)
 
 	key := keyOwnedBy(t, m, a.URL, "user")
 	if err := ca.Insert(ctx, "t", key, rec("v1")); err != nil {
@@ -261,7 +181,7 @@ func TestClusterShardMapRoutes(t *testing.T) {
 			}
 		}
 	}
-	ca := NewClient(a.URL, hc)
+	ca := a.client(t, WireModeAuto)
 	var me *cluster.MovedError
 	if err := ca.Insert(ctx, "t", key, rec("x")); !errors.As(err, &me) {
 		t.Fatalf("write to moved-away slot: got %v, want MovedError", err)
@@ -271,7 +191,6 @@ func TestClusterShardMapRoutes(t *testing.T) {
 	}
 }
 
-// POST /v1/ingest merges NDJSON records version-preservingly.
 // PUT /v1/shardmap with the CAS header only lands on the exact
 // predecessor version; the unconditional path keeps treating an
 // equal-or-newer node as converged.
@@ -321,51 +240,19 @@ func TestClusterShardMapPutCAS(t *testing.T) {
 	}
 }
 
-func TestClusterIngestRoute(t *testing.T) {
-	nodes := startTestCluster(t, 1, 4)
-	a := nodes[0]
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for i, tc := range []struct {
-		ver uint64
-		ts  int64
-	}{{7, 100}, {3, 101}} {
-		enc.Encode(wireRecord{
-			Key:      fmt.Sprintf("k%d", i),
-			Fields:   map[string][]byte{"f": []byte("v")},
-			Version:  tc.ver,
-			CommitTS: tc.ts,
-		})
-	}
-	resp, err := a.srv.Client().Post(a.URL+"/v1/ingest?table=t", NDJSONContentType, &body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status %d", resp.StatusCode)
-	}
-	r0, err := a.store.Get("t", "k0")
-	if err != nil || r0.Version != 7 || r0.CommitTS != 100 {
-		t.Errorf("k0 after ingest: %+v %v, want version=7 ts=100", r0, err)
-	}
-	r1, err := a.store.Get("t", "k1")
-	if err != nil || r1.Version != 3 || r1.CommitTS != 101 {
-		t.Errorf("k1 after ingest: %+v %v, want version=3 ts=101", r1, err)
-	}
-}
-
-// Scans in cluster mode filter to owned slots by default and to one
-// exact slot with ?slot=N, paging the engine far enough that filtered
-// rows never truncate the result.
+// Scans in cluster mode filter to owned slots — on both transports —
+// and, over frames, to one exact slot on request, paging the engine far
+// enough that filtered rows never truncate the result.
 func TestClusterScanFiltered(t *testing.T) {
 	nodes := startTestCluster(t, 2, 8)
 	a := nodes[0]
 	m := a.state.Map()
 	ctx := context.Background()
-	ca := NewClient(a.URL, a.srv.Client())
+	ca := a.client(t, WireModeAuto)
 
-	// Land 40 keys on node a (writes of foreign keys would 410).
+	// Land 40 keys on node a (writes of foreign keys would 410), and the
+	// same 40 plus 40 foreign ones in its engine, as a migration leaves
+	// behind.
 	var mine []string
 	for i := 0; len(mine) < 40; i++ {
 		k := fmt.Sprintf("user%05d", i)
@@ -374,66 +261,43 @@ func TestClusterScanFiltered(t *testing.T) {
 				t.Fatal(err)
 			}
 			mine = append(mine, k)
+		} else if _, err := a.store.Put("t", k, rec("foreign")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mode := range []string{WireModeOff, WireModeAuto} {
+		kvs, err := a.client(t, mode).Scan(ctx, "t", "", -1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(kvs) != len(mine) {
+			t.Fatalf("wire=%s: owned scan returned %d keys, want %d", mode, len(kvs), len(mine))
 		}
 	}
 
-	kvs, err := ca.Scan(ctx, "t", "", -1, nil)
+	_, slot := m.Owner(mine[0])
+	s, err := ca.wire.Scan(ctx, &kvwire.ScanRequest{Table: "t", Count: -1, Slot: slot})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kvs) != len(mine) {
-		t.Fatalf("owned scan returned %d keys, want %d", len(kvs), len(mine))
+	defer s.Close()
+	got := 0
+	for s.Next() {
+		got++
+		if sl := m.SlotOf(s.Record().Key); sl != slot {
+			t.Errorf("slot scan leaked key %q from slot %d", s.Record().Key, sl)
+		}
 	}
-
-	slot := -1
-	for _, k := range mine {
-		_, slot = m.Owner(k)
-		break
-	}
-	resp, err := a.srv.Client().Get(fmt.Sprintf("%s/v1/t?start=&count=-1&slot=%d", a.URL, slot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var page []wireRecord
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
 	want := 0
 	for _, k := range mine {
-		if _, s := m.Owner(k); s == slot {
+		if m.SlotOf(k) == slot {
 			want++
 		}
 	}
-	if len(page) != want || want == 0 {
-		t.Fatalf("slot scan returned %d keys, want %d (>0)", len(page), want)
-	}
-	for _, wr := range page {
-		if _, s := m.Owner(wr.Key); s != slot {
-			t.Errorf("slot scan leaked key %q from slot %d", wr.Key, s)
-		}
-	}
-}
-
-// Scan count=-1 (drain) stays rejected outside cluster mode, where
-// unbounded scans have no migration to serve.
-func TestScanDrainRequiresCluster(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	srv := httptest.NewServer(NewServer(store))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/v1/t?start=&count=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("count=-1 without cluster: status %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(resp.Status, "400") {
-		t.Errorf("unexpected status %s", resp.Status)
+	if got != want || want == 0 {
+		t.Fatalf("slot scan returned %d keys, want %d (>0)", got, want)
 	}
 }

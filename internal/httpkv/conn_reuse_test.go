@@ -39,7 +39,6 @@ func TestClientReusesConnections(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient(srv.URL, nil)
-	c.wireMode = WireModeOff
 	defer c.Cleanup()
 
 	const workers, rounds = 2, 60
@@ -62,14 +61,7 @@ func TestClientReusesConnections(t *testing.T) {
 					{"Insert", func() error { return c.Insert(ctx, "t", key, rec) }},
 					{"Read", func() error { _, err := c.Read(ctx, "t", key, nil); return err }},
 					{"ReadVersioned", func() error { _, err := c.ReadVersioned(ctx, "t", key); return err }},
-					{"as-of read", func() error {
-						ts, err := c.SnapshotTS(ctx)
-						if err != nil {
-							return err
-						}
-						_, err = c.readWireAsOf(ctx, "t", key, ts)
-						return err
-					}},
+					{"SnapshotTS", func() error { _, err := c.SnapshotTS(ctx); return err }},
 					{"Update", func() error { return c.Update(ctx, "t", key, db.Record{"field3": make([]byte, 100)}) }},
 					{"Scan", func() error { _, err := c.Scan(ctx, "t", key, 5, nil); return err }},
 					{"404", func() error {

@@ -15,10 +15,9 @@ var trackedCodes = []int{200, 204, 400, 404, 405, 412, 413, 429, 500, 503, 504}
 // serverMetrics holds the server's obs handles; nil disables the
 // whole layer (every method is nil-safe).
 type serverMetrics struct {
-	inflight   *obs.Gauge
-	responses  map[int]*obs.Counter
-	otherResp  *obs.Counter
-	batchItems *obs.Histogram
+	inflight  *obs.Gauge
+	responses map[int]*obs.Counter
+	otherResp *obs.Counter
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -26,13 +25,11 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		return nil
 	}
 	reg.Help("httpkv_inflight_requests", "HTTP requests currently being served.")
-	reg.Help("httpkv_responses_total", "HTTP responses by status code (413/429/504 are the admission-control sheds).")
-	reg.Help("httpkv_batch_items", "Operations per /v1/batch request.")
+	reg.Help("httpkv_responses_total", "HTTP responses by status code (413 and 504 are the admission-control sheds).")
 	m := &serverMetrics{
-		inflight:   reg.Gauge("httpkv_inflight_requests"),
-		responses:  make(map[int]*obs.Counter, len(trackedCodes)),
-		otherResp:  reg.Counter("httpkv_responses_total", "code", "other"),
-		batchItems: reg.Histogram("httpkv_batch_items", obs.CountBuckets),
+		inflight:  reg.Gauge("httpkv_inflight_requests"),
+		responses: make(map[int]*obs.Counter, len(trackedCodes)),
+		otherResp: reg.Counter("httpkv_responses_total", "code", "other"),
 	}
 	for _, code := range trackedCodes {
 		m.responses[code] = reg.Counter("httpkv_responses_total", "code", strconv.Itoa(code))
@@ -49,13 +46,6 @@ func (m *serverMetrics) countResponse(code int) {
 		return
 	}
 	m.otherResp.Inc()
-}
-
-func (m *serverMetrics) observeBatchSize(n int) {
-	if m == nil {
-		return
-	}
-	m.batchItems.Observe(float64(n))
 }
 
 // statusRecorder captures the response status so ServeHTTP can count

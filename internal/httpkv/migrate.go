@@ -3,10 +3,8 @@ package httpkv
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 
 	"ycsbt/internal/cluster"
@@ -22,13 +20,13 @@ import (
 //	         src rejects new writes, and no other node owns the slot).
 //	ts       GET src /v1/ts — a commit timestamp covering every
 //	         acknowledged write, drawn after the freeze barrier.
-//	copy     per table: scan src ?slot=N&count=-1&tombstones=1 as-of
-//	         ts (the pinned-ts machinery replica seeding uses), stream
-//	         the versioned records — tombstones included — into dest
-//	         /v1/ingest in bounded chunks. Ingest preserves Version
-//	         and CommitTS, so CAS handles held by clients stay valid
-//	         across the move, and advances dest's commit clock past
-//	         the imported history.
+//	copy     per table, over frames: a scan stream out of src for the
+//	         slot as-of ts, tombstones included, piped chunk by chunk
+//	         into an ingest stream on dest, both credit-gated so
+//	         neither end nor the migrator buffers more than a window.
+//	         Ingest preserves Version and CommitTS, so CAS handles
+//	         held by clients stay valid across the move, and advances
+//	         dest's commit clock past the imported history.
 //	serve    install map v+1 (slot → dest) on src FIRST, then dest,
 //	         then the rest of the fleet. Both cutover installs are
 //	         CAS-conditioned on the predecessor version v, so a
@@ -63,22 +61,17 @@ import (
 // copy would omit keys deleted elsewhere and the former owner's stale
 // live records would resurrect — a silent lost delete.
 
-// migrateChunk bounds one ingest POST: at most this many records and
-// roughly this many body bytes, staying under the server's default
-// 1 MiB body cap with margin.
+// migrateChunk bounds one ingest Send: at most this many records and
+// roughly this many payload bytes.
 const (
 	migrateChunkRecords = 512
 	migrateChunkBytes   = 256 << 10
 )
 
 // MigrateSlot moves slot to dest under the given map, returning the
-// successor map it installed across the fleet.
+// successor map it installed across the fleet. Both ends must advertise
+// a frame listener (NoWireError otherwise, before anything is frozen).
 func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int, dest string) (*cluster.Map, error) {
-	return MigrateSlotOpts(ctx, hc, m, slot, dest, MigrateOptions{})
-}
-
-// MigrateSlotOpts is MigrateSlot with tuning options.
-func MigrateSlotOpts(ctx context.Context, hc *http.Client, m *cluster.Map, slot int, dest string, opts MigrateOptions) (*cluster.Map, error) {
 	if hc == nil {
 		hc, _ = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
 	}
@@ -96,6 +89,16 @@ func MigrateSlotOpts(ctx context.Context, hc *http.Client, m *cluster.Map, slot 
 	if err != nil {
 		return nil, err
 	}
+	srcEp, err := openNodeWire(ctx, hc, src, 1)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: migrate slot %d: %w", slot, err)
+	}
+	defer srcEp.Close()
+	dstEp, err := openNodeWire(ctx, hc, dest, 1)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: migrate slot %d: %w", slot, err)
+	}
+	defer dstEp.Close()
 
 	// Preflight: a concurrent migration shows up as a fleet member
 	// whose map is already past m. Stragglers behind m (a previous
@@ -135,30 +138,11 @@ func MigrateSlotOpts(ctx context.Context, hc *http.Client, m *cluster.Map, slot 
 	if err != nil {
 		return fail("listing tables", err)
 	}
-	// Copy over the framed wire when both ends negotiated streams;
-	// otherwise — or on any wire failure mid-table — over HTTP. The
-	// fallback re-copies the table from the top, which is safe: the
-	// scan is pinned to ts and the ingest is idempotent.
-	var srcEp, dstEp *kvwire.Endpoint
-	if !opts.DisableWire {
-		if sa, ok := sniffNodeWireStream(ctx, hc, src); ok {
-			if da, ok := sniffNodeWireStream(ctx, hc, dest); ok {
-				srcEp = kvwire.NewEndpoint(sa, 1)
-				dstEp = kvwire.NewEndpoint(da, 1)
-				defer srcEp.Close()
-				defer dstEp.Close()
-			}
-		}
-	}
+	// A failed copy aborts the migration and leaves the old map in
+	// force; a retry re-copies from the top, which is safe: the scan is
+	// pinned to ts and the ingest is idempotent.
 	for _, table := range tables {
-		if srcEp != nil {
-			if err := copySlotWire(ctx, srcEp, dstEp, table, slot, ts); err == nil {
-				continue
-			} else if ctx.Err() != nil {
-				return fail(fmt.Sprintf("copying table %q", table), err)
-			}
-		}
-		if err := copySlot(ctx, hc, src, dest, table, slot, ts); err != nil {
+		if err := copySlot(ctx, srcEp, dstEp, table, slot, ts); err != nil {
 			return fail(fmt.Sprintf("copying table %q", table), err)
 		}
 	}
@@ -231,23 +215,6 @@ func postFreeze(ctx context.Context, hc *http.Client, base string, slot int, tha
 	return nil
 }
 
-// fetchSnapshotTS draws a commit timestamp from a node's clock.
-func fetchSnapshotTS(ctx context.Context, hc *http.Client, base string) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/ts", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	var ts wireTS
-	if err := decodeBody(resp, &ts); err != nil || ts.TS <= 0 {
-		return 0, fmt.Errorf("node %s serves no snapshot clock", base)
-	}
-	return ts.TS, nil
-}
-
 // fetchTables lists the tables a node carries.
 func fetchTables(ctx context.Context, hc *http.Client, base string) ([]string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/tables", nil)
@@ -272,80 +239,54 @@ func fetchTables(ctx context.Context, hc *http.Client, base string) ([]string, e
 }
 
 // copySlot streams one table's slice of the slot from src (scanned
-// as-of ts) into dest's ingest route in bounded chunks.
-func copySlot(ctx context.Context, hc *http.Client, src, dest, table string, slot int, ts int64) error {
-	u := fmt.Sprintf("%s/v1/%s?start=&count=-1&slot=%d&tombstones=1", src, url.PathEscape(table), slot)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+// as-of ts, tombstones included) into an ingest stream on dest. The
+// scan request carries ts and the tombstone flag in the frame itself
+// and the server validates both. Version and CommitTS ride each record
+// frame; StreamIngest preserves them.
+func copySlot(ctx context.Context, srcEp, dstEp *kvwire.Endpoint, table string, slot int, ts int64) error {
+	s, err := srcEp.Scan(ctx, &kvwire.ScanRequest{
+		Table:      table,
+		Count:      -1,
+		AsOf:       ts,
+		Slot:       slot,
+		Tombstones: true,
+	})
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Accept", NDJSONContentType)
-	req.Header.Set(AsOfHeader, strconv.FormatInt(ts, 10))
-	resp, err := hc.Do(req)
+	defer s.Close()
+	in, err := dstEp.Ingest(ctx, table)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("scanning source: %s: %s", resp.Status, errorText(resp))
-	}
-	defer drainClose(resp)
-	if resp.Header.Get(AsOfServedHeader) == "" {
-		return fmt.Errorf("source node %s ignored the as-of scan (pre-MVCC server?)", src)
-	}
-	if resp.Header.Get(ScanTombstonesHeader) == "" {
-		return fmt.Errorf("source node %s ignored the tombstone scan (pre-tombstone server?); refusing a copy that would resurrect deleted keys", src)
-	}
-
-	var chunk bytes.Buffer
-	enc := json.NewEncoder(&chunk)
-	records := 0
-	flush := func() error {
-		if records == 0 {
-			return nil
+	batch := make([]kvwire.StreamRecord, 0, migrateChunkRecords)
+	size := 0
+	for s.Next() {
+		rec := s.Record()
+		batch = append(batch, *rec)
+		size += len(rec.Key) + 16
+		for k, v := range rec.Fields {
+			size += len(k) + len(v) + 4
 		}
-		if err := postIngest(ctx, hc, dest, table, &chunk); err != nil {
-			return err
-		}
-		chunk.Reset()
-		records = 0
-		return nil
-	}
-	dec := json.NewDecoder(resp.Body)
-	for dec.More() {
-		var wr wireRecord
-		if err := dec.Decode(&wr); err != nil {
-			return fmt.Errorf("decoding source scan: %w", err)
-		}
-		if err := enc.Encode(wr); err != nil {
-			return err
-		}
-		records++
-		if records >= migrateChunkRecords || chunk.Len() >= migrateChunkBytes {
-			if err := flush(); err != nil {
-				return err
+		if len(batch) >= migrateChunkRecords || size >= migrateChunkBytes {
+			if err := in.Send(batch); err != nil {
+				return err // Send already finished the stream
 			}
+			batch = batch[:0]
+			size = 0
 		}
 	}
-	return flush()
-}
-
-// postIngest ships one NDJSON chunk to the destination's merge route.
-func postIngest(ctx context.Context, hc *http.Client, dest, table string, body *bytes.Buffer) error {
-	u := dest + "/v1/ingest?table=" + url.QueryEscape(table)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body.Bytes()))
-	if err != nil {
+	if err := s.Err(); err != nil {
+		in.Abort()
 		return err
 	}
-	req.Header.Set("Content-Type", NDJSONContentType)
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
+	if len(batch) > 0 {
+		if err := in.Send(batch); err != nil {
+			return err
+		}
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("ingest on %s: %s: %s", dest, resp.Status, errorText(resp))
-	}
-	drainClose(resp)
-	return nil
+	_, err = in.Close()
+	return err
 }
 
 // putShardMap installs a map on one node via PUT /v1/shardmap.

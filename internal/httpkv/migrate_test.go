@@ -9,6 +9,7 @@ import (
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/kvwire"
 )
 
 // MigrateSlot end to end, in process: the moved slot's records appear
@@ -56,6 +57,9 @@ func TestMigrateSlotMovesData(t *testing.T) {
 	}
 	if next.Version != m.Version+1 || next.OwnerOfSlot(slot) != b.URL {
 		t.Fatalf("successor map: v%d owner=%s", next.Version, next.OwnerOfSlot(slot))
+	}
+	if n := b.counter("kvwire_ingest_records_total"); n != int64(len(inSlot)) {
+		t.Errorf("destination ingested %d records over frames, want the slot's %d", n, len(inSlot))
 	}
 	for _, tn := range nodes {
 		if got := tn.state.Map().Version; got != next.Version {
@@ -125,7 +129,10 @@ func TestMigrateSlotIdempotentCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := copySlot(ctx, a.srv.Client(), a.URL, b.URL, "usertable", slot, ts); err != nil {
+	srcEp, dstEp := kvwire.NewEndpoint(a.wireAddr, 1), kvwire.NewEndpoint(b.wireAddr, 1)
+	defer srcEp.Close()
+	defer dstEp.Close()
+	if err := copySlot(ctx, srcEp, dstEp, "usertable", slot, ts); err != nil {
 		t.Fatal(err)
 	}
 	// The real migration re-copies the same records, then cuts over.

@@ -8,11 +8,14 @@ import (
 
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/kvwire"
+	"ycsbt/internal/properties"
 )
 
 // RemoteStore adapts an httpkv server to the transaction libraries'
 // store interface (txn.Store / percolator.Store): versioned gets and
-// scans plus conditional writes, all over HTTP. With it, one
+// scans plus conditional writes, over the transport the server offers
+// (frames when it advertises a listener, REST otherwise). With it, one
 // client-coordinated transaction can span stores "deployed in
 // different regions" reachable only over the network — the
 // heterogeneous-store scenario of Section II-B — with no software on
@@ -23,9 +26,14 @@ type RemoteStore struct {
 }
 
 // NewRemoteStore wraps the httpkv server at baseURL as a named
-// transaction store.
-func NewRemoteStore(name, baseURL string, hc *http.Client) *RemoteStore {
-	return &RemoteStore{name: name, c: NewClient(baseURL, hc)}
+// transaction store, settling its transport with the binding's
+// defaults (see Client.Init).
+func NewRemoteStore(name, baseURL string, hc *http.Client) (*RemoteStore, error) {
+	c := NewClient(baseURL, hc)
+	if err := c.Init(properties.New()); err != nil {
+		return nil, err
+	}
+	return &RemoteStore{name: name, c: c}, nil
 }
 
 // Name implements the store interface.
@@ -40,28 +48,22 @@ func (r *RemoteStore) Get(ctx context.Context, table, key string) (*kvstore.Vers
 	return rec, nil
 }
 
-// Put implements the store interface (conditional put via ETag
-// headers).
+// Put implements the store interface (conditional put).
 func (r *RemoteStore) Put(ctx context.Context, table, key string, fields map[string][]byte, expect uint64) (uint64, error) {
-	ver, err := r.c.putVersioned(ctx, table, key, fields, expect)
-	if err != nil {
-		return 0, remoteTranslate(err)
-	}
-	return ver, nil
+	ver, err := r.c.mutate(ctx, kvwire.KindPut, table, key, fields, expect)
+	return ver, remoteTranslate(err)
 }
 
 // Delete implements the store interface.
 func (r *RemoteStore) Delete(ctx context.Context, table, key string, expect uint64) error {
-	return remoteTranslate(r.c.deleteVersioned(ctx, table, key, expect))
+	_, err := r.c.mutate(ctx, kvwire.KindDelete, table, key, nil, expect)
+	return remoteTranslate(err)
 }
 
 // Scan implements the store interface.
 func (r *RemoteStore) Scan(ctx context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error) {
-	kvs, err := r.c.scanVersioned(ctx, table, startKey, count)
-	if err != nil {
-		return nil, remoteTranslate(err)
-	}
-	return kvs, nil
+	kvs, err := scanInto(ctx, r.c, table, startKey, count, 0, versionedConv)
+	return kvs, remoteTranslate(err)
 }
 
 // remoteTranslate maps the client's db-layer sentinels back to the

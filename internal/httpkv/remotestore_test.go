@@ -20,7 +20,11 @@ func newRemote(t *testing.T, name string) (*httpkv.RemoteStore, *kvstore.Store) 
 		srv.Close()
 		store.Close()
 	})
-	return httpkv.NewRemoteStore(name, srv.URL, srv.Client()), store
+	rs, err := httpkv.NewRemoteStore(name, srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs, store
 }
 
 func TestRemoteStoreVersionedOps(t *testing.T) {

@@ -22,18 +22,18 @@ import (
 // Router is the "cluster" DB binding: a client-side, coordinator-free
 // router over a fleet of cluster-mode kvservers. It caches the
 // versioned shard map, routes every single-key operation to the key's
-// owner, fans /v1/batch envelopes out per owner node (merging results
-// back in request order), and merges scans across the fleet. When a
+// owner, fans batches out as one request frame per owner node (merging
+// results back in request order), and merges scans across the fleet. When a
 // node answers 410 moved — its map is newer, or the router's copy is
 // stale, or the key's slot is mid-migration — the router re-fetches
 // the map and retries with bounded attempts and backoff, so a live
 // rebalance costs clients a blip, not an error.
 //
-// Each node gets its own underlying Client with its own endpointCaps,
-// so one old node in a mixed-version fleet falls back to single-op /
-// head reads by itself without latching the capability off for every
-// other node. Node clients share one pooled HTTP transport; the caps
-// are keyed by node address and survive client rebuilds on map change.
+// The data plane is frames only: each node is mounted once, by probing
+// its control plane for the frame listener it advertises, and a node
+// that advertises none fails the call with a NoWireError naming it. The
+// shard map itself travels over HTTP (GET /v1/shardmap) on one pooled
+// transport shared by every node.
 //
 // The router does not support the "as_of" property: commit timestamps
 // are per-store logical clocks, so one timestamp has no meaning
@@ -52,14 +52,10 @@ type Router struct {
 	cur atomic.Pointer[cluster.Map]
 
 	mu    sync.RWMutex
-	nodes map[string]*Client       // node address → its client
-	caps  map[string]*endpointCaps // node address → capability latches
+	nodes map[string]*Client // node address → its mounted frame client
 
-	// wireMode / wireConns propagate the rawhttp.wire settings to every
-	// node client. The wire state itself lives in caps, keyed by node
-	// address, so one old node in a mixed-version fleet degrades only
-	// itself and the latch survives the per-node Client being rebuilt.
-	wireMode  string
+	// wireConns sizes every node's frame connection pool
+	// (rawhttp.wire_conns; 0 = kvwire.DefaultMaxConns).
 	wireConns int
 
 	metrics *routerMetrics
@@ -151,7 +147,6 @@ func NewRouter(seeds []string, hc *http.Client, reg *obs.Registry) (*Router, err
 		retries: DefaultRouterRetries,
 		backoff: DefaultRouterBackoff,
 		nodes:   make(map[string]*Client),
-		caps:    make(map[string]*endpointCaps),
 	}
 	var dials *atomic.Int64
 	if r.hc == nil {
@@ -173,6 +168,9 @@ func NewRouter(seeds []string, hc *http.Client, reg *obs.Registry) (*Router, err
 // "cluster.placement" (optional assertion against the fetched map),
 // "cluster.retries" and "cluster.retry_backoff_ms" properties, plus
 // the rawhttp.* transport knobs for the underlying node clients.
+// rawhttp.wire must be left at "auto": each node's frame listener is
+// discovered from its base URL, and the router has no HTTP data plane
+// to fall back to.
 func (r *Router) Init(p *properties.Properties) error {
 	if r.cur.Load() != nil {
 		return nil // built via NewRouter
@@ -188,11 +186,12 @@ func (r *Router) Init(p *properties.Properties) error {
 	)
 	r.retries = p.GetInt("cluster.retries", DefaultRouterRetries)
 	r.backoff = time.Duration(p.GetInt64("cluster.retry_backoff_ms", int64(DefaultRouterBackoff/time.Millisecond))) * time.Millisecond
-	r.wireMode = p.GetString("rawhttp.wire", WireModeAuto)
+	if mode := p.GetString("rawhttp.wire", WireModeAuto); mode != WireModeAuto {
+		return fmt.Errorf("cluster: rawhttp.wire=%q: the cluster binding rides each node's advertised frame listener and nothing else", mode)
+	}
 	r.wireConns = p.GetInt("rawhttp.wire_conns", 0)
 	if r.nodes == nil {
 		r.nodes = make(map[string]*Client)
-		r.caps = make(map[string]*endpointCaps)
 	}
 	reg := obs.Enabled(p.GetBool("obs.enabled", false))
 	r.metrics = newRouterMetrics(reg, dials, func() float64 {
@@ -232,7 +231,8 @@ func SplitNodes(s string) []string {
 }
 
 // bootstrap fetches the shard map from the first seed that serves
-// one and mounts a client per fleet node.
+// one and mounts every fleet node, so a node without a frame listener
+// fails the router's construction rather than its first operation.
 func (r *Router) bootstrap(ctx context.Context, seeds []string) error {
 	var firstErr error
 	for _, seed := range seeds {
@@ -245,15 +245,18 @@ func (r *Router) bootstrap(ctx context.Context, seeds []string) error {
 		}
 		r.installMap(m)
 		r.metrics.incRefetch()
+		for _, addr := range m.Nodes {
+			if _, err := r.node(ctx, addr); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
 	return firstErr
 }
 
-// fetchShardMap GETs /v1/shardmap from one node. An old
-// (non-cluster) server answers the path as a table scan — a JSON
-// array — which cluster.Decode rejects, surfacing "not a cluster
-// node" instead of a silent mis-parse.
+// fetchShardMap GETs /v1/shardmap from one node; a non-cluster server
+// answers 404.
 func fetchShardMap(ctx context.Context, hc *http.Client, base string) (*cluster.Map, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/shardmap", nil)
 	if err != nil {
@@ -274,61 +277,45 @@ func fetchShardMap(ctx context.Context, hc *http.Client, base string) (*cluster.
 	return cluster.Decode(doc)
 }
 
-// installMap publishes m when newer than the current map and mounts
-// clients for any node addresses not seen before. Idempotent under
-// races: the newest version wins, clients/caps are create-only.
+// installMap publishes m when newer than the current map. Idempotent
+// under races: the newest version wins.
 func (r *Router) installMap(m *cluster.Map) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cur := r.cur.Load()
-	if cur == nil || m.Version > cur.Version {
+	if cur := r.cur.Load(); cur == nil || m.Version > cur.Version {
 		r.cur.Store(m.Clone())
-	}
-	for _, addr := range m.Nodes {
-		if _, ok := r.nodes[addr]; ok {
-			continue
-		}
-		caps := r.caps[addr]
-		if caps == nil {
-			caps = &endpointCaps{}
-			r.caps[addr] = caps
-		}
-		c := NewClient(addr, r.hc)
-		c.caps = caps
-		c.wireMode = r.wireMode
-		c.wireConns = r.wireConns
-		r.nodes[addr] = c
 	}
 }
 
 // Map returns the shard map the router currently routes by.
 func (r *Router) Map() *cluster.Map { return r.cur.Load() }
 
-// node returns the client for addr, mounting one if the address is
-// new (a just-fetched map can name nodes bootstrap never saw).
-func (r *Router) node(addr string) *Client {
+// node returns the client for addr, mounting it on first use (a
+// just-fetched map can name nodes bootstrap never saw): one probe of
+// the node's control plane for its frame listener. A failed probe is
+// the caller's error and is not remembered — the next call probes
+// again; only a mounted client is cached.
+func (r *Router) node(ctx context.Context, addr string) (*Client, error) {
 	r.mu.RLock()
 	c := r.nodes[addr]
 	r.mu.RUnlock()
 	if c != nil {
-		return c
+		return c, nil
+	}
+	ep, err := openNodeWire(ctx, r.hc, addr, r.wireConns)
+	if err != nil {
+		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.nodes[addr]; c != nil {
-		return c
-	}
-	caps := r.caps[addr]
-	if caps == nil {
-		caps = &endpointCaps{}
-		r.caps[addr] = caps
+		ep.Close() // lost a mounting race
+		return c, nil
 	}
 	c = NewClient(addr, r.hc)
-	c.caps = caps
-	c.wireMode = r.wireMode
-	c.wireConns = r.wireConns
+	c.wire = ep
 	r.nodes[addr] = c
-	return c
+	return c, nil
 }
 
 // refetchMap pulls the shard map from the fleet and installs the
@@ -393,7 +380,11 @@ func (r *Router) route(ctx context.Context, key string, fn func(c *Client) error
 	for attempt := 0; ; attempt++ {
 		m := r.cur.Load()
 		owner, _ := m.Owner(key)
-		err := fn(r.node(owner))
+		c, err := r.node(ctx, owner)
+		if err != nil {
+			return err
+		}
+		err = fn(c)
 		var me *cluster.MovedError
 		if err == nil || !errors.As(err, &me) {
 			return err
@@ -413,8 +404,8 @@ func (r *Router) Cleanup() error {
 	r.hc.CloseIdleConnections()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, caps := range r.caps {
-		caps.closeWire()
+	for _, c := range r.nodes {
+		c.wire.Close()
 	}
 	return nil
 }
@@ -455,12 +446,7 @@ func (r *Router) Delete(ctx context.Context, table, key string) error {
 // filters), and the router k-way merges the sorted, disjoint results
 // back into one global key order.
 func (r *Router) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
-	return scanMerged(ctx, r, table, startKey, count, func(rec *kvwire.StreamRecord) db.KV {
-		if fields == nil {
-			return db.KV{Key: rec.Key, Record: rec.Fields} // freshly decoded: already the caller's own map
-		}
-		return db.KV{Key: rec.Key, Record: db.ProjectFields(rec.Fields, fields)}
-	})
+	return scanMerged(ctx, r, table, startKey, count, kvConv(fields))
 }
 
 // nodeShares is how many records a fleet scan for count from startKey
@@ -511,8 +497,8 @@ func nodeShares(startKey string, count int, m *cluster.Map) []int {
 // Nodes that answer 404 for the table contribute nothing (a table can
 // live on a subset of nodes until writes spread).
 //
-// Each node is asked for its nodeShares records through a scanCursor and
-// consumed lazily; a node the merge drains is topped up with what the
+// Each node is asked for its nodeShares records through a scanCursor (one
+// scan stream) and consumed lazily; a node the merge drains is topped up with what the
 // merge still lacks, and the moment the merge holds count every
 // stream still running is cancelled.
 //
@@ -526,8 +512,6 @@ func nodeShares(startKey string, count int, m *cluster.Map) []int {
 // connection dies partway. In every case the
 // router refetches the map, backs off, and rescans until a round
 // completes under one version, bounded by the usual retry budget.
-// Pre-echo servers report version 0 and are exempt from the check —
-// best effort is all a mixed-version fleet can offer.
 func scanMerged[T any](ctx context.Context, r *Router, table, startKey string, count int, conv func(*kvwire.StreamRecord) T) ([]T, error) {
 	for attempt := 0; ; attempt++ {
 		out, err := scanRound(ctx, r, table, startKey, count, conv)
@@ -572,8 +556,13 @@ func scanRound[T any](ctx context.Context, r *Router, table, startKey string, co
 	var wg sync.WaitGroup
 	for i, addr := range m.Nodes {
 		wg.Add(1)
-		go func(i int, c *Client) {
+		go func(i int, addr string) {
 			defer wg.Done()
+			c, err := r.node(roundCtx, addr)
+			if err != nil {
+				errs[i] = err
+				return
+			}
 			sc, err := c.openScanCursor(roundCtx, table, startKey, shares[i])
 			if err != nil {
 				errs[i] = err
@@ -581,7 +570,7 @@ func scanRound[T any](ctx context.Context, r *Router, table, startKey string, co
 			}
 			cursors[i] = sc
 			errs[i] = sc.next(shares[i])
-		}(i, r.node(addr))
+		}(i, addr)
 	}
 	wg.Wait()
 	defer func() {
@@ -609,7 +598,7 @@ func scanRound[T any](ctx context.Context, r *Router, table, startKey string, co
 	skew := int64(0)
 	for _, sc := range cursors {
 		if sc.ver == 0 {
-			continue // pre-echo server or single-node; nothing to compare
+			continue // the stream reported none; nothing to compare
 		}
 		if skew == 0 {
 			skew = sc.ver
@@ -639,8 +628,8 @@ func scanRound[T any](ctx context.Context, r *Router, table, startKey string, co
 }
 
 // ExecBatch implements db.BatchDB: ops group by owner node, one
-// envelope POSTs per owner concurrently, and results merge back in
-// request order. Items answered 410 re-route (after a map refetch)
+// request frame goes to each owner concurrently, and results merge back
+// in request order. Items answered 410 re-route (after a map refetch)
 // with bounded retries, so a batch spanning a migrating slot loses no
 // operations — it just pays extra rounds for the moved subset.
 func (r *Router) ExecBatch(ctx context.Context, ops []db.BatchOp) []db.BatchResult {
@@ -669,10 +658,18 @@ func (r *Router) ExecBatch(ctx context.Context, ops []db.BatchOp) []db.BatchResu
 					sub[j] = ops[i]
 				}
 				r.metrics.observeRoutedBatch(owner, len(sub))
-				results := r.node(owner).ExecBatch(ctx, sub)
+				var results []db.BatchResult
+				c, err := r.node(ctx, owner)
+				if err == nil {
+					results = c.ExecBatch(ctx, sub)
+				}
 				mu.Lock()
 				defer mu.Unlock()
 				for j, i := range idx {
+					if err != nil {
+						out[i] = db.BatchResult{Err: err}
+						continue
+					}
 					res := results[j]
 					var me *cluster.MovedError
 					if errors.As(res.Err, &me) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -16,7 +15,7 @@ import (
 	"ycsbt/internal/properties"
 )
 
-func newTestRouter(t *testing.T, nodes []*clusterNode, reg *obs.Registry) *Router {
+func newTestRouter(t *testing.T, nodes []*testNode, reg *obs.Registry) *Router {
 	t.Helper()
 	r, err := NewRouter([]string{nodes[0].URL}, nodes[0].srv.Client(), reg)
 	if err != nil {
@@ -226,63 +225,6 @@ func TestRouterRefetchesOnMoved(t *testing.T) {
 	}
 }
 
-// One old node in a mixed-version fleet latches its own capability
-// fallback without disabling batch support for every other node: the
-// per-endpoint latches are scoped per node address.
-func TestRouterPerNodeCapabilityLatch(t *testing.T) {
-	nodes := startTestCluster(t, 2, 8)
-	a, b := nodes[0], nodes[1]
-	// Node b plays an old server with no /v1/batch route.
-	oldNode := func(w http.ResponseWriter, r *http.Request) bool {
-		if r.URL.Path == "/v1/batch" {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return true
-		}
-		return false
-	}
-	b.pre.Store(&oldNode)
-
-	r := newTestRouter(t, nodes, nil)
-	ctx := context.Background()
-	m := r.Map()
-
-	var ops []db.BatchOp
-	seenB := false
-	for i := 0; len(ops) < 20; i++ {
-		k := fmt.Sprintf("user%05d", i)
-		if owner, _ := m.Owner(k); owner == b.URL {
-			seenB = true
-		}
-		ops = append(ops, db.BatchOp{Op: db.OpInsert, Table: "t", Key: k, Values: rec("v")})
-	}
-	if !seenB {
-		t.Fatal("test keys never hit node b")
-	}
-	for i, res := range r.ExecBatch(ctx, ops) {
-		if res.Err != nil {
-			t.Fatalf("mixed-fleet batch op %d: %v", i, res.Err)
-		}
-	}
-
-	r.mu.RLock()
-	capsA, capsB := r.caps[a.URL], r.caps[b.URL]
-	r.mu.RUnlock()
-	if !capsB.batchUnsupported.Load() {
-		t.Error("old node's batch latch not set despite 405")
-	}
-	if capsA.batchUnsupported.Load() {
-		t.Error("new node's batch latch set by the old node's 405 — latch must be per endpoint")
-	}
-
-	// New batches still go to a as envelopes; reads see every write.
-	for i := range ops {
-		got, err := r.Read(ctx, "t", ops[i].Key, nil)
-		if err != nil || string(got["f"]) != "v" {
-			t.Fatalf("read-back %s: %v %v", ops[i].Key, got, err)
-		}
-	}
-}
-
 // The moved-key storm (run under -race): eight writers batch through
 // the router while a slot live-migrates underneath them. No operation
 // may be lost or duplicated, and the map refetches must stay bounded
@@ -416,5 +358,84 @@ func TestRouterRejectsAsOf(t *testing.T) {
 	err := r.Init(p)
 	if !errors.Is(err, db.ErrNotSupported) {
 		t.Fatalf("as_of init: got %v, want ErrNotSupported", err)
+	}
+}
+
+// A routed scan merges per-node chunk streams: every node's chunk
+// counter moves, no node serves an HTTP request for it, and the merged
+// order and values match the key space.
+func TestRouterScanStreamsAcrossFleet(t *testing.T) {
+	nodes := startTestCluster(t, 3, 12)
+	r := newTestRouter(t, nodes, nil)
+	ctx := context.Background()
+
+	n := 400
+	ops := make([]db.BatchOp, 0, n)
+	for i := 0; i < n; i++ {
+		ops = append(ops, db.BatchOp{
+			Op: db.OpInsert, Table: "t", Key: fmt.Sprintf("user%05d", i),
+			Values: rec(fmt.Sprintf("v%05d", i)),
+		})
+	}
+	for _, res := range r.ExecBatch(ctx, ops) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	httpBefore := make([]int64, len(nodes))
+	for i, tn := range nodes {
+		httpBefore[i] = tn.httpReqs.Load()
+	}
+
+	got, err := r.Scan(ctx, "t", "user00050", 300, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkScan(t, got, 50, 300)
+	for i, tn := range nodes {
+		if c := tn.counter("kvwire_scan_chunks_total"); c == 0 {
+			t.Errorf("node %d served no scan chunks; its slice of the merge did not stream", i)
+		}
+		if n := tn.httpReqs.Load() - httpBefore[i]; n != 0 {
+			t.Errorf("node %d answered %d HTTP requests during a routed scan", i, n)
+		}
+	}
+}
+
+// A node the router cannot mount fails the operations routed to it —
+// by name, and without being remembered: once the node advertises its
+// listener the next operation mounts it. Nothing is downgraded to HTTP
+// in between.
+func TestRouterMountFailureIsNotCached(t *testing.T) {
+	nodes := startTestCluster(t, 2, 8)
+	r := newTestRouter(t, nodes, nil)
+	ctx := context.Background()
+	b := nodes[1]
+	key := keyOwnedBy(t, r.Map(), b.URL, "user")
+
+	// Unmount b and take its HTTP surface down, as if a refetched map
+	// had named a node that is still booting.
+	r.mu.Lock()
+	r.nodes[b.URL].wire.Close()
+	delete(r.nodes, b.URL)
+	r.mu.Unlock()
+	srv := b.h.Swap(nil)
+
+	before := b.httpReqs.Load()
+	var nw *NoWireError
+	for i := 0; i < 2; i++ {
+		if err := r.Insert(ctx, "t", key, rec("v")); !errors.As(err, &nw) || nw.Node != b.URL {
+			t.Fatalf("insert %d routed to an unmountable node: %v, want NoWireError naming it", i, err)
+		}
+	}
+	if probes := b.httpReqs.Load() - before; probes != 2 {
+		t.Errorf("%d probes for 2 failed operations, want one each", probes)
+	}
+	b.h.Store(srv)
+	if err := r.Insert(ctx, "t", key, rec("v")); err != nil {
+		t.Fatalf("insert after the node came up: %v", err)
+	}
+	if got, err := b.store.Get("t", key); err != nil || string(got.Fields["f"]) != "v" {
+		t.Fatalf("record on the node: %v, %v", got, err)
 	}
 }

@@ -48,13 +48,13 @@ func (s *RouterStore) Get(ctx context.Context, table, key string) (*kvstore.Vers
 	return rec, nil
 }
 
-// Put implements the store interface (conditional put via ETag
-// headers, routed to the key's owner).
+// Put implements the store interface (conditional put, routed to the
+// key's owner).
 func (s *RouterStore) Put(ctx context.Context, table, key string, fields map[string][]byte, expect uint64) (uint64, error) {
 	var ver uint64
 	err := s.r.route(ctx, key, func(c *Client) error {
 		var err error
-		ver, err = c.putVersioned(ctx, table, key, fields, expect)
+		ver, err = c.mutate(ctx, kvwire.KindPut, table, key, fields, expect)
 		return err
 	})
 	if err != nil {
@@ -66,18 +66,14 @@ func (s *RouterStore) Put(ctx context.Context, table, key string, fields map[str
 // Delete implements the store interface.
 func (s *RouterStore) Delete(ctx context.Context, table, key string, expect uint64) error {
 	return remoteTranslate(s.r.route(ctx, key, func(c *Client) error {
-		return c.deleteVersioned(ctx, table, key, expect)
+		_, err := c.mutate(ctx, kvwire.KindDelete, table, key, nil, expect)
+		return err
 	}))
 }
 
 // Scan implements the store interface: per-node sorted results merged
 // into global key order, like the binding's Scan.
 func (s *RouterStore) Scan(ctx context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error) {
-	out, err := scanMerged(ctx, s.r, table, startKey, count, func(rec *kvwire.StreamRecord) kvstore.VersionedKV {
-		return kvstore.VersionedKV{
-			Key:    rec.Key,
-			Record: &kvstore.VersionedRecord{Version: rec.Version, Fields: rec.Fields},
-		}
-	})
+	out, err := scanMerged(ctx, s.r, table, startKey, count, versionedConv)
 	return out, remoteTranslate(err)
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // endlessEngine serves an infinite ascending key space: every Scan
-// page is full, so a count=-1 scan never exhausts the table. The page
+// page is full, so a scan that keeps none of it never ends. The page
 // counter is how the test observes whether the handler's paging loop
 // is still running.
 type endlessEngine struct {
@@ -36,8 +36,8 @@ func (e *endlessEngine) Scan(table, start string, count int) ([]kvstore.Versione
 
 // A scan whose client has gone away must stop paging the engine: the
 // handler passes the request context into Core.Scan, which checks it
-// between pages. Regression test for the handler draining an unbounded
-// scan for nobody after the consumer disconnected.
+// between pages. Regression test for the handler paging on for nobody
+// after the consumer disconnected.
 func TestScanHandlerStopsWhenClientDisconnects(t *testing.T) {
 	store, err := kvstore.Open(kvstore.Options{Shards: 2})
 	if err != nil {
@@ -51,11 +51,14 @@ func TestScanHandlerStopsWhenClientDisconnects(t *testing.T) {
 		h.Load().ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	// Single-node cluster mode: count=-1 is legal and the scan pages
-	// through the engine instead of answering one bounded call.
-	m, err := cluster.NewUniform(cluster.PlacementHash, 4, []string{srv.URL}, nil)
+	// Cluster mode with every slot on the other node: the scan filters
+	// out each record it reads, so it pages on in search of its first.
+	m, err := cluster.NewUniform(cluster.PlacementHash, 4, []string{srv.URL, "http://other"}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range m.Assign {
+		m.Assign[i] = 1
 	}
 	st, err := cluster.NewState(srv.URL, m, nil)
 	if err != nil {
@@ -65,7 +68,7 @@ func TestScanHandlerStopsWhenClientDisconnects(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/t?start=&count=-1", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/t?start=&count=10", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 
-	"ycsbt/internal/db"
 	"ycsbt/internal/kvwire"
 )
 
@@ -22,18 +21,15 @@ var errScanRescan = errors.New("httpkv: scan raced a shard map change; rescan")
 // from any one node, so a cursor asks its node for that share, not for
 // count, and tops the node up — a further fetch from just past the
 // last key it delivered — only when the merge has consumed everything
-// it sent and still wants more. A fetch is a wire scan stream consumed
-// chunk by chunk (so even a large share buffers at most a credit
-// window) or, on nodes without streaming, one HTTP page; both run
-// through the same top-up rule.
+// it sent and still wants more. A fetch is one scan stream consumed
+// chunk by chunk, so even a large share buffers at most a credit
+// window.
 type scanCursor struct {
 	c     *Client
 	ctx   context.Context
 	table string
 
-	stream *kvwire.ScanStream // the current fetch; nil on the HTTP path
-	page   []wireRecord       // the current fetch on the HTTP path
-	idx    int
+	stream *kvwire.ScanStream // the current fetch
 
 	asked int   // records the current fetch asked the node for; < 0 = all
 	got   int   // records it has delivered
@@ -41,7 +37,7 @@ type scanCursor struct {
 
 	// head is the cursor's current record — the node's smallest key the
 	// merge has not consumed — or nil once the node is exhausted. It
-	// points into the fetch's own buffer and is valid until next.
+	// points into the stream's own buffer and is valid until next.
 	head *kvwire.StreamRecord
 }
 
@@ -56,35 +52,18 @@ func (c *Client) openScanCursor(ctx context.Context, table, start string, n int)
 	return sc, nil
 }
 
-// fetch asks the node for up to n records from start, streaming when
-// the endpoint negotiated it and falling back to one HTTP page
-// otherwise (same per-call fallback shape as scanStream).
+// fetch opens a scan stream for up to n records from start.
 func (sc *scanCursor) fetch(start string, n int) error {
-	sc.stream, sc.page, sc.idx = nil, nil, 0
 	sc.asked, sc.got = n, 0
-	if ep, ok := sc.c.wireStreamEndpoint(); ok {
-		s, err := ep.Scan(sc.ctx, &kvwire.ScanRequest{Table: sc.table, Start: start, Count: n, Slot: -1})
-		if err == nil {
-			sc.stream = s
-			return nil
-		}
-		if errors.Is(err, kvwire.ErrUnavailable) {
-			sc.c.caps.wireUnsupported.Store(true)
-		}
+	s, err := sc.c.wire.Scan(sc.ctx, &kvwire.ScanRequest{Table: sc.table, Start: start, Count: n, Slot: -1})
+	if err != nil {
 		if cerr := sc.ctx.Err(); cerr != nil {
 			return cerr
 		}
-		// Transient open failure: HTTP for this fetch only.
-	}
-	page, ver, err := sc.c.scanWireHTTP(sc.ctx, sc.table, start, n)
-	if errors.Is(err, db.ErrNotFound) {
-		return nil // the table has not reached this node: nothing to merge
-	}
-	if err != nil {
 		return err
 	}
-	sc.page = page
-	return sc.sawVersion(ver)
+	sc.stream = s
+	return nil
 }
 
 // sawVersion records the map version a fetch reports. One cursor's
@@ -92,7 +71,7 @@ func (sc *scanCursor) fetch(start string, n int) error {
 // changed between them and records may be missing from the seam.
 func (sc *scanCursor) sawVersion(ver int64) error {
 	if ver == 0 {
-		return nil // pre-echo server or single-node
+		return nil // nothing reported yet
 	}
 	if sc.ver != 0 && sc.ver != ver {
 		return errScanRescan
@@ -126,15 +105,6 @@ func (sc *scanCursor) next(want int) error {
 
 // advance returns the current fetch's next record, or nil at its end.
 func (sc *scanCursor) advance() (*kvwire.StreamRecord, error) {
-	if sc.stream == nil {
-		if sc.idx >= len(sc.page) {
-			return nil, nil
-		}
-		// wireRecord is StreamRecord with JSON tags.
-		rec := (*kvwire.StreamRecord)(&sc.page[sc.idx])
-		sc.idx++
-		return rec, nil
-	}
 	more := sc.stream.Next()
 	if err := sc.sawVersion(sc.stream.MapVersion()); err != nil {
 		return nil, err
@@ -167,9 +137,7 @@ func (sc *scanCursor) advance() (*kvwire.StreamRecord, error) {
 }
 
 // close cancels a still-running stream so the server stops producing;
-// a no-op for ended streams and HTTP pages.
+// a no-op for an ended one.
 func (sc *scanCursor) close() {
-	if sc.stream != nil {
-		sc.stream.Close()
-	}
+	sc.stream.Close()
 }

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -14,48 +13,26 @@ import (
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 	"ycsbt/internal/obs"
-	"ycsbt/internal/properties"
 )
 
-// scanFleet is a 3-node cluster with a stream-capable wire listener on
-// every node and two routers over it: one riding scan streams, one
-// with the wire off, so every assertion runs on both cursors.
+// scanFleet is a 3-node cluster and a router over it.
 type scanFleet struct {
-	nodes  []*clusterNode
-	regs   []*obs.Registry
-	stream *Router
-	http   *Router
+	nodes []*testNode
+	r     *Router
 }
 
 func newScanFleet(t *testing.T, build func(addrs []string) (*cluster.Map, error)) *scanFleet {
 	t.Helper()
 	f := &scanFleet{nodes: startTestClusterWithMap(t, 3, build)}
-	urls := make([]string, len(f.nodes))
-	for i, tn := range f.nodes {
-		f.regs = append(f.regs, upgradeClusterNodeToStreams(t, tn))
-		urls[i] = tn.URL
-	}
-	f.stream = newTestRouter(t, f.nodes, nil)
-	f.http = &Router{}
-	p := properties.New()
-	p.Set("cluster.nodes", strings.Join(urls, ","))
-	p.Set("rawhttp.wire", WireModeOff)
-	if err := f.http.Init(p); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { f.http.Cleanup() })
+	f.r = newTestRouter(t, f.nodes, nil)
 	return f
 }
 
-func (f *scanFleet) routers() map[string]*Router {
-	return map[string]*Router{"stream": f.stream, "http": f.http}
-}
-
-// counter sums one wire-registry counter over the fleet.
+// counter sums one registry counter over the fleet.
 func (f *scanFleet) counter(name string) int64 {
 	var n int64
-	for _, reg := range f.regs {
-		n += reg.Counter(name).Value()
+	for _, tn := range f.nodes {
+		n += tn.counter(name)
 	}
 	return n
 }
@@ -72,7 +49,7 @@ func (f *scanFleet) loadRouted(t *testing.T, n int) []string {
 		keys[i] = fleetKey(i)
 		ops[i] = db.BatchOp{Op: db.OpInsert, Table: "t", Key: keys[i], Values: rec("v-" + keys[i])}
 	}
-	for _, res := range f.stream.ExecBatch(context.Background(), ops) {
+	for _, res := range f.r.ExecBatch(context.Background(), ops) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -99,7 +76,7 @@ func (f *scanFleet) loadEverywhere(t *testing.T, n int) []string {
 }
 
 // checkFleetScans compares Router.Scan against the sorted key list for
-// every count × start of the matrix, on both cursors.
+// every count × start of the matrix.
 func checkFleetScans(t *testing.T, f *scanFleet, keys []string) {
 	t.Helper()
 	ctx := context.Background()
@@ -112,22 +89,20 @@ func checkFleetScans(t *testing.T, f *scanFleet, keys []string) {
 		"before-all":  "",
 		"skew-border": keys[min(499, len(keys)-1)],
 	}
-	for name, r := range f.routers() {
-		for _, count := range []int{1, 2, 33, 100, 257, 1025, 5000} {
-			for sname, start := range starts {
-				lo := sort.SearchStrings(keys, start)
-				want := keys[lo:min(len(keys), lo+count)]
-				got, err := r.Scan(ctx, "t", start, count, nil)
-				if err != nil {
-					t.Fatalf("%s count=%d start=%s: %v", name, count, sname, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s count=%d start=%s: %d records, want %d", name, count, sname, len(got), len(want))
-				}
-				for i, kv := range got {
-					if kv.Key != want[i] || string(kv.Record["f"]) != "v-"+want[i] {
-						t.Fatalf("%s count=%d start=%s: record %d = %s/%q, want %s", name, count, sname, i, kv.Key, kv.Record["f"], want[i])
-					}
+	for _, count := range []int{1, 2, 33, 100, 257, 1025, 5000} {
+		for sname, start := range starts {
+			lo := sort.SearchStrings(keys, start)
+			want := keys[lo:min(len(keys), lo+count)]
+			got, err := f.r.Scan(ctx, "t", start, count, nil)
+			if err != nil {
+				t.Fatalf("count=%d start=%s: %v", count, sname, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("count=%d start=%s: %d records, want %d", count, sname, len(got), len(want))
+			}
+			for i, kv := range got {
+				if kv.Key != want[i] || string(kv.Record["f"]) != "v-"+want[i] {
+					t.Fatalf("count=%d start=%s: record %d = %s/%q, want %s", count, sname, i, kv.Key, kv.Record["f"], want[i])
 				}
 			}
 		}
@@ -140,7 +115,7 @@ func uniformHash(addrs []string) (*cluster.Map, error) {
 
 // The harness checks that a scan is ordered and no longer than asked;
 // only an oracle can say it is complete. Every count × start against
-// the sorted key list, over a real wire fleet, on both cursors.
+// the sorted key list, over a real wire fleet.
 func TestFleetScanCompleteness(t *testing.T) {
 	t.Run("routed", func(t *testing.T) {
 		f := newScanFleet(t, uniformHash)
@@ -178,26 +153,24 @@ func TestFleetScanHugeCountAllocatesByResult(t *testing.T) {
 	f := newScanFleet(t, uniformHash)
 	keys := f.loadRouted(t, 300)
 	ctx := context.Background()
-	for name, r := range f.routers() {
-		scan := func() []db.KV {
-			got, err := r.Scan(ctx, "t", "", 1<<40, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			return got
+	scan := func() []db.KV {
+		got, err := f.r.Scan(ctx, "t", "", 1<<40, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		scan() // dial, negotiate, warm the pools
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		got := scan()
-		runtime.ReadMemStats(&after)
-		if len(got) != len(keys) || got[0].Key != keys[0] || got[len(got)-1].Key != keys[len(keys)-1] {
-			t.Fatalf("%s: scan returned %d records, want all %d", name, len(got), len(keys))
-		}
-		// Whole process: router, three servers and their engines.
-		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
-			t.Fatalf("%s: count=1<<40 over %d records allocated %d bytes, want < 1 MiB", name, len(keys), n)
-		}
+		return got
+	}
+	scan() // dial, warm the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := scan()
+	runtime.ReadMemStats(&after)
+	if len(got) != len(keys) || got[0].Key != keys[0] || got[len(got)-1].Key != keys[len(keys)-1] {
+		t.Fatalf("scan returned %d records, want all %d", len(got), len(keys))
+	}
+	// Whole process: router, three servers and their engines.
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("count=1<<40 over %d records allocated %d bytes, want < 1 MiB", len(keys), n)
 	}
 }
 
@@ -232,28 +205,25 @@ func TestFleetScanOverfetchBounds(t *testing.T) {
 				keys = f.loadRouted(t, 3000)
 			}
 			ctx := context.Background()
-			for name, r := range f.routers() {
-				engine0, wire0 := f.counter("kvwire_scan_engine_records_total"), f.counter("kvwire_scan_records_total")
-				merged := 0
-				for i := 0; i < 50; i++ {
-					got, err := r.Scan(ctx, "t", keys[i*53], 100, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					merged += len(got)
+			merged := 0
+			for i := 0; i < 50; i++ {
+				got, err := f.r.Scan(ctx, "t", keys[i*53], 100, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				engine := f.counter("kvwire_scan_engine_records_total") - engine0
-				wire := f.counter("kvwire_scan_records_total") - wire0
-				t.Logf("%s: %d engine records, %d shipped, %d merged", name, engine, wire, merged)
-				if merged != 5000 {
-					t.Fatalf("%s: merged %d records, want 5000", name, merged)
-				}
-				if ratio := float64(engine) / float64(wire); ratio > 4 {
-					t.Errorf("%s: engine records / emitted records = %d/%d = %.2f, want <= 4", name, engine, wire, ratio)
-				}
-				if ratio := float64(wire) / float64(merged); ratio > 2 {
-					t.Errorf("%s: shipped records / merged records = %d/%d = %.2f, want <= 2", name, wire, merged, ratio)
-				}
+				merged += len(got)
+			}
+			engine := f.counter("kvwire_scan_engine_records_total")
+			wire := f.counter("kvwire_scan_records_total")
+			t.Logf("%d engine records, %d shipped, %d merged", engine, wire, merged)
+			if merged != 5000 {
+				t.Fatalf("merged %d records, want 5000", merged)
+			}
+			if ratio := float64(engine) / float64(wire); ratio > 4 {
+				t.Errorf("engine records / emitted records = %d/%d = %.2f, want <= 4", engine, wire, ratio)
+			}
+			if ratio := float64(wire) / float64(merged); ratio > 2 {
+				t.Errorf("shipped records / merged records = %d/%d = %.2f, want <= 2", wire, merged, ratio)
 			}
 		})
 	}
@@ -307,7 +277,7 @@ func TestHTTPOnlyServerExportsScanCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{Metrics: reg}))
 	defer srv.Close()
-	c := newWireClient(t, srv.URL, nil)
+	c := NewClient(srv.URL, srv.Client())
 	loadFixtureKeys(t, c, 100)
 	got, err := c.Scan(context.Background(), "t", "user00010", 60, nil)
 	if err != nil {
@@ -332,7 +302,7 @@ func TestFleetScanEarlyStopLeavesNothingRunning(t *testing.T) {
 	scan := func() {
 		// ~1250 records asked of each node, five chunks apiece: the merge
 		// finishes with every stream still mid-flight.
-		got, err := f.stream.Scan(ctx, "t", keys[100], 3000, nil)
+		got, err := f.r.Scan(ctx, "t", keys[100], 3000, nil)
 		if err != nil || len(got) != 3000 {
 			t.Fatalf("scan: %d records, err %v", len(got), err)
 		}

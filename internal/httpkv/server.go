@@ -7,11 +7,10 @@
 // RawHttpDB client class. The single-key interface is deliberately
 // plain REST, so concurrent read-modify-write sequences race and the
 // Closed Economy Workload's validation stage detects the resulting
-// lost updates; /v1/batch moves many such operations per round trip
-// without changing those semantics (per-item results, no atomicity
-// across items).
+// lost updates.
 //
-// Protocol (JSON bodies, record values base64-encoded by
+// HTTP carries what the paper measures plus the control plane, and
+// nothing else (JSON bodies, record values base64-encoded by
 // encoding/json's []byte rules):
 //
 //	GET    /v1/{table}/{key}          → 200 {"version":n,"fields":{...}} | 404
@@ -19,36 +18,39 @@
 //	PATCH  /v1/{table}/{key}          → 200 merge-update | 404
 //	DELETE /v1/{table}/{key}          → 204; If-Match honored; 404/412
 //	GET    /v1/{table}?start=k&count=n → 200 [{"key":k,"version":v,"fields":{...}},...]
-//	                                     (Accept: application/x-ndjson streams one record per line)
-//	POST   /v1/batch                  → 200 NDJSON per-item results (see batch.go)
-//	GET    /v1/ts                     → 200 {"ts":n} snapshot timestamp (see asof.go; reserves table name "ts")
+//	                                     one page: count defaults to 100 and is clamped to kvwire.ScanPageCap
+//	GET    /v1/ts                     → 200 {"ts":n} snapshot timestamp (see asof.go)
+//	GET    /v1/tables                 → 200 {"tables":[...]}
+//	GET/PUT /v1/shardmap, POST /v1/shardmap/freeze   cluster mode (see cluster.go)
 //	GET    /healthz                   → 200 "ok"
 //
 // Every successful record response carries the version in the "ETag"
-// header, the idiom the simulated cloud stores share.
+// header, the idiom the simulated cloud stores share. The table names
+// "ts", "tables" and "shardmap" are reserved by those routes.
 //
-// Time travel: an X-As-Of-Ts request header on GET/scan (and an
-// "as_of" field on batch get lines) serves the read from the engine's
-// version history as of that commit timestamp; the server echoes the
-// served ts in X-As-Of-Served (or the result line's "as_of"), which is
-// how clients detect servers that predate the header and refuse to
-// silently read head data (see asof.go).
+// Everything else — multi-key batches, as-of reads, streamed, slot and
+// tombstone scans, ingest, the migration copy — exists on the framed
+// binary protocol only (internal/kvwire), served from the same
+// kvwire.Core by the listener ServerOptions.WireAddr advertises in the
+// X-KV-Wire header of every response. A client picks one transport per
+// endpoint, once (wire.go).
 //
 // Admission control (ServerOptions): request bodies are capped (413
-// past the cap), an X-Deadline-Ms header bounds how long the server
-// may sit on the request (504 once expired), and concurrent /v1/batch
-// executions beyond MaxInflightBatches shed immediately with 429 +
-// Retry-After.
+// past the cap) and an X-Deadline-Ms header bounds how long the server
+// may sit on the request (504 once expired).
 package httpkv
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ycsbt/internal/cluster"
@@ -57,11 +59,10 @@ import (
 	"ycsbt/internal/obs"
 )
 
-// wireRecord is the JSON shape of one record on the wire. CommitTS
-// rides along (omitted when zero) so a migration copy can preserve
-// as-of visibility on the destination node; Deleted marks a tombstone
-// in a migration copy (tombstone scans + ingest), so deletes travel
-// with the data. Old clients drop the unknown fields.
+// wireRecord is the JSON shape of one record: kvwire.StreamRecord with
+// JSON tags (the client converts between the two by type, so the
+// fields must stay in step). Deleted is never set over HTTP —
+// tombstones travel in frames only.
 type wireRecord struct {
 	Key      string            `json:"key,omitempty"`
 	Version  uint64            `json:"version"`
@@ -70,45 +71,36 @@ type wireRecord struct {
 	Fields   map[string][]byte `json:"fields"`
 }
 
-// ServerOptions tunes the server's admission control.
+// DeadlineHeader carries the client's remaining per-request budget in
+// milliseconds; the server abandons work it cannot start in time.
+const DeadlineHeader = "X-Deadline-Ms"
+
+// ServerOptions tunes the server.
 type ServerOptions struct {
-	// MaxInflightBatches caps concurrently executing /v1/batch
-	// requests; excess requests are rejected immediately with 429 +
-	// Retry-After instead of queueing (load shedding, not buffering).
-	// <= 0 means unlimited.
-	MaxInflightBatches int
 	// MaxBodyBytes caps any request body (default 1 MiB); larger
 	// bodies fail with 413.
 	MaxBodyBytes int64
-	// RetryAfter is the backoff hint sent with 429 responses
-	// (default 1s; rendered in whole seconds per RFC 9110).
-	RetryAfter time.Duration
 	// Metrics, when non-nil, receives the server's httpkv_* series
-	// (inflight gauge, response-code counters, batch-size histogram).
+	// (inflight gauge, response-code counters).
 	Metrics *obs.Registry
 	// Cluster, when non-nil, puts the server in cluster mode: it
 	// serves only the shard-map slots the node owns, answers the rest
 	// with 410 + routing hints, and exposes the shard-map management
 	// routes (see cluster.go).
 	Cluster *cluster.State
-	// Core, when non-nil, is the transport-neutral request core to
-	// serve through — pass the same Core to the binary wire listener so
-	// both transports share one admission limit and ownership gate.
-	// When nil a private core is built from Cluster and
-	// MaxInflightBatches.
+	// Core, when non-nil, is the request core to serve through — pass
+	// the same Core to the frame listener so both share one ownership
+	// gate. When nil a private core is built from Cluster.
 	Core *kvwire.Core
-	// WireAddr, when non-empty, is the address of this process's
-	// binary wire listener; every HTTP response advertises it in the
-	// X-KV-Wire header so clients can upgrade the hot path.
+	// WireAddr, when non-empty, is the address of this process's frame
+	// listener; every HTTP response advertises it in the X-KV-Wire
+	// header, which is how clients, routers and migrations find it.
 	WireAddr string
 }
 
 func (o ServerOptions) withDefaults() ServerOptions {
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 20
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	return o
 }
@@ -124,20 +116,18 @@ type Server struct {
 	metrics *serverMetrics
 }
 
-// NewServer returns a handler serving store with default admission
-// control.
+// NewServer returns a handler serving store with default options.
 func NewServer(store kvstore.Engine) *Server {
 	return NewServerWithOptions(store, ServerOptions{})
 }
 
-// NewServerWithOptions returns a handler serving store with the given
-// admission control.
+// NewServerWithOptions returns a handler serving store.
 func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
 	s := &Server{store: store, mux: http.NewServeMux(), opts: opts.withDefaults()}
 	s.metrics = newServerMetrics(opts.Metrics)
 	s.core = s.opts.Core
 	if s.core == nil {
-		s.core = kvwire.NewCore(store, s.opts.Cluster, s.opts.MaxInflightBatches)
+		s.core = kvwire.NewCore(store, s.opts.Cluster, 0)
 		s.core.Instrument(opts.Metrics)
 	} else if s.opts.Cluster == nil {
 		// A shared core carries the cluster gate; the HTTP management
@@ -145,11 +135,9 @@ func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
 		s.opts.Cluster = s.core.Cluster()
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
 	s.mux.HandleFunc("/v1/ts", s.handleSnapshotTS)
 	s.mux.HandleFunc("/v1/shardmap", s.handleShardMap)
 	s.mux.HandleFunc("/v1/shardmap/freeze", s.handleFreeze)
-	s.mux.HandleFunc("/v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("/v1/tables", s.handleTables)
 	s.mux.HandleFunc("/v1/", s.handleRecord)
 	return s
@@ -160,11 +148,6 @@ func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.opts.WireAddr != "" {
 		w.Header().Set(WireAddrHeader, s.opts.WireAddr)
-		// Same build serves both listeners, so advertising the wire
-		// listener implies it speaks the streaming frames too; clients
-		// sniff this before sending stream frames an older wire server
-		// would treat as a protocol violation.
-		w.Header().Set(WireStreamHeader, "1")
 	}
 	if s.metrics != nil {
 		s.metrics.inflight.Add(1)
@@ -245,21 +228,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, table, key string) {
-	if s.checkRead(w, key) {
-		return
-	}
-	ts, err := asOfRequested(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if ts != 0 {
-		// Echo the served ts on every as-of response (including
-		// errors): the echo is how clients distinguish a server that
-		// honored the snapshot from an old one that ignored the header.
-		w.Header().Set(AsOfServedHeader, strconv.FormatInt(ts, 10))
-	}
-	rec, err := s.core.Get(table, key, ts)
+	rec, err := s.core.Get(table, key)
 	if err != nil {
 		writeStoreError(w, err)
 		return
@@ -267,93 +236,37 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, table, key st
 	writeRecord(w, "", rec)
 }
 
+// handleScan serves one page of an ordered head scan as a JSON array.
+// The page is buffered whole, so count is clamped to kvwire.ScanPageCap
+// whatever the client asks for; a client wanting more pages on from
+// just past the last key (Client.Scan does). In cluster mode the page
+// holds only records this node owns.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request, table string) {
 	q := r.URL.Query()
-	start := q.Get("start")
 	count := 100
 	if c := q.Get("count"); c != "" {
 		n, err := strconv.Atoi(c)
-		// count=-1 (unlimited) is reserved for cluster-internal scans:
-		// the migration copy must drain a whole slot in one pass.
-		if err != nil || n < -1 || (n == -1 && s.opts.Cluster == nil) {
+		if err != nil || n < 0 {
 			http.Error(w, "bad count", http.StatusBadRequest)
 			return
 		}
-		count = n
-	}
-	slot := -1
-	if sl := q.Get("slot"); sl != "" {
-		if s.opts.Cluster == nil {
-			http.Error(w, "not a cluster node", http.StatusBadRequest)
-			return
-		}
-		n, err := strconv.Atoi(sl)
-		if err != nil || n < 0 || n >= s.opts.Cluster.Map().Slots {
-			http.Error(w, "bad slot", http.StatusBadRequest)
-			return
-		}
-		slot = n
-	}
-	ts, err := asOfRequested(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if ts != 0 {
-		w.Header().Set(AsOfServedHeader, strconv.FormatInt(ts, 10))
-	}
-	// tombstones=1 (cluster-internal, as-of only) includes delete
-	// versions in the result, marked wireRecord.Deleted — the migration
-	// copy needs them so a deleted key cannot resurrect when a slot
-	// returns to a former owner. The echo header is how the migrator
-	// detects a pre-tombstone server that silently ignored the param.
-	tombstones := q.Get("tombstones") != ""
-	if tombstones {
-		if s.opts.Cluster == nil || ts == 0 {
-			http.Error(w, "tombstones requires cluster mode and an as-of ts", http.StatusBadRequest)
-			return
-		}
-		w.Header().Set(ScanTombstonesHeader, "1")
-	}
-	if s.opts.Cluster != nil {
-		// Cluster mode always filters (the core pages until count
-		// owned records are found). Scan responses echo the node's map
-		// version so routers can detect a mid-cutover fleet whose
-		// nodes filter by different maps.
-		w.Header().Set(cluster.HeaderMapVersion, strconv.FormatInt(s.opts.Cluster.Map().Version, 10))
+		count = min(n, kvwire.ScanPageCap)
 	}
 	// r.Context() dies when the client disconnects: the core checks it
-	// between engine pages, so an abandoned scan stops paging instead
-	// of draining the table for nobody.
-	kvs, err := s.core.Scan(r.Context(), table, start, count, ts, slot, tombstones)
+	// between engine pages, so an abandoned scan stops paging.
+	kvs, err := s.core.Scan(r.Context(), table, q.Get("start"), count)
 	if err != nil {
 		writeStoreError(w, err)
 		return
 	}
-	toWire := func(kv kvstore.VersionedKV) wireRecord {
-		return wireRecord{
+	out := make([]wireRecord, 0, len(kvs))
+	for _, kv := range kvs {
+		out = append(out, wireRecord{
 			Key:      kv.Key,
 			Version:  kv.Record.Version,
 			CommitTS: kv.Record.CommitTS,
-			Deleted:  kv.Record.Tombstone(),
 			Fields:   kv.Record.Fields,
-		}
-	}
-	// NDJSON-aware clients get one record per line (written as
-	// produced, no array buffering); everyone else keeps the original
-	// JSON array.
-	if strings.Contains(r.Header.Get("Accept"), NDJSONContentType) {
-		w.Header().Set("Content-Type", NDJSONContentType)
-		be := getEncoder(w)
-		for _, kv := range kvs {
-			be.enc.Encode(toWire(kv))
-		}
-		be.flushAndPut()
-		return
-	}
-	out := make([]wireRecord, 0, len(kvs))
-	for _, kv := range kvs {
-		out = append(out, toWire(kv))
+		})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
@@ -445,6 +358,35 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, table, key
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// A bufio.Writer + json.Encoder per response would dominate the GET
+// handler's steady-state garbage, so they recycle through a sync.Pool
+// (the encoder keeps its writer for life; Reset retargets it per
+// request).
+type respEncoder struct {
+	bw  *bufio.Writer
+	enc *json.Encoder
+}
+
+var respEncPool = sync.Pool{New: func() any {
+	bw := bufio.NewWriterSize(nil, 4096)
+	return &respEncoder{bw: bw, enc: json.NewEncoder(bw)}
+}}
+
+// getEncoder borrows a pooled encoder writing to w.
+func getEncoder(w io.Writer) *respEncoder {
+	be := respEncPool.Get().(*respEncoder)
+	be.bw.Reset(w)
+	return be
+}
+
+// flushAndPut sends what is buffered and returns the encoder to the
+// pool, dropping the ResponseWriter first.
+func (be *respEncoder) flushAndPut() {
+	be.bw.Flush()
+	be.bw.Reset(nil)
+	respEncPool.Put(be)
 }
 
 func writeRecord(w http.ResponseWriter, key string, rec *kvstore.VersionedRecord) {

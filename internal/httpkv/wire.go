@@ -14,89 +14,81 @@ import (
 	"ycsbt/internal/kvwire"
 )
 
-// The client side of the binary wire negotiation. Discovery costs
-// nothing: every response from a wire-capable server carries the
-// X-KV-Wire header (its binary listener address), which send() sniffs
-// in passing. Once an address is known, batch and single-record
-// operations ride the framed binary protocol; HTTP stays the path for
-// scans, streams and the management routes. Failure handling mirrors
-// the batch/as-of capability latches: a definitive protocol failure
-// (connection refused, bad handshake) latches the endpoint back to
-// HTTP permanently, while a transient error only falls back for the
-// one call.
+// One transport per endpoint, decided once. A Client is either HTTP —
+// the paper's single-key REST plus a paged scan — or frames, and it
+// never changes its mind at run time: there is no per-call fallback,
+// so a frame that fails surfaces as the transport error it is instead
+// of being re-sent some other way.
 //
-// The rawhttp.wire property steers the mode: "auto" (default) sniffs
-// the header, "off" disables the binary path, anything else is used
-// as an explicit host:port dial address.
+// The rawhttp.wire property picks: "off" is HTTP, a host:port is that
+// frame listener, and "auto" (the default) asks the server once, over
+// its control plane, whether it runs one (probeWire). Batches, as-of
+// reads, streamed scans, ingest and the migration copy exist on frames
+// only; the Router and MigrateSlot therefore require every node to
+// advertise a listener (NoWireError otherwise).
 
-// WireAddrHeader advertises the server's binary wire listener. Every
-// HTTP response from a server started with a wire listener carries it
-// (X-KV-Wire: host:port), so a client discovers the fast path from
-// responses it was already making — no extra negotiation round trip.
-// Old servers never set it; clients simply stay on HTTP.
+// WireAddrHeader advertises the server's frame listener: every HTTP
+// response from a server started with one carries X-KV-Wire: host:port.
 const WireAddrHeader = "X-KV-Wire"
 
-// WireStreamHeader advertises that the server's binary listener also
-// speaks the streaming frames (scan/ingest chunks with credit flow
-// control). Servers set it whenever they set WireAddrHeader; its
-// absence tells a new client the wire endpoint is an older
-// request/response-only build, so scans stay on HTTP.
-const WireStreamHeader = "X-KV-Wire-Stream"
-
-// WireModeOff disables the binary transport ("rawhttp.wire=off").
+// WireModeOff keeps the endpoint on HTTP ("rawhttp.wire=off").
 const WireModeOff = "off"
 
-// WireModeAuto (the default) negotiates per endpoint via the
-// X-KV-Wire response header.
+// WireModeAuto (the default) uses the frame listener the server
+// advertises, and HTTP when it advertises none.
 const WireModeAuto = "auto"
 
-// sniffWire records a server's advertised binary listener. Called on
-// every HTTP response; after the first hit it is one atomic load.
-func (c *Client) sniffWire(resp *http.Response) {
-	if c.wireMode == WireModeOff || c.caps.wireAddr.Load() != nil {
-		return
-	}
-	h := resp.Header.Get(WireAddrHeader)
-	if h == "" {
-		return
-	}
-	addr := c.resolveWireAddr(h)
-	if addr == "" {
-		return
-	}
-	if resp.Header.Get(WireStreamHeader) != "" {
-		c.caps.wireStream.Store(true)
-	}
-	c.caps.wireAddr.CompareAndSwap(nil, &addr)
+// NoWireError reports a fleet node that advertises no frame listener.
+type NoWireError struct{ Node string }
+
+func (e *NoWireError) Error() string {
+	return fmt.Sprintf("httpkv: node %s advertises no frame listener (kvserver -wire-addr)", e.Node)
 }
 
-// wireStreamEndpoint returns the binary pool when streaming frames may
-// be used on it: the endpoint advertised stream support, or the dial
-// address was configured explicitly (an operator pointing at a stream-
-// capable listener).
-func (c *Client) wireStreamEndpoint() (*kvwire.Endpoint, bool) {
-	switch c.wireMode {
-	case WireModeOff:
-		return nil, false
-	case "", WireModeAuto:
-		if !c.caps.wireStream.Load() {
-			return nil, false
-		}
+// probeWire asks the server at base, over its control plane, where its
+// frame listener is: one GET whose response headers carry the
+// advertisement. It returns "" when the server advertises none; a probe
+// that cannot reach the server is an error, never a downgrade to HTTP.
+func probeWire(ctx context.Context, hc *http.Client, base string) (string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
+	if err != nil {
+		return "", err
 	}
-	return c.wireEndpoint()
+	resp, err := hc.Do(req)
+	if err != nil {
+		return "", fmt.Errorf("httpkv: probing %s for its frame listener: %w", base, err)
+	}
+	drainClose(resp)
+	adv := resp.Header.Get(WireAddrHeader)
+	if adv == "" {
+		return "", nil
+	}
+	addr := resolveWireAddr(base, adv)
+	if addr == "" {
+		return "", fmt.Errorf("httpkv: %s advertises an unusable frame listener %q", base, adv)
+	}
+	return addr, nil
+}
+
+// openNodeWire is the probe for callers that cannot work without
+// frames (the Router, MigrateSlot): the node's endpoint, or a
+// NoWireError naming it.
+func openNodeWire(ctx context.Context, hc *http.Client, node string, conns int) (*kvwire.Endpoint, error) {
+	addr, err := probeWire(ctx, hc, node)
+	if err != nil {
+		return nil, err
+	}
+	if addr == "" {
+		return nil, &NoWireError{Node: node}
+	}
+	return kvwire.NewEndpoint(addr, conns), nil
 }
 
 // resolveWireAddr turns an advertised listener address into a dialable
 // one, filling a missing or unspecified host (":9077", "0.0.0.0:9077",
 // "[::]:9077") from the endpoint's base URL — the server knows its
 // port but not necessarily the name clients reach it by.
-func (c *Client) resolveWireAddr(adv string) string {
-	return resolveWireAddrAgainst(c.base, adv)
-}
-
-// resolveWireAddrAgainst is resolveWireAddr for callers without a
-// Client (the migrator sniffs fleet nodes by base URL).
-func resolveWireAddrAgainst(base, adv string) string {
+func resolveWireAddr(base, adv string) string {
 	host, port, err := net.SplitHostPort(adv)
 	if err != nil || port == "" {
 		return ""
@@ -114,105 +106,57 @@ func resolveWireAddrAgainst(base, adv string) string {
 	return net.JoinHostPort(host, port)
 }
 
-// wireEndpoint returns the endpoint's binary connection pool when the
-// binary path is available: an address is known (sniffed or explicit)
-// and no definitive failure has latched the endpoint back to HTTP.
-func (c *Client) wireEndpoint() (*kvwire.Endpoint, bool) {
-	if c.wireMode == WireModeOff || c.caps.wireUnsupported.Load() {
-		return nil, false
-	}
-	if ep := c.caps.wireEp.Load(); ep != nil {
-		return ep, true
-	}
-	var addr string
-	switch c.wireMode {
-	case "", WireModeAuto:
-		p := c.caps.wireAddr.Load()
-		if p == nil {
-			return nil, false
-		}
-		addr = *p
-	default:
-		addr = c.wireMode // explicit dial address
-	}
-	ep := kvwire.NewEndpoint(addr, c.wireConns)
-	if !c.caps.wireEp.CompareAndSwap(nil, ep) {
-		ep.Close()
-		ep = c.caps.wireEp.Load()
-		if ep == nil {
-			return nil, false
-		}
-	}
-	return ep, true
-}
-
-// wireExec ships ops over the binary protocol with the same 429
-// policy as sendRetry: up to c.retry429 re-sends honoring the server's
-// retry hint (doubled per attempt, capped at c.retry429Max).
-// ok=false means the caller should run the HTTP path instead — either
-// a transient connection error (this call only) or a definitive one
-// (latched; every later call skips the wire).
-func (c *Client) wireExec(ctx context.Context, ep *kvwire.Endpoint, ops []kvwire.Op) (res []kvwire.Result, err error, ok bool) {
+// exec ships ops as one request frame with the same 429 policy as
+// sendRetry: up to c.retry429 re-sends honoring the server's retry
+// hint (doubled per attempt, capped at c.retry429Max). A shed request
+// never ran, so re-sending it is safe; any other failure is returned
+// as it is — the frame may have been applied.
+func (c *Client) exec(ctx context.Context, ops []kvwire.Op) ([]kvwire.Result, error) {
 	for attempt := 0; ; attempt++ {
-		res, err = ep.Exec(ctx, ops)
+		res, err := c.wire.Exec(ctx, ops)
 		if err == nil {
 			if len(res) != len(ops) {
-				return nil, fmt.Errorf("httpkv: wire answered %d of %d items", len(res), len(ops)), true
+				return nil, fmt.Errorf("httpkv: wire answered %d of %d items", len(res), len(ops))
 			}
-			return res, nil, true
+			return res, nil
 		}
 		var re *kvwire.RequestError
-		if errors.As(err, &re) && re.Status == http.StatusTooManyRequests {
-			if attempt >= c.retry429 {
-				return nil, fmt.Errorf("%w: %s", db.ErrThrottled, re.Msg), true
+		if !errors.As(err, &re) {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
-			wait := re.RetryAfter
-			if wait <= 0 {
-				wait = 100 * time.Millisecond
-			}
-			wait <<= attempt
-			if c.retry429Max > 0 && wait > c.retry429Max {
-				wait = c.retry429Max
-			}
-			if d, ok := ctx.Deadline(); ok && time.Until(d) <= wait {
-				return nil, fmt.Errorf("%w: %s", db.ErrThrottled, re.Msg), true
-			}
-			select {
-			case <-time.After(wait):
-			case <-ctx.Done():
-				return nil, ctx.Err(), true
-			}
-			continue
+			return nil, fmt.Errorf("httpkv: %w", err)
 		}
-		if errors.As(err, &re) {
-			return nil, fmt.Errorf("httpkv: wire request failed: %d %s", re.Status, re.Msg), true
+		if re.Status != http.StatusTooManyRequests {
+			return nil, fmt.Errorf("httpkv: wire request failed: %d %s", re.Status, re.Msg)
 		}
-		if errors.Is(err, kvwire.ErrUnavailable) {
-			// Definitive: nothing (or not our protocol) listens there.
-			c.caps.wireUnsupported.Store(true)
+		wait := re.RetryAfter
+		if wait <= 0 {
+			wait = 100 * time.Millisecond
 		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err(), true
+		wait <<= attempt
+		if c.retry429Max > 0 && wait > c.retry429Max {
+			wait = c.retry429Max
 		}
-		return nil, err, false
+		if d, ok := ctx.Deadline(); attempt >= c.retry429 || (ok && time.Until(d) <= wait) {
+			return nil, fmt.Errorf("%w: %s", db.ErrThrottled, re.Msg)
+		}
+		select {
+		case <-time.After(wait):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 }
 
-// wireSingle runs one op over the binary protocol. ok=false means
-// "use HTTP" (no wire endpoint, or a fallback-worthy failure).
-func (c *Client) wireSingle(ctx context.Context, op kvwire.Op) (kvwire.Result, bool, error) {
-	ep, ok := c.wireEndpoint()
-	if !ok {
-		return kvwire.Result{}, false, nil
-	}
-	res, err, served := c.wireExec(ctx, ep, []kvwire.Op{op})
-	if !served {
-		return kvwire.Result{}, false, nil
-	}
+// execOne runs one op over frames and maps a non-2xx result to the
+// db-layer error.
+func (c *Client) execOne(ctx context.Context, op kvwire.Op) (kvwire.Result, error) {
+	res, err := c.exec(ctx, []kvwire.Op{op})
 	if err != nil {
-		return kvwire.Result{}, true, err
+		return kvwire.Result{}, err
 	}
-	return res[0], true, nil
+	return res[0], wireResultErr(res[0])
 }
 
 // wireResultErr maps a non-2xx wire result to the same db-layer error

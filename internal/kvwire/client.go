@@ -28,9 +28,10 @@ type Endpoint struct {
 	closed bool
 }
 
-// ErrUnavailable reports a definitive protocol failure — connection
-// refused, magic mismatch — the kind a caller should latch an HTTP
-// fallback on, as opposed to a transient I/O error worth retrying.
+// ErrUnavailable reports that no request was sent: the dial was refused
+// or the peer does not speak the protocol (magic mismatch). Any other
+// error from Exec may have left a request on the wire, so a mutation's
+// outcome is unknown and it must not be blindly re-sent.
 var ErrUnavailable = errors.New("kvwire: endpoint unavailable")
 
 // RequestError is a whole-request error frame (admission shed,
@@ -148,7 +149,7 @@ func (e *Endpoint) pick(ctx context.Context) (*clientConn, error) {
 }
 
 // dial opens and handshakes one connection. Refused connections and
-// bad magic are ErrUnavailable — the latch-fallback signal.
+// bad magic are ErrUnavailable.
 func (e *Endpoint) dial(ctx context.Context) (*clientConn, error) {
 	d := net.Dialer{Timeout: e.dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", e.addr)

@@ -1,16 +1,15 @@
-// Package kvwire is the transport-neutral request core of the
-// key-value server: every front end — the HTTP/NDJSON protocol in
-// internal/httpkv, the framed binary protocol in this package — parses
-// its wire format into []Op, hands the slice to Core, and renders the
-// positional []Result back out. Dispatch, validation, batch
-// run-splitting, as-of grouping, cluster slot gating (MovedError),
-// per-request deadlines and the batch admission limit all live here,
-// once, so a new transport is only a codec plus a listener.
+// Package kvwire is the request core of the key-value server and its
+// framed binary protocol. The frame listener in this package decodes
+// request frames into []Op, hands the slice to Core, and renders the
+// positional []Result back out; the single-op REST routes in
+// internal/httpkv call the same Core one operation at a time. Dispatch,
+// validation, batch run-splitting, as-of grouping, cluster slot gating
+// (MovedError), per-request deadlines and the batch admission limit all
+// live here, once.
 //
 // Result statuses use the HTTP status space (200/204/400/404/410/412/
-// 429/500/503/504): the NDJSON /v1/batch protocol already committed to
-// it on the wire, and sharing it keeps the two transports'
-// error-mapping tables identical.
+// 429/500/503/504), so the REST routes and the frames share one
+// error-mapping table.
 package kvwire
 
 import (
@@ -91,6 +90,9 @@ type Core struct {
 	// Nil (no-op) unless Instrument was called.
 	scanEngineRecords *obs.Counter
 	scanRecords       *obs.Counter
+	// batchItems is the size of every executed batch (a request frame's
+	// ops); nil like the counters above.
+	batchItems *obs.Histogram
 }
 
 // NewCore builds a core over store. cs may be nil (single-node mode);
@@ -103,18 +105,20 @@ func NewCore(store kvstore.Engine, cs *cluster.State, maxInflightBatches int) *C
 	return c
 }
 
-// Instrument registers the core's scan counters on reg, next to the
-// wire server's kvwire_scan_chunks_total. They live on the core, not
-// on a front end, because the paging loop is shared: a scan counts
-// whether the wire or the HTTP server asked for it, and a node without
-// a wire listener exports them too. Call it where the core is built,
-// before any front end serves from it; a nil reg leaves the counters
-// off.
+// Instrument registers the core's scan counters and batch-size
+// histogram on reg, next to the wire server's kvwire_scan_chunks_total.
+// They live on the core, not on a front end, because the paging loop is
+// shared: a scan counts whether the wire or the HTTP server asked for
+// it, and a node without a wire listener exports them too. Call it
+// where the core is built, before any front end serves from it; a nil
+// reg leaves them off.
 func (c *Core) Instrument(reg *obs.Registry) {
 	reg.Help("kvwire_scan_engine_records_total", "Records engine scan calls returned to serve scans (before the ownership filter and the count cut).")
 	reg.Help("kvwire_scan_records_total", "Records scans handed to a front end (after the filter and the cut); engine records over these is the node's scan over-fetch.")
 	c.scanEngineRecords = reg.Counter("kvwire_scan_engine_records_total")
 	c.scanRecords = reg.Counter("kvwire_scan_records_total")
+	reg.Help("httpkv_batch_items", "Operations per executed batch (one request frame).")
+	c.batchItems = reg.Histogram("httpkv_batch_items", obs.CountBuckets)
 }
 
 // Store exposes the engine (front-end routes that bypass the op model:
@@ -167,14 +171,10 @@ func (c *Core) EnterWrite(key string) (release func(), err error) {
 	return release, nil
 }
 
-// Get serves one gated read, from the head or (ts > 0) the version
-// history.
-func (c *Core) Get(table, key string, ts int64) (*kvstore.VersionedRecord, error) {
+// Get serves one gated head read.
+func (c *Core) Get(table, key string) (*kvstore.VersionedRecord, error) {
 	if err := c.GateRead(key); err != nil {
 		return nil, err
-	}
-	if ts != 0 {
-		return c.store.GetAsOf(table, key, ts)
 	}
 	return c.store.Get(table, key)
 }
@@ -220,17 +220,15 @@ func (c *Core) SnapshotTS() int64 { return c.store.SnapshotTS() }
 // count=1024 costs until the records actually arrive.
 const ScanPageCap = 1024
 
-// Scan serves one ordered scan. In cluster mode the result is always
-// filtered — owned slots by default, exactly slot when slot ≥ 0 (the
-// migration copy path) — and pages through the engine until count
-// filtered records are found, so a routed scan is never silently
-// short. tombstones (cluster + as-of only, validated by the front
-// end) includes delete versions so a migration copy carries deletes.
-// ctx is checked between engine pages, so a scan whose client has
-// gone away stops paging instead of draining the table for nobody.
-func (c *Core) Scan(ctx context.Context, table, start string, count int, ts int64, slot int, tombstones bool) ([]kvstore.VersionedKV, error) {
+// Scan serves one ordered head scan of at most count records, buffered
+// whole — the REST route's page; callers bound count. In cluster mode
+// the result is filtered to the slots this node owns and pages through
+// the engine until count owned records are found, so a page is never
+// silently short. ctx is checked between engine pages, so a scan whose
+// client has gone away stops paging.
+func (c *Core) Scan(ctx context.Context, table, start string, count int) ([]kvstore.VersionedKV, error) {
 	var out []kvstore.VersionedKV
-	err := c.scanPages(ctx, table, start, count, ts, slot, tombstones, func(kv kvstore.VersionedKV) error {
+	err := c.scanPages(ctx, table, start, count, 0, -1, false, func(kv kvstore.VersionedKV) error {
 		out = append(out, kv)
 		return nil
 	}, nil)
@@ -241,9 +239,12 @@ func (c *Core) Scan(ctx context.Context, table, start string, count int, ts int6
 }
 
 // scanPages is the shared paging loop under Scan and StreamScan: it
-// pages through the engine, applies the cluster slot/ownership filter,
-// and hands every kept record to emit until count records are emitted,
-// the table is exhausted, ctx is done, or emit returns an error.
+// pages through the engine, applies the cluster filter — owned slots by
+// default, exactly slot when slot ≥ 0 (the migration copy) — and hands
+// every kept record to emit until count records are emitted, the table
+// is exhausted, ctx is done, or emit returns an error. tombstones
+// (cluster + as-of only, see ValidateScan) includes delete versions so
+// a migration copy carries deletes.
 //
 // The request's count bounds what is read, not just what is returned:
 // the first page asks the engine for count records (a node stores the
@@ -368,8 +369,7 @@ func (e *StreamError) Error() string {
 	return fmt.Sprintf("kvwire: stream failed: %d %s", e.Status, e.Msg)
 }
 
-// ValidateScan applies the front ends' shared scan-parameter rules
-// (the same checks the HTTP route enforces with 400s).
+// ValidateScan applies the scan-request parameter rules.
 func (c *Core) ValidateScan(req *ScanRequest) *StreamError {
 	if req.Count < -1 || (req.Count == -1 && c.cluster == nil) {
 		return &StreamError{Status: http.StatusBadRequest, Msg: "bad count"}
@@ -470,10 +470,10 @@ func (c *Core) StreamScan(ctx context.Context, req *ScanRequest, admit func() er
 
 // StreamIngest merges streamed record chunks into table, preserving
 // versions and commit timestamps. next returns one decoded chunk at a
-// time (nil, nil at end of stream); the records land through the same
-// Engine.Ingest the HTTP route uses, chunk by chunk, so server memory
-// is bounded by the chunk size regardless of how much one migration
-// moves. Returns the total records ingested.
+// time (nil, nil at end of stream); the records land through
+// Engine.Ingest chunk by chunk, so server memory is bounded by the
+// chunk size regardless of how much one migration moves. Returns the
+// total records ingested.
 func (c *Core) StreamIngest(ctx context.Context, table string, next func() ([]kvstore.BulkKV, error)) (uint64, error) {
 	var total uint64
 	for {
@@ -516,6 +516,7 @@ func (c *Core) ExecBatch(ctx context.Context, ops []Op) []Result {
 // ExecBatchInto is ExecBatch writing into a caller-owned result slice
 // (len(out) must equal len(ops)) so hot transports can pool it.
 func (c *Core) ExecBatchInto(ctx context.Context, ops []Op, out []Result) {
+	c.batchItems.Observe(float64(len(ops)))
 	for lo := 0; lo < len(ops); {
 		hi := lo + 1
 		for hi < len(ops) && (ops[hi].Kind == KindGet) == (ops[lo].Kind == KindGet) {

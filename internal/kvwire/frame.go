@@ -27,10 +27,9 @@ import (
 // raw bytes; there is no text anywhere on the hot path.
 //
 // An error frame answers a request that failed as a whole (admission
-// shed 429, oversized batch 400) — per-item failures are ordinary
-// results with non-2xx statuses, exactly like /v1/batch. A peer that
-// cannot parse a frame at all must close the connection: framing is
-// the only resync point.
+// shed 429, empty batch 400) — per-item failures are ordinary results
+// with non-2xx statuses. A peer that cannot parse a frame at all must
+// close the connection: framing is the only resync point.
 
 // Magic opens every connection, both directions. The trailing '1' is
 // the protocol version.
@@ -48,7 +47,8 @@ const (
 // hostile or corrupt peer cannot make the server reserve gigabytes.
 const MaxFramePayload = 16 << 20
 
-// MaxOpsPerFrame mirrors the HTTP front end's maxBatchItems cap.
+// MaxOpsPerFrame bounds one request frame's ops independently of its
+// payload bytes.
 const MaxOpsPerFrame = 4096
 
 // maxFieldsPerOp bounds the per-record field map claimed by a frame.

@@ -71,13 +71,13 @@ func newClusterCore(t *testing.T, n int) (*Core, *pageRecorder, []string) {
 
 func scanKeys(t *testing.T, core *Core, start string, count, slot int) []string {
 	t.Helper()
-	kvs, err := core.Scan(context.Background(), "t", start, count, 0, slot, false)
+	var keys []string
+	err := core.scanPages(context.Background(), "t", start, count, 0, slot, false, func(kv kvstore.VersionedKV) error {
+		keys = append(keys, kv.Key)
+		return nil
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	keys := make([]string, len(kvs))
-	for i, kv := range kvs {
-		keys[i] = kv.Key
 	}
 	return keys
 }
@@ -195,7 +195,7 @@ func TestScanCountersExposeOverfetch(t *testing.T) {
 		t.Fatalf("engine records / emitted records = %.2f, want <= 4", ratio)
 	}
 	// The HTTP front end's scans run the same loop and count too.
-	if _, err := core.Scan(context.Background(), "t", "", 10, 0, -1, false); err != nil {
+	if _, err := core.Scan(context.Background(), "t", "", 10); err != nil {
 		t.Fatal(err)
 	}
 	if got := emitted.Value(); got != 2010 {

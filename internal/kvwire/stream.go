@@ -72,8 +72,7 @@ const (
 // round trip, small enough that an abandoned stream strands little.
 const DefaultStreamWindow = 4
 
-// ScanRequest names one streaming scan: the same parameter surface as
-// the HTTP scan route (and Core.Scan). Count < 0 means unlimited
+// ScanRequest names one streaming scan. Count < 0 means unlimited
 // (cluster-internal drains), Slot < 0 means no slot filter.
 type ScanRequest struct {
 	Table      string

@@ -1,34 +1,30 @@
 // End-to-end benchmark for streamed scans and framed migration: the
-// BENCH_scan.json acceptance cells. Scan1k pits the HTTP/NDJSON scan
-// path against credit-gated chunk frames at 32 client threads on
-// 1000-record scans (the wire cell must clear 2x); MigrateSlot times
-// the wall clock of moving one populated slot between two live nodes
-// with the copy riding HTTP versus scan/ingest frames.
+// BENCH_scan.json cells. Scan1k is 32 client threads on 1000-record
+// scans over credit-gated chunk frames; MigrateSlot times the wall
+// clock of moving one populated slot between two live nodes with the
+// copy riding scan/ingest frames. EXPERIMENTS.md "Single data plane"
+// stores the ratios against the HTTP/NDJSON paths these replaced.
 package ycsbt_test
 
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
 	"ycsbt/internal/httpkv"
-	"ycsbt/internal/kvstore"
-	"ycsbt/internal/kvwire"
 	"ycsbt/internal/properties"
 )
 
-// scanTransportCell times 32 client threads each pulling 1000-record
-// scan pages over one transport. The records/s metric is the headline:
-// scans move orders of magnitude more payload per request than point
-// ops, so per-record encode/decode cost dominates.
-func scanTransportCell(b *testing.B, mode string) {
-	store, url := startWireKVServer(b)
+// scanCell times 32 client threads each pulling 1000-record scans. The
+// records/s metric is the headline: scans move orders of magnitude
+// more payload per request than point ops, so per-record encode/decode
+// cost dominates.
+func scanCell(b *testing.B) {
+	store, url := startKVServer(b, 0)
 	val := make([]byte, 100)
 	for i := 0; i < 2000; i++ {
 		if _, err := store.Put("usertable", fmt.Sprintf("user%05d", i), map[string][]byte{"field0": val}); err != nil {
@@ -36,14 +32,12 @@ func scanTransportCell(b *testing.B, mode string) {
 		}
 	}
 	c := httpkv.NewClient(url, nil)
-	p := properties.New()
-	p.Set("rawhttp.wire", mode)
-	if err := c.Init(p); err != nil {
+	if err := c.Init(properties.New()); err != nil {
 		b.Fatal(err)
 	}
 	defer c.Cleanup()
 	ctx := context.Background()
-	// Prime the pool and the capability sniff outside the timed region.
+	// Prime the pool outside the timed region.
 	if kvs, err := c.Scan(ctx, "usertable", "user00000", 1000, nil); err != nil || len(kvs) != 1000 {
 		b.Fatalf("prime scan: %d records, err=%v", len(kvs), err)
 	}
@@ -65,98 +59,30 @@ func scanTransportCell(b *testing.B, mode string) {
 	b.ReportMetric(float64(recs.Load())/time.Since(start).Seconds(), "scan_recs/s")
 }
 
-// clusterPairNode is one of the two live nodes under the migration
-// cells: full HTTP front end plus a stream-capable binary listener.
-type clusterPairNode struct {
-	url   string
-	store *kvstore.Store
-}
-
-// startClusterPair boots two cluster-mode nodes sharing one shard map,
-// each advertising a streaming binary listener.
-func startClusterPair(b *testing.B, slots int) ([2]clusterPairNode, *cluster.Map) {
-	b.Helper()
-	var lns [2]net.Listener
-	var urls []string
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		lns[i] = ln
-		urls = append(urls, "http://"+ln.Addr().String())
-	}
-	m, err := cluster.NewUniform(cluster.PlacementHash, slots, urls, nil)
+// migrateCell times moving one populated slot back and forth between
+// two nodes. Migrating the same slot alternately in each direction
+// keeps every iteration's payload identical without reseeding.
+func migrateCell(b *testing.B) {
+	nodes, m := startFleet(b, 2, 8, nil)
+	ctx := context.Background()
+	hc := &http.Client{}
+	r, err := httpkv.NewRouter(nodeURLs(nodes), hc, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var nodes [2]clusterPairNode
-	for i := range lns {
-		store, err := kvstore.Open(kvstore.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		state, err := cluster.NewState(urls[i], m, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		core := kvwire.NewCore(store, state, 0)
-		wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws := kvwire.NewServer(core, kvwire.ServerOptions{})
-		go ws.Serve(wireLn)
-		srv := &http.Server{Handler: httpkv.NewServerWithOptions(store, httpkv.ServerOptions{
-			Cluster:  state,
-			Core:     core,
-			WireAddr: wireLn.Addr().String(),
-		})}
-		go srv.Serve(lns[i])
-		b.Cleanup(func() {
-			srv.Close()
-			ws.Close()
-			store.Close()
-		})
-		nodes[i] = clusterPairNode{url: urls[i], store: store}
-	}
-	return nodes, m
-}
-
-// migrateCell times moving one populated slot back and forth between
-// two nodes, copy path pinned by disableWire. Migrating the same slot
-// alternately in each direction keeps every iteration's payload
-// identical without reseeding.
-func migrateCell(b *testing.B, disableWire bool) {
-	nodes, m := startClusterPair(b, 8)
-	ctx := context.Background()
-	hc := &http.Client{}
-	ca := httpkv.NewClient(nodes[0].url, hc)
-	cb := httpkv.NewClient(nodes[1].url, hc)
-	// Seed the key space through each key's owner in batch envelopes.
+	defer r.Cleanup()
+	// Seed the key space through the router.
 	val := make([]byte, 100)
-	byOwner := map[string][]db.BatchOp{}
-	for i := 0; i < 4096; i++ {
-		k := fmt.Sprintf("user%05d", i)
-		owner, _ := m.Owner(k)
-		byOwner[owner] = append(byOwner[owner], db.BatchOp{
-			Op: db.OpInsert, Table: "usertable", Key: k,
+	ops := make([]db.BatchOp, 4096)
+	for i := range ops {
+		ops[i] = db.BatchOp{
+			Op: db.OpInsert, Table: "usertable", Key: fmt.Sprintf("user%05d", i),
 			Values: map[string][]byte{"field0": val},
-		})
-	}
-	for owner, ops := range byOwner {
-		c := ca
-		if owner == nodes[1].url {
-			c = cb
 		}
-		for len(ops) > 0 {
-			n := min(256, len(ops))
-			for _, r := range c.ExecBatch(ctx, ops[:n]) {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-			ops = ops[n:]
+	}
+	for _, res := range r.ExecBatch(ctx, ops) {
+		if res.Err != nil {
+			b.Fatal(res.Err)
 		}
 	}
 	// Migrate a slot node 0 owns; ~1/8 of the keys ride along.
@@ -173,7 +99,7 @@ func migrateCell(b *testing.B, disableWire bool) {
 	dests := [2]string{nodes[1].url, nodes[0].url}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		next, err := httpkv.MigrateSlotOpts(ctx, hc, m, slot, dests[i%2], httpkv.MigrateOptions{DisableWire: disableWire})
+		next, err := httpkv.MigrateSlot(ctx, hc, m, slot, dests[i%2])
 		if err != nil {
 			b.Fatalf("migration %d: %v", i, err)
 		}
@@ -181,17 +107,12 @@ func migrateCell(b *testing.B, disableWire bool) {
 	}
 }
 
-// BenchmarkScanWireVsHTTP is the streaming acceptance benchmark. The
-// Scan1k wire cell carries the 2x bound over HTTP/NDJSON: on the HTTP
-// path every record is JSON-encoded, chunked-transfer framed, then
-// JSON-decoded; chunk frames replace all three with length-prefixed
-// binary that the client decodes into pooled buffers. MigrateSlot
-// shows the same machinery moving a live slot: the framed copy streams
-// version-preserving records straight into the destination engine
-// instead of re-putting them one HTTP batch at a time.
-func BenchmarkScanWireVsHTTP(b *testing.B) {
-	b.Run("Scan1k/HTTP", func(b *testing.B) { scanTransportCell(b, httpkv.WireModeOff) })
-	b.Run("Scan1k/Wire", func(b *testing.B) { scanTransportCell(b, httpkv.WireModeAuto) })
-	b.Run("MigrateSlot/HTTP", func(b *testing.B) { migrateCell(b, true) })
-	b.Run("MigrateSlot/Wire", func(b *testing.B) { migrateCell(b, false) })
+// BenchmarkWireScan is the streaming benchmark: chunk frames carry
+// length-prefixed binary records that the client decodes into pooled
+// buffers, and MigrateSlot shows the same machinery moving a live slot
+// — the framed copy streams version-preserving records straight into
+// the destination engine.
+func BenchmarkWireScan(b *testing.B) {
+	b.Run("Scan1k", scanCell)
+	b.Run("MigrateSlot", migrateCell)
 }

@@ -15,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
-	"net/http"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -24,84 +22,16 @@ import (
 	"testing"
 	"time"
 
-	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
 	"ycsbt/internal/history"
 	"ycsbt/internal/httpkv"
-	"ycsbt/internal/kvstore"
-	"ycsbt/internal/kvwire"
-	"ycsbt/internal/obs"
 	"ycsbt/internal/txn"
 )
 
-// wireNode is one in-process cluster node: what the test needs to look
-// inside it afterwards.
-type wireNode struct {
-	url   string
-	store *kvstore.Store
-	reg   *obs.Registry
-}
-
-// startWireFleet boots n cluster nodes in this process the way
-// cmd/kvserver wires them — engine, shared Core, wire listener, HTTP
-// surface advertising the wire address — under one uniform shard map.
-// Every listener is held from the moment its port is chosen, so unlike
-// the spawned-process helper there is no window for a port to be
-// taken twice.
-func startWireFleet(t *testing.T, n, slots int) []*wireNode {
-	t.Helper()
-	lns := make([]net.Listener, n)
-	urls := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	m, err := cluster.NewUniform(cluster.PlacementHash, slots, urls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]*wireNode, n)
-	for i, ln := range lns {
-		nd := &wireNode{url: urls[i], reg: obs.NewRegistry()}
-		if nd.store, err = kvstore.Open(kvstore.Options{Shards: 2}); err != nil {
-			t.Fatal(err)
-		}
-		cs, err := cluster.NewState(urls[i], m, nd.reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		core := kvwire.NewCore(nd.store, cs, 0)
-		wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wireSrv := kvwire.NewServer(core, kvwire.ServerOptions{Metrics: nd.reg})
-		go wireSrv.Serve(wireLn)
-		httpSrv := &http.Server{Handler: httpkv.NewServerWithOptions(nd.store, httpkv.ServerOptions{
-			Metrics:  nd.reg,
-			Cluster:  cs,
-			Core:     core,
-			WireAddr: wireLn.Addr().String(),
-		})}
-		go httpSrv.Serve(ln)
-		t.Cleanup(func() { httpSrv.Close(); wireSrv.Close(); nd.store.Close() })
-		nodes[i] = nd
-	}
-	return nodes
-}
-
 func TestClusterTransfersUnderContentionBalance(t *testing.T) {
 	ctx := context.Background()
-	nodes := startWireFleet(t, 3, 12)
-	urls := make([]string, len(nodes))
-	for i, nd := range nodes {
-		urls[i] = nd.url
-	}
-	router, err := httpkv.NewRouter(urls, nil, nil)
+	nodes, _ := startFleet(t, 3, 12, nil)
+	router, err := httpkv.NewRouter(nodeURLs(nodes), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,64 +1,37 @@
-// End-to-end exercises of the framed binary protocol: the batch
-// workload over the rawhttp binding with the transport pinned to HTTP
-// versus negotiated binary (the BENCH_wire.json old-vs-new cell), and
-// a fidelity check that both transports land identical records.
+// End-to-end exercises of the framed binary protocol: the transport's
+// ops/s ceiling on 16-op request frames (the BENCH_wire.json cells;
+// EXPERIMENTS.md "Single data plane" stores the ratios against the
+// HTTP/NDJSON batch route these frames replaced), and a fidelity check
+// that a load lands identical records on either transport.
 package ycsbt_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"os/exec"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ycsbt/internal/client"
+	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
 	"ycsbt/internal/httpkv"
 	"ycsbt/internal/kvstore"
-	"ycsbt/internal/kvwire"
 	"ycsbt/internal/measurement"
 	"ycsbt/internal/properties"
 	"ycsbt/internal/workload"
 )
 
-// startWireKVServer serves a fresh in-memory store over loopback with
-// both front ends live — HTTP advertising the binary listener — so a
-// client can take either path from the same property file.
-func startWireKVServer(tb testing.TB) (*kvstore.Store, string) {
-	tb.Helper()
-	inner, err := kvstore.Open(kvstore.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	core := kvwire.NewCore(inner, nil, 0)
-	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	wireSrv := kvwire.NewServer(core, kvwire.ServerOptions{})
-	go wireSrv.Serve(wireLn)
-	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	srv := &http.Server{Handler: httpkv.NewServerWithOptions(inner, httpkv.ServerOptions{
-		Core:     core,
-		WireAddr: wireLn.Addr().String(),
-	})}
-	go srv.Serve(httpLn)
-	tb.Cleanup(func() {
-		srv.Close()
-		wireSrv.Close()
-		inner.Close()
-	})
-	return inner, "http://" + httpLn.Addr().String()
-}
-
 // wireLoadCell runs one batched load phase (the batch workload: pure
-// inserts coalesced into 16-op envelopes across 32 client threads)
-// over the rawhttp binding with the transport pinned by wireMode, and
+// inserts coalesced into 16-op batches across 32 client threads) over
+// the rawhttp binding with the transport set by wireMode — one request
+// frame per batch, or with the wire off one REST call per insert — and
 // returns its throughput.
 func wireLoadCell(tb testing.TB, url string, records int64, wireMode string) float64 {
 	tb.Helper()
@@ -82,6 +55,9 @@ func wireLoadCell(tb testing.TB, url string, records int64, wireMode string) flo
 		tb.Fatal(err)
 	}
 	raw := httpkv.NewClient(url, nil)
+	if err := raw.Init(p); err != nil {
+		tb.Fatal(err)
+	}
 	cfg := client.BuildConfig(p)
 	cfg.SkipValidation = true
 	c, err := client.New(cfg, w, raw, reg)
@@ -95,24 +71,20 @@ func wireLoadCell(tb testing.TB, url string, records int64, wireMode string) flo
 	return res.Throughput
 }
 
-// transportCell times 32 client threads shipping 16-op batch
-// envelopes over one transport, with no workload harness in the way:
-// the transport's ops/s ceiling, which is what bounds every rawhttp
-// figure once the engine stops being the bottleneck. mkOps fills the
-// envelope for sequence number n.
-func transportCell(b *testing.B, url, mode string, mkOps func(n int64, ops []db.BatchOp)) {
+// transportCell times 32 client threads shipping 16-op request frames,
+// with no workload harness in the way: the transport's ops/s ceiling,
+// which is what bounds every rawhttp figure once the engine stops
+// being the bottleneck. mkOps fills the batch for sequence number n.
+func transportCell(b *testing.B, url string, mkOps func(n int64, ops []db.BatchOp)) {
 	b.Helper()
 	c := httpkv.NewClient(url, nil)
-	p := properties.New()
-	p.Set("rawhttp.wire", mode)
-	if err := c.Init(p); err != nil {
+	if err := c.Init(properties.New()); err != nil {
 		b.Fatal(err)
 	}
 	defer c.Cleanup()
 	ctx := context.Background()
-	// Prime the connection pool and (in auto mode) sniff the binary
-	// advertisement so the timed region measures steady state, not
-	// negotiation.
+	// Prime the connection pool so the timed region measures steady
+	// state, not dialling.
 	if err := c.Insert(ctx, "usertable", "prime", map[string][]byte{"field0": []byte("x")}); err != nil {
 		b.Fatal(err)
 	}
@@ -136,63 +108,53 @@ func transportCell(b *testing.B, url, mode string, mkOps func(n int64, ops []db.
 	b.ReportMetric(float64(opsDone.Load())/time.Since(start).Seconds(), "tput_ops/s")
 }
 
-// BenchmarkWireVsHTTP is the protocol acceptance benchmark: the batch
-// workload at 32 client threads over HTTP/NDJSON (rawhttp.wire=off —
-// the PR-7 transport) versus the negotiated framed binary protocol.
-// The Read cells carry the ≥2x acceptance bound: on read envelopes
-// the per-result JSON field encode/decode and HTTP/1.1 request
-// machinery are the whole per-op cost, and the frames eliminate them.
-// The Insert cells ride along for visibility — there the engine's
-// write path (version chains, shard locks) is the same on both sides,
-// so the transport win shows up but compresses.
-func BenchmarkWireVsHTTP(b *testing.B) {
+// BenchmarkWireTransport is the protocol benchmark: the batch workload
+// at 32 client threads over request frames. On read batches the
+// per-result field encode/decode is the whole per-op cost; on inserts
+// the engine's write path (version chains, shard locks) shares it.
+func BenchmarkWireTransport(b *testing.B) {
 	val := make([]byte, 100)
-	for _, cell := range []struct{ name, mode string }{
-		{"HTTP", httpkv.WireModeOff},
-		{"Wire", httpkv.WireModeAuto},
-	} {
-		b.Run("Read/"+cell.name, func(b *testing.B) {
-			store, url := startWireKVServer(b)
-			for i := 0; i < 1000; i++ {
-				if _, err := store.Put("usertable", fmt.Sprintf("user%04d", i), map[string][]byte{"field0": val}); err != nil {
-					b.Fatal(err)
+	b.Run("Read", func(b *testing.B) {
+		store, url := startKVServer(b, 0)
+		for i := 0; i < 1000; i++ {
+			if _, err := store.Put("usertable", fmt.Sprintf("user%04d", i), map[string][]byte{"field0": val}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		transportCell(b, url, func(n int64, ops []db.BatchOp) {
+			for j := range ops {
+				ops[j] = db.BatchOp{
+					Op: db.OpRead, Table: "usertable",
+					Key: fmt.Sprintf("user%04d", (int(n)+j)%1000),
 				}
 			}
-			transportCell(b, url, cell.mode, func(n int64, ops []db.BatchOp) {
-				for j := range ops {
-					ops[j] = db.BatchOp{
-						Op: db.OpRead, Table: "usertable",
-						Key: fmt.Sprintf("user%04d", (int(n)+j)%1000),
-					}
-				}
-			})
 		})
-		b.Run("Insert/"+cell.name, func(b *testing.B) {
-			_, url := startWireKVServer(b)
-			transportCell(b, url, cell.mode, func(n int64, ops []db.BatchOp) {
-				for j := range ops {
-					ops[j] = db.BatchOp{
-						Op: db.OpInsert, Table: "usertable",
-						Key:    fmt.Sprintf("user%08d-%02d", n, j),
-						Values: map[string][]byte{"field0": val},
-					}
+	})
+	b.Run("Insert", func(b *testing.B) {
+		_, url := startKVServer(b, 0)
+		transportCell(b, url, func(n int64, ops []db.BatchOp) {
+			for j := range ops {
+				ops[j] = db.BatchOp{
+					Op: db.OpInsert, Table: "usertable",
+					Key:    fmt.Sprintf("user%08d-%02d", n, j),
+					Values: map[string][]byte{"field0": val},
 				}
-			})
+			}
 		})
-	}
+	})
 }
 
 // TestWireLoadFidelity checks the binary transport on two axes: it
-// lands exactly the records the HTTP transport lands, and the server
-// stays consistent when a client switches transports mid-stream.
+// lands exactly the records the HTTP transport lands, and what was
+// written over frames reads back over HTTP.
 func TestWireLoadFidelity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive e2e cell")
 	}
 	const records = 1200
-	httpStore, httpURL := startWireKVServer(t)
+	httpStore, httpURL := startKVServer(t, 0)
 	wireLoadCell(t, httpURL, records, httpkv.WireModeOff)
-	wireStore, wireURL := startWireKVServer(t)
+	wireStore, wireURL := startKVServer(t, 0)
 	wireLoadCell(t, wireURL, records, httpkv.WireModeAuto)
 
 	if n := wireStore.Len("usertable"); n != records {
@@ -219,5 +181,89 @@ func TestWireLoadFidelity(t *testing.T) {
 		if serr != nil || len(kvs) == 0 {
 			t.Fatalf("read-back over HTTP of binary-written data: %v / scan %v", err, serr)
 		}
+	}
+}
+
+// Batches, as-of reads, routed scans and migration exist on frames
+// only, so each place that would need a frame listener and finds none
+// says so at once, by name, instead of degrading.
+func TestMissingFrameListenerFailsLoud(t *testing.T) {
+	// Two cluster nodes and a standalone node that serve HTTP only.
+	store, err := kvstore.Open(kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	lns := []net.Listener{listenLoopback(t), listenLoopback(t)}
+	urls := []string{"http://" + lns[0].Addr().String(), "http://" + lns[1].Addr().String()}
+	m, err := cluster.NewUniform(cluster.PlacementHash, 4, urls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ln := range lns {
+		cs, err := cluster.NewState(urls[i], m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := &http.Server{Handler: httpkv.NewServerWithOptions(store, httpkv.ServerOptions{Cluster: cs})}
+		go srv.Serve(ln)
+		defer srv.Close()
+	}
+	plain := httptest.NewServer(httpkv.NewServer(store))
+	defer plain.Close()
+	noWire := func(err error, node string) error {
+		var nw *httpkv.NoWireError
+		if err != nil && (!errors.As(err, &nw) || nw.Node != node) {
+			return fmt.Errorf("not a NoWireError naming %s: %w", node, err)
+		}
+		return err
+	}
+
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string // the error names what is missing
+	}{
+		{"kvserver -cluster-node-id without -wire-addr", func() error {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, buildKVServer(t),
+				"-addr", "127.0.0.1:0", "-cluster-node-id", urls[0], "-peers", urls[0]).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				return fmt.Errorf("kvserver did not exit 1: %v\n%s", err, out)
+			}
+			if lines := strings.Count(strings.TrimSpace(string(out)), "\n") + 1; lines != 1 {
+				return fmt.Errorf("kvserver printed %d lines, want one:\n%s", lines, out)
+			}
+			return errors.New(string(out))
+		}, "-wire-addr"},
+		{"router over a node that advertises no listener", func() error {
+			_, err := httpkv.NewRouter(urls[1:], nil, nil)
+			return noWire(err, urls[0])
+		}, urls[0]},
+		{"migration from a node that advertises no listener", func() error {
+			_, err := httpkv.MigrateSlot(context.Background(), nil, m, m.SlotsOf(urls[1])[0], urls[0])
+			return noWire(err, urls[1])
+		}, urls[1]},
+		{"rawhttp as_of on an HTTP endpoint", func() error {
+			c := httpkv.NewClient(plain.URL, nil)
+			defer c.Cleanup()
+			err := c.Init(properties.FromMap(map[string]string{"as_of": "-1"}))
+			if err != nil && !errors.Is(err, db.ErrNotSupported) {
+				return fmt.Errorf("not ErrNotSupported: %w", err)
+			}
+			return err
+		}, plain.URL},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			if err == nil {
+				t.Fatal("succeeded")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error does not mention %q: %v", tc.want, err)
+			}
+		})
 	}
 }
