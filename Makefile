@@ -49,7 +49,11 @@ bench:
 # frames at 32 client threads) and BENCH_scan.json (1000-record scan
 # streams and the framed slot migration) so all regressions are
 # visible per run. BENCH_history.json carries the history-capture
-# overhead cells (CaptureOn vs CaptureOff; budget ≤5%).
+# overhead cells (CaptureOn vs CaptureOff; budget ≤5%). BENCH_codec.json
+# carries the field-section micro-cells kept beside the code: response
+# and chunk decode as a connection's read loop runs them, chunk encode
+# from engine records, and Store.Scan / Put on the benchmark's record
+# (parent's numbers: EXPERIMENTS.md "Encode once").
 bench-quick:
 	$(GO) test -run xx -bench BenchmarkBatchVsSingle -benchtime 3x -json . | tee BENCH_batch.json
 	$(GO) test -run xx -bench 'BenchmarkReadHeavy|BenchmarkGetScanParallel' -benchtime 300ms -cpu 4 -json ./internal/kvstore/ | tee BENCH_read.json
@@ -58,6 +62,8 @@ bench-quick:
 	$(GO) test -run xx -bench BenchmarkWireTransport -benchtime 1s -json . | tee BENCH_wire.json
 	$(GO) test -run xx -bench BenchmarkHistoryCaptureOverhead -benchtime 500ms -cpu 4 -json . | tee BENCH_history.json
 	$(GO) test -run xx -bench BenchmarkWireScan -benchtime 1s -json . | tee BENCH_scan.json
+	$(GO) test -run xx -bench 'BenchmarkDecodeResponse|BenchmarkDecodeChunk|BenchmarkEncodeChunk' -benchtime 1s -json ./internal/kvwire/ | tee BENCH_codec.json
+	$(GO) test -run xx -bench 'BenchmarkStoreScan$$|BenchmarkStorePutRecord' -benchtime 1s -json ./internal/kvstore/ | tee -a BENCH_codec.json
 
 # Cluster scaling acceptance bench: identical capacity-bound nodes,
 # read-heavy load routed by the shard map, 1 node vs 3. The 3-node

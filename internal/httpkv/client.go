@@ -452,8 +452,8 @@ func scanInto[T any](ctx context.Context, c *Client, table, start string, count 
 			return nil, fmt.Errorf("httpkv: decoding scan: %w", err)
 		}
 		for i := range page {
-			// wireRecord is StreamRecord with JSON tags.
-			out = append(out, conv((*kvwire.StreamRecord)(&page[i])))
+			p := &page[i]
+			out = append(out, conv(&kvwire.StreamRecord{Key: p.Key, Version: p.Version, CommitTS: p.CommitTS, Fields: p.Fields}))
 		}
 		if len(page) < n {
 			break

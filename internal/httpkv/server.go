@@ -59,9 +59,8 @@ import (
 	"ycsbt/internal/obs"
 )
 
-// wireRecord is the JSON shape of one record: kvwire.StreamRecord with
-// JSON tags (the client converts between the two by type, so the
-// fields must stay in step). Deleted is never set over HTTP —
+// wireRecord is the JSON shape of one record: kvwire.StreamRecord's
+// exported fields with JSON tags. Deleted is never set over HTTP —
 // tombstones travel in frames only.
 type wireRecord struct {
 	Key      string            `json:"key,omitempty"`

@@ -116,14 +116,11 @@ func (p *partition) bulkLoad(table string, kvs []BulkKV) error {
 		} else {
 			p.store.advanceTS(ts)
 		}
-		rec := &VersionedRecord{Version: ver, CommitTS: ts, Fields: make(map[string][]byte, len(kv.Fields))}
-		for f, v := range kv.Fields {
-			rec.Fields[f] = append([]byte(nil), v...)
-		}
+		rec := p.newRecord(ver, ts, kv.Fields)
 		rec.link(nil)
 		items[i] = item{key: kv.Key, val: rec}
 		if w != nil {
-			n, err := w.append(walRecord{Op: walPutTS, Table: table, Key: kv.Key, Version: ver, CommitTS: ts, Fields: rec.Fields})
+			n, err := w.append(walFrameOf(table, kv.Key, rec))
 			if err != nil {
 				p.mu.Unlock()
 				return err

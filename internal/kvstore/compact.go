@@ -95,19 +95,7 @@ func (p *partition) compact() error {
 				}
 			}
 			for i := len(chain) - 1; i >= 0; i-- {
-				v := chain[i]
-				rec := walRecord{
-					Op:       walPutTS,
-					Table:    table,
-					Key:      key,
-					Version:  v.Version,
-					CommitTS: v.CommitTS,
-					Fields:   v.Fields,
-				}
-				if v.deleted {
-					rec.Op, rec.Fields = walDeleteTS, nil
-				}
-				if werr = writeFrame(rec); werr != nil {
+				if werr = writeFrame(walFrameOf(table, key, chain[i])); werr != nil {
 					return false
 				}
 			}

@@ -15,12 +15,12 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add([]byte{walPut})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := decodeWALRecord(data)
+		rec, err := decodeWALRecord(data, nil)
 		if err != nil {
 			return
 		}
 		// Round-trip property on accepted inputs.
-		out, err2 := decodeWALRecord(encodeWALRecord(rec))
+		out, err2 := decodeWALRecord(encodeWALRecord(rec), nil)
 		if err2 != nil {
 			t.Fatalf("re-decode failed: %v", err2)
 		}

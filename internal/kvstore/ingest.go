@@ -92,19 +92,14 @@ func (p *partition) ingest(table string, kvs []BulkKV) error {
 			continue // already have this version or newer (re-run)
 		}
 		var rec *VersionedRecord
-		op := walPutTS
 		if kv.Deleted {
 			rec = &VersionedRecord{Version: ver, CommitTS: ts, deleted: true}
-			op = walDeleteTS
 		} else {
-			rec = &VersionedRecord{Version: ver, CommitTS: ts, Fields: make(map[string][]byte, len(kv.Fields))}
-			for f, v := range kv.Fields {
-				rec.Fields[f] = append([]byte(nil), v...)
-			}
+			rec = p.newRecord(ver, ts, kv.Fields)
 		}
 		rec.link(cur)
 		if w != nil {
-			n, err := w.append(walRecord{Op: op, Table: table, Key: kv.Key, Version: ver, CommitTS: ts, Fields: rec.Fields})
+			n, err := w.append(walFrameOf(table, kv.Key, rec))
 			if err != nil {
 				// Publish what was applied so tree and snapshot agree.
 				if applied {

@@ -1,0 +1,161 @@
+package kvstore
+
+import "math"
+
+// The lazy cross-partition merge under Scan, ScanAsOf, ScanVersionsAsOf
+// and ForEach: one iterator per partition snapshot, a heap over their
+// current keys, and a visitor that says when to stop. Nothing is
+// collected ahead of the visitor, so a scan for count records touches
+// count index entries plus the one each other partition was primed
+// with — not count from every partition.
+
+// headTS reads a chain at its head: no commit ts is later.
+const headTS = math.MaxInt64
+
+// readAt is how a scan resolves a chain head to the version it reads:
+// the newest one with commit ts ≤ ts, delete versions kept or skipped.
+type readAt struct {
+	ts         int64
+	tombstones bool
+}
+
+func (at readAt) resolve(v *VersionedRecord) *VersionedRecord {
+	if v = v.AsOf(at.ts); v == nil || (v.deleted && !at.tombstones) {
+		return nil
+	}
+	return v
+}
+
+// snapIter walks one immutable tree in key order without recursion:
+// stack holds the path from the root, each frame the next item of its
+// node still to come.
+type snapIter struct {
+	stack   []iterFrame
+	buf     [8]iterFrame // backing for stack; deeper trees spill to the heap
+	visited int          // index entries landed on, for kvstore_snapshot_scan_len
+
+	// key and rec are the current entry, resolved.
+	key string
+	rec *VersionedRecord
+}
+
+type iterFrame struct {
+	n *node
+	i int
+}
+
+// seek positions the iterator on the first item with key ≥ start.
+func (it *snapIter) seek(root *node, start string) {
+	it.stack = it.buf[:0]
+	for n := root; ; {
+		i, found := n.find(start)
+		it.stack = append(it.stack, iterFrame{n, i})
+		if found || n.leaf() {
+			break
+		}
+		n = n.children[i]
+	}
+	it.settle()
+}
+
+// settle pops exhausted frames, leaving the top on the next item in
+// key order, or the stack empty at the end of the tree.
+func (it *snapIter) settle() {
+	for len(it.stack) > 0 {
+		if top := &it.stack[len(it.stack)-1]; top.i < len(top.n.items) {
+			return
+		}
+		it.stack = it.stack[:len(it.stack)-1]
+	}
+}
+
+// step moves past the current item: on into the subtree to its right
+// when there is one, else along (or up from) the leaf.
+func (it *snapIter) step() {
+	top := &it.stack[len(it.stack)-1]
+	top.i++
+	if !top.n.leaf() {
+		for n := top.n.children[top.i]; ; n = n.children[0] {
+			it.stack = append(it.stack, iterFrame{n, 0})
+			if n.leaf() {
+				break
+			}
+		}
+	}
+	it.settle()
+}
+
+// load resolves the entry the iterator stands on, walking on past keys
+// the read does not see; false at the end of the tree.
+func (it *snapIter) load(at readAt) bool {
+	for len(it.stack) > 0 {
+		top := it.stack[len(it.stack)-1]
+		item := &top.n.items[top.i]
+		it.visited++
+		if v := at.resolve(item.val); v != nil {
+			it.key, it.rec = item.key, v
+			return true
+		}
+		it.step()
+	}
+	return false
+}
+
+// merge visits, in key order, every record of table with key ≥ start
+// as at reads it, until fn returns false. The partitions' roots are one
+// consistent cut (snapshotTable); the walk itself takes no lock.
+func (s *Store) merge(table, start string, at readAt, fn func(key string, rec *VersionedRecord) bool) error {
+	snaps, err := s.snapshotTable(table)
+	if err != nil {
+		return err
+	}
+	iters := make([]snapIter, len(snaps))
+	heap := make([]*snapIter, 0, len(snaps))
+	for i, ts := range snaps {
+		s.parts[i].metrics.scans.Inc()
+		if ts == nil {
+			continue
+		}
+		it := &iters[i]
+		if it.seek(ts.root, start); it.load(at) {
+			heap = append(heap, it)
+		}
+	}
+	// Partitions hold disjoint key sets, so the heap never sees a tie.
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	for len(heap) > 0 {
+		it := heap[0]
+		if !fn(it.key, it.rec) {
+			break
+		}
+		if it.step(); !it.load(at) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		siftDown(heap, 0)
+	}
+	for i := range iters {
+		s.parts[i].metrics.snapScanLen.Observe(float64(iters[i].visited))
+	}
+	return nil
+}
+
+// siftDown restores the min-heap order of h below position i.
+func siftDown(h []*snapIter, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		if r := l + 1; r < len(h) && h[r].key < h[l].key {
+			l = r
+		}
+		if h[i].key <= h[l].key {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
+}

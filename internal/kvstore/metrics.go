@@ -19,8 +19,8 @@ type partMetrics struct {
 	compactions *obs.CounterHandle
 
 	// Snapshot read-path series: root swaps published by writers, the
-	// length of each lock-free snapshot scan, and the estimated number
-	// of B-tree nodes retired per publish (the copied root-to-leaf
+	// index entries each lock-free snapshot scan visited, and the
+	// estimated number of B-tree nodes retired per publish (the copied root-to-leaf
 	// path, i.e. tree depth) — a proxy for the garbage the COW write
 	// path hands to the collector in place of epoch reclamation.
 	rootSwaps    *obs.CounterHandle
@@ -61,7 +61,7 @@ func (s *Store) instrument(reg *obs.Registry) {
 	reg.Help("kvstore_wal_bytes", "Total WAL size across all segments.")
 	reg.Help("kvstore_snapshot_root_swaps_total", "B-tree roots atomically published to the lock-free read path, by shard.")
 	reg.Help("kvstore_snapshot_retired_nodes_total", "Estimated B-tree nodes retired to the GC by copy-on-write publishes, by shard.")
-	reg.Help("kvstore_snapshot_scan_len", "Records returned per lock-free snapshot scan, by shard.")
+	reg.Help("kvstore_snapshot_scan_len", "Index entries each lock-free snapshot scan visited, by shard.")
 	reg.Help("kvstore_version_chain_len", "Version-chain length per key observed at write and vacuum time, by shard.")
 	reg.Help("kvstore_versions_vacuumed_total", "Record versions reclaimed by retention trims and vacuum, by shard.")
 	for i, p := range s.parts {

@@ -19,6 +19,7 @@ import (
 type partition struct {
 	mu     sync.RWMutex
 	tables map[string]*btree // writer-side handles; guarded by mu
+	names  []string          // field names of the last image built; guarded by mu
 	wal    *wal
 	store  *Store // shared state: commit clock, retention horizon
 	closed atomic.Bool
@@ -63,7 +64,12 @@ func (p *partition) applyReplay(rec walRecord) error {
 	tree := p.table(rec.Table)
 	switch rec.Op {
 	case walPut, walPutTS:
-		stored := &VersionedRecord{Version: rec.Version, CommitTS: rec.CommitTS, Fields: rec.Fields}
+		stored := &VersionedRecord{Version: rec.Version, CommitTS: rec.CommitTS, Fields: rec.Fields, image: rec.Image}
+		if stored.image == nil {
+			// Logged from a map (a merge-update, or a log older than
+			// the canonical order): re-encode.
+			stored = p.newRecord(rec.Version, rec.CommitTS, rec.Fields)
+		}
 		stored.link(tree.get(rec.Key))
 		tree.put(rec.Key, stored)
 	case walDeleteTS:
@@ -254,17 +260,14 @@ func (p *partition) putLocked(w *wal, table, key string, fields map[string][]byt
 		if cur != nil {
 			next = cur.Version + 1
 		}
-		stored = &VersionedRecord{Version: next, Fields: make(map[string][]byte, len(fields))}
-		for f, b := range fields {
-			stored.Fields[f] = append([]byte(nil), b...)
-		}
+		stored = p.newRecord(next, 0, fields)
 	}
 	stored.CommitTS = p.store.nextTS()
 	stored.link(cur)
 	var seq uint64
 	if w != nil {
 		var err error
-		if seq, err = w.append(walRecord{Op: walPutTS, Table: table, Key: key, Version: stored.Version, CommitTS: stored.CommitTS, Fields: stored.Fields}); err != nil {
+		if seq, err = w.append(walFrameOf(table, key, stored)); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -343,105 +346,13 @@ func (p *partition) deleteLocked(w *wal, table, key string, expect uint64) (uint
 	var seq uint64
 	if w != nil {
 		var err error
-		if seq, err = w.append(walRecord{Op: walDeleteTS, Table: table, Key: key, Version: tomb.Version, CommitTS: tomb.CommitTS}); err != nil {
+		if seq, err = w.append(walFrameOf(table, key, tomb)); err != nil {
 			return 0, err
 		}
 	}
 	t.put(key, tomb)
 	p.retireLocked(tomb)
 	return seq, nil
-}
-
-// scan returns up to count records with key ≥ startKey from this
-// partition, in key order, traversing one published snapshot without
-// locks or cloning. A count < 0 means no limit. The returned records
-// are engine-owned immutable snapshots.
-func (p *partition) scan(table, startKey string, count int) ([]VersionedKV, error) {
-	p.metrics.scans.Inc()
-	if p.closed.Load() {
-		return nil, ErrClosed
-	}
-	ts := p.tableSnap(table)
-	if ts == nil {
-		return nil, nil
-	}
-	out := scanSnap(ts, startKey, count)
-	p.metrics.snapScanLen.Observe(float64(len(out)))
-	return out, nil
-}
-
-// scanSnap collects up to count live records with key ≥ startKey from
-// one immutable snapshot (count < 0 = no limit); tombstone heads are
-// skipped — a deleted key is invisible at the head.
-func scanSnap(ts *treeSnapshot, startKey string, count int) []VersionedKV {
-	var out []VersionedKV
-	ts.ascend(startKey, func(key string, val *VersionedRecord) bool {
-		if count >= 0 && len(out) >= count {
-			return false
-		}
-		if val.deleted {
-			return true
-		}
-		out = append(out, VersionedKV{Key: key, Record: val})
-		return true
-	})
-	return out
-}
-
-// scanSnapAsOf collects up to count records as they stood at ts:
-// every key resolves through its chain to the newest version ≤ ts,
-// with tombstones (and keys born after ts) skipped.
-func scanSnapAsOf(tsnap *treeSnapshot, startKey string, count int, ts int64) []VersionedKV {
-	var out []VersionedKV
-	tsnap.ascend(startKey, func(key string, val *VersionedRecord) bool {
-		if count >= 0 && len(out) >= count {
-			return false
-		}
-		if v := asOf(val, ts); v != nil {
-			out = append(out, VersionedKV{Key: key, Record: v})
-		}
-		return true
-	})
-	return out
-}
-
-// scanSnapVersionsAsOf is scanSnapAsOf with tombstones kept: each key
-// resolves to its newest version ≤ ts — delete versions included, so
-// callers replicating state (the migration copy) see deletes instead
-// of silently losing them. Keys born after ts are still skipped.
-func scanSnapVersionsAsOf(tsnap *treeSnapshot, startKey string, count int, ts int64) []VersionedKV {
-	var out []VersionedKV
-	tsnap.ascend(startKey, func(key string, val *VersionedRecord) bool {
-		if count >= 0 && len(out) >= count {
-			return false
-		}
-		if v := val.AsOf(ts); v != nil {
-			out = append(out, VersionedKV{Key: key, Record: v})
-		}
-		return true
-	})
-	return out
-}
-
-// forEach visits this partition's records of table in key order over
-// one published snapshot (single-shard fast path of Store.ForEach) —
-// the whole visit is one atomic point-in-time view and never blocks
-// or is blocked by writers.
-func (p *partition) forEach(table string, fn func(key string, rec *VersionedRecord) bool) error {
-	if p.closed.Load() {
-		return ErrClosed
-	}
-	ts := p.tableSnap(table)
-	if ts == nil {
-		return nil
-	}
-	ts.ascend("", func(key string, rec *VersionedRecord) bool {
-		if rec.deleted {
-			return true
-		}
-		return fn(key, rec)
-	})
-	return nil
 }
 
 func (p *partition) len(table string) int {

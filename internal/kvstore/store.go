@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -42,17 +41,21 @@ var (
 //
 // Immutability contract: records returned by Get, Scan, BatchGet and
 // ForEach are the engine's own stored values, shared with concurrent
-// readers — not copies. Callers must treat them (the Fields map and
-// every byte slice in it) as read-only, and call Clone before
-// mutating. Writers uphold the other half of the contract: every
-// mutation stores a freshly built record and never edits a published
-// one in place. The only post-publish mutation the engine itself
+// readers — not copies. Callers must treat them (the Fields map, every
+// byte slice in it and the Image those slices point into) as read-only,
+// and call Clone before mutating. Writers uphold the other half of the
+// contract: every mutation stores a freshly built record and never
+// edits a published one in place. The only post-publish mutation the engine itself
 // performs is cutting a chain's prev pointer to nil (retention trim /
 // vacuum), which is an atomic store concurrent walkers tolerate.
 type VersionedRecord struct {
 	Version  uint64
 	CommitTS int64
 	Fields   map[string][]byte
+
+	// image is the canonical field section Fields' values point into
+	// (see image.go); nil for merge-updated versions and tombstones.
+	image []byte
 
 	// deleted marks a tombstone: the version recording a delete. A
 	// tombstone head reads as "not found" at the head and at any ts at
@@ -560,29 +563,7 @@ func (s *Store) DeleteIfVersion(table, key string, expect uint64) error {
 // whole table even while writers and Compact run. Returned records are
 // engine-owned immutable snapshots — never mutate them.
 func (s *Store) Scan(table, startKey string, count int) ([]VersionedKV, error) {
-	if len(s.parts) == 1 {
-		return s.parts[0].scan(table, startKey, count)
-	}
-	snaps, err := s.snapshotTable(table)
-	if err != nil {
-		return nil, err
-	}
-	lists := make([][]VersionedKV, 0, len(snaps))
-	for i, ts := range snaps {
-		p := s.parts[i]
-		p.metrics.scans.Inc()
-		if ts == nil {
-			continue
-		}
-		// Each partition contributes at most count records, so the
-		// global first count live inside the union of the lists.
-		kvs := scanSnap(ts, startKey, count)
-		p.metrics.snapScanLen.Observe(float64(len(kvs)))
-		if len(kvs) > 0 {
-			lists = append(lists, kvs)
-		}
-	}
-	return mergeScan(lists, count), nil
+	return s.scan(table, startKey, count, readAt{ts: headTS})
 }
 
 // ScanAsOf returns up to count records with key ≥ startKey as they
@@ -592,24 +573,7 @@ func (s *Store) Scan(table, startKey string, count int) ([]VersionedKV, error) {
 // published), then each key resolves to its newest version ≤ ts
 // entirely lock-free — writers are never blocked by the walk itself.
 func (s *Store) ScanAsOf(table, startKey string, count int, ts int64) ([]VersionedKV, error) {
-	snaps, err := s.snapshotTable(table)
-	if err != nil {
-		return nil, err
-	}
-	lists := make([][]VersionedKV, 0, len(snaps))
-	for i, tsnap := range snaps {
-		p := s.parts[i]
-		p.metrics.scans.Inc()
-		if tsnap == nil {
-			continue
-		}
-		kvs := scanSnapAsOf(tsnap, startKey, count, ts)
-		p.metrics.snapScanLen.Observe(float64(len(kvs)))
-		if len(kvs) > 0 {
-			lists = append(lists, kvs)
-		}
-	}
-	return mergeScan(lists, count), nil
+	return s.scan(table, startKey, count, readAt{ts: ts})
 }
 
 // ScanVersionsAsOf is ScanAsOf with tombstones included: each key
@@ -619,81 +583,23 @@ func (s *Store) ScanAsOf(table, startKey string, count int, ts int64) ([]Version
 // copy cannot resurrect deleted keys on a node holding older live
 // records. Ordinary readers want ScanAsOf.
 func (s *Store) ScanVersionsAsOf(table, startKey string, count int, ts int64) ([]VersionedKV, error) {
-	snaps, err := s.snapshotTable(table)
-	if err != nil {
-		return nil, err
-	}
-	lists := make([][]VersionedKV, 0, len(snaps))
-	for i, tsnap := range snaps {
-		p := s.parts[i]
-		p.metrics.scans.Inc()
-		if tsnap == nil {
-			continue
-		}
-		kvs := scanSnapVersionsAsOf(tsnap, startKey, count, ts)
-		p.metrics.snapScanLen.Observe(float64(len(kvs)))
-		if len(kvs) > 0 {
-			lists = append(lists, kvs)
-		}
-	}
-	return mergeScan(lists, count), nil
+	return s.scan(table, startKey, count, readAt{ts: ts, tombstones: true})
 }
 
-// scanCursor walks one partition's already-ordered scan result.
-type scanCursor struct {
-	kvs []VersionedKV
-	i   int
-}
-
-type scanHeap []*scanCursor
-
-func (h scanHeap) Len() int { return len(h) }
-func (h scanHeap) Less(i, j int) bool {
-	return h[i].kvs[h[i].i].Key < h[j].kvs[h[j].i].Key
-}
-func (h scanHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *scanHeap) Push(x any)   { *h = append(*h, x.(*scanCursor)) }
-func (h *scanHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-
-// mergeScan k-way merges per-partition ordered lists into one ordered
-// list of at most count records (count < 0 = no limit). Partitions
-// hold disjoint key sets, so no dedup is needed.
-func mergeScan(lists [][]VersionedKV, count int) []VersionedKV {
-	if len(lists) == 0 {
-		return nil
+// scan collects what merge visits, stopping it at count.
+func (s *Store) scan(table, startKey string, count int, at readAt) ([]VersionedKV, error) {
+	if count == 0 {
+		return nil, nil
 	}
-	if len(lists) == 1 {
-		out := lists[0]
-		if count >= 0 && len(out) > count {
-			out = out[:count]
-		}
-		return out
+	var out []VersionedKV
+	if n := min(count, s.Len(table)); n > 0 {
+		out = make([]VersionedKV, 0, n)
 	}
-	h := make(scanHeap, 0, len(lists))
-	total := 0
-	for _, l := range lists {
-		h = append(h, &scanCursor{kvs: l})
-		total += len(l)
-	}
-	heap.Init(&h)
-	if count >= 0 && total > count {
-		total = count
-	}
-	out := make([]VersionedKV, 0, total)
-	for h.Len() > 0 {
-		if count >= 0 && len(out) >= count {
-			break
-		}
-		c := h[0]
-		out = append(out, c.kvs[c.i])
-		c.i++
-		if c.i == len(c.kvs) {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	return out
+	err := s.merge(table, startKey, at, func(key string, rec *VersionedRecord) bool {
+		out = append(out, VersionedKV{Key: key, Record: rec})
+		return len(out) != count
+	})
+	return out, err
 }
 
 // ForEach visits every record of table in key order. The callback
@@ -703,34 +609,7 @@ func mergeScan(lists [][]VersionedKV, count int) []VersionedKV {
 // iteration runs entirely lock-free, so long validation scans (the
 // CEW check phase) never block writers.
 func (s *Store) ForEach(table string, fn func(key string, rec *VersionedRecord) bool) error {
-	if len(s.parts) == 1 {
-		return s.parts[0].forEach(table, fn)
-	}
-	snaps, err := s.snapshotTable(table)
-	if err != nil {
-		return err
-	}
-	lists := make([][]VersionedKV, 0, len(snaps))
-	for _, ts := range snaps {
-		if ts == nil || ts.size == 0 {
-			continue
-		}
-		l := make([]VersionedKV, 0, ts.size)
-		ts.ascend("", func(key string, val *VersionedRecord) bool {
-			if val.deleted {
-				return true
-			}
-			l = append(l, VersionedKV{Key: key, Record: val})
-			return true
-		})
-		lists = append(lists, l)
-	}
-	for _, kv := range mergeScan(lists, -1) {
-		if !fn(kv.Key, kv.Record) {
-			break
-		}
-	}
-	return nil
+	return s.merge(table, "", readAt{ts: headTS}, fn)
 }
 
 // Len returns the number of records in table.

@@ -357,7 +357,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		{Op: walPut, Table: "", Key: "", Version: 0, Fields: nil},
 	}
 	for _, want := range cases {
-		got, err := decodeWALRecord(encodeWALRecord(want))
+		got, err := decodeWALRecord(encodeWALRecord(want), nil)
 		if err != nil {
 			t.Fatalf("round trip %+v: %v", want, err)
 		}
@@ -376,15 +376,15 @@ func TestWALRecordRoundTrip(t *testing.T) {
 }
 
 func TestWALDecodeErrors(t *testing.T) {
-	if _, err := decodeWALRecord(nil); err == nil {
+	if _, err := decodeWALRecord(nil, nil); err == nil {
 		t.Error("empty payload should fail")
 	}
-	if _, err := decodeWALRecord([]byte{walPut}); err == nil {
+	if _, err := decodeWALRecord([]byte{walPut}, nil); err == nil {
 		t.Error("truncated payload should fail")
 	}
 	// Valid record plus trailing garbage must fail.
 	p := append(encodeWALRecord(walRecord{Op: walDelete, Table: "t", Key: "k"}), 0xFF)
-	if _, err := decodeWALRecord(p); err == nil {
+	if _, err := decodeWALRecord(p, nil); err == nil {
 		t.Error("trailing bytes should fail")
 	}
 }

@@ -28,7 +28,9 @@ const (
 // walRecord is one logged mutation. Put records carry the full
 // post-image (version and fields) so replay is a blind apply; delete
 // records carry the key and (in TS form) the tombstone's version and
-// commit ts.
+// commit ts. The payload's field section is the record's Image when it
+// has one — appended as it stands, and handed back by the decoder when
+// the logged bytes are canonical — and an encoding of Fields otherwise.
 type walRecord struct {
 	Op       byte
 	Table    string
@@ -36,6 +38,16 @@ type walRecord struct {
 	Version  uint64
 	CommitTS int64
 	Fields   map[string][]byte
+	Image    []byte
+}
+
+// walFrameOf is the frame that logs one stored version of table/key.
+func walFrameOf(table, key string, v *VersionedRecord) walRecord {
+	op := walPutTS
+	if v.deleted {
+		op = walDeleteTS
+	}
+	return walRecord{Op: op, Table: table, Key: key, Version: v.Version, CommitTS: v.CommitTS, Fields: v.Fields, Image: v.image}
 }
 
 // wal is an append-only redo log with per-record CRC32 checksums.
@@ -48,7 +60,8 @@ type walRecord struct {
 //
 //	op(1) table key version [commitTS] nfields {fieldName fieldValue}*
 //
-// where commitTS (uvarint) is present only for the TS op codes.
+// where commitTS (uvarint) is present only for the TS op codes and the
+// tail from nfields on is one field section (image.go).
 //
 // A torn final frame (crash mid-append) is detected by length or CRC
 // mismatch and truncated away on open, so a crashed store reopens to
@@ -103,6 +116,7 @@ func (w *wal) replay(fn func(walRecord) error) error {
 	r := bufio.NewReader(w.f)
 	var offset int64
 	var header [8]byte
+	var names []string
 	for {
 		if _, err := io.ReadFull(r, header[:]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -125,7 +139,7 @@ func (w *wal) replay(fn func(walRecord) error) error {
 		if crc32.ChecksumIEEE(payload) != sum {
 			break // corrupt record; stop at last good prefix
 		}
-		rec, err := decodeWALRecord(payload)
+		rec, err := decodeWALRecord(payload, &names)
 		if err != nil {
 			break
 		}
@@ -343,15 +357,16 @@ func appendWALRecord(buf []byte, rec walRecord) []byte {
 	if rec.Op == walPutTS || rec.Op == walDeleteTS {
 		buf = binary.AppendUvarint(buf, uint64(rec.CommitTS))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Fields)))
-	for f, v := range rec.Fields {
-		buf = appendString(buf, f)
-		buf = appendBytes(buf, v)
+	if rec.Image != nil {
+		return append(buf, rec.Image...)
 	}
-	return buf
+	return AppendFields(buf, rec.Fields)
 }
 
-func decodeWALRecord(payload []byte) (walRecord, error) {
+// decodeWALRecord parses one payload. The record's Fields (and Image)
+// alias payload, so the caller must not reuse it; names is the replay's
+// positional name memo (nil for none).
+func decodeWALRecord(payload []byte, names *[]string) (walRecord, error) {
 	var rec walRecord
 	if len(payload) < 1 {
 		return rec, errors.New("kvstore: empty WAL payload")
@@ -379,27 +394,16 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		rec.CommitTS = int64(ts)
 		rest = rest[n:]
 	}
-	nf, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return rec, errors.New("kvstore: bad WAL field count")
+	if len(rest) == 1 && rest[0] == 0 {
+		return rec, nil // no fields (every delete frame): no map
 	}
-	rest = rest[n:]
-	if nf > 0 {
-		rec.Fields = make(map[string][]byte, nf)
-		for i := uint64(0); i < nf; i++ {
-			var name string
-			if name, rest, err = readString(rest); err != nil {
-				return rec, err
-			}
-			var val []byte
-			if val, rest, err = readBytes(rest); err != nil {
-				return rec, err
-			}
-			rec.Fields[name] = val
-		}
+	fields, canonical, err := DecodeFields(rest, names)
+	if err != nil {
+		return rec, err
 	}
-	if len(rest) != 0 {
-		return rec, errors.New("kvstore: trailing WAL bytes")
+	rec.Fields = fields
+	if canonical {
+		rec.Image = rest
 	}
 	return rec, nil
 }
@@ -419,10 +423,12 @@ func readString(buf []byte) (string, []byte, error) {
 	return string(b), rest, err
 }
 
+var errTruncated = fmt.Errorf("%w: truncated", ErrBadFields)
+
 func readBytes(buf []byte) ([]byte, []byte, error) {
 	l, n := binary.Uvarint(buf)
 	if n <= 0 || uint64(len(buf)-n) < l {
-		return nil, nil, errors.New("kvstore: truncated WAL field")
+		return nil, nil, errTruncated
 	}
 	return buf[n : n+int(l)], buf[n+int(l):], nil
 }

@@ -264,6 +264,8 @@ func (c *clientConn) writeRequest(id uint64, deadlineMs uint64, ops []Op) error 
 // the connection dies, then fail whoever is left.
 func (c *clientConn) readLoop() {
 	var payload []byte
+	var dec fieldDecoder              // responses: copied out of payload
+	chunks := fieldDecoder{own: true} // scan chunks: keep payload
 	for {
 		typ, id, p, err := ReadFrame(c.br, payload)
 		if err != nil {
@@ -274,7 +276,7 @@ func (c *clientConn) readLoop() {
 		var reply wireReply
 		switch typ {
 		case frameResponse:
-			res, err := DecodeResponse(payload, nil)
+			res, err := dec.response(payload, nil)
 			if err != nil {
 				c.fail(err)
 				return
@@ -287,7 +289,16 @@ func (c *clientConn) readLoop() {
 				return
 			}
 			reply.reqErr = &RequestError{Status: status, RetryAfter: time.Duration(retry) * time.Second, Msg: msg}
-		case frameChunk, frameStreamEnd, frameCredit:
+		case frameChunk:
+			// The chunk's records keep the frame buffer (their values
+			// point into it); the next frame gets a new one.
+			if err := c.handleChunk(id, payload, &chunks); err != nil {
+				c.fail(err)
+				return
+			}
+			payload = nil
+			continue
+		case frameStreamEnd, frameCredit:
 			if err := c.handleStreamFrame(typ, id, payload); err != nil {
 				c.fail(err)
 				return

@@ -101,30 +101,38 @@ func (c *clientConn) takeStream(id uint64) *clientStream {
 	return st
 }
 
-// handleStreamFrame routes one stream frame from the read loop.
+// handleChunk decodes one scan chunk from the read loop into its
+// stream's mailbox; with an owning decoder the records keep payload.
 // Returning an error fails the connection.
+func (c *clientConn) handleChunk(id uint64, payload []byte, dec *fieldDecoder) error {
+	c.mu.Lock()
+	st := c.streams[id]
+	c.mu.Unlock()
+	if st == nil || st.ingest {
+		return fmt.Errorf("kvwire: chunk frame for unknown stream %d", id)
+	}
+	if st.cancelled.Load() {
+		return nil // draining an abandoned scan
+	}
+	mapVer, recs, err := dec.chunk(payload, nil)
+	if err != nil {
+		return err
+	}
+	select {
+	case st.ev <- streamEvent{recs: recs, mapVer: mapVer}:
+		return nil
+	default:
+		return errors.New("kvwire: server exceeded granted stream credits")
+	}
+}
+
+// handleStreamFrame routes one credit or stream-end frame from the read
+// loop. Returning an error fails the connection.
 func (c *clientConn) handleStreamFrame(typ byte, id uint64, payload []byte) error {
 	c.mu.Lock()
 	st := c.streams[id]
 	c.mu.Unlock()
 	switch typ {
-	case frameChunk:
-		if st == nil || st.ingest {
-			return fmt.Errorf("kvwire: chunk frame for unknown stream %d", id)
-		}
-		if st.cancelled.Load() {
-			return nil // draining an abandoned scan
-		}
-		mapVer, recs, err := DecodeChunk(payload, nil)
-		if err != nil {
-			return err
-		}
-		select {
-		case st.ev <- streamEvent{recs: recs, mapVer: mapVer}:
-			return nil
-		default:
-			return errors.New("kvwire: server exceeded granted stream credits")
-		}
 	case frameCredit:
 		if st == nil || !st.ingest {
 			return fmt.Errorf("kvwire: credit frame for unknown stream %d", id)

@@ -65,7 +65,11 @@ type Result struct {
 	Version    uint64
 	HasVersion bool // distinguishes "version 0" from "no version"
 	Fields     map[string][]byte
-	Err        string
+	// image is the stored record's field section when the engine kept
+	// one (kvstore.VersionedRecord.Image): the response encoder copies
+	// it instead of ranging Fields. Nil on decoded results.
+	image []byte
+	Err   string
 	// AsOf echoes the op's as_of when the read was served from the
 	// version history (the echo is the client's proof the snapshot was
 	// honored).
@@ -620,6 +624,7 @@ func (c *Core) execGetRun(ops []Op, out []Result) {
 				Version:    r.Record.Version,
 				HasVersion: true,
 				Fields:     r.Record.Fields,
+				image:      r.Record.Image(),
 			}
 		}
 		return
@@ -665,6 +670,7 @@ func (c *Core) execGetRun(ops []Op, out []Result) {
 				Version:    r.Record.Version,
 				HasVersion: true,
 				Fields:     r.Record.Fields,
+				image:      r.Record.Image(),
 				AsOf:       ts,
 			}
 		}

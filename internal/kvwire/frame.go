@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"ycsbt/internal/kvstore"
 )
 
 // The framed binary protocol. A connection opens with a 4-byte magic
-// ("KVW1") from the client; after the server echoes it, both sides
+// ("KVW2") from the client; after the server echoes it, both sides
 // exchange length-prefixed frames:
 //
 //	u32 LE payload length | u8 frame type | u64 LE request id | payload
@@ -24,16 +26,21 @@ import (
 // Ops and results use uvarint lengths and values, varint (zigzag) for
 // signed timestamps, and single flags bytes for optional payload
 // sections — the encoding equivalent of omitempty. Strings ride as
-// raw bytes; there is no text anywhere on the hot path.
+// raw bytes; there is no text anywhere on the hot path. A record's
+// fields ride as one length-prefixed kvstore field section — the bytes
+// the engine keeps as the record's image and logs in its WAL — so a
+// server emits a stored record, and a client takes one in, with a
+// single copy (see appendFieldSection, fieldDecoder).
 //
 // An error frame answers a request that failed as a whole (admission
 // shed 429, empty batch 400) — per-item failures are ordinary results
 // with non-2xx statuses. A peer that cannot parse a frame at all must
 // close the connection: framing is the only resync point.
 
-// Magic opens every connection, both directions. The trailing '1' is
-// the protocol version.
-const Magic = "KVW1"
+// Magic opens every connection, both directions. The trailing digit is
+// the protocol version: 2 length-prefixes field sections, so a version-1
+// peer fails the handshake instead of misreading frames.
+const Magic = "KVW2"
 
 // Frame types.
 const (
@@ -76,6 +83,9 @@ var ErrFrameTooLarge = errors.New("kvwire: frame exceeds size limit")
 
 // errTruncated reports a payload that ended mid-structure.
 var errTruncated = errors.New("kvwire: truncated payload")
+
+// errTooManyFields reports a record claiming over maxFieldsPerOp fields.
+var errTooManyFields = fmt.Errorf("kvwire: record claims more than %d fields", maxFieldsPerOp)
 
 const frameHeaderLen = 4 + 1 + 8
 
@@ -130,12 +140,24 @@ func appendOp(buf []byte, op *Op) []byte {
 		buf = binary.AppendVarint(buf, op.AsOf)
 	}
 	if flags&opFlagFields != 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(op.Fields)))
-		for k, v := range op.Fields {
-			buf = appendBytes(buf, k)
-			buf = append(binary.AppendUvarint(buf, uint64(len(v))), v...)
-		}
+		buf = appendFieldSection(buf, nil, op.Fields)
 	}
+	return buf
+}
+
+// appendFieldSection encodes one record's fields as a length-prefixed
+// field section: the record's image when it has one — a single copy —
+// and the map otherwise, behind a length written as a four-byte uvarint
+// so it can be patched once the map has been ranged (decoders accept the
+// padded form, and no frame holds a section that needs more bits).
+func appendFieldSection(buf, image []byte, fields map[string][]byte) []byte {
+	if image != nil {
+		return append(binary.AppendUvarint(buf, uint64(len(image))), image...)
+	}
+	at := len(buf)
+	buf = kvstore.AppendFields(append(buf, 0, 0, 0, 0), fields)
+	n := len(buf) - at - 4
+	buf[at], buf[at+1], buf[at+2], buf[at+3] = byte(n)|0x80, byte(n>>7)|0x80, byte(n>>14)|0x80, byte(n>>21)&0x7f
 	return buf
 }
 
@@ -173,11 +195,7 @@ func appendResult(buf []byte, r *Result) []byte {
 		buf = binary.AppendUvarint(buf, r.Version)
 	}
 	if flags&resFlagFields != 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(r.Fields)))
-		for k, v := range r.Fields {
-			buf = appendBytes(buf, k)
-			buf = append(binary.AppendUvarint(buf, uint64(len(v))), v...)
-		}
+		buf = appendFieldSection(buf, r.image, r.Fields)
 	}
 	if flags&resFlagErr != 0 {
 		buf = appendBytes(buf, r.Err)
@@ -234,8 +252,13 @@ func ReadFrame(r io.Reader, payload []byte) (typ byte, id uint64, out []byte, er
 }
 
 // DecodeRequest parses a request payload, appending the ops to dst
-// (pass dst[:0] of a pooled slice to avoid allocation).
+// (pass dst[:0] of a pooled slice to avoid allocation). Nothing decoded
+// aliases payload.
 func DecodeRequest(payload []byte, dst []Op) (deadlineMs uint64, ops []Op, err error) {
+	return new(fieldDecoder).request(payload, dst)
+}
+
+func (d *fieldDecoder) request(payload []byte, dst []Op) (deadlineMs uint64, ops []Op, err error) {
 	deadlineMs, payload, err = readUvarint(payload)
 	if err != nil {
 		return 0, dst, err
@@ -255,7 +278,7 @@ func DecodeRequest(payload []byte, dst []Op) (deadlineMs uint64, ops []Op, err e
 	ops = dst
 	for i := uint64(0); i < count; i++ {
 		var op Op
-		op, payload, err = readOp(payload)
+		op, payload, err = d.readOp(payload)
 		if err != nil {
 			return 0, dst, err
 		}
@@ -267,7 +290,7 @@ func DecodeRequest(payload []byte, dst []Op) (deadlineMs uint64, ops []Op, err e
 	return deadlineMs, ops, nil
 }
 
-func readOp(b []byte) (Op, []byte, error) {
+func (d *fieldDecoder) readOp(b []byte) (Op, []byte, error) {
 	var op Op
 	if len(b) < 2 {
 		return op, b, errTruncated
@@ -301,7 +324,7 @@ func readOp(b []byte) (Op, []byte, error) {
 		}
 	}
 	if flags&opFlagFields != 0 {
-		if op.Fields, b, err = readFields(b); err != nil {
+		if op.Fields, _, b, err = d.readFields(b); err != nil {
 			return op, b, err
 		}
 	}
@@ -309,7 +332,12 @@ func readOp(b []byte) (Op, []byte, error) {
 }
 
 // DecodeResponse parses a response payload, appending results to dst.
+// Nothing decoded aliases payload.
 func DecodeResponse(payload []byte, dst []Result) ([]Result, error) {
+	return new(fieldDecoder).response(payload, dst)
+}
+
+func (d *fieldDecoder) response(payload []byte, dst []Result) ([]Result, error) {
 	count, payload, err := readUvarint(payload)
 	if err != nil {
 		return dst, err
@@ -323,7 +351,7 @@ func DecodeResponse(payload []byte, dst []Result) ([]Result, error) {
 	res := dst
 	for i := uint64(0); i < count; i++ {
 		var r Result
-		r, payload, err = readResult(payload)
+		r, payload, err = d.readResult(payload)
 		if err != nil {
 			return dst, err
 		}
@@ -335,7 +363,7 @@ func DecodeResponse(payload []byte, dst []Result) ([]Result, error) {
 	return res, nil
 }
 
-func readResult(b []byte) (Result, []byte, error) {
+func (d *fieldDecoder) readResult(b []byte) (Result, []byte, error) {
 	var r Result
 	status, b, err := readUvarint(b)
 	if err != nil {
@@ -357,7 +385,7 @@ func readResult(b []byte) (Result, []byte, error) {
 		}
 	}
 	if flags&resFlagFields != 0 {
-		if r.Fields, b, err = readFields(b); err != nil {
+		if r.Fields, _, b, err = d.readFields(b); err != nil {
 			return r, b, err
 		}
 	}
@@ -398,33 +426,43 @@ func DecodeError(payload []byte) (status int, retryAfterSecs uint64, msg string,
 	return int(st), retryAfterSecs, string(payload), nil
 }
 
-func readFields(b []byte) (map[string][]byte, []byte, error) {
-	count, b, err := readUvarint(b)
+// fieldDecoder carries what decoding one field section takes from the
+// ones before it. A connection's read loop keeps one for its lifetime,
+// so even single-record responses find their names in the memo.
+type fieldDecoder struct {
+	// names is the positional name memo (kvstore.DecodeFields): records
+	// of one table repeat the same sorted names, so after the first
+	// record no name is allocated.
+	names []string
+	// own says the payload has been handed over — values alias it, no
+	// copy at all. Otherwise each section is copied out in one move,
+	// because the reader reuses its frame buffer.
+	own bool
+}
+
+// readFields decodes one length-prefixed field section, returning the
+// map, the section bytes its values point into, and the rest of b.
+func (d *fieldDecoder) readFields(b []byte) (map[string][]byte, []byte, []byte, error) {
+	size, b, err := readUvarint(b)
 	if err != nil {
-		return nil, b, err
+		return nil, nil, b, err
 	}
-	if count > maxFieldsPerOp || count > uint64(len(b)/2)+1 {
-		return nil, b, errTruncated
+	if size > uint64(len(b)) {
+		return nil, nil, b, errTruncated
 	}
-	fields := make(map[string][]byte, count)
-	for i := uint64(0); i < count; i++ {
-		var k string
-		if k, b, err = readString(b); err != nil {
-			return nil, b, err
-		}
-		var n uint64
-		if n, b, err = readUvarint(b); err != nil {
-			return nil, b, err
-		}
-		if n > uint64(len(b)) {
-			return nil, b, errTruncated
-		}
-		v := make([]byte, n)
-		copy(v, b[:n])
-		fields[k] = v
-		b = b[n:]
+	sec, rest := b[:size:size], b[size:]
+	if count, _ := binary.Uvarint(sec); count > maxFieldsPerOp {
+		return nil, nil, b, fmt.Errorf("%w: %d", errTooManyFields, count)
 	}
-	return fields, b, nil
+	if !d.own {
+		sec = make([]byte, size)
+		copy(sec, b)
+	}
+	fields, _, err := kvstore.DecodeFields(sec, &d.names)
+	if err != nil {
+		return nil, nil, b, err
+	}
+	return fields, sec, rest, nil
 }
 
 func readString(b []byte) (string, []byte, error) {

@@ -150,6 +150,24 @@ func FuzzFrameCodec(f *testing.F) {
 	// window cap, both of which the decoder must refuse.
 	f.Add([]byte{0x00}, byte(5))
 	f.Add([]byte{0xff, 0xff, 0x7f}, byte(5))
+	// Hostile: length-prefixed field sections that lie — a length past
+	// the payload, one cutting its last field short, a count the section
+	// cannot back, trailing bytes inside the section — and the odd but
+	// legal ones: duplicate and unsorted names, zero fields.
+	for _, sec := range [][]byte{
+		{9, 1, 1, 'f', 1, 'v'},
+		{0xff, 0xff, 0xff, 0x7f, 1},
+		{4, 1, 1, 'f', 1, 'v'},
+		{5, 3, 1, 'f', 1, 'v'},
+		{7, 1, 1, 'f', 1, 'v', 0, 0},
+		{0},
+		{13, 3, 1, 'b', 1, '1', 1, 'a', 1, '2', 1, 'b', 1, '3'},
+		{1, 0},
+	} {
+		f.Add(append([]byte{1, 0xc8, 1, resFlagFields}, sec...), byte(1))
+		f.Add(append([]byte{0, 1, recFlagFields, 1, 'k', 1, 2}, sec...), byte(3))
+		f.Add(append([]byte{0, 1, byte(KindPut), opFlagFields, 1, 't', 1, 'k'}, sec...), byte(0))
+	}
 	f.Fuzz(func(t *testing.T, payload []byte, mode byte) {
 		switch mode % 7 {
 		case 0:

@@ -1,0 +1,173 @@
+package kvwire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"ycsbt/internal/kvstore"
+)
+
+// TestChunkEncodeIsACopy pins the producer side: a chunk of engine
+// records is their images copied behind per-record headers — no
+// allocation, and byte for byte the stored sections.
+func TestChunkEncodeIsACopy(t *testing.T) {
+	kvs := storedRecords(t, 100, 10, 100)
+	buf, n := appendScanChunk(nil, 1, 0, kvs)
+	if n != 100 {
+		t.Fatalf("chunk took %d of 100 records", n)
+	}
+	if per := testing.AllocsPerRun(100, func() { buf, _ = appendScanChunk(buf[:0], 1, 0, kvs) }); per != 0 {
+		t.Errorf("chunk encode = %.1f allocs, want 0", per)
+	}
+	for _, kv := range kvs {
+		if !bytes.Contains(buf, kv.Record.Image()) {
+			t.Fatalf("%s: its image is not in the frame as it stands", kv.Key)
+		}
+	}
+	res := []Result{{Status: 200, Version: 1, HasVersion: true, Fields: kvs[0].Record.Fields, image: kvs[0].Record.Image()}}
+	out := AppendResponse(nil, 1, res)
+	if per := testing.AllocsPerRun(100, func() { out = AppendResponse(out[:0], 1, res) }); per != 0 {
+		t.Errorf("response encode = %.1f allocs, want 0", per)
+	}
+	if !bytes.Contains(out, kvs[0].Record.Image()) {
+		t.Error("response does not carry the image as it stands")
+	}
+}
+
+// TestChunkDecodeAllocations pins the consumer side on the benchmark's
+// chunk (100 records × 10 fields × 100 B). A record costs its key and
+// its Go map (four allocations at ten entries) — values and names cost
+// nothing when the decoder keeps the payload, one slab when it copies.
+// It was 25 a record (a string per name, a slice per value).
+func TestChunkDecodeAllocations(t *testing.T) {
+	buf, _ := appendScanChunk(nil, 1, 0, storedRecords(t, 100, 10, 100))
+	payload := buf[frameHeaderLen:]
+	own := fieldDecoder{own: true}
+	if per := testing.AllocsPerRun(50, func() { own.chunk(payload, nil) }) / 100; per > 5.05 {
+		t.Errorf("owning decode = %.2f allocs per record, want ≤ 5 (key 1 + map 4)", per)
+	}
+	var cp fieldDecoder
+	if per := testing.AllocsPerRun(50, func() { cp.chunk(payload, nil) }) / 100; per > 6.05 {
+		t.Errorf("copying decode = %.2f allocs per record, want ≤ 6 (key 1 + map 4 + slab 1)", per)
+	}
+
+	// Owned values point into the payload; copied ones do not.
+	_, recs, err := own.chunk(payload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, copied, _ := DecodeChunk(payload, nil)
+	payload[len(payload)-1] ^= 0xff // the last byte of the last record's last value
+	last := recs[99].Fields["field9"]
+	if last[len(last)-1] == copied[99].Fields["field9"][99] {
+		t.Error("owning decode copied, or copying decode aliased, the payload")
+	}
+	payload[len(payload)-1] ^= 0xff
+
+	// Names are shared across the chunk's records.
+	nameOf := func(r *StreamRecord, want string) string {
+		for name := range r.Fields {
+			if name == want {
+				return name
+			}
+		}
+		return ""
+	}
+	if a, b := nameOf(&recs[0], "field3"), nameOf(&recs[57], "field3"); a == "" || unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Error("records of one chunk do not share their name strings")
+	}
+}
+
+// TestForwardedRecordKeepsItsSection: a decoded record re-sent on an
+// ingest stream (the migration copy) goes out as the section it came in
+// as.
+func TestForwardedRecordKeepsItsSection(t *testing.T) {
+	kvs := storedRecords(t, 3, 10, 100)
+	in, _ := appendScanChunk(nil, 1, 0, kvs)
+	_, recs, err := DecodeChunk(in[frameHeaderLen:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := AppendChunk(nil, 2, 0, recs)
+	if per := testing.AllocsPerRun(100, func() { out = AppendChunk(out[:0], 2, 0, recs) }); per != 0 {
+		t.Errorf("forwarding = %.1f allocs, want 0", per)
+	}
+	for _, kv := range kvs {
+		if !bytes.Contains(out, kv.Record.Image()) {
+			t.Fatalf("%s: forwarded section differs from the stored image", kv.Key)
+		}
+	}
+	_, again, err := DecodeChunk(out[frameHeaderLen:], nil)
+	if err != nil || !reflect.DeepEqual(again, recs) {
+		t.Fatalf("forwarded chunk decodes to %+v, %v", again, err)
+	}
+}
+
+// section wraps raw field-section bytes in the one-result response a
+// decoder would meet them in.
+func section(sec []byte) []byte {
+	p := []byte{1, 0xc8, 1, resFlagFields} // one result, status 200, fields follow
+	p = binary.AppendUvarint(p, uint64(len(sec)))
+	return append(p, sec...)
+}
+
+// TestHostileFieldSections: every way a length-prefixed section can lie
+// is a typed error from every decoder that reads one — never a panic,
+// never an allocation sized from the lie.
+func TestHostileFieldSections(t *testing.T) {
+	good := kvstore.AppendFields(nil, map[string][]byte{"f": []byte("value")})
+	manyFields := binary.AppendUvarint(nil, maxFieldsPerOp+1)
+	manyFields = append(manyFields, make([]byte, 2*(maxFieldsPerOp+1))...) // enough bytes to back the claim
+	cases := []struct {
+		name    string
+		payload []byte
+		want    error
+	}{
+		{"length past the payload", append([]byte{1, 0xc8, 1, resFlagFields}, append(binary.AppendUvarint(nil, uint64(len(good)+1)), good...)...), errTruncated},
+		{"length far past the payload", []byte{1, 0xc8, 1, resFlagFields, 0xff, 0xff, 0xff, 0x7f, 1}, errTruncated},
+		{"length shorter than its contents", append([]byte{1, 0xc8, 1, resFlagFields}, append(binary.AppendUvarint(nil, uint64(len(good)-2)), good...)...), kvstore.ErrBadFields},
+		{"empty section", section(nil), kvstore.ErrBadFields},
+		{"count lying high", section([]byte{3, 1, 'f', 1, 'v'}), kvstore.ErrBadFields},
+		{"count lying low", section([]byte{1, 1, 'f', 1, 'v', 1, 'g', 1, 'w'}), kvstore.ErrBadFields},
+		{"count beyond the section", section([]byte{0xff, 0xff, 0x03}), kvstore.ErrBadFields},
+		{"over maxFieldsPerOp", section(manyFields), errTooManyFields},
+	}
+	for _, c := range cases {
+		if _, err := DecodeResponse(c.payload, nil); !errors.Is(err, c.want) {
+			t.Errorf("response, %s: err = %v, want %v", c.name, err, c.want)
+		}
+		// The same section inside a chunk record and inside a put.
+		sec := c.payload[4:]
+		chunk := append([]byte{0, 1, recFlagFields, 1, 'k', 1, 2}, sec...)
+		if _, _, err := DecodeChunk(chunk, nil); !errors.Is(err, c.want) {
+			t.Errorf("chunk, %s: err = %v, want %v", c.name, err, c.want)
+		}
+		req := append([]byte{0, 1, byte(KindPut), opFlagFields, 1, 't', 1, 'k'}, sec...)
+		if _, _, err := DecodeRequest(req, nil); !errors.Is(err, c.want) {
+			t.Errorf("request, %s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+
+	// Accepted, if odd: duplicate and unsorted names (last one wins),
+	// zero fields, a padded length, exactly maxFieldsPerOp fields.
+	res, err := DecodeResponse(section([]byte{3, 1, 'b', 1, '1', 1, 'a', 1, '2', 1, 'b', 1, '3'}), nil)
+	if err != nil || len(res[0].Fields) != 2 || string(res[0].Fields["b"]) != "3" {
+		t.Errorf("duplicate + unsorted names = %+v, %v", res, err)
+	}
+	if res, err = DecodeResponse(section([]byte{0}), nil); err != nil || res[0].Fields == nil || len(res[0].Fields) != 0 {
+		t.Errorf("zero fields = %+v, %v; want an empty non-nil map", res, err)
+	}
+	padded := append([]byte{1, 0xc8, 1, resFlagFields, byte(len(good)) | 0x80, 0x80, 0x80, 0}, good...)
+	if res, err = DecodeResponse(padded, nil); err != nil || string(res[0].Fields["f"]) != "value" {
+		t.Errorf("padded section length = %+v, %v", res, err)
+	}
+	atLimit := binary.AppendUvarint(nil, maxFieldsPerOp)
+	atLimit = append(atLimit, make([]byte, 2*maxFieldsPerOp)...) // 65536 × the empty name, empty value
+	if res, err = DecodeResponse(section(atLimit), nil); err != nil || len(res[0].Fields) != 1 {
+		t.Errorf("maxFieldsPerOp fields: %d decoded, %v", len(res[0].Fields), err)
+	}
+}

@@ -53,6 +53,29 @@ type wireMetrics struct {
 	scanChunks     *obs.Counter
 	creditsStalled *obs.Counter
 	ingestRecords  *obs.Counter
+	// Records with fields written to response and chunk frames, by how
+	// their field section was produced: copied from the stored image,
+	// or re-encoded from the map (merge-updated records only — a write
+	// path that forgets to build the image shows up here).
+	encodedImage *obs.Counter
+	encodedMap   *obs.Counter
+}
+
+// encodeTally counts one frame's emitted records by path.
+type encodeTally struct{ image, mapped int64 }
+
+func (t *encodeTally) add(fields map[string][]byte, image []byte) {
+	switch {
+	case image != nil:
+		t.image++
+	case fields != nil:
+		t.mapped++
+	}
+}
+
+func (m *wireMetrics) encoded(t encodeTally) {
+	m.encodedImage.Add(t.image)
+	m.encodedMap.Add(t.mapped)
 }
 
 func newWireMetrics(reg *obs.Registry) *wireMetrics {
@@ -63,6 +86,7 @@ func newWireMetrics(reg *obs.Registry) *wireMetrics {
 	reg.Help("kvwire_scan_chunks_total", "Scan chunk frames streamed to wire clients.")
 	reg.Help("kvwire_stream_credits_stalled_total", "Times a stream producer blocked waiting for consumer credits.")
 	reg.Help("kvwire_ingest_records_total", "Records ingested over streaming wire ingest.")
+	reg.Help("kvwire_records_encoded_total", "Records with fields written to response and chunk frames, by path: image = the stored field section copied as it stands, map = re-encoded from the field map (merge-updated records).")
 	return &wireMetrics{
 		connsOpen:      reg.Gauge("kvwire_conns_open"),
 		framesIn:       reg.Counter("kvwire_frames_total", "dir", "in"),
@@ -72,6 +96,8 @@ func newWireMetrics(reg *obs.Registry) *wireMetrics {
 		scanChunks:     reg.Counter("kvwire_scan_chunks_total"),
 		creditsStalled: reg.Counter("kvwire_stream_credits_stalled_total"),
 		ingestRecords:  reg.Counter("kvwire_ingest_records_total"),
+		encodedImage:   reg.Counter("kvwire_records_encoded_total", "path", "image"),
+		encodedMap:     reg.Counter("kvwire_records_encoded_total", "path", "map"),
 	}
 }
 
@@ -165,6 +191,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	var payload []byte
+	var dec fieldDecoder
 	for {
 		var typ byte
 		var id uint64
@@ -179,7 +206,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.metrics.framesIn.Inc()
 		switch typ {
 		case frameRequest:
-			deadlineMs, ops, err := DecodeRequest(payload, nil)
+			deadlineMs, ops, err := dec.request(payload, nil)
 			if err != nil {
 				s.metrics.decodeErrs.Inc()
 				return
@@ -258,6 +285,11 @@ func (s *Server) handleRequest(c *serverConn, id uint64, deadlineMs uint64, ops 
 	s.writeFrame(c, func(buf []byte) []byte {
 		return AppendResponse(buf, id, *res)
 	})
+	var tally encodeTally
+	for i := range *res {
+		tally.add((*res)[i].Fields, (*res)[i].image)
+	}
+	s.metrics.encoded(tally)
 	clear(*res)
 	*res = (*res)[:0]
 	resultsPool.Put(res)

@@ -190,6 +190,11 @@ func (s *Server) runScan(ctx context.Context, c *serverConn, id uint64, sc *serv
 		if err == nil && ended {
 			s.metrics.framesOut.Inc() // writeFrame counted the chunk
 		}
+		var tally encodeTally
+		for _, kv := range recs[:n] {
+			tally.add(kv.Record.Fields, kv.Record.Image())
+		}
+		s.metrics.encoded(tally)
 		return n, err
 	})
 	if ended {

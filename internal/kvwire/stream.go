@@ -95,6 +95,12 @@ type StreamRecord struct {
 	CommitTS int64
 	Deleted  bool
 	Fields   map[string][]byte
+
+	// image is the field section a decoded record arrived as (Fields'
+	// values point into it); AppendChunk forwards it as it stands, which
+	// is what makes the migration copy a copy. Nil on records built by
+	// hand. Do not edit a decoded record's Fields and then re-send it.
+	image []byte
 }
 
 // Record flags.
@@ -177,7 +183,7 @@ func AppendChunk(buf []byte, id uint64, mapVersion int64, recs []StreamRecord) [
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
 	for i := range recs {
 		r := &recs[i]
-		buf = appendStreamRecord(buf, r.Key, r.Version, r.CommitTS, r.Deleted, r.Fields)
+		buf = appendStreamRecord(buf, r.Key, r.Version, r.CommitTS, r.Deleted, r.image, r.Fields)
 	}
 	return finishFrame(buf, off)
 }
@@ -197,7 +203,7 @@ func appendScanChunk(buf []byte, id uint64, mapVersion int64, kvs []kvstore.Vers
 	n := 0
 	for _, kv := range kvs {
 		r := kv.Record
-		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Tombstone(), r.Fields)
+		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Tombstone(), r.Image(), r.Fields)
 		n++
 		if len(buf)-off >= streamChunkBytes {
 			break
@@ -207,7 +213,7 @@ func appendScanChunk(buf []byte, id uint64, mapVersion int64, kvs []kvstore.Vers
 	return finishFrame(buf, off), n
 }
 
-func appendStreamRecord(buf []byte, key string, version uint64, commitTS int64, deleted bool, fields map[string][]byte) []byte {
+func appendStreamRecord(buf []byte, key string, version uint64, commitTS int64, deleted bool, image []byte, fields map[string][]byte) []byte {
 	var flags byte
 	if deleted {
 		flags |= recFlagDeleted
@@ -220,17 +226,19 @@ func appendStreamRecord(buf []byte, key string, version uint64, commitTS int64, 
 	buf = binary.AppendUvarint(buf, version)
 	buf = binary.AppendVarint(buf, commitTS)
 	if flags&recFlagFields != 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(fields)))
-		for k, v := range fields {
-			buf = appendBytes(buf, k)
-			buf = append(binary.AppendUvarint(buf, uint64(len(v))), v...)
-		}
+		buf = appendFieldSection(buf, image, fields)
 	}
 	return buf
 }
 
-// DecodeChunk parses a chunk payload, appending records to dst.
+// DecodeChunk parses a chunk payload, appending records to dst. Nothing
+// decoded aliases payload (a reader that is done with its frame buffer
+// hands it over instead: fieldDecoder.own).
 func DecodeChunk(payload []byte, dst []StreamRecord) (mapVersion int64, recs []StreamRecord, err error) {
+	return new(fieldDecoder).chunk(payload, dst)
+}
+
+func (d *fieldDecoder) chunk(payload []byte, dst []StreamRecord) (mapVersion int64, recs []StreamRecord, err error) {
 	mapVersion, payload, err = readVarint(payload)
 	if err != nil {
 		return 0, dst, err
@@ -250,7 +258,7 @@ func DecodeChunk(payload []byte, dst []StreamRecord) (mapVersion int64, recs []S
 	recs = slices.Grow(dst, int(count))
 	for i := uint64(0); i < count; i++ {
 		var r StreamRecord
-		r, payload, err = readStreamRecord(payload)
+		r, payload, err = d.readStreamRecord(payload)
 		if err != nil {
 			return 0, dst, err
 		}
@@ -262,7 +270,7 @@ func DecodeChunk(payload []byte, dst []StreamRecord) (mapVersion int64, recs []S
 	return mapVersion, recs, nil
 }
 
-func readStreamRecord(b []byte) (StreamRecord, []byte, error) {
+func (d *fieldDecoder) readStreamRecord(b []byte) (StreamRecord, []byte, error) {
 	var r StreamRecord
 	if len(b) < 1 {
 		return r, b, errTruncated
@@ -281,7 +289,7 @@ func readStreamRecord(b []byte) (StreamRecord, []byte, error) {
 		return r, b, err
 	}
 	if flags&recFlagFields != 0 {
-		if r.Fields, b, err = readFields(b); err != nil {
+		if r.Fields, r.image, b, err = d.readFields(b); err != nil {
 			return r, b, err
 		}
 	}

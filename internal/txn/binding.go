@@ -67,6 +67,7 @@ func (b *Binding) Init(p *properties.Properties) error {
 		closers = append(closers, c)
 	}
 	reg := obs.Enabled(p.GetBool("obs.enabled", false))
+	opts.Metrics = reg
 	sim := func(cfg cloudsim.Config) *cloudsim.Store {
 		cfg.Metrics = reg
 		return cloudsim.New(cfg)

@@ -176,17 +176,23 @@ func (m *Manager) rollbackRecord(ctx context.Context, s Store, table, key string
 }
 
 // rollForwardRecord applies one committed write over its prepared
-// image. Failures are swallowed: the TSR already made the commit
-// durable and any reader can finish the roll-forward.
-func (m *Manager) rollForwardRecord(ctx context.Context, s Store, table, key string, w *pendingWrite) {
+// image. A version race is not a failure: a reader that found the TSR
+// rolled the record forward first. Anything else means the prepared
+// record may still be there, and only the TSR says it is committed.
+func (m *Manager) rollForwardRecord(ctx context.Context, s Store, table, key string, w *pendingWrite) error {
 	if !w.prepared {
-		return
+		return nil
 	}
+	var err error
 	if w.kind == kindDelete {
-		s.Delete(ctx, table, key, w.preparedVer)
-		return
+		err = s.Delete(ctx, table, key, w.preparedVer)
+	} else {
+		_, err = s.Put(ctx, table, key, w.fields, w.preparedVer)
 	}
-	s.Put(ctx, table, key, w.fields, w.preparedVer)
+	if errors.Is(err, kvstore.ErrVersionMismatch) || errors.Is(err, kvstore.ErrNotFound) {
+		return nil
+	}
+	return err
 }
 
 // lookupTSR returns the TSR state for a transaction, or "" when the

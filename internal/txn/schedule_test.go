@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"ycsbt/internal/db"
+	"ycsbt/internal/history"
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/obs"
 )
 
 // scriptStore wraps a Store for single-goroutine schedule tests: it
@@ -426,5 +428,93 @@ func TestCoordinatorAgreesUnderUnorderedPrepare(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// stepClock is a Clock a test advances by hand.
+type stepClock struct{ now int64 }
+
+func (c *stepClock) Now() int64 { c.now++; return c.now }
+
+// TestFailedRollForwardKeepsTSR: the committer's second roll-forward
+// put fails (node down, deadline on the detached context). The TSR is
+// then the only evidence that the still-prepared record is committed,
+// so it must stay: a reader arriving after the recovery timeout finds
+// it and rolls the record forward. Deleting it — what Commit used to do
+// whatever the roll-forwards returned — sends that reader down "TSR
+// absent, writer presumed dead" and it rolls back an acknowledged
+// commit.
+func TestFailedRollForwardKeepsTSR(t *testing.T) {
+	ctx := context.Background()
+	clock := &stepClock{now: int64(time.Hour)}
+	sink := &history.MemorySink{}
+	reg := obs.NewRegistry()
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Second, Clock: clock, History: sink, Metrics: reg})
+	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
+		if err := tx.Insert("", "t", "a", bal(100)); err != nil {
+			return err
+		}
+		return tx.Insert("", "t", "b", bal(100))
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	rollForwards := 0
+	ss.before = func(op, table, _ string, fields map[string][]byte) error {
+		if op == "Put" && table != tsrTable && !isPrepared(fields) {
+			if rollForwards++; rollForwards == 2 {
+				return errors.New("node down")
+			}
+		}
+		return nil
+	}
+	tx, _ := m.Begin(ctx)
+	for _, k := range []string{"a", "b"} {
+		if _, err := tx.Read(ctx, "", "t", k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx.Write("", "t", "a", bal(90))
+	tx.Write("", "t", "b", bal(110))
+	ss.take()
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatalf("commit = %v; the TSR was written, so it is committed", err)
+	}
+	wantCalls(t, "commit with a failed roll-forward", ss.take(),
+		"Put t/a", "Put t/b", "Put _tsr", "Put t/a", "Put t/b") // and no "Delete _tsr"
+	ss.before = nil
+	if n := inner.Len(tsrTable); n != 1 {
+		t.Errorf("%d TSRs after a failed roll-forward, want the committer's own left in place", n)
+	}
+	if got := reg.Counter("txn_tsr_left_total").Value(); got != 1 {
+		t.Errorf("txn_tsr_left_total = %d, want 1", got)
+	}
+
+	// Long after the recovery timeout, a fresh reader.
+	clock.now += int64(time.Minute)
+	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
+		for k, want := range map[string]int64{"a": 90, "b": 110} {
+			f, err := tx.Read(ctx, "", "t", k)
+			if err != nil {
+				return err
+			}
+			if got := getBal(t, f); got != want {
+				t.Errorf("reader saw %s = %d, want the committed %d", k, got, want)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := inner.Get("t", "b"); err != nil || isPrepared(rec.Fields) {
+		t.Errorf("b after the reader = %+v, %v; want rolled forward", rec, err)
+	}
+	if res := history.Check(sink.Records()); !res.Serializable {
+		t.Errorf("history not certified: %s", res.Summary())
+	}
+
+	// The TSR the committer left is Vacuum's to collect.
+	if removed, _, err := m.Vacuum(ctx); err != nil || removed != 1 || inner.Len(tsrTable) != 0 {
+		t.Errorf("vacuum removed %d TSRs (%v), %d left; want the one left behind gone", removed, err, inner.Len(tsrTable))
 	}
 }

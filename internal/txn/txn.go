@@ -71,6 +71,7 @@ import (
 	"ycsbt/internal/db"
 	"ycsbt/internal/history"
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/obs"
 	"ycsbt/internal/oracle"
 )
 
@@ -176,6 +177,8 @@ type Options struct {
 	// timestamp, take no part in the version-ordered graph, and would
 	// need their own snapshot-read semantics in the checker.
 	History history.TxnSink
+	// Metrics, when non-nil, receives the manager's txn_* series.
+	Metrics *obs.Registry
 }
 
 // Tracer receives committed transactions' access sets.
@@ -248,6 +251,9 @@ type Manager struct {
 	aborts    atomic.Int64
 	conflicts atomic.Int64
 	recovered atomic.Int64
+	// tsrLeft counts commits that left their TSR behind because a
+	// roll-forward did not land (a no-op without Options.Metrics).
+	tsrLeft *obs.Counter
 }
 
 // NewManager returns a manager over the given stores. With exactly
@@ -274,6 +280,8 @@ func NewManager(opts Options, stores ...Store) (*Manager, error) {
 		m.defalt = stores[0].Name()
 	}
 	m.id = strconv.FormatInt(m.opts.Clock.Now()&0xFFFFFFFF, 36)
+	m.opts.Metrics.Help("txn_tsr_left_total", "Committed transactions whose TSR was left in place because a roll-forward failed; readers finish them from it.")
+	m.tsrLeft = m.opts.Metrics.Counter("txn_tsr_left_total")
 	return m, nil
 }
 
@@ -680,14 +688,25 @@ func (t *Txn) Commit(ctx context.Context) error {
 
 	// Phase 3: roll forward and clean up on a detached context (the
 	// transaction is already durably committed; finish the job even
-	// if the caller's deadline fires). Failures here are benign —
-	// readers can finish the roll-forward from the TSR.
+	// if the caller's deadline fires). A failed roll-forward is benign
+	// only while the TSR exists — readers finish the job from it, and
+	// without it they would presume this writer dead and roll back an
+	// acknowledged commit — so the TSR goes only when every record
+	// landed. A TSR left behind is Vacuum's to collect.
+	landed := true
 	for _, k := range keys {
 		w := t.writes[k]
 		s := t.m.stores[k.store]
-		t.m.rollForwardRecord(cleanupCtx, s, k.table, k.key, w)
+		if err := t.m.rollForwardRecord(cleanupCtx, s, k.table, k.key, w); err != nil {
+			landed = false
+		}
 	}
-	coord.Delete(cleanupCtx, tsrTable, t.id, kvstore.AnyVersion)
+	if landed {
+		// Dropping this error leaves a TSR nothing points at.
+		_ = coord.Delete(cleanupCtx, tsrTable, t.id, kvstore.AnyVersion)
+	} else {
+		t.m.tsrLeft.Inc()
+	}
 
 	t.done = true
 	t.m.commits.Add(1)

@@ -43,6 +43,7 @@ func (m *Manager) Vacuum(ctx context.Context) (tsrsRemoved, recordsResolved int,
 			if commitTS == 0 || commitTS > cutoff {
 				continue // young TSR: its committer may still be rolling forward
 			}
+			resolved := true
 			for _, wk := range decodeWriteSet(kv.Record.Fields[tsrWriteSet]) {
 				ws, err := m.store(wk.store)
 				if err != nil {
@@ -50,7 +51,12 @@ func (m *Manager) Vacuum(ctx context.Context) (tsrsRemoved, recordsResolved int,
 				}
 				if _, rerr := m.readResolved(ctx, ws, wk.table, wk.key); rerr == nil || errors.Is(rerr, ErrNotFound) {
 					recordsResolved++
+				} else {
+					resolved = false
 				}
+			}
+			if !resolved {
+				continue // a record may still be prepared: its TSR stays (see Commit, phase 3)
 			}
 			if derr := s.Delete(ctx, tsrTable, kv.Key, kvstore.AnyVersion); derr == nil {
 				tsrsRemoved++

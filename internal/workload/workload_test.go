@@ -533,6 +533,54 @@ func TestCoreWorkloadDataIntegrity(t *testing.T) {
 	}
 }
 
+// TestVerifyReadCountsEveryKindOfDamage pins the in-place comparison:
+// a flipped byte anywhere, a short value and a long value each count as
+// one failure, a clean record as none, and nothing is allocated.
+func TestVerifyReadCountsEveryKindOfDamage(t *testing.T) {
+	w := NewCore()
+	if err := w.Init(properties.FromMap(map[string]string{
+		"recordcount": "10", "fieldcount": "3", "fieldlength": "20", "dataintegrity": "true",
+	}), nil); err != nil {
+		t.Fatal(err)
+	}
+	const key = "user7"
+	clean := func() db.Record {
+		rec := db.Record{}
+		for i := 0; i < 3; i++ {
+			rec[fieldName(i)] = integrityValue(key, fieldName(i), 20)
+		}
+		return rec
+	}
+	good := clean()
+	w.verifyRead(key, good)
+	if n := w.verifyFailures.Load(); n != 0 {
+		t.Fatalf("clean record counted %d failures", n)
+	}
+	if per := testing.AllocsPerRun(100, func() { w.verifyRead(key, good) }); per != 0 {
+		t.Errorf("verifyRead = %.1f allocs per record, want 0", per)
+	}
+	damage := map[string]func(v []byte) []byte{
+		"first byte flipped": func(v []byte) []byte { v[0] ^= 1; return v },
+		"last byte flipped":  func(v []byte) []byte { v[len(v)-1] ^= 1; return v },
+		"short":              func(v []byte) []byte { return v[:len(v)-1] },
+		"long":               func(v []byte) []byte { return append(v, v[0]) },
+		"empty":              func(v []byte) []byte { return nil },
+	}
+	for name, hurt := range damage {
+		rec := clean()
+		rec["field1"] = hurt(rec["field1"])
+		before := w.verifyFailures.Load()
+		w.verifyRead(key, rec)
+		if got := w.verifyFailures.Load() - before; got != 1 {
+			t.Errorf("%s: counted %d failures, want 1", name, got)
+		}
+	}
+	// The bytes loaded data was written with have not moved.
+	if got := string(integrityValue("user5", "field0", 12)); got != "d2APnCstNqun" {
+		t.Errorf("integrityValue changed its sequence: %q", got)
+	}
+}
+
 func TestIntegrityValueDeterministic(t *testing.T) {
 	a := integrityValue("user5", "field0", 50)
 	b := integrityValue("user5", "field0", 50)
