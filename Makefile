@@ -29,9 +29,17 @@ test:
 # Short mode keeps the race run quick; the race detector covers the
 # sharded measurement path and the per-thread middleware chains. It is
 # also where the transaction schedule is guarded: internal/txn's
-# TestCommitScheduleStoreCalls counts store calls per commit (exact,
-# so no benchmark is needed to notice an extra round trip), next to
-# the read-set trap tests and kvwire's frame segmentation tests.
+# TestCommitScheduleStoreCalls counts the store calls a commit waits
+# for and the ones its finish makes behind it (exact, so no benchmark
+# is needed to notice an extra round trip), next to the read-set trap
+# tests and kvwire's frame segmentation tests; and where the deferred
+# finish runs under the detector: TestFinishAccounting (eight
+# committers past the bound on outstanding finishes, then Flush, an
+# empty _tsr and the goroutine count back at its baseline),
+# TestSameThreadReadsItsCommit (a client that reads its own commit
+# while its finish is in flight, call for call),
+# TestReaderWaitsForItsManagersFinish, TestFinishOutlivesItsStore and
+# internal/client's TestPhaseEndsSettled.
 test-race:
 	$(GO) test -race -short ./...
 

@@ -116,6 +116,12 @@ func run() error {
 		}(w)
 	}
 	wg.Wait()
+	// A commit returns at its commit point; wait for the roll-forwards
+	// still running behind the last ones before looking at the store
+	// directly.
+	if err := m.Flush(ctx); err != nil {
+		return err
+	}
 	commits, aborts, conflicts, _ := m.Stats()
 	fmt.Printf("transfers: %d committed, %d failed (manager: %d commits, %d aborts, %d conflicts)\n",
 		ok, failed, commits, aborts, conflicts)

@@ -78,6 +78,7 @@ func TestFigure3Shape(t *testing.T) {
 		// The paper's claim: transactions cost ~30-40% of throughput.
 		// Allow a generous band (15-70%) for the quick sweep.
 		ratio := x.Throughput / n.Throughput
+		t.Logf("threads=%d: tx / non-tx throughput = %.2f", n.Threads, ratio)
 		if ratio >= 1.0 {
 			t.Errorf("threads=%d: transactions were free (ratio %.2f)", n.Threads, ratio)
 		}

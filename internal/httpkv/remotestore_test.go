@@ -102,6 +102,9 @@ func TestTransactionAcrossRemoteStores(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	ra, err := eastInner.Get("acct", "a")
 	if err != nil {

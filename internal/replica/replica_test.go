@@ -208,6 +208,9 @@ func TestTransactionsOverReplicatedStore(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
 	// Committed cleanly on primary AND backups.
 	if d := s.Divergence("acct", 0); d != 0 {
 		t.Errorf("backup diverges after transactional commit: %d", d)

@@ -127,13 +127,26 @@ func (b *Binding) Init(p *properties.Properties) error {
 	return nil
 }
 
-// Cleanup closes stores the binding created.
+// Cleanup waits for the commits still finishing behind their callers,
+// then closes the stores the binding created.
 func (b *Binding) Cleanup() error {
+	if b.m == nil {
+		return nil
+	}
+	// A finish stuck on a store that stopped answering is not waited for
+	// longer than readers would wait before presuming its writer dead.
+	ctx, cancel := context.WithTimeout(context.Background(), b.m.opts.RecoveryTimeout)
+	defer cancel()
+	_ = b.m.Flush(ctx)
 	if b.closer != nil {
 		return b.closer()
 	}
 	return nil
 }
+
+// Flush waits for the commits still finishing behind their callers
+// (Manager.Flush); the client calls it at the end of every phase.
+func (b *Binding) Flush(ctx context.Context) error { return b.m.Flush(ctx) }
 
 // Manager exposes the underlying transaction manager.
 func (b *Binding) Manager() *Manager { return b.m }

@@ -71,16 +71,29 @@ func (m *Manager) readResolved(ctx context.Context, s Store, table, key string) 
 }
 
 // resolveRecord turns a fetched record into its committed user image.
-// Clean records pass through uncopied. For prepared records it
-// consults the writer's TSR:
+// Clean records pass through uncopied. A record prepared by a
+// transaction this manager committed and is still finishing resolves to
+// the new image once that finish has rolled forward, with no further
+// store call. For
+// any other prepared record it consults the writer's TSR:
 //
 //   - TSR committed → the new image is the committed one; roll the
 //     record forward opportunistically.
-//   - TSR aborted, or TSR absent and the prepare is older than the
-//     recovery timeout → the previous image is current; roll back.
-//   - TSR absent and the prepare is fresh → the writer is in flight;
-//     return the previous image (read-around) without touching the
-//     record. This is the one result that is not clean.
+//   - TSR absent → either the writer has not committed, or it has and
+//     its finish (roll-forward, TSR delete) completed after rec was
+//     fetched; only the record can tell which, so fetch it again and
+//     resolve whatever is there now unless it is the same prepared
+//     record.
+//   - TSR aborted, or TSR absent, the record unchanged and the prepare
+//     older than the recovery timeout → the previous image is current;
+//     roll back.
+//   - TSR absent, the record unchanged and the prepare fresh → the
+//     writer is in flight; return the previous image (read-around)
+//     without touching the record. This is the one result that is not
+//     clean.
+//
+// A failed TSR lookup is an error, never "absent": rolling back on it
+// would undo a committed write whose coordinator is merely unreachable.
 func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string, rec *kvstore.VersionedRecord) (readEntry, error) {
 	if !isPrepared(rec.Fields) {
 		return readEntry{fields: rec.Fields, ver: rec.Version, clean: true}, nil
@@ -92,7 +105,29 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 	prevImage := rec.Fields[metaPrev]
 	isDelete := len(rec.Fields[metaDelete]) > 0
 
-	outcome := m.lookupTSR(ctx, coordName, writerID)
+	if done := m.finishOf(writerID); done != nil {
+		// This manager committed the writer and is still finishing it, so
+		// no store knows more: the new image is the committed one, and
+		// once the finish has rolled forward the record holds it one
+		// version on (every roll-forward, whoever makes it, is a put on
+		// the prepared version). If that put failed the record is still
+		// prepared, a write on this entry conflicts, and the retry finds
+		// the TSR.
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return readEntry{}, ctx.Err()
+		}
+		if isDelete {
+			return readEntry{}, fmt.Errorf("%w: %s/%s/%s (deleted by committed txn)", ErrNotFound, s.Name(), table, key)
+		}
+		return readEntry{fields: userFields(rec.Fields), ver: rec.Version + 1, clean: true}, nil
+	}
+
+	outcome, err := m.lookupTSR(ctx, coordName, writerID)
+	if err != nil {
+		return readEntry{}, err
+	}
 
 	switch outcome {
 	case tsrCommitted:
@@ -119,7 +154,17 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 		m.recovered.Add(1)
 		return m.rollbackAndRead(ctx, s, table, key, rec.Version, prevImage, len(prevImage) > 0)
 
-	default: // TSR absent: in-flight or crashed writer.
+	default: // TSR absent: in flight, crashed, or finished since rec was fetched.
+		cur, err := s.Get(ctx, table, key)
+		if errors.Is(err, kvstore.ErrNotFound) {
+			return readEntry{}, fmt.Errorf("%w: %s/%s/%s", ErrNotFound, s.Name(), table, key)
+		}
+		if err != nil {
+			return readEntry{}, err
+		}
+		if cur.Version != rec.Version || string(cur.Fields[metaID]) != writerID {
+			return m.resolveRecord(ctx, s, table, key, cur)
+		}
 		age := time.Duration(m.opts.Clock.Now() - prepTS)
 		if age > m.opts.RecoveryTimeout {
 			// Presume the writer dead and roll back.
@@ -195,16 +240,20 @@ func (m *Manager) rollForwardRecord(ctx context.Context, s Store, table, key str
 	return err
 }
 
-// lookupTSR returns the TSR state for a transaction, or "" when the
-// TSR is absent or the coordinating store unknown/unreachable.
-func (m *Manager) lookupTSR(ctx context.Context, coordName, txnID string) string {
+// lookupTSR returns the TSR state for a transaction, "" when there is
+// no TSR (or no such coordinating store), and an error when the
+// coordinating store could not say.
+func (m *Manager) lookupTSR(ctx context.Context, coordName, txnID string) (string, error) {
 	coord, ok := m.stores[coordName]
 	if !ok {
-		return ""
+		return "", nil
 	}
 	rec, err := coord.Get(ctx, tsrTable, txnID)
-	if err != nil {
-		return ""
+	if errors.Is(err, kvstore.ErrNotFound) {
+		return "", nil
 	}
-	return string(rec.Fields[tsrState])
+	if err != nil {
+		return "", fmt.Errorf("txn: looking up TSR %s in %s: %w", txnID, coordName, err)
+	}
+	return string(rec.Fields[tsrState]), nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,33 +16,56 @@ import (
 	"ycsbt/internal/obs"
 )
 
-// scriptStore wraps a Store for single-goroutine schedule tests: it
-// logs every call as "Op table/key" (TSR calls as "Op _tsr", their key
-// being a fresh transaction id) and lets a test intercept calls — a
-// non-nil error from before drops the call, which fails with it.
+// scriptStore wraps a Store for schedule tests: it logs every call as
+// "Op table/key" (TSR calls as "Op _tsr", their key being a fresh
+// transaction id) and lets a test intercept calls — before runs ahead
+// of the call, on the goroutine making it (the committer's, or a
+// finish's), and a non-nil error from it drops the call, which fails
+// with it. A call is logged when before returns, so one that before
+// holds back is not in the log yet.
 type scriptStore struct {
 	Store
+	mu     sync.Mutex
 	calls  []string
 	before func(op, table, key string, fields map[string][]byte) error
 }
 
 func (s *scriptStore) note(op, table, key string, fields map[string][]byte) error {
+	var err error
+	if s.before != nil {
+		err = s.before(op, table, key, fields)
+	}
 	call := op + " " + table
 	if table != tsrTable {
 		call += "/" + key
 	}
+	s.mu.Lock()
 	s.calls = append(s.calls, call)
-	if s.before != nil {
-		return s.before(op, table, key, fields)
-	}
-	return nil
+	s.mu.Unlock()
+	return err
 }
 
 // take returns the calls logged since the last take.
 func (s *scriptStore) take() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	c := s.calls
 	s.calls = nil
 	return c
+}
+
+// isRollForward reports a finish's (or a resolving reader's) write of a
+// clean image over a prepared record.
+func isRollForward(op, table string, fields map[string][]byte) bool {
+	return op == "Put" && table != tsrTable && !isPrepared(fields)
+}
+
+// flush waits for the manager's outstanding finishes.
+func flush(t *testing.T, m *Manager) {
+	t.Helper()
+	if err := m.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func (s *scriptStore) Get(ctx context.Context, table, key string) (*kvstore.VersionedRecord, error) {
@@ -92,20 +116,42 @@ func wantCalls(t *testing.T, what string, got []string, want ...string) {
 }
 
 // TestCommitScheduleStoreCalls pins the commit schedule with a count,
-// not a clock: every store call a transaction makes is a blocking
-// round trip on a remote backend, so the sequence below IS the
-// protocol's cost. A transaction asks the store only for what it does
-// not hold — the repeated runs check the counts repeat exactly.
+// not a clock: every store call is a round trip on a remote backend,
+// so the two lists below ARE the protocol's cost — the calls made when
+// Commit returns are what the caller waited for, the calls after Flush
+// are the finish that ran behind it. A transaction asks the store only
+// for what it does not hold — the repeated runs check the counts repeat
+// exactly.
 func TestCommitScheduleStoreCalls(t *testing.T) {
 	ctx := context.Background()
 	m, ss, _ := newScriptManager(t, Options{})
 	b := NewBinding(m)
 
+	// A finish opens with a roll-forward put; holding that back until the
+	// test has looked makes "when Commit returns" a fixed list.
+	var hold chan struct{}
+	ss.before = func(op, table, _ string, fields map[string][]byte) error {
+		if isRollForward(op, table, fields) {
+			<-hold
+		}
+		return nil
+	}
+	// committed checks the calls the commit just made the caller wait
+	// for, then lets the finish go and checks the calls it made.
+	committed := func(what string, blocking, behind []string) {
+		t.Helper()
+		wantCalls(t, what+", when Commit returns", ss.take(), blocking...)
+		close(hold)
+		flush(t, m)
+		wantCalls(t, what+", behind it", ss.take(), behind...)
+	}
+
 	for round := 0; round < 3; round++ {
 		a, c := fmt.Sprintf("a%d", round), fmt.Sprintf("c%d", round)
 
 		// Transactional insert (the load phase): create-only prepare
-		// with no fetch, TSR, roll forward, TSR delete.
+		// with no fetch and the TSR; roll forward and TSR delete behind.
+		hold = make(chan struct{})
 		tctx, _ := b.Start(ctx)
 		if err := b.WithTx(tctx).Insert(ctx, "t", a, db.Record{"bal": []byte("100")}); err != nil {
 			t.Fatal(err)
@@ -113,15 +159,20 @@ func TestCommitScheduleStoreCalls(t *testing.T) {
 		if err := b.Commit(ctx, tctx); err != nil {
 			t.Fatal(err)
 		}
-		wantCalls(t, "insert", ss.take(),
-			"Put t/"+a, "Put _tsr", "Put t/"+a, "Delete _tsr")
+		committed("insert",
+			[]string{"Put t/" + a, "Put _tsr"},
+			[]string{"Put t/" + a, "Delete _tsr"})
+		hold = make(chan struct{})
 		if err := b.Insert(ctx, "t", c, db.Record{"bal": []byte("100")}); err != nil {
 			t.Fatal(err)
 		}
+		close(hold)
+		flush(t, m)
 		ss.take()
 
 		// The CEW read-modify-write: read two accounts, update both.
 		// The updates and both prepares are served by the read set.
+		hold = make(chan struct{})
 		tctx, _ = b.Start(ctx)
 		view := b.WithTx(tctx)
 		for _, k := range []string{a, c} {
@@ -138,15 +189,20 @@ func TestCommitScheduleStoreCalls(t *testing.T) {
 		if err := b.Commit(ctx, tctx); err != nil {
 			t.Fatal(err)
 		}
-		wantCalls(t, "read-modify-write", ss.take(),
-			"Get t/"+a, "Get t/"+c, // the workload's reads
-			"Put t/"+a, "Put t/"+c, // ordered prepare
-			"Put _tsr",             // commit point
-			"Put t/"+a, "Put t/"+c, // roll forward
-			"Delete _tsr")
+		committed("read-modify-write",
+			[]string{
+				"Get t/" + a, "Get t/" + c, // the workload's reads
+				"Put t/" + a, "Put t/" + c, // ordered prepare
+				"Put _tsr", // commit point
+			},
+			[]string{
+				"Put t/" + a, "Put t/" + c, // roll forward
+				"Delete _tsr",
+			})
 
 		// A blind write never read the key, so prepare still fetches
 		// the previous image it must carry.
+		hold = make(chan struct{})
 		tx, _ := m.Begin(ctx)
 		if err := tx.Write("", "t", a, bal(7)); err != nil {
 			t.Fatal(err)
@@ -154,8 +210,9 @@ func TestCommitScheduleStoreCalls(t *testing.T) {
 		if err := tx.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
-		wantCalls(t, "blind write", ss.take(),
-			"Get t/"+a, "Put t/"+a, "Put _tsr", "Put t/"+a, "Delete _tsr")
+		committed("blind write",
+			[]string{"Get t/" + a, "Put t/" + a, "Put _tsr"},
+			[]string{"Put t/" + a, "Delete _tsr"})
 
 		// Read-only: one fetch however often the key is read, and a
 		// trivial commit.
@@ -186,6 +243,7 @@ func TestReadAroundThenWriteConflicts(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, m)
 
 	ran := false
 	// T2 runs inside T1's commit, between its prepares and its TSR.
@@ -233,6 +291,7 @@ func TestReadAroundThenWriteConflicts(t *testing.T) {
 	if !ran {
 		t.Fatal("T2 never ran")
 	}
+	flush(t, m)
 	rec, err := inner.Get("t", "k")
 	if err != nil || isPrepared(rec.Fields) || string(rec.Fields["balance"]) != "500" {
 		t.Errorf("final record = %+v, %v; want clean balance 500", rec, err)
@@ -266,6 +325,7 @@ func TestCachedReadGoesStale(t *testing.T) {
 	if err := b.Commit(ctx, tctx); !errors.Is(err, db.ErrAborted) {
 		t.Fatalf("commit over a stale read = %v, want ErrAborted", err)
 	}
+	flush(t, m)
 	rec, err := inner.Get("t", "k")
 	if err != nil || isPrepared(rec.Fields) || string(rec.Fields["n"]) != "1" {
 		t.Errorf("record = %+v, %v; want the other transaction's clean n=1", rec, err)
@@ -298,10 +358,12 @@ func TestInsertOverDeadPreparedInsert(t *testing.T) {
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatalf("insert over a dead prepared insert = %v", err)
 	}
+	flush(t, m)
 	wantCalls(t, "insert via the fallback", ss.take(),
 		"Put t/k",    // create-only: occupied
 		"Get t/k",    // fetch: a prepared record
-		"Get _tsr",   // no TSR, and the prepare is past the timeout
+		"Get _tsr",   // no TSR...
+		"Get t/k",    // ...and the same prepared record still there, past the timeout
 		"Delete t/k", // roll the dead insert back
 		"Get t/k",    // gone
 		"Put t/k", "Put _tsr", "Put t/k", "Delete _tsr")
@@ -335,6 +397,7 @@ func TestReadLockRewritesCachedImage(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, m)
 	before, _ := inner.Get("t", "x")
 	ss.take()
 
@@ -354,6 +417,7 @@ func TestReadLockRewritesCachedImage(t *testing.T) {
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, m)
 	wantCalls(t, "serializable commit", ss.take(),
 		"Get t/x", "Get t/y",
 		"Put t/x", "Put t/y", "Put _tsr", "Put t/x", "Put t/y", "Delete _tsr")
@@ -392,10 +456,11 @@ func TestCoordinatorAgreesUnderUnorderedPrepare(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, m)
 
 	var dying bool
 	crashAfterCommitPoint := func(op, table, _ string, fields map[string][]byte) error {
-		rollForward := op == "Put" && table != tsrTable && !isPrepared(fields)
+		rollForward := isRollForward(op, table, fields)
 		tsrDelete := op == "Delete" && table == tsrTable
 		if dying && (rollForward || tsrDelete) {
 			return errors.New("committer died")
@@ -410,6 +475,7 @@ func TestCoordinatorAgreesUnderUnorderedPrepare(t *testing.T) {
 		tx.Write("beta", "t", "b", bal(i))
 		dying = true
 		err := tx.Commit(ctx)
+		flush(t, m) // the finish is where this committer dies
 		dying = false
 		if err != nil {
 			t.Fatalf("commit %d: %v", i, err)
@@ -458,10 +524,11 @@ func TestFailedRollForwardKeepsTSR(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, m)
 
 	rollForwards := 0
 	ss.before = func(op, table, _ string, fields map[string][]byte) error {
-		if op == "Put" && table != tsrTable && !isPrepared(fields) {
+		if isRollForward(op, table, fields) {
 			if rollForwards++; rollForwards == 2 {
 				return errors.New("node down")
 			}
@@ -480,6 +547,7 @@ func TestFailedRollForwardKeepsTSR(t *testing.T) {
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatalf("commit = %v; the TSR was written, so it is committed", err)
 	}
+	flush(t, m)
 	wantCalls(t, "commit with a failed roll-forward", ss.take(),
 		"Put t/a", "Put t/b", "Put _tsr", "Put t/a", "Put t/b") // and no "Delete _tsr"
 	ss.before = nil
@@ -517,4 +585,101 @@ func TestFailedRollForwardKeepsTSR(t *testing.T) {
 	if removed, _, err := m.Vacuum(ctx); err != nil || removed != 1 || inner.Len(tsrTable) != 0 {
 		t.Errorf("vacuum removed %d TSRs (%v), %d left; want the one left behind gone", removed, err, inner.Len(tsrTable))
 	}
+}
+
+// TestFailedTSRLookupIsNotAbsence: a committed transaction's record is
+// still prepared, past the recovery timeout, and the one lookup of its
+// TSR fails — the coordinating node is unreachable, not empty. Reading
+// that failure as "no TSR" sends the reader down "writer presumed dead"
+// and it rolls back a committed write. The read must fail instead and
+// leave the record alone; the next reader, with the coordinator back,
+// finishes it from the TSR.
+func TestFailedTSRLookupIsNotAbsence(t *testing.T) {
+	ctx := context.Background()
+	clock := &stepClock{now: time.Now().Add(time.Hour).UnixNano()} // every prepare is an hour old
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Second, Clock: clock})
+	if _, err := inner.Insert("t", "k", bal(100)); err != nil {
+		t.Fatal(err)
+	}
+	installCrashedCommit(t, m, inner, "tcommitted-1", []string{"k"}, time.Minute)
+
+	unreachable := errors.New("coordinator unreachable")
+	failed := false
+	ss.before = func(op, table, _ string, _ map[string][]byte) error {
+		if op == "Get" && table == tsrTable && !failed {
+			failed = true
+			return unreachable
+		}
+		return nil
+	}
+	tx, _ := m.Begin(ctx)
+	if f, err := tx.Read(ctx, "", "t", "k"); !errors.Is(err, unreachable) {
+		t.Errorf("read with the TSR lookup failing = %v, %v; want the lookup's error", f, err)
+	}
+	wantCalls(t, "read with the TSR lookup failing", ss.take(), "Get t/k", "Get _tsr")
+	if rec, err := inner.Get("t", "k"); err != nil || !isPrepared(rec.Fields) {
+		t.Errorf("record after the failed lookup = %+v, %v; want it still prepared", rec, err)
+	}
+
+	tx, _ = m.Begin(ctx)
+	if f, err := tx.Read(ctx, "", "t", "k"); err != nil || getBal(t, f) != 777 {
+		t.Errorf("read with the coordinator back = %v, %v; want the committed 777", f, err)
+	}
+}
+
+// TestFinishBetweenFetchAndTSRLookup: a reader fetches a record its
+// writer has prepared and committed, and before the reader looks the
+// TSR up the writer's finish completes — both roll-forwards and the
+// TSR delete. "No TSR" then means "finished", not "in flight": reading
+// around returns the image the commit replaced, and a client that read
+// its own acknowledged transfer that way would then conflict on it. The
+// record tells the two apart, at the price of one more get.
+func TestFinishBetweenFetchAndTSRLookup(t *testing.T) {
+	ctx := context.Background()
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Hour})
+	for _, k := range []string{"a", "b"} {
+		if _, err := inner.Insert("t", k, bal(100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A writer past its commit point whose finish has yet to run.
+	installCrashedCommit(t, m, inner, "twriter-1", []string{"a", "b"}, 0)
+	finished := false
+	ss.before = func(op, table, txnID string, _ map[string][]byte) error {
+		if op != "Get" || table != tsrTable || finished {
+			return nil
+		}
+		finished = true
+		for _, k := range []string{"a", "b"} {
+			cur, err := inner.Get("t", k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := inner.PutIfVersion("t", k, userFields(cur.Fields), cur.Version); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return inner.Delete(tsrTable, txnID)
+	}
+	r, err := m.readResolved(ctx, ss, "t", "a")
+	if err != nil || getBal(t, r.fields) != 777 || !r.clean {
+		t.Errorf("read overtaken by the finish = %q clean=%v, %v; want the committed 777, clean", r.fields, r.clean, err)
+	}
+	wantCalls(t, "read overtaken by the finish", ss.take(), "Get t/a", "Get _tsr", "Get t/a")
+
+	// The in-flight case is unchanged: the record is still prepared at
+	// the same version after the second get, so it is read around.
+	cur, err := inner.Get("t", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := InstallPreparedForTest(inner, "t", "b", cur, bal(5), "tinflight-1", "local"); err != nil {
+		t.Fatal(err)
+	}
+	r, err = m.readResolved(ctx, ss, "t", "b")
+	if err != nil || getBal(t, r.fields) != 777 || r.clean || r.ver != cur.Version+1 {
+		t.Errorf("read around an in-flight writer = %q v%d clean=%v, %v; want the previous 777 under the prepared v%d, not clean",
+			r.fields, r.ver, r.clean, err, cur.Version+1)
+	}
+	wantCalls(t, "read around an in-flight writer", ss.take(), "Get t/b", "Get _tsr", "Get t/b")
 }

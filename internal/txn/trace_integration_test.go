@@ -93,6 +93,7 @@ func runTracedWriteSkew(t *testing.T, serializable bool) (*trace.Report, int) {
 		}(w)
 	}
 	wg.Wait()
+	flush(t, m)
 
 	violations := 0
 	for i := 0; i < pairs; i++ {

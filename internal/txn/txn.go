@@ -34,23 +34,52 @@
 // deadline well under the recovery timeout so a live writer is never
 // rolled back by an impatient reader.
 //
-// Store calls. On a remote backend every store call is a blocking
-// round trip, and their number per commit is what a transaction
-// costs, so the library asks a store only for what the transaction
-// does not already hold. The read set keeps each fetched image with
-// its version (readEntry): a repeated Read, the binding's
-// read-merge-write Update and the prepare of a key the transaction
-// read are all served from it — the prepare's conditional put on the
-// version read is the validation, so a concurrent change surfaces as
-// ErrConflict there. Only a clean entry licenses that put; an entry
-// read around an in-flight writer carries the version of that
-// writer's prepared record and conflicts instead. An insert prepares
-// create-only without looking first. A read-modify-write of n keys is
-// therefore n gets, n prepare puts, the TSR put, n roll-forward puts
-// and the TSR delete — 3n+2 calls, 8 for the CEW's two accounts — and
-// an insert is 4; a blind write or delete still fetches the previous
-// image its prepared record must carry (5). All calls run on the
-// transaction's own goroutine, one after another.
+// Store calls. On a remote backend every store call is a round trip,
+// and the ones the caller waits for are what a transaction costs, so
+// the library asks a store only for what the transaction does not
+// already hold, and makes the caller wait only up to the commit point.
+// The read set keeps each fetched image with its version (readEntry):
+// a repeated Read, the binding's read-merge-write Update and the
+// prepare of a key the transaction read are all served from it — the
+// prepare's conditional put on the version read is the validation, so
+// a concurrent change surfaces as ErrConflict there. Only a clean entry
+// licenses that put; an entry read around an in-flight writer carries
+// the version of that writer's prepared record and conflicts instead.
+// An insert prepares create-only without looking first. A
+// read-modify-write of n keys is therefore n gets, n prepare puts, the
+// TSR put, n roll-forward puts and the TSR delete — 3n+2 calls, 8 for
+// the CEW's two accounts — of which the first 2n+1 (5) block the
+// caller: Commit returns when the TSR put lands, and phase 3 (the
+// finish) runs behind it on a goroutine of its own, under a context
+// that is not the caller's. An insert is 4 calls (2 blocking); a blind
+// write or delete still fetches the previous image its prepared record
+// must carry (5, 3 blocking). The blocking calls run on the
+// transaction's own goroutine, one after another; the finish makes its
+// calls in the same order the committer used to. At most
+// maxPendingFinishes finishes are outstanding — past that the committer
+// runs its own before Commit returns — and Manager.Flush waits for
+// them. Every backend takes this path, an engine in the same process
+// included.
+//
+// Deferring the finish adds no state to the stores: between the TSR
+// put and the last roll-forward a record is prepared with a committed
+// TSR, which is exactly what a committer that died after its commit
+// point leaves, and readers (and Vacuum) finish such records from the
+// TSR. The TSR is deleted only when every roll-forward landed, so a
+// prepared record always has its TSR while its transaction is
+// committed. What the deferral widens is one window: a reader can
+// fetch a prepared record and then find no TSR because the finish
+// completed in between, so "TSR absent" alone no longer means "not
+// committed" — resolveRecord fetches the record again, and only a
+// record still prepared at the same version is read around. That is
+// for readers of other managers. A manager's own readers do not ask a
+// store about a transaction it committed: they wait for its finish to
+// roll forward and take the image from the prepared record they hold
+// (Manager.finishing), so one client's transactions make the same
+// calls wherever its reads fall relative to the finish before. A
+// committer that dies before its TSR is rolled back by readers after
+// the recovery timeout; one that dies after it is finished by them, as
+// before.
 //
 // Records need no gateway or daemon: transaction state lives in
 // reserved "_txn:" fields of the records themselves and in the "_tsr"
@@ -63,8 +92,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -254,7 +285,30 @@ type Manager struct {
 	// tsrLeft counts commits that left their TSR behind because a
 	// roll-forward did not land (a no-op without Options.Metrics).
 	tsrLeft *obs.Counter
+
+	// finishing holds, for every finish running behind its commit (see
+	// finishBehind), a channel closed when its roll-forwards are over,
+	// under the transaction's id: a reader of this manager that meets
+	// one of its prepared records waits on it instead of asking a store.
+	// The last maxPendingFinishes that ended (and landed) stay in it,
+	// finEnded saying which: a reader may still hold a record it fetched
+	// while the finish ran.
+	finMu      sync.Mutex
+	finishing  map[string]chan struct{}
+	finPending int
+	finEnded   [maxPendingFinishes]string // a ring; finEndedAt is the oldest
+	finEndedAt int
+	finIdle    chan struct{} // closed when finPending drops to 0; nil unless a Flush waits
+	// finInline counts finishes the committer ran itself because
+	// maxPendingFinishes were outstanding.
+	finInline *obs.Counter
 }
+
+// maxPendingFinishes bounds the goroutines finishing committed
+// transactions behind their committers. A committer that finds this
+// many outstanding runs its own finish before Commit returns, which is
+// the schedule every commit had before finishes were deferred.
+const maxPendingFinishes = 64
 
 // NewManager returns a manager over the given stores. With exactly
 // one store, the empty store name refers to it.
@@ -266,6 +320,7 @@ func NewManager(opts Options, stores ...Store) (*Manager, error) {
 		opts:      opts.withDefaults(),
 		stores:    make(map[string]Store, len(stores)),
 		watermark: oracle.NewWatermark(),
+		finishing: make(map[string]chan struct{}),
 	}
 	for _, s := range stores {
 		if s.Name() == "" {
@@ -282,6 +337,14 @@ func NewManager(opts Options, stores ...Store) (*Manager, error) {
 	m.id = strconv.FormatInt(m.opts.Clock.Now()&0xFFFFFFFF, 36)
 	m.opts.Metrics.Help("txn_tsr_left_total", "Committed transactions whose TSR was left in place because a roll-forward failed; readers finish them from it.")
 	m.tsrLeft = m.opts.Metrics.Counter("txn_tsr_left_total")
+	m.opts.Metrics.Help("txn_finish_pending", "Committed transactions whose roll-forward and TSR delete are still running behind Commit.")
+	m.opts.Metrics.GaugeFunc("txn_finish_pending", func() float64 {
+		m.finMu.Lock()
+		defer m.finMu.Unlock()
+		return float64(m.finPending)
+	})
+	m.opts.Metrics.Help("txn_finish_inline_total", "Commits that ran their own finish before returning because the bound on outstanding finishes was reached.")
+	m.finInline = m.opts.Metrics.Counter("txn_finish_inline_total")
 	return m, nil
 }
 
@@ -329,33 +392,55 @@ func (m *Manager) Begin(ctx context.Context) (*Txn, error) {
 func (m *Manager) SetHistory(sink history.TxnSink) { m.opts.History = sink }
 
 // RunInTxn executes fn inside a transaction, committing on success
-// and retrying (up to maxRetries) when the commit conflicts. fn must
-// be idempotent.
+// and retrying (up to maxRetries) when the attempt conflicts, after a
+// jittered exponential back-off: the loser of a conflict learns it in
+// a round trip or two, and coming straight back it meets the same
+// winner still committing. fn must be idempotent.
 func (m *Manager) RunInTxn(ctx context.Context, maxRetries int, fn func(*Txn) error) error {
 	var lastErr error
 	for attempt := 0; attempt <= maxRetries; attempt++ {
+		if attempt > 0 {
+			if err := retryBackoff(ctx, attempt); err != nil {
+				return err
+			}
+		}
 		t, err := m.Begin(ctx)
 		if err != nil {
 			return err
 		}
-		if err := fn(t); err != nil {
+		if err = fn(t); err != nil {
 			t.Abort(ctx)
-			if errors.Is(err, ErrConflict) {
-				lastErr = err
-				continue
-			}
-			return err
-		}
-		err = t.Commit(ctx)
-		if err == nil {
-			return nil
+		} else {
+			err = t.Commit(ctx)
 		}
 		if !errors.Is(err, ErrConflict) {
-			return err
+			return err // committed, or failed for a reason a retry would not cure
 		}
 		lastErr = err
 	}
 	return fmt.Errorf("txn: retries exhausted: %w", lastErr)
+}
+
+// Back-off before RunInTxn's retries: the n-th waits between half and
+// all of min(retryBackoffBase << n, retryBackoffMax). The base is about
+// one commit on a loopback fleet, the cap well under any recovery
+// timeout.
+const (
+	retryBackoffBase = 50 * time.Microsecond
+	retryBackoffMax  = 10 * time.Millisecond
+)
+
+func retryBackoff(ctx context.Context, retry int) error {
+	d := min(retryBackoffBase<<min(retry, 8), retryBackoffMax)
+	d = d/2 + rand.N(d/2)
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // wkey identifies one record across stores.
@@ -585,9 +670,11 @@ func (t *Txn) rollbackPrepared(ctx context.Context) error {
 	return firstErr
 }
 
-// Commit runs the prepare / TSR / roll-forward protocol. On conflict
-// it rolls back and returns ErrConflict; the transaction is finished
-// either way.
+// Commit prepares the write set and writes the TSR, and returns once
+// that put lands: the transaction is then durably committed, and its
+// roll-forward runs behind the call (see finish; Manager.Flush waits
+// for it). On conflict it rolls back and returns ErrConflict; the
+// transaction is finished either way.
 func (t *Txn) Commit(ctx context.Context) error {
 	if t.done {
 		return ErrTxnDone
@@ -686,33 +773,119 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return fmt.Errorf("%w: writing TSR: %v", ErrConflict, err)
 	}
 
-	// Phase 3: roll forward and clean up on a detached context (the
-	// transaction is already durably committed; finish the job even
-	// if the caller's deadline fires). A failed roll-forward is benign
-	// only while the TSR exists — readers finish the job from it, and
-	// without it they would presume this writer dead and roll back an
-	// acknowledged commit — so the TSR goes only when every record
-	// landed. A TSR left behind is Vacuum's to collect.
-	landed := true
-	for _, k := range keys {
-		w := t.writes[k]
-		s := t.m.stores[k.store]
-		if err := t.m.rollForwardRecord(cleanupCtx, s, k.table, k.key, w); err != nil {
-			landed = false
-		}
-	}
-	if landed {
-		// Dropping this error leaves a TSR nothing points at.
-		_ = coord.Delete(cleanupCtx, tsrTable, t.id, kvstore.AnyVersion)
-	} else {
-		t.m.tsrLeft.Inc()
-	}
-
+	// The transaction is durably committed and Commit returns here.
+	// Phase 3 runs behind it.
 	t.done = true
 	t.m.commits.Add(1)
 	t.emitTrace()
 	t.emitHistory(true, commitTS)
+	t.m.finishBehind(cleanupCtx, t, keys)
 	return nil
+}
+
+// finishBehind runs a committed transaction's finish on a goroutine of
+// its own, under the background context: deferred work must not inherit
+// the caller's deadline, nor carry the caller's values onto another
+// goroutine. Like the committer's own finish before it, it carries no
+// deadline — a store that stops answering is the transport's to give up
+// on, and Flush returns with its caller's context either way. When
+// maxPendingFinishes are outstanding the committer runs the finish
+// itself, under detached, its own context without the cancellation.
+func (m *Manager) finishBehind(detached context.Context, t *Txn, keys []wkey) {
+	m.finMu.Lock()
+	full := m.finPending >= maxPendingFinishes
+	var done chan struct{}
+	if !full {
+		done = make(chan struct{})
+		m.finishing[t.id] = done
+		m.finPending++
+	}
+	m.finMu.Unlock()
+	if full {
+		m.finInline.Inc()
+		m.finish(detached, t, keys, nil)
+		return
+	}
+	go func() {
+		landed := m.finish(context.Background(), t, keys, done)
+		m.finMu.Lock()
+		if landed {
+			// Remembered in place of the oldest ended before it. One that
+			// did not land is forgotten now: its records are still
+			// prepared, and readers must go to its TSR to finish them.
+			delete(m.finishing, m.finEnded[m.finEndedAt])
+			m.finEnded[m.finEndedAt] = t.id
+			m.finEndedAt = (m.finEndedAt + 1) % len(m.finEnded)
+		} else {
+			delete(m.finishing, t.id)
+		}
+		if m.finPending--; m.finPending == 0 && m.finIdle != nil {
+			close(m.finIdle)
+			m.finIdle = nil
+		}
+		m.finMu.Unlock()
+	}()
+}
+
+// finishOf returns the channel that closes when the finish of the
+// transaction this manager committed under id has made its
+// roll-forwards — closed already if it ended a moment ago — and nil for
+// any other id.
+func (m *Manager) finishOf(id string) <-chan struct{} {
+	m.finMu.Lock()
+	defer m.finMu.Unlock()
+	return m.finishing[id]
+}
+
+// finish is phase 3 of a committed transaction: roll every prepared
+// record forward in prepare order, close rolled (when not nil) for the
+// readers waiting on those records, then remove the TSR. A failed
+// roll-forward is benign only while the TSR exists — readers finish the
+// job from it, and without it they would presume this writer dead and
+// roll back an acknowledged commit — so the TSR goes only when every
+// record landed, which is what finish reports. A TSR left behind is
+// Vacuum's to collect.
+func (m *Manager) finish(ctx context.Context, t *Txn, keys []wkey, rolled chan<- struct{}) (landed bool) {
+	landed = true // until a roll-forward fails
+	for _, k := range keys {
+		if err := m.rollForwardRecord(ctx, m.stores[k.store], k.table, k.key, t.writes[k]); err != nil {
+			landed = false
+		}
+	}
+	if rolled != nil {
+		close(rolled)
+	}
+	if landed {
+		// Dropping this error leaves a TSR nothing points at.
+		_ = m.stores[keys[0].store].Delete(ctx, tsrTable, t.id, kvstore.AnyVersion)
+	} else {
+		m.tsrLeft.Inc()
+	}
+	return landed
+}
+
+// Flush waits until no finish is outstanding: every transaction
+// committed before the call has been rolled forward and its TSR removed
+// (or left, see finish). Commits made while Flush waits are waited for
+// too. Call it before closing the stores or inspecting them directly.
+func (m *Manager) Flush(ctx context.Context) error {
+	for {
+		m.finMu.Lock()
+		if m.finPending == 0 {
+			m.finMu.Unlock()
+			return nil
+		}
+		if m.finIdle == nil {
+			m.finIdle = make(chan struct{})
+		}
+		idle := m.finIdle
+		m.finMu.Unlock()
+		select {
+		case <-idle:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // emitTrace reports this committed transaction's access sets to the
@@ -819,7 +992,7 @@ func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS i
 		// Another transaction holds this record; try to resolve it (it
 		// may be long-committed or long-dead).
 		if _, rerr := t.m.resolveRecord(ctx, s, k.table, k.key, cur); rerr != nil && !errors.Is(rerr, ErrNotFound) {
-			return fmt.Errorf("record held by %s", cur.Fields[metaID])
+			return fmt.Errorf("record held by %s: %w", cur.Fields[metaID], rerr)
 		}
 		cur, err = s.Get(ctx, k.table, k.key)
 		if err == nil && isPrepared(cur.Fields) {

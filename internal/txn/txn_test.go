@@ -56,6 +56,7 @@ func TestCommitBasic(t *testing.T) {
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, m)
 
 	// Both records visible, clean (no metadata), and the TSR cleaned up.
 	for key, want := range map[string]int64{"a": 100, "b": 200} {
@@ -233,6 +234,7 @@ func TestTransactionalDelete(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, m)
 	if _, err := inner.Get("t", "k"); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Errorf("record survived transactional delete: %v", err)
 	}
@@ -373,6 +375,7 @@ func TestReadAroundInFlightWriter(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	})
+	flush(t, m)
 
 	// Manually install a prepared record as an in-flight writer
 	// would: new value 999, prev image balance=1.
@@ -412,6 +415,7 @@ func TestRecoveryRollsBackDeadWriter(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(42))
 	})
+	flush(t, m)
 	cur, _ := inner.Get("t", "k")
 	prepared := map[string][]byte{
 		"balance":     []byte("999"),
@@ -455,6 +459,7 @@ func TestRecoveryRollsForwardCommittedWriter(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	})
+	flush(t, m)
 	cur, _ := inner.Get("t", "k")
 	prepared := map[string][]byte{
 		"balance":     []byte("777"),
@@ -494,6 +499,7 @@ func TestRecoveryCommittedDelete(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	})
+	flush(t, m)
 	cur, _ := inner.Get("t", "k")
 	prepared := map[string][]byte{
 		metaState:     []byte("P"),
@@ -604,6 +610,7 @@ func TestMultiStoreTransaction(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	flush(t, m)
 	ra, _ := s1.Get("acct", "a")
 	rb, _ := s2.Get("acct", "b")
 	if string(ra.Fields["balance"]) != "70" || string(rb.Fields["balance"]) != "130" {
@@ -648,6 +655,7 @@ func TestReadOnlyCommitIsTrivial(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	})
+	flush(t, m)
 	before := inner.Len(tsrTable)
 	tx, _ := m.Begin(ctx)
 	if _, err := tx.Read(ctx, "", "t", "k"); err != nil {

@@ -21,9 +21,11 @@ import (
 // forward) and then removes the TSR.
 //
 // It returns how many TSRs were removed and how many records were
-// resolved. Safe to run concurrently with live transactions: all
-// repairs go through the same conditional-put resolution paths, and
-// the cutoff never advances past the oldest snapshot pinned by a live
+// resolved. A record that will not resolve (its store, or the store
+// holding its TSR, did not answer) keeps its TSR; the sweep goes on and
+// returns the first such error. Safe to run concurrently with live
+// transactions: all repairs go through the same conditional-put
+// resolution paths, and the cutoff never advances past the oldest snapshot pinned by a live
 // read-only transaction — a snapshot reader decides commit-as-of by
 // looking the TSR up in its version history, so the TSR (and the
 // prepared records it covers) must outlive every snapshot that might
@@ -34,9 +36,9 @@ func (m *Manager) Vacuum(ctx context.Context) (tsrsRemoved, recordsResolved int,
 		cutoff = wm
 	}
 	for _, s := range m.stores {
-		kvs, err := s.Scan(ctx, tsrTable, "", -1)
-		if err != nil {
-			return tsrsRemoved, recordsResolved, fmt.Errorf("txn: vacuum scanning %s: %w", s.Name(), err)
+		kvs, serr := s.Scan(ctx, tsrTable, "", -1)
+		if serr != nil {
+			return tsrsRemoved, recordsResolved, fmt.Errorf("txn: vacuum scanning %s: %w", s.Name(), serr)
 		}
 		for _, kv := range kvs {
 			commitTS, _ := strconv.ParseInt(string(kv.Record.Fields[tsrCommitTS]), 10, 64)
@@ -45,25 +47,28 @@ func (m *Manager) Vacuum(ctx context.Context) (tsrsRemoved, recordsResolved int,
 			}
 			resolved := true
 			for _, wk := range decodeWriteSet(kv.Record.Fields[tsrWriteSet]) {
-				ws, err := m.store(wk.store)
-				if err != nil {
+				ws, serr := m.store(wk.store)
+				if serr != nil {
 					continue // store no longer registered
 				}
 				if _, rerr := m.readResolved(ctx, ws, wk.table, wk.key); rerr == nil || errors.Is(rerr, ErrNotFound) {
 					recordsResolved++
 				} else {
 					resolved = false
+					if err == nil {
+						err = fmt.Errorf("txn: vacuum resolving %s: %w", wk, rerr)
+					}
 				}
 			}
 			if !resolved {
-				continue // a record may still be prepared: its TSR stays (see Commit, phase 3)
+				continue // a record may still be prepared: its TSR stays (see finish)
 			}
 			if derr := s.Delete(ctx, tsrTable, kv.Key, kvstore.AnyVersion); derr == nil {
 				tsrsRemoved++
 			}
 		}
 	}
-	return tsrsRemoved, recordsResolved, nil
+	return tsrsRemoved, recordsResolved, err
 }
 
 // VacuumLoop runs Vacuum on the given interval until the context is

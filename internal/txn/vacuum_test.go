@@ -48,6 +48,7 @@ func TestVacuumFinishesCrashedCommits(t *testing.T) {
 		}
 		return nil
 	})
+	flush(t, m)
 	installCrashedCommit(t, m, inner, "tdead-42", []string{"a", "b"}, time.Second)
 
 	removed, resolved, err := m.Vacuum(ctx)
@@ -89,6 +90,7 @@ func TestVacuumSkipsYoungTSRs(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "a", bal(1))
 	})
+	flush(t, m)
 	installCrashedCommit(t, m, inner, "tfresh-1", []string{"a"}, 0)
 	removed, _, err := m.Vacuum(ctx)
 	if err != nil {
@@ -116,6 +118,7 @@ func TestVacuumLoop(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "a", bal(1))
 	})
+	flush(t, m)
 	installCrashedCommit(t, m, inner, "tloop-1", []string{"a"}, time.Second)
 	done := make(chan struct{})
 	go func() {

@@ -7,12 +7,12 @@
 // read set, so a stale image can only be caught by the prepare's
 // conditional put — under real conflicts cash must still be conserved,
 // the history must certify, every Begin must end in exactly one commit
-// or abort, and nothing may be left prepared.
+// or abort, and once the manager has flushed its finishes nothing may
+// be left prepared.
 package ycsbt_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -20,7 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ycsbt/internal/db"
 	"ycsbt/internal/history"
@@ -59,37 +58,26 @@ func TestClusterTransfersUnderContentionBalance(t *testing.T) {
 	acct := func(i int) string { return fmt.Sprintf("acct%02d", i) }
 	var begins atomic.Int64
 
-	// attempt runs one transaction to its end — commit, or abort on the
-	// first error — through the binding's in-transaction view, the way
-	// the CEW workload does: read both accounts, update both.
-	attempt := func(from, to string, amount int64) error {
+	// transfer runs inside one attempt of RunInTxn, through the binding's
+	// in-transaction view, the way the CEW workload does: read both
+	// accounts, update both.
+	transfer := func(tx *txn.Txn, from, to string, amount int64) error {
 		begins.Add(1)
-		tctx, err := b.Start(ctx)
-		if err != nil {
-			return err
-		}
-		view := b.WithTx(tctx)
-		err = func() error {
-			var bal [2]int64
-			for i, k := range []string{from, to} {
-				rec, err := view.Read(ctx, table, k, nil)
-				if err != nil {
-					return err
-				}
-				if bal[i], err = strconv.ParseInt(string(rec["balance"]), 10, 64); err != nil {
-					return err
-				}
-			}
-			if err := view.Update(ctx, table, from, db.Record{"balance": []byte(strconv.FormatInt(bal[0]-amount, 10))}); err != nil {
+		view := b.WithTx(&db.TransactionContext{Handle: tx})
+		var bal [2]int64
+		for i, k := range []string{from, to} {
+			rec, err := view.Read(ctx, table, k, nil)
+			if err != nil {
 				return err
 			}
-			return view.Update(ctx, table, to, db.Record{"balance": []byte(strconv.FormatInt(bal[1]+amount, 10))})
-		}()
-		if err != nil {
-			b.Abort(ctx, tctx)
+			if bal[i], err = strconv.ParseInt(string(rec["balance"]), 10, 64); err != nil {
+				return err
+			}
+		}
+		if err := view.Update(ctx, table, from, db.Record{"balance": []byte(strconv.FormatInt(bal[0]-amount, 10))}); err != nil {
 			return err
 		}
-		return b.Commit(ctx, tctx)
+		return view.Update(ctx, table, to, db.Record{"balance": []byte(strconv.FormatInt(bal[1]+amount, 10))})
 	}
 
 	begins.Add(1)
@@ -104,10 +92,10 @@ func TestClusterTransfersUnderContentionBalance(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 
-	// Every transfer is retried until it commits, backing off a little
-	// longer after each abort. (A conflict the read set decides costs the
-	// loser two round trips, so a client that retries at once comes back
-	// within ~40 µs; when the winner's goroutine is held up for a few
+	// Every transfer is retried until it commits, by RunInTxn and on its
+	// back-off. (A conflict the read set decides costs the loser two
+	// round trips, so a client that retries at once comes back within
+	// ~40 µs; when the winner's goroutine is held up for a few
 	// milliseconds — two CPUs carry the clients and all three nodes here —
 	// fifty such retries fit inside the stall.)
 	var wg sync.WaitGroup
@@ -121,23 +109,21 @@ func TestClusterTransfersUnderContentionBalance(t *testing.T) {
 				from := rng.Intn(accounts)
 				to := (from + 1 + rng.Intn(accounts-1)) % accounts
 				amount := int64(1 + rng.Intn(20))
-				start := time.Now()
-				for try := 1; ; try++ {
-					err := attempt(acct(from), acct(to), amount)
-					if err == nil {
-						done.Add(1)
-						break
-					}
-					if !errors.Is(err, db.ErrAborted) || time.Since(start) > 10*time.Second {
-						t.Errorf("worker %d transfer %d, attempt %d: %v", w, i, try, err)
-						return
-					}
-					time.Sleep(time.Duration(try) * 20 * time.Microsecond)
+				err := m.RunInTxn(ctx, 10000, func(tx *txn.Txn) error {
+					return transfer(tx, acct(from), acct(to), amount)
+				})
+				if err != nil {
+					t.Errorf("worker %d transfer %d: %v", w, i, err)
+					return
 				}
+				done.Add(1)
 			}
 		}(w)
 	}
 	wg.Wait()
+	if err := m.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	// Accounting: every Begin ended in exactly one commit or abort.
 	commits, aborts, conflicts, recovered := m.Stats()
