@@ -7,14 +7,16 @@ GO ?= go
 
 # The full tier-1 gate: vet, build everything, the race-enabled short
 # test run, then a short coverage-guided fuzz of the binary frame
-# codec (hostile bytes off the network must never panic the decoder)
-# and of the history NDJSON decoder (hostile history files must never
-# panic the offline checker).
+# codec (hostile bytes off the network must never panic the decoder),
+# of the history NDJSON decoder (hostile history files must never
+# panic the offline checker) and of the WAL record decoder (a damaged
+# log must never panic recovery, and what it accepts re-encodes).
 check: vet build test-race fuzz-smoke
 
 fuzz-smoke:
 	$(GO) test -run xx -fuzz FuzzFrameCodec -fuzztime 10s ./internal/kvwire/
 	$(GO) test -run xx -fuzz FuzzHistoryDecoder -fuzztime 10s ./internal/history/
+	$(GO) test -run xx -fuzz FuzzDecodeWALRecord -fuzztime 10s ./internal/kvstore/
 
 vet:
 	$(GO) vet ./...

@@ -25,7 +25,6 @@ import (
 	"ycsbt/internal/kvstore"
 	"ycsbt/internal/measurement"
 	"ycsbt/internal/properties"
-	"ycsbt/internal/trace"
 	"ycsbt/internal/txn"
 	"ycsbt/internal/workload"
 )
@@ -148,7 +147,7 @@ func BenchmarkMiddlewareChain(b *testing.B) {
 			return db.Chain(base, db.Metered(reg.Recorder()))
 		}},
 		{"TraceMeteredRetry", func(base db.DB, reg *measurement.Registry) db.DB {
-			log := trace.NewOpLog(1024)
+			log := db.NewOpLog(1024)
 			return db.Chain(base,
 				db.Traced(log),
 				db.Metered(reg.Recorder()),

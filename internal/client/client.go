@@ -25,7 +25,6 @@ import (
 	"ycsbt/internal/history"
 	"ycsbt/internal/measurement"
 	"ycsbt/internal/properties"
-	"ycsbt/internal/trace"
 	"ycsbt/internal/workload"
 )
 
@@ -119,8 +118,8 @@ type Client struct {
 	w       workload.Workload
 	d       db.DB // the raw binding
 	reg     *measurement.Registry
-	mwNames []string     // validated middleware stack, outermost first
-	opLog   *trace.OpLog // operation log, when the stack traces
+	mwNames []string  // validated middleware stack, outermost first
+	opLog   *db.OpLog // operation log, when the stack traces
 	shared  *db.MiddlewareState
 	// histNative is true when the binding records history itself
 	// (history.CapableDB); threads then skip the capture middleware so
@@ -155,7 +154,7 @@ func New(cfg Config, w workload.Workload, d db.DB, reg *measurement.Registry) (*
 		shared: db.NewMiddlewareState()}
 	for _, name := range mwNames {
 		if name == "trace" {
-			c.opLog = trace.NewOpLog(cfg.Props.GetInt("trace.oplog_size", trace.DefaultOpLogSize))
+			c.opLog = db.NewOpLog(cfg.Props.GetInt("trace.oplog_size", db.DefaultOpLogSize))
 		}
 	}
 	if cfg.History != nil {
@@ -180,7 +179,7 @@ func (c *Client) Registry() *measurement.Registry { return c.reg }
 
 // OpLog returns the operation log captured by the "trace" middleware
 // (nil when the stack does not trace).
-func (c *Client) OpLog() *trace.OpLog { return c.opLog }
+func (c *Client) OpLog() *db.OpLog { return c.opLog }
 
 // DB returns the raw (unmetered) binding.
 func (c *Client) DB() db.DB { return c.d }

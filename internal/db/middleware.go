@@ -242,8 +242,7 @@ func TxView(d DB, tctx *TransactionContext) DB {
 }
 
 // OpObserver receives one event per completed operation from the
-// Traced middleware. internal/trace.OpLog implements it; the
-// interface lives here so db does not depend on the trace package.
+// Traced middleware. OpLog implements it.
 type OpObserver interface {
 	// ObserveOp is called after the operation (and anything stacked
 	// inside the trace middleware) completes.

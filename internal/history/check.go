@@ -100,10 +100,10 @@ type install struct {
 // over a decoded history.
 //
 // Serializability: the DSG over committed transactions (WR / WW / RW
-// edges across commit-ordered MVCC versions, generalizing
-// trace.CheckAccesses) must be acyclic and no committed transaction
-// may have read an aborted write. Each strongly connected component
-// yields a named witness cycle.
+// edges across commit-ordered MVCC versions — the Zellag & Kemme
+// dependency graph) must be acyclic and no committed transaction may
+// have read an aborted write. Each strongly connected component yields
+// a named witness cycle.
 //
 // Snapshot isolation, when the history carries start/commit
 // timestamps: each committed transaction must admit a snapshot point

@@ -3,6 +3,7 @@ package history
 import (
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 // Catalogue helpers: hand-built histories over table "u". Version 1 of
@@ -190,8 +191,8 @@ func TestCheckLongFork(t *testing.T) {
 	}
 }
 
-// A history without timestamps (e.g. synthesized from access lines)
-// still gets the serializability verdict but SI is not evaluated.
+// A history without timestamps still gets the serializability verdict
+// but SI is not evaluated.
 func TestCheckNoTimestamps(t *testing.T) {
 	res := Check([]*TxnRecord{
 		mkTxn("t1", 0, 0, OutcomeCommit, rd("x", 1), wr("x", 2)),
@@ -265,5 +266,88 @@ func TestCheckDuplicateInstalls(t *testing.T) {
 	}
 	if !res.Serializable {
 		t.Fatalf("want serializable, got %+v", res)
+	}
+}
+
+func TestCheckEmptyHistory(t *testing.T) {
+	res := Check(nil)
+	if !res.Serializable || res.Txns != 0 || len(res.EdgeCount) != 0 {
+		t.Fatalf("empty history = %+v", res)
+	}
+}
+
+// Three RW edges across three keys close T1 → T2 → T3 → T1; T0, which
+// installed every version they read, feeds the cycle but is not in it.
+func TestCheckThreeWayCycle(t *testing.T) {
+	res := Check([]*TxnRecord{
+		mkTxn("T0", 0, 0, OutcomeCommit, wr("x", 1), wr("y", 1), wr("z", 1)),
+		mkTxn("T1", 0, 0, OutcomeCommit, rd("x", 1), wr("z", 2)),
+		mkTxn("T2", 0, 0, OutcomeCommit, rd("y", 1), wr("x", 2)),
+		mkTxn("T3", 0, 0, OutcomeCommit, rd("z", 1), wr("y", 2)),
+	})
+	if res.Serializable || len(res.Cycles) != 1 {
+		t.Fatalf("want one cycle, got %+v", res)
+	}
+	c := res.Cycles[0]
+	wantEdge(t, c.Edges[0], "T1", "T2", EdgeRW, "u/x")
+	wantEdge(t, c.Edges[1], "T2", "T3", EdgeRW, "u/y")
+	wantEdge(t, c.Edges[2], "T3", "T1", EdgeRW, "u/z")
+	if len(c.Nodes) != 3 || !c.SIPermitted {
+		t.Fatalf("cycle = %+v", c)
+	}
+}
+
+// Writers given out of version order still chain by version.
+func TestCheckVersionOrderDefinesWW(t *testing.T) {
+	res := Check([]*TxnRecord{
+		mkTxn("T3", 0, 0, OutcomeCommit, wr("x", 30)),
+		mkTxn("T1", 0, 0, OutcomeCommit, wr("x", 10)),
+		mkTxn("T2", 0, 0, OutcomeCommit, wr("x", 20)),
+	})
+	if !res.Serializable {
+		t.Fatalf("WW chain flagged: %+v", res)
+	}
+	if len(res.EdgeCount) != 1 || res.EdgeCount[EdgeWW] != 2 {
+		t.Fatalf("edge counts = %v, want 2 WW (T1→T2→T3)", res.EdgeCount)
+	}
+}
+
+// T1 reads x@1, then T2 installs x@2: one RW edge, no cycle.
+func TestCheckSingleRWEdge(t *testing.T) {
+	res := Check([]*TxnRecord{
+		mkTxn("T0", 0, 0, OutcomeCommit, wr("x", 1)),
+		mkTxn("T1", 0, 0, OutcomeCommit, rd("x", 1)),
+		mkTxn("T2", 0, 0, OutcomeCommit, wr("x", 2)),
+	})
+	if !res.Serializable || res.EdgeCount[EdgeRW] != 1 {
+		t.Fatalf("acyclic history: %+v", res)
+	}
+}
+
+// Property: transactions that each touch only a key of their own never
+// form a cycle, whatever they read and write.
+func TestCheckDisjointKeysNeverCycle(t *testing.T) {
+	f := func(raw []uint8) bool {
+		byTxn := map[string]*TxnRecord{}
+		var recs []*TxnRecord
+		for i, b := range raw {
+			id := string(rune('A' + i%26))
+			r := byTxn[id]
+			if r == nil {
+				r = mkTxn(id, 0, 0, OutcomeCommit)
+				byTxn[id] = r
+				recs = append(recs, r)
+			}
+			key := id + "-private"
+			if b%2 == 0 {
+				r.Ops = append(r.Ops, wr(key, uint64(b)+1))
+			} else {
+				r.Ops = append(r.Ops, rd(key, uint64(b)))
+			}
+		}
+		return Check(recs).Serializable
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }

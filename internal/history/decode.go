@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // maxLineBytes bounds one NDJSON line; longer lines are a decode
@@ -18,9 +17,6 @@ const maxLineBytes = 1 << 20
 type DecodeStats struct {
 	// Lines is the number of non-empty lines consumed.
 	Lines int
-	// AccessTxns is how many transactions were synthesized from bare
-	// "a" (spilled trace access) lines.
-	AccessTxns int
 	// TruncatedTail is true when the final line was malformed or
 	// unterminated and was skipped — the expected shape of a file cut
 	// short by a crash mid-write.
@@ -30,15 +26,11 @@ type DecodeStats struct {
 // Decode reads an NDJSON history stream. Malformed content anywhere
 // but the final line is an error; a malformed or unterminated final
 // line is tolerated (crashed runs truncate mid-line) and reported in
-// the stats. Bare access lines ("a", spilled by a streaming
-// trace.Recorder) are grouped by transaction id into synthesized
-// committed records without timestamps.
+// the stats.
 func Decode(r io.Reader) ([]*TxnRecord, *DecodeStats, error) {
 	stats := &DecodeStats{}
 	var recs []*TxnRecord
-	seen := map[string]bool{}            // ids of "x" records
-	accessRecs := map[string]*TxnRecord{} // synthesized from "a" lines
-	var accessOrder []string
+	seen := map[string]bool{} // transaction ids
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
@@ -94,33 +86,11 @@ func Decode(r io.Reader) ([]*TxnRecord, *DecodeStats, error) {
 					return fail("transaction %s: unknown op kind %q", rec.ID, op.Kind)
 				}
 			}
-			if seen[rec.ID] || accessRecs[rec.ID] != nil {
+			if seen[rec.ID] {
 				return fmt.Errorf("history: line %d: duplicate transaction id %q", p.n, rec.ID)
 			}
 			seen[rec.ID] = true
 			recs = append(recs, &rec)
-		case "a":
-			var a accessLine
-			if err := json.Unmarshal(line, &a); err != nil {
-				return fail("%v", err)
-			}
-			if a.Txn == "" {
-				return fail("access line without txn id")
-			}
-			if seen[a.Txn] {
-				return fmt.Errorf("history: line %d: duplicate transaction id %q", p.n, a.Txn)
-			}
-			rec := accessRecs[a.Txn]
-			if rec == nil {
-				rec = &TxnRecord{ID: a.Txn, Session: -1, Outcome: OutcomeCommit}
-				accessRecs[a.Txn] = rec
-				accessOrder = append(accessOrder, a.Txn)
-			}
-			kind := OpRead
-			if a.Write {
-				kind = OpWrite
-			}
-			rec.Ops = append(rec.Ops, Op{Kind: kind, Key: a.Key, Ver: a.Ver})
 		default:
 			return fail("unknown line type %q", probe.T)
 		}
@@ -145,12 +115,6 @@ func Decode(r io.Reader) ([]*TxnRecord, *DecodeStats, error) {
 		if err := process(prev, true); err != nil {
 			return nil, nil, err
 		}
-	}
-
-	stats.AccessTxns = len(accessOrder)
-	sort.Strings(accessOrder)
-	for _, id := range accessOrder {
-		recs = append(recs, accessRecs[id])
 	}
 	return recs, stats, nil
 }

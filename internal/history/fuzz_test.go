@@ -11,11 +11,10 @@ import (
 func FuzzHistoryDecoder(f *testing.F) {
 	f.Add("{\"t\":\"h\",\"version\":1}\n" +
 		"{\"t\":\"x\",\"id\":\"t1\",\"sess\":0,\"start\":1,\"commit\":10,\"out\":\"c\",\"ops\":[{\"op\":\"r\",\"tab\":\"u\",\"key\":\"x\",\"ver\":1},{\"op\":\"w\",\"tab\":\"u\",\"key\":\"x\",\"ver\":2}]}\n" +
-		"{\"t\":\"x\",\"id\":\"t2\",\"sess\":1,\"start\":2,\"commit\":12,\"out\":\"a\",\"ops\":[{\"op\":\"d\",\"tab\":\"u\",\"key\":\"y\",\"ver\":3}]}\n" +
-		"{\"t\":\"a\",\"txn\":\"t3\",\"key\":\"u/x\",\"ver\":2}\n")
+		"{\"t\":\"x\",\"id\":\"t2\",\"sess\":1,\"start\":2,\"commit\":12,\"out\":\"a\",\"ops\":[{\"op\":\"d\",\"tab\":\"u\",\"key\":\"y\",\"ver\":3}]}\n")
 	// Truncated tail.
 	f.Add("{\"t\":\"h\",\"version\":1}\n{\"t\":\"x\",\"id\":\"t1\",\"out\":\"c\"}\n{\"t\":\"x\",\"id\":\"t2\",\"sta")
-	// Duplicate ids, both within "x" lines and across line kinds.
+	// Duplicate ids, and a line of an unknown kind.
 	f.Add("{\"t\":\"x\",\"id\":\"t1\",\"out\":\"c\"}\n{\"t\":\"x\",\"id\":\"t1\",\"out\":\"c\"}\n")
 	f.Add("{\"t\":\"a\",\"txn\":\"t1\",\"key\":\"x\",\"ver\":1,\"w\":true}\n{\"t\":\"x\",\"id\":\"t1\",\"out\":\"c\"}\n")
 	// Hostile field values.

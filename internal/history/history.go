@@ -60,7 +60,7 @@ type Op struct {
 
 // GraphKey is the composite identity an Op's record has in the
 // dependency graph: the non-empty (store, table, key) components
-// joined with "/". It matches the key format txn's Tracer emits.
+// joined with "/".
 func (o Op) GraphKey() string {
 	parts := make([]string, 0, 3)
 	if o.Store != "" {

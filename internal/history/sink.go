@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"ycsbt/internal/obs"
-	"ycsbt/internal/trace"
 )
 
 // FormatVersion is the NDJSON history format version written in the
@@ -25,17 +24,6 @@ const DefaultQueue = 1 << 14
 type headerLine struct {
 	T       string `json:"t"` // "h"
 	Version int    `json:"version"`
-}
-
-// accessLine is one spilled trace access ("a" line). Spilled accesses
-// carry no timestamps or outcome — they come from trace.Recorder,
-// which only ever sees committed transactions.
-type accessLine struct {
-	T     string `json:"t"` // "a"
-	Txn   string `json:"txn"`
-	Key   string `json:"key"`
-	Ver   uint64 `json:"ver"`
-	Write bool   `json:"w,omitempty"`
 }
 
 // txnLine is one full transaction record ("x" line).
@@ -56,12 +44,6 @@ type SinkOptions struct {
 	Metrics *obs.Registry
 }
 
-// event is one queued unit of work for the writer goroutine.
-type event struct {
-	txn      *TxnRecord
-	accesses []trace.Access
-}
-
 // Sink is the durable history sink: a bounded queue drained by one
 // writer goroutine that streams NDJSON lines to w. Memory stays
 // bounded regardless of run length; enqueue is lock-light (an RLock
@@ -69,7 +51,7 @@ type event struct {
 type Sink struct {
 	mu     sync.RWMutex // guards closed against concurrent enqueues
 	closed bool
-	ch     chan event
+	ch     chan *TxnRecord
 	done   chan struct{}
 
 	w    io.Writer
@@ -91,7 +73,7 @@ func NewSink(w io.Writer, opts SinkOptions) *Sink {
 	}
 	s := &Sink{
 		w:    w,
-		ch:   make(chan event, opts.Queue),
+		ch:   make(chan *TxnRecord, opts.Queue),
 		done: make(chan struct{}),
 	}
 	if c, ok := w.(io.Closer); ok {
@@ -120,47 +102,19 @@ func OpenFile(path string, opts SinkOptions) (*Sink, error) {
 // RecordTxn enqueues one finished transaction. It never blocks: when
 // the queue is full the record is dropped and counted.
 func (s *Sink) RecordTxn(rec *TxnRecord) {
-	s.enqueue(event{txn: rec})
-}
-
-// SpillAccesses implements trace.AccessSink: a streaming
-// trace.Recorder hands over batches of accesses instead of retaining
-// them, so long traced runs stay memory-bounded. The batch must not
-// be mutated after the call.
-func (s *Sink) SpillAccesses(batch []trace.Access) {
-	if len(batch) == 0 {
-		return
-	}
-	s.enqueue(event{accesses: batch})
-}
-
-func (s *Sink) enqueue(ev event) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
-		s.drop(ev)
-		return
-	}
-	select {
-	case s.ch <- ev:
-		n := int64(1)
-		if ev.accesses != nil {
-			n = int64(len(ev.accesses))
+	if !s.closed {
+		select {
+		case s.ch <- rec:
+			s.events.Add(1)
+			s.obsEvents.Inc()
+			return
+		default:
 		}
-		s.events.Add(n)
-		s.obsEvents.Add(n)
-	default:
-		s.drop(ev)
 	}
-}
-
-func (s *Sink) drop(ev event) {
-	n := int64(1)
-	if ev.accesses != nil {
-		n = int64(len(ev.accesses))
-	}
-	s.dropped.Add(n)
-	s.obsDropped.Add(n)
+	s.dropped.Add(1)
+	s.obsDropped.Inc()
 }
 
 // writeLoop is the single writer: it owns the buffered writer and a
@@ -180,16 +134,9 @@ func (s *Sink) writeLoop() {
 	if _, err := bw.Write(buf); err != nil {
 		s.werr.Store(err)
 	}
-	for ev := range s.ch {
-		buf = buf[:0]
-		if ev.txn != nil {
-			sortOps(ev.txn.Ops)
-			buf = appendTxnLine(buf, ev.txn)
-		} else {
-			for i := range ev.accesses {
-				buf = appendAccessLine(buf, &ev.accesses[i])
-			}
-		}
+	for rec := range s.ch {
+		sortOps(rec.Ops)
+		buf = appendTxnLine(buf[:0], rec)
 		if _, err := bw.Write(buf); err != nil {
 			s.werr.Store(err)
 		}
@@ -240,20 +187,6 @@ func appendTxnLine(b []byte, r *TxnRecord) []byte {
 		b = append(b, '}')
 	}
 	return append(b, ']', '}', '\n')
-}
-
-// appendAccessLine appends one "a" line, mirroring accessLine's shape.
-func appendAccessLine(b []byte, a *trace.Access) []byte {
-	b = append(b, `{"t":"a","txn":`...)
-	b = appendJSONString(b, a.Txn)
-	b = append(b, `,"key":`...)
-	b = appendJSONString(b, a.Key)
-	b = append(b, `,"ver":`...)
-	b = strconv.AppendUint(b, a.Version, 10)
-	if a.Write {
-		b = append(b, `,"w":true`...)
-	}
-	return append(b, '}', '\n')
 }
 
 // appendJSONString appends s as a JSON string literal: quotes,
@@ -345,4 +278,3 @@ func (m *MemorySink) Records() []*TxnRecord {
 
 var _ TxnSink = (*Sink)(nil)
 var _ TxnSink = (*MemorySink)(nil)
-var _ trace.AccessSink = (*Sink)(nil)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ycsbt/internal/obs"
-	"ycsbt/internal/trace"
 )
 
 func TestSinkRoundTrip(t *testing.T) {
@@ -79,46 +78,6 @@ func TestSinkDropsAfterClose(t *testing.T) {
 	}
 }
 
-// A streaming trace.Recorder spills access batches into the sink and
-// retains nothing; the decoder groups them back into per-transaction
-// records.
-func TestSinkSpilledAccesses(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "history.ndjson")
-	sink, err := OpenFile(path, SinkOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := trace.NewStreamingRecorder(sink, 2)
-	rec.Read("txA", "u/x", 1)
-	rec.Write("txA", "u/x", 2)
-	rec.Read("txB", "u/x", 2)
-	rec.Flush()
-	if got := len(rec.Accesses()); got != 0 {
-		t.Fatalf("recorder retained %d accesses after flush", got)
-	}
-	if rec.Len() != 3 {
-		t.Fatalf("recorder Len = %d", rec.Len())
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, stats, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.AccessTxns != 2 || len(recs) != 2 {
-		t.Fatalf("stats = %+v, %d records", stats, len(recs))
-	}
-	res := Check(recs)
-	if !res.Serializable {
-		t.Fatalf("want serializable, got %+v", res)
-	}
-	if res.SI != SINotEvaluated {
-		t.Fatalf("SI = %s (access lines carry no timestamps)", res.SI)
-	}
-}
-
 func TestDecodeTruncatedTail(t *testing.T) {
 	full := `{"t":"h","version":1}
 {"t":"x","id":"t1","sess":0,"start":1,"commit":10,"out":"c","ops":[{"op":"w","key":"x","ver":2}]}
@@ -142,7 +101,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"mid-file garbage", "{\"t\":\"h\",\"version\":1}\nnot json\n{\"t\":\"x\",\"id\":\"t1\",\"out\":\"c\"}\n", "line 2"},
 		{"bad version", "{\"t\":\"h\",\"version\":99}\n", "unsupported format version"},
 		{"duplicate id", "{\"t\":\"x\",\"id\":\"t1\",\"out\":\"c\"}\n{\"t\":\"x\",\"id\":\"t1\",\"out\":\"c\"}\n", "duplicate transaction id"},
-		{"dup across kinds", "{\"t\":\"a\",\"txn\":\"t1\",\"key\":\"x\",\"ver\":1}\n{\"t\":\"x\",\"id\":\"t1\",\"out\":\"c\"}\nx\n", "duplicate transaction id"},
+		{"access line", "{\"t\":\"h\",\"version\":1}\n{\"t\":\"a\",\"txn\":\"t1\",\"key\":\"x\",\"ver\":1}\n{\"t\":\"x\",\"id\":\"t1\",\"out\":\"c\"}\n", `line 2: unknown line type "a"`},
 		{"bad outcome", "{\"t\":\"x\",\"id\":\"t1\",\"out\":\"?\"}\nx\n", "unknown outcome"},
 		{"bad op kind", "{\"t\":\"x\",\"id\":\"t1\",\"out\":\"c\",\"ops\":[{\"op\":\"z\"}]}\nx\n", "unknown op kind"},
 		{"missing id", "{\"t\":\"x\",\"out\":\"c\"}\nx\n", "without id"},

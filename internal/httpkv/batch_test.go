@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,6 +107,55 @@ func TestBatchAdmissionControl(t *testing.T) {
 	}
 	if res := <-first; !errors.Is(res[0].Err, db.ErrNotFound) {
 		t.Fatalf("first batch: got %v, want ErrNotFound (empty store)", res[0].Err)
+	}
+}
+
+// A shed request frame is re-sent after the backoff and succeeds once
+// the slot is free: the caller sees no error, only a later answer.
+func TestBatchAdmissionRetrySucceeds(t *testing.T) {
+	mem := kvstore.OpenMemory()
+	if _, err := mem.Put("t", "k", map[string][]byte{"f": []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	eng := &slowEngine{Engine: mem, delay: 200 * time.Millisecond, entered: make(chan struct{})}
+	defer eng.Close()
+	tn := listenNode(t)
+	tn.serve(t, eng, nil, 1)
+	// The server hints 1s; the cap cuts the one backoff to 500ms, well
+	// after the slow batch has released the slot.
+	c := tn.client(t, WireModeAuto, "rawhttp.retry429_max_ms", "500")
+
+	ops := []db.BatchOp{{Op: db.OpRead, Table: "t", Key: "k"}}
+	first := make(chan []db.BatchResult)
+	go func() { first <- c.ExecBatch(context.Background(), ops) }()
+	<-eng.entered
+
+	for i, res := range [][]db.BatchResult{c.ExecBatch(context.Background(), ops), <-first} {
+		if res[0].Err != nil || string(res[0].Record["f"]) != "v" {
+			t.Fatalf("batch %d: %+v", i, res[0])
+		}
+	}
+	// First batch, the shed one and its retry.
+	if frames := tn.counter("kvwire_frames_total", "dir", "in"); frames != 3 {
+		t.Fatalf("server read %d request frames, want 3", frames)
+	}
+}
+
+// HTTP routes never shed, so the client does not retry a 429: it maps
+// one straight to db.ErrThrottled.
+func TestHTTP429IsThrottled(t *testing.T) {
+	var requests atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "throttled", http.StatusTooManyRequests)
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL, srv.Client())
+	if err := c.Insert(context.Background(), "t", "k", rec("v")); !errors.Is(err, db.ErrThrottled) {
+		t.Fatalf("got %v, want ErrThrottled", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("server saw %d requests, want 1", n)
 	}
 }
 

@@ -29,12 +29,12 @@ const (
 	DefaultPoolSize = 64
 	// DefaultTimeout bounds one HTTP exchange end to end.
 	DefaultTimeout = 30 * time.Second
-	// DefaultRetry429 is how many times a throttled (429) exchange is
-	// re-sent after honoring the server's Retry-After hint. 0 disables
-	// (surface db.ErrThrottled immediately, the pre-retry behavior).
+	// DefaultRetry429 is how many times a shed (429) request frame is
+	// re-sent after honoring the server's retry hint. 0 disables
+	// (surface db.ErrThrottled immediately).
 	DefaultRetry429 = 2
-	// DefaultRetry429Max caps one backoff sleep regardless of what
-	// Retry-After asks for.
+	// DefaultRetry429Max caps one backoff sleep regardless of what the
+	// retry hint asks for.
 	DefaultRetry429Max = 5 * time.Second
 )
 
@@ -95,9 +95,9 @@ type Client struct {
 	// asOf, when non-zero, serves every read at that snapshot timestamp
 	// (the "as_of" property); frames only.
 	asOf int64
-	// retry429 / retry429Max configure the throttle retry loop (see
-	// sendRetry and exec): up to retry429 re-sends, each sleeping the
-	// server's retry hint (doubled per attempt) capped at retry429Max.
+	// retry429 / retry429Max configure the frame throttle retry loop
+	// (see exec): up to retry429 re-sends, each sleeping the server's
+	// retry hint (doubled per attempt) capped at retry429Max.
 	retry429    int
 	retry429Max time.Duration
 	// dials counts the connections hc's transport has opened; nil when
@@ -249,73 +249,11 @@ func (c *Client) send(req *http.Request) (*http.Response, error) {
 	return c.hc.Do(req)
 }
 
-// sendRetry is send plus the 429 policy: a throttled response is
-// retried up to c.retry429 times, sleeping the server's Retry-After
-// hint (doubled each attempt as backoff, capped at c.retry429Max)
-// between sends. The request body is replayed via GetBody, which
-// net/http sets for the bytes.Reader/bytes.Buffer bodies every caller
-// here uses; a non-replayable body surfaces the 429 unchanged. The
-// retry gives up early when the context would expire before the
-// backoff elapses, returning the throttled response so the caller
-// still maps it to db.ErrThrottled.
-func (c *Client) sendRetry(req *http.Request) (*http.Response, error) {
-	resp, err := c.send(req)
-	for attempt := 0; attempt < c.retry429; attempt++ {
-		if err != nil || resp.StatusCode != http.StatusTooManyRequests {
-			return resp, err
-		}
-		if req.Body != nil && req.GetBody == nil {
-			return resp, err // cannot replay the body
-		}
-		wait := retryAfterDelay(resp, attempt, c.retry429Max)
-		if d, ok := req.Context().Deadline(); ok && time.Until(d) <= wait {
-			return resp, err // would expire mid-backoff; let the caller see the 429
-		}
-		drainClose(resp)
-		select {
-		case <-time.After(wait):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
-		if req.GetBody != nil {
-			body, berr := req.GetBody()
-			if berr != nil {
-				return nil, berr
-			}
-			req.Body = body
-		}
-		resp, err = c.send(req)
-	}
-	return resp, err
-}
-
-// retryAfterDelay resolves one backoff sleep: the response's
-// Retry-After hint (100ms when absent or unparsable), doubled per
-// completed attempt, capped at max. RFC 9110 §10.2.3 allows both
-// forms of the header — delta-seconds and an HTTP-date — so both
-// parse here; a date already in the past means "retry now" (zero
-// sleep), not "fall back to the default".
-func retryAfterDelay(resp *http.Response, attempt int, ceiling time.Duration) time.Duration {
-	base := 100 * time.Millisecond
-	if h := resp.Header.Get("Retry-After"); h != "" {
-		if secs, err := strconv.Atoi(h); err == nil && secs >= 0 {
-			base = time.Duration(secs) * time.Second
-		} else if t, terr := http.ParseTime(h); terr == nil {
-			base = time.Until(t)
-			if base < 0 {
-				base = 0
-			}
-		}
-	}
-	d := base << attempt
-	if ceiling > 0 && d > ceiling {
-		d = ceiling
-	}
-	return d
-}
-
+// do sends req and maps an error status to its db-layer error. No HTTP
+// route sheds load, so a 429 is not retried here; it surfaces as
+// db.ErrThrottled (frames retry theirs, see exec).
 func (c *Client) do(req *http.Request) (*http.Response, error) {
-	resp, err := c.sendRetry(req)
+	resp, err := c.send(req)
 	if err != nil {
 		return nil, fmt.Errorf("httpkv: %w", err)
 	}
@@ -502,7 +440,7 @@ func (c *Client) mutate(ctx context.Context, kind kvwire.Kind, table, key string
 			method = http.MethodPatch
 		}
 		// The JSON fields body is built in a pooled buffer, returned
-		// after do: a 429 retry replays it.
+		// after do (see bodyBufPool).
 		buf := getBodyBuf()
 		defer putBodyBuf(buf)
 		if err := json.NewEncoder(buf).Encode(wireRecord{Fields: values}); err != nil {

@@ -31,10 +31,10 @@ const maxDrainBytes = 64 << 10
 const maxPooledBuf = 1 << 20
 
 // bodyBufPool recycles request and response body buffers. A request
-// buffer goes back only after sendRetry has fully finished with the
-// request: net/http snapshots the buffer's bytes into GetBody at
-// request build time, and a 429 retry replays that snapshot — reusing
-// the buffer earlier would corrupt the replayed body.
+// buffer goes back only after do has fully finished with the request:
+// net/http snapshots the buffer's bytes into GetBody at request build
+// time, and the transport may replay that snapshot on a fresh
+// connection — reusing the buffer earlier would corrupt the body.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getBodyBuf() *bytes.Buffer {

@@ -106,11 +106,13 @@ func resolveWireAddr(base, adv string) string {
 	return net.JoinHostPort(host, port)
 }
 
-// exec ships ops as one request frame with the same 429 policy as
-// sendRetry: up to c.retry429 re-sends honoring the server's retry
-// hint (doubled per attempt, capped at c.retry429Max). A shed request
-// never ran, so re-sending it is safe; any other failure is returned
-// as it is — the frame may have been applied.
+// exec ships ops as one request frame. A frame shed on admission (429)
+// is re-sent up to c.retry429 times, each after the server's retry
+// hint (100ms when absent, doubled per attempt, capped at
+// c.retry429Max); the retry gives up early when the context would
+// expire mid-backoff. A shed request never ran, so re-sending it is
+// safe; any other failure is returned as it is — the frame may have
+// been applied.
 func (c *Client) exec(ctx context.Context, ops []kvwire.Op) ([]kvwire.Result, error) {
 	for attempt := 0; ; attempt++ {
 		res, err := c.wire.Exec(ctx, ops)

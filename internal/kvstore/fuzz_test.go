@@ -8,11 +8,11 @@ import (
 // FuzzDecodeWALRecord checks the WAL decoder never panics and that
 // anything it accepts re-encodes losslessly.
 func FuzzDecodeWALRecord(f *testing.F) {
-	f.Add(encodeWALRecord(walRecord{Op: walPut, Table: "t", Key: "k", Version: 3,
+	f.Add(encodeWALRecord(walRecord{Op: walPutTS, Table: "t", Key: "k", Version: 3, CommitTS: 17,
 		Fields: map[string][]byte{"a": []byte("1")}}))
-	f.Add(encodeWALRecord(walRecord{Op: walDelete, Table: "usertable", Key: "user99"}))
+	f.Add(encodeWALRecord(walRecord{Op: walDeleteTS, Table: "usertable", Key: "user99", Version: 2, CommitTS: 18}))
 	f.Add([]byte{})
-	f.Add([]byte{walPut})
+	f.Add([]byte{walPutTS})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeWALRecord(data, nil)
@@ -24,7 +24,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		if err2 != nil {
 			t.Fatalf("re-decode failed: %v", err2)
 		}
-		if out.Op != rec.Op || out.Table != rec.Table || out.Key != rec.Key || out.Version != rec.Version {
+		if out.Op != rec.Op || out.Table != rec.Table || out.Key != rec.Key || out.Version != rec.Version || out.CommitTS != rec.CommitTS {
 			t.Fatalf("round trip mismatch: %+v vs %+v", out, rec)
 		}
 	})

@@ -297,8 +297,8 @@ func oldAppendWALRecord(buf []byte, rec walRecord, order []string) []byte {
 }
 
 // TestParentWrittenWALReplays: a segment written by the old encoder —
-// names in map order, legacy op codes included — replays to the same
-// records, each with a canonical image.
+// names in map order — replays to the same records, each with a
+// canonical image.
 func TestParentWrittenWALReplays(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	f, err := os.Create(path)
@@ -332,8 +332,6 @@ func TestParentWrittenWALReplays(t *testing.T) {
 		frame(walRecord{Op: walPutTS, Table: "t", Key: key, Version: 1, CommitTS: int64(100 + i), Fields: fields})
 		wants[key] = want{1, fields}
 	}
-	frame(walRecord{Op: walPut, Table: "t", Key: "legacy", Version: 4, Fields: ycsbFields(3, 5, 1)}) // pre-MVCC frame
-	wants["legacy"] = want{4, ycsbFields(3, 5, 1)}
 	frame(walRecord{Op: walDeleteTS, Table: "t", Key: "user007", Version: 2, CommitTS: 500})
 	delete(wants, "user007")
 	frame(walRecord{Op: walPutTS, Table: "t", Key: "user008", Version: 2, CommitTS: 501, Fields: ycsbFields(2, 9, 3)})
@@ -364,6 +362,19 @@ func TestParentWrittenWALReplays(t *testing.T) {
 	if old, err := s.GetAsOf("t", "user008", 200); err != nil || old.Version != 1 {
 		t.Errorf("as-of read through the replayed chain = %+v, %v", old, err)
 	}
+}
+
+// TestPreMVCCWALRefused: a log holding a pre-MVCC frame (op code 1, no
+// commit ts) behind a TS frame is refused as it stands, not replayed
+// and not truncated.
+func TestPreMVCCWALRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendRawFrame(t, path, oldAppendWALRecord(nil, walRecord{Op: walPutTS, Table: "t", Key: "a", Version: 1, CommitTS: 100, Fields: fields("1")}, []string{"field0"}))
+	appendRawFrame(t, path, oldAppendWALRecord(nil, walRecord{Op: 1, Table: "t", Key: "legacy", Version: 4, Fields: fields("2")}, []string{"field0"}))
+	openRefused(t, path)
 }
 
 // TestDecodeFieldsRejectsBadSections: every malformed section is

@@ -57,13 +57,11 @@ func (p *partition) table(name string) *btree {
 // Open calls publishAll afterwards to expose the recovered state.
 // Frames replay in append order — commit-ts order per partition — so
 // chaining each record onto the key's current head rebuilds version
-// chains exactly. Legacy frames (pre-MVCC op codes) carry no commit
-// ts and replay with ts 0; a legacy delete is a hard remove, matching
-// the semantics it was written under.
+// chains exactly.
 func (p *partition) applyReplay(rec walRecord) error {
 	tree := p.table(rec.Table)
 	switch rec.Op {
-	case walPut, walPutTS:
+	case walPutTS:
 		stored := &VersionedRecord{Version: rec.Version, CommitTS: rec.CommitTS, Fields: rec.Fields, image: rec.Image}
 		if stored.image == nil {
 			// Logged from a map (a merge-update, or a log older than
@@ -76,8 +74,6 @@ func (p *partition) applyReplay(rec walRecord) error {
 		tomb := &VersionedRecord{Version: rec.Version, CommitTS: rec.CommitTS, deleted: true}
 		tomb.link(tree.get(rec.Key))
 		tree.put(rec.Key, tomb)
-	case walDelete:
-		tree.delete(rec.Key)
 	default:
 		return fmt.Errorf("unknown WAL op %d", rec.Op)
 	}

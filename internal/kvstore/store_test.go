@@ -1,8 +1,11 @@
 package kvstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -352,16 +355,16 @@ func TestWALCorruptCRCStopsReplay(t *testing.T) {
 
 func TestWALRecordRoundTrip(t *testing.T) {
 	cases := []walRecord{
-		{Op: walPut, Table: "t", Key: "k", Version: 7, Fields: map[string][]byte{"a": []byte("1"), "b": nil}},
-		{Op: walDelete, Table: "usertable", Key: "user123"},
-		{Op: walPut, Table: "", Key: "", Version: 0, Fields: nil},
+		{Op: walPutTS, Table: "t", Key: "k", Version: 7, CommitTS: 99, Fields: map[string][]byte{"a": []byte("1"), "b": nil}},
+		{Op: walDeleteTS, Table: "usertable", Key: "user123", Version: 3, CommitTS: 1 << 40},
+		{Op: walPutTS, Table: "", Key: "", Version: 0, Fields: nil},
 	}
 	for _, want := range cases {
 		got, err := decodeWALRecord(encodeWALRecord(want), nil)
 		if err != nil {
 			t.Fatalf("round trip %+v: %v", want, err)
 		}
-		if got.Op != want.Op || got.Table != want.Table || got.Key != want.Key || got.Version != want.Version {
+		if got.Op != want.Op || got.Table != want.Table || got.Key != want.Key || got.Version != want.Version || got.CommitTS != want.CommitTS {
 			t.Errorf("round trip = %+v, want %+v", got, want)
 		}
 		if len(got.Fields) != len(want.Fields) {
@@ -379,13 +382,105 @@ func TestWALDecodeErrors(t *testing.T) {
 	if _, err := decodeWALRecord(nil, nil); err == nil {
 		t.Error("empty payload should fail")
 	}
-	if _, err := decodeWALRecord([]byte{walPut}, nil); err == nil {
+	if _, err := decodeWALRecord([]byte{walPutTS}, nil); err == nil {
 		t.Error("truncated payload should fail")
 	}
 	// Valid record plus trailing garbage must fail.
-	p := append(encodeWALRecord(walRecord{Op: walDelete, Table: "t", Key: "k"}), 0xFF)
+	p := append(encodeWALRecord(walRecord{Op: walDeleteTS, Table: "t", Key: "k"}), 0xFF)
 	if _, err := decodeWALRecord(p, nil); err == nil {
 		t.Error("trailing bytes should fail")
+	}
+	// Only the TS op codes decode; 1 and 2 were the pre-MVCC frames.
+	if _, err := decodeWALRecord(encodeWALRecord(walRecord{Op: 1, Table: "t", Key: "k"}), nil); err == nil {
+		t.Error("unknown op code should fail")
+	}
+}
+
+// appendRawFrame appends one checksummed frame around payload to the
+// log at path, as the WAL writer would.
+func appendRawFrame(t *testing.T, path string, payload []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	if _, err := f.Write(append(hdr[:], payload...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openRefused asserts Open fails on the log at path with ErrCorruptWAL
+// and leaves its bytes as they were.
+func openRefused(t *testing.T, path string) {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(Options{Path: path}); !errors.Is(err, ErrCorruptWAL) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("Open = %v, want ErrCorruptWAL", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused log changed: %d bytes before, %d after", len(before), len(after))
+	}
+}
+
+// A checksummed frame that will not decode is corruption, not a torn
+// tail: truncating there would drop the committed frame behind it.
+func TestWALUndecodableFrameRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.wal")
+	s, err := Open(Options{Path: path, SyncWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Insert("t", "a", fields("1"))
+	s.Close()
+	appendRawFrame(t, path, []byte{walPutTS, 0xFF}) // key length past the end
+	appendRawFrame(t, path, encodeWALRecord(walRecord{Op: walPutTS, Table: "t", Key: "b", Version: 1, CommitTS: 100, Fields: fields("2")}))
+	openRefused(t, path)
+}
+
+// An empty frame is what a zero-filled tail reads as: a torn tail,
+// truncated away.
+func TestWALZeroFilledTailTruncated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.wal")
+	s, err := Open(Options{Path: path, SyncWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Insert("t", "a", fields("1"))
+	s.Close()
+	good, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRawFrame(t, path, nil)
+
+	r, err := Open(Options{Path: path})
+	if err != nil {
+		t.Fatalf("reopen with zero-filled tail: %v", err)
+	}
+	defer r.Close()
+	if _, err := r.Get("t", "a"); err != nil {
+		t.Errorf("good prefix lost: %v", err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != good.Size() {
+		t.Errorf("size after reopen = %d, want %d", st.Size(), good.Size())
 	}
 }
 

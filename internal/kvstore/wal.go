@@ -12,18 +12,20 @@ import (
 	"time"
 )
 
-// WAL op codes. walPut/walDelete are the legacy pre-MVCC frames
-// (still replayed for old logs); walPutTS/walDeleteTS additionally
-// carry the commit timestamp so replay rebuilds version chains. New
-// fields need new op codes because decodeWALRecord rejects trailing
-// bytes — that strictness is what keeps old binaries from silently
-// misreading new frames.
+// WAL op codes. Both carry the commit timestamp so replay rebuilds
+// version chains; 1 and 2 were the pre-MVCC frames without one, which
+// decodeWALRecord now rejects. New fields need new op codes because
+// decodeWALRecord rejects trailing bytes — that strictness is what
+// keeps old binaries from silently misreading new frames.
 const (
-	walPut byte = iota + 1
-	walDelete
-	walPutTS
-	walDeleteTS
+	walPutTS    byte = 3
+	walDeleteTS byte = 4
 )
+
+// ErrCorruptWAL reports a WAL frame whose checksum holds but whose
+// payload does not decode: not a torn tail, so Open refuses the log
+// and leaves it as it is rather than truncating committed frames away.
+var ErrCorruptWAL = errors.New("kvstore: corrupt WAL")
 
 // walRecord is one logged mutation. Put records carry the full
 // post-image (version and fields) so replay is a blind apply; delete
@@ -58,14 +60,14 @@ func walFrameOf(table, key string, v *VersionedRecord) walRecord {
 // Payload layout (all integers little-endian, strings/bytes
 // length-prefixed with uvarint):
 //
-//	op(1) table key version [commitTS] nfields {fieldName fieldValue}*
+//	op(1) table key version commitTS nfields {fieldName fieldValue}*
 //
-// where commitTS (uvarint) is present only for the TS op codes and the
-// tail from nfields on is one field section (image.go).
+// where the tail from nfields on is one field section (image.go).
 //
 // A torn final frame (crash mid-append) is detected by length or CRC
-// mismatch and truncated away on open, so a crashed store reopens to
-// its last complete mutation.
+// mismatch, or is an empty frame (a zero-filled tail), and is
+// truncated away on open, so a crashed store reopens to its last
+// complete mutation.
 //
 // With a group-commit window (gcInterval > 0) a background syncer
 // flushes and fsyncs the log once per window. Appends then never sync
@@ -108,7 +110,8 @@ func openWAL(path string, syncWrites bool, groupCommit time.Duration) (*wal, err
 
 // replay streams every complete record to fn, then positions the file
 // for appending, truncating any torn tail, and starts the group-commit
-// syncer when one is configured.
+// syncer when one is configured. A checksummed frame that does not
+// decode fails with ErrCorruptWAL before anything is truncated.
 func (w *wal) replay(fn func(walRecord) error) error {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return err
@@ -141,7 +144,10 @@ func (w *wal) replay(fn func(walRecord) error) error {
 		}
 		rec, err := decodeWALRecord(payload, &names)
 		if err != nil {
-			break
+			if length == 0 {
+				break // a zero-filled tail left by a crash
+			}
+			return fmt.Errorf("%w: frame at offset %d: %v", ErrCorruptWAL, offset, err)
 		}
 		if err := fn(rec); err != nil {
 			return err
@@ -354,9 +360,7 @@ func appendWALRecord(buf []byte, rec walRecord) []byte {
 	buf = appendString(buf, rec.Table)
 	buf = appendString(buf, rec.Key)
 	buf = binary.AppendUvarint(buf, rec.Version)
-	if rec.Op == walPutTS || rec.Op == walDeleteTS {
-		buf = binary.AppendUvarint(buf, uint64(rec.CommitTS))
-	}
+	buf = binary.AppendUvarint(buf, uint64(rec.CommitTS))
 	if rec.Image != nil {
 		return append(buf, rec.Image...)
 	}
@@ -372,6 +376,9 @@ func decodeWALRecord(payload []byte, names *[]string) (walRecord, error) {
 		return rec, errors.New("kvstore: empty WAL payload")
 	}
 	rec.Op = payload[0]
+	if rec.Op != walPutTS && rec.Op != walDeleteTS {
+		return rec, fmt.Errorf("kvstore: unsupported WAL op code %d", rec.Op)
+	}
 	rest := payload[1:]
 	var err error
 	if rec.Table, rest, err = readString(rest); err != nil {
@@ -386,14 +393,12 @@ func decodeWALRecord(payload []byte, names *[]string) (walRecord, error) {
 		return rec, errors.New("kvstore: bad WAL version")
 	}
 	rest = rest[n:]
-	if rec.Op == walPutTS || rec.Op == walDeleteTS {
-		ts, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return rec, errors.New("kvstore: bad WAL commit ts")
-		}
-		rec.CommitTS = int64(ts)
-		rest = rest[n:]
+	ts, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return rec, errors.New("kvstore: bad WAL commit ts")
 	}
+	rec.CommitTS = int64(ts)
+	rest = rest[n:]
 	if len(rest) == 1 && rest[0] == 0 {
 		return rec, nil // no fields (every delete frame): no map
 	}

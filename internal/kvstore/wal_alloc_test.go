@@ -8,10 +8,11 @@ import "testing"
 // per-record encode cost is pure byte copying.
 func TestWALEncodeZeroAlloc(t *testing.T) {
 	rec := walRecord{
-		Op:      walPut,
-		Table:   "usertable",
-		Key:     "user000000012345",
-		Version: 42,
+		Op:       walPutTS,
+		Table:    "usertable",
+		Key:      "user000000012345",
+		Version:  42,
+		CommitTS: 1 << 40,
 		Fields: map[string][]byte{
 			"field0": []byte("some-representative-payload-bytes"),
 			"field1": []byte("another-representative-payload"),

@@ -173,10 +173,13 @@ type Options struct {
 	// key read but not written joins the write set as a no-op write,
 	// so its prepare lock (a conditional put on the version read)
 	// both validates the read and blocks concurrent writers through
-	// the commit point. Off by default, matching the paper's
-	// snapshot-isolation semantics. Read-only transactions still
-	// commit trivially: each of their reads individually returned a
-	// committed image, and they take no locks.
+	// the commit point. Off by default, as in the paper; each read is
+	// then a committed image but not necessarily one snapshot with the
+	// others — history.Check can refute snapshot isolation on such a
+	// run (a read before a concurrent commit, another after one).
+	// Read-only transactions still commit trivially: each of their
+	// reads individually returned a committed image, and they take no
+	// locks.
 	SerializableReads bool
 	// DisableOrderedPrepare skips sorting the write set before the
 	// prepare phase (ablation: the paper's "simple ordered locking
@@ -189,36 +192,22 @@ type Options struct {
 	// the local clock ("in the current version, it relies on the
 	// local clock" — Section II-B).
 	Clock Clock
-	// Tracer, when set, receives the read and write sets of every
-	// COMMITTED transaction for dependency-graph serializability
-	// checking (internal/trace, the Zellag & Kemme approach the paper
-	// discusses). Aborted transactions are not traced. Deleted keys
-	// leave a tombstone version behind, so a later re-create continues
-	// the version sequence and the version-ordered graph stays sound
-	// across delete/insert cycles.
-	Tracer Tracer
 	// History, when set, receives one record per finished transaction
 	// — committed or aborted — with the versions read and installed,
 	// the session (from db.WithSession on the Begin context), and
-	// start/commit timestamps, for offline certification
-	// (internal/history, cmd/histcheck). Unlike Tracer it sees aborts
-	// too, which the checker needs for dirty-read detection. Install
-	// it before the first Begin. Read-only snapshot transactions
-	// (BeginReadOnly) are not recorded: they read a fixed as-of
-	// timestamp, take no part in the version-ordered graph, and would
-	// need their own snapshot-read semantics in the checker.
+	// start/commit timestamps, for dependency-graph certification
+	// (internal/history, cmd/histcheck: the Zellag & Kemme approach the
+	// paper discusses). Aborts are included, which the checker needs
+	// for dirty-read detection. Deleted keys leave a tombstone version
+	// behind, so a later re-create continues the version sequence and
+	// the version-ordered graph stays sound across delete/insert
+	// cycles. Install it before the first Begin. Read-only snapshot
+	// transactions (BeginReadOnly) are not recorded: they read a fixed
+	// as-of timestamp, take no part in the version-ordered graph, and
+	// would need their own snapshot-read semantics in the checker.
 	History history.TxnSink
 	// Metrics, when non-nil, receives the manager's txn_* series.
 	Metrics *obs.Registry
-}
-
-// Tracer receives committed transactions' access sets.
-// trace.Recorder implements it.
-type Tracer interface {
-	// Read records that txn observed version of key.
-	Read(txn, key string, version uint64)
-	// Write records that txn installed version of key.
-	Write(txn, key string, version uint64)
 }
 
 func (o Options) withDefaults() Options {
@@ -686,7 +675,6 @@ func (t *Txn) Commit(ctx context.Context) error {
 		// or after the last read is a valid serialization point.
 		t.done = true
 		t.m.commits.Add(1)
-		t.emitTrace()
 		t.emitHistory(true, t.m.opts.Clock.Now())
 		return nil
 	}
@@ -777,7 +765,6 @@ func (t *Txn) Commit(ctx context.Context) error {
 	// Phase 3 runs behind it.
 	t.done = true
 	t.m.commits.Add(1)
-	t.emitTrace()
 	t.emitHistory(true, commitTS)
 	t.m.finishBehind(cleanupCtx, t, keys)
 	return nil
@@ -888,37 +875,15 @@ func (m *Manager) Flush(ctx context.Context) error {
 	}
 }
 
-// emitTrace reports this committed transaction's access sets to the
-// configured tracer. The installed version of each write is the
-// roll-forward version, preparedVer+1 (versions advance by exactly
-// one per successful conditional put, and the roll-forward — whether
-// performed by this committer or by a racing reader — always CASes
-// on preparedVer).
-func (t *Txn) emitTrace() {
-	tr := t.m.opts.Tracer
-	if tr == nil {
-		return
-	}
-	for k, r := range t.reads {
-		if _, written := t.writes[k]; written {
-			continue
-		}
-		tr.Read(t.id, k.String(), r.ver)
-	}
-	for k, w := range t.writes {
-		if w.prepared {
-			tr.Write(t.id, k.String(), w.preparedVer+1)
-		}
-	}
-}
-
 // emitHistory reports this finished transaction to the history sink.
-// Unlike emitTrace it fires for aborts too (the checker needs them
-// for dirty-read analysis) and includes reads of keys the transaction
-// also wrote. Aborted transactions report only their reads: their
-// prepared images were rolled back, so no version was durably
-// installed. Installed versions follow emitTrace's reasoning:
-// preparedVer+1, the roll-forward version. Read-around reads report
+// It fires for aborts too (the checker needs them for dirty-read
+// analysis) and includes reads of keys the transaction also wrote.
+// Aborted transactions report only their reads: their prepared images
+// were rolled back, so no version was durably installed. The installed
+// version of each write is the roll-forward version, preparedVer+1
+// (versions advance by exactly one per successful conditional put, and
+// the roll-forward — whether performed by this committer or by a
+// racing reader — always CASes on preparedVer). Read-around reads report
 // the in-flight prepared record's version (see resolveRecord): the
 // checker then sees no committed writer for that version — losing a
 // WR edge, never inventing a cycle — while the RW anti-dependency to
