@@ -11,9 +11,8 @@
 //	      -P workloads/closed_economy_workload -threads 16 -load -t
 //
 // With -ops-addr set, a private ops listener serves Prometheus-text
-// /metrics, /healthz, and net/http/pprof. With -backups > 0 the node
-// serves a primary-backup replicated in-memory store instead of the
-// single embedded engine.
+// /metrics, /healthz, and net/http/pprof. The node always serves one
+// embedded kvstore engine, volatile or backed by the -wal log.
 //
 // With -cluster-node-id set the node joins a shared-nothing fleet: it
 // boots a versioned shard map (-peers for a uniform bootstrap map,
@@ -43,7 +42,6 @@ import (
 	"ycsbt/internal/kvstore"
 	"ycsbt/internal/kvwire"
 	"ycsbt/internal/obs"
-	"ycsbt/internal/replica"
 )
 
 func main() {
@@ -59,7 +57,6 @@ func run() error {
 	syncWrites := flag.Bool("sync", false, "fsync the WAL on every write")
 	shards := flag.Int("shards", kvstore.DefaultShards, "hash partitions of the store (an existing WAL layout wins)")
 	groupCommit := flag.Duration("group-commit", 0, "WAL group-commit window, e.g. 2ms (0 = sync inline)")
-	delay := flag.Duration("delay", 0, "artificial per-request service latency")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent request frames admitted before 429 (0 = unlimited)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap in bytes, larger bodies get 413 (0 = default 1MiB)")
 	retention := flag.Duration("retention", kvstore.DefaultRetention, "how long overwritten record versions stay readable via as-of reads")
@@ -67,10 +64,6 @@ func run() error {
 	opsAddr := flag.String("ops-addr", "", "ops listener address serving /metrics, /healthz, /debug/pprof (empty = disabled)")
 	wireAddr := flag.String("wire-addr", "", "frame listener address; advertised to clients via the X-KV-Wire response header (empty = disabled; required with -cluster-node-id)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: how long in-flight requests on the HTTP, wire and ops listeners get to finish")
-	backups := flag.Int("backups", 0, "serve a replicated in-memory store with this many backups instead of the embedded engine (-wal is ignored)")
-	replicaLag := flag.Duration("replica-lag", 0, "async replication delay per backup hop (with -backups)")
-	replicaSync := flag.Bool("replica-sync", false, "replicate synchronously: a quorum of backups applies every write before acknowledging (with -backups)")
-	replicaQuorum := flag.Int("replica-quorum", 0, "backups that must apply a sync write before acknowledging; 0 = majority (with -replica-sync)")
 	clusterNodeID := flag.String("cluster-node-id", "", "this node's base URL in the shard map, e.g. http://127.0.0.1:8077 (enables cluster mode)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster member, this node included; builds a uniform round-robin shard map at version 1 (with -cluster-node-id)")
 	shardmapPath := flag.String("shardmap", "", "path to a shard map JSON file to boot from instead of -peers (with -cluster-node-id)")
@@ -88,51 +81,25 @@ func run() error {
 		reg.RegisterCollector(obs.RuntimeCollector())
 	}
 
-	// The engine: embedded single store, or a replicated group.
-	var eng kvstore.Engine
-	var desc string
-	if *backups > 0 {
-		mode := replica.Async
-		if *replicaSync {
-			mode = replica.Sync
-		}
-		rs, err := replica.New(replica.Config{
-			Name:       "kvserver",
-			Backups:    *backups,
-			Mode:       mode,
-			Quorum:     *replicaQuorum,
-			ReplicaLag: *replicaLag,
-			Shards:     *shards,
-			Metrics:    metrics,
-		})
-		if err != nil {
-			return err
-		}
-		eng = rs.Engine()
-		desc = fmt.Sprintf("replicated backups=%d sync=%v quorum=%d lag=%v", *backups, *replicaSync, rs.Quorum(), *replicaLag)
-	} else {
-		store, err := kvstore.Open(kvstore.Options{
-			Path:           *wal,
-			SyncWrites:     *syncWrites,
-			Shards:         *shards,
-			GroupCommit:    *groupCommit,
-			Retention:      *retention,
-			VacuumInterval: *vacuumInterval,
-			Metrics:        metrics,
-		})
-		if err != nil {
-			return err
-		}
-		eng = store
-		desc = fmt.Sprintf("wal=%q sync=%v shards=%d", *wal, *syncWrites, store.Shards())
+	eng, err := kvstore.Open(kvstore.Options{
+		Path:           *wal,
+		SyncWrites:     *syncWrites,
+		Shards:         *shards,
+		GroupCommit:    *groupCommit,
+		Retention:      *retention,
+		VacuumInterval: *vacuumInterval,
+		Metrics:        metrics,
+	})
+	if err != nil {
+		return err
 	}
 	defer eng.Close()
+	desc := fmt.Sprintf("wal=%q sync=%v shards=%d", *wal, *syncWrites, eng.Shards())
 
 	// Cluster mode: boot a shard map and serve only the owned slots.
 	var cs *cluster.State
 	if *clusterNodeID != "" {
 		var m *cluster.Map
-		var err error
 		switch {
 		case *shardmapPath != "":
 			doc, rerr := os.ReadFile(*shardmapPath)
@@ -177,23 +144,15 @@ func run() error {
 		desc += fmt.Sprintf(" wire=%s", wireLnAddr)
 	}
 
-	var handler http.Handler = httpkv.NewServerWithOptions(eng, httpkv.ServerOptions{
+	mux := http.NewServeMux()
+	mux.Handle("/", httpkv.NewServerWithOptions(eng, httpkv.ServerOptions{
 		MaxBodyBytes: *maxBodyBytes,
 		Metrics:      metrics,
 		Cluster:      cs,
 		Core:         core,
 		WireAddr:     wireLnAddr,
-	})
-	if *delay > 0 {
-		inner := handler
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			time.Sleep(*delay)
-			inner.ServeHTTP(w, r)
-		})
-	}
+	}))
 	// Admin surface: compaction and store stats.
-	mux := http.NewServeMux()
-	mux.Handle("/", handler)
 	mux.HandleFunc("/admin/compact", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -252,7 +211,6 @@ func run() error {
 	var opsSrv *http.Server
 	if *opsAddr != "" {
 		var opsLn net.Addr
-		var err error
 		opsSrv, opsLn, err = obs.StartOps(*opsAddr, reg, nil)
 		if err != nil {
 			return err

@@ -39,7 +39,6 @@ import (
 	_ "ycsbt/internal/httpkv"
 	_ "ycsbt/internal/kvstore"
 	_ "ycsbt/internal/percolator"
-	_ "ycsbt/internal/replica"
 	_ "ycsbt/internal/txn"
 )
 

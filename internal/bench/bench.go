@@ -15,7 +15,9 @@
 //
 // Every sweep returns structured series plus a text-table renderer,
 // so cmd/experiments, bench_test.go and EXPERIMENTS.md all draw from
-// the same code.
+// the same code. A Check* predicate per figure asserts the shape the
+// sweep must reproduce; it compares first and last cells only, so it
+// holds for the tests' two-cell sweeps and cmd/experiments' longer ones.
 package bench
 
 import (
@@ -175,6 +177,13 @@ func runCell(ctx context.Context, p *properties.Properties, loadDB, runDB db.DB,
 	return res, v, nil
 }
 
+// point records one cell's result at x, its thread count (or, in the
+// oracle sweep, the oracle RTT in ms).
+func point(x int, res *client.Result, v *workload.ValidationResult) Point {
+	return Point{Threads: x, Throughput: res.Throughput, AnomalyScore: v.AnomalyScore,
+		Operations: res.Operations, Aborts: res.Aborts}
+}
+
 // fig2Threads is the paper's Figure 2 thread sweep.
 var fig2Threads = []int{1, 2, 4, 8, 16, 32, 64, 128}
 
@@ -213,13 +222,7 @@ func Figure2(ctx context.Context, o SweepOptions) ([]Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.Points = append(s.Points, Point{
-				Threads:      th,
-				Throughput:   res.Throughput,
-				AnomalyScore: v.AnomalyScore,
-				Operations:   res.Operations,
-				Aborts:       res.Aborts,
-			})
+			s.Points = append(s.Points, point(th, res, v))
 			o.logf("fig2 %s threads=%d: %.1f txn/s (%d ops, %d aborts)",
 				mix.label, th, res.Throughput, res.Operations, res.Aborts)
 		}
@@ -249,10 +252,7 @@ func Figure3(ctx context.Context, o SweepOptions) ([]Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			nontx.Points = append(nontx.Points, Point{
-				Threads: th, Throughput: res.Throughput,
-				AnomalyScore: v.AnomalyScore, Operations: res.Operations, Aborts: res.Aborts,
-			})
+			nontx.Points = append(nontx.Points, point(th, res, v))
 			o.logf("fig3 non-tx threads=%d: %.1f ops/s", th, res.Throughput)
 		}
 		// Transactional: the txn library over the same kind of store.
@@ -273,10 +273,7 @@ func Figure3(ctx context.Context, o SweepOptions) ([]Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			tx.Points = append(tx.Points, Point{
-				Threads: th, Throughput: res.Throughput,
-				AnomalyScore: v.AnomalyScore, Operations: res.Operations, Aborts: res.Aborts,
-			})
+			tx.Points = append(tx.Points, point(th, res, v))
 			o.logf("fig3 tx threads=%d: %.1f txn/s", th, res.Throughput)
 		}
 	}
@@ -354,10 +351,7 @@ func figure45Cell(ctx context.Context, o SweepOptions, threads int, dist string)
 	if err != nil {
 		return Point{}, err
 	}
-	return Point{
-		Threads: threads, Throughput: res.Throughput,
-		AnomalyScore: v.AnomalyScore, Operations: res.Operations, Aborts: res.Aborts,
-	}, nil
+	return point(threads, res, v), nil
 }
 
 // OverheadRow is one operation's latency in both modes (Tier 5).

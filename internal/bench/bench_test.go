@@ -18,40 +18,64 @@ func quickOpts() SweepOptions {
 	}
 }
 
+// line builds a series with one point per throughput, threads 1, 2, ...
+func line(label string, tputs ...float64) Series {
+	s := Series{Label: label}
+	for i, tp := range tputs {
+		s.Points = append(s.Points, Point{Threads: i + 1, Throughput: tp})
+	}
+	return s
+}
+
+// TestShapeChecksRejectBrokenShapes feeds each check one series that
+// holds its figure's shape and one that breaks it.
+func TestShapeChecksRejectBrokenShapes(t *testing.T) {
+	anomalous := line("90:10", 10, 20)
+	anomalous.Points[1].AnomalyScore = 0.01
+	oneThreadAnomaly := line("score", 10, 20)
+	oneThreadAnomaly.Points[0].AnomalyScore = 0.01
+	for _, c := range []struct {
+		name      string
+		good, bad error
+	}{
+		{"figure 2 scaling",
+			CheckFigure2([]Series{line("90:10", 10, 30), line("80:20", 10, 25), line("70:30", 10, 20)}),
+			CheckFigure2([]Series{line("90:10", 10, 30), line("80:20", 10, 10), line("70:30", 10, 20)})},
+		{"figure 2 mix order",
+			nil,
+			CheckFigure2([]Series{line("90:10", 10, 15), line("80:20", 10, 25), line("70:30", 10, 20)})},
+		{"figure 2 anomalies",
+			nil,
+			CheckFigure2([]Series{anomalous, line("80:20", 10, 15), line("70:30", 10, 12)})},
+		{"figure 3",
+			CheckFigure3([]Series{line("non-tx", 10, 40), line("tx", 7, 25)}),
+			CheckFigure3([]Series{line("non-tx", 10, 40), line("tx", 7, 40)})},
+		{"figures 4/5",
+			CheckFigure45(line("score", 10, 20), line("tput", 10, 20)),
+			CheckFigure45(oneThreadAnomaly, line("tput", 10, 20))},
+		{"oracle sweep",
+			CheckOracleSweep([]Series{line("perc", 100, 20), line("cc", 100, 90)}),
+			CheckOracleSweep([]Series{line("perc", 100, 90), line("cc", 100, 90)})},
+		{"multi-host",
+			CheckMultiHost([]MultiHostPoint{{TotalThroughput: 100}, {TotalThroughput: 120}}),
+			CheckMultiHost([]MultiHostPoint{{TotalThroughput: 100}, {TotalThroughput: 300}})},
+	} {
+		if c.good != nil {
+			t.Errorf("%s: good shape rejected: %v", c.name, c.good)
+		}
+		if c.bad == nil {
+			t.Errorf("%s: broken shape accepted", c.name)
+		}
+	}
+}
+
 func TestFigure2Shape(t *testing.T) {
 	series, err := Figure2(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 3 {
-		t.Fatalf("Figure2 returned %d series", len(series))
-	}
-	for _, s := range series {
-		if len(s.Points) != 2 {
-			t.Fatalf("%s has %d points", s.Label, len(s.Points))
-		}
-		for _, pt := range s.Points {
-			if pt.Throughput <= 0 {
-				t.Errorf("%s threads=%d throughput %v", s.Label, pt.Threads, pt.Throughput)
-			}
-			// Transactional runs must stay anomaly-free.
-			if pt.AnomalyScore != 0 {
-				t.Errorf("%s threads=%d anomaly score %v on transactional run",
-					s.Label, pt.Threads, pt.AnomalyScore)
-			}
-		}
-		// More threads must help at latency-bound scale.
-		if s.Points[1].Throughput <= s.Points[0].Throughput {
-			t.Errorf("%s: no scaling from %d to %d threads (%.1f → %.1f)",
-				s.Label, s.Points[0].Threads, s.Points[1].Threads,
-				s.Points[0].Throughput, s.Points[1].Throughput)
-		}
-	}
-	// Higher write ratio costs throughput: 90:10 beats 70:30 at equal
-	// threads.
-	if series[0].Points[1].Throughput <= series[2].Points[1].Throughput {
-		t.Errorf("90:10 (%.1f) should outperform 70:30 (%.1f)",
-			series[0].Points[1].Throughput, series[2].Points[1].Throughput)
+	if err := CheckFigure2(series); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -66,26 +90,8 @@ func TestFigure3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("Figure3 returned %d series", len(series))
-	}
-	nontx, tx := series[0], series[1]
-	for i := range nontx.Points {
-		n, x := nontx.Points[i], tx.Points[i]
-		if n.Throughput <= 0 || x.Throughput <= 0 {
-			t.Fatalf("dead cell at threads=%d", n.Threads)
-		}
-		// The paper's claim: transactions cost ~30-40% of throughput.
-		// Allow a generous band for the quick sweep: tx throughput at
-		// least a quarter of non-tx, and strictly below it.
-		ratio := x.Throughput / n.Throughput
-		t.Logf("threads=%d: tx / non-tx throughput = %.2f", n.Threads, ratio)
-		if ratio >= 1.0 {
-			t.Errorf("threads=%d: transactions were free (ratio %.2f)", n.Threads, ratio)
-		}
-		if ratio < 0.25 {
-			t.Errorf("threads=%d: overhead implausibly high (ratio %.2f)", n.Threads, ratio)
-		}
+	if err := CheckFigure3(series); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -96,17 +102,8 @@ func TestFigure45Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig4.Points) != 2 || len(fig5.Points) != 2 {
-		t.Fatalf("points: %d/%d", len(fig4.Points), len(fig5.Points))
-	}
-	// Paper: "no anomalies are present at all with a single thread".
-	if fig4.Points[0].AnomalyScore != 0 {
-		t.Errorf("single-thread anomaly score = %v, want 0", fig4.Points[0].AnomalyScore)
-	}
-	// Throughput grows with threads on the local store.
-	if fig5.Points[1].Throughput <= fig5.Points[0].Throughput {
-		t.Errorf("no local-store scaling: %.0f → %.0f",
-			fig5.Points[0].Throughput, fig5.Points[1].Throughput)
+	if err := CheckFigure45(fig4, fig5); err != nil {
+		t.Error(err)
 	}
 	t.Logf("fig4: 1 thread score=%g, 8 threads score=%g",
 		fig4.Points[0].AnomalyScore, fig4.Points[1].AnomalyScore)
@@ -176,61 +173,13 @@ func TestOracleSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("OracleSweep returned %d series", len(series))
-	}
-	perc, cherry := series[0], series[1]
-	if len(perc.Points) < 2 {
-		t.Fatalf("points: %d", len(perc.Points))
-	}
-	// Percolator throughput must collapse as the oracle moves away...
-	last := len(perc.Points) - 1
-	if perc.Points[last].Throughput >= perc.Points[0].Throughput*0.7 {
-		t.Errorf("oracle RTT did not hurt percolator: %.1f → %.1f",
-			perc.Points[0].Throughput, perc.Points[last].Throughput)
-	}
-	// ...while the client-coordinated curve stays roughly flat.
-	ratio := cherry.Points[last].Throughput / cherry.Points[0].Throughput
-	if ratio < 0.6 || ratio > 1.6 {
-		t.Errorf("client-coordinated curve not flat: ratio %.2f", ratio)
-	}
-	// Both stay anomaly-free throughout.
-	for _, s := range series {
-		for _, pt := range s.Points {
-			if pt.AnomalyScore != 0 {
-				t.Errorf("%s rtt=%dms anomaly score %v", s.Label, pt.Threads, pt.AnomalyScore)
-			}
-		}
+	if err := CheckOracleSweep(series); err != nil {
+		t.Error(err)
 	}
 	var buf bytes.Buffer
 	PrintOracleSweep(&buf, series)
 	if !strings.Contains(buf.String(), "oracle RTT") {
 		t.Error("PrintOracleSweep output malformed")
-	}
-}
-
-func TestStalenessProbe(t *testing.T) {
-	lag := 10 * time.Millisecond
-	points, err := StalenessProbe(context.Background(), lag,
-		[]time.Duration{0, 30 * time.Millisecond}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("points = %v", points)
-	}
-	// Reading immediately after the write must be mostly stale; well
-	// past the lag, mostly fresh.
-	if points[0].StaleFraction < 0.5 {
-		t.Errorf("immediate reads mostly fresh (%.2f) despite %v lag", points[0].StaleFraction, lag)
-	}
-	if points[1].StaleFraction > 0.3 {
-		t.Errorf("reads after 3× lag still stale (%.2f)", points[1].StaleFraction)
-	}
-	var buf bytes.Buffer
-	PrintStaleness(&buf, lag, points)
-	if !strings.Contains(buf.String(), "P(stale read)") {
-		t.Error("PrintStaleness output malformed")
 	}
 }
 
@@ -241,14 +190,8 @@ func TestMultiHostShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %v", points)
-	}
-	// Aggregate throughput must be in the same ballpark regardless of
-	// the instance split: the container cap governs.
-	ratio := points[1].TotalThroughput / points[0].TotalThroughput
-	if ratio < 0.6 || ratio > 1.6 {
-		t.Errorf("split changed capped throughput: %v (ratio %.2f)", points, ratio)
+	if err := CheckMultiHost(points); err != nil {
+		t.Error(err)
 	}
 	var buf bytes.Buffer
 	PrintMultiHost(&buf, points)

@@ -65,13 +65,7 @@ func OracleSweep(ctx context.Context, o SweepOptions) ([]Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			perc.Points = append(perc.Points, Point{
-				Threads:      int(rtt.Milliseconds()), // x-axis is RTT (ms)
-				Throughput:   res.Throughput,
-				AnomalyScore: v.AnomalyScore,
-				Operations:   res.Operations,
-				Aborts:       res.Aborts,
-			})
+			perc.Points = append(perc.Points, point(int(rtt.Milliseconds()), res, v))
 			o.logf("oracle-sweep percolator rtt=%v: %.1f txn/s", rtt, res.Throughput)
 		}
 		// Client-coordinated over the same store profile (no oracle).
@@ -92,13 +86,7 @@ func OracleSweep(ctx context.Context, o SweepOptions) ([]Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			cherry.Points = append(cherry.Points, Point{
-				Threads:      int(rtt.Milliseconds()),
-				Throughput:   res.Throughput,
-				AnomalyScore: v.AnomalyScore,
-				Operations:   res.Operations,
-				Aborts:       res.Aborts,
-			})
+			cherry.Points = append(cherry.Points, point(int(rtt.Milliseconds()), res, v))
 			o.logf("oracle-sweep client-coordinated rtt=%v: %.1f txn/s", rtt, res.Throughput)
 		}
 	}

@@ -13,28 +13,23 @@ import (
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 	"ycsbt/internal/obs"
-	"ycsbt/internal/replica"
 )
 
 // TestConcurrentMetricsScrape is the end-to-end observability check:
-// the full kvserver stack (replicated engine under the HTTP server,
-// both instrumented into one registry) takes concurrent client traffic
-// while /metrics is scraped in parallel. Under -race this is the
-// cross-layer thread-safety proof; the series assertions mirror the
-// smoke test CI runs against a live kvserver.
+// the kvserver stack (engine under the HTTP server, both instrumented
+// into one registry) takes concurrent client traffic while /metrics is
+// scraped in parallel. Under -race this is the cross-layer
+// thread-safety proof; the series assertions mirror the smoke test CI
+// runs against a live kvserver.
 func TestConcurrentMetricsScrape(t *testing.T) {
 	reg := obs.NewRegistry()
-	rep, err := replica.New(replica.Config{
-		Name: "kvserver", Backups: 1, Mode: replica.Async, Metrics: reg,
-	})
+	eng, err := kvstore.Open(kvstore.Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := rep.Engine()
 	defer eng.Close()
-	// The replica primary is already registry-wired; add a second,
-	// directly instrumented engine on the same registry to prove the
-	// per-shard handles from multiple engines merge safely at scrape.
+	// A second engine instrumented into the same registry proves the
+	// per-shard handles from several engines merge safely at scrape.
 	plain, err := kvstore.Open(kvstore.Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +82,8 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 	}
 	wg.Wait()
 
-	// A final scrape must expose all three layers: engine, HTTP server,
-	// and replica — the kvserver acceptance criterion.
+	// A final scrape must expose both layers, engine and HTTP server —
+	// the kvserver acceptance criterion.
 	resp, err := http.Get(ops.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +95,6 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 		"kvstore_ops_total",
 		"httpkv_responses_total",
 		"httpkv_inflight_requests",
-		"replica_lag_ops",
-		"replica_applied_total",
 	} {
 		if !strings.Contains(lastBody, want) {
 			t.Errorf("final scrape missing %s series:\n%.400s", want, lastBody)

@@ -31,8 +31,8 @@ type Binding struct {
 // NewBinding wraps an existing store; Cleanup leaves it open.
 func NewBinding(s *Store) *Binding { return &Binding{eng: s} }
 
-// NewEngineBinding wraps any Engine (a replicated store, an audit
-// wrapper, ...) in the same db.DB adapter; Cleanup leaves it open.
+// NewEngineBinding wraps any Engine (an audit wrapper, a service-time
+// model, ...) in the same db.DB adapter; Cleanup leaves it open.
 func NewEngineBinding(e Engine) *Binding { return &Binding{eng: e} }
 
 func init() {
