@@ -59,7 +59,7 @@ func run() error {
 	groupCommit := flag.Duration("group-commit", 0, "WAL group-commit window, e.g. 2ms (0 = sync inline)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent request frames admitted before 429 (0 = unlimited)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap in bytes, larger bodies get 413 (0 = default 1MiB)")
-	retention := flag.Duration("retention", kvstore.DefaultRetention, "how long overwritten record versions stay readable via as-of reads")
+	retention := flag.Duration("retention", kvstore.DefaultRetention, "how long overwritten record versions stay readable via unpinned as-of reads (0 = keep only what pins and the txn watermark need)")
 	vacuumInterval := flag.Duration("vacuum-interval", 0, "background version-vacuum sweep interval (0 = write-path trimming only)")
 	opsAddr := flag.String("ops-addr", "", "ops listener address serving /metrics, /healthz, /debug/pprof (empty = disabled)")
 	wireAddr := flag.String("wire-addr", "", "frame listener address; advertised to clients via the X-KV-Wire response header (empty = disabled; required with -cluster-node-id)")

@@ -15,8 +15,11 @@ import (
 // Reading at a timestamp rides frames only — the as-of field of a get
 // op or a scan request — so an HTTP endpoint refuses as-of reads with
 // db.ErrNotSupported rather than serve head data. There is no remote
-// pin: the server's retention window (kvstore.retention_ms) bounds how
-// old a usable snapshot can be.
+// pin: a default server keeps no overwritten version nobody pinned, so
+// an unpinned as-of read whose version was overwritten since ts fails
+// with kvstore.ErrBelowHorizon (kvwire.StatusBelowHorizon on the wire).
+// Run the server with -retention (kvstore.retention_ms) to keep a
+// window of history for such reads.
 
 // errAsOfNeedsFrames refuses an as-of read on an HTTP endpoint.
 var errAsOfNeedsFrames = fmt.Errorf("%w: as-of reads ride frames only and this endpoint is HTTP (rawhttp.wire)", db.ErrNotSupported)
@@ -66,9 +69,11 @@ func (c *Client) SnapshotTS(ctx context.Context) (int64, error) {
 // RemoteStore: the txn.SnapshotStore capability over frames.
 
 // Snapshot draws a snapshot timestamp from the server. There is no
-// remote pin: the release is a no-op and the snapshot stays readable
-// for the server's retention window — size kvstore.retention_ms to
-// cover the longest read-only transaction.
+// remote pin: the release is a no-op, and reads at the snapshot stay
+// exact only inside the server's -retention window — a default server
+// has none and answers kvstore.ErrBelowHorizon for any version
+// overwritten since. Size the window to the longest read-only
+// transaction.
 func (r *RemoteStore) Snapshot(ctx context.Context) (int64, func(), error) {
 	ts, err := r.c.SnapshotTS(ctx)
 	if err != nil {

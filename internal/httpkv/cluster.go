@@ -73,6 +73,7 @@ func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
+		s.releaseFreezePins()
 		w.Header().Set(cluster.HeaderMapVersion, strconv.FormatInt(installed.Version, 10))
 		w.WriteHeader(http.StatusOK)
 	default:
@@ -83,6 +84,14 @@ func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request) {
 // handleFreeze serves POST /v1/shardmap/freeze?slot=N[&thaw=1]. Freeze
 // returns only after every in-flight write to the slot has drained, so
 // a snapshot timestamp drawn afterwards covers them all.
+//
+// A freeze also pins the engine, before the slot reads as frozen, and
+// holds the pin until a thaw or the map install that concludes the
+// migration. The copy scans the table as of a ts drawn after the
+// freeze and resolves every key on the way, the slot filter running
+// above the engine; with no retention window, versions the pin does
+// not hold are reclaimed as soon as they are overwritten, and Vacuum
+// would purge the tombstones the copy must carry.
 func (s *Server) handleFreeze(w http.ResponseWriter, r *http.Request) {
 	cs := s.opts.Cluster
 	if cs == nil {
@@ -100,14 +109,36 @@ func (s *Server) handleFreeze(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("thaw") != "" {
 		cs.Thaw(slot)
+		s.releaseFreezePins()
 		w.WriteHeader(http.StatusOK)
 		return
 	}
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	_, release := s.store.Pin()
 	if err := cs.Freeze(slot); err != nil {
+		release()
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
+	if _, held := s.freezePins[slot]; held {
+		release() // a repeated freeze keeps the older, more protective pin
+	} else {
+		s.freezePins[slot] = release
+	}
 	w.WriteHeader(http.StatusOK)
+}
+
+// releaseFreezePins drops the pins of slots no longer frozen.
+func (s *Server) releaseFreezePins() {
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	for slot, release := range s.freezePins {
+		if !s.opts.Cluster.Frozen(slot) {
+			release()
+			delete(s.freezePins, slot)
+		}
+	}
 }
 
 // handleTables serves GET /v1/tables so the migrator can enumerate

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
@@ -84,7 +85,15 @@ func startNode(t testing.TB, eng kvstore.Engine) *testNode {
 
 func openTestStore(t testing.TB) *kvstore.Store {
 	t.Helper()
-	store, err := kvstore.Open(kvstore.Options{Shards: 2})
+	return openRetainingStore(t, kvstore.DefaultRetention)
+}
+
+// openRetainingStore is openTestStore with a retention window, as
+// kvserver -retention sets one: unpinned as-of reads inside it are
+// exact.
+func openRetainingStore(t testing.TB, retention time.Duration) *kvstore.Store {
+	t.Helper()
+	store, err := kvstore.Open(kvstore.Options{Shards: 2, Retention: retention})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"ycsbt/internal/cluster"
@@ -198,6 +199,88 @@ func TestMigrateBackPreservesDeletes(t *testing.T) {
 	// the hidden pre-migration record, not as an untouched head.
 	if _, err := a.store.Get("usertable", doomed); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Fatalf("engine head read of deleted key: %v", err)
+	}
+}
+
+// vacuumingEngine sweeps its store with Vacuum before every tombstone
+// scan page it serves: a source vacuuming in a loop, with a sweep
+// landing inside the migration copy every time.
+type vacuumingEngine struct {
+	kvstore.Engine
+	store  *kvstore.Store
+	sweeps atomic.Int64
+}
+
+func (e *vacuumingEngine) ScanVersionsAsOf(table, start string, count int, ts int64) ([]kvstore.VersionedKV, error) {
+	e.store.Vacuum()
+	e.sweeps.Add(1)
+	return e.store.ScanVersionsAsOf(table, start, count, ts)
+}
+
+// TestMigrateBackPreservesDeletes with the return copy's source
+// vacuuming during the copy, at default retention: the tombstone the
+// copy must carry is purgeable the moment it is written, so only the
+// pin the freeze takes — and Vacuum purging nothing under a pin —
+// keeps it until the copy has read it.
+func TestMigrateBackPreservesDeletesUnderVacuum(t *testing.T) {
+	a, b := listenNode(t), listenNode(t)
+	m, err := cluster.NewUniform(cluster.PlacementHash, 8, []string{a.URL, b.URL}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bStore := openTestStore(t)
+	vac := &vacuumingEngine{Engine: bStore, store: bStore}
+	for _, n := range []struct {
+		tn  *testNode
+		eng kvstore.Engine
+	}{{a, openTestStore(t)}, {b, vac}} {
+		cs, err := cluster.NewState(n.tn.URL, m, n.tn.reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.tn.serve(t, n.eng, cs, 0)
+	}
+	ctx := context.Background()
+	hc := a.srv.Client()
+	ca := NewClient(a.URL, hc)
+
+	slot := m.SlotsOf(a.URL)[0]
+	var keys []string
+	for i := 0; len(keys) < 2; i++ {
+		k := fmt.Sprintf("user%05d", i)
+		if _, s := m.Owner(k); s == slot {
+			keys = append(keys, k)
+		}
+	}
+	doomed, kept := keys[0], keys[1]
+	for _, k := range keys {
+		if err := ca.Insert(ctx, "usertable", k, rec("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, err := MigrateSlot(ctx, hc, m, slot, b.URL)
+	if err != nil {
+		t.Fatalf("migrate a→b: %v", err)
+	}
+	if err := NewClient(b.URL, hc).Delete(ctx, "usertable", doomed); err != nil {
+		t.Fatalf("delete on new owner: %v", err)
+	}
+
+	if _, err := MigrateSlot(ctx, hc, next, slot, a.URL); err != nil {
+		t.Fatalf("migrate b→a: %v", err)
+	}
+	if vac.sweeps.Load() == 0 {
+		t.Fatal("the return copy never scanned b's tombstones")
+	}
+	if _, err := ca.Read(ctx, "usertable", doomed, nil); !errors.Is(err, db.ErrNotFound) {
+		t.Fatalf("deleted key resurrected after migrate-back under vacuum: err=%v", err)
+	}
+	if got, err := ca.Read(ctx, "usertable", kept, nil); err != nil || string(got["f"]) != "v-"+kept {
+		t.Fatalf("undeleted key after migrate-back: %v %v", got, err)
+	}
+	// The freeze's pin went with the freeze: b purges the tombstone now.
+	if _, purged := bStore.Vacuum(); purged != 1 {
+		t.Errorf("vacuum after the migration purged %d keys, want doomed's tombstone", purged)
 	}
 }
 

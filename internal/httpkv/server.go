@@ -113,6 +113,11 @@ type Server struct {
 	mux     *http.ServeMux
 	opts    ServerOptions
 	metrics *serverMetrics
+
+	// freezePins holds the engine pin each frozen slot's migration copy
+	// reads under (see handleFreeze); pinMu guards it.
+	pinMu      sync.Mutex
+	freezePins map[int]func()
 }
 
 // NewServer returns a handler serving store with default options.
@@ -122,7 +127,7 @@ func NewServer(store kvstore.Engine) *Server {
 
 // NewServerWithOptions returns a handler serving store.
 func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
-	s := &Server{store: store, mux: http.NewServeMux(), opts: opts.withDefaults()}
+	s := &Server{store: store, mux: http.NewServeMux(), opts: opts.withDefaults(), freezePins: make(map[int]func())}
 	s.metrics = newServerMetrics(opts.Metrics)
 	s.core = s.opts.Core
 	if s.core == nil {

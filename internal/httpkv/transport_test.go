@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
@@ -94,9 +95,11 @@ func TestInitFailedProbeIsNotADowngrade(t *testing.T) {
 
 // newAsOfNode seeds a node with a known snapshot and mutates past it:
 // at ts k1..k4 = "old"; after it k1 = "new", k3 deleted, k5 inserted.
+// Its readers hold no pin on the server, so the node keeps a minute of
+// overwritten versions (kvserver -retention 1m).
 func newAsOfNode(t *testing.T) (tn *testNode, ts int64) {
 	t.Helper()
-	tn = startNode(t, nil)
+	tn = startNode(t, openRetainingStore(t, time.Minute))
 	for i := 1; i <= 4; i++ {
 		if _, err := tn.store.Put("t", "k"+strconv.Itoa(i), map[string][]byte{"v": []byte("old")}); err != nil {
 			t.Fatal(err)
@@ -196,6 +199,52 @@ func TestAsOfRemoteStoreSnapshot(t *testing.T) {
 	kvs, err := rs.ScanAsOf(ctx, "t", "", 10, ts)
 	if err != nil || len(kvs) != 4 {
 		t.Fatalf("remote ScanAsOf = %d keys, %v; want 4", len(kvs), err)
+	}
+}
+
+// An unpinned as-of read over frames — RemoteStore.Snapshot cannot pin
+// the server — fails typed against a default node once the version it
+// wants is overwritten, on the point and the scan path; against a node
+// run with -retention 1m the same reads are exact.
+func TestRemoteAsOfBelowHorizon(t *testing.T) {
+	ctx := context.Background()
+	for _, retention := range []time.Duration{kvstore.DefaultRetention, time.Minute} {
+		t.Run("retention="+retention.String(), func(t *testing.T) {
+			tn := startNode(t, openRetainingStore(t, retention))
+			put := func(v string) {
+				t.Helper()
+				if _, err := tn.store.Put("t", "k", map[string][]byte{"v": []byte(v)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put("old")
+			rs, err := NewRemoteStore("remote", tn.URL, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.c.Cleanup()
+			ts, release, err := rs.Snapshot(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			put("new")
+
+			rec, getErr := rs.GetAsOf(ctx, "t", "k", ts)
+			kvs, scanErr := rs.ScanAsOf(ctx, "t", "", 10, ts)
+			if retention == 0 {
+				if !errors.Is(getErr, kvstore.ErrBelowHorizon) || !errors.Is(scanErr, kvstore.ErrBelowHorizon) {
+					t.Fatalf("default node: GetAsOf = %v, ScanAsOf = %v; want kvstore.ErrBelowHorizon from both", getErr, scanErr)
+				}
+				return
+			}
+			if getErr != nil || string(rec.Fields["v"]) != "old" {
+				t.Fatalf("GetAsOf = %v, %v; want \"old\"", rec, getErr)
+			}
+			if scanErr != nil || len(kvs) != 1 || string(kvs[0].Record.Fields["v"]) != "old" {
+				t.Fatalf("ScanAsOf = %d records, %v; want k=\"old\"", len(kvs), scanErr)
+			}
+		})
 	}
 }
 

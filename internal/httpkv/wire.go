@@ -11,6 +11,7 @@ import (
 
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
+	"ycsbt/internal/kvstore"
 	"ycsbt/internal/kvwire"
 )
 
@@ -162,13 +163,17 @@ func (c *Client) execOne(ctx context.Context, op kvwire.Op) (kvwire.Result, erro
 }
 
 // wireResultErr maps a non-2xx wire result to the same db-layer error
-// surface statusError produces for HTTP responses.
+// surface statusError produces for HTTP responses. An as-of read the
+// node could no longer answer stays kvstore.ErrBelowHorizon, which no
+// db sentinel matches: it is not a not-found.
 func wireResultErr(r kvwire.Result) error {
 	switch r.Status {
 	case http.StatusOK, http.StatusNoContent:
 		return nil
 	case http.StatusNotFound:
 		return fmt.Errorf("%w: %s", db.ErrNotFound, r.Err)
+	case kvwire.StatusBelowHorizon:
+		return fmt.Errorf("%w: %s", kvstore.ErrBelowHorizon, r.Err)
 	case http.StatusPreconditionFailed:
 		return fmt.Errorf("%w: %s", db.ErrConflict, r.Err)
 	case http.StatusTooManyRequests:

@@ -105,8 +105,8 @@ func TestAuditCatchesMutation(t *testing.T) {
 // sharing going wrong — a later write editing a shared slice in place.
 func TestUpdateSharesUnchangedValues(t *testing.T) {
 	engines := map[string]func() (Engine, func() error){
-		"store": func() (Engine, func() error) { return OpenMemoryShards(2), func() error { return nil } },
-		"audit": func() (Engine, func() error) { a := NewAuditEngine(OpenMemoryShards(2)); return a, a.Verify },
+		"store": func() (Engine, func() error) { return openKeepingHistory(2), func() error { return nil } },
+		"audit": func() (Engine, func() error) { a := NewAuditEngine(openKeepingHistory(2)); return a, a.Verify },
 	}
 	for name, open := range engines {
 		t.Run(name, func(t *testing.T) {

@@ -215,13 +215,8 @@ func (p *partition) getBatchAsOf(reqs []GetReq, idx []int, out []GetResult, ts i
 			p.mu.RUnlock()
 			have = true
 		}
-		if curSnap != nil {
-			if v := asOf(curSnap.get(reqs[i].Key), ts); v != nil {
-				out[i] = GetResult{Record: v}
-				return
-			}
-		}
-		out[i] = GetResult{Err: fmt.Errorf("%w: %s/%s as of %d", ErrNotFound, reqs[i].Table, reqs[i].Key, ts)}
+		v, err := p.readAsOf(curSnap, reqs[i].Table, reqs[i].Key, ts)
+		out[i] = GetResult{Record: v, Err: err}
 	})
 }
 

@@ -103,6 +103,8 @@ func translate(err error) error {
 	switch {
 	case err == nil:
 		return nil
+	case errors.Is(err, ErrBelowHorizon):
+		return err // not db.ErrNotFound: the record may well have existed
 	case errors.Is(err, ErrNotFound):
 		return fmt.Errorf("%w: %v", db.ErrNotFound, err)
 	case errors.Is(err, ErrVersionMismatch), errors.Is(err, ErrExists):

@@ -50,10 +50,11 @@ type Engine interface {
 	// already-acknowledged commit is ≤ it and every later commit is >
 	// it, so the as-of reads below form a stable consistent cut at
 	// that ts. Pin additionally freezes the cut against version
-	// reclamation until its release func is called — reads at a merely
-	// drawn (unpinned) ts are only guaranteed within the retention
-	// window. As-of reads resolve each key to its newest version with
-	// commit ts ≤ the requested ts; deleted-at-ts keys are not found.
+	// reclamation until its release func is called — a read at a merely
+	// drawn (unpinned) ts may find its version reclaimed and fail with
+	// ErrBelowHorizon unless a retention window covers it. As-of reads
+	// resolve each key to its newest version with commit ts ≤ the
+	// requested ts; deleted-at-ts keys are not found.
 	SnapshotTS() int64
 	Pin() (int64, func())
 	GetAsOf(table, key string, ts int64) (*VersionedRecord, error)

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -71,7 +72,7 @@ func checkImage(t *testing.T, what string, rec *VersionedRecord) {
 // the merge-updated record that had none while it was live.
 func TestImageEqualsMapOnEveryWritePath(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	s, err := Open(Options{Path: dir, Shards: 4})
+	s, err := Open(Options{Path: dir, Shards: 4, Retention: time.Minute}) // reads the merge-updated record's Prev
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func openIngestStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open(Options{Shards: 4})
+	// Ingest tests read the history beneath ingested versions without a
+	// pin, so the store keeps a minute of it.
+	s, err := Open(Options{Shards: 4, Retention: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package kvstore
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // The lazy cross-partition merge under Scan, ScanAsOf, ScanVersionsAsOf
 // and ForEach: one iterator per partition snapshot, a heap over their
@@ -19,11 +22,13 @@ type readAt struct {
 	tombstones bool
 }
 
-func (at readAt) resolve(v *VersionedRecord) *VersionedRecord {
-	if v = v.AsOf(at.ts); v == nil || (v.deleted && !at.tombstones) {
-		return nil
+// resolve returns the version of head's chain the read sees, or nil;
+// trimmed as for versionAt.
+func (at readAt) resolve(head *VersionedRecord) (v *VersionedRecord, trimmed bool) {
+	if v, trimmed = versionAt(head, at.ts); v == nil || (v.deleted && !at.tombstones) {
+		return nil, trimmed
 	}
-	return v
+	return v, false
 }
 
 // snapIter walks one immutable tree in key order without recursion:
@@ -37,6 +42,10 @@ type snapIter struct {
 	// key and rec are the current entry, resolved.
 	key string
 	rec *VersionedRecord
+
+	// trimmed is set, with key, when load stopped at a key whose version
+	// at the read's ts has been reclaimed.
+	trimmed bool
 }
 
 type iterFrame struct {
@@ -86,15 +95,17 @@ func (it *snapIter) step() {
 }
 
 // load resolves the entry the iterator stands on, walking on past keys
-// the read does not see; false at the end of the tree.
+// the read does not see; false at the end of the tree, or with trimmed
+// set at a key whose version was reclaimed.
 func (it *snapIter) load(at readAt) bool {
 	for len(it.stack) > 0 {
 		top := it.stack[len(it.stack)-1]
 		item := &top.n.items[top.i]
 		it.visited++
-		if v := at.resolve(item.val); v != nil {
-			it.key, it.rec = item.key, v
-			return true
+		v, trimmed := at.resolve(item.val)
+		if v != nil || trimmed {
+			it.key, it.rec, it.trimmed = item.key, v, trimmed
+			return !trimmed
 		}
 		it.step()
 	}
@@ -103,14 +114,24 @@ func (it *snapIter) load(at readAt) bool {
 
 // merge visits, in key order, every record of table with key ≥ start
 // as at reads it, until fn returns false. The partitions' roots are one
-// consistent cut (snapshotTable); the walk itself takes no lock.
+// consistent cut (snapshotTable); the walk itself takes no lock. A read
+// below a partition's purge horizon, or one that meets a key whose
+// version at the read's ts was reclaimed, fails with ErrBelowHorizon.
 func (s *Store) merge(table, start string, at readAt, fn func(key string, rec *VersionedRecord) bool) error {
 	snaps, err := s.snapshotTable(table)
 	if err != nil {
 		return err
 	}
+	if at.ts != headTS {
+		for _, p := range s.parts {
+			if at.ts < p.purgeTS.Load() {
+				return fmt.Errorf("%w: %s as of %d", ErrBelowHorizon, table, at.ts)
+			}
+		}
+	}
 	iters := make([]snapIter, len(snaps))
 	heap := make([]*snapIter, 0, len(snaps))
+	var trimmed *snapIter
 	for i, ts := range snaps {
 		s.parts[i].metrics.scans.Inc()
 		if ts == nil {
@@ -119,6 +140,9 @@ func (s *Store) merge(table, start string, at readAt, fn func(key string, rec *V
 		it := &iters[i]
 		if it.seek(ts.root, start); it.load(at) {
 			heap = append(heap, it)
+		} else if it.trimmed {
+			trimmed, heap = it, nil
+			break
 		}
 	}
 	// Partitions hold disjoint key sets, so the heap never sees a tie.
@@ -131,6 +155,10 @@ func (s *Store) merge(table, start string, at readAt, fn func(key string, rec *V
 			break
 		}
 		if it.step(); !it.load(at) {
+			if it.trimmed {
+				trimmed = it
+				break
+			}
 			heap[0] = heap[len(heap)-1]
 			heap = heap[:len(heap)-1]
 		}
@@ -138,6 +166,9 @@ func (s *Store) merge(table, start string, at readAt, fn func(key string, rec *V
 	}
 	for i := range iters {
 		s.parts[i].metrics.snapScanLen.Observe(float64(iters[i].visited))
+	}
+	if trimmed != nil {
+		return fmt.Errorf("%w: %s/%s as of %d", ErrBelowHorizon, table, trimmed.key, at.ts)
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ func TestLazyMergeMatchesSortedReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		shards := 1 + r.Intn(9)
-		s := OpenMemoryShards(shards)
+		s := openKeepingHistory(shards)
 		model := map[string][]refVersion{}
 		nkeys := 1 + r.Intn(400)
 		var stamps []int64

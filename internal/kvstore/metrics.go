@@ -92,4 +92,39 @@ func (s *Store) instrument(reg *obs.Registry) {
 		}
 		return float64(n)
 	})
+	reg.Help("kvstore_versions_retained", "Record versions still reachable behind a key's head (version memory), counted at scrape time.")
+	reg.Help("kvstore_versions_retained_bytes", "Image bytes of the versions in kvstore_versions_retained, counted at scrape time.")
+	reg.GaugeFunc("kvstore_versions_retained", func() float64 {
+		n, _ := s.retained()
+		return float64(n)
+	})
+	reg.GaugeFunc("kvstore_versions_retained_bytes", func() float64 {
+		_, b := s.retained()
+		return float64(b)
+	})
+}
+
+// retained walks every published chain, lock-free, and totals the
+// versions behind the heads and their image bytes (a merge-updated
+// version, which has no image, counts its field values). It runs at
+// scrape time so the write path pays nothing for the gauges.
+func (s *Store) retained() (versions, bytes int64) {
+	for _, p := range s.parts {
+		for _, slot := range p.snaps.Load().tables {
+			slot.snap.Load().ascend("", func(_ string, head *VersionedRecord) bool {
+				for v := head.prev.Load(); v != nil; v = v.prev.Load() {
+					versions++
+					if v.image != nil {
+						bytes += int64(len(v.image))
+						continue
+					}
+					for _, b := range v.Fields {
+						bytes += int64(len(b))
+					}
+				}
+				return true
+			})
+		}
+	}
+	return versions, bytes
 }

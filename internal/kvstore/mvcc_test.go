@@ -5,14 +5,26 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ycsbt/internal/obs"
 )
 
 func vfields(v string) map[string][]byte {
 	return map[string][]byte{"v": []byte(v)}
+}
+
+// openKeepingHistory is a volatile store with a minute of retention:
+// for tests that read behind the head without a pin, which a default
+// store does not keep.
+func openKeepingHistory(shards int) *Store {
+	s, _ := Open(Options{Shards: shards, Retention: time.Minute}) // a volatile open cannot fail
+	return s
 }
 
 // TestVersionChainAsOf walks one key through its whole lifecycle —
@@ -20,7 +32,7 @@ func vfields(v string) map[string][]byte {
 // timestamp drawn between any two mutations keeps reading the state it
 // saw, tombstone windows included.
 func TestVersionChainAsOf(t *testing.T) {
-	s := OpenMemory()
+	s := openKeepingHistory(1)
 	defer s.Close()
 
 	ts0 := s.SnapshotTS()
@@ -75,7 +87,7 @@ func TestVersionChainAsOf(t *testing.T) {
 // table exactly as it stood then — overwrites invisible, later deletes
 // still present, later inserts absent — while the head scan moves on.
 func TestScanAsOfFrozenCut(t *testing.T) {
-	s := OpenMemoryShards(4)
+	s := openKeepingHistory(4)
 	defer s.Close()
 
 	for i := 0; i < 10; i++ {
@@ -216,8 +228,8 @@ func TestPinHoldsVacuum(t *testing.T) {
 	release() // idempotent
 	time.Sleep(time.Millisecond)
 	s.Vacuum()
-	if _, err := s.GetAsOf("t", "k", ts); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("post-release read at %d: %v, want ErrNotFound (version reclaimed)", ts, err)
+	if _, err := s.GetAsOf("t", "k", ts); !errors.Is(err, ErrBelowHorizon) {
+		t.Fatalf("post-release read at %d: %v, want ErrBelowHorizon (version reclaimed)", ts, err)
 	}
 }
 
@@ -249,8 +261,201 @@ func TestSetVacuumFloorHoldsVacuum(t *testing.T) {
 	s.SetVacuumFloor(0)
 	time.Sleep(time.Millisecond)
 	s.Vacuum()
-	if _, err := s.GetAsOf("t", "k", ts); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("post-clear read: %v, want ErrNotFound", err)
+	if _, err := s.GetAsOf("t", "k", ts); !errors.Is(err, ErrBelowHorizon) {
+		t.Fatalf("post-clear read: %v, want ErrBelowHorizon", err)
+	}
+}
+
+// TestAsOfBelowHorizonIsTyped is the no-silent-trim contract: an as-of
+// read whose version was reclaimed fails with ErrBelowHorizon on every
+// read path — never ErrNotFound alone, never a scan that drops the key —
+// while a key that did not exist at the timestamp still reads as plain
+// ErrNotFound. A deleted key Vacuum purged is below the horizon too
+// until the read's timestamp reaches its tombstone.
+func TestAsOfBelowHorizonIsTyped(t *testing.T) {
+	s, err := Open(Options{Shards: 2, Retention: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	if _, err := s.Put("t", "k", vfields("one")); err != nil {
+		t.Fatal(err)
+	}
+	ts := s.SnapshotTS()
+	if _, err := s.Put("t", "k", vfields("two")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("t", "late", vfields("x")); err != nil {
+		t.Fatal(err)
+	}
+	s.Vacuum()
+
+	below := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrBelowHorizon) {
+			t.Errorf("%s: %v, want ErrBelowHorizon", what, err)
+		}
+	}
+	absent := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrNotFound) || errors.Is(err, ErrBelowHorizon) {
+			t.Errorf("%s: %v, want plain ErrNotFound", what, err)
+		}
+	}
+	_, err = s.GetAsOf("t", "k", ts)
+	below("GetAsOf overwritten", err)
+	res := s.BatchGetAsOf([]GetReq{{"t", "k"}, {"t", "late"}, {"t", "never"}}, ts)
+	below("BatchGetAsOf overwritten", res[0].Err)
+	absent("BatchGetAsOf inserted later", res[1].Err)
+	absent("BatchGetAsOf never written", res[2].Err)
+	_, err = s.ScanAsOf("t", "", -1, ts)
+	below("ScanAsOf", err)
+	_, err = s.ScanVersionsAsOf("t", "", -1, ts)
+	below("ScanVersionsAsOf", err)
+	_, err = s.GetAsOf("t", "late", ts)
+	absent("GetAsOf inserted later", err)
+	_, err = s.GetAsOf("t", "never", ts)
+	absent("GetAsOf never written", err)
+
+	if _, err := s.Put("t", "gone", vfields("x")); err != nil {
+		t.Fatal(err)
+	}
+	live := s.SnapshotTS()
+	if err := s.Delete("t", "gone"); err != nil {
+		t.Fatal(err)
+	}
+	if _, keys := s.Vacuum(); keys != 1 {
+		t.Fatalf("vacuum purged %d keys, want 1", keys)
+	}
+	_, err = s.GetAsOf("t", "gone", live)
+	below("GetAsOf purged key before its delete", err)
+	_, err = s.GetAsOf("t", "gone", s.SnapshotTS())
+	absent("GetAsOf purged key after its delete", err)
+}
+
+// TestDefaultChainStaysShort: a default store keeps an overwritten
+// version only while something can read it. Unpinned, ten thousand
+// overwrites of one key leave a chain of at most two; under a pin the
+// pinned version reads exactly, and once the pin goes the next write
+// cuts the chain back.
+func TestDefaultChainStaysShort(t *testing.T) {
+	s := OpenMemoryShards(4)
+	defer s.Close()
+	put := func(v string) {
+		t.Helper()
+		if _, err := s.Put("t", "k", vfields(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain := func() int {
+		t.Helper()
+		head, err := s.Get("t", "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return chainLength(head)
+	}
+	for i := 0; i < 10000; i++ {
+		put(strconv.Itoa(i))
+	}
+	if n := chain(); n > 2 {
+		t.Fatalf("chain is %d versions after 10 000 unpinned overwrites, want ≤ 2", n)
+	}
+
+	put("pinned")
+	ts, release := s.Pin()
+	for i := 0; i < 100; i++ {
+		put(fmt.Sprintf("later%d", i))
+	}
+	s.Vacuum()
+	if rec, err := s.GetAsOf("t", "k", ts); err != nil || string(rec.Fields["v"]) != "pinned" {
+		t.Fatalf("pinned read = %v, %v; want \"pinned\"", rec, err)
+	}
+	release()
+	put("after")
+	if n := chain(); n > 2 {
+		t.Fatalf("chain is %d versions after the pin was released, want ≤ 2", n)
+	}
+}
+
+// TestVersionsRetainedGauges: the version-memory gauges count what sits
+// behind the heads — nothing on a default store, the pinned versions
+// while a pin holds them — and reach /metrics under their names.
+func TestVersionsRetainedGauges(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := Open(Options{Shards: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 8; i++ {
+			if _, err := s.Put("t", fmt.Sprintf("k%d", i), vfields("0123456789")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n, b := s.retained(); n != 0 || b != 0 {
+		t.Fatalf("default store retains %d versions / %d bytes, want 0 / 0", n, b)
+	}
+	_, release := s.Pin()
+	var want int64
+	for i := 0; i < 3; i++ {
+		k := fmt.Sprintf("k%d", i)
+		old, err := s.Get("t", k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += int64(len(old.Image()))
+		if _, err := s.Put("t", k, vfields("new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, b := s.retained(); n != 3 || b != want {
+		t.Fatalf("pinned store retains %d versions / %d bytes, want 3 / %d", n, b, want)
+	}
+	var out bytes.Buffer
+	if err := reg.Export(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{"kvstore_versions_retained 3", fmt.Sprintf("kvstore_versions_retained_bytes %d", want)} {
+		if !strings.Contains(out.String(), series) {
+			t.Errorf("exposition lacks %q", series)
+		}
+	}
+	release()
+	s.Vacuum()
+	if n, _ := s.retained(); n != 0 {
+		t.Fatalf("%d versions retained after the pin went and Vacuum ran, want 0", n)
+	}
+}
+
+// TestVacuumKeepsTombstonesWhilePinned: a pinned tombstone scan (the
+// migration copy's read) must see every delete, so Vacuum purges no
+// tombstoned key while a pin is held — and purges them after.
+func TestVacuumKeepsTombstonesWhilePinned(t *testing.T) {
+	s := OpenMemoryShards(2)
+	defer s.Close()
+	for _, k := range []string{"a", "b"} {
+		if _, err := s.Put("t", k, vfields("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Delete("t", "a"); err != nil {
+		t.Fatal(err)
+	}
+	ts, release := s.Pin()
+	if _, keys := s.Vacuum(); keys != 0 {
+		t.Fatalf("vacuum purged %d keys under a pin, want 0", keys)
+	}
+	kvs, err := s.ScanVersionsAsOf("t", "", -1, ts)
+	if err != nil || len(kvs) != 2 || !kvs[0].Record.Tombstone() {
+		t.Fatalf("pinned tombstone scan = %d records, %v; want a's tombstone and b", len(kvs), err)
+	}
+	release()
+	if _, keys := s.Vacuum(); keys != 1 {
+		t.Fatalf("vacuum purged %d keys after release, want 1", keys)
 	}
 }
 

@@ -28,6 +28,12 @@ type partition struct {
 	// snapshots the lock-free read path traverses.
 	snaps atomic.Pointer[snapSet]
 
+	// purgeTS is the newest commit ts at which a key may have left the
+	// index without a trace: the latest tombstone Vacuum purged here,
+	// or the open of a store recovered from its log. An as-of read
+	// below it cannot take a missing key as proof the key was absent.
+	purgeTS atomic.Int64
+
 	// metrics holds this shard's private obs handles; the zero value
 	// (nil handles) is inert. Written once in Store.instrument before
 	// the store is shared, read lock-free afterwards.
@@ -113,10 +119,24 @@ func (p *partition) getAsOf(table, key string, ts int64) (*VersionedRecord, erro
 	p.mu.RLock()
 	snap := p.tableSnap(table)
 	p.mu.RUnlock()
+	return p.readAsOf(snap, table, key, ts)
+}
+
+// readAsOf resolves key in snap (nil: the table is not here) to its
+// readable version at ts. A miss is ErrNotFound only when the store
+// still knows the key had nothing readable at ts; when the version was
+// trimmed, or a purge may have taken the key, it is ErrBelowHorizon.
+func (p *partition) readAsOf(snap *treeSnapshot, table, key string, ts int64) (*VersionedRecord, error) {
+	var v *VersionedRecord
+	var trimmed bool
 	if snap != nil {
-		if v := asOf(snap.get(key), ts); v != nil {
-			return v, nil
-		}
+		v, trimmed = versionAt(snap.get(key), ts)
+	}
+	switch {
+	case v != nil && !v.deleted:
+		return v, nil
+	case v == nil && (trimmed || ts < p.purgeTS.Load()):
+		return nil, fmt.Errorf("%w: %s/%s as of %d", ErrBelowHorizon, table, key, ts)
 	}
 	return nil, fmt.Errorf("%w: %s/%s as of %d", ErrNotFound, table, key, ts)
 }
@@ -228,8 +248,8 @@ func (p *partition) putLocked(w *wal, table, key string, fields map[string][]byt
 		// Published records are immutable, so the new version shares
 		// the value slices of the fields the update leaves alone and
 		// copies only what the caller passed in (which the caller still
-		// owns). With retention keeping a minute of versions, a deep
-		// clone per PATCH would hold a full record per update.
+		// owns). With a pin or a retention window keeping versions, a
+		// deep clone per PATCH would hold a full record per update.
 		stored = &VersionedRecord{Version: cur.Version + 1, Fields: make(map[string][]byte, len(live.Fields))}
 		for f, b := range live.Fields {
 			stored.Fields[f] = b
@@ -272,7 +292,7 @@ func (p *partition) putLocked(w *wal, table, key string, fields map[string][]byt
 	return stored.Version, seq, nil
 }
 
-// retireLocked applies the retention window inline on the write path:
+// retireLocked applies the reclaim horizon inline on the write path:
 // if the new head's chain reaches below the reclaim horizon, the
 // chain is cut after the newest version ≤ the horizon. The tail-ts
 // hint makes the common case (nothing expired) a single comparison,
@@ -325,8 +345,8 @@ func (p *partition) deleteIfVersion(table, key string, expect uint64) error {
 // writes a tombstone version at the head of the chain — the key stays
 // in the tree so as-of reads still see pre-delete versions — and the
 // live count drops by one (btree.put accounts by liveness). The key
-// itself is removed by Vacuum once the tombstone ages past the
-// retention horizon. It returns the WAL sequence the caller must wait
+// itself is removed by Vacuum once the tombstone falls below the
+// reclaim horizon. It returns the WAL sequence the caller must wait
 // on for durability (0 = none). The caller publishes the new root.
 func (p *partition) deleteLocked(w *wal, table, key string, expect uint64) (uint64, error) {
 	t := p.table(table)

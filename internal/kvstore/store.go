@@ -28,6 +28,14 @@ var (
 	ErrExists = errors.New("kvstore: key already exists")
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("kvstore: store is closed")
+	// ErrBelowHorizon reports an as-of read the store can no longer
+	// answer exactly: what the key held at that timestamp has been
+	// reclaimed. It matches ErrNotFound too, so a caller that only asks
+	// "is there a record?" reads it as absent; a caller that must not
+	// mistake a reclaimed version for absence tests ErrBelowHorizon
+	// first. Pin (or a positive Options.Retention) keeps reads above
+	// the horizon.
+	ErrBelowHorizon = fmt.Errorf("kvstore: as-of read below the reclaim horizon: %w", ErrNotFound)
 )
 
 // VersionedRecord is a stored record together with its version and
@@ -89,7 +97,10 @@ func (v *VersionedRecord) Clone() *VersionedRecord {
 }
 
 // Prev returns the next-older version in the chain, or nil at the
-// tail (or after retention trimmed the rest away).
+// tail. A chain keeps only what a pin, the txn watermark or an opted-in
+// Options.Retention can still read, so with none of them Prev of a
+// head is nil as soon as the next write lands; nil from a version with
+// Version > 1 means its predecessors were reclaimed, not absent.
 func (v *VersionedRecord) Prev() *VersionedRecord { return v.prev.Load() }
 
 // Tombstone reports whether this version records a delete.
@@ -98,22 +109,29 @@ func (v *VersionedRecord) Tombstone() bool { return v.deleted }
 // AsOf walks the chain to the newest version with CommitTS ≤ ts and
 // returns it — tombstones included — or nil when every version is
 // newer than ts. Callers wanting read semantics should treat a
-// tombstone result as "not found" (the asOf helper does).
+// tombstone result as "not found", and a nil one as possibly reclaimed
+// (GetAsOf tells the two apart).
 func (v *VersionedRecord) AsOf(ts int64) *VersionedRecord {
-	for v != nil && v.CommitTS > ts {
-		v = v.prev.Load()
-	}
+	v, _ = versionAt(v, ts)
 	return v
 }
 
-// asOf resolves a chain head to the readable version at ts: the
-// newest version ≤ ts, with tombstones mapped to nil (not found).
-func asOf(v *VersionedRecord, ts int64) *VersionedRecord {
-	v = v.AsOf(ts)
-	if v == nil || v.deleted {
-		return nil
+// versionAt is AsOf that also says why it found nothing: trimmed when
+// every version left is newer than ts and the oldest of them is not
+// the key's first (versions count from 1 at creation), so the version
+// at ts was reclaimed rather than never written.
+func versionAt(head *VersionedRecord, ts int64) (v *VersionedRecord, trimmed bool) {
+	for v = head; v != nil; {
+		if v.CommitTS <= ts {
+			return v, false
+		}
+		prev := v.prev.Load()
+		if prev == nil {
+			return nil, v.Version > 1
+		}
+		v = prev
 	}
-	return v
+	return nil, false
 }
 
 // link records prev as this record's older neighbour and carries the
@@ -145,10 +163,12 @@ const MustNotExist = uint64(0)
 // "kvstore.shards" property is absent.
 const DefaultShards = 8
 
-// DefaultRetention is the version-chain retention window used when
-// Options.Retention is zero: time-travel reads are served at any ts
-// within the window; older versions are reclaimable.
-const DefaultRetention = 60 * time.Second
+// DefaultRetention is the wall-clock retention window a store keeps
+// unless told otherwise (kvserver -retention, kvstore.retention_ms):
+// none. An overwritten version then lives only while a pin or the
+// published txn watermark can still read it, so a default store holds
+// each key's head and little else however fast it is written.
+const DefaultRetention time.Duration = 0
 
 // noFloor is the pin/watermark floor meaning "nothing pinned".
 const noFloor = int64(math.MaxInt64)
@@ -186,10 +206,12 @@ type Options struct {
 	// Nil disables instrumentation entirely — the hot paths then touch
 	// only nil no-op handles.
 	Metrics *obs.Registry
-	// Retention is the MVCC retention window: versions older than the
-	// newest one at (now − Retention) are reclaimable by the write-path
-	// trim and by Vacuum, unless a pin or the vacuum watermark holds
-	// them. Zero selects DefaultRetention.
+	// Retention is an opt-in wall-clock window for time-travel reads
+	// nobody pinned: versions older than the newest one at (now −
+	// Retention) are reclaimable by the write-path trim and by Vacuum.
+	// Zero (DefaultRetention) means no window — the reclaim horizon is
+	// min(pin floor, vacuum watermark), and an unpinned as-of read
+	// below it fails with ErrBelowHorizon.
 	Retention time.Duration
 	// VacuumInterval, when positive, runs a background Vacuum sweep on
 	// that period (trimming cold chains and purging expired tombstoned
@@ -203,9 +225,10 @@ type Options struct {
 // Single-key operations are linearizable (each key lives in exactly
 // one partition); Scan merges the per-partition trees into one
 // key-ordered result. Every committed mutation carries a store-wide
-// monotonic commit timestamp, and each key keeps a short chain of
-// recent versions so GetAsOf/ScanAsOf serve consistent reads at any
-// ts within the retention window.
+// monotonic commit timestamp, and each key keeps a short chain of the
+// versions a pin, the vacuum watermark or the retention window can
+// still see, so GetAsOf/ScanAsOf serve consistent reads at any ts
+// above the reclaim horizon.
 type Store struct {
 	parts []*partition
 
@@ -233,10 +256,7 @@ type Store struct {
 
 // newStore builds the shared store shell (clock, pins, retention).
 func newStore(shards int, retention time.Duration) *Store {
-	if retention <= 0 {
-		retention = DefaultRetention
-	}
-	s := &Store{parts: make([]*partition, shards), retention: retention, pinned: make(map[int64]int)}
+	s := &Store{parts: make([]*partition, shards), retention: max(retention, 0), pinned: make(map[int64]int)}
 	s.pinFloor.Store(noFloor)
 	s.extFloor.Store(noFloor)
 	return s
@@ -320,7 +340,8 @@ func (s *Store) SetVacuumFloor(ts int64) {
 
 // cutTS computes the reclaim horizon as of now: versions strictly
 // older than the newest one ≤ the cut are reclaimable. The cut never
-// passes a pinned snapshot or the external watermark.
+// passes a pinned snapshot or the external watermark; with neither and
+// no retention window it is now, so an overwrite leaves only the head.
 func (s *Store) cutTS(now int64) int64 {
 	cut := now - int64(s.retention)
 	if pf := s.pinFloor.Load(); pf < cut {
@@ -409,6 +430,13 @@ func Open(opts Options) (*Store, error) {
 	}
 	// Commits after recovery must stay above everything replayed.
 	s.advanceTS(maxTS)
+	// A compaction may have dropped deleted keys from the log, so the
+	// recovered index cannot vouch that a key it lacks was absent before
+	// this open.
+	opened := s.nextTS()
+	for _, p := range s.parts {
+		p.purgeTS.Store(opened)
+	}
 	// Expose the recovered trees to the lock-free read path.
 	for _, p := range s.parts {
 		p.publishAll()
@@ -510,9 +538,9 @@ func (s *Store) Get(table, key string) (*VersionedRecord, error) {
 // ts (a time-travel read). It briefly takes the partition's read lock
 // to collect the published root — guaranteeing every commit ≤ a
 // previously drawn SnapshotTS is visible — then walks the immutable
-// chain lock-free. A tombstone at or before ts reads as not found.
-// Reads below the retention horizon may already be trimmed; callers
-// wanting a stable horizon should Pin first.
+// chain lock-free. A tombstone at or before ts reads as not found. A
+// read whose version at ts has been reclaimed fails with
+// ErrBelowHorizon; callers wanting a stable horizon should Pin first.
 func (s *Store) GetAsOf(table, key string, ts int64) (*VersionedRecord, error) {
 	return s.part(key).getAsOf(table, key, ts)
 }

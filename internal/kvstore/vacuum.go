@@ -6,8 +6,9 @@ import "time"
 // is cut after the newest version at or below the reclaim horizon
 // (now − retention, clamped by pins and the external watermark), and
 // keys whose head is an expired tombstone are removed from the tree
-// entirely. It returns the number of versions unlinked and keys
-// purged.
+// entirely — but not while any pin is held, because a pinned
+// tombstone scan (a migration copy) must carry every delete it can
+// see. It returns the number of versions unlinked and keys purged.
 //
 // The chain cuts are lock-free (one atomic prev store per cut — a
 // reader pinned at or above the horizon can still reach every version
@@ -104,7 +105,7 @@ func (p *partition) vacuum(cut int64) (int64, int) {
 	keys := 0
 	if len(dead) > 0 {
 		p.mu.Lock()
-		if p.closed.Load() {
+		if p.closed.Load() || p.store.pinFloor.Load() != noFloor {
 			p.mu.Unlock()
 			p.metrics.vacuumed.Add(versions)
 			return versions, 0
@@ -124,6 +125,9 @@ func (p *partition) vacuum(cut int64) (int64, int) {
 			t.delete(dk.key)
 			keys++
 			touched[dk.table] = true
+			if cur.CommitTS > p.purgeTS.Load() {
+				p.purgeTS.Store(cur.CommitTS)
+			}
 		}
 		for name := range touched {
 			p.publishLocked(name, p.tables[name])

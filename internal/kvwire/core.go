@@ -718,11 +718,19 @@ func (c *Core) execMutRun(ops []Op, out []Result) {
 	}
 }
 
+// StatusBelowHorizon is the status of an as-of read the node can no
+// longer answer exactly (kvstore.ErrBelowHorizon): the point in time it
+// asked for is a range the store cannot satisfy. A client maps it back
+// to kvstore.ErrBelowHorizon, never to a plain not-found.
+const StatusBelowHorizon = http.StatusRequestedRangeNotSatisfiable
+
 // ErrResult maps a store error to a per-item result, mirroring the
 // single-op handlers' status mapping.
 func ErrResult(err error) Result {
 	status := http.StatusInternalServerError
 	switch {
+	case errors.Is(err, kvstore.ErrBelowHorizon): // before ErrNotFound, which it also matches
+		status = StatusBelowHorizon
 	case errors.Is(err, kvstore.ErrNotFound):
 		status = http.StatusNotFound
 	case errors.Is(err, kvstore.ErrVersionMismatch), errors.Is(err, kvstore.ErrExists):

@@ -213,6 +213,8 @@ func (s *Server) runScan(ctx context.Context, c *serverConn, id uint64, sc *serv
 		var serr *StreamError
 		if errors.As(err, &serr) {
 			status, msg = serr.Status, serr.Msg
+		} else if errors.Is(err, kvstore.ErrBelowHorizon) {
+			status = StatusBelowHorizon
 		}
 	}
 	s.writeFrame(c, func(buf []byte) []byte {

@@ -15,7 +15,8 @@ import (
 //
 // Timestamps are refcounted: two snapshots at the same ts are two
 // acquisitions. Min returns math.MaxInt64 when no snapshot is active —
-// "no floor", letting the vacuum fall back to its retention window.
+// "no floor": the vacuum then keeps only what pins and an opt-in
+// retention window need.
 type Watermark struct {
 	mu     sync.Mutex
 	active map[int64]int

@@ -21,10 +21,12 @@ type SnapshotStore interface {
 	// domain and, where the transport allows, pins it against version
 	// reclamation until the release func is called. Release must be
 	// idempotent; implementations that cannot pin remotely return a
-	// no-op release and rely on the store's retention window.
+	// no-op release, and their reads stay exact only while the store's
+	// opt-in retention window covers the snapshot.
 	Snapshot(ctx context.Context) (int64, func(), error)
 	// GetAsOf resolves table/key to its newest version with commit ts
-	// ≤ ts; keys deleted as of ts are not found.
+	// ≤ ts; keys deleted as of ts are not found, and a version the store
+	// has already reclaimed fails with kvstore.ErrBelowHorizon.
 	GetAsOf(ctx context.Context, table, key string, ts int64) (*kvstore.VersionedRecord, error)
 	// ScanAsOf is Scan against the same frozen cut.
 	ScanAsOf(ctx context.Context, table, startKey string, count int, ts int64) ([]kvstore.VersionedKV, error)
@@ -139,7 +141,7 @@ func (t *ReadOnlyTxn) Read(ctx context.Context, store, table, key string) (map[s
 	}
 	rec, err := p.store.GetAsOf(ctx, table, key, p.ts)
 	if err != nil {
-		if errors.Is(err, kvstore.ErrNotFound) {
+		if errors.Is(err, kvstore.ErrNotFound) && !errors.Is(err, kvstore.ErrBelowHorizon) {
 			return nil, fmt.Errorf("%w: %s/%s/%s as of %d", ErrNotFound, p.store.Name(), table, key, p.ts)
 		}
 		return nil, err
@@ -203,8 +205,12 @@ func (t *ReadOnlyTxn) resolveAsOf(ctx context.Context, p *snapPin, table, key st
 
 	committed := false
 	if cp, err := t.pin(ctx, coordName); err == nil {
-		if tsr, err := cp.store.GetAsOf(ctx, tsrTable, writerID, cp.ts); err == nil {
+		tsr, err := cp.store.GetAsOf(ctx, tsrTable, writerID, cp.ts)
+		switch {
+		case err == nil:
 			committed = string(tsr.Fields[tsrState]) == tsrCommitted
+		case errors.Is(err, kvstore.ErrBelowHorizon):
+			return nil, err // the commit point is no longer on record as of the snapshot
 		}
 	}
 	// An unknown or snapshot-incapable coordinating store leaves
@@ -284,7 +290,8 @@ type vacuumFloorStore interface {
 }
 
 // SetVacuumFloor forwards the watermark to the embedded engine when it
-// supports one; other engines rely on their retention window.
+// supports one; other engines keep what their pins and retention window
+// keep.
 func (l *LocalStore) SetVacuumFloor(ts int64) {
 	if f, ok := l.inner.(interface{ SetVacuumFloor(int64) }); ok {
 		f.SetVacuumFloor(ts)
@@ -305,7 +312,8 @@ func (m *Manager) acquireSnapshot(ts int64) func() {
 
 // publishWatermark pushes the current min-active snapshot ts to every
 // store that can hold its vacuum below it. No active snapshot clears
-// the floor (stores fall back to their retention window). Commit
+// the floor (stores then keep only what pins and an opt-in retention
+// window need). Commit
 // timestamps are drawn per store, but all clock domains are bumped
 // UnixNano, so the min across stores is a conservative shared floor.
 func (m *Manager) publishWatermark() {
