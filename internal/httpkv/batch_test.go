@@ -188,7 +188,8 @@ func TestServerRejectsMalformedAndOversized(t *testing.T) {
 		t.Errorf("missing fields: %d, want 400", got)
 	}
 	// Unknown methods → 405; that is also all that is left of the batch
-	// and ingest routes, which exist on frames only.
+	// route, which exists on frames only, and of the ingest route, which
+	// exists nowhere.
 	if got := post("/v1/t/k", "", nil, http.MethodPost); got != http.StatusMethodNotAllowed {
 		t.Errorf("POST on record: %d, want 405", got)
 	}

@@ -1,11 +1,15 @@
 package httpkv
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 
 	"ycsbt/internal/cluster"
+	"ycsbt/internal/kvstore"
+	"ycsbt/internal/kvwire"
 )
 
 // Server-side cluster mode: when ServerOptions.Cluster is set, the
@@ -17,10 +21,14 @@ import (
 //	GET  /v1/shardmap               → 200 the node's current map JSON
 //	PUT  /v1/shardmap               → install a newer map (409 if stale)
 //	POST /v1/shardmap/freeze?slot=N → drain writes to one slot ("&thaw=1" reverts)
+//	POST /v1/shardmap/copy?slot=N&ts=T&table=t
+//	                                → 200 once this node pulled the slot's table
+//	                                  from its owner (409 if that is this node)
 //	GET  /v1/tables                 → 200 {"tables":[...]}
 //
 // A non-cluster server answers the shardmap routes 404. The records
-// themselves move over frames (migrate.go).
+// themselves move over frames: the copy is a scan stream the
+// destination opens on the source (migrate.go).
 //
 // Reads keep serving while a slot drains (the data is still local and
 // immutable past the migration snapshot); only writes 410 during the
@@ -139,6 +147,94 @@ func (s *Server) releaseFreezePins() {
 			delete(s.freezePins, slot)
 		}
 	}
+}
+
+// handleCopy serves POST /v1/shardmap/copy?slot=N&ts=T&table=t, a
+// migration's copy step, on the destination: it pulls table's slice of
+// the slot as of ts, tombstones included, over an ordinary scan stream
+// from the slot's owner in this node's own map — never from an address
+// the request names — and ingests it version for version. The pull
+// holds one batch admission slot (429 when none is free) and lives as
+// long as the request: a coordinator that goes away cancels the scan on
+// the source.
+func (s *Server) handleCopy(w http.ResponseWriter, r *http.Request) {
+	cs := s.opts.Cluster
+	if cs == nil {
+		http.Error(w, "not a cluster node", http.StatusNotFound)
+		return
+	}
+	if r.Method != http.MethodPost {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	q := r.URL.Query()
+	m := cs.Map()
+	slot, err := strconv.Atoi(q.Get("slot"))
+	if err != nil || slot < 0 || slot >= m.Slots {
+		http.Error(w, "bad slot", http.StatusBadRequest)
+		return
+	}
+	ts, err := strconv.ParseInt(q.Get("ts"), 10, 64)
+	if err != nil || ts <= 0 {
+		http.Error(w, "bad ts", http.StatusBadRequest)
+		return
+	}
+	table := q.Get("table")
+	if table == "" {
+		http.Error(w, "missing table", http.StatusBadRequest)
+		return
+	}
+	src := m.OwnerOfSlot(slot)
+	if src == cs.Self() {
+		http.Error(w, fmt.Sprintf("slot %d is this node's own: no source to pull from", slot), http.StatusConflict)
+		return
+	}
+	release, ok := s.core.AcquireBatch()
+	if !ok {
+		http.Error(w, "too many in-flight batches", http.StatusTooManyRequests)
+		return
+	}
+	defer release()
+	if err := s.pullSlot(r.Context(), src, table, slot, ts); err != nil {
+		http.Error(w, fmt.Sprintf("pulling slot %d of %q from %s: %v", slot, table, src, err), http.StatusBadGateway)
+		return
+	}
+	w.WriteHeader(http.StatusOK)
+}
+
+// pullBatch bounds one Engine.Ingest call of a pull.
+const pullBatch = 512
+
+// pullSlot streams table's slice of slot as of ts from src's frame
+// listener into StreamIngest.
+func (s *Server) pullSlot(ctx context.Context, src, table string, slot int, ts int64) error {
+	// A server keeps no outbound HTTP client, so the pull builds one for
+	// its single probe of src and drops it after.
+	hc, _ := newPooledHTTPClient(1, DefaultTimeout)
+	defer hc.CloseIdleConnections()
+	ep, err := openNodeWire(ctx, hc, src, 1)
+	if err != nil {
+		return err
+	}
+	defer ep.Close()
+	sc, err := ep.Scan(ctx, &kvwire.ScanRequest{Table: table, Count: -1, AsOf: ts, Slot: slot, Tombstones: true})
+	if err != nil {
+		return err
+	}
+	defer sc.Close()
+	batch := make([]kvstore.BulkKV, 0, pullBatch)
+	_, err = s.core.StreamIngest(ctx, table, func() ([]kvstore.BulkKV, error) {
+		batch = batch[:0]
+		for len(batch) < pullBatch && sc.Next() {
+			rec := sc.Record()
+			batch = append(batch, kvstore.BulkKV{Key: rec.Key, Fields: rec.Fields, Version: rec.Version, CommitTS: rec.CommitTS, Deleted: rec.Deleted})
+		}
+		if len(batch) == 0 {
+			return nil, sc.Err() // nil, nil: a clean end
+		}
+		return batch, nil
+	})
+	return err
 }
 
 // handleTables serves GET /v1/tables so the migrator can enumerate

@@ -5,10 +5,10 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"ycsbt/internal/cluster"
-	"ycsbt/internal/kvwire"
 )
 
 // Slot migration: move one shard-map slot between live nodes with no
@@ -20,13 +20,15 @@ import (
 //	         src rejects new writes, and no other node owns the slot).
 //	ts       GET src /v1/ts — a commit timestamp covering every
 //	         acknowledged write, drawn after the freeze barrier.
-//	copy     per table, over frames: a scan stream out of src for the
-//	         slot as-of ts, tombstones included, piped chunk by chunk
-//	         into an ingest stream on dest, both credit-gated so
-//	         neither end nor the migrator buffers more than a window.
-//	         Ingest preserves Version and CommitTS, so CAS handles
-//	         held by clients stay valid across the move, and advances
-//	         dest's commit clock past the imported history.
+//	copy     per table, POST dest /v1/shardmap/copy?slot=N&ts=T&table=t:
+//	         dest pulls the slot from its owner in dest's own map (src)
+//	         over an ordinary scan stream as-of ts, tombstones
+//	         included, credit-gated so dest buffers at most a window,
+//	         and ingests it chunk by chunk (handleCopy). The records
+//	         move src → dest once; the migrator only asks. Ingest
+//	         preserves Version and CommitTS, so CAS handles held by
+//	         clients stay valid across the move, and advances dest's
+//	         commit clock past the imported history.
 //	serve    install map v+1 (slot → dest) on src FIRST, then dest,
 //	         then the rest of the fleet. Both cutover installs are
 //	         CAS-conditioned on the predecessor version v, so a
@@ -61,16 +63,10 @@ import (
 // copy would omit keys deleted elsewhere and the former owner's stale
 // live records would resurrect — a silent lost delete.
 
-// migrateChunk bounds one ingest Send: at most this many records and
-// roughly this many payload bytes.
-const (
-	migrateChunkRecords = 512
-	migrateChunkBytes   = 256 << 10
-)
-
 // MigrateSlot moves slot to dest under the given map, returning the
-// successor map it installed across the fleet. Both ends must advertise
-// a frame listener (NoWireError otherwise, before anything is frozen).
+// successor map it installed across the fleet. The source must
+// advertise a frame listener, which dest's pull dials (NoWireError
+// otherwise, before anything is frozen).
 func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int, dest string) (*cluster.Map, error) {
 	if hc == nil {
 		hc, _ = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
@@ -89,16 +85,9 @@ func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int,
 	if err != nil {
 		return nil, err
 	}
-	srcEp, err := openNodeWire(ctx, hc, src, 1)
-	if err != nil {
+	if _, err := requireWire(ctx, hc, src); err != nil {
 		return nil, fmt.Errorf("cluster: migrate slot %d: %w", slot, err)
 	}
-	defer srcEp.Close()
-	dstEp, err := openNodeWire(ctx, hc, dest, 1)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: migrate slot %d: %w", slot, err)
-	}
-	defer dstEp.Close()
 
 	// Preflight: a concurrent migration shows up as a fleet member
 	// whose map is already past m. Stragglers behind m (a previous
@@ -140,9 +129,13 @@ func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int,
 	}
 	// A failed copy aborts the migration and leaves the old map in
 	// force; a retry re-copies from the top, which is safe: the scan is
-	// pinned to ts and the ingest is idempotent.
+	// pinned to ts and the ingest is idempotent. A copy takes as long as
+	// the slot is large, so its request reuses hc's transport without
+	// hc's per-request timeout, which would cut a large copy short: only
+	// ctx bounds it.
+	copyHC := &http.Client{Transport: hc.Transport}
 	for _, table := range tables {
-		if err := copySlot(ctx, srcEp, dstEp, table, slot, ts); err != nil {
+		if err := copySlot(ctx, copyHC, dest, table, slot, ts); err != nil {
 			return fail(fmt.Sprintf("copying table %q", table), err)
 		}
 	}
@@ -200,6 +193,18 @@ func postFreeze(ctx context.Context, hc *http.Client, base string, slot int, tha
 	if thaw {
 		u += "&thaw=1"
 	}
+	return post(ctx, hc, u)
+}
+
+// copySlot has dest pull one table's slice of the slot, as of ts and
+// tombstones included, from the slot's owner (handleCopy).
+func copySlot(ctx context.Context, hc *http.Client, dest, table string, slot int, ts int64) error {
+	return post(ctx, hc, fmt.Sprintf("%s/v1/shardmap/copy?slot=%d&ts=%d&table=%s", dest, slot, ts, url.QueryEscape(table)))
+}
+
+// post sends one bodiless control-plane POST; anything but 200 is an
+// error carrying the node's answer.
+func post(ctx context.Context, hc *http.Client, u string) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
 	if err != nil {
 		return err
@@ -236,57 +241,6 @@ func fetchTables(ctx context.Context, hc *http.Client, base string) ([]string, e
 		return nil, err
 	}
 	return body.Tables, nil
-}
-
-// copySlot streams one table's slice of the slot from src (scanned
-// as-of ts, tombstones included) into an ingest stream on dest. The
-// scan request carries ts and the tombstone flag in the frame itself
-// and the server validates both. Version and CommitTS ride each record
-// frame; StreamIngest preserves them.
-func copySlot(ctx context.Context, srcEp, dstEp *kvwire.Endpoint, table string, slot int, ts int64) error {
-	s, err := srcEp.Scan(ctx, &kvwire.ScanRequest{
-		Table:      table,
-		Count:      -1,
-		AsOf:       ts,
-		Slot:       slot,
-		Tombstones: true,
-	})
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	in, err := dstEp.Ingest(ctx, table)
-	if err != nil {
-		return err
-	}
-	batch := make([]kvwire.StreamRecord, 0, migrateChunkRecords)
-	size := 0
-	for s.Next() {
-		rec := s.Record()
-		batch = append(batch, *rec)
-		size += len(rec.Key) + 16
-		for k, v := range rec.Fields {
-			size += len(k) + len(v) + 4
-		}
-		if len(batch) >= migrateChunkRecords || size >= migrateChunkBytes {
-			if err := in.Send(batch); err != nil {
-				return err // Send already finished the stream
-			}
-			batch = batch[:0]
-			size = 0
-		}
-	}
-	if err := s.Err(); err != nil {
-		in.Abort()
-		return err
-	}
-	if len(batch) > 0 {
-		if err := in.Send(batch); err != nil {
-			return err
-		}
-	}
-	_, err = in.Close()
-	return err
 }
 
 // putShardMap installs a map on one node via PUT /v1/shardmap.

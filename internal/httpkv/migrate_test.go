@@ -1,16 +1,21 @@
 package httpkv
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
-	"ycsbt/internal/kvwire"
 )
 
 // MigrateSlot end to end, in process: the moved slot's records appear
@@ -130,10 +135,7 @@ func TestMigrateSlotIdempotentCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcEp, dstEp := kvwire.NewEndpoint(a.wireAddr, 1), kvwire.NewEndpoint(b.wireAddr, 1)
-	defer srcEp.Close()
-	defer dstEp.Close()
-	if err := copySlot(ctx, srcEp, dstEp, "usertable", slot, ts); err != nil {
+	if err := copySlot(ctx, a.srv.Client(), b.URL, "usertable", slot, ts); err != nil {
 		t.Fatal(err)
 	}
 	// The real migration re-copies the same records, then cuts over.
@@ -328,5 +330,236 @@ func TestMigrateSlotValidation(t *testing.T) {
 	same, err := MigrateSlot(ctx, a.srv.Client(), m, slot, a.URL)
 	if err != nil || same.Version != m.Version {
 		t.Errorf("self-migration should be a version-preserving no-op: %v v%d", err, same.Version)
+	}
+}
+
+// loadSlot writes n records with keys in slot under m straight into
+// store, returning their keys in order.
+func loadSlot(t *testing.T, store kvstore.Engine, m *cluster.Map, slot, n int) []string {
+	t.Helper()
+	var keys []string
+	for i := 0; len(keys) < n; i++ {
+		k := fmt.Sprintf("user%06d", i)
+		if m.SlotOf(k) != slot {
+			continue
+		}
+		if _, err := store.Put("usertable", k, map[string][]byte{"f": []byte("v-" + k)}); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// A slot larger than one credit window moves source → destination in
+// one hop: the source streams it as a dozen chunks, the destination's
+// frame listener reads nothing (it dials out; nobody writes to it),
+// every record keeps the source's version and commit ts, and the
+// copied tombstones shadow the stale records the destination kept from
+// an earlier stint as owner.
+func TestMigrateSlotCopiesManyChunks(t *testing.T) {
+	nodes := startTestCluster(t, 2, 8)
+	a, b := nodes[0], nodes[1]
+	m := a.state.Map()
+	slot := m.SlotsOf(a.URL)[0]
+	const live, dead = 3000, 50
+	keys := loadSlot(t, a.store, m, slot, live+dead)
+	for i, k := range keys[:dead] {
+		stale := kvstore.BulkKV{Key: k, Fields: map[string][]byte{"f": []byte("stale")}, Version: 1, CommitTS: int64(i + 1)}
+		if err := b.store.Ingest("usertable", []kvstore.BulkKV{stale}); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.store.Delete("usertable", k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := dead; i < len(keys); i += 10 {
+		if _, err := a.store.Put("usertable", keys[i], map[string][]byte{"f": []byte("v2")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	framesIn := b.counter("kvwire_frames_total", "dir", "in")
+	chunks := a.counter("kvwire_scan_chunks_total")
+	if _, err := MigrateSlot(context.Background(), a.srv.Client(), m, slot, b.URL); err != nil {
+		t.Fatalf("MigrateSlot: %v", err)
+	}
+	if n := b.counter("kvwire_frames_total", "dir", "in") - framesIn; n != 0 {
+		t.Errorf("destination's frame listener read %d frames during the migration, want 0", n)
+	}
+	if n := a.counter("kvwire_scan_chunks_total") - chunks; n < 12 {
+		t.Errorf("source streamed %d chunks, want ≥ 12", n)
+	}
+	if n := b.counter("kvwire_ingest_records_total"); n != live+dead {
+		t.Errorf("destination ingested %d records, want %d", n, live+dead)
+	}
+	cb := NewClient(b.URL, b.srv.Client())
+	for i, k := range keys {
+		got, err := b.store.Get("usertable", k)
+		if i < dead {
+			if !errors.Is(err, kvstore.ErrNotFound) {
+				t.Fatalf("tombstoned %s readable on the destination: %+v, %v", k, got, err)
+			}
+			if _, err := cb.Read(context.Background(), "usertable", k, nil); !errors.Is(err, db.ErrNotFound) {
+				t.Fatalf("tombstoned %s served by the destination: %v", k, err)
+			}
+			continue
+		}
+		want, werr := a.store.Get("usertable", k)
+		if err != nil || werr != nil {
+			t.Fatalf("%s: destination %v, source %v", k, err, werr)
+		}
+		if got.Version != want.Version || got.CommitTS != want.CommitTS || string(got.Fields["f"]) != string(want.Fields["f"]) {
+			t.Fatalf("%s: destination v%d@%d %q, source v%d@%d %q", k,
+				got.Version, got.CommitTS, got.Fields["f"], want.Version, want.CommitTS, want.Fields["f"])
+		}
+	}
+}
+
+// gatedIngest parks every Ingest call until release hands it a turn, so
+// a copy can be held in flight on the destination.
+type gatedIngest struct {
+	kvstore.Engine
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (e *gatedIngest) Ingest(table string, kvs []kvstore.BulkKV) error {
+	e.once.Do(func() { close(e.entered) })
+	<-e.release
+	return e.Engine.Ingest(table, kvs)
+}
+
+// scanProducers counts the wire servers' scan producer goroutines in
+// this process.
+func scanProducers() int {
+	for n := 1 << 20; ; n *= 2 {
+		buf := make([]byte, n)
+		if used := runtime.Stack(buf, true); used < n {
+			return bytes.Count(buf[:used], []byte("kvwire.(*Server).runScan("))
+		}
+	}
+}
+
+// The copy route is control plane with checked input: a standalone node
+// has none (404), a bad slot or ts or a missing table is a 400, only
+// POST is served, and a slot the node owns itself has no source to
+// pull from (409).
+func TestCopyRouteRejects(t *testing.T) {
+	nodes := startTestCluster(t, 2, 8)
+	a, b := nodes[0], nodes[1]
+	m := a.state.Map()
+	standalone := startNode(t, nil)
+	do := func(tn *testNode, method, query string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, tn.URL+"/v1/shardmap/copy?"+query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := tn.srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp)
+		return resp.StatusCode
+	}
+	slot := m.SlotsOf(a.URL)[0]
+	ok := fmt.Sprintf("slot=%d&ts=5&table=usertable", slot)
+	for _, c := range []struct {
+		tn     *testNode
+		method string
+		query  string
+		want   int
+	}{
+		{standalone, http.MethodPost, ok, http.StatusNotFound},
+		{b, http.MethodGet, ok, http.StatusMethodNotAllowed},
+		{b, http.MethodPost, "slot=x&ts=5&table=usertable", http.StatusBadRequest},
+		{b, http.MethodPost, "slot=-1&ts=5&table=usertable", http.StatusBadRequest},
+		{b, http.MethodPost, "slot=8&ts=5&table=usertable", http.StatusBadRequest},
+		{b, http.MethodPost, fmt.Sprintf("slot=%d&ts=x&table=usertable", slot), http.StatusBadRequest},
+		{b, http.MethodPost, fmt.Sprintf("slot=%d&ts=0&table=usertable", slot), http.StatusBadRequest},
+		{b, http.MethodPost, fmt.Sprintf("slot=%d&table=usertable", slot), http.StatusBadRequest},
+		{b, http.MethodPost, fmt.Sprintf("slot=%d&ts=5", slot), http.StatusBadRequest},
+		{a, http.MethodPost, ok, http.StatusConflict},
+	} {
+		if got := do(c.tn, c.method, c.query); got != c.want {
+			t.Errorf("%s %s?%s: %d, want %d", c.method, c.tn.URL, c.query, got, c.want)
+		}
+	}
+}
+
+// A copy holds one batch admission slot on the destination for as long
+// as it runs: a second copy meanwhile is shed (429), and the migration
+// that asked for it thaws its slot. The copy lives as long as its
+// request: a coordinator that goes away stops the pull, and the
+// source's scan producer exits.
+func TestCopyRouteShedsAndFollowsItsCoordinator(t *testing.T) {
+	a, b := listenNode(t), listenNode(t)
+	m, err := cluster.NewUniform(cluster.PlacementHash, 8, []string{a.URL, b.URL}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedIngest{Engine: openTestStore(t), entered: make(chan struct{}), release: make(chan struct{})}
+	for _, n := range []struct {
+		tn          *testNode
+		eng         kvstore.Engine
+		maxInflight int
+	}{{a, openTestStore(t), 0}, {b, gate, 1}} {
+		cs, err := cluster.NewState(n.tn.URL, m, n.tn.reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.tn.serve(t, n.eng, cs, n.maxInflight)
+	}
+	t.Cleanup(func() { close(gate.release) }) // before the servers close
+	hc := a.srv.Client()
+	slot := m.SlotsOf(a.URL)[0]
+	// 16 chunks: more than two pull batches and the window behind them,
+	// so the source stays parked whatever the pull does short of ending.
+	loadSlot(t, a.store, m, slot, 4000)
+	ts, err := fetchSnapshotTS(context.Background(), hc, a.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := scanProducers()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() { errc <- copySlot(ctx, hc, b.URL, "usertable", slot, ts) }()
+	<-gate.entered
+	deadline := time.Now().Add(5 * time.Second)
+	for a.counter("kvwire_stream_credits_stalled_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the source's producer never parked on credits")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := scanProducers(); n != baseline+1 {
+		t.Fatalf("%d scan producers running, want the copy's one", n-baseline)
+	}
+
+	if err := copySlot(context.Background(), hc, b.URL, "usertable", slot, ts); err == nil || !strings.Contains(err.Error(), "429") {
+		t.Fatalf("second copy: %v, want 429", err)
+	}
+	if _, err := MigrateSlot(context.Background(), hc, m, slot, b.URL); err == nil || !strings.Contains(err.Error(), "429") {
+		t.Fatalf("migration over a shed copy: %v, want its 429", err)
+	}
+	if a.state.Frozen(slot) {
+		t.Error("shed copy left the slot frozen")
+	}
+
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled copy: %v, want context.Canceled", err)
+	}
+	// One more batch lands, then the pull must find its request gone; a
+	// pull that went on would park in its next Ingest, the source's
+	// producer on credits.
+	gate.release <- struct{}{}
+	for deadline := time.Now().Add(5 * time.Second); scanProducers() != baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("source scan goroutine still running after the coordinator went away")
+		}
 	}
 }

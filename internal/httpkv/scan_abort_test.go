@@ -2,15 +2,18 @@ package httpkv
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/kvwire"
 )
 
 // endlessEngine serves an infinite ascending key space: every Scan
@@ -103,4 +106,74 @@ func TestScanHandlerStopsWhenClientDisconnects(t *testing.T) {
 	}
 	t.Fatalf("handler still paging the engine %v after client disconnect (%d pages)",
 		5*time.Second, eng.scans.Load())
+}
+
+// brokenScanEngine fails every tombstone scan page after a scan's first
+// while fail is set: a source whose reads give out mid-copy.
+type brokenScanEngine struct {
+	kvstore.Engine
+	fail atomic.Bool
+}
+
+func (e *brokenScanEngine) ScanVersionsAsOf(table, start string, count int, ts int64) ([]kvstore.VersionedKV, error) {
+	if start != "" && e.fail.Load() {
+		return nil, errors.New("read failed past the first page")
+	}
+	return e.Engine.ScanVersionsAsOf(table, start, count, ts)
+}
+
+// A migration whose source scan fails after its first page aborts
+// naming the table, with the slot thawed and every node's map where it
+// was; the retry, once the source reads again, moves the slot.
+func TestMigrateSlotSourceScanFails(t *testing.T) {
+	a, b := listenNode(t), listenNode(t)
+	m, err := cluster.NewUniform(cluster.PlacementHash, 8, []string{a.URL, b.URL}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aStore := openTestStore(t)
+	broken := &brokenScanEngine{Engine: aStore}
+	broken.fail.Store(true)
+	for _, n := range []struct {
+		tn  *testNode
+		eng kvstore.Engine
+	}{{a, broken}, {b, openTestStore(t)}} {
+		cs, err := cluster.NewState(n.tn.URL, m, n.tn.reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.tn.serve(t, n.eng, cs, 0)
+	}
+	ctx := context.Background()
+	hc := a.srv.Client()
+	slot := m.SlotsOf(a.URL)[0]
+	keys := loadSlot(t, aStore, m, slot, kvwire.ScanPageCap+100) // two engine pages
+
+	_, err = MigrateSlot(ctx, hc, m, slot, b.URL)
+	if err == nil || !strings.Contains(err.Error(), `"usertable"`) {
+		t.Fatalf("migration over a failing source scan: %v, want an error naming the table", err)
+	}
+	if a.state.Frozen(slot) {
+		t.Error("failed copy left the slot frozen")
+	}
+	for _, tn := range []*testNode{a, b} {
+		if v := tn.state.Map().Version; v != m.Version {
+			t.Errorf("%s moved to map v%d after a failed copy, want v%d", tn.URL, v, m.Version)
+		}
+	}
+
+	broken.fail.Store(false)
+	next, err := MigrateSlot(ctx, hc, m, slot, b.URL)
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if next.OwnerOfSlot(slot) != b.URL {
+		t.Fatalf("slot owner after retry = %s", next.OwnerOfSlot(slot))
+	}
+	cb := NewClient(b.URL, hc)
+	for _, k := range []string{keys[0], keys[len(keys)-1]} {
+		if got, err := cb.Read(ctx, "usertable", k, nil); err != nil || string(got["f"]) != "v-"+k {
+			t.Fatalf("%s on the destination after retry: %v %v", k, got, err)
+		}
+	}
 }

@@ -21,7 +21,7 @@
 //	                                     one page: count defaults to 100 and is clamped to kvwire.ScanPageCap
 //	GET    /v1/ts                     → 200 {"ts":n} snapshot timestamp (see asof.go)
 //	GET    /v1/tables                 → 200 {"tables":[...]}
-//	GET/PUT /v1/shardmap, POST /v1/shardmap/freeze   cluster mode (see cluster.go)
+//	GET/PUT /v1/shardmap, POST /v1/shardmap/{freeze,copy}   cluster mode (see cluster.go)
 //	GET    /healthz                   → 200 "ok"
 //
 // Every successful record response carries the version in the "ETag"
@@ -29,8 +29,8 @@
 // "ts", "tables" and "shardmap" are reserved by those routes.
 //
 // Everything else — multi-key batches, as-of reads, streamed, slot and
-// tombstone scans, ingest, the migration copy — exists on the framed
-// binary protocol only (internal/kvwire), served from the same
+// tombstone scans (the records of a migration copy) — exists on the
+// framed binary protocol only (internal/kvwire), served from the same
 // kvwire.Core by the listener ServerOptions.WireAddr advertises in the
 // X-KV-Wire header of every response. A client picks one transport per
 // endpoint, once (wire.go).
@@ -142,6 +142,7 @@ func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
 	s.mux.HandleFunc("/v1/ts", s.handleSnapshotTS)
 	s.mux.HandleFunc("/v1/shardmap", s.handleShardMap)
 	s.mux.HandleFunc("/v1/shardmap/freeze", s.handleFreeze)
+	s.mux.HandleFunc("/v1/shardmap/copy", s.handleCopy)
 	s.mux.HandleFunc("/v1/tables", s.handleTables)
 	s.mux.HandleFunc("/v1/", s.handleRecord)
 	return s

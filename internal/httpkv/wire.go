@@ -24,9 +24,9 @@ import (
 // The rawhttp.wire property picks: "off" is HTTP, a host:port is that
 // frame listener, and "auto" (the default) asks the server once, over
 // its control plane, whether it runs one (probeWire). Batches, as-of
-// reads, streamed scans, ingest and the migration copy exist on frames
-// only; the Router and MigrateSlot therefore require every node to
-// advertise a listener (NoWireError otherwise).
+// reads and streamed scans — the migration copy among them — exist on
+// frames only; the Router therefore requires every node to advertise a
+// listener, and MigrateSlot the slot's source (NoWireError otherwise).
 
 // WireAddrHeader advertises the server's frame listener: every HTTP
 // response from a server started with one carries X-KV-Wire: host:port.
@@ -71,16 +71,22 @@ func probeWire(ctx context.Context, hc *http.Client, base string) (string, error
 	return addr, nil
 }
 
-// openNodeWire is the probe for callers that cannot work without
-// frames (the Router, MigrateSlot): the node's endpoint, or a
-// NoWireError naming it.
-func openNodeWire(ctx context.Context, hc *http.Client, node string, conns int) (*kvwire.Endpoint, error) {
+// requireWire is the probe for callers that cannot work without frames
+// (the Router, MigrateSlot, the copy's pull): the node's listener
+// address, or a NoWireError naming it.
+func requireWire(ctx context.Context, hc *http.Client, node string) (string, error) {
 	addr, err := probeWire(ctx, hc, node)
+	if err == nil && addr == "" {
+		err = &NoWireError{Node: node}
+	}
+	return addr, err
+}
+
+// openNodeWire is requireWire returning the node's endpoint.
+func openNodeWire(ctx context.Context, hc *http.Client, node string, conns int) (*kvwire.Endpoint, error) {
+	addr, err := requireWire(ctx, hc, node)
 	if err != nil {
 		return nil, err
-	}
-	if addr == "" {
-		return nil, &NoWireError{Node: node}
 	}
 	return kvwire.NewEndpoint(addr, conns), nil
 }

@@ -69,10 +69,9 @@ type Engine interface {
 	Len(table string) int
 	Tables() []string
 
-	// Maintenance and lifecycle. BulkLoad builds an empty table from a
-	// sorted batch; Ingest merges versioned records (preserving
-	// Version/CommitTS) into a live table — the shard-migration path.
-	BulkLoad(table string, kvs []BulkKV) error
+	// Maintenance and lifecycle. Ingest merges versioned records
+	// (preserving Version/CommitTS) into a live table — the
+	// shard-migration path.
 	Ingest(table string, kvs []BulkKV) error
 	Compact() error
 	WALSize() (int64, error)

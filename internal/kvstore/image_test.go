@@ -92,7 +92,7 @@ func TestImageEqualsMapOnEveryWritePath(t *testing.T) {
 	}) {
 		must(r.Version, r.Err)
 	}
-	if err := s.BulkLoad("bulk", []BulkKV{{Key: "a", Fields: ycsbFields(10, 100, 5)}, {Key: "b", Fields: ycsbFields(20, 10, 6)}}); err != nil {
+	if err := s.Ingest("ing", []BulkKV{{Key: "a", Fields: ycsbFields(10, 100, 5)}, {Key: "b", Fields: ycsbFields(20, 10, 6)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Ingest("t", []BulkKV{
@@ -106,7 +106,7 @@ func TestImageEqualsMapOnEveryWritePath(t *testing.T) {
 
 	type stored struct{ table, key string }
 	whole := []stored{{"t", "put"}, {"t", "insert"}, {"t", "cond"}, {"t", "empty"}, {"t", "batch1"}, {"t", "batch2"},
-		{"bulk", "a"}, {"bulk", "b"}, {"t", "ingest"}}
+		{"ing", "a"}, {"ing", "b"}, {"t", "ingest"}}
 	images := map[stored][]byte{}
 	for _, k := range whole {
 		rec, err := s.Get(k.table, k.key)
@@ -182,9 +182,6 @@ func TestStoredRecordDoesNotAliasCallers(t *testing.T) {
 	if _, err := s.Put("t", "k", in); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BulkLoad("bulk", []BulkKV{{Key: "k", Fields: in}}); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Ingest("ing", []BulkKV{{Key: "k", Fields: in}}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +211,7 @@ func TestStoredRecordDoesNotAliasCallers(t *testing.T) {
 	}
 	clone.Fields["extra"] = nil
 
-	for _, table := range []string{"t", "bulk", "ing"} {
+	for _, table := range []string{"t", "ing"} {
 		rec, err := s.Get(table, "k")
 		if err != nil {
 			t.Fatal(err)

@@ -2,21 +2,32 @@ package kvstore
 
 import "sync"
 
+// BulkKV is one record of an Ingest. Version and CommitTS are
+// optional: zero values default to version 1 and a freshly drawn
+// commit timestamp. A migration copy passes both through, so the copy
+// preserves the source's versions and as-of visibility; the
+// destination clock is advanced past the largest provided CommitTS.
+// Deleted marks a tombstone: Ingest writes a delete version instead of
+// fields, so a migrated slot carries its deletes along and a later
+// copy back to a former owner cannot resurrect them.
+type BulkKV struct {
+	Key      string
+	Fields   map[string][]byte
+	Version  uint64
+	CommitTS int64
+	Deleted  bool
+}
+
 // Ingest merges a batch of versioned records into table, preserving
-// each record's Version and CommitTS — the migration counterpart of
-// BulkLoad. Where BulkLoad builds an empty table bottom-up, Ingest
-// layers a consistent cut of *someone else's* keys (a shard-map slot
-// copied as-of a pinned ts) into a table that is already serving
-// traffic, so it takes the normal write path per partition: link onto
-// the key's existing chain, WAL the frame, publish one new root per
-// touched partition.
+// each record's Version and CommitTS. It layers a consistent cut of
+// *someone else's* keys (a shard-map slot copied as-of a pinned ts)
+// into a table that is already serving traffic, so it takes the normal
+// write path per partition: link onto the key's existing chain, WAL
+// the frame, publish one new root per touched partition.
 //
 // Idempotence: a record whose key already has a head at the same or a
 // newer CommitTS is skipped, so re-running a partially failed
 // migration copy converges instead of stacking duplicate versions.
-// Zero Version/CommitTS default like BulkLoad (version 1, fresh ts);
-// the destination clock is advanced past every provided CommitTS so
-// later local commits sort after the ingested history.
 //
 // Tombstones travel too: a BulkKV with Deleted set writes a delete
 // version (same WAL frame the live delete path logs), so a slot copy

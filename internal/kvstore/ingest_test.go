@@ -174,16 +174,6 @@ func TestIngestTombstoneDurable(t *testing.T) {
 	}
 }
 
-// BulkLoad is the benchmark's fresh-load fast path; a tombstone there
-// is a caller bug, not a migration.
-func TestBulkLoadRejectsTombstone(t *testing.T) {
-	s := openIngestStore(t)
-	err := s.BulkLoad("t", []BulkKV{{Key: "k", Deleted: true}})
-	if err == nil {
-		t.Fatal("BulkLoad accepted a tombstone")
-	}
-}
-
 // Ingest spreads records across partitions like normal writes do.
 func TestIngestCrossesPartitions(t *testing.T) {
 	s := openIngestStore(t)

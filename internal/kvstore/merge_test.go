@@ -119,10 +119,10 @@ func TestLazyMergeMatchesSortedReference(t *testing.T) {
 // TestScanVisitsCountPlusShards: a 10-record scan over 8 shards lands
 // on at most 10 + 8 index entries — the ten it returns and the one each
 // partition was primed with — where collecting count from every
-// partition first visited up to 80. Bulk-built and insert-built trees
-// (leaf-only and multi-level paths through the iterator) both.
+// partition first visited up to 80. Trees built by single puts and by
+// one Ingest batch both.
 func TestScanVisitsCountPlusShards(t *testing.T) {
-	for _, bulk := range []bool{false, true} {
+	for _, batch := range []bool{false, true} {
 		reg := obs.NewRegistry()
 		s, err := Open(Options{Shards: 8, Metrics: reg})
 		if err != nil {
@@ -132,8 +132,8 @@ func TestScanVisitsCountPlusShards(t *testing.T) {
 		for i := range kvs {
 			kvs[i] = BulkKV{Key: fmt.Sprintf("user%06d", i), Fields: map[string][]byte{"f": {1}}}
 		}
-		if bulk {
-			err = s.BulkLoad("t", kvs)
+		if batch {
+			err = s.Ingest("t", kvs)
 		} else {
 			for _, kv := range kvs {
 				if _, err = s.Put("t", kv.Key, kv.Fields); err != nil {
@@ -158,7 +158,7 @@ func TestScanVisitsCountPlusShards(t *testing.T) {
 				t.Fatal(err)
 			}
 			if n := visited() - before; n > float64(len(got)+8) {
-				t.Errorf("bulk=%v start %q: scan returned %d records and visited %.0f entries, want ≤ %d", bulk, start, len(got), n, len(got)+8)
+				t.Errorf("batch=%v start %q: scan returned %d records and visited %.0f entries, want ≤ %d", batch, start, len(got), n, len(got)+8)
 			}
 		}
 		s.Close()

@@ -277,7 +277,7 @@ func (s *Store) nextTS() int64 {
 	}
 }
 
-// advanceTS bumps the clock to at least ts (replay, bulk load).
+// advanceTS bumps the clock to at least ts (replay, ingest).
 func (s *Store) advanceTS(ts int64) {
 	for {
 		last := s.clock.Load()

@@ -298,8 +298,8 @@ func (c *clientConn) readLoop() {
 			}
 			payload = nil
 			continue
-		case frameStreamEnd, frameCredit:
-			if err := c.handleStreamFrame(typ, id, payload); err != nil {
+		case frameStreamEnd:
+			if err := c.handleStreamEnd(id, payload); err != nil {
 				c.fail(err)
 				return
 			}

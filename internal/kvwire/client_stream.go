@@ -11,10 +11,10 @@ import (
 // Client side of the streaming protocol. A ScanStream consumes chunk
 // frames the server produces, granting one credit back per chunk it
 // finishes, so the amount buffered client-side is bounded by the
-// window it asked for; an IngestStream produces chunk frames against
-// the server's granted credits, blocking when the server falls behind.
-// Both multiplex onto the same pooled connections as Exec — chunks
-// interleave with pipelined responses.
+// window it asked for. Streams multiplex onto the same pooled
+// connections as Exec — chunks interleave with pipelined responses.
+// The client only ever consumes: a migration copy is a scan the
+// destination opens on the source, so no stream runs the other way.
 
 // clientStream is one stream's read-loop mailbox. Scan chunks ride ev
 // (capacity = window, so a server exceeding its credits hits a full
@@ -23,8 +23,7 @@ import (
 // ride term, capacity 1, which the read loop fills after everything
 // sent before it is already in ev.
 type clientStream struct {
-	id     uint64
-	ingest bool
+	id uint64
 
 	ev   chan streamEvent
 	term chan streamEvent
@@ -32,11 +31,6 @@ type clientStream struct {
 	// cancelled marks a scan the consumer abandoned: the read loop
 	// discards its remaining chunks and retires the id on the ack.
 	cancelled atomic.Bool
-
-	// Ingest producer state: credits granted by the server, avail
-	// pulsed on every grant and on terminal events.
-	credits atomic.Int64
-	avail   chan struct{}
 }
 
 // streamEvent is one read-loop delivery: a chunk, the peer's
@@ -51,13 +45,6 @@ type streamEvent struct {
 	err    error
 }
 
-func (st *clientStream) pulse() {
-	select {
-	case st.avail <- struct{}{}:
-	default:
-	}
-}
-
 // deliverTerm hands the stream its terminal event. Capacity 1 and
 // single-delivery discipline (the read loop unregisters the stream
 // first) mean this never blocks.
@@ -66,17 +53,14 @@ func (st *clientStream) deliverTerm(e streamEvent) {
 	case st.term <- e:
 	default:
 	}
-	st.pulse()
 }
 
 // openStream registers a new stream on the conn, sharing the request
 // id space (and the inflight count load-balanced by pick).
-func (c *clientConn) openStream(ingest bool, window int) *clientStream {
+func (c *clientConn) openStream(window int) *clientStream {
 	st := &clientStream{
-		ingest: ingest,
-		ev:     make(chan streamEvent, window),
-		term:   make(chan streamEvent, 1),
-		avail:  make(chan struct{}, 1),
+		ev:   make(chan streamEvent, window),
+		term: make(chan streamEvent, 1),
 	}
 	c.mu.Lock()
 	c.nextID++
@@ -108,7 +92,7 @@ func (c *clientConn) handleChunk(id uint64, payload []byte, dec *fieldDecoder) e
 	c.mu.Lock()
 	st := c.streams[id]
 	c.mu.Unlock()
-	if st == nil || st.ingest {
+	if st == nil {
 		return fmt.Errorf("kvwire: chunk frame for unknown stream %d", id)
 	}
 	if st.cancelled.Load() {
@@ -126,37 +110,19 @@ func (c *clientConn) handleChunk(id uint64, payload []byte, dec *fieldDecoder) e
 	}
 }
 
-// handleStreamFrame routes one credit or stream-end frame from the read
-// loop. Returning an error fails the connection.
-func (c *clientConn) handleStreamFrame(typ byte, id uint64, payload []byte) error {
-	c.mu.Lock()
-	st := c.streams[id]
-	c.mu.Unlock()
-	switch typ {
-	case frameCredit:
-		if st == nil || !st.ingest {
-			return fmt.Errorf("kvwire: credit frame for unknown stream %d", id)
-		}
-		n, err := DecodeCredit(payload)
-		if err != nil {
-			return err
-		}
-		st.credits.Add(int64(n))
-		st.pulse()
-		return nil
-	case frameStreamEnd:
-		status, mapVer, count, msg, err := DecodeStreamEnd(payload)
-		if err != nil {
-			return err
-		}
-		st = c.takeStream(id)
-		if st == nil {
-			return fmt.Errorf("kvwire: stream-end for unknown stream %d", id)
-		}
-		st.deliverTerm(streamEvent{end: true, status: status, mapVer: mapVer, count: count, msg: msg})
-		return nil
+// handleStreamEnd routes one stream-end frame from the read loop.
+// Returning an error fails the connection.
+func (c *clientConn) handleStreamEnd(id uint64, payload []byte) error {
+	status, mapVer, count, msg, err := DecodeStreamEnd(payload)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("kvwire: unexpected frame type %d", typ)
+	st := c.takeStream(id)
+	if st == nil {
+		return fmt.Errorf("kvwire: stream-end for unknown stream %d", id)
+	}
+	st.deliverTerm(streamEvent{end: true, status: status, mapVer: mapVer, count: count, msg: msg})
+	return nil
 }
 
 // failStreams answers every open stream with the connection error.
@@ -235,7 +201,7 @@ func (e *Endpoint) Scan(ctx context.Context, req *ScanRequest) (*ScanStream, err
 	if window <= 0 {
 		window = DefaultStreamWindow
 	}
-	st := c.openStream(false, window)
+	st := c.openStream(window)
 	if err := c.writeStreamFrame(func(buf []byte) []byte {
 		r := *req
 		r.Window = window
@@ -396,177 +362,4 @@ func (s *ScanStream) Close() error {
 		return err
 	}
 	return nil
-}
-
-// IngestStream streams record chunks into one table:
-//
-//	in, err := ep.Ingest(ctx, "t")
-//	err = in.Send(recs)          // repeatedly; blocks on server credits
-//	n, err := in.Close()         // finishes and returns the server's count
-//
-// Send/Close/Abort must stay on one goroutine. On error, call Abort.
-type IngestStream struct {
-	e   *Endpoint
-	c   *clientConn
-	st  *clientStream
-	ctx context.Context
-
-	done bool
-	term *streamEvent
-}
-
-// Ingest opens one streamed ingest. The server answers with its credit
-// window (or an admission-shed stream-end, surfaced by the first Send
-// or Close as a 429 RequestError).
-func (e *Endpoint) Ingest(ctx context.Context, table string) (*IngestStream, error) {
-	c, err := e.pick(ctx)
-	if err != nil {
-		return nil, err
-	}
-	st := c.openStream(true, 1)
-	if err := c.writeStreamFrame(func(buf []byte) []byte {
-		return AppendIngestRequest(buf, st.id, table)
-	}); err != nil {
-		c.takeStream(st.id)
-		c.fail(err)
-		e.drop(c)
-		return nil, err
-	}
-	return &IngestStream{e: e, c: c, st: st, ctx: ctx}, nil
-}
-
-// take blocks until the server has granted a chunk credit; a terminal
-// event instead is returned as the stream's outcome error.
-func (in *IngestStream) take() error {
-	for {
-		select {
-		case e := <-in.st.term:
-			in.term = &e
-			return in.termErr()
-		default:
-		}
-		if in.st.credits.Add(-1) >= 0 {
-			return nil
-		}
-		in.st.credits.Add(1)
-		select {
-		case <-in.ctx.Done():
-			return in.ctx.Err()
-		case <-in.st.avail:
-		}
-	}
-}
-
-func (in *IngestStream) termErr() error {
-	e := in.term
-	if e.err != nil {
-		return e.err
-	}
-	if e.status != http.StatusOK {
-		return &RequestError{Status: e.status, Msg: e.msg}
-	}
-	return nil
-}
-
-// Send ships recs as one or more chunk frames, blocking whenever the
-// server's credits are exhausted — the flow control that keeps server
-// memory bounded however large the ingest is.
-func (in *IngestStream) Send(recs []StreamRecord) error {
-	if in.done {
-		return errors.New("kvwire: ingest stream closed")
-	}
-	for len(recs) > 0 {
-		n := len(recs)
-		if n > streamChunkRecords {
-			n = streamChunkRecords
-		}
-		if err := in.take(); err != nil {
-			in.finish(err)
-			return err
-		}
-		if err := in.c.writeStreamFrame(func(buf []byte) []byte {
-			return AppendChunk(buf, in.st.id, 0, recs[:n])
-		}); err != nil {
-			in.failConn(err)
-			return err
-		}
-		recs = recs[n:]
-	}
-	return nil
-}
-
-// Close ends the stream cleanly and waits for the server's ack,
-// returning the number of records it ingested.
-func (in *IngestStream) Close() (uint64, error) {
-	if in.done {
-		return 0, errors.New("kvwire: ingest stream closed")
-	}
-	if in.term == nil {
-		if err := in.c.writeStreamFrame(func(buf []byte) []byte {
-			return AppendStreamEnd(buf, in.st.id, http.StatusOK, 0, 0, "")
-		}); err != nil {
-			in.failConn(err)
-			return 0, err
-		}
-		select {
-		case e := <-in.st.term:
-			in.term = &e
-		case <-in.ctx.Done():
-			in.failConn(in.ctx.Err())
-			return 0, in.ctx.Err()
-		}
-	}
-	in.done = true
-	if err := in.termErr(); err != nil {
-		if in.term.err != nil {
-			in.e.drop(in.c)
-		}
-		return in.term.count, err
-	}
-	return in.term.count, nil
-}
-
-// Abort tells the server to discard the stream (its ingest handler
-// stops at the next chunk boundary; records already ingested stay —
-// the engine ingest is idempotent, callers retry the whole copy).
-func (in *IngestStream) Abort() {
-	if in.done {
-		return
-	}
-	if in.term == nil {
-		if err := in.c.writeStreamFrame(func(buf []byte) []byte {
-			return AppendStreamEnd(buf, in.st.id, 0, 0, 0, "abort")
-		}); err != nil {
-			in.failConn(err)
-			return
-		}
-		// The server does not ack an abort; retire the id locally.
-		in.c.takeStream(in.st.id)
-	}
-	in.done = true
-}
-
-// finish retires the stream after a terminal error that leaves the
-// connection healthy (ctx cancel, admission shed, server-side store
-// error). The end frame is sent even when the server aborted first —
-// its handler drains the stream until the client's end arrives — and
-// is harmless if the server already forgot the id.
-func (in *IngestStream) finish(err error) {
-	in.done = true
-	if in.term != nil && in.term.err != nil {
-		in.failConn(in.term.err)
-		return
-	}
-	in.c.writeStreamFrame(func(buf []byte) []byte {
-		return AppendStreamEnd(buf, in.st.id, 0, 0, 0, "abort")
-	})
-	in.c.takeStream(in.st.id)
-}
-
-// failConn retires the stream after a connection-level failure.
-func (in *IngestStream) failConn(err error) {
-	in.done = true
-	in.c.takeStream(in.st.id)
-	in.c.fail(err)
-	in.e.drop(in.c)
 }

@@ -97,6 +97,8 @@ type Core struct {
 	// batchItems is the size of every executed batch (a request frame's
 	// ops); nil like the counters above.
 	batchItems *obs.Histogram
+	// ingestRecords counts what StreamIngest landed; nil like the rest.
+	ingestRecords *obs.Counter
 }
 
 // NewCore builds a core over store. cs may be nil (single-node mode);
@@ -109,8 +111,9 @@ func NewCore(store kvstore.Engine, cs *cluster.State, maxInflightBatches int) *C
 	return c
 }
 
-// Instrument registers the core's scan counters and batch-size
-// histogram on reg, next to the wire server's kvwire_scan_chunks_total.
+// Instrument registers the core's scan and ingest counters and its
+// batch-size histogram on reg, next to the wire server's
+// kvwire_scan_chunks_total.
 // They live on the core, not on a front end, because the paging loop is
 // shared: a scan counts whether the wire or the HTTP server asked for
 // it, and a node without a wire listener exports them too. Call it
@@ -123,6 +126,8 @@ func (c *Core) Instrument(reg *obs.Registry) {
 	c.scanRecords = reg.Counter("kvwire_scan_records_total")
 	reg.Help("httpkv_batch_items", "Operations per executed batch (one request frame).")
 	c.batchItems = reg.Histogram("httpkv_batch_items", obs.CountBuckets)
+	reg.Help("kvwire_ingest_records_total", "Records a migration copy ingested (Core.StreamIngest).")
+	c.ingestRecords = reg.Counter("kvwire_ingest_records_total")
 }
 
 // Store exposes the engine (front-end routes that bypass the op model:
@@ -473,11 +478,11 @@ func (c *Core) StreamScan(ctx context.Context, req *ScanRequest, admit func() er
 }
 
 // StreamIngest merges streamed record chunks into table, preserving
-// versions and commit timestamps. next returns one decoded chunk at a
-// time (nil, nil at end of stream); the records land through
-// Engine.Ingest chunk by chunk, so server memory is bounded by the
-// chunk size regardless of how much one migration moves. Returns the
-// total records ingested.
+// versions and commit timestamps. next returns one chunk at a time
+// (nil, nil at end of stream) — the migration copy feeds it from a scan
+// stream on the slot's source; the records land through Engine.Ingest
+// chunk by chunk, so memory is bounded by the chunk size regardless of
+// how much one migration moves. Returns the total records ingested.
 func (c *Core) StreamIngest(ctx context.Context, table string, next func() ([]kvstore.BulkKV, error)) (uint64, error) {
 	var total uint64
 	for {
@@ -500,6 +505,7 @@ func (c *Core) StreamIngest(ctx context.Context, table string, next func() ([]kv
 			return total, err
 		}
 		total += uint64(len(kvs))
+		c.ingestRecords.Add(int64(len(kvs)))
 	}
 }
 

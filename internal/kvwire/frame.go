@@ -324,7 +324,7 @@ func (d *fieldDecoder) readOp(b []byte) (Op, []byte, error) {
 		}
 	}
 	if flags&opFlagFields != 0 {
-		if op.Fields, _, b, err = d.readFields(b); err != nil {
+		if op.Fields, b, err = d.readFields(b); err != nil {
 			return op, b, err
 		}
 	}
@@ -385,7 +385,7 @@ func (d *fieldDecoder) readResult(b []byte) (Result, []byte, error) {
 		}
 	}
 	if flags&resFlagFields != 0 {
-		if r.Fields, _, b, err = d.readFields(b); err != nil {
+		if r.Fields, b, err = d.readFields(b); err != nil {
 			return r, b, err
 		}
 	}
@@ -441,18 +441,18 @@ type fieldDecoder struct {
 }
 
 // readFields decodes one length-prefixed field section, returning the
-// map, the section bytes its values point into, and the rest of b.
-func (d *fieldDecoder) readFields(b []byte) (map[string][]byte, []byte, []byte, error) {
+// map and the rest of b.
+func (d *fieldDecoder) readFields(b []byte) (map[string][]byte, []byte, error) {
 	size, b, err := readUvarint(b)
 	if err != nil {
-		return nil, nil, b, err
+		return nil, b, err
 	}
 	if size > uint64(len(b)) {
-		return nil, nil, b, errTruncated
+		return nil, b, errTruncated
 	}
 	sec, rest := b[:size:size], b[size:]
 	if count, _ := binary.Uvarint(sec); count > maxFieldsPerOp {
-		return nil, nil, b, fmt.Errorf("%w: %d", errTooManyFields, count)
+		return nil, b, fmt.Errorf("%w: %d", errTooManyFields, count)
 	}
 	if !d.own {
 		sec = make([]byte, size)
@@ -460,9 +460,9 @@ func (d *fieldDecoder) readFields(b []byte) (map[string][]byte, []byte, []byte, 
 	}
 	fields, _, err := kvstore.DecodeFields(sec, &d.names)
 	if err != nil {
-		return nil, nil, b, err
+		return nil, b, err
 	}
-	return fields, sec, rest, nil
+	return fields, rest, nil
 }
 
 func readString(b []byte) (string, []byte, error) {

@@ -2,6 +2,7 @@ package kvwire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -123,23 +124,20 @@ func TestDecodeRequestRejectsTrailingBytes(t *testing.T) {
 // allocation guard is implicit: lying counts error before reserving
 // memory, so hostile frames cannot make the decoder allocate beyond
 // their own size. mode selects the decoder under test: 0 request,
-// 1 response, 2 scan-request, 3 chunk, 4 stream-end, 5 credit,
-// 6 ingest-request.
+// 1 response, 2 scan-request, 3 chunk, 4 stream-end, 5 credit.
 func FuzzFrameCodec(f *testing.F) {
 	reqSeed := AppendRequest(nil, 1, 250, sampleOps())
 	resSeed := AppendResponse(nil, 2, sampleResults())
 	scanSeed := AppendScanRequest(nil, 3, &ScanRequest{Table: "t", Start: "user1", Count: 100, AsOf: 42, Slot: 3, Tombstones: true, Window: 4})
-	chunkSeed := AppendChunk(nil, 4, 7, sampleStreamRecords())
+	chunkSeed, _ := appendScanChunk(nil, 4, 7, sampleScanRecords(f))
 	endSeed := AppendStreamEnd(nil, 5, 409, 7, 12, "shard map changed mid-scan")
 	creditSeed := AppendCredit(nil, 6, 3)
-	ingestSeed := AppendIngestRequest(nil, 7, "usertable")
 	f.Add(reqSeed[frameHeaderLen:], byte(0))
 	f.Add(resSeed[frameHeaderLen:], byte(1))
 	f.Add(scanSeed[frameHeaderLen:], byte(2))
 	f.Add(chunkSeed[frameHeaderLen:], byte(3))
 	f.Add(endSeed[frameHeaderLen:], byte(4))
 	f.Add(creditSeed[frameHeaderLen:], byte(5))
-	f.Add(ingestSeed[frameHeaderLen:], byte(6))
 	f.Add([]byte{}, byte(0))
 	f.Add([]byte{0, 1, 1}, byte(0))
 	// Hostile: a chunk truncated mid-record and one claiming far more
@@ -147,9 +145,11 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(chunkSeed[frameHeaderLen:len(chunkSeed)-5], byte(3))
 	f.Add([]byte{0x0e, 0xff, 0xff, 0x3f}, byte(3))
 	// Hostile: lying credits — a zero grant and one far past the
-	// window cap, both of which the decoder must refuse.
+	// window cap, both of which the decoder must refuse — and a scan
+	// request asking for a window of zero.
 	f.Add([]byte{0x00}, byte(5))
 	f.Add([]byte{0xff, 0xff, 0x7f}, byte(5))
+	f.Add(append(bytes.Clone(scanSeed[frameHeaderLen:len(scanSeed)-1]), 0), byte(2))
 	// Hostile: length-prefixed field sections that lie — a length past
 	// the payload, one cutting its last field short, a count the section
 	// cannot back, trailing bytes inside the section — and the odd but
@@ -169,7 +169,7 @@ func FuzzFrameCodec(f *testing.F) {
 		f.Add(append([]byte{0, 1, byte(KindPut), opFlagFields, 1, 't', 1, 'k'}, sec...), byte(0))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte, mode byte) {
-		switch mode % 7 {
+		switch mode % 6 {
 		case 0:
 			deadline, ops, err := DecodeRequest(payload, nil)
 			if err != nil {
@@ -214,7 +214,7 @@ func FuzzFrameCodec(f *testing.F) {
 			if err != nil {
 				return
 			}
-			re := AppendChunk(nil, 9, mapVer, recs)
+			re := appendChunk(nil, 9, mapVer, recs)
 			mapVer2, recs2, err := DecodeChunk(re[frameHeaderLen:], nil)
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
@@ -246,28 +246,50 @@ func FuzzFrameCodec(f *testing.F) {
 			if err != nil || n2 != n {
 				t.Fatalf("credit not stable: got %d err=%v want %d", n2, err, n)
 			}
-		case 6:
-			table, err := DecodeIngestRequest(payload)
-			if err != nil {
-				return
-			}
-			re := AppendIngestRequest(nil, 9, table)
-			table2, err := DecodeIngestRequest(re[frameHeaderLen:])
-			if err != nil || table2 != table {
-				t.Fatalf("ingest request not stable: got %q err=%v want %q", table2, err, table)
-			}
 		}
 	})
 }
 
-// sampleStreamRecords covers the chunk record shapes: live records
-// with fields, a tombstone, and an empty field map.
-func sampleStreamRecords() []StreamRecord {
-	return []StreamRecord{
-		{Key: "user1", Version: 3, CommitTS: 100, Fields: map[string][]byte{"f0": []byte("v0"), "f1": {}}},
-		{Key: "user2", Version: 9, CommitTS: 107, Deleted: true},
-		{Key: "user3", Version: 1, CommitTS: 90, Fields: map[string][]byte{}},
+// sampleScanRecords covers the chunk record shapes as a migration
+// copy's tombstone scan reads them out of an engine: live records with
+// fields, a tombstone, and an empty field map.
+func sampleScanRecords(tb testing.TB) []kvstore.VersionedKV {
+	s := kvstore.OpenMemory()
+	tb.Cleanup(func() { s.Close() })
+	for _, rec := range []struct {
+		key    string
+		fields map[string][]byte
+	}{
+		{"user1", map[string][]byte{"f0": []byte("v0"), "f1": {}}},
+		{"user2", map[string][]byte{"f": []byte("doomed")}},
+		{"user3", map[string][]byte{}},
+	} {
+		if _, err := s.Put("t", rec.key, rec.fields); err != nil {
+			tb.Fatal(err)
+		}
 	}
+	if err := s.Delete("t", "user2"); err != nil {
+		tb.Fatal(err)
+	}
+	kvs, err := s.ScanVersionsAsOf("t", "", 10, s.SnapshotTS())
+	if err != nil || len(kvs) != 3 || !kvs[1].Record.Tombstone() {
+		tb.Fatalf("tombstone scan = %d records, %v", len(kvs), err)
+	}
+	return kvs
+}
+
+// appendChunk re-encodes decoded records as one chunk frame with the
+// record encoder a scan producer runs (appendStreamRecord), so a chunk
+// the decoder accepts can be round-tripped.
+func appendChunk(buf []byte, id uint64, mapVersion int64, recs []StreamRecord) []byte {
+	off := len(buf)
+	buf = appendFrameHeader(buf, frameChunk, id)
+	buf = binary.AppendVarint(buf, mapVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(recs)))
+	for _, r := range recs {
+		buf = appendStreamRecord(buf, r.Key, r.Version, r.CommitTS, r.Deleted, nil, r.Fields)
+	}
+	return finishFrame(buf, off)
 }
 
 // normRecs is normOps for chunk records: empty-but-non-nil field maps

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"reflect"
 	"testing"
 	"unsafe"
 
@@ -79,31 +78,6 @@ func TestChunkDecodeAllocations(t *testing.T) {
 	}
 	if a, b := nameOf(&recs[0], "field3"), nameOf(&recs[57], "field3"); a == "" || unsafe.StringData(a) != unsafe.StringData(b) {
 		t.Error("records of one chunk do not share their name strings")
-	}
-}
-
-// TestForwardedRecordKeepsItsSection: a decoded record re-sent on an
-// ingest stream (the migration copy) goes out as the section it came in
-// as.
-func TestForwardedRecordKeepsItsSection(t *testing.T) {
-	kvs := storedRecords(t, 3, 10, 100)
-	in, _ := appendScanChunk(nil, 1, 0, kvs)
-	_, recs, err := DecodeChunk(in[frameHeaderLen:], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := AppendChunk(nil, 2, 0, recs)
-	if per := testing.AllocsPerRun(100, func() { out = AppendChunk(out[:0], 2, 0, recs) }); per != 0 {
-		t.Errorf("forwarding = %.1f allocs, want 0", per)
-	}
-	for _, kv := range kvs {
-		if !bytes.Contains(out, kv.Record.Image()) {
-			t.Fatalf("%s: forwarded section differs from the stored image", kv.Key)
-		}
-	}
-	_, again, err := DecodeChunk(out[frameHeaderLen:], nil)
-	if err != nil || !reflect.DeepEqual(again, recs) {
-		t.Fatalf("forwarded chunk decodes to %+v, %v", again, err)
 	}
 }
 

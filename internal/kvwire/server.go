@@ -52,7 +52,6 @@ type wireMetrics struct {
 	decodeErrs     *obs.Counter
 	scanChunks     *obs.Counter
 	creditsStalled *obs.Counter
-	ingestRecords  *obs.Counter
 	// Records with fields written to response and chunk frames, by how
 	// their field section was produced: copied from the stored image,
 	// or re-encoded from the map (merge-updated records only — a write
@@ -85,7 +84,6 @@ func newWireMetrics(reg *obs.Registry) *wireMetrics {
 	reg.Help("kvwire_decode_errors_total", "Wire frames the server failed to parse (the connection is closed after each).")
 	reg.Help("kvwire_scan_chunks_total", "Scan chunk frames streamed to wire clients.")
 	reg.Help("kvwire_stream_credits_stalled_total", "Times a stream producer blocked waiting for consumer credits.")
-	reg.Help("kvwire_ingest_records_total", "Records ingested over streaming wire ingest.")
 	reg.Help("kvwire_records_encoded_total", "Records with fields written to response and chunk frames, by path: image = the stored field section copied as it stands, map = re-encoded from the field map (merge-updated records).")
 	return &wireMetrics{
 		connsOpen:      reg.Gauge("kvwire_conns_open"),
@@ -95,7 +93,6 @@ func newWireMetrics(reg *obs.Registry) *wireMetrics {
 		decodeErrs:     reg.Counter("kvwire_decode_errors_total"),
 		scanChunks:     reg.Counter("kvwire_scan_chunks_total"),
 		creditsStalled: reg.Counter("kvwire_stream_credits_stalled_total"),
-		ingestRecords:  reg.Counter("kvwire_ingest_records_total"),
 		encodedImage:   reg.Counter("kvwire_records_encoded_total", "path", "image"),
 		encodedMap:     reg.Counter("kvwire_records_encoded_total", "path", "map"),
 	}
@@ -154,18 +151,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.metrics.connsOpen.Add(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &serverConn{
-		conn:    conn,
-		ctx:     ctx,
-		cancel:  cancel,
-		scans:   make(map[uint64]*serverScan),
-		ingests: make(map[uint64]*serverIngest),
+		conn:   conn,
+		ctx:    ctx,
+		cancel: cancel,
+		scans:  make(map[uint64]*serverScan),
 	}
 	defer func() {
 		// The read side is done (peer EOF or shutdown's CloseRead), but
 		// decoded requests may still be executing: their responses can
 		// still reach the peer, so the full close waits for them. Stream
-		// producers blocked on credits (or ingest handlers blocked on
-		// chunks) would wait forever — the conn context wakes them first.
+		// producers blocked on credits would wait forever — the conn
+		// context wakes them first.
 		c.cancel()
 		c.handlers.Wait()
 		s.mu.Lock()
@@ -220,7 +216,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				defer s.metrics.pipeline.Add(-1)
 				s.handleRequest(c, id, deadlineMs, ops)
 			}(id, deadlineMs, ops)
-		case frameScanReq, frameChunk, frameStreamEnd, frameCredit, frameIngestReq:
+		case frameScanReq, frameStreamEnd, frameCredit:
 			if !s.handleStreamFrame(c, typ, id, payload) {
 				s.metrics.decodeErrs.Inc()
 				return
@@ -234,9 +230,9 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // serverConn serializes response writes on one connection and counts
 // its in-flight handlers so the close waits for their responses. ctx
-// is cancelled when the read side dies, waking stream handlers blocked
-// on credits or chunks; scans/ingests route stream frames read off the
-// connection to the stream's handler goroutine.
+// is cancelled when the read side dies, waking stream producers
+// blocked on credits; scans routes the credit and cancel frames read
+// off the connection to the stream's producer.
 type serverConn struct {
 	conn     net.Conn
 	ctx      context.Context
@@ -245,9 +241,8 @@ type serverConn struct {
 	wmu      sync.Mutex
 	wbuf     []byte
 
-	smu     sync.Mutex
-	scans   map[uint64]*serverScan
-	ingests map[uint64]*serverIngest
+	smu   sync.Mutex
+	scans map[uint64]*serverScan
 }
 
 func (s *Server) handleRequest(c *serverConn, id uint64, deadlineMs uint64, ops []Op) {

@@ -8,34 +8,33 @@ import (
 	"ycsbt/internal/kvstore"
 )
 
-// The streaming half of the framed protocol: scans and migration
-// ingest move as sequences of bounded chunk frames instead of one
-// monolithic response, governed by credit-based flow control so the
-// producer's memory is bounded by the consumer's granted window, not
-// by the result size.
+// The streaming half of the framed protocol: a scan moves as a
+// sequence of bounded chunk frames instead of one monolithic response,
+// governed by credit-based flow control so the server's memory is
+// bounded by the client's granted window, not by the result size.
+// Streams run one way only: the server produces, the client consumes.
+// The migration copy is such a scan too, which the destination opens
+// on the source (httpkv's copy route).
 //
 //	4 scan-request  — flags, table, start, varint count, varint as-of
 //	                  ts, varint slot, uvarint credits: opens a scan
 //	                  stream; the request id names the stream.
 //	5 chunk         — varint map-version echo, uvarint record count,
-//	                  records: one bounded slice of a stream. Server →
-//	                  client on scans, client → server on ingests.
+//	                  records: one bounded slice of a stream, server →
+//	                  client only.
 //	6 stream-end    — uvarint status, varint map-version, uvarint
 //	                  record count, msg bytes: terminates a stream.
-//	                  Status 200 is a clean end; 0 from the consumer
-//	                  means cancel; anything else is the error that
-//	                  killed the stream.
-//	7 credit        — uvarint n: the consumer grants the producer n
-//	                  more chunk frames. A producer that has exhausted
-//	                  its credits blocks; a producer that sends past
-//	                  them is violating the protocol and the peer
-//	                  closes the connection.
-//	8 ingest-request — table bytes: opens an ingest stream. The server
-//	                  answers with a credit frame (its window) or a
-//	                  stream-end error (admission shed); the client
-//	                  then streams chunk frames and a final stream-end,
-//	                  and the server acks with a stream-end carrying
-//	                  the ingested record count.
+//	                  Status 200 is the server's clean end; 0 from the
+//	                  client means cancel; anything else is the error
+//	                  that killed the stream.
+//	7 credit        — uvarint n: the client grants the server n more
+//	                  chunk frames, client → server only. A producer
+//	                  that has exhausted its credits blocks; one that
+//	                  sends past them is violating the protocol and
+//	                  the client closes the connection.
+//
+// A frame sent the wrong way (a chunk to the server, a credit to the
+// client) is an unknown frame there, and the connection is closed.
 //
 // Streams share the connection with pipelined request/response
 // frames: chunk frames interleave with ordinary responses under the
@@ -48,7 +47,6 @@ const (
 	frameChunk     = 5
 	frameStreamEnd = 6
 	frameCredit    = 7
-	frameIngestReq = 8
 )
 
 // MaxChunkRecords bounds the records one chunk frame may claim.
@@ -86,21 +84,15 @@ type ScanRequest struct {
 	Window int
 }
 
-// StreamRecord is one record on a stream: the superset both scans
-// (versioned reads) and migration ingest (version/commit-ts-preserving
-// copies, tombstones included) need.
+// StreamRecord is one record on a scan stream: a versioned read, and
+// for the migration copy's tombstone scans everything a version- and
+// commit-ts-preserving ingest needs, deletes included.
 type StreamRecord struct {
 	Key      string
 	Version  uint64
 	CommitTS int64
 	Deleted  bool
 	Fields   map[string][]byte
-
-	// image is the field section a decoded record arrived as (Fields'
-	// values point into it); AppendChunk forwards it as it stands, which
-	// is what makes the migration copy a copy. Nil on records built by
-	// hand. Do not edit a decoded record's Fields and then re-send it.
-	image []byte
 }
 
 // Record flags.
@@ -173,19 +165,6 @@ func DecodeScanRequest(payload []byte) (req ScanRequest, window int, err error) 
 	}
 	req.Window = int(w)
 	return req, int(w), nil
-}
-
-// AppendChunk encodes one chunk frame carrying recs.
-func AppendChunk(buf []byte, id uint64, mapVersion int64, recs []StreamRecord) []byte {
-	off := len(buf)
-	buf = appendFrameHeader(buf, frameChunk, id)
-	buf = binary.AppendVarint(buf, mapVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(recs)))
-	for i := range recs {
-		r := &recs[i]
-		buf = appendStreamRecord(buf, r.Key, r.Version, r.CommitTS, r.Deleted, r.image, r.Fields)
-	}
-	return finishFrame(buf, off)
 }
 
 // appendScanChunk encodes one chunk frame straight from engine records
@@ -289,7 +268,7 @@ func (d *fieldDecoder) readStreamRecord(b []byte) (StreamRecord, []byte, error) 
 		return r, b, err
 	}
 	if flags&recFlagFields != 0 {
-		if r.Fields, r.image, b, err = d.readFields(b); err != nil {
+		if r.Fields, b, err = d.readFields(b); err != nil {
 			return r, b, err
 		}
 	}
@@ -297,7 +276,7 @@ func (d *fieldDecoder) readStreamRecord(b []byte) (StreamRecord, []byte, error) 
 }
 
 // AppendStreamEnd encodes one stream-end frame. Status 200 with count
-// is the producer's clean end (count meaningful on ingest acks);
+// is the producer's clean end (count: the records its chunks carried);
 // status 0 is the consumer's cancel; anything else aborts the stream
 // with msg.
 func AppendStreamEnd(buf []byte, id uint64, status int, mapVersion int64, count uint64, msg string) []byte {
@@ -351,27 +330,4 @@ func DecodeCredit(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("kvwire: %d trailing bytes after credit", len(payload))
 	}
 	return n, nil
-}
-
-// AppendIngestRequest encodes one ingest-request frame for table.
-func AppendIngestRequest(buf []byte, id uint64, table string) []byte {
-	off := len(buf)
-	buf = appendFrameHeader(buf, frameIngestReq, id)
-	buf = appendBytes(buf, table)
-	return finishFrame(buf, off)
-}
-
-// DecodeIngestRequest parses an ingest-request payload.
-func DecodeIngestRequest(payload []byte) (table string, err error) {
-	table, payload, err = readString(payload)
-	if err != nil {
-		return "", err
-	}
-	if table == "" {
-		return "", fmt.Errorf("kvwire: ingest request missing table")
-	}
-	if len(payload) != 0 {
-		return "", fmt.Errorf("kvwire: %d trailing bytes after ingest request", len(payload))
-	}
-	return table, nil
 }

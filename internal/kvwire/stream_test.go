@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ycsbt/internal/cluster"
 	"ycsbt/internal/kvstore"
 	"ycsbt/internal/obs"
 )
@@ -188,83 +189,117 @@ func TestStreamScanClientCancelReleasesServer(t *testing.T) {
 	}
 }
 
+// TestStreamIngestRoundTrip: StreamIngest fed from a tombstone scan
+// stream — what a migration's destination runs against the source —
+// lands every record at the source's version and commit ts, tombstones
+// as deletes, and counts them on the registry Instrument was given.
 func TestStreamIngestRoundTrip(t *testing.T) {
-	store := newTestStore(t)
-	core := NewCore(store, nil, 0)
-	srv, addr := startWireServer(t, core, ServerOptions{Metrics: obs.NewRegistry()})
-	ep := NewEndpoint(addr, 0)
-	defer ep.Close()
-
-	in, err := ep.Ingest(context.Background(), "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []StreamRecord
+	src := newTestStore(t)
+	var recs []kvstore.BulkKV
 	for i := 0; i < 700; i++ {
-		recs = append(recs, StreamRecord{
+		recs = append(recs, kvstore.BulkKV{
 			Key:      fmt.Sprintf("k%04d", i),
 			Version:  uint64(i + 7),
 			CommitTS: int64(1000 + i),
 			Fields:   map[string][]byte{"f": []byte(fmt.Sprintf("v%d", i))},
 		})
 	}
-	// One tombstone rides along, like a migration copy's deletes.
-	recs = append(recs, StreamRecord{Key: "kdead", Version: 9, CommitTS: 2000, Deleted: true})
-	if err := in.Send(recs); err != nil {
+	recs = append(recs, kvstore.BulkKV{Key: "kdead", Version: 9, CommitTS: 2000, Deleted: true})
+	if err := src.Ingest("t", recs); err != nil {
 		t.Fatal(err)
 	}
-	n, err := in.Close()
+	m, err := cluster.NewUniform(cluster.PlacementHash, 4, []string{"src"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := cluster.NewState("src", m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startWireServer(t, NewCore(src, cs, 0), ServerOptions{})
+	ep := NewEndpoint(addr, 1)
+	defer ep.Close()
+	s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Count: -1, AsOf: src.SnapshotTS(), Slot: -1, Tombstones: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	dst := newTestStore(t)
+	core := NewCore(dst, nil, 0)
+	reg := obs.NewRegistry()
+	core.Instrument(reg)
+	n, err := core.StreamIngest(context.Background(), "t", func() ([]kvstore.BulkKV, error) {
+		var kvs []kvstore.BulkKV
+		for len(kvs) < 100 && s.Next() {
+			r := s.Record()
+			kvs = append(kvs, kvstore.BulkKV{Key: r.Key, Fields: r.Fields, Version: r.Version, CommitTS: r.CommitTS, Deleted: r.Deleted})
+		}
+		if kvs == nil {
+			return nil, s.Err()
+		}
+		return kvs, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 701 {
-		t.Fatalf("server ingested %d records, want 701", n)
+		t.Fatalf("ingested %d records, want 701", n)
 	}
-	if v := srv.metrics.ingestRecords.Value(); v != 701 {
+	if v := reg.Counter("kvwire_ingest_records_total").Value(); v != 701 {
 		t.Fatalf("kvwire_ingest_records_total = %d, want 701", v)
 	}
 
 	// Versions and commit timestamps are preserved.
-	rec, err := store.Get("t", "k0042")
+	rec, err := dst.Get("t", "k0042")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Version != 49 || rec.CommitTS != 1042 {
 		t.Fatalf("k0042 = v%d@%d, want v49@1042", rec.Version, rec.CommitTS)
 	}
-	if _, err := store.Get("t", "kdead"); !errors.Is(err, kvstore.ErrNotFound) {
+	if _, err := dst.Get("t", "kdead"); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Fatalf("tombstoned key readable: %v", err)
 	}
 }
 
-func TestStreamIngestAdmissionShed(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Options{})
+// expectHangUp writes one raw frame after the handshake and expects the
+// server to count a decode error and close the connection, having
+// stored nothing.
+func expectHangUp(t *testing.T, frame []byte) {
+	t.Helper()
+	store := newTestStore(t)
+	srv, addr := startWireServer(t, NewCore(store, nil, 0), ServerOptions{Metrics: obs.NewRegistry()})
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
-	eng := &blockingEngine{Engine: store, entered: make(chan struct{}), release: make(chan struct{})}
-	defer close(eng.release)
-	core := NewCore(eng, nil, 1)
-	_, addr := startWireServer(t, core, ServerOptions{})
-	ep := NewEndpoint(addr, 1)
-	defer ep.Close()
-
-	// Occupy the only admission slot.
-	go ep.Exec(context.Background(), []Op{
-		{Kind: KindPut, Table: "t", Key: "k", Fields: map[string][]byte{"f": []byte("v")}, Expect: kvstore.AnyVersion},
-	})
-	<-eng.entered
-
-	in, err := ep.Ingest(context.Background(), "t")
-	if err != nil {
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(append([]byte(Magic), frame...)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = in.Close()
-	var re *RequestError
-	if !errors.As(err, &re) || re.Status != 429 {
-		t.Fatalf("err = %v, want 429 RequestError", err)
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server did not hang up: %v", err)
 	}
+	if n := srv.metrics.decodeErrs.Value(); n != 1 {
+		t.Errorf("kvwire_decode_errors_total = %d, want 1", n)
+	}
+	if n := store.Len("t"); n != 0 {
+		t.Errorf("%d records landed", n)
+	}
+}
+
+// Streams run server → client only. A type-8 frame — once an ingest
+// request naming a table — is an unknown frame.
+func TestServerRefusesFrameType8(t *testing.T) {
+	expectHangUp(t, finishFrame(appendBytes(appendFrameHeader(nil, 8, 1), "t"), 0))
+}
+
+// A chunk frame sent to the server is an unknown frame too: no stream
+// takes records from a client.
+func TestServerRefusesClientChunk(t *testing.T) {
+	expectHangUp(t, appendChunk(nil, 1, 0, []StreamRecord{{Key: "k", Version: 1, CommitTS: 1, Fields: map[string][]byte{"f": []byte("v")}}}))
 }
 
 func TestStreamScanRejectsBadParams(t *testing.T) {
@@ -323,7 +358,7 @@ func TestScanStreamEndDoesNotOvertakeChunk(t *testing.T) {
 	c := &clientConn{conn: client, streams: make(map[uint64]*clientStream)}
 
 	for i := 0; i < 200; i++ {
-		st := c.openStream(false, DefaultStreamWindow)
+		st := c.openStream(DefaultStreamWindow)
 		s := &ScanStream{c: c, st: st, ctx: &injectCtx{Context: context.Background(), inject: func() {
 			st.ev <- streamEvent{recs: []StreamRecord{{Key: "a"}, {Key: "b"}}}
 			c.takeStream(st.id)
@@ -339,7 +374,7 @@ func TestScanStreamEndDoesNotOvertakeChunk(t *testing.T) {
 	}
 
 	// A stream that really is short of its declared count is an error.
-	st := c.openStream(false, DefaultStreamWindow)
+	st := c.openStream(DefaultStreamWindow)
 	s := &ScanStream{c: c, st: st, ctx: &injectCtx{Context: context.Background(), inject: func() {
 		st.ev <- streamEvent{recs: []StreamRecord{{Key: "a"}}}
 		c.takeStream(st.id)
