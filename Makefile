@@ -8,13 +8,19 @@ GO ?= go
 # The full tier-1 gate: vet, build everything, the race-enabled short
 # test run, then a short coverage-guided fuzz of the binary frame
 # codec (hostile bytes off the network must never panic the decoder),
-# of the history NDJSON decoder (hostile history files must never
-# panic the offline checker) and of the WAL record decoder (a damaged
-# log must never panic recovery, and what it accepts re-encodes).
+# of the REST record codec (it must decode every body exactly as
+# encoding/json does, and what it writes must read back), of the
+# history NDJSON decoder (hostile history files must never panic the
+# offline checker) and of the WAL record decoder (a damaged log must
+# never panic recovery, and what it accepts re-encodes). The record
+# codec's corpus holds a 100 000-deep body, and minimizing each new
+# input grown from it would take the whole budget, so minimization is
+# capped.
 check: vet build test-race fuzz-smoke
 
 fuzz-smoke:
 	$(GO) test -run xx -fuzz FuzzFrameCodec -fuzztime 10s ./internal/kvwire/
+	$(GO) test -run xx -fuzz FuzzRecordCodec -fuzztime 10s -fuzzminimizetime 100x ./internal/httpkv/
 	$(GO) test -run xx -fuzz FuzzHistoryDecoder -fuzztime 10s ./internal/history/
 	$(GO) test -run xx -fuzz FuzzDecodeWALRecord -fuzztime 10s ./internal/kvstore/
 

@@ -2,7 +2,6 @@ package httpkv
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -424,8 +423,8 @@ func (c *Client) mutate(ctx context.Context, kind kvwire.Kind, table, key string
 	if c.wire != nil {
 		op := kvwire.Op{Kind: kind, Table: table, Key: key, Fields: values, Expect: expect}
 		// A nil fields map would answer 400 from the core's batch
-		// validation, so it rides as an empty one — matching the REST
-		// route, which accepts an empty fields object.
+		// validation, so it rides as an empty one — as it does over
+		// REST, where appendRecord writes it as an empty object.
 		if op.Fields == nil && kind != kvwire.KindDelete {
 			op.Fields = map[string][]byte{}
 		}
@@ -443,10 +442,7 @@ func (c *Client) mutate(ctx context.Context, kind kvwire.Kind, table, key string
 		// after do (see bodyBufPool).
 		buf := getBodyBuf()
 		defer putBodyBuf(buf)
-		if err := json.NewEncoder(buf).Encode(wireRecord{Fields: values}); err != nil {
-			return 0, err
-		}
-		buf.Truncate(buf.Len() - 1) // Encode's newline: keep the body what json.Marshal sent
+		buf.Write(appendRecord(buf.AvailableBuffer(), &wireRecord{Fields: values}))
 		body = buf
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.recordURL(table, key), body)

@@ -73,6 +73,27 @@ func TestHTTPCRUDRoundTrip(t *testing.T) {
 	}
 }
 
+// Insert and Update with nil values write an empty record, over REST
+// as over frames: the REST body carries an empty fields object.
+func TestNilValuesWriteAnEmptyRecord(t *testing.T) {
+	bothTransports(t, func(t *testing.T, mode string) {
+		ctx := context.Background()
+		c := startNode(t, nil).client(t, mode)
+		if err := c.Insert(ctx, "t", "k", nil); err != nil {
+			t.Fatalf("Insert(nil) = %v", err)
+		}
+		if rec, err := c.Read(ctx, "t", "k", nil); err != nil || len(rec) != 0 {
+			t.Fatalf("read after Insert(nil) = %v, %v; want an empty record", rec, err)
+		}
+		if err := c.Update(ctx, "t", "k", nil); err != nil {
+			t.Fatalf("Update(nil) = %v", err)
+		}
+		if rec, err := c.Read(ctx, "t", "k", nil); err != nil || len(rec) != 0 {
+			t.Fatalf("read after Update(nil) = %v, %v; want an empty record", rec, err)
+		}
+	})
+}
+
 func TestHTTPScan(t *testing.T) {
 	ctx := context.Background()
 	_, c, done := newPair(t)

@@ -67,22 +67,29 @@ func errorText(resp *http.Response) []byte {
 }
 
 // decodeBody consumes a response carrying one JSON document: the whole
-// body is read to EOF, closed, and unmarshalled into v.
+// body is read to EOF, closed, and decoded into v.
 func decodeBody(resp *http.Response, v any) error {
 	defer resp.Body.Close()
 	return unmarshalFrom(resp.Body, v)
 }
 
-// unmarshalFrom reads r to EOF into a pooled buffer and unmarshals the
-// one JSON document it holds into v (encoding/json copies every string
-// and []byte out, so nothing in v aliases the buffer). Unlike a
-// json.Decoder per body it allocates no read buffer and leaves nothing
-// unread.
+// unmarshalFrom reads r to EOF into a pooled buffer and decodes the one
+// JSON document it holds into v: a record or a scan page through the
+// record codec (codec.go), anything else through json.Unmarshal. Both
+// copy every string and []byte out, so nothing in v aliases the buffer.
+// Unlike a json.Decoder per body it allocates no read buffer and leaves
+// nothing unread.
 func unmarshalFrom(r io.Reader, v any) error {
 	buf := getBodyBuf()
 	defer putBodyBuf(buf)
 	if _, err := buf.ReadFrom(r); err != nil {
 		return err
+	}
+	switch v := v.(type) {
+	case *wireRecord:
+		return decodeRecord(buf.Bytes(), v)
+	case *[]wireRecord:
+		return decodeRecordPage(buf.Bytes(), v)
 	}
 	return json.Unmarshal(buf.Bytes(), v)
 }

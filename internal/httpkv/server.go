@@ -11,7 +11,8 @@
 //
 // HTTP carries what the paper measures plus the control plane, and
 // nothing else (JSON bodies, record values base64-encoded by
-// encoding/json's []byte rules):
+// encoding/json's []byte rules; records are written and read by the
+// record codec, codec.go):
 //
 //	GET    /v1/{table}/{key}          → 200 {"version":n,"fields":{...}} | 404
 //	PUT    /v1/{table}/{key}          → 200; If-Match: <ver> CAS, If-None-Match: * create-only; 412 on conflict
@@ -32,8 +33,8 @@
 // tombstone scans (the records of a migration copy) — exists on the
 // framed binary protocol only (internal/kvwire), served from the same
 // kvwire.Core by the listener ServerOptions.WireAddr advertises in the
-// X-KV-Wire header of every response. A client picks one transport per
-// endpoint, once (wire.go).
+// X-KV-Wire header of the /healthz response. A client picks one
+// transport per endpoint, once (wire.go).
 //
 // Admission control (ServerOptions): request bodies are capped (413
 // past the cap) and an X-Deadline-Ms header bounds how long the server
@@ -41,12 +42,9 @@
 package httpkv
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -92,7 +90,7 @@ type ServerOptions struct {
 	// gate. When nil a private core is built from Cluster.
 	Core *kvwire.Core
 	// WireAddr, when non-empty, is the address of this process's frame
-	// listener; every HTTP response advertises it in the X-KV-Wire
+	// listener; the /healthz response advertises it in the X-KV-Wire
 	// header, which is how clients, routers and migrations find it.
 	WireAddr string
 }
@@ -151,9 +149,6 @@ func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
 // ServeHTTP implements http.Handler: body caps and the per-request
 // deadline apply here, before any route runs.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.opts.WireAddr != "" {
-		w.Header().Set(WireAddrHeader, s.opts.WireAddr)
-	}
 	if s.metrics != nil {
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
@@ -177,7 +172,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// handleHealth answers the liveness check, which is also where a server
+// with a frame listener advertises it (probeWire reads it here).
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	if s.opts.WireAddr != "" {
+		w.Header().Set(WireAddrHeader, s.opts.WireAddr)
+	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
 }
@@ -186,18 +186,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // is present.
 func splitPath(path string) (table, key string, hasKey bool, ok bool) {
 	rest := strings.TrimPrefix(path, "/v1/")
-	if rest == path || rest == "" {
+	if rest == path {
 		return "", "", false, false
 	}
-	parts := strings.SplitN(rest, "/", 2)
-	table = parts[0]
+	table, key, _ = strings.Cut(rest, "/")
 	if table == "" {
 		return "", "", false, false
 	}
-	if len(parts) == 1 || parts[1] == "" {
-		return table, "", false, true
-	}
-	return table, parts[1], true, true
+	return table, key, key != "", true
 }
 
 func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
@@ -238,7 +234,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, table, key st
 		writeStoreError(w, err)
 		return
 	}
-	writeRecord(w, "", rec)
+	writeRecord(w, rec)
 }
 
 // handleScan serves one page of an ordered head scan as a JSON array.
@@ -264,17 +260,11 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request, table string
 		writeStoreError(w, err)
 		return
 	}
-	out := make([]wireRecord, 0, len(kvs))
-	for _, kv := range kvs {
-		out = append(out, wireRecord{
-			Key:      kv.Key,
-			Version:  kv.Record.Version,
-			CommitTS: kv.Record.CommitTS,
-			Fields:   kv.Record.Fields,
-		})
-	}
+	buf := getBodyBuf()
+	defer putBodyBuf(buf)
+	buf.Write(append(appendRecordPage(buf.AvailableBuffer(), kvs), '\n'))
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	w.Write(buf.Bytes())
 }
 
 // condition extracts the conditional-write expectation from If-Match /
@@ -294,6 +284,8 @@ func condition(r *http.Request) (uint64, error) {
 	return v, nil
 }
 
+// decodeFields reads a PUT or PATCH body's fields through the record
+// codec (unmarshalFrom).
 func decodeFields(r *http.Request) (map[string][]byte, error) {
 	var body wireRecord
 	if err := unmarshalFrom(r.Body, &body); err != nil {
@@ -365,41 +357,15 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, table, key
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// A bufio.Writer + json.Encoder per response would dominate the GET
-// handler's steady-state garbage, so they recycle through a sync.Pool
-// (the encoder keeps its writer for life; Reset retargets it per
-// request).
-type respEncoder struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-}
-
-var respEncPool = sync.Pool{New: func() any {
-	bw := bufio.NewWriterSize(nil, 4096)
-	return &respEncoder{bw: bw, enc: json.NewEncoder(bw)}
-}}
-
-// getEncoder borrows a pooled encoder writing to w.
-func getEncoder(w io.Writer) *respEncoder {
-	be := respEncPool.Get().(*respEncoder)
-	be.bw.Reset(w)
-	return be
-}
-
-// flushAndPut sends what is buffered and returns the encoder to the
-// pool, dropping the ResponseWriter first.
-func (be *respEncoder) flushAndPut() {
-	be.bw.Flush()
-	be.bw.Reset(nil)
-	respEncPool.Put(be)
-}
-
-func writeRecord(w http.ResponseWriter, key string, rec *kvstore.VersionedRecord) {
+// writeRecord answers a GET with the record and its version as ETag.
+// The body, one JSON object and a newline, is built in a pooled buffer.
+func writeRecord(w http.ResponseWriter, rec *kvstore.VersionedRecord) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("ETag", strconv.FormatUint(rec.Version, 10))
-	be := getEncoder(w)
-	be.enc.Encode(wireRecord{Key: key, Version: rec.Version, CommitTS: rec.CommitTS, Fields: rec.Fields})
-	be.flushAndPut()
+	buf := getBodyBuf()
+	defer putBodyBuf(buf)
+	buf.Write(append(appendRecord(buf.AvailableBuffer(), &wireRecord{Version: rec.Version, CommitTS: rec.CommitTS, Fields: rec.Fields}), '\n'))
+	w.Write(buf.Bytes())
 }
 
 func writeStoreError(w http.ResponseWriter, err error) {

@@ -78,6 +78,28 @@ func TestOneTransportPerEndpoint(t *testing.T) {
 	}
 }
 
+// The frame listener is advertised where probeWire looks for it, on
+// /healthz, and nowhere else: a record GET carries no X-KV-Wire.
+func TestWireListenerAdvertisedOnHealthzOnly(t *testing.T) {
+	tn := startNode(t, nil)
+	if _, err := tn.store.Put("t", "k", map[string][]byte{"f": []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{"/healthz": tn.wireAddr, "/v1/t/k": ""} {
+		resp, err := http.Get(tn.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if got := resp.Header.Get(WireAddrHeader); got != want {
+			t.Errorf("GET %s: %s = %q, want %q", path, WireAddrHeader, got, want)
+		}
+	}
+}
+
 // A probe that cannot reach the server fails Init; it is not read as
 // "no listener, use HTTP".
 func TestInitFailedProbeIsNotADowngrade(t *testing.T) {

@@ -28,8 +28,8 @@ import (
 // frames only; the Router therefore requires every node to advertise a
 // listener, and MigrateSlot the slot's source (NoWireError otherwise).
 
-// WireAddrHeader advertises the server's frame listener: every HTTP
-// response from a server started with one carries X-KV-Wire: host:port.
+// WireAddrHeader advertises the server's frame listener: the /healthz
+// response of a server started with one carries X-KV-Wire: host:port.
 const WireAddrHeader = "X-KV-Wire"
 
 // WireModeOff keeps the endpoint on HTTP ("rawhttp.wire=off").
