@@ -19,7 +19,8 @@
 // -shardmap for an explicit one), serves only the slots the map
 // assigns it, and answers everything else 410 Gone with routing
 // hints. POST /admin/migrate?slot=N&dest=URL live-migrates one slot
-// to another member (freeze, pinned-ts copy, map version bump). A
+// to another member (freeze, copy onto the emptied destination slot,
+// map version bump, source drop). A
 // cluster node must run a frame listener (-wire-addr): routers and
 // migrations reach its data over frames only.
 package main

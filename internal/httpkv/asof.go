@@ -39,30 +39,21 @@ func (s *Server) handleSnapshotTS(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(wireTS{TS: s.store.SnapshotTS()})
 }
 
-// fetchSnapshotTS draws a commit timestamp from a node's clock.
-func fetchSnapshotTS(ctx context.Context, hc *http.Client, base string) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/ts", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	var ts wireTS
-	if err := decodeBody(resp, &ts); err != nil || ts.TS <= 0 {
-		return 0, fmt.Errorf("node %s serves no snapshot clock", base)
-	}
-	return ts.TS, nil
-}
-
 // SnapshotTS fetches a snapshot timestamp from GET /v1/ts.
 func (c *Client) SnapshotTS(ctx context.Context) (int64, error) {
-	ts, err := fetchSnapshotTS(ctx, c.hc, c.base)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/ts", nil)
 	if err != nil {
 		return 0, fmt.Errorf("httpkv: %w", err)
 	}
-	return ts, nil
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return 0, fmt.Errorf("httpkv: %w", err)
+	}
+	var ts wireTS
+	if err := decodeBody(resp, &ts); err != nil || ts.TS <= 0 {
+		return 0, fmt.Errorf("httpkv: node %s serves no snapshot clock", c.base)
+	}
+	return ts.TS, nil
 }
 
 // ---------------------------------------------------------------------

@@ -21,19 +21,25 @@ import (
 //	GET  /v1/shardmap               → 200 the node's current map JSON
 //	PUT  /v1/shardmap               → install a newer map (409 if stale)
 //	POST /v1/shardmap/freeze?slot=N → drain writes to one slot ("&thaw=1" reverts)
-//	POST /v1/shardmap/copy?slot=N&ts=T&table=t
-//	                                → 200 once this node pulled the slot's table
-//	                                  from its owner (409 if that is this node)
+//	POST /v1/shardmap/copy?slot=N&table=t
+//	                                → 200 once this node emptied its copy of the
+//	                                  slot's table and pulled it from its owner
+//	                                  (409 if that is this node)
+//	POST /v1/shardmap/drop?slot=N   → 200 once this node holds no record of the
+//	                                  slot (409 if it owns the slot)
 //	GET  /v1/tables                 → 200 {"tables":[...]}
 //
 // A non-cluster server answers the shardmap routes 404. The records
 // themselves move over frames: the copy is a scan stream the
-// destination opens on the source (migrate.go).
+// destination opens on the source (migrate.go). A node holds records
+// only for the slots its map gives it: a copy lands on an emptied slot,
+// and the source drops the slot once the cutover has installed on both
+// ends.
 //
 // Reads keep serving while a slot drains (the data is still local and
-// immutable past the migration snapshot); only writes 410 during the
-// drain window, with no owner hint — the new owner is not serving
-// yet, so clients back off and retry rather than redirect.
+// cannot change); only writes 410 during the drain window, with no
+// owner hint — the new owner is not serving yet, so clients back off
+// and retry rather than redirect.
 
 // writeMoved answers a request for a key this node does not serve.
 func writeMoved(w http.ResponseWriter, me *cluster.MovedError) {
@@ -81,7 +87,6 @@ func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		s.releaseFreezePins()
 		w.Header().Set(cluster.HeaderMapVersion, strconv.FormatInt(installed.Version, 10))
 		w.WriteHeader(http.StatusOK)
 	default:
@@ -89,102 +94,66 @@ func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleFreeze serves POST /v1/shardmap/freeze?slot=N[&thaw=1]. Freeze
-// returns only after every in-flight write to the slot has drained, so
-// a snapshot timestamp drawn afterwards covers them all.
-//
-// A freeze also pins the engine, before the slot reads as frozen, and
-// holds the pin until a thaw or the map install that concludes the
-// migration. The copy scans the table as of a ts drawn after the
-// freeze and resolves every key on the way, the slot filter running
-// above the engine; with no retention window, versions the pin does
-// not hold are reclaimed as soon as they are overwritten, and Vacuum
-// would purge the tombstones the copy must carry.
-func (s *Server) handleFreeze(w http.ResponseWriter, r *http.Request) {
-	cs := s.opts.Cluster
+// slotRequest checks a control-plane POST naming one slot of the map:
+// 404 off a cluster node, 405 for another method, 400 for a bad slot.
+// ok is false once it has answered.
+func (s *Server) slotRequest(w http.ResponseWriter, r *http.Request) (cs *cluster.State, slot int, ok bool) {
+	cs = s.opts.Cluster
 	if cs == nil {
 		http.Error(w, "not a cluster node", http.StatusNotFound)
-		return
+		return nil, 0, false
 	}
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+		return nil, 0, false
 	}
 	slot, err := strconv.Atoi(r.URL.Query().Get("slot"))
-	if err != nil {
+	if err != nil || slot < 0 || slot >= cs.Map().Slots {
 		http.Error(w, "bad slot", http.StatusBadRequest)
+		return nil, 0, false
+	}
+	return cs, slot, true
+}
+
+// handleFreeze serves POST /v1/shardmap/freeze?slot=N[&thaw=1]. Freeze
+// returns only after every in-flight write to the slot has drained, so
+// the slot's heads cannot change until a thaw or the map install that
+// concludes the migration: a plain head scan of the slot is a
+// consistent copy.
+func (s *Server) handleFreeze(w http.ResponseWriter, r *http.Request) {
+	cs, slot, ok := s.slotRequest(w, r)
+	if !ok {
 		return
 	}
 	if r.URL.Query().Get("thaw") != "" {
 		cs.Thaw(slot)
-		s.releaseFreezePins()
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	s.pinMu.Lock()
-	defer s.pinMu.Unlock()
-	_, release := s.store.Pin()
-	if err := cs.Freeze(slot); err != nil {
-		release()
+	} else if err := cs.Freeze(slot); err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
-	}
-	if _, held := s.freezePins[slot]; held {
-		release() // a repeated freeze keeps the older, more protective pin
-	} else {
-		s.freezePins[slot] = release
 	}
 	w.WriteHeader(http.StatusOK)
 }
 
-// releaseFreezePins drops the pins of slots no longer frozen.
-func (s *Server) releaseFreezePins() {
-	s.pinMu.Lock()
-	defer s.pinMu.Unlock()
-	for slot, release := range s.freezePins {
-		if !s.opts.Cluster.Frozen(slot) {
-			release()
-			delete(s.freezePins, slot)
-		}
-	}
-}
-
-// handleCopy serves POST /v1/shardmap/copy?slot=N&ts=T&table=t, a
-// migration's copy step, on the destination: it pulls table's slice of
-// the slot as of ts, tombstones included, over an ordinary scan stream
-// from the slot's owner in this node's own map — never from an address
-// the request names — and ingests it version for version. The pull
-// holds one batch admission slot (429 when none is free) and lives as
-// long as the request: a coordinator that goes away cancels the scan on
-// the source.
+// handleCopy serves POST /v1/shardmap/copy?slot=N&table=t, a
+// migration's copy step, on the destination: it drops whatever it still
+// holds of table's slice of the slot (records from an earlier stint as
+// owner, or a failed earlier copy), then pulls the slice's heads over an
+// ordinary scan stream from the slot's owner in this node's own map —
+// never from an address the request names — and ingests them version
+// for version. The pull holds one batch admission slot (429 when none is
+// free) and lives as long as the request: a coordinator that goes away
+// cancels the scan on the source.
 func (s *Server) handleCopy(w http.ResponseWriter, r *http.Request) {
-	cs := s.opts.Cluster
-	if cs == nil {
-		http.Error(w, "not a cluster node", http.StatusNotFound)
+	cs, slot, ok := s.slotRequest(w, r)
+	if !ok {
 		return
 	}
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	q := r.URL.Query()
-	m := cs.Map()
-	slot, err := strconv.Atoi(q.Get("slot"))
-	if err != nil || slot < 0 || slot >= m.Slots {
-		http.Error(w, "bad slot", http.StatusBadRequest)
-		return
-	}
-	ts, err := strconv.ParseInt(q.Get("ts"), 10, 64)
-	if err != nil || ts <= 0 {
-		http.Error(w, "bad ts", http.StatusBadRequest)
-		return
-	}
-	table := q.Get("table")
+	table := r.URL.Query().Get("table")
 	if table == "" {
 		http.Error(w, "missing table", http.StatusBadRequest)
 		return
 	}
-	src := m.OwnerOfSlot(slot)
+	src := cs.Map().OwnerOfSlot(slot)
 	if src == cs.Self() {
 		http.Error(w, fmt.Sprintf("slot %d is this node's own: no source to pull from", slot), http.StatusConflict)
 		return
@@ -195,7 +164,10 @@ func (s *Server) handleCopy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	if err := s.pullSlot(r.Context(), src, table, slot, ts); err != nil {
+	if !s.dropSlot(w, slot, []string{table}) {
+		return
+	}
+	if err := s.pullSlot(r.Context(), src, table, slot); err != nil {
 		http.Error(w, fmt.Sprintf("pulling slot %d of %q from %s: %v", slot, table, src, err), http.StatusBadGateway)
 		return
 	}
@@ -205,9 +177,10 @@ func (s *Server) handleCopy(w http.ResponseWriter, r *http.Request) {
 // pullBatch bounds one Engine.Ingest call of a pull.
 const pullBatch = 512
 
-// pullSlot streams table's slice of slot as of ts from src's frame
-// listener into StreamIngest.
-func (s *Server) pullSlot(ctx context.Context, src, table string, slot int, ts int64) error {
+// pullSlot streams the heads of table's slice of slot from src's frame
+// listener into StreamIngest. The source has frozen the slot, so its
+// heads hold still for the whole scan.
+func (s *Server) pullSlot(ctx context.Context, src, table string, slot int) error {
 	// A server keeps no outbound HTTP client, so the pull builds one for
 	// its single probe of src and drops it after.
 	hc, _ := newPooledHTTPClient(1, DefaultTimeout)
@@ -217,7 +190,7 @@ func (s *Server) pullSlot(ctx context.Context, src, table string, slot int, ts i
 		return err
 	}
 	defer ep.Close()
-	sc, err := ep.Scan(ctx, &kvwire.ScanRequest{Table: table, Count: -1, AsOf: ts, Slot: slot, Tombstones: true})
+	sc, err := ep.Scan(ctx, &kvwire.ScanRequest{Table: table, Slot: slot, Count: -1})
 	if err != nil {
 		return err
 	}
@@ -227,7 +200,7 @@ func (s *Server) pullSlot(ctx context.Context, src, table string, slot int, ts i
 		batch = batch[:0]
 		for len(batch) < pullBatch && sc.Next() {
 			rec := sc.Record()
-			batch = append(batch, kvstore.BulkKV{Key: rec.Key, Fields: rec.Fields, Version: rec.Version, CommitTS: rec.CommitTS, Deleted: rec.Deleted})
+			batch = append(batch, kvstore.BulkKV{Key: rec.Key, Fields: rec.Fields, Version: rec.Version, CommitTS: rec.CommitTS})
 		}
 		if len(batch) == 0 {
 			return nil, sc.Err() // nil, nil: a clean end
@@ -235,6 +208,38 @@ func (s *Server) pullSlot(ctx context.Context, src, table string, slot int, ts i
 		return batch, nil
 	})
 	return err
+}
+
+// handleDrop serves POST /v1/shardmap/drop?slot=N, a migration's last
+// step, on the source once the cutover has installed on both ends: the
+// node forgets every record of a slot its map gives to another node.
+func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
+	if _, slot, ok := s.slotRequest(w, r); ok && s.dropSlot(w, slot, s.store.Tables()) {
+		w.WriteHeader(http.StatusOK)
+	}
+}
+
+// dropSlot removes every record of slot from the given tables, or
+// answers 409 if this node's map gives it the slot (500 if the engine
+// fails); it reports whether the drop happened. The check and the drop
+// run under the cluster barrier's read side, as a write's check and
+// apply do, so no map install lands between them.
+func (s *Server) dropSlot(w http.ResponseWriter, slot int, tables []string) bool {
+	cs := s.opts.Cluster
+	release := cs.Enter()
+	defer release()
+	m := cs.Map()
+	if m.OwnerOfSlot(slot) == cs.Self() {
+		http.Error(w, fmt.Sprintf("slot %d is this node's own: not dropped", slot), http.StatusConflict)
+		return false
+	}
+	for _, table := range tables {
+		if _, err := s.store.Drop(table, func(key string) bool { return m.SlotOf(key) != slot }); err != nil {
+			http.Error(w, fmt.Sprintf("dropping slot %d of %q: %v", slot, table, err), http.StatusInternalServerError)
+			return false
+		}
+	}
+	return true
 }
 
 // handleTables serves GET /v1/tables so the migrator can enumerate

@@ -28,7 +28,7 @@ import (
 // makes of the body; FuzzRecordCodec holds the two side by side.
 
 // appendRecord appends r to dst as one JSON object: members in name
-// order, key, commit_ts and deleted omitted at their zero values (as
+// order, key and commit_ts omitted at their zero values (as
 // wireRecord's tags say), field names sorted and values in padded
 // standard base64. A nil value is written as null, as encoding/json
 // writes it; a nil fields map is written as {}, so it decodes as an
@@ -39,9 +39,6 @@ func appendRecord(dst []byte, r *wireRecord) []byte {
 		dst = append(dst, `"commit_ts":`...)
 		dst = strconv.AppendInt(dst, r.CommitTS, 10)
 		dst = append(dst, ',')
-	}
-	if r.Deleted {
-		dst = append(dst, `"deleted":true,`...)
 	}
 	dst = append(dst, `"fields":{`...)
 	type field struct {
@@ -244,21 +241,6 @@ func (d *recordDecoder) digits(limit uint64) (uint64, bool) {
 	return v, n == 1 || (n > 1 && d.b[start] != '0')
 }
 
-// literal reads true or false.
-func (d *recordDecoder) literal() (bool, bool) {
-	d.skipSpace()
-	rest := d.b[d.i:]
-	switch {
-	case len(rest) >= 4 && string(rest[:4]) == "true":
-		d.i += 4
-		return true, true
-	case len(rest) >= 5 && string(rest[:5]) == "false":
-		d.i += 5
-		return false, true
-	}
-	return false, false
-}
-
 // page reads a JSON array of records.
 func (d *recordDecoder) page() ([]wireRecord, bool) {
 	if !d.consume('[') {
@@ -304,18 +286,15 @@ func (d *recordDecoder) record() (wireRecord, bool) {
 			var ts uint64
 			ts, ok = d.digits(math.MaxInt64)
 			member, r.CommitTS = 1<<0, int64(ts)
-		case "deleted":
-			member = 1 << 1
-			r.Deleted, ok = d.literal()
 		case "fields":
-			member = 1 << 2
+			member = 1 << 1
 			r.Fields, ok = d.fields()
 		case "key":
-			member = 1 << 3
+			member = 1 << 2
 			start, end, ok = d.str()
 			r.Key = string(d.b[start:end])
 		case "version":
-			member = 1 << 4
+			member = 1 << 3
 			r.Version, ok = d.digits(math.MaxUint64)
 		default:
 			return r, false

@@ -12,15 +12,14 @@ import (
 
 // recordFrom builds a record out of fuzz bytes: the first line is the
 // key, and every further line is a field, split at its first '=' into
-// name and value (no '=': a nil value). The numbers and the deleted bit
-// follow the input's length.
+// name and value (no '=': a nil value). The numbers follow the input's
+// length.
 func recordFrom(data []byte) wireRecord {
 	lines := strings.Split(string(data), "\n")
 	r := wireRecord{
 		Key:      lines[0],
 		Version:  uint64(len(data)) * 0x9e3779b97f4a7c15,
 		CommitTS: int64(len(lines)) - 2,
-		Deleted:  len(data)%2 == 1,
 	}
 	if len(lines) > 1 {
 		r.Fields = make(map[string][]byte)

@@ -134,6 +134,28 @@ func startTestClusterWithMap(t testing.TB, n int, build func(addrs []string) (*c
 	return nodes
 }
 
+// startPair boots two cluster-mode nodes over the given engines under
+// one uniform hash map of 8 slots.
+func startPair(t testing.TB, engA, engB kvstore.Engine) (a, b *testNode, m *cluster.Map) {
+	t.Helper()
+	a, b = listenNode(t), listenNode(t)
+	m, err := cluster.NewUniform(cluster.PlacementHash, 8, []string{a.URL, b.URL}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []struct {
+		tn  *testNode
+		eng kvstore.Engine
+	}{{a, engA}, {b, engB}} {
+		cs, err := cluster.NewState(n.tn.URL, m, n.tn.reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.tn.serve(t, n.eng, cs, 0)
+	}
+	return a, b, m
+}
+
 // client returns a Client for the node with its transport settled by
 // rawhttp.wire = mode (WireModeAuto finds the frame listener,
 // WireModeOff stays on HTTP) plus any further key, value property

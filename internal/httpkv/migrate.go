@@ -18,17 +18,17 @@ import (
 //	         writes; returns only when every admitted write has
 //	         applied. Reads keep serving (the data cannot change:
 //	         src rejects new writes, and no other node owns the slot).
-//	ts       GET src /v1/ts — a commit timestamp covering every
-//	         acknowledged write, drawn after the freeze barrier.
-//	copy     per table, POST dest /v1/shardmap/copy?slot=N&ts=T&table=t:
-//	         dest pulls the slot from its owner in dest's own map (src)
-//	         over an ordinary scan stream as-of ts, tombstones
-//	         included, credit-gated so dest buffers at most a window,
-//	         and ingests it chunk by chunk (handleCopy). The records
-//	         move src → dest once; the migrator only asks. Ingest
-//	         preserves Version and CommitTS, so CAS handles held by
-//	         clients stay valid across the move, and advances dest's
-//	         commit clock past the imported history.
+//	copy     per table, POST dest /v1/shardmap/copy?slot=N&table=t:
+//	         dest drops whatever it still holds of the slot, then pulls
+//	         the slot's heads from its owner in dest's own map (src)
+//	         over an ordinary slot-filtered scan stream, credit-gated so
+//	         dest buffers at most a window, and ingests them chunk by
+//	         chunk (handleCopy). The freeze keeps the heads still, so the
+//	         scan needs no snapshot ts. The records move src → dest once;
+//	         the migrator only asks. Ingest preserves Version and
+//	         CommitTS, so CAS handles held by clients stay valid across
+//	         the move, and advances dest's commit clock past the
+//	         imported history.
 //	serve    install map v+1 (slot → dest) on src FIRST, then dest,
 //	         then the rest of the fleet. Both cutover installs are
 //	         CAS-conditioned on the predecessor version v, so a
@@ -40,6 +40,10 @@ import (
 //	         instant it learns the slot is no longer its own, so no
 //	         read can miss a write that landed on dest. Routers ride
 //	         the window out with refetch-and-retry.
+//	drop     POST src /v1/shardmap/drop?slot=N once both ends have
+//	         installed v+1: src forgets the slot. Best effort — a src
+//	         that misses it keeps hidden records until a later copy
+//	         into it empties them.
 //
 // Before freezing, a preflight confirms every fleet member is at
 // exactly map version v: stragglers behind v are converged by
@@ -48,20 +52,17 @@ import (
 // serializes racing migrations: at most one v+1 ever installs.
 //
 // Failure before the src install thaws the slot and leaves the old
-// map in force (the copy is harmlessly idempotent — Ingest skips
-// records the destination already has at the same or newer commit
-// ts). Failure at the dest install rolls the slot back to src on top
-// of the newest map observed in the fleet, so the rollback converges
-// any concurrent divergence instead of fighting it; src's data is
-// still complete.
+// map in force (a retry's copy drops what the failed one left on dest
+// and pulls again). Failure at the dest install rolls the slot back to
+// src on top of the newest map observed in the fleet, so the rollback
+// converges any concurrent divergence instead of fighting it; src's
+// data is still complete, because src drops the slot only after dest
+// has installed.
 //
-// Source-side records of a migrated slot are not deleted; the
-// ownership gate hides them and scans filter them out. Space is
-// reclaimed by the engine's normal retention/compaction machinery.
-// Those hidden records are exactly why the copy must carry
-// tombstones: if the slot ever migrates back, a live-records-only
-// copy would omit keys deleted elsewhere and the former owner's stale
-// live records would resurrect — a silent lost delete.
+// A node holds records only for the slots its map gives it, so a slot
+// that migrates away and back lands on an emptied former owner: no
+// record hidden there from an earlier stint can shadow a delete made
+// elsewhere.
 
 // MigrateSlot moves slot to dest under the given map, returning the
 // successor map it installed across the fleet. The source must
@@ -119,23 +120,18 @@ func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int,
 		return nil, fmt.Errorf("cluster: migrate slot %d %s→%s: %s: %w", slot, src, dest, step, err)
 	}
 
-	ts, err := fetchSnapshotTS(ctx, hc, src)
-	if err != nil {
-		return fail("drawing snapshot ts", err)
-	}
 	tables, err := fetchTables(ctx, hc, src)
 	if err != nil {
 		return fail("listing tables", err)
 	}
 	// A failed copy aborts the migration and leaves the old map in
-	// force; a retry re-copies from the top, which is safe: the scan is
-	// pinned to ts and the ingest is idempotent. A copy takes as long as
-	// the slot is large, so its request reuses hc's transport without
-	// hc's per-request timeout, which would cut a large copy short: only
-	// ctx bounds it.
+	// force; a retry re-copies from the top onto a slot the destination
+	// empties first. A copy takes as long as the slot is large, so its
+	// request reuses hc's transport without hc's per-request timeout,
+	// which would cut a large copy short: only ctx bounds it.
 	copyHC := &http.Client{Transport: hc.Transport}
 	for _, table := range tables {
-		if err := copySlot(ctx, copyHC, dest, table, slot, ts); err != nil {
+		if err := copySlot(ctx, copyHC, dest, table, slot); err != nil {
 			return fail(fmt.Sprintf("copying table %q", table), err)
 		}
 	}
@@ -168,6 +164,9 @@ func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int,
 			slot, src, dest, err)
 	}
 	installEverywhere(ctx, hc, next, src, dest)
+	// Both ends serve v+1: no rollback needs src's copy any more. Best
+	// effort, and as slow as the slot is large, like the copy.
+	post(ctx, copyHC, fmt.Sprintf("%s/v1/shardmap/drop?slot=%d", src, slot))
 	return next, nil
 }
 
@@ -196,10 +195,10 @@ func postFreeze(ctx context.Context, hc *http.Client, base string, slot int, tha
 	return post(ctx, hc, u)
 }
 
-// copySlot has dest pull one table's slice of the slot, as of ts and
-// tombstones included, from the slot's owner (handleCopy).
-func copySlot(ctx context.Context, hc *http.Client, dest, table string, slot int, ts int64) error {
-	return post(ctx, hc, fmt.Sprintf("%s/v1/shardmap/copy?slot=%d&ts=%d&table=%s", dest, slot, ts, url.QueryEscape(table)))
+// copySlot has dest empty and pull one table's slice of the slot from
+// the slot's owner (handleCopy).
+func copySlot(ctx context.Context, hc *http.Client, dest, table string, slot int) error {
+	return post(ctx, hc, fmt.Sprintf("%s/v1/shardmap/copy?slot=%d&table=%s", dest, slot, url.QueryEscape(table)))
 }
 
 // post sends one bodiless control-plane POST; anything but 200 is an

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +18,7 @@ import (
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/obs"
 )
 
 // MigrateSlot end to end, in process: the moved slot's records appear
@@ -110,7 +113,8 @@ func TestMigrateSlotMovesData(t *testing.T) {
 }
 
 // A migration retry after a mid-copy failure must be harmless: the
-// records it re-ships are skipped by the destination's ingest.
+// retry's copy drops what the failed one left on the destination and
+// lands the slot once.
 func TestMigrateSlotIdempotentCopy(t *testing.T) {
 	nodes := startTestCluster(t, 2, 8)
 	a, b := nodes[0], nodes[1]
@@ -119,23 +123,12 @@ func TestMigrateSlotIdempotentCopy(t *testing.T) {
 	ca := NewClient(a.URL, a.srv.Client())
 
 	slot := m.SlotsOf(a.URL)[0]
-	key := ""
-	for i := 0; ; i++ {
-		k := fmt.Sprintf("user%05d", i)
-		if _, s := m.Owner(k); s == slot {
-			key = k
-			break
-		}
-	}
+	key := slotKeys(m, slot, 1)[0]
 	if err := ca.Insert(ctx, "usertable", key, rec("v1")); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the copy half of a failed earlier attempt.
-	ts, err := fetchSnapshotTS(ctx, a.srv.Client(), a.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := copySlot(ctx, a.srv.Client(), b.URL, "usertable", slot, ts); err != nil {
+	if err := copySlot(ctx, a.srv.Client(), b.URL, "usertable", slot); err != nil {
 		t.Fatal(err)
 	}
 	// The real migration re-copies the same records, then cuts over.
@@ -143,15 +136,17 @@ func TestMigrateSlotIdempotentCopy(t *testing.T) {
 		t.Fatalf("retry migration: %v", err)
 	}
 	got, err := b.store.Get("usertable", key)
-	if err != nil || string(got.Fields["f"]) != "v1" || got.Version != 1 {
+	if err != nil || string(got.Fields["f"]) != "v1" || got.Version != 1 || got.Prev() != nil {
 		t.Errorf("after idempotent re-copy: %+v %v", got, err)
+	}
+	if n := b.counter("kvwire_ingest_records_total"); n != 2 {
+		t.Errorf("destination ingested %d records, want the key once per copy", n)
 	}
 }
 
 // A slot that migrates away and back must not resurrect keys deleted
-// while it lived elsewhere: the source keeps its hidden pre-migration
-// records, so the return copy has to carry the new owner's tombstones
-// over them.
+// while it lived elsewhere: the former owner dropped the slot when it
+// gave it away, so the return copy lands on an empty slot.
 func TestMigrateBackPreservesDeletes(t *testing.T) {
 	nodes := startTestCluster(t, 2, 8)
 	a, b := nodes[0], nodes[1]
@@ -161,13 +156,7 @@ func TestMigrateBackPreservesDeletes(t *testing.T) {
 	ca := NewClient(a.URL, hc)
 
 	slot := m.SlotsOf(a.URL)[0]
-	var keys []string
-	for i := 0; len(keys) < 2; i++ {
-		k := fmt.Sprintf("user%05d", i)
-		if _, s := m.Owner(k); s == slot {
-			keys = append(keys, k)
-		}
-	}
+	keys := slotKeys(m, slot, 2)
 	doomed, kept := keys[0], keys[1]
 	for _, k := range keys {
 		if err := ca.Insert(ctx, "usertable", k, rec("v-"+k)); err != nil {
@@ -178,6 +167,9 @@ func TestMigrateBackPreservesDeletes(t *testing.T) {
 	next, err := MigrateSlot(ctx, hc, m, slot, b.URL)
 	if err != nil {
 		t.Fatalf("migrate a→b: %v", err)
+	}
+	if n := a.store.Len("usertable"); n != 0 {
+		t.Fatalf("source still holds %d records of the slot it gave away", n)
 	}
 	cb := NewClient(b.URL, hc)
 	if err := cb.Delete(ctx, "usertable", doomed); err != nil {
@@ -197,63 +189,97 @@ func TestMigrateBackPreservesDeletes(t *testing.T) {
 	if got, err := ca.Read(ctx, "usertable", kept, nil); err != nil || string(got["f"]) != "v-"+kept {
 		t.Fatalf("undeleted key after migrate-back: %v %v", got, err)
 	}
-	// The delete landed on a's engine as a tombstone version shadowing
-	// the hidden pre-migration record, not as an untouched head.
+	// a's engine has no record of the deleted key at all, not a live
+	// pre-migration head the ownership gate used to hide.
 	if _, err := a.store.Get("usertable", doomed); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Fatalf("engine head read of deleted key: %v", err)
 	}
 }
 
-// vacuumingEngine sweeps its store with Vacuum before every tombstone
-// scan page it serves: a source vacuuming in a loop, with a sweep
-// landing inside the migration copy every time.
+// The regression the drop fixes: a tombstone the new owner's Vacuum
+// purges before the slot migrates back leaves nothing to carry, so a
+// former owner that kept its pre-migration records served the deleted
+// key again.
+func TestMigrateBackAfterPurgeStaysDeleted(t *testing.T) {
+	nodes := startTestCluster(t, 2, 8)
+	a, b := nodes[0], nodes[1]
+	m := a.state.Map()
+	ctx := context.Background()
+	hc := a.srv.Client()
+	ca := NewClient(a.URL, hc)
+
+	slot := m.SlotsOf(a.URL)[0]
+	keys := slotKeys(m, slot, 2)
+	doomed, kept := keys[0], keys[1]
+	for _, k := range keys {
+		if err := ca.Insert(ctx, "usertable", k, rec("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, err := MigrateSlot(ctx, hc, m, slot, b.URL)
+	if err != nil {
+		t.Fatalf("migrate a→b: %v", err)
+	}
+	if err := NewClient(b.URL, hc).Delete(ctx, "usertable", doomed); err != nil {
+		t.Fatalf("delete on new owner: %v", err)
+	}
+	if _, purged := b.store.Vacuum(); purged != 1 {
+		t.Fatalf("vacuum on the new owner purged %d keys, want doomed's tombstone", purged)
+	}
+	if _, err := MigrateSlot(ctx, hc, next, slot, a.URL); err != nil {
+		t.Fatalf("migrate b→a: %v", err)
+	}
+	if _, err := ca.Read(ctx, "usertable", doomed, nil); !errors.Is(err, db.ErrNotFound) {
+		t.Fatalf("purged delete resurrected after migrate-back: err=%v", err)
+	}
+	if _, err := a.store.Get("usertable", doomed); !errors.Is(err, kvstore.ErrNotFound) {
+		t.Fatalf("engine head read of the deleted key on the former owner: %v", err)
+	}
+	if got, err := ca.Read(ctx, "usertable", kept, nil); err != nil || string(got["f"]) != "v-"+kept {
+		t.Fatalf("undeleted key after migrate-back: %v %v", got, err)
+	}
+}
+
+// slotKeys returns the first n keys user00000, user00001, ... in slot.
+func slotKeys(m *cluster.Map, slot, n int) []string {
+	var keys []string
+	for i := 0; len(keys) < n; i++ {
+		if k := fmt.Sprintf("user%05d", i); m.SlotOf(k) == slot {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// vacuumingEngine sweeps its store with Vacuum before every scan page
+// it serves: a source vacuuming in a loop, with a sweep landing inside
+// the migration copy every time.
 type vacuumingEngine struct {
 	kvstore.Engine
 	store  *kvstore.Store
 	sweeps atomic.Int64
 }
 
-func (e *vacuumingEngine) ScanVersionsAsOf(table, start string, count int, ts int64) ([]kvstore.VersionedKV, error) {
+func (e *vacuumingEngine) Scan(table, start string, count int) ([]kvstore.VersionedKV, error) {
 	e.store.Vacuum()
 	e.sweeps.Add(1)
-	return e.store.ScanVersionsAsOf(table, start, count, ts)
+	return e.store.Scan(table, start, count)
 }
 
 // TestMigrateBackPreservesDeletes with the return copy's source
-// vacuuming during the copy, at default retention: the tombstone the
-// copy must carry is purgeable the moment it is written, so only the
-// pin the freeze takes — and Vacuum purging nothing under a pin —
-// keeps it until the copy has read it.
+// vacuuming during the copy, at default retention: the tombstone is
+// purged before the copy can read it, and nothing needs it — the
+// former owner holds no record for it to shadow.
 func TestMigrateBackPreservesDeletesUnderVacuum(t *testing.T) {
-	a, b := listenNode(t), listenNode(t)
-	m, err := cluster.NewUniform(cluster.PlacementHash, 8, []string{a.URL, b.URL}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bStore := openTestStore(t)
 	vac := &vacuumingEngine{Engine: bStore, store: bStore}
-	for _, n := range []struct {
-		tn  *testNode
-		eng kvstore.Engine
-	}{{a, openTestStore(t)}, {b, vac}} {
-		cs, err := cluster.NewState(n.tn.URL, m, n.tn.reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.tn.serve(t, n.eng, cs, 0)
-	}
+	a, b, m := startPair(t, openTestStore(t), vac)
 	ctx := context.Background()
 	hc := a.srv.Client()
 	ca := NewClient(a.URL, hc)
 
 	slot := m.SlotsOf(a.URL)[0]
-	var keys []string
-	for i := 0; len(keys) < 2; i++ {
-		k := fmt.Sprintf("user%05d", i)
-		if _, s := m.Owner(k); s == slot {
-			keys = append(keys, k)
-		}
-	}
+	keys := slotKeys(m, slot, 2)
 	doomed, kept := keys[0], keys[1]
 	for _, k := range keys {
 		if err := ca.Insert(ctx, "usertable", k, rec("v-"+k)); err != nil {
@@ -272,7 +298,7 @@ func TestMigrateBackPreservesDeletesUnderVacuum(t *testing.T) {
 		t.Fatalf("migrate b→a: %v", err)
 	}
 	if vac.sweeps.Load() == 0 {
-		t.Fatal("the return copy never scanned b's tombstones")
+		t.Fatal("the return copy never scanned b")
 	}
 	if _, err := ca.Read(ctx, "usertable", doomed, nil); !errors.Is(err, db.ErrNotFound) {
 		t.Fatalf("deleted key resurrected after migrate-back under vacuum: err=%v", err)
@@ -280,9 +306,10 @@ func TestMigrateBackPreservesDeletesUnderVacuum(t *testing.T) {
 	if got, err := ca.Read(ctx, "usertable", kept, nil); err != nil || string(got["f"]) != "v-"+kept {
 		t.Fatalf("undeleted key after migrate-back: %v %v", got, err)
 	}
-	// The freeze's pin went with the freeze: b purges the tombstone now.
-	if _, purged := bStore.Vacuum(); purged != 1 {
-		t.Errorf("vacuum after the migration purged %d keys, want doomed's tombstone", purged)
+	// b dropped the slot once the slot was back on a: no head, no
+	// tombstone.
+	if kvs, err := bStore.ScanVersionsAsOf("usertable", "", -1, bStore.SnapshotTS()); err != nil || len(kvs) != 0 {
+		t.Errorf("former owner still indexes %d keys of the slot (%v)", len(kvs), err)
 	}
 }
 
@@ -354,9 +381,9 @@ func loadSlot(t *testing.T, store kvstore.Engine, m *cluster.Map, slot, n int) [
 // A slot larger than one credit window moves source → destination in
 // one hop: the source streams it as a dozen chunks, the destination's
 // frame listener reads nothing (it dials out; nobody writes to it),
-// every record keeps the source's version and commit ts, and the
-// copied tombstones shadow the stale records the destination kept from
-// an earlier stint as owner.
+// every record keeps the source's version and commit ts, and the stale
+// records the destination kept from an earlier stint as owner are
+// dropped, not shadowed: only the live records travel.
 func TestMigrateSlotCopiesManyChunks(t *testing.T) {
 	nodes := startTestCluster(t, 2, 8)
 	a, b := nodes[0], nodes[1]
@@ -379,6 +406,16 @@ func TestMigrateSlotCopiesManyChunks(t *testing.T) {
 		}
 	}
 
+	// Engine records are immutable, so these stay what the source held
+	// after it drops the slot.
+	source := make(map[string]*kvstore.VersionedRecord, live)
+	for _, k := range keys[dead:] {
+		rec, err := a.store.Get("usertable", k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		source[k] = rec
+	}
 	framesIn := b.counter("kvwire_frames_total", "dir", "in")
 	chunks := a.counter("kvwire_scan_chunks_total")
 	if _, err := MigrateSlot(context.Background(), a.srv.Client(), m, slot, b.URL); err != nil {
@@ -390,24 +427,24 @@ func TestMigrateSlotCopiesManyChunks(t *testing.T) {
 	if n := a.counter("kvwire_scan_chunks_total") - chunks; n < 12 {
 		t.Errorf("source streamed %d chunks, want ≥ 12", n)
 	}
-	if n := b.counter("kvwire_ingest_records_total"); n != live+dead {
-		t.Errorf("destination ingested %d records, want %d", n, live+dead)
+	if n := b.counter("kvwire_ingest_records_total"); n != live {
+		t.Errorf("destination ingested %d records, want the %d live ones", n, live)
 	}
 	cb := NewClient(b.URL, b.srv.Client())
 	for i, k := range keys {
 		got, err := b.store.Get("usertable", k)
 		if i < dead {
 			if !errors.Is(err, kvstore.ErrNotFound) {
-				t.Fatalf("tombstoned %s readable on the destination: %+v, %v", k, got, err)
+				t.Fatalf("deleted %s readable on the destination: %+v, %v", k, got, err)
 			}
 			if _, err := cb.Read(context.Background(), "usertable", k, nil); !errors.Is(err, db.ErrNotFound) {
-				t.Fatalf("tombstoned %s served by the destination: %v", k, err)
+				t.Fatalf("deleted %s served by the destination: %v", k, err)
 			}
 			continue
 		}
-		want, werr := a.store.Get("usertable", k)
-		if err != nil || werr != nil {
-			t.Fatalf("%s: destination %v, source %v", k, err, werr)
+		want := source[k]
+		if err != nil {
+			t.Fatalf("%s on the destination: %v", k, err)
 		}
 		if got.Version != want.Version || got.CommitTS != want.CommitTS || string(got.Fields["f"]) != string(want.Fields["f"]) {
 			t.Fatalf("%s: destination v%d@%d %q, source v%d@%d %q", k,
@@ -442,29 +479,16 @@ func scanProducers() int {
 }
 
 // The copy route is control plane with checked input: a standalone node
-// has none (404), a bad slot or ts or a missing table is a 400, only
-// POST is served, and a slot the node owns itself has no source to
-// pull from (409).
+// has none (404), a bad slot or a missing table is a 400, only POST is
+// served, and a slot the node owns itself has no source to pull from
+// (409).
 func TestCopyRouteRejects(t *testing.T) {
 	nodes := startTestCluster(t, 2, 8)
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	standalone := startNode(t, nil)
-	do := func(tn *testNode, method, query string) int {
-		t.Helper()
-		req, err := http.NewRequest(method, tn.URL+"/v1/shardmap/copy?"+query, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := tn.srv.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drainClose(resp)
-		return resp.StatusCode
-	}
 	slot := m.SlotsOf(a.URL)[0]
-	ok := fmt.Sprintf("slot=%d&ts=5&table=usertable", slot)
+	ok := fmt.Sprintf("slot=%d&table=usertable", slot)
 	for _, c := range []struct {
 		tn     *testNode
 		method string
@@ -473,17 +497,190 @@ func TestCopyRouteRejects(t *testing.T) {
 	}{
 		{standalone, http.MethodPost, ok, http.StatusNotFound},
 		{b, http.MethodGet, ok, http.StatusMethodNotAllowed},
-		{b, http.MethodPost, "slot=x&ts=5&table=usertable", http.StatusBadRequest},
-		{b, http.MethodPost, "slot=-1&ts=5&table=usertable", http.StatusBadRequest},
-		{b, http.MethodPost, "slot=8&ts=5&table=usertable", http.StatusBadRequest},
-		{b, http.MethodPost, fmt.Sprintf("slot=%d&ts=x&table=usertable", slot), http.StatusBadRequest},
-		{b, http.MethodPost, fmt.Sprintf("slot=%d&ts=0&table=usertable", slot), http.StatusBadRequest},
-		{b, http.MethodPost, fmt.Sprintf("slot=%d&table=usertable", slot), http.StatusBadRequest},
-		{b, http.MethodPost, fmt.Sprintf("slot=%d&ts=5", slot), http.StatusBadRequest},
+		{b, http.MethodPost, "slot=x&table=usertable", http.StatusBadRequest},
+		{b, http.MethodPost, "slot=-1&table=usertable", http.StatusBadRequest},
+		{b, http.MethodPost, "slot=8&table=usertable", http.StatusBadRequest},
+		{b, http.MethodPost, fmt.Sprintf("slot=%d", slot), http.StatusBadRequest},
 		{a, http.MethodPost, ok, http.StatusConflict},
 	} {
-		if got := do(c.tn, c.method, c.query); got != c.want {
+		if got := controlStatus(t, c.tn, c.method, "/v1/shardmap/copy?"+c.query); got != c.want {
 			t.Errorf("%s %s?%s: %d, want %d", c.method, c.tn.URL, c.query, got, c.want)
+		}
+	}
+}
+
+// controlStatus sends one bodiless control-plane request to tn and
+// returns the status it answered.
+func controlStatus(t *testing.T, tn *testNode, method, target string) int {
+	t.Helper()
+	req, err := http.NewRequest(method, tn.URL+target, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := tn.srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp)
+	return resp.StatusCode
+}
+
+// The drop route forgets only a slot the node's map gives to another
+// node: a standalone node has none (404), only POST is served, a bad
+// slot is a 400, and a slot the node owns is refused (409) with every
+// record kept.
+func TestDropRouteRejects(t *testing.T) {
+	nodes := startTestCluster(t, 2, 8)
+	a, b := nodes[0], nodes[1]
+	m := a.state.Map()
+	standalone := startNode(t, nil)
+	slot := m.SlotsOf(a.URL)[0]
+	keys := loadSlot(t, a.store, m, slot, 10)
+	// b holds the slot's records as a former owner would.
+	loadSlot(t, b.store, m, slot, 10)
+	drop := fmt.Sprintf("/v1/shardmap/drop?slot=%d", slot)
+	for _, c := range []struct {
+		tn     *testNode
+		method string
+		target string
+		want   int
+	}{
+		{standalone, http.MethodPost, drop, http.StatusNotFound},
+		{a, http.MethodGet, drop, http.StatusMethodNotAllowed},
+		{a, http.MethodPost, "/v1/shardmap/drop?slot=x", http.StatusBadRequest},
+		{a, http.MethodPost, "/v1/shardmap/drop?slot=8", http.StatusBadRequest},
+		{a, http.MethodPost, drop, http.StatusConflict},
+		{b, http.MethodPost, drop, http.StatusOK},
+	} {
+		if got := controlStatus(t, c.tn, c.method, c.target); got != c.want {
+			t.Errorf("%s %s%s: %d, want %d", c.method, c.tn.URL, c.target, got, c.want)
+		}
+	}
+	if n := a.store.Len("usertable"); n != len(keys) {
+		t.Errorf("owner holds %d records after a refused drop, want %d", n, len(keys))
+	}
+	if n := b.store.Len("usertable"); n != 0 {
+		t.Errorf("non-owner holds %d records of the slot after its drop, want 0", n)
+	}
+}
+
+// retainedVersions reads kvstore_versions_retained off reg's exposition.
+func retainedVersions(t *testing.T, reg *obs.Registry) int64 {
+	t.Helper()
+	var out bytes.Buffer
+	if err := reg.Export(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "kvstore_versions_retained "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("kvstore_versions_retained %q: %v", v, err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no kvstore_versions_retained in the exposition")
+	return 0
+}
+
+// After a migration the source holds no record of the slot it gave
+// away: its Len and its retained versions fall by the slot's records,
+// and a reopen of its log finds the same.
+func TestMigrateSlotDropsSource(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a")
+	open := func() (*kvstore.Store, *obs.Registry) {
+		reg := obs.NewRegistry()
+		s, err := kvstore.Open(kvstore.Options{Path: path, Shards: 2, Retention: time.Hour, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, reg
+	}
+	aStore, aReg := open()
+	a, b, m := startPair(t, aStore, openTestStore(t))
+	slots := m.SlotsOf(a.URL)
+	var moved, kept []string
+	for round := 0; round < 2; round++ { // the second write retains one version per key
+		moved = loadSlot(t, aStore, m, slots[0], 40)
+		kept = loadSlot(t, aStore, m, slots[1], 30)
+	}
+	wantLen, wantRetained := len(kept), int64(len(kept))
+	if n, r := aStore.Len("usertable"), retainedVersions(t, aReg); n != wantLen+len(moved) || r != wantRetained+int64(len(moved)) {
+		t.Fatalf("before the migration: %d records, %d retained versions", n, r)
+	}
+	if _, err := MigrateSlot(context.Background(), a.srv.Client(), m, slots[0], b.URL); err != nil {
+		t.Fatalf("MigrateSlot: %v", err)
+	}
+	check := func(when string, s *kvstore.Store, reg *obs.Registry) {
+		t.Helper()
+		if n := s.Len("usertable"); n != wantLen {
+			t.Errorf("%s: source holds %d records, want %d", when, n, wantLen)
+		}
+		if r := retainedVersions(t, reg); r != wantRetained {
+			t.Errorf("%s: source retains %d versions, want %d", when, r, wantRetained)
+		}
+		for _, k := range moved {
+			if _, err := s.Get("usertable", k); !errors.Is(err, kvstore.ErrNotFound) {
+				t.Fatalf("%s: source still holds %s: %v", when, k, err)
+			}
+		}
+	}
+	check("after the migration", aStore, aReg)
+	if err := aStore.Close(); err != nil {
+		t.Fatal(err)
+	}
+	aStore, aReg = open()
+	defer aStore.Close()
+	check("after a reopen", aStore, aReg)
+}
+
+// onFirstIngest runs fn before the first Ingest it forwards.
+type onFirstIngest struct {
+	kvstore.Engine
+	once sync.Once
+	fn   func()
+}
+
+func (e *onFirstIngest) Ingest(table string, kvs []kvstore.BulkKV) error {
+	e.once.Do(e.fn)
+	return e.Engine.Ingest(table, kvs)
+}
+
+// A destination that refuses the cutover install rolls the slot back to
+// the source, which still serves every key: the source drops the slot
+// only once the destination has installed.
+func TestMigrateSlotRollbackKeepsSource(t *testing.T) {
+	// Mid-copy, a concurrent migration's v+1 lands on b, so the cutover's
+	// install there fails its version check.
+	var b *testNode
+	var m *cluster.Map
+	hook := &onFirstIngest{Engine: openTestStore(t), fn: func() {
+		ahead := m.Clone()
+		ahead.Version++
+		if _, err := b.state.Install(ahead); err != nil {
+			t.Error(err)
+		}
+	}}
+	a, b, m := startPair(t, openTestStore(t), hook)
+	ctx := context.Background()
+	hc := a.srv.Client()
+	slot := m.SlotsOf(a.URL)[0]
+	keys := loadSlot(t, a.store, m, slot, 20)
+
+	if _, err := MigrateSlot(ctx, hc, m, slot, b.URL); err == nil || !strings.Contains(err.Error(), "rolled back") {
+		t.Fatalf("migration over a refused destination install: %v, want a rollback", err)
+	}
+	if owner := a.state.Map().OwnerOfSlot(slot); owner != a.URL {
+		t.Fatalf("slot owner after the rollback = %s, want the source", owner)
+	}
+	if n := a.store.Len("usertable"); n != len(keys) {
+		t.Fatalf("source holds %d records after the rollback, want %d", n, len(keys))
+	}
+	ca := NewClient(a.URL, hc)
+	for _, k := range keys {
+		if got, err := ca.Read(ctx, "usertable", k, nil); err != nil || string(got["f"]) != "v-"+k {
+			t.Fatalf("%s on the source after the rollback: %v %v", k, got, err)
 		}
 	}
 }
@@ -517,16 +714,12 @@ func TestCopyRouteShedsAndFollowsItsCoordinator(t *testing.T) {
 	// 16 chunks: more than two pull batches and the window behind them,
 	// so the source stays parked whatever the pull does short of ending.
 	loadSlot(t, a.store, m, slot, 4000)
-	ts, err := fetchSnapshotTS(context.Background(), hc, a.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
 	baseline := scanProducers()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	errc := make(chan error, 1)
-	go func() { errc <- copySlot(ctx, hc, b.URL, "usertable", slot, ts) }()
+	go func() { errc <- copySlot(ctx, hc, b.URL, "usertable", slot) }()
 	<-gate.entered
 	deadline := time.Now().Add(5 * time.Second)
 	for a.counter("kvwire_stream_credits_stalled_total") == 0 {
@@ -539,7 +732,7 @@ func TestCopyRouteShedsAndFollowsItsCoordinator(t *testing.T) {
 		t.Fatalf("%d scan producers running, want the copy's one", n-baseline)
 	}
 
-	if err := copySlot(context.Background(), hc, b.URL, "usertable", slot, ts); err == nil || !strings.Contains(err.Error(), "429") {
+	if err := copySlot(context.Background(), hc, b.URL, "usertable", slot); err == nil || !strings.Contains(err.Error(), "429") {
 		t.Fatalf("second copy: %v, want 429", err)
 	}
 	if _, err := MigrateSlot(context.Background(), hc, m, slot, b.URL); err == nil || !strings.Contains(err.Error(), "429") {

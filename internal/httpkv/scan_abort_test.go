@@ -108,48 +108,34 @@ func TestScanHandlerStopsWhenClientDisconnects(t *testing.T) {
 		5*time.Second, eng.scans.Load())
 }
 
-// brokenScanEngine fails every tombstone scan page after a scan's first
-// while fail is set: a source whose reads give out mid-copy.
+// brokenScanEngine fails every scan page after a scan's first while
+// fail is set: a source whose reads give out mid-copy.
 type brokenScanEngine struct {
 	kvstore.Engine
 	fail atomic.Bool
 }
 
-func (e *brokenScanEngine) ScanVersionsAsOf(table, start string, count int, ts int64) ([]kvstore.VersionedKV, error) {
+func (e *brokenScanEngine) Scan(table, start string, count int) ([]kvstore.VersionedKV, error) {
 	if start != "" && e.fail.Load() {
 		return nil, errors.New("read failed past the first page")
 	}
-	return e.Engine.ScanVersionsAsOf(table, start, count, ts)
+	return e.Engine.Scan(table, start, count)
 }
 
 // A migration whose source scan fails after its first page aborts
 // naming the table, with the slot thawed and every node's map where it
 // was; the retry, once the source reads again, moves the slot.
 func TestMigrateSlotSourceScanFails(t *testing.T) {
-	a, b := listenNode(t), listenNode(t)
-	m, err := cluster.NewUniform(cluster.PlacementHash, 8, []string{a.URL, b.URL}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	aStore := openTestStore(t)
 	broken := &brokenScanEngine{Engine: aStore}
 	broken.fail.Store(true)
-	for _, n := range []struct {
-		tn  *testNode
-		eng kvstore.Engine
-	}{{a, broken}, {b, openTestStore(t)}} {
-		cs, err := cluster.NewState(n.tn.URL, m, n.tn.reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.tn.serve(t, n.eng, cs, 0)
-	}
+	a, b, m := startPair(t, broken, openTestStore(t))
 	ctx := context.Background()
 	hc := a.srv.Client()
 	slot := m.SlotsOf(a.URL)[0]
 	keys := loadSlot(t, aStore, m, slot, kvwire.ScanPageCap+100) // two engine pages
 
-	_, err = MigrateSlot(ctx, hc, m, slot, b.URL)
+	_, err := MigrateSlot(ctx, hc, m, slot, b.URL)
 	if err == nil || !strings.Contains(err.Error(), `"usertable"`) {
 		t.Fatalf("migration over a failing source scan: %v, want an error naming the table", err)
 	}

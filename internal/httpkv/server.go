@@ -22,15 +22,15 @@
 //	                                     one page: count defaults to 100 and is clamped to kvwire.ScanPageCap
 //	GET    /v1/ts                     → 200 {"ts":n} snapshot timestamp (see asof.go)
 //	GET    /v1/tables                 → 200 {"tables":[...]}
-//	GET/PUT /v1/shardmap, POST /v1/shardmap/{freeze,copy}   cluster mode (see cluster.go)
+//	GET/PUT /v1/shardmap, POST /v1/shardmap/{freeze,copy,drop}   cluster mode (see cluster.go)
 //	GET    /healthz                   → 200 "ok"
 //
 // Every successful record response carries the version in the "ETag"
 // header, the idiom the simulated cloud stores share. The table names
 // "ts", "tables" and "shardmap" are reserved by those routes.
 //
-// Everything else — multi-key batches, as-of reads, streamed, slot and
-// tombstone scans (the records of a migration copy) — exists on the
+// Everything else — multi-key batches, as-of reads, streamed and slot
+// scans (the records of a migration copy) — exists on the
 // framed binary protocol only (internal/kvwire), served from the same
 // kvwire.Core by the listener ServerOptions.WireAddr advertises in the
 // X-KV-Wire header of the /healthz response. A client picks one
@@ -48,7 +48,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ycsbt/internal/cluster"
@@ -58,13 +57,11 @@ import (
 )
 
 // wireRecord is the JSON shape of one record: kvwire.StreamRecord's
-// exported fields with JSON tags. Deleted is never set over HTTP —
-// tombstones travel in frames only.
+// exported fields with JSON tags.
 type wireRecord struct {
 	Key      string            `json:"key,omitempty"`
 	Version  uint64            `json:"version"`
 	CommitTS int64             `json:"commit_ts,omitempty"`
-	Deleted  bool              `json:"deleted,omitempty"`
 	Fields   map[string][]byte `json:"fields"`
 }
 
@@ -111,11 +108,6 @@ type Server struct {
 	mux     *http.ServeMux
 	opts    ServerOptions
 	metrics *serverMetrics
-
-	// freezePins holds the engine pin each frozen slot's migration copy
-	// reads under (see handleFreeze); pinMu guards it.
-	pinMu      sync.Mutex
-	freezePins map[int]func()
 }
 
 // NewServer returns a handler serving store with default options.
@@ -125,7 +117,7 @@ func NewServer(store kvstore.Engine) *Server {
 
 // NewServerWithOptions returns a handler serving store.
 func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
-	s := &Server{store: store, mux: http.NewServeMux(), opts: opts.withDefaults(), freezePins: make(map[int]func())}
+	s := &Server{store: store, mux: http.NewServeMux(), opts: opts.withDefaults()}
 	s.metrics = newServerMetrics(opts.Metrics)
 	s.core = s.opts.Core
 	if s.core == nil {
@@ -141,6 +133,7 @@ func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
 	s.mux.HandleFunc("/v1/shardmap", s.handleShardMap)
 	s.mux.HandleFunc("/v1/shardmap/freeze", s.handleFreeze)
 	s.mux.HandleFunc("/v1/shardmap/copy", s.handleCopy)
+	s.mux.HandleFunc("/v1/shardmap/drop", s.handleDrop)
 	s.mux.HandleFunc("/v1/tables", s.handleTables)
 	s.mux.HandleFunc("/v1/", s.handleRecord)
 	return s

@@ -60,19 +60,21 @@ type Engine interface {
 	GetAsOf(table, key string, ts int64) (*VersionedRecord, error)
 	BatchGetAsOf(reqs []GetReq, ts int64) []GetResult
 	ScanAsOf(table, startKey string, count int, ts int64) ([]VersionedKV, error)
-	// ScanVersionsAsOf is ScanAsOf with tombstones included
-	// (Record.Tombstone() distinguishes them) — the replication read a
-	// migration copy uses so deletes travel with the data.
+	// ScanVersionsAsOf is ScanAsOf with tombstones included. No product
+	// code calls it; it stays only because the benchmark harness's
+	// engine wrapper (benchmark/trace.go) forwards it.
 	ScanVersionsAsOf(table, startKey string, count int, ts int64) ([]VersionedKV, error)
 
 	// Introspection.
 	Len(table string) int
 	Tables() []string
 
-	// Maintenance and lifecycle. Ingest merges versioned records
-	// (preserving Version/CommitTS) into a live table — the
-	// shard-migration path.
+	// Maintenance and lifecycle — Ingest and Drop are the
+	// shard-migration path. Ingest merges versioned records (preserving
+	// Version/CommitTS) into a live table; Drop removes every key keep
+	// rejects, chain and all, leaving no tombstone.
 	Ingest(table string, kvs []BulkKV) error
+	Drop(table string, keep func(key string) bool) (int, error)
 	Compact() error
 	WALSize() (int64, error)
 	Sync() error

@@ -14,6 +14,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{walPutTS})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(encodeWALRecord(walRecord{Op: walDrop, Table: "usertable", Key: "user42", CommitTS: 19}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeWALRecord(data, nil)
 		if err != nil {

@@ -7,33 +7,25 @@ import "sync"
 // commit timestamp. A migration copy passes both through, so the copy
 // preserves the source's versions and as-of visibility; the
 // destination clock is advanced past the largest provided CommitTS.
-// Deleted marks a tombstone: Ingest writes a delete version instead of
-// fields, so a migrated slot carries its deletes along and a later
-// copy back to a former owner cannot resurrect them.
 type BulkKV struct {
 	Key      string
 	Fields   map[string][]byte
 	Version  uint64
 	CommitTS int64
-	Deleted  bool
 }
 
 // Ingest merges a batch of versioned records into table, preserving
-// each record's Version and CommitTS. It layers a consistent cut of
-// *someone else's* keys (a shard-map slot copied as-of a pinned ts)
-// into a table that is already serving traffic, so it takes the normal
-// write path per partition: link onto the key's existing chain, WAL
-// the frame, publish one new root per touched partition.
+// each record's Version and CommitTS. It layers a slot copied from
+// *someone else's* heads into a table that is already serving traffic,
+// so it takes the normal write path per partition: link onto the key's
+// existing chain, WAL the frame, publish one new root per touched
+// partition.
 //
 // Idempotence: a record whose key already has a head at the same or a
 // newer CommitTS is skipped, so re-running a partially failed
-// migration copy converges instead of stacking duplicate versions.
-//
-// Tombstones travel too: a BulkKV with Deleted set writes a delete
-// version (same WAL frame the live delete path logs), so a slot copy
-// that includes its deletes cannot resurrect a deleted key on a node
-// that still holds an older live record from a previous ownership
-// stint.
+// migration copy converges instead of stacking duplicate versions, and
+// the late ingest of a migration that lost a race never overwrites what
+// the winner's new owner has written since.
 //
 // Like every multi-key operation, Ingest is atomic per partition, not
 // across the store: readers may observe a prefix of the batch. The
@@ -102,12 +94,7 @@ func (p *partition) ingest(table string, kvs []BulkKV) error {
 		if cur != nil && cur.CommitTS >= ts {
 			continue // already have this version or newer (re-run)
 		}
-		var rec *VersionedRecord
-		if kv.Deleted {
-			rec = &VersionedRecord{Version: ver, CommitTS: ts, deleted: true}
-		} else {
-			rec = p.newRecord(ver, ts, kv.Fields)
-		}
+		rec := p.newRecord(ver, ts, kv.Fields)
 		rec.link(cur)
 		if w != nil {
 			n, err := w.append(walFrameOf(table, kv.Key, rec))
@@ -135,4 +122,69 @@ func (p *partition) ingest(table string, kvs []BulkKV) error {
 		}
 	}
 	return nil
+}
+
+// Drop removes every key of table that keep rejects, with its whole
+// version chain and no tombstone, and returns how many went: it is for
+// data a node must forget (a slot it no longer owns), not a delete.
+// Each removed key is logged (walDrop), so replay and a compacted log
+// agree, and as-of reads below the drop answer ErrBelowHorizon for the
+// keys it took. Like Ingest it is atomic per partition only.
+func (s *Store) Drop(table string, keep func(key string) bool) (int, error) {
+	dropped := 0
+	for _, p := range s.parts {
+		n, err := p.drop(table, keep)
+		dropped += n
+		if err != nil {
+			return dropped, err
+		}
+	}
+	return dropped, nil
+}
+
+// drop removes this partition's share under one lock acquisition and
+// one durability wait. keep runs over the published snapshot, outside
+// the lock; a key written after that is the caller's to keep out (a
+// node refuses writes to a slot it does not own).
+func (p *partition) drop(table string, keep func(key string) bool) (int, error) {
+	var doomed []string
+	if snap := p.tableSnap(table); snap != nil {
+		snap.ascend("", func(key string, _ *VersionedRecord) bool {
+			if !keep(key) {
+				doomed = append(doomed, key)
+			}
+			return true
+		})
+	}
+	p.mu.Lock()
+	if p.closed.Load() {
+		p.mu.Unlock()
+		return 0, ErrClosed
+	}
+	if len(doomed) == 0 {
+		p.mu.Unlock()
+		return 0, nil
+	}
+	t := p.table(table)
+	w, ts := p.wal, p.store.nextTS() // w captured under p.mu: compact may swap p.wal after unlock
+	var seq uint64
+	var err error
+	dropped := 0
+	for _, key := range doomed {
+		if w != nil {
+			if seq, err = w.append(walRecord{Op: walDrop, Table: table, Key: key, CommitTS: ts}); err != nil {
+				break
+			}
+		}
+		if t.delete(key) {
+			dropped++
+		}
+	}
+	p.purgeTS.Store(ts)
+	p.publishLocked(table, t)
+	p.mu.Unlock()
+	if err == nil && seq != 0 {
+		err = w.waitDurable(seq)
+	}
+	return dropped, err
 }

@@ -105,75 +105,6 @@ func TestIngestAdvancesCommitClock(t *testing.T) {
 	}
 }
 
-// An ingested tombstone must delete the key: migrating a slot back to
-// a former owner replays deletes performed elsewhere, or the former
-// owner's hidden live records would resurrect.
-func TestIngestTombstone(t *testing.T) {
-	s := openIngestStore(t)
-	if _, err := s.Put("t", "k", fieldsOf("alive")); err != nil {
-		t.Fatal(err)
-	}
-	preTS := s.SnapshotTS()
-	if err := s.Ingest("t", []BulkKV{{Key: "k", Deleted: true, Version: 9, CommitTS: preTS + 100}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get("t", "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("head read after ingested tombstone: %v, want ErrNotFound", err)
-	}
-	// History below the tombstone stays readable.
-	if rec, err := s.GetAsOf("t", "k", preTS); err != nil || string(rec.Fields["f"]) != "alive" {
-		t.Fatalf("pre-delete as-of read = %v, %v; want \"alive\"", rec, err)
-	}
-	// A live scan skips the key; a tombstone-carrying scan ships it.
-	if out, err := s.ScanAsOf("t", "", -1, preTS+200); err != nil || len(out) != 0 {
-		t.Fatalf("live as-of scan = %d records, %v; want 0", len(out), err)
-	}
-	out, err := s.ScanVersionsAsOf("t", "", -1, preTS+200)
-	if err != nil || len(out) != 1 {
-		t.Fatalf("tombstone scan = %d records, %v; want 1", len(out), err)
-	}
-	if !out[0].Record.Tombstone() || out[0].Record.Version != 9 || out[0].Record.CommitTS != preTS+100 {
-		t.Errorf("tombstone scan record = tombstone=%v version=%d ts=%d, want true/9/%d",
-			out[0].Record.Tombstone(), out[0].Record.Version, out[0].Record.CommitTS, preTS+100)
-	}
-	// Idempotence holds for tombstones too.
-	if err := s.Ingest("t", []BulkKV{{Key: "k", Deleted: true, Version: 9, CommitTS: preTS + 100}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get("t", "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("head read after re-ingest: %v, want ErrNotFound", err)
-	}
-}
-
-// Ingested tombstones must survive a WAL replay like any other write.
-func TestIngestTombstoneDurable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	s, err := Open(Options{Path: path, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Ingest("t", []BulkKV{
-		{Key: "live", Fields: fieldsOf("v"), Version: 2, CommitTS: 50},
-		{Key: "dead", Deleted: true, Version: 4, CommitTS: 60},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(Options{Path: path, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if rec, err := s2.Get("t", "live"); err != nil || rec.Version != 2 {
-		t.Fatalf("replayed live record = %v, %v; want version 2", rec, err)
-	}
-	if _, err := s2.Get("t", "dead"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("replayed ingested tombstone: %v, want ErrNotFound", err)
-	}
-}
-
 // Ingest spreads records across partitions like normal writes do.
 func TestIngestCrossesPartitions(t *testing.T) {
 	s := openIngestStore(t)
@@ -204,4 +135,109 @@ func TestIngestCrossesPartitions(t *testing.T) {
 			t.Fatalf("scan out of order at %d: %s >= %s", i, out[i-1].Key, out[i].Key)
 		}
 	}
+}
+
+// Drop removes the keys keep rejects with their whole chains and no
+// tombstone: head reads miss, Len falls, retained versions go with
+// them, as-of reads below the drop say the history is gone rather than
+// absent, and a key written again starts a fresh chain.
+func TestDropRemovesKeysWithoutTrace(t *testing.T) {
+	s := openIngestStore(t)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 20; i++ {
+			if _, err := s.Put("t", fmt.Sprintf("k%02d", i), fieldsOf(fmt.Sprintf("v%d", round))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Delete("t", "k02"); err != nil {
+		t.Fatal(err)
+	}
+	before := s.SnapshotTS()
+	versions, _ := s.retained()
+	even := func(key string) bool { return (key[2]-'0')%2 == 0 }
+	n, err := s.Drop("t", func(key string) bool { return !even(key) })
+	if err != nil || n != 10 {
+		t.Fatalf("Drop = %d, %v; want the 10 even keys, k02's tombstone included", n, err)
+	}
+	if got := s.Len("t"); got != 10 {
+		t.Fatalf("Len after drop = %d, want 10", got)
+	}
+	// Each of the nine live even keys held one overwritten version, k02
+	// two beneath its tombstone.
+	if got, _ := s.retained(); got != versions-11 {
+		t.Fatalf("retained versions after drop = %d, want %d", got, versions-11)
+	}
+	out, err := s.ScanVersionsAsOf("t", "", -1, s.SnapshotTS())
+	if err != nil || len(out) != 10 {
+		t.Fatalf("scan after drop = %d records, %v; want 10", len(out), err)
+	}
+	for _, kv := range out {
+		if even(kv.Key) {
+			t.Fatalf("dropped %s still in the index", kv.Key)
+		}
+	}
+	if _, err := s.Get("t", "k04"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("head read of a dropped key: %v, want ErrNotFound", err)
+	}
+	if _, err := s.GetAsOf("t", "k04", before); !errors.Is(err, ErrBelowHorizon) {
+		t.Fatalf("as-of read below the drop: %v, want ErrBelowHorizon", err)
+	}
+	if rec, err := s.GetAsOf("t", "k05", before); err != nil || string(rec.Fields["f"]) != "v1" {
+		t.Fatalf("kept key's history: %v, %v", rec, err)
+	}
+	if _, err := s.Insert("t", "k04", fieldsOf("fresh")); err != nil {
+		t.Fatalf("insert of a dropped key: %v", err)
+	}
+	if rec, err := s.Get("t", "k04"); err != nil || rec.Version != 1 || rec.Prev() != nil {
+		t.Fatalf("re-inserted dropped key = %+v, %v; want a fresh version 1", rec, err)
+	}
+	if n, err := s.Drop("absent", func(string) bool { return false }); n != 0 || err != nil {
+		t.Fatalf("Drop of an unknown table = %d, %v", n, err)
+	}
+}
+
+// A drop is logged: the dropped keys stay gone across a reopen and
+// through a compaction, and a key written again after its drop replays
+// as written.
+func TestDropDurable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	s, err := Open(Options{Path: path, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := s.Put("t", fmt.Sprintf("k%d", i), fieldsOf("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Drop("t", func(key string) bool { return key >= "k4" }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("t", "k0", fieldsOf("again")); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ { // plain replay, then replay of a compacted log
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(Options{Path: path, Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Len("t"); got != 5 {
+			t.Fatalf("round %d: Len = %d, want 5", round, got)
+		}
+		for _, k := range []string{"k1", "k2", "k3"} {
+			if _, err := s.Get("t", k); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("round %d: dropped %s came back: %v", round, k, err)
+			}
+		}
+		if rec, err := s.Get("t", "k0"); err != nil || rec.Version != 1 || string(rec.Fields["f"]) != "again" {
+			t.Fatalf("round %d: k0 written after its drop = %+v, %v", round, rec, err)
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
 }

@@ -83,7 +83,7 @@ func TestLazyMergeMatchesSortedReference(t *testing.T) {
 				t.Fatalf("seed %d (%d shards) %s: %d records, want %d", seed, shards, what, len(got), len(want))
 			}
 			for i := range got {
-				if got[i].Record.CommitTS != want[i].ts || got[i].Record.Version != want[i].ver || got[i].Record.Tombstone() != want[i].deleted {
+				if got[i].Record.CommitTS != want[i].ts || got[i].Record.Version != want[i].ver || got[i].Record.deleted != want[i].deleted {
 					t.Fatalf("seed %d %s: record %d = %s ts %d, want ts %d", seed, what, i, got[i].Key, got[i].Record.CommitTS, want[i].ts)
 				}
 				if i > 0 && got[i-1].Key >= got[i].Key {

@@ -431,34 +431,6 @@ func TestVersionsRetainedGauges(t *testing.T) {
 	}
 }
 
-// TestVacuumKeepsTombstonesWhilePinned: a pinned tombstone scan (the
-// migration copy's read) must see every delete, so Vacuum purges no
-// tombstoned key while a pin is held — and purges them after.
-func TestVacuumKeepsTombstonesWhilePinned(t *testing.T) {
-	s := OpenMemoryShards(2)
-	defer s.Close()
-	for _, k := range []string{"a", "b"} {
-		if _, err := s.Put("t", k, vfields("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Delete("t", "a"); err != nil {
-		t.Fatal(err)
-	}
-	ts, release := s.Pin()
-	if _, keys := s.Vacuum(); keys != 0 {
-		t.Fatalf("vacuum purged %d keys under a pin, want 0", keys)
-	}
-	kvs, err := s.ScanVersionsAsOf("t", "", -1, ts)
-	if err != nil || len(kvs) != 2 || !kvs[0].Record.Tombstone() {
-		t.Fatalf("pinned tombstone scan = %d records, %v; want a's tombstone and b", len(kvs), err)
-	}
-	release()
-	if _, keys := s.Vacuum(); keys != 1 {
-		t.Fatalf("vacuum purged %d keys after release, want 1", keys)
-	}
-}
-
 // TestWALReplayRebuildsChains checks durability of history: version
 // chains (tombstones included) survive close/reopen, the clock resumes
 // above everything replayed, and snapshot reads at pre-restart

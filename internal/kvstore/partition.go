@@ -30,8 +30,9 @@ type partition struct {
 
 	// purgeTS is the newest commit ts at which a key may have left the
 	// index without a trace: the latest tombstone Vacuum purged here,
-	// or the open of a store recovered from its log. An as-of read
-	// below it cannot take a missing key as proof the key was absent.
+	// the latest Drop, or the open of a store recovered from its log.
+	// An as-of read below it cannot take a missing key as proof the key
+	// was absent.
 	purgeTS atomic.Int64
 
 	// metrics holds this shard's private obs handles; the zero value
@@ -80,6 +81,8 @@ func (p *partition) applyReplay(rec walRecord) error {
 		tomb := &VersionedRecord{Version: rec.Version, CommitTS: rec.CommitTS, deleted: true}
 		tomb.link(tree.get(rec.Key))
 		tree.put(rec.Key, tomb)
+	case walDrop:
+		tree.delete(rec.Key)
 	default:
 		return fmt.Errorf("unknown WAL op %d", rec.Op)
 	}

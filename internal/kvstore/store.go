@@ -103,9 +103,6 @@ func (v *VersionedRecord) Clone() *VersionedRecord {
 // Version > 1 means its predecessors were reclaimed, not absent.
 func (v *VersionedRecord) Prev() *VersionedRecord { return v.prev.Load() }
 
-// Tombstone reports whether this version records a delete.
-func (v *VersionedRecord) Tombstone() bool { return v.deleted }
-
 // AsOf walks the chain to the newest version with CommitTS ≤ ts and
 // returns it — tombstones included — or nil when every version is
 // newer than ts. Callers wanting read semantics should treat a
@@ -606,10 +603,10 @@ func (s *Store) ScanAsOf(table, startKey string, count int, ts int64) ([]Version
 
 // ScanVersionsAsOf is ScanAsOf with tombstones included: each key
 // resolves to its newest version ≤ ts even when that version records a
-// delete (Record.Tombstone() reports which). This is the replication
-// read — a consistent cut that carries deletes along, so a migration
-// copy cannot resurrect deleted keys on a node holding older live
-// records. Ordinary readers want ScanAsOf.
+// delete. No product code reads deletes (a migration copy lands on a
+// dropped slot and carries heads only); the method stays because the
+// benchmark harness's engine wrapper forwards it. Ordinary readers want
+// ScanAsOf.
 func (s *Store) ScanVersionsAsOf(table, startKey string, count int, ts int64) ([]VersionedKV, error) {
 	return s.scan(table, startKey, count, readAt{ts: ts, tombstones: true})
 }

@@ -12,14 +12,17 @@ import (
 	"time"
 )
 
-// WAL op codes. Both carry the commit timestamp so replay rebuilds
-// version chains; 1 and 2 were the pre-MVCC frames without one, which
-// decodeWALRecord now rejects. New fields need new op codes because
-// decodeWALRecord rejects trailing bytes — that strictness is what
-// keeps old binaries from silently misreading new frames.
+// WAL op codes. Each carries a commit timestamp so replay rebuilds
+// version chains and resumes the clock; 1 and 2 were the pre-MVCC
+// frames without one, which decodeWALRecord now rejects. New fields
+// need new op codes because decodeWALRecord rejects trailing bytes —
+// that strictness is what keeps old binaries from silently misreading
+// new frames. A drop frame (Store.Drop) carries no version and no
+// fields: replay removes the key, chain and all.
 const (
 	walPutTS    byte = 3
 	walDeleteTS byte = 4
+	walDrop     byte = 5
 )
 
 // ErrCorruptWAL reports a WAL frame whose checksum holds but whose
@@ -30,9 +33,10 @@ var ErrCorruptWAL = errors.New("kvstore: corrupt WAL")
 // walRecord is one logged mutation. Put records carry the full
 // post-image (version and fields) so replay is a blind apply; delete
 // records carry the key and (in TS form) the tombstone's version and
-// commit ts. The payload's field section is the record's Image when it
-// has one — appended as it stands, and handed back by the decoder when
-// the logged bytes are canonical — and an encoding of Fields otherwise.
+// commit ts, drop records the key and the drop's ts. The payload's
+// field section is the record's Image when it has one — appended as it
+// stands, and handed back by the decoder when the logged bytes are
+// canonical — and an encoding of Fields otherwise.
 type walRecord struct {
 	Op       byte
 	Table    string
@@ -376,7 +380,7 @@ func decodeWALRecord(payload []byte, names *[]string) (walRecord, error) {
 		return rec, errors.New("kvstore: empty WAL payload")
 	}
 	rec.Op = payload[0]
-	if rec.Op != walPutTS && rec.Op != walDeleteTS {
+	if rec.Op < walPutTS || rec.Op > walDrop {
 		return rec, fmt.Errorf("kvstore: unsupported WAL op code %d", rec.Op)
 	}
 	rest := payload[1:]
@@ -400,7 +404,7 @@ func decodeWALRecord(payload []byte, names *[]string) (walRecord, error) {
 	rec.CommitTS = int64(ts)
 	rest = rest[n:]
 	if len(rest) == 1 && rest[0] == 0 {
-		return rec, nil // no fields (every delete frame): no map
+		return rec, nil // no fields (every delete and drop frame): no map
 	}
 	fields, canonical, err := DecodeFields(rest, names)
 	if err != nil {

@@ -237,7 +237,7 @@ const ScanPageCap = 1024
 // client has gone away stops paging.
 func (c *Core) Scan(ctx context.Context, table, start string, count int) ([]kvstore.VersionedKV, error) {
 	var out []kvstore.VersionedKV
-	err := c.scanPages(ctx, table, start, count, 0, -1, false, func(kv kvstore.VersionedKV) error {
+	err := c.scanPages(ctx, table, start, count, 0, -1, func(kv kvstore.VersionedKV) error {
 		out = append(out, kv)
 		return nil
 	}, nil)
@@ -251,9 +251,7 @@ func (c *Core) Scan(ctx context.Context, table, start string, count int) ([]kvst
 // pages through the engine, applies the cluster filter — owned slots by
 // default, exactly slot when slot ≥ 0 (the migration copy) — and hands
 // every kept record to emit until count records are emitted, the table
-// is exhausted, ctx is done, or emit returns an error. tombstones
-// (cluster + as-of only, see ValidateScan) includes delete versions so
-// a migration copy carries deletes.
+// is exhausted, ctx is done, or emit returns an error.
 //
 // The request's count bounds what is read, not just what is returned:
 // the first page asks the engine for count records (a node stores the
@@ -266,7 +264,7 @@ func (c *Core) Scan(ctx context.Context, table, start string, count int) ([]kvst
 // that did not finish the scan: the streaming front end ships what the
 // small pages found and parks there until its consumer asks for more,
 // so a scan nobody is waiting on stops reading.
-func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts int64, slot int, tombstones bool, emit func(kvstore.VersionedKV) error, pageEnd func() error) error {
+func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts int64, slot int, emit func(kvstore.VersionedKV) error, pageEnd func() error) error {
 	if count == 0 {
 		return nil
 	}
@@ -311,12 +309,9 @@ func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts
 		}
 		var page []kvstore.VersionedKV
 		var err error
-		switch {
-		case tombstones:
-			page, err = c.store.ScanVersionsAsOf(table, start, pageSize, ts)
-		case ts != 0:
+		if ts != 0 {
 			page, err = c.store.ScanAsOf(table, start, pageSize, ts)
-		default:
+		} else {
 			page, err = c.store.Scan(table, start, pageSize)
 		}
 		if err != nil {
@@ -392,9 +387,6 @@ func (c *Core) ValidateScan(req *ScanRequest) *StreamError {
 	if req.AsOf < 0 {
 		return &StreamError{Status: http.StatusBadRequest, Msg: "bad as-of ts"}
 	}
-	if req.Tombstones && (c.cluster == nil || req.AsOf == 0) {
-		return &StreamError{Status: http.StatusBadRequest, Msg: "tombstones requires cluster mode and an as-of ts"}
-	}
 	return nil
 }
 
@@ -462,7 +454,7 @@ func (c *Core) StreamScan(ctx context.Context, req *ScanRequest, admit func() er
 	if err := admit(); err != nil {
 		return mapVer, err
 	}
-	err := c.scanPages(ctx, req.Table, req.Start, req.Count, req.AsOf, req.Slot, req.Tombstones, func(kv kvstore.VersionedKV) error {
+	err := c.scanPages(ctx, req.Table, req.Start, req.Count, req.AsOf, req.Slot, func(kv kvstore.VersionedKV) error {
 		if len(staged) >= streamChunkRecords {
 			if err := ship(true); err != nil {
 				return err

@@ -117,6 +117,24 @@ func TestDecodeRequestRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// A chunk record carrying any flag bit but the fields bit — the bit
+// that once marked a deleted record included — is refused, not read
+// as a live record.
+func TestDecodeChunkRejectsUnknownRecordFlags(t *testing.T) {
+	frame := appendChunk(nil, 1, 0, []StreamRecord{{Key: "k", Version: 1, CommitTS: 1, Fields: map[string][]byte{"f": []byte("v")}}})
+	payload := frame[frameHeaderLen:] // map version 0, count 1, then the record's flags
+	if _, _, err := DecodeChunk(payload, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, bit := range []byte{1 << 0, 1 << 2, 1 << 7} {
+		bad := bytes.Clone(payload)
+		bad[2] |= bit
+		if _, _, err := DecodeChunk(bad, nil); err == nil {
+			t.Errorf("record flags %#x accepted", bad[2])
+		}
+	}
+}
+
 // FuzzFrameCodec checks every frame decoder never panics on hostile
 // input and that whatever it accepts re-encodes to a frame that
 // decodes equal (structure round trip — overlong uvarints mean
@@ -128,7 +146,7 @@ func TestDecodeRequestRejectsTrailingBytes(t *testing.T) {
 func FuzzFrameCodec(f *testing.F) {
 	reqSeed := AppendRequest(nil, 1, 250, sampleOps())
 	resSeed := AppendResponse(nil, 2, sampleResults())
-	scanSeed := AppendScanRequest(nil, 3, &ScanRequest{Table: "t", Start: "user1", Count: 100, AsOf: 42, Slot: 3, Tombstones: true, Window: 4})
+	scanSeed := AppendScanRequest(nil, 3, &ScanRequest{Table: "t", Start: "user1", Count: 100, AsOf: 42, Slot: 3, Window: 4})
 	chunkSeed, _ := appendScanChunk(nil, 4, 7, sampleScanRecords(f))
 	endSeed := AppendStreamEnd(nil, 5, 409, 7, 12, "shard map changed mid-scan")
 	creditSeed := AppendCredit(nil, 6, 3)
@@ -250,9 +268,9 @@ func FuzzFrameCodec(f *testing.F) {
 	})
 }
 
-// sampleScanRecords covers the chunk record shapes as a migration
-// copy's tombstone scan reads them out of an engine: live records with
-// fields, a tombstone, and an empty field map.
+// sampleScanRecords covers the chunk record shapes as a scan reads
+// them out of an engine: records with fields, a merge-updated one
+// (no image), and an empty field map.
 func sampleScanRecords(tb testing.TB) []kvstore.VersionedKV {
 	s := kvstore.OpenMemory()
 	tb.Cleanup(func() { s.Close() })
@@ -261,19 +279,19 @@ func sampleScanRecords(tb testing.TB) []kvstore.VersionedKV {
 		fields map[string][]byte
 	}{
 		{"user1", map[string][]byte{"f0": []byte("v0"), "f1": {}}},
-		{"user2", map[string][]byte{"f": []byte("doomed")}},
+		{"user2", map[string][]byte{"f": []byte("v")}},
 		{"user3", map[string][]byte{}},
 	} {
 		if _, err := s.Put("t", rec.key, rec.fields); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	if err := s.Delete("t", "user2"); err != nil {
+	if _, err := s.Update("t", "user2", map[string][]byte{"g": []byte("patched")}); err != nil {
 		tb.Fatal(err)
 	}
-	kvs, err := s.ScanVersionsAsOf("t", "", 10, s.SnapshotTS())
-	if err != nil || len(kvs) != 3 || !kvs[1].Record.Tombstone() {
-		tb.Fatalf("tombstone scan = %d records, %v", len(kvs), err)
+	kvs, err := s.Scan("t", "", 10)
+	if err != nil || len(kvs) != 3 {
+		tb.Fatalf("scan = %d records, %v", len(kvs), err)
 	}
 	return kvs
 }
@@ -287,7 +305,7 @@ func appendChunk(buf []byte, id uint64, mapVersion int64, recs []StreamRecord) [
 	buf = binary.AppendVarint(buf, mapVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
 	for _, r := range recs {
-		buf = appendStreamRecord(buf, r.Key, r.Version, r.CommitTS, r.Deleted, nil, r.Fields)
+		buf = appendStreamRecord(buf, r.Key, r.Version, r.CommitTS, nil, r.Fields)
 	}
 	return finishFrame(buf, off)
 }

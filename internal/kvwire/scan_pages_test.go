@@ -28,13 +28,6 @@ func (e *pageRecorder) Scan(table, start string, count int) ([]kvstore.Versioned
 	return e.Engine.Scan(table, start, count)
 }
 
-func (e *pageRecorder) ScanVersionsAsOf(table, start string, count int, ts int64) ([]kvstore.VersionedKV, error) {
-	e.mu.Lock()
-	e.pages = append(e.pages, count)
-	e.mu.Unlock()
-	return e.Engine.ScanVersionsAsOf(table, start, count, ts)
-}
-
 func (e *pageRecorder) take() []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -72,7 +65,7 @@ func newClusterCore(t *testing.T, n int) (*Core, *pageRecorder, []string) {
 func scanKeys(t *testing.T, core *Core, start string, count, slot int) []string {
 	t.Helper()
 	var keys []string
-	err := core.scanPages(context.Background(), "t", start, count, 0, slot, false, func(kv kvstore.VersionedKV) error {
+	err := core.scanPages(context.Background(), "t", start, count, 0, slot, func(kv kvstore.VersionedKV) error {
 		keys = append(keys, kv.Key)
 		return nil
 	}, nil)
@@ -389,7 +382,7 @@ func TestScanChunkCodec(t *testing.T) {
 	}
 	for i, r := range got {
 		want := kvs[i]
-		if r.Key != want.Key || r.Version != want.Record.Version || r.CommitTS != want.Record.CommitTS || r.Deleted {
+		if r.Key != want.Key || r.Version != want.Record.Version || r.CommitTS != want.Record.CommitTS {
 			t.Fatalf("record %d = %+v, want %s v%d", i, r, want.Key, want.Record.Version)
 		}
 		if !reflect.DeepEqual(r.Fields, want.Record.Fields) {

@@ -16,8 +16,8 @@ import (
 // The migration copy is such a scan too, which the destination opens
 // on the source (httpkv's copy route).
 //
-//	4 scan-request  — flags, table, start, varint count, varint as-of
-//	                  ts, varint slot, uvarint credits: opens a scan
+//	4 scan-request  — table, start, varint count, varint as-of ts,
+//	                  varint slot, uvarint credits: opens a scan
 //	                  stream; the request id names the stream.
 //	5 chunk         — varint map-version echo, uvarint record count,
 //	                  records: one bounded slice of a stream, server →
@@ -73,46 +73,35 @@ const DefaultStreamWindow = 4
 // ScanRequest names one streaming scan. Count < 0 means unlimited
 // (cluster-internal drains), Slot < 0 means no slot filter.
 type ScanRequest struct {
-	Table      string
-	Start      string
-	Count      int
-	AsOf       int64
-	Slot       int
-	Tombstones bool
+	Table string
+	Start string
+	Count int
+	AsOf  int64
+	Slot  int
 	// Window is the initial credit grant (chunks the server may send
 	// before blocking); 0 means DefaultStreamWindow.
 	Window int
 }
 
-// StreamRecord is one record on a scan stream: a versioned read, and
-// for the migration copy's tombstone scans everything a version- and
-// commit-ts-preserving ingest needs, deletes included.
+// StreamRecord is one record on a scan stream: a versioned head read,
+// which is everything the migration copy's version- and
+// commit-ts-preserving ingest needs.
 type StreamRecord struct {
 	Key      string
 	Version  uint64
 	CommitTS int64
-	Deleted  bool
 	Fields   map[string][]byte
 }
 
-// Record flags.
-const (
-	recFlagDeleted = 1 << 0
-	recFlagFields  = 1 << 1
-)
-
-// Scan-request flags.
-const scanFlagTombstones = 1 << 0
+// recFlagFields is a stream record's one flag: a field section
+// follows. Any other bit — bit 0 marked a deleted record once — is
+// refused.
+const recFlagFields = 1 << 1
 
 // AppendScanRequest encodes one scan-request frame.
 func AppendScanRequest(buf []byte, id uint64, req *ScanRequest) []byte {
 	off := len(buf)
 	buf = appendFrameHeader(buf, frameScanReq, id)
-	var flags byte
-	if req.Tombstones {
-		flags |= scanFlagTombstones
-	}
-	buf = append(buf, flags)
 	buf = appendBytes(buf, req.Table)
 	buf = appendBytes(buf, req.Start)
 	buf = binary.AppendVarint(buf, int64(req.Count))
@@ -129,12 +118,6 @@ func AppendScanRequest(buf []byte, id uint64, req *ScanRequest) []byte {
 // DecodeScanRequest parses a scan-request payload. The returned window
 // is always in [1, maxStreamWindow].
 func DecodeScanRequest(payload []byte) (req ScanRequest, window int, err error) {
-	if len(payload) < 1 {
-		return req, 0, errTruncated
-	}
-	flags := payload[0]
-	payload = payload[1:]
-	req.Tombstones = flags&scanFlagTombstones != 0
 	if req.Table, payload, err = readString(payload); err != nil {
 		return req, 0, err
 	}
@@ -182,7 +165,7 @@ func appendScanChunk(buf []byte, id uint64, mapVersion int64, kvs []kvstore.Vers
 	n := 0
 	for _, kv := range kvs {
 		r := kv.Record
-		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Tombstone(), r.Image(), r.Fields)
+		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Image(), r.Fields)
 		n++
 		if len(buf)-off >= streamChunkBytes {
 			break
@@ -192,11 +175,8 @@ func appendScanChunk(buf []byte, id uint64, mapVersion int64, kvs []kvstore.Vers
 	return finishFrame(buf, off), n
 }
 
-func appendStreamRecord(buf []byte, key string, version uint64, commitTS int64, deleted bool, image []byte, fields map[string][]byte) []byte {
+func appendStreamRecord(buf []byte, key string, version uint64, commitTS int64, image []byte, fields map[string][]byte) []byte {
 	var flags byte
-	if deleted {
-		flags |= recFlagDeleted
-	}
 	if fields != nil {
 		flags |= recFlagFields
 	}
@@ -255,8 +235,10 @@ func (d *fieldDecoder) readStreamRecord(b []byte) (StreamRecord, []byte, error) 
 		return r, b, errTruncated
 	}
 	flags := b[0]
+	if flags&^recFlagFields != 0 {
+		return r, b, fmt.Errorf("kvwire: unknown record flags %#x", flags)
+	}
 	b = b[1:]
-	r.Deleted = flags&recFlagDeleted != 0
 	var err error
 	if r.Key, b, err = readString(b); err != nil {
 		return r, b, err

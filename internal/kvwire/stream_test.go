@@ -189,10 +189,11 @@ func TestStreamScanClientCancelReleasesServer(t *testing.T) {
 	}
 }
 
-// TestStreamIngestRoundTrip: StreamIngest fed from a tombstone scan
-// stream — what a migration's destination runs against the source —
-// lands every record at the source's version and commit ts, tombstones
-// as deletes, and counts them on the registry Instrument was given.
+// TestStreamIngestRoundTrip: StreamIngest fed from a slot scan stream —
+// what a migration's destination runs against the source — lands every
+// record of the slot at the source's version and commit ts, and counts
+// them on the registry Instrument was given. A deleted key is not on
+// the stream at all.
 func TestStreamIngestRoundTrip(t *testing.T) {
 	src := newTestStore(t)
 	var recs []kvstore.BulkKV
@@ -204,13 +205,23 @@ func TestStreamIngestRoundTrip(t *testing.T) {
 			Fields:   map[string][]byte{"f": []byte(fmt.Sprintf("v%d", i))},
 		})
 	}
-	recs = append(recs, kvstore.BulkKV{Key: "kdead", Version: 9, CommitTS: 2000, Deleted: true})
+	recs = append(recs, kvstore.BulkKV{Key: "kdead", Version: 9, CommitTS: 2000})
 	if err := src.Ingest("t", recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Delete("t", "kdead"); err != nil {
 		t.Fatal(err)
 	}
 	m, err := cluster.NewUniform(cluster.PlacementHash, 4, []string{"src"}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	const slot = 1
+	inSlot := 0
+	for _, r := range recs[:700] {
+		if m.SlotOf(r.Key) == slot {
+			inSlot++
+		}
 	}
 	cs, err := cluster.NewState("src", m, nil)
 	if err != nil {
@@ -219,7 +230,7 @@ func TestStreamIngestRoundTrip(t *testing.T) {
 	_, addr := startWireServer(t, NewCore(src, cs, 0), ServerOptions{})
 	ep := NewEndpoint(addr, 1)
 	defer ep.Close()
-	s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Count: -1, AsOf: src.SnapshotTS(), Slot: -1, Tombstones: true})
+	s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Slot: slot, Count: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +244,7 @@ func TestStreamIngestRoundTrip(t *testing.T) {
 		var kvs []kvstore.BulkKV
 		for len(kvs) < 100 && s.Next() {
 			r := s.Record()
-			kvs = append(kvs, kvstore.BulkKV{Key: r.Key, Fields: r.Fields, Version: r.Version, CommitTS: r.CommitTS, Deleted: r.Deleted})
+			kvs = append(kvs, kvstore.BulkKV{Key: r.Key, Fields: r.Fields, Version: r.Version, CommitTS: r.CommitTS})
 		}
 		if kvs == nil {
 			return nil, s.Err()
@@ -243,23 +254,28 @@ func TestStreamIngestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 701 {
-		t.Fatalf("ingested %d records, want 701", n)
+	if n != uint64(inSlot) || dst.Len("t") != inSlot {
+		t.Fatalf("ingested %d records (Len %d), want the slot's %d", n, dst.Len("t"), inSlot)
 	}
-	if v := reg.Counter("kvwire_ingest_records_total").Value(); v != 701 {
-		t.Fatalf("kvwire_ingest_records_total = %d, want 701", v)
+	if v := reg.Counter("kvwire_ingest_records_total").Value(); v != int64(inSlot) {
+		t.Fatalf("kvwire_ingest_records_total = %d, want %d", v, inSlot)
 	}
 
 	// Versions and commit timestamps are preserved.
-	rec, err := dst.Get("t", "k0042")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Version != 49 || rec.CommitTS != 1042 {
-		t.Fatalf("k0042 = v%d@%d, want v49@1042", rec.Version, rec.CommitTS)
+	for i, r := range recs[:700] {
+		rec, err := dst.Get("t", r.Key)
+		if m.SlotOf(r.Key) != slot {
+			if !errors.Is(err, kvstore.ErrNotFound) {
+				t.Fatalf("%s from another slot landed: %v", r.Key, err)
+			}
+			continue
+		}
+		if err != nil || rec.Version != uint64(i+7) || rec.CommitTS != int64(1000+i) {
+			t.Fatalf("%s = %+v, %v; want v%d@%d", r.Key, rec, err, i+7, 1000+i)
+		}
 	}
 	if _, err := dst.Get("t", "kdead"); !errors.Is(err, kvstore.ErrNotFound) {
-		t.Fatalf("tombstoned key readable: %v", err)
+		t.Fatalf("deleted key readable: %v", err)
 	}
 }
 
@@ -310,10 +326,10 @@ func TestStreamScanRejectsBadParams(t *testing.T) {
 	defer ep.Close()
 
 	for _, req := range []ScanRequest{
-		{Table: "t", Count: -1, Slot: -1},                   // unlimited is cluster-only
-		{Table: "t", Count: 10, Slot: 3},                    // slot filter is cluster-only
-		{Table: "t", Count: 10, Slot: -1, AsOf: -1},         // negative snapshot
-		{Table: "t", Count: 10, Slot: -1, Tombstones: true}, // tombstones need cluster + as-of
+		{Table: "t", Count: -1, Slot: -1},           // unlimited is cluster-only
+		{Table: "t", Count: -2, Slot: -1},           // no count below -1
+		{Table: "t", Count: 10, Slot: 3},            // slot filter is cluster-only
+		{Table: "t", Count: 10, Slot: -1, AsOf: -1}, // negative snapshot
 	} {
 		s, err := ep.Scan(context.Background(), &req)
 		if err != nil {

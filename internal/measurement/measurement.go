@@ -73,15 +73,6 @@ type shard struct {
 	buckets []atomic.Int64
 }
 
-// count recovers the shard's operation count (snapshot-time only).
-func (sh *shard) countOps() int64 {
-	var n int64
-	for i := range sh.returns {
-		n += sh.returns[i].Load()
-	}
-	return n
-}
-
 func newShard(nbuckets int) *shard {
 	sh := &shard{buckets: make([]atomic.Int64, nbuckets+1)}
 	sh.minUS.Store(math.MaxInt64)
@@ -219,7 +210,14 @@ func (s *Series) Snapshot() Summary {
 	)
 	buckets := make([]int64, s.nbuckets+1)
 	for _, sh := range s.allShards() {
-		c := sh.countOps()
+		// The operation count is the sum of the return counts, taken
+		// from the same loads so the two cannot tear under writers.
+		var rs [maxReturnSlots]int64
+		var c int64
+		for i := range sh.returns {
+			rs[i] = sh.returns[i].Load()
+			c += rs[i]
+		}
 		if c == 0 {
 			continue
 		}
@@ -234,8 +232,8 @@ func (s *Series) Snapshot() Summary {
 		for i := range sh.buckets {
 			buckets[i] += sh.buckets[i].Load()
 		}
-		for i := range sh.returns {
-			returns[i] += sh.returns[i].Load()
+		for i, r := range rs {
+			returns[i] += r
 		}
 	}
 	if n == 0 {
