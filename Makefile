@@ -62,12 +62,12 @@ bench:
 # BENCH_mvcc.json (as-of scan throughput under concurrent writers
 # plus the head-read path, whose 0-alloc budget must not regress now
 # that records carry version chains), BENCH_wire.json (16-op request
-# frames at 32 client threads) and BENCH_scan.json (1000-record scan
-# streams and the framed slot migration) so all regressions are
+# frames at 32 client threads) and BENCH_scan.json (1000-record paged
+# scans and the framed slot migration) so all regressions are
 # visible per run. BENCH_history.json carries the history-capture
 # overhead cells (CaptureOn vs CaptureOff; budget ≤5%). BENCH_codec.json
 # carries the field-section micro-cells kept beside the code: response
-# and chunk decode as a connection's read loop runs them, chunk encode
+# and page decode as a connection's read loop runs them, page encode
 # from engine records, and Store.Scan / Put on the benchmark's record
 # (parent's numbers: EXPERIMENTS.md "Encode once").
 bench-quick:
@@ -78,7 +78,7 @@ bench-quick:
 	$(GO) test -run xx -bench BenchmarkWireTransport -benchtime 1s -json . | tee BENCH_wire.json
 	$(GO) test -run xx -bench BenchmarkHistoryCaptureOverhead -benchtime 500ms -cpu 4 -json . | tee BENCH_history.json
 	$(GO) test -run xx -bench BenchmarkWireScan -benchtime 1s -json . | tee BENCH_scan.json
-	$(GO) test -run xx -bench 'BenchmarkDecodeResponse|BenchmarkDecodeChunk|BenchmarkEncodeChunk' -benchtime 1s -json ./internal/kvwire/ | tee BENCH_codec.json
+	$(GO) test -run xx -bench 'BenchmarkDecodeResponse|BenchmarkDecodePage|BenchmarkEncodePage' -benchtime 1s -json ./internal/kvwire/ | tee BENCH_codec.json
 	$(GO) test -run xx -bench 'BenchmarkStoreScan$$|BenchmarkStorePutRecord' -benchtime 1s -json ./internal/kvstore/ | tee -a BENCH_codec.json
 
 # Cluster scaling acceptance bench: identical capacity-bound nodes,

@@ -339,8 +339,8 @@ func scanPrealloc(count int) int {
 }
 
 // scanInto fetches up to count records (count < 0: the rest of the
-// table) from start in key order, built once through conv: one scan
-// stream on a frame endpoint, REST pages otherwise. asOf > 0 reads the
+// table) from start in key order, built once through conv: frame pages
+// on a frame endpoint, REST pages otherwise. asOf > 0 reads the
 // version history and needs frames.
 func scanInto[T any](ctx context.Context, c *Client, table, start string, count int, asOf int64, conv func(*kvwire.StreamRecord) T) ([]T, error) {
 	if c.wire == nil && asOf != 0 {

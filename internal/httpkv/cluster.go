@@ -30,8 +30,8 @@ import (
 //	GET  /v1/tables                 → 200 {"tables":[...]}
 //
 // A non-cluster server answers the shardmap routes 404. The records
-// themselves move over frames: the copy is a scan stream the
-// destination opens on the source (migrate.go). A node holds records
+// themselves move over frames: the copy is a paged slot scan the
+// destination runs against the source (migrate.go). A node holds records
 // only for the slots its map gives it: a copy lands on an emptied slot,
 // and the source drops the slot once the cutover has installed on both
 // ends.
@@ -137,12 +137,12 @@ func (s *Server) handleFreeze(w http.ResponseWriter, r *http.Request) {
 // handleCopy serves POST /v1/shardmap/copy?slot=N&table=t, a
 // migration's copy step, on the destination: it drops whatever it still
 // holds of table's slice of the slot (records from an earlier stint as
-// owner, or a failed earlier copy), then pulls the slice's heads over an
-// ordinary scan stream from the slot's owner in this node's own map —
-// never from an address the request names — and ingests them version
-// for version. The pull holds one batch admission slot (429 when none is
-// free) and lives as long as the request: a coordinator that goes away
-// cancels the scan on the source.
+// owner, or a failed earlier copy), then pulls the slice's heads page by
+// page from the slot's owner in this node's own map — never from an
+// address the request names — and ingests them version for version. The
+// pull holds one batch admission slot (429 when none is free) and lives
+// as long as the request: a coordinator that goes away stops it before
+// its next page, and the source holds nothing for it.
 func (s *Server) handleCopy(w http.ResponseWriter, r *http.Request) {
 	cs, slot, ok := s.slotRequest(w, r)
 	if !ok {
@@ -177,9 +177,9 @@ func (s *Server) handleCopy(w http.ResponseWriter, r *http.Request) {
 // pullBatch bounds one Engine.Ingest call of a pull.
 const pullBatch = 512
 
-// pullSlot streams the heads of table's slice of slot from src's frame
-// listener into StreamIngest. The source has frozen the slot, so its
-// heads hold still for the whole scan.
+// pullSlot pulls the heads of table's slice of slot from src's frame
+// listener, page by page, into StreamIngest. The source has frozen the
+// slot, so its heads hold still for the whole scan.
 func (s *Server) pullSlot(ctx context.Context, src, table string, slot int) error {
 	// A server keeps no outbound HTTP client, so the pull builds one for
 	// its single probe of src and drops it after.

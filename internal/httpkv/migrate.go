@@ -21,9 +21,9 @@ import (
 //	copy     per table, POST dest /v1/shardmap/copy?slot=N&table=t:
 //	         dest drops whatever it still holds of the slot, then pulls
 //	         the slot's heads from its owner in dest's own map (src)
-//	         over an ordinary slot-filtered scan stream, credit-gated so
-//	         dest buffers at most a window, and ingests them chunk by
-//	         chunk (handleCopy). The freeze keeps the heads still, so the
+//	         as an ordinary slot-filtered paged scan, so dest holds at
+//	         most one page, and ingests them batch by batch
+//	         (handleCopy). The freeze keeps the heads still, so the
 //	         scan needs no snapshot ts. The records move src → dest once;
 //	         the migrator only asks. Ingest preserves Version and
 //	         CommitTS, so CAS handles held by clients stay valid across

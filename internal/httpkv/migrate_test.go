@@ -378,8 +378,8 @@ func loadSlot(t *testing.T, store kvstore.Engine, m *cluster.Map, slot, n int) [
 	return keys
 }
 
-// A slot larger than one credit window moves source → destination in
-// one hop: the source streams it as a dozen chunks, the destination's
+// A slot larger than one page moves source → destination in one hop:
+// the source serves it as three pages, the destination's
 // frame listener reads nothing (it dials out; nobody writes to it),
 // every record keeps the source's version and commit ts, and the stale
 // records the destination kept from an earlier stint as owner are
@@ -424,8 +424,8 @@ func TestMigrateSlotCopiesManyChunks(t *testing.T) {
 	if n := b.counter("kvwire_frames_total", "dir", "in") - framesIn; n != 0 {
 		t.Errorf("destination's frame listener read %d frames during the migration, want 0", n)
 	}
-	if n := a.counter("kvwire_scan_chunks_total") - chunks; n < 12 {
-		t.Errorf("source streamed %d chunks, want ≥ 12", n)
+	if n := a.counter("kvwire_scan_chunks_total") - chunks; n < 3 {
+		t.Errorf("source served %d pages, want ≥ 3", n)
 	}
 	if n := b.counter("kvwire_ingest_records_total"); n != live {
 		t.Errorf("destination ingested %d records, want the %d live ones", n, live)
@@ -467,13 +467,12 @@ func (e *gatedIngest) Ingest(table string, kvs []kvstore.BulkKV) error {
 	return e.Engine.Ingest(table, kvs)
 }
 
-// scanProducers counts the wire servers' scan producer goroutines in
-// this process.
-func scanProducers() int {
+// pullsRunning counts the copy routes' pulls running in this process.
+func pullsRunning() int {
 	for n := 1 << 20; ; n *= 2 {
 		buf := make([]byte, n)
 		if used := runtime.Stack(buf, true); used < n {
-			return bytes.Count(buf[:used], []byte("kvwire.(*Server).runScan("))
+			return bytes.Count(buf[:used], []byte("httpkv.(*Server).pullSlot("))
 		}
 	}
 }
@@ -688,8 +687,9 @@ func TestMigrateSlotRollbackKeepsSource(t *testing.T) {
 // A copy holds one batch admission slot on the destination for as long
 // as it runs: a second copy meanwhile is shed (429), and the migration
 // that asked for it thaws its slot. The copy lives as long as its
-// request: a coordinator that goes away stops the pull, and the
-// source's scan producer exits.
+// request: a coordinator that goes away stops the pull before its next
+// page, so the source, which holds nothing between pages, serves no
+// other.
 func TestCopyRouteShedsAndFollowsItsCoordinator(t *testing.T) {
 	a, b := listenNode(t), listenNode(t)
 	m, err := cluster.NewUniform(cluster.PlacementHash, 8, []string{a.URL, b.URL}, nil)
@@ -711,25 +711,18 @@ func TestCopyRouteShedsAndFollowsItsCoordinator(t *testing.T) {
 	t.Cleanup(func() { close(gate.release) }) // before the servers close
 	hc := a.srv.Client()
 	slot := m.SlotsOf(a.URL)[0]
-	// 16 chunks: more than two pull batches and the window behind them,
-	// so the source stays parked whatever the pull does short of ending.
+	// Four pages of two pull batches each: the pull is mid-scan whatever
+	// it does short of ending.
 	loadSlot(t, a.store, m, slot, 4000)
-	baseline := scanProducers()
+	pages := a.counter("kvwire_scan_chunks_total")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() { errc <- copySlot(ctx, hc, b.URL, "usertable", slot) }()
 	<-gate.entered
-	deadline := time.Now().Add(5 * time.Second)
-	for a.counter("kvwire_stream_credits_stalled_total") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the source's producer never parked on credits")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if n := scanProducers(); n != baseline+1 {
-		t.Fatalf("%d scan producers running, want the copy's one", n-baseline)
+	if n := pullsRunning(); n != 1 {
+		t.Fatalf("%d pulls running, want the copy's one", n)
 	}
 
 	if err := copySlot(context.Background(), hc, b.URL, "usertable", slot); err == nil || !strings.Contains(err.Error(), "429") {
@@ -747,12 +740,14 @@ func TestCopyRouteShedsAndFollowsItsCoordinator(t *testing.T) {
 		t.Fatalf("cancelled copy: %v, want context.Canceled", err)
 	}
 	// One more batch lands, then the pull must find its request gone; a
-	// pull that went on would park in its next Ingest, the source's
-	// producer on credits.
+	// pull that went on would park in its next Ingest.
 	gate.release <- struct{}{}
-	for deadline := time.Now().Add(5 * time.Second); scanProducers() != baseline; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); pullsRunning() != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("source scan goroutine still running after the coordinator went away")
+			t.Fatal("the pull still running after the coordinator went away")
 		}
+	}
+	if n := a.counter("kvwire_scan_chunks_total") - pages; n != 1 {
+		t.Fatalf("the source served %d pages to a copy stopped inside its first, want 1", n)
 	}
 }

@@ -498,16 +498,16 @@ func nodeShares(startKey string, count int, m *cluster.Map) []int {
 // live on a subset of nodes until writes spread).
 //
 // Each node is asked for its nodeShares records through a scanCursor (one
-// scan stream) and consumed lazily; a node the merge drains is topped up with what the
-// merge still lacks, and the moment the merge holds count every
-// stream still running is cancelled.
+// paged scan) and consumed lazily; a node the merge drains is topped up
+// with what the merge still lacks, and the moment the merge holds count
+// every page still in flight is forgotten.
 //
 // Each node reports the shard map version it scanned under. If the
 // reports disagree, the fan-out straddled a migration cutover: the
 // node still at v filters the migrating slot out (it no longer owns
 // it... or doesn't own it yet), and so does the node at v+1 — the
 // slot's records would silently vanish from the merged result. The
-// same applies when one node's stream aborts 409 (its map changed
+// same applies when one node's scan answers 409 (its map changed
 // mid-scan), a top-up is answered under a newer map, or a wire
 // connection dies partway. In every case the
 // router refetches the map, backs off, and rescans until a round
@@ -540,7 +540,7 @@ func scanMerged[T any](ctx context.Context, r *Router, table, startKey string, c
 // scanRound runs one fan-out round: open a cursor per node (priming
 // each with its first record concurrently), verify the fleet answered
 // under one map version, then merge. Any errScanRescan — from a
-// stream's 409, a dead wire connection, or version skew across nodes
+// page's 409, a dead wire connection, or version skew across nodes
 // or between one node's fetches — aborts the round for scanMerged to
 // retry.
 func scanRound[T any](ctx context.Context, r *Router, table, startKey string, count int, conv func(*kvwire.StreamRecord) T) ([]T, error) {
@@ -591,14 +591,14 @@ func scanRound[T any](ctx context.Context, r *Router, table, startKey string, co
 			return nil, nodeErr(i, err)
 		}
 	}
-	// After priming, every cursor knows its node's map version (streams
-	// learn it from the first chunk or the end frame) and per-node
+	// After priming, every cursor knows its node's map version (every
+	// page reports it, an empty one too) and per-node
 	// consistency is the cursor's own check — so one cross-node
 	// comparison here covers the whole round.
 	skew := int64(0)
 	for _, sc := range cursors {
 		if sc.ver == 0 {
-			continue // the stream reported none; nothing to compare
+			continue // a single-node page reports none; nothing to compare
 		}
 		if skew == 0 {
 			skew = sc.ver

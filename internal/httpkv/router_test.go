@@ -361,9 +361,9 @@ func TestRouterRejectsAsOf(t *testing.T) {
 	}
 }
 
-// A routed scan merges per-node chunk streams: every node's chunk
-// counter moves, no node serves an HTTP request for it, and the merged
-// order and values match the key space.
+// A routed scan merges per-node paged scans: every node's page counter
+// (kvwire_scan_chunks_total) moves, no node serves an HTTP request for
+// it, and the merged order and values match the key space.
 func TestRouterScanStreamsAcrossFleet(t *testing.T) {
 	nodes := startTestCluster(t, 3, 12)
 	r := newTestRouter(t, nodes, nil)
@@ -394,7 +394,7 @@ func TestRouterScanStreamsAcrossFleet(t *testing.T) {
 	checkScan(t, got, 50, 300)
 	for i, tn := range nodes {
 		if c := tn.counter("kvwire_scan_chunks_total"); c == 0 {
-			t.Errorf("node %d served no scan chunks; its slice of the merge did not stream", i)
+			t.Errorf("node %d served no scan pages; its slice of the merge did not ride frames", i)
 		}
 		if n := tn.httpReqs.Load() - httpBefore[i]; n != 0 {
 			t.Errorf("node %d answered %d HTTP requests during a routed scan", i, n)

@@ -163,3 +163,37 @@ func TestMigrateSlotSourceScanFails(t *testing.T) {
 		}
 	}
 }
+
+// A scan of a closed engine answers 503 on both planes, as a get does:
+// the REST routes and the scan error frames take their statuses from one
+// table (kvwire.ErrResult).
+func TestScanOfClosedStoreAnswers503(t *testing.T) {
+	store := openTestStore(t)
+	tn := startNode(t, store)
+	if _, err := store.Put("t", "k", map[string][]byte{"f": []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+
+	resp, err := http.Get(tn.URL + "/v1/t?start=&count=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("HTTP scan of a closed store: status %d, want 503", resp.StatusCode)
+	}
+
+	ep := kvwire.NewEndpoint(tn.wireAddr, 1)
+	defer ep.Close()
+	s, err := ep.Scan(context.Background(), &kvwire.ScanRequest{Table: "t", Count: 10, Slot: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.Next() {
+	}
+	var re *kvwire.RequestError
+	if !errors.As(s.Err(), &re) || re.Status != http.StatusServiceUnavailable {
+		t.Errorf("frame scan of a closed store: Err() = %v, want a 503 RequestError", s.Err())
+	}
+}

@@ -9,11 +9,11 @@ import (
 )
 
 // errScanRescan marks a scan round the fleet invalidated mid-flight —
-// a stream answered 409 (the shard map changed under it), a wire
-// connection died partway through a chunk sequence, or a node answered
-// a top-up under a different map than its first fetch. Scans are
-// idempotent, so the router's answer is always the same: refetch the
-// map, back off, scan again.
+// a page answered 409 (the shard map changed under it, or between two
+// of its pages), a wire connection died partway through a scan, or a
+// node answered a top-up under a different map than its first fetch.
+// Scans are idempotent, so the router's answer is always the same:
+// refetch the map, back off, scan again.
 var errScanRescan = errors.New("httpkv: scan raced a shard map change; rescan")
 
 // scanCursor yields one node's sorted scan results for the router's
@@ -21,9 +21,8 @@ var errScanRescan = errors.New("httpkv: scan raced a shard map change; rescan")
 // from any one node, so a cursor asks its node for that share, not for
 // count, and tops the node up — a further fetch from just past the
 // last key it delivered — only when the merge has consumed everything
-// it sent and still wants more. A fetch is one scan stream consumed
-// chunk by chunk, so even a large share buffers at most a credit
-// window.
+// it sent and still wants more. A fetch is one paged scan, consumed
+// page by page, so even a large share buffers at most one page.
 type scanCursor struct {
 	c     *Client
 	ctx   context.Context
@@ -37,7 +36,7 @@ type scanCursor struct {
 
 	// head is the cursor's current record — the node's smallest key the
 	// merge has not consumed — or nil once the node is exhausted. It
-	// points into the stream's own buffer and is valid until next.
+	// points into the fetch's current page and is valid until next.
 	head *kvwire.StreamRecord
 }
 
@@ -52,7 +51,7 @@ func (c *Client) openScanCursor(ctx context.Context, table, start string, n int)
 	return sc, nil
 }
 
-// fetch opens a scan stream for up to n records from start.
+// fetch starts a scan for up to n records from start.
 func (sc *scanCursor) fetch(start string, n int) error {
 	sc.asked, sc.got = n, 0
 	s, err := sc.c.wire.Scan(sc.ctx, &kvwire.ScanRequest{Table: sc.table, Start: start, Count: n, Slot: -1})
@@ -117,10 +116,7 @@ func (sc *scanCursor) advance() (*kvwire.StreamRecord, error) {
 		return nil, nil
 	}
 	var re *kvwire.RequestError
-	var ce *kvwire.StreamCountError
 	switch {
-	case errors.As(err, &ce):
-		return nil, err // a protocol defect, not a dead connection: no quiet rescan
 	case errors.As(err, &re) && re.Status == http.StatusConflict:
 		// The shard map changed under the node's scan.
 		return nil, errScanRescan
@@ -131,13 +127,12 @@ func (sc *scanCursor) advance() (*kvwire.StreamRecord, error) {
 	case sc.ctx.Err() != nil:
 		return nil, sc.ctx.Err()
 	default:
-		// Connection died mid-stream: rescan (idempotent).
+		// Connection died mid-scan: rescan (idempotent).
 		return nil, errScanRescan
 	}
 }
 
-// close cancels a still-running stream so the server stops producing;
-// a no-op for an ended one.
+// close ends the current fetch; a page still in flight is forgotten.
 func (sc *scanCursor) close() {
 	sc.stream.Close()
 }

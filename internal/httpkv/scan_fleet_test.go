@@ -292,16 +292,16 @@ func TestHTTPOnlyServerExportsScanCounters(t *testing.T) {
 	}
 }
 
-// A merge that holds count while its nodes still have chunks to send
-// cancels them: afterwards no producer goroutine is left on any node
-// and none has leaked in the router, scan after scan.
+// A merge that holds count while its nodes still have pages to give
+// stops asking: afterwards no goroutine is left on any node and none
+// has leaked in the router, scan after scan.
 func TestFleetScanEarlyStopLeavesNothingRunning(t *testing.T) {
 	f := newScanFleet(t, uniformHash)
 	keys := f.loadRouted(t, 6000)
 	ctx := context.Background()
 	scan := func() {
-		// ~1250 records asked of each node, five chunks apiece: the merge
-		// finishes with every stream still mid-flight.
+		// ~1700-1900 records asked of each node, two pages apiece: the
+		// merge finishes with every node's scan unfinished.
 		got, err := f.r.Scan(ctx, "t", keys[100], 3000, nil)
 		if err != nil || len(got) != 3000 {
 			t.Fatalf("scan: %d records, err %v", len(got), err)
@@ -321,7 +321,7 @@ func TestFleetScanEarlyStopLeavesNothingRunning(t *testing.T) {
 		return n
 	}
 	baseline := settled()
-	chunks0 := f.counter("kvwire_scan_chunks_total")
+	pages0 := f.counter("kvwire_scan_chunks_total")
 	for i := 0; i < 20; i++ {
 		scan()
 	}
@@ -329,9 +329,9 @@ func TestFleetScanEarlyStopLeavesNothingRunning(t *testing.T) {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines after 20 early-stopped scans, %d before:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 	}
-	// More than one chunk per stream, or the merge never stopped a
-	// stream mid-flight and this test proved nothing.
-	if chunks := f.counter("kvwire_scan_chunks_total") - chunks0; chunks <= 60 {
-		t.Fatalf("only %d chunks for 20 fleet scans: streams were not multi-chunk", chunks)
+	// More than one page per node scan, or the merge never stopped a
+	// scan with pages left and this test proved nothing.
+	if pages := f.counter("kvwire_scan_chunks_total") - pages0; pages <= 60 {
+		t.Fatalf("only %d pages for 20 fleet scans: node scans were not multi-page", pages)
 	}
 }

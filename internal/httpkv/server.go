@@ -29,7 +29,7 @@
 // header, the idiom the simulated cloud stores share. The table names
 // "ts", "tables" and "shardmap" are reserved by those routes.
 //
-// Everything else — multi-key batches, as-of reads, streamed and slot
+// Everything else — multi-key batches, as-of reads, multi-page and slot
 // scans (the records of a migration copy) — exists on the
 // framed binary protocol only (internal/kvwire), served from the same
 // kvwire.Core by the listener ServerOptions.WireAddr advertises in the
@@ -361,20 +361,14 @@ func writeRecord(w http.ResponseWriter, rec *kvstore.VersionedRecord) {
 	w.Write(buf.Bytes())
 }
 
+// writeStoreError answers a failed route with the status the frames
+// give the same error (kvwire.ErrResult); a key this node does not
+// serve answers 410 with its routing hints.
 func writeStoreError(w http.ResponseWriter, err error) {
 	var me *cluster.MovedError
 	if errors.As(err, &me) {
 		writeMoved(w, me)
 		return
 	}
-	switch {
-	case errors.Is(err, kvstore.ErrNotFound):
-		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, kvstore.ErrVersionMismatch), errors.Is(err, kvstore.ErrExists):
-		http.Error(w, err.Error(), http.StatusPreconditionFailed)
-	case errors.Is(err, kvstore.ErrClosed):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	http.Error(w, err.Error(), kvwire.ErrResult(err).Status)
 }

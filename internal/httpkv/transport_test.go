@@ -19,7 +19,7 @@ import (
 
 // An endpoint rides exactly one data plane, chosen once: with frames
 // (discovered or named) the server's HTTP request count stops at the
-// probe while frames and scan chunks move; with the wire off no frame
+// probe while frames and scan pages move; with the wire off no frame
 // is ever sent. Same answers either way.
 func TestOneTransportPerEndpoint(t *testing.T) {
 	for _, tc := range []struct {
@@ -69,10 +69,10 @@ func TestOneTransportPerEndpoint(t *testing.T) {
 					t.Errorf("HTTP requests grew %d -> %d after Init: an op left the frames", tc.httpReqs, got)
 				}
 				if frames == 0 || chunks == 0 {
-					t.Errorf("frames in = %d, scan chunks = %d; want both > 0", frames, chunks)
+					t.Errorf("frames in = %d, scan pages = %d; want both > 0", frames, chunks)
 				}
 			} else if frames != 0 || chunks != 0 {
-				t.Errorf("frames in = %d, scan chunks = %d with the wire off", frames, chunks)
+				t.Errorf("frames in = %d, scan pages = %d with the wire off", frames, chunks)
 			}
 		})
 	}

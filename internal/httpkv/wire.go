@@ -24,7 +24,7 @@ import (
 // The rawhttp.wire property picks: "off" is HTTP, a host:port is that
 // frame listener, and "auto" (the default) asks the server once, over
 // its control plane, whether it runs one (probeWire). Batches, as-of
-// reads and streamed scans — the migration copy among them — exist on
+// reads and multi-page scans — the migration copy among them — exist on
 // frames only; the Router therefore requires every node to advertise a
 // listener, and MigrateSlot the slot's source (NoWireError otherwise).
 

@@ -34,8 +34,9 @@ type Endpoint struct {
 // outcome is unknown and it must not be blindly re-sent.
 var ErrUnavailable = errors.New("kvwire: endpoint unavailable")
 
-// RequestError is a whole-request error frame (admission shed,
-// oversized batch); per-item failures ride in Results instead.
+// RequestError is a whole-request error frame (admission shed, empty
+// batch, a scan page the server could not serve); per-item failures
+// ride in Results instead.
 type RequestError struct {
 	Status     int
 	RetryAfter time.Duration
@@ -175,7 +176,6 @@ func (e *Endpoint) dial(ctx context.Context) (*clientConn, error) {
 		conn:    conn,
 		br:      br,
 		pending: make(map[uint64]chan<- wireReply),
-		streams: make(map[uint64]*clientStream),
 	}
 	go c.readLoop()
 	return c, nil
@@ -209,10 +209,11 @@ func (e *Endpoint) Close() error {
 	return nil
 }
 
-// wireReply is one matched response: results, a whole-request error
-// frame, or a connection failure.
+// wireReply is one matched reply: results, a scan page, a
+// whole-request error frame, or a connection failure.
 type wireReply struct {
 	res    []Result
+	page   *scanPage
 	reqErr *RequestError
 	err    error
 }
@@ -226,7 +227,6 @@ type clientConn struct {
 
 	mu      sync.Mutex
 	pending map[uint64]chan<- wireReply
-	streams map[uint64]*clientStream
 	nextID  uint64
 
 	inflight atomic.Int64
@@ -260,12 +260,20 @@ func (c *clientConn) writeRequest(id uint64, deadlineMs uint64, ops []Op) error 
 	return err
 }
 
-// readLoop owns the read side: match response frames to waiters until
-// the connection dies, then fail whoever is left.
+func (c *clientConn) writeScanRequest(id uint64, req *ScanRequest) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = AppendScanRequest(c.wbuf[:0], id, req)
+	_, err := c.conn.Write(c.wbuf)
+	return err
+}
+
+// readLoop owns the read side: match reply frames to waiters until the
+// connection dies, then fail whoever is left.
 func (c *clientConn) readLoop() {
 	var payload []byte
-	var dec fieldDecoder              // responses: copied out of payload
-	chunks := fieldDecoder{own: true} // scan chunks: keep payload
+	var dec fieldDecoder             // responses: copied out of payload
+	pages := fieldDecoder{own: true} // scan pages: keep payload
 	for {
 		typ, id, p, err := ReadFrame(c.br, payload)
 		if err != nil {
@@ -289,21 +297,15 @@ func (c *clientConn) readLoop() {
 				return
 			}
 			reply.reqErr = &RequestError{Status: status, RetryAfter: time.Duration(retry) * time.Second, Msg: msg}
-		case frameChunk:
-			// The chunk's records keep the frame buffer (their values
+		case framePage:
+			p, err := pages.page(payload)
+			if err != nil {
+				c.fail(err)
+				return
+			}
+			// The page's records keep the frame buffer (their values
 			// point into it); the next frame gets a new one.
-			if err := c.handleChunk(id, payload, &chunks); err != nil {
-				c.fail(err)
-				return
-			}
-			payload = nil
-			continue
-		case frameStreamEnd:
-			if err := c.handleStreamEnd(id, payload); err != nil {
-				c.fail(err)
-				return
-			}
-			continue
+			reply.page, payload = &p, nil
 		default:
 			c.fail(fmt.Errorf("kvwire: unexpected frame type %d", typ))
 			return
@@ -321,8 +323,7 @@ func (c *clientConn) readLoop() {
 	}
 }
 
-// fail marks the conn dead and answers every waiter — pending
-// requests and open streams — with err.
+// fail marks the conn dead and answers every pending request with err.
 func (c *clientConn) fail(err error) {
 	c.dead.Store(true)
 	if err == io.EOF {
@@ -336,5 +337,4 @@ func (c *clientConn) fail(err error) {
 		c.inflight.Add(-1)
 		ch <- wireReply{err: fmt.Errorf("kvwire: connection failed: %w", err)}
 	}
-	c.failStreams(fmt.Errorf("kvwire: connection failed: %w", err))
 }

@@ -11,15 +11,13 @@ import (
 // Micro-cells for the field-section codec, beside the code they time
 // (`make bench-quick` runs them; EXPERIMENTS.md "Encode once" has the
 // parent's numbers). They decode the way a client connection's read
-// loop does — one decoder for the connection's lifetime, chunk payloads
-// handed over — and encode the way the scan producer does. The parent
-// commit has no decoder state: there the same cells call DecodeResponse
-// and DecodeChunk.
+// loop does — one decoder for the connection's lifetime, page payloads
+// handed over — and encode the way the server's scan handler does.
 
-// readLoopDec and readLoopChunks are a connection's two decoders.
+// readLoopDec and readLoopPages are a connection's two decoders.
 var (
-	readLoopDec    fieldDecoder
-	readLoopChunks = fieldDecoder{own: true}
+	readLoopDec   fieldDecoder
+	readLoopPages = fieldDecoder{own: true}
 )
 
 // storedRecords returns n engine-stored records of fields × size bytes.
@@ -77,29 +75,29 @@ func benchDecodeResponse(b *testing.B, fields, size int) {
 func BenchmarkDecodeResponse1x10x100(b *testing.B) { benchDecodeResponse(b, 10, 100) }
 func BenchmarkDecodeResponse1x1x8(b *testing.B)    { benchDecodeResponse(b, 1, 8) }
 
-func BenchmarkDecodeChunk100x10x100(b *testing.B) {
-	buf, n := appendScanChunk(nil, 1, 0, storedRecords(b, 100, 10, 100))
+func BenchmarkDecodePage100x10x100(b *testing.B) {
+	buf, n := encodePage(nil, 1, storedRecords(b, 100, 10, 100), 0, "")
 	if n != 100 {
-		b.Fatalf("chunk took %d records", n)
+		b.Fatalf("page took %d records", n)
 	}
 	payload := buf[frameHeaderLen:]
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := readLoopChunks.chunk(payload, nil); err != nil {
+		if _, err := readLoopPages.page(payload); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkEncodeChunk100(b *testing.B) {
+func BenchmarkEncodePage100(b *testing.B) {
 	kvs := storedRecords(b, 100, 10, 100)
-	buf, _ := appendScanChunk(nil, 1, 0, kvs)
+	buf, _ := encodePage(nil, 1, kvs, 0, "")
 	b.ReportAllocs()
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _ = appendScanChunk(buf[:0], 1, 0, kvs)
+		buf, _ = encodePage(buf[:0], 1, kvs, 0, "")
 	}
 }

@@ -224,7 +224,7 @@ func (c *Core) SnapshotTS() int64 { return c.store.SnapshotTS() }
 
 // ScanPageCap is the largest engine page a cluster-mode scan reads in
 // one call, and therefore the ceiling a client-chosen count may size
-// anything to before the first record exists: pages, chunk buffers and
+// anything to before the first record exists: pages, page buffers and
 // result preallocations all clamp to it, so count=1<<40 costs what
 // count=1024 costs until the records actually arrive.
 const ScanPageCap = 1024
@@ -237,67 +237,51 @@ const ScanPageCap = 1024
 // client has gone away stops paging.
 func (c *Core) Scan(ctx context.Context, table, start string, count int) ([]kvstore.VersionedKV, error) {
 	var out []kvstore.VersionedKV
-	err := c.scanPages(ctx, table, start, count, 0, -1, func(kv kvstore.VersionedKV) error {
+	_, _, err := c.scanPages(ctx, table, start, count, 0, -1, func(kv kvstore.VersionedKV) bool {
 		out = append(out, kv)
-		return nil
-	}, nil)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// scanPages is the shared paging loop under Scan and StreamScan: it
-// pages through the engine, applies the cluster filter — owned slots by
+// scanPages is the paging loop under Scan and ScanPage: it pages
+// through the engine, applies the cluster filter — owned slots by
 // default, exactly slot when slot ≥ 0 (the migration copy) — and hands
-// every kept record to emit until count records are emitted, the table
-// is exhausted, ctx is done, or emit returns an error.
+// every kept record to emit until count records are emitted, emit
+// returns false, the table is exhausted, or ctx is done. It returns the
+// shard map version the filter used (0 single-node) and the last key it
+// looked at, "" once the engine ran out of table: a scan that goes on
+// from just past that key skips nothing and re-reads nothing, not even
+// the records the filter dropped.
 //
 // The request's count bounds what is read, not just what is returned:
 // the first page asks the engine for count records (a node stores the
 // keys it owns, so the filter normally passes all of them and one page
 // is the whole scan), and a page that came back full without
 // satisfying count sizes the next from what the scan has seen (see
-// nextScanPage), never past ScanPageCap. Unlimited drains (count < 0)
-// want the whole table and read at the cap from the start.
-// pageEnd, when non-nil, runs after every page smaller than the cap
-// that did not finish the scan: the streaming front end ships what the
-// small pages found and parks there until its consumer asks for more,
-// so a scan nobody is waiting on stops reading.
-func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts int64, slot int, emit func(kvstore.VersionedKV) error, pageEnd func() error) error {
+// nextScanPage), never past ScanPageCap. Unlimited scans (count < 0)
+// read at the cap from the start.
+func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts int64, slot int, emit func(kvstore.VersionedKV) bool) (mapVer int64, last string, err error) {
+	keep := func(string) bool { return true }
+	if c.cluster != nil {
+		m := c.cluster.Map()
+		mapVer = m.Version
+		keep = func(key string) bool {
+			sl := m.SlotOf(key)
+			if slot >= 0 {
+				return sl == slot
+			}
+			return m.OwnerOfSlot(sl) == c.cluster.Self()
+		}
+	}
 	if count == 0 {
-		return nil
+		return mapVer, "", nil
 	}
 	emitted := 0
 	defer func() { c.scanRecords.Add(int64(emitted)) }()
-	if c.cluster == nil {
-		var page []kvstore.VersionedKV
-		var err error
-		if ts != 0 {
-			page, err = c.store.ScanAsOf(table, start, count, ts)
-		} else {
-			page, err = c.store.Scan(table, start, count)
-		}
-		if err != nil {
-			return err
-		}
-		c.scanEngineRecords.Add(int64(len(page)))
-		for _, kv := range page {
-			if err := emit(kv); err != nil {
-				return err
-			}
-			emitted++
-		}
-		return nil
-	}
-	m := c.cluster.Map()
-	keep := func(key string) bool {
-		sl := m.SlotOf(key)
-		if slot >= 0 {
-			return sl == slot
-		}
-		return m.OwnerOfSlot(sl) == c.cluster.Self()
-	}
 	pageSize := ScanPageCap
 	if count > 0 && count < pageSize {
 		pageSize = count
@@ -305,7 +289,7 @@ func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts
 	scanned := 0
 	for {
 		if err := ctx.Err(); err != nil {
-			return err
+			return mapVer, "", err
 		}
 		var page []kvstore.VersionedKV
 		var err error
@@ -315,31 +299,23 @@ func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts
 			page, err = c.store.Scan(table, start, pageSize)
 		}
 		if err != nil {
-			return err
+			return mapVer, "", err
 		}
 		c.scanEngineRecords.Add(int64(len(page)))
 		for _, kv := range page {
 			if !keep(kv.Key) {
 				continue
 			}
-			if err := emit(kv); err != nil {
-				return err
-			}
 			emitted++
-			if count >= 0 && emitted >= count {
-				return nil
+			if !emit(kv) || emitted == count {
+				return mapVer, kv.Key, nil
 			}
 		}
 		if len(page) < pageSize {
-			return nil
+			return mapVer, "", nil
 		}
 		start = page[len(page)-1].Key + "\x00"
 		scanned += len(page)
-		if pageSize < ScanPageCap && pageEnd != nil {
-			if err := pageEnd(); err != nil {
-				return err
-			}
-		}
 		pageSize = nextScanPage(pageSize, count-emitted, emitted, scanned)
 	}
 }
@@ -362,119 +338,66 @@ func nextScanPage(last, need, emitted, scanned int) int {
 	return min(page+page/8+1, ScanPageCap)
 }
 
-// StreamError aborts a stream with a status in the HTTP space, which
-// the wire server renders as the stream-end frame's status.
-type StreamError struct {
-	Status int
-	Msg    string
+// validateScan applies the scan-request parameter rules.
+func (c *Core) validateScan(req *ScanRequest) error {
+	msg := ""
+	switch {
+	case req.Count < -1 || (req.Count == -1 && c.cluster == nil):
+		msg = "bad count"
+	case req.Slot >= 0 && c.cluster == nil:
+		msg = "not a cluster node"
+	case c.cluster != nil && req.Slot >= c.cluster.Map().Slots:
+		msg = "bad slot"
+	case req.AsOf < 0:
+		msg = "bad as-of ts"
+	default:
+		return nil
+	}
+	return &RequestError{Status: http.StatusBadRequest, Msg: msg}
 }
 
-func (e *StreamError) Error() string {
-	return fmt.Sprintf("kvwire: stream failed: %d %s", e.Status, e.Msg)
-}
-
-// ValidateScan applies the scan-request parameter rules.
-func (c *Core) ValidateScan(req *ScanRequest) *StreamError {
-	if req.Count < -1 || (req.Count == -1 && c.cluster == nil) {
-		return &StreamError{Status: http.StatusBadRequest, Msg: "bad count"}
-	}
-	if req.Slot >= 0 && c.cluster == nil {
-		return &StreamError{Status: http.StatusBadRequest, Msg: "not a cluster node"}
-	}
-	if c.cluster != nil && req.Slot >= c.cluster.Map().Slots {
-		return &StreamError{Status: http.StatusBadRequest, Msg: "bad slot"}
-	}
-	if req.AsOf < 0 {
-		return &StreamError{Status: http.StatusBadRequest, Msg: "bad as-of ts"}
-	}
-	return nil
-}
-
-// StreamScan serves one scan as a sequence of bounded chunks. admit
-// is called before the work for each chunk begins and blocks until the
-// consumer wants one (the wire server parks it on stream credits), so
-// the engine is read only as far ahead as the consumer has asked. emit
-// is then handed the staged records (and the shard map version they
-// were filtered under) and ships a prefix of them as one chunk — as
-// many as fit the transport's frame, at least one — returning how
-// many; the rest wait for the next admit. last tells emit the scan
-// has nothing beyond these records, so a transport that ships them all
-// may send its end of stream along. The caller's memory
-// therefore holds one chunk, not the result. Records are staged until
-// streamChunkRecords of them wait or — while the engine page is still
-// growing, see scanPages — until the page that fed them ends: a
-// count-bounded scan ships its first page's records at once instead
-// of waiting for a full chunk.
+// ScanPage serves one page of a framed scan: req's next records in key
+// order — at most ScanPageCap of them and at most req.Count (< 0: no
+// limit), filtered as scanPages filters — handed to emit until it
+// returns false. It returns the shard map version the page was filtered
+// under (0 single-node; reported for an empty page too, so an empty
+// node still takes part in the router's skew check) and where the next
+// page starts: just past the last key the page looked at, or "" once
+// the scan is exhausted — its count reached or the table ended.
 //
-// In cluster mode the shard map version is re-checked per chunk: a map
-// change mid-stream means the slot filter silently changed underneath
-// the scan, so the stream aborts with 409 and the client rescans under
-// the new map — the streaming form of the router's fan-out skew check.
-// An admit or emit error (peer gone, ctx done) stops the scan
-// immediately. The returned map version is the one the whole stream
-// was filtered under (0 single-node), reported even when the scan
-// emits nothing so an empty node still participates in the fan-out
-// skew check.
-func (c *Core) StreamScan(ctx context.Context, req *ScanRequest, admit func() error, emit func(recs []kvstore.VersionedKV, mapVersion int64, last bool) (int, error)) (int64, error) {
-	var mapVer int64
-	if c.cluster != nil {
-		mapVer = c.cluster.Map().Version
+// A map installed while the page was being read may have moved a slot
+// the filter kept, so such a page fails with 409 and the client rescans
+// under the new map; between pages the client compares the versions.
+func (c *Core) ScanPage(ctx context.Context, req *ScanRequest, emit func(kvstore.VersionedKV) bool) (mapVer int64, next string, err error) {
+	if err := c.validateScan(req); err != nil {
+		return 0, "", err
 	}
-	if serr := c.ValidateScan(req); serr != nil {
-		return mapVer, serr
+	limit := ScanPageCap
+	if req.Count >= 0 {
+		limit = min(limit, req.Count)
 	}
-	limit := streamChunkRecords
-	if req.Count >= 0 && req.Count < limit {
-		limit = req.Count
+	emitted := 0
+	mapVer, last, err := c.scanPages(ctx, req.Table, req.Start, limit, req.AsOf, req.Slot, func(kv kvstore.VersionedKV) bool {
+		emitted++
+		return emit(kv)
+	})
+	switch {
+	case err != nil:
+		return mapVer, "", err
+	case c.cluster != nil && c.cluster.Map().Version != mapVer:
+		return mapVer, "", &RequestError{Status: http.StatusConflict, Msg: "shard map changed mid-scan"}
+	case last == "" || emitted == req.Count:
+		return mapVer, "", nil
 	}
-	staged := make([]kvstore.VersionedKV, 0, limit)
-	// ship sends everything staged, one admitted chunk at a time. more
-	// says the scan goes on, so the credit for its next chunk is taken
-	// here, before the engine is read for it.
-	ship := func(more bool) error {
-		rest := staged
-		for len(rest) > 0 {
-			if c.cluster != nil && c.cluster.Map().Version != mapVer {
-				return &StreamError{Status: http.StatusConflict, Msg: "shard map changed mid-scan"}
-			}
-			n, err := emit(rest, mapVer, !more)
-			if err != nil {
-				return err
-			}
-			rest = rest[n:]
-			if len(rest) > 0 || more {
-				if err := admit(); err != nil {
-					return err
-				}
-			}
-		}
-		staged = staged[:0]
-		return nil
-	}
-	if err := admit(); err != nil {
-		return mapVer, err
-	}
-	err := c.scanPages(ctx, req.Table, req.Start, req.Count, req.AsOf, req.Slot, func(kv kvstore.VersionedKV) error {
-		if len(staged) >= streamChunkRecords {
-			if err := ship(true); err != nil {
-				return err
-			}
-		}
-		staged = append(staged, kv)
-		return nil
-	}, func() error { return ship(true) })
-	if err != nil {
-		return mapVer, err
-	}
-	return mapVer, ship(false)
+	return mapVer, last + "\x00", nil
 }
 
-// StreamIngest merges streamed record chunks into table, preserving
-// versions and commit timestamps. next returns one chunk at a time
-// (nil, nil at end of stream) — the migration copy feeds it from a scan
-// stream on the slot's source; the records land through Engine.Ingest
-// chunk by chunk, so memory is bounded by the chunk size regardless of
-// how much one migration moves. Returns the total records ingested.
+// StreamIngest merges batches of records into table, preserving
+// versions and commit timestamps. next returns one batch at a time
+// (nil, nil at the end) — the migration copy feeds it from a paged slot
+// scan of the slot's source; the records land through Engine.Ingest
+// batch by batch, so memory is bounded by a page regardless of how much
+// one migration moves. Returns the total records ingested.
 func (c *Core) StreamIngest(ctx context.Context, table string, next func() ([]kvstore.BulkKV, error)) (uint64, error) {
 	var total uint64
 	for {
@@ -490,7 +413,7 @@ func (c *Core) StreamIngest(ctx context.Context, table string, next func() ([]kv
 		}
 		for i := range kvs {
 			if kvs[i].Key == "" {
-				return total, &StreamError{Status: http.StatusBadRequest, Msg: "ingest record missing key"}
+				return total, &RequestError{Status: http.StatusBadRequest, Msg: "ingest record missing key"}
 			}
 		}
 		if err := c.store.Ingest(table, kvs); err != nil {
@@ -722,10 +645,12 @@ func (c *Core) execMutRun(ops []Op, out []Result) {
 // to kvstore.ErrBelowHorizon, never to a plain not-found.
 const StatusBelowHorizon = http.StatusRequestedRangeNotSatisfiable
 
-// ErrResult maps a store error to a per-item result, mirroring the
-// single-op handlers' status mapping.
+// ErrResult maps an error to a result in the HTTP status space: the one
+// table behind per-item results, scan error frames and the REST routes'
+// statuses. A *RequestError keeps its own status.
 func ErrResult(err error) Result {
 	status := http.StatusInternalServerError
+	var re *RequestError
 	switch {
 	case errors.Is(err, kvstore.ErrBelowHorizon): // before ErrNotFound, which it also matches
 		status = StatusBelowHorizon
@@ -735,6 +660,8 @@ func ErrResult(err error) Result {
 		status = http.StatusPreconditionFailed
 	case errors.Is(err, kvstore.ErrClosed):
 		status = http.StatusServiceUnavailable
+	case errors.As(err, &re):
+		return Result{Status: re.Status, Err: re.Msg}
 	}
 	return Result{Status: status, Err: err.Error()}
 }

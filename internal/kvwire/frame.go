@@ -10,7 +10,7 @@ import (
 )
 
 // The framed binary protocol. A connection opens with a 4-byte magic
-// ("KVW2") from the client; after the server echoes it, both sides
+// ("KVW3") from the client; after the server echoes it, both sides
 // exchange length-prefixed frames:
 //
 //	u32 LE payload length | u8 frame type | u64 LE request id | payload
@@ -23,6 +23,9 @@ import (
 //	2 response — uvarint result count, results
 //	3 error    — uvarint status, uvarint retry-after secs, msg bytes
 //
+// and the scan pair, 4 scan-request and 5 page (scan.go). Every frame
+// the client sends is answered by exactly one frame.
+//
 // Ops and results use uvarint lengths and values, varint (zigzag) for
 // signed timestamps, and single flags bytes for optional payload
 // sections — the encoding equivalent of omitempty. Strings ride as
@@ -33,14 +36,16 @@ import (
 // single copy (see appendFieldSection, fieldDecoder).
 //
 // An error frame answers a request that failed as a whole (admission
-// shed 429, empty batch 400) — per-item failures are ordinary results
+// shed 429, empty batch 400, a scan page the server could not serve) —
+// per-item failures are ordinary results
 // with non-2xx statuses. A peer that cannot parse a frame at all must
 // close the connection: framing is the only resync point.
 
 // Magic opens every connection, both directions. The trailing digit is
-// the protocol version: 2 length-prefixes field sections, so a version-1
-// peer fails the handshake instead of misreading frames.
-const Magic = "KVW2"
+// the protocol version: 3 pages scans (frames 4 and 5 changed layout;
+// 6 and 7 are gone), so a version-2 peer fails the handshake instead of
+// misreading frames.
+const Magic = "KVW3"
 
 // Frame types.
 const (

@@ -2,7 +2,6 @@ package kvwire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -117,19 +116,19 @@ func TestDecodeRequestRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// A chunk record carrying any flag bit but the fields bit — the bit
+// A page record carrying any flag bit but the fields bit — the bit
 // that once marked a deleted record included — is refused, not read
 // as a live record.
 func TestDecodeChunkRejectsUnknownRecordFlags(t *testing.T) {
-	frame := appendChunk(nil, 1, 0, []StreamRecord{{Key: "k", Version: 1, CommitTS: 1, Fields: map[string][]byte{"f": []byte("v")}}})
-	payload := frame[frameHeaderLen:] // map version 0, count 1, then the record's flags
-	if _, _, err := DecodeChunk(payload, nil); err != nil {
+	frame := appendPage(nil, 1, []StreamRecord{{Key: "k", Version: 1, CommitTS: 1, Fields: map[string][]byte{"f": []byte("v")}}}, 0, "")
+	payload := frame[frameHeaderLen:] // count 1 in two bytes, then the record's flags
+	if _, _, _, err := DecodePage(payload); err != nil {
 		t.Fatal(err)
 	}
 	for _, bit := range []byte{1 << 0, 1 << 2, 1 << 7} {
 		bad := bytes.Clone(payload)
 		bad[2] |= bit
-		if _, _, err := DecodeChunk(bad, nil); err == nil {
+		if _, _, _, err := DecodePage(bad); err == nil {
 			t.Errorf("record flags %#x accepted", bad[2])
 		}
 	}
@@ -142,32 +141,35 @@ func TestDecodeChunkRejectsUnknownRecordFlags(t *testing.T) {
 // allocation guard is implicit: lying counts error before reserving
 // memory, so hostile frames cannot make the decoder allocate beyond
 // their own size. mode selects the decoder under test: 0 request,
-// 1 response, 2 scan-request, 3 chunk, 4 stream-end, 5 credit.
+// 1 response, 2 scan-request, 3 page.
 func FuzzFrameCodec(f *testing.F) {
 	reqSeed := AppendRequest(nil, 1, 250, sampleOps())
 	resSeed := AppendResponse(nil, 2, sampleResults())
-	scanSeed := AppendScanRequest(nil, 3, &ScanRequest{Table: "t", Start: "user1", Count: 100, AsOf: 42, Slot: 3, Window: 4})
-	chunkSeed, _ := appendScanChunk(nil, 4, 7, sampleScanRecords(f))
-	endSeed := AppendStreamEnd(nil, 5, 409, 7, 12, "shard map changed mid-scan")
-	creditSeed := AppendCredit(nil, 6, 3)
+	scanSeed := AppendScanRequest(nil, 3, &ScanRequest{Table: "t", Start: "user1", Count: 100, AsOf: 42, Slot: 3})
+	pageSeed, _ := encodePage(nil, 4, sampleScanRecords(f), 7, "")
+	moreSeed, _ := encodePage(nil, 5, sampleScanRecords(f), 7, "user3\x00")
+	drainSeed := AppendScanRequest(nil, 6, &ScanRequest{Table: "t", Count: -1, Slot: 0})
 	f.Add(reqSeed[frameHeaderLen:], byte(0))
 	f.Add(resSeed[frameHeaderLen:], byte(1))
 	f.Add(scanSeed[frameHeaderLen:], byte(2))
-	f.Add(chunkSeed[frameHeaderLen:], byte(3))
-	f.Add(endSeed[frameHeaderLen:], byte(4))
-	f.Add(creditSeed[frameHeaderLen:], byte(5))
+	f.Add(pageSeed[frameHeaderLen:], byte(3))
+	f.Add(moreSeed[frameHeaderLen:], byte(3)) // a page with a next-page start
+	f.Add(drainSeed[frameHeaderLen:], byte(2))
 	f.Add([]byte{}, byte(0))
 	f.Add([]byte{0, 1, 1}, byte(0))
-	// Hostile: a chunk truncated mid-record and one claiming far more
-	// records than its bytes could carry.
-	f.Add(chunkSeed[frameHeaderLen:len(chunkSeed)-5], byte(3))
-	f.Add([]byte{0x0e, 0xff, 0xff, 0x3f}, byte(3))
-	// Hostile: lying credits — a zero grant and one far past the
-	// window cap, both of which the decoder must refuse — and a scan
-	// request asking for a window of zero.
-	f.Add([]byte{0x00}, byte(5))
-	f.Add([]byte{0xff, 0xff, 0x7f}, byte(5))
-	f.Add(append(bytes.Clone(scanSeed[frameHeaderLen:len(scanSeed)-1]), 0), byte(2))
+	// Hostile: a page truncated mid-record, one claiming far more
+	// records than its bytes could carry, one whose count says two
+	// records where three follow (the third is read as the trailer),
+	// and an empty page missing its trailer.
+	f.Add(pageSeed[frameHeaderLen:len(pageSeed)-5], byte(3))
+	f.Add([]byte{0xff, 0xff, 0x3f, 0x0e}, byte(3))
+	lying := bytes.Clone(pageSeed[frameHeaderLen:])
+	lying[0] = 0x82
+	f.Add(lying, byte(3))
+	f.Add([]byte{0}, byte(3))
+	// Hostile: a scan request with trailing bytes, and one cut short.
+	f.Add(append(bytes.Clone(scanSeed[frameHeaderLen:]), 4), byte(2))
+	f.Add(scanSeed[frameHeaderLen:len(scanSeed)-1], byte(2))
 	// Hostile: length-prefixed field sections that lie — a length past
 	// the payload, one cutting its last field short, a count the section
 	// cannot back, trailing bytes inside the section — and the odd but
@@ -183,11 +185,11 @@ func FuzzFrameCodec(f *testing.F) {
 		{1, 0},
 	} {
 		f.Add(append([]byte{1, 0xc8, 1, resFlagFields}, sec...), byte(1))
-		f.Add(append([]byte{0, 1, recFlagFields, 1, 'k', 1, 2}, sec...), byte(3))
+		f.Add(append(append([]byte{1, recFlagFields, 1, 'k', 1, 2}, sec...), 0, 0), byte(3))
 		f.Add(append([]byte{0, 1, byte(KindPut), opFlagFields, 1, 't', 1, 'k'}, sec...), byte(0))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte, mode byte) {
-		switch mode % 6 {
+		switch mode % 4 {
 		case 0:
 			deadline, ops, err := DecodeRequest(payload, nil)
 			if err != nil {
@@ -215,12 +217,12 @@ func FuzzFrameCodec(f *testing.F) {
 				t.Fatalf("response not stable:\n got %+v\nwant %+v", res2, res)
 			}
 		case 2:
-			req, _, err := DecodeScanRequest(payload)
+			req, err := DecodeScanRequest(payload)
 			if err != nil {
 				return
 			}
 			re := AppendScanRequest(nil, 9, &req)
-			req2, _, err := DecodeScanRequest(re[frameHeaderLen:])
+			req2, err := DecodeScanRequest(re[frameHeaderLen:])
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
@@ -228,47 +230,23 @@ func FuzzFrameCodec(f *testing.F) {
 				t.Fatalf("scan request not stable:\n got %+v\nwant %+v", req2, req)
 			}
 		case 3:
-			mapVer, recs, err := DecodeChunk(payload, nil)
+			recs, mapVer, next, err := DecodePage(payload)
 			if err != nil {
 				return
 			}
-			re := appendChunk(nil, 9, mapVer, recs)
-			mapVer2, recs2, err := DecodeChunk(re[frameHeaderLen:], nil)
+			re := appendPage(nil, 9, recs, mapVer, next)
+			recs2, mapVer2, next2, err := DecodePage(re[frameHeaderLen:])
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
-			if mapVer2 != mapVer || !reflect.DeepEqual(normRecs(recs2), normRecs(recs)) {
-				t.Fatalf("chunk not stable:\n got %+v\nwant %+v", recs2, recs)
-			}
-		case 4:
-			status, mapVer, count, msg, err := DecodeStreamEnd(payload)
-			if err != nil {
-				return
-			}
-			re := AppendStreamEnd(nil, 9, status, mapVer, count, msg)
-			status2, mapVer2, count2, msg2, err := DecodeStreamEnd(re[frameHeaderLen:])
-			if err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			if status2 != status || mapVer2 != mapVer || count2 != count || msg2 != msg {
-				t.Fatalf("stream end not stable: got %d/%d/%d/%q want %d/%d/%d/%q",
-					status2, mapVer2, count2, msg2, status, mapVer, count, msg)
-			}
-		case 5:
-			n, err := DecodeCredit(payload)
-			if err != nil {
-				return
-			}
-			re := AppendCredit(nil, 9, n)
-			n2, err := DecodeCredit(re[frameHeaderLen:])
-			if err != nil || n2 != n {
-				t.Fatalf("credit not stable: got %d err=%v want %d", n2, err, n)
+			if mapVer2 != mapVer || next2 != next || !reflect.DeepEqual(normRecs(recs2), normRecs(recs)) {
+				t.Fatalf("page not stable:\n got %+v\nwant %+v", recs2, recs)
 			}
 		}
 	})
 }
 
-// sampleScanRecords covers the chunk record shapes as a scan reads
+// sampleScanRecords covers the page record shapes as a scan reads
 // them out of an engine: records with fields, a merge-updated one
 // (no image), and an empty field map.
 func sampleScanRecords(tb testing.TB) []kvstore.VersionedKV {
@@ -296,21 +274,37 @@ func sampleScanRecords(tb testing.TB) []kvstore.VersionedKV {
 	return kvs
 }
 
-// appendChunk re-encodes decoded records as one chunk frame with the
-// record encoder a scan producer runs (appendStreamRecord), so a chunk
-// the decoder accepts can be round-tripped.
-func appendChunk(buf []byte, id uint64, mapVersion int64, recs []StreamRecord) []byte {
+// appendPage re-encodes decoded records as one page frame with the
+// record encoder the server runs (appendStreamRecord), so a page the
+// decoder accepts can be round-tripped.
+func appendPage(buf []byte, id uint64, recs []StreamRecord, mapVersion int64, next string) []byte {
 	off := len(buf)
-	buf = appendFrameHeader(buf, frameChunk, id)
-	buf = binary.AppendVarint(buf, mapVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(recs)))
+	buf = appendPageHead(buf, id)
 	for _, r := range recs {
 		buf = appendStreamRecord(buf, r.Key, r.Version, r.CommitTS, nil, r.Fields)
 	}
-	return finishFrame(buf, off)
+	return finishPage(buf, off, len(recs), mapVersion, next)
 }
 
-// normRecs is normOps for chunk records: empty-but-non-nil field maps
+// encodePage encodes engine records as one page frame the way the
+// server's handleScan does — each record's image copied, the page cut
+// once its records reach scanPageBytes — and reports how many of kvs it
+// took.
+func encodePage(buf []byte, id uint64, kvs []kvstore.VersionedKV, mapVersion int64, next string) ([]byte, int) {
+	off := len(buf)
+	buf = appendPageHead(buf, id)
+	n := 0
+	for _, kv := range kvs {
+		r := kv.Record
+		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Image(), r.Fields)
+		if n++; len(buf)-off >= scanPageBytes {
+			break
+		}
+	}
+	return finishPage(buf, off, n, mapVersion, next), n
+}
+
+// normRecs is normOps for page records: empty-but-non-nil field maps
 // compare equal to omitted ones.
 func normRecs(recs []StreamRecord) []StreamRecord {
 	out := make([]StreamRecord, len(recs))

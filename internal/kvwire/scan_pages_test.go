@@ -2,7 +2,10 @@ package kvwire
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"reflect"
 	"sync"
 	"testing"
@@ -65,10 +68,10 @@ func newClusterCore(t *testing.T, n int) (*Core, *pageRecorder, []string) {
 func scanKeys(t *testing.T, core *Core, start string, count, slot int) []string {
 	t.Helper()
 	var keys []string
-	err := core.scanPages(context.Background(), "t", start, count, 0, slot, func(kv kvstore.VersionedKV) error {
+	_, _, err := core.scanPages(context.Background(), "t", start, count, 0, slot, func(kv kvstore.VersionedKV) bool {
 		keys = append(keys, kv.Key)
-		return nil
-	}, nil)
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +199,24 @@ func TestScanCountersExposeOverfetch(t *testing.T) {
 	}
 }
 
+// scanAll drains one scan, returning its keys.
+func scanAll(t *testing.T, ep *Endpoint, req *ScanRequest) []string {
+	t.Helper()
+	s, err := ep.Scan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var keys []string
+	for s.Next() {
+		keys = append(keys, s.Record().Key)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -208,185 +229,329 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// A producer reads the engine only for a chunk its consumer has asked
-// for: with a window of one, the first page ships as the first chunk
-// and the engine is not touched again until a credit arrives.
-func TestStreamScanReadsOnlyOnDemand(t *testing.T) {
-	core, eng, owned := newClusterCore(t, 3000)
-	reg := obs.NewRegistry()
-	srv, addr := startWireServer(t, core, ServerOptions{Metrics: reg})
+// A consumer that stops consuming bounds the server at one page: the
+// scan's first page is answered, and nothing more is sent — not even
+// once the consumer has taken every record of that page — until it asks
+// for a record past it. Resumed, the scan delivers the rest.
+func TestStreamScanSlowConsumerBounded(t *testing.T) {
+	store := newTestStore(t)
+	loadKeys(t, store, 2000) // two pages
+	srv, addr := startWireServer(t, NewCore(store, nil, 0), ServerOptions{Metrics: obs.NewRegistry()})
 	ep := NewEndpoint(addr, 0)
 	defer ep.Close()
 
-	s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Count: 64, Slot: -1, Window: 1})
+	s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Count: 2000, Slot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// The first page (64 engine records, about half owned) ships without
-	// waiting for a full chunk; the producer then parks.
-	waitFor(t, "producer never stalled on credits", func() bool { return srv.metrics.creditsStalled.Value() > 0 })
-	if n := srv.metrics.scanChunks.Value(); n != 1 {
-		t.Fatalf("server sent %d chunks before any credit, want 1", n)
+
+	waitFor(t, "the first page was never answered", func() bool { return srv.metrics.scanPages.Value() == 1 })
+	time.Sleep(50 * time.Millisecond)
+	if n := srv.metrics.scanPages.Value(); n != 1 {
+		t.Fatalf("server sent %d pages to a consumer that took nothing, want 1", n)
 	}
-	if pages := eng.take(); !reflect.DeepEqual(pages, []int{64}) {
-		t.Fatalf("engine pages before any credit = %v, want [64]", pages)
+	for i := 0; i < ScanPageCap; i++ {
+		if !s.Next() {
+			t.Fatalf("scan ended inside its first page after %d records: %v", i, s.Err())
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	if n := srv.metrics.scanPages.Value(); n != 1 {
+		t.Fatalf("server sent %d pages before the consumer wanted a record past the first, want 1", n)
+	}
+
+	n := ScanPageCap
+	for s.Next() {
+		n++
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 2000 {
+		t.Fatalf("scanned %d records after the pause, want 2000", n)
+	}
+	if p := srv.metrics.scanPages.Value(); p != 2 {
+		t.Fatalf("a 2000-record scan took %d pages, want 2", p)
+	}
+}
+
+// The engine is read only for a page the consumer asked for: a drain
+// whose consumer has taken exactly its first page leaves the engine
+// untouched until the next record is wanted, and the pages together
+// return every owned record once.
+func TestStreamScanReadsOnlyOnDemand(t *testing.T) {
+	core, eng, owned := newClusterCore(t, 3000)
+	_, addr := startWireServer(t, core, ServerOptions{Metrics: obs.NewRegistry()})
+	ep := NewEndpoint(addr, 0)
+	defer ep.Close()
+
+	eng.take()
+	s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Count: -1, Slot: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var got []string
+	for i := 0; i < ScanPageCap; i++ {
+		if !s.Next() {
+			t.Fatalf("scan ended inside its first page after %d records: %v", i, s.Err())
+		}
+		got = append(got, s.Record().Key)
+	}
+	if pages := eng.take(); len(pages) == 0 {
+		t.Fatal("the first page read nothing from the engine")
 	}
 	time.Sleep(20 * time.Millisecond)
 	if pages := eng.take(); len(pages) != 0 {
-		t.Fatalf("parked producer read the engine again: pages %v", pages)
+		t.Fatalf("the engine was read before the consumer wanted the second page: pages %v", pages)
 	}
-	// Consuming the chunk grants the credit; the scan completes exactly.
-	var got []string
+
+	if !s.Next() {
+		t.Fatalf("scan ended after its first page: %v", s.Err())
+	}
+	got = append(got, s.Record().Key)
+	if pages := eng.take(); len(pages) == 0 {
+		t.Fatal("the second page read nothing from the engine")
+	}
 	for s.Next() {
 		got = append(got, s.Record().Key)
 	}
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, owned[:64]) {
-		t.Fatalf("scan delivered %d records, want the first 64 owned", len(got))
-	}
-}
-
-// A scan that fits its first chunk costs the server one inbound frame:
-// its end rides with the chunk, so the consumer neither grants a
-// credit for a stream that is over nor cancels it on Close.
-func TestScanStreamNoCreditAfterEnd(t *testing.T) {
-	store := newTestStore(t)
-	loadKeys(t, store, 1000)
-	core := NewCore(store, nil, 0)
-	srv, addr := startWireServer(t, core, ServerOptions{Metrics: obs.NewRegistry()})
-	ep := NewEndpoint(addr, 1)
-	defer ep.Close()
-
-	for i := 0; i < 50; i++ {
-		s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Start: fmt.Sprintf("k%04d", i), Count: 100, Slot: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Consume only once the read loop holds the stream's end, so the
-		// assertion below is about the consumer's rule, not about who
-		// wins the race between the last record and the end frame.
-		waitFor(t, "stream end never arrived", func() bool { return len(s.st.term) == 1 })
-		n := 0
-		for s.Next() {
-			n++
-		}
-		if err := s.Err(); err != nil || n != 100 {
-			t.Fatalf("scan %d: %d records, err %v", i, n, err)
-		}
-		s.Close()
-	}
-	// Frames the consumer wrote are counted as the server reads them;
-	// a credit or cancel sent after the last scan would still be in
-	// flight, so let the connection drain before counting.
-	ep.Close()
-	waitFor(t, "connection never closed", func() bool { return srv.metrics.connsOpen.Value() == 0 })
-	if in := srv.metrics.framesIn.Value(); in != 50 {
-		t.Fatalf("server read %d frames for 50 one-chunk scans, want 50 (the scan requests)", in)
-	}
-	if out := srv.metrics.framesOut.Value(); out != 100 {
-		t.Fatalf("server wrote %d frames for 50 one-chunk scans, want 100 (chunk + end each)", out)
+	if !reflect.DeepEqual(got, owned) {
+		t.Fatalf("drain delivered %d records, want the %d owned", len(got), len(owned))
 	}
 }
 
 // A consumer that stops early — the router's merge holding count —
-// leaves nothing behind on the server: the producer goroutine exits
-// and its stream is unregistered, whether it was mid-page, parked on
-// credits, or already finished.
+// leaves nothing behind on the server, whether it stopped mid-page, at
+// a page's end, barely into a drain or after the scan was over: no
+// server goroutine outlives its page, the engine is read no further,
+// and the one pooled connection serves the next scan.
 func TestScanStreamEarlyCloseLeavesNoProducer(t *testing.T) {
-	core, _, _ := newClusterCore(t, 3000)
+	core, eng, owned := newClusterCore(t, 3000)
 	srv, addr := startWireServer(t, core, ServerOptions{Metrics: obs.NewRegistry()})
 	ep := NewEndpoint(addr, 1)
 	defer ep.Close()
 
-	for _, tc := range []struct{ count, window, read int }{
-		{2000, 1, 10},  // parked on credits
-		{2000, 8, 300}, // mid-stream
-		{-1, 4, 1},     // a drain barely started
-		{5, 4, 5},      // already over
+	for _, tc := range []struct{ count, read int }{
+		{2000, 10},          // a long scan, left early
+		{2000, ScanPageCap}, // exactly its first page
+		{-1, 1},             // a drain barely started
+		{5, 5},              // already over
 	} {
-		s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Count: tc.count, Slot: -1, Window: tc.window})
+		eng.take()
+		s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Count: tc.count, Slot: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < tc.read; i++ {
 			if !s.Next() {
-				t.Fatalf("count %d: stream ended after %d records: %v", tc.count, i, s.Err())
+				t.Fatalf("count %d: scan ended after %d records: %v", tc.count, i, s.Err())
 			}
+		}
+		if pages := eng.take(); len(pages) == 0 {
+			t.Fatalf("count %d: the first page read nothing", tc.count)
 		}
 		s.Close()
 		done := make(chan struct{})
 		go func() {
-			srv.handlers.Wait() // a producer unregisters its stream before it is done
+			srv.handlers.Wait()
 			close(done)
 		}()
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
-			t.Fatalf("count %d window %d: producer still running after Close", tc.count, tc.window)
+			t.Fatalf("count %d: a server goroutine outlived its page", tc.count)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if pages := eng.take(); len(pages) != 0 {
+			t.Fatalf("count %d: the engine was read again after the consumer stopped: pages %v", tc.count, pages)
 		}
 	}
-	// The connection survived every cancel and still serves scans.
-	s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Count: 3, Slot: -1})
-	if err != nil {
-		t.Fatal(err)
+	if got := scanAll(t, ep, &ScanRequest{Table: "t", Count: 3, Slot: -1}); !reflect.DeepEqual(got, owned[:3]) {
+		t.Fatalf("scan after the early stops = %v, want %v", got, owned[:3])
 	}
-	n := 0
-	for s.Next() {
-		n++
-	}
-	if err := s.Err(); err != nil || n != 3 {
-		t.Fatalf("scan after cancels: %d records, err %v", n, err)
-	}
-	if in := srv.metrics.connsOpen.Value(); in != 1 {
-		t.Fatalf("%d connections open, want the one pooled connection", in)
+	if n := srv.metrics.connsOpen.Value(); n != 1 {
+		t.Fatalf("%d connections open, want the one pooled connection", n)
 	}
 }
 
-// appendScanChunk encodes engine records directly and cuts the frame
-// at the byte bound; the padded record count must be invisible to
-// whoever decodes the chunk.
+// Every scan-request frame is answered by exactly one frame: fifty
+// one-page scans cost the server fifty frames in and fifty out.
+func TestScanPageOneFrameEachWay(t *testing.T) {
+	store := newTestStore(t)
+	loadKeys(t, store, 1000)
+	srv, addr := startWireServer(t, NewCore(store, nil, 0), ServerOptions{Metrics: obs.NewRegistry()})
+	ep := NewEndpoint(addr, 1)
+	defer ep.Close()
+
+	for i := 0; i < 50; i++ {
+		if n := len(scanAll(t, ep, &ScanRequest{Table: "t", Start: fmt.Sprintf("k%04d", i), Count: 100, Slot: -1})); n != 100 {
+			t.Fatalf("scan %d: %d records", i, n)
+		}
+	}
+	if in, out := srv.metrics.framesIn.Value(), srv.metrics.framesOut.Value(); in != 50 || out != 50 {
+		t.Fatalf("server read %d frames and wrote %d for 50 one-page scans, want 50 and 50", in, out)
+	}
+	if n := srv.metrics.scanPages.Value(); n != 50 {
+		t.Fatalf("kvwire_scan_chunks_total = %d, want 50", n)
+	}
+}
+
+// servePage runs the server's scan handler for one request over a pipe
+// and returns the frame it answers with.
+func servePage(t *testing.T, core *Core, req *ScanRequest) (typ byte, payload []byte) {
+	t.Helper()
+	client, server := net.Pipe()
+	defer client.Close()
+	srv := NewServer(core, ServerOptions{})
+	go func() {
+		srv.handleScan(&serverConn{conn: server, ctx: context.Background()}, 1, req)
+		server.Close()
+	}()
+	typ, _, payload, err := ReadFrame(client, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return typ, payload
+}
+
+// A page is cut at ScanPageCap records or once its encoded records reach
+// scanPageBytes, whichever comes first, and says where the next page
+// starts: just past its last record, or nowhere once the table or the
+// count is exhausted. What the server encodes decodes back equal.
 func TestScanChunkCodec(t *testing.T) {
-	kvs := make([]kvstore.VersionedKV, 200)
-	for i := range kvs {
+	small := newTestStore(t)
+	loadKeys(t, small, 1500)
+	large := newTestStore(t)
+	var want []*kvstore.VersionedRecord
+	for i := 0; i < 200; i++ {
 		fields := map[string][]byte{"empty": {}}
 		for f := 0; f < 4; f++ {
 			fields[fmt.Sprintf("field%d", f)] = []byte(fmt.Sprintf("%0500d", i*10+f))
 		}
-		kvs[i] = kvstore.VersionedKV{
-			Key:    fmt.Sprintf("k%04d", i),
-			Record: &kvstore.VersionedRecord{Version: uint64(i + 1), CommitTS: int64(100 + i), Fields: fields},
+		if _, err := large.Put("t", fmt.Sprintf("k%04d", i), fields); err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := large.Get("t", fmt.Sprintf("k%04d", i))
+		want = append(want, rec)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		store kvstore.Engine
+		req   ScanRequest
+		n     int  // records in the page; 0: cut by bytes
+		more  bool // a next-page start
+	}{
+		{"record bound", small, ScanRequest{Table: "t", Count: 5000, Slot: -1}, ScanPageCap, true},
+		{"count", small, ScanRequest{Table: "t", Count: 700, Slot: -1}, 700, false},
+		{"table end", small, ScanRequest{Table: "t", Start: "k1400", Count: 500, Slot: -1}, 100, false},
+		{"byte bound", large, ScanRequest{Table: "t", Count: 200, Slot: -1}, 0, true},
+	} {
+		typ, payload := servePage(t, NewCore(tc.store, nil, 0), &tc.req)
+		if typ != framePage {
+			t.Fatalf("%s: answered with frame type %d", tc.name, typ)
+		}
+		recs, _, next, err := DecodePage(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.n == 0 {
+			if frameHeaderLen+len(payload) < scanPageBytes || len(recs) >= 200 {
+				t.Fatalf("%s: %d records in %d bytes, want a cut at %d bytes", tc.name, len(recs), len(payload), scanPageBytes)
+			}
+		} else if len(recs) != tc.n {
+			t.Fatalf("%s: page holds %d records, want %d", tc.name, len(recs), tc.n)
+		}
+		if wantNext := recs[len(recs)-1].Key + "\x00"; tc.more != (next != "") || tc.more && next != wantNext {
+			t.Fatalf("%s: next-page start %q, want more=%v (%q)", tc.name, next, tc.more, wantNext)
+		}
+		if tc.store != large {
+			continue
+		}
+		for i, r := range recs {
+			if r.Key != fmt.Sprintf("k%04d", i) || r.Version != want[i].Version || r.CommitTS != want[i].CommitTS || !reflect.DeepEqual(r.Fields, want[i].Fields) {
+				t.Fatalf("record %d = %s v%d, want k%04d v%d with its fields", i, r.Key, r.Version, i, want[i].Version)
+			}
 		}
 	}
-	var got []StreamRecord
-	frames := 0
-	for rest := kvs; len(rest) > 0; frames++ {
-		frame, n := appendScanChunk(nil, 9, 7, rest)
-		if n < 1 || n > len(rest) {
-			t.Fatalf("frame %d carries %d of %d records", frames, n, len(rest))
+}
+
+// A drain of a sparse slot spans many pages, each going on from just
+// past the last key the one before it looked at, and returns every
+// record of the slot exactly once — what an engine scan of the table
+// filtered to the slot returns.
+func TestScanSparseSlotDrain(t *testing.T) {
+	store := newTestStore(t)
+	big := map[string][]byte{"f": make([]byte, 2000)}
+	for i := 0; i < 6000; i++ {
+		if _, err := store.Put("t", fmt.Sprintf("k%05d", i), big); err != nil {
+			t.Fatal(err)
 		}
-		if len(rest) > n && len(frame) < streamChunkBytes {
-			t.Fatalf("frame %d cut at %d bytes, under the %d bound, with records left", frames, len(frame), streamChunkBytes)
-		}
-		mapVer, recs, err := DecodeChunk(frame[frameHeaderLen:], nil)
-		if err != nil || mapVer != 7 || len(recs) != n {
-			t.Fatalf("frame %d: decoded %d records (map v%d, err %v), want %d", frames, len(recs), mapVer, err, n)
-		}
-		got = append(got, recs...)
-		rest = rest[n:]
 	}
-	if frames < 2 {
-		t.Fatalf("%d KiB of records fit %d frame: the byte bound never cut", 200*2, frames)
+	m, err := cluster.NewUniform(cluster.PlacementHash, 16, []string{"self"}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range got {
-		want := kvs[i]
-		if r.Key != want.Key || r.Version != want.Record.Version || r.CommitTS != want.Record.CommitTS {
-			t.Fatalf("record %d = %+v, want %s v%d", i, r, want.Key, want.Record.Version)
+	cs, err := cluster.NewState("self", m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startWireServer(t, NewCore(store, cs, 0), ServerOptions{Metrics: obs.NewRegistry()})
+	ep := NewEndpoint(addr, 1)
+	defer ep.Close()
+
+	const slot = 5
+	all, err := store.Scan("t", "", -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, kv := range all {
+		if m.SlotOf(kv.Key) == slot {
+			want = append(want, kv.Key)
 		}
-		if !reflect.DeepEqual(r.Fields, want.Record.Fields) {
-			t.Fatalf("record %d fields differ", i)
+	}
+	got := scanAll(t, ep, &ScanRequest{Table: "t", Count: -1, Slot: slot})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("slot drain returned %d records, the filtered engine scan %d", len(got), len(want))
+	}
+	if n := srv.metrics.scanPages.Value(); n < 3 {
+		t.Fatalf("the drain took %d pages, want several", n)
+	}
+}
+
+// A map installed between two pages of one scan ends it with 409: the
+// filter changed between them, so the seam may have lost records.
+func TestScanMapChangeBetweenPages(t *testing.T) {
+	core, _, _ := newClusterCore(t, 3000)
+	_, addr := startWireServer(t, core, ServerOptions{})
+	ep := NewEndpoint(addr, 1)
+	defer ep.Close()
+
+	s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Count: -1, Slot: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < ScanPageCap; i++ {
+		if !s.Next() {
+			t.Fatalf("scan ended inside its first page: %v", s.Err())
 		}
+	}
+	next := core.Cluster().Map().Clone()
+	next.Version++
+	if _, err := core.Cluster().Install(next); err != nil {
+		t.Fatal(err)
+	}
+	for s.Next() {
+	}
+	var re *RequestError
+	if !errors.As(s.Err(), &re) || re.Status != http.StatusConflict {
+		t.Fatalf("scan across a map install: Err() = %v, want a 409 RequestError", s.Err())
 	}
 }

@@ -10,17 +10,17 @@ import (
 	"ycsbt/internal/kvstore"
 )
 
-// TestChunkEncodeIsACopy pins the producer side: a chunk of engine
+// TestChunkEncodeIsACopy pins the server side: a page of engine
 // records is their images copied behind per-record headers — no
 // allocation, and byte for byte the stored sections.
 func TestChunkEncodeIsACopy(t *testing.T) {
 	kvs := storedRecords(t, 100, 10, 100)
-	buf, n := appendScanChunk(nil, 1, 0, kvs)
+	buf, n := encodePage(nil, 1, kvs, 0, "")
 	if n != 100 {
-		t.Fatalf("chunk took %d of 100 records", n)
+		t.Fatalf("page took %d of 100 records", n)
 	}
-	if per := testing.AllocsPerRun(100, func() { buf, _ = appendScanChunk(buf[:0], 1, 0, kvs) }); per != 0 {
-		t.Errorf("chunk encode = %.1f allocs, want 0", per)
+	if per := testing.AllocsPerRun(100, func() { buf, _ = encodePage(buf[:0], 1, kvs, 0, "") }); per != 0 {
+		t.Errorf("page encode = %.1f allocs, want 0", per)
 	}
 	for _, kv := range kvs {
 		if !bytes.Contains(buf, kv.Record.Image()) {
@@ -37,37 +37,39 @@ func TestChunkEncodeIsACopy(t *testing.T) {
 	}
 }
 
-// TestChunkDecodeAllocations pins the consumer side on the benchmark's
-// chunk (100 records × 10 fields × 100 B). A record costs its key and
+// TestChunkDecodeAllocations pins the client side on the benchmark's
+// page (100 records × 10 fields × 100 B). A record costs its key and
 // its Go map (four allocations at ten entries) — values and names cost
 // nothing when the decoder keeps the payload, one slab when it copies.
 // It was 25 a record (a string per name, a slice per value).
 func TestChunkDecodeAllocations(t *testing.T) {
-	buf, _ := appendScanChunk(nil, 1, 0, storedRecords(t, 100, 10, 100))
+	buf, _ := encodePage(nil, 1, storedRecords(t, 100, 10, 100), 0, "")
 	payload := buf[frameHeaderLen:]
 	own := fieldDecoder{own: true}
-	if per := testing.AllocsPerRun(50, func() { own.chunk(payload, nil) }) / 100; per > 5.05 {
+	if per := testing.AllocsPerRun(50, func() { own.page(payload) }) / 100; per > 5.05 {
 		t.Errorf("owning decode = %.2f allocs per record, want ≤ 5 (key 1 + map 4)", per)
 	}
 	var cp fieldDecoder
-	if per := testing.AllocsPerRun(50, func() { cp.chunk(payload, nil) }) / 100; per > 6.05 {
+	if per := testing.AllocsPerRun(50, func() { cp.page(payload) }) / 100; per > 6.05 {
 		t.Errorf("copying decode = %.2f allocs per record, want ≤ 6 (key 1 + map 4 + slab 1)", per)
 	}
 
 	// Owned values point into the payload; copied ones do not.
-	_, recs, err := own.chunk(payload, nil)
+	p, err := own.page(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, copied, _ := DecodeChunk(payload, nil)
-	payload[len(payload)-1] ^= 0xff // the last byte of the last record's last value
+	recs := p.recs
+	copied, _, _, _ := DecodePage(payload)
+	lastByte := len(payload) - 3 // the last record's last value, before the trailer (map version 0, next "")
+	payload[lastByte] ^= 0xff
 	last := recs[99].Fields["field9"]
 	if last[len(last)-1] == copied[99].Fields["field9"][99] {
 		t.Error("owning decode copied, or copying decode aliased, the payload")
 	}
-	payload[len(payload)-1] ^= 0xff
+	payload[lastByte] ^= 0xff
 
-	// Names are shared across the chunk's records.
+	// Names are shared across the page's records.
 	nameOf := func(r *StreamRecord, want string) string {
 		for name := range r.Fields {
 			if name == want {
@@ -77,7 +79,7 @@ func TestChunkDecodeAllocations(t *testing.T) {
 		return ""
 	}
 	if a, b := nameOf(&recs[0], "field3"), nameOf(&recs[57], "field3"); a == "" || unsafe.StringData(a) != unsafe.StringData(b) {
-		t.Error("records of one chunk do not share their name strings")
+		t.Error("records of one page do not share their name strings")
 	}
 }
 
@@ -114,11 +116,11 @@ func TestHostileFieldSections(t *testing.T) {
 		if _, err := DecodeResponse(c.payload, nil); !errors.Is(err, c.want) {
 			t.Errorf("response, %s: err = %v, want %v", c.name, err, c.want)
 		}
-		// The same section inside a chunk record and inside a put.
+		// The same section inside a page record and inside a put.
 		sec := c.payload[4:]
-		chunk := append([]byte{0, 1, recFlagFields, 1, 'k', 1, 2}, sec...)
-		if _, _, err := DecodeChunk(chunk, nil); !errors.Is(err, c.want) {
-			t.Errorf("chunk, %s: err = %v, want %v", c.name, err, c.want)
+		page := append([]byte{1, recFlagFields, 1, 'k', 1, 2}, sec...)
+		if _, _, _, err := DecodePage(page); !errors.Is(err, c.want) {
+			t.Errorf("page, %s: err = %v, want %v", c.name, err, c.want)
 		}
 		req := append([]byte{0, 1, byte(KindPut), opFlagFields, 1, 't', 1, 'k'}, sec...)
 		if _, _, err := DecodeRequest(req, nil); !errors.Is(err, c.want) {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ycsbt/internal/kvstore"
 	"ycsbt/internal/obs"
 )
 
@@ -22,7 +23,6 @@ import (
 // by request id.
 type Server struct {
 	core    *Core
-	opts    ServerOptions
 	metrics *wireMetrics
 
 	mu       sync.Mutex
@@ -36,23 +36,23 @@ type Server struct {
 type ServerOptions struct {
 	// Metrics registers the kvwire_* series when non-nil.
 	Metrics *obs.Registry
-	// RetryAfter is the backoff hint carried by admission-shed error
-	// frames (default 1s).
-	RetryAfter time.Duration
 }
+
+// shedRetryAfter is the backoff hint an admission-shed error frame
+// carries.
+const shedRetryAfter = time.Second
 
 // wireMetrics is the kvwire_* series; obs handles are nil-safe, so a
 // server without a registry pays two nil checks per frame and nothing
 // else.
 type wireMetrics struct {
-	connsOpen      *obs.Gauge
-	framesIn       *obs.Counter
-	framesOut      *obs.Counter
-	pipeline       *obs.Gauge
-	decodeErrs     *obs.Counter
-	scanChunks     *obs.Counter
-	creditsStalled *obs.Counter
-	// Records with fields written to response and chunk frames, by how
+	connsOpen  *obs.Gauge
+	framesIn   *obs.Counter
+	framesOut  *obs.Counter
+	pipeline   *obs.Gauge
+	decodeErrs *obs.Counter
+	scanPages  *obs.Counter
+	// Records with fields written to response and page frames, by how
 	// their field section was produced: copied from the stored image,
 	// or re-encoded from the map (merge-updated records only — a write
 	// path that forgets to build the image shows up here).
@@ -82,19 +82,17 @@ func newWireMetrics(reg *obs.Registry) *wireMetrics {
 	reg.Help("kvwire_frames_total", "Frames moved over the binary wire protocol, by direction.")
 	reg.Help("kvwire_pipeline_depth", "Request frames currently in flight across all wire connections.")
 	reg.Help("kvwire_decode_errors_total", "Wire frames the server failed to parse (the connection is closed after each).")
-	reg.Help("kvwire_scan_chunks_total", "Scan chunk frames streamed to wire clients.")
-	reg.Help("kvwire_stream_credits_stalled_total", "Times a stream producer blocked waiting for consumer credits.")
-	reg.Help("kvwire_records_encoded_total", "Records with fields written to response and chunk frames, by path: image = the stored field section copied as it stands, map = re-encoded from the field map (merge-updated records).")
+	reg.Help("kvwire_scan_chunks_total", "Scan page frames sent to wire clients.")
+	reg.Help("kvwire_records_encoded_total", "Records with fields written to response and page frames, by path: image = the stored field section copied as it stands, map = re-encoded from the field map (merge-updated records).")
 	return &wireMetrics{
-		connsOpen:      reg.Gauge("kvwire_conns_open"),
-		framesIn:       reg.Counter("kvwire_frames_total", "dir", "in"),
-		framesOut:      reg.Counter("kvwire_frames_total", "dir", "out"),
-		pipeline:       reg.Gauge("kvwire_pipeline_depth"),
-		decodeErrs:     reg.Counter("kvwire_decode_errors_total"),
-		scanChunks:     reg.Counter("kvwire_scan_chunks_total"),
-		creditsStalled: reg.Counter("kvwire_stream_credits_stalled_total"),
-		encodedImage:   reg.Counter("kvwire_records_encoded_total", "path", "image"),
-		encodedMap:     reg.Counter("kvwire_records_encoded_total", "path", "map"),
+		connsOpen:    reg.Gauge("kvwire_conns_open"),
+		framesIn:     reg.Counter("kvwire_frames_total", "dir", "in"),
+		framesOut:    reg.Counter("kvwire_frames_total", "dir", "out"),
+		pipeline:     reg.Gauge("kvwire_pipeline_depth"),
+		decodeErrs:   reg.Counter("kvwire_decode_errors_total"),
+		scanPages:    reg.Counter("kvwire_scan_chunks_total"),
+		encodedImage: reg.Counter("kvwire_records_encoded_total", "path", "image"),
+		encodedMap:   reg.Counter("kvwire_records_encoded_total", "path", "map"),
 	}
 }
 
@@ -102,12 +100,8 @@ func newWireMetrics(reg *obs.Registry) *wireMetrics {
 // HTTP front end so both transports share one admission limit and
 // ownership gate.
 func NewServer(core *Core, opts ServerOptions) *Server {
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = time.Second
-	}
 	return &Server{
 		core:    core,
-		opts:    opts,
 		metrics: newWireMetrics(opts.Metrics),
 		lns:     make(map[net.Listener]struct{}),
 		conns:   make(map[net.Conn]struct{}),
@@ -150,19 +144,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Unlock()
 	s.metrics.connsOpen.Add(1)
 	ctx, cancel := context.WithCancel(context.Background())
-	c := &serverConn{
-		conn:   conn,
-		ctx:    ctx,
-		cancel: cancel,
-		scans:  make(map[uint64]*serverScan),
-	}
+	c := &serverConn{conn: conn, ctx: ctx}
 	defer func() {
 		// The read side is done (peer EOF or shutdown's CloseRead), but
 		// decoded requests may still be executing: their responses can
-		// still reach the peer, so the full close waits for them. Stream
-		// producers blocked on credits would wait forever — the conn
-		// context wakes them first.
-		c.cancel()
+		// still reach the peer, so the full close waits for them. A scan
+		// page still reading the engine stops at its next engine page.
+		cancel()
 		c.handlers.Wait()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -216,11 +204,21 @@ func (s *Server) serveConn(conn net.Conn) {
 				defer s.metrics.pipeline.Add(-1)
 				s.handleRequest(c, id, deadlineMs, ops)
 			}(id, deadlineMs, ops)
-		case frameScanReq, frameStreamEnd, frameCredit:
-			if !s.handleStreamFrame(c, typ, id, payload) {
+		case frameScanReq:
+			req, err := DecodeScanRequest(payload)
+			if err != nil {
 				s.metrics.decodeErrs.Inc()
 				return
 			}
+			s.handlers.Add(1)
+			c.handlers.Add(1)
+			s.metrics.pipeline.Add(1)
+			go func(id uint64, req *ScanRequest) {
+				defer s.handlers.Done()
+				defer c.handlers.Done()
+				defer s.metrics.pipeline.Add(-1)
+				s.handleScan(c, id, req)
+			}(id, &req)
 		default:
 			s.metrics.decodeErrs.Inc()
 			return
@@ -230,30 +228,21 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // serverConn serializes response writes on one connection and counts
 // its in-flight handlers so the close waits for their responses. ctx
-// is cancelled when the read side dies, waking stream producers
-// blocked on credits; scans routes the credit and cancel frames read
-// off the connection to the stream's producer.
+// is cancelled when the read side dies, so a scan page whose reader has
+// gone stops reading the engine.
 type serverConn struct {
 	conn     net.Conn
 	ctx      context.Context
-	cancel   context.CancelFunc
 	handlers sync.WaitGroup
 	wmu      sync.Mutex
 	wbuf     []byte
-
-	smu   sync.Mutex
-	scans map[uint64]*serverScan
 }
 
 func (s *Server) handleRequest(c *serverConn, id uint64, deadlineMs uint64, ops []Op) {
 	release, ok := s.core.AcquireBatch()
 	if !ok {
-		secs := uint64((s.opts.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
 		s.writeFrame(c, func(buf []byte) []byte {
-			return AppendError(buf, id, 429, secs, "too many in-flight batches")
+			return AppendError(buf, id, 429, uint64(shedRetryAfter/time.Second), "too many in-flight batches")
 		})
 		return
 	}
@@ -295,20 +284,62 @@ var resultsPool = sync.Pool{New: func() any {
 	return &res
 }}
 
-// writeFrame encodes into the connection's pooled buffer and writes
-// it under the write lock (one syscall per frame; the frame is the
-// flush unit). Chunk frames from streams interleave with pipelined
-// responses here. The error lets stream producers stop scanning for a
-// peer that is gone; response writers ignore it.
-func (s *Server) writeFrame(c *serverConn, encode func([]byte) []byte) error {
+// handleScan answers one scan-request frame with exactly one frame: the
+// page Core.ScanPage fills, encoded record by record as the engine
+// hands them over and cut once the encoded records reach
+// scanPageBytes, or an error frame when the scan cannot run. The page
+// is built in a pooled buffer, not under the write lock, so the engine
+// read never holds up the responses pipelined next to it.
+func (s *Server) handleScan(c *serverConn, id uint64, req *ScanRequest) {
+	bp := pageBufs.Get().(*[]byte)
+	buf := appendPageHead((*bp)[:0], id)
+	n := 0
+	var tally encodeTally
+	mapVer, next, err := s.core.ScanPage(c.ctx, req, func(kv kvstore.VersionedKV) bool {
+		r := kv.Record
+		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Image(), r.Fields)
+		tally.add(r.Fields, r.Image())
+		n++
+		return len(buf) < scanPageBytes
+	})
+	if err != nil {
+		res := ErrResult(err)
+		s.writeFrame(c, func(buf []byte) []byte {
+			return AppendError(buf, id, res.Status, 0, res.Err)
+		})
+	} else {
+		buf = finishPage(buf, 0, n, mapVer, next)
+		// Counted before the write, so a client that has seen the page
+		// never reads a counter that has not.
+		s.metrics.scanPages.Inc()
+		s.metrics.encoded(tally)
+		c.wmu.Lock()
+		s.send(c, buf)
+		c.wmu.Unlock()
+	}
+	*bp = buf
+	pageBufs.Put(bp)
+}
+
+// pageBufs holds the buffers scan pages are built in.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeFrame encodes into the connection's pooled buffer and sends it
+// under the write lock.
+func (s *Server) writeFrame(c *serverConn, encode func([]byte) []byte) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.wbuf = encode(c.wbuf[:0])
-	if _, err := c.conn.Write(c.wbuf); err != nil {
-		return err
+	s.send(c, c.wbuf)
+}
+
+// send writes one frame (one syscall per frame; the frame is the flush
+// unit); the caller holds the write lock. A peer that is gone is
+// noticed by the read loop, so the error is not the writer's to handle.
+func (s *Server) send(c *serverConn, frame []byte) {
+	if _, err := c.conn.Write(frame); err == nil {
+		s.metrics.framesOut.Inc()
 	}
-	s.metrics.framesOut.Inc()
-	return nil
 }
 
 // Shutdown drains the server: stop accepting, stop reading new request

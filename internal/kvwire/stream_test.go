@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -91,83 +92,40 @@ func TestStreamScanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamScanSlowConsumerBounded proves the credit window bounds
-// the server: a consumer that grants window=2 and then stops consuming
-// sees exactly 2 chunk frames, with the producer parked (stall counter
-// moving), until credits flow again.
-func TestStreamScanSlowConsumerBounded(t *testing.T) {
-	store := newTestStore(t)
-	loadKeys(t, store, 2000) // ≥ 7 chunks of 256
-	core := NewCore(store, nil, 0)
-	srv, addr := startWireServer(t, core, ServerOptions{Metrics: obs.NewRegistry()})
-	ep := NewEndpoint(addr, 0)
-	defer ep.Close()
+// blockingScans parks every engine scan until released, so a page can
+// be held in flight.
+type blockingScans struct {
+	kvstore.Engine
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
 
-	s, err := ep.Scan(context.Background(), &ScanRequest{Table: "t", Count: 2000, Slot: -1, Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// Without consuming anything, the server may send exactly the
-	// granted window and must then stall.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.metrics.scanChunks.Value() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("server sent %d chunks, want 2", srv.metrics.scanChunks.Value())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for srv.metrics.creditsStalled.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("producer never recorded a credit stall")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if n := srv.metrics.scanChunks.Value(); n != 2 {
-		t.Fatalf("stalled server sent %d chunks, want exactly the window of 2", n)
-	}
-
-	// Resume consuming: the rest of the stream arrives.
-	n := 0
-	for s.Next() {
-		n++
-	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2000 {
-		t.Fatalf("scanned %d records after stall, want 2000", n)
-	}
+func (e *blockingScans) Scan(table, start string, count int) ([]kvstore.VersionedKV, error) {
+	e.once.Do(func() { close(e.entered) })
+	<-e.release
+	return e.Engine.Scan(table, start, count)
 }
 
 // TestStreamScanClientCancelReleasesServer cancels the consumer's
-// context while the producer is parked on credits and asserts the
-// server goroutine exits.
+// context while its page is still being read: Next gives up at once
+// with the context's error, and the server's handler, once its page is
+// done, leaves nothing running.
 func TestStreamScanClientCancelReleasesServer(t *testing.T) {
 	store := newTestStore(t)
 	loadKeys(t, store, 2000)
-	core := NewCore(store, nil, 0)
-	srv, addr := startWireServer(t, core, ServerOptions{Metrics: obs.NewRegistry()})
+	eng := &blockingScans{Engine: store, entered: make(chan struct{}), release: make(chan struct{})}
+	srv, addr := startWireServer(t, NewCore(eng, nil, 0), ServerOptions{Metrics: obs.NewRegistry()})
 	ep := NewEndpoint(addr, 0)
 	defer ep.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s, err := ep.Scan(ctx, &ScanRequest{Table: "t", Count: 2000, Slot: -1, Window: 1})
+	s, err := ep.Scan(ctx, &ScanRequest{Table: "t", Count: 2000, Slot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Park the producer: one chunk sent, no credits coming.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.metrics.creditsStalled.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("producer never stalled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
+	<-eng.entered
 	cancel()
 	if s.Next() {
 		t.Fatal("Next succeeded after ctx cancel")
@@ -176,7 +134,7 @@ func TestStreamScanClientCancelReleasesServer(t *testing.T) {
 		t.Fatalf("Err() = %v, want context.Canceled", err)
 	}
 
-	// The cancel frame must release the parked producer goroutine.
+	close(eng.release)
 	done := make(chan struct{})
 	go func() {
 		srv.handlers.Wait()
@@ -185,7 +143,7 @@ func TestStreamScanClientCancelReleasesServer(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("server scan goroutine still running after client cancel")
+		t.Fatal("server scan handler still running after its page")
 	}
 }
 
@@ -306,16 +264,100 @@ func expectHangUp(t *testing.T, frame []byte) {
 	}
 }
 
-// Streams run server → client only. A type-8 frame — once an ingest
-// request naming a table — is an unknown frame.
+// A type-8 frame — once an ingest request naming a table — is an
+// unknown frame.
 func TestServerRefusesFrameType8(t *testing.T) {
 	expectHangUp(t, finishFrame(appendBytes(appendFrameHeader(nil, 8, 1), "t"), 0))
 }
 
-// A chunk frame sent to the server is an unknown frame too: no stream
+// A page frame sent to the server is an unknown frame too: no scan
 // takes records from a client.
 func TestServerRefusesClientChunk(t *testing.T) {
-	expectHangUp(t, appendChunk(nil, 1, 0, []StreamRecord{{Key: "k", Version: 1, CommitTS: 1, Fields: map[string][]byte{"f": []byte("v")}}}))
+	expectHangUp(t, appendPage(nil, 1, []StreamRecord{{Key: "k", Version: 1, CommitTS: 1, Fields: map[string][]byte{"f": []byte("v")}}}, 0, ""))
+}
+
+// Types 6 and 7 — once a stream's end and a consumer's credit grant —
+// are unknown frames to the server.
+func TestServerRefusesFrameTypes6And7(t *testing.T) {
+	for _, typ := range []byte{6, 7} {
+		expectHangUp(t, finishFrame(append(appendFrameHeader(nil, typ, 1), 1), 0))
+	}
+}
+
+// scriptedPeer accepts one connection, answers the handshake with echo,
+// and then hands the connection to script.
+func scriptedPeer(t *testing.T, echo string, script func(net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		var magic [len(Magic)]byte
+		if _, err := io.ReadFull(conn, magic[:]); err != nil {
+			return
+		}
+		if _, err := conn.Write([]byte(echo)); err != nil {
+			return
+		}
+		script(conn)
+	}()
+	return ln.Addr().String()
+}
+
+// A stream-end or credit frame reaching the client is an unknown frame
+// there too: the connection fails, and with it the request waiting on it.
+func TestClientRefusesFrameTypes6And7(t *testing.T) {
+	for _, typ := range []byte{6, 7} {
+		addr := scriptedPeer(t, Magic, func(conn net.Conn) {
+			_, id, _, err := ReadFrame(conn, nil)
+			if err == nil {
+				conn.Write(finishFrame(append(appendFrameHeader(nil, typ, id), 1), 0))
+				io.Copy(io.Discard, conn)
+			}
+		})
+		ep := NewEndpoint(addr, 1)
+		_, err := ep.Exec(context.Background(), []Op{{Kind: KindGet, Table: "t", Key: "k"}})
+		if err == nil || !strings.Contains(err.Error(), "unexpected frame type") {
+			t.Errorf("frame type %d answering a request: err = %v, want the connection failed", typ, err)
+		}
+		ep.Close()
+	}
+}
+
+// A version-2 peer fails the handshake, in either direction: a client
+// that meets a KVW2 echo reports ErrUnavailable (nothing was sent), and
+// the server hangs up on a KVW2 client without echoing.
+func TestKVW2HandshakeRefused(t *testing.T) {
+	ep := NewEndpoint(scriptedPeer(t, "KVW2", func(net.Conn) {}), 1)
+	defer ep.Close()
+	if _, err := ep.Exec(context.Background(), []Op{{Kind: KindGet, Table: "t", Key: "k"}}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("client against a KVW2 server: err = %v, want ErrUnavailable", err)
+	}
+
+	srv, addr := startWireServer(t, newTestCore(t), ServerOptions{Metrics: obs.NewRegistry()})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte("KVW2")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(conn); err != nil || len(got) != 0 {
+		t.Fatalf("server answered a KVW2 client with %q, %v; want a hang-up", got, err)
+	}
+	if n := srv.metrics.decodeErrs.Value(); n != 1 {
+		t.Errorf("kvwire_decode_errors_total = %d, want 1", n)
+	}
 }
 
 func TestStreamScanRejectsBadParams(t *testing.T) {
@@ -342,64 +384,5 @@ func TestStreamScanRejectsBadParams(t *testing.T) {
 			t.Fatalf("req %+v: Err() = %v, want 400 RequestError", req, s.Err())
 		}
 		s.Close()
-	}
-}
-
-// injectCtx runs inject the first time the consumer evaluates Done() —
-// which ScanStream does on entering its blocking select, after it has
-// found the chunk mailbox empty.
-type injectCtx struct {
-	context.Context
-	inject func()
-}
-
-func (c *injectCtx) Done() <-chan struct{} {
-	if c.inject != nil {
-		c.inject()
-		c.inject = nil
-	}
-	return c.Context.Done()
-}
-
-// TestScanStreamEndDoesNotOvertakeChunk: when a stream's last chunk
-// and its end frame both land while the consumer is between polls, the
-// chunk must still be delivered before the end is honoured. The select
-// over both mailboxes used to pick the end about half the time, and
-// the scan came back short with a nil error.
-func TestScanStreamEndDoesNotOvertakeChunk(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	go io.Copy(io.Discard, server) // the consumer's credit frames
-	c := &clientConn{conn: client, streams: make(map[uint64]*clientStream)}
-
-	for i := 0; i < 200; i++ {
-		st := c.openStream(DefaultStreamWindow)
-		s := &ScanStream{c: c, st: st, ctx: &injectCtx{Context: context.Background(), inject: func() {
-			st.ev <- streamEvent{recs: []StreamRecord{{Key: "a"}, {Key: "b"}}}
-			c.takeStream(st.id)
-			st.deliverTerm(streamEvent{end: true, status: http.StatusOK, count: 2})
-		}}}
-		n := 0
-		for s.Next() {
-			n++
-		}
-		if n != 2 || s.Err() != nil {
-			t.Fatalf("iteration %d: scan delivered %d of 2 records, err %v", i, n, s.Err())
-		}
-	}
-
-	// A stream that really is short of its declared count is an error.
-	st := c.openStream(DefaultStreamWindow)
-	s := &ScanStream{c: c, st: st, ctx: &injectCtx{Context: context.Background(), inject: func() {
-		st.ev <- streamEvent{recs: []StreamRecord{{Key: "a"}}}
-		c.takeStream(st.id)
-		st.deliverTerm(streamEvent{end: true, status: http.StatusOK, count: 3})
-	}}}
-	for s.Next() {
-	}
-	var ce *StreamCountError
-	if !errors.As(s.Err(), &ce) || ce.Delivered != 1 || ce.Declared != 3 {
-		t.Fatalf("short stream: Err() = %v, want StreamCountError{1, 3}", s.Err())
 	}
 }

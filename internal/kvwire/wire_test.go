@@ -348,7 +348,7 @@ func TestWireAdmissionShed(t *testing.T) {
 	eng := &blockingEngine{Engine: store, entered: make(chan struct{}), release: make(chan struct{})}
 	defer close(eng.release)
 	core := NewCore(eng, nil, 1)
-	_, addr := startWireServer(t, core, ServerOptions{RetryAfter: 3 * time.Second})
+	_, addr := startWireServer(t, core, ServerOptions{})
 	ep := NewEndpoint(addr, 1)
 	defer ep.Close()
 
@@ -362,8 +362,8 @@ func TestWireAdmissionShed(t *testing.T) {
 	if !errors.As(err, &re) || re.Status != 429 {
 		t.Fatalf("err=%v, want 429 RequestError", err)
 	}
-	if re.RetryAfter != 3*time.Second {
-		t.Fatalf("RetryAfter=%v, want 3s", re.RetryAfter)
+	if re.RetryAfter != shedRetryAfter {
+		t.Fatalf("RetryAfter=%v, want %v", re.RetryAfter, shedRetryAfter)
 	}
 }
 

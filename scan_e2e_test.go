@@ -1,9 +1,10 @@
-// End-to-end benchmark for streamed scans and framed migration: the
+// End-to-end benchmark for paged scans and framed migration: the
 // BENCH_scan.json cells. Scan1k is 32 client threads on 1000-record
-// scans over credit-gated chunk frames; MigrateSlot times the wall
-// clock of moving one populated slot between two live nodes with the
-// copy riding scan/ingest frames. EXPERIMENTS.md "Single data plane"
-// stores the ratios against the HTTP/NDJSON paths these replaced.
+// scans, each one scan-request frame answered by one page frame;
+// MigrateSlot times the wall clock of moving one populated slot between
+// two live nodes with the copy riding scan pages. EXPERIMENTS.md
+// "Single data plane" stores the ratios against the HTTP/NDJSON paths
+// these replaced.
 package ycsbt_test
 
 import (
@@ -107,11 +108,11 @@ func migrateCell(b *testing.B) {
 	}
 }
 
-// BenchmarkWireScan is the streaming benchmark: chunk frames carry
-// length-prefixed binary records that the client decodes into pooled
-// buffers, and MigrateSlot shows the same machinery moving a live slot
-// — the framed copy streams version-preserving records straight into
-// the destination engine.
+// BenchmarkWireScan is the scan benchmark: page frames carry
+// length-prefixed binary records that the client decodes in place, and
+// MigrateSlot shows the same machinery moving a live slot — the framed
+// copy pulls version-preserving records page by page straight into the
+// destination engine.
 func BenchmarkWireScan(b *testing.B) {
 	b.Run("Scan1k", scanCell)
 	b.Run("MigrateSlot", migrateCell)
