@@ -237,9 +237,9 @@ const ScanPageCap = 1024
 // client has gone away stops paging.
 func (c *Core) Scan(ctx context.Context, table, start string, count int) ([]kvstore.VersionedKV, error) {
 	var out []kvstore.VersionedKV
-	_, _, err := c.scanPages(ctx, table, start, count, 0, -1, func(kv kvstore.VersionedKV) bool {
+	_, _, err := c.scanPages(ctx, table, start, count, 0, -1, -1, func(kv kvstore.VersionedKV) int {
 		out = append(out, kv)
-		return true
+		return -1
 	})
 	if err != nil {
 		return nil, err
@@ -251,7 +251,9 @@ func (c *Core) Scan(ctx context.Context, table, start string, count int) ([]kvst
 // through the engine, applies the cluster filter — owned slots by
 // default, exactly slot when slot ≥ 0 (the migration copy) — and hands
 // every kept record to emit until count records are emitted, emit
-// returns false, the table is exhausted, or ctx is done. It returns the
+// leaves no room, the table is exhausted, or ctx is done. emit returns
+// how many more records its consumer has room for (< 0: no bound but
+// count), and room is that figure before the first record. It returns the
 // shard map version the filter used (0 single-node) and the last key it
 // looked at, "" once the engine ran out of table: a scan that goes on
 // from just past that key skips nothing and re-reads nothing, not even
@@ -263,8 +265,10 @@ func (c *Core) Scan(ctx context.Context, table, start string, count int) ([]kvst
 // is the whole scan), and a page that came back full without
 // satisfying count sizes the next from what the scan has seen (see
 // nextScanPage), never past ScanPageCap. Unlimited scans (count < 0)
-// read at the cap from the start.
-func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts int64, slot int, emit func(kvstore.VersionedKV) bool) (mapVer int64, last string, err error) {
+// read at the cap from the start. A consumer with less room than count
+// sizes the calls in its stead, so a page cut by its bytes reads about
+// what it ships.
+func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts int64, slot int, room int, emit func(kvstore.VersionedKV) int) (mapVer int64, last string, err error) {
 	keep := func(string) bool { return true }
 	if c.cluster != nil {
 		m := c.cluster.Map()
@@ -285,6 +289,9 @@ func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts
 	pageSize := ScanPageCap
 	if count > 0 && count < pageSize {
 		pageSize = count
+	}
+	if room >= 0 {
+		pageSize = min(pageSize, room)
 	}
 	scanned := 0
 	for {
@@ -307,7 +314,7 @@ func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts
 				continue
 			}
 			emitted++
-			if !emit(kv) || emitted == count {
+			if room = emit(kv); room == 0 || emitted == count {
 				return mapVer, kv.Key, nil
 			}
 		}
@@ -316,7 +323,11 @@ func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts
 		}
 		start = page[len(page)-1].Key + "\x00"
 		scanned += len(page)
-		pageSize = nextScanPage(pageSize, count-emitted, emitted, scanned)
+		need := count - emitted
+		if room >= 0 && (need < 0 || room < need) {
+			need = room
+		}
+		pageSize = nextScanPage(pageSize, need, emitted, scanned)
 	}
 }
 
@@ -358,17 +369,23 @@ func (c *Core) validateScan(req *ScanRequest) error {
 
 // ScanPage serves one page of a framed scan: req's next records in key
 // order — at most ScanPageCap of them and at most req.Count (< 0: no
-// limit), filtered as scanPages filters — handed to emit until it
-// returns false. It returns the shard map version the page was filtered
-// under (0 single-node; reported for an empty page too, so an empty
-// node still takes part in the router's skew check) and where the next
-// page starts: just past the last key the page looked at, or "" once
-// the scan is exhausted — its count reached or the table ended.
+// limit), filtered as scanPages filters — handed to emit until it has
+// no room. emit returns how many more records the page has room for,
+// judged from the encoded size of those it took; the engine calls are
+// sized from that, so a page cut by its bytes does not read records the
+// next page reads again. Before the first record what fits is unknown:
+// a page the count bounds below ScanPageCap reads as the count says,
+// any other reads one record first. It returns the shard map version
+// the page was filtered under (0 single-node; reported for an empty
+// page too, so an empty node still takes part in the router's skew
+// check) and where the next page starts: just past the last key the
+// page looked at, or "" once the scan is exhausted — its count reached
+// or the table ended.
 //
 // A map installed while the page was being read may have moved a slot
 // the filter kept, so such a page fails with 409 and the client rescans
 // under the new map; between pages the client compares the versions.
-func (c *Core) ScanPage(ctx context.Context, req *ScanRequest, emit func(kvstore.VersionedKV) bool) (mapVer int64, next string, err error) {
+func (c *Core) ScanPage(ctx context.Context, req *ScanRequest, emit func(kvstore.VersionedKV) int) (mapVer int64, next string, err error) {
 	if err := c.validateScan(req); err != nil {
 		return 0, "", err
 	}
@@ -376,8 +393,12 @@ func (c *Core) ScanPage(ctx context.Context, req *ScanRequest, emit func(kvstore
 	if req.Count >= 0 {
 		limit = min(limit, req.Count)
 	}
+	room := -1
+	if limit == ScanPageCap {
+		room = 1
+	}
 	emitted := 0
-	mapVer, last, err := c.scanPages(ctx, req.Table, req.Start, limit, req.AsOf, req.Slot, func(kv kvstore.VersionedKV) bool {
+	mapVer, last, err := c.scanPages(ctx, req.Table, req.Start, limit, req.AsOf, req.Slot, room, func(kv kvstore.VersionedKV) int {
 		emitted++
 		return emit(kv)
 	})

@@ -68,9 +68,9 @@ func newClusterCore(t *testing.T, n int) (*Core, *pageRecorder, []string) {
 func scanKeys(t *testing.T, core *Core, start string, count, slot int) []string {
 	t.Helper()
 	var keys []string
-	_, _, err := core.scanPages(context.Background(), "t", start, count, 0, slot, func(kv kvstore.VersionedKV) bool {
+	_, _, err := core.scanPages(context.Background(), "t", start, count, 0, slot, -1, func(kv kvstore.VersionedKV) int {
 		keys = append(keys, kv.Key)
-		return true
+		return -1
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -522,6 +522,50 @@ func TestScanSparseSlotDrain(t *testing.T) {
 	}
 	if n := srv.metrics.scanPages.Value(); n < 3 {
 		t.Fatalf("the drain took %d pages, want several", n)
+	}
+}
+
+// A page cut by its bytes sizes its engine calls from the room it has
+// left, so a slot drain of 1 KB records reads about one engine record
+// per record it ships, not ScanPageCap per page of ~250, and the next
+// page does not read again what this one left unshipped.
+func TestScanDrainReadsWhatItShips(t *testing.T) {
+	store := newTestStore(t)
+	value := map[string][]byte{"f": make([]byte, 1000)}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if _, err := store.Put("t", fmt.Sprintf("k%05d", i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := cluster.NewUniform(cluster.PlacementHash, 1, []string{"self"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := cluster.NewState("self", m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := NewCore(store, cs, 0)
+	reg := obs.NewRegistry()
+	core.Instrument(reg)
+	srv, addr := startWireServer(t, core, ServerOptions{Metrics: reg})
+	ep := NewEndpoint(addr, 1)
+	defer ep.Close()
+
+	if got := scanAll(t, ep, &ScanRequest{Table: "t", Count: -1, Slot: 0}); len(got) != n {
+		t.Fatalf("slot drain returned %d records, want %d", len(got), n)
+	}
+	if p := srv.metrics.scanPages.Value(); p < 5 {
+		t.Fatalf("the drain took %d pages, want many", p)
+	}
+	engine := reg.Counter("kvwire_scan_engine_records_total").Value()
+	shipped := reg.Counter("kvwire_scan_records_total").Value()
+	if shipped != n {
+		t.Fatalf("kvwire_scan_records_total = %d, want %d", shipped, n)
+	}
+	if ratio := float64(engine) / float64(shipped); ratio > 1.25 {
+		t.Fatalf("the drain read %d engine records to ship %d (%.2f per record), want <= 1.25", engine, shipped, ratio)
 	}
 }
 

@@ -287,20 +287,27 @@ var resultsPool = sync.Pool{New: func() any {
 // handleScan answers one scan-request frame with exactly one frame: the
 // page Core.ScanPage fills, encoded record by record as the engine
 // hands them over and cut once the encoded records reach
-// scanPageBytes, or an error frame when the scan cannot run. The page
-// is built in a pooled buffer, not under the write lock, so the engine
-// read never holds up the responses pipelined next to it.
+// scanPageBytes, or an error frame when the scan cannot run. The room
+// it reports is the records of the mean size so far that the bytes left
+// take, counting the one that crosses the bound. The page is built in a
+// pooled buffer, not under the write lock, so the engine read never
+// holds up the responses pipelined next to it.
 func (s *Server) handleScan(c *serverConn, id uint64, req *ScanRequest) {
 	bp := pageBufs.Get().(*[]byte)
 	buf := appendPageHead((*bp)[:0], id)
+	head := len(buf)
 	n := 0
 	var tally encodeTally
-	mapVer, next, err := s.core.ScanPage(c.ctx, req, func(kv kvstore.VersionedKV) bool {
+	mapVer, next, err := s.core.ScanPage(c.ctx, req, func(kv kvstore.VersionedKV) int {
 		r := kv.Record
 		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Image(), r.Fields)
 		tally.add(r.Fields, r.Image())
 		n++
-		return len(buf) < scanPageBytes
+		if len(buf) >= scanPageBytes {
+			return 0
+		}
+		used := len(buf) - head
+		return ((scanPageBytes-len(buf))*n + used - 1) / used
 	})
 	if err != nil {
 		res := ErrResult(err)

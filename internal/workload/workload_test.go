@@ -526,7 +526,7 @@ func TestCoreWorkloadDataIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, _ := mem.Read(ctx, "usertable", key, nil)
-	w.verifyRead(key, rec)
+	w.verifyRead(key, rec, nil)
 	res, _ = w.Validate(ctx, mem)
 	if res.Valid || res.Counted == 0 {
 		t.Errorf("corruption not detected: %+v", res)
@@ -534,8 +534,9 @@ func TestCoreWorkloadDataIntegrity(t *testing.T) {
 }
 
 // TestVerifyReadCountsEveryKindOfDamage pins the in-place comparison:
-// a flipped byte anywhere, a short value and a long value each count as
-// one failure, a clean record as none, and nothing is allocated.
+// a flipped byte anywhere, a short value, a long value, a missing field
+// and an empty record each count as one failure, a clean record as
+// none, and nothing is allocated.
 func TestVerifyReadCountsEveryKindOfDamage(t *testing.T) {
 	w := NewCore()
 	if err := w.Init(properties.FromMap(map[string]string{
@@ -552,31 +553,42 @@ func TestVerifyReadCountsEveryKindOfDamage(t *testing.T) {
 		return rec
 	}
 	good := clean()
-	w.verifyRead(key, good)
+	w.verifyRead(key, good, nil)
+	w.verifyRead(key, db.Record{"field2": good["field2"]}, []string{"field2"})
 	if n := w.verifyFailures.Load(); n != 0 {
 		t.Fatalf("clean record counted %d failures", n)
 	}
-	if per := testing.AllocsPerRun(100, func() { w.verifyRead(key, good) }); per != 0 {
+	if per := testing.AllocsPerRun(100, func() { w.verifyRead(key, good, nil) }); per != 0 {
 		t.Errorf("verifyRead = %.1f allocs per record, want 0", per)
 	}
-	damage := map[string]func(v []byte) []byte{
-		"first byte flipped": func(v []byte) []byte { v[0] ^= 1; return v },
-		"last byte flipped":  func(v []byte) []byte { v[len(v)-1] ^= 1; return v },
-		"short":              func(v []byte) []byte { return v[:len(v)-1] },
-		"long":               func(v []byte) []byte { return append(v, v[0]) },
-		"empty":              func(v []byte) []byte { return nil },
+	field := func(hurt func(v []byte) []byte) func(db.Record) db.Record {
+		return func(rec db.Record) db.Record { rec["field1"] = hurt(rec["field1"]); return rec }
+	}
+	damage := map[string]func(rec db.Record) db.Record{
+		"first byte flipped": field(func(v []byte) []byte { v[0] ^= 1; return v }),
+		"last byte flipped":  field(func(v []byte) []byte { v[len(v)-1] ^= 1; return v }),
+		"short":              field(func(v []byte) []byte { return v[:len(v)-1] }),
+		"long":               field(func(v []byte) []byte { return append(v, v[0]) }),
+		"empty":              field(func(v []byte) []byte { return nil }),
+		"field missing":      func(rec db.Record) db.Record { delete(rec, "field1"); return rec },
+		"empty record":       func(db.Record) db.Record { return db.Record{} },
 	}
 	for name, hurt := range damage {
-		rec := clean()
-		rec["field1"] = hurt(rec["field1"])
+		rec := hurt(clean())
 		before := w.verifyFailures.Load()
-		w.verifyRead(key, rec)
+		w.verifyRead(key, rec, nil)
 		if got := w.verifyFailures.Load() - before; got != 1 {
 			t.Errorf("%s: counted %d failures, want 1", name, got)
 		}
 	}
+	// A projected read must return the field it asked for.
+	before := w.verifyFailures.Load()
+	w.verifyRead(key, db.Record{"field2": good["field2"]}, []string{"field1"})
+	if got := w.verifyFailures.Load() - before; got != 1 {
+		t.Errorf("projected field missing: counted %d failures, want 1", got)
+	}
 	// The bytes loaded data was written with have not moved.
-	if got := string(integrityValue("user5", "field0", 12)); got != "d2APnCstNqun" {
+	if got := string(integrityValue("user5", "field0", 12)); got != "hnV8K:j`BLDm" {
 		t.Errorf("integrityValue changed its sequence: %q", got)
 	}
 }
@@ -599,6 +611,109 @@ func TestIntegrityValueDeterministic(t *testing.T) {
 		if ch < ' ' || ch > '~' {
 			t.Fatalf("non-printable byte %q", ch)
 		}
+	}
+}
+
+// The canonical value is built and checked a word at a time with a
+// byte-wise tail: every length round-trips, a flip of any byte fails,
+// a shorter value is a prefix of a longer one, and every byte is
+// printable.
+func TestIntegrityValueWords(t *testing.T) {
+	keyHash := integrityKey("user5")
+	for _, n := range []int{1, 7, 8, 9, 100, 1000} {
+		v := integrityValue("user5", "field3", n)
+		if len(v) != n || !integrityOK(keyHash, "field3", v, n) {
+			t.Fatalf("n=%d: the canonical value does not verify", n)
+		}
+		for i := range v {
+			v[i] ^= 0x40
+			if integrityOK(keyHash, "field3", v, n) {
+				t.Fatalf("n=%d: a flip of byte %d passed", n, i)
+			}
+			v[i] ^= 0x40
+		}
+		for m := 0; m <= n; m++ {
+			if string(integrityValue("user5", "field3", m)) != string(v[:m]) {
+				t.Fatalf("n=%d: the %d-byte value is not its prefix", n, m)
+			}
+		}
+		for i, ch := range v {
+			if ch < ' ' || ch > '~' {
+				t.Fatalf("n=%d: byte %d = %q is not printable", n, i, ch)
+			}
+		}
+	}
+}
+
+// corruptScanDB answers every scan with three records, all damaged.
+type corruptScanDB struct{ db.DB }
+
+func (corruptScanDB) Scan(context.Context, string, string, int, []string) ([]db.KV, error) {
+	kvs := make([]db.KV, 3)
+	for i := range kvs {
+		kvs[i] = db.KV{Key: fmt.Sprintf("user%d", i), Record: db.Record{"field0": []byte("x")}}
+	}
+	return kvs, nil
+}
+
+// The anomaly score counts operations, not records: one scan that
+// returns three corrupt rows is one corrupt operation.
+func TestCoreWorkloadScoreCountsOperations(t *testing.T) {
+	w := NewCore()
+	if err := w.Init(properties.FromMap(map[string]string{
+		"recordcount": "10", "fieldcount": "1", "dataintegrity": "true",
+		"readproportion": "0", "updateproportion": "0", "scanproportion": "1",
+	}), nil); err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := w.InitThread(0, 1)
+	ctx := context.Background()
+	if op, err := w.Do(ctx, corruptScanDB{db.NewMemory()}, ts); op != OpScan || err != nil {
+		t.Fatalf("Do = %s, %v; want a scan", op, err)
+	}
+	res, err := w.Validate(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Valid || res.Counted != 1 || res.Operations != 1 || res.AnomalyScore > 1 {
+		t.Errorf("one scan of three corrupt rows: %+v, want Counted 1 of 1 and a score <= 1", res)
+	}
+	if !strings.Contains(res.Detail, "3 of 3 verified reads") {
+		t.Errorf("detail = %q, want the three failing records", res.Detail)
+	}
+}
+
+// BenchmarkVerifyRead times the client's integrity check on the default
+// record (10 fields of 100 B): one read's record, and the 50 records of
+// a scan.
+func BenchmarkVerifyRead(b *testing.B) {
+	w := NewCore()
+	if err := w.Init(properties.FromMap(map[string]string{"dataintegrity": "true"}), nil); err != nil {
+		b.Fatal(err)
+	}
+	kvs := make([]db.KV, 50)
+	for i := range kvs {
+		key := w.keyName(int64(i))
+		rec := db.Record{}
+		for _, f := range w.fieldNames {
+			rec[f] = integrityValue(key, f, w.fieldLength)
+		}
+		kvs[i] = db.KV{Key: key, Record: rec}
+	}
+	b.Run("record", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w.verifyRead(kvs[0].Key, kvs[0].Record, nil)
+		}
+	})
+	b.Run("scan50", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w.verifyScan(kvs, nil)
+		}
+	})
+	if n := w.verifyFailures.Load(); n != 0 {
+		b.Fatalf("%d canonical records failed", n)
 	}
 }
 
