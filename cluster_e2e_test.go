@@ -1,18 +1,15 @@
-// Multi-process cluster end to end: three real kvserver processes
-// behind one shard map, client-coordinated CEW transactions routed
-// across them by the cluster binding, and a live slot migration in
-// the middle of the timed run. The closed economy must balance to an
-// anomaly score of zero — transactions spanning nodes, surviving a
-// rebalance, losing nothing.
+// Cluster end to end: three nodes booted as kvserver boots one, behind
+// one shard map, client-coordinated CEW transactions routed across
+// them by the cluster binding, and two live slot migrations through
+// the admin route in the middle of the timed run. The closed economy
+// must balance to an anomaly score of zero — transactions spanning
+// nodes, surviving a rebalance, losing nothing.
 package ycsbt_test
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,87 +24,6 @@ import (
 
 	_ "ycsbt/internal/txn" // register the txnkv binding
 )
-
-// freeAddrs reserves n distinct loopback ports by listening and
-// immediately closing; the tiny reuse race is acceptable in tests.
-func freeAddrs(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs
-}
-
-// buildKVServer compiles cmd/kvserver into the test's temp dir.
-func buildKVServer(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "kvserver")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/kvserver").CombinedOutput(); err != nil {
-		t.Fatalf("building kvserver: %v\n%s", err, out)
-	}
-	return bin
-}
-
-// startClusterProcs builds the kvserver binary once and spawns one
-// real process per address, all sharing a uniform bootstrap map. Every
-// node also gets a binary wire listener and an ops listener, so the
-// fleet exercises the framed protocol end to end and the test can
-// confirm from kvwire_* metrics that traffic really rode it; opsURLs
-// receives one ops base URL per node when non-nil.
-func startClusterProcs(t *testing.T, addrs []string, slots int, opsURLs *[]string) []string {
-	t.Helper()
-	bin := buildKVServer(t)
-	urls := make([]string, len(addrs))
-	for i, a := range addrs {
-		urls[i] = "http://" + a
-	}
-	peers := strings.Join(urls, ",")
-	wireAddrs := freeAddrs(t, len(addrs))
-	opsAddrs := freeAddrs(t, len(addrs))
-	for i, a := range addrs {
-		cmd := exec.Command(bin,
-			"-addr", a,
-			"-cluster-node-id", urls[i],
-			"-peers", peers,
-			"-cluster-slots", fmt.Sprint(slots),
-			"-wire-addr", wireAddrs[i],
-			"-ops-addr", opsAddrs[i],
-		)
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("starting node %d: %v", i, err)
-		}
-		t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
-	}
-	if opsURLs != nil {
-		for _, a := range opsAddrs {
-			*opsURLs = append(*opsURLs, "http://"+a)
-		}
-	}
-	for _, u := range urls {
-		ok := false
-		for i := 0; i < 100; i++ {
-			resp, err := http.Get(u + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					ok = true
-					break
-				}
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		if !ok {
-			t.Fatalf("node %s never became healthy", u)
-		}
-	}
-	return urls
-}
 
 // adminMigrate drives one live migration through the admin route.
 func adminMigrate(u string, slot int, dest string) error {
@@ -124,12 +40,11 @@ func adminMigrate(u string, slot int, dest string) error {
 
 func TestClusterCEWZeroAnomalyAcrossMigration(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-process e2e cell")
+		t.Skip("timed e2e cell")
 	}
 	ctx := context.Background()
-	const slots = 12
-	var opsURLs []string
-	urls := startClusterProcs(t, freeAddrs(t, 3), slots, &opsURLs)
+	nodes, _ := startFleet(t, 3, 12, nil)
+	urls := nodeURLs(nodes)
 
 	p := properties.FromMap(map[string]string{
 		"workload":                  "closedeconomy",
@@ -238,24 +153,9 @@ func TestClusterCEWZeroAnomalyAcrossMigration(t *testing.T) {
 
 	// The run really rode the binary protocol: every node's wire
 	// listener saw frames.
-	for i, u := range opsURLs {
-		resp, err := http.Get(u + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames := 0.0
-		for _, line := range strings.Split(string(body), "\n") {
-			if strings.HasPrefix(line, `kvwire_frames_total{dir="in"}`) {
-				fmt.Sscanf(line, `kvwire_frames_total{dir="in"} %g`, &frames)
-			}
-		}
-		if frames == 0 {
-			t.Errorf("node %d (%s): kvwire_frames_total{dir=in} = 0; cluster traffic never rode the wire", i, urls[i])
+	for i, nd := range nodes {
+		if nd.reg.Counter("kvwire_frames_total", "dir", "in").Value() == 0 {
+			t.Errorf("node %d (%s): kvwire_frames_total{dir=in} = 0; cluster traffic never rode the wire", i, nd.url)
 		}
 	}
 

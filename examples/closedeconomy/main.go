@@ -11,10 +11,10 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"time"
 
+	"ycsbt/internal/bench"
 	"ycsbt/internal/client"
 	"ycsbt/internal/httpkv"
 	"ycsbt/internal/kvstore"
@@ -79,13 +79,9 @@ func rawRun(ctx context.Context, threads int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	kv := httpkv.NewServer(store)
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(200 * time.Microsecond) // storage-engine I/O stand-in
-		kv.ServeHTTP(w, r)
-	})}
-	go srv.Serve(ln)
-	defer srv.Close()
+	// 200µs per read and update stands in for the storage engine's I/O.
+	eng := bench.SlowEngine{Engine: store, Delay: 200 * time.Microsecond}
+	defer httpkv.ServeNode(eng, ln, nil, httpkv.NodeOptions{}).Shutdown(ctx)
 
 	p := props(threads)
 	w, err := workload.New("closedeconomy")

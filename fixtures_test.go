@@ -1,11 +1,12 @@
-// In-process servers for the root end-to-end tests and benchmarks, wired
-// the way cmd/kvserver wires a node: an engine behind one shared
-// kvwire.Core, a frame listener, and the HTTP surface advertising it.
+// In-process servers for the root end-to-end tests and benchmarks,
+// booted through httpkv.ServeNode as cmd/kvserver boots a node: an
+// engine behind one shared kvwire.Core, a frame listener, the HTTP
+// surface advertising it, and the admin routes.
 package ycsbt_test
 
 import (
+	"context"
 	"net"
-	"net/http"
 	"os"
 	"testing"
 	"time"
@@ -13,7 +14,6 @@ import (
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/httpkv"
 	"ycsbt/internal/kvstore"
-	"ycsbt/internal/kvwire"
 	"ycsbt/internal/obs"
 )
 
@@ -63,22 +63,16 @@ func serveNode(tb testing.TB, httpLn net.Listener, store *kvstore.Store, cs *clu
 	if model != nil {
 		eng = model(store)
 	}
-	core := kvwire.NewCore(eng, cs, 0)
-	core.Instrument(reg)
-	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	wireSrv := kvwire.NewServer(core, kvwire.ServerOptions{Metrics: reg})
-	go wireSrv.Serve(wireLn)
-	httpSrv := &http.Server{Handler: httpkv.NewServerWithOptions(eng, httpkv.ServerOptions{
-		Metrics:  reg,
-		Core:     core,
-		WireAddr: wireLn.Addr().String(),
-	})}
-	go httpSrv.Serve(httpLn)
-	tb.Cleanup(func() { httpSrv.Close(); wireSrv.Close(); store.Close() })
+	nd := httpkv.ServeNode(eng, httpLn, listenLoopback(tb), httpkv.NodeOptions{Cluster: cs, Metrics: reg})
+	tb.Cleanup(func() { shutdown(nd); store.Close() })
 	return &testNode{url: "http://" + httpLn.Addr().String(), store: store, reg: reg}
+}
+
+// shutdown drains a node for at most five seconds.
+func shutdown(nd *httpkv.Node) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return nd.Shutdown(ctx)
 }
 
 func listenLoopback(tb testing.TB) net.Listener {
@@ -116,10 +110,10 @@ func startKVServer(tb testing.TB, delay time.Duration) (*kvstore.Store, string) 
 	return store, nd.url
 }
 
-// startFleet boots n cluster nodes under one uniform hash map. Every
-// listener is held from the moment its port is chosen, so unlike the
-// spawned-process helper there is no window for a port to be taken
-// twice. model, when non-nil, wraps each node's engine.
+// startFleet boots n cluster nodes under one uniform hash map, the map
+// kvserver -peers bootstraps. Every listener is held from the moment
+// its port is chosen, so no port can be taken twice. model, when
+// non-nil, wraps each node's engine.
 func startFleet(tb testing.TB, n, slots int, model func(kvstore.Engine) kvstore.Engine) ([]*testNode, *cluster.Map) {
 	tb.Helper()
 	lns := make([]net.Listener, n)

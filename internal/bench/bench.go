@@ -321,23 +321,16 @@ func figure45Cell(ctx context.Context, o SweepOptions, threads int, dist string)
 	if err != nil {
 		return Point{}, fmt.Errorf("bench: listening for figure 4/5 server: %w", err)
 	}
-	// Each request pays a small service latency standing in for the
-	// storage engine's I/O (the paper's server stored to SSD-backed
+	// Each read and update pays a small service latency standing in for
+	// the storage engine's I/O (the paper's server stored to SSD-backed
 	// WiredTiger). The latency is what lets client threads overlap
 	// requests — Figure 5's near-linear scaling — and it widens the
 	// read-modify-write race window that Figure 4 quantifies.
-	serviceDelay := time.Millisecond
+	eng := SlowEngine{Engine: inner, Delay: time.Millisecond}
 	if o.Quick {
-		serviceDelay = 200 * time.Microsecond
+		eng.Delay = 200 * time.Microsecond
 	}
-	store := httpkv.NewServer(inner)
-	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(serviceDelay)
-		store.ServeHTTP(w, r)
-	})
-	srv := &http.Server{Handler: handler}
-	go srv.Serve(ln)
-	defer srv.Close()
+	defer httpkv.ServeNode(eng, ln, nil, httpkv.NodeOptions{}).Shutdown(ctx)
 
 	hc := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        4 * threads,
@@ -352,6 +345,22 @@ func figure45Cell(ctx context.Context, o SweepOptions, threads int, dist string)
 		return Point{}, err
 	}
 	return point(threads, res, v), nil
+}
+
+// SlowEngine sleeps Delay in every point read and update it serves.
+type SlowEngine struct {
+	kvstore.Engine
+	Delay time.Duration
+}
+
+func (e SlowEngine) Get(table, key string) (*kvstore.VersionedRecord, error) {
+	time.Sleep(e.Delay)
+	return e.Engine.Get(table, key)
+}
+
+func (e SlowEngine) Update(table, key string, fields map[string][]byte) (uint64, error) {
+	time.Sleep(e.Delay)
+	return e.Engine.Update(table, key, fields)
 }
 
 // OverheadRow is one operation's latency in both modes (Tier 5).

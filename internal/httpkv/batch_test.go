@@ -92,7 +92,7 @@ func TestBatchAdmissionControl(t *testing.T) {
 	eng := &slowEngine{Engine: kvstore.OpenMemory(), delay: 750 * time.Millisecond, entered: make(chan struct{})}
 	defer eng.Close()
 	tn := listenNode(t)
-	tn.serve(t, eng, nil, 1)
+	tn.serve(t, eng, NodeOptions{MaxInflight: 1})
 	// retry429=0: this test asserts the shed itself; retry has its own.
 	c := tn.client(t, WireModeAuto, "rawhttp.retry429", "0")
 
@@ -120,7 +120,7 @@ func TestBatchAdmissionRetrySucceeds(t *testing.T) {
 	eng := &slowEngine{Engine: mem, delay: 200 * time.Millisecond, entered: make(chan struct{})}
 	defer eng.Close()
 	tn := listenNode(t)
-	tn.serve(t, eng, nil, 1)
+	tn.serve(t, eng, NodeOptions{MaxInflight: 1})
 	// The server hints 1s; the cap cuts the one backoff to 500ms, well
 	// after the slow batch has released the slot.
 	c := tn.client(t, WireModeAuto, "rawhttp.retry429_max_ms", "500")
@@ -160,18 +160,14 @@ func TestHTTP429IsThrottled(t *testing.T) {
 }
 
 func TestServerRejectsMalformedAndOversized(t *testing.T) {
-	store := kvstore.OpenMemory()
-	defer store.Close()
-	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{MaxBodyBytes: 256}))
-	defer srv.Close()
-	hc := srv.Client()
+	tn := startHTTPNode(t, openTestStore(t), NodeOptions{MaxBodyBytes: 256})
 
 	post := func(path, body string, hdr map[string]string, method string) int {
-		req, _ := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		req, _ := http.NewRequest(method, tn.URL+path, strings.NewReader(body))
 		for k, v := range hdr {
 			req.Header.Set(k, v)
 		}
-		resp, err := hc.Do(req)
+		resp, err := tn.hc.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,9 +199,21 @@ func TestServerRejectsMalformedAndOversized(t *testing.T) {
 	if got := post("/v1/t/k", big, nil, http.MethodPut); got != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized put: %d, want 413", got)
 	}
-	// Bad path → 400.
+	// Bad paths → 400, or some other refusal outside /v1/.
 	if got := post("/v1/", "", nil, http.MethodGet); got != http.StatusBadRequest {
 		t.Errorf("bad path: %d, want 400", got)
+	}
+	for _, p := range []string{"/nope", "/v1"} {
+		if got := post(p, "", nil, http.MethodGet); got == http.StatusOK {
+			t.Errorf("GET %s: 200, want a refusal", p)
+		}
+	}
+	// A table takes only GET (its scan); If-Match must be a version.
+	if got := post("/v1/t", "", nil, http.MethodDelete); got != http.StatusMethodNotAllowed {
+		t.Errorf("DELETE on a table: %d, want 405", got)
+	}
+	if got := post("/v1/t/k", `{"fields":{"f":"dg=="}}`, map[string]string{"If-Match": "v1"}, http.MethodPut); got != http.StatusBadRequest {
+		t.Errorf("bad If-Match: %d, want 400", got)
 	}
 	// A malformed deadline header is rejected outright.
 	if got := post("/v1/t/a", "", map[string]string{DeadlineHeader: "soon"}, http.MethodGet); got != http.StatusBadRequest {

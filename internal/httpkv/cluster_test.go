@@ -99,7 +99,7 @@ func testClusterFreezeWindow(t *testing.T, mode string) {
 	}
 	_, slot := m.Owner(key)
 
-	resp, err := a.srv.Client().Post(fmt.Sprintf("%s/v1/shardmap/freeze?slot=%d", a.URL, slot), "", nil)
+	resp, err := a.hc.Post(fmt.Sprintf("%s/v1/shardmap/freeze?slot=%d", a.URL, slot), "", nil)
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("freeze: %v %v", resp.Status, err)
 	}
@@ -116,7 +116,7 @@ func testClusterFreezeWindow(t *testing.T, mode string) {
 		t.Errorf("read during freeze: %v %v", got, err)
 	}
 
-	resp, err = a.srv.Client().Post(fmt.Sprintf("%s/v1/shardmap/freeze?slot=%d&thaw=1", a.URL, slot), "", nil)
+	resp, err = a.hc.Post(fmt.Sprintf("%s/v1/shardmap/freeze?slot=%d&thaw=1", a.URL, slot), "", nil)
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("thaw: %v %v", resp.Status, err)
 	}
@@ -134,7 +134,7 @@ func TestClusterShardMapRoutes(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	hc := a.srv.Client()
+	hc := a.hc
 
 	got, err := fetchShardMap(ctx, hc, a.URL)
 	if err != nil {
@@ -199,7 +199,7 @@ func TestClusterShardMapPutCAS(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	hc := a.srv.Client()
+	hc := a.hc
 	next, err := m.WithSlotMoved(m.SlotsOf(a.URL)[0], b.URL)
 	if err != nil {
 		t.Fatal(err)

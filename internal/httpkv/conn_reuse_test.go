@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,19 +24,12 @@ import (
 // body that json.Decoder stops one byte short of) dialled a fresh
 // connection.
 func TestClientReusesConnections(t *testing.T) {
-	store := kvstore.OpenMemoryShards(4)
-	defer store.Close()
 	var newConns atomic.Int64
-	srv := httptest.NewUnstartedServer(NewServer(store))
-	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		if s == http.StateNew {
-			newConns.Add(1)
-		}
-	}
-	srv.Start()
-	defer srv.Close()
+	tn := listenNode(t)
+	tn.httpLn = countingListener{tn.httpLn, &newConns}
+	tn.serve(t, kvstore.OpenMemoryShards(4), NodeOptions{})
 
-	c := NewClient(srv.URL, nil)
+	c := NewClient(tn.URL, nil)
 	defer c.Cleanup()
 
 	const workers, rounds = 2, 60
@@ -99,6 +90,20 @@ func TestClientReusesConnections(t *testing.T) {
 	if got, want := c.Dials(), newConns.Load(); got != want {
 		t.Errorf("Client.Dials() = %d, server counted %d new connections", got, want)
 	}
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepted *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
 }
 
 // TestRouterExportsDialCount: a router on its own pooled transport

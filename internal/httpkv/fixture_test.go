@@ -5,32 +5,31 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
+	"strconv"
 	"testing"
 	"time"
 
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
-	"ycsbt/internal/kvwire"
 	"ycsbt/internal/obs"
 	"ycsbt/internal/properties"
 )
 
-// testNode is one in-process server wired the way cmd/kvserver wires
-// it: an engine behind one shared Core, a frame listener, and the HTTP
-// surface advertising that listener. Both listeners are open before the
-// Server exists, so a shard map can name the node's URL first.
+// testNode is one in-process node booted through ServeNode. Both
+// listeners are open before the node serves, so a shard map can name
+// its URL first.
 type testNode struct {
 	URL      string
 	wireAddr string
-	srv      *httptest.Server
+	httpLn   net.Listener
 	wireLn   net.Listener
-	h        atomic.Pointer[Server]
-	httpReqs atomic.Int64 // HTTP requests the node has been sent
+	hc       *http.Client // a client of the test's own, closed with it
+	node     *Node
 
 	// Set by serve.
+	eng   kvstore.Engine
+	opts  NodeOptions
 	store *kvstore.Store // nil when serve was handed a decorated engine
 	state *cluster.State // nil outside cluster mode
 	reg   *obs.Registry  // the node's httpkv_*, kvwire_* and cluster series
@@ -39,37 +38,70 @@ type testNode struct {
 // listenNode opens a node's two listeners; serve completes it.
 func listenNode(t testing.TB) *testNode {
 	t.Helper()
-	tn := &testNode{reg: obs.NewRegistry()}
-	tn.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tn.httpReqs.Add(1)
-		if s := tn.h.Load(); s != nil {
-			s.ServeHTTP(w, r)
-			return
-		}
-		http.Error(w, "booting", http.StatusServiceUnavailable)
-	}))
-	t.Cleanup(tn.srv.Close)
-	tn.URL = tn.srv.URL
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn.wireLn, tn.wireAddr = ln, ln.Addr().String()
+	tn := &testNode{httpLn: listenOn(t, "127.0.0.1:0"), wireLn: listenOn(t, "127.0.0.1:0"), reg: obs.NewRegistry()}
+	tn.URL, tn.wireAddr = "http://"+tn.httpLn.Addr().String(), tn.wireLn.Addr().String()
+	tn.hc = &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(tn.hc.CloseIdleConnections)
 	return tn
 }
 
-// serve starts both front ends over eng. cs puts the node in cluster
-// mode (nil: standalone); maxInflight is the core's admission limit.
-func (tn *testNode) serve(t testing.TB, eng kvstore.Engine, cs *cluster.State, maxInflight int) {
+// listenOn listens on addr ("127.0.0.1:0": any free loopback port).
+func listenOn(t testing.TB, addr string) net.Listener {
 	t.Helper()
-	tn.state = cs
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// serve boots the node over eng; o.Metrics defaults to the node's
+// registry.
+func (tn *testNode) serve(t testing.TB, eng kvstore.Engine, o NodeOptions) {
+	t.Helper()
+	if o.Metrics == nil {
+		o.Metrics = tn.reg
+	}
+	tn.eng, tn.opts, tn.state, tn.reg = eng, o, o.Cluster, o.Metrics
 	tn.store, _ = eng.(*kvstore.Store)
-	core := kvwire.NewCore(eng, cs, maxInflight)
-	core.Instrument(tn.reg)
-	ws := kvwire.NewServer(core, kvwire.ServerOptions{Metrics: tn.reg})
-	go ws.Serve(tn.wireLn)
-	t.Cleanup(func() { ws.Close() })
-	tn.h.Store(NewServerWithOptions(eng, ServerOptions{Metrics: tn.reg, Core: core, WireAddr: tn.wireAddr}))
+	nd := ServeNode(eng, tn.httpLn, tn.wireLn, o)
+	tn.node = nd
+	t.Cleanup(func() { shutdown(nd) })
+}
+
+// join serves eng as m's member at tn.URL.
+func (tn *testNode) join(t testing.TB, m *cluster.Map, eng kvstore.Engine, o NodeOptions) {
+	t.Helper()
+	cs, err := cluster.NewState(tn.URL, m, tn.reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Cluster = cs
+	tn.serve(t, eng, o)
+}
+
+// shutdown drains a node for at most five seconds.
+func shutdown(nd *Node) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return nd.Shutdown(ctx)
+}
+
+// restart shuts the node down and boots it again on the same HTTP
+// address over the same engine and options, with a new frame listener
+// when wire is set and none otherwise.
+func (tn *testNode) restart(t testing.TB, wire bool) {
+	t.Helper()
+	if err := shutdown(tn.node); err != nil {
+		t.Fatal(err)
+	}
+	tn.httpLn = listenOn(t, tn.httpLn.Addr().String())
+	tn.wireLn, tn.wireAddr = nil, ""
+	if wire {
+		tn.wireLn = listenOn(t, "127.0.0.1:0")
+		tn.wireAddr = tn.wireLn.Addr().String()
+	}
+	tn.serve(t, tn.eng, tn.opts)
 }
 
 // startNode boots one standalone node over eng (nil: a fresh store).
@@ -79,7 +111,17 @@ func startNode(t testing.TB, eng kvstore.Engine) *testNode {
 	if eng == nil {
 		eng = openTestStore(t)
 	}
-	tn.serve(t, eng, nil, 0)
+	tn.serve(t, eng, NodeOptions{})
+	return tn
+}
+
+// startHTTPNode boots one node over eng that serves HTTP only.
+func startHTTPNode(t testing.TB, eng kvstore.Engine, o NodeOptions) *testNode {
+	t.Helper()
+	tn := listenNode(t)
+	tn.wireLn.Close()
+	tn.wireLn, tn.wireAddr = nil, ""
+	tn.serve(t, eng, o)
 	return tn
 }
 
@@ -125,11 +167,7 @@ func startTestClusterWithMap(t testing.TB, n int, build func(addrs []string) (*c
 		t.Fatal(err)
 	}
 	for _, tn := range nodes {
-		cs, err := cluster.NewState(tn.URL, m, tn.reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tn.serve(t, openTestStore(t), cs, 0)
+		tn.join(t, m, openTestStore(t), NodeOptions{})
 	}
 	return nodes
 }
@@ -143,16 +181,8 @@ func startPair(t testing.TB, engA, engB kvstore.Engine) (a, b *testNode, m *clus
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []struct {
-		tn  *testNode
-		eng kvstore.Engine
-	}{{a, engA}, {b, engB}} {
-		cs, err := cluster.NewState(n.tn.URL, m, n.tn.reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.tn.serve(t, n.eng, cs, 0)
-	}
+	a.join(t, m, engA, NodeOptions{})
+	b.join(t, m, engB, NodeOptions{})
 	return a, b, m
 }
 
@@ -182,6 +212,16 @@ func propsOf(kv ...string) *properties.Properties {
 // counter reads one of the node's registry counters.
 func (tn *testNode) counter(name string, labels ...string) int64 {
 	return tn.reg.Counter(name, labels...).Value()
+}
+
+// httpReqs is the HTTP requests the node has answered:
+// httpkv_responses_total over every code.
+func (tn *testNode) httpReqs() int64 {
+	n := tn.counter("httpkv_responses_total", "code", "other")
+	for _, code := range trackedCodes {
+		n += tn.counter("httpkv_responses_total", "code", strconv.Itoa(code))
+	}
+	return n
 }
 
 // bothTransports runs fn once per transport.

@@ -69,13 +69,6 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	return sr.ResponseWriter.Write(b)
 }
 
-// Flush keeps streaming handlers working behind the wrapper.
-func (sr *statusRecorder) Flush() {
-	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 func (sr *statusRecorder) code() int {
 	if sr.status == 0 {
 		return http.StatusOK

@@ -39,8 +39,7 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(NewServerWithOptions(eng, ServerOptions{Metrics: reg}))
-	defer srv.Close()
+	tn := startHTTPNode(t, eng, NodeOptions{Metrics: reg})
 	ops := httptest.NewServer(obs.NewOpsMux(reg, nil))
 	defer ops.Close()
 
@@ -50,7 +49,7 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := NewClient(srv.URL, srv.Client())
+			c := NewClient(tn.URL, tn.hc)
 			ctx := context.Background()
 			for i := 0; i < 25; i++ {
 				key := fmt.Sprintf("w%d-k%d", w, i)

@@ -30,7 +30,7 @@ func TestMigrateSlotMovesData(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	ca := NewClient(a.URL, a.srv.Client())
+	ca := NewClient(a.URL, a.hc)
 
 	// Load keys onto a, remembering those in the slot we'll move.
 	slot := m.SlotsOf(a.URL)[0]
@@ -60,7 +60,7 @@ func TestMigrateSlotMovesData(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	next, err := MigrateSlot(ctx, a.srv.Client(), m, slot, b.URL)
+	next, err := MigrateSlot(ctx, a.hc, m, slot, b.URL)
 	if err != nil {
 		t.Fatalf("MigrateSlot: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestMigrateSlotMovesData(t *testing.T) {
 	}
 
 	// Destination serves the moved keys, history intact.
-	cb := NewClient(b.URL, b.srv.Client())
+	cb := NewClient(b.URL, b.hc)
 	for _, k := range inSlot {
 		if _, err := cb.Read(ctx, "usertable", k, nil); err != nil {
 			t.Fatalf("read %s on destination: %v", k, err)
@@ -120,7 +120,7 @@ func TestMigrateSlotIdempotentCopy(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	ca := NewClient(a.URL, a.srv.Client())
+	ca := NewClient(a.URL, a.hc)
 
 	slot := m.SlotsOf(a.URL)[0]
 	key := slotKeys(m, slot, 1)[0]
@@ -128,11 +128,11 @@ func TestMigrateSlotIdempotentCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate the copy half of a failed earlier attempt.
-	if err := copySlot(ctx, a.srv.Client(), b.URL, "usertable", slot); err != nil {
+	if err := copySlot(ctx, a.hc, b.URL, "usertable", slot); err != nil {
 		t.Fatal(err)
 	}
 	// The real migration re-copies the same records, then cuts over.
-	if _, err := MigrateSlot(ctx, a.srv.Client(), m, slot, b.URL); err != nil {
+	if _, err := MigrateSlot(ctx, a.hc, m, slot, b.URL); err != nil {
 		t.Fatalf("retry migration: %v", err)
 	}
 	got, err := b.store.Get("usertable", key)
@@ -152,7 +152,7 @@ func TestMigrateBackPreservesDeletes(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	hc := a.srv.Client()
+	hc := a.hc
 	ca := NewClient(a.URL, hc)
 
 	slot := m.SlotsOf(a.URL)[0]
@@ -205,7 +205,7 @@ func TestMigrateBackAfterPurgeStaysDeleted(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	hc := a.srv.Client()
+	hc := a.hc
 	ca := NewClient(a.URL, hc)
 
 	slot := m.SlotsOf(a.URL)[0]
@@ -275,7 +275,7 @@ func TestMigrateBackPreservesDeletesUnderVacuum(t *testing.T) {
 	vac := &vacuumingEngine{Engine: bStore, store: bStore}
 	a, b, m := startPair(t, openTestStore(t), vac)
 	ctx := context.Background()
-	hc := a.srv.Client()
+	hc := a.hc
 	ca := NewClient(a.URL, hc)
 
 	slot := m.SlotsOf(a.URL)[0]
@@ -329,7 +329,7 @@ func TestMigrateSlotAbortsWhenFleetAhead(t *testing.T) {
 	}
 
 	slot := m.SlotsOf(a.URL)[0]
-	if _, err := MigrateSlot(ctx, a.srv.Client(), m, slot, b.URL); err == nil {
+	if _, err := MigrateSlot(ctx, a.hc, m, slot, b.URL); err == nil {
 		t.Fatal("migration built from a superseded map ran anyway")
 	}
 	if a.state.Frozen(slot) {
@@ -347,14 +347,14 @@ func TestMigrateSlotValidation(t *testing.T) {
 	m := a.state.Map()
 	ctx := context.Background()
 
-	if _, err := MigrateSlot(ctx, a.srv.Client(), m, 99, nodes[1].URL); err == nil {
+	if _, err := MigrateSlot(ctx, a.hc, m, 99, nodes[1].URL); err == nil {
 		t.Error("out-of-range slot accepted")
 	}
-	if _, err := MigrateSlot(ctx, a.srv.Client(), m, 0, "http://stranger:1"); err == nil {
+	if _, err := MigrateSlot(ctx, a.hc, m, 0, "http://stranger:1"); err == nil {
 		t.Error("non-member destination accepted")
 	}
 	slot := m.SlotsOf(a.URL)[0]
-	same, err := MigrateSlot(ctx, a.srv.Client(), m, slot, a.URL)
+	same, err := MigrateSlot(ctx, a.hc, m, slot, a.URL)
 	if err != nil || same.Version != m.Version {
 		t.Errorf("self-migration should be a version-preserving no-op: %v v%d", err, same.Version)
 	}
@@ -418,7 +418,7 @@ func TestMigrateSlotCopiesManyChunks(t *testing.T) {
 	}
 	framesIn := b.counter("kvwire_frames_total", "dir", "in")
 	chunks := a.counter("kvwire_scan_chunks_total")
-	if _, err := MigrateSlot(context.Background(), a.srv.Client(), m, slot, b.URL); err != nil {
+	if _, err := MigrateSlot(context.Background(), a.hc, m, slot, b.URL); err != nil {
 		t.Fatalf("MigrateSlot: %v", err)
 	}
 	if n := b.counter("kvwire_frames_total", "dir", "in") - framesIn; n != 0 {
@@ -430,7 +430,7 @@ func TestMigrateSlotCopiesManyChunks(t *testing.T) {
 	if n := b.counter("kvwire_ingest_records_total"); n != live {
 		t.Errorf("destination ingested %d records, want the %d live ones", n, live)
 	}
-	cb := NewClient(b.URL, b.srv.Client())
+	cb := NewClient(b.URL, b.hc)
 	for i, k := range keys {
 		got, err := b.store.Get("usertable", k)
 		if i < dead {
@@ -516,7 +516,7 @@ func controlStatus(t *testing.T, tn *testNode, method, target string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := tn.srv.Client().Do(req)
+	resp, err := tn.hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestMigrateSlotDropsSource(t *testing.T) {
 	if n, r := aStore.Len("usertable"), retainedVersions(t, aReg); n != wantLen+len(moved) || r != wantRetained+int64(len(moved)) {
 		t.Fatalf("before the migration: %d records, %d retained versions", n, r)
 	}
-	if _, err := MigrateSlot(context.Background(), a.srv.Client(), m, slots[0], b.URL); err != nil {
+	if _, err := MigrateSlot(context.Background(), a.hc, m, slots[0], b.URL); err != nil {
 		t.Fatalf("MigrateSlot: %v", err)
 	}
 	check := func(when string, s *kvstore.Store, reg *obs.Registry) {
@@ -663,7 +663,7 @@ func TestMigrateSlotRollbackKeepsSource(t *testing.T) {
 	}}
 	a, b, m := startPair(t, openTestStore(t), hook)
 	ctx := context.Background()
-	hc := a.srv.Client()
+	hc := a.hc
 	slot := m.SlotsOf(a.URL)[0]
 	keys := loadSlot(t, a.store, m, slot, 20)
 
@@ -697,19 +697,10 @@ func TestCopyRouteShedsAndFollowsItsCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := &gatedIngest{Engine: openTestStore(t), entered: make(chan struct{}), release: make(chan struct{})}
-	for _, n := range []struct {
-		tn          *testNode
-		eng         kvstore.Engine
-		maxInflight int
-	}{{a, openTestStore(t), 0}, {b, gate, 1}} {
-		cs, err := cluster.NewState(n.tn.URL, m, n.tn.reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.tn.serve(t, n.eng, cs, n.maxInflight)
-	}
+	a.join(t, m, openTestStore(t), NodeOptions{})
+	b.join(t, m, gate, NodeOptions{MaxInflight: 1})
 	t.Cleanup(func() { close(gate.release) }) // before the servers close
-	hc := a.srv.Client()
+	hc := a.hc
 	slot := m.SlotsOf(a.URL)[0]
 	// Four pages of two pull batches each: the pull is mid-scan whatever
 	// it does short of ending.

@@ -3,7 +3,7 @@ package httpkv_test
 import (
 	"context"
 	"errors"
-	"net/http/httptest"
+	"net"
 	"strconv"
 	"testing"
 
@@ -15,12 +15,16 @@ import (
 func newRemote(t *testing.T, name string) (*httpkv.RemoteStore, *kvstore.Store) {
 	t.Helper()
 	store := kvstore.OpenMemory()
-	srv := httptest.NewServer(httpkv.NewServer(store))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := httpkv.ServeNode(store, ln, nil, httpkv.NodeOptions{})
 	t.Cleanup(func() {
-		srv.Close()
+		node.Shutdown(context.Background())
 		store.Close()
 	})
-	rs, err := httpkv.NewRemoteStore(name, srv.URL, srv.Client())
+	rs, err := httpkv.NewRemoteStore(name, "http://"+ln.Addr().String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +40,9 @@ func TestRemoteStoreVersionedOps(t *testing.T) {
 	v, err := r.Put(ctx, "t", "k", map[string][]byte{"f": []byte("a")}, kvstore.MustNotExist)
 	if err != nil || v != 1 {
 		t.Fatalf("create = %d, %v", v, err)
+	}
+	if _, err := r.Put(ctx, "t", "k", map[string][]byte{"f": []byte("b")}, kvstore.MustNotExist); !errors.Is(err, kvstore.ErrVersionMismatch) {
+		t.Errorf("create-only on an existing key = %v", err)
 	}
 	if _, err := r.Put(ctx, "t", "k", map[string][]byte{"f": []byte("b")}, 99); !errors.Is(err, kvstore.ErrVersionMismatch) {
 		t.Errorf("stale CAS = %v", err)

@@ -17,7 +17,7 @@ import (
 
 func newTestRouter(t *testing.T, nodes []*testNode, reg *obs.Registry) *Router {
 	t.Helper()
-	r, err := NewRouter([]string{nodes[0].URL}, nodes[0].srv.Client(), reg)
+	r, err := NewRouter([]string{nodes[0].URL}, nodes[0].hc, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,12 +288,12 @@ func TestRouterMovedStorm(t *testing.T) {
 
 	// Two live migrations mid-storm: a → b, then another slot b → a.
 	slotAB := m.SlotsOf(a.URL)[0]
-	m2, err := MigrateSlot(ctx, a.srv.Client(), m, slotAB, b.URL)
+	m2, err := MigrateSlot(ctx, a.hc, m, slotAB, b.URL)
 	if err != nil {
 		t.Fatalf("storm migration 1: %v", err)
 	}
 	slotBA := m2.SlotsOf(b.URL)[0]
-	if _, err := MigrateSlot(ctx, a.srv.Client(), m2, slotBA, a.URL); err != nil {
+	if _, err := MigrateSlot(ctx, a.hc, m2, slotBA, a.URL); err != nil {
 		t.Fatalf("storm migration 2: %v", err)
 	}
 
@@ -384,7 +384,7 @@ func TestRouterScanStreamsAcrossFleet(t *testing.T) {
 	}
 	httpBefore := make([]int64, len(nodes))
 	for i, tn := range nodes {
-		httpBefore[i] = tn.httpReqs.Load()
+		httpBefore[i] = tn.httpReqs()
 	}
 
 	got, err := r.Scan(ctx, "t", "user00050", 300, nil)
@@ -396,7 +396,7 @@ func TestRouterScanStreamsAcrossFleet(t *testing.T) {
 		if c := tn.counter("kvwire_scan_chunks_total"); c == 0 {
 			t.Errorf("node %d served no scan pages; its slice of the merge did not ride frames", i)
 		}
-		if n := tn.httpReqs.Load() - httpBefore[i]; n != 0 {
+		if n := tn.httpReqs() - httpBefore[i]; n != 0 {
 			t.Errorf("node %d answered %d HTTP requests during a routed scan", i, n)
 		}
 	}
@@ -413,25 +413,25 @@ func TestRouterMountFailureIsNotCached(t *testing.T) {
 	b := nodes[1]
 	key := keyOwnedBy(t, r.Map(), b.URL, "user")
 
-	// Unmount b and take its HTTP surface down, as if a refetched map
-	// had named a node that is still booting.
+	// Unmount b and boot it again without its frame listener, as if a
+	// refetched map had named a node that is still booting.
 	r.mu.Lock()
 	r.nodes[b.URL].wire.Close()
 	delete(r.nodes, b.URL)
 	r.mu.Unlock()
-	srv := b.h.Swap(nil)
+	b.restart(t, false)
 
-	before := b.httpReqs.Load()
+	before := b.httpReqs()
 	var nw *NoWireError
 	for i := 0; i < 2; i++ {
 		if err := r.Insert(ctx, "t", key, rec("v")); !errors.As(err, &nw) || nw.Node != b.URL {
 			t.Fatalf("insert %d routed to an unmountable node: %v, want NoWireError naming it", i, err)
 		}
 	}
-	if probes := b.httpReqs.Load() - before; probes != 2 {
+	if probes := b.httpReqs() - before; probes != 2 {
 		t.Errorf("%d probes for 2 failed operations, want one each", probes)
 	}
-	b.h.Store(srv)
+	b.restart(t, true)
 	if err := r.Insert(ctx, "t", key, rec("v")); err != nil {
 		t.Fatalf("insert after the node came up: %v", err)
 	}

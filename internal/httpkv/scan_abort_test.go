@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -42,42 +41,28 @@ func (e *endlessEngine) Scan(table, start string, count int) ([]kvstore.Versione
 // between pages. Regression test for the handler paging on for nobody
 // after the consumer disconnected.
 func TestScanHandlerStopsWhenClientDisconnects(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	eng := &endlessEngine{Engine: store}
-
-	var h atomic.Pointer[Server]
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.Load().ServeHTTP(w, r)
-	}))
-	defer srv.Close()
+	eng := &endlessEngine{Engine: openTestStore(t)}
+	tn := listenNode(t)
 	// Cluster mode with every slot on the other node: the scan filters
 	// out each record it reads, so it pages on in search of its first.
-	m, err := cluster.NewUniform(cluster.PlacementHash, 4, []string{srv.URL, "http://other"}, nil)
+	m, err := cluster.NewUniform(cluster.PlacementHash, 4, []string{tn.URL, "http://other"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range m.Assign {
 		m.Assign[i] = 1
 	}
-	st, err := cluster.NewState(srv.URL, m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Store(NewServerWithOptions(eng, ServerOptions{Cluster: st}))
+	tn.join(t, m, eng, NodeOptions{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/t?start=&count=10", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, tn.URL+"/v1/t?start=&count=10", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
 	go func() {
-		resp, err := srv.Client().Do(req)
+		resp, err := tn.hc.Do(req)
 		if err == nil {
 			resp.Body.Close()
 		}
@@ -131,7 +116,7 @@ func TestMigrateSlotSourceScanFails(t *testing.T) {
 	broken.fail.Store(true)
 	a, b, m := startPair(t, broken, openTestStore(t))
 	ctx := context.Background()
-	hc := a.srv.Client()
+	hc := a.hc
 	slot := m.SlotsOf(a.URL)[0]
 	keys := loadSlot(t, aStore, m, slot, kvwire.ScanPageCap+100) // two engine pages
 

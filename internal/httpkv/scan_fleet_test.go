@@ -3,7 +3,6 @@ package httpkv
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"runtime"
 	"sort"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
-	"ycsbt/internal/obs"
 )
 
 // scanFleet is a 3-node cluster and a router over it.
@@ -269,25 +267,18 @@ func TestNodeSharesFollowPlacement(t *testing.T) {
 // A node without a wire listener serves scans through the same paging
 // loop, so it exports the same two counters.
 func TestHTTPOnlyServerExportsScanCounters(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	reg := obs.NewRegistry()
-	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{Metrics: reg}))
-	defer srv.Close()
-	c := NewClient(srv.URL, srv.Client())
+	tn := startHTTPNode(t, openTestStore(t), NodeOptions{})
+	c := NewClient(tn.URL, tn.hc)
 	loadFixtureKeys(t, c, 100)
 	got, err := c.Scan(context.Background(), "t", "user00010", 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkScan(t, got, 10, 60)
-	if n := reg.Counter("kvwire_scan_records_total").Value(); n != 60 {
+	if n := tn.counter("kvwire_scan_records_total"); n != 60 {
 		t.Errorf("kvwire_scan_records_total = %d, want 60", n)
 	}
-	if n := reg.Counter("kvwire_scan_engine_records_total").Value(); n < 60 || n > 240 {
+	if n := tn.counter("kvwire_scan_engine_records_total"); n < 60 || n > 240 {
 		t.Errorf("kvwire_scan_engine_records_total = %d, want 60..240", n)
 	}
 }

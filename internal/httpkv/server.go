@@ -34,7 +34,8 @@
 // framed binary protocol only (internal/kvwire), served from the same
 // kvwire.Core by the listener ServerOptions.WireAddr advertises in the
 // X-KV-Wire header of the /healthz response. A client picks one
-// transport per endpoint, once (wire.go).
+// transport per endpoint, once (wire.go). ServeNode (node.go) wires a
+// node: both listeners and the admin routes.
 //
 // Admission control (ServerOptions): request bodies are capped (413
 // past the cap) and an X-Deadline-Ms header bounds how long the server
@@ -77,26 +78,19 @@ type ServerOptions struct {
 	// Metrics, when non-nil, receives the server's httpkv_* series
 	// (inflight gauge, response-code counters).
 	Metrics *obs.Registry
-	// Cluster, when non-nil, puts the server in cluster mode: it
-	// serves only the shard-map slots the node owns, answers the rest
-	// with 410 + routing hints, and exposes the shard-map management
-	// routes (see cluster.go).
+	// Cluster is ignored: the server takes Core's cluster state. It
+	// goes once benchmark/stack.go stops setting it.
 	Cluster *cluster.State
-	// Core, when non-nil, is the request core to serve through — pass
-	// the same Core to the frame listener so both share one ownership
-	// gate. When nil a private core is built from Cluster.
+	// Core is the request core to serve through; it is required. A
+	// non-nil Core.Cluster() puts the server in cluster mode (410 +
+	// routing hints for slots it does not own, and the shard-map routes
+	// of cluster.go). Pass the same Core to the frame listener so both
+	// share one ownership gate (ServeNode does).
 	Core *kvwire.Core
 	// WireAddr, when non-empty, is the address of this process's frame
 	// listener; the /healthz response advertises it in the X-KV-Wire
 	// header, which is how clients, routers and migrations find it.
 	WireAddr string
-}
-
-func (o ServerOptions) withDefaults() ServerOptions {
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
-	return o
 }
 
 // Server is an http.Handler serving a kvstore.Engine — any engine
@@ -110,23 +104,14 @@ type Server struct {
 	metrics *serverMetrics
 }
 
-// NewServer returns a handler serving store with default options.
-func NewServer(store kvstore.Engine) *Server {
-	return NewServerWithOptions(store, ServerOptions{})
-}
-
-// NewServerWithOptions returns a handler serving store.
+// NewServerWithOptions returns a handler serving store through
+// opts.Core. A node is wired by ServeNode.
 func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
-	s := &Server{store: store, mux: http.NewServeMux(), opts: opts.withDefaults()}
+	s := &Server{store: store, core: opts.Core, mux: http.NewServeMux(), opts: opts}
 	s.metrics = newServerMetrics(opts.Metrics)
-	s.core = s.opts.Core
-	if s.core == nil {
-		s.core = kvwire.NewCore(store, s.opts.Cluster, 0)
-		s.core.Instrument(opts.Metrics)
-	} else if s.opts.Cluster == nil {
-		// A shared core carries the cluster gate; the HTTP management
-		// routes need it too.
-		s.opts.Cluster = s.core.Cluster()
+	s.opts.Cluster = s.core.Cluster()
+	if s.opts.MaxBodyBytes <= 0 {
+		s.opts.MaxBodyBytes = 1 << 20
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/ts", s.handleSnapshotTS)

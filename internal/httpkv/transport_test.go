@@ -36,7 +36,7 @@ func TestOneTransportPerEndpoint(t *testing.T) {
 			ctx := context.Background()
 			tn := startNode(t, nil)
 			c := tn.client(t, tc.mode(tn))
-			if got := tn.httpReqs.Load(); got != tc.httpReqs {
+			if got := tn.httpReqs(); got != tc.httpReqs {
 				t.Fatalf("Init sent %d HTTP requests, want %d", got, tc.httpReqs)
 			}
 
@@ -65,7 +65,7 @@ func TestOneTransportPerEndpoint(t *testing.T) {
 
 			frames, chunks := tn.counter("kvwire_frames_total", "dir", "in"), tn.counter("kvwire_scan_chunks_total")
 			if tc.frames {
-				if got := tn.httpReqs.Load(); got != tc.httpReqs {
+				if got := tn.httpReqs(); got != tc.httpReqs {
 					t.Errorf("HTTP requests grew %d -> %d after Init: an op left the frames", tc.httpReqs, got)
 				}
 				if frames == 0 || chunks == 0 {
@@ -303,13 +303,13 @@ func TestHTTPScanIsPaged(t *testing.T) {
 		t.Fatalf("count=-1: status %d, want 400", resp.StatusCode)
 	}
 
-	before := tn.httpReqs.Load()
+	before := tn.httpReqs()
 	kvs, err := c.Scan(ctx, "t", "user00010", kvwire.ScanPageCap+500, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkScan(t, kvs, 10, kvwire.ScanPageCap+500)
-	if pages := tn.httpReqs.Load() - before; pages != 2 {
+	if pages := tn.httpReqs() - before; pages != 2 {
 		t.Errorf("a %d-record scan took %d requests, want 2", kvwire.ScanPageCap+500, pages)
 	}
 	// Past the table's end the scan stops at a short page.
@@ -327,17 +327,19 @@ func TestHTTPScanIsPaged(t *testing.T) {
 // hangs up without answering — the connection dying between apply and
 // response. A client that re-sent the put some other way would find
 // its own write in the way and report a conflict for a put that
-// landed.
+// landed. The broken frame listener is the subject, so this node is
+// wired by hand rather than by ServeNode.
 func TestUnknownOutcomeIsNotResent(t *testing.T) {
 	ctx := context.Background()
-	tn := listenNode(t)
 	store := openTestStore(t)
 	core := kvwire.NewCore(store, nil, 0)
-	tn.h.Store(NewServerWithOptions(store, ServerOptions{Core: core, WireAddr: tn.wireAddr}))
-	t.Cleanup(func() { tn.wireLn.Close() })
+	wireLn := listenOn(t, "127.0.0.1:0")
+	t.Cleanup(func() { wireLn.Close() })
+	srv := httptest.NewServer(NewServerWithOptions(store, ServerOptions{Core: core, WireAddr: wireLn.Addr().String()}))
+	t.Cleanup(srv.Close)
 	go func() {
 		for {
-			conn, err := tn.wireLn.Accept()
+			conn, err := wireLn.Accept()
 			if err != nil {
 				return
 			}
@@ -364,7 +366,11 @@ func TestUnknownOutcomeIsNotResent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := tn.client(t, WireModeAuto)
+	c := NewClient(srv.URL, nil)
+	t.Cleanup(func() { c.Cleanup() })
+	if err := c.Init(propsOf("rawhttp.wire", WireModeAuto)); err != nil {
+		t.Fatal(err)
+	}
 	_, err = c.mutate(ctx, kvwire.KindPut, "t", "k", rec("v2"), v1)
 	if err == nil {
 		t.Fatal("put reported success though no response ever arrived")

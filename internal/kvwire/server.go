@@ -109,11 +109,12 @@ func NewServer(core *Core, opts ServerOptions) *Server {
 }
 
 // Serve accepts connections on ln until the listener fails or the
-// server shuts down (which returns nil).
+// server shuts down (which returns nil); once shut down, it closes ln.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
+		ln.Close()
 		return errors.New("kvwire: server closed")
 	}
 	s.lns[ln] = struct{}{}

@@ -1,18 +1,20 @@
 // End-to-end exercises of the framed binary protocol: the transport's
 // ops/s ceiling on 16-op request frames (the BENCH_wire.json cells;
 // EXPERIMENTS.md "Single data plane" stores the ratios against the
-// HTTP/NDJSON batch route these frames replaced), and a fidelity check
-// that a load lands identical records on either transport.
+// HTTP/NDJSON batch route these frames replaced), a fidelity check
+// that a load lands identical records on either transport, and the
+// kvserver binary's boot: where it says it listens, and its refusals.
 package ycsbt_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,6 +25,7 @@ import (
 	"ycsbt/internal/db"
 	"ycsbt/internal/httpkv"
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/kvwire"
 	"ycsbt/internal/measurement"
 	"ycsbt/internal/properties"
 	"ycsbt/internal/workload"
@@ -205,12 +208,11 @@ func TestMissingFrameListenerFailsLoud(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := &http.Server{Handler: httpkv.NewServerWithOptions(store, httpkv.ServerOptions{Cluster: cs})}
-		go srv.Serve(ln)
-		defer srv.Close()
+		defer shutdown(httpkv.ServeNode(store, ln, nil, httpkv.NodeOptions{Cluster: cs}))
 	}
-	plain := httptest.NewServer(httpkv.NewServer(store))
-	defer plain.Close()
+	plainLn := listenLoopback(t)
+	plainURL := "http://" + plainLn.Addr().String()
+	defer shutdown(httpkv.ServeNode(store, plainLn, nil, httpkv.NodeOptions{}))
 	noWire := func(err error, node string) error {
 		var nw *httpkv.NoWireError
 		if err != nil && (!errors.As(err, &nw) || nw.Node != node) {
@@ -247,14 +249,14 @@ func TestMissingFrameListenerFailsLoud(t *testing.T) {
 			return noWire(err, urls[1])
 		}, urls[1]},
 		{"rawhttp as_of on an HTTP endpoint", func() error {
-			c := httpkv.NewClient(plain.URL, nil)
+			c := httpkv.NewClient(plainURL, nil)
 			defer c.Cleanup()
 			err := c.Init(properties.FromMap(map[string]string{"as_of": "-1"}))
 			if err != nil && !errors.Is(err, db.ErrNotSupported) {
 				return fmt.Errorf("not ErrNotSupported: %w", err)
 			}
 			return err
-		}, plain.URL},
+		}, plainURL},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.run()
@@ -265,5 +267,50 @@ func TestMissingFrameListenerFailsLoud(t *testing.T) {
 				t.Fatalf("error does not mention %q: %v", tc.want, err)
 			}
 		})
+	}
+}
+
+// buildKVServer compiles cmd/kvserver into the test's temp dir.
+func buildKVServer(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "kvserver")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/kvserver").CombinedOutput(); err != nil {
+		t.Fatalf("building kvserver: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// kvserver binds before it says where: the address on its first line
+// is the one it serves, port 0 resolved, and the frame listener that
+// address advertises answers the protocol handshake.
+func TestKVServerPrintsBoundAddress(t *testing.T) {
+	cmd := exec.Command(buildKVServer(t), "-addr", "127.0.0.1:0", "-wire-addr", "127.0.0.1:0")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
+	line, err := bufio.NewReader(stdout).ReadString('\n')
+	url, _, _ := strings.Cut(strings.TrimPrefix(line, "kvserver listening on "), " ")
+	if err != nil || !strings.HasPrefix(url, "http://127.0.0.1:") || strings.HasSuffix(url, ":0") {
+		t.Fatalf("first line %q (%v) names no bound address", line, err)
+	}
+
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	wireAddr := resp.Header.Get(httpkv.WireAddrHeader)
+	if resp.StatusCode != http.StatusOK || wireAddr == "" {
+		t.Fatalf("GET %s/healthz: status %d, %s %q; want 200 and a frame listener", url, resp.StatusCode, httpkv.WireAddrHeader, wireAddr)
+	}
+	ep := kvwire.NewEndpoint(wireAddr, 1) // its first dial is the KVW3 handshake
+	defer ep.Close()
+	if _, err := ep.Exec(context.Background(), []kvwire.Op{{Kind: kvwire.KindGet, Table: "t", Key: "k"}}); err != nil {
+		t.Fatalf("a request frame to %s: %v", wireAddr, err)
 	}
 }
