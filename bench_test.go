@@ -151,7 +151,7 @@ func BenchmarkMiddlewareChain(b *testing.B) {
 			return db.Chain(base,
 				db.Traced(log),
 				db.Metered(reg.Recorder()),
-				db.Retry(db.RetryOptions{}))
+				db.Retry())
 		}},
 	}
 	ctx := context.Background()

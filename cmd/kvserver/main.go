@@ -58,7 +58,6 @@ func run() error {
 	shards := flag.Int("shards", kvstore.DefaultShards, "hash partitions of the store (an existing WAL layout wins)")
 	groupCommit := flag.Duration("group-commit", 0, "WAL group-commit window, e.g. 2ms (0 = sync inline)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent request frames admitted before 429 (0 = unlimited)")
-	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request body cap in bytes, larger bodies get 413 (0 = default 1MiB)")
 	retention := flag.Duration("retention", kvstore.DefaultRetention, "how long overwritten record versions stay readable via unpinned as-of reads (0 = keep only what pins and the txn watermark need)")
 	vacuumInterval := flag.Duration("vacuum-interval", 0, "background version-vacuum sweep interval (0 = write-path trimming only)")
 	opsAddr := flag.String("ops-addr", "", "ops listener address serving /metrics, /healthz, /debug/pprof (empty = disabled)")
@@ -145,10 +144,9 @@ func run() error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	node := httpkv.ServeNode(eng, httpLn, wireLn, httpkv.NodeOptions{
-		Cluster:      cs,
-		MaxInflight:  *maxInflight,
-		MaxBodyBytes: *maxBodyBytes,
-		Metrics:      metrics,
+		Cluster:     cs,
+		MaxInflight: *maxInflight,
+		Metrics:     metrics,
 	})
 	fmt.Printf("kvserver listening on http://%s (%s)\n", httpLn.Addr(), desc)
 	fmt.Printf("kvserver: received %v, shutting down\n", <-sig)

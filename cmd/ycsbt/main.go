@@ -71,7 +71,7 @@ func run(args []string) error {
 		mws       = fs.String("middleware", "", "comma-separated middleware stack, outermost first (overrides 'middleware'; default metered)")
 		doLoad    = fs.Bool("load", false, "execute the load phase")
 		doRun     = fs.Bool("t", false, "execute the transaction phase")
-		status    = fs.Bool("s", false, "print interim status to stderr (interval via 'status.interval_ms', default 10000)")
+		status    = fs.Bool("s", false, "print interim status to stderr every 10 seconds")
 		maxExec   = fs.Int64("maxexecutiontime", 0, "cap the transaction phase at this many seconds (overrides 'maxexecutiontime')")
 		timeline  = fs.Bool("timeline", false, "record and report 1-second throughput time series")
 		opsAddr   = fs.String("ops-addr", "", "ops listener address serving /metrics, /healthz, /debug/pprof with live run stats (sets obs.enabled=true)")
@@ -147,7 +147,7 @@ func run(args []string) error {
 		// to redo.
 		cfg := client.BuildConfig(props)
 		if *status {
-			cfg.StatusInterval = time.Duration(props.GetInt64("status.interval_ms", 10000)) * time.Millisecond
+			cfg.StatusInterval = 10 * time.Second
 			cfg.Status = os.Stderr
 		}
 		if *timeline {
@@ -162,7 +162,6 @@ func run(args []string) error {
 
 	if path := props.GetString("history.file", ""); path != "" {
 		sink, err := history.OpenFile(path, history.SinkOptions{
-			Queue:   props.GetInt("history.queue", 0),
 			Metrics: obs.Enabled(props.GetBool("obs.enabled", false)),
 		})
 		if err != nil {

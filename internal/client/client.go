@@ -61,7 +61,7 @@ type Config struct {
 	// default.
 	Middleware string
 	// Props carries the run properties that property-configured
-	// middlewares (retry, faultinject, …) read; nil means empty.
+	// middlewares (faultinject, batching) read; nil means empty.
 	Props *properties.Properties
 	// History, when set, receives every finished transaction for
 	// offline consistency certification (cmd/histcheck). Bindings
@@ -74,7 +74,7 @@ type Config struct {
 
 // BuildConfig reads the standard YCSB/YCSB+T properties: threadcount,
 // operationcount, recordcount, maxexecutiontime (seconds), target
-// (total ops/sec), histogram.buckets, measurement.timeline_ms.
+// (total ops/sec), histogram.buckets, middleware.
 func BuildConfig(p *properties.Properties) Config {
 	return Config{
 		Threads:          p.GetInt("threadcount", 1),
@@ -83,7 +83,6 @@ func BuildConfig(p *properties.Properties) Config {
 		MaxExecutionTime: time.Duration(p.GetInt64("maxexecutiontime", 0)) * time.Second,
 		TargetOpsPerSec:  p.GetFloat("target", 0),
 		HistogramBuckets: p.GetInt("histogram.buckets", 0),
-		TimelineInterval: time.Duration(p.GetInt64("measurement.timeline_ms", 0)) * time.Millisecond,
 		Middleware:       p.GetString("middleware", "metered"),
 		Props:            p,
 	}
@@ -154,7 +153,7 @@ func New(cfg Config, w workload.Workload, d db.DB, reg *measurement.Registry) (*
 		shared: db.NewMiddlewareState()}
 	for _, name := range mwNames {
 		if name == "trace" {
-			c.opLog = db.NewOpLog(cfg.Props.GetInt("trace.oplog_size", db.DefaultOpLogSize))
+			c.opLog = db.NewOpLog(db.DefaultOpLogSize)
 		}
 	}
 	if cfg.History != nil {

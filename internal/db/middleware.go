@@ -263,56 +263,33 @@ func Traced(obs OpObserver) Middleware {
 	})
 }
 
-// RetryOptions configures the Retry middleware.
-type RetryOptions struct {
-	// MaxAttempts bounds total tries per operation (≥1; default 3).
-	MaxAttempts int
-	// Backoff is the first retry's delay; it doubles per attempt
-	// (default 100µs).
-	Backoff time.Duration
-	// MaxBackoff caps the delay (default 100ms).
-	MaxBackoff time.Duration
-	// RetryConflicts additionally retries raw operations that fail
-	// with ErrConflict (version/ETag races on auto-commit paths).
-	// Commit conflicts are never retried: a conflicted commit means
-	// the transaction aborted, and re-driving it is the client's job.
-	RetryConflicts bool
-}
-
-func (o RetryOptions) withDefaults() RetryOptions {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Microsecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 100 * time.Millisecond
-	}
-	return o
-}
+const (
+	// retryAttempts bounds the tries of one throttled operation.
+	retryAttempts = 3
+	// retryBackoff is the first retry's delay; it doubles per attempt
+	// up to retryMaxBackoff.
+	retryBackoff    = 100 * time.Microsecond
+	retryMaxBackoff = 100 * time.Millisecond
+)
 
 // Retry returns the retry/backoff middleware: operations failing with
-// ErrThrottled (cloud request-rate caps) — and, when enabled, raw
-// operations failing with ErrConflict — are retried with exponential
-// backoff. Stack it outside Metered to time each attempt
+// ErrThrottled (cloud request-rate caps) are tried up to three times,
+// with exponential backoff from 100µs. Conflicts are never retried: a
+// conflicted commit means the transaction aborted, and re-driving it
+// is the client's job. Stack it outside Metered to time each attempt
 // individually, or inside to time the whole retried operation once.
-func Retry(o RetryOptions) Middleware {
-	o = o.withDefaults()
-	retryable := func(info OpInfo, err error) bool {
-		if errors.Is(err, ErrThrottled) {
-			return true
-		}
-		return o.RetryConflicts && !info.Op.Demarcation() && errors.Is(err, ErrConflict)
-	}
+func Retry() Middleware { return retry(retryAttempts, retryBackoff) }
+
+// retry is Retry with its attempt bound and first delay as arguments.
+func retry(attempts int, backoff time.Duration) Middleware {
 	return Intercept(func(ctx context.Context, info OpInfo, call func(context.Context) error) error {
 		var err error
-		delay := o.Backoff
-		for attempt := 0; attempt < o.MaxAttempts; attempt++ {
-			if err = call(ctx); err == nil || !retryable(info, err) {
+		delay := backoff
+		for attempt := 0; attempt < attempts; attempt++ {
+			if err = call(ctx); err == nil || !errors.Is(err, ErrThrottled) {
 				return err
 			}
-			if attempt == o.MaxAttempts-1 {
+			if attempt == attempts-1 {
 				break
 			}
 			select {
@@ -320,44 +297,31 @@ func Retry(o RetryOptions) Middleware {
 			case <-ctx.Done():
 				return err
 			}
-			if delay *= 2; delay > o.MaxBackoff {
-				delay = o.MaxBackoff
+			if delay *= 2; delay > retryMaxBackoff {
+				delay = retryMaxBackoff
 			}
 		}
 		return err
 	})
 }
 
-// FaultOptions configures the FaultInject middleware.
-type FaultOptions struct {
-	// Probability is the per-operation failure rate in [0, 1].
-	Probability float64
-	// Err is the injected error (default ErrThrottled, so the Retry
-	// middleware can absorb injected faults when stacked outside).
-	Err error
-	// Demarcation also injects into Start/Commit/Abort (default raw
-	// ops only, so abort accounting stays workload-driven).
-	Demarcation bool
-}
-
 // FaultInject returns the fault-injection middleware: it fails the
-// configured fraction of operations before they reach the binding.
-// Injection is deterministic (a Weyl-sequence hash over a shared
-// operation counter, no locks, no global rand), so runs are
-// reproducible.
-func FaultInject(o FaultOptions) Middleware {
-	if o.Err == nil {
-		o.Err = ErrThrottled
-	}
-	threshold := uint64(o.Probability * (1 << 32))
+// given fraction (in [0, 1]) of raw operations with ErrThrottled before
+// they reach the binding, so the Retry middleware can absorb injected
+// faults when stacked outside. Start/Commit/Abort pass untouched, so
+// abort accounting stays workload-driven. Injection is deterministic (a
+// Weyl-sequence hash over a shared operation counter, no locks, no
+// global rand), so runs are reproducible.
+func FaultInject(probability float64) Middleware {
+	threshold := uint64(probability * (1 << 32))
 	var seq atomic.Uint64
 	return Intercept(func(ctx context.Context, info OpInfo, call func(context.Context) error) error {
-		if threshold > 0 && (o.Demarcation || !info.Op.Demarcation()) {
+		if threshold > 0 && !info.Op.Demarcation() {
 			// Golden-ratio multiplicative hash of the op sequence
 			// number: equidistributed, deterministic, lock-free.
 			h := seq.Add(1) * 0x9E3779B97F4A7C15 >> 32
 			if h < threshold {
-				return fmt.Errorf("%w: injected fault", o.Err)
+				return fmt.Errorf("%w: injected fault", ErrThrottled)
 			}
 		}
 		return call(ctx)
@@ -495,34 +459,14 @@ func init() {
 		}
 		return Traced(env.Observer), nil
 	})
-	RegisterMiddleware("retry", func(env MiddlewareEnv) (Middleware, error) {
-		return Retry(RetryOptions{
-			MaxAttempts:    env.Props.GetInt("retry.attempts", 3),
-			Backoff:        time.Duration(env.Props.GetInt64("retry.backoff_us", 100)) * time.Microsecond,
-			MaxBackoff:     time.Duration(env.Props.GetInt64("retry.maxbackoff_us", 100000)) * time.Microsecond,
-			RetryConflicts: env.Props.GetBool("retry.conflicts", false),
-		}), nil
+	RegisterMiddleware("retry", func(MiddlewareEnv) (Middleware, error) {
+		return Retry(), nil
 	})
 	RegisterMiddleware("faultinject", func(env MiddlewareEnv) (Middleware, error) {
 		prob := env.Props.GetFloat("faultinject.probability", 0)
 		if prob < 0 || prob > 1 {
 			return nil, fmt.Errorf("faultinject.probability %v outside [0,1]", prob)
 		}
-		var injected error
-		switch e := env.Props.GetString("faultinject.error", "throttled"); e {
-		case "throttled":
-			injected = ErrThrottled
-		case "conflict":
-			injected = ErrConflict
-		case "notfound":
-			injected = ErrNotFound
-		default:
-			return nil, fmt.Errorf("unknown faultinject.error %q", e)
-		}
-		return FaultInject(FaultOptions{
-			Probability: prob,
-			Err:         injected,
-			Demarcation: env.Props.GetBool("faultinject.demarcation", false),
-		}), nil
+		return FaultInject(prob), nil
 	})
 }

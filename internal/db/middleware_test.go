@@ -148,7 +148,7 @@ func TestRetryThrottled(t *testing.T) {
 	if err := f.Memory.Insert(ctx, "t", "k", Record{"f": []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
-	d := Chain(f, Retry(RetryOptions{MaxAttempts: 3, Backoff: time.Microsecond}))
+	d := Chain(f, retry(3, time.Microsecond))
 	if _, err := d.Read(ctx, "t", "k", nil); err != nil {
 		t.Fatalf("read after retries = %v", err)
 	}
@@ -160,7 +160,7 @@ func TestRetryThrottled(t *testing.T) {
 func TestRetryExhaustsAttempts(t *testing.T) {
 	ctx := context.Background()
 	f := &flaky{Memory: NewMemory(), err: ErrThrottled, remaining: 100}
-	d := Chain(f, Retry(RetryOptions{MaxAttempts: 4, Backoff: time.Microsecond}))
+	d := Chain(f, retry(4, time.Microsecond))
 	if _, err := d.Read(ctx, "t", "k", nil); !errors.Is(err, ErrThrottled) {
 		t.Fatalf("want throttled, got %v", err)
 	}
@@ -169,35 +169,19 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	}
 }
 
-func TestRetryConflictOnlyWhenEnabled(t *testing.T) {
-	ctx := context.Background()
-
-	f := &flaky{Memory: NewMemory(), err: ErrConflict, remaining: 100}
-	d := Chain(f, Retry(RetryOptions{MaxAttempts: 3, Backoff: time.Microsecond}))
-	if _, err := d.Read(ctx, "t", "k", nil); !errors.Is(err, ErrConflict) {
-		t.Fatalf("want conflict, got %v", err)
-	}
-	if f.calls != 1 {
-		t.Errorf("conflicts retried with RetryConflicts off: calls = %d", f.calls)
-	}
-
-	f = &flaky{Memory: NewMemory(), err: ErrConflict, remaining: 1}
-	if err := f.Memory.Insert(ctx, "t", "k", Record{"f": []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-	d = Chain(f, Retry(RetryOptions{MaxAttempts: 3, Backoff: time.Microsecond, RetryConflicts: true}))
-	if _, err := d.Read(ctx, "t", "k", nil); err != nil {
-		t.Fatalf("read after conflict retry = %v", err)
-	}
-	if f.calls != 2 {
-		t.Errorf("calls = %d, want 2", f.calls)
-	}
-}
-
+// Conflicts are never retried, neither on a raw operation nor on a
+// commit.
 func TestRetryNeverRetriesCommitConflicts(t *testing.T) {
 	ctx := context.Background()
 	f := &flaky{Memory: NewMemory(), err: ErrConflict, remaining: 100}
-	d := Chain(f, Retry(RetryOptions{MaxAttempts: 5, Backoff: time.Microsecond, RetryConflicts: true}))
+	d := Chain(f, retry(5, time.Microsecond))
+	if _, err := d.Read(ctx, "t", "k", nil); !errors.Is(err, ErrConflict) {
+		t.Fatalf("read: want conflict, got %v", err)
+	}
+	if f.calls != 1 {
+		t.Errorf("raw conflict retried: calls = %d, want 1", f.calls)
+	}
+	f.calls = 0
 	tdb := d.(TransactionalDB)
 	tctx, _ := tdb.Start(ctx)
 	if err := tdb.Commit(ctx, tctx); !errors.Is(err, ErrConflict) {
@@ -212,7 +196,7 @@ func TestRetryStopsOnContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f := &flaky{Memory: NewMemory(), err: ErrThrottled, remaining: 100}
-	d := Chain(f, Retry(RetryOptions{MaxAttempts: 1000, Backoff: time.Hour}))
+	d := Chain(f, retry(1000, time.Hour))
 	start := time.Now()
 	if _, err := d.Read(ctx, "t", "k", nil); !errors.Is(err, ErrThrottled) {
 		t.Fatalf("want throttled, got %v", err)
@@ -232,18 +216,18 @@ func TestFaultInjectDeterministicExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	always := Chain(mem, FaultInject(FaultOptions{Probability: 1, Err: ErrConflict}))
+	always := Chain(mem, FaultInject(1))
 	for i := 0; i < 50; i++ {
-		if _, err := always.Read(ctx, "t", "k", nil); !errors.Is(err, ErrConflict) {
+		if _, err := always.Read(ctx, "t", "k", nil); !errors.Is(err, ErrThrottled) {
 			t.Fatalf("probability 1: read %d = %v", i, err)
 		}
 	}
-	// Demarcation is spared by default even at probability 1.
+	// Demarcation is spared even at probability 1.
 	if _, err := always.(TransactionalDB).Start(ctx); err != nil {
-		t.Errorf("Start injected without Demarcation: %v", err)
+		t.Errorf("Start injected: %v", err)
 	}
 
-	never := Chain(mem, FaultInject(FaultOptions{Probability: 0, Err: ErrConflict}))
+	never := Chain(mem, FaultInject(0))
 	for i := 0; i < 50; i++ {
 		if _, err := never.Read(ctx, "t", "k", nil); err != nil {
 			t.Fatalf("probability 0: read %d = %v", i, err)
@@ -257,7 +241,7 @@ func TestFaultInjectApproximatesProbability(t *testing.T) {
 	if err := mem.Insert(ctx, "t", "k", Record{"f": []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
-	d := Chain(mem, FaultInject(FaultOptions{Probability: 0.25}))
+	d := Chain(mem, FaultInject(0.25))
 	const n = 4000
 	failed := 0
 	for i := 0; i < n; i++ {
@@ -317,11 +301,6 @@ func TestParseAndBuildMiddlewares(t *testing.T) {
 	p.Set("faultinject.probability", "1.5")
 	if _, err := BuildMiddlewares([]string{"faultinject"}, MiddlewareEnv{Props: p}); err == nil {
 		t.Error("faultinject accepted probability 1.5")
-	}
-	p = properties.New()
-	p.Set("faultinject.error", "nosuch")
-	if _, err := BuildMiddlewares([]string{"faultinject"}, MiddlewareEnv{Props: p}); err == nil {
-		t.Error("faultinject accepted unknown error name")
 	}
 }
 

@@ -17,8 +17,11 @@ import (
 // header line.
 const FormatVersion = 1
 
-// DefaultQueue is the default sink queue depth (records, not bytes).
-const DefaultQueue = 1 << 14
+// sinkQueue is the channel depth (records, not bytes) between
+// recording threads and the writer goroutine. When the writer falls
+// behind and the queue fills, records are dropped and counted —
+// capture never blocks the benchmark or grows memory unboundedly.
+const sinkQueue = 1 << 14
 
 // headerLine is the first line of every history file.
 type headerLine struct {
@@ -34,11 +37,6 @@ type txnLine struct {
 
 // SinkOptions tunes a Sink.
 type SinkOptions struct {
-	// Queue is the channel depth between recording threads and the
-	// writer goroutine (default DefaultQueue). When the writer falls
-	// behind and the queue fills, records are dropped and counted —
-	// capture never blocks the benchmark or grows memory unboundedly.
-	Queue int
 	// Metrics registers history_events_total / history_dropped_total
 	// on the given registry (nil = no instrumentation).
 	Metrics *obs.Registry
@@ -68,12 +66,9 @@ type Sink struct {
 // NewSink streams history lines to w. When w is also an io.Closer the
 // sink closes it on Close.
 func NewSink(w io.Writer, opts SinkOptions) *Sink {
-	if opts.Queue <= 0 {
-		opts.Queue = DefaultQueue
-	}
 	s := &Sink{
 		w:    w,
-		ch:   make(chan *TxnRecord, opts.Queue),
+		ch:   make(chan *TxnRecord, sinkQueue),
 		done: make(chan struct{}),
 	}
 	if c, ok := w.(io.Closer); ok {

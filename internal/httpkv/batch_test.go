@@ -13,7 +13,6 @@ import (
 
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
-	"ycsbt/internal/properties"
 )
 
 // slowEngine delays batch execution so admission-control tests can
@@ -93,8 +92,9 @@ func TestBatchAdmissionControl(t *testing.T) {
 	defer eng.Close()
 	tn := listenNode(t)
 	tn.serve(t, eng, NodeOptions{MaxInflight: 1})
-	// retry429=0: this test asserts the shed itself; retry has its own.
-	c := tn.client(t, WireModeAuto, "rawhttp.retry429", "0")
+	// No re-sends: this test asserts the shed itself; retry has its own.
+	c := tn.client(t, WireModeAuto)
+	c.retries = 0
 
 	ops := []db.BatchOp{{Op: db.OpRead, Table: "t", Key: "k"}}
 	first := make(chan []db.BatchResult)
@@ -123,7 +123,8 @@ func TestBatchAdmissionRetrySucceeds(t *testing.T) {
 	tn.serve(t, eng, NodeOptions{MaxInflight: 1})
 	// The server hints 1s; the cap cuts the one backoff to 500ms, well
 	// after the slow batch has released the slot.
-	c := tn.client(t, WireModeAuto, "rawhttp.retry429_max_ms", "500")
+	c := tn.client(t, WireModeAuto)
+	c.maxBackoff = 500 * time.Millisecond
 
 	ops := []db.BatchOp{{Op: db.OpRead, Table: "t", Key: "k"}}
 	first := make(chan []db.BatchResult)
@@ -160,7 +161,7 @@ func TestHTTP429IsThrottled(t *testing.T) {
 }
 
 func TestServerRejectsMalformedAndOversized(t *testing.T) {
-	tn := startHTTPNode(t, openTestStore(t), NodeOptions{MaxBodyBytes: 256})
+	tn := startHTTPNode(t, openTestStore(t), NodeOptions{})
 
 	post := func(path, body string, hdr map[string]string, method string) int {
 		req, _ := http.NewRequest(method, tn.URL+path, strings.NewReader(body))
@@ -194,8 +195,8 @@ func TestServerRejectsMalformedAndOversized(t *testing.T) {
 			t.Errorf("POST /v1/%s: %d, want 405", gone, got)
 		}
 	}
-	// Oversized bodies → 413.
-	big := `{"fields":{"f":"` + strings.Repeat("QUFB", 200) + `"}}`
+	// Bodies over the 1 MiB cap → 413.
+	big := `{"fields":{"f":"` + strings.Repeat("QUFB", 300_000) + `"}}`
 	if got := post("/v1/t/k", big, nil, http.MethodPut); got != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized put: %d, want 413", got)
 	}
@@ -218,56 +219,5 @@ func TestServerRejectsMalformedAndOversized(t *testing.T) {
 	// A malformed deadline header is rejected outright.
 	if got := post("/v1/t/a", "", map[string]string{DeadlineHeader: "soon"}, http.MethodGet); got != http.StatusBadRequest {
 		t.Errorf("bad deadline header: status %d, want 400", got)
-	}
-}
-
-// TestClientMaxInflight checks the client-side pipelining bound
-// blocks the excess request rather than opening more connections.
-func TestClientMaxInflight(t *testing.T) {
-	release := make(chan struct{})
-	var inflight, peak int
-	var mu sync.Mutex
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		inflight++
-		if inflight > peak {
-			peak = inflight
-		}
-		mu.Unlock()
-		<-release
-		mu.Lock()
-		inflight--
-		mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"version":1,"fields":{}}`))
-	})
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	c := NewClient(srv.URL, srv.Client())
-	p := properties.New()
-	p.Set("rawhttp.max_inflight", "2")
-	p.Set("rawhttp.wire", WireModeOff) // this handler would park the probe too
-	if err := c.Init(p); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Read(context.Background(), "t", "k", nil)
-		}()
-	}
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if peak > 2 {
-		t.Fatalf("peak in-flight %d, want <= 2", peak)
-	}
-	if peak == 0 {
-		t.Fatal("no requests observed")
 	}
 }

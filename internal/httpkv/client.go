@@ -19,49 +19,42 @@ import (
 	"ycsbt/internal/properties"
 )
 
-// Transport defaults; overridable via the rawhttp.* properties.
+// Transport constants.
 const (
-	// DefaultPoolSize is the idle-connection pool per host. The
-	// benchmark hammers one host from many threads, so the per-host
-	// pool — not net/http's global default of 2 — decides whether
-	// connections are reused or churned through TIME_WAIT.
-	DefaultPoolSize = 64
-	// DefaultTimeout bounds one HTTP exchange end to end.
-	DefaultTimeout = 30 * time.Second
-	// DefaultRetry429 is how many times a shed (429) request frame is
-	// re-sent after honoring the server's retry hint. 0 disables
-	// (surface db.ErrThrottled immediately).
-	DefaultRetry429 = 2
-	// DefaultRetry429Max caps one backoff sleep regardless of what the
-	// retry hint asks for.
-	DefaultRetry429Max = 5 * time.Second
+	// poolSize is the idle-connection pool per host. The benchmark
+	// hammers one host from many threads, so the per-host pool — not
+	// net/http's global default of 2 — decides whether connections are
+	// reused or churned through TIME_WAIT.
+	poolSize = 64
+	// requestTimeout bounds one HTTP exchange end to end.
+	requestTimeout = 30 * time.Second
+	// retry429 is how many times a shed (429) request frame is re-sent
+	// after honoring the server's retry hint.
+	retry429 = 2
+	// retry429Max caps one backoff sleep regardless of what the retry
+	// hint asks for.
+	retry429Max = 5 * time.Second
 )
 
-// newPooledHTTPClient builds the binding's dedicated HTTP client:
-// never http.DefaultClient (whose zero timeout hangs forever on a
-// dead server and whose shared transport lets one binding's settings
-// leak into every other user of the process). The second result counts
-// the TCP connections the transport dials: a healthy run dials once per
-// pooled connection, and a count that climbs with the request count
-// means responses are being closed short of EOF (see response.go). It
-// is counted in DialContext, not in a RoundTripper wrapper — behind any
-// type but *http.Transport, http.Client.Timeout costs a timer and a
-// goroutine per request.
-func newPooledHTTPClient(poolSize int, timeout time.Duration) (*http.Client, *atomic.Int64) {
-	if poolSize <= 0 {
-		poolSize = DefaultPoolSize
-	}
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
+// newPooledHTTPClient builds the binding's dedicated HTTP client, with
+// pool idle connections per host: never http.DefaultClient (whose zero
+// timeout hangs forever on a dead server and whose shared transport
+// lets one binding's settings leak into every other user of the
+// process). The second result counts the TCP connections the transport
+// dials: a healthy run dials once per pooled connection, and a count
+// that climbs with the request count means responses are being closed
+// short of EOF (see response.go). It is counted in DialContext, not in a
+// RoundTripper wrapper — behind any type but *http.Transport,
+// http.Client.Timeout costs a timer and a goroutine per request.
+func newPooledHTTPClient(pool int) (*http.Client, *atomic.Int64) {
 	dials := new(atomic.Int64)
 	var dialer net.Dialer
 	return &http.Client{
-		Timeout: timeout,
+		Timeout: requestTimeout,
 		Transport: &http.Transport{
 			Proxy:               http.ProxyFromEnvironment,
-			MaxIdleConns:        poolSize * 2,
-			MaxIdleConnsPerHost: poolSize,
+			MaxIdleConns:        pool * 2,
+			MaxIdleConnsPerHost: pool,
 			IdleConnTimeout:     90 * time.Second,
 			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
 				dials.Add(1)
@@ -81,10 +74,6 @@ type Client struct {
 	db.NoTransactions
 	base string
 	hc   *http.Client
-	// sem bounds in-flight HTTP requests client-side (nil = unbounded):
-	// bounded pipelining keeps a saturated benchmark from opening
-	// unlimited sockets when the server slows down.
-	sem chan struct{}
 	// wire is the endpoint's frame transport; nil means the endpoint is
 	// HTTP. Set once — by Init from the rawhttp.wire property, or by the
 	// Router when it mounts a node — before the first operation, and
@@ -94,11 +83,12 @@ type Client struct {
 	// asOf, when non-zero, serves every read at that snapshot timestamp
 	// (the "as_of" property); frames only.
 	asOf int64
-	// retry429 / retry429Max configure the frame throttle retry loop
-	// (see exec): up to retry429 re-sends, each sleeping the server's
-	// retry hint (doubled per attempt) capped at retry429Max.
-	retry429    int
-	retry429Max time.Duration
+	// retries / maxBackoff bound the frame throttle retry loop (see
+	// exec): up to retries re-sends, each sleeping the server's retry
+	// hint (doubled per attempt) capped at maxBackoff. NewClient sets
+	// them to retry429 and retry429Max.
+	retries    int
+	maxBackoff time.Duration
 	// dials counts the connections hc's transport has opened; nil when
 	// the caller supplied hc.
 	dials *atomic.Int64
@@ -115,42 +105,27 @@ func (c *Client) Dials() int64 {
 }
 
 // NewClient returns a binding that talks to the server at baseURL
-// (e.g. "http://127.0.0.1:8077"). A nil hc gets a dedicated pooled
-// client with default sizing. Until Init resolves rawhttp.wire the
-// client is HTTP.
+// (e.g. "http://127.0.0.1:8077"; empty: Init reads rawhttp.url). A nil
+// hc gets a dedicated pooled client. Until Init resolves rawhttp.wire
+// the client is HTTP.
 func NewClient(baseURL string, hc *http.Client) *Client {
-	c := &Client{base: baseURL, hc: hc, retry429: DefaultRetry429, retry429Max: DefaultRetry429Max}
+	c := &Client{base: baseURL, hc: hc, retries: retry429, maxBackoff: retry429Max}
 	if hc == nil {
-		c.hc, c.dials = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
+		c.hc, c.dials = newPooledHTTPClient(poolSize)
 	}
 	return c
 }
 
 func init() {
-	db.Register("rawhttp", func() (db.DB, error) { return &Client{}, nil })
+	db.Register("rawhttp", func() (db.DB, error) { return NewClient("", nil), nil })
 }
 
-// Init reads the "rawhttp.url", "rawhttp.pool_size",
-// "rawhttp.timeout_ms", "rawhttp.max_inflight", "rawhttp.retry429",
-// "rawhttp.retry429_max_ms", "rawhttp.wire", "rawhttp.wire_conns" and
-// "as_of" properties, and settles the endpoint's transport.
+// Init reads the "rawhttp.url", "rawhttp.wire" and "as_of" properties,
+// and settles the endpoint's transport.
 func (c *Client) Init(p *properties.Properties) error {
 	if c.base == "" {
 		c.base = p.GetString("rawhttp.url", "http://127.0.0.1:8077")
 	}
-	if c.hc == nil {
-		c.hc, c.dials = newPooledHTTPClient(
-			p.GetInt("rawhttp.pool_size", DefaultPoolSize),
-			time.Duration(p.GetInt64("rawhttp.timeout_ms", int64(DefaultTimeout/time.Millisecond)))*time.Millisecond,
-		)
-	}
-	if c.sem == nil {
-		if n := p.GetInt("rawhttp.max_inflight", 0); n > 0 {
-			c.sem = make(chan struct{}, n)
-		}
-	}
-	c.retry429 = p.GetInt("rawhttp.retry429", DefaultRetry429)
-	c.retry429Max = time.Duration(p.GetInt64("rawhttp.retry429_max_ms", int64(DefaultRetry429Max/time.Millisecond))) * time.Millisecond
 	ctx := context.Background()
 	if c.wire == nil {
 		// The frame listener's address: named outright, none, or
@@ -166,7 +141,7 @@ func (c *Client) Init(p *properties.Properties) error {
 			}
 		}
 		if addr != "" {
-			c.wire = kvwire.NewEndpoint(addr, p.GetInt("rawhttp.wire_conns", 0))
+			c.wire = kvwire.NewEndpoint(addr, 0)
 		}
 	}
 	// as_of pins every read this binding issues to one snapshot
@@ -227,22 +202,13 @@ func statusError(resp *http.Response) error {
 	}
 }
 
-// send runs one HTTP exchange under the client-side in-flight bound,
-// propagating the caller's context deadline to the server as
-// X-Deadline-Ms so the server can shed work the client will no longer
-// wait for.
+// send runs one HTTP exchange, propagating the caller's context
+// deadline to the server as X-Deadline-Ms so the server can shed work
+// the client will no longer wait for.
 func (c *Client) send(req *http.Request) (*http.Response, error) {
 	if d, ok := req.Context().Deadline(); ok {
 		if ms := time.Until(d).Milliseconds(); ms > 0 {
 			req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
-		}
-	}
-	if c.sem != nil {
-		select {
-		case c.sem <- struct{}{}:
-			defer func() { <-c.sem }()
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
 		}
 	}
 	return c.hc.Do(req)

@@ -183,7 +183,7 @@ const pullBatch = 512
 func (s *Server) pullSlot(ctx context.Context, src, table string, slot int) error {
 	// A server keeps no outbound HTTP client, so the pull builds one for
 	// its single probe of src and drops it after.
-	hc, _ := newPooledHTTPClient(1, DefaultTimeout)
+	hc, _ := newPooledHTTPClient(1)
 	defer hc.CloseIdleConnections()
 	ep, err := openNodeWire(ctx, hc, src, 1)
 	if err != nil {

@@ -70,7 +70,7 @@ import (
 // otherwise, before anything is frozen).
 func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int, dest string) (*cluster.Map, error) {
 	if hc == nil {
-		hc, _ = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
+		hc, _ = newPooledHTTPClient(poolSize)
 	}
 	if slot < 0 || slot >= m.Slots {
 		return nil, fmt.Errorf("cluster: migrate slot %d out of range [0,%d)", slot, m.Slots)

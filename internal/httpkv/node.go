@@ -17,10 +17,9 @@ import (
 
 // NodeOptions are a node's settings, each set by one kvserver flag.
 type NodeOptions struct {
-	Cluster      *cluster.State // -cluster-node-id: nil outside cluster mode
-	MaxInflight  int            // -max-inflight
-	MaxBodyBytes int64          // -max-body-bytes
-	Metrics      *obs.Registry  // -ops-addr: the node's series, or nil
+	Cluster     *cluster.State // -cluster-node-id: nil outside cluster mode
+	MaxInflight int            // -max-inflight
+	Metrics     *obs.Registry  // -ops-addr: the node's series, or nil
 }
 
 // Node is one running key-value server, kvserver's or a test's.
@@ -47,10 +46,9 @@ func ServeNode(eng kvstore.Engine, httpLn, wireLn net.Listener, o NodeOptions) *
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", NewServerWithOptions(eng, ServerOptions{
-		MaxBodyBytes: o.MaxBodyBytes,
-		Metrics:      o.Metrics,
-		Core:         core,
-		WireAddr:     wireAddr,
+		Metrics:  o.Metrics,
+		Core:     core,
+		WireAddr: wireAddr,
 	}))
 	handleAdmin(mux, eng, o.Cluster)
 	n.http = &http.Server{Handler: mux}

@@ -45,7 +45,8 @@ type Router struct {
 
 	// retries bounds how many moved-error rounds one logical op may
 	// pay; backoff is slept (doubling) between rounds while the fleet
-	// converges on a new map.
+	// converges on a new map. The constructor sets them to
+	// routerRetries and routerBackoff.
 	retries int
 	backoff time.Duration
 
@@ -54,23 +55,18 @@ type Router struct {
 	mu    sync.RWMutex
 	nodes map[string]*Client // node address → its mounted frame client
 
-	// wireConns sizes every node's frame connection pool
-	// (rawhttp.wire_conns; 0 = kvwire.DefaultMaxConns).
-	wireConns int
-
 	metrics *routerMetrics
 }
 
-// Router defaults; overridable via the cluster.* properties.
 const (
-	// DefaultRouterRetries is how many moved-error rounds one logical
+	// routerRetries is how many moved-error rounds one logical
 	// operation survives before the router gives up. A migration's
 	// unavailability window is two map installs long, so a handful of
 	// short-backoff rounds rides it out with margin.
-	DefaultRouterRetries = 8
-	// DefaultRouterBackoff is the first between-round sleep; it
-	// doubles per round.
-	DefaultRouterBackoff = 25 * time.Millisecond
+	routerRetries = 8
+	// routerBackoff is the first between-round sleep; it doubles per
+	// round.
+	routerBackoff = 25 * time.Millisecond
 )
 
 // routerMetrics holds the router's obs handles; everything is
@@ -142,15 +138,20 @@ func init() {
 // nil hc gets a dedicated pooled transport shared by all node
 // clients. The registry may be nil (metrics off).
 func NewRouter(seeds []string, hc *http.Client, reg *obs.Registry) (*Router, error) {
-	r := &Router{
-		hc:      hc,
-		retries: DefaultRouterRetries,
-		backoff: DefaultRouterBackoff,
-		nodes:   make(map[string]*Client),
+	r := &Router{}
+	if err := r.open(seeds, hc, reg); err != nil {
+		return nil, err
 	}
+	return r, nil
+}
+
+// open is the one construction path, NewRouter's and Init's.
+func (r *Router) open(seeds []string, hc *http.Client, reg *obs.Registry) error {
+	r.hc, r.retries, r.backoff = hc, routerRetries, routerBackoff
+	r.nodes = make(map[string]*Client)
 	var dials *atomic.Int64
 	if r.hc == nil {
-		r.hc, dials = newPooledHTTPClient(DefaultPoolSize, DefaultTimeout)
+		r.hc, dials = newPooledHTTPClient(poolSize)
 	}
 	r.metrics = newRouterMetrics(reg, dials, func() float64 {
 		if m := r.cur.Load(); m != nil {
@@ -158,19 +159,14 @@ func NewRouter(seeds []string, hc *http.Client, reg *obs.Registry) (*Router, err
 		}
 		return 0
 	})
-	if err := r.bootstrap(context.Background(), seeds); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return r.bootstrap(context.Background(), seeds)
 }
 
-// Init reads the "cluster.nodes" (comma-separated base URLs, required),
-// "cluster.placement" (optional assertion against the fetched map),
-// "cluster.retries" and "cluster.retry_backoff_ms" properties, plus
-// the rawhttp.* transport knobs for the underlying node clients.
-// rawhttp.wire must be left at "auto": each node's frame listener is
-// discovered from its base URL, and the router has no HTTP data plane
-// to fall back to.
+// Init reads the "cluster.nodes" (comma-separated base URLs, required)
+// and "obs.enabled" properties, and refuses "as_of" and any
+// "rawhttp.wire" but "auto": each node's frame listener is discovered
+// from its base URL, and the router has no HTTP data plane to fall back
+// to.
 func (r *Router) Init(p *properties.Properties) error {
 	if r.cur.Load() != nil {
 		return nil // built via NewRouter
@@ -179,39 +175,13 @@ func (r *Router) Init(p *properties.Properties) error {
 	if len(seeds) == 0 {
 		return errors.New("cluster: missing required property cluster.nodes")
 	}
-	var dials *atomic.Int64
-	r.hc, dials = newPooledHTTPClient(
-		p.GetInt("rawhttp.pool_size", DefaultPoolSize),
-		time.Duration(p.GetInt64("rawhttp.timeout_ms", int64(DefaultTimeout/time.Millisecond)))*time.Millisecond,
-	)
-	r.retries = p.GetInt("cluster.retries", DefaultRouterRetries)
-	r.backoff = time.Duration(p.GetInt64("cluster.retry_backoff_ms", int64(DefaultRouterBackoff/time.Millisecond))) * time.Millisecond
 	if mode := p.GetString("rawhttp.wire", WireModeAuto); mode != WireModeAuto {
 		return fmt.Errorf("cluster: rawhttp.wire=%q: the cluster binding rides each node's advertised frame listener and nothing else", mode)
 	}
-	r.wireConns = p.GetInt("rawhttp.wire_conns", 0)
-	if r.nodes == nil {
-		r.nodes = make(map[string]*Client)
-	}
-	reg := obs.Enabled(p.GetBool("obs.enabled", false))
-	r.metrics = newRouterMetrics(reg, dials, func() float64 {
-		if m := r.cur.Load(); m != nil {
-			return float64(m.Version)
-		}
-		return 0
-	})
 	if p.GetInt64("as_of", 0) != 0 {
 		return fmt.Errorf("%w: the cluster binding cannot serve as-of reads (per-store commit clocks)", db.ErrNotSupported)
 	}
-	if err := r.bootstrap(context.Background(), seeds); err != nil {
-		return err
-	}
-	if want := p.GetString("cluster.placement", ""); want != "" {
-		if got := r.cur.Load().Placement; got != want {
-			return fmt.Errorf("cluster: fleet placement is %q, cluster.placement asserts %q", got, want)
-		}
-	}
-	return nil
+	return r.open(seeds, nil, obs.Enabled(p.GetBool("obs.enabled", false)))
 }
 
 // SplitNodes parses a comma-separated node address list (the
@@ -302,7 +272,7 @@ func (r *Router) node(ctx context.Context, addr string) (*Client, error) {
 	if c != nil {
 		return c, nil
 	}
-	ep, err := openNodeWire(ctx, r.hc, addr, r.wireConns)
+	ep, err := openNodeWire(ctx, r.hc, addr, 0)
 	if err != nil {
 		return nil, err
 	}

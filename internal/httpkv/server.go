@@ -37,7 +37,7 @@
 // transport per endpoint, once (wire.go). ServeNode (node.go) wires a
 // node: both listeners and the admin routes.
 //
-// Admission control (ServerOptions): request bodies are capped (413
+// Admission control: request bodies are capped at maxBodyBytes (413
 // past the cap) and an X-Deadline-Ms header bounds how long the server
 // may sit on the request (504 once expired).
 package httpkv
@@ -70,11 +70,11 @@ type wireRecord struct {
 // milliseconds; the server abandons work it cannot start in time.
 const DeadlineHeader = "X-Deadline-Ms"
 
+// maxBodyBytes caps any request body; larger bodies fail with 413.
+const maxBodyBytes = 1 << 20
+
 // ServerOptions tunes the server.
 type ServerOptions struct {
-	// MaxBodyBytes caps any request body (default 1 MiB); larger
-	// bodies fail with 413.
-	MaxBodyBytes int64
 	// Metrics, when non-nil, receives the server's httpkv_* series
 	// (inflight gauge, response-code counters).
 	Metrics *obs.Registry
@@ -110,9 +110,6 @@ func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
 	s := &Server{store: store, core: opts.Core, mux: http.NewServeMux(), opts: opts}
 	s.metrics = newServerMetrics(opts.Metrics)
 	s.opts.Cluster = s.core.Cluster()
-	if s.opts.MaxBodyBytes <= 0 {
-		s.opts.MaxBodyBytes = 1 << 20
-	}
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/v1/ts", s.handleSnapshotTS)
 	s.mux.HandleFunc("/v1/shardmap", s.handleShardMap)
@@ -135,7 +132,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w = sr
 	}
 	if r.Body != nil && r.ContentLength != 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	}
 	if h := r.Header.Get(DeadlineHeader); h != "" {
 		ms, err := strconv.ParseInt(h, 10, 64)

@@ -114,9 +114,9 @@ func resolveWireAddr(base, adv string) string {
 }
 
 // exec ships ops as one request frame. A frame shed on admission (429)
-// is re-sent up to c.retry429 times, each after the server's retry
+// is re-sent up to c.retries times, each after the server's retry
 // hint (100ms when absent, doubled per attempt, capped at
-// c.retry429Max); the retry gives up early when the context would
+// c.maxBackoff); the retry gives up early when the context would
 // expire mid-backoff. A shed request never ran, so re-sending it is
 // safe; any other failure is returned as it is — the frame may have
 // been applied.
@@ -144,10 +144,10 @@ func (c *Client) exec(ctx context.Context, ops []kvwire.Op) ([]kvwire.Result, er
 			wait = 100 * time.Millisecond
 		}
 		wait <<= attempt
-		if c.retry429Max > 0 && wait > c.retry429Max {
-			wait = c.retry429Max
+		if wait > c.maxBackoff {
+			wait = c.maxBackoff
 		}
-		if d, ok := ctx.Deadline(); attempt >= c.retry429 || (ok && time.Until(d) <= wait) {
+		if d, ok := ctx.Deadline(); attempt >= c.retries || (ok && time.Until(d) <= wait) {
 			return nil, fmt.Errorf("%w: %s", db.ErrThrottled, re.Msg)
 		}
 		select {

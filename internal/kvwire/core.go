@@ -130,10 +130,6 @@ func (c *Core) Instrument(reg *obs.Registry) {
 	c.ingestRecords = reg.Counter("kvwire_ingest_records_total")
 }
 
-// Store exposes the engine (front-end routes that bypass the op model:
-// scans, ingest, tables, ts).
-func (c *Core) Store() kvstore.Engine { return c.store }
-
 // Cluster exposes the ownership gate; nil when not clustered.
 func (c *Core) Cluster() *cluster.State { return c.cluster }
 
@@ -217,10 +213,6 @@ func (c *Core) Delete(table, key string, expect uint64) error {
 	defer release()
 	return c.store.DeleteIfVersion(table, key, expect)
 }
-
-// SnapshotTS draws a snapshot timestamp from the engine's commit
-// clock.
-func (c *Core) SnapshotTS() int64 { return c.store.SnapshotTS() }
 
 // ScanPageCap is the largest engine page a cluster-mode scan reads in
 // one call, and therefore the ceiling a client-chosen count may size

@@ -342,12 +342,13 @@ func (s *Server) writeFrame(c *serverConn, encode func([]byte) []byte) {
 }
 
 // send writes one frame (one syscall per frame; the frame is the flush
-// unit); the caller holds the write lock. A peer that is gone is
-// noticed by the read loop, so the error is not the writer's to handle.
+// unit); the caller holds the write lock. The frame is counted before
+// the write, so a client that has read it never reads a counter that
+// has not. A peer that is gone is noticed by the read loop, so the
+// error is not the writer's to handle.
 func (s *Server) send(c *serverConn, frame []byte) {
-	if _, err := c.conn.Write(frame); err == nil {
-		s.metrics.framesOut.Inc()
-	}
+	s.metrics.framesOut.Inc()
+	c.conn.Write(frame)
 }
 
 // Shutdown drains the server: stop accepting, stop reading new request

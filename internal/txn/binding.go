@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"time"
 
 	"ycsbt/internal/cloudsim"
 	"ycsbt/internal/db"
@@ -56,10 +55,7 @@ func (b *Binding) Init(p *properties.Properties) error {
 	if b.m != nil {
 		return nil
 	}
-	opts := Options{
-		SerializableReads: p.GetBool("txnkv.serializable", false),
-		RecoveryTimeout:   time.Duration(p.GetInt64("txnkv.recovery_ms", 10000)) * time.Millisecond,
-	}
+	opts := Options{SerializableReads: p.GetBool("txnkv.serializable", false)}
 	var stores []Store
 	var closers []func() error
 	add := func(s Store, c func() error) {

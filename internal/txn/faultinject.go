@@ -45,11 +45,3 @@ func InstallCommittedTSRForTest(store *kvstore.Store, txnID string) error {
 	return err
 }
 
-// InstallAbortedTSRForTest writes an aborted transaction status
-// record for txnID (readers must roll the prepared records back).
-func InstallAbortedTSRForTest(store *kvstore.Store, txnID string) error {
-	_, err := store.Insert(tsrTable, txnID, map[string][]byte{
-		tsrState: []byte(tsrAborted),
-	})
-	return err
-}

@@ -47,8 +47,7 @@ import (
 // readproportion (0.9), updateproportion (0), insertproportion (0),
 // scanproportion (0), deleteproportion (0),
 // readmodifywriteproportion (0.1), requestdistribution (zipfian),
-// table (usertable), zeropadding (12), seed (42),
-// cew.validatebatch (1000).
+// table (usertable), zeropadding (12), seed (42).
 type ClosedEconomyWorkload struct {
 	table       string
 	recordCount int64
@@ -56,7 +55,9 @@ type ClosedEconomyWorkload struct {
 	distName    string
 	zeroPadding int
 	seed        int64
-	batchSize   int
+	// batchSize is how many records one validation scan asks for
+	// (validateBatch).
+	batchSize int
 
 	opChooser   *generator.Discrete
 	insertSeq   *generator.AcknowledgedCounter
@@ -94,6 +95,9 @@ type cewThreadState struct {
 	potDelta int64
 }
 
+// validateBatch is the record count of one validation scan.
+const validateBatch = 1000
+
 // Init implements Workload.
 func (c *ClosedEconomyWorkload) Init(p *properties.Properties, reg *measurement.Registry) error {
 	c.reg = reg
@@ -109,7 +113,7 @@ func (c *ClosedEconomyWorkload) Init(p *properties.Properties, reg *measurement.
 	c.distName = p.GetString("requestdistribution", "zipfian")
 	c.zeroPadding = p.GetInt("zeropadding", 12)
 	c.seed = p.GetInt64("seed", 42)
-	c.batchSize = p.GetInt("cew.validatebatch", 1000)
+	c.batchSize = validateBatch
 
 	read := p.GetFloat("readproportion", 0.9)
 	update := p.GetFloat("updateproportion", 0)

@@ -339,7 +339,8 @@ func TestCEWConcurrentNonTransactionalIntroducesAnomalies(t *testing.T) {
 
 func TestCEWValidateBatchesCorrectly(t *testing.T) {
 	// Small validation batches must still count every record once.
-	w, mem := newCEW(t, map[string]string{"cew.validatebatch": "7"})
+	w, mem := newCEW(t, nil)
+	w.batchSize = 7
 	res, err := w.Validate(context.Background(), mem)
 	if err != nil {
 		t.Fatal(err)
