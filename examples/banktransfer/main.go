@@ -171,7 +171,7 @@ func crashAfterCommitPoint(ctx context.Context, m *txn.Manager, store *kvstore.S
 	if err != nil {
 		return err
 	}
-	balA, balB := parse(a.Fields), parse(b.Fields)
+	balA, balB := parse(a.FieldMap()), parse(b.FieldMap())
 	if err := txn.InstallPreparedForTest(store, "accounts", acct(0), a, bal(balA-100), "crashed-txn-1", "bank"); err != nil {
 		return err
 	}

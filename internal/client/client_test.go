@@ -522,7 +522,7 @@ func TestPhaseEndsSettled(t *testing.T) {
 			t.Fatalf("scan after %s: %d records, %v", phase, len(recs), err)
 		}
 		for _, kv := range recs {
-			if _, prepared := kv.Record.Fields["_txn:state"]; prepared {
+			if kv.Record.Field("_txn:state") != nil {
 				t.Errorf("%s still prepared when %s returned", kv.Key, phase)
 			}
 		}

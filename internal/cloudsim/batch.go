@@ -78,7 +78,7 @@ func (b *Binding) execReadRun(ctx context.Context, ops []db.BatchOp, out []db.Ba
 			out[i] = db.BatchResult{Err: translate(r.Err)}
 			continue
 		}
-		out[i] = db.BatchResult{Record: db.ProjectFields(r.Record.Fields, ops[i].Fields)}
+		out[i] = db.BatchResult{Record: r.Record.Project(ops[i].Fields)}
 	}
 }
 
@@ -110,10 +110,7 @@ func (b *Binding) execWriteRun(ctx context.Context, ops []db.BatchOp, out []db.B
 					out[i] = db.BatchResult{Err: translate(r.Err)}
 					continue
 				}
-				m := make(db.Record, len(r.Record.Fields)+len(ops[i].Values))
-				for f, v := range r.Record.Fields {
-					m[f] = v
-				}
+				m := r.Record.Project(nil)
 				for f, v := range ops[i].Values {
 					m[f] = v
 				}

@@ -98,7 +98,7 @@ func (b *Binding) Read(ctx context.Context, table, key string, fields []string) 
 	if err != nil {
 		return nil, translate(err)
 	}
-	return db.ProjectFields(rec.Fields, fields), nil
+	return rec.Project(fields), nil
 }
 
 // Scan implements db.DB.
@@ -109,7 +109,7 @@ func (b *Binding) Scan(ctx context.Context, table, startKey string, count int, f
 	}
 	out := make([]db.KV, 0, len(kvs))
 	for _, kv := range kvs {
-		out = append(out, db.KV{Key: kv.Key, Record: db.ProjectFields(kv.Record.Fields, fields)})
+		out = append(out, db.KV{Key: kv.Key, Record: kv.Record.Project(fields)})
 	}
 	return out, nil
 }
@@ -126,10 +126,7 @@ func (b *Binding) Update(ctx context.Context, table, key string, values db.Recor
 	if err != nil {
 		return translate(err)
 	}
-	merged := make(map[string][]byte, len(cur.Fields)+len(values))
-	for f, v := range cur.Fields {
-		merged[f] = v
-	}
+	merged := cur.Project(nil)
 	for f, v := range values {
 		merged[f] = v
 	}

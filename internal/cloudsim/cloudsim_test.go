@@ -35,7 +35,7 @@ func TestStoreBasicOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Version != 1 || string(rec.Fields["f"]) != "a" {
+	if rec.Version != 1 || string(rec.Field("f")) != "a" {
 		t.Errorf("Get = %+v", rec)
 	}
 	// Conditional put honors versions.

@@ -67,7 +67,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		// The interleaved order held: the update (item 2) ran after the
 		// read (item 0), and the delete removed item 1's insert.
 		rec, err := tn.store.Get("t", "a")
-		if err != nil || string(rec.Fields["f"]) != "v1b" || string(rec.Fields["g"]) != "keep" {
+		if err != nil || string(rec.Field("f")) != "v1b" || string(rec.Field("g")) != "keep" {
 			t.Fatalf("after batch: %v %v", rec, err)
 		}
 		if _, err := tn.store.Get("t", "b"); !errors.Is(err, kvstore.ErrNotFound) {

@@ -276,13 +276,15 @@ func (c *Client) ReadVersioned(ctx context.Context, table, key string) (*kvstore
 	return c.get(ctx, table, key, 0)
 }
 
-// kvConv renders scan records as db.KVs projected to fields.
+// kvConv renders scan records as db.KVs projected to fields. A conv is
+// where a scan record's map is built (StreamRecord.FieldMap), so a
+// record the router's merge drops is never decoded.
 func kvConv(fields []string) func(*kvwire.StreamRecord) db.KV {
 	return func(rec *kvwire.StreamRecord) db.KV {
 		if fields == nil {
-			return db.KV{Key: rec.Key, Record: rec.Fields} // freshly decoded: already the caller's own map
+			return db.KV{Key: rec.Key, Record: rec.FieldMap()} // freshly built: already the caller's own map
 		}
-		return db.KV{Key: rec.Key, Record: db.ProjectFields(rec.Fields, fields)}
+		return db.KV{Key: rec.Key, Record: db.ProjectFields(rec.FieldMap(), fields)}
 	}
 }
 
@@ -291,7 +293,7 @@ func kvConv(fields []string) func(*kvwire.StreamRecord) db.KV {
 func versionedConv(rec *kvwire.StreamRecord) kvstore.VersionedKV {
 	return kvstore.VersionedKV{
 		Key:    rec.Key,
-		Record: &kvstore.VersionedRecord{Version: rec.Version, Fields: rec.Fields},
+		Record: &kvstore.VersionedRecord{Version: rec.Version, Fields: rec.FieldMap()},
 	}
 }
 

@@ -179,7 +179,9 @@ const pullBatch = 512
 
 // pullSlot pulls the heads of table's slice of slot from src's frame
 // listener, page by page, into StreamIngest. The source has frozen the
-// slot, so its heads hold still for the whole scan.
+// slot, so its heads hold still for the whole scan. Each record goes on
+// as the field section its page carried — the source's image — with no
+// map built on the way.
 func (s *Server) pullSlot(ctx context.Context, src, table string, slot int) error {
 	// A server keeps no outbound HTTP client, so the pull builds one for
 	// its single probe of src and drops it after.
@@ -200,7 +202,7 @@ func (s *Server) pullSlot(ctx context.Context, src, table string, slot int) erro
 		batch = batch[:0]
 		for len(batch) < pullBatch && sc.Next() {
 			rec := sc.Record()
-			batch = append(batch, kvstore.BulkKV{Key: rec.Key, Fields: rec.Fields, Version: rec.Version, CommitTS: rec.CommitTS})
+			batch = append(batch, kvstore.BulkKV{Key: rec.Key, Section: rec.Section(), Version: rec.Version, CommitTS: rec.CommitTS})
 		}
 		if len(batch) == 0 {
 			return nil, sc.Err() // nil, nil: a clean end

@@ -34,13 +34,7 @@ import (
 // writes it; a nil fields map is written as {}, so it decodes as an
 // empty map, never as nil.
 func appendRecord(dst []byte, r *wireRecord) []byte {
-	dst = append(dst, '{')
-	if r.CommitTS != 0 {
-		dst = append(dst, `"commit_ts":`...)
-		dst = strconv.AppendInt(dst, r.CommitTS, 10)
-		dst = append(dst, ',')
-	}
-	dst = append(dst, `"fields":{`...)
+	dst = appendRecordHead(dst, r.CommitTS)
 	type field struct {
 		name  string
 		value []byte
@@ -52,26 +46,61 @@ func appendRecord(dst []byte, r *wireRecord) []byte {
 	}
 	slices.SortFunc(fields, func(a, b field) int { return strings.Compare(a.name, b.name) })
 	for i, f := range fields {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendString(dst, f.name)
-		dst = append(dst, ':')
-		if f.value == nil {
-			dst = append(dst, "null"...)
-			continue
-		}
-		dst = append(dst, '"')
-		dst = base64.StdEncoding.AppendEncode(dst, f.value)
-		dst = append(dst, '"')
+		dst = appendField(dst, i, f.name, f.value)
 	}
+	return appendRecordTail(dst, r.Key, r.Version)
+}
+
+// appendStored appends a stored version under key as appendRecord
+// writes its wireRecord, straight from the image: its fields are in
+// name order already, and no map is built or sorted. A value stored
+// empty — or null — is written as "".
+func appendStored(dst []byte, key string, rec *kvstore.VersionedRecord) []byte {
+	dst = appendRecordHead(dst, rec.CommitTS)
+	i := 0
+	rec.Range(func(name string, value []byte) bool {
+		dst = appendField(dst, i, name, value)
+		i++
+		return true
+	})
+	return appendRecordTail(dst, key, rec.Version)
+}
+
+// appendRecordHead opens a record object up to its fields' members.
+func appendRecordHead(dst []byte, commitTS int64) []byte {
+	dst = append(dst, '{')
+	if commitTS != 0 {
+		dst = append(dst, `"commit_ts":`...)
+		dst = strconv.AppendInt(dst, commitTS, 10)
+		dst = append(dst, ',')
+	}
+	return append(dst, `"fields":{`...)
+}
+
+// appendField appends the i-th member of a fields object.
+func appendField(dst []byte, i int, name string, value []byte) []byte {
+	if i > 0 {
+		dst = append(dst, ',')
+	}
+	dst = appendString(dst, name)
+	dst = append(dst, ':')
+	if value == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '"')
+	dst = base64.StdEncoding.AppendEncode(dst, value)
+	return append(dst, '"')
+}
+
+// appendRecordTail closes the fields object and the record.
+func appendRecordTail(dst []byte, key string, version uint64) []byte {
 	dst = append(dst, '}')
-	if r.Key != "" {
+	if key != "" {
 		dst = append(dst, `,"key":`...)
-		dst = appendString(dst, r.Key)
+		dst = appendString(dst, key)
 	}
 	dst = append(dst, `,"version":`...)
-	dst = strconv.AppendUint(dst, r.Version, 10)
+	dst = strconv.AppendUint(dst, version, 10)
 	return append(dst, '}')
 }
 
@@ -83,7 +112,7 @@ func appendRecordPage(dst []byte, kvs []kvstore.VersionedKV) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendRecord(dst, &wireRecord{Key: kv.Key, Version: kv.Record.Version, CommitTS: kv.Record.CommitTS, Fields: kv.Record.Fields})
+		dst = appendStored(dst, kv.Key, kv.Record)
 	}
 	return append(dst, ']')
 }

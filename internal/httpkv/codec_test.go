@@ -160,7 +160,7 @@ func TestRecordPageEncodes(t *testing.T) {
 	}
 	std := make([]wireRecord, len(kvs))
 	for i, kv := range kvs {
-		std[i] = wireRecord{Key: kv.Key, Version: kv.Record.Version, CommitTS: kv.Record.CommitTS, Fields: kv.Record.Fields}
+		std[i] = wireRecord{Key: kv.Key, Version: kv.Record.Version, CommitTS: kv.Record.CommitTS, Fields: kv.Record.Project(nil)}
 	}
 	b, _ := json.Marshal(std)
 	if err := json.Unmarshal(b, &want); err != nil {

@@ -2,9 +2,12 @@ package httpkv
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -88,6 +91,66 @@ func TestNilValuesWriteAnEmptyRecord(t *testing.T) {
 	})
 }
 
+// TestNullFieldReadsBackOneWay: a field written as null reads back the
+// same whichever way it was written — in a PUT's record or in a PATCH —
+// and whether the store answering has replayed its WAL since. Every
+// stored version is an image, where a null is an empty value, so all
+// four reads answer "".
+func TestNullFieldReadsBackOneWay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db")
+	open := func() (*kvstore.Store, *testNode) {
+		s, err := kvstore.Open(kvstore.Options{Path: path, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s, startHTTPNode(t, s, NodeOptions{})
+	}
+	do := func(tn *testNode, method, key, body string) string {
+		t.Helper()
+		req, err := http.NewRequest(method, tn.URL+"/v1/t/"+key, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := tn.hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode >= 300 {
+			t.Fatalf("%s %s = %s: %s", method, key, resp.Status, b)
+		}
+		return string(b)
+	}
+	nullOf := func(tn *testNode, key string) string {
+		t.Helper()
+		var rec struct{ Fields map[string]json.RawMessage }
+		if err := json.Unmarshal([]byte(do(tn, http.MethodGet, key, "")), &rec); err != nil {
+			t.Fatal(err)
+		}
+		return string(rec.Fields["n"])
+	}
+
+	s, tn := open()
+	do(tn, http.MethodPut, "put", `{"fields":{"n":null,"f":"eA=="}}`)
+	do(tn, http.MethodPut, "patched", `{"fields":{"f":"eA=="}}`)
+	do(tn, http.MethodPatch, "patched", `{"fields":{"n":null}}`)
+	live := [2]string{nullOf(tn, "put"), nullOf(tn, "patched")}
+	if err := shutdown(tn.node); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, tn = open()
+	replayed := [2]string{nullOf(tn, "put"), nullOf(tn, "patched")}
+	if want := [2]string{`""`, `""`}; live != want || replayed != want {
+		t.Errorf("null field reads back as PUT %s / PATCH %s, after a reopen %s / %s; want \"\" every time",
+			live[0], live[1], replayed[0], replayed[1])
+	}
+}
+
 func TestHTTPConditionalPut(t *testing.T) {
 	ctx := context.Background()
 	_, c := newPair(t)
@@ -108,7 +171,7 @@ func TestHTTPConditionalPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vr.Version != 2 || string(vr.Fields["f"]) != "b" {
+	if vr.Version != 2 || string(vr.Field("f")) != "b" {
 		t.Errorf("versioned read = %+v", vr)
 	}
 }

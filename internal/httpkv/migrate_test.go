@@ -136,7 +136,7 @@ func TestMigrateSlotIdempotentCopy(t *testing.T) {
 		t.Fatalf("retry migration: %v", err)
 	}
 	got, err := b.store.Get("usertable", key)
-	if err != nil || string(got.Fields["f"]) != "v1" || got.Version != 1 || got.Prev() != nil {
+	if err != nil || string(got.Field("f")) != "v1" || got.Version != 1 || got.Prev() != nil {
 		t.Errorf("after idempotent re-copy: %+v %v", got, err)
 	}
 	if n := b.counter("kvwire_ingest_records_total"); n != 2 {
@@ -392,7 +392,7 @@ func TestMigrateSlotCopiesManyChunks(t *testing.T) {
 	const live, dead = 3000, 50
 	keys := loadSlot(t, a.store, m, slot, live+dead)
 	for i, k := range keys[:dead] {
-		stale := kvstore.BulkKV{Key: k, Fields: map[string][]byte{"f": []byte("stale")}, Version: 1, CommitTS: int64(i + 1)}
+		stale := kvstore.BulkKV{Key: k, Section: kvstore.AppendFields(nil, map[string][]byte{"f": []byte("stale")}), Version: 1, CommitTS: int64(i + 1)}
 		if err := b.store.Ingest("usertable", []kvstore.BulkKV{stale}); err != nil {
 			t.Fatal(err)
 		}
@@ -446,9 +446,9 @@ func TestMigrateSlotCopiesManyChunks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s on the destination: %v", k, err)
 		}
-		if got.Version != want.Version || got.CommitTS != want.CommitTS || string(got.Fields["f"]) != string(want.Fields["f"]) {
+		if got.Version != want.Version || got.CommitTS != want.CommitTS || string(got.Field("f")) != string(want.Field("f")) {
 			t.Fatalf("%s: destination v%d@%d %q, source v%d@%d %q", k,
-				got.Version, got.CommitTS, got.Fields["f"], want.Version, want.CommitTS, want.Fields["f"])
+				got.Version, got.CommitTS, got.Field("f"), want.Version, want.CommitTS, want.Field("f"))
 		}
 	}
 }

@@ -52,7 +52,7 @@ func TestRemoteStoreVersionedOps(t *testing.T) {
 		t.Fatalf("CAS = %d, %v", v, err)
 	}
 	rec, err := r.Get(ctx, "t", "k")
-	if err != nil || rec.Version != 2 || string(rec.Fields["f"]) != "b" {
+	if err != nil || rec.Version != 2 || string(rec.Field("f")) != "b" {
 		t.Fatalf("Get = %+v, %v", rec, err)
 	}
 	kvs, err := r.Scan(ctx, "t", "", 10)
@@ -121,15 +121,15 @@ func TestTransactionAcrossRemoteStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(ra.Fields["bal"]) != "75" || string(rb.Fields["bal"]) != "125" {
-		t.Errorf("cross-server transfer: a=%s b=%s", ra.Fields["bal"], rb.Fields["bal"])
+	if string(ra.Field("bal")) != "75" || string(rb.Field("bal")) != "125" {
+		t.Errorf("cross-server transfer: a=%s b=%s", ra.Field("bal"), rb.Field("bal"))
 	}
 	// No transaction debris on either server.
 	if eastInner.Len("_tsr")+westInner.Len("_tsr") != 0 {
 		t.Error("TSR left behind on a remote store")
 	}
 	for _, rec := range []*kvstore.VersionedRecord{ra, rb} {
-		for f := range rec.Fields {
+		for f := range rec.FieldMap() {
 			if len(f) >= 5 && f[:5] == "_txn:" {
 				t.Errorf("metadata %s left on committed record", f)
 			}
@@ -172,7 +172,7 @@ func TestRemoteStoreConflictAcrossClients(t *testing.T) {
 		t.Errorf("second committer across hosts = %v", err)
 	}
 	rec, _ := inner.Get("t", "k")
-	if string(rec.Fields["n"]) != "1" {
-		t.Errorf("final = %s", rec.Fields["n"])
+	if string(rec.Field("n")) != "1" {
+		t.Errorf("final = %s", rec.Field("n"))
 	}
 }

@@ -435,7 +435,7 @@ func TestRouterMountFailureIsNotCached(t *testing.T) {
 	if err := r.Insert(ctx, "t", key, rec("v")); err != nil {
 		t.Fatalf("insert after the node came up: %v", err)
 	}
-	if got, err := b.store.Get("t", key); err != nil || string(got.Fields["f"]) != "v" {
+	if got, err := b.store.Get("t", key); err != nil || string(got.Field("f")) != "v" {
 		t.Fatalf("record on the node: %v, %v", got, err)
 	}
 }

@@ -339,7 +339,7 @@ func writeRecord(w http.ResponseWriter, rec *kvstore.VersionedRecord) {
 	w.Header().Set("ETag", strconv.FormatUint(rec.Version, 10))
 	buf := getBodyBuf()
 	defer putBodyBuf(buf)
-	buf.Write(append(appendRecord(buf.AvailableBuffer(), &wireRecord{Version: rec.Version, CommitTS: rec.CommitTS, Fields: rec.Fields}), '\n'))
+	buf.Write(append(appendStored(buf.AvailableBuffer(), "", rec), '\n'))
 	w.Write(buf.Bytes())
 }
 

@@ -212,7 +212,7 @@ func TestAsOfRemoteStoreSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, err := rs.GetAsOf(ctx, "t", "k1", ts)
-	if err != nil || string(rec.Fields["v"]) != "new" {
+	if err != nil || string(rec.Field("v")) != "new" {
 		t.Fatalf("remote GetAsOf = %v, %v; want \"new\"", rec, err)
 	}
 	if _, err := rs.GetAsOf(ctx, "t", "k3", ts); !errors.Is(err, kvstore.ErrNotFound) {
@@ -260,10 +260,10 @@ func TestRemoteAsOfBelowHorizon(t *testing.T) {
 				}
 				return
 			}
-			if getErr != nil || string(rec.Fields["v"]) != "old" {
+			if getErr != nil || string(rec.Field("v")) != "old" {
 				t.Fatalf("GetAsOf = %v, %v; want \"old\"", rec, getErr)
 			}
-			if scanErr != nil || len(kvs) != 1 || string(kvs[0].Record.Fields["v"]) != "old" {
+			if scanErr != nil || len(kvs) != 1 || string(kvs[0].Record.Field("v")) != "old" {
 				t.Fatalf("ScanAsOf = %d records, %v; want k=\"old\"", len(kvs), scanErr)
 			}
 		})
@@ -379,7 +379,7 @@ func TestUnknownOutcomeIsNotResent(t *testing.T) {
 		t.Fatalf("put that landed reported as a conflict (re-sent on another path?): %v", err)
 	}
 	got, err := store.Get("t", "k")
-	if err != nil || got.Version != v1+1 || string(got.Fields["f"]) != "v2" {
+	if err != nil || got.Version != v1+1 || string(got.Field("f")) != "v2" {
 		t.Fatalf("engine holds %+v, %v; want exactly one new version v%d = v2", got, err, v1+1)
 	}
 	// Same for a merge-update: applied once, not once per transport.

@@ -3,7 +3,6 @@ package kvstore
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 )
 
@@ -12,8 +11,10 @@ import (
 // from Get, BatchGet, Scan and ForEach, and Verify fails if any caller
 // mutated one afterwards. Wrap an engine with NewAuditEngine, drive a
 // binding or workload over it, then call Verify — any layer that edits
-// an engine-owned record in place (instead of Clone-ing first) is
-// caught with the table/key it corrupted. The wrapper serializes its
+// an engine-owned record in place (instead of copying first) is
+// caught with the table/key it corrupted. ForEach hands out copies, so
+// what it audits is the image their values point into. The wrapper
+// serializes its
 // bookkeeping and is not meant for performance runs.
 type AuditEngine struct {
 	Engine
@@ -34,20 +35,11 @@ func NewAuditEngine(inner Engine) *AuditEngine {
 	return &AuditEngine{Engine: inner, tracked: make(map[*VersionedRecord]bool)}
 }
 
-// fingerprint hashes a record's version and (sorted) fields.
+// fingerprint hashes a record's version and its canonical image.
 func fingerprint(rec *VersionedRecord) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "v=%d;", rec.Version)
-	names := make([]string, 0, len(rec.Fields))
-	for f := range rec.Fields {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	for _, f := range names {
-		fmt.Fprintf(h, "%s=", f)
-		h.Write(rec.Fields[f])
-		h.Write([]byte{0})
-	}
+	h.Write(rec.Image())
 	return h.Sum64()
 }
 
@@ -122,7 +114,7 @@ func (a *AuditEngine) Verify() error {
 	defer a.mu.Unlock()
 	for _, e := range a.handed {
 		if fingerprint(e.rec) != e.sum {
-			return fmt.Errorf("kvstore: record %s/%s (version %d) was mutated after the engine handed it out — callers must Clone before editing", e.table, e.key, e.rec.Version)
+			return fmt.Errorf("kvstore: record %s/%s (version %d) was mutated after the engine handed it out — callers must copy before editing", e.table, e.key, e.rec.Version)
 		}
 	}
 	return nil

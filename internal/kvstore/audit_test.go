@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -86,24 +87,32 @@ func TestAuditCatchesMutation(t *testing.T) {
 	if err := audit.Verify(); err != nil {
 		t.Fatalf("clean Verify failed: %v", err)
 	}
-	rec.Fields["f"][0] = 'X' // the bug the audit exists to catch
+	rec.Field("f")[0] = 'X' // the bug the audit exists to catch
 	if err := audit.Verify(); err == nil {
 		t.Fatal("Verify missed an in-place mutation")
 	}
-	rec.Fields["f"][0] = 'o'
-	rec.Fields["new"] = []byte("added")
+	rec.Field("f")[0] = 'o'
+	if err := audit.Verify(); err != nil {
+		t.Fatalf("Verify after the record was put back: %v", err)
+	}
+	// ForEach copies carry a map; scribbling on a value still reaches
+	// the image it points into.
+	audit.ForEach("t", func(_ string, rec *VersionedRecord) bool {
+		rec.Fields["f"][1] = 'X'
+		return true
+	})
 	if err := audit.Verify(); err == nil {
-		t.Fatal("Verify missed a map insert")
+		t.Fatal("Verify missed a mutation through a ForEach copy")
 	}
 }
 
-// TestUpdateSharesUnchangedValues pins the merge path's memory
-// contract: an Update builds a new version that copies only the fields
-// it carries and shares every other value slice with the version
-// before it (safe because published records are immutable). Runs on
-// the bare store and under the audit wrapper, which would catch the
-// sharing going wrong — a later write editing a shared slice in place.
-func TestUpdateSharesUnchangedValues(t *testing.T) {
+// TestUpdateMergesIntoNewImage pins the merge path's contract: an
+// Update builds a new version whose image holds the untouched fields
+// and the ones it carries, sharing no bytes with the version before it
+// or with the caller's map, and never touching a published version.
+// Runs on the bare store and under the audit wrapper, which would catch
+// a later write editing a handed-out image in place.
+func TestUpdateMergesIntoNewImage(t *testing.T) {
 	engines := map[string]func() (Engine, func() error){
 		"store": func() (Engine, func() error) { return openKeepingHistory(2), func() error { return nil } },
 		"audit": func() (Engine, func() error) { a := NewAuditEngine(openKeepingHistory(2)); return a, a.Verify },
@@ -128,29 +137,29 @@ func TestUpdateSharesUnchangedValues(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range []string{"f0", "f2"} {
-				if &head.Fields[f][0] != &old.Fields[f][0] {
-					t.Errorf("unchanged field %s was copied, want it to share the previous version's bytes", f)
+			for _, f := range []string{"f0", "f1", "f2"} {
+				if v := head.Field(f); &v[0] == &old.Field(f)[0] || &v[0] == &input["f1"][0] {
+					t.Errorf("field %s aliases the previous version or the caller's input", f)
 				}
 			}
-			if &head.Fields["f1"][0] == &old.Fields["f1"][0] || &head.Fields["f1"][0] == &input["f1"][0] {
-				t.Error("changed field f1 aliases the previous version or the caller's input")
+			if head.Fields != nil || !bytes.Equal(head.Image(), canonicalOf(map[string][]byte{"f0": []byte("zero"), "f1": []byte("ONE"), "f2": []byte("two")})) {
+				t.Errorf("merged version = Fields %v, image %q; want only the canonical image", head.Fields, head.Image())
 			}
 			// The caller keeps its map; scribbling on it reaches no version.
 			input["f1"][0] = 'x'
 			input["f0"] = []byte("injected")
-			if got := string(head.Fields["f1"]); got != "ONE" {
+			if got := string(head.Field("f1")); got != "ONE" {
 				t.Errorf("head f1 = %q after the caller mutated its input, want ONE", got)
 			}
-			if got := string(head.Fields["f0"]); got != "zero" {
+			if got := string(head.Field("f0")); got != "zero" {
 				t.Errorf("head f0 = %q, want zero", got)
 			}
 			asOf, err := e.GetAsOf("t", "k", ts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if asOf != old || string(asOf.Fields["f1"]) != "one" || asOf.Version != 1 {
-				t.Errorf("as-of read at %d = v%d f1=%q, want the untouched v1 f1=one", ts, asOf.Version, asOf.Fields["f1"])
+			if asOf != old || string(asOf.Field("f1")) != "one" || asOf.Version != 1 {
+				t.Errorf("as-of read at %d = v%d f1=%q, want the untouched v1 f1=one", ts, asOf.Version, asOf.Field("f1"))
 			}
 			// More merges over the shared slices must leave every
 			// handed-out version as it was.
@@ -159,7 +168,7 @@ func TestUpdateSharesUnchangedValues(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if string(head.Fields["f0"]) != "zero" || string(old.Fields["f2"]) != "two" {
+			if string(head.Field("f0")) != "zero" || string(old.Field("f2")) != "two" {
 				t.Error("a later merge edited a published version in place")
 			}
 			if err := verify(); err != nil {

@@ -41,7 +41,7 @@ func TestBatchGetOrderAndPerItemErrors(t *testing.T) {
 			t.Fatalf("item %d: unexpected error %v", i, res[i].Err)
 		}
 		want := map[int]string{0: "7", 2: "0", 4: "19"}[i]
-		if got := string(res[i].Record.Fields["f"]); got != want {
+		if got := string(res[i].Record.Field("f")); got != want {
 			t.Fatalf("item %d: got %q want %q", i, got, want)
 		}
 	}
@@ -92,8 +92,8 @@ func TestBatchApplyMixedOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec.Fields["f"]) != "v1" || string(rec.Fields["g"]) != "merged" {
-		t.Fatalf("merged record: %v", rec.Fields)
+	if string(rec.Field("f")) != "v1" || string(rec.Field("g")) != "merged" {
+		t.Fatalf("merged record: %v", rec.Project(nil))
 	}
 	// The delete landed.
 	if _, err := s.Get("t", "c"); !errors.Is(err, ErrNotFound) {
@@ -139,8 +139,8 @@ func TestBatchApplyDurableAcrossReopen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(rec.Fields["f"]) != fmt.Sprint(i) {
-			t.Fatalf("key%02d: %v", i, rec.Fields)
+		if string(rec.Field("f")) != fmt.Sprint(i) {
+			t.Fatalf("key%02d: %v", i, rec.Project(nil))
 		}
 	}
 }
@@ -209,7 +209,7 @@ func TestBatchConcurrentWithCompactAndScan(t *testing.T) {
 					t.Errorf("reader item %d: %v", i, r.Err)
 					return
 				}
-				if r.Err == nil && len(r.Record.Fields["f"]) == 0 {
+				if r.Err == nil && len(r.Record.Field("f")) == 0 {
 					t.Errorf("reader item %d: empty record", i)
 					return
 				}

@@ -127,7 +127,7 @@ func (b *Binding) Read(ctx context.Context, table, key string, fields []string) 
 		return nil, translate(err)
 	}
 	db.ReportReadVersion(ctx, rec.Version)
-	return filterFields(rec.Fields, fields), nil
+	return rec.Project(fields), nil
 }
 
 // Scan implements db.DB.
@@ -144,7 +144,7 @@ func (b *Binding) Scan(_ context.Context, table, startKey string, count int, fie
 	}
 	out := make([]db.KV, 0, len(kvs))
 	for _, kv := range kvs {
-		out = append(out, db.KV{Key: kv.Key, Record: filterFields(kv.Record.Fields, fields)})
+		out = append(out, db.KV{Key: kv.Key, Record: kv.Record.Project(fields)})
 	}
 	return out, nil
 }
@@ -213,7 +213,7 @@ func (b *Binding) execReadRun(ops []db.BatchOp, out []db.BatchResult) {
 			out[i] = db.BatchResult{Err: translate(r.Err)}
 			continue
 		}
-		out[i] = db.BatchResult{Record: filterFields(r.Record.Fields, ops[i].Fields)}
+		out[i] = db.BatchResult{Record: r.Record.Project(ops[i].Fields)}
 	}
 }
 
@@ -245,26 +245,3 @@ func (b *Binding) execWriteRun(ops []db.BatchOp, out []db.BatchResult) {
 }
 
 var _ db.BatchDB = (*Binding)(nil)
-
-// filterFields projects fields out of a stored record. The engine
-// hands out shared immutable records, so the map is always shallow-
-// copied — returning `all` directly (the old nil-fields fast path)
-// would let a caller's map insert corrupt live engine state. The byte
-// slices themselves stay engine-owned: db.Record values are read-only
-// by contract, and the mutation-audit test enforces it.
-func filterFields(all map[string][]byte, fields []string) db.Record {
-	if fields == nil {
-		out := make(db.Record, len(all))
-		for f, v := range all {
-			out[f] = v
-		}
-		return out
-	}
-	out := make(db.Record, len(fields))
-	for _, f := range fields {
-		if v, ok := all[f]; ok {
-			out[f] = v
-		}
-	}
-	return out
-}

@@ -68,8 +68,8 @@ func TestCompactShrinksLogAndPreservesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec.Fields["field0"]) != "v49" {
-		t.Errorf("k05 = %s", rec.Fields["field0"])
+	if string(rec.Field("field0")) != "v49" {
+		t.Errorf("k05 = %s", rec.Field("field0"))
 	}
 	if rec.Version != 50 {
 		t.Errorf("k05 version = %d, want 50 (preserved through compaction)", rec.Version)
@@ -178,11 +178,11 @@ func TestCompactMultipleTables(t *testing.T) {
 	}
 	defer r.Close()
 	ra, err := r.Get("a", "k")
-	if err != nil || string(ra.Fields["field0"]) != "1" {
+	if err != nil || string(ra.Field("field0")) != "1" {
 		t.Errorf("table a after compaction: %v, %v", ra, err)
 	}
 	rb, err := r.Get("b", "k")
-	if err != nil || string(rb.Fields["field0"]) != "2" {
+	if err != nil || string(rb.Field("field0")) != "2" {
 		t.Errorf("table b after compaction: %v, %v", rb, err)
 	}
 }

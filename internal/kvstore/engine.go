@@ -11,12 +11,13 @@ package kvstore
 // All implementations must make single-key operations linearizable
 // and Scan/ForEach results key-ordered.
 //
-// Immutability contract: records handed out by Get, BatchGet, Scan
-// and ForEach are shared immutable snapshots, not private copies —
-// callers must not mutate the Fields map or any byte slice in it (use
-// VersionedRecord.Clone for a mutable copy), and implementations must
-// never edit a handed-out record in place. This is what lets the
-// partitioned store serve reads wait-free with zero allocations.
+// Immutability contract: records handed out by Get, BatchGet and Scan
+// are shared immutable snapshots, not private copies — callers must
+// not mutate any byte slice a reader hands out (VersionedRecord.Project
+// builds a map the caller owns), and implementations must never edit a
+// handed-out record in place. ForEach hands out copies with Fields
+// decoded. This is what lets the partitioned store serve reads
+// wait-free with zero allocations.
 //
 // Durability caveat: when a mutation returns an error after its WAL
 // append (e.g. a failed group-commit fsync), the write's durability

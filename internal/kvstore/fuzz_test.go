@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -9,23 +10,29 @@ import (
 // anything it accepts re-encodes losslessly.
 func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add(encodeWALRecord(walRecord{Op: walPutTS, Table: "t", Key: "k", Version: 3, CommitTS: 17,
-		Fields: map[string][]byte{"a": []byte("1")}}))
+		Image: canonicalOf(map[string][]byte{"a": []byte("1")})}))
 	f.Add(encodeWALRecord(walRecord{Op: walDeleteTS, Table: "usertable", Key: "user99", Version: 2, CommitTS: 18}))
 	f.Add([]byte{})
 	f.Add([]byte{walPutTS})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(encodeWALRecord(walRecord{Op: walDrop, Table: "usertable", Key: "user42", CommitTS: 19}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := decodeWALRecord(data, nil)
+		rec, err := decodeWALRecord(data)
 		if err != nil {
 			return
 		}
+		// An accepted put's section comes back as a canonical image.
+		if rec.Image != nil {
+			if canon, err := CheckFields(rec.Image); err != nil || !canon {
+				t.Fatalf("decoded image %q: canonical %v, %v", rec.Image, canon, err)
+			}
+		}
 		// Round-trip property on accepted inputs.
-		out, err2 := decodeWALRecord(encodeWALRecord(rec), nil)
+		out, err2 := decodeWALRecord(encodeWALRecord(rec))
 		if err2 != nil {
 			t.Fatalf("re-decode failed: %v", err2)
 		}
-		if out.Op != rec.Op || out.Table != rec.Table || out.Key != rec.Key || out.Version != rec.Version || out.CommitTS != rec.CommitTS {
+		if out.Op != rec.Op || out.Table != rec.Table || out.Key != rec.Key || out.Version != rec.Version || out.CommitTS != rec.CommitTS || !bytes.Equal(out.Image, rec.Image) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", out, rec)
 		}
 	})

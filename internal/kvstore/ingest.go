@@ -2,14 +2,16 @@ package kvstore
 
 import "sync"
 
-// BulkKV is one record of an Ingest. Version and CommitTS are
+// BulkKV is one record of an Ingest. Section is the record as a field
+// section (image.go; nil: no fields) — a migration copy passes the
+// source's page record on as it arrived. Version and CommitTS are
 // optional: zero values default to version 1 and a freshly drawn
 // commit timestamp. A migration copy passes both through, so the copy
 // preserves the source's versions and as-of visibility; the
 // destination clock is advanced past the largest provided CommitTS.
 type BulkKV struct {
 	Key      string
-	Fields   map[string][]byte
+	Section  []byte
 	Version  uint64
 	CommitTS int64
 }
@@ -26,6 +28,11 @@ type BulkKV struct {
 // migration copy converges instead of stacking duplicate versions, and
 // the late ingest of a migration that lost a race never overwrites what
 // the winner's new owner has written since.
+//
+// Each section becomes the version's image through ownImage: a
+// canonical one is copied as it stands, anything else re-encoded; no
+// map is built. A malformed section fails its partition's share before
+// any of it is applied.
 //
 // Like every multi-key operation, Ingest is atomic per partition, not
 // across the store: readers may observe a prefix of the batch. The
@@ -71,6 +78,13 @@ func (s *Store) Ingest(table string, kvs []BulkKV) error {
 // acquisition and one durability wait, mirroring the batch write
 // path.
 func (p *partition) ingest(table string, kvs []BulkKV) error {
+	images := make([][]byte, len(kvs))
+	for i, kv := range kvs {
+		var err error
+		if images[i], err = ownImage(kv.Section); err != nil {
+			return err
+		}
+	}
 	p.mu.Lock()
 	if p.closed.Load() {
 		p.mu.Unlock()
@@ -80,7 +94,7 @@ func (p *partition) ingest(table string, kvs []BulkKV) error {
 	t := p.table(table)
 	var seq uint64
 	var applied bool
-	for _, kv := range kvs {
+	for i, kv := range kvs {
 		cur := t.get(kv.Key)
 		ver, ts := kv.Version, kv.CommitTS
 		if ver == 0 {
@@ -94,7 +108,7 @@ func (p *partition) ingest(table string, kvs []BulkKV) error {
 		if cur != nil && cur.CommitTS >= ts {
 			continue // already have this version or newer (re-run)
 		}
-		rec := p.newRecord(ver, ts, kv.Fields)
+		rec := p.imageRecord(ver, ts, images[i])
 		rec.link(cur)
 		if w != nil {
 			n, err := w.append(walFrameOf(table, kv.Key, rec))

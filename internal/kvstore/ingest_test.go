@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -26,8 +27,8 @@ func openIngestStore(t *testing.T) *Store {
 func TestIngestPreservesVersionAndCommitTS(t *testing.T) {
 	s := openIngestStore(t)
 	kvs := []BulkKV{
-		{Key: "a", Fields: fieldsOf("va"), Version: 7, CommitTS: 100},
-		{Key: "b", Fields: fieldsOf("vb"), Version: 3, CommitTS: 101},
+		{Key: "a", Section: canonicalOf(fieldsOf("va")), Version: 7, CommitTS: 100},
+		{Key: "b", Section: canonicalOf(fieldsOf("vb")), Version: 3, CommitTS: 101},
 	}
 	if err := s.Ingest("t", kvs); err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func TestIngestPreservesVersionAndCommitTS(t *testing.T) {
 			t.Errorf("%s: got version=%d ts=%d, want version=%d ts=%d",
 				kv.Key, rec.Version, rec.CommitTS, kv.Version, kv.CommitTS)
 		}
-		if string(rec.Fields["f"]) != string(kv.Fields["f"]) {
+		if !bytes.Equal(rec.Image(), kv.Section) {
 			t.Errorf("%s: fields not preserved", kv.Key)
 		}
 	}
@@ -62,7 +63,7 @@ func TestIngestPreservesVersionAndCommitTS(t *testing.T) {
 // whose head is already at the same or newer commit ts are skipped.
 func TestIngestIdempotent(t *testing.T) {
 	s := openIngestStore(t)
-	kvs := []BulkKV{{Key: "k", Fields: fieldsOf("v1"), Version: 5, CommitTS: 50}}
+	kvs := []BulkKV{{Key: "k", Section: canonicalOf(fieldsOf("v1")), Version: 5, CommitTS: 50}}
 	if err := s.Ingest("t", kvs); err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +80,8 @@ func TestIngestIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Version != ver || string(rec.Fields["f"]) != "v2" {
-		t.Errorf("re-ingest clobbered newer write: got version=%d fields=%q", rec.Version, rec.Fields["f"])
+	if rec.Version != ver || string(rec.Field("f")) != "v2" {
+		t.Errorf("re-ingest clobbered newer write: got version=%d fields=%q", rec.Version, rec.Field("f"))
 	}
 }
 
@@ -90,7 +91,7 @@ func TestIngestIdempotent(t *testing.T) {
 func TestIngestAdvancesCommitClock(t *testing.T) {
 	s := openIngestStore(t)
 	const importedTS = 1 << 30
-	if err := s.Ingest("t", []BulkKV{{Key: "k", Fields: fieldsOf("v"), Version: 1, CommitTS: importedTS}}); err != nil {
+	if err := s.Ingest("t", []BulkKV{{Key: "k", Section: canonicalOf(fieldsOf("v")), Version: 1, CommitTS: importedTS}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Put("t", "fresh", fieldsOf("w")); err != nil {
@@ -112,7 +113,7 @@ func TestIngestCrossesPartitions(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		kvs = append(kvs, BulkKV{
 			Key:      fmt.Sprintf("user%04d", i),
-			Fields:   fieldsOf("x"),
+			Section:  canonicalOf(fieldsOf("x")),
 			Version:  1,
 			CommitTS: int64(i + 1),
 		})
@@ -183,7 +184,7 @@ func TestDropRemovesKeysWithoutTrace(t *testing.T) {
 	if _, err := s.GetAsOf("t", "k04", before); !errors.Is(err, ErrBelowHorizon) {
 		t.Fatalf("as-of read below the drop: %v, want ErrBelowHorizon", err)
 	}
-	if rec, err := s.GetAsOf("t", "k05", before); err != nil || string(rec.Fields["f"]) != "v1" {
+	if rec, err := s.GetAsOf("t", "k05", before); err != nil || string(rec.Field("f")) != "v1" {
 		t.Fatalf("kept key's history: %v, %v", rec, err)
 	}
 	if _, err := s.Insert("t", "k04", fieldsOf("fresh")); err != nil {
@@ -232,7 +233,7 @@ func TestDropDurable(t *testing.T) {
 				t.Fatalf("round %d: dropped %s came back: %v", round, k, err)
 			}
 		}
-		if rec, err := s.Get("t", "k0"); err != nil || rec.Version != 1 || string(rec.Fields["f"]) != "again" {
+		if rec, err := s.Get("t", "k0"); err != nil || rec.Version != 1 || string(rec.Field("f")) != "again" {
 			t.Fatalf("round %d: k0 written after its drop = %+v, %v", round, rec, err)
 		}
 		if err := s.Compact(); err != nil {

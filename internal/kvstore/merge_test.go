@@ -130,13 +130,13 @@ func TestScanVisitsCountPlusShards(t *testing.T) {
 		}
 		kvs := make([]BulkKV, 20000)
 		for i := range kvs {
-			kvs[i] = BulkKV{Key: fmt.Sprintf("user%06d", i), Fields: map[string][]byte{"f": {1}}}
+			kvs[i] = BulkKV{Key: fmt.Sprintf("user%06d", i), Section: canonicalOf(map[string][]byte{"f": {1}})}
 		}
 		if batch {
 			err = s.Ingest("t", kvs)
 		} else {
 			for _, kv := range kvs {
-				if _, err = s.Put("t", kv.Key, kv.Fields); err != nil {
+				if _, err = s.Put("t", kv.Key, map[string][]byte{"f": {1}}); err != nil {
 					break
 				}
 			}

@@ -105,22 +105,15 @@ func (s *Store) instrument(reg *obs.Registry) {
 }
 
 // retained walks every published chain, lock-free, and totals the
-// versions behind the heads and their image bytes (a merge-updated
-// version, which has no image, counts its field values). It runs at
-// scrape time so the write path pays nothing for the gauges.
+// versions behind the heads and their image bytes. It runs at scrape
+// time so the write path pays nothing for the gauges.
 func (s *Store) retained() (versions, bytes int64) {
 	for _, p := range s.parts {
 		for _, slot := range p.snaps.Load().tables {
 			slot.snap.Load().ascend("", func(_ string, head *VersionedRecord) bool {
 				for v := head.prev.Load(); v != nil; v = v.prev.Load() {
 					versions++
-					if v.image != nil {
-						bytes += int64(len(v.image))
-						continue
-					}
-					for _, b := range v.Fields {
-						bytes += int64(len(b))
-					}
+					bytes += int64(len(v.image))
 				}
 				return true
 			})

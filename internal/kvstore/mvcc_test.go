@@ -64,7 +64,7 @@ func TestVersionChainAsOf(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GetAsOf(%d): %v", tc.ts, err)
 		}
-		if got := string(rec.Fields["v"]); got != tc.want {
+		if got := string(rec.Field("v")); got != tc.want {
 			t.Fatalf("GetAsOf(%d) = %q, want %q", tc.ts, got, tc.want)
 		}
 	}
@@ -78,8 +78,8 @@ func TestVersionChainAsOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if head.Version != 4 || string(head.Fields["v"]) != "four" {
-		t.Fatalf("head = v%d %q, want v4 \"four\"", head.Version, head.Fields["v"])
+	if head.Version != 4 || string(head.Field("v")) != "four" {
+		t.Fatalf("head = v%d %q, want v4 \"four\"", head.Version, head.Field("v"))
 	}
 }
 
@@ -117,8 +117,8 @@ func TestScanAsOfFrozenCut(t *testing.T) {
 	for i, kv := range kvs {
 		wantKey := fmt.Sprintf("k%02d", i)
 		wantVal := fmt.Sprintf("old%d", i)
-		if kv.Key != wantKey || string(kv.Record.Fields["v"]) != wantVal {
-			t.Fatalf("as-of scan[%d] = %s=%q, want %s=%q", i, kv.Key, kv.Record.Fields["v"], wantKey, wantVal)
+		if kv.Key != wantKey || string(kv.Record.Field("v")) != wantVal {
+			t.Fatalf("as-of scan[%d] = %s=%q, want %s=%q", i, kv.Key, kv.Record.Field("v"), wantKey, wantVal)
 		}
 	}
 
@@ -220,8 +220,8 @@ func TestPinHoldsVacuum(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pinned read after vacuum: %v", err)
 	}
-	if string(rec.Fields["v"]) != "pinned" {
-		t.Fatalf("pinned read = %q, want \"pinned\"", rec.Fields["v"])
+	if string(rec.Field("v")) != "pinned" {
+		t.Fatalf("pinned read = %q, want \"pinned\"", rec.Field("v"))
 	}
 
 	release()
@@ -255,7 +255,7 @@ func TestSetVacuumFloorHoldsVacuum(t *testing.T) {
 	}
 	time.Sleep(time.Millisecond)
 	s.Vacuum()
-	if rec, err := s.GetAsOf("t", "k", ts); err != nil || string(rec.Fields["v"]) != "held" {
+	if rec, err := s.GetAsOf("t", "k", ts); err != nil || string(rec.Field("v")) != "held" {
 		t.Fatalf("watermark-held read = %v, %v; want \"held\"", rec, err)
 	}
 	s.SetVacuumFloor(0)
@@ -369,7 +369,7 @@ func TestDefaultChainStaysShort(t *testing.T) {
 		put(fmt.Sprintf("later%d", i))
 	}
 	s.Vacuum()
-	if rec, err := s.GetAsOf("t", "k", ts); err != nil || string(rec.Fields["v"]) != "pinned" {
+	if rec, err := s.GetAsOf("t", "k", ts); err != nil || string(rec.Field("v")) != "pinned" {
 		t.Fatalf("pinned read = %v, %v; want \"pinned\"", rec, err)
 	}
 	release()
@@ -468,13 +468,13 @@ func TestWALReplayRebuildsChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if rec, err := s2.GetAsOf("t", "k", ts1); err != nil || string(rec.Fields["v"]) != "one" {
+	if rec, err := s2.GetAsOf("t", "k", ts1); err != nil || string(rec.Field("v")) != "one" {
 		t.Fatalf("replayed GetAsOf(ts1) = %v, %v; want \"one\"", rec, err)
 	}
-	if rec, err := s2.Get("t", "k"); err != nil || string(rec.Fields["v"]) != "two" {
+	if rec, err := s2.Get("t", "k"); err != nil || string(rec.Field("v")) != "two" {
 		t.Fatalf("replayed head = %v, %v; want \"two\"", rec, err)
 	}
-	if rec, err := s2.GetAsOf("t", "dead", ts2); err != nil || string(rec.Fields["v"]) != "x" {
+	if rec, err := s2.GetAsOf("t", "dead", ts2); err != nil || string(rec.Field("v")) != "x" {
 		t.Fatalf("replayed pre-delete read = %v, %v; want \"x\"", rec, err)
 	}
 	if _, err := s2.Get("t", "dead"); !errors.Is(err, ErrNotFound) {
@@ -586,8 +586,8 @@ func TestPinnedReadsStableUnderChurn(t *testing.T) {
 						fail("pinned get %s: %v", k, err)
 						return
 					}
-					if !bytes.Equal(rec.Fields["v"], expect[k]) {
-						fail("pinned get %s = %q, want %q", k, rec.Fields["v"], expect[k])
+					if !bytes.Equal(rec.Field("v"), expect[k]) {
+						fail("pinned get %s = %q, want %q", k, rec.Field("v"), expect[k])
 						return
 					}
 				}
@@ -601,8 +601,8 @@ func TestPinnedReadsStableUnderChurn(t *testing.T) {
 					return
 				}
 				for _, kv := range kvs {
-					if !bytes.Equal(kv.Record.Fields["v"], expect[kv.Key]) {
-						fail("pinned scan %s = %q, want %q", kv.Key, kv.Record.Fields["v"], expect[kv.Key])
+					if !bytes.Equal(kv.Record.Field("v"), expect[kv.Key]) {
+						fail("pinned scan %s = %q, want %q", kv.Key, kv.Record.Field("v"), expect[kv.Key])
 						return
 					}
 				}

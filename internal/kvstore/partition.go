@@ -19,7 +19,7 @@ import (
 type partition struct {
 	mu     sync.RWMutex
 	tables map[string]*btree // writer-side handles; guarded by mu
-	names  []string          // field names of the last image built; guarded by mu
+	shape  *shape            // names of the last image stored; guarded by mu
 	wal    *wal
 	store  *Store // shared state: commit clock, retention horizon
 	closed atomic.Bool
@@ -69,12 +69,11 @@ func (p *partition) applyReplay(rec walRecord) error {
 	tree := p.table(rec.Table)
 	switch rec.Op {
 	case walPutTS:
-		stored := &VersionedRecord{Version: rec.Version, CommitTS: rec.CommitTS, Fields: rec.Fields, image: rec.Image}
-		if stored.image == nil {
-			// Logged from a map (a merge-update, or a log older than
-			// the canonical order): re-encode.
-			stored = p.newRecord(rec.Version, rec.CommitTS, rec.Fields)
+		image := rec.Image
+		if image == nil {
+			image = emptyImage // a put of no fields
 		}
+		stored := p.imageRecord(rec.Version, rec.CommitTS, image)
 		stored.link(tree.get(rec.Key))
 		tree.put(rec.Key, stored)
 	case walDeleteTS:
@@ -95,7 +94,7 @@ func (p *partition) isClosed() bool {
 
 // get is the wait-free point read: no lock, no clone, zero heap
 // allocations on the hit path. The returned record is an engine-owned
-// immutable snapshot that callers must not mutate (Clone first).
+// immutable snapshot that callers must not mutate.
 func (p *partition) get(table, key string) (*VersionedRecord, error) {
 	p.metrics.gets.Inc()
 	if p.closed.Load() {
@@ -248,18 +247,11 @@ func (p *partition) putLocked(w *wal, table, key string, fields map[string][]byt
 		if live == nil {
 			return 0, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
 		}
-		// Published records are immutable, so the new version shares
-		// the value slices of the fields the update leaves alone and
-		// copies only what the caller passed in (which the caller still
-		// owns). With a pin or a retention window keeping versions, a
-		// deep clone per PATCH would hold a full record per update.
-		stored = &VersionedRecord{Version: cur.Version + 1, Fields: make(map[string][]byte, len(live.Fields))}
-		for f, b := range live.Fields {
-			stored.Fields[f] = b
-		}
-		for f, b := range fields {
-			stored.Fields[f] = append([]byte(nil), b...)
-		}
+		// The new version is a new image: the old one's untouched
+		// values and the caller's new ones (which the caller still
+		// owns), copied in name order.
+		stored = &VersionedRecord{Version: cur.Version + 1}
+		stored.image, stored.shape = p.mergeImage(live, fields)
 	} else {
 		switch expect {
 		case AnyVersion:

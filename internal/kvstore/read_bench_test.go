@@ -45,6 +45,17 @@ type seedPathStore struct {
 	mu []sync.RWMutex
 }
 
+// deepCopy is the seed's clone of a returned record: version, commit ts
+// and a private copy of every field.
+func deepCopy(v *VersionedRecord) *VersionedRecord {
+	out := &VersionedRecord{Version: v.Version, CommitTS: v.CommitTS, Fields: make(map[string][]byte)}
+	v.Range(func(name string, val []byte) bool {
+		out.Fields[name] = append([]byte(nil), val...)
+		return true
+	})
+	return out
+}
+
 func newSeedPathStore(s *Store) *seedPathStore {
 	return &seedPathStore{s: s, mu: make([]sync.RWMutex, s.Shards())}
 }
@@ -61,7 +72,7 @@ func (l *seedPathStore) get(table, key string) (*VersionedRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rec.Clone(), nil
+	return deepCopy(rec), nil
 }
 
 func (l *seedPathStore) put(table, key string, fields map[string][]byte) error {
@@ -86,7 +97,7 @@ func (l *seedPathStore) scan(table, start string, count int) ([]VersionedKV, err
 		return nil, err
 	}
 	for i := range kvs {
-		kvs[i].Record = kvs[i].Record.Clone()
+		kvs[i].Record = deepCopy(kvs[i].Record)
 	}
 	return kvs, nil
 }

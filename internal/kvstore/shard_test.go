@@ -158,8 +158,8 @@ func TestShardedWALRecovery(t *testing.T) {
 		if i%3 == 0 {
 			want = "updated"
 		}
-		if string(rec.Fields["field0"]) != want {
-			t.Fatalf("recovered %s = %q, want %q", k, rec.Fields["field0"], want)
+		if string(rec.Field("field0")) != want {
+			t.Fatalf("recovered %s = %q, want %q", k, rec.Field("field0"), want)
 		}
 	}
 }

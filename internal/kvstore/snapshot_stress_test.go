@@ -144,8 +144,8 @@ func TestSnapshotReadsVsWritersVsCompact(t *testing.T) {
 		if ra == nil || rb == nil {
 			return
 		}
-		if !bytes.Equal(ra.Fields["v"], rb.Fields["v"]) {
-			fail("%s: torn pair %s=%q / %s=%q", src, pr.a, ra.Fields["v"], pr.b, rb.Fields["v"])
+		if !bytes.Equal(ra.Field("v"), rb.Field("v")) {
+			fail("%s: torn pair %s=%q / %s=%q", src, pr.a, ra.Field("v"), pr.b, rb.Field("v"))
 		}
 	}
 

@@ -47,28 +47,35 @@ var (
 // commit-timestamp-ordered chain (newest first) that time-travel
 // reads walk via AsOf.
 //
-// Immutability contract: records returned by Get, Scan, BatchGet and
-// ForEach are the engine's own stored values, shared with concurrent
-// readers — not copies. Callers must treat them (the Fields map, every
-// byte slice in it and the Image those slices point into) as read-only,
-// and call Clone before mutating. Writers uphold the other half of the
-// contract: every mutation stores a freshly built record and never
-// edits a published one in place. The only post-publish mutation the engine itself
-// performs is cutting a chain's prev pointer to nil (retention trim /
-// vacuum), which is an atomic store concurrent walkers tolerate.
+// A version the engine stores is its image — the canonical field
+// section (image.go) — and nothing else: its Fields is nil. Readers go
+// through Field, Range, Project and Image, which work on either form,
+// so a record built outside the engine around a map (a remote read, a
+// ForEach copy) reads the same way.
+//
+// Immutability contract: records returned by Get, Scan and BatchGet
+// are the engine's own stored values, shared with concurrent readers —
+// not copies. Callers must treat them, and every value slice a reader
+// hands out (they point into the image), as read-only; Project builds
+// a map the caller owns. ForEach hands out copies with Fields decoded.
+// Writers uphold the other half of the contract: every mutation stores
+// a freshly built record and never edits a published one in place. The
+// only post-publish mutation the engine itself performs is cutting a
+// chain's prev pointer to nil (retention trim / vacuum), which is an
+// atomic store concurrent walkers tolerate.
 type VersionedRecord struct {
 	Version  uint64
 	CommitTS int64
-	Fields   map[string][]byte
+	// Fields is the record as a map. It is nil on every version the
+	// engine stores; records built outside the engine may carry one.
+	Fields map[string][]byte
 
-	// image is the canonical field section Fields' values point into
-	// (see image.go); nil for merge-updated versions and tombstones.
+	// image is the canonical field section (image.go); nil for
+	// tombstones and for records built around a map.
 	image []byte
-
-	// deleted marks a tombstone: the version recording a delete. A
-	// tombstone head reads as "not found" at the head and at any ts at
-	// or after its commit; older versions beneath it remain readable.
-	deleted bool
+	// shape is the image's names as strings, shared with every version
+	// of the same names (see image.go); nil where image is.
+	shape *shape
 
 	// prev links to the next-older version of the same key (nil at the
 	// chain tail). Atomic because vacuum cuts chains with one store
@@ -83,17 +90,11 @@ type VersionedRecord struct {
 	// lock-free vacuum cut.
 	tailTS   int64
 	chainLen uint32
-}
 
-// Clone deep-copies the record's data (version, commit ts, fields).
-// The clone carries no chain link — use it when a caller needs a
-// private, mutable copy of an engine-returned record.
-func (v *VersionedRecord) Clone() *VersionedRecord {
-	out := &VersionedRecord{Version: v.Version, CommitTS: v.CommitTS, Fields: make(map[string][]byte, len(v.Fields))}
-	for f, b := range v.Fields {
-		out.Fields[f] = append([]byte(nil), b...)
-	}
-	return out
+	// deleted marks a tombstone: the version recording a delete. A
+	// tombstone head reads as "not found" at the head and at any ts at
+	// or after its commit; older versions beneath it remain readable.
+	deleted bool
 }
 
 // Prev returns the next-older version in the chain, or nil at the
@@ -628,13 +629,16 @@ func (s *Store) scan(table, startKey string, count int, at readAt) ([]VersionedK
 }
 
 // ForEach visits every record of table in key order. The callback
-// receives engine-owned immutable records and must not mutate them.
-// The visit is one consistent snapshot of the whole table: a single
-// consistent cut of the partitions' published roots is collected, then
-// iteration runs entirely lock-free, so long validation scans (the
-// CEW check phase) never block writers.
+// receives a copy of each record with Fields decoded (values still
+// point into the engine's image: read-only), for callers that read the
+// map. The visit is one consistent snapshot of the whole table: a
+// single consistent cut of the partitions' published roots is
+// collected, then iteration runs entirely lock-free, so long
+// validation scans (the CEW check phase) never block writers.
 func (s *Store) ForEach(table string, fn func(key string, rec *VersionedRecord) bool) error {
-	return s.merge(table, "", readAt{ts: headTS}, fn)
+	return s.merge(table, "", readAt{ts: headTS}, func(key string, rec *VersionedRecord) bool {
+		return fn(key, rec.withFields())
+	})
 }
 
 // Len returns the number of records in table.

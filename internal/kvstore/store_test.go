@@ -31,17 +31,18 @@ func TestStoreCRUD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != 1 || string(got.Fields["field0"]) != "v1" {
+	if got.Version != 1 || string(got.Field("field0")) != "v1" {
 		t.Errorf("Get = %+v", got)
 	}
-	// Returned records are shared immutable snapshots; Clone yields a
-	// private copy whose mutation never reaches engine memory.
-	priv := got.Clone()
-	priv.Fields["field0"][0] = 'X'
-	priv.Fields["added"] = []byte("y")
+	// Returned records are shared immutable snapshots; Project yields a
+	// map of the caller's own, which it may add to without reaching
+	// engine memory.
+	priv := got.Project(nil)
+	priv["field0"] = []byte("X")
+	priv["added"] = []byte("y")
 	got2, _ := s.Get("t", "k")
-	if string(got2.Fields["field0"]) != "v1" || got2.Fields["added"] != nil {
-		t.Error("Clone aliased engine memory")
+	if string(got2.Field("field0")) != "v1" || got2.Field("added") != nil {
+		t.Error("Project aliased engine memory")
 	}
 	v, err = s.Put("t", "k", fields("v3"))
 	if err != nil || v != 2 {
@@ -52,8 +53,8 @@ func TestStoreCRUD(t *testing.T) {
 		t.Fatalf("Update = %d, %v", v, err)
 	}
 	got3, _ := s.Get("t", "k")
-	if string(got3.Fields["field0"]) != "v3" || string(got3.Fields["extra"]) != "e" {
-		t.Errorf("merged record = %+v", got3.Fields)
+	if string(got3.Field("field0")) != "v3" || string(got3.Field("extra")) != "e" {
+		t.Errorf("merged record = %+v", got3.Project(nil))
 	}
 	if _, err := s.Update("t", "missing", fields("x")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Update missing = %v", err)
@@ -85,7 +86,7 @@ func TestStoreConditionalPut(t *testing.T) {
 		t.Fatalf("stale CAS = %v", err)
 	}
 	got, _ := s.Get("t", "k")
-	if string(got.Fields["field0"]) != "a" || got.Version != 1 {
+	if string(got.Field("field0")) != "a" || got.Version != 1 {
 		t.Errorf("failed CAS mutated record: %+v", got)
 	}
 	// Right version succeeds.
@@ -128,7 +129,7 @@ func TestStoreCASIsAtomic(t *testing.T) {
 						return
 					}
 					var n int
-					fmt.Sscanf(string(cur.Fields["n"]), "%d", &n)
+					fmt.Sscanf(string(cur.Field("n")), "%d", &n)
 					next := map[string][]byte{"n": []byte(fmt.Sprintf("%d", n+1))}
 					if _, err := s.PutIfVersion("t", "ctr", next, cur.Version); err == nil {
 						break
@@ -142,8 +143,8 @@ func TestStoreCASIsAtomic(t *testing.T) {
 	}
 	wg.Wait()
 	got, _ := s.Get("t", "ctr")
-	if string(got.Fields["n"]) != fmt.Sprintf("%d", workers*per) {
-		t.Errorf("counter = %s, want %d", got.Fields["n"], workers*per)
+	if string(got.Field("n")) != fmt.Sprintf("%d", workers*per) {
+		t.Errorf("counter = %s, want %d", got.Field("n"), workers*per)
 	}
 	if got.Version != uint64(workers*per+1) {
 		t.Errorf("version = %d, want %d", got.Version, workers*per+1)
@@ -209,7 +210,7 @@ func TestStoreTables(t *testing.T) {
 		t.Errorf("Tables = %v", names)
 	}
 	got, err := s.Get("a", "k")
-	if err != nil || string(got.Fields["field0"]) != "1" {
+	if err != nil || string(got.Field("field0")) != "1" {
 		t.Errorf("tables not isolated: %+v, %v", got, err)
 	}
 }
@@ -272,8 +273,8 @@ func TestWALDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got.Fields["field0"]) != "1" || string(got.Fields["x"]) != "y" {
-		t.Errorf("recovered record = %+v", got.Fields)
+	if string(got.Field("field0")) != "1" || string(got.Field("x")) != "y" {
+		t.Errorf("recovered record = %+v", got.Project(nil))
 	}
 	if got.Version != 2 {
 		t.Errorf("recovered version = %d, want 2", got.Version)
@@ -355,43 +356,38 @@ func TestWALCorruptCRCStopsReplay(t *testing.T) {
 
 func TestWALRecordRoundTrip(t *testing.T) {
 	cases := []walRecord{
-		{Op: walPutTS, Table: "t", Key: "k", Version: 7, CommitTS: 99, Fields: map[string][]byte{"a": []byte("1"), "b": nil}},
+		{Op: walPutTS, Table: "t", Key: "k", Version: 7, CommitTS: 99, Image: canonicalOf(map[string][]byte{"a": []byte("1"), "b": nil})},
 		{Op: walDeleteTS, Table: "usertable", Key: "user123", Version: 3, CommitTS: 1 << 40},
-		{Op: walPutTS, Table: "", Key: "", Version: 0, Fields: nil},
+		{Op: walPutTS, Table: "", Key: "", Version: 0},
 	}
 	for _, want := range cases {
-		got, err := decodeWALRecord(encodeWALRecord(want), nil)
+		got, err := decodeWALRecord(encodeWALRecord(want))
 		if err != nil {
 			t.Fatalf("round trip %+v: %v", want, err)
 		}
 		if got.Op != want.Op || got.Table != want.Table || got.Key != want.Key || got.Version != want.Version || got.CommitTS != want.CommitTS {
 			t.Errorf("round trip = %+v, want %+v", got, want)
 		}
-		if len(got.Fields) != len(want.Fields) {
-			t.Errorf("fields = %v, want %v", got.Fields, want.Fields)
-		}
-		for f, v := range want.Fields {
-			if string(got.Fields[f]) != string(v) {
-				t.Errorf("field %s = %q, want %q", f, got.Fields[f], v)
-			}
+		if !bytes.Equal(got.Image, want.Image) {
+			t.Errorf("image = %q, want %q", got.Image, want.Image)
 		}
 	}
 }
 
 func TestWALDecodeErrors(t *testing.T) {
-	if _, err := decodeWALRecord(nil, nil); err == nil {
+	if _, err := decodeWALRecord(nil); err == nil {
 		t.Error("empty payload should fail")
 	}
-	if _, err := decodeWALRecord([]byte{walPutTS}, nil); err == nil {
+	if _, err := decodeWALRecord([]byte{walPutTS}); err == nil {
 		t.Error("truncated payload should fail")
 	}
 	// Valid record plus trailing garbage must fail.
 	p := append(encodeWALRecord(walRecord{Op: walDeleteTS, Table: "t", Key: "k"}), 0xFF)
-	if _, err := decodeWALRecord(p, nil); err == nil {
+	if _, err := decodeWALRecord(p); err == nil {
 		t.Error("trailing bytes should fail")
 	}
 	// Only the TS op codes decode; 1 and 2 were the pre-MVCC frames.
-	if _, err := decodeWALRecord(encodeWALRecord(walRecord{Op: 1, Table: "t", Key: "k"}), nil); err == nil {
+	if _, err := decodeWALRecord(encodeWALRecord(walRecord{Op: 1, Table: "t", Key: "k"})); err == nil {
 		t.Error("unknown op code should fail")
 	}
 }
@@ -447,7 +443,7 @@ func TestWALUndecodableFrameRefused(t *testing.T) {
 	s.Insert("t", "a", fields("1"))
 	s.Close()
 	appendRawFrame(t, path, []byte{walPutTS, 0xFF}) // key length past the end
-	appendRawFrame(t, path, encodeWALRecord(walRecord{Op: walPutTS, Table: "t", Key: "b", Version: 1, CommitTS: 100, Fields: fields("2")}))
+	appendRawFrame(t, path, encodeWALRecord(walRecord{Op: walPutTS, Table: "t", Key: "b", Version: 1, CommitTS: 100, Image: canonicalOf(fields("2"))}))
 	openRefused(t, path)
 }
 

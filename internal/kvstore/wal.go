@@ -31,19 +31,17 @@ const (
 var ErrCorruptWAL = errors.New("kvstore: corrupt WAL")
 
 // walRecord is one logged mutation. Put records carry the full
-// post-image (version and fields) so replay is a blind apply; delete
+// post-image (version and image) so replay is a blind apply; delete
 // records carry the key and (in TS form) the tombstone's version and
 // commit ts, drop records the key and the drop's ts. The payload's
-// field section is the record's Image when it has one — appended as it
-// stands, and handed back by the decoder when the logged bytes are
-// canonical — and an encoding of Fields otherwise.
+// field section is the stored version's image, appended as it stands;
+// the decoder hands it back canonical (see decodeWALRecord).
 type walRecord struct {
 	Op       byte
 	Table    string
 	Key      string
 	Version  uint64
 	CommitTS int64
-	Fields   map[string][]byte
 	Image    []byte
 }
 
@@ -53,7 +51,7 @@ func walFrameOf(table, key string, v *VersionedRecord) walRecord {
 	if v.deleted {
 		op = walDeleteTS
 	}
-	return walRecord{Op: op, Table: table, Key: key, Version: v.Version, CommitTS: v.CommitTS, Fields: v.Fields, Image: v.image}
+	return walRecord{Op: op, Table: table, Key: key, Version: v.Version, CommitTS: v.CommitTS, Image: v.image}
 }
 
 // wal is an append-only redo log with per-record CRC32 checksums.
@@ -123,7 +121,6 @@ func (w *wal) replay(fn func(walRecord) error) error {
 	r := bufio.NewReader(w.f)
 	var offset int64
 	var header [8]byte
-	var names []string
 	for {
 		if _, err := io.ReadFull(r, header[:]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -146,7 +143,7 @@ func (w *wal) replay(fn func(walRecord) error) error {
 		if crc32.ChecksumIEEE(payload) != sum {
 			break // corrupt record; stop at last good prefix
 		}
-		rec, err := decodeWALRecord(payload, &names)
+		rec, err := decodeWALRecord(payload)
 		if err != nil {
 			if length == 0 {
 				break // a zero-filled tail left by a crash
@@ -365,16 +362,18 @@ func appendWALRecord(buf []byte, rec walRecord) []byte {
 	buf = appendString(buf, rec.Key)
 	buf = binary.AppendUvarint(buf, rec.Version)
 	buf = binary.AppendUvarint(buf, uint64(rec.CommitTS))
-	if rec.Image != nil {
-		return append(buf, rec.Image...)
+	if rec.Image == nil {
+		return append(buf, 0) // no fields: every delete and drop frame
 	}
-	return AppendFields(buf, rec.Fields)
+	return append(buf, rec.Image...)
 }
 
-// decodeWALRecord parses one payload. The record's Fields (and Image)
-// alias payload, so the caller must not reuse it; names is the replay's
-// positional name memo (nil for none).
-func decodeWALRecord(payload []byte, names *[]string) (walRecord, error) {
+// decodeWALRecord parses one payload. A canonical field section is
+// handed back as the record's Image, aliasing payload, so the caller
+// must not reuse it; any other — a merge-update an older binary logged
+// from its map — is re-encoded in name order. A section of no fields
+// (every delete and drop frame) leaves Image nil.
+func decodeWALRecord(payload []byte) (walRecord, error) {
 	var rec walRecord
 	if len(payload) < 1 {
 		return rec, errors.New("kvstore: empty WAL payload")
@@ -404,17 +403,18 @@ func decodeWALRecord(payload []byte, names *[]string) (walRecord, error) {
 	rec.CommitTS = int64(ts)
 	rest = rest[n:]
 	if len(rest) == 1 && rest[0] == 0 {
-		return rec, nil // no fields (every delete and drop frame): no map
+		return rec, nil
 	}
-	fields, canonical, err := DecodeFields(rest, names)
-	if err != nil {
+	canonical, err := CheckFields(rest)
+	switch {
+	case err != nil:
 		return rec, err
-	}
-	rec.Fields = fields
-	if canonical {
+	case canonical:
 		rec.Image = rest
+		return rec, nil
 	}
-	return rec, nil
+	rec.Image, err = canonicalImage(rest)
+	return rec, err
 }
 
 func appendString(buf []byte, s string) []byte {

@@ -13,10 +13,10 @@ func TestWALEncodeZeroAlloc(t *testing.T) {
 		Key:      "user000000012345",
 		Version:  42,
 		CommitTS: 1 << 40,
-		Fields: map[string][]byte{
+		Image: canonicalOf(map[string][]byte{
 			"field0": []byte("some-representative-payload-bytes"),
 			"field1": []byte("another-representative-payload"),
-		},
+		}),
 	}
 	buf := make([]byte, 0, 1024)
 	if per := testing.AllocsPerRun(1000, func() {

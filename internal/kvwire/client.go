@@ -272,8 +272,7 @@ func (c *clientConn) writeScanRequest(id uint64, req *ScanRequest) error {
 // connection dies, then fail whoever is left.
 func (c *clientConn) readLoop() {
 	var payload []byte
-	var dec fieldDecoder             // responses: copied out of payload
-	pages := fieldDecoder{own: true} // scan pages: keep payload
+	var dec fieldDecoder // responses: copied out of payload
 	for {
 		typ, id, p, err := ReadFrame(c.br, payload)
 		if err != nil {
@@ -298,12 +297,12 @@ func (c *clientConn) readLoop() {
 			}
 			reply.reqErr = &RequestError{Status: status, RetryAfter: time.Duration(retry) * time.Second, Msg: msg}
 		case framePage:
-			p, err := pages.page(payload)
+			p, err := decodePage(payload)
 			if err != nil {
 				c.fail(err)
 				return
 			}
-			// The page's records keep the frame buffer (their values
+			// The page's records keep the frame buffer (their sections
 			// point into it); the next frame gets a new one.
 			reply.page, payload = &p, nil
 		default:

@@ -33,6 +33,10 @@ type ScanStream struct {
 	mapVer int64
 	more   bool // the server has pages past this one
 	err    error
+
+	// names is the name memo the stream's records decode with
+	// (StreamRecord.FieldMap).
+	names []string
 }
 
 // Scan starts one scan, sending the request for its first page. Errors
@@ -125,8 +129,13 @@ func (s *ScanStream) await() error {
 }
 
 // Record returns the current record (valid after Next returned true,
-// until the next Next call).
-func (s *ScanStream) Record() *StreamRecord { return &s.page[s.idx] }
+// until the next Next call). Its FieldMap decodes with the stream's
+// name memo, so it too stays on the stream's goroutine.
+func (s *ScanStream) Record() *StreamRecord {
+	r := &s.page[s.idx]
+	r.names = &s.names
+	return r
+}
 
 // MapVersion reports the shard-map version the last page was filtered
 // under, 0 for single-node servers.

@@ -12,13 +12,11 @@ import (
 // (`make bench-quick` runs them; EXPERIMENTS.md "Encode once" has the
 // parent's numbers). They decode the way a client connection's read
 // loop does — one decoder for the connection's lifetime, page payloads
-// handed over — and encode the way the server's scan handler does.
+// handed over and checked, their records decoded through one stream's
+// name memo — and encode the way the server's scan handler does.
 
-// readLoopDec and readLoopPages are a connection's two decoders.
-var (
-	readLoopDec   fieldDecoder
-	readLoopPages = fieldDecoder{own: true}
-)
+// readLoopDec is a connection's response decoder.
+var readLoopDec fieldDecoder
 
 // storedRecords returns n engine-stored records of fields × size bytes.
 func storedRecords(tb testing.TB, n, fields, size int) []kvstore.VersionedKV {
@@ -75,19 +73,37 @@ func benchDecodeResponse(b *testing.B, fields, size int) {
 func BenchmarkDecodeResponse1x10x100(b *testing.B) { benchDecodeResponse(b, 10, 100) }
 func BenchmarkDecodeResponse1x1x8(b *testing.B)    { benchDecodeResponse(b, 1, 8) }
 
+// BenchmarkDecodePage100x10x100 decodes a page and then the map of
+// each record it keeps: /check is the read loop's share (no record
+// taken), /all builds every record's map as a conv taking them all does.
 func BenchmarkDecodePage100x10x100(b *testing.B) {
 	buf, n := encodePage(nil, 1, storedRecords(b, 100, 10, 100), 0, "")
 	if n != 100 {
 		b.Fatalf("page took %d records", n)
 	}
 	payload := buf[frameHeaderLen:]
-	b.ReportAllocs()
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := readLoopPages.page(payload); err != nil {
-			b.Fatal(err)
+	for _, all := range []bool{false, true} {
+		name := "check"
+		if all {
+			name = "all"
 		}
+		b.Run(name, func(b *testing.B) {
+			var names []string
+			b.ReportAllocs()
+			b.SetBytes(int64(len(payload)))
+			for i := 0; i < b.N; i++ {
+				p, err := decodePage(payload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := range p.recs {
+					if all {
+						p.recs[j].names = &names
+						p.recs[j].FieldMap()
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -64,12 +64,12 @@ type Result struct {
 	Status     int // HTTP status space
 	Version    uint64
 	HasVersion bool // distinguishes "version 0" from "no version"
-	Fields     map[string][]byte
-	// image is the stored record's field section when the engine kept
-	// one (kvstore.VersionedRecord.Image): the response encoder copies
-	// it instead of ranging Fields. Nil on decoded results.
-	image []byte
-	Err   string
+	// Fields is a decoded result's record. A result the core builds
+	// from a stored version leaves it nil and carries the version's
+	// image instead, which the response encoder copies as it stands.
+	Fields map[string][]byte
+	image  []byte
+	Err    string
 	// AsOf echoes the op's as_of when the read was served from the
 	// version history (the echo is the client's proof the snapshot was
 	// honored).
@@ -557,7 +557,6 @@ func (c *Core) execGetRun(ops []Op, out []Result) {
 				Status:     http.StatusOK,
 				Version:    r.Record.Version,
 				HasVersion: true,
-				Fields:     r.Record.Fields,
 				image:      r.Record.Image(),
 			}
 		}
@@ -603,7 +602,6 @@ func (c *Core) execGetRun(ops []Op, out []Result) {
 				Status:     http.StatusOK,
 				Version:    r.Record.Version,
 				HasVersion: true,
-				Fields:     r.Record.Fields,
 				image:      r.Record.Image(),
 				AsOf:       ts,
 			}

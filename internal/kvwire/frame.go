@@ -1,6 +1,7 @@
 package kvwire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -183,7 +184,7 @@ func appendResult(buf []byte, r *Result) []byte {
 	if r.HasVersion {
 		flags |= resFlagVersion
 	}
-	if r.Fields != nil {
+	if r.Fields != nil || r.image != nil {
 		flags |= resFlagFields
 	}
 	if r.Err != "" {
@@ -439,15 +440,40 @@ type fieldDecoder struct {
 	// of one table repeat the same sorted names, so after the first
 	// record no name is allocated.
 	names []string
-	// own says the payload has been handed over — values alias it, no
-	// copy at all. Otherwise each section is copied out in one move,
-	// because the reader reuses its frame buffer.
-	own bool
 }
 
 // readFields decodes one length-prefixed field section, returning the
-// map and the rest of b.
+// map and the rest of b. The reader reuses its frame buffer, so the
+// section is copied out in one move and the map's values point into
+// the copy.
 func (d *fieldDecoder) readFields(b []byte) (map[string][]byte, []byte, error) {
+	sec, rest, err := sectionOf(b)
+	if err != nil {
+		return nil, b, err
+	}
+	fields, _, err := kvstore.DecodeFields(bytes.Clone(sec), &d.names)
+	if err != nil {
+		return nil, b, err
+	}
+	return fields, rest, nil
+}
+
+// checkSection reads one length-prefixed field section and checks it
+// (kvstore.CheckFields) without decoding it, returning the section —
+// aliasing b — and the rest of b.
+func checkSection(b []byte) (sec, rest []byte, err error) {
+	if sec, rest, err = sectionOf(b); err != nil {
+		return nil, b, err
+	}
+	if _, err := kvstore.CheckFields(sec); err != nil {
+		return nil, b, err
+	}
+	return sec, rest, nil
+}
+
+// sectionOf splits one length-prefixed field section off b, refusing a
+// length past the end and a field count over maxFieldsPerOp.
+func sectionOf(b []byte) (sec, rest []byte, err error) {
 	size, b, err := readUvarint(b)
 	if err != nil {
 		return nil, b, err
@@ -455,19 +481,11 @@ func (d *fieldDecoder) readFields(b []byte) (map[string][]byte, []byte, error) {
 	if size > uint64(len(b)) {
 		return nil, b, errTruncated
 	}
-	sec, rest := b[:size:size], b[size:]
+	sec, rest = b[:size:size], b[size:]
 	if count, _ := binary.Uvarint(sec); count > maxFieldsPerOp {
 		return nil, b, fmt.Errorf("%w: %d", errTooManyFields, count)
 	}
-	if !d.own {
-		sec = make([]byte, size)
-		copy(sec, b)
-	}
-	fields, _, err := kvstore.DecodeFields(sec, &d.names)
-	if err != nil {
-		return nil, b, err
-	}
-	return fields, rest, nil
+	return sec, rest, nil
 }
 
 func readString(b []byte) (string, []byte, error) {

@@ -2,6 +2,7 @@ package kvwire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"testing"
@@ -142,6 +143,14 @@ func TestDecodeChunkRejectsUnknownRecordFlags(t *testing.T) {
 // memory, so hostile frames cannot make the decoder allocate beyond
 // their own size. mode selects the decoder under test: 0 request,
 // 1 response, 2 scan-request, 3 page.
+//
+// A page decoder checks its records' field sections and leaves them
+// encoded, so whatever it accepts must decode later without error: each
+// record of an accepted page decodes (FieldMap) to the map
+// kvstore.DecodeFields gives for its section. Every payload is also
+// tried as a field section, bare and as a page record's: the page
+// decoder, kvstore.CheckFields and kvstore.DecodeFields accept and
+// refuse the same sections.
 func FuzzFrameCodec(f *testing.F) {
 	reqSeed := AppendRequest(nil, 1, 250, sampleOps())
 	resSeed := AppendResponse(nil, 2, sampleResults())
@@ -189,6 +198,7 @@ func FuzzFrameCodec(f *testing.F) {
 		f.Add(append([]byte{0, 1, byte(KindPut), opFlagFields, 1, 't', 1, 'k'}, sec...), byte(0))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte, mode byte) {
+		checkSectionAgreement(t, payload)
 		switch mode % 4 {
 		case 0:
 			deadline, ops, err := DecodeRequest(payload, nil)
@@ -242,8 +252,60 @@ func FuzzFrameCodec(f *testing.F) {
 			if mapVer2 != mapVer || next2 != next || !reflect.DeepEqual(normRecs(recs2), normRecs(recs)) {
 				t.Fatalf("page not stable:\n got %+v\nwant %+v", recs2, recs)
 			}
+			for i := range recs {
+				checkRecordDecodes(t, &recs[i])
+			}
 		}
 	})
+}
+
+// checkSectionAgreement tries sec as a bare field section and as the
+// section of a page's one record: kvstore.CheckFields, DecodeFields and
+// the page decoder must all accept it or all refuse it (the page also
+// refuses a count over maxFieldsPerOp), and the record of an accepted
+// page must decode to DecodeFields' map.
+func checkSectionAgreement(t *testing.T, sec []byte) {
+	t.Helper()
+	sec = append([]byte{}, sec...) // non-nil: the record carries a section
+	_, checkErr := kvstore.CheckFields(sec)
+	_, _, decodeErr := kvstore.DecodeFields(sec, nil)
+	if (checkErr == nil) != (decodeErr == nil) {
+		t.Fatalf("section %q: CheckFields %v, DecodeFields %v", sec, checkErr, decodeErr)
+	}
+	page := finishPage(appendStreamRecord(appendPageHead(nil, 1), "k", 1, 2, sec), 0, 1, 0, "")
+	recs, _, _, pageErr := DecodePage(page[frameHeaderLen:])
+	count, _ := binary.Uvarint(sec)
+	if want := decodeErr == nil && count <= maxFieldsPerOp; (pageErr == nil) != want {
+		t.Fatalf("section %q: page decode %v, DecodeFields %v", sec, pageErr, decodeErr)
+	}
+	if pageErr == nil {
+		checkRecordDecodes(t, &recs[0])
+	}
+}
+
+// checkRecordDecodes asserts that a record of an accepted page decodes
+// its fields — with a name memo, as a stream decodes them — to the map
+// kvstore.DecodeFields gives for its section.
+func checkRecordDecodes(t *testing.T, r *StreamRecord) {
+	t.Helper()
+	sec := r.Section()
+	if sec == nil {
+		if r.FieldMap() != nil {
+			t.Fatalf("record %q without a section decodes to %q", r.Key, r.FieldMap())
+		}
+		return
+	}
+	want, _, err := kvstore.DecodeFields(sec, nil)
+	if err != nil {
+		t.Fatalf("record %q: the page accepted a section DecodeFields refuses: %v", r.Key, err)
+	}
+	var names []string
+	r.names = &names
+	for i := 0; i < 2; i++ { // a fresh memo, then a primed one
+		if got := r.FieldMap(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("record %q decodes to %q, DecodeFields to %q", r.Key, got, want)
+		}
+	}
 }
 
 // sampleScanRecords covers the page record shapes as a scan reads
@@ -281,7 +343,11 @@ func appendPage(buf []byte, id uint64, recs []StreamRecord, mapVersion int64, ne
 	off := len(buf)
 	buf = appendPageHead(buf, id)
 	for _, r := range recs {
-		buf = appendStreamRecord(buf, r.Key, r.Version, r.CommitTS, nil, r.Fields)
+		sec := r.Section()
+		if sec == nil && r.Fields != nil {
+			sec = kvstore.AppendFields(nil, r.Fields)
+		}
+		buf = appendStreamRecord(buf, r.Key, r.Version, r.CommitTS, sec)
 	}
 	return finishPage(buf, off, len(recs), mapVersion, next)
 }
@@ -296,7 +362,7 @@ func encodePage(buf []byte, id uint64, kvs []kvstore.VersionedKV, mapVersion int
 	n := 0
 	for _, kv := range kvs {
 		r := kv.Record
-		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Image(), r.Fields)
+		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Image())
 		if n++; len(buf)-off >= scanPageBytes {
 			break
 		}

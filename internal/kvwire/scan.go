@@ -3,6 +3,8 @@ package kvwire
 import (
 	"encoding/binary"
 	"fmt"
+
+	"ycsbt/internal/kvstore"
 )
 
 // Scans on the framed protocol are paged requests, the pull model the
@@ -48,11 +50,42 @@ type ScanRequest struct {
 // StreamRecord is one record of a scan page: a versioned head read,
 // which is everything the migration copy's version- and
 // commit-ts-preserving ingest needs.
+//
+// A page record keeps its field section as the page carried it, checked
+// but not decoded: a reader that wants a map asks FieldMap, and one that
+// does not — a record the router's merge drops, a migration copy that
+// stores the section as it stands — pays for none. A record built from
+// a map (a REST page) carries it in Fields instead.
 type StreamRecord struct {
 	Key      string
 	Version  uint64
 	CommitTS int64
 	Fields   map[string][]byte
+
+	// section is the page record's field section (nil: none, or the
+	// record was built around Fields); it aliases the page.
+	section []byte
+	// names is the name memo of the stream that delivered the record
+	// (see kvstore.DecodeFields); nil decodes without one.
+	names *[]string
+}
+
+// Section returns the record's field section as the page carried it:
+// nil for a record without one. It aliases the page: read-only.
+func (r *StreamRecord) Section() []byte { return r.section }
+
+// FieldMap returns the record's fields as a map the caller owns, nil
+// for a record without fields. A page record's section is decoded here,
+// with its values aliasing the page (read-only) and its names taken
+// from the delivering stream's memo, so the records of one scan share
+// one set of name strings. The page decoder checked the section, so the
+// decode cannot fail.
+func (r *StreamRecord) FieldMap() map[string][]byte {
+	if r.section == nil {
+		return r.Fields
+	}
+	fields, _, _ := kvstore.DecodeFields(r.section, r.names)
+	return fields
 }
 
 // recFlagFields is a page record's one flag: a field section follows.
@@ -113,17 +146,19 @@ func finishPage(buf []byte, off, n int, mapVersion int64, next string) []byte {
 	return finishFrame(buf, off)
 }
 
-func appendStreamRecord(buf []byte, key string, version uint64, commitTS int64, image []byte, fields map[string][]byte) []byte {
+// appendStreamRecord appends one page record whose fields are the
+// field section sec (a stored image, copied as it stands; nil: none).
+func appendStreamRecord(buf []byte, key string, version uint64, commitTS int64, sec []byte) []byte {
 	var flags byte
-	if fields != nil {
+	if sec != nil {
 		flags |= recFlagFields
 	}
 	buf = append(buf, flags)
 	buf = appendBytes(buf, key)
 	buf = binary.AppendUvarint(buf, version)
 	buf = binary.AppendVarint(buf, commitTS)
-	if flags&recFlagFields != 0 {
-		buf = appendFieldSection(buf, image, fields)
+	if sec != nil {
+		buf = append(binary.AppendUvarint(buf, uint64(len(sec))), sec...)
 	}
 	return buf
 }
@@ -135,15 +170,15 @@ type scanPage struct {
 	next   string
 }
 
-// DecodePage parses a page payload. Nothing decoded aliases payload (a
-// reader that is done with its frame buffer hands it over instead:
-// fieldDecoder.own).
+// DecodePage parses a page payload. Each record's field section is
+// checked, not decoded, and aliases payload, so the caller hands payload
+// over for as long as it keeps the records.
 func DecodePage(payload []byte) (recs []StreamRecord, mapVersion int64, next string, err error) {
-	p, err := new(fieldDecoder).page(payload)
+	p, err := decodePage(payload)
 	return p.recs, p.mapVer, p.next, err
 }
 
-func (d *fieldDecoder) page(payload []byte) (p scanPage, err error) {
+func decodePage(payload []byte) (p scanPage, err error) {
 	count, payload, err := readUvarint(payload)
 	if err != nil {
 		return p, err
@@ -159,7 +194,7 @@ func (d *fieldDecoder) page(payload []byte) (p scanPage, err error) {
 	recs := make([]StreamRecord, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var r StreamRecord
-		if r, payload, err = d.readStreamRecord(payload); err != nil {
+		if r, payload, err = readStreamRecord(payload); err != nil {
 			return p, err
 		}
 		recs = append(recs, r)
@@ -177,7 +212,7 @@ func (d *fieldDecoder) page(payload []byte) (p scanPage, err error) {
 	return p, nil
 }
 
-func (d *fieldDecoder) readStreamRecord(b []byte) (StreamRecord, []byte, error) {
+func readStreamRecord(b []byte) (StreamRecord, []byte, error) {
 	var r StreamRecord
 	if len(b) < 1 {
 		return r, b, errTruncated
@@ -198,7 +233,7 @@ func (d *fieldDecoder) readStreamRecord(b []byte) (StreamRecord, []byte, error) 
 		return r, b, err
 	}
 	if flags&recFlagFields != 0 {
-		if r.Fields, b, err = d.readFields(b); err != nil {
+		if r.section, b, err = checkSection(b); err != nil {
 			return r, b, err
 		}
 	}

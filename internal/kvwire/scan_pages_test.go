@@ -1,6 +1,7 @@
 package kvwire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -474,7 +475,7 @@ func TestScanChunkCodec(t *testing.T) {
 			continue
 		}
 		for i, r := range recs {
-			if r.Key != fmt.Sprintf("k%04d", i) || r.Version != want[i].Version || r.CommitTS != want[i].CommitTS || !reflect.DeepEqual(r.Fields, want[i].Fields) {
+			if r.Key != fmt.Sprintf("k%04d", i) || r.Version != want[i].Version || r.CommitTS != want[i].CommitTS || !bytes.Equal(r.Section(), want[i].Image()) {
 				t.Fatalf("record %d = %s v%d, want k%04d v%d with its fields", i, r.Key, r.Version, i, want[i].Version)
 			}
 		}

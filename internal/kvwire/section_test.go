@@ -27,7 +27,7 @@ func TestChunkEncodeIsACopy(t *testing.T) {
 			t.Fatalf("%s: its image is not in the frame as it stands", kv.Key)
 		}
 	}
-	res := []Result{{Status: 200, Version: 1, HasVersion: true, Fields: kvs[0].Record.Fields, image: kvs[0].Record.Image()}}
+	res := []Result{{Status: 200, Version: 1, HasVersion: true, image: kvs[0].Record.Image()}}
 	out := AppendResponse(nil, 1, res)
 	if per := testing.AllocsPerRun(100, func() { out = AppendResponse(out[:0], 1, res) }); per != 0 {
 		t.Errorf("response encode = %.1f allocs, want 0", per)
@@ -38,40 +38,46 @@ func TestChunkEncodeIsACopy(t *testing.T) {
 }
 
 // TestChunkDecodeAllocations pins the client side on the benchmark's
-// page (100 records × 10 fields × 100 B). A record costs its key and
-// its Go map (four allocations at ten entries) — values and names cost
-// nothing when the decoder keeps the payload, one slab when it copies.
-// It was 25 a record (a string per name, a slice per value).
+// page (100 records × 10 fields × 100 B). Decoding the page checks each
+// record's field section and keeps it, so a record costs its key alone;
+// its Go map (four allocations at ten entries) is built only when a
+// reader asks FieldMap, and its values and names cost nothing then. It
+// was 5 a record with every map built up front, 25 before that (a
+// string per name, a slice per value). A get's response still decodes
+// to a map, copied out of the payload.
 func TestChunkDecodeAllocations(t *testing.T) {
 	buf, _ := encodePage(nil, 1, storedRecords(t, 100, 10, 100), 0, "")
 	payload := buf[frameHeaderLen:]
-	own := fieldDecoder{own: true}
-	if per := testing.AllocsPerRun(50, func() { own.page(payload) }) / 100; per > 5.05 {
-		t.Errorf("owning decode = %.2f allocs per record, want ≤ 5 (key 1 + map 4)", per)
+	if per := testing.AllocsPerRun(50, func() { decodePage(payload) }) / 100; per > 1.05 {
+		t.Errorf("page decode = %.2f allocs per record, want ≤ 1 (the key)", per)
 	}
-	var cp fieldDecoder
-	if per := testing.AllocsPerRun(50, func() { cp.page(payload) }) / 100; per > 6.05 {
-		t.Errorf("copying decode = %.2f allocs per record, want ≤ 6 (key 1 + map 4 + slab 1)", per)
-	}
-
-	// Owned values point into the payload; copied ones do not.
-	p, err := own.page(payload)
+	p, err := decodePage(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := p.recs
-	copied, _, _, _ := DecodePage(payload)
+	var names []string
+	for i := range recs {
+		recs[i].names = &names
+	}
+	recs[0].FieldMap()
+	if per := testing.AllocsPerRun(50, func() { recs[42].FieldMap() }); per > 4 {
+		t.Errorf("FieldMap = %.0f allocs, want ≤ 4 (the map)", per)
+	}
+
+	// Sections and the values decoded out of them point into the payload.
 	lastByte := len(payload) - 3 // the last record's last value, before the trailer (map version 0, next "")
+	last := recs[99].FieldMap()["field9"]
+	before := last[len(last)-1]
 	payload[lastByte] ^= 0xff
-	last := recs[99].Fields["field9"]
-	if last[len(last)-1] == copied[99].Fields["field9"][99] {
-		t.Error("owning decode copied, or copying decode aliased, the payload")
+	if last[len(last)-1] == before || recs[99].Section()[len(recs[99].Section())-1] == before {
+		t.Error("page decode copied the payload")
 	}
 	payload[lastByte] ^= 0xff
 
-	// Names are shared across the page's records.
+	// Names are shared across the stream's records.
 	nameOf := func(r *StreamRecord, want string) string {
-		for name := range r.Fields {
+		for name := range r.FieldMap() {
 			if name == want {
 				return name
 			}
@@ -79,8 +85,29 @@ func TestChunkDecodeAllocations(t *testing.T) {
 		return ""
 	}
 	if a, b := nameOf(&recs[0], "field3"), nameOf(&recs[57], "field3"); a == "" || unsafe.StringData(a) != unsafe.StringData(b) {
-		t.Error("records of one page do not share their name strings")
+		t.Error("records of one stream do not share their name strings")
 	}
+
+	// A response is the other way round: the read loop reuses its frame
+	// buffer, so a result's values are copied out of the payload, into
+	// one slab, and a record costs its map and that slab.
+	resp := responsePayload(t, 10, 100)
+	var dec fieldDecoder // a connection's, names memoized after the first
+	out, err := dec.response(resp, nil)
+	if err != nil || len(out) != 1 || len(out[0].Fields) != 10 {
+		t.Fatalf("response decode = %+v, %v", out, err)
+	}
+	if per := testing.AllocsPerRun(50, func() { out, _ = dec.response(resp, out[:0]) }); per > 5 {
+		t.Errorf("response decode = %.0f allocs per record, want ≤ 5 (map 4 + slab 1)", per)
+	}
+	out, _ = dec.response(resp, out[:0])
+	val := out[0].Fields["field9"]
+	want := bytes.Clone(val)
+	resp[len(resp)-1] ^= 0xff // the last value's last byte: the last record has no trailer
+	if !bytes.Equal(val, want) {
+		t.Error("response decode aliased the payload")
+	}
+	resp[len(resp)-1] ^= 0xff
 }
 
 // section wraps raw field-section bytes in the one-result response a

@@ -52,29 +52,9 @@ type wireMetrics struct {
 	pipeline   *obs.Gauge
 	decodeErrs *obs.Counter
 	scanPages  *obs.Counter
-	// Records with fields written to response and page frames, by how
-	// their field section was produced: copied from the stored image,
-	// or re-encoded from the map (merge-updated records only — a write
-	// path that forgets to build the image shows up here).
-	encodedImage *obs.Counter
-	encodedMap   *obs.Counter
-}
-
-// encodeTally counts one frame's emitted records by path.
-type encodeTally struct{ image, mapped int64 }
-
-func (t *encodeTally) add(fields map[string][]byte, image []byte) {
-	switch {
-	case image != nil:
-		t.image++
-	case fields != nil:
-		t.mapped++
-	}
-}
-
-func (m *wireMetrics) encoded(t encodeTally) {
-	m.encodedImage.Add(t.image)
-	m.encodedMap.Add(t.mapped)
+	// Records with fields written to response and page frames, each
+	// its stored image copied as it stands.
+	encoded *obs.Counter
 }
 
 func newWireMetrics(reg *obs.Registry) *wireMetrics {
@@ -83,16 +63,15 @@ func newWireMetrics(reg *obs.Registry) *wireMetrics {
 	reg.Help("kvwire_pipeline_depth", "Request frames currently in flight across all wire connections.")
 	reg.Help("kvwire_decode_errors_total", "Wire frames the server failed to parse (the connection is closed after each).")
 	reg.Help("kvwire_scan_chunks_total", "Scan page frames sent to wire clients.")
-	reg.Help("kvwire_records_encoded_total", "Records with fields written to response and page frames, by path: image = the stored field section copied as it stands, map = re-encoded from the field map (merge-updated records).")
+	reg.Help("kvwire_records_encoded_total", "Records with fields written to response and page frames, each the stored field section copied as it stands.")
 	return &wireMetrics{
-		connsOpen:    reg.Gauge("kvwire_conns_open"),
-		framesIn:     reg.Counter("kvwire_frames_total", "dir", "in"),
-		framesOut:    reg.Counter("kvwire_frames_total", "dir", "out"),
-		pipeline:     reg.Gauge("kvwire_pipeline_depth"),
-		decodeErrs:   reg.Counter("kvwire_decode_errors_total"),
-		scanPages:    reg.Counter("kvwire_scan_chunks_total"),
-		encodedImage: reg.Counter("kvwire_records_encoded_total", "path", "image"),
-		encodedMap:   reg.Counter("kvwire_records_encoded_total", "path", "map"),
+		connsOpen:  reg.Gauge("kvwire_conns_open"),
+		framesIn:   reg.Counter("kvwire_frames_total", "dir", "in"),
+		framesOut:  reg.Counter("kvwire_frames_total", "dir", "out"),
+		pipeline:   reg.Gauge("kvwire_pipeline_depth"),
+		decodeErrs: reg.Counter("kvwire_decode_errors_total"),
+		scanPages:  reg.Counter("kvwire_scan_chunks_total"),
+		encoded:    reg.Counter("kvwire_records_encoded_total"),
 	}
 }
 
@@ -270,11 +249,13 @@ func (s *Server) handleRequest(c *serverConn, id uint64, deadlineMs uint64, ops 
 	s.writeFrame(c, func(buf []byte) []byte {
 		return AppendResponse(buf, id, *res)
 	})
-	var tally encodeTally
+	var images int64
 	for i := range *res {
-		tally.add((*res)[i].Fields, (*res)[i].image)
+		if (*res)[i].image != nil {
+			images++
+		}
 	}
-	s.metrics.encoded(tally)
+	s.metrics.encoded.Add(images)
 	clear(*res)
 	*res = (*res)[:0]
 	resultsPool.Put(res)
@@ -298,11 +279,9 @@ func (s *Server) handleScan(c *serverConn, id uint64, req *ScanRequest) {
 	buf := appendPageHead((*bp)[:0], id)
 	head := len(buf)
 	n := 0
-	var tally encodeTally
 	mapVer, next, err := s.core.ScanPage(c.ctx, req, func(kv kvstore.VersionedKV) int {
 		r := kv.Record
-		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Image(), r.Fields)
-		tally.add(r.Fields, r.Image())
+		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Image())
 		n++
 		if len(buf) >= scanPageBytes {
 			return 0
@@ -320,7 +299,7 @@ func (s *Server) handleScan(c *serverConn, id uint64, req *ScanRequest) {
 		// Counted before the write, so a client that has seen the page
 		// never reads a counter that has not.
 		s.metrics.scanPages.Inc()
-		s.metrics.encoded(tally)
+		s.metrics.encoded.Add(int64(n))
 		c.wmu.Lock()
 		s.send(c, buf)
 		c.wmu.Unlock()

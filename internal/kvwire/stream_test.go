@@ -1,6 +1,7 @@
 package kvwire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -66,8 +67,8 @@ func TestStreamScanRoundTrip(t *testing.T) {
 			var got []string
 			for s.Next() {
 				rec := s.Record()
-				if string(rec.Fields["f"]) != rec.Key {
-					t.Fatalf("record %q carries fields %q", rec.Key, rec.Fields["f"])
+				if string(rec.FieldMap()["f"]) != rec.Key {
+					t.Fatalf("record %q carries fields %q", rec.Key, rec.FieldMap()["f"])
 				}
 				if rec.Version == 0 {
 					t.Fatalf("record %q missing version", rec.Key)
@@ -160,7 +161,7 @@ func TestStreamIngestRoundTrip(t *testing.T) {
 			Key:      fmt.Sprintf("k%04d", i),
 			Version:  uint64(i + 7),
 			CommitTS: int64(1000 + i),
-			Fields:   map[string][]byte{"f": []byte(fmt.Sprintf("v%d", i))},
+			Section:  kvstore.AppendFields(nil, map[string][]byte{"f": []byte(fmt.Sprintf("v%d", i))}),
 		})
 	}
 	recs = append(recs, kvstore.BulkKV{Key: "kdead", Version: 9, CommitTS: 2000})
@@ -202,7 +203,7 @@ func TestStreamIngestRoundTrip(t *testing.T) {
 		var kvs []kvstore.BulkKV
 		for len(kvs) < 100 && s.Next() {
 			r := s.Record()
-			kvs = append(kvs, kvstore.BulkKV{Key: r.Key, Fields: r.Fields, Version: r.Version, CommitTS: r.CommitTS})
+			kvs = append(kvs, kvstore.BulkKV{Key: r.Key, Section: r.Section(), Version: r.Version, CommitTS: r.CommitTS})
 		}
 		if kvs == nil {
 			return nil, s.Err()
@@ -228,7 +229,7 @@ func TestStreamIngestRoundTrip(t *testing.T) {
 			}
 			continue
 		}
-		if err != nil || rec.Version != uint64(i+7) || rec.CommitTS != int64(1000+i) {
+		if err != nil || rec.Version != uint64(i+7) || rec.CommitTS != int64(1000+i) || !bytes.Equal(rec.Image(), r.Section) {
 			t.Fatalf("%s = %+v, %v; want v%d@%d", r.Key, rec, err, i+7, 1000+i)
 		}
 	}

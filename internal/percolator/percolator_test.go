@@ -155,7 +155,7 @@ func TestRollbackRemovesLocksAndNewRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Fields[lockField]) != 0 {
+	if len(rec.Field(lockField)) != 0 {
 		t.Error("lock left behind")
 	}
 	if _, err := inner.Get("t", "new"); !errors.Is(err, kvstore.ErrNotFound) {
@@ -404,11 +404,12 @@ func TestVersionPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	versions := 0
-	for f := range rec.Fields {
+	rec.Range(func(f string, _ []byte) bool {
 		if parseDataField(f) >= 0 {
 			versions++
 		}
-	}
+		return true
+	})
 	if versions > 3 {
 		t.Errorf("%d versions retained, want ≤ 3", versions)
 	}

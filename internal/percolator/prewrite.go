@@ -65,7 +65,7 @@ func (t *Txn) prewriteAll(ctx context.Context, keys []tkey, primary tkey) (tkey,
 				return k, r.Err
 			}
 		} else {
-			fields, ver = r.Record.Fields, r.Record.Version
+			fields, ver = r.Record.FieldMap(), r.Record.Version
 		}
 		if fields != nil {
 			if maxCommitTS(fields) > t.startTS {

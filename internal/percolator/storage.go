@@ -25,7 +25,7 @@ func (m *Manager) loadRecord(ctx context.Context, table, key string) (map[string
 		}
 		return nil, 0, err
 	}
-	return rec.Fields, rec.Version, nil
+	return rec.FieldMap(), rec.Version, nil
 }
 
 // dataField formats the committed-version field name for a commit_ts.
@@ -93,7 +93,7 @@ func (m *Manager) readAt(ctx context.Context, table, key string, ts int64) (map[
 // with start_ts ≤ read_ts could commit at a commit_ts below read_ts,
 // so the read cannot proceed past it.
 func (m *Manager) resolveRead(ctx context.Context, table, key string, rec *kvstore.VersionedRecord, ts int64, retries int) (map[string][]byte, error) {
-	fields := rec.Fields
+	fields := rec.FieldMap()
 	for attempt := 0; ; attempt++ {
 		if lockBytes := fields[lockField]; len(lockBytes) > 0 {
 			lk, err := decodeLock(lockBytes)

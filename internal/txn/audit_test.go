@@ -128,7 +128,7 @@ func testTxnLayerUpholdsImmutability(t *testing.T, opts Options) {
 	}
 	total := int64(0)
 	for _, kv := range kvs {
-		total += getBal(t, kv.Record.Fields)
+		total += getBal(t, kv.Record.FieldMap())
 	}
 	// 16 accounts of 100, minus deleted acct15 (100 + 5 received).
 	if total != 16*100-105 {

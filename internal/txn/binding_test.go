@@ -95,8 +95,8 @@ func TestBindingTransactionalFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, _ := inner.Get("t", "a")
-	if string(rec.Fields["bal"]) != "10" {
-		t.Errorf("aborted update leaked: %s", rec.Fields["bal"])
+	if string(rec.Field("bal")) != "10" {
+		t.Errorf("aborted update leaked: %s", rec.Field("bal"))
 	}
 }
 
@@ -265,7 +265,7 @@ func TestBindingConcurrentTransfersPreserveInvariant(t *testing.T) {
 	wg.Wait()
 	var sum int
 	inner.ForEach("acct", func(_ string, rec *kvstore.VersionedRecord) bool {
-		n, _ := strconv.Atoi(string(rec.Fields["bal"]))
+		n, _ := strconv.Atoi(string(rec.Field("bal")))
 		sum += n
 		return true
 	})

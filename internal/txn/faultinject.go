@@ -29,7 +29,7 @@ func InstallPreparedForTest(store *kvstore.Store, table, key string, cur *kvstor
 	prepared[metaID] = []byte(txnID)
 	prepared[metaCoord] = []byte(coord)
 	prepared[metaPrepareTS] = []byte(strconv.FormatInt(time.Now().UnixNano(), 10))
-	prepared[metaPrev] = encodeImage(cur.Fields)
+	prepared[metaPrev] = encodeImage(cur.Project(nil))
 	_, err := store.PutIfVersion(table, key, prepared, cur.Version)
 	return err
 }
@@ -44,4 +44,3 @@ func InstallCommittedTSRForTest(store *kvstore.Store, txnID string) error {
 	})
 	return err
 }
-

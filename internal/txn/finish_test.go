@@ -71,8 +71,8 @@ func wantNoDebris(t *testing.T, inner *kvstore.Store, table string) {
 		t.Fatal(err)
 	}
 	for _, kv := range recs {
-		if isPrepared(kv.Record.Fields) {
-			t.Errorf("%s left prepared by %s", kv.Key, kv.Record.Fields[metaID])
+		if isPrepared(kv.Record) {
+			t.Errorf("%s left prepared by %s", kv.Key, kv.Record.Field(metaID))
 		}
 	}
 	if n := inner.Len(tsrTable); n != 0 {
@@ -180,7 +180,7 @@ func TestFinishAccounting(t *testing.T) {
 	var cash int64
 	recs, _ := inner.Scan("t", "", -1)
 	for _, kv := range recs {
-		cash += getBal(t, kv.Record.Fields)
+		cash += getBal(t, kv.Record.FieldMap())
 	}
 	if len(recs) != accounts || cash != accounts*initial {
 		t.Errorf("%d accounts hold %d, want %d holding %d", len(recs), cash, accounts, accounts*initial)
@@ -280,7 +280,7 @@ func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 		t.Fatal(err)
 	}
 	prepared, err := inner.Get("t", "k")
-	if err != nil || !isPrepared(prepared.Fields) {
+	if err != nil || !isPrepared(prepared) {
 		t.Fatalf("k with its finish held = %+v, %v; want it prepared", prepared, err)
 	}
 	ss.take()

@@ -11,8 +11,8 @@ import (
 )
 
 // isPrepared reports whether a stored record is a prepared image.
-func isPrepared(fields map[string][]byte) bool {
-	return string(fields[metaState]) == "P"
+func isPrepared(rec *kvstore.VersionedRecord) bool {
+	return string(rec.Field(metaState)) == "P"
 }
 
 // isMetaField reports whether a field name is reserved for protocol
@@ -95,15 +95,15 @@ func (m *Manager) readResolved(ctx context.Context, s Store, table, key string) 
 // A failed TSR lookup is an error, never "absent": rolling back on it
 // would undo a committed write whose coordinator is merely unreachable.
 func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string, rec *kvstore.VersionedRecord) (readEntry, error) {
-	if !isPrepared(rec.Fields) {
-		return readEntry{fields: rec.Fields, ver: rec.Version, clean: true}, nil
+	if !isPrepared(rec) {
+		return readEntry{fields: rec.FieldMap(), ver: rec.Version, clean: true}, nil
 	}
 
-	writerID := string(rec.Fields[metaID])
-	coordName := string(rec.Fields[metaCoord])
-	prepTS, _ := strconv.ParseInt(string(rec.Fields[metaPrepareTS]), 10, 64)
-	prevImage := rec.Fields[metaPrev]
-	isDelete := len(rec.Fields[metaDelete]) > 0
+	writerID := string(rec.Field(metaID))
+	coordName := string(rec.Field(metaCoord))
+	prepTS, _ := strconv.ParseInt(string(rec.Field(metaPrepareTS)), 10, 64)
+	prevImage := rec.Field(metaPrev)
+	isDelete := len(rec.Field(metaDelete)) > 0
 
 	if done := m.finishOf(writerID); done != nil {
 		// This manager committed the writer and is still finishing it, so
@@ -121,7 +121,7 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 		if isDelete {
 			return readEntry{}, fmt.Errorf("%w: %s/%s/%s (deleted by committed txn)", ErrNotFound, s.Name(), table, key)
 		}
-		return readEntry{fields: userFields(rec.Fields), ver: rec.Version + 1, clean: true}, nil
+		return readEntry{fields: userFields(rec.FieldMap()), ver: rec.Version + 1, clean: true}, nil
 	}
 
 	outcome, err := m.lookupTSR(ctx, coordName, writerID)
@@ -139,7 +139,7 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 			}
 			return readEntry{}, fmt.Errorf("%w: %s/%s/%s (deleted by committed txn)", ErrNotFound, s.Name(), table, key)
 		}
-		clean := userFields(rec.Fields)
+		clean := userFields(rec.FieldMap())
 		newVer, err := s.Put(ctx, table, key, clean, rec.Version)
 		if err != nil {
 			// Someone else rolled it forward first; reread.
@@ -162,7 +162,7 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 		if err != nil {
 			return readEntry{}, err
 		}
-		if cur.Version != rec.Version || string(cur.Fields[metaID]) != writerID {
+		if cur.Version != rec.Version || string(cur.Field(metaID)) != writerID {
 			return m.resolveRecord(ctx, s, table, key, cur)
 		}
 		age := time.Duration(m.opts.Clock.Now() - prepTS)
@@ -255,5 +255,5 @@ func (m *Manager) lookupTSR(ctx context.Context, coordName, txnID string) (strin
 	if err != nil {
 		return "", fmt.Errorf("txn: looking up TSR %s in %s: %w", txnID, coordName, err)
 	}
-	return string(rec.Fields[tsrState]), nil
+	return string(rec.Field(tsrState)), nil
 }

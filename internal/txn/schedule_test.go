@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -57,7 +58,7 @@ func (s *scriptStore) take() []string {
 // isRollForward reports a finish's (or a resolving reader's) write of a
 // clean image over a prepared record.
 func isRollForward(op, table string, fields map[string][]byte) bool {
-	return op == "Put" && table != tsrTable && !isPrepared(fields)
+	return op == "Put" && table != tsrTable && !isPrepared(&kvstore.VersionedRecord{Fields: fields})
 }
 
 // flush waits for the manager's outstanding finishes.
@@ -253,7 +254,7 @@ func TestReadAroundThenWriteConflicts(t *testing.T) {
 		}
 		ran = true
 		held, err := inner.Get("t", "k")
-		if err != nil || !isPrepared(held.Fields) {
+		if err != nil || !isPrepared(held) {
 			t.Fatalf("T1 not prepared on k: %+v, %v", held, err)
 		}
 
@@ -272,8 +273,8 @@ func TestReadAroundThenWriteConflicts(t *testing.T) {
 		wantCalls(t, "T2's conflicting commit", ss.take())
 
 		after, err := inner.Get("t", "k")
-		if err != nil || after.Version != held.Version || !reflect.DeepEqual(after.Fields, held.Fields) {
-			t.Errorf("T1's prepared image disturbed:\n before v%d %q\n after  v%d %q (%v)", held.Version, held.Fields, after.Version, after.Fields, err)
+		if err != nil || after.Version != held.Version || !bytes.Equal(after.Image(), held.Image()) {
+			t.Errorf("T1's prepared image disturbed:\n before v%d %q\n after  v%d %q (%v)", held.Version, held.Image(), after.Version, after.Image(), err)
 		}
 		return nil
 	}
@@ -293,7 +294,7 @@ func TestReadAroundThenWriteConflicts(t *testing.T) {
 	}
 	flush(t, m)
 	rec, err := inner.Get("t", "k")
-	if err != nil || isPrepared(rec.Fields) || string(rec.Fields["balance"]) != "500" {
+	if err != nil || isPrepared(rec) || string(rec.Field("balance")) != "500" {
 		t.Errorf("final record = %+v, %v; want clean balance 500", rec, err)
 	}
 }
@@ -327,7 +328,7 @@ func TestCachedReadGoesStale(t *testing.T) {
 	}
 	flush(t, m)
 	rec, err := inner.Get("t", "k")
-	if err != nil || isPrepared(rec.Fields) || string(rec.Fields["n"]) != "1" {
+	if err != nil || isPrepared(rec) || string(rec.Field("n")) != "1" {
 		t.Errorf("record = %+v, %v; want the other transaction's clean n=1", rec, err)
 	}
 }
@@ -368,7 +369,7 @@ func TestInsertOverDeadPreparedInsert(t *testing.T) {
 		"Get t/k",    // gone
 		"Put t/k", "Put _tsr", "Put t/k", "Delete _tsr")
 	rec, err := inner.Get("t", "k")
-	if err != nil || isPrepared(rec.Fields) || string(rec.Fields["balance"]) != "5" {
+	if err != nil || isPrepared(rec) || string(rec.Field("balance")) != "5" {
 		t.Errorf("record = %+v, %v; want clean balance 5", rec, err)
 	}
 	if _, _, _, recovered := m.Stats(); recovered != 1 {
@@ -422,8 +423,8 @@ func TestReadLockRewritesCachedImage(t *testing.T) {
 		"Get t/x", "Get t/y",
 		"Put t/x", "Put t/y", "Put _tsr", "Put t/x", "Put t/y", "Delete _tsr")
 	after, err := inner.Get("t", "x")
-	if err != nil || !reflect.DeepEqual(after.Fields, before.Fields) {
-		t.Errorf("read-locked record = %q, %v; want the image read, %q", after.Fields, err, before.Fields)
+	if err != nil || !bytes.Equal(after.Image(), before.Image()) {
+		t.Errorf("read-locked record = %q, %v; want the image read, %q", after.Image(), err, before.Image())
 	}
 	if after.Version != before.Version+2 {
 		t.Errorf("read-locked version = %d, want %d (prepare + roll forward)", after.Version, before.Version+2)
@@ -574,7 +575,7 @@ func TestFailedRollForwardKeepsTSR(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if rec, err := inner.Get("t", "b"); err != nil || isPrepared(rec.Fields) {
+	if rec, err := inner.Get("t", "b"); err != nil || isPrepared(rec) {
 		t.Errorf("b after the reader = %+v, %v; want rolled forward", rec, err)
 	}
 	if res := history.Check(sink.Records()); !res.Serializable {
@@ -617,7 +618,7 @@ func TestFailedTSRLookupIsNotAbsence(t *testing.T) {
 		t.Errorf("read with the TSR lookup failing = %v, %v; want the lookup's error", f, err)
 	}
 	wantCalls(t, "read with the TSR lookup failing", ss.take(), "Get t/k", "Get _tsr")
-	if rec, err := inner.Get("t", "k"); err != nil || !isPrepared(rec.Fields) {
+	if rec, err := inner.Get("t", "k"); err != nil || !isPrepared(rec) {
 		t.Errorf("record after the failed lookup = %+v, %v; want it still prepared", rec, err)
 	}
 
@@ -655,7 +656,7 @@ func TestFinishBetweenFetchAndTSRLookup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := inner.PutIfVersion("t", k, userFields(cur.Fields), cur.Version); err != nil {
+			if _, err := inner.PutIfVersion("t", k, userFields(cur.FieldMap()), cur.Version); err != nil {
 				t.Fatal(err)
 			}
 		}

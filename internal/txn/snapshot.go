@@ -190,25 +190,25 @@ func (t *ReadOnlyTxn) Scan(ctx context.Context, store, table, startKey string, c
 // exist at the snapshot. It never writes: prepared records are read
 // around or through via metadata only.
 func (t *ReadOnlyTxn) resolveAsOf(ctx context.Context, p *snapPin, table, key string, rec *kvstore.VersionedRecord) (map[string][]byte, error) {
-	if !isPrepared(rec.Fields) {
-		return userFields(rec.Fields), nil
+	if !isPrepared(rec) {
+		return userFields(rec.FieldMap()), nil
 	}
 
 	// A prepared image sits at the snapshot. Its transaction committed
 	// for this snapshot iff the TSR exists as of the coordinating
 	// store's snapshot ts — the commit point, frozen in the TSR table's
 	// own version history.
-	writerID := string(rec.Fields[metaID])
-	coordName := string(rec.Fields[metaCoord])
-	isDelete := len(rec.Fields[metaDelete]) > 0
-	prevImage := rec.Fields[metaPrev]
+	writerID := string(rec.Field(metaID))
+	coordName := string(rec.Field(metaCoord))
+	isDelete := len(rec.Field(metaDelete)) > 0
+	prevImage := rec.Field(metaPrev)
 
 	committed := false
 	if cp, err := t.pin(ctx, coordName); err == nil {
 		tsr, err := cp.store.GetAsOf(ctx, tsrTable, writerID, cp.ts)
 		switch {
 		case err == nil:
-			committed = string(tsr.Fields[tsrState]) == tsrCommitted
+			committed = string(tsr.Field(tsrState)) == tsrCommitted
 		case errors.Is(err, kvstore.ErrBelowHorizon):
 			return nil, err // the commit point is no longer on record as of the snapshot
 		}
@@ -222,7 +222,7 @@ func (t *ReadOnlyTxn) resolveAsOf(ctx context.Context, p *snapPin, table, key st
 		if isDelete {
 			return nil, nil
 		}
-		return userFields(rec.Fields), nil
+		return userFields(rec.FieldMap()), nil
 	}
 	if len(prevImage) == 0 {
 		return nil, nil // prepared insert, not committed as of the snapshot

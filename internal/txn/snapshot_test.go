@@ -152,7 +152,7 @@ func TestReadOnlyTxnPreparedResolution(t *testing.T) {
 		metaID:        []byte("tflight-1"),
 		metaCoord:     []byte("local"),
 		metaPrepareTS: []byte(strconv.FormatInt(m.opts.Clock.Now(), 10)),
-		metaPrev:      encodeImage(cur.Fields),
+		metaPrev:      encodeImage(cur.FieldMap()),
 	}
 	if _, err := inner.PutIfVersion("t", "k", prepared, cur.Version); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestReadOnlyTxnPreparedResolution(t *testing.T) {
 		t.Fatalf("snapshot read after commit point = %v, %v; want 1 (commit is after my snapshot)", f, err)
 	}
 	// The prepared record was not repaired by the snapshot reads.
-	if rec, _ := inner.Get("t", "k"); !isPrepared(rec.Fields) {
+	if rec, _ := inner.Get("t", "k"); !isPrepared(rec) {
 		t.Fatal("snapshot reader repaired an in-flight prepare")
 	}
 

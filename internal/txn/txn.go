@@ -953,20 +953,20 @@ func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS i
 
 	s := t.m.stores[k.store]
 	cur, err := s.Get(ctx, k.table, k.key)
-	if err == nil && isPrepared(cur.Fields) {
+	if err == nil && isPrepared(cur) {
 		// Another transaction holds this record; try to resolve it (it
 		// may be long-committed or long-dead).
 		if _, rerr := t.m.resolveRecord(ctx, s, k.table, k.key, cur); rerr != nil && !errors.Is(rerr, ErrNotFound) {
-			return fmt.Errorf("record held by %s: %w", cur.Fields[metaID], rerr)
+			return fmt.Errorf("record held by %s: %w", cur.Field(metaID), rerr)
 		}
 		cur, err = s.Get(ctx, k.table, k.key)
-		if err == nil && isPrepared(cur.Fields) {
-			return fmt.Errorf("record still held by %s", cur.Fields[metaID])
+		if err == nil && isPrepared(cur) {
+			return fmt.Errorf("record still held by %s", cur.Field(metaID))
 		}
 	}
 	switch {
 	case err == nil:
-		return t.putPrepared(ctx, k, coordName, prepTS, cur.Fields, cur.Version)
+		return t.putPrepared(ctx, k, coordName, prepTS, cur.FieldMap(), cur.Version)
 	case errors.Is(err, kvstore.ErrNotFound):
 		return t.putPrepared(ctx, k, coordName, prepTS, nil, kvstore.MustNotExist)
 	default:

@@ -64,16 +64,16 @@ func TestCommitBasic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if isPrepared(rec.Fields) {
+		if isPrepared(rec) {
 			t.Errorf("%s still prepared after commit", key)
 		}
-		for f := range rec.Fields {
+		for f := range rec.FieldMap() {
 			if isMetaField(f) {
 				t.Errorf("%s has leftover metadata %s", key, f)
 			}
 		}
 		var got int64
-		fmt.Sscanf(string(rec.Fields["balance"]), "%d", &got)
+		fmt.Sscanf(string(rec.Field("balance")), "%d", &got)
 		if got != want {
 			t.Errorf("%s = %d, want %d", key, got, want)
 		}
@@ -133,8 +133,8 @@ func TestAbortLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec.Fields["balance"]) != "10" {
-		t.Errorf("aborted write leaked: %s", rec.Fields["balance"])
+	if string(rec.Field("balance")) != "10" {
+		t.Errorf("aborted write leaked: %s", rec.Field("balance"))
 	}
 	if _, err := inner.Get("t", "new"); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Errorf("aborted insert leaked: %v", err)
@@ -358,7 +358,7 @@ func testMoneyTransfer(t *testing.T, put func(context.Context, *Txn, string, str
 	wg.Wait()
 	var sum int64
 	inner.ForEach("acct", func(_ string, rec *kvstore.VersionedRecord) bool {
-		n, _ := strconv.ParseInt(string(rec.Fields["balance"]), 10, 64)
+		n, _ := strconv.ParseInt(string(rec.Field("balance")), 10, 64)
 		sum += n
 		return true
 	})
@@ -380,7 +380,7 @@ func TestReadAroundInFlightWriter(t *testing.T) {
 	// Manually install a prepared record as an in-flight writer
 	// would: new value 999, prev image balance=1.
 	cur, _ := inner.Get("t", "k")
-	prev := encodeImage(cur.Fields)
+	prev := encodeImage(cur.FieldMap())
 	prepared := map[string][]byte{
 		"balance":     []byte("999"),
 		metaState:     []byte("P"),
@@ -404,7 +404,7 @@ func TestReadAroundInFlightWriter(t *testing.T) {
 	tx.Abort(ctx)
 	// The prepared record must be untouched (writer still in flight).
 	rec, _ := inner.Get("t", "k")
-	if !isPrepared(rec.Fields) {
+	if !isPrepared(rec) {
 		t.Error("reader disturbed an in-flight prepare")
 	}
 }
@@ -423,7 +423,7 @@ func TestRecoveryRollsBackDeadWriter(t *testing.T) {
 		metaID:        []byte("tdead-1"),
 		metaCoord:     []byte("local"),
 		metaPrepareTS: []byte(strconv.FormatInt(m.opts.Clock.Now()-int64(time.Second), 10)),
-		metaPrev:      encodeImage(cur.Fields),
+		metaPrev:      encodeImage(cur.FieldMap()),
 	}
 	if _, err := inner.PutIfVersion("t", "k", prepared, cur.Version); err != nil {
 		t.Fatal(err)
@@ -439,11 +439,11 @@ func TestRecoveryRollsBackDeadWriter(t *testing.T) {
 	}
 	tx.Abort(ctx)
 	rec, _ := inner.Get("t", "k")
-	if isPrepared(rec.Fields) {
+	if isPrepared(rec) {
 		t.Error("dead prepare not rolled back")
 	}
-	if string(rec.Fields["balance"]) != "42" {
-		t.Errorf("rolled-back balance = %s", rec.Fields["balance"])
+	if string(rec.Field("balance")) != "42" {
+		t.Errorf("rolled-back balance = %s", rec.Field("balance"))
 	}
 	_, _, _, recovered := m.Stats()
 	if recovered == 0 {
@@ -467,7 +467,7 @@ func TestRecoveryRollsForwardCommittedWriter(t *testing.T) {
 		metaID:        []byte("tcrashed-1"),
 		metaCoord:     []byte("local"),
 		metaPrepareTS: []byte(strconv.FormatInt(m.opts.Clock.Now(), 10)),
-		metaPrev:      encodeImage(cur.Fields),
+		metaPrev:      encodeImage(cur.FieldMap()),
 	}
 	if _, err := inner.PutIfVersion("t", "k", prepared, cur.Version); err != nil {
 		t.Fatal(err)
@@ -488,7 +488,7 @@ func TestRecoveryRollsForwardCommittedWriter(t *testing.T) {
 	}
 	tx.Abort(ctx)
 	rec, _ := inner.Get("t", "k")
-	if isPrepared(rec.Fields) {
+	if isPrepared(rec) {
 		t.Error("committed prepare not rolled forward")
 	}
 }
@@ -506,7 +506,7 @@ func TestRecoveryCommittedDelete(t *testing.T) {
 		metaID:        []byte("tdel-1"),
 		metaCoord:     []byte("local"),
 		metaPrepareTS: []byte(strconv.FormatInt(m.opts.Clock.Now(), 10)),
-		metaPrev:      encodeImage(cur.Fields),
+		metaPrev:      encodeImage(cur.FieldMap()),
 		metaDelete:    []byte("1"),
 	}
 	if _, err := inner.PutIfVersion("t", "k", prepared, cur.Version); err != nil {
@@ -613,8 +613,8 @@ func TestMultiStoreTransaction(t *testing.T) {
 	flush(t, m)
 	ra, _ := s1.Get("acct", "a")
 	rb, _ := s2.Get("acct", "b")
-	if string(ra.Fields["balance"]) != "70" || string(rb.Fields["balance"]) != "130" {
-		t.Errorf("cross-store transfer: a=%s b=%s", ra.Fields["balance"], rb.Fields["balance"])
+	if string(ra.Field("balance")) != "70" || string(rb.Field("balance")) != "130" {
+		t.Errorf("cross-store transfer: a=%s b=%s", ra.Field("balance"), rb.Field("balance"))
 	}
 	// TSR lives on the coordinating store and is cleaned up on both.
 	if s1.Len(tsrTable)+s2.Len(tsrTable) != 0 {

@@ -41,12 +41,12 @@ func (m *Manager) Vacuum(ctx context.Context) (tsrsRemoved, recordsResolved int,
 			return tsrsRemoved, recordsResolved, fmt.Errorf("txn: vacuum scanning %s: %w", s.Name(), serr)
 		}
 		for _, kv := range kvs {
-			commitTS, _ := strconv.ParseInt(string(kv.Record.Fields[tsrCommitTS]), 10, 64)
+			commitTS, _ := strconv.ParseInt(string(kv.Record.Field(tsrCommitTS)), 10, 64)
 			if commitTS == 0 || commitTS > cutoff {
 				continue // young TSR: its committer may still be rolling forward
 			}
 			resolved := true
-			for _, wk := range decodeWriteSet(kv.Record.Fields[tsrWriteSet]) {
+			for _, wk := range decodeWriteSet(kv.Record.Field(tsrWriteSet)) {
 				ws, serr := m.store(wk.store)
 				if serr != nil {
 					continue // store no longer registered

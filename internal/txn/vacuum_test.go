@@ -67,11 +67,11 @@ func TestVacuumFinishesCrashedCommits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if isPrepared(rec.Fields) {
+		if isPrepared(rec) {
 			t.Errorf("%s still prepared after vacuum", k)
 		}
-		if string(rec.Fields["balance"]) != "777" {
-			t.Errorf("%s = %s, want rolled-forward 777", k, rec.Fields["balance"])
+		if string(rec.Field("balance")) != "777" {
+			t.Errorf("%s = %s, want rolled-forward 777", k, rec.Field("balance"))
 		}
 	}
 	if inner.Len(tsrTable) != 0 {
@@ -79,8 +79,8 @@ func TestVacuumFinishesCrashedCommits(t *testing.T) {
 	}
 	// Untouched record unaffected.
 	rec, _ := inner.Get("t", "c")
-	if string(rec.Fields["balance"]) != "1" {
-		t.Errorf("c = %s", rec.Fields["balance"])
+	if string(rec.Field("balance")) != "1" {
+		t.Errorf("c = %s", rec.Field("balance"))
 	}
 }
 

@@ -105,8 +105,8 @@ func runWriteSkewHistory(t *testing.T, serializable bool) (*history.Result, int)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, _ := strconv.ParseInt(string(ra.Fields["balance"]), 10, 64)
-		b, _ := strconv.ParseInt(string(rb.Fields["balance"]), 10, 64)
+		a, _ := strconv.ParseInt(string(ra.Field("balance")), 10, 64)
+		b, _ := strconv.ParseInt(string(rb.Field("balance")), 10, 64)
 		if a+b < 0 {
 			violations++
 		}

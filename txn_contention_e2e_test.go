@@ -151,10 +151,10 @@ func TestClusterTransfersUnderContentionBalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, kv := range recs {
-			if state, ok := kv.Record.Fields["_txn:state"]; ok {
-				t.Errorf("node %d: %s left prepared (state %q, txn %s)", i, kv.Key, state, kv.Record.Fields["_txn:id"])
+			if state := kv.Record.Field("_txn:state"); state != nil {
+				t.Errorf("node %d: %s left prepared (state %q, txn %s)", i, kv.Key, state, kv.Record.Field("_txn:id"))
 			}
-			n, err := strconv.ParseInt(string(kv.Record.Fields["balance"]), 10, 64)
+			n, err := strconv.ParseInt(string(kv.Record.Field("balance")), 10, 64)
 			if err != nil {
 				t.Errorf("node %d: %s: %v", i, kv.Key, err)
 			}
