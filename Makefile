@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test test-race fuzz-smoke bench bench-quick bench-cluster bench-smoke clean
+.PHONY: check fmt vet build test test-race fuzz-smoke bench bench-quick bench-cluster bench-smoke clean
 
-# The full tier-1 gate: vet, build everything, the race-enabled short
+# The full tier-1 gate: gofmt, vet, build everything, the race-enabled short
 # test run, then a short coverage-guided fuzz of the binary frame
 # codec (hostile bytes off the network must never panic the decoder),
 # of the REST record codec (it must decode every body exactly as
@@ -16,7 +16,11 @@ GO ?= go
 # codec's corpus holds a 100 000-deep body, and minimizing each new
 # input grown from it would take the whole budget, so minimization is
 # capped.
-check: vet build test-race fuzz-smoke
+check: fmt vet build test-race fuzz-smoke
+
+# gofmt must list no file of the root module or of benchmark/.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 fuzz-smoke:
 	$(GO) test -run xx -fuzz FuzzFrameCodec -fuzztime 10s ./internal/kvwire/

@@ -124,14 +124,14 @@ func run() error {
 			return err
 		}
 		for _, kv := range ckvs {
-			checking += parse(kv.Fields)
+			checking += parse(kv.Record)
 		}
 		skvs, err := t.Scan(ctx, "gcs", "savings", "", -1)
 		if err != nil {
 			return err
 		}
 		for _, kv := range skvs {
-			savings += parse(kv.Fields)
+			savings += parse(kv.Record)
 		}
 		return nil
 	}); err != nil {

@@ -67,7 +67,7 @@ func TestValidateRejects(t *testing.T) {
 		return mustUniform(t, PlacementHash, 4, []string{"http://a", "http://b"}, nil)
 	}
 	cases := []struct {
-		name  string
+		name   string
 		break_ func(*Map)
 	}{
 		{"zero version", func(m *Map) { m.Version = 0 }},

@@ -45,13 +45,20 @@ var captureSeq atomic.Uint64
 // and stacking both would record every transaction twice.
 func Middleware(sink TxnSink, session int) db.Middleware {
 	return func(inner db.DB) db.DB {
-		return &capture{inner: inner, tdb: db.Transactional(inner), sink: sink, session: session}
+		return &capture{inner: inner, thread: &thread{tdb: db.Transactional(inner), sink: sink, session: session}}
 	}
 }
 
-// capture is one thread's capture state and DB wrapper.
+// capture wraps the binding, or one of its in-transaction views, over
+// the capture state of the thread it serves; the views of a thread
+// share the state with the wrapper by pointer.
 type capture struct {
-	inner   db.DB
+	inner db.DB
+	*thread
+}
+
+// thread is one client thread's capture state.
+type thread struct {
 	tdb     db.TransactionalDB
 	sink    TxnSink
 	session int
@@ -67,7 +74,7 @@ type capture struct {
 	cur *TxnRecord // open transaction, nil between transactions
 }
 
-func (m *capture) armed(ctx context.Context) context.Context {
+func (m *thread) armed(ctx context.Context) context.Context {
 	if ctx != m.baseCtx || m.capCtx == nil {
 		m.vc = &db.VersionCapture{}
 		m.baseCtx = ctx
@@ -77,7 +84,7 @@ func (m *capture) armed(ctx context.Context) context.Context {
 	return m.capCtx
 }
 
-func (m *capture) begin() *TxnRecord {
+func (m *thread) begin() *TxnRecord {
 	id := make([]byte, 0, 20)
 	id = append(id, 's')
 	id = strconv.AppendInt(id, int64(m.session), 10)
@@ -91,7 +98,7 @@ func (m *capture) begin() *TxnRecord {
 	}
 }
 
-func (m *capture) finish(rec *TxnRecord, committed bool) {
+func (m *thread) finish(rec *TxnRecord, committed bool) {
 	if rec == nil {
 		return
 	}
@@ -109,7 +116,7 @@ func (m *capture) finish(rec *TxnRecord, committed bool) {
 // open returns the transaction to record into, beginning an
 // auto-commit one (auto = true) when no demarcated transaction is
 // underway.
-func (m *capture) open() (rec *TxnRecord, auto bool) {
+func (m *thread) open() (rec *TxnRecord, auto bool) {
 	if m.cur != nil {
 		return m.cur, false
 	}
@@ -118,7 +125,7 @@ func (m *capture) open() (rec *TxnRecord, auto bool) {
 
 // note appends one successful op to rec and closes it when it was an
 // auto-commit wrapper.
-func (m *capture) note(rec *TxnRecord, auto bool, err error, kind, table, key string, ver uint64) {
+func (m *thread) note(rec *TxnRecord, auto bool, err error, kind, table, key string, ver uint64) {
 	if err == nil {
 		rec.Ops = append(rec.Ops, Op{Kind: kind, Table: table, Key: key, Ver: ver})
 	}
@@ -204,7 +211,7 @@ func (m *capture) Abort(ctx context.Context, tctx *db.TransactionContext) error 
 // view record into the same open transaction.
 func (m *capture) WithTx(tctx *db.TransactionContext) db.DB {
 	if cdb, ok := m.inner.(db.ContextualDB); ok {
-		return &captureView{m: m, view: cdb.WithTx(tctx)}
+		return &capture{inner: cdb.WithTx(tctx), thread: m.thread}
 	}
 	return m
 }
@@ -213,54 +220,3 @@ var (
 	_ db.TransactionalDB = (*capture)(nil)
 	_ db.ContextualDB    = (*capture)(nil)
 )
-
-// captureView routes in-transaction operations through the inner
-// binding's transactional view while recording into the shared
-// capture state (same thread, by the middleware contract).
-type captureView struct {
-	m    *capture
-	view db.DB
-}
-
-// Init implements db.DB; the view inherits the binding's state.
-func (v *captureView) Init(*properties.Properties) error { return nil }
-
-// Cleanup implements db.DB; the view owns no resources.
-func (v *captureView) Cleanup() error { return nil }
-
-// Read implements db.DB inside the transaction.
-func (v *captureView) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
-	rec, auto := v.m.open()
-	out, err := v.view.Read(v.m.armed(ctx), table, key, fields)
-	v.m.note(rec, auto, err, OpRead, table, key, v.m.vc.ReadVer)
-	return out, err
-}
-
-// Scan implements db.DB inside the transaction (uncaptured).
-func (v *captureView) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
-	return v.view.Scan(ctx, table, startKey, count, fields)
-}
-
-// Update implements db.DB inside the transaction.
-func (v *captureView) Update(ctx context.Context, table, key string, values db.Record) error {
-	rec, auto := v.m.open()
-	err := v.view.Update(v.m.armed(ctx), table, key, values)
-	v.m.note(rec, auto, err, OpWrite, table, key, v.m.vc.WriteVer)
-	return err
-}
-
-// Insert implements db.DB inside the transaction.
-func (v *captureView) Insert(ctx context.Context, table, key string, values db.Record) error {
-	rec, auto := v.m.open()
-	err := v.view.Insert(v.m.armed(ctx), table, key, values)
-	v.m.note(rec, auto, err, OpWrite, table, key, v.m.vc.WriteVer)
-	return err
-}
-
-// Delete implements db.DB inside the transaction.
-func (v *captureView) Delete(ctx context.Context, table, key string) error {
-	rec, auto := v.m.open()
-	err := v.view.Delete(v.m.armed(ctx), table, key)
-	v.m.note(rec, auto, err, OpDelete, table, key, v.m.vc.WriteVer)
-	return err
-}

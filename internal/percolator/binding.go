@@ -2,9 +2,7 @@ package percolator
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"ycsbt/internal/cloudsim"
@@ -17,16 +15,19 @@ import (
 )
 
 // Binding exposes the Percolator-style protocol as the "percolator"
-// YCSB+T binding, mirroring the shape of the client-coordinated
-// library's binding so the two protocols can be benchmarked
+// YCSB+T binding. It shares the client-coordinated library's
+// db.TxnBinding surface, so the two protocols are benchmarked
 // apples-to-apples.
 type Binding struct {
+	db.TxnBinding
 	m      *Manager
 	closer func() error
 }
 
 // NewBinding wraps an existing manager.
-func NewBinding(m *Manager) *Binding { return &Binding{m: m} }
+func NewBinding(m *Manager) *Binding {
+	return &Binding{TxnBinding: db.NewTxnBinding(library{m}, ErrNotFound, ErrConflict, ErrLocked), m: m}
+}
 
 func init() {
 	db.Register("percolator", func() (db.DB, error) { return &Binding{}, nil })
@@ -77,7 +78,7 @@ func (b *Binding) Init(p *properties.Properties) error {
 		closer()
 		return err
 	}
-	b.m = m
+	*b = *NewBinding(m)
 	b.closer = closer
 	return nil
 }
@@ -93,187 +94,34 @@ func (b *Binding) Cleanup() error {
 // Manager exposes the underlying protocol manager.
 func (b *Binding) Manager() *Manager { return b.m }
 
-func translateErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrNotFound):
-		return fmt.Errorf("%w: %v", db.ErrNotFound, err)
-	case errors.Is(err, ErrConflict), errors.Is(err, ErrLocked):
-		return fmt.Errorf("%w: %v", db.ErrAborted, err)
-	default:
-		return err
-	}
+// library is the manager as db.TxnBinding runs it.
+type library struct{ m *Manager }
+
+func (l library) Begin(ctx context.Context) (any, error) { return l.m.Begin(ctx) }
+
+func (l library) Txn(handle any) (db.Txn, bool) {
+	t, ok := handle.(*Txn)
+	return dbTxn{t}, ok
 }
 
-// Start implements db.TransactionalDB.
-func (b *Binding) Start(ctx context.Context) (*db.TransactionContext, error) {
-	t, err := b.m.Begin(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &db.TransactionContext{Handle: t}, nil
+func (l library) RunInTxn(ctx context.Context, retries int, fn func(db.Txn) error) error {
+	return l.m.RunInTxn(ctx, retries, func(t *Txn) error { return fn(dbTxn{t}) })
 }
 
-// Commit implements db.TransactionalDB.
-func (b *Binding) Commit(ctx context.Context, tctx *db.TransactionContext) error {
-	t, err := b.txnOf(tctx)
-	if err != nil {
-		return err
-	}
-	return translateErr(t.Commit(ctx))
+// dbTxn is a transaction under db.Txn's names; Scan, Delete and Commit
+// are the transaction's own.
+type dbTxn struct{ *Txn }
+
+func (x dbTxn) Read(ctx context.Context, table, key string) (db.Record, error) {
+	return x.Get(ctx, table, key)
 }
 
-// Abort implements db.TransactionalDB.
-func (b *Binding) Abort(ctx context.Context, tctx *db.TransactionContext) error {
-	t, err := b.txnOf(tctx)
-	if err != nil {
-		return err
-	}
-	return t.Rollback(ctx)
-}
+func (x dbTxn) Write(table, key string, values db.Record) error { return x.Put(table, key, values) }
 
-func (b *Binding) txnOf(tctx *db.TransactionContext) (*Txn, error) {
-	if tctx == nil {
-		return nil, errors.New("percolator: nil transaction context")
-	}
-	t, ok := tctx.Handle.(*Txn)
-	if !ok {
-		return nil, fmt.Errorf("percolator: foreign transaction context %T", tctx.Handle)
-	}
-	return t, nil
-}
+// Insert is a blind put: the protocol has no create-only write.
+func (x dbTxn) Insert(table, key string, values db.Record) error { return x.Put(table, key, values) }
 
-// WithTx implements db.ContextualDB.
-func (b *Binding) WithTx(tctx *db.TransactionContext) db.DB {
-	t, err := b.txnOf(tctx)
-	if err != nil {
-		return b
-	}
-	return &txView{b: b, t: t}
-}
-
-func (b *Binding) autoCommit(ctx context.Context, fn func(*Txn) error) error {
-	return translateErr(b.m.RunInTxn(ctx, 3, fn))
-}
-
-// Read implements db.DB (auto-commit).
-func (b *Binding) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
-	var out db.Record
-	err := b.autoCommit(ctx, func(t *Txn) error {
-		f, err := t.Get(ctx, table, key)
-		if err != nil {
-			return err
-		}
-		out = db.ProjectFields(f, fields)
-		return nil
-	})
-	return out, err
-}
-
-// Scan implements db.DB (auto-commit).
-func (b *Binding) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
-	var out []db.KV
-	err := b.autoCommit(ctx, func(t *Txn) error {
-		kvs, err := t.Scan(ctx, table, startKey, count)
-		if err != nil {
-			return err
-		}
-		out = out[:0]
-		for _, kv := range kvs {
-			out = append(out, db.KV{Key: kv.Key, Record: db.ProjectFields(kv.Fields, fields)})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-		return nil
-	})
-	return out, err
-}
-
-// Update implements db.DB (auto-commit read-merge-write).
-func (b *Binding) Update(ctx context.Context, table, key string, values db.Record) error {
-	return b.autoCommit(ctx, func(t *Txn) error {
-		return txUpdate(ctx, t, table, key, values)
-	})
-}
-
-// Insert implements db.DB (auto-commit).
-func (b *Binding) Insert(ctx context.Context, table, key string, values db.Record) error {
-	return b.autoCommit(ctx, func(t *Txn) error {
-		return t.Put(table, key, values)
-	})
-}
-
-// Delete implements db.DB (auto-commit).
-func (b *Binding) Delete(ctx context.Context, table, key string) error {
-	return b.autoCommit(ctx, func(t *Txn) error {
-		return t.Delete(table, key)
-	})
-}
-
-// txView is the in-transaction view.
-type txView struct {
-	b *Binding
-	t *Txn
-}
-
-// Init implements db.DB.
-func (v *txView) Init(*properties.Properties) error { return nil }
-
-// Cleanup implements db.DB.
-func (v *txView) Cleanup() error { return nil }
-
-// Read implements db.DB inside the transaction.
-func (v *txView) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
-	f, err := v.t.Get(ctx, table, key)
-	if err != nil {
-		return nil, translateErr(err)
-	}
-	return db.ProjectFields(f, fields), nil
-}
-
-// Scan implements db.DB inside the transaction.
-func (v *txView) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
-	kvs, err := v.t.Scan(ctx, table, startKey, count)
-	if err != nil {
-		return nil, translateErr(err)
-	}
-	out := make([]db.KV, 0, len(kvs))
-	for _, kv := range kvs {
-		out = append(out, db.KV{Key: kv.Key, Record: db.ProjectFields(kv.Fields, fields)})
-	}
-	return out, nil
-}
-
-// Update implements db.DB inside the transaction.
-func (v *txView) Update(ctx context.Context, table, key string, values db.Record) error {
-	return translateErr(txUpdate(ctx, v.t, table, key, values))
-}
-
-// Insert implements db.DB inside the transaction.
-func (v *txView) Insert(ctx context.Context, table, key string, values db.Record) error {
-	return translateErr(v.t.Put(table, key, values))
-}
-
-// Delete implements db.DB inside the transaction.
-func (v *txView) Delete(ctx context.Context, table, key string) error {
-	return translateErr(v.t.Delete(table, key))
-}
-
-// txUpdate merges values over the snapshot image inside t.
-func txUpdate(ctx context.Context, t *Txn, table, key string, values db.Record) error {
-	cur, err := t.Get(ctx, table, key)
-	if err != nil {
-		return err
-	}
-	merged := make(map[string][]byte, len(cur)+len(values))
-	for f, val := range cur {
-		merged[f] = val
-	}
-	for f, val := range values {
-		merged[f] = append([]byte(nil), val...)
-	}
-	return t.Put(table, key, merged)
-}
+func (x dbTxn) Abort(ctx context.Context) error { return x.Rollback(ctx) }
 
 var (
 	_ db.TransactionalDB = (*Binding)(nil)

@@ -27,45 +27,6 @@ func newTestBinding(t *testing.T) *Binding {
 	return NewBinding(m)
 }
 
-func TestBindingAutoCommitCRUD(t *testing.T) {
-	ctx := context.Background()
-	b := newTestBinding(t)
-	if err := b.Init(properties.New()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Insert(ctx, "t", "k", db.Record{"f": []byte("1")}); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := b.Read(ctx, "t", "k", nil)
-	if err != nil || string(rec["f"]) != "1" {
-		t.Fatalf("Read = %v, %v", rec, err)
-	}
-	if err := b.Update(ctx, "t", "k", db.Record{"g": []byte("2")}); err != nil {
-		t.Fatal(err)
-	}
-	rec, _ = b.Read(ctx, "t", "k", nil)
-	if string(rec["f"]) != "1" || string(rec["g"]) != "2" {
-		t.Errorf("merged = %v", rec)
-	}
-	rec, _ = b.Read(ctx, "t", "k", []string{"g"})
-	if len(rec) != 1 {
-		t.Errorf("projection = %v", rec)
-	}
-	kvs, err := b.Scan(ctx, "t", "", 5, nil)
-	if err != nil || len(kvs) != 1 {
-		t.Errorf("Scan = %v, %v", kvs, err)
-	}
-	if err := b.Delete(ctx, "t", "k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Read(ctx, "t", "k", nil); !errors.Is(err, db.ErrNotFound) {
-		t.Errorf("Read deleted = %v", err)
-	}
-	if err := b.Cleanup(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBindingTransactionalFlow(t *testing.T) {
 	ctx := context.Background()
 	b := newTestBinding(t)
@@ -101,8 +62,17 @@ func TestBindingTransactionalFlow(t *testing.T) {
 	if err := b.Commit(ctx, nil); err == nil {
 		t.Error("nil tctx accepted")
 	}
-	if v := b.WithTx(&db.TransactionContext{Handle: 42}); v != b {
-		t.Error("foreign WithTx should return the binding")
+	// A foreign context yields a view that fails loudly instead of
+	// committing each operation on its own.
+	v := b.WithTx(&db.TransactionContext{Handle: 42})
+	if err := v.Insert(ctx, "t", "c", db.Record{"bal": []byte("1")}); err == nil {
+		t.Error("foreign view insert succeeded")
+	}
+	if _, err := v.Read(ctx, "t", "a", nil); err == nil {
+		t.Error("foreign view read succeeded")
+	}
+	if _, err := b.Read(ctx, "t", "c", nil); !errors.Is(err, db.ErrNotFound) {
+		t.Errorf("foreign view wrote outside a transaction: %v", err)
 	}
 }
 

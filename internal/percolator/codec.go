@@ -1,9 +1,12 @@
 package percolator
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"sort"
+	"fmt"
+
+	"ycsbt/internal/kvstore"
 )
 
 // Wire encodings for the reserved fields. All integers little-endian;
@@ -49,9 +52,10 @@ func decodeLock(buf []byte) (lockRecord, error) {
 
 // Pending / committed version payload:
 //
-//	kind(1: 0=put 1=delete) startTS(8) nfields {name value}*
+//	kind(1: 0=put 1=delete) startTS(8) field section
 //
-// The start_ts inside the payload is what lets crash recovery match a
+// where the field section is kvstore's (kvstore.AppendFields). The
+// start_ts inside the payload is what lets crash recovery match a
 // committed version on the primary back to the lock that references
 // it (Percolator's write-column start_ts pointer).
 
@@ -60,50 +64,20 @@ func encodePending(del bool, startTS int64, fields map[string][]byte) []byte {
 	if del {
 		kind = 1
 	}
-	buf := make([]byte, 0, 16)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(startTS))
-	names := make([]string, 0, len(fields))
-	for f := range fields {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	for _, f := range names {
-		buf = appendChunk(buf, []byte(f))
-		buf = appendChunk(buf, fields[f])
-	}
-	return buf
+	buf := binary.LittleEndian.AppendUint64(append(make([]byte, 0, 64), kind), uint64(startTS))
+	return kvstore.AppendFields(buf, fields)
 }
 
+// decodePending reverses encodePending. The values share one copy of
+// buf, never buf itself: buf is a stored record's field.
 func decodePending(buf []byte) (del bool, fields map[string][]byte, err error) {
 	if len(buf) < 9 {
 		return false, nil, errors.New("percolator: corrupt pending payload")
 	}
-	del = buf[0] == 1
-	rest := buf[9:]
-	n, w := binary.Uvarint(rest)
-	if w <= 0 {
-		return false, nil, errors.New("percolator: corrupt pending field count")
+	if fields, _, err = kvstore.DecodeFields(bytes.Clone(buf[9:]), nil); err != nil {
+		return false, nil, fmt.Errorf("percolator: pending payload: %w", err)
 	}
-	rest = rest[w:]
-	fields = make(map[string][]byte, n)
-	for i := uint64(0); i < n; i++ {
-		var name, val []byte
-		name, rest, err = readChunk(rest)
-		if err != nil {
-			return false, nil, err
-		}
-		val, rest, err = readChunk(rest)
-		if err != nil {
-			return false, nil, err
-		}
-		fields[string(name)] = append([]byte(nil), val...)
-	}
-	if len(rest) != 0 {
-		return false, nil, errors.New("percolator: trailing pending bytes")
-	}
-	return del, fields, nil
+	return buf[0] == 1, fields, nil
 }
 
 // pendingStartTS extracts just the start_ts from a pending/committed

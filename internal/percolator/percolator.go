@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 	"ycsbt/internal/oracle"
 )
@@ -250,7 +251,7 @@ func (t *Txn) Delete(table, key string) error {
 
 // Scan returns up to count live records from startKey at the
 // snapshot, overlaying buffered writes.
-func (t *Txn) Scan(ctx context.Context, table, startKey string, count int) ([]ScanKV, error) {
+func (t *Txn) Scan(ctx context.Context, table, startKey string, count int) ([]db.KV, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
@@ -258,12 +259,12 @@ func (t *Txn) Scan(ctx context.Context, table, startKey string, count int) ([]Sc
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ScanKV, 0, len(kvs))
+	out := make([]db.KV, 0, len(kvs))
 	for _, kv := range kvs {
 		k := tkey{table, kv.Key}
 		if w, ok := t.writes[k]; ok {
 			if !w.del {
-				out = append(out, ScanKV{Key: kv.Key, Fields: cloneFields(w.fields)})
+				out = append(out, db.KV{Key: kv.Key, Record: cloneFields(w.fields)})
 			}
 			continue
 		}
@@ -274,7 +275,7 @@ func (t *Txn) Scan(ctx context.Context, table, startKey string, count int) ([]Sc
 			}
 			return nil, err
 		}
-		out = append(out, ScanKV{Key: kv.Key, Fields: fields})
+		out = append(out, db.KV{Key: kv.Key, Record: fields})
 	}
 	// Overlay buffered puts in range but absent from the store page.
 	present := map[string]bool{}
@@ -283,7 +284,7 @@ func (t *Txn) Scan(ctx context.Context, table, startKey string, count int) ([]Sc
 	}
 	for k, w := range t.writes {
 		if k.table == table && !w.del && k.key >= startKey && !present[k.key] {
-			out = append(out, ScanKV{Key: k.key, Fields: cloneFields(w.fields)})
+			out = append(out, db.KV{Key: k.key, Record: cloneFields(w.fields)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -291,12 +292,6 @@ func (t *Txn) Scan(ctx context.Context, table, startKey string, count int) ([]Sc
 		out = out[:count]
 	}
 	return out, nil
-}
-
-// ScanKV is one scan result.
-type ScanKV struct {
-	Key    string
-	Fields map[string][]byte
 }
 
 // Rollback aborts the transaction, removing any locks it installed.

@@ -2,6 +2,7 @@ package percolator
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strconv"
@@ -479,6 +480,71 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 	if _, ok := pendingStartTS(nil); ok {
 		t.Error("empty pendingStartTS accepted")
+	}
+}
+
+// goldenPending is a pending payload as an earlier build's encoder
+// wrote it: a put at start_ts 1234567 of {balance: 100, empty: "",
+// field0: 00 ff 0a}.
+const goldenPending = "0087d6120000000000030762616c616e63650331303005656d70747900066669656c64300300ff0a"
+
+func checkGoldenFields(t *testing.T, got map[string][]byte) {
+	t.Helper()
+	want := map[string]string{"balance": "100", "empty": "", "field0": "\x00\xff\n"}
+	if len(got) != len(want) {
+		t.Fatalf("fields = %q, want %q", got, want)
+	}
+	for f, v := range want {
+		if string(got[f]) != v {
+			t.Errorf("field %s = %q, want %q", f, got[f], v)
+		}
+	}
+}
+
+func TestPendingDecodesStoredBytes(t *testing.T) {
+	buf, err := hex.DecodeString(goldenPending)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, got, err := decodePending(buf)
+	if err != nil || del {
+		t.Fatalf("decodePending = %v, %v", del, err)
+	}
+	checkGoldenFields(t, got)
+	if sts, ok := pendingStartTS(buf); !ok || sts != 1234567 {
+		t.Errorf("pendingStartTS = %d, %v", sts, ok)
+	}
+	// The decoded values are not the stored bytes.
+	buf[len(buf)-1] = 'X'
+	checkGoldenFields(t, got)
+
+	// A primary committed with the payload and a secondary still locked
+	// with it: both read back, the secondary by rolling it forward.
+	ctx := context.Background()
+	m, inner := newTestManager(t, Options{})
+	payload, _ := hex.DecodeString(goldenPending)
+	if _, err := inner.Put("t", "p", map[string][]byte{dataField(1234568): payload}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inner.Put("t", "s", map[string][]byte{
+		lockField:  encodeLock(lockRecord{PrimaryTable: "t", PrimaryKey: "p", StartTS: 1234567}),
+		pendingFld: payload,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"p", "s"} {
+		if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
+			f, err := tx.Get(ctx, "t", key)
+			if err == nil {
+				checkGoldenFields(t, f)
+			}
+			return err
+		}); err != nil {
+			t.Fatalf("read %s: %v", key, err)
+		}
+	}
+	if rec, _ := inner.Get("t", "s"); rec.Field(lockField) != nil {
+		t.Error("secondary was not rolled forward")
 	}
 }
 

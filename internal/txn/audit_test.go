@@ -16,8 +16,9 @@ import (
 // read set RETAINS fetched records for the life of the transaction
 // (repeat reads, updates and prepares are served from them), so the
 // test also scribbles on what Read returned and takes the paths that
-// re-use a retained image: a repeated read, txUpdate's merge, and —
-// in serializable mode — the read-lock that writes the image back.
+// re-use a retained image: a repeated read, the binding's
+// read-merge-write Update, and — in serializable mode — the read-lock
+// that writes the image back.
 func TestTxnLayerUpholdsImmutability(t *testing.T) {
 	for _, serializable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("serializable=%v", serializable), func(t *testing.T) {
@@ -73,7 +74,7 @@ func testTxnLayerUpholdsImmutability(t *testing.T, opts Options) {
 		if err := tx.Write("local", "t", a, newA); err != nil {
 			t.Fatal(err)
 		}
-		if err := txUpdate(ctx, tx, "local", "t", b, newB); err != nil {
+		if err := viewOf(tx).Update(ctx, "t", b, newB); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(ctx); err != nil {
@@ -89,7 +90,7 @@ func testTxnLayerUpholdsImmutability(t *testing.T, opts Options) {
 	if _, err := tx.Read(ctx, "local", "t", "acct01"); err != nil {
 		t.Fatal(err)
 	}
-	if err := txUpdate(ctx, tx, "local", "t", "acct02", map[string][]byte{"memo": []byte("m")}); err != nil {
+	if err := viewOf(tx).Update(ctx, "t", "acct02", map[string][]byte{"memo": []byte("m")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(ctx); err != nil {

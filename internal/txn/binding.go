@@ -17,15 +17,15 @@ import (
 )
 
 // Binding exposes the transaction library as the "txnkv" YCSB+T
-// binding: a db.TransactionalDB whose Start/Commit/Abort demarcate
-// real client-coordinated transactions and whose data operations,
-// when routed through WithTx, execute inside them.
+// binding: the db.TxnBinding surface over client-coordinated
+// transactions, whose Start/Commit/Abort demarcate real transactions
+// and whose data operations, when routed through WithTx, execute
+// inside them.
 //
 // With multiple stores, records are partitioned across stores by key
 // hash, so ordinary workloads exercise cross-store transactions.
-// Operations invoked outside a transaction run as single-operation
-// auto-commit transactions.
 type Binding struct {
+	db.TxnBinding
 	m      *Manager
 	names  []string // sorted store names for partitioning
 	closer func() error
@@ -33,12 +33,19 @@ type Binding struct {
 
 // NewBinding wraps an existing manager.
 func NewBinding(m *Manager) *Binding {
-	b := &Binding{m: m}
+	b := &Binding{}
+	b.use(m)
+	return b
+}
+
+// use binds b to m.
+func (b *Binding) use(m *Manager) {
+	b.m = m
 	for n := range m.stores {
 		b.names = append(b.names, n)
 	}
 	sort.Strings(b.names)
-	return b
+	b.TxnBinding = db.NewTxnBinding(library{b}, ErrNotFound, ErrConflict)
 }
 
 func init() {
@@ -106,11 +113,7 @@ func (b *Binding) Init(p *properties.Properties) error {
 	if err != nil {
 		return err
 	}
-	b.m = m
-	for n := range m.stores {
-		b.names = append(b.names, n)
-	}
-	sort.Strings(b.names)
+	b.use(m)
 	b.closer = func() error {
 		var first error
 		for _, c := range closers {
@@ -154,7 +157,11 @@ func (b *Binding) Manager() *Manager { return b.m }
 // client installs the sink here instead of stacking the middleware.
 func (b *Binding) SetHistorySink(sink history.TxnSink) { b.m.SetHistory(sink) }
 
-var _ history.CapableDB = (*Binding)(nil)
+var (
+	_ db.TransactionalDB = (*Binding)(nil)
+	_ db.ContextualDB    = (*Binding)(nil)
+	_ history.CapableDB  = (*Binding)(nil)
+)
 
 // storeFor partitions a key across the registered stores.
 func (b *Binding) storeFor(key string) string {
@@ -166,204 +173,63 @@ func (b *Binding) storeFor(key string) string {
 	return b.names[int(h.Sum32())%len(b.names)]
 }
 
-// translateErr maps txn errors onto db sentinels.
-func translateErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrNotFound):
-		return fmt.Errorf("%w: %v", db.ErrNotFound, err)
-	case errors.Is(err, ErrConflict):
-		return fmt.Errorf("%w: %v", db.ErrAborted, err)
-	default:
-		return err
-	}
-}
+// library is the manager as db.TxnBinding runs it, each key on the
+// store storeFor picks.
+type library struct{ b *Binding }
 
-// Start implements db.TransactionalDB.
-func (b *Binding) Start(ctx context.Context) (*db.TransactionContext, error) {
-	t, err := b.m.Begin(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &db.TransactionContext{Handle: t}, nil
-}
+func (l library) Begin(ctx context.Context) (any, error) { return l.b.m.Begin(ctx) }
 
-// Commit implements db.TransactionalDB.
-func (b *Binding) Commit(ctx context.Context, tctx *db.TransactionContext) error {
-	t, err := b.txnOf(tctx)
-	if err != nil {
-		return err
-	}
-	return translateErr(t.Commit(ctx))
-}
-
-// Abort implements db.TransactionalDB.
-func (b *Binding) Abort(ctx context.Context, tctx *db.TransactionContext) error {
-	t, err := b.txnOf(tctx)
-	if err != nil {
-		return err
-	}
-	return t.Abort(ctx)
-}
-
-func (b *Binding) txnOf(tctx *db.TransactionContext) (*Txn, error) {
-	if tctx == nil {
-		return nil, errors.New("txnkv: nil transaction context")
-	}
-	t, ok := tctx.Handle.(*Txn)
+func (l library) Txn(handle any) (db.Txn, bool) {
+	t, ok := handle.(*Txn)
 	if !ok {
-		return nil, fmt.Errorf("txnkv: foreign transaction context %T", tctx.Handle)
+		return nil, false
 	}
-	return t, nil
+	return boundTxn{t, l.b}, true
 }
 
-// WithTx implements db.ContextualDB: the returned view executes its
-// operations inside the given transaction.
-func (b *Binding) WithTx(tctx *db.TransactionContext) db.DB {
-	t, err := b.txnOf(tctx)
-	if err != nil {
-		return b // defensive: fall back to auto-commit semantics
-	}
-	return &txView{b: b, t: t}
+func (l library) RunInTxn(ctx context.Context, retries int, fn func(db.Txn) error) error {
+	return l.b.m.RunInTxn(ctx, retries, func(t *Txn) error { return fn(boundTxn{t, l.b}) })
 }
 
-// Auto-commit single-operation paths (used when the harness is run in
-// non-transactional mode against this binding).
-
-func (b *Binding) autoCommit(ctx context.Context, fn func(*Txn) error) error {
-	return translateErr(b.m.RunInTxn(ctx, 3, fn))
-}
-
-// Read implements db.DB (auto-commit).
-func (b *Binding) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
-	var out db.Record
-	err := b.autoCommit(ctx, func(t *Txn) error {
-		f, err := t.Read(ctx, b.storeFor(key), table, key)
-		if err != nil {
-			return err
-		}
-		out = db.ProjectFields(f, fields)
-		return nil
-	})
-	return out, err
-}
-
-// Scan implements db.DB (auto-commit). With multiple stores the scan
-// only covers the partition holding startKey's neighbours on each
-// store; cross-store ordered scans merge all partitions.
-func (b *Binding) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
-	var out []db.KV
-	err := b.autoCommit(ctx, func(t *Txn) error {
-		out = out[:0]
-		for _, name := range b.names {
-			kvs, err := t.Scan(ctx, name, table, startKey, count)
-			if err != nil {
-				return err
-			}
-			for _, kv := range kvs {
-				out = append(out, db.KV{Key: kv.Key, Record: db.ProjectFields(kv.Fields, fields)})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-		if count >= 0 && len(out) > count {
-			out = out[:count]
-		}
-		return nil
-	})
-	return out, err
-}
-
-// Update implements db.DB (auto-commit read-merge-write).
-func (b *Binding) Update(ctx context.Context, table, key string, values db.Record) error {
-	return b.autoCommit(ctx, func(t *Txn) error {
-		return txUpdate(ctx, t, b.storeFor(key), table, key, values)
-	})
-}
-
-// Insert implements db.DB (auto-commit).
-func (b *Binding) Insert(ctx context.Context, table, key string, values db.Record) error {
-	return b.autoCommit(ctx, func(t *Txn) error {
-		return t.Insert(b.storeFor(key), table, key, values)
-	})
-}
-
-// Delete implements db.DB (auto-commit).
-func (b *Binding) Delete(ctx context.Context, table, key string) error {
-	return b.autoCommit(ctx, func(t *Txn) error {
-		return t.Delete(b.storeFor(key), table, key)
-	})
-}
-
-// txView is the in-transaction view of the binding.
-type txView struct {
+// boundTxn is a transaction with its keys partitioned across the
+// binding's stores; Commit and Abort are the transaction's own.
+type boundTxn struct {
+	*Txn
 	b *Binding
-	t *Txn
 }
 
-// Init implements db.DB; the view inherits the binding's state.
-func (v *txView) Init(*properties.Properties) error { return nil }
+func (x boundTxn) Read(ctx context.Context, table, key string) (db.Record, error) {
+	return x.Txn.Read(ctx, x.b.storeFor(key), table, key)
+}
 
-// Cleanup implements db.DB; the transaction owns no resources.
-func (v *txView) Cleanup() error { return nil }
+func (x boundTxn) Write(table, key string, values db.Record) error {
+	return x.Txn.Write(x.b.storeFor(key), table, key, values)
+}
 
-// Read implements db.DB inside the transaction.
-func (v *txView) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
-	f, err := v.t.Read(ctx, v.b.storeFor(key), table, key)
-	if err != nil {
-		return nil, translateErr(err)
+func (x boundTxn) Insert(table, key string, values db.Record) error {
+	return x.Txn.Insert(x.b.storeFor(key), table, key, values)
+}
+
+func (x boundTxn) Delete(table, key string) error {
+	return x.Txn.Delete(x.b.storeFor(key), table, key)
+}
+
+// Scan merges the scans of every store in key order.
+func (x boundTxn) Scan(ctx context.Context, table, startKey string, count int) ([]db.KV, error) {
+	if len(x.b.names) == 1 {
+		return x.Txn.Scan(ctx, x.b.names[0], table, startKey, count)
 	}
-	return db.ProjectFields(f, fields), nil
-}
-
-// Scan implements db.DB inside the transaction.
-func (v *txView) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
 	var out []db.KV
-	for _, name := range v.b.names {
-		kvs, err := v.t.Scan(ctx, name, table, startKey, count)
+	for _, name := range x.b.names {
+		kvs, err := x.Txn.Scan(ctx, name, table, startKey, count)
 		if err != nil {
-			return nil, translateErr(err)
+			return nil, err
 		}
-		for _, kv := range kvs {
-			out = append(out, db.KV{Key: kv.Key, Record: db.ProjectFields(kv.Fields, fields)})
-		}
+		out = append(out, kvs...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	if count >= 0 && len(out) > count {
 		out = out[:count]
 	}
 	return out, nil
-}
-
-// Update implements db.DB inside the transaction (read-merge-write;
-// the read version is validated at commit by the conditional
-// prepare, so concurrent updates conflict rather than lose updates).
-func (v *txView) Update(ctx context.Context, table, key string, values db.Record) error {
-	return translateErr(txUpdate(ctx, v.t, v.b.storeFor(key), table, key, values))
-}
-
-// Insert implements db.DB inside the transaction.
-func (v *txView) Insert(ctx context.Context, table, key string, values db.Record) error {
-	return translateErr(v.t.Insert(v.b.storeFor(key), table, key, values))
-}
-
-// Delete implements db.DB inside the transaction.
-func (v *txView) Delete(ctx context.Context, table, key string) error {
-	return translateErr(v.t.Delete(v.b.storeFor(key), table, key))
-}
-
-// txUpdate merges values over the current committed image inside t.
-func txUpdate(ctx context.Context, t *Txn, store, table, key string, values db.Record) error {
-	cur, err := t.Read(ctx, store, table, key)
-	if err != nil {
-		return err
-	}
-	merged := make(map[string][]byte, len(cur)+len(values))
-	for f, val := range cur {
-		merged[f] = val
-	}
-	for f, val := range values {
-		merged[f] = append([]byte(nil), val...)
-	}
-	return t.Write(store, table, key, merged)
 }

@@ -24,41 +24,6 @@ func newTestBinding(t *testing.T) (*Binding, *kvstore.Store) {
 	return NewBinding(m), inner
 }
 
-func TestBindingAutoCommitCRUD(t *testing.T) {
-	ctx := context.Background()
-	b, _ := newTestBinding(t)
-	if err := b.Init(properties.New()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Insert(ctx, "t", "k", db.Record{"f": []byte("1")}); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := b.Read(ctx, "t", "k", nil)
-	if err != nil || string(rec["f"]) != "1" {
-		t.Fatalf("Read = %v, %v", rec, err)
-	}
-	if err := b.Update(ctx, "t", "k", db.Record{"g": []byte("2")}); err != nil {
-		t.Fatal(err)
-	}
-	rec, _ = b.Read(ctx, "t", "k", nil)
-	if string(rec["f"]) != "1" || string(rec["g"]) != "2" {
-		t.Errorf("merged = %v", rec)
-	}
-	kvs, err := b.Scan(ctx, "t", "", 10, nil)
-	if err != nil || len(kvs) != 1 || kvs[0].Key != "k" {
-		t.Errorf("Scan = %v, %v", kvs, err)
-	}
-	if err := b.Delete(ctx, "t", "k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Read(ctx, "t", "k", nil); !errors.Is(err, db.ErrNotFound) {
-		t.Errorf("Read deleted = %v", err)
-	}
-	if err := b.Cleanup(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBindingTransactionalFlow(t *testing.T) {
 	ctx := context.Background()
 	b, inner := newTestBinding(t)
@@ -133,9 +98,26 @@ func TestBindingTxContextValidation(t *testing.T) {
 	if err := b.Commit(ctx, &db.TransactionContext{Handle: "garbage"}); err == nil {
 		t.Error("foreign handle accepted")
 	}
-	// WithTx with a foreign handle falls back to the binding itself.
-	if v := b.WithTx(&db.TransactionContext{}); v != b {
-		t.Error("foreign WithTx should return the binding")
+	// WithTx with a foreign handle fails loudly: every operation of
+	// the view fails, and none of them commits on its own.
+	v := b.WithTx(&db.TransactionContext{})
+	if _, err := v.Read(ctx, "t", "k", nil); err == nil {
+		t.Error("foreign view read succeeded")
+	}
+	if _, err := v.Scan(ctx, "t", "", 1, nil); err == nil {
+		t.Error("foreign view scan succeeded")
+	}
+	for name, op := range map[string]func() error{
+		"insert": func() error { return v.Insert(ctx, "t", "k", db.Record{"f": []byte("1")}) },
+		"update": func() error { return v.Update(ctx, "t", "k", db.Record{"f": []byte("1")}) },
+		"delete": func() error { return v.Delete(ctx, "t", "k") },
+	} {
+		if err := op(); err == nil {
+			t.Errorf("foreign view %s succeeded", name)
+		}
+	}
+	if _, err := b.Read(ctx, "t", "k", nil); !errors.Is(err, db.ErrNotFound) {
+		t.Errorf("foreign view wrote outside a transaction: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -31,6 +32,29 @@ func userFields(fields map[string][]byte) map[string][]byte {
 		}
 	}
 	return out
+}
+
+// encodeImage serializes a committed record image (user fields only)
+// into the metaPrev field of a prepared record, as a kvstore field
+// section.
+func encodeImage(fields map[string][]byte) []byte {
+	for f := range fields {
+		if isMetaField(f) {
+			fields = userFields(fields)
+			break
+		}
+	}
+	return kvstore.AppendFields(nil, fields)
+}
+
+// decodeImage reverses encodeImage. The values share one copy of buf,
+// never buf itself: buf is a stored record's field.
+func decodeImage(buf []byte) (map[string][]byte, error) {
+	fields, _, err := kvstore.DecodeFields(bytes.Clone(buf), nil)
+	if err != nil {
+		return nil, fmt.Errorf("txn: previous image: %w", err)
+	}
+	return fields, nil
 }
 
 // readEntry is one key's committed image as a transaction observed

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 )
 
@@ -159,7 +160,7 @@ func (t *ReadOnlyTxn) Read(ctx context.Context, store, table, key string) (map[s
 // Scan returns up to count committed records of store/table from
 // startKey as of this transaction's snapshot. A count < 0 scans to the
 // end of the table.
-func (t *ReadOnlyTxn) Scan(ctx context.Context, store, table, startKey string, count int) ([]ScanKV, error) {
+func (t *ReadOnlyTxn) Scan(ctx context.Context, store, table, startKey string, count int) ([]db.KV, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
@@ -171,7 +172,7 @@ func (t *ReadOnlyTxn) Scan(ctx context.Context, store, table, startKey string, c
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ScanKV, 0, len(kvs))
+	out := make([]db.KV, 0, len(kvs))
 	for _, kv := range kvs {
 		fields, err := t.resolveAsOf(ctx, p, table, kv.Key, kv.Record)
 		if err != nil {
@@ -180,7 +181,7 @@ func (t *ReadOnlyTxn) Scan(ctx context.Context, store, table, startKey string, c
 		if fields == nil {
 			continue // write of a txn not committed as of the snapshot, no prior image
 		}
-		out = append(out, ScanKV{Key: kv.Key, Fields: fields})
+		out = append(out, db.KV{Key: kv.Key, Record: fields})
 	}
 	return out, nil
 }

@@ -566,7 +566,7 @@ func (t *Txn) buffer(store, table, key string, kind writeKind, fields map[string
 // Scan returns up to count committed records of store/table from
 // startKey, resolving prepared records and overlaying this
 // transaction's buffered writes.
-func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int) ([]ScanKV, error) {
+func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int) ([]db.KV, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
@@ -579,12 +579,12 @@ func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int
 		return nil, err
 	}
 	// Resolve store records.
-	resolved := make([]ScanKV, 0, len(kvs))
+	resolved := make([]db.KV, 0, len(kvs))
 	for _, kv := range kvs {
 		k := wkey{s.Name(), table, kv.Key}
 		if w, ok := t.writes[k]; ok {
 			if w.kind != kindDelete {
-				resolved = append(resolved, ScanKV{Key: kv.Key, Fields: cloneFields(w.fields)})
+				resolved = append(resolved, db.KV{Key: kv.Key, Record: cloneFields(w.fields)})
 			}
 			continue
 		}
@@ -598,7 +598,7 @@ func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int
 		if err := t.noteRead(k, r); err != nil {
 			return nil, err
 		}
-		resolved = append(resolved, ScanKV{Key: kv.Key, Fields: userFields(r.fields)})
+		resolved = append(resolved, db.KV{Key: kv.Key, Record: userFields(r.fields)})
 	}
 	// Overlay buffered inserts/puts that fall in range but were not
 	// returned by the store.
@@ -611,7 +611,7 @@ func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int
 			continue
 		}
 		if k.key >= startKey && !present[k.key] {
-			resolved = append(resolved, ScanKV{Key: k.key, Fields: cloneFields(w.fields)})
+			resolved = append(resolved, db.KV{Key: k.key, Record: cloneFields(w.fields)})
 		}
 	}
 	sort.Slice(resolved, func(i, j int) bool { return resolved[i].Key < resolved[j].Key })
@@ -619,12 +619,6 @@ func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int
 		resolved = resolved[:count]
 	}
 	return resolved, nil
-}
-
-// ScanKV is one scan result: key and committed user fields.
-type ScanKV struct {
-	Key    string
-	Fields map[string][]byte
 }
 
 // Abort rolls back any prepared records and finishes the transaction.

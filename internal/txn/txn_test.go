@@ -2,6 +2,7 @@ package txn
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 )
 
@@ -242,15 +244,20 @@ func TestTransactionalDelete(t *testing.T) {
 
 // rmwStyles are the two ways a transaction writes a key it has read:
 // a full-record Write of a value computed from the read, and the
-// binding's read-merge-write (txUpdate), whose inner read is served
-// from the read set — so only the prepare can catch a stale image.
+// binding's read-merge-write Update, whose inner read is served from
+// the read set — so only the prepare can catch a stale image.
 var rmwStyles = map[string]func(ctx context.Context, tx *Txn, table, key string, fields map[string][]byte) error{
 	"write": func(_ context.Context, tx *Txn, table, key string, fields map[string][]byte) error {
 		return tx.Write("", table, key, fields)
 	},
 	"update": func(ctx context.Context, tx *Txn, table, key string, fields map[string][]byte) error {
-		return txUpdate(ctx, tx, "", table, key, fields)
+		return viewOf(tx).Update(ctx, table, key, fields)
 	},
+}
+
+// viewOf is the binding's in-transaction view of tx.
+func viewOf(tx *Txn) db.DB {
+	return NewBinding(tx.m).WithTx(&db.TransactionContext{Handle: tx})
 }
 
 func TestNoLostUpdatesUnderConcurrency(t *testing.T) {
@@ -705,8 +712,8 @@ func TestTxnScan(t *testing.T) {
 		}
 	}
 	for _, kv := range kvs {
-		if kv.Key == "k03" && string(kv.Fields["balance"]) != "333" {
-			t.Errorf("buffered update not visible in scan: %v", kv.Fields)
+		if kv.Key == "k03" && string(kv.Record["balance"]) != "333" {
+			t.Errorf("buffered update not visible in scan: %v", kv.Record)
 		}
 	}
 }
@@ -775,6 +782,66 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeImage(append(encodeImage(map[string][]byte{"a": []byte("1")}), 0x00)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// goldenImage is a previous image as an earlier build's encoder wrote
+// it into prepared records: {balance: 100, empty: "", field0: 00 ff 0a}.
+const goldenImage = "030762616c616e63650331303005656d70747900066669656c64300300ff0a"
+
+var goldenFields = map[string]string{"balance": "100", "empty": "", "field0": "\x00\xff\n"}
+
+func checkGoldenFields(t *testing.T, got map[string][]byte) {
+	t.Helper()
+	if len(got) != len(goldenFields) {
+		t.Fatalf("fields = %q, want %q", got, goldenFields)
+	}
+	for f, v := range goldenFields {
+		if string(got[f]) != v {
+			t.Errorf("field %s = %q, want %q", f, got[f], v)
+		}
+	}
+}
+
+func TestImageDecodesStoredBytes(t *testing.T) {
+	buf, err := hex.DecodeString(goldenImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeImage(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenFields(t, got)
+	// The decoded values are not the stored bytes.
+	buf[len(buf)-1] = 'X'
+	checkGoldenFields(t, got)
+
+	// A dead writer's prepared record carrying the image rolls back to it.
+	ctx := context.Background()
+	m, inner := newTestManager(t, Options{RecoveryTimeout: time.Millisecond})
+	prev, _ := hex.DecodeString(goldenImage)
+	if _, err := inner.Put("t", "k", map[string][]byte{
+		"balance":     []byte("999"),
+		metaState:     []byte("P"),
+		metaID:        []byte("tdead-1"),
+		metaCoord:     []byte("local"),
+		metaPrepareTS: []byte("1"),
+		metaPrev:      prev,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
+		f, err := tx.Read(ctx, "", "t", "k")
+		if err == nil {
+			checkGoldenFields(t, f)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := inner.Get("t", "k"); isPrepared(rec) {
+		t.Error("dead writer's prepare was not rolled back")
 	}
 }
 

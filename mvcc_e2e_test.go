@@ -134,7 +134,7 @@ func TestLongScanUnderWrites(t *testing.T) {
 		}
 		var sum int64
 		for _, kv := range kvs {
-			sum += getBal(kv.Fields)
+			sum += getBal(kv.Record)
 		}
 		if sum != total {
 			t.Fatalf("round %d: snapshot scan sum = %d, want exactly %d", round, sum, total)
@@ -170,7 +170,7 @@ func TestLongScanUnderWrites(t *testing.T) {
 			return err
 		}
 		for _, kv := range kvs {
-			sum += getBal(kv.Fields)
+			sum += getBal(kv.Record)
 		}
 		return nil
 	}); err != nil {
