@@ -176,32 +176,6 @@ func (c *Client) recordURL(table, key string) string {
 	return c.base + "/v1/" + url.PathEscape(table) + "/" + url.PathEscape(key)
 }
 
-// statusError maps HTTP status codes back to db-layer sentinels. A
-// 410 becomes a typed *cluster.MovedError carrying the responding
-// node's map version and owner hint, so routers and middleware can
-// tell a stale shard map apart from a genuine client error instead of
-// pattern-matching on a generic 4xx. It consumes the response (see
-// response.go), so a 404/412/429 storm reuses its connections too.
-func statusError(resp *http.Response) error {
-	body := errorText(resp)
-	switch resp.StatusCode {
-	case http.StatusNotFound:
-		return fmt.Errorf("%w: %s", db.ErrNotFound, body)
-	case http.StatusPreconditionFailed:
-		return fmt.Errorf("%w: %s", db.ErrConflict, body)
-	case http.StatusTooManyRequests:
-		return fmt.Errorf("%w: %s", db.ErrThrottled, body)
-	case http.StatusGone:
-		ver, _ := strconv.ParseInt(resp.Header.Get(cluster.HeaderMapVersion), 10, 64)
-		return &cluster.MovedError{
-			Owner:      resp.Header.Get(cluster.HeaderOwner),
-			MapVersion: ver,
-		}
-	default:
-		return fmt.Errorf("httpkv: server returned %s: %s", resp.Status, body)
-	}
-}
-
 // send runs one HTTP exchange, propagating the caller's context
 // deadline to the server as X-Deadline-Ms so the server can shed work
 // the client will no longer wait for.
@@ -214,18 +188,28 @@ func (c *Client) send(req *http.Request) (*http.Response, error) {
 	return c.hc.Do(req)
 }
 
-// do sends req and maps an error status to its db-layer error. No HTTP
-// route sheds load, so a 429 is not retried here; it surfaces as
-// db.ErrThrottled (frames retry theirs, see exec).
+// do sends req and maps an error status to its db-layer error through
+// wireResultErr, the one status table both planes share; a 410 carries
+// the responding node's owner hint and map version in its headers. The
+// error response is consumed (see response.go), so a 404/412/429 storm
+// reuses its connections too. No HTTP route sheds load, so a 429 is not
+// retried here; it surfaces as db.ErrThrottled (frames retry theirs,
+// see exec).
 func (c *Client) do(req *http.Request) (*http.Response, error) {
 	resp, err := c.send(req)
 	if err != nil {
 		return nil, fmt.Errorf("httpkv: %w", err)
 	}
-	if resp.StatusCode >= 400 {
-		return nil, statusError(resp)
+	if resp.StatusCode < 400 {
+		return resp, nil
 	}
-	return resp, nil
+	ver, _ := strconv.ParseInt(resp.Header.Get(cluster.HeaderMapVersion), 10, 64)
+	return nil, wireResultErr(kvwire.Result{
+		Status:     resp.StatusCode,
+		Err:        string(errorText(resp)),
+		Owner:      resp.Header.Get(cluster.HeaderOwner),
+		MapVersion: ver,
+	})
 }
 
 // get fetches one record with its version, from the head or (asOf > 0,

@@ -168,10 +168,13 @@ func (c *Client) execOne(ctx context.Context, op kvwire.Op) (kvwire.Result, erro
 	return res[0], wireResultErr(res[0])
 }
 
-// wireResultErr maps a non-2xx wire result to the same db-layer error
-// surface statusError produces for HTTP responses. An as-of read the
-// node could no longer answer stays kvstore.ErrBelowHorizon, which no
-// db sentinel matches: it is not a not-found.
+// wireResultErr maps a non-2xx result — a frame's, or an HTTP
+// response's (see do) — to its db-layer error. A 410 becomes a typed
+// *cluster.MovedError carrying the responding node's map version and
+// owner hint, so routers and middleware can tell a stale shard map
+// apart from a genuine client error. An as-of read the node could no
+// longer answer stays kvstore.ErrBelowHorizon, which no db sentinel
+// matches: it is not a not-found.
 func wireResultErr(r kvwire.Result) error {
 	switch r.Status {
 	case http.StatusOK, http.StatusNoContent:

@@ -1,9 +1,6 @@
 package kvstore
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Multi-key engine operations. A batch is the engine-side half of the
 // batched request path: the layers above coalesce many logical
@@ -62,231 +59,143 @@ type MutResult struct {
 }
 
 // BatchGet reads every requested record, returning results in request
-// order. Requests are grouped per partition; each group runs under a
-// single read-lock acquisition, and groups run concurrently across
-// partitions. Missing keys yield per-item ErrNotFound.
+// order. Requests are grouped per partition and the groups run
+// concurrently (fanOut); each reads like Get, taking no lock. Missing
+// keys yield per-item ErrNotFound.
 func (s *Store) BatchGet(reqs []GetReq) []GetResult {
+	return s.batchGet(reqs, readAt{ts: headTS})
+}
+
+// BatchGetAsOf is BatchGet at a snapshot timestamp: every requested
+// record resolves through its version chain to the newest version ≤
+// ts. Grouping and concurrency match BatchGet; each partition's
+// snapshots are collected as GetAsOf collects them, so a previously
+// drawn SnapshotTS is a stable cut.
+func (s *Store) BatchGetAsOf(reqs []GetReq, ts int64) []GetResult {
+	return s.batchGet(reqs, readAt{ts: ts})
+}
+
+func (s *Store) batchGet(reqs []GetReq, at readAt) []GetResult {
 	out := make([]GetResult, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	if len(s.parts) == 1 {
-		s.parts[0].getBatch(reqs, nil, out)
-		return out
-	}
-	groups := s.groupByShard(len(reqs), func(i int) string { return reqs[i].Key })
-	var wg sync.WaitGroup
-	for shard, idx := range groups {
-		wg.Add(1)
-		go func(p *partition, idx []int) {
-			defer wg.Done()
-			p.getBatch(reqs, idx, out)
-		}(s.parts[shard], idx)
-	}
-	wg.Wait()
+	s.fanOut(len(reqs), func(i int) int { return shardOf(reqs[i].Key, len(s.parts)) }, func(p *partition, idx []int) error {
+		p.getBatch(reqs, idx, out, at)
+		return nil
+	})
 	return out
 }
 
 // BatchApply executes every mutation, returning results in request
-// order. Mutations are grouped per partition; each group is applied
-// under a single write-lock acquisition with one WAL append per item
-// and a single durability wait for the group's last frame, and groups
-// run concurrently across partitions. Items within one partition
-// apply in request order; per-item errors (version mismatches,
-// missing keys) never abort the rest of the batch.
+// order. Mutations are grouped per partition; each group is applied in
+// one write section — one lock acquisition, one WAL append per item
+// and a single durability wait for the group's last frame — and groups
+// run concurrently across partitions. Items within one partition apply
+// in request order; per-item errors (version mismatches, missing keys)
+// never abort the rest of the batch.
 //
 // The Engine durability caveat applies per item: an item whose WAL
 // append succeeded but whose group sync failed is "not known durable",
 // not rolled back.
 func (s *Store) BatchApply(muts []Mutation) []MutResult {
 	out := make([]MutResult, len(muts))
-	if len(muts) == 0 {
-		return out
-	}
-	if len(s.parts) == 1 {
-		s.parts[0].applyBatch(muts, nil, out)
-		return out
-	}
-	groups := s.groupByShard(len(muts), func(i int) string { return muts[i].Key })
-	var wg sync.WaitGroup
-	for shard, idx := range groups {
-		wg.Add(1)
-		go func(p *partition, idx []int) {
-			defer wg.Done()
-			p.applyBatch(muts, idx, out)
-		}(s.parts[shard], idx)
-	}
-	wg.Wait()
+	s.fanOut(len(muts), func(i int) int { return shardOf(muts[i].Key, len(s.parts)) }, func(p *partition, idx []int) error {
+		p.applyBatch(muts, idx, out)
+		return nil
+	})
 	return out
 }
 
-// groupByShard buckets item indices 0..n-1 by the partition their key
-// hashes to, preserving request order within each bucket.
-func (s *Store) groupByShard(n int, keyOf func(int) string) map[int][]int {
-	groups := make(map[int][]int, len(s.parts))
-	for i := 0; i < n; i++ {
-		shard := shardOf(keyOf(i), len(s.parts))
-		groups[shard] = append(groups[shard], i)
+// fanOut is how a multi-key call reaches its partitions: it groups the
+// indices of n items by the partition shard(i) names, in request
+// order, and runs fn on each partition's share on a goroutine of its
+// own, returning the first error by partition order. A one-partition
+// store runs fn inline with idx nil, which stands for every item (see
+// each), without calling shard.
+func (s *Store) fanOut(n int, shard func(i int) int, fn func(p *partition, idx []int) error) error {
+	if n == 0 {
+		return nil
 	}
-	return groups
+	if len(s.parts) == 1 {
+		return fn(s.parts[0], nil)
+	}
+	type share struct {
+		idx []int
+		err error
+	}
+	shares := make([]share, len(s.parts))
+	for i := 0; i < n; i++ {
+		sh := &shares[shard(i)]
+		sh.idx = append(sh.idx, i)
+	}
+	var wg sync.WaitGroup
+	for i := range shares {
+		if shares[i].idx == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(p *partition, sh *share) {
+			defer wg.Done()
+			sh.err = fn(p, sh.idx)
+		}(s.parts[i], &shares[i])
+	}
+	wg.Wait()
+	for _, sh := range shares {
+		if sh.err != nil {
+			return sh.err
+		}
+	}
+	return nil
 }
 
 // getBatch serves the given request indices (nil = all) from this
-// partition with no lock: each table's snapshot is loaded once per run
-// of same-table requests, so the common single-table batch reads one
-// point-in-time view of the partition.
-func (p *partition) getBatch(reqs []GetReq, idx []int, out []GetResult) {
+// partition as at reads them. Each table's snapshot is collected once
+// per run of same-table requests, so the common single-table batch
+// reads one point-in-time view of the partition.
+func (p *partition) getBatch(reqs []GetReq, idx []int, out []GetResult, at readAt) {
+	n := len(idx)
 	if idx == nil {
-		p.metrics.gets.Add(int64(len(reqs)))
-	} else {
-		p.metrics.gets.Add(int64(len(idx)))
+		n = len(reqs)
 	}
-	if p.closed.Load() {
-		each(len(reqs), idx, func(i int) { out[i] = GetResult{Err: ErrClosed} })
-		return
-	}
+	p.metrics.gets.Add(int64(n))
+	closed := p.closed.Load()
 	var (
 		curTable string
 		curSnap  *treeSnapshot
 		have     bool
 	)
 	each(len(reqs), idx, func(i int) {
-		if !have || reqs[i].Table != curTable {
-			curTable, curSnap, have = reqs[i].Table, p.tableSnap(reqs[i].Table), true
+		r := reqs[i]
+		if closed {
+			out[i] = GetResult{Err: ErrClosed}
+			return
 		}
-		if curSnap != nil {
-			if v := curSnap.get(reqs[i].Key); v != nil && !v.deleted {
-				out[i] = GetResult{Record: v}
-				return
-			}
+		if !have || r.Table != curTable {
+			curTable, curSnap, have = r.Table, p.snapFor(r.Table, at), true
 		}
-		out[i] = GetResult{Err: fmt.Errorf("%w: %s/%s", ErrNotFound, reqs[i].Table, reqs[i].Key)}
-	})
-}
-
-// BatchGetAsOf is BatchGet at a snapshot timestamp: every requested
-// record resolves through its version chain to the newest version ≤
-// ts. Grouping and concurrency match BatchGet; each partition's
-// snapshots are collected under a brief read lock so a previously
-// drawn SnapshotTS is a stable cut (see GetAsOf).
-func (s *Store) BatchGetAsOf(reqs []GetReq, ts int64) []GetResult {
-	out := make([]GetResult, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	if len(s.parts) == 1 {
-		s.parts[0].getBatchAsOf(reqs, nil, out, ts)
-		return out
-	}
-	groups := s.groupByShard(len(reqs), func(i int) string { return reqs[i].Key })
-	var wg sync.WaitGroup
-	for shard, idx := range groups {
-		wg.Add(1)
-		go func(p *partition, idx []int) {
-			defer wg.Done()
-			p.getBatchAsOf(reqs, idx, out, ts)
-		}(s.parts[shard], idx)
-	}
-	wg.Wait()
-	return out
-}
-
-// getBatchAsOf serves the given request indices (nil = all) as of ts.
-func (p *partition) getBatchAsOf(reqs []GetReq, idx []int, out []GetResult, ts int64) {
-	if idx == nil {
-		p.metrics.gets.Add(int64(len(reqs)))
-	} else {
-		p.metrics.gets.Add(int64(len(idx)))
-	}
-	if p.closed.Load() {
-		each(len(reqs), idx, func(i int) { out[i] = GetResult{Err: ErrClosed} })
-		return
-	}
-	var (
-		curTable string
-		curSnap  *treeSnapshot
-		have     bool
-	)
-	each(len(reqs), idx, func(i int) {
-		if !have || reqs[i].Table != curTable {
-			curTable = reqs[i].Table
-			p.mu.RLock()
-			curSnap = p.tableSnap(curTable)
-			p.mu.RUnlock()
-			have = true
-		}
-		v, err := p.readAsOf(curSnap, reqs[i].Table, reqs[i].Key, ts)
+		v, err := p.read(curSnap, r.Table, r.Key, at)
 		out[i] = GetResult{Record: v, Err: err}
 	})
 }
 
 // applyBatch applies the given mutation indices (nil = all) to this
-// partition: one lock acquisition, one WAL append per item, one
-// durability wait for the group's final frame (which, per the WAL's
-// in-order group sync, covers every earlier frame of the batch).
+// partition in one write section.
 func (p *partition) applyBatch(muts []Mutation, idx []int, out []MutResult) {
-	p.mu.Lock()
-	if p.closed.Load() {
-		p.mu.Unlock()
-		each(len(muts), idx, func(i int) { out[i] = MutResult{Err: ErrClosed} })
+	ws, err := p.begin()
+	if err != nil {
+		each(len(muts), idx, func(i int) { out[i] = MutResult{Err: err} })
 		return
 	}
-	w := p.wal // captured under p.mu: compact may swap p.wal after unlock
-	var maxSeq uint64
-	var syncErrIdx []int // items whose durability rides on the group sync
-	var touched []string // tables mutated by this batch (usually one)
+	var logged []int // items whose durability rides on the section's wait
 	each(len(muts), idx, func(i int) {
-		ver, seq, err := p.applyOneLocked(w, muts[i])
+		seq := ws.seq
+		ver, err := p.applyOneLocked(&ws, muts[i])
 		out[i] = MutResult{Version: ver, Err: err}
-		if err == nil {
-			dup := false
-			for _, t := range touched {
-				if t == muts[i].Table {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				touched = append(touched, muts[i].Table)
-			}
-		}
-		if seq != 0 {
-			maxSeq = seq
-			syncErrIdx = append(syncErrIdx, i)
+		if ws.seq != seq {
+			logged = append(logged, i)
 		}
 	})
-	// One root swap per touched table: the whole batch becomes visible
-	// to the lock-free read path atomically, so a concurrent scan never
-	// observes a torn multi-key state within one partition.
-	for _, t := range touched {
-		p.publishLocked(t, p.tables[t])
-	}
-	p.mu.Unlock()
-	if maxSeq != 0 {
-		if err := w.waitDurable(maxSeq); err != nil {
-			for _, i := range syncErrIdx {
-				out[i] = MutResult{Err: err}
-			}
+	if err := ws.end(nil); err != nil {
+		for _, i := range logged {
+			out[i] = MutResult{Err: err}
 		}
-	}
-}
-
-// applyOneLocked evaluates and applies one mutation with p.mu held,
-// returning the new version and the WAL sequence the caller must wait
-// on (0 = no durability wait needed).
-func (p *partition) applyOneLocked(w *wal, m Mutation) (uint64, uint64, error) {
-	switch m.Op {
-	case MutPut:
-		p.metrics.puts.Inc()
-		return p.putLocked(w, m.Table, m.Key, m.Fields, m.Expect, false)
-	case MutUpdate:
-		p.metrics.puts.Inc()
-		return p.putLocked(w, m.Table, m.Key, m.Fields, AnyVersion, true)
-	case MutDelete:
-		p.metrics.deletes.Inc()
-		seq, err := p.deleteLocked(w, m.Table, m.Key, m.Expect)
-		return 0, seq, err
-	default:
-		return 0, 0, errBadMutOp(m.Op)
 	}
 }

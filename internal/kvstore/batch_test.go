@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ycsbt/internal/obs"
 )
 
 func fieldsOf(v string) map[string][]byte {
@@ -258,20 +260,70 @@ func TestBatchConcurrentWithCompactAndScan(t *testing.T) {
 	}
 }
 
-// TestBatchOnClosedStore checks every item of a batch against a
-// closed store reports ErrClosed rather than panicking or hanging.
-func TestBatchOnClosedStore(t *testing.T) {
-	s := OpenMemoryShards(2)
-	s.Close()
-	for _, r := range s.BatchGet([]GetReq{{Table: "t", Key: "a"}, {Table: "t", Key: "b"}}) {
-		if !errors.Is(r.Err, ErrClosed) {
-			t.Fatalf("get: %v", r.Err)
-		}
+// TestOnePublishPerTouchedTable pins the write section's publish rule
+// on a one-shard store: a write publishes each table it changed
+// exactly once, however many keys it wrote there, and a write that
+// changed nothing publishes nothing.
+func TestOnePublishPerTouchedTable(t *testing.T) {
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", i)
 	}
-	for _, r := range s.BatchApply([]Mutation{{Op: MutPut, Table: "t", Key: "a", Expect: AnyVersion}}) {
-		if !errors.Is(r.Err, ErrClosed) {
-			t.Fatalf("apply: %v", r.Err)
+	puts := func(expect uint64, tables ...string) []Mutation {
+		muts := make([]Mutation, len(keys))
+		for i, k := range keys {
+			muts[i] = Mutation{Op: MutPut, Table: tables[i%len(tables)], Key: k, Fields: fieldsOf("v"), Expect: expect}
 		}
+		return muts
+	}
+	applied := func(want bool, rs []MutResult) error {
+		for _, r := range rs {
+			if (r.Err == nil) != want {
+				return fmt.Errorf("item error %v, want success %v", r.Err, want)
+			}
+		}
+		return nil
+	}
+	bulk := make([]BulkKV, len(keys))
+	for i := range bulk {
+		bulk[i] = BulkKV{Key: fmt.Sprintf("in%02d", i)}
+	}
+	for _, c := range []struct {
+		name  string
+		write func(s *Store) error
+		want  int64
+	}{
+		{"Put", func(s *Store) error { _, err := s.Put("t", "new", fieldsOf("v")); return err }, 1},
+		{"failed PutIfVersion", func(s *Store) error {
+			if _, err := s.PutIfVersion("t", keys[0], fieldsOf("v"), 99); !errors.Is(err, ErrVersionMismatch) {
+				return fmt.Errorf("PutIfVersion = %v, want ErrVersionMismatch", err)
+			}
+			return nil
+		}, 0},
+		{"BatchApply of 16 puts to one table", func(s *Store) error { return applied(true, s.BatchApply(puts(AnyVersion, "t"))) }, 1},
+		{"BatchApply across two tables", func(s *Store) error { return applied(true, s.BatchApply(puts(AnyVersion, "t", "u"))) }, 2},
+		{"BatchApply whose every item fails", func(s *Store) error { return applied(false, s.BatchApply(puts(MustNotExist, "t"))) }, 0},
+		{"Ingest of 16 records", func(s *Store) error { return s.Ingest("t", bulk) }, 1},
+	} {
+		reg := obs.NewRegistry()
+		s, err := Open(Options{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if _, err := s.Put("t", k, fieldsOf("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		swaps := reg.Counter("kvstore_snapshot_root_swaps_total", "shard", "0")
+		before := swaps.Value()
+		if err := c.write(s); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if got := swaps.Value() - before; got != c.want {
+			t.Errorf("%s: %d root swaps, want %d", c.name, got, c.want)
+		}
+		s.Close()
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sync"
 )
 
 // Compact rewrites every WAL segment as a snapshot of its partition's
@@ -19,25 +18,9 @@ import (
 // (operations on its keys return ErrClosed) — reopen the store to
 // recover from the on-disk state. No-op for in-memory stores.
 func (s *Store) Compact() error {
-	if len(s.parts) == 1 {
-		return s.parts[0].compact()
-	}
-	errs := make([]error, len(s.parts))
-	var wg sync.WaitGroup
-	for i, p := range s.parts {
-		wg.Add(1)
-		go func(i int, p *partition) {
-			defer wg.Done()
-			errs[i] = p.compact()
-		}(i, p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.fanOut(len(s.parts), func(i int) int { return i }, func(p *partition, _ []int) error {
+		return p.compact()
+	})
 }
 
 // compact rewrites this partition's segment under its write lock.
@@ -145,7 +128,7 @@ func (p *partition) compact() error {
 		p.closed.Store(true)
 		return err
 	}
-	// The fresh segment inherits the shard's metric handles so the
+	// The fresh segment inherits the shard's metric series so the
 	// fsync series stays continuous across compactions.
 	nw.metrics = oldMetrics
 	// Position for appending without replaying into the live store.

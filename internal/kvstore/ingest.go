@@ -1,7 +1,5 @@
 package kvstore
 
-import "sync"
-
 // BulkKV is one record of an Ingest. Section is the record as a field
 // section (image.go; nil: no fields) — a migration copy passes the
 // source's page record on as it arrived. Version and CommitTS are
@@ -42,41 +40,20 @@ func (s *Store) Ingest(table string, kvs []BulkKV) error {
 	if s.parts[0].isClosed() {
 		return ErrClosed
 	}
-	if len(kvs) == 0 {
-		return nil
-	}
-	if len(s.parts) == 1 {
-		return s.parts[0].ingest(table, kvs)
-	}
-	split := make([][]BulkKV, len(s.parts))
-	for _, kv := range kvs {
-		i := shardOf(kv.Key, len(s.parts))
-		split[i] = append(split[i], kv)
-	}
-	errs := make([]error, len(s.parts))
-	var wg sync.WaitGroup
-	for i, p := range s.parts {
-		if len(split[i]) == 0 {
-			continue
+	return s.fanOut(len(kvs), func(i int) int { return shardOf(kvs[i].Key, len(s.parts)) }, func(p *partition, idx []int) error {
+		share := kvs
+		if idx != nil {
+			share = make([]BulkKV, len(idx))
+			for j, i := range idx {
+				share[j] = kvs[i]
+			}
 		}
-		wg.Add(1)
-		go func(i int, p *partition, sub []BulkKV) {
-			defer wg.Done()
-			errs[i] = p.ingest(table, sub)
-		}(i, p, split[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		return p.ingest(table, share)
+	})
 }
 
-// ingest applies this partition's share of the batch under one lock
-// acquisition and one durability wait, mirroring the batch write
-// path.
+// ingest applies this partition's share of the batch in one write
+// section.
 func (p *partition) ingest(table string, kvs []BulkKV) error {
 	images := make([][]byte, len(kvs))
 	for i, kv := range kvs {
@@ -85,15 +62,11 @@ func (p *partition) ingest(table string, kvs []BulkKV) error {
 			return err
 		}
 	}
-	p.mu.Lock()
-	if p.closed.Load() {
-		p.mu.Unlock()
-		return ErrClosed
+	ws, err := p.begin()
+	if err != nil {
+		return err
 	}
-	w := p.wal // captured under p.mu: compact may swap p.wal after unlock
 	t := p.table(table)
-	var seq uint64
-	var applied bool
 	for i, kv := range kvs {
 		cur := t.get(kv.Key)
 		ver, ts := kv.Version, kv.CommitTS
@@ -110,32 +83,14 @@ func (p *partition) ingest(table string, kvs []BulkKV) error {
 		}
 		rec := p.imageRecord(ver, ts, images[i])
 		rec.link(cur)
-		if w != nil {
-			n, err := w.append(walFrameOf(table, kv.Key, rec))
-			if err != nil {
-				// Publish what was applied so tree and snapshot agree.
-				if applied {
-					p.publishLocked(table, t)
-				}
-				p.mu.Unlock()
-				return err
-			}
-			seq = n
+		if err = ws.log(walFrameOf(table, kv.Key, rec)); err != nil {
+			break
 		}
 		t.put(kv.Key, rec)
 		p.retireLocked(rec)
-		applied = true
+		ws.touch(table)
 	}
-	if applied {
-		p.publishLocked(table, t)
-	}
-	p.mu.Unlock()
-	if seq != 0 {
-		if err := w.waitDurable(seq); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ws.end(err)
 }
 
 // Drop removes every key of table that keep rejects, with its whole
@@ -143,7 +98,9 @@ func (p *partition) ingest(table string, kvs []BulkKV) error {
 // data a node must forget (a slot it no longer owns), not a delete.
 // Each removed key is logged (walDrop), so replay and a compacted log
 // agree, and as-of reads below the drop answer ErrBelowHorizon for the
-// keys it took. Like Ingest it is atomic per partition only.
+// keys it took. Like Ingest it is atomic per partition only. The
+// partitions drop one after another, so keep is never called
+// concurrently.
 func (s *Store) Drop(table string, keep func(key string) bool) (int, error) {
 	dropped := 0
 	for _, p := range s.parts {
@@ -156,10 +113,10 @@ func (s *Store) Drop(table string, keep func(key string) bool) (int, error) {
 	return dropped, nil
 }
 
-// drop removes this partition's share under one lock acquisition and
-// one durability wait. keep runs over the published snapshot, outside
-// the lock; a key written after that is the caller's to keep out (a
-// node refuses writes to a slot it does not own).
+// drop removes this partition's share in one write section. keep runs
+// over the published snapshot, outside the section; a key written
+// after that is the caller's to keep out (a node refuses writes to a
+// slot it does not own).
 func (p *partition) drop(table string, keep func(key string) bool) (int, error) {
 	var doomed []string
 	if snap := p.tableSnap(table); snap != nil {
@@ -170,35 +127,25 @@ func (p *partition) drop(table string, keep func(key string) bool) (int, error) 
 			return true
 		})
 	}
-	p.mu.Lock()
-	if p.closed.Load() {
-		p.mu.Unlock()
-		return 0, ErrClosed
+	ws, err := p.begin()
+	if err != nil {
+		return 0, err
 	}
 	if len(doomed) == 0 {
-		p.mu.Unlock()
-		return 0, nil
+		return 0, ws.end(nil)
 	}
 	t := p.table(table)
-	w, ts := p.wal, p.store.nextTS() // w captured under p.mu: compact may swap p.wal after unlock
-	var seq uint64
-	var err error
+	ts := p.store.nextTS()
 	dropped := 0
 	for _, key := range doomed {
-		if w != nil {
-			if seq, err = w.append(walRecord{Op: walDrop, Table: table, Key: key, CommitTS: ts}); err != nil {
-				break
-			}
+		if err = ws.log(walRecord{Op: walDrop, Table: table, Key: key, CommitTS: ts}); err != nil {
+			break
 		}
 		if t.delete(key) {
 			dropped++
 		}
 	}
 	p.purgeTS.Store(ts)
-	p.publishLocked(table, t)
-	p.mu.Unlock()
-	if err == nil && seq != 0 {
-		err = w.waitDurable(seq)
-	}
-	return dropped, err
+	ws.touch(table)
+	return dropped, ws.end(err)
 }

@@ -15,8 +15,9 @@ import (
 // headTS reads a chain at its head: no commit ts is later.
 const headTS = math.MaxInt64
 
-// readAt is how a scan resolves a chain head to the version it reads:
-// the newest one with commit ts ≤ ts, delete versions kept or skipped.
+// readAt is how every read — point or batched, scan or ForEach —
+// resolves a chain head to the version it reads: the newest one with
+// commit ts ≤ ts, delete versions kept or skipped.
 type readAt struct {
 	ts         int64
 	tombstones bool
@@ -29,6 +30,24 @@ func (at readAt) resolve(head *VersionedRecord) (v *VersionedRecord, trimmed boo
 		return nil, trimmed
 	}
 	return v, false
+}
+
+// point resolves one key's chain head (nil: the key is not in the
+// index) for a point read in a partition whose purge horizon is
+// purgeTS. A miss as of a ts is ErrNotFound only when the store still
+// knows the key had nothing readable then; when the version was
+// trimmed, or a purge may have taken the key, it is ErrBelowHorizon.
+func (at readAt) point(head *VersionedRecord, table, key string, purgeTS int64) (*VersionedRecord, error) {
+	v, trimmed := versionAt(head, at.ts)
+	switch {
+	case v != nil && (!v.deleted || at.tombstones):
+		return v, nil
+	case at.ts == headTS:
+		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
+	case v == nil && (trimmed || at.ts < purgeTS):
+		return nil, fmt.Errorf("%w: %s/%s as of %d", ErrBelowHorizon, table, key, at.ts)
+	}
+	return nil, fmt.Errorf("%w: %s/%s as of %d", ErrNotFound, table, key, at.ts)
 }
 
 // snapIter walks one immutable tree in key order without recursion:

@@ -6,32 +6,31 @@ import (
 	"ycsbt/internal/obs"
 )
 
-// partMetrics holds one partition's private metric handles. Handles
-// are obs single-writer cells allocated per shard, so partitions never
-// share a metric cache line; every method is a no-op on the zero value
-// (nil handles), which is what partitions carry when Options.Metrics
-// is unset.
+// partMetrics holds one partition's metric series. Every series is
+// labelled by shard, so partitions never write the same cells; every
+// method is a no-op on the zero value (nil series), which is what
+// partitions carry when Options.Metrics is unset.
 type partMetrics struct {
-	gets        *obs.CounterHandle
-	puts        *obs.CounterHandle
-	deletes     *obs.CounterHandle
-	scans       *obs.CounterHandle
-	compactions *obs.CounterHandle
+	gets        *obs.Counter
+	puts        *obs.Counter
+	deletes     *obs.Counter
+	scans       *obs.Counter
+	compactions *obs.Counter
 
 	// Snapshot read-path series: root swaps published by writers, the
 	// index entries each lock-free snapshot scan visited, and the
 	// estimated number of B-tree nodes retired per publish (the copied root-to-leaf
 	// path, i.e. tree depth) — a proxy for the garbage the COW write
 	// path hands to the collector in place of epoch reclamation.
-	rootSwaps    *obs.CounterHandle
-	retiredNodes *obs.CounterHandle
-	snapScanLen  *obs.HistogramHandle
+	rootSwaps    *obs.Counter
+	retiredNodes *obs.Counter
+	snapScanLen  *obs.Histogram
 
 	// MVCC series: the length of each key's version chain observed at
 	// write/vacuum time, and versions reclaimed (write-path retention
 	// trims plus Vacuum cuts and tombstone purges).
-	chainLen *obs.HistogramHandle
-	vacuumed *obs.CounterHandle
+	chainLen *obs.Histogram
+	vacuumed *obs.Counter
 }
 
 // walMetrics instruments one WAL segment. Compaction swaps the wal
@@ -40,15 +39,15 @@ type partMetrics struct {
 type walMetrics struct {
 	// fsync observes the duration of every fsync (inline or group),
 	// in seconds.
-	fsync *obs.HistogramHandle
+	fsync *obs.Histogram
 	// occupancy observes how many appended frames each group-commit
 	// sync covered — the batch size the group commit actually achieved.
-	occupancy *obs.HistogramHandle
+	occupancy *obs.Histogram
 }
 
 // instrument registers the engine series on reg and hands every
-// partition and WAL its private handles. A nil registry leaves all
-// handles nil (inert). Called once from Open, before the store is
+// partition and WAL its own. A nil registry leaves them all nil
+// (inert). Called once from Open, before the store is
 // shared.
 func (s *Store) instrument(reg *obs.Registry) {
 	if reg == nil {
@@ -67,21 +66,21 @@ func (s *Store) instrument(reg *obs.Registry) {
 	for i, p := range s.parts {
 		sh := strconv.Itoa(i)
 		p.metrics = partMetrics{
-			gets:         reg.Counter("kvstore_ops_total", "op", "get", "shard", sh).Handle(),
-			puts:         reg.Counter("kvstore_ops_total", "op", "put", "shard", sh).Handle(),
-			deletes:      reg.Counter("kvstore_ops_total", "op", "delete", "shard", sh).Handle(),
-			scans:        reg.Counter("kvstore_ops_total", "op", "scan", "shard", sh).Handle(),
-			compactions:  reg.Counter("kvstore_compactions_total", "shard", sh).Handle(),
-			rootSwaps:    reg.Counter("kvstore_snapshot_root_swaps_total", "shard", sh).Handle(),
-			retiredNodes: reg.Counter("kvstore_snapshot_retired_nodes_total", "shard", sh).Handle(),
-			snapScanLen:  reg.Histogram("kvstore_snapshot_scan_len", obs.CountBuckets, "shard", sh).Handle(),
-			chainLen:     reg.Histogram("kvstore_version_chain_len", obs.CountBuckets, "shard", sh).Handle(),
-			vacuumed:     reg.Counter("kvstore_versions_vacuumed_total", "shard", sh).Handle(),
+			gets:         reg.Counter("kvstore_ops_total", "op", "get", "shard", sh),
+			puts:         reg.Counter("kvstore_ops_total", "op", "put", "shard", sh),
+			deletes:      reg.Counter("kvstore_ops_total", "op", "delete", "shard", sh),
+			scans:        reg.Counter("kvstore_ops_total", "op", "scan", "shard", sh),
+			compactions:  reg.Counter("kvstore_compactions_total", "shard", sh),
+			rootSwaps:    reg.Counter("kvstore_snapshot_root_swaps_total", "shard", sh),
+			retiredNodes: reg.Counter("kvstore_snapshot_retired_nodes_total", "shard", sh),
+			snapScanLen:  reg.Histogram("kvstore_snapshot_scan_len", obs.CountBuckets, "shard", sh),
+			chainLen:     reg.Histogram("kvstore_version_chain_len", obs.CountBuckets, "shard", sh),
+			vacuumed:     reg.Counter("kvstore_versions_vacuumed_total", "shard", sh),
 		}
 		if p.wal != nil {
 			p.wal.metrics = &walMetrics{
-				fsync:     reg.Histogram("kvstore_wal_fsync_seconds", obs.DurationBuckets, "shard", sh).Handle(),
-				occupancy: reg.Histogram("kvstore_wal_group_commit_frames", obs.CountBuckets, "shard", sh).Handle(),
+				fsync:     reg.Histogram("kvstore_wal_fsync_seconds", obs.DurationBuckets, "shard", sh),
+				occupancy: reg.Histogram("kvstore_wal_group_commit_frames", obs.CountBuckets, "shard", sh),
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -35,8 +36,8 @@ type partition struct {
 	// was absent.
 	purgeTS atomic.Int64
 
-	// metrics holds this shard's private obs handles; the zero value
-	// (nil handles) is inert. Written once in Store.instrument before
+	// metrics holds this shard's obs series; the zero value (nil
+	// series) is inert. Written once in Store.instrument before
 	// the store is shared, read lock-free afterwards.
 	metrics partMetrics
 }
@@ -92,55 +93,38 @@ func (p *partition) isClosed() bool {
 	return p.closed.Load()
 }
 
-// get is the wait-free point read: no lock, no clone, zero heap
-// allocations on the hit path. The returned record is an engine-owned
-// immutable snapshot that callers must not mutate.
-func (p *partition) get(table, key string) (*VersionedRecord, error) {
+// get is the one point read: it resolves table/key as at reads it and
+// returns the engine-owned immutable record, which callers must not
+// mutate. A head read takes no lock and, on a hit, allocates nothing.
+func (p *partition) get(table, key string, at readAt) (*VersionedRecord, error) {
 	p.metrics.gets.Inc()
 	if p.closed.Load() {
 		return nil, ErrClosed
 	}
-	if ts := p.tableSnap(table); ts != nil {
-		if v := ts.get(key); v != nil && !v.deleted {
-			return v, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
+	return p.read(p.snapFor(table, at), table, key, at)
 }
 
-// getAsOf is the time-travel point read. The published root is
-// collected under a brief read lock — any writer that already drew a
-// commit ts ≤ ts publishes before releasing the partition, so a
-// previously drawn SnapshotTS is a stable cut — then the chain walk
-// itself is lock-free.
-func (p *partition) getAsOf(table, key string, ts int64) (*VersionedRecord, error) {
-	p.metrics.gets.Inc()
-	if p.closed.Load() {
-		return nil, ErrClosed
+// snapFor returns the snapshot of table a read at at goes through
+// (nil: the table is not here). A head read loads it wait-free. An
+// as-of read collects it under a brief read lock: any writer that
+// already drew a commit ts ≤ at.ts publishes before releasing the
+// partition, so a previously drawn SnapshotTS is a stable cut.
+func (p *partition) snapFor(table string, at readAt) *treeSnapshot {
+	if at.ts == headTS {
+		return p.tableSnap(table)
 	}
 	p.mu.RLock()
-	snap := p.tableSnap(table)
-	p.mu.RUnlock()
-	return p.readAsOf(snap, table, key, ts)
+	defer p.mu.RUnlock()
+	return p.tableSnap(table)
 }
 
-// readAsOf resolves key in snap (nil: the table is not here) to its
-// readable version at ts. A miss is ErrNotFound only when the store
-// still knows the key had nothing readable at ts; when the version was
-// trimmed, or a purge may have taken the key, it is ErrBelowHorizon.
-func (p *partition) readAsOf(snap *treeSnapshot, table, key string, ts int64) (*VersionedRecord, error) {
-	var v *VersionedRecord
-	var trimmed bool
+// read resolves key in snap (see snapFor) as at reads it.
+func (p *partition) read(snap *treeSnapshot, table, key string, at readAt) (*VersionedRecord, error) {
+	var head *VersionedRecord
 	if snap != nil {
-		v, trimmed = versionAt(snap.get(key), ts)
+		head = snap.get(key)
 	}
-	switch {
-	case v != nil && !v.deleted:
-		return v, nil
-	case v == nil && (trimmed || ts < p.purgeTS.Load()):
-		return nil, fmt.Errorf("%w: %s/%s as of %d", ErrBelowHorizon, table, key, ts)
-	}
-	return nil, fmt.Errorf("%w: %s/%s as of %d", ErrNotFound, table, key, ts)
+	return at.point(head, table, key, p.purgeTS.Load())
 }
 
 // each calls fn for every index of idx, or for 0..n-1 when idx is nil
@@ -161,81 +145,117 @@ func errBadMutOp(op MutOp) error {
 	return fmt.Errorf("kvstore: unknown mutation op %d", op)
 }
 
-// putIfVersion is the conditional-put core. When the WAL is in
-// group-commit + sync mode the durability wait happens after the
-// partition lock is released, so other writers proceed during the
-// window — that interleaving is the whole point of group commit. The
-// WAL pointer is captured under the lock because compact swaps p.wal
-// while holding it; waiting on the captured object stays correct
-// since the old WAL's close performs a final group sync that wakes
-// its waiters.
-//
-// The new root is published (one atomic store) before the lock drops,
-// matching the visibility the locked engine always had: a mutation is
-// readable as soon as its writer releases the partition, and durable
-// once the group commit covering its frame completes.
-func (p *partition) putIfVersion(table, key string, fields map[string][]byte, expect uint64) (uint64, error) {
-	p.metrics.puts.Inc()
+// writeSection is one pass through the partition's write protocol,
+// which every mutation of a partition runs inside; DESIGN.md §7 ("One
+// write section") gives the reasons for each step. begin locks the
+// partition and captures its WAL segment, the writer logs each frame
+// and touches each table it changes through the section, and end
+// publishes, unlocks and waits.
+type writeSection struct {
+	p   *partition
+	w   *wal   // p.wal as begin found it
+	seq uint64 // the section's last WAL frame; 0: nothing to wait for
+
+	// The tables the section changed, each published once by end. The
+	// first is held inline, so a single-key write allocates nothing
+	// for the list.
+	touched bool
+	first   string
+	more    []string
+}
+
+// begin opens a write section on p, or fails with ErrClosed.
+func (p *partition) begin() (writeSection, error) {
 	p.mu.Lock()
 	if p.closed.Load() {
 		p.mu.Unlock()
-		return 0, ErrClosed
+		return writeSection{}, ErrClosed
 	}
-	w := p.wal
-	ver, seq, err := p.putLocked(w, table, key, fields, expect, false)
-	if err == nil {
-		p.publishLocked(table, p.tables[table])
+	return writeSection{p: p, w: p.wal}, nil
+}
+
+// log appends rec to the section's WAL segment (none: a volatile
+// store).
+func (ws *writeSection) log(rec walRecord) error {
+	if ws.w == nil {
+		return nil
 	}
-	p.mu.Unlock()
+	seq, err := ws.w.append(rec)
+	if seq != 0 {
+		ws.seq = seq
+	}
+	return err
+}
+
+// touch records that the section changed table.
+func (ws *writeSection) touch(table string) {
+	switch {
+	case !ws.touched:
+		ws.touched, ws.first = true, table
+	case table != ws.first && !slices.Contains(ws.more, table):
+		ws.more = append(ws.more, table)
+	}
+}
+
+// end closes the section: it publishes each touched table once,
+// unlocks, and then — unless err says the writer stopped short — waits
+// once for the group commit that covers the section's last frame. It
+// returns err, or else the wait's error.
+func (ws *writeSection) end(err error) error {
+	if ws.touched {
+		ws.p.publishLocked(ws.first)
+		for _, t := range ws.more {
+			ws.p.publishLocked(t)
+		}
+	}
+	ws.p.mu.Unlock()
+	if err != nil || ws.seq == 0 {
+		return err
+	}
+	return ws.w.waitDurable(ws.seq)
+}
+
+// apply runs one mutation in a write section of its own.
+func (p *partition) apply(m Mutation) (uint64, error) {
+	ws, err := p.begin()
 	if err != nil {
 		return 0, err
 	}
-	if seq != 0 {
-		if err := w.waitDurable(seq); err != nil {
-			return 0, err
-		}
+	ver, err := p.applyOneLocked(&ws, m)
+	if err = ws.end(err); err != nil {
+		return 0, err
 	}
 	return ver, nil
 }
 
-func (p *partition) update(table, key string, fields map[string][]byte) (uint64, error) {
-	p.metrics.puts.Inc()
-	p.mu.Lock()
-	if p.closed.Load() {
-		p.mu.Unlock()
-		return 0, ErrClosed
+// applyOneLocked evaluates and applies one mutation inside ws,
+// returning the new version (0 for a delete).
+func (p *partition) applyOneLocked(ws *writeSection, m Mutation) (uint64, error) {
+	switch m.Op {
+	case MutPut:
+		p.metrics.puts.Inc()
+		return p.putLocked(ws, m.Table, m.Key, m.Fields, m.Expect, false)
+	case MutUpdate:
+		p.metrics.puts.Inc()
+		return p.putLocked(ws, m.Table, m.Key, m.Fields, AnyVersion, true)
+	case MutDelete:
+		p.metrics.deletes.Inc()
+		return 0, p.deleteLocked(ws, m.Table, m.Key, m.Expect)
+	default:
+		return 0, errBadMutOp(m.Op)
 	}
-	w := p.wal // captured under p.mu: compact may swap p.wal after unlock
-	ver, seq, err := p.putLocked(w, table, key, fields, AnyVersion, true)
-	if err == nil {
-		p.publishLocked(table, p.tables[table])
-	}
-	p.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if seq != 0 {
-		if err := w.waitDurable(seq); err != nil {
-			return 0, err
-		}
-	}
-	return ver, nil
 }
 
-// putLocked is the put/update core, requiring p.mu (write). With
-// merge set it merges fields into the existing record (which must
-// exist); otherwise it evaluates expect and stores a full replacement.
-// Either way it builds a fresh *VersionedRecord — published records
-// are immutable, which is what lets the read path hand them out
-// without cloning. The new record draws the store-wide commit ts
-// under the lock and is linked onto the key's existing chain (a
-// tombstone head counts as "absent" for expect checks but stays in
-// the chain, so as-of reads can still see through it). It returns the
-// WAL sequence the caller must wait on for durability (0 = none). The
-// WAL handle is passed in because callers capture p.wal under the
-// lock and wait on that same object after unlocking. The caller
-// publishes the new root.
-func (p *partition) putLocked(w *wal, table, key string, fields map[string][]byte, expect uint64, merge bool) (uint64, uint64, error) {
+// putLocked is the put/update core, run inside ws. With merge set it
+// merges fields into the existing record (which must exist); otherwise
+// it evaluates expect and stores a full replacement. Either way it
+// builds a fresh *VersionedRecord — published records are immutable,
+// which is what lets the read path hand them out without cloning. The
+// new record draws the store-wide commit ts under the lock and is
+// linked onto the key's existing chain (a tombstone head counts as
+// "absent" for expect checks but stays in the chain, so as-of reads
+// can still see through it).
+func (p *partition) putLocked(ws *writeSection, table, key string, fields map[string][]byte, expect uint64, merge bool) (uint64, error) {
 	t := p.table(table)
 	cur := t.get(key)
 	live := cur
@@ -245,7 +265,7 @@ func (p *partition) putLocked(w *wal, table, key string, fields map[string][]byt
 	var stored *VersionedRecord
 	if merge {
 		if live == nil {
-			return 0, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
+			return 0, fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
 		}
 		// The new version is a new image: the old one's untouched
 		// values and the caller's new ones (which the caller still
@@ -257,14 +277,14 @@ func (p *partition) putLocked(w *wal, table, key string, fields map[string][]byt
 		case AnyVersion:
 		case MustNotExist:
 			if live != nil {
-				return 0, 0, fmt.Errorf("%w: %s/%s", ErrExists, table, key)
+				return 0, fmt.Errorf("%w: %s/%s", ErrExists, table, key)
 			}
 		default:
 			if live == nil {
-				return 0, 0, fmt.Errorf("%w: %s/%s not found, expected version %d", ErrVersionMismatch, table, key, expect)
+				return 0, fmt.Errorf("%w: %s/%s not found, expected version %d", ErrVersionMismatch, table, key, expect)
 			}
 			if live.Version != expect {
-				return 0, 0, fmt.Errorf("%w: %s/%s at version %d, expected %d", ErrVersionMismatch, table, key, live.Version, expect)
+				return 0, fmt.Errorf("%w: %s/%s at version %d, expected %d", ErrVersionMismatch, table, key, live.Version, expect)
 			}
 		}
 		var next uint64 = 1
@@ -275,16 +295,13 @@ func (p *partition) putLocked(w *wal, table, key string, fields map[string][]byt
 	}
 	stored.CommitTS = p.store.nextTS()
 	stored.link(cur)
-	var seq uint64
-	if w != nil {
-		var err error
-		if seq, err = w.append(walFrameOf(table, key, stored)); err != nil {
-			return 0, 0, err
-		}
+	if err := ws.log(walFrameOf(table, key, stored)); err != nil {
+		return 0, err
 	}
 	t.put(key, stored)
 	p.retireLocked(stored)
-	return stored.Version, seq, nil
+	ws.touch(table)
+	return stored.Version, nil
 }
 
 // retireLocked applies the reclaim horizon inline on the write path:
@@ -312,58 +329,30 @@ func (p *partition) retireLocked(stored *VersionedRecord) {
 	p.metrics.chainLen.Observe(float64(stored.chainLen))
 }
 
-func (p *partition) deleteIfVersion(table, key string, expect uint64) error {
-	p.metrics.deletes.Inc()
-	p.mu.Lock()
-	if p.closed.Load() {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	w := p.wal // captured under p.mu: compact may swap p.wal after unlock
-	seq, err := p.deleteLocked(w, table, key, expect)
-	if err == nil {
-		p.publishLocked(table, p.tables[table])
-	}
-	p.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if seq != 0 {
-		if err := w.waitDurable(seq); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// deleteLocked is the delete core, requiring p.mu (write). A delete
-// writes a tombstone version at the head of the chain — the key stays
-// in the tree so as-of reads still see pre-delete versions — and the
-// live count drops by one (btree.put accounts by liveness). The key
-// itself is removed by Vacuum once the tombstone falls below the
-// reclaim horizon. It returns the WAL sequence the caller must wait
-// on for durability (0 = none). The caller publishes the new root.
-func (p *partition) deleteLocked(w *wal, table, key string, expect uint64) (uint64, error) {
+// deleteLocked is the delete core, run inside ws. A delete writes a
+// tombstone version at the head of the chain — the key stays in the
+// tree so as-of reads still see pre-delete versions — and the live
+// count drops by one (btree.put accounts by liveness). The key itself
+// is removed by Vacuum once the tombstone falls below the reclaim
+// horizon.
+func (p *partition) deleteLocked(ws *writeSection, table, key string, expect uint64) error {
 	t := p.table(table)
 	cur := t.get(key)
 	if cur == nil || cur.deleted {
-		return 0, fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
+		return fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
 	}
 	if expect != AnyVersion && cur.Version != expect {
-		return 0, fmt.Errorf("%w: %s/%s at version %d, expected %d", ErrVersionMismatch, table, key, cur.Version, expect)
+		return fmt.Errorf("%w: %s/%s at version %d, expected %d", ErrVersionMismatch, table, key, cur.Version, expect)
 	}
 	tomb := &VersionedRecord{Version: cur.Version + 1, CommitTS: p.store.nextTS(), deleted: true}
 	tomb.link(cur)
-	var seq uint64
-	if w != nil {
-		var err error
-		if seq, err = w.append(walFrameOf(table, key, tomb)); err != nil {
-			return 0, err
-		}
+	if err := ws.log(walFrameOf(table, key, tomb)); err != nil {
+		return err
 	}
 	t.put(key, tomb)
 	p.retireLocked(tomb)
-	return seq, nil
+	ws.touch(table)
+	return nil
 }
 
 func (p *partition) len(table string) int {

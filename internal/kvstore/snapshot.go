@@ -98,7 +98,8 @@ func (p *partition) slotLocked(table string) *tableSlot {
 // Because publication happens only under the write lock, holding every
 // partition's read lock while collecting roots yields a consistent
 // multi-partition cut (see Store.snapshotTable).
-func (p *partition) publishLocked(table string, t *btree) {
+func (p *partition) publishLocked(table string) {
+	t := p.tables[table]
 	slot := p.slotLocked(table)
 	slot.snap.Store(&treeSnapshot{root: t.root, size: t.size})
 	p.metrics.rootSwaps.Inc()
@@ -108,8 +109,8 @@ func (p *partition) publishLocked(table string, t *btree) {
 // publishAll publishes every writer-side table; used after WAL replay
 // to expose the recovered state to the read path.
 func (p *partition) publishAll() {
-	for name, t := range p.tables {
-		p.publishLocked(name, t)
+	for name := range p.tables {
+		p.publishLocked(name)
 	}
 }
 

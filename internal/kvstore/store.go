@@ -202,7 +202,7 @@ type Options struct {
 	// (per-shard op counts, WAL fsync latency, group-commit occupancy,
 	// compactions, WAL size, version-chain lengths, vacuumed versions).
 	// Nil disables instrumentation entirely — the hot paths then touch
-	// only nil no-op handles.
+	// only nil no-op series.
 	Metrics *obs.Registry
 	// Retention is an opt-in wall-clock window for time-travel reads
 	// nobody pinned: versions older than the newest one at (now −
@@ -529,7 +529,7 @@ func (s *Store) part(key string) *partition {
 // snapshot with no lock and returns the engine-owned immutable record
 // without cloning (see the VersionedRecord immutability contract).
 func (s *Store) Get(table, key string) (*VersionedRecord, error) {
-	return s.part(key).get(table, key)
+	return s.part(key).get(table, key, readAt{ts: headTS})
 }
 
 // GetAsOf returns the newest version of table/key with commit ts ≤
@@ -540,19 +540,19 @@ func (s *Store) Get(table, key string) (*VersionedRecord, error) {
 // read whose version at ts has been reclaimed fails with
 // ErrBelowHorizon; callers wanting a stable horizon should Pin first.
 func (s *Store) GetAsOf(table, key string, ts int64) (*VersionedRecord, error) {
-	return s.part(key).getAsOf(table, key, ts)
+	return s.part(key).get(table, key, readAt{ts: ts})
 }
 
 // Put unconditionally stores fields under table/key (insert or full
 // replace) and returns the new version.
 func (s *Store) Put(table, key string, fields map[string][]byte) (uint64, error) {
-	return s.part(key).putIfVersion(table, key, fields, AnyVersion)
+	return s.PutIfVersion(table, key, fields, AnyVersion)
 }
 
 // Insert stores fields under table/key only when the key does not
 // already exist.
 func (s *Store) Insert(table, key string, fields map[string][]byte) (uint64, error) {
-	return s.part(key).putIfVersion(table, key, fields, MustNotExist)
+	return s.PutIfVersion(table, key, fields, MustNotExist)
 }
 
 // PutIfVersion stores fields under table/key when the current version
@@ -560,24 +560,25 @@ func (s *Store) Insert(table, key string, fields map[string][]byte) (uint64, err
 // only a missing key, any other value must equal the stored version.
 // It returns the new version, or ErrVersionMismatch / ErrExists.
 func (s *Store) PutIfVersion(table, key string, fields map[string][]byte, expect uint64) (uint64, error) {
-	return s.part(key).putIfVersion(table, key, fields, expect)
+	return s.part(key).apply(Mutation{Op: MutPut, Table: table, Key: key, Fields: fields, Expect: expect})
 }
 
 // Update merges fields into the existing record under table/key and
 // returns the new version; the key must exist.
 func (s *Store) Update(table, key string, fields map[string][]byte) (uint64, error) {
-	return s.part(key).update(table, key, fields)
+	return s.part(key).apply(Mutation{Op: MutUpdate, Table: table, Key: key, Fields: fields})
 }
 
 // Delete removes table/key; it returns ErrNotFound when absent.
 func (s *Store) Delete(table, key string) error {
-	return s.part(key).deleteIfVersion(table, key, AnyVersion)
+	return s.DeleteIfVersion(table, key, AnyVersion)
 }
 
 // DeleteIfVersion removes table/key when its version matches expect
 // (AnyVersion always matches).
 func (s *Store) DeleteIfVersion(table, key string, expect uint64) error {
-	return s.part(key).deleteIfVersion(table, key, expect)
+	_, err := s.part(key).apply(Mutation{Op: MutDelete, Table: table, Key: key, Expect: expect})
+	return err
 }
 
 // Scan returns up to count records with key ≥ startKey in key order,

@@ -215,28 +215,66 @@ func TestStoreTables(t *testing.T) {
 	}
 }
 
+// TestStoreClosed drives every Engine entry point that reads or writes
+// data against a closed multi-shard store: each must fail with
+// ErrClosed, item by item for the batches, rather than panic or hang.
 func TestStoreClosed(t *testing.T) {
-	s := OpenMemory()
+	s := OpenMemoryShards(4)
+	if _, err := s.Put("t", "k", fields("v")); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal("second close should be a no-op")
 	}
-	if _, err := s.Get("t", "k"); !errors.Is(err, ErrClosed) {
-		t.Errorf("Get after close = %v", err)
+	reqs := []GetReq{{Table: "t", Key: "a"}, {Table: "t", Key: "b"}, {Table: "t", Key: "k"}}
+	muts := []Mutation{
+		{Op: MutPut, Table: "t", Key: "a", Fields: fields("v"), Expect: AnyVersion},
+		{Op: MutUpdate, Table: "t", Key: "k", Fields: fields("v")},
+		{Op: MutDelete, Table: "t", Key: "b", Expect: AnyVersion},
 	}
-	if _, err := s.Put("t", "k", fields("v")); !errors.Is(err, ErrClosed) {
-		t.Errorf("Put after close = %v", err)
+	gets := func(rs []GetResult) error {
+		for _, r := range rs {
+			if !errors.Is(r.Err, ErrClosed) {
+				return r.Err
+			}
+		}
+		return ErrClosed
 	}
-	if err := s.Delete("t", "k"); !errors.Is(err, ErrClosed) {
-		t.Errorf("Delete after close = %v", err)
-	}
-	if _, err := s.Scan("t", "", 1); !errors.Is(err, ErrClosed) {
-		t.Errorf("Scan after close = %v", err)
-	}
-	if err := s.Sync(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Sync after close = %v", err)
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Get", func() error { _, err := s.Get("t", "k"); return err }},
+		{"GetAsOf", func() error { _, err := s.GetAsOf("t", "k", s.SnapshotTS()); return err }},
+		{"BatchGet", func() error { return gets(s.BatchGet(reqs)) }},
+		{"BatchGetAsOf", func() error { return gets(s.BatchGetAsOf(reqs, s.SnapshotTS())) }},
+		{"Scan", func() error { _, err := s.Scan("t", "", 1); return err }},
+		{"ScanAsOf", func() error { _, err := s.ScanAsOf("t", "", 1, s.SnapshotTS()); return err }},
+		{"Put", func() error { _, err := s.Put("t", "k", fields("v")); return err }},
+		{"Insert", func() error { _, err := s.Insert("t", "new", fields("v")); return err }},
+		{"PutIfVersion", func() error { _, err := s.PutIfVersion("t", "k", fields("v"), 1); return err }},
+		{"Update", func() error { _, err := s.Update("t", "k", fields("v")); return err }},
+		{"Delete", func() error { return s.Delete("t", "k") }},
+		{"DeleteIfVersion", func() error { return s.DeleteIfVersion("t", "k", 1) }},
+		{"BatchApply", func() error {
+			for _, r := range s.BatchApply(muts) {
+				if !errors.Is(r.Err, ErrClosed) {
+					return r.Err
+				}
+			}
+			return ErrClosed
+		}},
+		{"Ingest", func() error { return s.Ingest("t", []BulkKV{{Key: "a"}, {Key: "b"}}) }},
+		{"Drop", func() error { _, err := s.Drop("t", func(string) bool { return false }); return err }},
+		{"ForEach", func() error { return s.ForEach("t", func(string, *VersionedRecord) bool { return true }) }},
+		{"Sync", s.Sync},
+	} {
+		if err := c.call(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after close = %v, want ErrClosed", c.name, err)
+		}
 	}
 }
 

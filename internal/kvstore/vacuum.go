@@ -10,8 +10,8 @@ import "time"
 //
 // The chain cuts are lock-free (one atomic prev store per cut — a
 // reader pinned at or above the horizon can still reach every version
-// it needs); only the tombstone purge briefly takes each partition's
-// write lock, in one batch per partition.
+// it needs); only the tombstone purge runs in a write section, one per
+// partition.
 func (s *Store) Vacuum() (versions int64, keys int) {
 	cut := s.cutTS(s.nextTS())
 	for _, p := range s.parts {
@@ -102,35 +102,27 @@ func (p *partition) vacuum(cut int64) (int64, int) {
 	}
 	keys := 0
 	if len(dead) > 0 {
-		p.mu.Lock()
-		if p.closed.Load() {
-			p.mu.Unlock()
-			p.metrics.vacuumed.Add(versions)
-			return versions, 0
-		}
-		touched := make(map[string]bool, 1)
-		for _, dk := range dead {
-			t := p.tables[dk.table]
-			if t == nil {
-				continue
+		if ws, err := p.begin(); err == nil {
+			for _, dk := range dead {
+				t := p.tables[dk.table]
+				if t == nil {
+					continue
+				}
+				// Re-check under the lock: the key may have been written
+				// again (resurrected) since the snapshot was collected.
+				cur := t.get(dk.key)
+				if cur == nil || !cur.deleted || cur.CommitTS > cut {
+					continue
+				}
+				t.delete(dk.key)
+				keys++
+				ws.touch(dk.table)
+				if cur.CommitTS > p.purgeTS.Load() {
+					p.purgeTS.Store(cur.CommitTS)
+				}
 			}
-			// Re-check under the lock: the key may have been written
-			// again (resurrected) since the snapshot was collected.
-			cur := t.get(dk.key)
-			if cur == nil || !cur.deleted || cur.CommitTS > cut {
-				continue
-			}
-			t.delete(dk.key)
-			keys++
-			touched[dk.table] = true
-			if cur.CommitTS > p.purgeTS.Load() {
-				p.purgeTS.Store(cur.CommitTS)
-			}
+			_ = ws.end(nil) // nothing logged: no wait, so no error
 		}
-		for name := range touched {
-			p.publishLocked(name, p.tables[name])
-		}
-		p.mu.Unlock()
 	}
 	// A purged key drops its tombstone version too; the purge is not
 	// WAL-logged (the tombstone frame already is — a restart rebuilds

@@ -3,24 +3,22 @@
 // text-format exporter, plus an ops HTTP listener serving /metrics,
 // /healthz and net/http/pprof (http.go).
 //
-// # Sharded recording
+// # Recording
 //
-// The hot path reuses the per-shard accumulation idiom of
-// internal/measurement: a Counter or Histogram is a set of cells, each
-// a block of plain atomics. Hot code obtains a Handle once (e.g. one
-// per engine partition or per WAL) and increments its own private,
-// cache-line-padded cell, so concurrent writers never contend; the
-// direct Add/Observe methods write a shared multi-writer cell and stay
-// lock-free, merely contended. Readers (the /metrics scrape) merge all
-// cells at read time — the cold path.
+// A Counter or Histogram is one block of plain atomics, and a
+// Counter's is padded to a cache line of its own. Writers that must
+// not contend register a series each: the engine labels every series
+// by shard, so each partition and each WAL segment writes its own
+// cells. Readers (the /metrics scrape) load the atomics at read time —
+// the cold path.
 //
 // # Nil safety
 //
-// Every method on *Registry, on the metric types and on their handles
-// is a no-op on a nil receiver. Instrumented code therefore never
-// checks whether metrics are enabled: wiring a nil *Registry through
-// an Options struct turns the whole layer into dead branches, which is
-// also how the registry-on/off overhead benchmark measures cost.
+// Every method on *Registry and on the metric types is a no-op on a
+// nil receiver. Instrumented code therefore never checks whether
+// metrics are enabled: wiring a nil *Registry through an Options
+// struct turns the whole layer into dead branches, which is also how
+// the registry-on/off overhead benchmark measures cost.
 package obs
 
 import (
@@ -54,79 +52,31 @@ var DurationBuckets = []float64{
 // (batch occupancy, queue lengths): powers of two up to 1024.
 var CountBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// cell is one writer's counter slot, padded so distinct handles never
-// share a cache line.
-type cell struct {
+// Counter is a monotonically increasing series. Its atomic is padded
+// so counters allocated side by side never share a cache line.
+type Counter struct {
 	n atomic.Int64
 	_ [56]byte
 }
 
-// Counter is a monotonically increasing series.
-type Counter struct {
-	grow   sync.Mutex
-	shared cell
-	extra  atomic.Pointer[[]*cell]
-}
-
-// Add increments the shared multi-writer cell. Nil-safe.
+// Add increments the counter. Nil-safe.
 func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.shared.n.Add(n)
+	c.n.Add(n)
 }
 
 // Inc is Add(1).
 func (c *Counter) Inc() { c.Add(1) }
 
-// Handle allocates a private single-writer cell linked into the
-// counter (copy-on-write, like measurement.Series.newShard). Call once
-// per writer, not on the hot path. Nil-safe: a nil Counter returns a
-// nil handle whose methods no-op.
-func (c *Counter) Handle() *CounterHandle {
-	if c == nil {
-		return nil
-	}
-	cl := &cell{}
-	c.grow.Lock()
-	old := c.extra.Load()
-	var next []*cell
-	if old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, cl)
-	c.extra.Store(&next)
-	c.grow.Unlock()
-	return &CounterHandle{c: cl}
-}
-
-// Value merges every cell. Nil-safe (returns 0).
+// Value reads the counter. Nil-safe (returns 0).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	n := c.shared.n.Load()
-	if extra := c.extra.Load(); extra != nil {
-		for _, cl := range *extra {
-			n += cl.n.Load()
-		}
-	}
-	return n
+	return c.n.Load()
 }
-
-// CounterHandle is one writer's private cell of a Counter.
-type CounterHandle struct{ c *cell }
-
-// Add increments the handle's private cell. Nil-safe.
-func (h *CounterHandle) Add(n int64) {
-	if h == nil {
-		return
-	}
-	h.c.n.Add(n)
-}
-
-// Inc is Add(1).
-func (h *CounterHandle) Inc() { h.Add(1) }
 
 // Gauge is a settable instantaneous value. A single atomic — gauges
 // are set, not accumulated, so there is nothing to shard.
@@ -157,89 +107,49 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// histCells is one writer's histogram block: one count per bucket
-// (the last slot is +Inf) plus the float64 sum as CAS'd bits.
-type histCells struct {
-	counts  []atomic.Int64
-	sumBits atomic.Uint64
-}
-
-func (hc *histCells) observe(bounds []float64, v float64) {
-	// First bound >= v is the le bucket; past the end is +Inf.
-	i := sort.SearchFloat64s(bounds, v)
-	hc.counts[i].Add(1)
-	for {
-		old := hc.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if hc.sumBits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
 // Histogram accumulates observations into fixed cumulative buckets
 // (Prometheus le semantics). Durations observe seconds.
 type Histogram struct {
-	bounds []float64
-	grow   sync.Mutex
-	shared *histCells
-	extra  atomic.Pointer[[]*histCells]
+	bounds  []float64
+	counts  []atomic.Int64 // one per bucket; the last slot is +Inf
+	sumBits atomic.Uint64  // the float64 sum, CAS'd as bits
 }
 
 func newHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	sort.Float64s(b)
-	return &Histogram{bounds: b, shared: &histCells{counts: make([]atomic.Int64, len(b)+1)}}
+	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 }
 
-// Observe records v into the shared multi-writer cells. Nil-safe.
+// Observe records v. Nil-safe.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.shared.observe(h.bounds, v)
-}
-
-// Handle allocates a private single-writer cell block. Nil-safe.
-func (h *Histogram) Handle() *HistogramHandle {
-	if h == nil {
-		return nil
-	}
-	hc := &histCells{counts: make([]atomic.Int64, len(h.bounds)+1)}
-	h.grow.Lock()
-	old := h.extra.Load()
-	var next []*histCells
-	if old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, hc)
-	h.extra.Store(&next)
-	h.grow.Unlock()
-	return &HistogramHandle{h: h, hc: hc}
-}
-
-// snapshot merges every cell block into per-bucket counts (non-
-// cumulative), the total count, and the sum.
-func (h *Histogram) snapshot() (counts []int64, total int64, sum float64) {
-	counts = make([]int64, len(h.bounds)+1)
-	blocks := []*histCells{h.shared}
-	if extra := h.extra.Load(); extra != nil {
-		blocks = append(blocks, *extra...)
-	}
-	for _, hc := range blocks {
-		for i := range hc.counts {
-			counts[i] += hc.counts[i].Load()
+	// First bound >= v is the le bucket; past the end is +Inf.
+	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
+	for {
+		old := h.sumBits.Load()
+		nw := math.Float64bits(math.Float64frombits(old) + v)
+		if h.sumBits.CompareAndSwap(old, nw) {
+			return
 		}
-		sum += math.Float64frombits(hc.sumBits.Load())
 	}
-	for _, c := range counts {
-		total += c
-	}
-	return counts, total, sum
 }
 
-// Count returns the merged observation count. Nil-safe.
+// snapshot loads the per-bucket counts (non-cumulative), the total
+// count, and the sum.
+func (h *Histogram) snapshot() (counts []int64, total int64, sum float64) {
+	counts = make([]int64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
+	return counts, total, math.Float64frombits(h.sumBits.Load())
+}
+
+// Count returns the observation count. Nil-safe.
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
@@ -248,27 +158,13 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
-// Sum returns the merged observation sum. Nil-safe.
+// Sum returns the observation sum. Nil-safe.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
 	_, _, s := h.snapshot()
 	return s
-}
-
-// HistogramHandle is one writer's private cell block of a Histogram.
-type HistogramHandle struct {
-	h  *Histogram
-	hc *histCells
-}
-
-// Observe records v into the handle's private cells. Nil-safe.
-func (hh *HistogramHandle) Observe(v float64) {
-	if hh == nil {
-		return
-	}
-	hh.hc.observe(hh.h.bounds, v)
 }
 
 // Sample is one scrape-time data point emitted by a collector:

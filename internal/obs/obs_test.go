@@ -7,17 +7,13 @@ import (
 	"testing"
 )
 
-func TestCounterMergesSharedAndHandles(t *testing.T) {
+func TestCounterIsOneSeriesPerLabelSet(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total", "kind", "get")
 	c.Add(3)
 	c.Inc()
-	h1 := c.Handle()
-	h2 := c.Handle()
-	h1.Add(10)
-	h2.Inc()
-	if got := c.Value(); got != 15 {
-		t.Fatalf("Value() = %d, want 15", got)
+	if got := c.Value(); got != 4 {
+		t.Fatalf("Value() = %d, want 4", got)
 	}
 	// Same name+labels returns the same series; label order must not
 	// split the series.
@@ -63,8 +59,7 @@ func TestHistogramExport(t *testing.T) {
 	h.Observe(0.5)  // le 1
 	h.Observe(0.5)  // le 1
 	h.Observe(100)  // +Inf only
-	hh := h.Handle()
-	hh.Observe(5) // le 10
+	h.Observe(5)    // le 10
 	if got := h.Count(); got != 5 {
 		t.Fatalf("Count() = %d, want 5", got)
 	}
@@ -143,7 +138,6 @@ func TestNilSafety(t *testing.T) {
 	c := r.Counter("a")
 	c.Add(1)
 	c.Inc()
-	c.Handle().Inc()
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
 	}
@@ -154,7 +148,6 @@ func TestNilSafety(t *testing.T) {
 	r.GaugeFunc("c", func() float64 { return 1 })
 	h := r.Histogram("d", DurationBuckets)
 	h.Observe(1)
-	h.Handle().Observe(1)
 	_ = h.Count()
 	_ = h.Sum()
 	r.Help("a", "help")
@@ -170,8 +163,8 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrape hammers counters, gauges, histograms, handle
-// allocation and registration from many goroutines while scraping the
+// TestConcurrentScrape hammers counters, gauges, histograms and
+// registration from many goroutines while scraping the
 // exposition concurrently; run under -race this is the registry's
 // thread-safety proof.
 func TestConcurrentScrape(t *testing.T) {
@@ -187,14 +180,10 @@ func TestConcurrentScrape(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("w_total", "writer", fmt.Sprint(id))
 			h := r.Histogram("w_seconds", DurationBuckets, "writer", fmt.Sprint(id))
-			ch := c.Handle()
-			hh := h.Handle()
 			g := r.Gauge("w_inflight")
 			for j := 0; ; j++ {
 				c.Inc()
-				ch.Inc()
 				h.Observe(float64(j%100) / 1000)
-				hh.Observe(0.001)
 				g.Add(1)
 				g.Add(-1)
 				if j%64 == 0 {
@@ -244,11 +233,9 @@ func benchmarkInstrumentedOp(b *testing.B, reg *Registry) {
 	c := reg.Counter("bench_ops_total", "kind", "put")
 	h := reg.Histogram("bench_seconds", DurationBuckets, "kind", "put")
 	b.RunParallel(func(pb *testing.PB) {
-		ch := c.Handle()
-		hh := h.Handle()
 		for pb.Next() {
-			ch.Inc()
-			hh.Observe(0.000123)
+			c.Inc()
+			h.Observe(0.000123)
 		}
 	})
 }
