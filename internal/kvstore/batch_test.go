@@ -327,6 +327,23 @@ func TestOnePublishPerTouchedTable(t *testing.T) {
 	}
 }
 
+// TestBatchOnClosedStore checks every item of a batch against a
+// closed store reports ErrClosed rather than panicking or hanging.
+func TestBatchOnClosedStore(t *testing.T) {
+	s := OpenMemoryShards(2)
+	s.Close()
+	for _, r := range s.BatchGet([]GetReq{{Table: "t", Key: "a"}, {Table: "t", Key: "b"}}) {
+		if !errors.Is(r.Err, ErrClosed) {
+			t.Fatalf("get: %v", r.Err)
+		}
+	}
+	for _, r := range s.BatchApply([]Mutation{{Op: MutPut, Table: "t", Key: "a", Expect: AnyVersion}}) {
+		if !errors.Is(r.Err, ErrClosed) {
+			t.Fatalf("apply: %v", r.Err)
+		}
+	}
+}
+
 // BenchmarkStoreBatchApply compares batched against single-op writes
 // on the partitioned engine (no WAL, pure lock economics).
 func BenchmarkStoreBatchApply(b *testing.B) {
