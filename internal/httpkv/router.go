@@ -507,47 +507,21 @@ func scanMerged[T any](ctx context.Context, r *Router, table, startKey string, c
 	}
 }
 
-// scanRound runs one fan-out round: open a cursor per node (priming
-// each with its first record concurrently), verify the fleet answered
-// under one map version, then merge. Any errScanRescan — from a
-// page's 409, a dead wire connection, or version skew across nodes
-// or between one node's fetches — aborts the round for scanMerged to
-// retry.
+// scanRound runs one fan-out round: open a cursor per node (sending
+// every node's first page request, then priming each cursor with its
+// first record), verify the fleet answered under one map version, then
+// merge. Any errScanRescan — from a page's 409, a dead wire connection,
+// or version skew across nodes or between one node's fetches — aborts
+// the round for scanMerged to retry.
 func scanRound[T any](ctx context.Context, r *Router, table, startKey string, count int, conv func(*kvwire.StreamRecord) T) ([]T, error) {
 	if count == 0 {
 		return nil, nil
 	}
 	m := r.cur.Load()
-	roundCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	cursors := make([]*scanCursor, len(m.Nodes))
-	errs := make([]error, len(m.Nodes))
-	shares := nodeShares(startKey, count, m)
-	var wg sync.WaitGroup
-	for i, addr := range m.Nodes {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			c, err := r.node(roundCtx, addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sc, err := c.openScanCursor(roundCtx, table, startKey, shares[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			cursors[i] = sc
-			errs[i] = sc.next(shares[i])
-		}(i, addr)
-	}
-	wg.Wait()
+	cursors := make([]*scanCursor, 0, len(m.Nodes))
 	defer func() {
 		for _, sc := range cursors {
-			if sc != nil {
-				sc.close()
-			}
+			sc.close()
 		}
 	}()
 	nodeErr := func(i int, err error) error {
@@ -556,8 +530,23 @@ func scanRound[T any](ctx context.Context, r *Router, table, startKey string, co
 		}
 		return fmt.Errorf("cluster: scan on %s: %w", m.Nodes[i], err)
 	}
-	for i, err := range errs {
+	// Every node's first page request goes out before any reply is
+	// read, so the nodes serve them at once; then each cursor is primed
+	// in turn.
+	shares := nodeShares(startKey, count, m)
+	for i, addr := range m.Nodes {
+		c, err := r.node(ctx, addr)
 		if err != nil {
+			return nil, nodeErr(i, err)
+		}
+		sc, err := c.openScanCursor(ctx, table, startKey, shares[i])
+		if err != nil {
+			return nil, nodeErr(i, err)
+		}
+		cursors = append(cursors, sc)
+	}
+	for i, sc := range cursors {
+		if err := sc.next(shares[i]); err != nil {
 			return nil, nodeErr(i, err)
 		}
 	}
@@ -598,7 +587,8 @@ func scanRound[T any](ctx context.Context, r *Router, table, startKey string, co
 }
 
 // ExecBatch implements db.BatchDB: ops group by owner node, one
-// request frame goes to each owner concurrently, and results merge back
+// request frame goes to each owner concurrently (the last on the
+// caller's goroutine), and results merge back
 // in request order. Items answered 410 re-route (after a map refetch)
 // with bounded retries, so a batch spanning a migrating slot loses no
 // operations — it just pays extra rounds for the moved subset.
@@ -619,38 +609,48 @@ func (r *Router) ExecBatch(ctx context.Context, ops []db.BatchOp) []db.BatchResu
 		var mu sync.Mutex
 		var movedNext []int
 		var firstMoved *cluster.MovedError
+		send := func(owner string, idx []int) {
+			sub := make([]db.BatchOp, len(idx))
+			for j, i := range idx {
+				sub[j] = ops[i]
+			}
+			r.metrics.observeRoutedBatch(owner, len(sub))
+			var results []db.BatchResult
+			c, err := r.node(ctx, owner)
+			if err == nil {
+				results = c.ExecBatch(ctx, sub)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for j, i := range idx {
+				if err != nil {
+					out[i] = db.BatchResult{Err: err}
+					continue
+				}
+				res := results[j]
+				var me *cluster.MovedError
+				if errors.As(res.Err, &me) {
+					movedNext = append(movedNext, i)
+					if firstMoved == nil {
+						firstMoved = me
+					}
+					continue
+				}
+				out[i] = res
+			}
+		}
+		// Every owner but one on a goroutine of its own, that one on the
+		// caller: a batch with one owner starts none.
+		left := len(groups)
 		for owner, idx := range groups {
+			if left--; left == 0 {
+				send(owner, idx)
+				break
+			}
 			wg.Add(1)
 			go func(owner string, idx []int) {
 				defer wg.Done()
-				sub := make([]db.BatchOp, len(idx))
-				for j, i := range idx {
-					sub[j] = ops[i]
-				}
-				r.metrics.observeRoutedBatch(owner, len(sub))
-				var results []db.BatchResult
-				c, err := r.node(ctx, owner)
-				if err == nil {
-					results = c.ExecBatch(ctx, sub)
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				for j, i := range idx {
-					if err != nil {
-						out[i] = db.BatchResult{Err: err}
-						continue
-					}
-					res := results[j]
-					var me *cluster.MovedError
-					if errors.As(res.Err, &me) {
-						movedNext = append(movedNext, i)
-						if firstMoved == nil {
-							firstMoved = me
-						}
-						continue
-					}
-					out[i] = res
-				}
+				send(owner, idx)
 			}(owner, idx)
 		}
 		wg.Wait()

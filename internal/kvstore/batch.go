@@ -106,10 +106,12 @@ func (s *Store) BatchApply(muts []Mutation) []MutResult {
 
 // fanOut is how a multi-key call reaches its partitions: it groups the
 // indices of n items by the partition shard(i) names, in request
-// order, and runs fn on each partition's share on a goroutine of its
-// own, returning the first error by partition order. A one-partition
-// store runs fn inline with idx nil, which stands for every item (see
-// each), without calling shard.
+// order, and runs fn on each partition's share, every share but the
+// last touched partition's on a goroutine of its own and that one on
+// the caller, so a batch that touches one partition starts none. It
+// returns the first error by partition order. A one-partition store
+// runs fn inline with idx nil, which stands for every item (see each),
+// without calling shard.
 func (s *Store) fanOut(n int, shard func(i int) int, fn func(p *partition, idx []int) error) error {
 	if n == 0 {
 		return nil
@@ -122,12 +124,14 @@ func (s *Store) fanOut(n int, shard func(i int) int, fn func(p *partition, idx [
 		err error
 	}
 	shares := make([]share, len(s.parts))
+	last := 0
 	for i := 0; i < n; i++ {
-		sh := &shares[shard(i)]
-		sh.idx = append(sh.idx, i)
+		sh := shard(i)
+		shares[sh].idx = append(shares[sh].idx, i)
+		last = max(last, sh)
 	}
 	var wg sync.WaitGroup
-	for i := range shares {
+	for i := range shares[:last] {
 		if shares[i].idx == nil {
 			continue
 		}
@@ -137,6 +141,7 @@ func (s *Store) fanOut(n int, shard func(i int) int, fn func(p *partition, idx [
 			sh.err = fn(p, sh.idx)
 		}(s.parts[i], &shares[i])
 	}
+	shares[last].err = fn(s.parts[last], shares[last].idx)
 	wg.Wait()
 	for _, sh := range shares {
 		if sh.err != nil {

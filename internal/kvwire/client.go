@@ -8,23 +8,24 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Endpoint is the client side of the framed binary protocol for one
-// server address: a small pool of persistent connections, each
-// multiplexing many in-flight requests by id. Exec is safe for
-// concurrent use; requests pipeline onto the least-loaded connection
-// and responses are matched back by request id, so slow requests never
-// head-of-line-block fast ones.
+// server address: a pool of idle persistent connections. A request owns
+// one connection from its write to its reply: Exec takes an idle
+// connection (or dials one), writes its frame, reads the reply on its
+// own goroutine and puts the connection back, so no goroutine hands a
+// reply to another. Exec is safe for concurrent use; concurrent
+// requests ride connections of their own.
 type Endpoint struct {
 	addr        string
-	maxConns    int
+	maxIdle     int
 	dialTimeout time.Duration
 
 	mu     sync.Mutex
-	conns  []*clientConn
+	idle   []*clientConn            // most recently used last
+	open   map[*clientConn]struct{} // dialed and not yet closed, idle or not
 	closed bool
 }
 
@@ -47,35 +48,32 @@ func (e *RequestError) Error() string {
 	return fmt.Sprintf("kvwire: request failed: %d %s", e.Status, e.Msg)
 }
 
-// DefaultMaxConns bounds one endpoint's connection pool. Pipelining
-// does the heavy lifting; the pool only needs to cover write-lock
-// contention.
-const DefaultMaxConns = 4
+// DefaultMaxConns bounds the idle connections one endpoint keeps, the
+// same as the HTTP client's idle connections per host. It does not cap
+// concurrent requests: one past it dials a connection of its own, and
+// the server's admission gate bounds how many run.
+const DefaultMaxConns = 64
 
-// pipelineBound is the in-flight depth past which Exec prefers opening
-// another connection over piling deeper onto an existing one.
-const pipelineBound = 128
+var errEndpointClosed = errors.New("kvwire: endpoint closed")
 
-// NewEndpoint builds a client endpoint for addr (host:port). Dialing
-// is lazy: no connection exists until the first Exec.
+// NewEndpoint builds a client endpoint for addr (host:port) that keeps
+// up to maxConns idle connections. Dialing is lazy: no connection
+// exists until the first Exec.
 func NewEndpoint(addr string, maxConns int) *Endpoint {
 	if maxConns <= 0 {
 		maxConns = DefaultMaxConns
 	}
-	return &Endpoint{addr: addr, maxConns: maxConns, dialTimeout: 5 * time.Second}
+	return &Endpoint{addr: addr, maxIdle: maxConns, dialTimeout: 5 * time.Second, open: make(map[*clientConn]struct{})}
 }
 
 // Addr returns the endpoint's dial address.
 func (e *Endpoint) Addr() string { return e.addr }
 
-// Exec ships ops as one request frame and waits for the matching
-// response. The ctx deadline rides in the frame (the server abandons
-// work it cannot start in time, like the HTTP X-Deadline-Ms header).
+// Exec ships ops as one request frame and waits for its response. The
+// ctx deadline rides in the frame (the server abandons work it cannot
+// start in time, like the HTTP X-Deadline-Ms header), and ctx's end
+// interrupts the wait.
 func (e *Endpoint) Exec(ctx context.Context, ops []Op) ([]Result, error) {
-	c, err := e.pick(ctx)
-	if err != nil {
-		return nil, err
-	}
 	var deadlineMs uint64
 	if dl, ok := ctx.Deadline(); ok {
 		ms := time.Until(dl).Milliseconds()
@@ -84,73 +82,52 @@ func (e *Endpoint) Exec(ctx context.Context, ops []Op) ([]Result, error) {
 		}
 		deadlineMs = uint64(ms)
 	}
-	reply := make(chan wireReply, 1)
-	id := c.register(reply)
-	if err := c.writeRequest(id, deadlineMs, ops); err != nil {
-		c.fail(err)
-		e.drop(c)
-		return nil, err
-	}
-	select {
-	case r := <-reply:
-		if r.err != nil {
-			e.drop(c)
-			return nil, r.err
-		}
-		if r.reqErr != nil {
-			return nil, r.reqErr
-		}
-		return r.res, nil
-	case <-ctx.Done():
-		c.unregister(id)
-		return nil, ctx.Err()
-	}
-}
-
-// pick returns a live connection, preferring the least-loaded one and
-// dialing a new one while the pool is shallow or every conn is past
-// the pipeline bound.
-func (e *Endpoint) pick(ctx context.Context) (*clientConn, error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, errors.New("kvwire: endpoint closed")
-	}
-	var best *clientConn
-	for _, c := range e.conns {
-		if c.dead.Load() {
-			continue
-		}
-		if best == nil || c.inflight.Load() < best.inflight.Load() {
-			best = c
-		}
-	}
-	if best != nil && (len(e.conns) >= e.maxConns || best.inflight.Load() < pipelineBound) {
-		e.mu.Unlock()
-		return best, nil
-	}
-	e.mu.Unlock()
-
-	c, err := e.dial(ctx)
+	c, err := e.get(ctx)
 	if err != nil {
-		if best != nil {
-			return best, nil // a live conn beats a failed dial
-		}
+		return nil, err
+	}
+	id := c.next()
+	c.wbuf = AppendRequest(c.wbuf[:0], id, deadlineMs, ops)
+	if err := e.send(c); err != nil {
+		return nil, err
+	}
+	r, err := e.receive(ctx, c, id, frameResponse)
+	if err != nil {
+		return nil, err
+	}
+	if r.reqErr != nil {
+		return nil, r.reqErr
+	}
+	return r.res, nil
+}
+
+// get takes the most recently used idle connection the peer has not
+// closed, or dials a new one.
+func (e *Endpoint) get(ctx context.Context) (*clientConn, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
-	if e.closed {
+	for !e.closed && len(e.idle) > 0 {
+		c := e.idle[len(e.idle)-1]
+		e.idle = e.idle[:len(e.idle)-1]
 		e.mu.Unlock()
-		c.conn.Close()
-		return nil, errors.New("kvwire: endpoint closed")
+		if c.br.Buffered() == 0 && c.peek.quiet() {
+			return c, nil
+		}
+		e.discard(c) // a restarted peer costs a redial, not a failed call
+		e.mu.Lock()
 	}
-	e.conns = append(e.conns, c)
+	closed := e.closed
 	e.mu.Unlock()
-	return c, nil
+	if closed {
+		return nil, errEndpointClosed
+	}
+	return e.dial(ctx)
 }
 
-// dial opens and handshakes one connection. Refused connections and
-// bad magic are ErrUnavailable.
+// dial opens and handshakes one connection and counts it open. Refused
+// connections and bad magic are ErrUnavailable.
 func (e *Endpoint) dial(ctx context.Context) (*clientConn, error) {
 	d := net.Dialer{Timeout: e.dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", e.addr)
@@ -173,167 +150,151 @@ func (e *Endpoint) dial(ctx context.Context) (*clientConn, error) {
 	}
 	conn.SetDeadline(time.Time{})
 	c := &clientConn{
-		conn:    conn,
-		br:      br,
-		pending: make(map[uint64]chan<- wireReply),
+		conn:      conn,
+		br:        br,
+		peek:      newPeeker(conn),
+		interrupt: func() { conn.SetDeadline(time.Unix(1, 0)) },
 	}
-	go c.readLoop()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		conn.Close()
+		return nil, errEndpointClosed
+	}
+	e.open[c] = struct{}{}
 	return c, nil
 }
 
-// drop removes a failed connection from the pool.
-func (e *Endpoint) drop(c *clientConn) {
-	c.dead.Store(true)
-	e.mu.Lock()
-	for i, cc := range e.conns {
-		if cc == c {
-			e.conns = append(e.conns[:i], e.conns[i+1:]...)
-			break
-		}
+// send writes the frame in c.wbuf. A connection that failed to take it
+// is closed.
+func (e *Endpoint) send(c *clientConn) error {
+	if _, err := c.conn.Write(c.wbuf); err != nil {
+		e.discard(c)
+		return fmt.Errorf("kvwire: connection failed: %w", err)
 	}
+	return nil
+}
+
+// receive reads the reply to request id, a frame of type want or an
+// error frame, on the caller's goroutine. ctx's end interrupts the read
+// by moving the connection's deadline into the past. The connection
+// goes back to the pool only when its reply was read whole and ctx did
+// not touch its deadline; otherwise it is closed.
+func (e *Endpoint) receive(ctx context.Context, c *clientConn, id uint64, want byte) (wireReply, error) {
+	stop := alwaysClean
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, c.interrupt)
+	}
+	r, err := c.read(id, want)
+	switch {
+	case !stop():
+		e.discard(c)
+		if err != nil {
+			return r, ctx.Err()
+		}
+	case err != nil:
+		e.discard(c)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return r, fmt.Errorf("kvwire: connection failed: %w", err)
+	default:
+		e.put(c)
+	}
+	return r, nil
+}
+
+func alwaysClean() bool { return true }
+
+// put returns a connection whose request is done to the idle pool, or
+// closes it when the pool is full or the endpoint closed.
+func (e *Endpoint) put(c *clientConn) {
+	e.mu.Lock()
+	if !e.closed && len(e.idle) < e.maxIdle {
+		e.idle = append(e.idle, c)
+		e.mu.Unlock()
+		return
+	}
+	e.mu.Unlock()
+	e.discard(c)
+}
+
+// discard closes a connection that is not to be reused.
+func (e *Endpoint) discard(c *clientConn) {
+	e.mu.Lock()
+	delete(e.open, c)
 	e.mu.Unlock()
 	c.conn.Close()
 }
 
-// Close tears down every connection; in-flight Execs fail.
+// Close closes every open connection, idle or carrying a request:
+// in-flight Execs fail, and later ones fail without dialing.
 func (e *Endpoint) Close() error {
 	e.mu.Lock()
 	e.closed = true
-	conns := e.conns
-	e.conns = nil
+	open := e.open
+	e.open, e.idle = nil, nil
 	e.mu.Unlock()
-	for _, c := range conns {
-		c.fail(errors.New("kvwire: endpoint closed"))
+	for c := range open {
 		c.conn.Close()
 	}
 	return nil
 }
 
-// wireReply is one matched reply: results, a scan page, a
-// whole-request error frame, or a connection failure.
+// wireReply is one reply: results, a scan page, or a whole-request
+// error frame.
 type wireReply struct {
 	res    []Result
-	page   *scanPage
+	page   scanPage
 	reqErr *RequestError
-	err    error
 }
 
+// clientConn is one connection, owned by at most one request at a time:
+// nothing in it is shared.
 type clientConn struct {
-	conn net.Conn
-	br   *bufio.Reader // read side of conn; owned by readLoop
-
-	wmu  sync.Mutex
-	wbuf []byte
-
-	mu      sync.Mutex
-	pending map[uint64]chan<- wireReply
-	nextID  uint64
-
-	inflight atomic.Int64
-	dead     atomic.Bool
+	conn    net.Conn
+	br      *bufio.Reader
+	wbuf    []byte
+	payload []byte       // the last frame read, reused unless a page kept it
+	dec     fieldDecoder // responses: copied out of payload
+	lastID  uint64
+	peek    *peeker
+	// interrupt moves conn's deadline into the past, failing a blocked
+	// read; made once per connection so ctx watches allocate nothing
+	// more.
+	interrupt func()
 }
 
-func (c *clientConn) register(reply chan<- wireReply) uint64 {
-	c.mu.Lock()
-	c.nextID++
-	id := c.nextID
-	c.pending[id] = reply
-	c.mu.Unlock()
-	c.inflight.Add(1)
-	return id
+// next returns a fresh request id for this connection.
+func (c *clientConn) next() uint64 {
+	c.lastID++
+	return c.lastID
 }
 
-func (c *clientConn) unregister(id uint64) {
-	c.mu.Lock()
-	if _, ok := c.pending[id]; ok {
-		delete(c.pending, id)
-		c.inflight.Add(-1)
-	}
-	c.mu.Unlock()
-}
-
-func (c *clientConn) writeRequest(id uint64, deadlineMs uint64, ops []Op) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = AppendRequest(c.wbuf[:0], id, deadlineMs, ops)
-	_, err := c.conn.Write(c.wbuf)
-	return err
-}
-
-func (c *clientConn) writeScanRequest(id uint64, req *ScanRequest) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = AppendScanRequest(c.wbuf[:0], id, req)
-	_, err := c.conn.Write(c.wbuf)
-	return err
-}
-
-// readLoop owns the read side: match reply frames to waiters until the
-// connection dies, then fail whoever is left.
-func (c *clientConn) readLoop() {
-	var payload []byte
-	var dec fieldDecoder // responses: copied out of payload
-	for {
-		typ, id, p, err := ReadFrame(c.br, payload)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		payload = p
-		var reply wireReply
-		switch typ {
-		case frameResponse:
-			res, err := dec.response(payload, nil)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			reply.res = res
-		case frameError:
-			status, retry, msg, err := DecodeError(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			reply.reqErr = &RequestError{Status: status, RetryAfter: time.Duration(retry) * time.Second, Msg: msg}
-		case framePage:
-			p, err := decodePage(payload)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			// The page's records keep the frame buffer (their sections
-			// point into it); the next frame gets a new one.
-			reply.page, payload = &p, nil
-		default:
-			c.fail(fmt.Errorf("kvwire: unexpected frame type %d", typ))
-			return
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[id]
-		if ok {
-			delete(c.pending, id)
-		}
-		c.mu.Unlock()
-		if ok {
-			c.inflight.Add(-1)
-			ch <- reply
-		}
-	}
-}
-
-// fail marks the conn dead and answers every pending request with err.
-func (c *clientConn) fail(err error) {
-	c.dead.Store(true)
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	c.mu.Lock()
-	pending := c.pending
-	c.pending = make(map[uint64]chan<- wireReply)
-	c.mu.Unlock()
-	for _, ch := range pending {
-		c.inflight.Add(-1)
-		ch <- wireReply{err: fmt.Errorf("kvwire: connection failed: %w", err)}
+// read takes the next frame, which must answer request id with a frame
+// of type want or an error frame.
+func (c *clientConn) read(id uint64, want byte) (r wireReply, err error) {
+	typ, got, payload, err := ReadFrame(c.br, c.payload)
+	c.payload = payload
+	switch {
+	case err != nil:
+		return r, err
+	case got != id:
+		return r, fmt.Errorf("kvwire: reply to request %d, want %d", got, id)
+	case typ == frameError:
+		status, retry, msg, err := DecodeError(payload)
+		r.reqErr = &RequestError{Status: status, RetryAfter: time.Duration(retry) * time.Second, Msg: msg}
+		return r, err
+	case typ != want:
+		return r, fmt.Errorf("kvwire: unexpected frame type %d", typ)
+	case typ == framePage:
+		// The page's records keep the frame buffer (their sections
+		// point into it); the next frame gets a new one.
+		c.payload = nil
+		r.page, err = decodePage(payload)
+		return r, err
+	default:
+		r.res, err = c.dec.response(payload, nil)
+		return r, err
 	}
 }

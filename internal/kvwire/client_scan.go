@@ -15,17 +15,17 @@ import (
 //	}
 //	err = s.Err()
 //
-// Each page is one request through the endpoint's pending map, like an
-// Exec: the stream holds at most one page, and asks for the next only
-// once its caller has taken every record of this one and wants more.
-// Next/Record/Err/Close must stay on one goroutine.
+// Each page is one request, like an Exec: it holds a connection from
+// its request until its reply arrives. The stream holds at most one
+// page, and asks for the next only once its caller has taken every
+// record of this one and wants more. Next/Record/Err/Close must stay on
+// one goroutine.
 type ScanStream struct {
-	e     *Endpoint
-	ctx   context.Context
-	req   ScanRequest // the next page's request
-	reply chan wireReply
+	e   *Endpoint
+	ctx context.Context
+	req ScanRequest // the next page's request
 
-	c  *clientConn // the connection the page in flight rides, nil when none is
+	c  *clientConn // the connection the page in flight holds, nil when none is
 	id uint64      // its request id
 
 	page   []StreamRecord
@@ -43,23 +43,23 @@ type ScanStream struct {
 // from the send itself (dial, handshake) wrap ErrUnavailable like Exec;
 // whatever the server answers surfaces from Next/Err.
 func (e *Endpoint) Scan(ctx context.Context, req *ScanRequest) (*ScanStream, error) {
-	s := &ScanStream{e: e, ctx: ctx, req: *req, reply: make(chan wireReply, 1), idx: -1}
+	s := &ScanStream{e: e, ctx: ctx, req: *req, idx: -1}
 	if err := s.request(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// request sends the page request for s.req.
+// request sends the page request for s.req on a connection the page
+// then holds.
 func (s *ScanStream) request() error {
-	c, err := s.e.pick(s.ctx)
+	c, err := s.e.get(s.ctx)
 	if err != nil {
 		return err
 	}
-	id := c.register(s.reply)
-	if err := c.writeScanRequest(id, &s.req); err != nil {
-		c.fail(err)
-		s.e.drop(c)
+	id := c.next()
+	c.wbuf = AppendScanRequest(c.wbuf[:0], id, &s.req)
+	if err := s.e.send(c); err != nil {
 		return err
 	}
 	s.c, s.id = c, id
@@ -96,24 +96,17 @@ func (s *ScanStream) Next() bool {
 // different shard map versions end the scan with 409: the filter
 // changed between them, so records may be missing from the seam.
 func (s *ScanStream) await() error {
-	c := s.c
-	var r wireReply
-	select {
-	case r = <-s.reply:
-		s.c = nil
-	case <-s.ctx.Done():
-		return s.ctx.Err()
-	}
+	r, err := s.e.receive(s.ctx, s.c, s.id, framePage)
+	s.c = nil
 	switch {
-	case r.err != nil:
-		s.e.drop(c)
-		return r.err
+	case err != nil:
+		return err
 	case r.reqErr != nil:
 		return r.reqErr
 	case s.mapVer != 0 && r.page.mapVer != s.mapVer:
 		return &RequestError{Status: http.StatusConflict, Msg: "shard map changed between scan pages"}
 	}
-	p := r.page
+	p := &r.page
 	s.page, s.idx, s.mapVer = p.recs, 0, p.mapVer
 	if s.req.Count > 0 {
 		s.req.Count = max(0, s.req.Count-len(p.recs))
@@ -146,11 +139,12 @@ func (s *ScanStream) MapVersion() int64 { return s.mapVer }
 // between pages (409), the ctx or connection error otherwise.
 func (s *ScanStream) Err() error { return s.err }
 
-// Close ends the scan: a page still in flight is forgotten, and its
-// reply dropped when it arrives. The server holds nothing to release.
+// Close ends the scan: a page still in flight is forgotten, and the
+// connection it holds closed, reply unread. The server holds nothing to
+// release.
 func (s *ScanStream) Close() error {
 	if s.c != nil {
-		s.c.unregister(s.id)
+		s.e.discard(s.c)
 		s.c = nil
 	}
 	s.more = false

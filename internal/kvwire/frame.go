@@ -16,9 +16,10 @@ import (
 //
 //	u32 LE payload length | u8 frame type | u64 LE request id | payload
 //
-// Request ids are chosen by the client and echoed verbatim, so many
-// requests ride one TCP connection concurrently and responses return
-// in completion order, not request order (pipelining). Frame types:
+// Request ids are chosen by the client and echoed verbatim. The server
+// answers a connection's frames one at a time, in the order they came,
+// and the client sends one request per connection at a time and checks
+// the echoed id. Frame types:
 //
 //	1 request  — uvarint deadline_ms, uvarint op count, ops
 //	2 response — uvarint result count, results

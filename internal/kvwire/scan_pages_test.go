@@ -410,7 +410,7 @@ func servePage(t *testing.T, core *Core, req *ScanRequest) (typ byte, payload []
 	defer client.Close()
 	srv := NewServer(core, ServerOptions{})
 	go func() {
-		srv.handleScan(&serverConn{conn: server, ctx: context.Background()}, 1, req)
+		srv.handleScan(&serverConn{conn: server}, 1, req)
 		server.Close()
 	}()
 	typ, _, payload, err := ReadFrame(client, nil)

@@ -2,8 +2,10 @@ package kvwire
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,8 +84,11 @@ func TestServerMagicAndRequestInOneSegment(t *testing.T) {
 }
 
 // TestClientCoalescedAndSplitResponses runs the client against a
-// scripted peer that answers two pipelined requests in one write, then
-// a third in two writes cut inside the payload.
+// scripted peer that sends the handshake echo and the reply to the
+// first request in one segment, answers the second request in two
+// writes cut inside the payload, and answers the third under an id the
+// client never sent, which fails that Exec and leaves its connection
+// out of the pool.
 func TestClientCoalescedAndSplitResponses(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -107,30 +112,38 @@ func TestClientCoalescedAndSplitResponses(t *testing.T) {
 			if _, err := io.ReadFull(conn, magic[:]); err != nil {
 				return err
 			}
-			if _, err := conn.Write([]byte(Magic)); err != nil {
+			// The echo and the reply to request 1 in one segment, sent
+			// before the request arrives: a connection numbers its
+			// requests from 1.
+			if _, err := conn.Write(answer([]byte(Magic), 1)); err != nil {
 				return err
 			}
-			// Two requests in, both responses out in one segment.
-			var ids [3]uint64
-			for i := 0; i < 2; i++ {
-				if _, ids[i], _, err = ReadFrame(conn, nil); err != nil {
-					return err
-				}
+			if _, id, _, err := ReadFrame(conn, nil); err != nil || id != 1 {
+				return fmt.Errorf("first request id %d, %v; want 1", id, err)
 			}
-			if _, err := conn.Write(answer(answer(nil, ids[0]), ids[1])); err != nil {
+			// Second request: the response leaves in two pieces.
+			_, id, _, err := ReadFrame(conn, nil)
+			if err != nil {
 				return err
 			}
-			// Third request: the response leaves in two pieces.
-			if _, ids[2], _, err = ReadFrame(conn, nil); err != nil {
-				return err
-			}
-			frame := answer(nil, ids[2])
+			frame := answer(nil, id)
 			cut := frameHeaderLen + 3
 			if _, err := conn.Write(frame[:cut]); err != nil {
 				return err
 			}
 			time.Sleep(20 * time.Millisecond)
-			_, err = conn.Write(frame[cut:])
+			if _, err := conn.Write(frame[cut:]); err != nil {
+				return err
+			}
+			// Third request: answered under the wrong id.
+			if _, id, _, err = ReadFrame(conn, nil); err != nil {
+				return err
+			}
+			if _, err := conn.Write(answer(nil, id+1)); err != nil {
+				return err
+			}
+			// The client closes the connection it can no longer trust.
+			_, err = io.Copy(io.Discard, conn)
 			return err
 		}()
 	}()
@@ -141,35 +154,22 @@ func TestClientCoalescedAndSplitResponses(t *testing.T) {
 	defer cancel()
 	get := []Op{{Kind: KindGet, Table: "t", Key: "k"}}
 
-	// Dial first, so the two pipelined requests share the connection.
-	if _, err := ep.pick(ctx); err != nil {
-		t.Fatal(err)
-	}
-	type out struct {
-		res []Result
-		err error
-	}
-	outs := make(chan out, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			res, err := ep.Exec(ctx, get)
-			outs <- out{res, err}
-		}()
-	}
-	versions := map[uint64]bool{}
-	for i := 0; i < 2; i++ {
-		o := <-outs
-		if o.err != nil || len(o.res) != 1 || o.res[0].Status != 200 {
-			t.Fatalf("coalesced response %d = %+v, %v", i, o.res, o.err)
-		}
-		versions[o.res[0].Version] = true
-	}
-	if len(versions) != 2 {
-		t.Fatalf("two requests matched the same response: %v", versions)
-	}
 	res, err := ep.Exec(ctx, get)
+	if err != nil || len(res) != 1 || res[0].Status != 200 || res[0].Version != 1 {
+		t.Fatalf("reply coalesced with the echo = %+v, %v", res, err)
+	}
+	res, err = ep.Exec(ctx, get)
 	if err != nil || len(res) != 1 || string(res[0].Fields["f"]) != "payload-of-some-length" {
 		t.Fatalf("split response = %+v, %v", res, err)
+	}
+	if _, err := ep.Exec(ctx, get); err == nil || !strings.Contains(err.Error(), "reply to request") {
+		t.Fatalf("reply under the wrong id: err = %v, want it refused", err)
+	}
+	ep.mu.Lock()
+	open, idle := len(ep.open), len(ep.idle)
+	ep.mu.Unlock()
+	if open != 0 || idle != 0 {
+		t.Fatalf("after a mismatched reply: %d connections open, %d idle; want none", open, idle)
 	}
 	if err := <-peerErr; err != nil {
 		t.Fatalf("scripted peer: %v", err)

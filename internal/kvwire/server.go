@@ -17,10 +17,9 @@ import (
 
 // Server speaks the framed binary protocol over raw TCP connections,
 // answering every request frame through the shared Core. Connections
-// are persistent and multiplexed: each request frame is handled in its
-// own goroutine and its response frame is written whenever it
-// completes, so a pipelining client sees out-of-order responses keyed
-// by request id.
+// are persistent; each has one goroutine, which reads a frame, answers
+// it and only then reads the next, so a peer that pipelines gets its
+// answers in request order.
 type Server struct {
 	core    *Core
 	metrics *wireMetrics
@@ -28,7 +27,7 @@ type Server struct {
 	mu       sync.Mutex
 	lns      map[net.Listener]struct{}
 	conns    map[net.Conn]struct{}
-	handlers sync.WaitGroup // in-flight request frames
+	handlers sync.WaitGroup // frames being answered
 	closed   atomic.Bool
 }
 
@@ -47,6 +46,7 @@ const shedRetryAfter = time.Second
 // else.
 type wireMetrics struct {
 	connsOpen  *obs.Gauge
+	accepted   *obs.Counter
 	framesIn   *obs.Counter
 	framesOut  *obs.Counter
 	pipeline   *obs.Gauge
@@ -59,13 +59,15 @@ type wireMetrics struct {
 
 func newWireMetrics(reg *obs.Registry) *wireMetrics {
 	reg.Help("kvwire_conns_open", "Binary wire connections currently open.")
+	reg.Help("kvwire_conns_accepted_total", "Binary wire connections accepted since start; a client pool that reuses its connections keeps this near its size.")
 	reg.Help("kvwire_frames_total", "Frames moved over the binary wire protocol, by direction.")
-	reg.Help("kvwire_pipeline_depth", "Request frames currently in flight across all wire connections.")
+	reg.Help("kvwire_pipeline_depth", "Request frames currently being answered across all wire connections.")
 	reg.Help("kvwire_decode_errors_total", "Wire frames the server failed to parse (the connection is closed after each).")
 	reg.Help("kvwire_scan_chunks_total", "Scan page frames sent to wire clients.")
 	reg.Help("kvwire_records_encoded_total", "Records with fields written to response and page frames, each the stored field section copied as it stands.")
 	return &wireMetrics{
 		connsOpen:  reg.Gauge("kvwire_conns_open"),
+		accepted:   reg.Counter("kvwire_conns_accepted_total"),
 		framesIn:   reg.Counter("kvwire_frames_total", "dir", "in"),
 		framesOut:  reg.Counter("kvwire_frames_total", "dir", "out"),
 		pipeline:   reg.Gauge("kvwire_pipeline_depth"),
@@ -111,8 +113,8 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // serveConn owns one connection: verify the magic, echo it, then read
-// request frames until the peer goes away, dispatching each to its own
-// handler goroutine.
+// request frames until the peer goes away, answering each before it
+// reads the next.
 func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Lock()
 	if s.closed.Load() {
@@ -123,15 +125,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
 	s.metrics.connsOpen.Add(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &serverConn{conn: conn, ctx: ctx}
+	s.metrics.accepted.Inc()
 	defer func() {
-		// The read side is done (peer EOF or shutdown's CloseRead), but
-		// decoded requests may still be executing: their responses can
-		// still reach the peer, so the full close waits for them. A scan
-		// page still reading the engine stops at its next engine page.
-		cancel()
-		c.handlers.Wait()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
@@ -154,6 +149,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 
+	c := &serverConn{conn: conn}
 	var payload []byte
 	var dec fieldDecoder
 	for {
@@ -168,6 +164,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		s.metrics.framesIn.Inc()
+		var answer func()
 		switch typ {
 		case frameRequest:
 			deadlineMs, ops, err := dec.request(payload, nil)
@@ -175,55 +172,38 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.metrics.decodeErrs.Inc()
 				return
 			}
-			s.handlers.Add(1)
-			c.handlers.Add(1)
-			s.metrics.pipeline.Add(1)
-			go func(id uint64, deadlineMs uint64, ops []Op) {
-				defer s.handlers.Done()
-				defer c.handlers.Done()
-				defer s.metrics.pipeline.Add(-1)
-				s.handleRequest(c, id, deadlineMs, ops)
-			}(id, deadlineMs, ops)
+			answer = func() { s.handleRequest(c, id, deadlineMs, ops) }
 		case frameScanReq:
 			req, err := DecodeScanRequest(payload)
 			if err != nil {
 				s.metrics.decodeErrs.Inc()
 				return
 			}
-			s.handlers.Add(1)
-			c.handlers.Add(1)
-			s.metrics.pipeline.Add(1)
-			go func(id uint64, req *ScanRequest) {
-				defer s.handlers.Done()
-				defer c.handlers.Done()
-				defer s.metrics.pipeline.Add(-1)
-				s.handleScan(c, id, req)
-			}(id, &req)
+			answer = func() { s.handleScan(c, id, &req) }
 		default:
 			s.metrics.decodeErrs.Inc()
 			return
 		}
+		s.handlers.Add(1)
+		s.metrics.pipeline.Add(1)
+		answer()
+		s.metrics.pipeline.Add(-1)
+		s.handlers.Done()
 	}
 }
 
-// serverConn serializes response writes on one connection and counts
-// its in-flight handlers so the close waits for their responses. ctx
-// is cancelled when the read side dies, so a scan page whose reader has
-// gone stops reading the engine.
+// serverConn is one connection's write side, used only by its own
+// goroutine.
 type serverConn struct {
-	conn     net.Conn
-	ctx      context.Context
-	handlers sync.WaitGroup
-	wmu      sync.Mutex
-	wbuf     []byte
+	conn net.Conn
+	wbuf []byte
 }
 
 func (s *Server) handleRequest(c *serverConn, id uint64, deadlineMs uint64, ops []Op) {
 	release, ok := s.core.AcquireBatch()
 	if !ok {
-		s.writeFrame(c, func(buf []byte) []byte {
-			return AppendError(buf, id, 429, uint64(shedRetryAfter/time.Second), "too many in-flight batches")
-		})
+		c.wbuf = AppendError(c.wbuf[:0], id, 429, uint64(shedRetryAfter/time.Second), "too many in-flight batches")
+		s.send(c, c.wbuf)
 		return
 	}
 	defer release()
@@ -234,9 +214,8 @@ func (s *Server) handleRequest(c *serverConn, id uint64, deadlineMs uint64, ops 
 		defer cancel()
 	}
 	if len(ops) == 0 {
-		s.writeFrame(c, func(buf []byte) []byte {
-			return AppendError(buf, id, 400, 0, "empty batch")
-		})
+		c.wbuf = AppendError(c.wbuf[:0], id, 400, 0, "empty batch")
+		s.send(c, c.wbuf)
 		return
 	}
 	res := resultsPool.Get().(*[]Result)
@@ -246,9 +225,8 @@ func (s *Server) handleRequest(c *serverConn, id uint64, deadlineMs uint64, ops 
 		*res = (*res)[:len(ops)]
 	}
 	s.core.ExecBatchInto(ctx, ops, *res)
-	s.writeFrame(c, func(buf []byte) []byte {
-		return AppendResponse(buf, id, *res)
-	})
+	c.wbuf = AppendResponse(c.wbuf[:0], id, *res)
+	s.send(c, c.wbuf)
 	var images int64
 	for i := range *res {
 		if (*res)[i].image != nil {
@@ -271,15 +249,16 @@ var resultsPool = sync.Pool{New: func() any {
 // hands them over and cut once the encoded records reach
 // scanPageBytes, or an error frame when the scan cannot run. The room
 // it reports is the records of the mean size so far that the bytes left
-// take, counting the one that crosses the bound. The page is built in a
-// pooled buffer, not under the write lock, so the engine read never
-// holds up the responses pipelined next to it.
+// take, counting the one that crosses the bound. The page needs no ctx
+// of its own: scanPageBytes and ScanPageCap bound it. It is built in a
+// pooled buffer, so a connection that once served a page does not keep
+// a page-sized buffer.
 func (s *Server) handleScan(c *serverConn, id uint64, req *ScanRequest) {
 	bp := pageBufs.Get().(*[]byte)
 	buf := appendPageHead((*bp)[:0], id)
 	head := len(buf)
 	n := 0
-	mapVer, next, err := s.core.ScanPage(c.ctx, req, func(kv kvstore.VersionedKV) int {
+	mapVer, next, err := s.core.ScanPage(context.Background(), req, func(kv kvstore.VersionedKV) int {
 		r := kv.Record
 		buf = appendStreamRecord(buf, kv.Key, r.Version, r.CommitTS, r.Image())
 		n++
@@ -291,18 +270,15 @@ func (s *Server) handleScan(c *serverConn, id uint64, req *ScanRequest) {
 	})
 	if err != nil {
 		res := ErrResult(err)
-		s.writeFrame(c, func(buf []byte) []byte {
-			return AppendError(buf, id, res.Status, 0, res.Err)
-		})
+		c.wbuf = AppendError(c.wbuf[:0], id, res.Status, 0, res.Err)
+		s.send(c, c.wbuf)
 	} else {
 		buf = finishPage(buf, 0, n, mapVer, next)
 		// Counted before the write, so a client that has seen the page
 		// never reads a counter that has not.
 		s.metrics.scanPages.Inc()
 		s.metrics.encoded.Add(int64(n))
-		c.wmu.Lock()
 		s.send(c, buf)
-		c.wmu.Unlock()
 	}
 	*bp = buf
 	pageBufs.Put(bp)
@@ -311,38 +287,28 @@ func (s *Server) handleScan(c *serverConn, id uint64, req *ScanRequest) {
 // pageBufs holds the buffers scan pages are built in.
 var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeFrame encodes into the connection's pooled buffer and sends it
-// under the write lock.
-func (s *Server) writeFrame(c *serverConn, encode func([]byte) []byte) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.wbuf = encode(c.wbuf[:0])
-	s.send(c, c.wbuf)
-}
-
 // send writes one frame (one syscall per frame; the frame is the flush
-// unit); the caller holds the write lock. The frame is counted before
-// the write, so a client that has read it never reads a counter that
-// has not. A peer that is gone is noticed by the read loop, so the
-// error is not the writer's to handle.
+// unit). The frame is counted before the write, so a client that has
+// read it never reads a counter that has not. A peer that is gone is
+// noticed by the next read, so the error is not the writer's to handle.
 func (s *Server) send(c *serverConn, frame []byte) {
 	s.metrics.framesOut.Inc()
 	c.conn.Write(frame)
 }
 
 // Shutdown drains the server: stop accepting, stop reading new request
-// frames, wait (bounded by ctx) for in-flight handlers to write their
-// responses, then close every connection. A pipelined request that was
-// already decoded when Shutdown began gets its response.
+// frames, wait (bounded by ctx) for the frames being answered to write
+// their responses, then close every connection. A pipelined request
+// already read off the socket when Shutdown began gets its response.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed.Store(true)
 	s.mu.Lock()
 	for ln := range s.lns {
 		ln.Close()
 	}
-	// Half-close the read side so conn readers see EOF and stop
-	// accepting new frames while the write side stays usable for
-	// in-flight responses.
+	// Half-close the read side so conn readers see EOF once they have
+	// answered what they already read, while the write side stays
+	// usable for those answers.
 	for conn := range s.conns {
 		if cr, ok := conn.(interface{ CloseRead() error }); ok {
 			cr.CloseRead()

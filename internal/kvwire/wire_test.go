@@ -18,7 +18,7 @@ import (
 
 // startWireServer boots a Server over a fresh volatile store and
 // returns its dial address plus the pieces tests poke at.
-func startWireServer(t *testing.T, core *Core, opts ServerOptions) (*Server, string) {
+func startWireServer(t testing.TB, core *Core, opts ServerOptions) (*Server, string) {
 	t.Helper()
 	srv := NewServer(core, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -30,7 +30,7 @@ func startWireServer(t *testing.T, core *Core, opts ServerOptions) (*Server, str
 	return srv, ln.Addr().String()
 }
 
-func newTestCore(t *testing.T) *Core {
+func newTestCore(t testing.TB) *Core {
 	t.Helper()
 	store, err := kvstore.Open(kvstore.Options{})
 	if err != nil {
@@ -228,10 +228,13 @@ func TestWireRejectsEmptyOversizedAndMalformedBatch(t *testing.T) {
 	}
 }
 
+// Concurrent Execs on one endpoint each own a connection from write to
+// reply, so none can take another's response; with one idle connection
+// kept, the requests past it dial their own and close them after.
 func TestWirePipelinedConcurrentExecs(t *testing.T) {
 	core := newTestCore(t)
 	_, addr := startWireServer(t, core, ServerOptions{})
-	ep := NewEndpoint(addr, 1) // force one conn: all requests pipeline
+	ep := NewEndpoint(addr, 1)
 	defer ep.Close()
 
 	const n = 64
