@@ -9,13 +9,15 @@ GO ?= go
 # test run, then a short coverage-guided fuzz of the binary frame
 # codec (hostile bytes off the network must never panic the decoder),
 # of the REST record codec (it must decode every body exactly as
-# encoding/json does, and what it writes must read back), of the
+# encoding/json does, and what it writes must read back), of the REST
+# reply reader (whatever it accepts, net/http reads the same; an
+# over-long head line or body is always refused), of the
 # history NDJSON decoder (hostile history files must never panic the
 # offline checker) and of the WAL record decoder (a damaged log must
 # never panic recovery, and what it accepts re-encodes). The record
-# codec's corpus holds a 100 000-deep body, and minimizing each new
-# input grown from it would take the whole budget, so minimization is
-# capped.
+# codec's corpus holds a 100 000-deep body and the reply reader's a
+# 4 KiB head line, and minimizing each new input grown from them would
+# take the whole budget, so minimization is capped.
 check: fmt vet build test-race fuzz-smoke
 
 # gofmt must list no file of the root module or of benchmark/.
@@ -25,6 +27,7 @@ fmt:
 fuzz-smoke:
 	$(GO) test -run xx -fuzz FuzzFrameCodec -fuzztime 10s ./internal/kvwire/
 	$(GO) test -run xx -fuzz FuzzRecordCodec -fuzztime 10s -fuzzminimizetime 100x ./internal/httpkv/
+	$(GO) test -run xx -fuzz FuzzRESTResponse -fuzztime 10s -fuzzminimizetime 100x ./internal/httpkv/
 	$(GO) test -run xx -fuzz FuzzHistoryDecoder -fuzztime 10s ./internal/history/
 	$(GO) test -run xx -fuzz FuzzDecodeWALRecord -fuzztime 10s ./internal/kvstore/
 

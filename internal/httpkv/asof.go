@@ -41,16 +41,13 @@ func (s *Server) handleSnapshotTS(w http.ResponseWriter, r *http.Request) {
 
 // SnapshotTS fetches a snapshot timestamp from GET /v1/ts.
 func (c *Client) SnapshotTS(ctx context.Context) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/ts", nil)
+	rep, err := c.roundTrip(ctx, &request{method: http.MethodGet, table: "ts"})
 	if err != nil {
-		return 0, fmt.Errorf("httpkv: %w", err)
+		return 0, err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("httpkv: %w", err)
-	}
+	defer putBodyBuf(rep.body)
 	var ts wireTS
-	if err := decodeBody(resp, &ts); err != nil || ts.TS <= 0 {
+	if err := json.Unmarshal(rep.bytes(), &ts); err != nil || ts.TS <= 0 {
 		return 0, fmt.Errorf("httpkv: node %s serves no snapshot clock", c.base)
 	}
 	return ts.TS, nil

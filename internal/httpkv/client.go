@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -12,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 	"ycsbt/internal/kvwire"
@@ -21,10 +19,11 @@ import (
 
 // Transport constants.
 const (
-	// poolSize is the idle-connection pool per host. The benchmark
-	// hammers one host from many threads, so the per-host pool — not
-	// net/http's global default of 2 — decides whether connections are
-	// reused or churned through TIME_WAIT.
+	// poolSize is the idle-connection pool per host, on the REST data
+	// plane (rest.go) and the control plane's http.Client alike. The
+	// benchmark hammers one host from many threads, so the per-host
+	// pool decides whether connections are reused or churned through
+	// TIME_WAIT.
 	poolSize = 64
 	// requestTimeout bounds one HTTP exchange end to end.
 	requestTimeout = 30 * time.Second
@@ -36,23 +35,24 @@ const (
 	retry429Max = 5 * time.Second
 )
 
-// newPooledHTTPClient builds the binding's dedicated HTTP client, with
-// pool idle connections per host: never http.DefaultClient (whose zero
-// timeout hangs forever on a dead server and whose shared transport
-// lets one binding's settings leak into every other user of the
-// process). The second result counts the TCP connections the transport
-// dials: a healthy run dials once per pooled connection, and a count
-// that climbs with the request count means responses are being closed
-// short of EOF (see response.go). It is counted in DialContext, not in a
-// RoundTripper wrapper — behind any type but *http.Transport,
-// http.Client.Timeout costs a timer and a goroutine per request.
+// newPooledHTTPClient builds a control-plane HTTP client (the frame
+// listener probe, the shard map, migration), with pool idle connections
+// per host: never http.DefaultClient (whose zero timeout hangs forever
+// on a dead server and whose shared transport lets one binding's
+// settings leak into every other user of the process). Like the data
+// plane it consults no proxy from the environment. The second result
+// counts the TCP connections the transport dials: a healthy run dials
+// once per pooled connection, and a count that climbs with the request
+// count means responses are being closed short of EOF (see
+// response.go). It is counted in DialContext, not in a RoundTripper
+// wrapper — behind any type but *http.Transport, http.Client.Timeout
+// costs a timer and a goroutine per request.
 func newPooledHTTPClient(pool int) (*http.Client, *atomic.Int64) {
 	dials := new(atomic.Int64)
 	var dialer net.Dialer
 	return &http.Client{
 		Timeout: requestTimeout,
 		Transport: &http.Transport{
-			Proxy:               http.ProxyFromEnvironment,
 			MaxIdleConns:        pool * 2,
 			MaxIdleConnsPerHost: pool,
 			IdleConnTimeout:     90 * time.Second,
@@ -73,7 +73,12 @@ func newPooledHTTPClient(pool int) (*http.Client, *atomic.Int64) {
 type Client struct {
 	db.NoTransactions
 	base string
-	hc   *http.Client
+	// rest is the REST data plane to base (rest.go), or nil with
+	// restErr saying why base is not a usable URL.
+	rest    *restEndpoint
+	restErr error
+	// hc is the control plane: Init's probe for a frame listener.
+	hc *http.Client
 	// wire is the endpoint's frame transport; nil means the endpoint is
 	// HTTP. Set once — by Init from the rawhttp.wire property, or by the
 	// Router when it mounts a node — before the first operation, and
@@ -94,26 +99,46 @@ type Client struct {
 	dials *atomic.Int64
 }
 
-// Dials reports how many TCP connections the client's own pooled
-// transport has opened (0 when the http.Client was supplied by the
-// caller, whose transport this package cannot see into).
+// Dials reports how many TCP connections the client has opened: its
+// REST data plane's, plus its control plane's when hc is its own (a
+// caller's http.Client is a transport this package cannot see into).
 func (c *Client) Dials() int64 {
-	if c.dials == nil {
-		return 0
+	var n int64
+	if c.rest != nil {
+		n = c.rest.pool.Dials()
 	}
-	return c.dials.Load()
+	if c.dials != nil {
+		n += c.dials.Load()
+	}
+	return n
 }
 
 // NewClient returns a binding that talks to the server at baseURL
-// (e.g. "http://127.0.0.1:8077"; empty: Init reads rawhttp.url). A nil
-// hc gets a dedicated pooled client. Until Init resolves rawhttp.wire
-// the client is HTTP.
+// (http://host:port[/prefix], e.g. "http://127.0.0.1:8077"; empty: Init
+// reads rawhttp.url). hc carries the control plane only; a nil hc gets a
+// dedicated pooled client. Until Init resolves rawhttp.wire the client
+// is HTTP.
 func NewClient(baseURL string, hc *http.Client) *Client {
-	c := &Client{base: baseURL, hc: hc, retries: retry429, maxBackoff: retry429Max}
+	c := &Client{hc: hc, retries: retry429, maxBackoff: retry429Max}
 	if hc == nil {
 		c.hc, c.dials = newPooledHTTPClient(poolSize)
 	}
+	c.setBase(baseURL)
 	return c
+}
+
+// setBase points the client's REST data plane at base.
+func (c *Client) setBase(base string) {
+	c.base = base
+	c.rest, c.restErr = newRESTEndpoint(base)
+}
+
+// roundTrip runs one REST exchange (restEndpoint.roundTrip).
+func (c *Client) roundTrip(ctx context.Context, r *request) (reply, error) {
+	if c.rest == nil {
+		return reply{}, c.restErr
+	}
+	return c.rest.roundTrip(ctx, r)
 }
 
 func init() {
@@ -121,10 +146,14 @@ func init() {
 }
 
 // Init reads the "rawhttp.url", "rawhttp.wire" and "as_of" properties,
-// and settles the endpoint's transport.
+// and settles the endpoint's transport. A URL that is not
+// http://host:port[/prefix] fails it.
 func (c *Client) Init(p *properties.Properties) error {
 	if c.base == "" {
-		c.base = p.GetString("rawhttp.url", "http://127.0.0.1:8077")
+		c.setBase(p.GetString("rawhttp.url", "http://127.0.0.1:8077"))
+	}
+	if c.restErr != nil {
+		return c.restErr
 	}
 	ctx := context.Background()
 	if c.wire == nil {
@@ -166,50 +195,13 @@ func (c *Client) Init(p *properties.Properties) error {
 // Cleanup implements db.DB.
 func (c *Client) Cleanup() error {
 	c.hc.CloseIdleConnections()
+	if c.rest != nil {
+		c.rest.pool.Close()
+	}
 	if c.wire != nil {
 		c.wire.Close()
 	}
 	return nil
-}
-
-func (c *Client) recordURL(table, key string) string {
-	return c.base + "/v1/" + url.PathEscape(table) + "/" + url.PathEscape(key)
-}
-
-// send runs one HTTP exchange, propagating the caller's context
-// deadline to the server as X-Deadline-Ms so the server can shed work
-// the client will no longer wait for.
-func (c *Client) send(req *http.Request) (*http.Response, error) {
-	if d, ok := req.Context().Deadline(); ok {
-		if ms := time.Until(d).Milliseconds(); ms > 0 {
-			req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
-		}
-	}
-	return c.hc.Do(req)
-}
-
-// do sends req and maps an error status to its db-layer error through
-// wireResultErr, the one status table both planes share; a 410 carries
-// the responding node's owner hint and map version in its headers. The
-// error response is consumed (see response.go), so a 404/412/429 storm
-// reuses its connections too. No HTTP route sheds load, so a 429 is not
-// retried here; it surfaces as db.ErrThrottled (frames retry theirs,
-// see exec).
-func (c *Client) do(req *http.Request) (*http.Response, error) {
-	resp, err := c.send(req)
-	if err != nil {
-		return nil, fmt.Errorf("httpkv: %w", err)
-	}
-	if resp.StatusCode < 400 {
-		return resp, nil
-	}
-	ver, _ := strconv.ParseInt(resp.Header.Get(cluster.HeaderMapVersion), 10, 64)
-	return nil, wireResultErr(kvwire.Result{
-		Status:     resp.StatusCode,
-		Err:        string(errorText(resp)),
-		Owner:      resp.Header.Get(cluster.HeaderOwner),
-		MapVersion: ver,
-	})
 }
 
 // get fetches one record with its version, from the head or (asOf > 0,
@@ -226,16 +218,13 @@ func (c *Client) get(ctx context.Context, table, key string, asOf int64) (*kvsto
 	if asOf != 0 {
 		return nil, errAsOfNeedsFrames
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.recordURL(table, key), nil)
+	rep, err := c.roundTrip(ctx, &request{method: http.MethodGet, table: table, key: key})
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
+	defer putBodyBuf(rep.body)
 	var wr wireRecord
-	if err := decodeBody(resp, &wr); err != nil {
+	if err := decodeRecord(rep.bytes(), &wr); err != nil {
 		return nil, fmt.Errorf("httpkv: decoding record: %w", err)
 	}
 	return &kvstore.VersionedRecord{Version: wr.Version, Fields: wr.Fields}, nil
@@ -327,17 +316,18 @@ func scanInto[T any](ctx context.Context, c *Client, table, start string, count 
 		if count >= 0 {
 			n = min(n, count-len(out))
 		}
-		u := c.base + "/v1/" + url.PathEscape(table) + "?start=" + url.QueryEscape(start) + "&count=" + strconv.Itoa(n)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.do(req)
+		rep, err := c.roundTrip(ctx, &request{
+			method: http.MethodGet,
+			table:  table,
+			query:  "start=" + url.QueryEscape(start) + "&count=" + strconv.Itoa(n),
+		})
 		if err != nil {
 			return nil, err
 		}
 		var page []wireRecord
-		if err := decodeBody(resp, &page); err != nil {
+		err = decodeRecordPage(rep.bytes(), &page)
+		putBodyBuf(rep.body)
+		if err != nil {
 			return nil, fmt.Errorf("httpkv: decoding scan: %w", err)
 		}
 		for i := range page {
@@ -357,17 +347,6 @@ func (c *Client) Scan(ctx context.Context, table, startKey string, count int, fi
 	return scanInto(ctx, c, table, startKey, count, c.asOf, kvConv(fields))
 }
 
-// setCond stamps the conditional-write headers for expect.
-func setCond(req *http.Request, expect uint64) {
-	switch expect {
-	case kvstore.AnyVersion:
-	case kvstore.MustNotExist:
-		req.Header.Set("If-None-Match", "*")
-	default:
-		req.Header.Set("If-Match", strconv.FormatUint(expect, 10))
-	}
-}
-
 // mutate runs one put, patch or delete conditional on expect and
 // returns the version the server assigned (0 for an HTTP delete, which
 // answers no ETag).
@@ -383,41 +362,31 @@ func (c *Client) mutate(ctx context.Context, kind kvwire.Kind, table, key string
 		res, err := c.execOne(ctx, op)
 		return res.Version, err
 	}
-	method := http.MethodDelete
-	var body io.Reader
+	r := request{method: http.MethodDelete, table: table, key: key, cond: expect != kvstore.AnyVersion, expect: expect}
 	if kind != kvwire.KindDelete {
-		method = http.MethodPut
+		r.method = http.MethodPut
 		if kind == kvwire.KindPatch {
-			method = http.MethodPatch
+			r.method = http.MethodPatch
 		}
 		// The JSON fields body is built in a pooled buffer, returned
-		// after do (see bodyBufPool).
+		// once the exchange is over.
 		buf := getBodyBuf()
 		defer putBodyBuf(buf)
 		buf.Write(appendRecord(buf.AvailableBuffer(), &wireRecord{Fields: values}))
-		body = buf
+		r.body = buf.Bytes()
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.recordURL(table, key), body)
+	rep, err := c.roundTrip(ctx, &r)
 	if err != nil {
 		return 0, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	setCond(req, expect)
-	resp, err := c.do(req)
-	if err != nil {
-		return 0, err
-	}
-	drainClose(resp)
-	if body == nil {
+	putBodyBuf(rep.body)
+	if r.body == nil {
 		return 0, nil
 	}
-	ver, err := strconv.ParseUint(resp.Header.Get("ETag"), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("httpkv: missing ETag on %s response: %w", method, err)
+	if !rep.tagged {
+		return 0, fmt.Errorf("httpkv: missing ETag on %s response", r.method)
 	}
-	return ver, nil
+	return rep.version, nil
 }
 
 // write is mutate for the db.DB mutations: the new version is reported

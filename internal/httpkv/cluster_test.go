@@ -35,8 +35,11 @@ func testClusterSingleOpMoved(t *testing.T, mode string) {
 	if me.Owner != b.URL || me.MapVersion != m.Version {
 		t.Errorf("moved hints: owner=%q v=%d, want owner=%q v=%d", me.Owner, me.MapVersion, b.URL, m.Version)
 	}
+	me = nil
 	if _, err := ca.Read(ctx, "t", theirs, nil); !errors.As(err, &me) {
 		t.Errorf("read of foreign key: got %v, want MovedError", err)
+	} else if me.Owner != b.URL || me.MapVersion != m.Version {
+		t.Errorf("read's moved hints: owner=%q v=%d, want owner=%q v=%d", me.Owner, me.MapVersion, b.URL, m.Version)
 	}
 
 	mine := keyOwnedBy(t, m, a.URL, "user")

@@ -51,7 +51,13 @@ func ServeNode(eng kvstore.Engine, httpLn, wireLn net.Listener, o NodeOptions) *
 		WireAddr: wireAddr,
 	}))
 	handleAdmin(mux, eng, o.Cluster)
-	n.http = &http.Server{Handler: mux}
+	o.Metrics.Help("httpkv_conns_accepted_total", "HTTP connections accepted since start; a client pool that reuses its connections keeps this near its size.")
+	accepted := o.Metrics.Counter("httpkv_conns_accepted_total")
+	n.http = &http.Server{Handler: mux, ConnState: func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			accepted.Inc()
+		}
+	}}
 	n.serving.Add(1)
 	go func() { defer n.serving.Done(); n.http.Serve(httpLn) }()
 	return n

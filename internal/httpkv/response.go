@@ -8,17 +8,17 @@ import (
 	"sync"
 )
 
-// The response-body contract. net/http returns a connection to its
-// idle pool only once the response body has reported io.EOF; a body
-// closed any earlier costs the connection, and the next request dials.
-// json.Decoder.Decode stops reading at the value's closing brace, so
-// whether a decoded-then-closed response is at EOF depends on where
-// the decoder's read buffer happened to end: a body one byte longer
-// than 512+1024 — YCSB's default 10 × 100 B record is 1537 B — leaves
-// the encoder's trailing newline unread, and every such read paid a
-// TCP handshake. Every response this package receives therefore ends
-// in exactly one of the three helpers below; nothing else closes a
-// response body.
+// The response-body contract of the control plane. The data plane
+// reads its replies itself (rest.go); the control-plane calls — the
+// frame listener probe, the shard map, migration and admin routes —
+// ride net/http, which returns a connection to its idle pool only once
+// the response body has reported io.EOF: a body closed any earlier
+// costs the connection, and the next request dials. json.Decoder.Decode
+// stops reading at the value's closing brace, so whether a
+// decoded-then-closed response is at EOF depends on where the decoder's
+// read buffer happened to end. Every net/http response this package
+// receives therefore ends in exactly one of the three helpers below;
+// nothing else closes a response body.
 
 // maxDrainBytes bounds how much unwanted body drainClose reads to win
 // the connection back. Error texts and abandoned scan pages fit; past
@@ -30,11 +30,9 @@ const maxDrainBytes = 64 << 10
 // the pool forever.
 const maxPooledBuf = 1 << 20
 
-// bodyBufPool recycles request and response body buffers. A request
-// buffer goes back only after do has fully finished with the request:
-// net/http snapshots the buffer's bytes into GetBody at request build
-// time, and the transport may replay that snapshot on a fresh
-// connection — reusing the buffer earlier would corrupt the body.
+// bodyBufPool recycles request and response body buffers: the REST
+// exchange's (rest.go) and the server's. A request buffer goes back only
+// once its exchange is over.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getBodyBuf() *bytes.Buffer {
@@ -44,7 +42,7 @@ func getBodyBuf() *bytes.Buffer {
 }
 
 func putBodyBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBuf {
+	if buf != nil && buf.Cap() <= maxPooledBuf {
 		bodyBufPool.Put(buf)
 	}
 }
@@ -74,8 +72,8 @@ func decodeBody(resp *http.Response, v any) error {
 }
 
 // unmarshalFrom reads r to EOF into a pooled buffer and decodes the one
-// JSON document it holds into v: a record or a scan page through the
-// record codec (codec.go), anything else through json.Unmarshal. Both
+// JSON document it holds into v: a record through the record codec
+// (codec.go), anything else through json.Unmarshal. Both
 // copy every string and []byte out, so nothing in v aliases the buffer.
 // Unlike a json.Decoder per body it allocates no read buffer and leaves
 // nothing unread.
@@ -85,11 +83,8 @@ func unmarshalFrom(r io.Reader, v any) error {
 	if _, err := buf.ReadFrom(r); err != nil {
 		return err
 	}
-	switch v := v.(type) {
-	case *wireRecord:
-		return decodeRecord(buf.Bytes(), v)
-	case *[]wireRecord:
-		return decodeRecordPage(buf.Bytes(), v)
+	if rec, ok := v.(*wireRecord); ok {
+		return decodeRecord(buf.Bytes(), rec)
 	}
 	return json.Unmarshal(buf.Bytes(), v)
 }

@@ -7,33 +7,30 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
+
+	"ycsbt/internal/connpool"
 )
 
 // Endpoint is the client side of the framed binary protocol for one
-// server address: a pool of idle persistent connections. A request owns
-// one connection from its write to its reply: Exec takes an idle
-// connection (or dials one), writes its frame, reads the reply on its
-// own goroutine and puts the connection back, so no goroutine hands a
-// reply to another. Exec is safe for concurrent use; concurrent
-// requests ride connections of their own.
+// server address: a pool of idle persistent connections
+// (connpool.Pool). A request owns one connection from its write to its
+// reply: Exec takes an idle connection (or dials one), writes its
+// frame, reads the reply on its own goroutine and puts the connection
+// back, so no goroutine hands a reply to another. Exec is safe for
+// concurrent use; concurrent requests ride connections of their own.
 type Endpoint struct {
-	addr        string
-	maxIdle     int
-	dialTimeout time.Duration
-
-	mu     sync.Mutex
-	idle   []*clientConn            // most recently used last
-	open   map[*clientConn]struct{} // dialed and not yet closed, idle or not
-	closed bool
+	pool *connpool.Pool[frameConn]
 }
+
+// clientConn is one pooled connection with its frame state.
+type clientConn = connpool.Conn[frameConn]
 
 // ErrUnavailable reports that no request was sent: the dial was refused
 // or the peer does not speak the protocol (magic mismatch). Any other
 // error from Exec may have left a request on the wire, so a mutation's
 // outcome is unknown and it must not be blindly re-sent.
-var ErrUnavailable = errors.New("kvwire: endpoint unavailable")
+var ErrUnavailable = connpool.ErrUnavailable
 
 // RequestError is a whole-request error frame (admission shed, empty
 // batch, a scan page the server could not serve); per-item failures
@@ -49,12 +46,10 @@ func (e *RequestError) Error() string {
 }
 
 // DefaultMaxConns bounds the idle connections one endpoint keeps, the
-// same as the HTTP client's idle connections per host. It does not cap
-// concurrent requests: one past it dials a connection of its own, and
-// the server's admission gate bounds how many run.
+// same as the REST client's. It does not cap concurrent requests: one
+// past it dials a connection of its own, and the server's admission
+// gate bounds how many run.
 const DefaultMaxConns = 64
-
-var errEndpointClosed = errors.New("kvwire: endpoint closed")
 
 // NewEndpoint builds a client endpoint for addr (host:port) that keeps
 // up to maxConns idle connections. Dialing is lazy: no connection
@@ -63,11 +58,23 @@ func NewEndpoint(addr string, maxConns int) *Endpoint {
 	if maxConns <= 0 {
 		maxConns = DefaultMaxConns
 	}
-	return &Endpoint{addr: addr, maxIdle: maxConns, dialTimeout: 5 * time.Second, open: make(map[*clientConn]struct{})}
+	return &Endpoint{pool: connpool.New[frameConn](addr, maxConns, handshake)}
+}
+
+// handshake writes the magic and expects it echoed back.
+func handshake(conn net.Conn, br *bufio.Reader) error {
+	if _, err := conn.Write([]byte(Magic)); err != nil {
+		return err
+	}
+	var echo [len(Magic)]byte
+	if _, err := io.ReadFull(br, echo[:]); err != nil || string(echo[:]) != Magic {
+		return errors.New("bad handshake")
+	}
+	return nil
 }
 
 // Addr returns the endpoint's dial address.
-func (e *Endpoint) Addr() string { return e.addr }
+func (e *Endpoint) Addr() string { return e.pool.Addr() }
 
 // Exec ships ops as one request frame and waits for its response. The
 // ctx deadline rides in the frame (the server abandons work it cannot
@@ -82,12 +89,12 @@ func (e *Endpoint) Exec(ctx context.Context, ops []Op) ([]Result, error) {
 		}
 		deadlineMs = uint64(ms)
 	}
-	c, err := e.get(ctx)
+	c, err := e.pool.Get(ctx)
 	if err != nil {
 		return nil, err
 	}
-	id := c.next()
-	c.wbuf = AppendRequest(c.wbuf[:0], id, deadlineMs, ops)
+	id := c.S.next()
+	c.S.wbuf = AppendRequest(c.S.wbuf[:0], id, deadlineMs, ops)
 	if err := e.send(c); err != nil {
 		return nil, err
 	}
@@ -101,145 +108,35 @@ func (e *Endpoint) Exec(ctx context.Context, ops []Op) ([]Result, error) {
 	return r.res, nil
 }
 
-// get takes the most recently used idle connection the peer has not
-// closed, or dials a new one.
-func (e *Endpoint) get(ctx context.Context) (*clientConn, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	for !e.closed && len(e.idle) > 0 {
-		c := e.idle[len(e.idle)-1]
-		e.idle = e.idle[:len(e.idle)-1]
-		e.mu.Unlock()
-		if c.br.Buffered() == 0 && c.peek.quiet() {
-			return c, nil
-		}
-		e.discard(c) // a restarted peer costs a redial, not a failed call
-		e.mu.Lock()
-	}
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return nil, errEndpointClosed
-	}
-	return e.dial(ctx)
-}
-
-// dial opens and handshakes one connection and counts it open. Refused
-// connections and bad magic are ErrUnavailable.
-func (e *Endpoint) dial(ctx context.Context) (*clientConn, error) {
-	d := net.Dialer{Timeout: e.dialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", e.addr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	conn.SetDeadline(time.Now().Add(e.dialTimeout))
-	if _, err := conn.Write([]byte(Magic)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
-	}
-	// One buffered reader serves the handshake echo and every frame
-	// after it: a frame's header and payload (and whatever the peer
-	// coalesced behind them) arrive in one read of the socket.
-	br := bufio.NewReader(conn)
-	var echo [len(Magic)]byte
-	if _, err := io.ReadFull(br, echo[:]); err != nil || string(echo[:]) != Magic {
-		conn.Close()
-		return nil, fmt.Errorf("%w: bad handshake", ErrUnavailable)
-	}
-	conn.SetDeadline(time.Time{})
-	c := &clientConn{
-		conn:      conn,
-		br:        br,
-		peek:      newPeeker(conn),
-		interrupt: func() { conn.SetDeadline(time.Unix(1, 0)) },
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		conn.Close()
-		return nil, errEndpointClosed
-	}
-	e.open[c] = struct{}{}
-	return c, nil
-}
-
-// send writes the frame in c.wbuf. A connection that failed to take it
-// is closed.
+// send writes the frame in c's write buffer. A connection that failed
+// to take it is closed.
 func (e *Endpoint) send(c *clientConn) error {
-	if _, err := c.conn.Write(c.wbuf); err != nil {
-		e.discard(c)
+	if _, err := c.Write(c.S.wbuf); err != nil {
+		e.pool.Discard(c)
 		return fmt.Errorf("kvwire: connection failed: %w", err)
 	}
 	return nil
 }
 
 // receive reads the reply to request id, a frame of type want or an
-// error frame, on the caller's goroutine. ctx's end interrupts the read
-// by moving the connection's deadline into the past. The connection
-// goes back to the pool only when its reply was read whole and ctx did
-// not touch its deadline; otherwise it is closed.
+// error frame, on the caller's goroutine. ctx's end interrupts the read;
+// the connection goes back to the pool only when its reply was read
+// whole and ctx did not touch it (connpool.Pool.Release).
 func (e *Endpoint) receive(ctx context.Context, c *clientConn, id uint64, want byte) (wireReply, error) {
-	stop := alwaysClean
-	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, c.interrupt)
-	}
-	r, err := c.read(id, want)
-	switch {
-	case !stop():
-		e.discard(c)
-		if err != nil {
-			return r, ctx.Err()
-		}
-	case err != nil:
-		e.discard(c)
+	stop := c.Watch(ctx)
+	r, err := c.S.read(c.R, id, want)
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return r, fmt.Errorf("kvwire: connection failed: %w", err)
-	default:
-		e.put(c)
+		err = fmt.Errorf("kvwire: connection failed: %w", err)
 	}
-	return r, nil
-}
-
-func alwaysClean() bool { return true }
-
-// put returns a connection whose request is done to the idle pool, or
-// closes it when the pool is full or the endpoint closed.
-func (e *Endpoint) put(c *clientConn) {
-	e.mu.Lock()
-	if !e.closed && len(e.idle) < e.maxIdle {
-		e.idle = append(e.idle, c)
-		e.mu.Unlock()
-		return
-	}
-	e.mu.Unlock()
-	e.discard(c)
-}
-
-// discard closes a connection that is not to be reused.
-func (e *Endpoint) discard(c *clientConn) {
-	e.mu.Lock()
-	delete(e.open, c)
-	e.mu.Unlock()
-	c.conn.Close()
+	return r, e.pool.Release(ctx, c, stop, err, true)
 }
 
 // Close closes every open connection, idle or carrying a request:
 // in-flight Execs fail, and later ones fail without dialing.
-func (e *Endpoint) Close() error {
-	e.mu.Lock()
-	e.closed = true
-	open := e.open
-	e.open, e.idle = nil, nil
-	e.mu.Unlock()
-	for c := range open {
-		c.conn.Close()
-	}
-	return nil
-}
+func (e *Endpoint) Close() error { return e.pool.Close() }
 
 // wireReply is one reply: results, a scan page, or a whole-request
 // error frame.
@@ -249,32 +146,25 @@ type wireReply struct {
 	reqErr *RequestError
 }
 
-// clientConn is one connection, owned by at most one request at a time:
-// nothing in it is shared.
-type clientConn struct {
-	conn    net.Conn
-	br      *bufio.Reader
+// frameConn is a connection's frame state, owned with the connection
+// by at most one request at a time: nothing in it is shared.
+type frameConn struct {
 	wbuf    []byte
 	payload []byte       // the last frame read, reused unless a page kept it
 	dec     fieldDecoder // responses: copied out of payload
 	lastID  uint64
-	peek    *peeker
-	// interrupt moves conn's deadline into the past, failing a blocked
-	// read; made once per connection so ctx watches allocate nothing
-	// more.
-	interrupt func()
 }
 
 // next returns a fresh request id for this connection.
-func (c *clientConn) next() uint64 {
+func (c *frameConn) next() uint64 {
 	c.lastID++
 	return c.lastID
 }
 
 // read takes the next frame, which must answer request id with a frame
 // of type want or an error frame.
-func (c *clientConn) read(id uint64, want byte) (r wireReply, err error) {
-	typ, got, payload, err := ReadFrame(c.br, c.payload)
+func (c *frameConn) read(br *bufio.Reader, id uint64, want byte) (r wireReply, err error) {
+	typ, got, payload, err := ReadFrame(br, c.payload)
 	c.payload = payload
 	switch {
 	case err != nil:

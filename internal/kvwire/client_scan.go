@@ -53,12 +53,12 @@ func (e *Endpoint) Scan(ctx context.Context, req *ScanRequest) (*ScanStream, err
 // request sends the page request for s.req on a connection the page
 // then holds.
 func (s *ScanStream) request() error {
-	c, err := s.e.get(s.ctx)
+	c, err := s.e.pool.Get(s.ctx)
 	if err != nil {
 		return err
 	}
-	id := c.next()
-	c.wbuf = AppendScanRequest(c.wbuf[:0], id, &s.req)
+	id := c.S.next()
+	c.S.wbuf = AppendScanRequest(c.S.wbuf[:0], id, &s.req)
 	if err := s.e.send(c); err != nil {
 		return err
 	}
@@ -144,7 +144,7 @@ func (s *ScanStream) Err() error { return s.err }
 // release.
 func (s *ScanStream) Close() error {
 	if s.c != nil {
-		s.e.discard(s.c)
+		s.e.pool.Discard(s.c)
 		s.c = nil
 	}
 	s.more = false

@@ -165,9 +165,7 @@ func TestClientCoalescedAndSplitResponses(t *testing.T) {
 	if _, err := ep.Exec(ctx, get); err == nil || !strings.Contains(err.Error(), "reply to request") {
 		t.Fatalf("reply under the wrong id: err = %v, want it refused", err)
 	}
-	ep.mu.Lock()
-	open, idle := len(ep.open), len(ep.idle)
-	ep.mu.Unlock()
+	open, idle := ep.pool.Counts()
 	if open != 0 || idle != 0 {
 		t.Fatalf("after a mismatched reply: %d connections open, %d idle; want none", open, idle)
 	}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -91,6 +92,10 @@ func (d *Delayed) Next(ctx context.Context) (int64, error) {
 type Server struct {
 	inner Oracle
 	mux   *http.ServeMux
+	// blockMu makes a block's draws one step: two requests at once
+	// would otherwise interleave theirs, and each block would hold the
+	// other's timestamps.
+	blockMu sync.Mutex
 
 	// obs handles; nil (uninstrumented) handles no-op.
 	mRequests   *obs.Counter
@@ -137,22 +142,33 @@ func (s *Server) handleTS(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Allocate a contiguous block by drawing n times; Local is cheap.
-	first, err := s.inner.Next(r.Context())
+	first, err := s.drawBlock(r.Context(), n)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
-	}
-	for i := int64(1); i < n; i++ {
-		if _, err := s.inner.Next(r.Context()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
 	}
 	s.mRequests.Inc()
 	s.mTimestamps.Add(n)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(tsResponse{TS: first, N: n})
+}
+
+// drawBlock reserves [first, first+n) under blockMu: it draws until the
+// inner oracle has passed first+n-1, so every later draw lies beyond
+// the block. A clock-driven oracle may jump past it in fewer than n
+// draws.
+func (s *Server) drawBlock(ctx context.Context, n int64) (first int64, err error) {
+	s.blockMu.Lock()
+	defer s.blockMu.Unlock()
+	if first, err = s.inner.Next(ctx); err != nil {
+		return 0, err
+	}
+	for last := first; last < first+n-1; {
+		if last, err = s.inner.Next(ctx); err != nil {
+			return 0, err
+		}
+	}
+	return first, nil
 }
 
 // Client is an HTTP oracle client with optional block caching.
