@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-race fuzz-smoke bench bench-quick bench-cluster bench-smoke clean
+.PHONY: check fmt one-http-client vet build test test-race fuzz-smoke bench bench-quick bench-cluster bench-smoke clean
 
 # The full tier-1 gate: gofmt, vet, build everything, the race-enabled short
 # test run, then a short coverage-guided fuzz of the binary frame
@@ -18,11 +18,20 @@ GO ?= go
 # codec's corpus holds a 100 000-deep body and the reply reader's a
 # 4 KiB head line, and minimizing each new input grown from them would
 # take the whole budget, so minimization is capped.
-check: fmt vet build test-race fuzz-smoke
+check: fmt one-http-client vet build test-race fuzz-smoke
 
 # gofmt must list no file of the root module or of benchmark/.
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+# internal/httpkv has one HTTP client, the REST exchange (rest.go): no
+# non-test file of it may name http.Client, http.Transport or
+# http.NewRequest. The one exception is the ignored hc parameter of
+# NewClient and NewRouter, kept while benchmark/stack.go passes it.
+one-http-client:
+	@out="$$(grep -nE 'http\.(Client|Transport|NewRequest)' $$(ls internal/httpkv/*.go | grep -v '_test\.go$$') \
+		| grep -vE '^internal/httpkv/(client|router)\.go:[0-9]+:func New(Client|Router)\(.*, hc \*http\.Client[,)]')"; \
+	if [ -n "$$out" ]; then echo "internal/httpkv names a net/http client:"; echo "$$out"; exit 1; fi
 
 fuzz-smoke:
 	$(GO) test -run xx -fuzz FuzzFrameCodec -fuzztime 10s ./internal/kvwire/

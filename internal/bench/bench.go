@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"strings"
 	"time"
 
@@ -332,11 +331,7 @@ func figure45Cell(ctx context.Context, o SweepOptions, threads int, dist string)
 	}
 	defer httpkv.ServeNode(eng, ln, nil, httpkv.NodeOptions{}).Shutdown(ctx)
 
-	hc := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        4 * threads,
-		MaxIdleConnsPerHost: 4 * threads,
-	}}
-	raw := httpkv.NewClient("http://"+ln.Addr().String(), hc)
+	raw := httpkv.NewClient("http://"+ln.Addr().String(), nil)
 
 	p := cewProps(o, threads, 0.9)
 	p.Set("requestdistribution", dist)

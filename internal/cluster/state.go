@@ -139,7 +139,9 @@ func (s *State) CheckWrite(key string) error {
 // mutation, so that once Freeze returns, any write that passed
 // CheckWrite has also finished its engine apply — a snapshot
 // timestamp drawn after Freeze captures all of them. Returns an error
-// if this node doesn't own the slot.
+// if this node doesn't own the slot, or if the slot is already frozen:
+// a freeze is exclusive, held by one migration until its thaw or its
+// cutover.
 func (s *State) Freeze(slot int) error {
 	m := s.cur.Load()
 	if slot < 0 || slot >= m.Slots {
@@ -151,8 +153,11 @@ func (s *State) Freeze(slot int) error {
 	// Lock is the barrier: it waits for every mutation holding the
 	// read side, and any mutation entering afterwards sees frozen.
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.frozen[slot] {
+		return fmt.Errorf("cluster: slot %d is already frozen by another migration", slot)
+	}
 	s.frozen[slot] = true
-	s.mu.Unlock()
 	return nil
 }
 

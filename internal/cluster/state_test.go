@@ -306,6 +306,23 @@ func TestInstallKeepsUnrelatedFreeze(t *testing.T) {
 	}
 }
 
+// A freeze is exclusive: a frozen slot refuses a second freeze until a
+// thaw.
+func TestFreezeIsExclusive(t *testing.T) {
+	st, m := newTestState(t, "http://a")
+	slot := m.SlotOf(keysFor(t, m, "http://a")["http://a"])
+	if err := st.Freeze(slot); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Freeze(slot); err == nil {
+		t.Fatal("a second freeze of a frozen slot succeeded")
+	}
+	st.Thaw(slot)
+	if err := st.Freeze(slot); err != nil {
+		t.Fatalf("freeze after a thaw: %v", err)
+	}
+}
+
 func TestMovedCounterAndGauge(t *testing.T) {
 	reg := obs.NewRegistry()
 	m, err := NewUniform(PlacementHash, 4, []string{"http://a", "http://b"}, nil)

@@ -67,9 +67,6 @@ func New[S any](addr string, maxIdle int, handshake func(net.Conn, *bufio.Reader
 	return &Pool[S]{addr: addr, maxIdle: maxIdle, handshake: handshake, open: make(map[*Conn[S]]struct{})}
 }
 
-// Addr returns the pool's dial address.
-func (p *Pool[S]) Addr() string { return p.addr }
-
 // Dials reports how many connections the pool has opened.
 func (p *Pool[S]) Dials() int64 { return p.dials.Load() }
 

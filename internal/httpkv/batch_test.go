@@ -151,7 +151,7 @@ func TestHTTP429IsThrottled(t *testing.T) {
 		http.Error(w, "throttled", http.StatusTooManyRequests)
 	}))
 	defer srv.Close()
-	c := NewClient(srv.URL, srv.Client())
+	c := NewClient(srv.URL, nil)
 	if err := c.Insert(context.Background(), "t", "k", rec("v")); !errors.Is(err, db.ErrThrottled) {
 		t.Fatalf("got %v, want ErrThrottled", err)
 	}

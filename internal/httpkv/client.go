@@ -1,14 +1,13 @@
 package httpkv
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"ycsbt/internal/db"
@@ -19,11 +18,10 @@ import (
 
 // Transport constants.
 const (
-	// poolSize is the idle-connection pool per host, on the REST data
-	// plane (rest.go) and the control plane's http.Client alike. The
-	// benchmark hammers one host from many threads, so the per-host
-	// pool decides whether connections are reused or churned through
-	// TIME_WAIT.
+	// poolSize is the idle-connection pool of a client's REST exchange
+	// (rest.go). The benchmark hammers one host from many threads, so
+	// the pool decides whether connections are reused or churned
+	// through TIME_WAIT.
 	poolSize = 64
 	// requestTimeout bounds one HTTP exchange end to end.
 	requestTimeout = 30 * time.Second
@@ -35,35 +33,6 @@ const (
 	retry429Max = 5 * time.Second
 )
 
-// newPooledHTTPClient builds a control-plane HTTP client (the frame
-// listener probe, the shard map, migration), with pool idle connections
-// per host: never http.DefaultClient (whose zero timeout hangs forever
-// on a dead server and whose shared transport lets one binding's
-// settings leak into every other user of the process). Like the data
-// plane it consults no proxy from the environment. The second result
-// counts the TCP connections the transport dials: a healthy run dials
-// once per pooled connection, and a count that climbs with the request
-// count means responses are being closed short of EOF (see
-// response.go). It is counted in DialContext, not in a RoundTripper
-// wrapper — behind any type but *http.Transport, http.Client.Timeout
-// costs a timer and a goroutine per request.
-func newPooledHTTPClient(pool int) (*http.Client, *atomic.Int64) {
-	dials := new(atomic.Int64)
-	var dialer net.Dialer
-	return &http.Client{
-		Timeout: requestTimeout,
-		Transport: &http.Transport{
-			MaxIdleConns:        pool * 2,
-			MaxIdleConnsPerHost: pool,
-			IdleConnTimeout:     90 * time.Second,
-			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-				dials.Add(1)
-				return dialer.DialContext(ctx, network, addr)
-			},
-		},
-	}, dials
-}
-
 // Client is the "rawhttp" DB binding: it speaks the httpkv protocol
 // to a remote (or in-process httptest) server. Like the paper's
 // RawHttpDB it has no transaction support — Start/Commit/Abort fall
@@ -73,12 +42,11 @@ func newPooledHTTPClient(pool int) (*http.Client, *atomic.Int64) {
 type Client struct {
 	db.NoTransactions
 	base string
-	// rest is the REST data plane to base (rest.go), or nil with
+	// rest is the REST exchange with base (rest.go), which carries the
+	// control calls and, on an HTTP endpoint, the data plane; nil with
 	// restErr saying why base is not a usable URL.
 	rest    *restEndpoint
 	restErr error
-	// hc is the control plane: Init's probe for a frame listener.
-	hc *http.Client
 	// wire is the endpoint's frame transport; nil means the endpoint is
 	// HTTP. Set once — by Init from the rawhttp.wire property, or by the
 	// Router when it mounts a node — before the first operation, and
@@ -94,40 +62,29 @@ type Client struct {
 	// them to retry429 and retry429Max.
 	retries    int
 	maxBackoff time.Duration
-	// dials counts the connections hc's transport has opened; nil when
-	// the caller supplied hc.
-	dials *atomic.Int64
 }
 
-// Dials reports how many TCP connections the client has opened: its
-// REST data plane's, plus its control plane's when hc is its own (a
-// caller's http.Client is a transport this package cannot see into).
+// Dials reports how many TCP connections the client's REST exchange
+// has opened, for its control calls and its HTTP data plane alike.
 func (c *Client) Dials() int64 {
-	var n int64
-	if c.rest != nil {
-		n = c.rest.pool.Dials()
+	if c.rest == nil {
+		return 0
 	}
-	if c.dials != nil {
-		n += c.dials.Load()
-	}
-	return n
+	return c.rest.pool.Dials()
 }
 
 // NewClient returns a binding that talks to the server at baseURL
 // (http://host:port[/prefix], e.g. "http://127.0.0.1:8077"; empty: Init
-// reads rawhttp.url). hc carries the control plane only; a nil hc gets a
-// dedicated pooled client. Until Init resolves rawhttp.wire the client
-// is HTTP.
+// reads rawhttp.url). Until Init resolves rawhttp.wire the client is
+// HTTP. hc is ignored: every HTTP call rides the client's own REST
+// exchange. It goes once benchmark/stack.go stops passing it.
 func NewClient(baseURL string, hc *http.Client) *Client {
-	c := &Client{hc: hc, retries: retry429, maxBackoff: retry429Max}
-	if hc == nil {
-		c.hc, c.dials = newPooledHTTPClient(poolSize)
-	}
+	c := &Client{retries: retry429, maxBackoff: retry429Max}
 	c.setBase(baseURL)
 	return c
 }
 
-// setBase points the client's REST data plane at base.
+// setBase points the client's REST exchange at base.
 func (c *Client) setBase(base string) {
 	c.base = base
 	c.rest, c.restErr = newRESTEndpoint(base)
@@ -139,6 +96,22 @@ func (c *Client) roundTrip(ctx context.Context, r *request) (reply, error) {
 		return reply{}, c.restErr
 	}
 	return c.rest.roundTrip(ctx, r)
+}
+
+// control runs one control request (r.path set). A status other than
+// 200 is an error naming it and the head of the body; the reply comes
+// back either way, for its status and headers, its body the caller's
+// to release on a 200 only.
+func (c *Client) control(ctx context.Context, r *request) (reply, error) {
+	rep, err := c.roundTrip(ctx, r)
+	if err != nil || rep.status == http.StatusOK {
+		return rep, err
+	}
+	b := rep.bytes()
+	err = fmt.Errorf("%d %s: %s", rep.status, http.StatusText(rep.status), bytes.TrimSpace(b[:min(len(b), 512)]))
+	putBodyBuf(rep.body)
+	rep.body = nil
+	return rep, err
 }
 
 func init() {
@@ -165,7 +138,7 @@ func (c *Client) Init(p *properties.Properties) error {
 			addr = ""
 		case WireModeAuto:
 			var err error
-			if addr, err = probeWire(ctx, c.hc, c.base); err != nil {
+			if addr, err = c.probeWire(ctx); err != nil {
 				return err
 			}
 		}
@@ -194,7 +167,6 @@ func (c *Client) Init(p *properties.Properties) error {
 
 // Cleanup implements db.DB.
 func (c *Client) Cleanup() error {
-	c.hc.CloseIdleConnections()
 	if c.rest != nil {
 		c.rest.pool.Close()
 	}

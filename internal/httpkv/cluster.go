@@ -20,7 +20,8 @@ import (
 //
 //	GET  /v1/shardmap               → 200 the node's current map JSON
 //	PUT  /v1/shardmap               → install a newer map (409 if stale)
-//	POST /v1/shardmap/freeze?slot=N → drain writes to one slot ("&thaw=1" reverts)
+//	POST /v1/shardmap/freeze?slot=N → drain writes to one slot (409 if it is
+//	                                  already frozen; "&thaw=1" reverts)
 //	POST /v1/shardmap/copy?slot=N&table=t
 //	                                → 200 once this node emptied its copy of the
 //	                                  slot's table and pulled it from its owner
@@ -119,7 +120,8 @@ func (s *Server) slotRequest(w http.ResponseWriter, r *http.Request) (cs *cluste
 // returns only after every in-flight write to the slot has drained, so
 // the slot's heads cannot change until a thaw or the map install that
 // concludes the migration: a plain head scan of the slot is a
-// consistent copy.
+// consistent copy. A freeze is exclusive: a slot already frozen, or one
+// the node does not own, answers 409.
 func (s *Server) handleFreeze(w http.ResponseWriter, r *http.Request) {
 	cs, slot, ok := s.slotRequest(w, r)
 	if !ok {
@@ -183,11 +185,11 @@ const pullBatch = 512
 // as the field section its page carried — the source's image — with no
 // map built on the way.
 func (s *Server) pullSlot(ctx context.Context, src, table string, slot int) error {
-	// A server keeps no outbound HTTP client, so the pull builds one for
-	// its single probe of src and drops it after.
-	hc, _ := newPooledHTTPClient(1)
-	defer hc.CloseIdleConnections()
-	ep, err := openNodeWire(ctx, hc, src, 1)
+	// A server keeps no client of its own, so the pull opens one to src
+	// for its single probe and its scan, and closes it after.
+	c := NewClient(src, nil)
+	defer c.Cleanup()
+	ep, err := c.openWire(ctx, 1)
 	if err != nil {
 		return err
 	}

@@ -138,8 +138,9 @@ func TestClusterShardMapRoutes(t *testing.T) {
 	m := a.state.Map()
 	ctx := context.Background()
 	hc := a.hc
+	ac := a.client(t, WireModeOff)
 
-	got, err := fetchShardMap(ctx, hc, a.URL)
+	got, err := ac.fetchShardMap(ctx)
 	if err != nil {
 		t.Fatalf("GET shardmap: %v", err)
 	}
@@ -148,7 +149,7 @@ func TestClusterShardMapRoutes(t *testing.T) {
 	}
 
 	// Re-PUT of the current version is stale → 409 + version header.
-	if err := putShardMap(ctx, hc, a.URL, m, 0); err != nil {
+	if err := ac.putShardMap(ctx, m, 0); err != nil {
 		t.Errorf("idempotent re-PUT of current map should be accepted as converged: %v", err)
 	}
 	doc, _ := m.Encode()
@@ -171,7 +172,7 @@ func TestClusterShardMapRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := putShardMap(ctx, hc, a.URL, next, 0); err != nil {
+	if err := ac.putShardMap(ctx, next, 0); err != nil {
 		t.Fatalf("PUT v2: %v", err)
 	}
 	key := keyOwnedBy(t, next, b.URL, "moved")
@@ -203,30 +204,31 @@ func TestClusterShardMapPutCAS(t *testing.T) {
 	m := a.state.Map()
 	ctx := context.Background()
 	hc := a.hc
+	ac := a.client(t, WireModeOff)
 	next, err := m.WithSlotMoved(m.SlotsOf(a.URL)[0], b.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Wrong predecessor → strict failure, map untouched.
-	if err := putShardMap(ctx, hc, a.URL, next, m.Version+7); err == nil {
+	if err := ac.putShardMap(ctx, next, m.Version+7); err == nil {
 		t.Fatal("CAS install against the wrong predecessor succeeded")
 	}
 	if got := a.state.Map().Version; got != m.Version {
 		t.Fatalf("failed CAS moved the map to v%d", got)
 	}
 	// Right predecessor → lands.
-	if err := putShardMap(ctx, hc, a.URL, next, m.Version); err != nil {
+	if err := ac.putShardMap(ctx, next, m.Version); err != nil {
 		t.Fatalf("CAS install against the right predecessor: %v", err)
 	}
 	// The predecessor is consumed: a rival CAS of the same expected
 	// version must fail even though the node already carries v+1 — a
 	// divergent v+1 is not "already converged".
-	if err := putShardMap(ctx, hc, a.URL, next, m.Version); err == nil {
+	if err := ac.putShardMap(ctx, next, m.Version); err == nil {
 		t.Error("CAS re-install of a consumed predecessor succeeded")
 	}
 	// The unconditional path still reads equal-or-newer as converged.
-	if err := putShardMap(ctx, hc, a.URL, next, 0); err != nil {
+	if err := ac.putShardMap(ctx, next, 0); err != nil {
 		t.Errorf("unconditional re-install of the current map: %v", err)
 	}
 	// A malformed CAS header is a 400, not an install.

@@ -86,10 +86,11 @@ func TestClientReusesConnections(t *testing.T) {
 	}
 }
 
-// TestRouterExportsDialCount: a router on its own pooled transport
-// exposes the transport's dial count, and after a burst of routed
-// traffic the count is the size of the connection pool in use, not of
-// the traffic.
+// TestRouterExportsDialCount: every router exports
+// httpkv_client_dials_total, the sum of its node clients' Dials — the
+// connections their REST exchanges opened for the probe and the shard
+// map, one per node. Routed calls ride frames, so a burst of them
+// leaves it where it was.
 func TestRouterExportsDialCount(t *testing.T) {
 	nodes := startTestCluster(t, 2, 8)
 	reg := obs.NewRegistry()
@@ -98,6 +99,21 @@ func TestRouterExportsDialCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Cleanup()
+	exported := func() int64 {
+		var out strings.Builder
+		if err := reg.Export(&out); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			var n int64
+			if _, err := fmt.Sscanf(line, "httpkv_client_dials_total %d", &n); err == nil {
+				return n
+			}
+		}
+		t.Fatal("httpkv_client_dials_total is not exported")
+		return 0
+	}
+	before := exported()
 	ctx := context.Background()
 	for i := 0; i < 50; i++ {
 		k := fmt.Sprintf("user%05d", i)
@@ -108,17 +124,12 @@ func TestRouterExportsDialCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var out strings.Builder
-	if err := reg.Export(&out); err != nil {
-		t.Fatal(err)
+	var sum int64
+	for _, tn := range nodes {
+		sum += r.client(tn.URL).Dials()
 	}
-	var dials int
-	for _, line := range strings.Split(out.String(), "\n") {
-		if _, err := fmt.Sscanf(line, "httpkv_client_dials_total %d", &dials); err == nil {
-			break
-		}
-	}
-	if dials < 1 || dials > len(nodes) {
-		t.Errorf("httpkv_client_dials_total = %d after 100 sequential calls to %d nodes (0 = series missing)", dials, len(nodes))
+	if after := exported(); before != int64(len(nodes)) || after != before || after != sum {
+		t.Errorf("httpkv_client_dials_total = %d after bootstrap, %d after 100 routed calls; node clients' Dials sum to %d; want %d throughout",
+			before, after, sum, len(nodes))
 	}
 }

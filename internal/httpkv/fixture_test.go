@@ -3,6 +3,7 @@ package httpkv
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -242,6 +243,13 @@ func keyOwnedBy(t testing.TB, m *cluster.Map, addr, prefix string) string {
 	}
 	t.Fatalf("no key with prefix %q owned by %s", prefix, addr)
 	return ""
+}
+
+// discard reads a response of the test's own net/http client to EOF
+// and closes it.
+func discard(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 }
 
 func rec(v string) db.Record { return db.Record{"f": []byte(v)} }

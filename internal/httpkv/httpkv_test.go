@@ -20,7 +20,7 @@ import (
 func newPair(t *testing.T) (*kvstore.Store, *Client) {
 	t.Helper()
 	tn := startHTTPNode(t, openTestStore(t), NodeOptions{})
-	client := NewClient(tn.URL, tn.hc)
+	client := NewClient(tn.URL, nil)
 	if err := client.Init(properties.New()); err != nil {
 		t.Fatal(err)
 	}

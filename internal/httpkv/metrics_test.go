@@ -49,7 +49,7 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := NewClient(tn.URL, tn.hc)
+			c := NewClient(tn.URL, nil)
 			ctx := context.Background()
 			for i := 0; i < 25; i++ {
 				key := fmt.Sprintf("w%d-k%d", w, i)

@@ -1,12 +1,11 @@
 package httpkv
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
 
 	"ycsbt/internal/cluster"
 )
@@ -51,7 +50,10 @@ import (
 // concurrent migration won). Combined with the CAS cutover this
 // serializes racing migrations: at most one v+1 ever installs.
 //
-// Failure before the src install thaws the slot and leaves the old
+// A freeze is exclusive: a slot already frozen on src (another
+// coordinator's migration of it is in flight) answers 409, and the
+// migration fails without touching that freeze. Failure after its own
+// freeze, before the src install, thaws the slot and leaves the old
 // map in force (a retry's copy drops what the failed one left on dest
 // and pulls again). Failure at the dest install rolls the slot back to
 // src on top of the newest map observed in the fleet, so the rollback
@@ -67,11 +69,9 @@ import (
 // MigrateSlot moves slot to dest under the given map, returning the
 // successor map it installed across the fleet. The source must
 // advertise a frame listener, which dest's pull dials (NoWireError
-// otherwise, before anything is frozen).
-func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int, dest string) (*cluster.Map, error) {
-	if hc == nil {
-		hc, _ = newPooledHTTPClient(poolSize)
-	}
+// otherwise, before anything is frozen). It talks to each node over a
+// REST exchange of its own, closed when it returns.
+func MigrateSlot(ctx context.Context, m *cluster.Map, slot int, dest string) (*cluster.Map, error) {
 	if slot < 0 || slot >= m.Slots {
 		return nil, fmt.Errorf("cluster: migrate slot %d out of range [0,%d)", slot, m.Slots)
 	}
@@ -86,7 +86,10 @@ func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int,
 	if err != nil {
 		return nil, err
 	}
-	if _, err := requireWire(ctx, hc, src); err != nil {
+	nodes := peers{}
+	defer nodes.close()
+	srcC, destC := nodes.of(src), nodes.of(dest)
+	if _, err := srcC.requireWire(ctx); err != nil {
 		return nil, fmt.Errorf("cluster: migrate slot %d: %w", slot, err)
 	}
 
@@ -95,7 +98,7 @@ func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int,
 	// migration's best-effort fan-out missed them) are converged by
 	// re-pushing m; anything ahead aborts before we freeze.
 	for _, addr := range m.Nodes {
-		got, ferr := fetchShardMap(ctx, hc, addr)
+		got, ferr := nodes.of(addr).fetchShardMap(ctx)
 		if ferr != nil {
 			return nil, fmt.Errorf("cluster: migrate slot %d: preflight map fetch from %s: %w", slot, addr, ferr)
 		}
@@ -104,7 +107,7 @@ func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int,
 			return nil, fmt.Errorf("cluster: migrate slot %d: node %s already at map v%d (concurrent migration?); re-run against the current map",
 				slot, addr, got.Version)
 		case got.Version < m.Version:
-			if perr := putShardMap(ctx, hc, addr, m, 0); perr != nil {
+			if perr := nodes.of(addr).putShardMap(ctx, m, 0); perr != nil {
 				return nil, fmt.Errorf("cluster: migrate slot %d: converging straggler %s to v%d: %w", slot, addr, m.Version, perr)
 			}
 		}
@@ -112,26 +115,24 @@ func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int,
 
 	// Drain: after this returns, no write to the slot is in flight
 	// anywhere, and none can start (src rejects, nobody else owns it).
-	if err := postFreeze(ctx, hc, src, slot, false); err != nil {
+	// A freeze src refuses is another migration's, not ours to thaw.
+	if err := srcC.postFreeze(ctx, slot, false); err != nil {
 		return nil, fmt.Errorf("cluster: freezing slot %d on %s: %w", slot, src, err)
 	}
 	fail := func(step string, err error) (*cluster.Map, error) {
-		postFreeze(ctx, hc, src, slot, true) // thaw, best effort
+		srcC.postFreeze(ctx, slot, true) // thaw, best effort
 		return nil, fmt.Errorf("cluster: migrate slot %d %s→%s: %s: %w", slot, src, dest, step, err)
 	}
 
-	tables, err := fetchTables(ctx, hc, src)
+	tables, err := srcC.fetchTables(ctx)
 	if err != nil {
 		return fail("listing tables", err)
 	}
 	// A failed copy aborts the migration and leaves the old map in
 	// force; a retry re-copies from the top onto a slot the destination
-	// empties first. A copy takes as long as the slot is large, so its
-	// request reuses hc's transport without hc's per-request timeout,
-	// which would cut a large copy short: only ctx bounds it.
-	copyHC := &http.Client{Transport: hc.Transport}
+	// empties first.
 	for _, table := range tables {
-		if err := copySlot(ctx, copyHC, dest, table, slot); err != nil {
+		if err := destC.copySlot(ctx, table, slot); err != nil {
 			return fail(fmt.Sprintf("copying table %q", table), err)
 		}
 	}
@@ -141,21 +142,21 @@ func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int,
 	// installs are CAS-conditioned on the predecessor version so a
 	// racing migration that slipped past the preflight loses cleanly
 	// instead of split-braining the fleet with a divergent successor.
-	if err := putShardMap(ctx, hc, src, next, m.Version); err != nil {
+	if err := srcC.putShardMap(ctx, next, m.Version); err != nil {
 		return fail("installing map on source", err)
 	}
-	if err := putShardMap(ctx, hc, dest, next, m.Version); err != nil {
+	if err := destC.putShardMap(ctx, next, m.Version); err != nil {
 		// src already dropped the slot; give it back so the fleet is
 		// never left with an unserved slot. Build the rollback on top of
 		// the newest map observed (a concurrent migration may have moved
 		// dest past next), so the rollback converges the divergence.
 		base := next
-		if dm, derr := fetchShardMap(ctx, hc, dest); derr == nil && dm.Version > base.Version {
+		if dm, derr := destC.fetchShardMap(ctx); derr == nil && dm.Version > base.Version {
 			base = dm
 		}
 		if back, berr := base.WithSlotMoved(slot, src); berr == nil {
-			if rerr := putShardMap(ctx, hc, src, back, 0); rerr == nil {
-				installEverywhere(ctx, hc, back, src)
+			if rerr := srcC.putShardMap(ctx, back, 0); rerr == nil {
+				nodes.installEverywhere(ctx, back, src)
 				return nil, fmt.Errorf("cluster: migrate slot %d %s→%s: installing map on destination: %w (rolled back to %s at map v%d)",
 					slot, src, dest, err, src, back.Version)
 			}
@@ -163,86 +164,90 @@ func MigrateSlot(ctx context.Context, hc *http.Client, m *cluster.Map, slot int,
 		return nil, fmt.Errorf("cluster: migrate slot %d %s→%s: installing map on destination: %w (ROLLBACK FAILED: slot unserved until an operator re-installs a map)",
 			slot, src, dest, err)
 	}
-	installEverywhere(ctx, hc, next, src, dest)
+	nodes.installEverywhere(ctx, next, src, dest)
 	// Both ends serve v+1: no rollback needs src's copy any more. Best
 	// effort, and as slow as the slot is large, like the copy.
-	post(ctx, copyHC, fmt.Sprintf("%s/v1/shardmap/drop?slot=%d", src, slot))
+	srcC.post(ctx, "/v1/shardmap/drop", fmt.Sprintf("slot=%d", slot), true)
 	return next, nil
+}
+
+// peers are the clients a migration talks to the fleet through, one
+// per node, made on first use.
+type peers map[string]*Client
+
+func (p peers) of(addr string) *Client {
+	c := p[addr]
+	if c == nil {
+		c = NewClient(addr, nil)
+		p[addr] = c
+	}
+	return c
+}
+
+func (p peers) close() {
+	for _, c := range p {
+		c.Cleanup()
+	}
 }
 
 // installEverywhere pushes the map to every fleet node not in done,
 // best effort: a straggler keeps answering moved hints from its stale
 // map, which routers resolve by polling the whole fleet for the
 // newest copy.
-func installEverywhere(ctx context.Context, hc *http.Client, m *cluster.Map, done ...string) {
+func (p peers) installEverywhere(ctx context.Context, m *cluster.Map, done ...string) {
 	skip := make(map[string]bool, len(done))
 	for _, d := range done {
 		skip[d] = true
 	}
 	for _, addr := range m.Nodes {
 		if !skip[addr] {
-			putShardMap(ctx, hc, addr, m, 0)
+			p.of(addr).putShardMap(ctx, m, 0)
 		}
 	}
 }
 
-// postFreeze freezes (or thaws) one slot on a node.
-func postFreeze(ctx context.Context, hc *http.Client, base string, slot int, thaw bool) error {
-	u := fmt.Sprintf("%s/v1/shardmap/freeze?slot=%d", base, slot)
+// postFreeze freezes (or thaws) one slot on the node.
+func (c *Client) postFreeze(ctx context.Context, slot int, thaw bool) error {
+	q := fmt.Sprintf("slot=%d", slot)
 	if thaw {
-		u += "&thaw=1"
+		q += "&thaw=1"
 	}
-	return post(ctx, hc, u)
+	return c.post(ctx, "/v1/shardmap/freeze", q, false)
 }
 
-// copySlot has dest empty and pull one table's slice of the slot from
-// the slot's owner (handleCopy).
-func copySlot(ctx context.Context, hc *http.Client, dest, table string, slot int) error {
-	return post(ctx, hc, fmt.Sprintf("%s/v1/shardmap/copy?slot=%d&table=%s", dest, slot, url.QueryEscape(table)))
+// copySlot has the node, a migration's destination, empty and pull one
+// table's slice of the slot from the slot's owner (handleCopy). The
+// copy takes as long as the slot is large, so only ctx bounds it.
+func (c *Client) copySlot(ctx context.Context, table string, slot int) error {
+	return c.post(ctx, "/v1/shardmap/copy", fmt.Sprintf("slot=%d&table=%s", slot, url.QueryEscape(table)), true)
 }
 
-// post sends one bodiless control-plane POST; anything but 200 is an
-// error carrying the node's answer.
-func post(ctx context.Context, hc *http.Client, u string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", resp.Status, errorText(resp))
-	}
-	drainClose(resp)
-	return nil
+// post sends one bodiless control POST of path?query; anything but 200
+// is an error carrying the node's answer. An unbounded one has no
+// requestTimeout: only ctx bounds it.
+func (c *Client) post(ctx context.Context, path, query string, unbounded bool) error {
+	rep, err := c.control(ctx, &request{method: http.MethodPost, path: path, query: query, unbounded: unbounded})
+	putBodyBuf(rep.body)
+	return err
 }
 
-// fetchTables lists the tables a node carries.
-func fetchTables(ctx context.Context, hc *http.Client, base string) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/tables", nil)
+// fetchTables lists the tables the node carries.
+func (c *Client) fetchTables(ctx context.Context) ([]string, error) {
+	rep, err := c.control(ctx, &request{method: http.MethodGet, path: "/v1/tables"})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("listing tables: %w", err)
 	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		drainClose(resp)
-		return nil, fmt.Errorf("listing tables: %s", resp.Status)
-	}
+	defer putBodyBuf(rep.body)
 	var body struct {
 		Tables []string `json:"tables"`
 	}
-	if err := decodeBody(resp, &body); err != nil {
+	if err := json.Unmarshal(rep.bytes(), &body); err != nil {
 		return nil, err
 	}
 	return body.Tables, nil
 }
 
-// putShardMap installs a map on one node via PUT /v1/shardmap.
+// putShardMap installs a map on the node via PUT /v1/shardmap.
 //
 // With expect > 0 the install is a CAS on the node's exact current
 // version (the HeaderMapCAS header) and only a 200 is success — the
@@ -252,31 +257,15 @@ func fetchTables(ctx context.Context, hc *http.Client, base string) ([]string, e
 // with an equal-or-newer version header is success (the node is
 // already there or ahead), which is what the best-effort fleet
 // fan-out and rollback paths want.
-func putShardMap(ctx context.Context, hc *http.Client, base string, m *cluster.Map, expect int64) error {
+func (c *Client) putShardMap(ctx context.Context, m *cluster.Map, expect int64) error {
 	doc, err := m.Encode()
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, base+"/v1/shardmap", bytes.NewReader(doc))
-	if err != nil {
-		return err
+	rep, err := c.control(ctx, &request{method: http.MethodPut, path: "/v1/shardmap", mapCAS: expect, body: doc})
+	putBodyBuf(rep.body)
+	if err == nil || expect == 0 && rep.status == http.StatusConflict && rep.mapVersion >= m.Version {
+		return nil // installed, or (expect == 0) already there or ahead
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if expect > 0 {
-		req.Header.Set(cluster.HeaderMapCAS, strconv.FormatInt(expect, 10))
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return err
-	}
-	body := errorText(resp) // consumes the response on every path
-	if resp.StatusCode == http.StatusOK {
-		return nil
-	}
-	if expect == 0 && resp.StatusCode == http.StatusConflict {
-		if have, _ := strconv.ParseInt(resp.Header.Get(cluster.HeaderMapVersion), 10, 64); have >= m.Version {
-			return nil // already there or ahead
-		}
-	}
-	return fmt.Errorf("installing map v%d on %s: %s: %s", m.Version, base, resp.Status, body)
+	return fmt.Errorf("installing map v%d on %s: %w", m.Version, c.base, err)
 }

@@ -30,7 +30,7 @@ func TestMigrateSlotMovesData(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	ca := NewClient(a.URL, a.hc)
+	ca := NewClient(a.URL, nil)
 
 	// Load keys onto a, remembering those in the slot we'll move.
 	slot := m.SlotsOf(a.URL)[0]
@@ -60,7 +60,7 @@ func TestMigrateSlotMovesData(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	next, err := MigrateSlot(ctx, a.hc, m, slot, b.URL)
+	next, err := MigrateSlot(ctx, m, slot, b.URL)
 	if err != nil {
 		t.Fatalf("MigrateSlot: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestMigrateSlotMovesData(t *testing.T) {
 	}
 
 	// Destination serves the moved keys, history intact.
-	cb := NewClient(b.URL, b.hc)
+	cb := NewClient(b.URL, nil)
 	for _, k := range inSlot {
 		if _, err := cb.Read(ctx, "usertable", k, nil); err != nil {
 			t.Fatalf("read %s on destination: %v", k, err)
@@ -120,7 +120,7 @@ func TestMigrateSlotIdempotentCopy(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	ca := NewClient(a.URL, a.hc)
+	ca := NewClient(a.URL, nil)
 
 	slot := m.SlotsOf(a.URL)[0]
 	key := slotKeys(m, slot, 1)[0]
@@ -128,11 +128,11 @@ func TestMigrateSlotIdempotentCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate the copy half of a failed earlier attempt.
-	if err := copySlot(ctx, a.hc, b.URL, "usertable", slot); err != nil {
+	if err := b.client(t, WireModeOff).copySlot(ctx, "usertable", slot); err != nil {
 		t.Fatal(err)
 	}
 	// The real migration re-copies the same records, then cuts over.
-	if _, err := MigrateSlot(ctx, a.hc, m, slot, b.URL); err != nil {
+	if _, err := MigrateSlot(ctx, m, slot, b.URL); err != nil {
 		t.Fatalf("retry migration: %v", err)
 	}
 	got, err := b.store.Get("usertable", key)
@@ -152,8 +152,7 @@ func TestMigrateBackPreservesDeletes(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	hc := a.hc
-	ca := NewClient(a.URL, hc)
+	ca := NewClient(a.URL, nil)
 
 	slot := m.SlotsOf(a.URL)[0]
 	keys := slotKeys(m, slot, 2)
@@ -164,19 +163,19 @@ func TestMigrateBackPreservesDeletes(t *testing.T) {
 		}
 	}
 
-	next, err := MigrateSlot(ctx, hc, m, slot, b.URL)
+	next, err := MigrateSlot(ctx, m, slot, b.URL)
 	if err != nil {
 		t.Fatalf("migrate a→b: %v", err)
 	}
 	if n := a.store.Len("usertable"); n != 0 {
 		t.Fatalf("source still holds %d records of the slot it gave away", n)
 	}
-	cb := NewClient(b.URL, hc)
+	cb := NewClient(b.URL, nil)
 	if err := cb.Delete(ctx, "usertable", doomed); err != nil {
 		t.Fatalf("delete on new owner: %v", err)
 	}
 
-	back, err := MigrateSlot(ctx, hc, next, slot, a.URL)
+	back, err := MigrateSlot(ctx, next, slot, a.URL)
 	if err != nil {
 		t.Fatalf("migrate b→a: %v", err)
 	}
@@ -205,8 +204,7 @@ func TestMigrateBackAfterPurgeStaysDeleted(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	m := a.state.Map()
 	ctx := context.Background()
-	hc := a.hc
-	ca := NewClient(a.URL, hc)
+	ca := NewClient(a.URL, nil)
 
 	slot := m.SlotsOf(a.URL)[0]
 	keys := slotKeys(m, slot, 2)
@@ -216,17 +214,17 @@ func TestMigrateBackAfterPurgeStaysDeleted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	next, err := MigrateSlot(ctx, hc, m, slot, b.URL)
+	next, err := MigrateSlot(ctx, m, slot, b.URL)
 	if err != nil {
 		t.Fatalf("migrate a→b: %v", err)
 	}
-	if err := NewClient(b.URL, hc).Delete(ctx, "usertable", doomed); err != nil {
+	if err := NewClient(b.URL, nil).Delete(ctx, "usertable", doomed); err != nil {
 		t.Fatalf("delete on new owner: %v", err)
 	}
 	if _, purged := b.store.Vacuum(); purged != 1 {
 		t.Fatalf("vacuum on the new owner purged %d keys, want doomed's tombstone", purged)
 	}
-	if _, err := MigrateSlot(ctx, hc, next, slot, a.URL); err != nil {
+	if _, err := MigrateSlot(ctx, next, slot, a.URL); err != nil {
 		t.Fatalf("migrate b→a: %v", err)
 	}
 	if _, err := ca.Read(ctx, "usertable", doomed, nil); !errors.Is(err, db.ErrNotFound) {
@@ -275,8 +273,7 @@ func TestMigrateBackPreservesDeletesUnderVacuum(t *testing.T) {
 	vac := &vacuumingEngine{Engine: bStore, store: bStore}
 	a, b, m := startPair(t, openTestStore(t), vac)
 	ctx := context.Background()
-	hc := a.hc
-	ca := NewClient(a.URL, hc)
+	ca := NewClient(a.URL, nil)
 
 	slot := m.SlotsOf(a.URL)[0]
 	keys := slotKeys(m, slot, 2)
@@ -286,15 +283,15 @@ func TestMigrateBackPreservesDeletesUnderVacuum(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	next, err := MigrateSlot(ctx, hc, m, slot, b.URL)
+	next, err := MigrateSlot(ctx, m, slot, b.URL)
 	if err != nil {
 		t.Fatalf("migrate a→b: %v", err)
 	}
-	if err := NewClient(b.URL, hc).Delete(ctx, "usertable", doomed); err != nil {
+	if err := NewClient(b.URL, nil).Delete(ctx, "usertable", doomed); err != nil {
 		t.Fatalf("delete on new owner: %v", err)
 	}
 
-	if _, err := MigrateSlot(ctx, hc, next, slot, a.URL); err != nil {
+	if _, err := MigrateSlot(ctx, next, slot, a.URL); err != nil {
 		t.Fatalf("migrate b→a: %v", err)
 	}
 	if vac.sweeps.Load() == 0 {
@@ -329,7 +326,7 @@ func TestMigrateSlotAbortsWhenFleetAhead(t *testing.T) {
 	}
 
 	slot := m.SlotsOf(a.URL)[0]
-	if _, err := MigrateSlot(ctx, a.hc, m, slot, b.URL); err == nil {
+	if _, err := MigrateSlot(ctx, m, slot, b.URL); err == nil {
 		t.Fatal("migration built from a superseded map ran anyway")
 	}
 	if a.state.Frozen(slot) {
@@ -340,6 +337,34 @@ func TestMigrateSlotAbortsWhenFleetAhead(t *testing.T) {
 	}
 }
 
+// A freeze is exclusive: a migration of a slot that another
+// coordinator has frozen fails on the source's 409, and leaves that
+// freeze — not its own to thaw — and every map where they were.
+func TestMigrateSlotLeavesAnotherFreeze(t *testing.T) {
+	nodes := startTestCluster(t, 2, 8)
+	a, b := nodes[0], nodes[1]
+	m := a.state.Map()
+	slot := m.SlotsOf(a.URL)[0]
+	target := fmt.Sprintf("/v1/shardmap/freeze?slot=%d", slot)
+	if got := controlStatus(t, a, http.MethodPost, target); got != http.StatusOK {
+		t.Fatalf("first freeze: %d, want 200", got)
+	}
+	if got := controlStatus(t, a, http.MethodPost, target); got != http.StatusConflict {
+		t.Fatalf("second freeze: %d, want 409", got)
+	}
+	if _, err := MigrateSlot(context.Background(), m, slot, b.URL); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("migration of a slot frozen by another: %v, want its 409", err)
+	}
+	if !a.state.Frozen(slot) {
+		t.Error("the failed migration thawed a freeze it did not hold")
+	}
+	for _, tn := range nodes {
+		if got := tn.state.Map().Version; got != m.Version {
+			t.Errorf("%s at map v%d after the failed migration, want v%d", tn.URL, got, m.Version)
+		}
+	}
+}
+
 // Migration argument validation and the no-op case.
 func TestMigrateSlotValidation(t *testing.T) {
 	nodes := startTestCluster(t, 2, 8)
@@ -347,14 +372,14 @@ func TestMigrateSlotValidation(t *testing.T) {
 	m := a.state.Map()
 	ctx := context.Background()
 
-	if _, err := MigrateSlot(ctx, a.hc, m, 99, nodes[1].URL); err == nil {
+	if _, err := MigrateSlot(ctx, m, 99, nodes[1].URL); err == nil {
 		t.Error("out-of-range slot accepted")
 	}
-	if _, err := MigrateSlot(ctx, a.hc, m, 0, "http://stranger:1"); err == nil {
+	if _, err := MigrateSlot(ctx, m, 0, "http://stranger:1"); err == nil {
 		t.Error("non-member destination accepted")
 	}
 	slot := m.SlotsOf(a.URL)[0]
-	same, err := MigrateSlot(ctx, a.hc, m, slot, a.URL)
+	same, err := MigrateSlot(ctx, m, slot, a.URL)
 	if err != nil || same.Version != m.Version {
 		t.Errorf("self-migration should be a version-preserving no-op: %v v%d", err, same.Version)
 	}
@@ -418,7 +443,7 @@ func TestMigrateSlotCopiesManyChunks(t *testing.T) {
 	}
 	framesIn := b.counter("kvwire_frames_total", "dir", "in")
 	chunks := a.counter("kvwire_scan_chunks_total")
-	if _, err := MigrateSlot(context.Background(), a.hc, m, slot, b.URL); err != nil {
+	if _, err := MigrateSlot(context.Background(), m, slot, b.URL); err != nil {
 		t.Fatalf("MigrateSlot: %v", err)
 	}
 	if n := b.counter("kvwire_frames_total", "dir", "in") - framesIn; n != 0 {
@@ -430,7 +455,7 @@ func TestMigrateSlotCopiesManyChunks(t *testing.T) {
 	if n := b.counter("kvwire_ingest_records_total"); n != live {
 		t.Errorf("destination ingested %d records, want the %d live ones", n, live)
 	}
-	cb := NewClient(b.URL, b.hc)
+	cb := NewClient(b.URL, nil)
 	for i, k := range keys {
 		got, err := b.store.Get("usertable", k)
 		if i < dead {
@@ -520,7 +545,7 @@ func controlStatus(t *testing.T, tn *testNode, method, target string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainClose(resp)
+	discard(resp)
 	return resp.StatusCode
 }
 
@@ -608,7 +633,7 @@ func TestMigrateSlotDropsSource(t *testing.T) {
 	if n, r := aStore.Len("usertable"), retainedVersions(t, aReg); n != wantLen+len(moved) || r != wantRetained+int64(len(moved)) {
 		t.Fatalf("before the migration: %d records, %d retained versions", n, r)
 	}
-	if _, err := MigrateSlot(context.Background(), a.hc, m, slots[0], b.URL); err != nil {
+	if _, err := MigrateSlot(context.Background(), m, slots[0], b.URL); err != nil {
 		t.Fatalf("MigrateSlot: %v", err)
 	}
 	check := func(when string, s *kvstore.Store, reg *obs.Registry) {
@@ -663,11 +688,10 @@ func TestMigrateSlotRollbackKeepsSource(t *testing.T) {
 	}}
 	a, b, m := startPair(t, openTestStore(t), hook)
 	ctx := context.Background()
-	hc := a.hc
 	slot := m.SlotsOf(a.URL)[0]
 	keys := loadSlot(t, a.store, m, slot, 20)
 
-	if _, err := MigrateSlot(ctx, hc, m, slot, b.URL); err == nil || !strings.Contains(err.Error(), "rolled back") {
+	if _, err := MigrateSlot(ctx, m, slot, b.URL); err == nil || !strings.Contains(err.Error(), "rolled back") {
 		t.Fatalf("migration over a refused destination install: %v, want a rollback", err)
 	}
 	if owner := a.state.Map().OwnerOfSlot(slot); owner != a.URL {
@@ -676,7 +700,7 @@ func TestMigrateSlotRollbackKeepsSource(t *testing.T) {
 	if n := a.store.Len("usertable"); n != len(keys) {
 		t.Fatalf("source holds %d records after the rollback, want %d", n, len(keys))
 	}
-	ca := NewClient(a.URL, hc)
+	ca := NewClient(a.URL, nil)
 	for _, k := range keys {
 		if got, err := ca.Read(ctx, "usertable", k, nil); err != nil || string(got["f"]) != "v-"+k {
 			t.Fatalf("%s on the source after the rollback: %v %v", k, got, err)
@@ -700,7 +724,7 @@ func TestCopyRouteShedsAndFollowsItsCoordinator(t *testing.T) {
 	a.join(t, m, openTestStore(t), NodeOptions{})
 	b.join(t, m, gate, NodeOptions{MaxInflight: 1})
 	t.Cleanup(func() { close(gate.release) }) // before the servers close
-	hc := a.hc
+	cb := b.client(t, WireModeOff)
 	slot := m.SlotsOf(a.URL)[0]
 	// Four pages of two pull batches each: the pull is mid-scan whatever
 	// it does short of ending.
@@ -710,16 +734,16 @@ func TestCopyRouteShedsAndFollowsItsCoordinator(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	errc := make(chan error, 1)
-	go func() { errc <- copySlot(ctx, hc, b.URL, "usertable", slot) }()
+	go func() { errc <- cb.copySlot(ctx, "usertable", slot) }()
 	<-gate.entered
 	if n := pullsRunning(); n != 1 {
 		t.Fatalf("%d pulls running, want the copy's one", n)
 	}
 
-	if err := copySlot(context.Background(), hc, b.URL, "usertable", slot); err == nil || !strings.Contains(err.Error(), "429") {
+	if err := cb.copySlot(context.Background(), "usertable", slot); err == nil || !strings.Contains(err.Error(), "429") {
 		t.Fatalf("second copy: %v, want 429", err)
 	}
-	if _, err := MigrateSlot(context.Background(), hc, m, slot, b.URL); err == nil || !strings.Contains(err.Error(), "429") {
+	if _, err := MigrateSlot(context.Background(), m, slot, b.URL); err == nil || !strings.Contains(err.Error(), "429") {
 		t.Fatalf("migration over a shed copy: %v, want its 429", err)
 	}
 	if a.state.Frozen(slot) {

@@ -120,7 +120,7 @@ func handleAdmin(mux *http.ServeMux, eng kvstore.Engine, cs *cluster.State) {
 			http.Error(w, "missing dest", http.StatusBadRequest)
 			return
 		}
-		next, err := MigrateSlot(r.Context(), nil, cs.Map(), slot, dest)
+		next, err := MigrateSlot(r.Context(), cs.Map(), slot, dest)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

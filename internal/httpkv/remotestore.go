@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
@@ -28,8 +27,8 @@ type RemoteStore struct {
 // NewRemoteStore wraps the httpkv server at baseURL as a named
 // transaction store, settling its transport with the binding's
 // defaults (see Client.Init).
-func NewRemoteStore(name, baseURL string, hc *http.Client) (*RemoteStore, error) {
-	c := NewClient(baseURL, hc)
+func NewRemoteStore(name, baseURL string) (*RemoteStore, error) {
+	c := NewClient(baseURL, nil)
 	if err := c.Init(properties.New()); err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ func newRemote(t *testing.T, name string) (*httpkv.RemoteStore, *kvstore.Store) 
 		node.Shutdown(context.Background())
 		store.Close()
 	})
-	rs, err := httpkv.NewRemoteStore(name, "http://"+ln.Addr().String(), nil)
+	rs, err := httpkv.NewRemoteStore(name, "http://"+ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

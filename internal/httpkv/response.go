@@ -4,27 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http"
 	"sync"
 )
-
-// The response-body contract of the control plane. The data plane
-// reads its replies itself (rest.go); the control-plane calls — the
-// frame listener probe, the shard map, migration and admin routes —
-// ride net/http, which returns a connection to its idle pool only once
-// the response body has reported io.EOF: a body closed any earlier
-// costs the connection, and the next request dials. json.Decoder.Decode
-// stops reading at the value's closing brace, so whether a
-// decoded-then-closed response is at EOF depends on where the decoder's
-// read buffer happened to end. Every net/http response this package
-// receives therefore ends in exactly one of the three helpers below;
-// nothing else closes a response body.
-
-// maxDrainBytes bounds how much unwanted body drainClose reads to win
-// the connection back. Error texts and abandoned scan pages fit; past
-// it (an unbounded migration scan cut short) closing the connection
-// is cheaper than reading the remainder.
-const maxDrainBytes = 64 << 10
 
 // maxPooledBuf keeps one large scan page from pinning its buffer in
 // the pool forever.
@@ -45,30 +26,6 @@ func putBodyBuf(buf *bytes.Buffer) {
 	if buf != nil && buf.Cap() <= maxPooledBuf {
 		bodyBufPool.Put(buf)
 	}
-}
-
-// drainClose finishes a response whose remaining body nobody wants:
-// it reads to EOF (at most maxDrainBytes) so the connection is reused,
-// then closes.
-func drainClose(resp *http.Response) {
-	io.CopyN(io.Discard, resp.Body, maxDrainBytes)
-	resp.Body.Close()
-}
-
-// errorText consumes an error response and returns the head of its
-// body for the error message.
-func errorText(resp *http.Response) []byte {
-	var head [512]byte
-	n, _ := io.ReadFull(resp.Body, head[:])
-	drainClose(resp)
-	return bytes.TrimSpace(head[:n])
-}
-
-// decodeBody consumes a response carrying one JSON document: the whole
-// body is read to EOF, closed, and decoded into v.
-func decodeBody(resp *http.Response, v any) error {
-	defer resp.Body.Close()
-	return unmarshalFrom(resp.Body, v)
 }
 
 // unmarshalFrom reads r to EOF into a pooled buffer and decodes the one

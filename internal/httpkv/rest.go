@@ -19,14 +19,15 @@ import (
 	"ycsbt/internal/kvwire"
 )
 
-// The REST data plane. A request owns one pooled connection
-// (connpool.Pool, as a frame does) from its write to its reply: the
-// request is written from the connection's reused buffer, and the reply
-// is read on the caller's goroutine — the status line, the few headers
-// the client uses, and the body into a pooled buffer. No goroutine
-// hands a request or a reply to another. Only the control plane (the
-// frame-listener probe, the shard map, migration and admin calls) rides
-// net/http.
+// The REST exchange, the one HTTP client of this package: it carries
+// the data plane (record requests, scan pages, /v1/ts) and the control
+// plane (the frame-listener probe, the shard map, migration) alike. A
+// request owns one pooled connection (connpool.Pool, as a frame does)
+// from its write to its reply: the request is written from the
+// connection's reused buffer, and the reply is read on the caller's
+// goroutine — the status line, the few headers the client uses, and
+// the body into a pooled buffer. No goroutine hands a request or a
+// reply to another.
 //
 // The exchange speaks the HTTP/1.1 that httpkv's server answers, and
 // refuses anything else loudly instead of guessing: a reply head line
@@ -89,28 +90,42 @@ type restHead struct {
 	etag       []byte
 	owner      []byte // X-Shard-Owner
 	mapVersion []byte // X-Shard-Map-Version
+	wire       []byte // X-KV-Wire
 	keepAlive  bool   // HTTP/1.1, no "Connection: close", body not ended by EOF
 }
 
-// request is one REST request: method table[/key][?query], with the
-// conditional-write headers when cond is set and a JSON body when body
-// is non-nil.
+// request is one REST request, method path[?query] with a JSON body
+// when body is non-nil. A record request's path is /v1/table[/key],
+// with the conditional-write headers when cond is set, and its status
+// is mapped to the db layer's errors. A control request names its path
+// outright, and its reply comes back whatever its status, for the
+// caller to read.
 type request struct {
 	method string
 	table  string
 	key    string // "" for a scan page or /v1/ts
+	path   string // a control request's path, already escaped; "" for a record request
 	query  string // already escaped
 	cond   bool
 	expect uint64 // If-Match version, or kvstore.MustNotExist for If-None-Match: *
-	body   []byte
+	mapCAS int64  // the shard-map install's predecessor version (cluster.HeaderMapCAS), when > 0
+	// unbounded lifts requestTimeout, so ctx alone bounds the exchange:
+	// a migration's copy and drop take as long as the slot is large.
+	unbounded bool
+	body      []byte
 }
 
-// reply is a 200/204 answer: its body in a pooled buffer (nil when
-// empty; release with putBodyBuf) and its ETag.
+// reply is an answer: its body in a pooled buffer (nil when empty;
+// release with putBodyBuf) and its ETag. A record request's reply is a
+// 200 or 204; a control request's carries its status and headers.
 type reply struct {
 	body    *bytes.Buffer
 	version uint64
 	tagged  bool // the reply carried a numeric ETag
+
+	status     int
+	mapVersion int64  // X-Shard-Map-Version
+	wire       string // X-KV-Wire
 }
 
 // bytes returns the reply body, empty when there is none.
@@ -122,13 +137,14 @@ func (r *reply) bytes() []byte {
 }
 
 // roundTrip sends r and reads its reply on the caller's goroutine, all
-// of it bounded by requestTimeout. The ctx deadline rides as
-// X-Deadline-Ms, and ctx's end interrupts the exchange, which then
-// returns ctx's error and closes the connection. A status other than
-// 200 and 204 is mapped through wireResultErr, the status table both
-// planes share; a 410 keeps the responder's owner hint and map version.
-// No HTTP route sheds load, so a 429 is not retried here; it surfaces as
-// db.ErrThrottled (frames retry theirs, see Client.exec).
+// of it bounded by requestTimeout unless r is unbounded. The ctx
+// deadline rides as X-Deadline-Ms, and ctx's end interrupts the
+// exchange, which then returns ctx's error and closes the connection.
+// A record request's status other than 200 and 204 is mapped through
+// wireResultErr, the status table both planes share; a 410 keeps the
+// responder's owner hint and map version. No HTTP route sheds load, so
+// a 429 is not retried here; it surfaces as db.ErrThrottled (frames
+// retry theirs, see Client.exec).
 func (e *restEndpoint) roundTrip(ctx context.Context, r *request) (reply, error) {
 	var deadlineMs int64
 	if dl, ok := ctx.Deadline(); ok {
@@ -143,7 +159,11 @@ func (e *restEndpoint) roundTrip(ctx context.Context, r *request) (reply, error)
 	// The bound covers the write and the whole reply. An idle
 	// connection outliving it is dropped by the pool's liveness check
 	// and redialed.
-	c.SetDeadline(time.Now().Add(requestTimeout))
+	if r.unbounded {
+		c.SetDeadline(time.Time{})
+	} else {
+		c.SetDeadline(time.Now().Add(requestTimeout))
+	}
 	stop := c.Watch(ctx)
 	c.S.wbuf = appendRequest(c.S.wbuf[:0], e.host, e.prefix, r, deadlineMs)
 	var rep reply
@@ -153,7 +173,12 @@ func (e *restEndpoint) roundTrip(ctx context.Context, r *request) (reply, error)
 	h := &c.S.head
 	var status error
 	if err != nil {
-		err = fmt.Errorf("httpkv: %s %s: connection failed: %w", r.method, r.table, err)
+		// One of table and path is empty.
+		err = fmt.Errorf("httpkv: %s %s%s: connection failed: %w", r.method, r.table, r.path, err)
+	} else if r.path != "" {
+		rep.status = h.status
+		rep.mapVersion, _ = strconv.ParseInt(string(h.mapVersion), 10, 64)
+		rep.wire = string(h.wire)
 	} else if h.status != 200 && h.status != 204 {
 		status = statusErr(h, rep.bytes())
 		putBodyBuf(rep.body)
@@ -187,11 +212,15 @@ func appendRequest(b []byte, host, prefix string, r *request, deadlineMs int64) 
 	b = append(b, r.method...)
 	b = append(b, ' ')
 	b = append(b, prefix...)
-	b = append(b, "/v1/"...)
-	b = append(b, url.PathEscape(r.table)...)
-	if r.key != "" {
-		b = append(b, '/')
-		b = append(b, url.PathEscape(r.key)...)
+	if r.path != "" {
+		b = append(b, r.path...)
+	} else {
+		b = append(b, "/v1/"...)
+		b = append(b, url.PathEscape(r.table)...)
+		if r.key != "" {
+			b = append(b, '/')
+			b = append(b, url.PathEscape(r.key)...)
+		}
 	}
 	if r.query != "" {
 		b = append(b, '?')
@@ -210,6 +239,10 @@ func appendRequest(b []byte, host, prefix string, r *request, deadlineMs int64) 
 			b = append(b, "\r\nIf-Match: "...)
 			b = strconv.AppendUint(b, r.expect, 10)
 		}
+	}
+	if r.mapCAS > 0 {
+		b = append(b, "\r\n"+cluster.HeaderMapCAS+": "...)
+		b = strconv.AppendInt(b, r.mapCAS, 10)
 	}
 	if r.body != nil {
 		b = append(b, "\r\nContent-Type: application/json\r\nContent-Length: "...)
@@ -239,8 +272,8 @@ func readResponse(br *bufio.Reader, h *restHead) (*bytes.Buffer, error) {
 	if h.status < 200 || h.status > 599 {
 		return nil, malformed("status line", line)
 	}
-	h.etag, h.owner, h.mapVersion, h.keepAlive = h.etag[:0], h.owner[:0], h.mapVersion[:0], proto11
-	var gotETag, gotOwner, gotMapVersion, gotLength, chunked bool
+	h.etag, h.owner, h.mapVersion, h.wire, h.keepAlive = h.etag[:0], h.owner[:0], h.mapVersion[:0], h.wire[:0], proto11
+	var gotETag, gotOwner, gotMapVersion, gotWire, gotLength, chunked bool
 	length := int64(-1)
 	for n := 0; ; n++ {
 		if line, err = readLine(br); err != nil {
@@ -286,6 +319,10 @@ func readResponse(br *bufio.Reader, h *restHead) (*bytes.Buffer, error) {
 		case asciiFold(name, cluster.HeaderMapVersion):
 			if !gotMapVersion {
 				h.mapVersion, gotMapVersion = append(h.mapVersion, value...), true
+			}
+		case asciiFold(name, WireAddrHeader):
+			if !gotWire {
+				h.wire, gotWire = append(h.wire, value...), true
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"testing"
 )
 
@@ -37,7 +38,7 @@ func BenchmarkRESTGet(b *testing.B) {
 		}
 	})
 	b.Run("nethttp", func(b *testing.B) {
-		hc, _ := newPooledHTTPClient(poolSize)
+		hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: poolSize}}
 		defer hc.CloseIdleConnections()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -47,7 +48,9 @@ func BenchmarkRESTGet(b *testing.B) {
 				b.Fatal(err)
 			}
 			var wr wireRecord
-			if err := decodeBody(resp, &wr); err != nil || len(wr.Fields) != 10 {
+			err = unmarshalFrom(resp.Body, &wr)
+			resp.Body.Close()
+			if err != nil || len(wr.Fields) != 10 {
 				b.Fatalf("read = %d fields, %v", len(wr.Fields), err)
 			}
 		}

@@ -241,16 +241,17 @@ func TestRESTURLMustBeHTTPHostPort(t *testing.T) {
 
 // FuzzRESTResponse holds the reply reader to net/http's: whatever
 // readResponse accepts, http.ReadResponse plus a full body read accepts
-// with the same status, ETag, shard headers and body bytes, and a reply
-// it would pool net/http would not close. A head line longer than the
-// read buffer, or a declared length past maxReplyBody, is always an
-// error.
+// with the same status, ETag, shard headers, X-KV-Wire and body bytes,
+// and a reply it would pool net/http would not close. A head line
+// longer than the read buffer, or a declared length past maxReplyBody,
+// is always an error.
 func FuzzRESTResponse(f *testing.F) {
 	for _, seed := range []string{
 		string(getReply("HTTP/1.1 200 OK", "")),
 		string(getReply("HTTP/1.0 200 OK", "Connection: keep-alive\r\n")),
 		"HTTP/1.1 204 No Content\r\nETag: 3\r\n\r\n",
 		"HTTP/1.1 410 Gone\r\nX-Shard-Owner: http://127.0.0.1:2\r\nX-Shard-Map-Version: 4\r\nContent-Length: 5\r\n\r\nmoved",
+		"HTTP/1.1 200 OK\r\nX-Kv-Wire: 127.0.0.1:9\r\nx-kv-wire: :8\r\nContent-Length: 2\r\n\r\nok",
 		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\n[1,\r\n2\r\n2]\r\n0\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nto the end",
 		"HTTP/1.1 404 Not Found\r\netag: 1\r\nEtag: 2\r\nContent-Length: 0\r\n\r\n",
@@ -299,8 +300,9 @@ func FuzzRESTResponse(f *testing.F) {
 			t.Fatalf("status %d, net/http reads %d", h.status, resp.StatusCode)
 		case resp.Header.Get("ETag") != string(h.etag),
 			resp.Header.Get("X-Shard-Owner") != string(h.owner),
-			resp.Header.Get("X-Shard-Map-Version") != string(h.mapVersion):
-			t.Fatalf("headers %q %q %q, net/http reads %v", h.etag, h.owner, h.mapVersion, resp.Header)
+			resp.Header.Get("X-Shard-Map-Version") != string(h.mapVersion),
+			resp.Header.Get(WireAddrHeader) != string(h.wire):
+			t.Fatalf("headers %q %q %q %q, net/http reads %v", h.etag, h.owner, h.mapVersion, h.wire, resp.Header)
 		case !bytes.Equal(got, want):
 			t.Fatalf("body %q, net/http reads %q", got, want)
 		case h.keepAlive && resp.Close:

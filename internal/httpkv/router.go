@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -29,11 +28,11 @@ import (
 // the map and retries with bounded attempts and backoff, so a live
 // rebalance costs clients a blip, not an error.
 //
-// The data plane is frames only: each node is mounted once, by probing
-// its control plane for the frame listener it advertises, and a node
-// that advertises none fails the call with a NoWireError naming it. The
-// shard map itself travels over HTTP (GET /v1/shardmap) on one pooled
-// transport shared by every node.
+// Each node has one Client, which carries the node's control calls over
+// its REST exchange — the shard map (GET /v1/shardmap) and the probe for
+// the frame listener — and, once mounted, its frames. The data plane is
+// frames only: a node is mounted once, by that probe, and a node that
+// advertises no listener fails the call with a NoWireError naming it.
 //
 // The router does not support the "as_of" property: commit timestamps
 // are per-store logical clocks, so one timestamp has no meaning
@@ -41,7 +40,6 @@ import (
 // need a cluster-wide clock — future work, out of scope here.
 type Router struct {
 	db.NoTransactions
-	hc *http.Client
 
 	// retries bounds how many moved-error rounds one logical op may
 	// pay; backoff is slept (doubling) between rounds while the fleet
@@ -52,8 +50,9 @@ type Router struct {
 
 	cur atomic.Pointer[cluster.Map]
 
+	// mu guards nodes and the mounting of each node's frames.
 	mu    sync.RWMutex
-	nodes map[string]*Client // node address → its mounted frame client
+	nodes map[string]*Client // node address → its client, frames mounted or not yet
 
 	metrics *routerMetrics
 }
@@ -80,7 +79,7 @@ type routerMetrics struct {
 	batchItems map[string]*obs.Histogram // httpkv_routed_batch_items per node
 }
 
-func newRouterMetrics(reg *obs.Registry, dials *atomic.Int64, mapVersion func() float64) *routerMetrics {
+func newRouterMetrics(reg *obs.Registry, dials, mapVersion func() float64) *routerMetrics {
 	m := &routerMetrics{reg: reg, batchItems: make(map[string]*obs.Histogram)}
 	reg.Help("cluster_map_refetch_total", "Shard-map re-fetches triggered by moved errors or bootstrap.")
 	reg.Help("httpkv_client_moved_total", "Moved (410) answers observed by the cluster router.")
@@ -89,16 +88,14 @@ func newRouterMetrics(reg *obs.Registry, dials *atomic.Int64, mapVersion func() 
 	m.refetch = reg.Counter("cluster_map_refetch_total")
 	m.moved = reg.Counter("httpkv_client_moved_total")
 	reg.GaugeFunc("cluster_client_shardmap_version", mapVersion)
-	if dials != nil { // nil: the caller's own http.Client
-		reg.RegisterCollector(func() []obs.Sample {
-			return []obs.Sample{{
-				Name:  "httpkv_client_dials_total",
-				Kind:  obs.KindCounter,
-				Help:  "TCP connections dialled by the router's pooled HTTP transport (tracks requests when responses are closed short of EOF).",
-				Value: float64(dials.Load()),
-			}}
-		})
-	}
+	reg.RegisterCollector(func() []obs.Sample {
+		return []obs.Sample{{
+			Name:  "httpkv_client_dials_total",
+			Kind:  obs.KindCounter,
+			Help:  "TCP connections dialled by the node clients' REST exchanges (the probe and shard-map calls; tracks requests if connections stop being reused).",
+			Value: dials(),
+		}}
+	})
 	return m
 }
 
@@ -134,32 +131,40 @@ func init() {
 }
 
 // NewRouter builds a router over the given seed node addresses,
-// bootstrapping the shard map from the first node that serves one. A
-// nil hc gets a dedicated pooled transport shared by all node
-// clients. The registry may be nil (metrics off).
+// bootstrapping the shard map from the first node that serves one. The
+// registry may be nil (metrics off). hc is ignored: each node's calls
+// ride its own client. It goes once benchmark/stack.go stops passing
+// it.
 func NewRouter(seeds []string, hc *http.Client, reg *obs.Registry) (*Router, error) {
 	r := &Router{}
-	if err := r.open(seeds, hc, reg); err != nil {
+	if err := r.open(seeds, reg); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 // open is the one construction path, NewRouter's and Init's.
-func (r *Router) open(seeds []string, hc *http.Client, reg *obs.Registry) error {
-	r.hc, r.retries, r.backoff = hc, routerRetries, routerBackoff
+func (r *Router) open(seeds []string, reg *obs.Registry) error {
+	r.retries, r.backoff = routerRetries, routerBackoff
 	r.nodes = make(map[string]*Client)
-	var dials *atomic.Int64
-	if r.hc == nil {
-		r.hc, dials = newPooledHTTPClient(poolSize)
-	}
-	r.metrics = newRouterMetrics(reg, dials, func() float64 {
+	r.metrics = newRouterMetrics(reg, r.dials, func() float64 {
 		if m := r.cur.Load(); m != nil {
 			return float64(m.Version)
 		}
 		return 0
 	})
 	return r.bootstrap(context.Background(), seeds)
+}
+
+// dials sums the node clients' Dials.
+func (r *Router) dials() float64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var n int64
+	for _, c := range r.nodes {
+		n += c.Dials()
+	}
+	return float64(n)
 }
 
 // Init reads the "cluster.nodes" (comma-separated base URLs, required)
@@ -181,7 +186,7 @@ func (r *Router) Init(p *properties.Properties) error {
 	if p.GetInt64("as_of", 0) != 0 {
 		return fmt.Errorf("%w: the cluster binding cannot serve as-of reads (per-store commit clocks)", db.ErrNotSupported)
 	}
-	return r.open(seeds, nil, obs.Enabled(p.GetBool("obs.enabled", false)))
+	return r.open(seeds, obs.Enabled(p.GetBool("obs.enabled", false)))
 }
 
 // SplitNodes parses a comma-separated node address list (the
@@ -206,7 +211,7 @@ func SplitNodes(s string) []string {
 func (r *Router) bootstrap(ctx context.Context, seeds []string) error {
 	var firstErr error
 	for _, seed := range seeds {
-		m, err := fetchShardMap(ctx, r.hc, seed)
+		m, err := r.client(seed).fetchShardMap(ctx)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: fetching shard map from %s: %w", seed, err)
@@ -225,26 +230,15 @@ func (r *Router) bootstrap(ctx context.Context, seeds []string) error {
 	return firstErr
 }
 
-// fetchShardMap GETs /v1/shardmap from one node; a non-cluster server
+// fetchShardMap GETs the node's /v1/shardmap; a non-cluster server
 // answers 404.
-func fetchShardMap(ctx context.Context, hc *http.Client, base string) (*cluster.Map, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/shardmap", nil)
+func (c *Client) fetchShardMap(ctx context.Context) (*cluster.Map, error) {
+	rep, err := c.control(ctx, &request{method: http.MethodGet, path: "/v1/shardmap"})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shardmap fetch: %w", err)
 	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("shardmap fetch: %s", resp.Status)
-	}
-	doc, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	return cluster.Decode(doc)
+	defer putBodyBuf(rep.body)
+	return cluster.Decode(rep.bytes())
 }
 
 // installMap publishes m when newer than the current map. Idempotent
@@ -260,31 +254,49 @@ func (r *Router) installMap(m *cluster.Map) {
 // Map returns the shard map the router currently routes by.
 func (r *Router) Map() *cluster.Map { return r.cur.Load() }
 
-// node returns the client for addr, mounting it on first use (a
-// just-fetched map can name nodes bootstrap never saw): one probe of
-// the node's control plane for its frame listener. A failed probe is
-// the caller's error and is not remembered — the next call probes
-// again; only a mounted client is cached.
-func (r *Router) node(ctx context.Context, addr string) (*Client, error) {
+// client returns addr's client, made on first use, for its control
+// calls; its frames may not be mounted yet.
+func (r *Router) client(addr string) *Client {
 	r.mu.RLock()
 	c := r.nodes[addr]
 	r.mu.RUnlock()
 	if c != nil {
+		return c
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c = r.nodes[addr]; c == nil {
+		c = NewClient(addr, nil)
+		r.nodes[addr] = c
+	}
+	return c
+}
+
+// node returns addr's client with its frames mounted, mounting them on
+// first use (a just-fetched map can name nodes bootstrap never saw):
+// one probe over the client's REST exchange for the node's frame
+// listener. A failed probe is the caller's error and is not remembered
+// — the next call probes again; only a mounted endpoint is kept.
+func (r *Router) node(ctx context.Context, addr string) (*Client, error) {
+	r.mu.RLock()
+	c := r.nodes[addr]
+	mounted := c != nil && c.wire != nil
+	r.mu.RUnlock()
+	if mounted {
 		return c, nil
 	}
-	ep, err := openNodeWire(ctx, r.hc, addr, 0)
+	c = r.client(addr)
+	ep, err := c.openWire(ctx, 0)
 	if err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c = r.nodes[addr]; c != nil {
+	if c.wire != nil {
 		ep.Close() // lost a mounting race
-		return c, nil
+	} else {
+		c.wire = ep
 	}
-	c = NewClient(addr, r.hc)
-	c.wire = ep
-	r.nodes[addr] = c
 	return c, nil
 }
 
@@ -305,7 +317,7 @@ func (r *Router) refetchMap(ctx context.Context, prefer string) {
 		}
 	}
 	for _, addr := range order {
-		m, err := fetchShardMap(ctx, r.hc, addr)
+		m, err := r.client(addr).fetchShardMap(ctx)
 		if err != nil {
 			continue
 		}
@@ -371,11 +383,10 @@ func (r *Router) route(ctx context.Context, key string, fn func(c *Client) error
 
 // Cleanup implements db.DB.
 func (r *Router) Cleanup() error {
-	r.hc.CloseIdleConnections()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, c := range r.nodes {
-		c.wire.Close()
+		c.Cleanup()
 	}
 	return nil
 }

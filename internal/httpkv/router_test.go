@@ -17,7 +17,7 @@ import (
 
 func newTestRouter(t *testing.T, nodes []*testNode, reg *obs.Registry) *Router {
 	t.Helper()
-	r, err := NewRouter([]string{nodes[0].URL}, nodes[0].hc, reg)
+	r, err := NewRouter([]string{nodes[0].URL}, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,12 +288,12 @@ func TestRouterMovedStorm(t *testing.T) {
 
 	// Two live migrations mid-storm: a → b, then another slot b → a.
 	slotAB := m.SlotsOf(a.URL)[0]
-	m2, err := MigrateSlot(ctx, a.hc, m, slotAB, b.URL)
+	m2, err := MigrateSlot(ctx, m, slotAB, b.URL)
 	if err != nil {
 		t.Fatalf("storm migration 1: %v", err)
 	}
 	slotBA := m2.SlotsOf(b.URL)[0]
-	if _, err := MigrateSlot(ctx, a.hc, m2, slotBA, a.URL); err != nil {
+	if _, err := MigrateSlot(ctx, m2, slotBA, a.URL); err != nil {
 		t.Fatalf("storm migration 2: %v", err)
 	}
 
@@ -437,5 +437,35 @@ func TestRouterMountFailureIsNotCached(t *testing.T) {
 	}
 	if got, err := b.store.Get("t", key); err != nil || string(got.Field("f")) != "v" {
 		t.Fatalf("record on the node: %v, %v", got, err)
+	}
+}
+
+// A node's client carries the router's control calls: after the node
+// restarts, the router refetches its map over a redialed connection,
+// not a failed one.
+func TestRouterRefetchesAfterNodeRestart(t *testing.T) {
+	nodes := startTestCluster(t, 2, 8)
+	a, b := nodes[0], nodes[1]
+	r := newTestRouter(t, nodes, nil)
+	m := r.Map()
+	ca := r.client(a.URL)
+	dials := ca.Dials()
+
+	a.restart(t, true)
+	// Only a, which the refetch polls first, learns the successor: a
+	// failed fetch there would fall through to b's old map.
+	next, err := m.WithSlotMoved(m.SlotsOf(a.URL)[0], b.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.state.Install(next); err != nil {
+		t.Fatal(err)
+	}
+	r.refetchMap(context.Background(), a.URL)
+	if got := r.Map().Version; got != next.Version {
+		t.Fatalf("router at map v%d after the refetch, want v%d", got, next.Version)
+	}
+	if got := ca.Dials(); got != dials+1 {
+		t.Errorf("a's client dialed %d connections, want %d: one more after the restart", got, dials+1)
 	}
 }

@@ -116,11 +116,10 @@ func TestMigrateSlotSourceScanFails(t *testing.T) {
 	broken.fail.Store(true)
 	a, b, m := startPair(t, broken, openTestStore(t))
 	ctx := context.Background()
-	hc := a.hc
 	slot := m.SlotsOf(a.URL)[0]
 	keys := loadSlot(t, aStore, m, slot, kvwire.ScanPageCap+100) // two engine pages
 
-	_, err := MigrateSlot(ctx, hc, m, slot, b.URL)
+	_, err := MigrateSlot(ctx, m, slot, b.URL)
 	if err == nil || !strings.Contains(err.Error(), `"usertable"`) {
 		t.Fatalf("migration over a failing source scan: %v, want an error naming the table", err)
 	}
@@ -134,14 +133,14 @@ func TestMigrateSlotSourceScanFails(t *testing.T) {
 	}
 
 	broken.fail.Store(false)
-	next, err := MigrateSlot(ctx, hc, m, slot, b.URL)
+	next, err := MigrateSlot(ctx, m, slot, b.URL)
 	if err != nil {
 		t.Fatalf("retry: %v", err)
 	}
 	if next.OwnerOfSlot(slot) != b.URL {
 		t.Fatalf("slot owner after retry = %s", next.OwnerOfSlot(slot))
 	}
-	cb := NewClient(b.URL, hc)
+	cb := NewClient(b.URL, nil)
 	for _, k := range []string{keys[0], keys[len(keys)-1]} {
 		if got, err := cb.Read(ctx, "usertable", k, nil); err != nil || string(got["f"]) != "v-"+k {
 			t.Fatalf("%s on the destination after retry: %v %v", k, got, err)
@@ -164,7 +163,7 @@ func TestScanOfClosedStoreAnswers503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainClose(resp)
+	discard(resp)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("HTTP scan of a closed store: status %d, want 503", resp.StatusCode)
 	}

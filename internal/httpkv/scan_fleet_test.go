@@ -268,7 +268,7 @@ func TestNodeSharesFollowPlacement(t *testing.T) {
 // loop, so it exports the same two counters.
 func TestHTTPOnlyServerExportsScanCounters(t *testing.T) {
 	tn := startHTTPNode(t, openTestStore(t), NodeOptions{})
-	c := NewClient(tn.URL, tn.hc)
+	c := NewClient(tn.URL, nil)
 	loadFixtureKeys(t, c, 100)
 	got, err := c.Scan(context.Background(), "t", "user00010", 60, nil)
 	if err != nil {

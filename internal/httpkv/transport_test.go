@@ -77,6 +77,23 @@ func TestOneTransportPerEndpoint(t *testing.T) {
 	}
 }
 
+// An advertised listener without a usable host takes the one the client
+// reaches the server by; an address without a port is unusable.
+func TestResolveWireAddr(t *testing.T) {
+	for _, tc := range []struct{ base, adv, want string }{
+		{"127.0.0.1:8077", "10.0.0.2:9077", "10.0.0.2:9077"},
+		{"127.0.0.1:8077", ":9077", "127.0.0.1:9077"},
+		{"kv.example:8077", "0.0.0.0:9077", "kv.example:9077"},
+		{"[::1]:8077", "[::]:9077", "[::1]:9077"},
+		{"127.0.0.1:8077", "9077", ""},
+		{"127.0.0.1:8077", "10.0.0.2:", ""},
+	} {
+		if got := resolveWireAddr(tc.base, tc.adv); got != tc.want {
+			t.Errorf("resolveWireAddr(%q, %q) = %q, want %q", tc.base, tc.adv, got, tc.want)
+		}
+	}
+}
+
 // The frame listener is advertised where probeWire looks for it, on
 // /healthz, and nowhere else: a record GET carries no X-KV-Wire.
 func TestWireListenerAdvertisedOnHealthzOnly(t *testing.T) {
@@ -89,7 +106,7 @@ func TestWireListenerAdvertisedOnHealthzOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drainClose(resp)
+		discard(resp)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 		}
@@ -196,7 +213,7 @@ func TestAsOfReadsOverFrames(t *testing.T) {
 func TestAsOfRemoteStoreSnapshot(t *testing.T) {
 	ctx := context.Background()
 	tn, _ := newAsOfNode(t)
-	rs, err := NewRemoteStore("remote", tn.URL, nil)
+	rs, err := NewRemoteStore("remote", tn.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +256,7 @@ func TestRemoteAsOfBelowHorizon(t *testing.T) {
 				}
 			}
 			put("old")
-			rs, err := NewRemoteStore("remote", tn.URL, nil)
+			rs, err := NewRemoteStore("remote", tn.URL)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,7 +305,9 @@ func TestHTTPScanIsPaged(t *testing.T) {
 		// returns, which the body's end (not its closing bracket)
 		// follows, so the request count below starts settled.
 		var page []wireRecord
-		if err := decodeBody(resp, &page); err != nil {
+		err = unmarshalFrom(resp.Body, &page)
+		resp.Body.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(page) != kvwire.ScanPageCap {

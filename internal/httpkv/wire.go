@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/url"
 	"time"
 
 	"ycsbt/internal/cluster"
@@ -23,10 +22,11 @@ import (
 //
 // The rawhttp.wire property picks: "off" is HTTP, a host:port is that
 // frame listener, and "auto" (the default) asks the server once, over
-// its control plane, whether it runs one (probeWire). Batches, as-of
-// reads and multi-page scans — the migration copy among them — exist on
-// frames only; the Router therefore requires every node to advertise a
-// listener, and MigrateSlot the slot's source (NoWireError otherwise).
+// the client's REST exchange, whether it runs one (probeWire). Batches,
+// as-of reads and multi-page scans — the migration copy among them —
+// exist on frames only; the Router therefore requires every node to
+// advertise a listener, and MigrateSlot the slot's source (NoWireError
+// otherwise).
 
 // WireAddrHeader advertises the server's frame listener: the /healthz
 // response of a server started with one carries X-KV-Wire: host:port.
@@ -46,27 +46,22 @@ func (e *NoWireError) Error() string {
 	return fmt.Sprintf("httpkv: node %s advertises no frame listener (kvserver -wire-addr)", e.Node)
 }
 
-// probeWire asks the server at base, over its control plane, where its
-// frame listener is: one GET whose response headers carry the
-// advertisement. It returns "" when the server advertises none; a probe
-// that cannot reach the server is an error, never a downgrade to HTTP.
-func probeWire(ctx context.Context, hc *http.Client, base string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
+// probeWire asks the server where its frame listener is: one GET of
+// /healthz, whose response headers carry the advertisement. It returns
+// "" when the server advertises none; a probe that cannot reach the
+// server is an error, never a downgrade to HTTP.
+func (c *Client) probeWire(ctx context.Context) (string, error) {
+	rep, err := c.roundTrip(ctx, &request{method: http.MethodGet, path: "/healthz"})
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("httpkv: probing %s for its frame listener: %w", c.base, err)
 	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("httpkv: probing %s for its frame listener: %w", base, err)
-	}
-	drainClose(resp)
-	adv := resp.Header.Get(WireAddrHeader)
-	if adv == "" {
+	putBodyBuf(rep.body)
+	if rep.wire == "" {
 		return "", nil
 	}
-	addr := resolveWireAddr(base, adv)
+	addr := resolveWireAddr(c.rest.host, rep.wire)
 	if addr == "" {
-		return "", fmt.Errorf("httpkv: %s advertises an unusable frame listener %q", base, adv)
+		return "", fmt.Errorf("httpkv: %s advertises an unusable frame listener %q", c.base, rep.wire)
 	}
 	return addr, nil
 }
@@ -74,17 +69,18 @@ func probeWire(ctx context.Context, hc *http.Client, base string) (string, error
 // requireWire is the probe for callers that cannot work without frames
 // (the Router, MigrateSlot, the copy's pull): the node's listener
 // address, or a NoWireError naming it.
-func requireWire(ctx context.Context, hc *http.Client, node string) (string, error) {
-	addr, err := probeWire(ctx, hc, node)
+func (c *Client) requireWire(ctx context.Context) (string, error) {
+	addr, err := c.probeWire(ctx)
 	if err == nil && addr == "" {
-		err = &NoWireError{Node: node}
+		err = &NoWireError{Node: c.base}
 	}
 	return addr, err
 }
 
-// openNodeWire is requireWire returning the node's endpoint.
-func openNodeWire(ctx context.Context, hc *http.Client, node string, conns int) (*kvwire.Endpoint, error) {
-	addr, err := requireWire(ctx, hc, node)
+// openWire is requireWire returning the node's frame endpoint, which
+// keeps up to conns idle connections (0: kvwire's default).
+func (c *Client) openWire(ctx context.Context, conns int) (*kvwire.Endpoint, error) {
+	addr, err := c.requireWire(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -93,22 +89,16 @@ func openNodeWire(ctx context.Context, hc *http.Client, node string, conns int) 
 
 // resolveWireAddr turns an advertised listener address into a dialable
 // one, filling a missing or unspecified host (":9077", "0.0.0.0:9077",
-// "[::]:9077") from the endpoint's base URL — the server knows its
-// port but not necessarily the name clients reach it by.
-func resolveWireAddr(base, adv string) string {
+// "[::]:9077") from baseHost, the host:port of the endpoint's base URL
+// — the server knows its port but not necessarily the name clients
+// reach it by.
+func resolveWireAddr(baseHost, adv string) string {
 	host, port, err := net.SplitHostPort(adv)
 	if err != nil || port == "" {
 		return ""
 	}
 	if host == "" || host == "0.0.0.0" || host == "::" {
-		u, err := url.Parse(base)
-		if err != nil {
-			return ""
-		}
-		host = u.Hostname()
-		if host == "" {
-			return ""
-		}
+		host, _, _ = net.SplitHostPort(baseHost)
 	}
 	return net.JoinHostPort(host, port)
 }

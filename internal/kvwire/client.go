@@ -73,9 +73,6 @@ func handshake(conn net.Conn, br *bufio.Reader) error {
 	return nil
 }
 
-// Addr returns the endpoint's dial address.
-func (e *Endpoint) Addr() string { return e.pool.Addr() }
-
 // Exec ships ops as one request frame and waits for its response. The
 // ctx deadline rides in the frame (the server abandons work it cannot
 // start in time, like the HTTP X-Deadline-Ms header), and ctx's end

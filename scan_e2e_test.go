@@ -10,7 +10,6 @@ package ycsbt_test
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,8 +65,7 @@ func scanCell(b *testing.B) {
 func migrateCell(b *testing.B) {
 	nodes, m := startFleet(b, 2, 8, nil)
 	ctx := context.Background()
-	hc := &http.Client{}
-	r, err := httpkv.NewRouter(nodeURLs(nodes), hc, nil)
+	r, err := httpkv.NewRouter(nodeURLs(nodes), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,7 +98,7 @@ func migrateCell(b *testing.B) {
 	dests := [2]string{nodes[1].url, nodes[0].url}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		next, err := httpkv.MigrateSlot(ctx, hc, m, slot, dests[i%2])
+		next, err := httpkv.MigrateSlot(ctx, m, slot, dests[i%2])
 		if err != nil {
 			b.Fatalf("migration %d: %v", i, err)
 		}

@@ -245,7 +245,7 @@ func TestMissingFrameListenerFailsLoud(t *testing.T) {
 			return noWire(err, urls[0])
 		}, urls[0]},
 		{"migration from a node that advertises no listener", func() error {
-			_, err := httpkv.MigrateSlot(context.Background(), nil, m, m.SlotsOf(urls[1])[0], urls[0])
+			_, err := httpkv.MigrateSlot(context.Background(), m, m.SlotsOf(urls[1])[0], urls[0])
 			return noWire(err, urls[1])
 		}, urls[1]},
 		{"rawhttp as_of on an HTTP endpoint", func() error {
