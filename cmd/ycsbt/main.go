@@ -4,14 +4,17 @@
 //	ycsbt -db rawhttp -P workloads/closed_economy_workload -threads 16 -t
 //
 // It loads one or more workload property files (-P, Java .properties
-// format), applies -p key=value overrides, runs the load phase
+// format), applies -p key=value overrides and the flags, and hands the
+// resulting property set to core.Execute, which runs the load phase
 // (-load) and/or the transaction phase (-t), executes the Tier 6
 // validation stage, and prints the measurements in the Listing 3
 // format.
 //
-// Registered bindings: memory, kvstore (embedded engine, optional
-// WAL), rawhttp (HTTP client for cmd/kvserver), cloudsim (simulated
-// WAS/GCS container) and txnkv (client-coordinated transactions).
+// Registered bindings (core imports them all): memory, kvstore
+// (embedded engine, optional WAL), rawhttp (HTTP client for
+// cmd/kvserver), cluster (shard-map router over a kvserver fleet),
+// cloudsim (simulated WAS/GCS container), txnkv (client-coordinated
+// transactions) and percolator (the Percolator-style baseline).
 //
 // Every client thread wraps the binding in the middleware stack named
 // by -middleware (outermost first; default "metered"): metered, trace,
@@ -24,22 +27,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"ycsbt/internal/client"
+	"ycsbt/internal/core"
 	"ycsbt/internal/db"
-	"ycsbt/internal/history"
-	"ycsbt/internal/measurement"
-	"ycsbt/internal/obs"
 	"ycsbt/internal/properties"
 	"ycsbt/internal/workload"
-
-	// Register every binding with the -db registry.
-	_ "ycsbt/internal/cloudsim"
-	_ "ycsbt/internal/httpkv"
-	_ "ycsbt/internal/kvstore"
-	_ "ycsbt/internal/percolator"
-	_ "ycsbt/internal/txn"
 )
 
 // repeatedFlag collects a repeatable string flag.
@@ -137,76 +130,16 @@ func run(args []string) error {
 
 	fmt.Println(client.Version)
 	fmt.Printf("Command line: %s\n", strings.Join(args, " "))
-
-	c, _, err := client.NewFromProperties(props)
-	if err != nil {
-		return err
+	opts := core.RunOptions{
+		Load:         *doLoad,
+		Transactions: *doRun,
+		Report:       os.Stdout,
+		Timeline:     *timeline,
+		OpsAddr:      *opsAddr,
 	}
-	if *status || *timeline {
-		// Rebuild with the extra instrumentation; the config is cheap
-		// to redo.
-		cfg := client.BuildConfig(props)
-		if *status {
-			cfg.StatusInterval = 10 * time.Second
-			cfg.Status = os.Stderr
-		}
-		if *timeline {
-			cfg.TimelineInterval = time.Second
-		}
-		c, err = client.New(cfg, c.Workload(), c.DB(), c.Registry())
-		if err != nil {
-			return err
-		}
+	if *status {
+		opts.Status = os.Stderr
 	}
-	defer c.DB().Cleanup()
-
-	if path := props.GetString("history.file", ""); path != "" {
-		sink, err := history.OpenFile(path, history.SinkOptions{
-			Metrics: obs.Enabled(props.GetBool("obs.enabled", false)),
-		})
-		if err != nil {
-			return err
-		}
-		c.SetHistory(sink)
-		defer func() {
-			if err := sink.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "ycsbt: history sink:", err)
-			}
-			events, dropped := sink.Stats()
-			fmt.Printf("history: %d records captured, %d dropped -> %s (check with: histcheck %s)\n",
-				events, dropped, path, path)
-		}()
-	}
-
-	if *opsAddr != "" {
-		reg := obs.Default()
-		reg.RegisterCollector(obs.RuntimeCollector())
-		reg.RegisterCollector(measurement.ObsCollector(c.Registry()))
-		opsSrv, opsLn, err := obs.StartOps(*opsAddr, reg, nil)
-		if err != nil {
-			return err
-		}
-		defer opsSrv.Close()
-		fmt.Printf("ops listening on http://%s\n", opsLn)
-	}
-
-	ctx := context.Background()
-	if *doLoad {
-		fmt.Println("Loading workload...")
-		res, err := c.Load(ctx)
-		if err != nil {
-			return err
-		}
-		if !*doRun {
-			return client.Report(os.Stdout, res)
-		}
-		fmt.Printf("Load complete: %d records in %.1fs\n",
-			res.Operations, res.RunTime.Seconds())
-	}
-	fmt.Println("Starting test.")
-	res, err := c.Run(ctx)
-	if err != nil {
-		return err
-	}
-	return client.Report(os.Stdout, res)
+	_, err := core.Execute(context.Background(), props, opts)
+	return err
 }

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"ycsbt/internal/client"
 )
 
 // writeProps drops a minimal CEW property file for CLI tests.
@@ -94,5 +99,65 @@ func TestRunErrors(t *testing.T) {
 func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
 		t.Fatalf("-list = %v", err)
+	}
+}
+
+// captureRun runs the client with args and returns what it printed on
+// stdout.
+func captureRun(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	printed := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- string(b)
+	}()
+	err = run(args)
+	os.Stdout = stdout
+	w.Close()
+	out := <-printed
+	r.Close()
+	if err != nil {
+		t.Fatalf("run(%v) = %v", args, err)
+	}
+	return out
+}
+
+// TestRunStdoutSequence pins the order of the lines a run prints for
+// each phase selection: the banner, the phase lines, then the Listing-3
+// report of the last phase (validation first, then the overall
+// figures). Only the lines named in heads are compared.
+func TestRunStdoutSequence(t *testing.T) {
+	props := writeProps(t)
+	heads := []string{client.Version, "Command line:", "Loading workload...", "Load complete:",
+		"Starting test.", "[ANOMALY SCORE]", "[OVERALL], RunTime", "[OVERALL], Throughput"}
+	for _, tc := range []struct {
+		phases []string
+		want   []string
+	}{
+		{[]string{"-load"}, []string{client.Version, "Command line:", "Loading workload...",
+			"[ANOMALY SCORE]", "[OVERALL], RunTime", "[OVERALL], Throughput"}},
+		{[]string{"-t"}, []string{client.Version, "Command line:", "Starting test.",
+			"[ANOMALY SCORE]", "[OVERALL], RunTime", "[OVERALL], Throughput"}},
+		{[]string{"-load", "-t"}, []string{client.Version, "Command line:", "Loading workload...",
+			"Load complete:", "Starting test.", "[ANOMALY SCORE]", "[OVERALL], RunTime", "[OVERALL], Throughput"}},
+	} {
+		args := append([]string{"-db", "memory", "-P", props}, tc.phases...)
+		var got []string
+		for _, line := range strings.Split(captureRun(t, args...), "\n") {
+			for _, h := range heads {
+				if strings.HasPrefix(line, h) {
+					got = append(got, h)
+				}
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%v printed heads\n%q\nwant\n%q", tc.phases, got, tc.want)
+		}
 	}
 }

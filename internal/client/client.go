@@ -128,7 +128,7 @@ type Client struct {
 
 // New builds a client over an already-initialized workload and
 // binding; reg may be nil, in which case a fresh registry is created.
-// Prefer NewFromProperties for the common path.
+// Open builds both from properties.
 func New(cfg Config, w workload.Workload, d db.DB, reg *measurement.Registry) (*Client, error) {
 	if cfg.Threads <= 0 {
 		return nil, fmt.Errorf("client: thread count %d", cfg.Threads)
@@ -183,34 +183,29 @@ func (c *Client) OpLog() *db.OpLog { return c.opLog }
 // DB returns the raw (unmetered) binding.
 func (c *Client) DB() db.DB { return c.d }
 
-// Workload returns the workload under test.
-func (c *Client) Workload() workload.Workload { return c.w }
-
-// NewFromProperties instantiates workload and binding from the
-// "workload" and "db" properties, initializes both, and returns a
-// ready client plus the shared registry.
-func NewFromProperties(p *properties.Properties) (*Client, *measurement.Registry, error) {
-	cfg := BuildConfig(p)
+// Open instantiates the workload and the binding that cfg.Props names
+// ("workload", "db"), initializes both, and returns a ready client.
+func Open(cfg Config) (*Client, error) {
+	p := cfg.Props
+	if p == nil {
+		p = properties.New()
+	}
 	reg := measurement.NewRegistry(cfg.HistogramBuckets)
 	w, err := workload.New(p.GetString("workload", "core"))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := w.Init(p, reg); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	d, err := db.Open(p.GetString("db", "memory"))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := d.Init(p); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	c, err := New(cfg, w, d, reg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, reg, nil
+	return New(cfg, w, d, reg)
 }
 
 // flusher is a binding that acknowledges an operation while store work

@@ -35,10 +35,11 @@ func cewProps(over map[string]string) *properties.Properties {
 
 func TestLoadAndRunEndToEnd(t *testing.T) {
 	ctx := context.Background()
-	c, reg, err := NewFromProperties(cewProps(nil))
+	c, err := Open(BuildConfig(cewProps(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := c.Registry()
 	loadRes, err := c.Load(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +141,7 @@ func TestThrottling(t *testing.T) {
 		"threadcount":    "2",
 		"target":         "200", // 200 ops/sec total → ≥ 500ms
 	})
-	c, _, err := NewFromProperties(p)
+	c, err := Open(BuildConfig(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestMaxExecutionTime(t *testing.T) {
 		"target":           "50",
 		"maxexecutiontime": "1",
 	})
-	c, _, err := NewFromProperties(p)
+	c, err := Open(BuildConfig(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +227,11 @@ func TestMiddlewareStackEndToEnd(t *testing.T) {
 		"threadcount":    "2",
 		"middleware":     "trace,metered,retry",
 	})
-	c, reg, err := NewFromProperties(p)
+	c, err := Open(BuildConfig(p))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := c.Registry()
 	if c.OpLog() == nil {
 		t.Fatal("trace middleware configured but no op log")
 	}
@@ -275,7 +277,7 @@ func TestFaultInjectionDrivesAborts(t *testing.T) {
 		"middleware":              "metered,faultinject",
 		"faultinject.probability": "0.3",
 	})
-	c, _, err := NewFromProperties(p)
+	c, err := Open(BuildConfig(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +300,7 @@ func TestFaultInjectionDrivesAborts(t *testing.T) {
 
 func TestUnknownMiddlewareRejected(t *testing.T) {
 	p := cewProps(map[string]string{"middleware": "metered,nosuch"})
-	if _, _, err := NewFromProperties(p); err == nil {
+	if _, err := Open(BuildConfig(p)); err == nil {
 		t.Error("unknown middleware accepted")
 	}
 	w, _ := workload.New("closedeconomy")
@@ -319,26 +321,26 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Threads: 1}, w, nil, nil); err == nil {
 		t.Error("nil db accepted")
 	}
-	c, _, err := NewFromProperties(properties.FromMap(map[string]string{
+	c, err := Open(BuildConfig(properties.FromMap(map[string]string{
 		"workload": "core", "db": "memory", "recordcount": "10", "operationcount": "0",
-	}))
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Run(context.Background()); err == nil {
 		t.Error("zero operationcount accepted at Run")
 	}
-	if _, _, err := NewFromProperties(properties.FromMap(map[string]string{"workload": "missing"})); err == nil {
+	if _, err := Open(BuildConfig(properties.FromMap(map[string]string{"workload": "missing"}))); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, _, err := NewFromProperties(properties.FromMap(map[string]string{"db": "missing"})); err == nil {
+	if _, err := Open(BuildConfig(properties.FromMap(map[string]string{"db": "missing"}))); err == nil {
 		t.Error("unknown db accepted")
 	}
 }
 
 func TestReportFormat(t *testing.T) {
 	ctx := context.Background()
-	c, _, err := NewFromProperties(cewProps(map[string]string{"operationcount": "300"}))
+	c, err := Open(BuildConfig(cewProps(map[string]string{"operationcount": "300"})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,10 +385,11 @@ func TestWorkloadErrorsAbortTransactions(t *testing.T) {
 		"readmodifywriteproportion": "0",
 		"requestdistribution":       "uniform",
 	})
-	c, reg, err := NewFromProperties(p)
+	c, err := Open(BuildConfig(p))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := c.Registry()
 	if _, err := c.Load(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +450,7 @@ func TestDeadlineNeverSplitsOperations(t *testing.T) {
 			"readproportion":            "0.5",
 			"readmodifywriteproportion": "0.5",
 		})
-		c, _, err := NewFromProperties(p)
+		c, err := Open(BuildConfig(p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,9 +205,6 @@ func New(cfg Config) *Store {
 // Name returns the container name.
 func (s *Store) Name() string { return s.cfg.Name }
 
-// Inner exposes the backing engine for validation scans.
-func (s *Store) Inner() *kvstore.Store { return s.inner }
-
 // Stats reports request counts and cumulative rate-limit wait time.
 func (s *Store) Stats() (reads, writes int64, waited time.Duration) {
 	return s.reads.Load(), s.writes.Load(), time.Duration(s.waited.Load())

@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"ycsbt/internal/history"
 	"ycsbt/internal/properties"
 )
 
@@ -87,5 +91,68 @@ func TestExecuteRegistersEverything(t *testing.T) {
 		if _, err := Execute(context.Background(), p, RunOptions{Load: true, Transactions: true}); err != nil {
 			t.Errorf("pipeline with db=%s: %v", dbName, err)
 		}
+	}
+}
+
+// scrapeOnStart is a report writer that, when Execute announces the
+// transaction phase, fetches /metrics from the ops listener Execute
+// announced earlier — the listener lives only as long as the call.
+type scrapeOnStart struct {
+	t       *testing.T
+	text    strings.Builder
+	metrics string
+}
+
+func (s *scrapeOnStart) Write(p []byte) (int, error) {
+	s.text.Write(p)
+	if strings.HasPrefix(string(p), "Starting test.") {
+		_, addr, ok := strings.Cut(s.text.String(), "ops listening on ")
+		if !ok {
+			s.t.Error("no ops listener announced before the transaction phase")
+			return len(p), nil
+		}
+		addr, _, _ = strings.Cut(addr, "\n")
+		resp, err := http.Get(addr + "/metrics")
+		if err != nil {
+			s.t.Error(err)
+			return len(p), nil
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		s.metrics = string(b)
+	}
+	return len(p), nil
+}
+
+// TestExecuteHistoryAndOps runs the pipeline with a history file and
+// an ops listener: the file must certify, and while the run is on,
+// /metrics must carry the client's measurement series.
+func TestExecuteHistoryAndOps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.ndjson")
+	p := cewProps()
+	p.Set("history.file", path)
+	report := &scrapeOnStart{t: t}
+	if _, err := Execute(context.Background(), p, RunOptions{
+		Load:         true,
+		Transactions: true,
+		Report:       report,
+		OpsAddr:      "127.0.0.1:0",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(report.metrics, `ycsbt_operations_total{series="INSERT"} 100`) {
+		t.Errorf("/metrics during the run lacks the load phase's INSERT series:\n%s", report.metrics)
+	}
+	text := report.text.String()
+	if !strings.Contains(text, "history: ") || !strings.Contains(text, "0 dropped -> "+path) {
+		t.Errorf("report does not account for the history file:\n%s", text)
+	}
+	recs, _, err := history.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := history.Check(recs); !res.Serializable || res.Committed == 0 {
+		t.Errorf("history of a txnkv CEW run: serializable=%v committed=%d cycles=%v",
+			res.Serializable, res.Committed, res.Cycles)
 	}
 }

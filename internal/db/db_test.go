@@ -170,6 +170,37 @@ func TestMemoryConcurrent(t *testing.T) {
 	}
 }
 
+// TestMemoryConcurrentReadsOfMissingTable reads a table nobody wrote
+// from several goroutines at once (a transaction phase run without a
+// load phase does): the readers share the read lock, so none of them
+// may create the table. Run under -race.
+func TestMemoryConcurrentReadsOfMissingTable(t *testing.T) {
+	ctx := context.Background()
+	m := NewMemory()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			table := fmt.Sprintf("t%d", w%2)
+			for i := 0; i < 100; i++ {
+				if _, err := m.Read(ctx, table, "k", nil); !errors.Is(err, ErrNotFound) {
+					t.Errorf("Read of a missing table = %v, want ErrNotFound", err)
+					return
+				}
+				if kvs, err := m.Scan(ctx, table, "", 10, nil); err != nil || len(kvs) != 0 {
+					t.Errorf("Scan of a missing table = %v, %v", kvs, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if m.Len("t0") != 0 {
+		t.Errorf("Len = %d", m.Len("t0"))
+	}
+}
+
 func TestMeteredRecordsSeries(t *testing.T) {
 	ctx := context.Background()
 	reg := measurement.NewRegistry(0)

@@ -37,6 +37,9 @@ func (m *Memory) Init(*properties.Properties) error { return nil }
 // Cleanup implements DB.
 func (m *Memory) Cleanup() error { return nil }
 
+// table returns the named table, creating it; the caller holds the
+// write lock (readers index m.tables directly: a missing table reads
+// as an empty one).
 func (m *Memory) table(name string) map[string]Record {
 	t, ok := m.tables[name]
 	if !ok {
@@ -66,7 +69,7 @@ func copyFields(rec Record, fields []string) Record {
 func (m *Memory) Read(_ context.Context, table, key string, fields []string) (Record, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	rec, ok := m.table(table)[key]
+	rec, ok := m.tables[table][key]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
 	}
@@ -78,7 +81,7 @@ func (m *Memory) Read(_ context.Context, table, key string, fields []string) (Re
 func (m *Memory) Scan(_ context.Context, table, startKey string, count int, fields []string) ([]KV, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	t := m.table(table)
+	t := m.tables[table]
 	keys := make([]string, 0, len(t))
 	for k := range t {
 		if strings.Compare(k, startKey) >= 0 {
@@ -136,5 +139,5 @@ func (m *Memory) Delete(_ context.Context, table, key string) error {
 func (m *Memory) Len(table string) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.table(table))
+	return len(m.tables[table])
 }

@@ -31,9 +31,6 @@ func NewRouterStore(name string, r *Router) *RouterStore {
 // Name implements the store interface.
 func (s *RouterStore) Name() string { return s.name }
 
-// Router exposes the underlying router (tests and admin tooling).
-func (s *RouterStore) Router() *Router { return s.r }
-
 // Get implements the store interface.
 func (s *RouterStore) Get(ctx context.Context, table, key string) (*kvstore.VersionedRecord, error) {
 	var rec *kvstore.VersionedRecord

@@ -87,17 +87,6 @@ func (b *Binding) Cleanup() error {
 	return nil
 }
 
-// Store exposes the underlying partitioned store when the binding
-// wraps one directly (for validation scans and tests); nil when the
-// binding wraps some other Engine.
-func (b *Binding) Store() *Store {
-	s, _ := b.eng.(*Store)
-	return s
-}
-
-// Eng exposes the wrapped engine.
-func (b *Binding) Eng() Engine { return b.eng }
-
 // translate maps engine errors to db-layer sentinels.
 func translate(err error) error {
 	switch {

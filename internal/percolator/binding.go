@@ -91,9 +91,6 @@ func (b *Binding) Cleanup() error {
 	return nil
 }
 
-// Manager exposes the underlying protocol manager.
-func (b *Binding) Manager() *Manager { return b.m }
-
 // library is the manager as db.TxnBinding runs it.
 type library struct{ m *Manager }
 

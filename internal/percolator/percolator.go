@@ -46,18 +46,13 @@ import (
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 	"ycsbt/internal/oracle"
+	"ycsbt/internal/txn"
 )
 
-// Store is the storage interface the protocol needs — identical to
-// the client-coordinated library's (txn.Store), so every store
-// substrate serves both protocols.
-type Store interface {
-	Name() string
-	Get(ctx context.Context, table, key string) (*kvstore.VersionedRecord, error)
-	Put(ctx context.Context, table, key string, fields map[string][]byte, expect uint64) (uint64, error)
-	Delete(ctx context.Context, table, key string, expect uint64) error
-	Scan(ctx context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error)
-}
+// Store is the storage interface the protocol needs: the
+// client-coordinated library's, so every store substrate serves both
+// protocols.
+type Store = txn.Store
 
 // Sentinel errors.
 var (
@@ -207,9 +202,6 @@ type Txn struct {
 	done    bool
 	writes  map[tkey]*bufWrite
 }
-
-// StartTS returns the transaction's snapshot timestamp.
-func (t *Txn) StartTS() int64 { return t.startTS }
 
 // Get returns the user fields of table/key as of the snapshot,
 // honouring the transaction's own buffered writes.

@@ -282,12 +282,6 @@ func (p *Properties) GetBool(key string, def bool) bool {
 	return b
 }
 
-// Has reports whether key is present.
-func (p *Properties) Has(key string) bool {
-	_, ok := p.Get(key)
-	return ok
-}
-
 // Keys returns all keys in sorted order.
 func (p *Properties) Keys() []string {
 	p.mu.RLock()

@@ -147,9 +147,6 @@ func (b *Binding) Cleanup() error {
 // (Manager.Flush); the client calls it at the end of every phase.
 func (b *Binding) Flush(ctx context.Context) error { return b.m.Flush(ctx) }
 
-// Manager exposes the underlying transaction manager.
-func (b *Binding) Manager() *Manager { return b.m }
-
 // SetHistorySink implements history.CapableDB: the transaction
 // manager feeds the sink natively from its commit and abort paths —
 // richer than the capture middleware (store-qualified keys, commit

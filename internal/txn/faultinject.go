@@ -9,9 +9,9 @@ import (
 )
 
 // Fault-injection helpers: fabricate the on-store state a crashed
-// writer leaves behind, so tests, examples and failure-injection
-// suites can exercise the recovery paths without actually killing a
-// process mid-commit.
+// writer leaves behind, so tests and failure-injection suites can
+// exercise the recovery paths without actually killing a process
+// mid-commit.
 
 // InstallPreparedForTest overwrites table/key on store with a
 // prepared image exactly as a writer that crashed mid-commit would
@@ -31,16 +31,5 @@ func InstallPreparedForTest(store *kvstore.Store, table, key string, cur *kvstor
 	prepared[metaPrepareTS] = []byte(strconv.FormatInt(time.Now().UnixNano(), 10))
 	prepared[metaPrev] = encodeImage(cur.Project(nil))
 	_, err := store.PutIfVersion(table, key, prepared, cur.Version)
-	return err
-}
-
-// InstallCommittedTSRForTest writes a committed transaction status
-// record for txnID, marking a fabricated crash as having passed its
-// commit point (readers must roll the prepared records forward).
-func InstallCommittedTSRForTest(store *kvstore.Store, txnID string) error {
-	_, err := store.Insert(tsrTable, txnID, map[string][]byte{
-		tsrState:    []byte(tsrCommitted),
-		tsrCommitTS: []byte(strconv.FormatInt(time.Now().UnixNano(), 10)),
-	})
 	return err
 }

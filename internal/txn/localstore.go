@@ -28,9 +28,6 @@ func NewLocalStore(name string, inner kvstore.Engine) *LocalStore {
 // Name implements Store.
 func (l *LocalStore) Name() string { return l.name }
 
-// Inner returns the wrapped engine.
-func (l *LocalStore) Inner() kvstore.Engine { return l.inner }
-
 // Get implements Store.
 func (l *LocalStore) Get(_ context.Context, table, key string) (*kvstore.VersionedRecord, error) {
 	return l.inner.Get(table, key)

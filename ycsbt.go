@@ -21,9 +21,12 @@
 //     ReTSO family, no central coordinator);
 //   - internal/bench — sweeps that regenerate every figure of the
 //     paper's evaluation (run `go run ./cmd/experiments`);
+//   - internal/core — the load → run → validate → report pipeline
+//     (Execute) that cmd/ycsbt wraps;
 //   - cmd/ycsbt, cmd/kvserver, cmd/experiments — the benchmark
-//     client, the HTTP store server, and the figure harness;
-//   - examples/ — runnable demonstrations of the public surface.
+//     client, the HTTP store server, and the figure harness.
+//
+// README.md's Examples section lists ycsbt command lines that CI runs.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for paper-vs-measured results.
