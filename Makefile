@@ -63,9 +63,13 @@ test:
 # TestSameThreadReadsItsCommit (a client that reads its own commit
 # while its finish is in flight, call for call),
 # TestReaderWaitsForItsManagersFinish, TestFinishOutlivesItsStore and
-# internal/client's TestPhaseEndsSettled.
+# internal/client's TestPhaseEndsSettled. kvwire's
+# TestCloseFailsExecInFlight runs ten more times: it shuts a server down
+# while a frame is in flight, the schedule under which a connection
+# used to join the drain count while Shutdown waited on it.
 test-race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=10 -run TestCloseFailsExecInFlight ./internal/kvwire/
 
 # Reduced-cell figure benchmarks plus the measurement hot-path bench.
 bench:

@@ -33,10 +33,11 @@ func (at readAt) resolve(head *VersionedRecord) (v *VersionedRecord, trimmed boo
 }
 
 // point resolves one key's chain head (nil: the key is not in the
-// index) for a point read in a partition whose purge horizon is
-// purgeTS. A miss as of a ts is ErrNotFound only when the store still
-// knows the key had nothing readable then; when the version was
-// trimmed, or a purge may have taken the key, it is ErrBelowHorizon.
+// index) for a point read of a table whose purge horizon in the key's
+// partition is purgeTS (unused by a head read). A miss as of a ts is
+// ErrNotFound only when the store still knows the key had nothing
+// readable then; when the version was trimmed, or a purge may have
+// taken the key, it is ErrBelowHorizon.
 func (at readAt) point(head *VersionedRecord, table, key string, purgeTS int64) (*VersionedRecord, error) {
 	v, trimmed := versionAt(head, at.ts)
 	switch {
@@ -134,8 +135,9 @@ func (it *snapIter) load(at readAt) bool {
 // merge visits, in key order, every record of table with key ≥ start
 // as at reads it, until fn returns false. The partitions' roots are one
 // consistent cut (snapshotTable); the walk itself takes no lock. A read
-// below a partition's purge horizon, or one that meets a key whose
-// version at the read's ts was reclaimed, fails with ErrBelowHorizon.
+// below the table's purge horizon in any partition, or one that meets a
+// key whose version at the read's ts was reclaimed, fails with
+// ErrBelowHorizon.
 func (s *Store) merge(table, start string, at readAt, fn func(key string, rec *VersionedRecord) bool) error {
 	snaps, err := s.snapshotTable(table)
 	if err != nil {
@@ -143,7 +145,7 @@ func (s *Store) merge(table, start string, at readAt, fn func(key string, rec *V
 	}
 	if at.ts != headTS {
 		for _, p := range s.parts {
-			if at.ts < p.purgeTS.Load() {
+			if at.ts < p.purgedAt(table) {
 				return fmt.Errorf("%w: %s as of %d", ErrBelowHorizon, table, at.ts)
 			}
 		}

@@ -434,7 +434,9 @@ func TestVersionsRetainedGauges(t *testing.T) {
 // TestWALReplayRebuildsChains checks durability of history: version
 // chains (tombstones included) survive close/reopen, the clock resumes
 // above everything replayed, and snapshot reads at pre-restart
-// timestamps still answer.
+// timestamps still answer. The reopened store keeps a retention window:
+// without one, a replayed tombstone is below the horizon and its key
+// leaves the index at open (TestRecoveryPurgesDeadKeys).
 func TestWALReplayRebuildsChains(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	s, err := Open(Options{Path: path, Shards: 2})
@@ -463,7 +465,7 @@ func TestWALReplayRebuildsChains(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(Options{Path: path, Shards: 2})
+	s2, err := Open(Options{Path: path, Shards: 2, Retention: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -357,14 +357,7 @@ func TestScanStreamEarlyCloseLeavesNoProducer(t *testing.T) {
 			t.Fatalf("count %d: the first page read nothing", tc.count)
 		}
 		s.Close()
-		done := make(chan struct{})
-		go func() {
-			srv.handlers.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
+		if !answeredAll(srv) {
 			t.Fatalf("count %d: a server goroutine outlived its page", tc.count)
 		}
 		time.Sleep(20 * time.Millisecond)

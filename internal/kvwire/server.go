@@ -27,7 +27,7 @@ type Server struct {
 	mu       sync.Mutex
 	lns      map[net.Listener]struct{}
 	conns    map[net.Conn]struct{}
-	handlers sync.WaitGroup // frames being answered
+	handlers sync.WaitGroup // connections being served
 	closed   atomic.Bool
 }
 
@@ -115,6 +115,11 @@ func (s *Server) Serve(ln net.Listener) error {
 // serveConn owns one connection: verify the magic, echo it, then read
 // request frames until the peer goes away, answering each before it
 // reads the next.
+//
+// The connection counts in s.handlers from its registration, under
+// s.mu after the closed check, to its close: Shutdown sets closed
+// before it takes s.mu, so no connection joins the count once Shutdown
+// can be waiting on it, and the per-frame path takes no server lock.
 func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Lock()
 	if s.closed.Load() {
@@ -123,6 +128,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	s.conns[conn] = struct{}{}
+	s.handlers.Add(1)
 	s.mu.Unlock()
 	s.metrics.connsOpen.Add(1)
 	s.metrics.accepted.Inc()
@@ -132,6 +138,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.metrics.connsOpen.Add(-1)
 		conn.Close()
+		s.handlers.Done()
 	}()
 
 	// One buffered reader serves the magic and every frame after it: a
@@ -184,11 +191,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.metrics.decodeErrs.Inc()
 			return
 		}
-		s.handlers.Add(1)
 		s.metrics.pipeline.Add(1)
 		answer()
 		s.metrics.pipeline.Add(-1)
-		s.handlers.Done()
 	}
 }
 
@@ -297,9 +302,10 @@ func (s *Server) send(c *serverConn, frame []byte) {
 }
 
 // Shutdown drains the server: stop accepting, stop reading new request
-// frames, wait (bounded by ctx) for the frames being answered to write
-// their responses, then close every connection. A pipelined request
-// already read off the socket when Shutdown began gets its response.
+// frames, wait (bounded by ctx) for every connection to answer what it
+// already read and see its end of input, then close every connection
+// left. A pipelined request already read off the socket when Shutdown
+// began gets its response.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed.Store(true)
 	s.mu.Lock()

@@ -136,16 +136,20 @@ func TestStreamScanClientCancelReleasesServer(t *testing.T) {
 	}
 
 	close(eng.release)
-	done := make(chan struct{})
-	go func() {
-		srv.handlers.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
+	if !answeredAll(srv) {
 		t.Fatal("server scan handler still running after its page")
 	}
+}
+
+// answeredAll waits up to 5 s for srv, which must have a metrics
+// registry, to be answering no frame (kvwire_pipeline_depth 0).
+func answeredAll(srv *Server) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if srv.metrics.pipeline.Value() == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // TestStreamIngestRoundTrip: StreamIngest fed from a slot scan stream —

@@ -295,14 +295,14 @@ func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 	}()
 	select {
 	case r := <-read:
-		t.Fatalf("read returned %q while the finish was held", r.fields)
+		t.Fatalf("read returned %q while the finish was held", r.fieldMap())
 	case <-time.After(20 * time.Millisecond):
 	}
 	wantCalls(t, "reader, finish held", ss.take(), "Get t/k")
 	close(hold)
 	r := <-read
-	if getBal(t, r.fields) != 2 || !r.clean || r.ver != prepared.Version+1 {
-		t.Errorf("read = %q v%d clean=%v; want the committed 2, clean, at v%d", r.fields, r.ver, r.clean, prepared.Version+1)
+	if getBal(t, r.fieldMap()) != 2 || !r.clean || r.ver != prepared.Version+1 {
+		t.Errorf("read = %q v%d clean=%v; want the committed 2, clean, at v%d", r.fieldMap(), r.ver, r.clean, prepared.Version+1)
 	}
 	flush(t, m)
 	wantCalls(t, "the finish", ss.take(), "Put t/k", "Delete _tsr")
@@ -313,8 +313,8 @@ func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 	// The finish has ended; a reader that fetched the record before it
 	// did resolves it the same way.
 	r, err = m.resolveRecord(ctx, ss, "t", "k", prepared)
-	if err != nil || getBal(t, r.fields) != 2 || !r.clean || r.ver != prepared.Version+1 {
-		t.Errorf("record held past the finish = %q v%d clean=%v, %v; want the committed 2, clean, at v%d", r.fields, r.ver, r.clean, err, prepared.Version+1)
+	if err != nil || getBal(t, r.fieldMap()) != 2 || !r.clean || r.ver != prepared.Version+1 {
+		t.Errorf("record held past the finish = %q v%d clean=%v, %v; want the committed 2, clean, at v%d", r.fieldMap(), r.ver, r.clean, err, prepared.Version+1)
 	}
 	wantCalls(t, "record held past the finish", ss.take())
 	if _, _, _, recovered := m.Stats(); recovered != 0 {

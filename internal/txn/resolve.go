@@ -61,18 +61,71 @@ func decodeImage(buf []byte) (map[string][]byte, error) {
 // it: what the read set keeps, so the transaction never asks a store
 // again for something it already holds.
 type readEntry struct {
-	// fields is the committed user image. It is shared — with the
-	// store when the record was fetched clean — and never edited;
+	// rec holds the committed user image: its fields other than the
+	// protocol's. It is the record as the store handed it out — a clean
+	// read's, or a committed prepare's — or, for a read-around, a record
+	// built around the previous image. Shared and never edited;
 	// Txn.Read hands out copies.
-	fields map[string][]byte
-	ver    uint64
-	// clean reports that the store held exactly fields at version ver
-	// when it was read, so a conditional put expecting ver both
-	// validates the read and replaces that image. A read-around is not
-	// clean: its fields are the in-flight writer's previous image, its
+	rec *kvstore.VersionedRecord
+	ver uint64
+	// clean reports that the store held exactly this user image at
+	// version ver when it was read, so a conditional put expecting ver
+	// both validates the read and replaces that image. A read-around is
+	// not clean: its image is the in-flight writer's previous one, its
 	// ver that writer's prepared record (see resolveRecord), and a put
 	// expecting ver would overwrite the prepare.
 	clean bool
+}
+
+// userCopy returns the entry's user fields as a map the caller owns:
+// one map, and one buffer the values are copied into.
+func (r readEntry) userCopy() map[string][]byte {
+	n, size := 0, 0
+	r.rec.Range(func(name string, val []byte) bool {
+		if !isMetaField(name) {
+			n++
+			size += len(val)
+		}
+		return true
+	})
+	out := make(map[string][]byte, n)
+	buf := make([]byte, 0, size)
+	r.rec.Range(func(name string, val []byte) bool {
+		if !isMetaField(name) {
+			buf = append(buf, val...)
+			out[name] = buf[len(buf)-len(val) : len(buf) : len(buf)]
+		}
+		return true
+	})
+	return out
+}
+
+// fieldMap returns the entry's user fields as a map to read, never to
+// edit.
+func (r readEntry) fieldMap() map[string][]byte {
+	if hasMeta(r.rec) {
+		return userFields(r.rec.FieldMap())
+	}
+	return r.rec.FieldMap()
+}
+
+// image returns the entry's user fields as a field section: the
+// record's image as it stands, unless it carries protocol metadata.
+func (r readEntry) image() []byte {
+	if hasMeta(r.rec) {
+		return encodeImage(r.rec.FieldMap())
+	}
+	return r.rec.Image()
+}
+
+// hasMeta reports whether rec carries a protocol metadata field.
+func hasMeta(rec *kvstore.VersionedRecord) bool {
+	found := false
+	rec.Range(func(name string, _ []byte) bool {
+		found = isMetaField(name)
+		return !found
+	})
+	return found
 }
 
 // isMismatch reports a failed conditional put or delete: the record is
@@ -95,7 +148,7 @@ func (m *Manager) readResolved(ctx context.Context, s Store, table, key string) 
 }
 
 // resolveRecord turns a fetched record into its committed user image.
-// Clean records pass through uncopied. A record prepared by a
+// A clean record is kept as it was fetched. A record prepared by a
 // transaction this manager committed and is still finishing resolves to
 // the new image once that finish has rolled forward, with no further
 // store call. For
@@ -120,7 +173,7 @@ func (m *Manager) readResolved(ctx context.Context, s Store, table, key string) 
 // would undo a committed write whose coordinator is merely unreachable.
 func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string, rec *kvstore.VersionedRecord) (readEntry, error) {
 	if !isPrepared(rec) {
-		return readEntry{fields: rec.FieldMap(), ver: rec.Version, clean: true}, nil
+		return readEntry{rec: rec, ver: rec.Version, clean: true}, nil
 	}
 
 	writerID := string(rec.Field(metaID))
@@ -145,7 +198,7 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 		if isDelete {
 			return readEntry{}, fmt.Errorf("%w: %s/%s/%s (deleted by committed txn)", ErrNotFound, s.Name(), table, key)
 		}
-		return readEntry{fields: userFields(rec.FieldMap()), ver: rec.Version + 1, clean: true}, nil
+		return readEntry{rec: rec, ver: rec.Version + 1, clean: true}, nil
 	}
 
 	outcome, err := m.lookupTSR(ctx, coordName, writerID)
@@ -163,8 +216,7 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 			}
 			return readEntry{}, fmt.Errorf("%w: %s/%s/%s (deleted by committed txn)", ErrNotFound, s.Name(), table, key)
 		}
-		clean := userFields(rec.FieldMap())
-		newVer, err := s.Put(ctx, table, key, clean, rec.Version)
+		newVer, err := s.Put(ctx, table, key, userFields(rec.FieldMap()), rec.Version)
 		if err != nil {
 			// Someone else rolled it forward first; reread.
 			if errors.Is(err, kvstore.ErrVersionMismatch) {
@@ -172,7 +224,7 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 			}
 			return readEntry{}, err
 		}
-		return readEntry{fields: clean, ver: newVer, clean: true}, nil
+		return readEntry{rec: rec, ver: newVer, clean: true}, nil
 
 	case tsrAborted:
 		m.recovered.Add(1)
@@ -207,7 +259,7 @@ func (m *Manager) resolveRecord(ctx context.Context, s Store, table, key string,
 		// The version reported is the prepared record's version, and
 		// the entry is not clean: a reader that goes on to write the key
 		// conflicts with the in-flight writer, which is the safe outcome.
-		return readEntry{fields: prev, ver: rec.Version}, nil
+		return readEntry{rec: &kvstore.VersionedRecord{Fields: prev}, ver: rec.Version}, nil
 	}
 }
 

@@ -663,8 +663,8 @@ func TestFinishBetweenFetchAndTSRLookup(t *testing.T) {
 		return inner.Delete(tsrTable, txnID)
 	}
 	r, err := m.readResolved(ctx, ss, "t", "a")
-	if err != nil || getBal(t, r.fields) != 777 || !r.clean {
-		t.Errorf("read overtaken by the finish = %q clean=%v, %v; want the committed 777, clean", r.fields, r.clean, err)
+	if err != nil || getBal(t, r.fieldMap()) != 777 || !r.clean {
+		t.Errorf("read overtaken by the finish = %q clean=%v, %v; want the committed 777, clean", r.fieldMap(), r.clean, err)
 	}
 	wantCalls(t, "read overtaken by the finish", ss.take(), "Get t/a", "Get _tsr", "Get t/a")
 
@@ -678,9 +678,9 @@ func TestFinishBetweenFetchAndTSRLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, err = m.readResolved(ctx, ss, "t", "b")
-	if err != nil || getBal(t, r.fields) != 777 || r.clean || r.ver != cur.Version+1 {
+	if err != nil || getBal(t, r.fieldMap()) != 777 || r.clean || r.ver != cur.Version+1 {
 		t.Errorf("read around an in-flight writer = %q v%d clean=%v, %v; want the previous 777 under the prepared v%d, not clean",
-			r.fields, r.ver, r.clean, err, cur.Version+1)
+			r.fieldMap(), r.ver, r.clean, err, cur.Version+1)
 	}
 	wantCalls(t, "read around an in-flight writer", ss.take(), "Get t/b", "Get _tsr", "Get t/b")
 }

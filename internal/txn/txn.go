@@ -511,7 +511,7 @@ func (t *Txn) Read(ctx context.Context, store, table, key string) (map[string][]
 		}
 		t.reads[k] = r
 	}
-	return userFields(r.fields), nil
+	return r.userCopy(), nil
 }
 
 // noteRead files what a scan observed for a key and enforces
@@ -598,7 +598,7 @@ func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int
 		if err := t.noteRead(k, r); err != nil {
 			return nil, err
 		}
-		resolved = append(resolved, db.KV{Key: kv.Key, Record: userFields(r.fields)})
+		resolved = append(resolved, db.KV{Key: kv.Key, Record: r.userCopy()})
 	}
 	// Overlay buffered inserts/puts that fall in range but were not
 	// returned by the store.
@@ -936,10 +936,10 @@ func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS i
 		if !r.clean {
 			return errors.New("read around an in-flight writer")
 		}
-		return t.putPrepared(ctx, k, coordName, prepTS, r.fields, r.ver)
+		return t.putPrepared(ctx, k, coordName, prepTS, r, r.ver)
 	}
 	if t.writes[k].kind == kindInsert {
-		err := t.putPrepared(ctx, k, coordName, prepTS, nil, kvstore.MustNotExist)
+		err := t.putPrepared(ctx, k, coordName, prepTS, readEntry{}, kvstore.MustNotExist)
 		if !isMismatch(err) {
 			return err // prepared, or a failure a fetch would not explain
 		}
@@ -960,9 +960,9 @@ func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS i
 	}
 	switch {
 	case err == nil:
-		return t.putPrepared(ctx, k, coordName, prepTS, cur.FieldMap(), cur.Version)
+		return t.putPrepared(ctx, k, coordName, prepTS, readEntry{rec: cur}, cur.Version)
 	case errors.Is(err, kvstore.ErrNotFound):
-		return t.putPrepared(ctx, k, coordName, prepTS, nil, kvstore.MustNotExist)
+		return t.putPrepared(ctx, k, coordName, prepTS, readEntry{}, kvstore.MustNotExist)
 	default:
 		return err
 	}
@@ -970,8 +970,9 @@ func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS i
 
 // putPrepared writes the prepared image of k's buffered write over the
 // committed image prev, conditional on expect: prev's version, or
-// kvstore.MustNotExist when there is no committed image.
-func (t *Txn) putPrepared(ctx context.Context, k wkey, coordName string, prepTS int64, prev map[string][]byte, expect uint64) error {
+// kvstore.MustNotExist when there is no committed image (prev is then
+// the zero entry).
+func (t *Txn) putPrepared(ctx context.Context, k wkey, coordName string, prepTS int64, prev readEntry, expect uint64) error {
 	w := t.writes[k]
 	prevExisted := expect != kvstore.MustNotExist
 	switch {
@@ -982,11 +983,11 @@ func (t *Txn) putPrepared(ctx context.Context, k wkey, coordName string, prepTS 
 	case w.kind == kindReadLock:
 		// The materialized read re-writes the image it observed (a
 		// read-lock's key is always in the read set, so prev exists).
-		w.fields = prev
+		w.fields = prev.fieldMap()
 	}
 	var prevImage []byte
 	if prevExisted {
-		prevImage = encodeImage(prev)
+		prevImage = prev.image()
 	}
 
 	prepared := make(map[string][]byte, len(w.fields)+6)
