@@ -3,8 +3,9 @@ package kvstore
 // BulkKV is one record of an Ingest. Section is the record as a field
 // section (image.go; nil: no fields) — a migration copy passes the
 // source's page record on as it arrived. Version and CommitTS are
-// optional: zero values default to version 1 and a freshly drawn
-// commit timestamp. A migration copy passes both through, so the copy
+// optional: zero values default to the version a new chain starts at
+// (1 in a table that has purged no key) and a freshly drawn commit
+// timestamp. A migration copy passes both through, so the copy
 // preserves the source's versions and as-of visibility; the
 // destination clock is advanced past the largest provided CommitTS.
 type BulkKV struct {
@@ -71,7 +72,7 @@ func (p *partition) ingest(table string, kvs []BulkKV) error {
 		cur := t.get(kv.Key)
 		ver, ts := kv.Version, kv.CommitTS
 		if ver == 0 {
-			ver = 1
+			ver = p.chainStart(table)
 		}
 		if ts == 0 {
 			ts = p.store.nextTS()
@@ -82,6 +83,7 @@ func (p *partition) ingest(table string, kvs []BulkKV) error {
 			continue // already have this version or newer (re-run)
 		}
 		rec := p.imageRecord(ver, ts, images[i])
+		rec.first = cur == nil && kv.Version <= 1
 		rec.link(cur)
 		if err = ws.log(walFrameOf(table, kv.Key, rec)); err != nil {
 			break

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -211,7 +212,9 @@ func (t *ReadOnlyTxn) resolveAsOf(ctx context.Context, p *snapPin, table, key st
 		case err == nil:
 			committed = string(tsr.Field(tsrState)) == tsrCommitted
 		case errors.Is(err, kvstore.ErrBelowHorizon):
-			return nil, err // the commit point is no longer on record as of the snapshot
+			if err := notCommittedSince(ctx, p, cp, table, key, rec, err); err != nil {
+				return nil, err // the commit point is no longer on record as of the snapshot
+			}
 		}
 	}
 	// An unknown or snapshot-incapable coordinating store leaves
@@ -233,6 +236,35 @@ func (t *ReadOnlyTxn) resolveAsOf(ctx context.Context, p *snapPin, table, key st
 		return nil, err
 	}
 	return userFields(prev), nil
+}
+
+// notCommittedSince settles a TSR lookup that the TSR table's history
+// no longer reaches, from what the stores hold now: it returns nil when
+// the writer of rec, prepared at table/key on p's store, cannot have
+// committed as of cp's snapshot, and horizonErr when that cannot be
+// told. Each TSR a store purges raises the table's purge horizon, and on
+// a store whose snapshots pin nothing that horizon passes the snapshot
+// with the next commit. The writer had not committed as of the snapshot
+// when its TSR is live now — one written at or before the snapshot would
+// have answered the as-of lookup — or when it has no TSR now and rec is
+// still the head of its key: a committer removes its TSR only after
+// rolling every record forward, so this writer's commit point, if it
+// ever reaches one, is still to come. Otherwise the writer is done and
+// its TSR gone with the history that dated it.
+func notCommittedSince(ctx context.Context, p, cp *snapPin, table, key string, rec *kvstore.VersionedRecord, horizonErr error) error {
+	writerID := rec.Field(metaID)
+	_, err := cp.store.Get(ctx, tsrTable, string(writerID))
+	switch {
+	case err == nil:
+		return nil
+	case !errors.Is(err, kvstore.ErrNotFound):
+		return err
+	}
+	head, err := p.store.Get(ctx, table, key)
+	if err == nil && head.Version == rec.Version && bytes.Equal(head.Field(metaID), writerID) {
+		return nil
+	}
+	return horizonErr
 }
 
 // Commit finishes the transaction, releasing every pinned snapshot.
