@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: check fmt one-http-client vet build test test-race fuzz-smoke bench bench-quick bench-cluster bench-smoke clean
+.PHONY: check fmt one-http-client vet build test test-race test-allocs fuzz-smoke bench bench-quick bench-cluster bench-smoke clean
 
 # The full tier-1 gate: gofmt, vet, build everything, the race-enabled short
-# test run, then a short coverage-guided fuzz of the binary frame
+# test run, the allocation pins without the race detector, then a short coverage-guided fuzz of the binary frame
 # codec (hostile bytes off the network must never panic the decoder),
 # of the REST record codec (it must decode every body exactly as
 # encoding/json does, and what it writes must read back), of the REST
@@ -18,7 +18,7 @@ GO ?= go
 # codec's corpus holds a 100 000-deep body and the reply reader's a
 # 4 KiB head line, and minimizing each new input grown from them would
 # take the whole budget, so minimization is capped.
-check: fmt one-http-client vet build test-race fuzz-smoke
+check: fmt one-http-client vet build test-race test-allocs fuzz-smoke
 
 # gofmt must list no file of the root module or of benchmark/.
 fmt:
@@ -70,6 +70,14 @@ test:
 test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=10 -run TestCloseFailsExecInFlight ./internal/kvwire/
+
+# Allocation counts mean something only without the race detector (the
+# pins it would upset skip themselves under it), so every test named
+# *Alloc* runs again here without it: the codecs' and the engine's
+# zero-allocation paths, the metered middleware's zero allocations per
+# call and the one-key read-only transaction's count.
+test-allocs:
+	$(GO) test -count=1 -run Alloc ./...
 
 # Reduced-cell figure benchmarks plus the measurement hot-path bench.
 bench:

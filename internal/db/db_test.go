@@ -277,6 +277,51 @@ func TestMeteredWithTxOnPlainBinding(t *testing.T) {
 	}
 }
 
+// noopDB is a transactional binding that does nothing and allocates
+// nothing: what Metered costs over it is all Metered's.
+type noopDB struct {
+	NoTransactions
+	tctx TransactionContext
+}
+
+func (*noopDB) Init(*properties.Properties) error { return nil }
+func (*noopDB) Cleanup() error                    { return nil }
+func (*noopDB) Read(context.Context, string, string, []string) (Record, error) {
+	return nil, nil
+}
+func (*noopDB) Scan(context.Context, string, string, int, []string) ([]KV, error) {
+	return nil, nil
+}
+func (*noopDB) Update(context.Context, string, string, Record) error { return nil }
+func (*noopDB) Insert(context.Context, string, string, Record) error { return nil }
+func (*noopDB) Delete(context.Context, string, string) error         { return nil }
+func (d *noopDB) Start(context.Context) (*TransactionContext, error) {
+	return &d.tctx, nil
+}
+
+// TestMeteredAddsNoAllocs: Metered times a call and records it in the
+// thread's shards without allocating — Read, Update, Start and Commit
+// over a binding that allocates nothing allocate nothing through it.
+func TestMeteredAddsNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	ctx := context.Background()
+	base := &noopDB{}
+	md := Chain(base, Metered(measurement.NewRegistry(0).Recorder())).(TransactionalDB)
+	rec := Record{"field0": []byte("1")}
+	for name, op := range map[string]func(){
+		"Read":   func() { md.Read(ctx, "t", "k", nil) },
+		"Update": func() { md.Update(ctx, "t", "k", rec) },
+		"Start":  func() { md.Start(ctx) },
+		"Commit": func() { md.Commit(ctx, &base.tctx) },
+	} {
+		if n := testing.AllocsPerRun(100, op); n != 0 {
+			t.Errorf("metered %s allocates %v objects per call, want 0", name, n)
+		}
+	}
+}
+
 func TestNoTransactions(t *testing.T) {
 	ctx := context.Background()
 	var nt NoTransactions

@@ -62,12 +62,21 @@ func (p *partition) compact() error {
 	// the cut are dropped, and keys whose head is a tombstone past the
 	// cut vanish from the new segment entirely — so the log still
 	// shrinks to (roughly) the retained state, not the full history.
+	// What such a tombstone would tell a replay — that the key's next
+	// chain starts above it — goes in the table's mark frame, which also
+	// carries the mark of the tombstones purged before.
 	cut := p.store.cutTS(p.store.clock.Load())
 	var chain []*VersionedRecord
+	set := p.snaps.Load()
 	for table, tree := range p.tables {
+		var mark uint64
+		if slot := set.tables[table]; slot != nil {
+			mark = slot.purgedVer
+		}
 		var werr error
 		tree.ascend("", func(key string, val *VersionedRecord) bool {
 			if val.deleted && val.CommitTS <= cut {
+				mark = max(mark, val.Version)
 				return true // expired tombstone head: drop the key entirely
 			}
 			chain = chain[:0]
@@ -84,6 +93,9 @@ func (p *partition) compact() error {
 			}
 			return true
 		})
+		if werr == nil && mark > 0 {
+			werr = writeFrame(walRecord{Op: walMark, Table: table, Version: mark})
+		}
 		if werr != nil {
 			f.Close()
 			os.Remove(tmp)

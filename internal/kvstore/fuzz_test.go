@@ -16,6 +16,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add([]byte{walPutTS})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(encodeWALRecord(walRecord{Op: walDrop, Table: "usertable", Key: "user42", CommitTS: 19}))
+	f.Add(encodeWALRecord(walRecord{Op: walMark, Table: "usertable", Version: 7}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeWALRecord(data)
 		if err != nil {

@@ -85,6 +85,11 @@ func (p *partition) applyReplay(rec walRecord) error {
 		tree.put(rec.Key, tomb)
 	case walDrop:
 		tree.delete(rec.Key)
+	case walMark:
+		// p.table made the tree, empty or not, so the next Compact
+		// finds the table and logs its mark again.
+		slot := p.slotLocked(rec.Table)
+		slot.purgedVer = max(slot.purgedVer, rec.Version)
 	default:
 		return fmt.Errorf("unknown WAL op %d", rec.Op)
 	}

@@ -95,25 +95,6 @@ func TestPurgedKeyNeverRepeatsAVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reinsert := func(s *Store, key string, held uint64) {
-		t.Helper()
-		for {
-			v, err := s.Put("t", key, vfields("new"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v >= held {
-				break
-			}
-		}
-		if _, err := s.PutIfVersion("t", key, vfields("stale"), held); !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("conditional write at the version read before the purge: %v, want ErrVersionMismatch", err)
-		}
-		if err := s.DeleteIfVersion("t", key, held); !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("conditional delete at the version read before the purge: %v, want ErrVersionMismatch", err)
-		}
-	}
-
 	for _, key := range []string{"a", "b"} {
 		if _, err := s.Put("t", key, vfields("x")); err != nil {
 			t.Fatal(err)
@@ -129,7 +110,7 @@ func TestPurgedKeyNeverRepeatsAVersion(t *testing.T) {
 	if indexed(s, "t", "a") {
 		t.Fatal("sanity: the tombstone was not purged")
 	}
-	reinsert(s, "a", held.Version)
+	reinsert(t, s, "a", held.Version)
 
 	if err := s.Delete("t", "b"); err != nil {
 		t.Fatal(err)
@@ -143,7 +124,75 @@ func TestPurgedKeyNeverRepeatsAVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	reinsert(s, "b", held.Version)
+	reinsert(t, s, "b", held.Version)
+}
+
+// reinsert writes key (of table "t") again until its version reaches
+// held, a version a client read before the key was deleted and purged,
+// and fails the test unless a conditional write or delete at held is
+// refused.
+func reinsert(t *testing.T, s *Store, key string, held uint64) {
+	t.Helper()
+	for {
+		v, err := s.Put("t", key, vfields("new"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v >= held {
+			break
+		}
+	}
+	if _, err := s.PutIfVersion("t", key, vfields("stale"), held); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("conditional write of %s at the version read before the purge: %v, want ErrVersionMismatch", key, err)
+	}
+	if err := s.DeleteIfVersion("t", key, held); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("conditional delete of %s at the version read before the purge: %v, want ErrVersionMismatch", key, err)
+	}
+}
+
+// TestCompactKeepsThePurgedVersionMark: a compacted log holds no
+// tombstone of a purged key — b's was purged with its delete, c's is
+// dropped by the compaction itself once its pin is gone — so it logs
+// the table's purged-version mark instead, and a restart after the
+// compaction still starts both keys' new chains above their old ones.
+func TestCompactKeepsThePurgedVersionMark(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	s, err := Open(Options{Path: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[string]uint64{}
+	for _, key := range []string{"b", "c"} {
+		for _, v := range []string{"x", "y"} {
+			if held[key], err = s.Put("t", key, vfields(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Delete("t", "b"); err != nil {
+		t.Fatal(err)
+	}
+	_, release := s.Pin()
+	if err := s.Delete("t", "c"); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if indexed(s, "t", "b") || !indexed(s, "t", "c") {
+		t.Fatal("sanity: want b purged with its delete and c's tombstone held in the index")
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(Options{Path: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, key := range []string{"b", "c"} {
+		reinsert(t, s, key, held[key])
+	}
 }
 
 // TestPinnedReadAcrossAPurgedIncarnation: a key deleted before a pinned

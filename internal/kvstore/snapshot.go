@@ -63,9 +63,9 @@ type tableSlot struct {
 	// table's index here carried. A key written after its purge starts
 	// its new chain above it (partition.chainStart), so a version a
 	// reader or a CAS client holds does not come back. Open rebuilds it
-	// from the replayed tombstones; a Compact drops purged tombstones
-	// from the log, and a restart after it starts from 0 again. Guarded
-	// by the partition's write lock.
+	// from the replayed tombstones and from the mark frame a Compact
+	// logs in place of the tombstones it drops. Guarded by the
+	// partition's write lock.
 	purgedVer uint64
 }
 

@@ -426,6 +426,9 @@ func Open(opts Options) (*Store, error) {
 			if rec.CommitTS > maxTS {
 				maxTS = rec.CommitTS
 			}
+			if rec.Op == walMark {
+				return s.parts[i].applyReplay(rec) // the segment's own partition's
+			}
 			return s.part(rec.Key).applyReplay(rec)
 		}); err != nil {
 			w.close()

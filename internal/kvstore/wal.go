@@ -18,11 +18,15 @@ import (
 // need new op codes because decodeWALRecord rejects trailing bytes —
 // that strictness is what keeps old binaries from silently misreading
 // new frames. A drop frame (Store.Drop) carries no version and no
-// fields: replay removes the key, chain and all.
+// fields: replay removes the key, chain and all. A mark frame (Compact)
+// carries a table, no key and, as its version, the table's purged-
+// version mark, which the tombstones the compacted log no longer holds
+// would have rebuilt.
 const (
 	walPutTS    byte = 3
 	walDeleteTS byte = 4
 	walDrop     byte = 5
+	walMark     byte = 6
 )
 
 // ErrCorruptWAL reports a WAL frame whose checksum holds but whose
@@ -379,7 +383,7 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		return rec, errors.New("kvstore: empty WAL payload")
 	}
 	rec.Op = payload[0]
-	if rec.Op < walPutTS || rec.Op > walDrop {
+	if rec.Op < walPutTS || rec.Op > walMark {
 		return rec, fmt.Errorf("kvstore: unsupported WAL op code %d", rec.Op)
 	}
 	rest := payload[1:]

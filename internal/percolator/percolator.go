@@ -140,11 +140,7 @@ func (m *Manager) Begin(ctx context.Context) (*Txn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("percolator: fetching start_ts: %w", err)
 	}
-	return &Txn{
-		m:       m,
-		startTS: startTS,
-		writes:  make(map[tkey]*bufWrite),
-	}, nil
+	return &Txn{m: m, startTS: startTS}, nil
 }
 
 // RunInTxn executes fn with commit and conflict retry, like
@@ -200,7 +196,7 @@ type Txn struct {
 	m       *Manager
 	startTS int64
 	done    bool
-	writes  map[tkey]*bufWrite
+	writes  map[tkey]*bufWrite // nil until the first buffered write
 }
 
 // Get returns the user fields of table/key as of the snapshot,
@@ -228,7 +224,7 @@ func (t *Txn) Put(table, key string, fields map[string][]byte) error {
 			return fmt.Errorf("percolator: field name %q is reserved", f)
 		}
 	}
-	t.writes[tkey{table, key}] = &bufWrite{fields: cloneFields(fields)}
+	t.buffer(tkey{table, key}, &bufWrite{fields: cloneFields(fields)})
 	return nil
 }
 
@@ -237,8 +233,17 @@ func (t *Txn) Delete(table, key string) error {
 	if t.done {
 		return ErrTxnDone
 	}
-	t.writes[tkey{table, key}] = &bufWrite{del: true}
+	t.buffer(tkey{table, key}, &bufWrite{del: true})
 	return nil
+}
+
+// buffer files w under k, making the write set at the first write: a
+// read-only transaction never needs one.
+func (t *Txn) buffer(k tkey, w *bufWrite) {
+	if t.writes == nil {
+		t.writes = make(map[tkey]*bufWrite)
+	}
+	t.writes[k] = w
 }
 
 // Scan returns up to count live records from startKey at the

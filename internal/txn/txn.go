@@ -367,13 +367,13 @@ func (m *Manager) Begin(ctx context.Context) (*Txn, error) {
 	id = append(append(id, m.id...), '-')
 	id = append(strconv.AppendInt(id, startTS, 16), '-')
 	id = strconv.AppendUint(id, m.seq.Add(1), 16)
-	return &Txn{
-		m:       m,
-		id:      string(id),
-		startTS: startTS,
-		session: db.SessionFromContext(ctx),
-		reads:   make(map[wkey]readEntry),
-	}, nil
+	t := &Txn{m: m, id: string(id), startTS: startTS}
+	if m.opts.History != nil {
+		// Only the history record carries the session, and the lookup
+		// allocates on some contexts (context.WithoutCancel's).
+		t.session = db.SessionFromContext(ctx)
+	}
+	return t, nil
 }
 
 // SetHistory installs (or clears) the history sink. Call it before
@@ -477,8 +477,58 @@ type Txn struct {
 	// reads holds what was read, not just its version: a key is
 	// fetched at most once per transaction, and prepare takes the
 	// previous image and the expected version from here.
-	reads  map[wkey]readEntry
+	reads  readSet
 	writes map[wkey]*pendingWrite // nil until the first buffered write
+}
+
+// readSet is a transaction's read set. Most transactions read one key,
+// so the first key and its entry live inline and the map is made only
+// at a second key.
+type readSet struct {
+	has  bool // k0 and r0 hold the first key read
+	k0   wkey
+	r0   readEntry
+	more map[wkey]readEntry // every other key; nil until the second
+}
+
+func (s *readSet) get(k wkey) (readEntry, bool) {
+	if s.has && k == s.k0 {
+		return s.r0, true
+	}
+	r, ok := s.more[k]
+	return r, ok
+}
+
+func (s *readSet) put(k wkey, r readEntry) {
+	switch {
+	case !s.has:
+		s.has, s.k0, s.r0 = true, k, r
+	case k == s.k0:
+		s.r0 = r
+	default:
+		if s.more == nil {
+			s.more = make(map[wkey]readEntry)
+		}
+		s.more[k] = r
+	}
+}
+
+func (s *readSet) len() int {
+	if !s.has {
+		return 0
+	}
+	return 1 + len(s.more)
+}
+
+// each calls fn for every key read, the inline one first.
+func (s *readSet) each(fn func(k wkey, r readEntry)) {
+	if !s.has {
+		return
+	}
+	fn(s.k0, s.r0)
+	for k, r := range s.more {
+		fn(k, r)
+	}
 }
 
 // ID returns the transaction id.
@@ -504,12 +554,12 @@ func (t *Txn) Read(ctx context.Context, store, table, key string) (map[string][]
 		}
 		return cloneFields(w.fields), nil
 	}
-	r, ok := t.reads[k]
+	r, ok := t.reads.get(k)
 	if !ok {
 		if r, err = t.m.readResolved(ctx, s, table, key); err != nil {
 			return nil, err
 		}
-		t.reads[k] = r
+		t.reads.put(k, r)
 	}
 	return r.userCopy(), nil
 }
@@ -520,10 +570,10 @@ func (t *Txn) Read(ctx context.Context, store, table, key string) (map[string][]
 // us, and any derived write would be based on stale data — conflict
 // now rather than at prepare time.
 func (t *Txn) noteRead(k wkey, r readEntry) error {
-	if prev, ok := t.reads[k]; ok && prev.ver != r.ver {
+	if prev, ok := t.reads.get(k); ok && prev.ver != r.ver {
 		return fmt.Errorf("%w: %s read at v%d then v%d", ErrConflict, k, prev.ver, r.ver)
 	}
-	t.reads[k] = r
+	t.reads.put(k, r)
 	return nil
 }
 
@@ -665,11 +715,14 @@ func (t *Txn) Commit(ctx context.Context) error {
 	if len(t.writes) == 0 {
 		// Read-only transactions commit trivially: every read already
 		// returned a committed image. No TSR is written, so the
-		// history commit timestamp is drawn here — any timestamp at
-		// or after the last read is a valid serialization point.
+		// history commit timestamp is drawn here, when a sink will
+		// record it — any timestamp at or after the last read is a
+		// valid serialization point.
 		t.done = true
 		t.m.commits.Add(1)
-		t.emitHistory(true, t.m.opts.Clock.Now())
+		if t.m.opts.History != nil {
+			t.emitHistory(true, t.m.opts.Clock.Now())
+		}
 		return nil
 	}
 
@@ -678,11 +731,11 @@ func (t *Txn) Commit(ctx context.Context) error {
 	// commit time and then writing the TSR would leave a window for a
 	// concurrent writer to slip in between).
 	if t.m.opts.SerializableReads {
-		for k := range t.reads {
+		t.reads.each(func(k wkey, _ readEntry) {
 			if _, written := t.writes[k]; !written {
 				t.writes[k] = &pendingWrite{kind: kindReadLock}
 			}
-		}
+		})
 	}
 
 	// Deterministic global order — the ordered locking protocol
@@ -897,10 +950,10 @@ func (t *Txn) emitHistory(committed bool, commitTS int64) {
 		rec.Outcome = history.OutcomeCommit
 		rec.CommitTS = commitTS
 	}
-	rec.Ops = make([]history.Op, 0, len(t.reads)+len(t.writes))
-	for k, r := range t.reads {
+	rec.Ops = make([]history.Op, 0, t.reads.len()+len(t.writes))
+	t.reads.each(func(k wkey, r readEntry) {
 		rec.Ops = append(rec.Ops, history.Op{Kind: history.OpRead, Store: k.store, Table: k.table, Key: k.key, Ver: r.ver})
-	}
+	})
 	if committed {
 		for k, w := range t.writes {
 			if !w.prepared {
@@ -932,7 +985,7 @@ func (t *Txn) emitHistory(committed bool, commitTS int64) {
 //   - anything else (a blind write or delete) fetches the current
 //     record, resolving a prepared one, to learn the previous image.
 func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS int64) error {
-	if r, ok := t.reads[k]; ok {
+	if r, ok := t.reads.get(k); ok {
 		if !r.clean {
 			return errors.New("read around an in-flight writer")
 		}

@@ -169,18 +169,16 @@ func (c *ClosedEconomyWorkload) InitThread(id, count int) (ThreadState, error) {
 }
 
 // keyName formats account number keynum, zero-padded so lexicographic
-// scan order matches numeric order.
+// scan order matches numeric order. The name is built in stack
+// buffers, so the returned string is its one allocation.
 func (c *ClosedEconomyWorkload) keyName(keynum int64) string {
-	s := strconv.FormatInt(keynum, 10)
-	if pad := c.zeroPadding - len(s); pad > 0 {
-		buf := make([]byte, 0, c.zeroPadding+4)
-		buf = append(buf, "user"...)
-		for i := 0; i < pad; i++ {
-			buf = append(buf, '0')
-		}
-		return string(append(buf, s...))
+	var digits, buf [32]byte
+	num := strconv.AppendInt(digits[:0], keynum, 10)
+	b := append(buf[:0], "user"...)
+	for pad := c.zeroPadding - len(num); pad > 0; pad-- {
+		b = append(b, '0')
 	}
-	return "user" + s
+	return string(append(b, num...))
 }
 
 func balanceRecord(amount int64) db.Record {
