@@ -342,20 +342,22 @@ func figure45Cell(ctx context.Context, o SweepOptions, threads int, dist string)
 	return point(threads, res, v), nil
 }
 
-// SlowEngine sleeps Delay in every point read and update it serves.
+// SlowEngine sleeps Delay in every multi-key read and apply it serves:
+// the engine calls a node makes for every data op, REST or framed
+// (kvwire.Core.ExecBatchInto).
 type SlowEngine struct {
 	kvstore.Engine
 	Delay time.Duration
 }
 
-func (e SlowEngine) Get(table, key string) (*kvstore.VersionedRecord, error) {
+func (e SlowEngine) BatchGet(reqs []kvstore.GetReq) []kvstore.GetResult {
 	time.Sleep(e.Delay)
-	return e.Engine.Get(table, key)
+	return e.Engine.BatchGet(reqs)
 }
 
-func (e SlowEngine) Update(table, key string, fields map[string][]byte) (uint64, error) {
+func (e SlowEngine) BatchApply(muts []kvstore.Mutation) []kvstore.MutResult {
 	time.Sleep(e.Delay)
-	return e.Engine.Update(table, key, fields)
+	return e.Engine.BatchApply(muts)
 }
 
 // OverheadRow is one operation's latency in both modes (Tier 5).

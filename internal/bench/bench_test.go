@@ -3,9 +3,14 @@ package bench
 import (
 	"bytes"
 	"context"
+	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"ycsbt/internal/db"
+	"ycsbt/internal/httpkv"
+	"ycsbt/internal/properties"
 )
 
 // quickOpts keeps sweep cells tiny so the suite stays fast.
@@ -197,5 +202,45 @@ func TestMultiHostShape(t *testing.T) {
 	PrintMultiHost(&buf, points)
 	if !strings.Contains(buf.String(), "instances") {
 		t.Error("PrintMultiHost output malformed")
+	}
+}
+
+// TestSlowEngineServesEveryRESTOp pins the Fig 4/5 service model to the
+// engine calls a node makes: one rawhttp read and one update against a
+// SlowEngine node each take at least Delay. A node that reached its
+// engine past the hooked calls would serve them at memory speed, and
+// only TestFigure45Shape's timing would notice.
+func TestSlowEngineServesEveryRESTOp(t *testing.T) {
+	ctx := context.Background()
+	inner := quickOpts().newInner()
+	defer inner.Close()
+	if _, err := inner.Put("t", "k", map[string][]byte{"f": []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := SlowEngine{Engine: inner, Delay: 20 * time.Millisecond}
+	defer httpkv.ServeNode(eng, ln, nil, httpkv.NodeOptions{}).Shutdown(ctx)
+	raw := httpkv.NewClient("http://"+ln.Addr().String(), nil)
+	if err := raw.Init(properties.New()); err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Cleanup()
+
+	start := time.Now()
+	if _, err := raw.Read(ctx, "t", "k", nil); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < eng.Delay {
+		t.Errorf("read took %v, want ≥ %v", took, eng.Delay)
+	}
+	start = time.Now()
+	if err := raw.Update(ctx, "t", "k", db.Record{"f": []byte("y")}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < eng.Delay {
+		t.Errorf("update took %v, want ≥ %v", took, eng.Delay)
 	}
 }

@@ -43,12 +43,12 @@ import (
 // and retry rather than redirect.
 
 // writeMoved answers a request for a key this node does not serve.
-func writeMoved(w http.ResponseWriter, me *cluster.MovedError) {
-	w.Header().Set(cluster.HeaderMapVersion, strconv.FormatInt(me.MapVersion, 10))
-	if me.Owner != "" {
-		w.Header().Set(cluster.HeaderOwner, me.Owner)
+func writeMoved(w http.ResponseWriter, res *kvwire.Result) {
+	w.Header().Set(cluster.HeaderMapVersion, strconv.FormatInt(res.MapVersion, 10))
+	if res.Owner != "" {
+		w.Header().Set(cluster.HeaderOwner, res.Owner)
 	}
-	http.Error(w, me.Error(), http.StatusGone)
+	http.Error(w, res.Err, http.StatusGone)
 }
 
 // handleShardMap serves GET (fetch) and PUT (install) /v1/shardmap.

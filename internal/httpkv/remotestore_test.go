@@ -9,6 +9,7 @@ import (
 
 	"ycsbt/internal/httpkv"
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/obs"
 	"ycsbt/internal/txn"
 )
 
@@ -67,6 +68,53 @@ func TestRemoteStoreVersionedOps(t *testing.T) {
 	}
 	if _, err := r.Get(ctx, "t", "k"); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Errorf("Get deleted = %v", err)
+	}
+}
+
+// A scan for every record (count -1) over frames on a node outside a
+// cluster answers every record, and so a transaction manager's Vacuum,
+// which scans its TSR table that way, runs against a plain node with a
+// frame listener as it does over REST. Unbounded frame scans used to be
+// refused with 400 "bad count" outside cluster mode.
+func TestRemoteStoreUnboundedScanOverFrames(t *testing.T) {
+	ctx := context.Background()
+	store := kvstore.OpenMemory()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	node := httpkv.ServeNode(store, ln, wireLn, httpkv.NodeOptions{Metrics: reg})
+	t.Cleanup(func() {
+		node.Shutdown(context.Background())
+		store.Close()
+	})
+	r, err := httpkv.NewRemoteStore("r", "http://"+ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if _, err := r.Put(ctx, "t", k, map[string][]byte{"f": []byte(k)}, kvstore.MustNotExist); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kvs, err := r.Scan(ctx, "t", "", -1)
+	if err != nil || len(kvs) != 3 {
+		t.Fatalf("Scan(-1) = %d records, %v; want 3", len(kvs), err)
+	}
+	if reg.Counter("kvwire_scan_chunks_total").Value() == 0 {
+		t.Fatal("the scan did not ride frames")
+	}
+	m, err := txn.NewManager(txn.Options{}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Vacuum(ctx); err != nil {
+		t.Fatalf("Vacuum: %v", err)
 	}
 }
 

@@ -204,12 +204,27 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, table, key string) {
-	rec, err := s.core.Get(table, key)
-	if err != nil {
-		writeStoreError(w, err)
-		return
+	if res, ok := s.exec(w, r, kvwire.Op{Kind: kvwire.KindGet, Table: table, Key: key}); ok {
+		writeRecord(w, res.Record())
 	}
-	writeRecord(w, rec)
+}
+
+// exec runs op through the request core as a one-op request, the way a
+// request frame's ops run, and answers a result that is not a success
+// itself: 410 with its routing hints, anything else with its status and
+// message. ok reports a success, which the caller answers.
+func (s *Server) exec(w http.ResponseWriter, r *http.Request, op kvwire.Op) (kvwire.Result, bool) {
+	var out [1]kvwire.Result
+	s.core.ExecBatchInto(r.Context(), []kvwire.Op{op}, out[:])
+	switch res := &out[0]; {
+	case res.Status == http.StatusGone:
+		writeMoved(w, res)
+	case res.Status >= 300:
+		http.Error(w, res.Err, res.Status)
+	default:
+		return *res, true
+	}
+	return kvwire.Result{}, false
 }
 
 // handleScan serves one page of an ordered head scan as a JSON array.
@@ -232,7 +247,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request, table string
 	// between engine pages, so an abandoned scan stops paging.
 	kvs, err := s.core.Scan(r.Context(), table, q.Get("start"), count)
 	if err != nil {
-		writeStoreError(w, err)
+		http.Error(w, err.Error(), kvwire.ErrResult(err).Status)
 		return
 	}
 	buf := getBodyBuf()
@@ -295,13 +310,10 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, table, key st
 		writeDecodeError(w, err)
 		return
 	}
-	ver, err := s.core.Put(table, key, fields, expect)
-	if err != nil {
-		writeStoreError(w, err)
-		return
+	if res, ok := s.exec(w, r, kvwire.Op{Kind: kvwire.KindPut, Table: table, Key: key, Fields: fields, Expect: expect}); ok {
+		w.Header().Set("ETag", strconv.FormatUint(res.Version, 10))
+		w.WriteHeader(http.StatusOK)
 	}
-	w.Header().Set("ETag", strconv.FormatUint(ver, 10))
-	w.WriteHeader(http.StatusOK)
 }
 
 func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request, table, key string) {
@@ -310,13 +322,10 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request, table, key 
 		writeDecodeError(w, err)
 		return
 	}
-	ver, err := s.core.Update(table, key, fields)
-	if err != nil {
-		writeStoreError(w, err)
-		return
+	if res, ok := s.exec(w, r, kvwire.Op{Kind: kvwire.KindPatch, Table: table, Key: key, Fields: fields}); ok {
+		w.Header().Set("ETag", strconv.FormatUint(res.Version, 10))
+		w.WriteHeader(http.StatusOK)
 	}
-	w.Header().Set("ETag", strconv.FormatUint(ver, 10))
-	w.WriteHeader(http.StatusOK)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, table, key string) {
@@ -325,11 +334,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, table, key
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := s.core.Delete(table, key, expect); err != nil {
-		writeStoreError(w, err)
-		return
+	if _, ok := s.exec(w, r, kvwire.Op{Kind: kvwire.KindDelete, Table: table, Key: key, Expect: expect}); ok {
+		w.WriteHeader(http.StatusNoContent)
 	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // writeRecord answers a GET with the record and its version as ETag.
@@ -341,16 +348,4 @@ func writeRecord(w http.ResponseWriter, rec *kvstore.VersionedRecord) {
 	defer putBodyBuf(buf)
 	buf.Write(append(appendStored(buf.AvailableBuffer(), "", rec), '\n'))
 	w.Write(buf.Bytes())
-}
-
-// writeStoreError answers a failed route with the status the frames
-// give the same error (kvwire.ErrResult); a key this node does not
-// serve answers 410 with its routing hints.
-func writeStoreError(w http.ResponseWriter, err error) {
-	var me *cluster.MovedError
-	if errors.As(err, &me) {
-		writeMoved(w, me)
-		return
-	}
-	http.Error(w, err.Error(), kvwire.ErrResult(err).Status)
 }

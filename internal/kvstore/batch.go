@@ -111,13 +111,17 @@ func (s *Store) BatchApply(muts []Mutation) []MutResult {
 // the caller, so a batch that touches one partition starts none. It
 // returns the first error by partition order. A one-partition store
 // runs fn inline with idx nil, which stands for every item (see each),
-// without calling shard.
+// without calling shard; so does a one-item call, on its item's
+// partition.
 func (s *Store) fanOut(n int, shard func(i int) int, fn func(p *partition, idx []int) error) error {
 	if n == 0 {
 		return nil
 	}
 	if len(s.parts) == 1 {
 		return fn(s.parts[0], nil)
+	}
+	if n == 1 {
+		return fn(s.parts[shard(0)], nil)
 	}
 	type share struct {
 		idx []int

@@ -1,11 +1,10 @@
 // Package kvwire is the request core of the key-value server and its
 // framed binary protocol. The frame listener in this package decodes
 // request frames into []Op, hands the slice to Core, and renders the
-// positional []Result back out; the single-op REST routes in
-// internal/httpkv call the same Core one operation at a time. Dispatch,
-// validation, batch run-splitting, as-of grouping, cluster slot gating
-// (MovedError), per-request deadlines and the batch admission limit all
-// live here, once.
+// positional []Result back out; the REST record routes in internal/httpkv
+// hand the same Core a one-op slice. Dispatch, validation, run-splitting,
+// cluster slot gating (MovedError), per-request deadlines and the batch
+// admission limit all live here, once.
 //
 // Result statuses use the HTTP status space (200/204/400/404/410/412/
 // 429/500/503/504), so the REST routes and the frames share one
@@ -65,10 +64,11 @@ type Result struct {
 	Version    uint64
 	HasVersion bool // distinguishes "version 0" from "no version"
 	// Fields is a decoded result's record. A result the core builds
-	// from a stored version leaves it nil and carries the version's
-	// image instead, which the response encoder copies as it stands.
+	// from a stored version leaves it nil and carries the version
+	// instead (Record), whose image the response encoder copies as it
+	// stands.
 	Fields map[string][]byte
-	image  []byte
+	rec    *kvstore.VersionedRecord
 	Err    string
 	// AsOf echoes the op's as_of when the read was served from the
 	// version history (the echo is the client's proof the snapshot was
@@ -94,8 +94,8 @@ type Core struct {
 	// Nil (no-op) unless Instrument was called.
 	scanEngineRecords *obs.Counter
 	scanRecords       *obs.Counter
-	// batchItems is the size of every executed batch (a request frame's
-	// ops); nil like the counters above.
+	// batchItems is the size of every request frame the wire server
+	// executes (Server.handleRequest); nil like the counters above.
 	batchItems *obs.Histogram
 	// ingestRecords counts what StreamIngest landed; nil like the rest.
 	ingestRecords *obs.Counter
@@ -124,7 +124,7 @@ func (c *Core) Instrument(reg *obs.Registry) {
 	reg.Help("kvwire_scan_records_total", "Records scans handed to a front end (after the filter and the cut); engine records over these is the node's scan over-fetch.")
 	c.scanEngineRecords = reg.Counter("kvwire_scan_engine_records_total")
 	c.scanRecords = reg.Counter("kvwire_scan_records_total")
-	reg.Help("httpkv_batch_items", "Operations per executed batch (one request frame).")
+	reg.Help("httpkv_batch_items", "Operations per executed request frame; a REST op is not counted.")
 	c.batchItems = reg.Histogram("httpkv_batch_items", obs.CountBuckets)
 	reg.Help("kvwire_ingest_records_total", "Records a migration copy ingested (Core.StreamIngest).")
 	c.ingestRecords = reg.Counter("kvwire_ingest_records_total")
@@ -148,70 +148,6 @@ func (c *Core) AcquireBatch() (release func(), ok bool) {
 	default:
 		return nil, false
 	}
-}
-
-// GateRead applies the cluster ownership check to a single-key read;
-// nil when this node serves the key (or no cluster). The error is
-// always a *cluster.MovedError.
-func (c *Core) GateRead(key string) error {
-	if c.cluster == nil {
-		return nil
-	}
-	return c.cluster.CheckRead(key)
-}
-
-// EnterWrite takes the cluster freeze barrier and checks ownership
-// for a single-key mutation. The caller must invoke release around
-// the engine apply (it is non-nil even on error). The error is always
-// a *cluster.MovedError.
-func (c *Core) EnterWrite(key string) (release func(), err error) {
-	if c.cluster == nil {
-		return func() {}, nil
-	}
-	release = c.cluster.Enter()
-	if err := c.cluster.CheckWrite(key); err != nil {
-		release()
-		return func() {}, err
-	}
-	return release, nil
-}
-
-// Get serves one gated head read.
-func (c *Core) Get(table, key string) (*kvstore.VersionedRecord, error) {
-	if err := c.GateRead(key); err != nil {
-		return nil, err
-	}
-	return c.store.Get(table, key)
-}
-
-// Put serves one gated conditional put.
-func (c *Core) Put(table, key string, fields map[string][]byte, expect uint64) (uint64, error) {
-	release, err := c.EnterWrite(key)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	return c.store.PutIfVersion(table, key, fields, expect)
-}
-
-// Update serves one gated merge-update.
-func (c *Core) Update(table, key string, fields map[string][]byte) (uint64, error) {
-	release, err := c.EnterWrite(key)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	return c.store.Update(table, key, fields)
-}
-
-// Delete serves one gated conditional delete.
-func (c *Core) Delete(table, key string, expect uint64) error {
-	release, err := c.EnterWrite(key)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return c.store.DeleteIfVersion(table, key, expect)
 }
 
 // ScanPageCap is the largest engine page a cluster-mode scan reads in
@@ -345,7 +281,7 @@ func nextScanPage(last, need, emitted, scanned int) int {
 func (c *Core) validateScan(req *ScanRequest) error {
 	msg := ""
 	switch {
-	case req.Count < -1 || (req.Count == -1 && c.cluster == nil):
+	case req.Count < -1:
 		msg = "bad count"
 	case req.Slot >= 0 && c.cluster == nil:
 		msg = "not a cluster node"
@@ -438,13 +374,14 @@ func (c *Core) StreamIngest(ctx context.Context, table string, next func() ([]kv
 }
 
 // ExecBatch answers the decoded ops through the engine's multi-key
-// path, splitting the batch into maximal same-kind runs — consecutive
-// gets share one BatchGet, consecutive mutations one BatchApply — so
-// order within the batch is preserved while each run pays one lock
-// round per touched partition. If the request deadline expires
-// between runs, the remaining items report 504 instead of running. In
-// cluster mode each item is ownership-gated (410 + routing hints) and
-// mutation runs hold the freeze barrier across check and apply.
+// path, splitting the batch into maximal runs of one kind — consecutive
+// gets at one timestamp share one BatchGet or BatchGetAsOf, consecutive
+// mutations one BatchApply — so order within the batch is preserved
+// while each run pays one lock round per touched partition. If the
+// request deadline expires between runs, the remaining items report 504
+// instead of running. In cluster mode each item is ownership-gated (410
+// + routing hints) and mutation runs hold the freeze barrier across
+// check and apply.
 func (c *Core) ExecBatch(ctx context.Context, ops []Op) []Result {
 	out := make([]Result, len(ops))
 	c.ExecBatchInto(ctx, ops, out)
@@ -452,12 +389,14 @@ func (c *Core) ExecBatch(ctx context.Context, ops []Op) []Result {
 }
 
 // ExecBatchInto is ExecBatch writing into a caller-owned result slice
-// (len(out) must equal len(ops)) so hot transports can pool it.
+// (len(out) must equal len(ops)) so hot transports can pool it. It is
+// the one way a data op reaches the engine: every request frame's ops
+// and every REST record route's one op run through it.
 func (c *Core) ExecBatchInto(ctx context.Context, ops []Op, out []Result) {
-	c.batchItems.Observe(float64(len(ops)))
 	for lo := 0; lo < len(ops); {
+		get := ops[lo].Kind == KindGet
 		hi := lo + 1
-		for hi < len(ops) && (ops[hi].Kind == KindGet) == (ops[lo].Kind == KindGet) {
+		for hi < len(ops) && (ops[hi].Kind == KindGet) == get && (!get || ops[hi].AsOf == ops[lo].AsOf) {
 			hi++
 		}
 		if ctx.Err() != nil {
@@ -466,153 +405,79 @@ func (c *Core) ExecBatchInto(ctx context.Context, ops []Op, out []Result) {
 			}
 			return
 		}
-		if ops[lo].Kind == KindGet {
-			c.execGetRunClustered(ops[lo:hi], out[lo:hi])
+		if get {
+			c.execGetRun(ops[lo:hi], out[lo:hi])
 		} else {
-			c.execMutRunClustered(ops[lo:hi], out[lo:hi])
+			c.execMutRun(ops[lo:hi], out[lo:hi])
 		}
 		lo = hi
 	}
 }
 
-// execGetRunClustered gates a get run per item in cluster mode: items
-// this node does not own answer 410 with routing hints, the rest
-// share the usual engine rounds.
-func (c *Core) execGetRunClustered(ops []Op, out []Result) {
-	if c.cluster == nil {
-		c.execGetRun(ops, out)
-		return
-	}
-	kept, idx := c.clusterFilter(ops, out, c.cluster.CheckRead)
-	if len(kept) == 0 {
-		return
-	}
-	sub := make([]Result, len(kept))
-	c.execGetRun(kept, sub)
-	for j, i := range idx {
-		out[i] = sub[j]
-	}
-}
-
-// execMutRunClustered gates a mutation run per item, holding the
-// freeze barrier across check and engine apply so a migration
-// snapshot drawn after Freeze returns covers every write admitted
-// here.
-func (c *Core) execMutRunClustered(ops []Op, out []Result) {
-	if c.cluster == nil {
-		c.execMutRun(ops, out)
-		return
-	}
-	release := c.cluster.Enter()
-	defer release()
-	kept, idx := c.clusterFilter(ops, out, c.cluster.CheckWrite)
-	if len(kept) == 0 {
-		return
-	}
-	sub := make([]Result, len(kept))
-	c.execMutRun(kept, sub)
-	for j, i := range idx {
-		out[i] = sub[j]
-	}
-}
-
-// clusterFilter splits a run into the items this node serves
-// (returned with their original indices) and the ones it rejects (410
-// results written in place).
-func (c *Core) clusterFilter(ops []Op, out []Result, check func(string) error) ([]Op, []int) {
-	kept := make([]Op, 0, len(ops))
-	idx := make([]int, 0, len(ops))
-	for i, op := range ops {
-		if err := check(op.Key); err != nil {
-			out[i] = MovedResult(err.(*cluster.MovedError))
-			continue
-		}
-		kept = append(kept, op)
-		idx = append(idx, i)
-	}
-	return kept, idx
-}
-
+// execGetRun serves a run of gets at one timestamp (0: the head) in one
+// engine call. An item this node does not own answers 410 in place; the
+// items the engine serves are the ones whose result is left at status 0.
 func (c *Core) execGetRun(ops []Op, out []Result) {
-	// Fast path: no item asks for a snapshot, one head BatchGet covers
-	// the whole run without any grouping overhead.
-	head := true
-	for _, op := range ops {
-		if op.AsOf != 0 {
-			head = false
-			break
-		}
-	}
-	if head {
-		reqs := make([]kvstore.GetReq, len(ops))
-		for i, op := range ops {
-			reqs[i] = kvstore.GetReq{Table: op.Table, Key: op.Key}
-		}
-		for i, r := range c.store.BatchGet(reqs) {
-			if r.Err != nil {
-				out[i] = ErrResult(r.Err)
-				continue
-			}
-			out[i] = Result{
-				Status:     http.StatusOK,
-				Version:    r.Record.Version,
-				HasVersion: true,
-				image:      r.Record.Image(),
-			}
+	ts := ops[0].AsOf
+	if ts < 0 {
+		for i := range out {
+			out[i] = Result{Status: http.StatusBadRequest, Err: fmt.Sprintf("bad as_of %d", ts)}
 		}
 		return
 	}
-	// Mixed run: group the item indices by as_of timestamp so each
-	// distinct snapshot (and the head, ts 0) pays one engine round.
-	groups := make(map[int64][]int)
-	order := make([]int64, 0, 2)
+	reqs := make([]kvstore.GetReq, 0, len(ops))
 	for i, op := range ops {
-		if _, ok := groups[op.AsOf]; !ok {
-			order = append(order, op.AsOf)
-		}
-		groups[op.AsOf] = append(groups[op.AsOf], i)
-	}
-	for _, ts := range order {
-		idx := groups[ts]
-		if ts < 0 {
-			for _, i := range idx {
-				out[i] = Result{Status: http.StatusBadRequest, Err: fmt.Sprintf("bad as_of %d", ts)}
-			}
-			continue
-		}
-		reqs := make([]kvstore.GetReq, len(idx))
-		for j, i := range idx {
-			reqs[j] = kvstore.GetReq{Table: ops[i].Table, Key: ops[i].Key}
-		}
-		var results []kvstore.GetResult
-		if ts == 0 {
-			results = c.store.BatchGet(reqs)
-		} else {
-			results = c.store.BatchGetAsOf(reqs, ts)
-		}
-		for j, r := range results {
-			i := idx[j]
-			if r.Err != nil {
-				res := ErrResult(r.Err)
-				res.AsOf = ts
-				out[i] = res
+		out[i] = Result{}
+		if c.cluster != nil {
+			if err := c.cluster.CheckRead(op.Key); err != nil {
+				out[i] = MovedResult(err.(*cluster.MovedError))
 				continue
 			}
-			out[i] = Result{
-				Status:     http.StatusOK,
-				Version:    r.Record.Version,
-				HasVersion: true,
-				image:      r.Record.Image(),
-				AsOf:       ts,
-			}
 		}
+		reqs = append(reqs, kvstore.GetReq{Table: op.Table, Key: op.Key})
+	}
+	if len(reqs) == 0 {
+		return
+	}
+	var results []kvstore.GetResult
+	if ts == 0 {
+		results = c.store.BatchGet(reqs)
+	} else {
+		results = c.store.BatchGetAsOf(reqs, ts)
+	}
+	j := 0
+	for i := range out {
+		if out[i].Status != 0 {
+			continue
+		}
+		r := results[j]
+		j++
+		if r.Err != nil {
+			out[i] = ErrResult(r.Err)
+		} else {
+			out[i] = Result{Status: http.StatusOK, Version: r.Record.Version, HasVersion: true, rec: r.Record}
+		}
+		out[i].AsOf = ts
 	}
 }
 
+// execMutRun applies a run of mutations in one BatchApply. In cluster
+// mode it holds the freeze barrier across the ownership checks and the
+// apply, so a migration snapshot drawn after Freeze returns covers every
+// write admitted here. Items it refuses (410, 400) answer in place.
 func (c *Core) execMutRun(ops []Op, out []Result) {
+	if c.cluster != nil {
+		defer c.cluster.Enter()()
+	}
 	muts := make([]kvstore.Mutation, 0, len(ops))
-	idx := make([]int, 0, len(ops))
 	for i, op := range ops {
+		out[i] = Result{}
+		if c.cluster != nil {
+			if err := c.cluster.CheckWrite(op.Key); err != nil {
+				out[i] = MovedResult(err.(*cluster.MovedError))
+				continue
+			}
+		}
 		var m kvstore.Mutation
 		switch op.Kind {
 		case KindPut:
@@ -634,19 +499,26 @@ func (c *Core) execMutRun(ops []Op, out []Result) {
 			continue
 		}
 		muts = append(muts, m)
-		idx = append(idx, i)
 	}
-	for j, r := range c.store.BatchApply(muts) {
-		i := idx[j]
-		if r.Err != nil {
-			out[i] = ErrResult(r.Err)
+	if len(muts) == 0 {
+		return
+	}
+	results := c.store.BatchApply(muts)
+	j := 0
+	for i := range out {
+		if out[i].Status != 0 {
 			continue
 		}
-		status := http.StatusOK
-		if ops[i].Kind == KindDelete {
-			status = http.StatusNoContent
+		r := results[j]
+		j++
+		switch {
+		case r.Err != nil:
+			out[i] = ErrResult(r.Err)
+		case ops[i].Kind == KindDelete:
+			out[i] = Result{Status: http.StatusNoContent, Version: r.Version, HasVersion: true}
+		default:
+			out[i] = Result{Status: http.StatusOK, Version: r.Version, HasVersion: true}
 		}
-		out[i] = Result{Status: status, Version: r.Version, HasVersion: true}
 	}
 }
 
@@ -676,6 +548,10 @@ func ErrResult(err error) Result {
 	}
 	return Result{Status: status, Err: err.Error()}
 }
+
+// Record is the stored version a get the core served read; nil on a
+// decoded result and on any result but a served get.
+func (r *Result) Record() *kvstore.VersionedRecord { return r.rec }
 
 // MovedResult renders a per-item 410 carrying the same routing hints
 // as the single-op headers.

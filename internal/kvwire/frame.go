@@ -185,7 +185,11 @@ func appendResult(buf []byte, r *Result) []byte {
 	if r.HasVersion {
 		flags |= resFlagVersion
 	}
-	if r.Fields != nil || r.image != nil {
+	var image []byte
+	if r.rec != nil {
+		image = r.rec.Image()
+	}
+	if r.Fields != nil || image != nil {
 		flags |= resFlagFields
 	}
 	if r.Err != "" {
@@ -202,7 +206,7 @@ func appendResult(buf []byte, r *Result) []byte {
 		buf = binary.AppendUvarint(buf, r.Version)
 	}
 	if flags&resFlagFields != 0 {
-		buf = appendFieldSection(buf, r.image, r.Fields)
+		buf = appendFieldSection(buf, image, r.Fields)
 	}
 	if flags&resFlagErr != 0 {
 		buf = appendBytes(buf, r.Err)

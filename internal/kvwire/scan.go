@@ -37,8 +37,9 @@ const (
 // MaxFramePayload.
 const scanPageBytes = 256 << 10
 
-// ScanRequest names one scan. Count < 0 means unlimited
-// (cluster-internal drains), Slot < 0 means no slot filter.
+// ScanRequest names one scan. Count < 0 means unlimited (every page is
+// still bounded by ScanPageCap and scanPageBytes), Slot < 0 means no
+// slot filter.
 type ScanRequest struct {
 	Table string
 	Start string

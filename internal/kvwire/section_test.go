@@ -27,7 +27,7 @@ func TestChunkEncodeIsACopy(t *testing.T) {
 			t.Fatalf("%s: its image is not in the frame as it stands", kv.Key)
 		}
 	}
-	res := []Result{{Status: 200, Version: 1, HasVersion: true, image: kvs[0].Record.Image()}}
+	res := []Result{{Status: 200, Version: 1, HasVersion: true, rec: kvs[0].Record}}
 	out := AppendResponse(nil, 1, res)
 	if per := testing.AllocsPerRun(100, func() { out = AppendResponse(out[:0], 1, res) }); per != 0 {
 		t.Errorf("response encode = %.1f allocs, want 0", per)

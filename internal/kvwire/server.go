@@ -229,12 +229,13 @@ func (s *Server) handleRequest(c *serverConn, id uint64, deadlineMs uint64, ops 
 	} else {
 		*res = (*res)[:len(ops)]
 	}
+	s.core.batchItems.Observe(float64(len(ops)))
 	s.core.ExecBatchInto(ctx, ops, *res)
 	c.wbuf = AppendResponse(c.wbuf[:0], id, *res)
 	s.send(c, c.wbuf)
 	var images int64
 	for i := range *res {
-		if (*res)[i].image != nil {
+		if (*res)[i].rec != nil {
 			images++
 		}
 	}

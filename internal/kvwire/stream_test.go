@@ -373,7 +373,6 @@ func TestStreamScanRejectsBadParams(t *testing.T) {
 	defer ep.Close()
 
 	for _, req := range []ScanRequest{
-		{Table: "t", Count: -1, Slot: -1},           // unlimited is cluster-only
 		{Table: "t", Count: -2, Slot: -1},           // no count below -1
 		{Table: "t", Count: 10, Slot: 3},            // slot filter is cluster-only
 		{Table: "t", Count: 10, Slot: -1, AsOf: -1}, // negative snapshot

@@ -89,8 +89,8 @@ func TestWireBatchConditionals(t *testing.T) {
 	ep := NewEndpoint(addr, 0)
 	defer ep.Close()
 	f := func(v string) map[string][]byte { return map[string][]byte{"f": []byte(v)} }
-	if _, err := core.Put("t", "a", f("v"), kvstore.MustNotExist); err != nil {
-		t.Fatal(err)
+	if res := core.ExecBatch(context.Background(), []Op{{Kind: KindPut, Table: "t", Key: "a", Fields: f("v"), Expect: kvstore.MustNotExist}}); res[0].Status != 200 {
+		t.Fatalf("seed put: %+v", res[0])
 	}
 
 	res, err := ep.Exec(context.Background(), []Op{
