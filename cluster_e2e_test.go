@@ -22,7 +22,8 @@ import (
 	"ycsbt/internal/properties"
 	"ycsbt/internal/workload"
 
-	_ "ycsbt/internal/txn" // register the txnkv binding
+	_ "ycsbt/internal/percolator" // register the percolator binding
+	_ "ycsbt/internal/txn"        // register the txnkv binding
 )
 
 // adminMigrate drives one live migration through the admin route.
@@ -183,5 +184,69 @@ func TestClusterCEWZeroAnomalyAcrossMigration(t *testing.T) {
 	}
 	if !cert.Serializable {
 		t.Errorf("cluster CEW history refuted: %+v", cert.Cycles)
+	}
+}
+
+// TestPercolatorClusterCEW runs the closed economy through the
+// percolator binding over the cluster backend — the one store the
+// protocol needs, spread across a two-node fleet by the shard map —
+// and must balance to an anomaly score of zero.
+func TestPercolatorClusterCEW(t *testing.T) {
+	ctx := context.Background()
+	nodes, _ := startFleet(t, 2, 8, nil)
+	p := properties.FromMap(map[string]string{
+		"workload":                  "closedeconomy",
+		"recordcount":               "100",
+		"totalcash":                 "10000",
+		"operationcount":            "400",
+		"threadcount":               "4",
+		"readproportion":            "0.2",
+		"readmodifywriteproportion": "0.8",
+		"requestdistribution":       "zipfian",
+		"fieldcount":                "1",
+		"fieldlength":               "32",
+		"percolator.backend":        "cluster",
+		"cluster.nodes":             strings.Join(nodeURLs(nodes), ","),
+	})
+	d, err := db.Open("percolator")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Init(p); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Cleanup()
+	w, err := workload.New("closedeconomy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := measurement.NewRegistry(0)
+	if err := w.Init(p, reg); err != nil {
+		t.Fatal(err)
+	}
+	loadCfg := client.BuildConfig(p)
+	loadCfg.SkipValidation = true
+	lc, err := client.New(loadCfg, w, d, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lc.Load(ctx); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	rc, err := client.New(client.BuildConfig(p), w, d, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rc.Run(ctx)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if v := res.Validation; v == nil || !v.Valid || v.AnomalyScore != 0 {
+		t.Errorf("percolator over the cluster lost money: %+v", v)
+	}
+	for i, nd := range nodes {
+		if nd.store.Len("usertable") == 0 {
+			t.Errorf("node %d holds no accounts: the shard map never spread them", i)
+		}
 	}
 }

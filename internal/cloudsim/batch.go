@@ -69,13 +69,13 @@ func (b *Binding) execReadRun(ctx context.Context, ops []db.BatchOp, out []db.Ba
 	results, err := b.store.BatchGet(ctx, reqs)
 	if err != nil {
 		for i := range out {
-			out[i] = db.BatchResult{Err: translate(err)}
+			out[i] = db.BatchResult{Err: err}
 		}
 		return
 	}
 	for i, r := range results {
 		if r.Err != nil {
-			out[i] = db.BatchResult{Err: translate(r.Err)}
+			out[i] = db.BatchResult{Err: r.Err}
 			continue
 		}
 		out[i] = db.BatchResult{Record: r.Record.Project(ops[i].Fields)}
@@ -100,14 +100,14 @@ func (b *Binding) execWriteRun(ctx context.Context, ops []db.BatchOp, out []db.B
 			results, err := b.store.BatchGet(ctx, reqs)
 			if err != nil {
 				for i := range out {
-					out[i] = db.BatchResult{Err: translate(err)}
+					out[i] = db.BatchResult{Err: err}
 				}
 				return
 			}
 			for j, r := range results {
 				i := updIdx[j]
 				if r.Err != nil {
-					out[i] = db.BatchResult{Err: translate(r.Err)}
+					out[i] = db.BatchResult{Err: r.Err}
 					continue
 				}
 				m := r.Record.Project(nil)
@@ -149,12 +149,12 @@ func (b *Binding) execWriteRun(ctx context.Context, ops []db.BatchOp, out []db.B
 	results, err := b.store.BatchApply(ctx, muts)
 	if err != nil {
 		for _, i := range idx {
-			out[i] = db.BatchResult{Err: translate(err)}
+			out[i] = db.BatchResult{Err: err}
 		}
 		return
 	}
 	for j, r := range results {
-		out[idx[j]] = db.BatchResult{Err: translate(r.Err)}
+		out[idx[j]] = db.BatchResult{Err: r.Err}
 	}
 }
 

@@ -2,7 +2,6 @@ package cloudsim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -79,24 +78,11 @@ func (b *Binding) Cleanup() error {
 // Store exposes the simulated container (for validation and stats).
 func (b *Binding) Store() *Store { return b.store }
 
-func translate(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, kvstore.ErrNotFound):
-		return fmt.Errorf("%w: %v", db.ErrNotFound, err)
-	case errors.Is(err, kvstore.ErrVersionMismatch), errors.Is(err, kvstore.ErrExists):
-		return fmt.Errorf("%w: %v", db.ErrConflict, err)
-	default:
-		return err
-	}
-}
-
 // Read implements db.DB.
 func (b *Binding) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
 	rec, err := b.store.Get(ctx, table, key)
 	if err != nil {
-		return nil, translate(err)
+		return nil, err
 	}
 	return rec.Project(fields), nil
 }
@@ -105,7 +91,7 @@ func (b *Binding) Read(ctx context.Context, table, key string, fields []string) 
 func (b *Binding) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
 	kvs, err := b.store.Scan(ctx, table, startKey, count)
 	if err != nil {
-		return nil, translate(err)
+		return nil, err
 	}
 	out := make([]db.KV, 0, len(kvs))
 	for _, kv := range kvs {
@@ -120,27 +106,27 @@ func (b *Binding) Scan(ctx context.Context, table, startKey string, count int, f
 func (b *Binding) Update(ctx context.Context, table, key string, values db.Record) error {
 	if b.BlindUpdates {
 		_, err := b.store.Put(ctx, table, key, values, kvstore.AnyVersion)
-		return translate(err)
+		return err
 	}
 	cur, err := b.store.Get(ctx, table, key)
 	if err != nil {
-		return translate(err)
+		return err
 	}
 	merged := cur.Project(nil)
 	for f, v := range values {
 		merged[f] = v
 	}
 	_, err = b.store.Put(ctx, table, key, merged, kvstore.AnyVersion)
-	return translate(err)
+	return err
 }
 
 // Insert implements db.DB (unconditional put).
 func (b *Binding) Insert(ctx context.Context, table, key string, values db.Record) error {
 	_, err := b.store.Put(ctx, table, key, values, kvstore.AnyVersion)
-	return translate(err)
+	return err
 }
 
 // Delete implements db.DB.
 func (b *Binding) Delete(ctx context.Context, table, key string) error {
-	return translate(b.store.Delete(ctx, table, key, kvstore.AnyVersion))
+	return b.store.Delete(ctx, table, key, kvstore.AnyVersion)
 }

@@ -31,8 +31,11 @@ import (
 // Record is one stored record: field name → value bytes.
 type Record = map[string][]byte
 
-// Sentinel errors shared by every binding. Bindings wrap these with
-// detail; callers match with errors.Is.
+// The outcome vocabulary: every layer's errors match one of these
+// sentinels under errors.Is. A store or library that names an outcome
+// in its own terms (kvstore.ErrNotFound, txn.ErrConflict, ...) defines
+// its sentinel to wrap the one here, so its errors pass up every layer
+// unchanged and ReturnCode files them where they arrive.
 var (
 	// ErrNotFound reports that the requested key does not exist.
 	ErrNotFound = errors.New("db: key not found")
@@ -46,6 +49,12 @@ var (
 	// ErrNotSupported reports that the binding does not implement the
 	// requested operation.
 	ErrNotSupported = errors.New("db: operation not supported")
+	// ErrBelowHorizon reports an as-of read the store can no longer
+	// answer exactly: what the key held at that timestamp has been
+	// reclaimed. It is not a miss (the record may well have existed
+	// then), so ReturnCode files it as CodeUnknown even where it also
+	// matches ErrNotFound.
+	ErrBelowHorizon = errors.New("db: as-of read below the reclaim horizon")
 )
 
 // Return codes recorded by the measurement layer (0 = OK, like
@@ -72,6 +81,8 @@ func ReturnCode(err error) int {
 	switch {
 	case err == nil:
 		return CodeOK
+	case errors.Is(err, ErrBelowHorizon): // before ErrNotFound, which it may also match
+		return CodeUnknown
 	case errors.Is(err, ErrNotFound):
 		return CodeNotFound
 	case errors.Is(err, ErrConflict):

@@ -27,6 +27,7 @@ func TestReturnCode(t *testing.T) {
 		{context.DeadlineExceeded, 6},
 		{fmt.Errorf("op: %w", context.DeadlineExceeded), 6},
 		{errors.New("other"), -1},
+		{fmt.Errorf("store: %w: %w", ErrBelowHorizon, ErrNotFound), -1}, // not a miss
 	}
 	for _, c := range cases {
 		if got := ReturnCode(c.err); got != c.want {

@@ -57,36 +57,14 @@ const autoCommitRetries = 3
 
 // TxnBinding is the DB surface of a transaction library: every method
 // of TransactionalDB and ContextualDB but Init and Cleanup, which the
-// library's binding, embedding it, adds.
+// library's binding, embedding it, adds. The library's errors pass
+// through as they are: its sentinels wrap this package's.
 type TxnBinding struct {
-	lib      TxnLibrary
-	notFound error   // the library's sentinel for a missing record
-	aborted  []error // the library's sentinels for an aborted transaction
+	lib TxnLibrary
 }
 
-// NewTxnBinding returns the DB surface of lib. Errors matching notFound
-// surface as ErrNotFound, those matching one of aborted as ErrAborted;
-// the library's sentinel stays reachable through errors.Is.
-func NewTxnBinding(lib TxnLibrary, notFound error, aborted ...error) TxnBinding {
-	return TxnBinding{lib: lib, notFound: notFound, aborted: aborted}
-}
-
-// translate maps a library error onto the db sentinels, once: an error
-// that already matches one is returned as it is.
-func (b *TxnBinding) translate(err error) error {
-	switch {
-	case err == nil, errors.Is(err, ErrNotFound), errors.Is(err, ErrAborted):
-		return err
-	case errors.Is(err, b.notFound):
-		return fmt.Errorf("%w: %w", ErrNotFound, err)
-	}
-	for _, s := range b.aborted {
-		if errors.Is(err, s) {
-			return fmt.Errorf("%w: %w", ErrAborted, err)
-		}
-	}
-	return err
-}
+// NewTxnBinding returns the DB surface of lib.
+func NewTxnBinding(lib TxnLibrary) TxnBinding { return TxnBinding{lib: lib} }
 
 // txn returns the transaction tctx carries, or one whose every call
 // fails when the binding did not start it.
@@ -111,21 +89,21 @@ func (b *TxnBinding) Start(ctx context.Context) (*TransactionContext, error) {
 
 // Commit implements TransactionalDB.
 func (b *TxnBinding) Commit(ctx context.Context, tctx *TransactionContext) error {
-	return b.translate(b.txn(tctx).Commit(ctx))
+	return b.txn(tctx).Commit(ctx)
 }
 
 // Abort implements TransactionalDB.
 func (b *TxnBinding) Abort(ctx context.Context, tctx *TransactionContext) error {
-	return b.translate(b.txn(tctx).Abort(ctx))
+	return b.txn(tctx).Abort(ctx)
 }
 
 // WithTx implements ContextualDB. A context the binding did not start
 // yields a view whose every operation fails with that error.
-func (b *TxnBinding) WithTx(tctx *TransactionContext) DB { return txnView{b, b.txn(tctx)} }
+func (b *TxnBinding) WithTx(tctx *TransactionContext) DB { return txnView{b.txn(tctx)} }
 
 // autoCommit runs fn on the view of a transaction of its own.
 func (b *TxnBinding) autoCommit(ctx context.Context, fn func(txnView) error) error {
-	return b.translate(b.lib.RunInTxn(ctx, autoCommitRetries, func(t Txn) error { return fn(txnView{b, t}) }))
+	return b.lib.RunInTxn(ctx, autoCommitRetries, func(t Txn) error { return fn(txnView{t}) })
 }
 
 // Read implements DB (auto-commit).
@@ -162,10 +140,7 @@ func (b *TxnBinding) Delete(ctx context.Context, table, key string) error {
 }
 
 // txnView runs the operations inside one transaction.
-type txnView struct {
-	b *TxnBinding
-	t Txn
-}
+type txnView struct{ t Txn }
 
 // Init implements DB; the view inherits the binding's state.
 func (v txnView) Init(*properties.Properties) error { return nil }
@@ -177,7 +152,7 @@ func (v txnView) Cleanup() error { return nil }
 func (v txnView) Read(ctx context.Context, table, key string, fields []string) (Record, error) {
 	rec, err := v.t.Read(ctx, table, key)
 	if err != nil {
-		return nil, v.b.translate(err)
+		return nil, err
 	}
 	return project(rec, fields), nil
 }
@@ -186,7 +161,7 @@ func (v txnView) Read(ctx context.Context, table, key string, fields []string) (
 func (v txnView) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]KV, error) {
 	kvs, err := v.t.Scan(ctx, table, startKey, count)
 	if err != nil {
-		return nil, v.b.translate(err)
+		return nil, err
 	}
 	for i := range kvs {
 		kvs[i].Record = project(kvs[i].Record, fields)
@@ -200,22 +175,22 @@ func (v txnView) Scan(ctx context.Context, table, startKey string, count int, fi
 func (v txnView) Update(ctx context.Context, table, key string, values Record) error {
 	rec, err := v.t.Read(ctx, table, key)
 	if err != nil {
-		return v.b.translate(err)
+		return err
 	}
 	for f, val := range values {
 		rec[f] = val
 	}
-	return v.b.translate(v.t.Write(table, key, rec))
+	return v.t.Write(table, key, rec)
 }
 
 // Insert implements DB inside the transaction.
 func (v txnView) Insert(ctx context.Context, table, key string, values Record) error {
-	return v.b.translate(v.t.Insert(table, key, values))
+	return v.t.Insert(table, key, values)
 }
 
 // Delete implements DB inside the transaction.
 func (v txnView) Delete(ctx context.Context, table, key string) error {
-	return v.b.translate(v.t.Delete(table, key))
+	return v.t.Delete(table, key)
 }
 
 // project narrows a record the caller owns to fields (nil: all).

@@ -72,12 +72,10 @@ func (r *RemoteStore) Snapshot(ctx context.Context) (int64, func(), error) {
 
 // GetAsOf implements the snapshot-store capability.
 func (r *RemoteStore) GetAsOf(ctx context.Context, table, key string, ts int64) (*kvstore.VersionedRecord, error) {
-	rec, err := r.c.get(ctx, table, key, ts)
-	return rec, remoteTranslate(err)
+	return r.c.get(ctx, table, key, ts)
 }
 
 // ScanAsOf implements the snapshot-store capability.
 func (r *RemoteStore) ScanAsOf(ctx context.Context, table, startKey string, count int, ts int64) ([]kvstore.VersionedKV, error) {
-	kvs, err := scanInto(ctx, r.c, table, startKey, count, ts, versionedConv)
-	return kvs, remoteTranslate(err)
+	return scanInto(ctx, r.c, table, startKey, count, ts, versionedConv)
 }

@@ -2,10 +2,7 @@ package httpkv
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
-	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 	"ycsbt/internal/kvwire"
 	"ycsbt/internal/properties"
@@ -40,42 +37,21 @@ func (r *RemoteStore) Name() string { return r.name }
 
 // Get implements the store interface.
 func (r *RemoteStore) Get(ctx context.Context, table, key string) (*kvstore.VersionedRecord, error) {
-	rec, err := r.c.ReadVersioned(ctx, table, key)
-	if err != nil {
-		return nil, remoteTranslate(err)
-	}
-	return rec, nil
+	return r.c.ReadVersioned(ctx, table, key)
 }
 
 // Put implements the store interface (conditional put).
 func (r *RemoteStore) Put(ctx context.Context, table, key string, fields map[string][]byte, expect uint64) (uint64, error) {
-	ver, err := r.c.mutate(ctx, kvwire.KindPut, table, key, fields, expect)
-	return ver, remoteTranslate(err)
+	return r.c.mutate(ctx, kvwire.KindPut, table, key, fields, expect)
 }
 
 // Delete implements the store interface.
 func (r *RemoteStore) Delete(ctx context.Context, table, key string, expect uint64) error {
 	_, err := r.c.mutate(ctx, kvwire.KindDelete, table, key, nil, expect)
-	return remoteTranslate(err)
+	return err
 }
 
 // Scan implements the store interface.
 func (r *RemoteStore) Scan(ctx context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error) {
-	kvs, err := scanInto(ctx, r.c, table, startKey, count, 0, versionedConv)
-	return kvs, remoteTranslate(err)
-}
-
-// remoteTranslate maps the client's db-layer sentinels back to the
-// kvstore-layer errors the transaction protocols match on.
-func remoteTranslate(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, db.ErrNotFound):
-		return fmt.Errorf("%w: %v", kvstore.ErrNotFound, err)
-	case errors.Is(err, db.ErrConflict):
-		return fmt.Errorf("%w: %v", kvstore.ErrVersionMismatch, err)
-	default:
-		return err
-	}
+	return scanInto(ctx, r.c, table, startKey, count, 0, versionedConv)
 }

@@ -193,8 +193,8 @@ func (e *restEndpoint) roundTrip(ctx context.Context, r *request) (reply, error)
 	return rep, status
 }
 
-// statusErr maps an error reply to its db-layer error; the head of the
-// body is the message.
+// statusErr maps an error reply to its error (wireResultErr); the head
+// of the body is the message.
 func statusErr(h *restHead, body []byte) error {
 	ver, _ := strconv.ParseInt(string(h.mapVersion), 10, 64)
 	return wireResultErr(kvwire.Result{

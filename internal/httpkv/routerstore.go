@@ -40,7 +40,7 @@ func (s *RouterStore) Get(ctx context.Context, table, key string) (*kvstore.Vers
 		return err
 	})
 	if err != nil {
-		return nil, remoteTranslate(err)
+		return nil, err
 	}
 	return rec, nil
 }
@@ -55,22 +55,21 @@ func (s *RouterStore) Put(ctx context.Context, table, key string, fields map[str
 		return err
 	})
 	if err != nil {
-		return 0, remoteTranslate(err)
+		return 0, err
 	}
 	return ver, nil
 }
 
 // Delete implements the store interface.
 func (s *RouterStore) Delete(ctx context.Context, table, key string, expect uint64) error {
-	return remoteTranslate(s.r.route(ctx, key, func(c *Client) error {
+	return s.r.route(ctx, key, func(c *Client) error {
 		_, err := c.mutate(ctx, kvwire.KindDelete, table, key, nil, expect)
 		return err
-	}))
+	})
 }
 
 // Scan implements the store interface: per-node sorted results merged
 // into global key order, like the binding's Scan.
 func (s *RouterStore) Scan(ctx context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error) {
-	out, err := scanMerged(ctx, s.r, table, startKey, count, versionedConv)
-	return out, remoteTranslate(err)
+	return scanMerged(ctx, s.r, table, startKey, count, versionedConv)
 }

@@ -148,8 +148,8 @@ func (c *Client) exec(ctx context.Context, ops []kvwire.Op) ([]kvwire.Result, er
 	}
 }
 
-// execOne runs one op over frames and maps a non-2xx result to the
-// db-layer error.
+// execOne runs one op over frames and maps a non-2xx result to its
+// error (wireResultErr).
 func (c *Client) execOne(ctx context.Context, op kvwire.Op) (kvwire.Result, error) {
 	res, err := c.exec(ctx, []kvwire.Op{op})
 	if err != nil {
@@ -159,22 +159,25 @@ func (c *Client) execOne(ctx context.Context, op kvwire.Op) (kvwire.Result, erro
 }
 
 // wireResultErr maps a non-2xx result — a frame's, or an HTTP
-// response's (see do) — to its db-layer error. A 410 becomes a typed
-// *cluster.MovedError carrying the responding node's map version and
-// owner hint, so routers and middleware can tell a stale shard map
-// apart from a genuine client error. An as-of read the node could no
-// longer answer stays kvstore.ErrBelowHorizon, which no db sentinel
-// matches: it is not a not-found.
+// response's (see do) — to the most specific sentinel for its status:
+// the engine's, for the outcomes the engine reported, so the db layer
+// (db.ErrNotFound, db.ErrConflict) and the transaction libraries
+// (kvstore.ErrNotFound, kvstore.ErrVersionMismatch) both match the one
+// error. A 410 becomes a typed *cluster.MovedError carrying the
+// responding node's map version and owner hint, so routers and
+// middleware can tell a stale shard map apart from a genuine client
+// error. An as-of read the node could no longer answer is
+// kvstore.ErrBelowHorizon, which db.ReturnCode does not file as a miss.
 func wireResultErr(r kvwire.Result) error {
 	switch r.Status {
 	case http.StatusOK, http.StatusNoContent:
 		return nil
 	case http.StatusNotFound:
-		return fmt.Errorf("%w: %s", db.ErrNotFound, r.Err)
+		return fmt.Errorf("%w: %s", kvstore.ErrNotFound, r.Err)
 	case kvwire.StatusBelowHorizon:
 		return fmt.Errorf("%w: %s", kvstore.ErrBelowHorizon, r.Err)
 	case http.StatusPreconditionFailed:
-		return fmt.Errorf("%w: %s", db.ErrConflict, r.Err)
+		return fmt.Errorf("%w: %s", kvstore.ErrVersionMismatch, r.Err)
 	case http.StatusTooManyRequests:
 		return fmt.Errorf("%w: %s", db.ErrThrottled, r.Err)
 	case http.StatusGone:

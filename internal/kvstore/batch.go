@@ -77,7 +77,12 @@ func (s *Store) BatchGetAsOf(reqs []GetReq, ts int64) []GetResult {
 
 func (s *Store) batchGet(reqs []GetReq, at readAt) []GetResult {
 	out := make([]GetResult, len(reqs))
-	s.fanOut(len(reqs), func(i int) int { return shardOf(reqs[i].Key, len(s.parts)) }, func(p *partition, idx []int) error {
+	shard := func(i int) int { return shardOf(reqs[i].Key, len(s.parts)) }
+	if p := s.inline(len(reqs), shard); p != nil {
+		p.getBatch(reqs, nil, out, at)
+		return out
+	}
+	s.fanOut(len(reqs), shard, func(p *partition, idx []int) error {
 		p.getBatch(reqs, idx, out, at)
 		return nil
 	})
@@ -97,11 +102,35 @@ func (s *Store) batchGet(reqs []GetReq, at readAt) []GetResult {
 // not rolled back.
 func (s *Store) BatchApply(muts []Mutation) []MutResult {
 	out := make([]MutResult, len(muts))
-	s.fanOut(len(muts), func(i int) int { return shardOf(muts[i].Key, len(s.parts)) }, func(p *partition, idx []int) error {
+	shard := func(i int) int { return shardOf(muts[i].Key, len(s.parts)) }
+	if p := s.inline(len(muts), shard); p != nil {
+		p.applyBatch(muts, nil, out)
+		return out
+	}
+	s.fanOut(len(muts), shard, func(p *partition, idx []int) error {
 		p.applyBatch(muts, idx, out)
 		return nil
 	})
 	return out
+}
+
+// inline returns the partition that serves the whole of a call of
+// n > 0 items on the caller, with idx nil standing for every item (see
+// each): a one-partition store's only partition, without calling
+// shard, or a one-item call's own. It returns nil when the call fans
+// out. BatchGet and BatchApply ask it before they build the closure
+// fanOut takes, which escapes through fanOut's goroutines: an inline
+// call allocates none.
+func (s *Store) inline(n int, shard func(i int) int) *partition {
+	switch {
+	case n == 0:
+		return nil
+	case len(s.parts) == 1:
+		return s.parts[0]
+	case n == 1:
+		return s.parts[shard(0)]
+	}
+	return nil
 }
 
 // fanOut is how a multi-key call reaches its partitions: it groups the
@@ -109,19 +138,14 @@ func (s *Store) BatchApply(muts []Mutation) []MutResult {
 // order, and runs fn on each partition's share, every share but the
 // last touched partition's on a goroutine of its own and that one on
 // the caller, so a batch that touches one partition starts none. It
-// returns the first error by partition order. A one-partition store
-// runs fn inline with idx nil, which stands for every item (see each),
-// without calling shard; so does a one-item call, on its item's
-// partition.
+// returns the first error by partition order. A call that inline
+// serves whole runs fn on that partition alone, with idx nil.
 func (s *Store) fanOut(n int, shard func(i int) int, fn func(p *partition, idx []int) error) error {
 	if n == 0 {
 		return nil
 	}
-	if len(s.parts) == 1 {
-		return fn(s.parts[0], nil)
-	}
-	if n == 1 {
-		return fn(s.parts[shard(0)], nil)
+	if p := s.inline(n, shard); p != nil {
+		return fn(p, nil)
 	}
 	type share struct {
 		idx []int

@@ -377,3 +377,53 @@ func BenchmarkStoreBatchApply(b *testing.B) {
 		})
 	}
 }
+
+// TestBatchInlineAllocs pins what a batched call costs when it runs on
+// the caller — a one-item call, or any call on a one-partition store,
+// which is every REST op and every one-op request frame: its result
+// slice and nothing more. The closure that fans a batch out across
+// partitions escapes through the fan-out's goroutines, so an inline
+// call must not build it.
+func TestBatchInlineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	s := OpenMemoryShards(4)
+	defer s.Close()
+	one := OpenMemoryShards(1)
+	defer one.Close()
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%02d", i)
+		for _, st := range []*Store{s, one} {
+			if _, err := st.Put("t", keys[i], fieldsOf("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	get := []GetReq{{Table: "t", Key: keys[0]}}
+	gets := make([]GetReq, len(keys))
+	for i, k := range keys {
+		gets[i] = GetReq{Table: "t", Key: k}
+	}
+	update := []Mutation{{Op: MutUpdate, Table: "t", Key: keys[0], Fields: fieldsOf("w")}}
+	single := testing.AllocsPerRun(200, func() { s.Update("t", keys[0], fieldsOf("w")) })
+
+	for _, c := range []struct {
+		name string
+		run  func()
+		want float64
+	}{
+		{"one-item BatchGet", func() { s.BatchGet(get) }, 1},
+		{"one-partition BatchGet", func() { one.BatchGet(gets) }, 1},
+		{"one-item BatchGetAsOf", func() { s.BatchGetAsOf(get, s.SnapshotTS()) }, 1},
+		{"one-item BatchApply", func() {
+			update[0].Fields = fieldsOf("w")
+			s.BatchApply(update)
+		}, single + 1}, // what Update makes, plus the result slice
+	} {
+		if got := testing.AllocsPerRun(200, c.run); got != c.want {
+			t.Errorf("%s: %.1f allocations, want %.1f", c.name, got, c.want)
+		}
+	}
+}

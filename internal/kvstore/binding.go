@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -87,22 +86,6 @@ func (b *Binding) Cleanup() error {
 	return nil
 }
 
-// translate maps engine errors to db-layer sentinels.
-func translate(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrBelowHorizon):
-		return err // not db.ErrNotFound: the record may well have existed
-	case errors.Is(err, ErrNotFound):
-		return fmt.Errorf("%w: %v", db.ErrNotFound, err)
-	case errors.Is(err, ErrVersionMismatch), errors.Is(err, ErrExists):
-		return fmt.Errorf("%w: %v", db.ErrConflict, err)
-	default:
-		return err
-	}
-}
-
 // Read implements db.DB.
 func (b *Binding) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
 	var rec *VersionedRecord
@@ -113,7 +96,7 @@ func (b *Binding) Read(ctx context.Context, table, key string, fields []string) 
 		rec, err = b.eng.Get(table, key)
 	}
 	if err != nil {
-		return nil, translate(err)
+		return nil, err
 	}
 	db.ReportReadVersion(ctx, rec.Version)
 	return rec.Project(fields), nil
@@ -129,7 +112,7 @@ func (b *Binding) Scan(_ context.Context, table, startKey string, count int, fie
 		kvs, err = b.eng.Scan(table, startKey, count)
 	}
 	if err != nil {
-		return nil, translate(err)
+		return nil, err
 	}
 	out := make([]db.KV, 0, len(kvs))
 	for _, kv := range kvs {
@@ -144,7 +127,7 @@ func (b *Binding) Update(ctx context.Context, table, key string, values db.Recor
 	if err == nil {
 		db.ReportWriteVersion(ctx, ver)
 	}
-	return translate(err)
+	return err
 }
 
 // Insert implements db.DB; like most key-value stores, an insert of
@@ -154,12 +137,12 @@ func (b *Binding) Insert(ctx context.Context, table, key string, values db.Recor
 	if err == nil {
 		db.ReportWriteVersion(ctx, ver)
 	}
-	return translate(err)
+	return err
 }
 
 // Delete implements db.DB.
 func (b *Binding) Delete(_ context.Context, table, key string) error {
-	return translate(b.eng.Delete(table, key))
+	return b.eng.Delete(table, key)
 }
 
 // ExecBatch implements db.BatchDB by splitting the batch into maximal
@@ -199,7 +182,7 @@ func (b *Binding) execReadRun(ops []db.BatchOp, out []db.BatchResult) {
 	}
 	for i, r := range results {
 		if r.Err != nil {
-			out[i] = db.BatchResult{Err: translate(r.Err)}
+			out[i] = db.BatchResult{Err: r.Err}
 			continue
 		}
 		out[i] = db.BatchResult{Record: r.Record.Project(ops[i].Fields)}
@@ -229,7 +212,7 @@ func (b *Binding) execWriteRun(ops []db.BatchOp, out []db.BatchResult) {
 		idx = append(idx, i)
 	}
 	for j, r := range b.eng.BatchApply(muts) {
-		out[idx[j]] = db.BatchResult{Err: translate(r.Err)}
+		out[idx[j]] = db.BatchResult{Err: r.Err}
 	}
 }
 

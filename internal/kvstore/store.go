@@ -13,19 +13,21 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ycsbt/internal/db"
 	"ycsbt/internal/obs"
 )
 
-// Common storage errors. They are distinct from the db-layer
-// sentinels so the engine can be used standalone; the binding in
-// binding.go translates them.
+// Common storage errors. Each outcome a db binding reports wraps the
+// db sentinel it means (db.ErrNotFound, db.ErrConflict), so an engine
+// error passes up every layer as it is: callers match either the
+// engine's sentinel or the db one with errors.Is.
 var (
 	// ErrNotFound reports that the key does not exist.
-	ErrNotFound = errors.New("kvstore: key not found")
+	ErrNotFound = fmt.Errorf("kvstore: %w", db.ErrNotFound)
 	// ErrVersionMismatch reports a failed conditional operation.
-	ErrVersionMismatch = errors.New("kvstore: version mismatch")
+	ErrVersionMismatch = fmt.Errorf("kvstore: version mismatch: %w", db.ErrConflict)
 	// ErrExists reports that a create-only put found an existing key.
-	ErrExists = errors.New("kvstore: key already exists")
+	ErrExists = fmt.Errorf("kvstore: key already exists: %w", db.ErrConflict)
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("kvstore: store is closed")
 	// ErrBelowHorizon reports an as-of read the store can no longer
@@ -33,9 +35,9 @@ var (
 	// reclaimed. It matches ErrNotFound too, so a caller that only asks
 	// "is there a record?" reads it as absent; a caller that must not
 	// mistake a reclaimed version for absence tests ErrBelowHorizon
-	// first. Pin (or a positive Options.Retention) keeps reads above
-	// the horizon.
-	ErrBelowHorizon = fmt.Errorf("kvstore: as-of read below the reclaim horizon: %w", ErrNotFound)
+	// first, as db.ReturnCode does with db.ErrBelowHorizon. Pin (or a
+	// positive Options.Retention) keeps reads above the horizon.
+	ErrBelowHorizon = fmt.Errorf("kvstore: %w: %w", db.ErrBelowHorizon, ErrNotFound)
 )
 
 // VersionedRecord is a stored record together with its version and

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"ycsbt/internal/cloudsim"
 	"ycsbt/internal/db"
-	"ycsbt/internal/kvstore"
-	"ycsbt/internal/obs"
 	"ycsbt/internal/oracle"
 	"ycsbt/internal/properties"
 	"ycsbt/internal/txn"
@@ -26,7 +23,7 @@ type Binding struct {
 
 // NewBinding wraps an existing manager.
 func NewBinding(m *Manager) *Binding {
-	return &Binding{TxnBinding: db.NewTxnBinding(library{m}, ErrNotFound, ErrConflict, ErrLocked), m: m}
+	return &Binding{TxnBinding: db.NewTxnBinding(library{m}), m: m}
 }
 
 func init() {
@@ -34,37 +31,22 @@ func init() {
 }
 
 // Init builds the manager from properties when opened by name:
-// "percolator.backend" (memory|was|gcs), "percolator.oracle_rtt_us"
-// (simulated round trip to the timestamp oracle, default 0).
+// "percolator.backend" names the store (txn.OpenBackend: memory, was,
+// gcs or cluster; the protocol runs over one store, so not was+gcs),
+// "percolator.oracle_rtt_us" (simulated round trip to the timestamp
+// oracle, default 0).
 func (b *Binding) Init(p *properties.Properties) error {
 	if b.m != nil {
 		return nil
 	}
-	var store Store
-	var closer func() error
-	reg := obs.Enabled(p.GetBool("obs.enabled", false))
-	sim := func(cfg cloudsim.Config) *cloudsim.Store {
-		cfg.Metrics = reg
-		return cloudsim.New(cfg)
+	backend := p.GetString("percolator.backend", "memory")
+	stores, closer, err := txn.OpenBackend(p, backend)
+	if err != nil {
+		return fmt.Errorf("percolator: %w", err)
 	}
-	switch backend := p.GetString("percolator.backend", "memory"); backend {
-	case "memory":
-		inner, err := kvstore.Open(kvstore.Options{
-			Shards:  p.GetInt("kvstore.shards", kvstore.DefaultShards),
-			Metrics: reg,
-		})
-		if err != nil {
-			return err
-		}
-		store, closer = txn.NewLocalStore("local", inner), inner.Close
-	case "was":
-		s := sim(cloudsim.WASPreset())
-		store, closer = s, s.Close
-	case "gcs":
-		s := sim(cloudsim.GCSPreset())
-		store, closer = s, s.Close
-	default:
-		return fmt.Errorf("percolator: unknown backend %q", backend)
+	if len(stores) != 1 {
+		closer()
+		return fmt.Errorf("percolator: backend %q spans %d stores; the protocol runs over one", backend, len(stores))
 	}
 	var to oracle.Oracle = oracle.NewLocal()
 	if u := p.GetString("percolator.oracle_url", ""); u != "" {
@@ -73,7 +55,7 @@ func (b *Binding) Init(p *properties.Properties) error {
 	if rtt := p.GetInt64("percolator.oracle_rtt_us", 0); rtt > 0 {
 		to = oracle.NewDelayed(to, time.Duration(rtt)*time.Microsecond)
 	}
-	m, err := NewManager(Options{}, store, to)
+	m, err := NewManager(Options{}, stores[0], to)
 	if err != nil {
 		closer()
 		return err

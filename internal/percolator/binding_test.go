@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"ycsbt/internal/client"
@@ -91,6 +92,15 @@ func TestBindingInitBackends(t *testing.T) {
 	b := &Binding{}
 	if err := b.Init(properties.FromMap(map[string]string{"percolator.backend": "nope"})); err == nil {
 		t.Error("unknown backend accepted")
+	}
+	// The protocol runs over one store: a backend of two is refused.
+	b = &Binding{}
+	if err := b.Init(properties.FromMap(map[string]string{"percolator.backend": "was+gcs"})); err == nil || !strings.Contains(err.Error(), "runs over one") {
+		t.Errorf("was+gcs backend: %v, want refused as more than one store", err)
+	}
+	b = &Binding{}
+	if err := b.Init(properties.FromMap(map[string]string{"percolator.backend": "cluster"})); err == nil || !strings.Contains(err.Error(), "cluster.nodes") {
+		t.Errorf("cluster backend without nodes: %v, want refused for want of cluster.nodes", err)
 	}
 }
 

@@ -54,15 +54,19 @@ import (
 // protocols.
 type Store = txn.Store
 
-// Sentinel errors.
+// Sentinel errors. The outcomes a binding reports wrap the db
+// sentinel they mean, so they pass up through db.TxnBinding as they
+// are.
 var (
 	// ErrConflict reports a write-write conflict or lost race; retry.
-	ErrConflict = errors.New("percolator: conflict, transaction aborted")
-	// ErrNotFound reports a missing record (at this snapshot).
-	ErrNotFound = errors.New("percolator: key not found")
+	// It is a db.ErrAborted.
+	ErrConflict = fmt.Errorf("percolator: conflict: %w", db.ErrAborted)
+	// ErrNotFound reports a missing record (at this snapshot). It is a
+	// db.ErrNotFound.
+	ErrNotFound = fmt.Errorf("percolator: %w", db.ErrNotFound)
 	// ErrLocked reports a record held by an in-flight transaction
-	// that could not be waited out.
-	ErrLocked = errors.New("percolator: record locked")
+	// that could not be waited out. It is a db.ErrAborted.
+	ErrLocked = fmt.Errorf("percolator: record locked: %w", db.ErrAborted)
 	// ErrTxnDone reports use of a finished transaction.
 	ErrTxnDone = errors.New("percolator: transaction already finished")
 )

@@ -45,7 +45,7 @@ func (b *Binding) use(m *Manager) {
 		b.names = append(b.names, n)
 	}
 	sort.Strings(b.names)
-	b.TxnBinding = db.NewTxnBinding(library{b}, ErrNotFound, ErrConflict)
+	b.TxnBinding = db.NewTxnBinding(library{b})
 }
 
 func init() {
@@ -53,16 +53,37 @@ func init() {
 }
 
 // Init builds the manager from properties when the binding was opened
-// by name: "txnkv.backend" is one of "memory" (default), "was",
-// "gcs", "was+gcs" (two simulated containers, keys partitioned), or
-// "cluster" (client-coordinated transactions over a multi-node
-// kvserver fleet routed by the shard map; requires "cluster.nodes");
-// "txnkv.serializable" upgrades read validation.
+// by name: "txnkv.backend" names the stores (OpenBackend; default
+// "memory"), "txnkv.serializable" upgrades read validation.
 func (b *Binding) Init(p *properties.Properties) error {
 	if b.m != nil {
 		return nil
 	}
-	opts := Options{SerializableReads: p.GetBool("txnkv.serializable", false)}
+	stores, closer, err := OpenBackend(p, p.GetString("txnkv.backend", "memory"))
+	if err != nil {
+		return fmt.Errorf("txnkv: %w", err)
+	}
+	m, err := NewManager(Options{
+		SerializableReads: p.GetBool("txnkv.serializable", false),
+		Metrics:           obs.Enabled(p.GetBool("obs.enabled", false)),
+	}, stores...)
+	if err != nil {
+		closer()
+		return err
+	}
+	b.use(m)
+	b.closer = closer
+	return nil
+}
+
+// OpenBackend opens the stores a transaction binding runs over, by the
+// name its backend property gives: "memory" (an in-process kvstore),
+// "was" or "gcs" (a simulated cloud container), "was+gcs" (one of each,
+// keys partitioned across them) or "cluster" (client-coordinated
+// transactions over a multi-node kvserver fleet routed by the shard
+// map; requires "cluster.nodes"). It returns the stores and one
+// function that closes them all.
+func OpenBackend(p *properties.Properties, backend string) ([]Store, func() error, error) {
 	var stores []Store
 	var closers []func() error
 	add := func(s Store, c func() error) {
@@ -70,51 +91,42 @@ func (b *Binding) Init(p *properties.Properties) error {
 		closers = append(closers, c)
 	}
 	reg := obs.Enabled(p.GetBool("obs.enabled", false))
-	opts.Metrics = reg
-	sim := func(cfg cloudsim.Config) *cloudsim.Store {
+	sim := func(cfg cloudsim.Config) {
 		cfg.Metrics = reg
-		return cloudsim.New(cfg)
+		s := cloudsim.New(cfg)
+		add(s, s.Close)
 	}
-	switch backend := p.GetString("txnkv.backend", "memory"); backend {
+	switch backend {
 	case "memory":
 		inner, err := kvstore.Open(kvstore.Options{
 			Shards:  p.GetInt("kvstore.shards", kvstore.DefaultShards),
 			Metrics: reg,
 		})
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		add(NewLocalStore("local", inner), inner.Close)
 	case "was":
-		s := sim(cloudsim.WASPreset())
-		add(s, s.Close)
+		sim(cloudsim.WASPreset())
 	case "gcs":
-		s := sim(cloudsim.GCSPreset())
-		add(s, s.Close)
+		sim(cloudsim.GCSPreset())
 	case "was+gcs":
-		w := sim(cloudsim.WASPreset())
-		g := sim(cloudsim.GCSPreset())
-		add(w, w.Close)
-		add(g, g.Close)
+		sim(cloudsim.WASPreset())
+		sim(cloudsim.GCSPreset())
 	case "cluster":
 		seeds := httpkv.SplitNodes(p.GetString("cluster.nodes", ""))
 		if len(seeds) == 0 {
-			return errors.New("txnkv: cluster backend requires cluster.nodes")
+			return nil, nil, errors.New("cluster backend requires cluster.nodes")
 		}
 		router, err := httpkv.NewRouter(seeds, nil, reg)
 		if err != nil {
-			return fmt.Errorf("txnkv: cluster backend: %w", err)
+			return nil, nil, fmt.Errorf("cluster backend: %w", err)
 		}
 		add(httpkv.NewRouterStore("cluster", router), router.Cleanup)
 	default:
-		return fmt.Errorf("txnkv: unknown backend %q", backend)
+		return nil, nil, fmt.Errorf("unknown backend %q", backend)
 	}
-	m, err := NewManager(opts, stores...)
-	if err != nil {
-		return err
-	}
-	b.use(m)
-	b.closer = func() error {
+	return stores, func() error {
 		var first error
 		for _, c := range closers {
 			if err := c(); err != nil && first == nil {
@@ -122,8 +134,7 @@ func (b *Binding) Init(p *properties.Properties) error {
 			}
 		}
 		return first
-	}
-	return nil
+	}, nil
 }
 
 // Cleanup waits for the commits still finishing behind their callers,

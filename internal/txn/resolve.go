@@ -128,12 +128,6 @@ func hasMeta(rec *kvstore.VersionedRecord) bool {
 	return found
 }
 
-// isMismatch reports a failed conditional put or delete: the record is
-// not at the version (or absence) the caller expected.
-func isMismatch(err error) bool {
-	return errors.Is(err, kvstore.ErrVersionMismatch) || errors.Is(err, kvstore.ErrExists)
-}
-
 // readResolved gets a record and resolves it to its committed user
 // image and the version that image is filed under.
 func (m *Manager) readResolved(ctx context.Context, s Store, table, key string) (readEntry, error) {

@@ -461,9 +461,7 @@ func TestCoordinatorAgreesUnderUnorderedPrepare(t *testing.T) {
 
 	var dying bool
 	crashAfterCommitPoint := func(op, table, _ string, fields map[string][]byte) error {
-		rollForward := isRollForward(op, table, fields)
-		tsrDelete := op == "Delete" && table == tsrTable
-		if dying && (rollForward || tsrDelete) {
+		if dying && afterCommitPoint(op, table, fields) {
 			return errors.New("committer died")
 		}
 		return nil
@@ -602,7 +600,7 @@ func TestFailedTSRLookupIsNotAbsence(t *testing.T) {
 	if _, err := inner.Insert("t", "k", bal(100)); err != nil {
 		t.Fatal(err)
 	}
-	installCrashedCommit(t, m, inner, "tcommitted-1", []string{"k"}, time.Minute)
+	installCrashedCommit(t, inner, []string{"k"}, time.Minute)
 
 	unreachable := errors.New("coordinator unreachable")
 	failed := false
@@ -644,7 +642,7 @@ func TestFinishBetweenFetchAndTSRLookup(t *testing.T) {
 		}
 	}
 	// A writer past its commit point whose finish has yet to run.
-	installCrashedCommit(t, m, inner, "twriter-1", []string{"a", "b"}, 0)
+	installCrashedCommit(t, inner, []string{"a", "b"}, 0)
 	finished := false
 	ss.before = func(op, table, txnID string, _ map[string][]byte) error {
 		if op != "Get" || table != tsrTable || finished {
@@ -670,12 +668,14 @@ func TestFinishBetweenFetchAndTSRLookup(t *testing.T) {
 
 	// The in-flight case is unchanged: the record is still prepared at
 	// the same version after the second get, so it is read around.
+	// Its writer dies at its commit point: the TSR put never lands.
 	cur, err := inner.Get("t", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := InstallPreparedForTest(inner, "t", "b", cur, bal(5), "tinflight-1", "local"); err != nil {
-		t.Fatal(err)
+	atCommitPoint := func(op, table string, _ map[string][]byte) bool { return op == "Put" && table == tsrTable }
+	if err := crashWriter(t, inner, []string{"b"}, 5, 0, atCommitPoint); err == nil {
+		t.Fatal("a writer that died before its TSR landed reported a commit")
 	}
 	r, err = m.readResolved(ctx, ss, "t", "b")
 	if err != nil || getBal(t, r.fieldMap()) != 777 || r.clean || r.ver != cur.Version+1 {

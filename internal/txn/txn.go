@@ -125,13 +125,15 @@ type Store interface {
 	Scan(ctx context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error)
 }
 
-// Sentinel errors.
+// Sentinel errors. The outcomes a binding reports wrap the db
+// sentinel they mean, so they pass up through db.TxnBinding as they
+// are.
 var (
 	// ErrConflict reports that the transaction lost a race and was
-	// rolled back; the caller may retry.
-	ErrConflict = errors.New("txn: conflict, transaction aborted")
-	// ErrNotFound reports a missing record.
-	ErrNotFound = errors.New("txn: key not found")
+	// rolled back; the caller may retry. It is a db.ErrAborted.
+	ErrConflict = fmt.Errorf("txn: conflict: %w", db.ErrAborted)
+	// ErrNotFound reports a missing record. It is a db.ErrNotFound.
+	ErrNotFound = fmt.Errorf("txn: %w", db.ErrNotFound)
 	// ErrTxnDone reports use of a finished transaction.
 	ErrTxnDone = errors.New("txn: transaction already committed or aborted")
 	// ErrUnknownStore reports a reference to an unregistered store.
@@ -993,7 +995,7 @@ func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS i
 	}
 	if t.writes[k].kind == kindInsert {
 		err := t.putPrepared(ctx, k, coordName, prepTS, readEntry{}, kvstore.MustNotExist)
-		if !isMismatch(err) {
+		if !errors.Is(err, db.ErrConflict) {
 			return err // prepared, or a failure a fetch would not explain
 		}
 	}

@@ -2,38 +2,70 @@ package txn
 
 import (
 	"context"
-	"strconv"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ycsbt/internal/kvstore"
 )
 
-// installCrashedCommit fabricates the debris of a committer that died
-// right after writing its TSR: prepared records + a committed TSR
-// with the write set.
-func installCrashedCommit(t *testing.T, m *Manager, inner *kvstore.Store, txnID string, keys []string, commitAge time.Duration) {
+// agedClock runs age behind the clock it wraps.
+type agedClock struct {
+	Clock
+	age time.Duration
+}
+
+func (c agedClock) Now() int64 { return c.Clock.Now() - int64(c.age) }
+
+// afterCommitPoint reports a store call a committer makes only once
+// its TSR has landed: a roll-forward, or the TSR delete.
+func afterCommitPoint(op, table string, fields map[string][]byte) bool {
+	return isRollForward(op, table, fields) || op == "Delete" && table == tsrTable
+}
+
+// crashWriter writes balance to every key of keys in one transaction,
+// through a client of its own over inner whose clock runs age behind,
+// and kills that client at the first store call dies picks: that call
+// and every one after it fail, as if the process had gone. It returns
+// what Commit returned.
+func crashWriter(t *testing.T, inner *kvstore.Store, keys []string, balance int64, age time.Duration, dies func(op, table string, fields map[string][]byte) bool) error {
 	t.Helper()
-	for _, key := range keys {
-		cur, err := inner.Get("t", key)
-		if err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	var dead atomic.Bool
+	ss := &scriptStore{Store: NewLocalStore("local", inner)}
+	ss.before = func(op, table, _ string, fields map[string][]byte) error {
+		if dead.Load() || dies(op, table, fields) {
+			dead.Store(true)
+			return errors.New("client died")
 		}
-		if err := InstallPreparedForTest(inner, "t", key, cur, bal(777), txnID, "local"); err != nil {
-			t.Fatal(err)
-		}
+		return nil
 	}
-	wset := make([]wkey, 0, len(keys))
-	for _, key := range keys {
-		wset = append(wset, wkey{"local", "t", key})
-	}
-	commitTS := m.opts.Clock.Now() - int64(commitAge)
-	if _, err := inner.Insert(tsrTable, txnID, map[string][]byte{
-		tsrState:    []byte(tsrCommitted),
-		tsrCommitTS: []byte(strconv.FormatInt(commitTS, 10)),
-		tsrWriteSet: encodeWriteSet(wset),
-	}); err != nil {
+	m, err := NewManager(Options{Clock: agedClock{NewHLC(), age}}, ss)
+	if err != nil {
 		t.Fatal(err)
+	}
+	tx, _ := m.Begin(ctx)
+	for _, k := range keys {
+		if err := tx.Write("", "t", k, bal(balance)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = tx.Commit(ctx)
+	flush(t, m)
+	if !dead.Load() {
+		t.Fatal("the writer finished without dying")
+	}
+	return err
+}
+
+// installCrashedCommit leaves the debris of a committer that died
+// right after writing its TSR, commitAge ago: keys prepared with
+// balance 777 under a committed TSR naming them.
+func installCrashedCommit(t *testing.T, inner *kvstore.Store, keys []string, commitAge time.Duration) {
+	t.Helper()
+	if err := crashWriter(t, inner, keys, 777, commitAge, afterCommitPoint); err != nil {
+		t.Fatalf("commit of the writer that died after its commit point = %v, want committed", err)
 	}
 }
 
@@ -49,7 +81,7 @@ func TestVacuumFinishesCrashedCommits(t *testing.T) {
 		return nil
 	})
 	flush(t, m)
-	installCrashedCommit(t, m, inner, "tdead-42", []string{"a", "b"}, time.Second)
+	installCrashedCommit(t, inner, []string{"a", "b"}, time.Second)
 
 	removed, resolved, err := m.Vacuum(ctx)
 	if err != nil {
@@ -91,7 +123,7 @@ func TestVacuumSkipsYoungTSRs(t *testing.T) {
 		return tx.Insert("", "t", "a", bal(1))
 	})
 	flush(t, m)
-	installCrashedCommit(t, m, inner, "tfresh-1", []string{"a"}, 0)
+	installCrashedCommit(t, inner, []string{"a"}, 0)
 	removed, _, err := m.Vacuum(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +151,7 @@ func TestVacuumLoop(t *testing.T) {
 		return tx.Insert("", "t", "a", bal(1))
 	})
 	flush(t, m)
-	installCrashedCommit(t, m, inner, "tloop-1", []string{"a"}, time.Second)
+	installCrashedCommit(t, inner, []string{"a"}, time.Second)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
