@@ -63,7 +63,9 @@ test:
 # TestSameThreadReadsItsCommit (a client that reads its own commit
 # while its finish is in flight, call for call),
 # TestReaderWaitsForItsManagersFinish, TestFinishOutlivesItsStore and
-# internal/client's TestPhaseEndsSettled. kvwire's
+# internal/client's TestPhaseEndsSettled;
+# internal/httpkv's TestRouterScanResultsCrossGoroutines reads one
+# scan's results on two goroutines while the router scans again. kvwire's
 # TestCloseFailsExecInFlight runs ten more times: it shuts a server down
 # while a frame is in flight, the schedule under which a connection
 # used to join the drain count while Shutdown waited on it.
@@ -75,7 +77,9 @@ test-race:
 # pins it would upset skip themselves under it), so every test named
 # *Alloc* runs again here without it: the codecs' and the engine's
 # zero-allocation paths, the metered middleware's zero allocations per
-# call and the one-key read-only transaction's count.
+# call, the one-key read-only transaction's count, and what a scan
+# costs per record (a router scan ≤ 2 allocations a record, an embedded
+# kvstore scan and the integrity check of a scanned record none).
 test-allocs:
 	$(GO) test -count=1 -run Alloc ./...
 

@@ -95,7 +95,7 @@ func (b *Binding) Scan(ctx context.Context, table, startKey string, count int, f
 	}
 	out := make([]db.KV, 0, len(kvs))
 	for _, kv := range kvs {
-		out = append(out, db.KV{Key: kv.Key, Record: kv.Record.Project(fields)})
+		out = append(out, db.KV{Key: kv.Key, Fields: kv.Record.View().Project(fields)})
 	}
 	return out, nil
 }

@@ -1,8 +1,9 @@
 // Package db defines the database-client abstraction of YCSB+T.
 //
 // It mirrors YCSB's DB class: Read / Scan / Update / Insert / Delete
-// over named tables of records, where a record is a map from field
-// name to value bytes. YCSB+T adds the transaction demarcation
+// over named tables of records, where a record maps field names to
+// value bytes: a Record (a map) on its way in and out of Read, and a
+// read-only Fields view in a scan's results (fields.go). YCSB+T adds the transaction demarcation
 // methods Start, Commit and Abort; in keeping with the paper's
 // backward-compatibility requirement these default to no-ops (embed
 // NoTransactions to get that behaviour), so any plain YCSB binding
@@ -124,10 +125,12 @@ type DB interface {
 	Delete(ctx context.Context, table, key string) error
 }
 
-// KV pairs a key with its record, preserving scan order.
+// KV is one record of a scan result, in scan order: its key and a
+// read-only view of its fields. A scan builds no map per record: the
+// view wraps what the binding received (see Fields).
 type KV struct {
 	Key    string
-	Record Record
+	Fields Fields
 }
 
 // ProjectFields filters a full record down to the requested fields

@@ -94,7 +94,7 @@ func (m *Memory) Scan(_ context.Context, table, startKey string, count int, fiel
 	}
 	out := make([]KV, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, KV{Key: k, Record: copyFields(t[k], fields)})
+		out = append(out, KV{Key: k, Fields: MapFields(copyFields(t[k], fields))})
 	}
 	return out, nil
 }

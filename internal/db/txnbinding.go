@@ -18,8 +18,9 @@ import (
 // transaction of their own.
 
 // Txn is one transaction of a library, as TxnBinding drives it. The
-// records Read and Scan return are the caller's; Write and Insert keep
-// a copy of what they are given.
+// record Read returns is the caller's, and the views Scan returns share
+// nothing the transaction goes on to edit; Write and Insert keep a copy
+// of what they are given.
 type Txn interface {
 	// Read returns every field of the record under key.
 	Read(ctx context.Context, table, key string) (Record, error)
@@ -164,7 +165,7 @@ func (v txnView) Scan(ctx context.Context, table, startKey string, count int, fi
 		return nil, err
 	}
 	for i := range kvs {
-		kvs[i].Record = project(kvs[i].Record, fields)
+		kvs[i].Fields = kvs[i].Fields.Project(fields)
 	}
 	return kvs, nil
 }

@@ -221,25 +221,23 @@ func (c *Client) ReadVersioned(ctx context.Context, table, key string) (*kvstore
 	return c.get(ctx, table, key, 0)
 }
 
-// kvConv renders scan records as db.KVs projected to fields. A conv is
-// where a scan record's map is built (StreamRecord.FieldMap), so a
-// record the router's merge drops is never decoded.
+// kvConv renders scan records as db.KVs projected to fields. A record
+// is handed on as its view (StreamRecord.View): a page record's section
+// as the page carried it, so an unprojected scan builds no map at all.
 func kvConv(fields []string) func(*kvwire.StreamRecord) db.KV {
 	return func(rec *kvwire.StreamRecord) db.KV {
-		if fields == nil {
-			return db.KV{Key: rec.Key, Record: rec.FieldMap()} // freshly built: already the caller's own map
-		}
-		return db.KV{Key: rec.Key, Record: db.ProjectFields(rec.FieldMap(), fields)}
+		return db.KV{Key: rec.Key, Fields: rec.View().Project(fields)}
 	}
 }
 
 // versionedConv renders scan records with their versions, for the
-// transaction stores.
+// transaction stores: a page record's checked canonical section becomes
+// the record's image as it stands, with no map built.
 func versionedConv(rec *kvwire.StreamRecord) kvstore.VersionedKV {
-	return kvstore.VersionedKV{
-		Key:    rec.Key,
-		Record: &kvstore.VersionedRecord{Version: rec.Version, Fields: rec.FieldMap()},
+	if rec.Fields != nil || rec.Section() == nil {
+		return kvstore.VersionedKV{Key: rec.Key, Record: &kvstore.VersionedRecord{Version: rec.Version, CommitTS: rec.CommitTS, Fields: rec.Fields}}
 	}
+	return kvstore.VersionedKV{Key: rec.Key, Record: kvstore.NewImageRecord(rec.Version, rec.CommitTS, rec.Section())}
 }
 
 // scanPrealloc is the result capacity a scan for count reserves before

@@ -279,8 +279,8 @@ func checkScan(t testing.TB, got []db.KV, start, count int) {
 	}
 	for i, kv := range got {
 		wantKey := fmt.Sprintf("user%05d", start+i)
-		if kv.Key != wantKey || string(kv.Record["f"]) != fmt.Sprintf("v%05d", start+i) {
-			t.Fatalf("record %d = %s/%q, want %s", i, kv.Key, kv.Record["f"], wantKey)
+		if kv.Key != wantKey || string(kv.Fields.Map()["f"]) != fmt.Sprintf("v%05d", start+i) {
+			t.Fatalf("record %d = %s/%q, want %s", i, kv.Key, kv.Fields.Map()["f"], wantKey)
 		}
 	}
 }

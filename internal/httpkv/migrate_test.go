@@ -498,11 +498,20 @@ func (e *gatedIngest) Ingest(table string, kvs []kvstore.BulkKV) error {
 }
 
 // pullsRunning counts the copy routes' pulls running in this process.
-func pullsRunning() int {
+func pullsRunning() int { return goroutinesIn("httpkv.(*Server).pullSlot(") }
+
+// requestReadsRunning counts the reads net/http runs on the connection
+// of a request whose handler is still running: one ends, cancelling the
+// request's context, once it finds the connection closed.
+func requestReadsRunning() int { return goroutinesIn("net/http.(*connReader).backgroundRead(") }
+
+// goroutinesIn counts the stack frames of fn across this process's
+// goroutines.
+func goroutinesIn(fn string) int {
 	for n := 1 << 20; ; n *= 2 {
 		buf := make([]byte, n)
 		if used := runtime.Stack(buf, true); used < n {
-			return bytes.Count(buf[:used], []byte("httpkv.(*Server).pullSlot("))
+			return bytes.Count(buf[:used], []byte(fn))
 		}
 	}
 }
@@ -758,6 +767,15 @@ func TestCopyRouteShedsAndFollowsItsCoordinator(t *testing.T) {
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled copy: %v, want context.Canceled", err)
+	}
+	// The node learns that its coordinator went away when its HTTP
+	// server reads the closed connection, which cancels the request's
+	// context; until then the pull may take the next batch of the page
+	// it holds. Let one more batch land only once the node has seen it.
+	for deadline := time.Now().Add(5 * time.Second); requestReadsRunning() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the node never saw its coordinator's connection close")
+		}
 	}
 	// One more batch lands, then the pull must find its request gone; a
 	// pull that went on would park in its next Ingest.

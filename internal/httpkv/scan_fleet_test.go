@@ -1,10 +1,12 @@
 package httpkv
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,8 +101,8 @@ func checkFleetScans(t *testing.T, f *scanFleet, keys []string) {
 				t.Fatalf("count=%d start=%s: %d records, want %d", count, sname, len(got), len(want))
 			}
 			for i, kv := range got {
-				if kv.Key != want[i] || string(kv.Record["f"]) != "v-"+want[i] {
-					t.Fatalf("count=%d start=%s: record %d = %s/%q, want %s", count, sname, i, kv.Key, kv.Record["f"], want[i])
+				if kv.Key != want[i] || string(kv.Fields.Map()["f"]) != "v-"+want[i] {
+					t.Fatalf("count=%d start=%s: record %d = %s/%q, want %s", count, sname, i, kv.Key, kv.Fields.Map()["f"], want[i])
 				}
 			}
 		}
@@ -325,4 +327,97 @@ func TestFleetScanEarlyStopLeavesNothingRunning(t *testing.T) {
 	if pages := f.counter("kvwire_scan_chunks_total") - pages0; pages <= 60 {
 		t.Fatalf("only %d pages for 20 fleet scans: node scans were not multi-page", pages)
 	}
+}
+
+// loadYCSB inserts n of YCSB's default records (ten 100-byte fields)
+// through the router and returns their keys in order.
+func (f *scanFleet) loadYCSB(t *testing.T, n int) []string {
+	t.Helper()
+	keys := make([]string, n)
+	ops := make([]db.BatchOp, n)
+	for i := range ops {
+		keys[i] = fleetKey(i)
+		ops[i] = db.BatchOp{Op: db.OpInsert, Table: "t", Key: keys[i], Values: ycsbRecord().Fields}
+	}
+	for _, res := range f.r.ExecBatch(context.Background(), ops) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	return keys
+}
+
+// TestRouterScanAllocs is the ladder's router_scan100 cell as a pin: a
+// router scan of 100 ten-field records over three nodes makes at most 2
+// allocations per record, counting every allocation in the process —
+// router, wire and the servers. A record is handed on as a view of its
+// page section (db.Fields), so no scan builds a map per record; the
+// cell read 605 per scan while each record became one.
+func TestRouterScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	f := newScanFleet(t, uniformHash)
+	keys := f.loadYCSB(t, 1000)
+	ctx := context.Background()
+	i := 0
+	scan := func() {
+		i = (i + 7) % (len(keys) - 100)
+		kvs, err := f.r.Scan(ctx, "t", keys[i], 100, nil)
+		if err != nil || len(kvs) != 100 || kvs[0].Fields.Len() != 10 {
+			t.Fatalf("scan from %s = %d records, %v", keys[i], len(kvs), err)
+		}
+	}
+	scan() // dial, warm the pools
+	if per := testing.AllocsPerRun(50, scan) / 100; per > 2 {
+		t.Errorf("router scan = %.2f allocs per record, want ≤ 2", per)
+	}
+}
+
+// TestRouterScanResultsCrossGoroutines: a scan's records are views that
+// share nothing the stream or the router goes on to edit, so two
+// goroutines may read one scan's results while the same router runs
+// more scans. Under -race it fails if a view reaches mutable state — a
+// stream's name memo, a reused frame buffer.
+func TestRouterScanResultsCrossGoroutines(t *testing.T) {
+	f := newScanFleet(t, uniformHash)
+	keys := f.loadYCSB(t, 400)
+	ctx := context.Background()
+	kvs, err := f.r.Scan(ctx, "t", keys[0], 200, nil)
+	if err != nil || len(kvs) != 200 {
+		t.Fatalf("scan = %d records, %v", len(kvs), err)
+	}
+	want := ycsbRecord().Fields
+	var wg sync.WaitGroup
+	read := func() {
+		defer wg.Done()
+		for round := 0; round < 3; round++ {
+			for _, kv := range kvs {
+				n := 0
+				kv.Fields.Range(func(name string, val []byte) bool {
+					if !bytes.Equal(val, want[name]) {
+						t.Errorf("%s: field %q = %q", kv.Key, name, val)
+					}
+					n++
+					return true
+				})
+				if v, ok := kv.Fields.Get("field3"); n != len(want) || !ok || !bytes.Equal(v, want["field3"]) {
+					t.Errorf("%s: %d fields, field3 = %q, %v", kv.Key, n, v, ok)
+				}
+				if m := kv.Fields.Map(); len(m) != len(want) {
+					t.Errorf("%s: Map has %d fields", kv.Key, len(m))
+				}
+			}
+		}
+	}
+	wg.Add(2)
+	go read()
+	go read()
+	for i := 0; i < 10; i++ {
+		more, err := f.r.Scan(ctx, "t", keys[i*20], 100, nil)
+		if err != nil || len(more) != 100 {
+			t.Errorf("concurrent scan = %d records, %v", len(more), err)
+		}
+	}
+	wg.Wait()
 }

@@ -180,7 +180,7 @@ func TestAsOfReadsOverFrames(t *testing.T) {
 		t.Fatalf("as-of scan saw %d keys, %v; want 4", len(kvs), err)
 	}
 	for _, kv := range kvs {
-		if got := string(kv.Record["v"]); got != "old" {
+		if got := string(kv.Fields.Map()["v"]); got != "old" {
 			t.Fatalf("as-of scan %s = %q, want \"old\"", kv.Key, got)
 		}
 	}

@@ -48,7 +48,7 @@ func TestBindingUpholdsImmutability(t *testing.T) {
 		t.Fatalf("Scan = %d, %v", len(kvs), err)
 	}
 	for _, kv := range kvs {
-		kv.Record["scan-added"] = []byte("y")
+		kv.Fields.Map()["scan-added"] = []byte("y")
 	}
 	ops := []db.BatchOp{
 		{Op: db.OpRead, Table: "t", Key: "user001"},

@@ -116,7 +116,7 @@ func (b *Binding) Scan(_ context.Context, table, startKey string, count int, fie
 	}
 	out := make([]db.KV, 0, len(kvs))
 	for _, kv := range kvs {
-		out = append(out, db.KV{Key: kv.Key, Record: kv.Record.Project(fields)})
+		out = append(out, db.KV{Key: kv.Key, Fields: kv.Record.View().Project(fields)})
 	}
 	return out, nil
 }

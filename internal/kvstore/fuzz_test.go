@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ycsbt/internal/db"
 )
 
 // FuzzDecodeWALRecord checks the WAL decoder never panics and that
@@ -24,7 +26,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		}
 		// An accepted put's section comes back as a canonical image.
 		if rec.Image != nil {
-			if canon, err := CheckFields(rec.Image); err != nil || !canon {
+			if canon, err := db.CheckFields(rec.Image); err != nil || !canon {
 				t.Fatalf("decoded image %q: canonical %v, %v", rec.Image, canon, err)
 			}
 		}

@@ -2,8 +2,6 @@ package kvstore
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math/bits"
 	"slices"
 	"strings"
@@ -23,15 +21,10 @@ import (
 // emits a stored record with one copy, and a reader finds a field by
 // walking it. Maps exist only at the edges: the caller's map a put
 // brings in (buildImage), and the fresh map a reader asks for
-// (VersionedRecord.Project). A version's shape — its image's names as
-// strings, shared by every version the partition stored with the same
-// names — keeps that map from allocating its keys.
-
-// ErrBadFields reports a field section that does not parse.
-var ErrBadFields = errors.New("kvstore: malformed field section")
-
-// memoNames bounds a positional name memo (see internName).
-const memoNames = 64
+// (VersionedRecord.Project); a scan hands its records on as db.Fields
+// views of their images (VersionedRecord.View). A version's shape — its
+// image's names as strings, shared by every version the partition
+// stored with the same names — keeps that map from allocating its keys.
 
 // emptyImage is the image of a record with no fields.
 var emptyImage = []byte{0}
@@ -52,44 +45,41 @@ func (v *VersionedRecord) Image() []byte {
 	return v.image
 }
 
+// View returns the record's fields as a db.Fields: its image walked in
+// place, or the map it was built around. A tombstone's has no fields.
+func (v *VersionedRecord) View() db.Fields {
+	if v.image == nil {
+		return db.MapFields(v.Fields)
+	}
+	return db.SectionFields(v.image)
+}
+
+// NewImageRecord builds a record outside the engine around a field
+// section it did not store — a page record a remote scan delivered —
+// which must have passed db.CheckFields with its names in canonical
+// order. The record takes image over: nobody may edit it after.
+func NewImageRecord(version uint64, commitTS int64, image []byte) *VersionedRecord {
+	return &VersionedRecord{Version: version, CommitTS: commitTS, image: image}
+}
+
 // Field returns the value of the named field, or nil when the record
 // has no such field. A value read from an image is never nil, so a
 // field stored empty (or null) reads back as an empty slice.
 func (v *VersionedRecord) Field(name string) []byte {
-	if v.image == nil {
-		return v.Fields[name]
-	}
-	n, b := sectionPairs(v.image)
-	for i := 0; i < n; i++ {
-		var nb, val []byte
-		nb, val, b = nextPair(b)
-		switch strings.Compare(string(nb), name) {
-		case 0:
-			return val
-		case 1:
-			return nil // names are sorted: it is not further on
-		}
-	}
-	return nil
+	val, _ := v.View().Get(name)
+	return val
 }
 
 // Range calls fn with each field in name order until fn returns false.
 // Values are the record's own: read-only.
 func (v *VersionedRecord) Range(fn func(name string, val []byte) bool) {
-	if v.image == nil {
-		var scratch [16]field
-		for _, f := range sortedFields(scratch[:0], v.Fields) {
-			if !fn(f.name, f.val) {
-				return
-			}
-		}
+	if v.image != nil {
+		db.SectionFields(v.image).Range(fn)
 		return
 	}
-	n, b := sectionPairs(v.image)
-	for i := 0; i < n; i++ {
-		var nb, val []byte
-		nb, val, b = nextPair(b)
-		if !fn(v.name(i, nb), val) {
+	var scratch [16]field
+	for _, f := range sortedFields(scratch[:0], v.Fields) {
+		if !fn(f.name, f.val) {
 			return
 		}
 	}
@@ -102,12 +92,12 @@ func (v *VersionedRecord) Project(names []string) map[string][]byte {
 	if v.image == nil {
 		return db.ProjectFields(v.Fields, names)
 	}
-	n, b := sectionPairs(v.image)
+	n, b := db.SectionPairs(v.image)
 	if names == nil {
 		out := make(map[string][]byte, n)
 		for i := 0; i < n; i++ {
 			var nb, val []byte
-			nb, val, b = nextPair(b)
+			nb, val, b = db.NextPair(b)
 			out[v.name(i, nb)] = val
 		}
 		return out
@@ -115,7 +105,7 @@ func (v *VersionedRecord) Project(names []string) map[string][]byte {
 	out := make(map[string][]byte, len(names))
 	for i := 0; i < n; i++ {
 		var nb, val []byte
-		nb, val, b = nextPair(b)
+		nb, val, b = db.NextPair(b)
 		for _, f := range names {
 			if f == string(nb) {
 				out[f] = val
@@ -149,47 +139,6 @@ func (v *VersionedRecord) name(i int, nb []byte) string {
 // image, for a caller that reads the map. It carries no chain link.
 func (v *VersionedRecord) withFields() *VersionedRecord {
 	return &VersionedRecord{Version: v.Version, CommitTS: v.CommitTS, Fields: v.Project(nil), image: v.image, shape: v.shape}
-}
-
-// sectionPairs splits a section that has passed CheckFields (every
-// image has) into its field count and its pairs.
-func sectionPairs(sec []byte) (int, []byte) {
-	n, w := binary.Uvarint(sec)
-	return int(n), sec[w:]
-}
-
-// nextPair reads one name/value pair off the pairs of a checked
-// section. The value's capacity ends with it, so an append to it never
-// writes into the next field.
-func nextPair(b []byte) (name, val, rest []byte) {
-	l, w := binary.Uvarint(b)
-	name, b = b[w:w+int(l)], b[w+int(l):]
-	l, w = binary.Uvarint(b)
-	end := w + int(l)
-	return name, b[w:end:end], b[end:]
-}
-
-// internName returns name as a string: the memo's copy when position i
-// of the last record decoded held the same name — no allocation, the
-// comparison does not build a string — and a new string, remembered at
-// i, otherwise. Records of one table carry the same names in the same
-// sorted order, so every record after the first shares one set of name
-// strings. A nil memo remembers nothing.
-func internName(memo *[]string, i int, name []byte) string {
-	if memo == nil {
-		return string(name)
-	}
-	m := *memo
-	if i < len(m) && m[i] == string(name) {
-		return m[i]
-	}
-	s := string(name)
-	if i < len(m) {
-		m[i] = s
-	} else if i == len(m) && i < memoNames {
-		*memo = append(m, s)
-	}
-	return s
 }
 
 // field is one name/value pair on its way into an image.
@@ -256,11 +205,11 @@ func (p *partition) mergeImage(cur *VersionedRecord, fields map[string][]byte) (
 	var updates, merged [16]field
 	ups := sortedFields(updates[:0], fields)
 	out := merged[:0]
-	n, b := sectionPairs(cur.image)
+	n, b := db.SectionPairs(cur.image)
 	j := 0
 	for i := 0; i < n; i++ {
 		var nb, val []byte
-		nb, val, b = nextPair(b)
+		nb, val, b = db.NextPair(b)
 		for j < len(ups) && ups[j].name < string(nb) {
 			out = append(out, ups[j])
 			j++
@@ -307,12 +256,12 @@ func (p *partition) shapeOf(fs []field) *shape {
 // replay, Ingest): its names are compared in place, and copied out only
 // when they make a new shape.
 func (p *partition) shapeOfImage(image []byte) *shape {
-	n, body := sectionPairs(image)
+	n, body := db.SectionPairs(image)
 	if s := p.shape; s != nil && len(s.names) == n {
 		b, i := body, 0
 		for ; i < n; i++ {
 			var nb []byte
-			nb, _, b = nextPair(b)
+			nb, _, b = db.NextPair(b)
 			if s.names[i] != string(nb) {
 				break
 			}
@@ -324,7 +273,7 @@ func (p *partition) shapeOfImage(image []byte) *shape {
 	s := &shape{names: make([]string, n)}
 	for i := range s.names {
 		var nb []byte
-		nb, _, body = nextPair(body)
+		nb, _, body = db.NextPair(body)
 		s.names[i] = string(nb)
 	}
 	p.shape = s
@@ -353,7 +302,7 @@ func ownImage(sec []byte) ([]byte, error) {
 	if sec == nil {
 		return emptyImage, nil
 	}
-	canonical, err := CheckFields(sec)
+	canonical, err := db.CheckFields(sec)
 	switch {
 	case err != nil:
 		return nil, err
@@ -366,7 +315,7 @@ func ownImage(sec []byte) ([]byte, error) {
 // canonicalImage re-encodes a checked section whose names are not in
 // canonical order.
 func canonicalImage(sec []byte) ([]byte, error) {
-	fields, _, err := DecodeFields(sec, nil)
+	fields, _, err := db.DecodeFields(sec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -383,89 +332,4 @@ func AppendFields(buf []byte, fields map[string][]byte) []byte {
 		buf = appendBytes(buf, val)
 	}
 	return buf
-}
-
-// CheckFields validates a field section without decoding it, making
-// every check DecodeFields makes: a section it accepts DecodeFields
-// decodes, and one it refuses DecodeFields refuses. canonical reports
-// names in strictly increasing order.
-func CheckFields(sec []byte) (canonical bool, err error) {
-	n, rest, err := fieldCount(sec)
-	if err != nil {
-		return false, err
-	}
-	canonical = true
-	var prev []byte
-	for i := 0; i < int(n); i++ {
-		var nb []byte
-		if nb, rest, err = readBytes(rest); err != nil {
-			return false, err
-		}
-		if _, rest, err = readBytes(rest); err != nil {
-			return false, err
-		}
-		if i > 0 && string(nb) <= string(prev) {
-			canonical = false
-		}
-		prev = nb
-	}
-	if len(rest) != 0 {
-		return false, fmt.Errorf("%w: %d bytes after the last field", ErrBadFields, len(rest))
-	}
-	return canonical, nil
-}
-
-// fieldCount reads a section's field count, refusing a count the
-// section has no room for before anything is sized from it.
-func fieldCount(sec []byte) (uint64, []byte, error) {
-	n, w := binary.Uvarint(sec)
-	if w <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad field count", ErrBadFields)
-	}
-	rest := sec[w:]
-	// A field costs at least two bytes (two zero lengths).
-	if n > uint64(len(rest)/2) {
-		return 0, nil, fmt.Errorf("%w: %d fields claimed in %d bytes", ErrBadFields, n, len(rest))
-	}
-	return n, rest, nil
-}
-
-// DecodeFields parses a whole field section into a map whose values
-// are sub-slices of sec — the caller hands sec over, or copies it
-// first. names, when non-nil, is the caller's positional memo (see
-// internName). canonical reports names in strictly increasing order,
-// which makes sec usable as a record image as it stands. Duplicate and
-// unsorted names are accepted (last one wins); a section that ends
-// early, runs past its last field or claims more fields than it has
-// bytes for is ErrBadFields, before anything is sized from the claim.
-func DecodeFields(sec []byte, names *[]string) (fields map[string][]byte, canonical bool, err error) {
-	n, rest, err := fieldCount(sec)
-	if err != nil {
-		return nil, false, err
-	}
-	if names != nil && *names == nil {
-		*names = make([]string, 0, min(n, memoNames))
-	}
-	fields = make(map[string][]byte, n)
-	canonical = true
-	prev := ""
-	for i := 0; i < int(n); i++ {
-		var nb, val []byte
-		if nb, rest, err = readBytes(rest); err != nil {
-			return nil, false, err
-		}
-		if val, rest, err = readBytes(rest); err != nil {
-			return nil, false, err
-		}
-		name := internName(names, i, nb)
-		if i > 0 && name <= prev {
-			canonical = false
-		}
-		prev = name
-		fields[name] = val[:len(val):len(val)]
-	}
-	if len(rest) != 0 {
-		return nil, false, fmt.Errorf("%w: %d bytes after the last field", ErrBadFields, len(rest))
-	}
-	return fields, canonical, nil
 }

@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"ycsbt/internal/db"
 )
 
 // ycsbFields is the benchmark's record shape: n fields of size bytes.
@@ -112,7 +114,7 @@ func TestImageEqualsMapOnEveryWritePath(t *testing.T) {
 		must(r.Version, r.Err)
 	}
 	unsorted := AppendFields(nil, ycsbFields(20, 10, 6)) // map order: not canonical
-	if canon, err := CheckFields(unsorted); err != nil || canon {
+	if canon, err := db.CheckFields(unsorted); err != nil || canon {
 		t.Fatalf("test section canonical=%v, %v; want a non-canonical one", canon, err)
 	}
 	if err := s.Ingest("ing", []BulkKV{{Key: "a", Section: canonicalOf(ycsbFields(10, 100, 5))}, {Key: "b", Section: unsorted}, {Key: "none"}}); err != nil {
@@ -461,30 +463,30 @@ func TestDecodeFieldsRejectsBadSections(t *testing.T) {
 		"name length past end": {1, 9, 'a', 0},
 	}
 	for name, sec := range cases {
-		if _, _, err := DecodeFields(sec, nil); !errors.Is(err, ErrBadFields) {
+		if _, _, err := db.DecodeFields(sec, nil); !errors.Is(err, db.ErrBadFields) {
 			t.Errorf("%s: err = %v, want ErrBadFields", name, err)
 		}
-		if _, err := CheckFields(sec); !errors.Is(err, ErrBadFields) {
+		if _, err := db.CheckFields(sec); !errors.Is(err, db.ErrBadFields) {
 			t.Errorf("%s: CheckFields err = %v, want ErrBadFields", name, err)
 		}
-		if err := s.Ingest("t", []BulkKV{{Key: name, Section: sec}}); !errors.Is(err, ErrBadFields) {
+		if err := s.Ingest("t", []BulkKV{{Key: name, Section: sec}}); !errors.Is(err, db.ErrBadFields) {
 			t.Errorf("%s: Ingest err = %v, want ErrBadFields", name, err)
 		}
 	}
 	// Unsorted and duplicate names decode (last wins); they are just not
 	// canonical, so nobody takes the section for an image.
 	sec := []byte{3, 1, 'b', 1, '1', 1, 'a', 1, '2', 1, 'b', 1, '3'}
-	fields, canon, err := DecodeFields(sec, nil)
+	fields, canon, err := db.DecodeFields(sec, nil)
 	if err != nil || canon || len(fields) != 2 || string(fields["b"]) != "3" || string(fields["a"]) != "2" {
 		t.Errorf("unsorted+duplicate section = %q, canonical %v, %v", fields, canon, err)
 	}
-	if canon, err := CheckFields(sec); err != nil || canon {
-		t.Errorf("CheckFields(unsorted+duplicate) = canonical %v, %v", canon, err)
+	if canon, err := db.CheckFields(sec); err != nil || canon {
+		t.Errorf("db.CheckFields(unsorted+duplicate) = canonical %v, %v", canon, err)
 	}
 	if img, err := ownImage(sec); err != nil || !bytes.Equal(img, canonicalOf(fields)) {
 		t.Errorf("ownImage(unsorted+duplicate) = %q, %v; want the canonical encoding of what it decodes to", img, err)
 	}
-	if fields, canon, err := DecodeFields([]byte{0}, nil); err != nil || !canon || fields == nil || len(fields) != 0 {
+	if fields, canon, err := db.DecodeFields([]byte{0}, nil); err != nil || !canon || fields == nil || len(fields) != 0 {
 		t.Errorf("zero fields = %v, canonical %v, %v; want an empty non-nil map", fields, canon, err)
 	}
 }

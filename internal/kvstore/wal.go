@@ -10,6 +10,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"ycsbt/internal/db"
 )
 
 // WAL op codes. Each carries a commit timestamp so replay rebuilds
@@ -409,7 +411,7 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	if len(rest) == 1 && rest[0] == 0 {
 		return rec, nil
 	}
-	canonical, err := CheckFields(rest)
+	canonical, err := db.CheckFields(rest)
 	switch {
 	case err != nil:
 		return rec, err
@@ -436,7 +438,7 @@ func readString(buf []byte) (string, []byte, error) {
 	return string(b), rest, err
 }
 
-var errTruncated = fmt.Errorf("%w: truncated", ErrBadFields)
+var errTruncated = fmt.Errorf("%w: truncated", db.ErrBadFields)
 
 func readBytes(buf []byte) ([]byte, []byte, error) {
 	l, n := binary.Uvarint(buf)

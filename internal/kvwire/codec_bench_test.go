@@ -88,7 +88,6 @@ func BenchmarkDecodePage100x10x100(b *testing.B) {
 			name = "all"
 		}
 		b.Run(name, func(b *testing.B) {
-			var names []string
 			b.ReportAllocs()
 			b.SetBytes(int64(len(payload)))
 			for i := 0; i < b.N; i++ {
@@ -98,8 +97,7 @@ func BenchmarkDecodePage100x10x100(b *testing.B) {
 				}
 				for j := range p.recs {
 					if all {
-						p.recs[j].names = &names
-						p.recs[j].FieldMap()
+						p.recs[j].View().Range(func(string, []byte) bool { return true })
 					}
 				}
 			}

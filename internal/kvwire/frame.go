@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 )
 
@@ -441,7 +442,7 @@ func DecodeError(payload []byte) (status int, retryAfterSecs uint64, msg string,
 // ones before it. A connection's read loop keeps one for its lifetime,
 // so even single-record responses find their names in the memo.
 type fieldDecoder struct {
-	// names is the positional name memo (kvstore.DecodeFields): records
+	// names is the positional name memo (db.DecodeFields): records
 	// of one table repeat the same sorted names, so after the first
 	// record no name is allocated.
 	names []string
@@ -456,7 +457,7 @@ func (d *fieldDecoder) readFields(b []byte) (map[string][]byte, []byte, error) {
 	if err != nil {
 		return nil, b, err
 	}
-	fields, _, err := kvstore.DecodeFields(bytes.Clone(sec), &d.names)
+	fields, _, err := db.DecodeFields(bytes.Clone(sec), &d.names)
 	if err != nil {
 		return nil, b, err
 	}
@@ -464,16 +465,17 @@ func (d *fieldDecoder) readFields(b []byte) (map[string][]byte, []byte, error) {
 }
 
 // checkSection reads one length-prefixed field section and checks it
-// (kvstore.CheckFields) without decoding it, returning the section —
-// aliasing b — and the rest of b.
-func checkSection(b []byte) (sec, rest []byte, err error) {
+// (db.CheckFields) without decoding it, returning the section —
+// aliasing b —, whether its names are in canonical order, and the rest
+// of b.
+func checkSection(b []byte) (sec []byte, canonical bool, rest []byte, err error) {
 	if sec, rest, err = sectionOf(b); err != nil {
-		return nil, b, err
+		return nil, false, b, err
 	}
-	if _, err := kvstore.CheckFields(sec); err != nil {
-		return nil, b, err
+	if canonical, err = db.CheckFields(sec); err != nil {
+		return nil, false, b, err
 	}
-	return sec, rest, nil
+	return sec, canonical, rest, nil
 }
 
 // sectionOf splits one length-prefixed field section off b, refusing a

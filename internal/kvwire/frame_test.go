@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"io"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 )
 
@@ -145,12 +148,13 @@ func TestDecodeChunkRejectsUnknownRecordFlags(t *testing.T) {
 // 1 response, 2 scan-request, 3 page.
 //
 // A page decoder checks its records' field sections and leaves them
-// encoded, so whatever it accepts must decode later without error: each
-// record of an accepted page decodes (FieldMap) to the map
-// kvstore.DecodeFields gives for its section. Every payload is also
-// tried as a field section, bare and as a page record's: the page
-// decoder, kvstore.CheckFields and kvstore.DecodeFields accept and
-// refuse the same sections.
+// encoded, and a record's view (View) walks its section in place, so
+// whatever it accepts must read through the view as db.DecodeFields
+// reads it: the same pairs, in the section's order, and as many. Every
+// payload is also tried as a field section, bare and as a page
+// record's: the page decoder, db.CheckFields and db.DecodeFields accept
+// and refuse the same sections, so no view walks bytes that were not
+// checked.
 func FuzzFrameCodec(f *testing.F) {
 	reqSeed := AppendRequest(nil, 1, 250, sampleOps())
 	resSeed := AppendResponse(nil, 2, sampleResults())
@@ -260,15 +264,15 @@ func FuzzFrameCodec(f *testing.F) {
 }
 
 // checkSectionAgreement tries sec as a bare field section and as the
-// section of a page's one record: kvstore.CheckFields, DecodeFields and
-// the page decoder must all accept it or all refuse it (the page also
+// section of a page's one record: db.CheckFields, DecodeFields and the
+// page decoder must all accept it or all refuse it (the page also
 // refuses a count over maxFieldsPerOp), and the record of an accepted
-// page must decode to DecodeFields' map.
+// page must read through its view as DecodeFields reads the section.
 func checkSectionAgreement(t *testing.T, sec []byte) {
 	t.Helper()
 	sec = append([]byte{}, sec...) // non-nil: the record carries a section
-	_, checkErr := kvstore.CheckFields(sec)
-	_, _, decodeErr := kvstore.DecodeFields(sec, nil)
+	_, checkErr := db.CheckFields(sec)
+	_, _, decodeErr := db.DecodeFields(sec, nil)
 	if (checkErr == nil) != (decodeErr == nil) {
 		t.Fatalf("section %q: CheckFields %v, DecodeFields %v", sec, checkErr, decodeErr)
 	}
@@ -283,28 +287,60 @@ func checkSectionAgreement(t *testing.T, sec []byte) {
 	}
 }
 
-// checkRecordDecodes asserts that a record of an accepted page decodes
-// its fields — with a name memo, as a stream decodes them — to the map
-// kvstore.DecodeFields gives for its section.
+// checkRecordDecodes asserts that a record of an accepted page reads
+// through its view (View) as db.DecodeFields reads its section: Len is
+// the decoded map's, Get finds every decoded value, and Range walks the
+// same pairs — in the section's own order when its names are canonical,
+// the order a scan hands them on in, and as the decoded map otherwise.
 func checkRecordDecodes(t *testing.T, r *StreamRecord) {
 	t.Helper()
+	v := r.View()
 	sec := r.Section()
 	if sec == nil {
-		if r.FieldMap() != nil {
-			t.Fatalf("record %q without a section decodes to %q", r.Key, r.FieldMap())
+		if v.Len() != 0 || len(v.Map()) != 0 {
+			t.Fatalf("record %q without a section views %d fields", r.Key, v.Len())
 		}
 		return
 	}
-	want, _, err := kvstore.DecodeFields(sec, nil)
+	want, canonical, err := db.DecodeFields(sec, nil)
 	if err != nil {
 		t.Fatalf("record %q: the page accepted a section DecodeFields refuses: %v", r.Key, err)
 	}
-	var names []string
-	r.names = &names
-	for i := 0; i < 2; i++ { // a fresh memo, then a primed one
-		if got := r.FieldMap(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("record %q decodes to %q, DecodeFields to %q", r.Key, got, want)
+	if v.Len() != len(want) {
+		t.Fatalf("record %q: view Len = %d, DecodeFields has %d fields", r.Key, v.Len(), len(want))
+	}
+	for name, val := range want {
+		if got, ok := v.Get(name); !ok || !bytes.Equal(got, val) {
+			t.Fatalf("record %q: view Get(%q) = %q, %v; DecodeFields has %q", r.Key, name, got, ok, val)
 		}
+	}
+	type pair struct{ name, val string }
+	var walked []pair
+	v.Range(func(name string, val []byte) bool {
+		walked = append(walked, pair{name, string(val)})
+		return true
+	})
+	var inSection []pair
+	n, b := db.SectionPairs(sec)
+	for i := 0; i < n; i++ {
+		var nb, val []byte
+		nb, val, b = db.NextPair(b)
+		inSection = append(inSection, pair{string(nb), string(val)})
+	}
+	if !canonical { // viewed as the decoded map: its pairs, in name order
+		inSection = inSection[:0]
+		for name, val := range want {
+			inSection = append(inSection, pair{name, string(val)})
+		}
+		less := func(a, b pair) int { return strings.Compare(a.name, b.name) }
+		slices.SortFunc(inSection, less)
+		slices.SortFunc(walked, less)
+	}
+	if !reflect.DeepEqual(walked, inSection) {
+		t.Fatalf("record %q: view walks %q, the section holds %q", r.Key, walked, inSection)
+	}
+	if got := v.Map(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("record %q: view Map = %q, DecodeFields %q", r.Key, got, want)
 	}
 }
 

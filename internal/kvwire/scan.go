@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"ycsbt/internal/kvstore"
+	"ycsbt/internal/db"
 )
 
 // Scans on the framed protocol are paged requests, the pull model the
@@ -53,10 +53,12 @@ type ScanRequest struct {
 // commit-ts-preserving ingest needs.
 //
 // A page record keeps its field section as the page carried it, checked
-// but not decoded: a reader that wants a map asks FieldMap, and one that
-// does not — a record the router's merge drops, a migration copy that
-// stores the section as it stands — pays for none. A record built from
-// a map (a REST page) carries it in Fields instead.
+// but not decoded, and View walks it in place: no reader — a scan
+// handing its records on, a record the router's merge drops, a
+// migration copy that stores the section as it stands — pays for a map.
+// A record built from a map (a REST page) carries it in Fields instead,
+// and so does a page record whose section has its names out of
+// canonical order (no engine writes one), decoded beside the section.
 type StreamRecord struct {
 	Key      string
 	Version  uint64
@@ -66,27 +68,21 @@ type StreamRecord struct {
 	// section is the page record's field section (nil: none, or the
 	// record was built around Fields); it aliases the page.
 	section []byte
-	// names is the name memo of the stream that delivered the record
-	// (see kvstore.DecodeFields); nil decodes without one.
-	names *[]string
 }
 
 // Section returns the record's field section as the page carried it:
 // nil for a record without one. It aliases the page: read-only.
 func (r *StreamRecord) Section() []byte { return r.section }
 
-// FieldMap returns the record's fields as a map the caller owns, nil
-// for a record without fields. A page record's section is decoded here,
-// with its values aliasing the page (read-only) and its names taken
-// from the delivering stream's memo, so the records of one scan share
-// one set of name strings. The page decoder checked the section, so the
-// decode cannot fail.
-func (r *StreamRecord) FieldMap() map[string][]byte {
-	if r.section == nil {
-		return r.Fields
+// View returns the record's fields as a read-only db.Fields: the page's
+// checked canonical section walked in place, or Fields. It aliases the
+// page, and shares nothing a stream goes on to edit, so it may be read
+// on any goroutine.
+func (r *StreamRecord) View() db.Fields {
+	if r.Fields != nil || r.section == nil {
+		return db.MapFields(r.Fields)
 	}
-	fields, _, _ := kvstore.DecodeFields(r.section, r.names)
-	return fields
+	return db.SectionFields(r.section)
 }
 
 // recFlagFields is a page record's one flag: a field section follows.
@@ -234,8 +230,12 @@ func readStreamRecord(b []byte) (StreamRecord, []byte, error) {
 		return r, b, err
 	}
 	if flags&recFlagFields != 0 {
-		if r.section, b, err = checkSection(b); err != nil {
+		var canonical bool
+		if r.section, canonical, b, err = checkSection(b); err != nil {
 			return r, b, err
+		}
+		if !canonical {
+			r.Fields, _, _ = db.DecodeFields(r.section, nil) // checked: cannot fail
 		}
 	}
 	return r, b, nil

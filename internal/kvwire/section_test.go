@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 )
 
@@ -39,10 +40,11 @@ func TestChunkEncodeIsACopy(t *testing.T) {
 
 // TestChunkDecodeAllocations pins the client side on the benchmark's
 // page (100 records × 10 fields × 100 B). Decoding the page checks each
-// record's field section and keeps it, so a record costs its key alone;
-// its Go map (four allocations at ten entries) is built only when a
-// reader asks FieldMap, and its values and names cost nothing then. It
-// was 5 a record with every map built up front, 25 before that (a
+// record's field section and keeps it, so a record costs its key alone,
+// and reading it through its view (View) walks the section in place:
+// no map, and its values and names cost nothing. It was a Go map per
+// record read (four allocations at ten entries) while readers asked for
+// one, 5 a record with every map built up front, 25 before that (a
 // string per name, a slice per value). A get's response still decodes
 // to a map, copied out of the payload.
 func TestChunkDecodeAllocations(t *testing.T) {
@@ -56,18 +58,14 @@ func TestChunkDecodeAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := p.recs
-	var names []string
-	for i := range recs {
-		recs[i].names = &names
-	}
-	recs[0].FieldMap()
-	if per := testing.AllocsPerRun(50, func() { recs[42].FieldMap() }); per > 4 {
-		t.Errorf("FieldMap = %.0f allocs, want ≤ 4 (the map)", per)
+	walk := func() { recs[42].View().Range(func(string, []byte) bool { return true }) }
+	if per := testing.AllocsPerRun(50, walk); per != 0 {
+		t.Errorf("walking a record's view = %.0f allocs, want 0", per)
 	}
 
-	// Sections and the values decoded out of them point into the payload.
+	// Sections and the values read through a view point into the payload.
 	lastByte := len(payload) - 3 // the last record's last value, before the trailer (map version 0, next "")
-	last := recs[99].FieldMap()["field9"]
+	last, _ := recs[99].View().Get("field9")
 	before := last[len(last)-1]
 	payload[lastByte] ^= 0xff
 	if last[len(last)-1] == before || recs[99].Section()[len(recs[99].Section())-1] == before {
@@ -75,17 +73,22 @@ func TestChunkDecodeAllocations(t *testing.T) {
 	}
 	payload[lastByte] ^= 0xff
 
-	// Names are shared across the stream's records.
-	nameOf := func(r *StreamRecord, want string) string {
-		for name := range r.FieldMap() {
+	// So do the names: a record's name strings are its section's bytes.
+	nameOf := func(r *StreamRecord, want string) (got string) {
+		r.View().Range(func(name string, _ []byte) bool {
 			if name == want {
-				return name
+				got = name
 			}
-		}
-		return ""
+			return got == ""
+		})
+		return got
 	}
-	if a, b := nameOf(&recs[0], "field3"), nameOf(&recs[57], "field3"); a == "" || unsafe.StringData(a) != unsafe.StringData(b) {
-		t.Error("records of one stream do not share their name strings")
+	inPayload := func(s string) bool {
+		at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return at >= uintptr(unsafe.Pointer(&payload[0])) && at < uintptr(unsafe.Pointer(&payload[len(payload)-1]))
+	}
+	if a := nameOf(&recs[57], "field3"); a == "" || !inPayload(a) {
+		t.Error("a record's view does not read its names out of the page")
 	}
 
 	// A response is the other way round: the read loop reuses its frame
@@ -132,11 +135,11 @@ func TestHostileFieldSections(t *testing.T) {
 	}{
 		{"length past the payload", append([]byte{1, 0xc8, 1, resFlagFields}, append(binary.AppendUvarint(nil, uint64(len(good)+1)), good...)...), errTruncated},
 		{"length far past the payload", []byte{1, 0xc8, 1, resFlagFields, 0xff, 0xff, 0xff, 0x7f, 1}, errTruncated},
-		{"length shorter than its contents", append([]byte{1, 0xc8, 1, resFlagFields}, append(binary.AppendUvarint(nil, uint64(len(good)-2)), good...)...), kvstore.ErrBadFields},
-		{"empty section", section(nil), kvstore.ErrBadFields},
-		{"count lying high", section([]byte{3, 1, 'f', 1, 'v'}), kvstore.ErrBadFields},
-		{"count lying low", section([]byte{1, 1, 'f', 1, 'v', 1, 'g', 1, 'w'}), kvstore.ErrBadFields},
-		{"count beyond the section", section([]byte{0xff, 0xff, 0x03}), kvstore.ErrBadFields},
+		{"length shorter than its contents", append([]byte{1, 0xc8, 1, resFlagFields}, append(binary.AppendUvarint(nil, uint64(len(good)-2)), good...)...), db.ErrBadFields},
+		{"empty section", section(nil), db.ErrBadFields},
+		{"count lying high", section([]byte{3, 1, 'f', 1, 'v'}), db.ErrBadFields},
+		{"count lying low", section([]byte{1, 1, 'f', 1, 'v', 1, 'g', 1, 'w'}), db.ErrBadFields},
+		{"count beyond the section", section([]byte{0xff, 0xff, 0x03}), db.ErrBadFields},
 		{"over maxFieldsPerOp", section(manyFields), errTooManyFields},
 	}
 	for _, c := range cases {

@@ -67,8 +67,8 @@ func TestStreamScanRoundTrip(t *testing.T) {
 			var got []string
 			for s.Next() {
 				rec := s.Record()
-				if string(rec.FieldMap()["f"]) != rec.Key {
-					t.Fatalf("record %q carries fields %q", rec.Key, rec.FieldMap()["f"])
+				if string(rec.View().Map()["f"]) != rec.Key {
+					t.Fatalf("record %q carries fields %q", rec.Key, rec.View().Map()["f"])
 				}
 				if rec.Version == 0 {
 					t.Fatalf("record %q missing version", rec.Key)

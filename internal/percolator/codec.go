@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 )
 
@@ -74,7 +75,7 @@ func decodePending(buf []byte) (del bool, fields map[string][]byte, err error) {
 	if len(buf) < 9 {
 		return false, nil, errors.New("percolator: corrupt pending payload")
 	}
-	if fields, _, err = kvstore.DecodeFields(bytes.Clone(buf[9:]), nil); err != nil {
+	if fields, _, err = db.DecodeFields(bytes.Clone(buf[9:]), nil); err != nil {
 		return false, nil, fmt.Errorf("percolator: pending payload: %w", err)
 	}
 	return buf[0] == 1, fields, nil

@@ -265,7 +265,7 @@ func (t *Txn) Scan(ctx context.Context, table, startKey string, count int) ([]db
 		k := tkey{table, kv.Key}
 		if w, ok := t.writes[k]; ok {
 			if !w.del {
-				out = append(out, db.KV{Key: kv.Key, Record: cloneFields(w.fields)})
+				out = append(out, db.KV{Key: kv.Key, Fields: db.MapFields(w.fields)})
 			}
 			continue
 		}
@@ -276,7 +276,7 @@ func (t *Txn) Scan(ctx context.Context, table, startKey string, count int) ([]db
 			}
 			return nil, err
 		}
-		out = append(out, db.KV{Key: kv.Key, Record: fields})
+		out = append(out, db.KV{Key: kv.Key, Fields: db.MapFields(fields)})
 	}
 	// Overlay buffered puts in range but absent from the store page.
 	present := map[string]bool{}
@@ -285,7 +285,7 @@ func (t *Txn) Scan(ctx context.Context, table, startKey string, count int) ([]db
 	}
 	for k, w := range t.writes {
 		if k.table == table && !w.del && k.key >= startKey && !present[k.key] {
-			out = append(out, db.KV{Key: k.key, Record: cloneFields(w.fields)})
+			out = append(out, db.KV{Key: k.key, Fields: db.MapFields(w.fields)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })

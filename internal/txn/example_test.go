@@ -106,7 +106,7 @@ func Example() {
 			return err
 		}
 		for _, kv := range kvs {
-			total += parseBalance(kv.Record)
+			total += parseBalance(kv.Fields.Map())
 		}
 		return nil
 	}); err != nil {

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
 )
 
@@ -50,7 +51,7 @@ func encodeImage(fields map[string][]byte) []byte {
 // decodeImage reverses encodeImage. The values share one copy of buf,
 // never buf itself: buf is a stored record's field.
 func decodeImage(buf []byte) (map[string][]byte, error) {
-	fields, _, err := kvstore.DecodeFields(bytes.Clone(buf), nil)
+	fields, _, err := db.DecodeFields(bytes.Clone(buf), nil)
 	if err != nil {
 		return nil, fmt.Errorf("txn: previous image: %w", err)
 	}
@@ -98,6 +99,16 @@ func (r readEntry) userCopy() map[string][]byte {
 		return true
 	})
 	return out
+}
+
+// view returns the entry's user fields as a read-only db.Fields: the
+// record's own — its image walked in place — unless it carries protocol
+// metadata.
+func (r readEntry) view() db.Fields {
+	if hasMeta(r.rec) {
+		return db.MapFields(userFields(r.rec.FieldMap()))
+	}
+	return r.rec.View()
 }
 
 // fieldMap returns the entry's user fields as a map to read, never to

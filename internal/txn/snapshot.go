@@ -182,7 +182,7 @@ func (t *ReadOnlyTxn) Scan(ctx context.Context, store, table, startKey string, c
 		if fields == nil {
 			continue // write of a txn not committed as of the snapshot, no prior image
 		}
-		out = append(out, db.KV{Key: kv.Key, Record: fields})
+		out = append(out, db.KV{Key: kv.Key, Fields: db.MapFields(fields)})
 	}
 	return out, nil
 }

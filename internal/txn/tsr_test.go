@@ -299,7 +299,7 @@ func TestSnapshotReadsAroundInFlightWriterUnpinned(t *testing.T) {
 			t.Fatalf("%s: snapshot read = %v, %v; want the previous image 1", when, f, err)
 		}
 		kvs, err := ro.Scan(ctx, "", "t", "k", 1)
-		if err != nil || len(kvs) != 1 || getBal(t, kvs[0].Record) != 1 {
+		if err != nil || len(kvs) != 1 || getBal(t, kvs[0].Fields.Map()) != 1 {
 			t.Fatalf("%s: snapshot scan = %v, %v; want k at 1", when, kvs, err)
 		}
 	}

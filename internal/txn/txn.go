@@ -636,7 +636,7 @@ func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int
 		k := wkey{s.Name(), table, kv.Key}
 		if w, ok := t.writes[k]; ok {
 			if w.kind != kindDelete {
-				resolved = append(resolved, db.KV{Key: kv.Key, Record: cloneFields(w.fields)})
+				resolved = append(resolved, db.KV{Key: kv.Key, Fields: db.MapFields(w.fields)})
 			}
 			continue
 		}
@@ -650,7 +650,7 @@ func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int
 		if err := t.noteRead(k, r); err != nil {
 			return nil, err
 		}
-		resolved = append(resolved, db.KV{Key: kv.Key, Record: r.userCopy()})
+		resolved = append(resolved, db.KV{Key: kv.Key, Fields: r.view()})
 	}
 	// Overlay buffered inserts/puts that fall in range but were not
 	// returned by the store.
@@ -663,7 +663,7 @@ func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int
 			continue
 		}
 		if k.key >= startKey && !present[k.key] {
-			resolved = append(resolved, db.KV{Key: k.key, Record: cloneFields(w.fields)})
+			resolved = append(resolved, db.KV{Key: k.key, Fields: db.MapFields(w.fields)})
 		}
 	}
 	sort.Slice(resolved, func(i, j int) bool { return resolved[i].Key < resolved[j].Key })

@@ -712,8 +712,8 @@ func TestTxnScan(t *testing.T) {
 		}
 	}
 	for _, kv := range kvs {
-		if kv.Key == "k03" && string(kv.Record["balance"]) != "333" {
-			t.Errorf("buffered update not visible in scan: %v", kv.Record)
+		if kv.Key == "k03" && string(kv.Fields.Map()["balance"]) != "333" {
+			t.Errorf("buffered update not visible in scan: %v", kv.Fields.Map())
 		}
 	}
 }

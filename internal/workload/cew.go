@@ -185,8 +185,8 @@ func balanceRecord(amount int64) db.Record {
 	return db.Record{"field0": []byte(strconv.FormatInt(amount, 10))}
 }
 
-func parseBalance(rec db.Record) (int64, error) {
-	raw, ok := rec["field0"]
+func parseBalance(rec db.Fields) (int64, error) {
+	raw, ok := rec.Get("field0")
 	if !ok {
 		return 0, errors.New("workload: record has no field0 balance")
 	}
@@ -265,7 +265,7 @@ func (c *ClosedEconomyWorkload) doUpdate(ctx context.Context, d db.DB, s *cewThr
 	if err != nil {
 		return err
 	}
-	bal, err := parseBalance(rec)
+	bal, err := parseBalance(db.MapFields(rec))
 	if err != nil {
 		return err
 	}
@@ -285,7 +285,7 @@ func (c *ClosedEconomyWorkload) doDelete(ctx context.Context, d db.DB, s *cewThr
 	if err != nil {
 		return err
 	}
-	bal, err := parseBalance(rec)
+	bal, err := parseBalance(db.MapFields(rec))
 	if err != nil {
 		return err
 	}
@@ -334,11 +334,11 @@ func (c *ClosedEconomyWorkload) rmwOnce(ctx context.Context, d db.DB, s *cewThre
 	if err != nil {
 		return err
 	}
-	fromBal, err := parseBalance(fromRec)
+	fromBal, err := parseBalance(db.MapFields(fromRec))
 	if err != nil {
 		return err
 	}
-	toBal, err := parseBalance(toRec)
+	toBal, err := parseBalance(db.MapFields(toRec))
 	if err != nil {
 		return err
 	}
@@ -432,7 +432,7 @@ func (c *ClosedEconomyWorkload) Validate(ctx context.Context, d db.DB) (*Validat
 			if kv.Key == startKey {
 				continue // batches overlap by one key
 			}
-			bal, err := parseBalance(kv.Record)
+			bal, err := parseBalance(kv.Fields)
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -70,6 +71,7 @@ type CoreWorkload struct {
 
 	dataIntegrity bool
 	fieldNames    []string // field0..field<fieldcount-1>
+	sortedNames   []string // fieldNames in name order (recordOK)
 
 	opChooser    *generator.Discrete
 	keyLow       int64
@@ -113,6 +115,8 @@ func (c *CoreWorkload) Init(p *properties.Properties, reg *measurement.Registry)
 	for i := range c.fieldNames {
 		c.fieldNames[i] = fieldName(i)
 	}
+	c.sortedNames = slices.Clone(c.fieldNames)
+	slices.Sort(c.sortedNames)
 	c.fieldLenDist = p.GetString("fieldlengthdistribution", "constant")
 	switch c.fieldLenDist {
 	case "constant", "uniform", "zipfian":
@@ -340,7 +344,7 @@ const (
 // verifyRead checks the record one read returned against the canonical
 // values.
 func (c *CoreWorkload) verifyRead(key string, rec db.Record, fields []string) {
-	c.verifyScan([]db.KV{{Key: key, Record: rec}}, fields)
+	c.verifyScan([]db.KV{{Key: key, Fields: db.MapFields(rec)}}, fields)
 }
 
 // verifyScan checks every record one scan returned; the scan is one
@@ -351,7 +355,7 @@ func (c *CoreWorkload) verifyScan(kvs []db.KV, fields []string) {
 	}
 	bad := 0
 	for _, kv := range kvs {
-		if !c.recordOK(kv.Key, kv.Record, fields) {
+		if !c.recordOK(kv.Key, kv.Fields, fields) {
 			bad++
 		}
 	}
@@ -364,23 +368,29 @@ func (c *CoreWorkload) verifyScan(kvs []db.KV, fields []string) {
 
 // recordOK reports whether rec is canonical: every field asked for
 // (nil: all fieldcount fields) must be present, and every field
-// returned must hold its canonical bytes.
-func (c *CoreWorkload) recordOK(key string, rec db.Record, fields []string) bool {
+// returned must hold its canonical bytes. One pass over the record
+// checks every field it returned and ticks off the fields asked for
+// that it meets in their order — a section's walk meets all of them, in
+// name order —, so only a field not met so (a map's fields come in any
+// order, or it is missing) is looked up after.
+func (c *CoreWorkload) recordOK(key string, rec db.Fields, fields []string) bool {
 	if fields == nil {
-		fields = c.fieldNames
+		fields = c.sortedNames
 	}
 	keyHash := integrityKey(key)
-	for _, f := range fields {
-		v, ok := rec[f]
-		if !ok || !integrityOK(keyHash, f, v, c.fieldLength) {
-			return false
+	ok, met := true, 0
+	rec.Range(func(f string, v []byte) bool {
+		if met < len(fields) && fields[met] == f {
+			met++
 		}
+		ok = integrityOK(keyHash, f, v, c.fieldLength)
+		return ok
+	})
+	if !ok {
+		return false
 	}
-	if len(rec) == len(fields) {
-		return true // the map's keys are the fields just checked
-	}
-	for f, v := range rec {
-		if !integrityOK(keyHash, f, v, c.fieldLength) {
+	for _, f := range fields[met:] {
+		if _, found := rec.Get(f); !found {
 			return false
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ycsbt/internal/db"
+	"ycsbt/internal/kvstore"
 	"ycsbt/internal/measurement"
 	"ycsbt/internal/properties"
 )
@@ -652,7 +653,7 @@ type corruptScanDB struct{ db.DB }
 func (corruptScanDB) Scan(context.Context, string, string, int, []string) ([]db.KV, error) {
 	kvs := make([]db.KV, 3)
 	for i := range kvs {
-		kvs[i] = db.KV{Key: fmt.Sprintf("user%d", i), Record: db.Record{"field0": []byte("x")}}
+		kvs[i] = db.KV{Key: fmt.Sprintf("user%d", i), Fields: db.MapFields(db.Record{"field0": []byte("x")})}
 	}
 	return kvs, nil
 }
@@ -686,25 +687,18 @@ func TestCoreWorkloadScoreCountsOperations(t *testing.T) {
 
 // BenchmarkVerifyRead times the client's integrity check on the default
 // record (10 fields of 100 B): one read's record, and the 50 records of
-// a scan.
+// a scan as a scan delivers them, views of their field sections.
 func BenchmarkVerifyRead(b *testing.B) {
 	w := NewCore()
 	if err := w.Init(properties.FromMap(map[string]string{"dataintegrity": "true"}), nil); err != nil {
 		b.Fatal(err)
 	}
-	kvs := make([]db.KV, 50)
-	for i := range kvs {
-		key := w.keyName(int64(i))
-		rec := db.Record{}
-		for _, f := range w.fieldNames {
-			rec[f] = integrityValue(key, f, w.fieldLength)
-		}
-		kvs[i] = db.KV{Key: key, Record: rec}
-	}
+	kvs := canonicalScan(w, 50)
+	rec := kvs[0].Fields.Map()
 	b.Run("record", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			w.verifyRead(kvs[0].Key, kvs[0].Record, nil)
+			w.verifyRead(kvs[0].Key, rec, nil)
 		}
 	})
 	b.Run("scan50", func(b *testing.B) {
@@ -715,6 +709,46 @@ func BenchmarkVerifyRead(b *testing.B) {
 	})
 	if n := w.verifyFailures.Load(); n != 0 {
 		b.Fatalf("%d canonical records failed", n)
+	}
+}
+
+// canonicalScan builds n records of w's canonical values the way a scan
+// hands them over: each a view of its record's canonical field section.
+func canonicalScan(w *CoreWorkload, n int) []db.KV {
+	kvs := make([]db.KV, n)
+	for i := range kvs {
+		key := w.keyName(int64(i))
+		rec := db.Record{}
+		for _, f := range w.fieldNames {
+			rec[f] = integrityValue(key, f, w.fieldLength)
+		}
+		image := (&kvstore.VersionedRecord{Fields: rec}).Image()
+		kvs[i] = db.KV{Key: key, Fields: db.SectionFields(image)}
+	}
+	return kvs
+}
+
+// TestVerifyScanOfSectionsAllocs pins the scan side of the integrity
+// check: records that arrive as views of their field sections are
+// checked in place — every field asked for found, every field returned
+// compared — with nothing allocated, and a damaged section still fails.
+func TestVerifyScanOfSectionsAllocs(t *testing.T) {
+	w := NewCore()
+	if err := w.Init(properties.FromMap(map[string]string{"dataintegrity": "true"}), nil); err != nil {
+		t.Fatal(err)
+	}
+	kvs := canonicalScan(w, 50)
+	if per := testing.AllocsPerRun(100, func() { w.verifyScan(kvs, nil) }); per != 0 {
+		t.Errorf("verifyScan of 50 section views = %.1f allocs, want 0", per)
+	}
+	if n := w.verifyFailures.Load(); n != 0 {
+		t.Fatalf("%d canonical records failed", n)
+	}
+	v, _ := kvs[7].Fields.Get("field4")
+	v[len(v)-1] ^= 1
+	w.verifyScan(kvs, nil)
+	if n := w.verifyFailures.Load(); n != 1 {
+		t.Errorf("one flipped byte in a section: %d failures, want 1", n)
 	}
 }
 
@@ -743,7 +777,7 @@ func TestCoreWorkloadFieldLengthDistributions(t *testing.T) {
 			}
 			minLen, maxLen := 1<<30, 0
 			for _, kv := range kvs {
-				for _, v := range kv.Record {
+				for _, v := range kv.Fields.Map() {
 					if len(v) < minLen {
 						minLen = len(v)
 					}

@@ -168,11 +168,11 @@ func (w *WriteSkewWorkload) doDeposit(ctx context.Context, d db.DB, s *wsThreadS
 	if err != nil {
 		return err
 	}
-	balA, err := parseBalance(ra)
+	balA, err := parseBalance(db.MapFields(ra))
 	if err != nil {
 		return err
 	}
-	balB, err := parseBalance(rb)
+	balB, err := parseBalance(db.MapFields(rb))
 	if err != nil {
 		return err
 	}
@@ -198,11 +198,11 @@ func (w *WriteSkewWorkload) doWithdraw(ctx context.Context, d db.DB, s *wsThread
 	if err != nil {
 		return err
 	}
-	balA, err := parseBalance(ra)
+	balA, err := parseBalance(db.MapFields(ra))
 	if err != nil {
 		return err
 	}
-	balB, err := parseBalance(rb)
+	balB, err := parseBalance(db.MapFields(rb))
 	if err != nil {
 		return err
 	}
@@ -236,11 +236,11 @@ func (w *WriteSkewWorkload) Validate(ctx context.Context, d db.DB) (*ValidationR
 		if err != nil {
 			return nil, fmt.Errorf("workload: validating pair %d: %w", pair, err)
 		}
-		balA, err := parseBalance(ra)
+		balA, err := parseBalance(db.MapFields(ra))
 		if err != nil {
 			return nil, err
 		}
-		balB, err := parseBalance(rb)
+		balB, err := parseBalance(db.MapFields(rb))
 		if err != nil {
 			return nil, err
 		}

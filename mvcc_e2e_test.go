@@ -134,7 +134,7 @@ func TestLongScanUnderWrites(t *testing.T) {
 		}
 		var sum int64
 		for _, kv := range kvs {
-			sum += getBal(kv.Record)
+			sum += getBal(kv.Fields.Map())
 		}
 		if sum != total {
 			t.Fatalf("round %d: snapshot scan sum = %d, want exactly %d", round, sum, total)
@@ -170,7 +170,7 @@ func TestLongScanUnderWrites(t *testing.T) {
 			return err
 		}
 		for _, kv := range kvs {
-			sum += getBal(kv.Record)
+			sum += getBal(kv.Fields.Map())
 		}
 		return nil
 	}); err != nil {
