@@ -89,8 +89,7 @@ bench:
 	$(GO) test -bench BenchmarkSeriesMeasureParallel -cpu 1,8,32 ./internal/measurement/
 
 # The acceptance benchmarks, machine-readable: CI uploads
-# BENCH_batch.json (batched-vs-single ratio), BENCH_read.json (the
-# lock-free snapshot read path vs the emulated locked+clone baseline),
+# BENCH_read.json (the lock-free snapshot read path vs the emulated locked+clone baseline),
 # BENCH_mvcc.json (as-of scan throughput under concurrent writers
 # plus the head-read path, whose 0-alloc budget must not regress now
 # that records carry version chains), BENCH_wire.json (16-op request
@@ -103,7 +102,6 @@ bench:
 # from engine records, and Store.Scan / Put on the benchmark's record
 # (parent's numbers: EXPERIMENTS.md "Encode once").
 bench-quick:
-	$(GO) test -run xx -bench BenchmarkBatchVsSingle -benchtime 3x -json . | tee BENCH_batch.json
 	$(GO) test -run xx -bench 'BenchmarkReadHeavy|BenchmarkGetScanParallel' -benchtime 300ms -cpu 4 -json ./internal/kvstore/ | tee BENCH_read.json
 	$(GO) test -run xx -bench BenchmarkAsOfScanUnderWrites -benchtime 300ms -cpu 4 -json ./internal/kvstore/ | tee BENCH_mvcc.json
 	$(GO) test -run xx -bench BenchmarkStoreParallel -benchtime 300ms -json . | tee -a BENCH_mvcc.json

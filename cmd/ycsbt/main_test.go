@@ -161,3 +161,22 @@ func TestRunStdoutSequence(t *testing.T) {
 		}
 	}
 }
+
+// TestRunReportsNoBatchSeries pins the Listing-3 blocks of a core
+// workload A run: READ and UPDATE, which each client thread issues one
+// at a time, and no BATCH-* block, since nothing merges one thread's
+// operations with another's.
+func TestRunReportsNoBatchSeries(t *testing.T) {
+	out := captureRun(t, "-db", "memory", "-P", filepath.Join("..", "..", "workloads", "workloada"),
+		"-p", "recordcount=100", "-p", "operationcount=500", "-threads", "2", "-load", "-t")
+	for _, want := range []string{"[READ], Operations", "[UPDATE], Operations"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("the report has no %q line:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "[BATCH-") {
+			t.Errorf("the report prints a batch series: %q", line)
+		}
+	}
+}

@@ -88,7 +88,7 @@ func listenLoopback(tb testing.TB) net.Listener {
 // per-request service latency when delay > 0 (the stand-in for the
 // paper's SSD-backed engine). The throughput cells use zero delay: a
 // sleeping request still overlaps freely, so only the per-request CPU
-// cost — what batching actually amortizes — bounds the single-op path.
+// cost would bound them.
 func startKVServer(tb testing.TB, delay time.Duration) (*kvstore.Store, string) {
 	tb.Helper()
 	// YCSBT_BENCH_OBS=1 instruments the engine and both listeners with a

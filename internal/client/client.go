@@ -61,7 +61,7 @@ type Config struct {
 	// default.
 	Middleware string
 	// Props carries the run properties that property-configured
-	// middlewares (faultinject, batching) read; nil means empty.
+	// middlewares (faultinject) read; nil means empty.
 	Props *properties.Properties
 	// History, when set, receives every finished transaction for
 	// offline consistency certification (cmd/histcheck). Bindings
@@ -119,7 +119,6 @@ type Client struct {
 	reg     *measurement.Registry
 	mwNames []string  // validated middleware stack, outermost first
 	opLog   *db.OpLog // operation log, when the stack traces
-	shared  *db.MiddlewareState
 	// histNative is true when the binding records history itself
 	// (history.CapableDB); threads then skip the capture middleware so
 	// transactions are never recorded twice.
@@ -149,8 +148,7 @@ func New(cfg Config, w workload.Workload, d db.DB, reg *measurement.Registry) (*
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	c := &Client{cfg: cfg, w: w, d: d, reg: reg, mwNames: mwNames,
-		shared: db.NewMiddlewareState()}
+	c := &Client{cfg: cfg, w: w, d: d, reg: reg, mwNames: mwNames}
 	for _, name := range mwNames {
 		if name == "trace" {
 			c.opLog = db.NewOpLog(db.DefaultOpLogSize)
@@ -318,10 +316,7 @@ func (c *Client) threadLoop(ctx context.Context, phase string, th int, ops int64
 		return err
 	}
 	rec := c.reg.Recorder()
-	// Shared carries cross-thread singletons (the batching coalescer):
-	// thread ops are sequential, so per-thread batching would always
-	// pay the full linger — coalescing only works across threads.
-	env := db.MiddlewareEnv{Props: c.cfg.Props, Recorder: rec, Shared: c.shared}
+	env := db.MiddlewareEnv{Props: c.cfg.Props, Recorder: rec}
 	if c.opLog != nil {
 		env.Observer = c.opLog
 	}

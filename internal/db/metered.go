@@ -19,11 +19,6 @@ const (
 	SeriesStart  = "START"
 	SeriesCommit = "COMMIT"
 	SeriesAbort  = "ABORT"
-	// Batch flush series: one sample per coalesced item (MeasureN), so
-	// Operations counts logical ops while AvgUS is each item's
-	// amortized round-trip latency.
-	SeriesBatchRead   = "BATCH-READ"
-	SeriesBatchUpdate = "BATCH-UPDATE"
 )
 
 // Metered returns the measurement middleware: every operation's

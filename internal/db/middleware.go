@@ -15,8 +15,8 @@ import (
 )
 
 // Middleware wraps a DB with extra behaviour — measurement, tracing,
-// retry, fault injection, caching, batching — without the binding or
-// the client knowing about it. Middlewares compose with Chain.
+// retry, fault injection — without the binding or the client knowing
+// about it. Middlewares compose with Chain.
 type Middleware func(DB) DB
 
 // Chain stacks middlewares over base in declared order: the first
@@ -44,11 +44,6 @@ const (
 	OpUpdate
 	OpInsert
 	OpDelete
-	// OpBatchRead / OpBatchWrite are flush events of the batching
-	// middleware: one event per coalesced engine/wire round trip, with
-	// OpInfo.Items carrying how many logical operations it moved.
-	OpBatchRead
-	OpBatchWrite
 	OpStart
 	OpCommit
 	OpAbort
@@ -57,7 +52,6 @@ const (
 
 var opSeries = [numOps]string{
 	SeriesRead, SeriesScan, SeriesUpdate, SeriesInsert, SeriesDelete,
-	SeriesBatchRead, SeriesBatchUpdate,
 	SeriesStart, SeriesCommit, SeriesAbort,
 }
 
@@ -85,10 +79,6 @@ type OpInfo struct {
 	// Key is the target key (the start key for scans, "" for
 	// demarcation ops).
 	Key string
-	// Items is how many logical operations the event covers: 0 or 1
-	// for single operations, the item count for OpBatchRead /
-	// OpBatchWrite flush events.
-	Items int
 }
 
 // Interceptor is the uniform around-advice every middleware reduces
@@ -330,43 +320,11 @@ func FaultInject(probability float64) Middleware {
 
 // MiddlewareEnv carries the dependencies property-built middlewares
 // need: the run properties, the calling thread's measurement recorder
-// (for "metered"), the operation observer (for "trace"), and the
-// run-wide shared state middlewares that span threads anchor to (the
-// "batching" coalescer).
+// (for "metered") and the operation observer (for "trace").
 type MiddlewareEnv struct {
 	Props    *properties.Properties
 	Recorder *measurement.Recorder
 	Observer OpObserver
-	// Shared is one run's cross-thread middleware state; every thread
-	// of a run must receive the same instance (the client does this).
-	// Nil disables middlewares that need it.
-	Shared *MiddlewareState
-}
-
-// MiddlewareState holds middleware singletons shared by every client
-// thread of one run — e.g. the batching coalescer, which only batches
-// if all threads feed one queue. Keys are middleware names.
-type MiddlewareState struct {
-	mu sync.Mutex
-	m  map[string]any
-}
-
-// NewMiddlewareState returns an empty shared-state container.
-func NewMiddlewareState() *MiddlewareState {
-	return &MiddlewareState{m: make(map[string]any)}
-}
-
-// LoadOrCreate returns the value under key, building it with mk on
-// first use. mk runs under the state lock, at most once per key.
-func (s *MiddlewareState) LoadOrCreate(key string, mk func() any) any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[key]
-	if !ok {
-		v = mk()
-		s.m[key] = v
-	}
-	return v
 }
 
 // MiddlewareFactory builds one middleware from the environment.

@@ -20,10 +20,6 @@ type OpEvent struct {
 	Latency time.Duration
 	// Code is the db return code of the outcome (0 = OK).
 	Code int
-	// Items is how many logical operations the event covers: 1 for
-	// single operations, the coalesced item count for BATCH-* flush
-	// events.
-	Items int
 }
 
 // OpLog is a bounded operation log implementing OpObserver: plug it
@@ -53,17 +49,12 @@ func NewOpLog(max int) *OpLog {
 
 // ObserveOp implements OpObserver.
 func (l *OpLog) ObserveOp(info OpInfo, latency time.Duration, err error) {
-	items := info.Items
-	if items <= 0 {
-		items = 1
-	}
 	ev := OpEvent{
 		Op:      info.Op.Series(),
 		Table:   info.Table,
 		Key:     info.Key,
 		Latency: latency,
 		Code:    ReturnCode(err),
-		Items:   items,
 	}
 	l.mu.Lock()
 	if len(l.ring) < cap(l.ring) {

@@ -13,10 +13,12 @@ import (
 
 	"ycsbt/internal/db"
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/kvwire"
 )
 
-// slowEngine delays batch execution so admission-control tests can
-// hold a request in flight deterministically.
+// slowEngine delays the engine's batched reads, which every request
+// frame's gets become, so admission-control tests can hold a request
+// in flight deterministically.
 type slowEngine struct {
 	kvstore.Engine
 	delay   time.Duration
@@ -30,8 +32,10 @@ func (e *slowEngine) BatchGet(reqs []kvstore.GetReq) []kvstore.GetResult {
 	return e.Engine.BatchGet(reqs)
 }
 
-// One batch, same per-item answers on both transports: a request frame
-// on a frame endpoint, sequential single operations over REST.
+// One sequence of mixed kinds, the same per-item answers on both
+// transports: one request frame on a frame endpoint, answered
+// positionally and in order, and one REST call per op on an HTTP
+// endpoint, which has no batch route.
 func TestBatchRoundTrip(t *testing.T) {
 	bothTransports(t, func(t *testing.T, mode string) {
 		ctx := context.Background()
@@ -41,39 +45,59 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		res := c.ExecBatch(ctx, []db.BatchOp{
-			{Op: db.OpRead, Table: "t", Key: "a", Fields: []string{"f"}},
-			{Op: db.OpInsert, Table: "t", Key: "b", Values: db.Record{"f": []byte("v2")}},
-			{Op: db.OpUpdate, Table: "t", Key: "a", Values: db.Record{"f": []byte("v1b")}},
-			{Op: db.OpRead, Table: "t", Key: "missing"},
-			{Op: db.OpUpdate, Table: "t", Key: "nope", Values: db.Record{"f": []byte("x")}},
-			{Op: db.OpDelete, Table: "t", Key: "b"},
-			{Op: db.OpScan, Table: "t", Key: "a"}, // not batchable, client-side error
-		})
-		if res[0].Err != nil || string(res[0].Record["f"]) != "v1" || len(res[0].Record) != 1 {
-			t.Fatalf("item 0 (projected read): %+v", res[0])
+		ops := []kvwire.Op{
+			{Kind: kvwire.KindGet, Table: "t", Key: "a"},
+			{Kind: kvwire.KindPut, Table: "t", Key: "b", Fields: rec("v2"), Expect: kvstore.AnyVersion},
+			{Kind: kvwire.KindPatch, Table: "t", Key: "a", Fields: rec("v1b"), Expect: kvstore.AnyVersion},
+			{Kind: kvwire.KindGet, Table: "t", Key: "missing"},
+			{Kind: kvwire.KindPatch, Table: "t", Key: "nope", Fields: rec("x"), Expect: kvstore.AnyVersion},
+			{Kind: kvwire.KindDelete, Table: "t", Key: "b", Expect: kvstore.AnyVersion},
 		}
-		if res[1].Err != nil || res[2].Err != nil || res[5].Err != nil {
-			t.Fatalf("write items: %v %v %v", res[1].Err, res[2].Err, res[5].Err)
-		}
-		for _, i := range []int{3, 4} {
-			if !errors.Is(res[i].Err, db.ErrNotFound) {
-				t.Fatalf("item %d: got %v, want ErrNotFound", i, res[i].Err)
+		errs := make([]error, len(ops))
+		var read map[string][]byte // item 0's record
+		if mode == WireModeAuto {
+			res, err := c.exec(ctx, ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range res {
+				errs[i] = wireResultErr(res[i])
+			}
+			read = res[0].Fields
+		} else {
+			for i, op := range ops {
+				if op.Kind != kvwire.KindGet {
+					_, errs[i] = c.mutate(ctx, op.Kind, op.Table, op.Key, op.Fields, op.Expect)
+				} else if r, err := c.get(ctx, op.Table, op.Key, 0); err != nil {
+					errs[i] = err
+				} else if i == 0 {
+					read = r.Fields
+				}
 			}
 		}
-		if !errors.Is(res[6].Err, db.ErrNotSupported) {
-			t.Fatalf("item 6: got %v, want ErrNotSupported", res[6].Err)
+		if errs[0] != nil || string(read["f"]) != "v1" {
+			t.Fatalf("item 0 (read): %v %v", read, errs[0])
+		}
+		for _, i := range []int{1, 2, 5} {
+			if errs[i] != nil {
+				t.Fatalf("write item %d: %v", i, errs[i])
+			}
+		}
+		for _, i := range []int{3, 4} {
+			if !errors.Is(errs[i], db.ErrNotFound) {
+				t.Fatalf("item %d: got %v, want ErrNotFound", i, errs[i])
+			}
 		}
 		// The interleaved order held: the update (item 2) ran after the
 		// read (item 0), and the delete removed item 1's insert.
-		rec, err := tn.store.Get("t", "a")
-		if err != nil || string(rec.Field("f")) != "v1b" || string(rec.Field("g")) != "keep" {
-			t.Fatalf("after batch: %v %v", rec, err)
+		got, err := tn.store.Get("t", "a")
+		if err != nil || string(got.Field("f")) != "v1b" || string(got.Field("g")) != "keep" {
+			t.Fatalf("after the sequence: %v %v", got, err)
 		}
 		if _, err := tn.store.Get("t", "b"); !errors.Is(err, kvstore.ErrNotFound) {
 			t.Fatalf("deleted key: %v", err)
 		}
-		// The batch was one request frame, or no frame at all.
+		// The sequence was one request frame, or no frame at all.
 		want := int64(0)
 		if mode == WireModeAuto {
 			want = 1
@@ -86,7 +110,7 @@ func TestBatchRoundTrip(t *testing.T) {
 
 // A shed request frame (the wire-level 429 and its retry hint are
 // asserted in kvwire's TestWireAdmissionShed) surfaces as ErrThrottled
-// on every item once the client's retries are spent.
+// once the client's retries are spent.
 func TestBatchAdmissionControl(t *testing.T) {
 	eng := &slowEngine{Engine: kvstore.OpenMemory(), delay: 750 * time.Millisecond, entered: make(chan struct{})}
 	defer eng.Close()
@@ -96,17 +120,18 @@ func TestBatchAdmissionControl(t *testing.T) {
 	c := tn.client(t, WireModeAuto)
 	c.retries = 0
 
-	ops := []db.BatchOp{{Op: db.OpRead, Table: "t", Key: "k"}}
-	first := make(chan []db.BatchResult)
-	go func() { first <- c.ExecBatch(context.Background(), ops) }()
-	<-eng.entered // the slow batch now owns the one admission slot
+	first := make(chan error)
+	go func() {
+		_, err := c.Read(context.Background(), "t", "k", nil)
+		first <- err
+	}()
+	<-eng.entered // the slow read now owns the one admission slot
 
-	res := c.ExecBatch(context.Background(), ops)
-	if !errors.Is(res[0].Err, db.ErrThrottled) {
-		t.Fatalf("second batch: got %v, want ErrThrottled", res[0].Err)
+	if _, err := c.Read(context.Background(), "t", "k", nil); !errors.Is(err, db.ErrThrottled) {
+		t.Fatalf("second read: got %v, want ErrThrottled", err)
 	}
-	if res := <-first; !errors.Is(res[0].Err, db.ErrNotFound) {
-		t.Fatalf("first batch: got %v, want ErrNotFound (empty store)", res[0].Err)
+	if err := <-first; !errors.Is(err, db.ErrNotFound) {
+		t.Fatalf("first read: got %v, want ErrNotFound (empty store)", err)
 	}
 }
 
@@ -122,21 +147,28 @@ func TestBatchAdmissionRetrySucceeds(t *testing.T) {
 	tn := listenNode(t)
 	tn.serve(t, eng, NodeOptions{MaxInflight: 1})
 	// The server hints 1s; the cap cuts the one backoff to 500ms, well
-	// after the slow batch has released the slot.
+	// after the slow read has released the slot.
 	c := tn.client(t, WireModeAuto)
 	c.maxBackoff = 500 * time.Millisecond
 
-	ops := []db.BatchOp{{Op: db.OpRead, Table: "t", Key: "k"}}
-	first := make(chan []db.BatchResult)
-	go func() { first <- c.ExecBatch(context.Background(), ops) }()
+	type answer struct {
+		rec db.Record
+		err error
+	}
+	read := func() answer {
+		r, err := c.Read(context.Background(), "t", "k", nil)
+		return answer{r, err}
+	}
+	first := make(chan answer)
+	go func() { first <- read() }()
 	<-eng.entered
 
-	for i, res := range [][]db.BatchResult{c.ExecBatch(context.Background(), ops), <-first} {
-		if res[0].Err != nil || string(res[0].Record["f"]) != "v" {
-			t.Fatalf("batch %d: %+v", i, res[0])
+	for i, a := range []answer{read(), <-first} {
+		if a.err != nil || string(a.rec["f"]) != "v" {
+			t.Fatalf("read %d: %+v", i, a)
 		}
 	}
-	// First batch, the shed one and its retry.
+	// First read, the shed one and its retry.
 	if frames := tn.counter("kvwire_frames_total", "dir", "in"); frames != 3 {
 		t.Fatalf("server read %d request frames, want 3", frames)
 	}

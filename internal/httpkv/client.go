@@ -36,9 +36,7 @@ const (
 // Client is the "rawhttp" DB binding: it speaks the httpkv protocol
 // to a remote (or in-process httptest) server. Like the paper's
 // RawHttpDB it has no transaction support — Start/Commit/Abort fall
-// back to the DB class's no-op defaults. It implements db.BatchDB
-// (batch.go): on a frame endpoint one request frame moves a whole
-// multi-key batch.
+// back to the DB class's no-op defaults.
 type Client struct {
 	db.NoTransactions
 	base string

@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"ycsbt/internal/cluster"
-	"ycsbt/internal/db"
+	"ycsbt/internal/kvstore"
 	"ycsbt/internal/kvwire"
 )
 
@@ -63,23 +63,26 @@ func TestClusterBatchPartialMoved(t *testing.T) {
 
 	mine := keyOwnedBy(t, m, a.URL, "user")
 	theirs := keyOwnedBy(t, m, b.URL, "user")
-	res := ca.ExecBatch(ctx, []db.BatchOp{
-		{Op: db.OpInsert, Table: "t", Key: mine, Values: rec("v1")},
-		{Op: db.OpInsert, Table: "t", Key: theirs, Values: rec("v2")},
-		{Op: db.OpRead, Table: "t", Key: mine},
+	res, err := ca.exec(ctx, []kvwire.Op{
+		{Kind: kvwire.KindPut, Table: "t", Key: mine, Fields: rec("v1"), Expect: kvstore.AnyVersion},
+		{Kind: kvwire.KindPut, Table: "t", Key: theirs, Fields: rec("v2"), Expect: kvstore.AnyVersion},
+		{Kind: kvwire.KindGet, Table: "t", Key: mine},
 	})
-	if res[0].Err != nil {
-		t.Errorf("owned insert in batch: %v", res[0].Err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wireResultErr(res[0]); err != nil {
+		t.Errorf("owned insert in batch: %v", err)
 	}
 	var me *cluster.MovedError
-	if !errors.As(res[1].Err, &me) {
-		t.Fatalf("foreign insert in batch: got %v, want MovedError", res[1].Err)
+	if err := wireResultErr(res[1]); !errors.As(err, &me) {
+		t.Fatalf("foreign insert in batch: got %v, want MovedError", err)
 	}
 	if me.Owner != b.URL {
 		t.Errorf("batch moved owner hint = %q, want %q", me.Owner, b.URL)
 	}
-	if res[2].Err != nil || string(res[2].Record["f"]) != "v1" {
-		t.Errorf("owned read in batch: %v %v", res[2].Record, res[2].Err)
+	if err := wireResultErr(res[2]); err != nil || string(res[2].Fields["f"]) != "v1" {
+		t.Errorf("owned read in batch: %v %v", res[2].Fields, err)
 	}
 }
 

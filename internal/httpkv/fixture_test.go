@@ -257,16 +257,9 @@ func rec(v string) db.Record { return db.Record{"f": []byte(v)} }
 // loadFixtureKeys inserts user00000..user<n-1> with values v00000...
 func loadFixtureKeys(t testing.TB, c *Client, n int) {
 	t.Helper()
-	ops := make([]db.BatchOp, 0, n)
 	for i := 0; i < n; i++ {
-		ops = append(ops, db.BatchOp{
-			Op: db.OpInsert, Table: "t", Key: fmt.Sprintf("user%05d", i),
-			Values: rec(fmt.Sprintf("v%05d", i)),
-		})
-	}
-	for _, res := range c.ExecBatch(context.Background(), ops) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		if err := c.Insert(context.Background(), "t", fmt.Sprintf("user%05d", i), rec(fmt.Sprintf("v%05d", i))); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

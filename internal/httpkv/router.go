@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,20 +70,15 @@ const (
 // routerMetrics holds the router's obs handles; everything is
 // nil-safe so the binding runs identically with metrics off.
 type routerMetrics struct {
-	reg     *obs.Registry
 	refetch *obs.Counter // cluster_map_refetch_total
 	moved   *obs.Counter // httpkv_client_moved_total
-
-	mu         sync.Mutex
-	batchItems map[string]*obs.Histogram // httpkv_routed_batch_items per node
 }
 
 func newRouterMetrics(reg *obs.Registry, dials, mapVersion func() float64) *routerMetrics {
-	m := &routerMetrics{reg: reg, batchItems: make(map[string]*obs.Histogram)}
+	m := &routerMetrics{}
 	reg.Help("cluster_map_refetch_total", "Shard-map re-fetches triggered by moved errors or bootstrap.")
 	reg.Help("httpkv_client_moved_total", "Moved (410) answers observed by the cluster router.")
 	reg.Help("cluster_client_shardmap_version", "Version of the shard map the router currently routes by.")
-	reg.Help("httpkv_routed_batch_items", "Operations per routed per-node batch, labeled by owner node.")
 	m.refetch = reg.Counter("cluster_map_refetch_total")
 	m.moved = reg.Counter("httpkv_client_moved_total")
 	reg.GaugeFunc("cluster_client_shardmap_version", mapVersion)
@@ -97,21 +91,6 @@ func newRouterMetrics(reg *obs.Registry, dials, mapVersion func() float64) *rout
 		}}
 	})
 	return m
-}
-
-// observeRoutedBatch records the per-node envelope size.
-func (m *routerMetrics) observeRoutedBatch(node string, items int) {
-	if m == nil || m.reg == nil {
-		return
-	}
-	m.mu.Lock()
-	h, ok := m.batchItems[node]
-	if !ok {
-		h = m.reg.Histogram("httpkv_routed_batch_items", obs.CountBuckets, "node", node)
-		m.batchItems[node] = h
-	}
-	m.mu.Unlock()
-	h.Observe(float64(items))
 }
 
 func (m *routerMetrics) incRefetch() {
@@ -597,97 +576,4 @@ func scanRound[T any](ctx context.Context, r *Router, table, startKey string, co
 	}
 }
 
-// ExecBatch implements db.BatchDB: ops group by owner node, one
-// request frame goes to each owner concurrently (the last on the
-// caller's goroutine), and results merge back
-// in request order. Items answered 410 re-route (after a map refetch)
-// with bounded retries, so a batch spanning a migrating slot loses no
-// operations — it just pays extra rounds for the moved subset.
-func (r *Router) ExecBatch(ctx context.Context, ops []db.BatchOp) []db.BatchResult {
-	out := make([]db.BatchResult, len(ops))
-	pending := make([]int, len(ops))
-	for i := range ops {
-		pending[i] = i
-	}
-	for attempt := 0; len(pending) > 0; attempt++ {
-		m := r.cur.Load()
-		groups := make(map[string][]int)
-		for _, i := range pending {
-			owner, _ := m.Owner(ops[i].Key)
-			groups[owner] = append(groups[owner], i)
-		}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var movedNext []int
-		var firstMoved *cluster.MovedError
-		send := func(owner string, idx []int) {
-			sub := make([]db.BatchOp, len(idx))
-			for j, i := range idx {
-				sub[j] = ops[i]
-			}
-			r.metrics.observeRoutedBatch(owner, len(sub))
-			var results []db.BatchResult
-			c, err := r.node(ctx, owner)
-			if err == nil {
-				results = c.ExecBatch(ctx, sub)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for j, i := range idx {
-				if err != nil {
-					out[i] = db.BatchResult{Err: err}
-					continue
-				}
-				res := results[j]
-				var me *cluster.MovedError
-				if errors.As(res.Err, &me) {
-					movedNext = append(movedNext, i)
-					if firstMoved == nil {
-						firstMoved = me
-					}
-					continue
-				}
-				out[i] = res
-			}
-		}
-		// Every owner but one on a goroutine of its own, that one on the
-		// caller: a batch with one owner starts none.
-		left := len(groups)
-		for owner, idx := range groups {
-			if left--; left == 0 {
-				send(owner, idx)
-				break
-			}
-			wg.Add(1)
-			go func(owner string, idx []int) {
-				defer wg.Done()
-				send(owner, idx)
-			}(owner, idx)
-		}
-		wg.Wait()
-		if len(movedNext) == 0 {
-			return out
-		}
-		if attempt >= r.retries {
-			for _, i := range movedNext {
-				out[i] = db.BatchResult{Err: fmt.Errorf(
-					"cluster: key %q still moving after %d retries: %w", ops[i].Key, attempt, firstMoved)}
-			}
-			return out
-		}
-		if err := r.handleMoved(ctx, firstMoved, attempt); err != nil {
-			for _, i := range movedNext {
-				out[i] = db.BatchResult{Err: err}
-			}
-			return out
-		}
-		sort.Ints(movedNext)
-		pending = movedNext
-	}
-	return out
-}
-
-var (
-	_ db.DB      = (*Router)(nil)
-	_ db.BatchDB = (*Router)(nil)
-)
+var _ db.DB = (*Router)(nil)

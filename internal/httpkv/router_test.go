@@ -144,33 +144,6 @@ func TestRouterScanDetectsVersionSkew(t *testing.T) {
 	}
 }
 
-// Batches fan out per owner and merge positionally: result i always
-// answers op i, whatever node served it.
-func TestRouterBatchFanOut(t *testing.T) {
-	nodes := startTestCluster(t, 3, 12)
-	r := newTestRouter(t, nodes, nil)
-	ctx := context.Background()
-
-	var ops []db.BatchOp
-	for i := 0; i < 30; i++ {
-		ops = append(ops, db.BatchOp{Op: db.OpInsert, Table: "t", Key: fmt.Sprintf("user%05d", i), Values: rec(fmt.Sprintf("v%d", i))})
-	}
-	for _, res := range r.ExecBatch(ctx, ops) {
-		if res.Err != nil {
-			t.Fatalf("batch insert: %v", res.Err)
-		}
-	}
-	ops = ops[:0]
-	for i := 0; i < 30; i++ {
-		ops = append(ops, db.BatchOp{Op: db.OpRead, Table: "t", Key: fmt.Sprintf("user%05d", i)})
-	}
-	for i, res := range r.ExecBatch(ctx, ops) {
-		if res.Err != nil || string(res.Record["f"]) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("batch read %d: %v %v", i, res.Record, res.Err)
-		}
-	}
-}
-
 // When the fleet installs a newer map behind the router's back, the
 // 410 + hint makes it refetch and retry — the operation succeeds and
 // the refetch counter moves.
@@ -225,10 +198,10 @@ func TestRouterRefetchesOnMoved(t *testing.T) {
 	}
 }
 
-// The moved-key storm (run under -race): eight writers batch through
-// the router while a slot live-migrates underneath them. No operation
-// may be lost or duplicated, and the map refetches must stay bounded
-// instead of stampeding once per moved item.
+// The moved-key storm (run under -race): eight writers update through
+// the router, one operation at a time each, while a slot live-migrates
+// underneath them. No operation may be lost or duplicated, and the map
+// refetches must stay bounded instead of stampeding once per moved item.
 func TestRouterMovedStorm(t *testing.T) {
 	nodes := startTestCluster(t, 3, 12)
 	reg := obs.NewRegistry()
@@ -240,20 +213,13 @@ func TestRouterMovedStorm(t *testing.T) {
 	const (
 		threads = 8
 		rounds  = 30
-		perOp   = 4 // keys per thread per batch
+		perOp   = 4 // keys per thread, each updated once a round
 	)
 	// Seed every key; counters start at 0.
 	for th := 0; th < threads; th++ {
-		var ops []db.BatchOp
 		for j := 0; j < perOp; j++ {
-			ops = append(ops, db.BatchOp{
-				Op: db.OpInsert, Table: "t",
-				Key: fmt.Sprintf("storm-%d-%d", th, j), Values: rec("0"),
-			})
-		}
-		for _, res := range r.ExecBatch(ctx, ops) {
-			if res.Err != nil {
-				t.Fatal(res.Err)
+			if err := r.Insert(ctx, "t", fmt.Sprintf("storm-%d-%d", th, j), rec("0")); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -267,17 +233,10 @@ func TestRouterMovedStorm(t *testing.T) {
 		go func(th int) {
 			defer wg.Done()
 			for round := 1; round <= rounds; round++ {
-				var ops []db.BatchOp
 				for j := 0; j < perOp; j++ {
-					ops = append(ops, db.BatchOp{
-						Op: db.OpUpdate, Table: "t",
-						Key:    fmt.Sprintf("storm-%d-%d", th, j),
-						Values: rec(fmt.Sprintf("%d", round)),
-					})
-				}
-				for j, res := range r.ExecBatch(ctx, ops) {
-					if res.Err != nil {
-						errs <- fmt.Errorf("thread %d round %d op %d: %w", th, round, j, res.Err)
+					k := fmt.Sprintf("storm-%d-%d", th, j)
+					if err := r.Update(ctx, "t", k, rec(fmt.Sprintf("%d", round))); err != nil {
+						errs <- fmt.Errorf("thread %d round %d op %d: %w", th, round, j, err)
 						return
 					}
 					acked[th][j]++
@@ -370,16 +329,9 @@ func TestRouterScanStreamsAcrossFleet(t *testing.T) {
 	ctx := context.Background()
 
 	n := 400
-	ops := make([]db.BatchOp, 0, n)
 	for i := 0; i < n; i++ {
-		ops = append(ops, db.BatchOp{
-			Op: db.OpInsert, Table: "t", Key: fmt.Sprintf("user%05d", i),
-			Values: rec(fmt.Sprintf("v%05d", i)),
-		})
-	}
-	for _, res := range r.ExecBatch(ctx, ops) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		if err := r.Insert(ctx, "t", fmt.Sprintf("user%05d", i), rec(fmt.Sprintf("v%05d", i))); err != nil {
+			t.Fatal(err)
 		}
 	}
 	httpBefore := make([]int64, len(nodes))

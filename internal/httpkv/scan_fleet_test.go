@@ -44,14 +44,10 @@ func fleetKey(i int) string { return fmt.Sprintf("user%05d", i) }
 func (f *scanFleet) loadRouted(t *testing.T, n int) []string {
 	t.Helper()
 	keys := make([]string, n)
-	ops := make([]db.BatchOp, n)
-	for i := range ops {
+	for i := range keys {
 		keys[i] = fleetKey(i)
-		ops[i] = db.BatchOp{Op: db.OpInsert, Table: "t", Key: keys[i], Values: rec("v-" + keys[i])}
-	}
-	for _, res := range f.r.ExecBatch(context.Background(), ops) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		if err := f.r.Insert(context.Background(), "t", keys[i], rec("v-"+keys[i])); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return keys
@@ -334,14 +330,10 @@ func TestFleetScanEarlyStopLeavesNothingRunning(t *testing.T) {
 func (f *scanFleet) loadYCSB(t *testing.T, n int) []string {
 	t.Helper()
 	keys := make([]string, n)
-	ops := make([]db.BatchOp, n)
-	for i := range ops {
+	for i := range keys {
 		keys[i] = fleetKey(i)
-		ops[i] = db.BatchOp{Op: db.OpInsert, Table: "t", Key: keys[i], Values: ycsbRecord().Fields}
-	}
-	for _, res := range f.r.ExecBatch(context.Background(), ops) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		if err := f.r.Insert(context.Background(), "t", keys[i], ycsbRecord().Fields); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return keys

@@ -156,8 +156,8 @@ func newAsOfNode(t *testing.T) (tn *testNode, ts int64) {
 	return tn, ts
 }
 
-// With as_of set, get, scan and batch all answer from the frozen
-// snapshot — over frames, the only place as-of reads exist.
+// With as_of set, get, scan and a frame of gets all answer from the
+// frozen snapshot — over frames, the only place as-of reads exist.
 func TestAsOfReadsOverFrames(t *testing.T) {
 	ctx := context.Background()
 	tn, ts := newAsOfNode(t)
@@ -184,18 +184,23 @@ func TestAsOfReadsOverFrames(t *testing.T) {
 			t.Fatalf("as-of scan %s = %q, want \"old\"", kv.Key, got)
 		}
 	}
-	res := c.ExecBatch(ctx, []db.BatchOp{
-		{Op: db.OpRead, Table: "t", Key: "k1"},
-		{Op: db.OpRead, Table: "t", Key: "k3"},
-		{Op: db.OpRead, Table: "t", Key: "k5"},
+	// Several as-of gets in one request frame, each stamped with the
+	// client's snapshot as its reads are.
+	res, err := c.exec(ctx, []kvwire.Op{
+		{Kind: kvwire.KindGet, Table: "t", Key: "k1", AsOf: c.asOf},
+		{Kind: kvwire.KindGet, Table: "t", Key: "k3", AsOf: c.asOf},
+		{Kind: kvwire.KindGet, Table: "t", Key: "k5", AsOf: c.asOf},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
-		if res[i].Err != nil || string(res[i].Record["v"]) != "old" {
-			t.Fatalf("batch item %d = %v, %v; want \"old\"", i, res[i].Record, res[i].Err)
+		if err := wireResultErr(res[i]); err != nil || string(res[i].Fields["v"]) != "old" {
+			t.Fatalf("batch item %d = %v, %v; want \"old\"", i, res[i].Fields, err)
 		}
 	}
-	if !errors.Is(res[2].Err, db.ErrNotFound) {
-		t.Fatalf("batch read of later-inserted k5: %v, want ErrNotFound", res[2].Err)
+	if err := wireResultErr(res[2]); !errors.Is(err, db.ErrNotFound) {
+		t.Fatalf("batch read of later-inserted k5: %v, want ErrNotFound", err)
 	}
 	// as_of=-1 freezes at the server's clock now: the head, as of Init.
 	head := tn.client(t, WireModeAuto, "as_of", "-1")

@@ -9,11 +9,11 @@ import (
 	"ycsbt/internal/db"
 )
 
-// TestBindingUpholdsImmutability drives the kvstore db binding —
-// Read/Scan with and without field projections, updates, and batched
-// ops including the fields==nil path that used to alias the engine
-// map — over an audited engine and verifies no record handed out by
-// Get/Scan/BatchGet was ever mutated.
+// TestBindingUpholdsImmutability drives the kvstore db binding (Read
+// and Scan with and without field projections, updates) and the
+// audited engine's own BatchApply/BatchGet, including the fields==nil
+// projection that used to alias the engine map, and verifies no record
+// handed out by Get/Scan/BatchGet was ever mutated.
 func TestBindingUpholdsImmutability(t *testing.T) {
 	ctx := context.Background()
 	audit := NewAuditEngine(OpenMemoryShards(4))
@@ -50,19 +50,19 @@ func TestBindingUpholdsImmutability(t *testing.T) {
 	for _, kv := range kvs {
 		kv.Fields.Map()["scan-added"] = []byte("y")
 	}
-	ops := []db.BatchOp{
-		{Op: db.OpRead, Table: "t", Key: "user001"},
-		{Op: db.OpRead, Table: "t", Key: "user002", Fields: []string{"f1"}},
-		{Op: db.OpUpdate, Table: "t", Key: "user003", Values: db.Record{"f0": []byte("z")}},
-		{Op: db.OpRead, Table: "t", Key: "user003"},
+	// Batched engine calls: an update through BatchApply, then reads
+	// through BatchGet whose records, projected as a binding projects
+	// them, the holder may extend.
+	if r := audit.BatchApply([]Mutation{{Op: MutUpdate, Table: "t", Key: "user003", Fields: db.Record{"f0": []byte("z")}}}); r[0].Err != nil {
+		t.Fatalf("batch update: %v", r[0].Err)
 	}
-	for i, r := range b.ExecBatch(ctx, ops) {
+	reqs := []GetReq{{Table: "t", Key: "user001"}, {Table: "t", Key: "user002"}, {Table: "t", Key: "user003"}}
+	projections := [][]string{nil, {"f1"}, nil}
+	for i, r := range audit.BatchGet(reqs) {
 		if r.Err != nil {
-			t.Fatalf("batch op %d: %v", i, r.Err)
+			t.Fatalf("batch read %d: %v", i, r.Err)
 		}
-		if r.Record != nil {
-			r.Record["batch-added"] = []byte("w")
-		}
+		r.Record.Project(projections[i])["batch-added"] = []byte("w")
 	}
 	if err := audit.Verify(); err != nil {
 		t.Fatal(err)

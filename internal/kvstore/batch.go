@@ -2,14 +2,12 @@ package kvstore
 
 import "sync"
 
-// Multi-key engine operations. A batch is the engine-side half of the
-// batched request path: the layers above coalesce many logical
-// operations into one call, and the partitioned store executes the
-// whole group with one lock acquisition and one group-commit wait per
-// touched partition — concurrent across partitions — instead of one
-// of each per key. That amortization is what lets a fat group commit
-// absorb a fat network batch (the paper's Tier 5 observation that
-// per-operation round trips dominate transactional overhead).
+// Multi-key engine operations. A batch is the engine-side half of a
+// request frame (kvwire.Core runs every frame, and every REST record
+// route, as BatchGet/BatchApply calls) and of percolator's batched
+// prewrite: the partitioned store executes the whole group with one
+// lock acquisition and one group-commit wait per touched partition —
+// concurrent across partitions — instead of one of each per key.
 
 // GetReq names one record of a batched read.
 type GetReq struct {

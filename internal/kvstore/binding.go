@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"ycsbt/internal/db"
@@ -144,76 +143,3 @@ func (b *Binding) Insert(ctx context.Context, table, key string, values db.Recor
 func (b *Binding) Delete(_ context.Context, table, key string) error {
 	return b.eng.Delete(table, key)
 }
-
-// ExecBatch implements db.BatchDB by splitting the batch into maximal
-// runs of same-kind operations — consecutive reads become one
-// BatchGet, consecutive writes one BatchApply — so each run pays one
-// lock acquisition and one group-commit wait per touched partition
-// while the batch's internal order is preserved.
-func (b *Binding) ExecBatch(_ context.Context, ops []db.BatchOp) []db.BatchResult {
-	out := make([]db.BatchResult, len(ops))
-	for lo := 0; lo < len(ops); {
-		hi := lo + 1
-		for hi < len(ops) && (ops[hi].Op == db.OpRead) == (ops[lo].Op == db.OpRead) {
-			hi++
-		}
-		if ops[lo].Op == db.OpRead {
-			b.execReadRun(ops[lo:hi], out[lo:hi])
-		} else {
-			b.execWriteRun(ops[lo:hi], out[lo:hi])
-		}
-		lo = hi
-	}
-	return out
-}
-
-// execReadRun answers a run of reads with one engine BatchGet
-// (BatchGetAsOf when the binding is pinned to a snapshot).
-func (b *Binding) execReadRun(ops []db.BatchOp, out []db.BatchResult) {
-	reqs := make([]GetReq, len(ops))
-	for i, op := range ops {
-		reqs[i] = GetReq{Table: op.Table, Key: op.Key}
-	}
-	var results []GetResult
-	if b.asOf != 0 {
-		results = b.eng.BatchGetAsOf(reqs, b.asOf)
-	} else {
-		results = b.eng.BatchGet(reqs)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			out[i] = db.BatchResult{Err: r.Err}
-			continue
-		}
-		out[i] = db.BatchResult{Record: r.Record.Project(ops[i].Fields)}
-	}
-}
-
-// execWriteRun applies a run of writes with one engine BatchApply.
-// Updates map to MutUpdate (read-merge-write under the partition
-// lock); inserts overwrite like single-op Insert does.
-func (b *Binding) execWriteRun(ops []db.BatchOp, out []db.BatchResult) {
-	muts := make([]Mutation, 0, len(ops))
-	idx := make([]int, 0, len(ops))
-	for i, op := range ops {
-		var m Mutation
-		switch op.Op {
-		case db.OpUpdate:
-			m = Mutation{Op: MutUpdate, Table: op.Table, Key: op.Key, Fields: op.Values}
-		case db.OpInsert:
-			m = Mutation{Op: MutPut, Table: op.Table, Key: op.Key, Fields: op.Values, Expect: AnyVersion}
-		case db.OpDelete:
-			m = Mutation{Op: MutDelete, Table: op.Table, Key: op.Key, Expect: AnyVersion}
-		default:
-			out[i] = db.BatchResult{Err: fmt.Errorf("%w: cannot batch %v", db.ErrNotSupported, op.Op)}
-			continue
-		}
-		muts = append(muts, m)
-		idx = append(idx, i)
-	}
-	for j, r := range b.eng.BatchApply(muts) {
-		out[idx[j]] = db.BatchResult{Err: r.Err}
-	}
-}
-
-var _ db.BatchDB = (*Binding)(nil)

@@ -80,22 +80,11 @@ func newShard(nbuckets int) *shard {
 }
 
 func (sh *shard) measure(latency time.Duration, returnCode int) {
-	sh.measureN(latency, returnCode, 1)
-}
-
-// measureN records n operations that shared one latency (a batch: each
-// item experienced the whole batch's round trip). sum, histogram and
-// return counts weight by n, so Operations counts items while AvgUS
-// stays the per-item latency.
-func (sh *shard) measureN(latency time.Duration, returnCode int, n int64) {
-	if n <= 0 {
-		return
-	}
 	us := latency.Microseconds()
 	if us < 0 {
 		us = 0
 	}
-	sh.sumUS.Add(us * n)
+	sh.sumUS.Add(us)
 	for {
 		cur := sh.minUS.Load()
 		if us >= cur || sh.minUS.CompareAndSwap(cur, us) {
@@ -112,8 +101,8 @@ func (sh *shard) measureN(latency time.Duration, returnCode int, n int64) {
 	if ms >= int64(len(sh.buckets)-1) {
 		ms = int64(len(sh.buckets) - 1)
 	}
-	sh.buckets[ms].Add(n)
-	sh.returns[returnSlot(returnCode)].Add(n)
+	sh.buckets[ms].Add(1)
+	sh.returns[returnSlot(returnCode)].Add(1)
 }
 
 // Series accumulates latency measurements for one operation type.
@@ -151,12 +140,6 @@ func (s *Series) Name() string { return s.name }
 // write disjoint shards.
 func (s *Series) Measure(latency time.Duration, returnCode int) {
 	s.shared.measure(latency, returnCode)
-}
-
-// MeasureN records n operations sharing one latency (see
-// SeriesRecorder.MeasureN) into the shared shard.
-func (s *Series) MeasureN(latency time.Duration, returnCode int, n int64) {
-	s.shared.measureN(latency, returnCode, n)
 }
 
 // newShard allocates a fresh single-writer shard and links it into
@@ -389,14 +372,6 @@ type SeriesRecorder struct {
 // Measure records one operation into the handle's private shard.
 func (h *SeriesRecorder) Measure(latency time.Duration, returnCode int) {
 	h.sh.measure(latency, returnCode)
-}
-
-// MeasureN records n operations that shared one latency — a batch,
-// where every item experienced the batch's round trip. Operations
-// counts items (n per call) while the latency statistics weight each
-// item at the shared duration, so AvgUS reads as per-item latency.
-func (h *SeriesRecorder) MeasureN(latency time.Duration, returnCode int, n int64) {
-	h.sh.measureN(latency, returnCode, n)
 }
 
 // Names returns the series names sorted alphabetically, so reports

@@ -4,8 +4,8 @@ import "ycsbt/internal/obs"
 
 // ObsCollector bridges a measurement registry into an obs registry as
 // a scrape-time collector, so a live /metrics scrape mid-run shows
-// per-series operation counts and latency percentiles (the TX-* and
-// BATCH-* series included) without touching the hot recording path or
+// per-series operation counts and latency percentiles (the TX-*
+// series included) without touching the hot recording path or
 // perturbing the end-of-run exports — each scrape is an independent
 // read-time merge of the shards, exactly like Snapshot.
 //

@@ -103,8 +103,8 @@ type Server struct {
 }
 
 // Instrument registers the oracle_* series on reg: allocation
-// requests and timestamps handed out (the gap between the two is the
-// batching amortization).
+// requests and timestamps handed out (the gap between the two is what
+// block allocation amortizes).
 func (s *Server) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return

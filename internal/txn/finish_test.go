@@ -16,24 +16,32 @@ import (
 	"ycsbt/internal/obs"
 )
 
-// slowStore makes every call take delay longer, and TSR deletes
-// tsrDelete longer still: the stand-in for a remote backend where a
-// call is a round trip. It spins, yielding, where a sleep would round
-// 50 µs up to the timer's granularity.
+// slowStore makes every call take delay longer: the stand-in for a
+// remote backend where a call is a round trip. It spins, yielding,
+// where a sleep would round 50 µs up to the timer's granularity. With
+// releaseTSRDelete set, a TSR delete also parks until that returns true
+// (or tsrDeleteLimit has passed), so finishes stay outstanding for as
+// long as a test needs them to.
 type slowStore struct {
 	Store
-	delay, tsrDelete time.Duration
+	delay            time.Duration
+	releaseTSRDelete func() bool
 	calls            atomic.Int64
 }
 
+// tsrDeleteLimit bounds how long a TSR delete stays parked, so a
+// release that never comes fails the test rather than hanging it.
+const tsrDeleteLimit = 10 * time.Second
+
 func (s *slowStore) wait(op, table string) {
 	s.calls.Add(1)
-	d := s.delay
-	if op == "Delete" && table == tsrTable {
-		d += s.tsrDelete
-	}
-	for start := time.Now(); time.Since(start) < d; {
+	for start := time.Now(); time.Since(start) < s.delay; {
 		runtime.Gosched()
+	}
+	if op == "Delete" && table == tsrTable && s.releaseTSRDelete != nil {
+		for start := time.Now(); !s.releaseTSRDelete() && time.Since(start) < tsrDeleteLimit; {
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
 }
 
@@ -81,10 +89,10 @@ func wantNoDebris(t *testing.T, inner *kvstore.Store, table string) {
 }
 
 // TestFinishAccounting drives the deferred finish past its bound: the
-// call that ends a finish (the TSR delete) is a thousand times slower
-// than the committer's round trips, so eight committers outrun their
-// finishes until maxPendingFinishes are outstanding and the rest run
-// inline. Whatever ran where, every Begin ends in one commit or abort, Flush leaves the
+// call that ends a background finish (the TSR delete) parks until a
+// finish has run inline, so eight committers outrun their finishes
+// until maxPendingFinishes are outstanding — by construction, however
+// slow the schedule — and the next commit runs its own. Whatever ran where, every Begin ends in one commit or abort, Flush leaves the
 // store clean, the cash is conserved, the history certifies, and no
 // goroutine outlives the run.
 func TestFinishAccounting(t *testing.T) {
@@ -100,10 +108,11 @@ func TestFinishAccounting(t *testing.T) {
 	defer inner.Close()
 	sink := &history.MemorySink{}
 	reg := obs.NewRegistry()
+	inlineFinishes := reg.Counter("txn_finish_inline_total")
 	store := &slowStore{
-		Store:     NewLocalStore("local", inner),
-		delay:     20 * time.Microsecond,
-		tsrDelete: 20 * time.Millisecond,
+		Store:            NewLocalStore("local", inner),
+		delay:            20 * time.Microsecond,
+		releaseTSRDelete: func() bool { return inlineFinishes.Value() > 0 },
 	}
 	m, err := NewManager(Options{History: sink, Metrics: reg}, store)
 	if err != nil {

@@ -48,51 +48,24 @@ func expired() (context.Context, context.CancelFunc) {
 // rcRec is a one-field record.
 func rcRec(v string) db.Record { return db.Record{"f": []byte(v)} }
 
-// batchErr runs one batched op and returns its per-item error.
-func batchErr(ctx context.Context, b db.BatchDB, op db.BatchOp) error {
-	return b.ExecBatch(ctx, []db.BatchOp{op})[0].Err
-}
-
 // plainOutcomes are the misses every non-transactional binding reports
-// alike, single and batched; "k" must hold a record and "missing" none.
+// alike; "k" must hold a record and "missing" none. Over rawhttp with
+// the wire on, each of them rides a request frame.
 func plainOutcomes(b db.DB) []outcome {
-	out := []outcome{
+	return []outcome{
 		{"read hit", func(ctx context.Context) error { _, err := b.Read(ctx, "t", "k", nil); return err }, db.CodeOK},
 		{"read miss", func(ctx context.Context) error { _, err := b.Read(ctx, "t", "missing", nil); return err }, db.CodeNotFound},
 		{"update miss", func(ctx context.Context) error { return b.Update(ctx, "t", "missing", rcRec("v")) }, db.CodeNotFound},
 		{"delete miss", func(ctx context.Context) error { return b.Delete(ctx, "t", "missing") }, db.CodeNotFound},
 	}
-	if bb, ok := b.(db.BatchDB); ok {
-		out = append(out,
-			outcome{"batched read miss", func(ctx context.Context) error {
-				return batchErr(ctx, bb, db.BatchOp{Op: db.OpRead, Table: "t", Key: "missing"})
-			}, db.CodeNotFound},
-			outcome{"batched update miss", func(ctx context.Context) error {
-				return batchErr(ctx, bb, db.BatchOp{Op: db.OpUpdate, Table: "t", Key: "missing", Values: rcRec("v")})
-			}, db.CodeNotFound},
-			outcome{"batched delete miss", func(ctx context.Context) error {
-				return batchErr(ctx, bb, db.BatchOp{Op: db.OpDelete, Table: "t", Key: "missing"})
-			}, db.CodeNotFound},
-			outcome{"batched scan", func(ctx context.Context) error {
-				return batchErr(ctx, bb, db.BatchOp{Op: db.OpScan, Table: "t", Key: "k"})
-			}, db.CodeNotSupported},
-		)
-	}
-	return out
 }
 
 // asOfOutcomes are the reads of a binding pinned to a snapshot taken
 // before "k" was overwritten, with nothing keeping the old version.
 func asOfOutcomes(b db.DB) []outcome {
-	out := []outcome{
+	return []outcome{
 		{"as-of read below the horizon", func(ctx context.Context) error { _, err := b.Read(ctx, "t", "k", nil); return err }, db.CodeUnknown},
 	}
-	if bb, ok := b.(db.BatchDB); ok {
-		out = append(out, outcome{"batched as-of read below the horizon", func(ctx context.Context) error {
-			return batchErr(ctx, bb, db.BatchOp{Op: db.OpRead, Table: "t", Key: "k"})
-		}, db.CodeUnknown})
-	}
-	return out
 }
 
 // txnOutcomes are the outcomes every transactional binding reports:

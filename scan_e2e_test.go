@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"ycsbt/internal/db"
 	"ycsbt/internal/httpkv"
 	"ycsbt/internal/properties"
 )
@@ -72,16 +71,9 @@ func migrateCell(b *testing.B) {
 	defer r.Cleanup()
 	// Seed the key space through the router.
 	val := make([]byte, 100)
-	ops := make([]db.BatchOp, 4096)
-	for i := range ops {
-		ops[i] = db.BatchOp{
-			Op: db.OpInsert, Table: "usertable", Key: fmt.Sprintf("user%05d", i),
-			Values: map[string][]byte{"field0": val},
-		}
-	}
-	for _, res := range r.ExecBatch(ctx, ops) {
-		if res.Err != nil {
-			b.Fatal(res.Err)
+	for i := 0; i < 4096; i++ {
+		if err := r.Insert(ctx, "usertable", fmt.Sprintf("user%05d", i), map[string][]byte{"field0": val}); err != nil {
+			b.Fatal(err)
 		}
 	}
 	// Migrate a slot node 0 owns; ~1/8 of the keys ride along.

@@ -31,23 +31,19 @@ import (
 	"ycsbt/internal/workload"
 )
 
-// wireLoadCell runs one batched load phase (the batch workload: pure
-// inserts coalesced into 16-op batches across 32 client threads) over
-// the rawhttp binding with the transport set by wireMode — one request
-// frame per batch, or with the wire off one REST call per insert — and
-// returns its throughput.
-func wireLoadCell(tb testing.TB, url string, records int64, wireMode string) float64 {
+// wireLoadCell runs one load phase (pure inserts across 32 client
+// threads, one operation per thread at a time) over the rawhttp binding
+// with the transport set by wireMode — one request frame per insert,
+// or with the wire off one REST call per insert.
+func wireLoadCell(tb testing.TB, url string, records int64, wireMode string) {
 	tb.Helper()
 	p := properties.FromMap(map[string]string{
-		"workload":        "core",
-		"recordcount":     fmt.Sprint(records),
-		"threadcount":     "32",
-		"fieldcount":      "1",
-		"fieldlength":     "100",
-		"middleware":      "metered,batching",
-		"batch.size":      "16",
-		"batch.linger_ms": "1",
-		"rawhttp.wire":    wireMode,
+		"workload":     "core",
+		"recordcount":  fmt.Sprint(records),
+		"threadcount":  "32",
+		"fieldcount":   "1",
+		"fieldlength":  "100",
+		"rawhttp.wire": wireMode,
 	})
 	w, err := workload.New("core")
 	if err != nil {
@@ -67,28 +63,38 @@ func wireLoadCell(tb testing.TB, url string, records int64, wireMode string) flo
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := c.Load(context.Background())
+	if _, err := c.Load(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// wireAddrOf returns the frame listener a node advertises on /healthz.
+func wireAddrOf(tb testing.TB, url string) string {
+	tb.Helper()
+	resp, err := http.Get(url + "/healthz")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return res.Throughput
+	resp.Body.Close()
+	addr := resp.Header.Get(httpkv.WireAddrHeader)
+	if resp.StatusCode != http.StatusOK || addr == "" {
+		tb.Fatalf("GET %s/healthz: status %d, %s %q; want 200 and a frame listener", url, resp.StatusCode, httpkv.WireAddrHeader, addr)
+	}
+	return addr
 }
 
-// transportCell times 32 client threads shipping 16-op request frames,
-// with no workload harness in the way: the transport's ops/s ceiling,
-// which is what bounds every rawhttp figure once the engine stops
-// being the bottleneck. mkOps fills the batch for sequence number n.
-func transportCell(b *testing.B, url string, mkOps func(n int64, ops []db.BatchOp)) {
+// transportCell times 32 client threads shipping 16-op request frames
+// through a kvwire endpoint, with no binding or workload harness in
+// the way: the transport's ops/s ceiling. mkOps fills the frame for
+// sequence number n.
+func transportCell(b *testing.B, url string, mkOps func(n int64, ops []kvwire.Op)) {
 	b.Helper()
-	c := httpkv.NewClient(url, nil)
-	if err := c.Init(properties.New()); err != nil {
-		b.Fatal(err)
-	}
-	defer c.Cleanup()
+	ep := kvwire.NewEndpoint(wireAddrOf(b, url), kvwire.DefaultMaxConns)
+	defer ep.Close()
 	ctx := context.Background()
 	// Prime the connection pool so the timed region measures steady
 	// state, not dialling.
-	if err := c.Insert(ctx, "usertable", "prime", map[string][]byte{"field0": []byte("x")}); err != nil {
+	if _, err := ep.Exec(ctx, []kvwire.Op{{Kind: kvwire.KindGet, Table: "usertable", Key: "prime"}}); err != nil {
 		b.Fatal(err)
 	}
 	var seq, opsDone atomic.Int64
@@ -96,12 +102,17 @@ func transportCell(b *testing.B, url string, mkOps func(n int64, ops []db.BatchO
 	b.ResetTimer()
 	start := time.Now()
 	b.RunParallel(func(pb *testing.PB) {
-		ops := make([]db.BatchOp, 16)
+		ops := make([]kvwire.Op, 16)
 		for pb.Next() {
 			mkOps(seq.Add(1), ops)
-			for _, r := range c.ExecBatch(ctx, ops) {
-				if r.Err != nil {
-					b.Error(r.Err)
+			res, err := ep.Exec(ctx, ops)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			for _, r := range res {
+				if r.Status != http.StatusOK && r.Status != http.StatusNoContent {
+					b.Errorf("item answered %d: %s", r.Status, r.Err)
 					return
 				}
 			}
@@ -111,10 +122,10 @@ func transportCell(b *testing.B, url string, mkOps func(n int64, ops []db.BatchO
 	b.ReportMetric(float64(opsDone.Load())/time.Since(start).Seconds(), "tput_ops/s")
 }
 
-// BenchmarkWireTransport is the protocol benchmark: the batch workload
-// at 32 client threads over request frames. On read batches the
-// per-result field encode/decode is the whole per-op cost; on inserts
-// the engine's write path (version chains, shard locks) shares it.
+// BenchmarkWireTransport is the protocol benchmark: 16-op request
+// frames at 32 client threads. On read frames the per-result field
+// encode/decode is the whole per-op cost; on inserts the engine's
+// write path (version chains, shard locks) shares it.
 func BenchmarkWireTransport(b *testing.B) {
 	val := make([]byte, 100)
 	b.Run("Read", func(b *testing.B) {
@@ -124,10 +135,10 @@ func BenchmarkWireTransport(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		transportCell(b, url, func(n int64, ops []db.BatchOp) {
+		transportCell(b, url, func(n int64, ops []kvwire.Op) {
 			for j := range ops {
-				ops[j] = db.BatchOp{
-					Op: db.OpRead, Table: "usertable",
+				ops[j] = kvwire.Op{
+					Kind: kvwire.KindGet, Table: "usertable",
 					Key: fmt.Sprintf("user%04d", (int(n)+j)%1000),
 				}
 			}
@@ -135,12 +146,13 @@ func BenchmarkWireTransport(b *testing.B) {
 	})
 	b.Run("Insert", func(b *testing.B) {
 		_, url := startKVServer(b, 0)
-		transportCell(b, url, func(n int64, ops []db.BatchOp) {
+		transportCell(b, url, func(n int64, ops []kvwire.Op) {
 			for j := range ops {
-				ops[j] = db.BatchOp{
-					Op: db.OpInsert, Table: "usertable",
+				ops[j] = kvwire.Op{
+					Kind: kvwire.KindPut, Table: "usertable",
 					Key:    fmt.Sprintf("user%08d-%02d", n, j),
-					Values: map[string][]byte{"field0": val},
+					Fields: map[string][]byte{"field0": val},
+					Expect: kvstore.AnyVersion,
 				}
 			}
 		})
@@ -299,15 +311,7 @@ func TestKVServerPrintsBoundAddress(t *testing.T) {
 		t.Fatalf("first line %q (%v) names no bound address", line, err)
 	}
 
-	resp, err := http.Get(url + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	wireAddr := resp.Header.Get(httpkv.WireAddrHeader)
-	if resp.StatusCode != http.StatusOK || wireAddr == "" {
-		t.Fatalf("GET %s/healthz: status %d, %s %q; want 200 and a frame listener", url, resp.StatusCode, httpkv.WireAddrHeader, wireAddr)
-	}
+	wireAddr := wireAddrOf(t, url)
 	ep := kvwire.NewEndpoint(wireAddr, 1) // its first dial is the KVW3 handshake
 	defer ep.Close()
 	if _, err := ep.Exec(context.Background(), []kvwire.Op{{Kind: kvwire.KindGet, Table: "t", Key: "k"}}); err != nil {
