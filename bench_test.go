@@ -132,9 +132,9 @@ func BenchmarkTier5Overhead(b *testing.B) {
 }
 
 // BenchmarkMiddlewareChain measures the per-operation cost of the
-// middleware stack itself: a read against the in-memory binding under
-// progressively deeper chains. The deltas between sub-benchmarks are
-// the interception overhead each layer adds.
+// middleware stack itself: a read against the in-memory binding, bare
+// and under the metered layer. The delta between the sub-benchmarks is
+// the interception overhead that layer adds.
 func BenchmarkMiddlewareChain(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -145,13 +145,6 @@ func BenchmarkMiddlewareChain(b *testing.B) {
 		}},
 		{"Metered", func(base db.DB, reg *measurement.Registry) db.DB {
 			return db.Chain(base, db.Metered(reg.Recorder()))
-		}},
-		{"TraceMeteredRetry", func(base db.DB, reg *measurement.Registry) db.DB {
-			log := db.NewOpLog(1024)
-			return db.Chain(base,
-				db.Traced(log),
-				db.Metered(reg.Recorder()),
-				db.Retry())
 		}},
 	}
 	ctx := context.Background()

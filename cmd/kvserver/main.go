@@ -59,7 +59,6 @@ func run() error {
 	groupCommit := flag.Duration("group-commit", 0, "WAL group-commit window, e.g. 2ms (0 = sync inline)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent request frames admitted before 429 (0 = unlimited)")
 	retention := flag.Duration("retention", kvstore.DefaultRetention, "how long overwritten record versions stay readable via unpinned as-of reads (0 = keep only what pins and the txn watermark need)")
-	vacuumInterval := flag.Duration("vacuum-interval", 0, "background vacuum sweep interval, for the versions and deleted keys a pin or -retention held (0 = none; writes trim chains and deletes purge their keys inline either way)")
 	opsAddr := flag.String("ops-addr", "", "ops listener address serving /metrics, /healthz, /debug/pprof (empty = disabled)")
 	wireAddr := flag.String("wire-addr", "", "frame listener address; advertised to clients via the X-KV-Wire response header (empty = disabled; required with -cluster-node-id)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: how long in-flight requests on the HTTP and wire listeners get to finish")
@@ -80,13 +79,12 @@ func run() error {
 	}
 
 	eng, err := kvstore.Open(kvstore.Options{
-		Path:           *wal,
-		SyncWrites:     *syncWrites,
-		Shards:         *shards,
-		GroupCommit:    *groupCommit,
-		Retention:      *retention,
-		VacuumInterval: *vacuumInterval,
-		Metrics:        metrics,
+		Path:        *wal,
+		SyncWrites:  *syncWrites,
+		Shards:      *shards,
+		GroupCommit: *groupCommit,
+		Retention:   *retention,
+		Metrics:     metrics,
 	})
 	if err != nil {
 		return err

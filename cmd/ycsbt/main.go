@@ -17,8 +17,8 @@
 // transactions) and percolator (the Percolator-style baseline).
 //
 // Every client thread wraps the binding in the middleware stack named
-// by -middleware (outermost first; default "metered"): metered, trace,
-// retry, faultinject.
+// by -middleware (outermost first; default "metered", the one
+// middleware registered here).
 package main
 
 import (

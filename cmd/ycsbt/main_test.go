@@ -71,7 +71,7 @@ func TestRunMiddlewareStack(t *testing.T) {
 	props := writeProps(t)
 	err := run([]string{
 		"-db", "memory", "-P", props,
-		"-middleware", "metered,trace,retry",
+		"-middleware", "metered",
 		"-load", "-t",
 	})
 	if err != nil {
@@ -177,6 +177,31 @@ func TestRunReportsNoBatchSeries(t *testing.T) {
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "[BATCH-") {
 			t.Errorf("the report prints a batch series: %q", line)
+		}
+	}
+}
+
+// TestRunReportsOnlyMeasuredSeries pins that the Listing-3 report lists
+// only the kinds a run measured, as YCSB's does: workload A issues no
+// delete, scan or read-modify-write and aborts nothing on the memory
+// binding, so none of those blocks is printed, and every block that is
+// printed counts at least one operation.
+func TestRunReportsOnlyMeasuredSeries(t *testing.T) {
+	out := captureRun(t, "-db", "memory", "-P", filepath.Join("..", "..", "workloads", "workloada"),
+		"-p", "recordcount=100", "-p", "operationcount=500", "-load", "-t")
+	for _, want := range []string{"[READ], Operations", "[UPDATE], Operations", "[START], Operations", "[COMMIT], Operations"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("the report has no %q line:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		for _, absent := range []string{"[DELETE]", "[SCAN]", "[ABORT]", "[READ-MODIFY-WRITE]"} {
+			if strings.HasPrefix(line, absent) {
+				t.Errorf("the report prints an unmeasured series: %q", line)
+			}
+		}
+		if strings.HasSuffix(line, "], Operations, 0") {
+			t.Errorf("the report prints a zero-operation block: %q", line)
 		}
 	}
 }

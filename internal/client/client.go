@@ -60,8 +60,8 @@ type Config struct {
 	// (property "middleware"; default "metered"). Empty means the
 	// default.
 	Middleware string
-	// Props carries the run properties that property-configured
-	// middlewares (faultinject) read; nil means empty.
+	// Props carries the run properties Open builds the workload and
+	// binding from; nil means empty.
 	Props *properties.Properties
 	// History, when set, receives every finished transaction for
 	// offline consistency certification (cmd/histcheck). Bindings
@@ -117,8 +117,7 @@ type Client struct {
 	w       workload.Workload
 	d       db.DB // the raw binding
 	reg     *measurement.Registry
-	mwNames []string  // validated middleware stack, outermost first
-	opLog   *db.OpLog // operation log, when the stack traces
+	mwNames []string // validated middleware stack, outermost first
 	// histNative is true when the binding records history itself
 	// (history.CapableDB); threads then skip the capture middleware so
 	// transactions are never recorded twice.
@@ -141,19 +140,11 @@ func New(cfg Config, w workload.Workload, d db.DB, reg *measurement.Registry) (*
 	if cfg.Middleware == "" {
 		cfg.Middleware = "metered"
 	}
-	if cfg.Props == nil {
-		cfg.Props = properties.New()
-	}
 	mwNames, err := db.ParseMiddlewares(cfg.Middleware)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	c := &Client{cfg: cfg, w: w, d: d, reg: reg, mwNames: mwNames}
-	for _, name := range mwNames {
-		if name == "trace" {
-			c.opLog = db.NewOpLog(db.DefaultOpLogSize)
-		}
-	}
 	if cfg.History != nil {
 		c.SetHistory(cfg.History)
 	}
@@ -173,10 +164,6 @@ func (c *Client) SetHistory(sink history.TxnSink) {
 
 // Registry returns the client's shared measurement registry.
 func (c *Client) Registry() *measurement.Registry { return c.reg }
-
-// OpLog returns the operation log captured by the "trace" middleware
-// (nil when the stack does not trace).
-func (c *Client) OpLog() *db.OpLog { return c.opLog }
 
 // DB returns the raw (unmetered) binding.
 func (c *Client) DB() db.DB { return c.d }
@@ -316,17 +303,13 @@ func (c *Client) threadLoop(ctx context.Context, phase string, th int, ops int64
 		return err
 	}
 	rec := c.reg.Recorder()
-	env := db.MiddlewareEnv{Props: c.cfg.Props, Recorder: rec}
-	if c.opLog != nil {
-		env.Observer = c.opLog
-	}
-	mws, err := db.BuildMiddlewares(c.mwNames, env)
+	mws, err := db.BuildMiddlewares(c.mwNames, db.MiddlewareEnv{Recorder: rec})
 	if err != nil {
 		return fmt.Errorf("client: thread %d middleware stack: %w", th, err)
 	}
 	if c.cfg.History != nil && !c.histNative {
-		// Innermost, directly over the binding, so retries above do
-		// not distort the recorded history.
+		// Innermost, directly over the binding, so the layers above
+		// do not distort the recorded history.
 		mws = append(mws, history.Middleware(c.cfg.History, th))
 	}
 	chain := db.Transactional(db.Chain(c.d, mws...))

@@ -11,11 +11,10 @@
 //
 // The package also provides the composable Middleware chain
 // (middleware.go): decorators such as Metered (the Tier 5
-// transactional-overhead capture point), Traced, Retry and
-// FaultInject are all expressed as func(DB) DB combinators stacked by
-// Chain, so every client builds its interception stack declaratively
-// — e.g. from the "middleware" workload property. The client
-// additionally times the whole wrapping transaction into a
+// transactional-overhead capture point) are func(DB) DB combinators
+// stacked by Chain, so every client builds its interception stack
+// declaratively — e.g. from the "middleware" workload property. The
+// client additionally times the whole wrapping transaction into a
 // "TX-<TYPE>" series.
 package db
 
@@ -44,8 +43,9 @@ var (
 	ErrConflict = errors.New("db: version conflict")
 	// ErrAborted reports that the surrounding transaction aborted.
 	ErrAborted = errors.New("db: transaction aborted")
-	// ErrThrottled reports that the store rejected the request due to
-	// a request-rate cap (simulated cloud stores).
+	// ErrThrottled reports that the server shed the request under
+	// admission control: an HTTP 429, or a frame still refused after
+	// the client's own re-sends.
 	ErrThrottled = errors.New("db: request throttled")
 	// ErrNotSupported reports that the binding does not implement the
 	// requested operation.

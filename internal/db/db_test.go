@@ -337,3 +337,18 @@ func TestNoTransactions(t *testing.T) {
 		t.Errorf("Abort = %v", err)
 	}
 }
+
+// A transaction that could not be had fails every call with its error,
+// Write included, which no view reaches: Update reads first.
+func TestFailedTxnFailsEveryCall(t *testing.T) {
+	ctx := context.Background()
+	f := failedTxn{ErrAborted}
+	_, rerr := f.Read(ctx, "t", "k")
+	_, serr := f.Scan(ctx, "t", "", 1)
+	for i, err := range []error{rerr, serr, f.Write("t", "k", nil), f.Insert("t", "k", nil),
+		f.Delete("t", "k"), f.Commit(ctx), f.Abort(ctx)} {
+		if err != ErrAborted {
+			t.Errorf("call %d = %v, want the transaction's error", i, err)
+		}
+	}
+}

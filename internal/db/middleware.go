@@ -7,16 +7,14 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"ycsbt/internal/measurement"
 	"ycsbt/internal/properties"
 )
 
-// Middleware wraps a DB with extra behaviour — measurement, tracing,
-// retry, fault injection — without the binding or the client knowing
-// about it. Middlewares compose with Chain.
+// Middleware wraps a DB with extra behaviour — measurement, history
+// capture, a harness's probes — without the binding or the client
+// knowing about it. Middlewares compose with Chain.
 type Middleware func(DB) DB
 
 // Chain stacks middlewares over base in declared order: the first
@@ -83,8 +81,8 @@ type OpInfo struct {
 
 // Interceptor is the uniform around-advice every middleware reduces
 // to: it runs arbitrary code before/after the operation, may mutate
-// the context, may skip the call entirely (fault injection), and may
-// invoke call more than once (retry). call is re-invocable.
+// the context, and may skip the call entirely or invoke it more than
+// once. call is re-invocable.
 type Interceptor func(ctx context.Context, info OpInfo, call func(context.Context) error) error
 
 // Intercept lifts an Interceptor into a Middleware: the returned
@@ -231,100 +229,10 @@ func TxView(d DB, tctx *TransactionContext) DB {
 	return d
 }
 
-// OpObserver receives one event per completed operation from the
-// Traced middleware. OpLog implements it.
-type OpObserver interface {
-	// ObserveOp is called after the operation (and anything stacked
-	// inside the trace middleware) completes.
-	ObserveOp(info OpInfo, latency time.Duration, err error)
-}
-
-// Traced returns the operation-tracing middleware: every operation
-// that flows through it — raw ops and Start/Commit/Abort alike — is
-// reported to obs with its latency and outcome. Stack it outside
-// Metered and it observes exactly the operations the metered layer
-// timed.
-func Traced(obs OpObserver) Middleware {
-	return Intercept(func(ctx context.Context, info OpInfo, call func(context.Context) error) error {
-		t := time.Now()
-		err := call(ctx)
-		obs.ObserveOp(info, time.Since(t), err)
-		return err
-	})
-}
-
-const (
-	// retryAttempts bounds the tries of one throttled operation.
-	retryAttempts = 3
-	// retryBackoff is the first retry's delay; it doubles per attempt
-	// up to retryMaxBackoff.
-	retryBackoff    = 100 * time.Microsecond
-	retryMaxBackoff = 100 * time.Millisecond
-)
-
-// Retry returns the retry/backoff middleware: operations failing with
-// ErrThrottled (cloud request-rate caps) are tried up to three times,
-// with exponential backoff from 100µs. Conflicts are never retried: a
-// conflicted commit means the transaction aborted, and re-driving it
-// is the client's job. Stack it outside Metered to time each attempt
-// individually, or inside to time the whole retried operation once.
-func Retry() Middleware { return retry(retryAttempts, retryBackoff) }
-
-// retry is Retry with its attempt bound and first delay as arguments.
-func retry(attempts int, backoff time.Duration) Middleware {
-	return Intercept(func(ctx context.Context, info OpInfo, call func(context.Context) error) error {
-		var err error
-		delay := backoff
-		for attempt := 0; attempt < attempts; attempt++ {
-			if err = call(ctx); err == nil || !errors.Is(err, ErrThrottled) {
-				return err
-			}
-			if attempt == attempts-1 {
-				break
-			}
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				return err
-			}
-			if delay *= 2; delay > retryMaxBackoff {
-				delay = retryMaxBackoff
-			}
-		}
-		return err
-	})
-}
-
-// FaultInject returns the fault-injection middleware: it fails the
-// given fraction (in [0, 1]) of raw operations with ErrThrottled before
-// they reach the binding, so the Retry middleware can absorb injected
-// faults when stacked outside. Start/Commit/Abort pass untouched, so
-// abort accounting stays workload-driven. Injection is deterministic (a
-// Weyl-sequence hash over a shared operation counter, no locks, no
-// global rand), so runs are reproducible.
-func FaultInject(probability float64) Middleware {
-	threshold := uint64(probability * (1 << 32))
-	var seq atomic.Uint64
-	return Intercept(func(ctx context.Context, info OpInfo, call func(context.Context) error) error {
-		if threshold > 0 && !info.Op.Demarcation() {
-			// Golden-ratio multiplicative hash of the op sequence
-			// number: equidistributed, deterministic, lock-free.
-			h := seq.Add(1) * 0x9E3779B97F4A7C15 >> 32
-			if h < threshold {
-				return fmt.Errorf("%w: injected fault", ErrThrottled)
-			}
-		}
-		return call(ctx)
-	})
-}
-
 // MiddlewareEnv carries the dependencies property-built middlewares
-// need: the run properties, the calling thread's measurement recorder
-// (for "metered") and the operation observer (for "trace").
+// need: the calling thread's measurement recorder (for "metered").
 type MiddlewareEnv struct {
-	Props    *properties.Properties
 	Recorder *measurement.Recorder
-	Observer OpObserver
 }
 
 // MiddlewareFactory builds one middleware from the environment.
@@ -336,7 +244,7 @@ var (
 )
 
 // RegisterMiddleware makes a middleware available by name to
-// property-driven stacks ("middleware=metered,trace,retry"). Like
+// property-driven stacks ("middleware=metered"). Like
 // Register, duplicate names panic at init time.
 func RegisterMiddleware(name string, f MiddlewareFactory) {
 	mwMu.Lock()
@@ -384,9 +292,6 @@ func ParseMiddlewares(spec string) ([]string, error) {
 // per client thread so the "metered" layer binds to that thread's
 // private recorder shards.
 func BuildMiddlewares(names []string, env MiddlewareEnv) ([]Middleware, error) {
-	if env.Props == nil {
-		env.Props = properties.New()
-	}
 	out := make([]Middleware, 0, len(names))
 	for _, name := range names {
 		mwMu.RLock()
@@ -410,21 +315,5 @@ func init() {
 			return nil, errors.New("metered middleware needs a measurement recorder")
 		}
 		return Metered(env.Recorder), nil
-	})
-	RegisterMiddleware("trace", func(env MiddlewareEnv) (Middleware, error) {
-		if env.Observer == nil {
-			return nil, errors.New("trace middleware needs an operation observer")
-		}
-		return Traced(env.Observer), nil
-	})
-	RegisterMiddleware("retry", func(MiddlewareEnv) (Middleware, error) {
-		return Retry(), nil
-	})
-	RegisterMiddleware("faultinject", func(env MiddlewareEnv) (Middleware, error) {
-		prob := env.Props.GetFloat("faultinject.probability", 0)
-		if prob < 0 || prob > 1 {
-			return nil, fmt.Errorf("faultinject.probability %v outside [0,1]", prob)
-		}
-		return FaultInject(prob), nil
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"ycsbt/internal/measurement"
 	"ycsbt/internal/properties"
@@ -67,21 +66,28 @@ func TestChainEmptyStillTransactional(t *testing.T) {
 	}
 }
 
-// observerFunc adapts a function to OpObserver.
-type observerFunc func(info OpInfo, latency time.Duration, err error)
-
-func (f observerFunc) ObserveOp(info OpInfo, latency time.Duration, err error) {
-	f(info, latency, err)
+// Middlewares the tests stack by name beside "metered".
+func init() {
+	RegisterMiddleware("testnoop", func(MiddlewareEnv) (Middleware, error) {
+		return Intercept(func(ctx context.Context, _ OpInfo, call func(context.Context) error) error {
+			return call(ctx)
+		}), nil
+	})
+	RegisterMiddleware("testbroken", func(MiddlewareEnv) (Middleware, error) {
+		return nil, errors.New("testbroken never builds")
+	})
 }
 
 func TestTracedOutsideMeteredSeesSameOps(t *testing.T) {
 	ctx := context.Background()
 	reg := measurement.NewRegistry(0)
 	seen := map[string]int64{}
-	obs := observerFunc(func(info OpInfo, _ time.Duration, _ error) {
+	trace := Intercept(func(ctx context.Context, info OpInfo, call func(context.Context) error) error {
+		err := call(ctx)
 		seen[info.Op.Series()]++
+		return err
 	})
-	d := Chain(NewMemory(), Traced(obs), Metered(reg.Recorder()))
+	d := Chain(NewMemory(), trace, Metered(reg.Recorder()))
 
 	if err := d.Insert(ctx, "t", "k", Record{"f": []byte("v")}); err != nil {
 		t.Fatal(err)
@@ -110,159 +116,12 @@ func TestTracedOutsideMeteredSeesSameOps(t *testing.T) {
 	}
 }
 
-// flaky fails key operations with err until remaining hits zero.
-type flaky struct {
-	*Memory
-	err       error
-	remaining int
-	calls     int
-}
-
-func (f *flaky) Read(ctx context.Context, table, key string, fields []string) (Record, error) {
-	f.calls++
-	if f.remaining > 0 {
-		f.remaining--
-		return nil, f.err
-	}
-	return f.Memory.Read(ctx, table, key, fields)
-}
-
-func (f *flaky) Commit(ctx context.Context, tctx *TransactionContext) error {
-	f.calls++
-	if f.remaining > 0 {
-		f.remaining--
-		return f.err
-	}
-	return nil
-}
-
-func (f *flaky) Start(ctx context.Context) (*TransactionContext, error) {
-	return &TransactionContext{}, nil
-}
-
-func (f *flaky) Abort(ctx context.Context, tctx *TransactionContext) error { return nil }
-
-func TestRetryThrottled(t *testing.T) {
-	ctx := context.Background()
-	f := &flaky{Memory: NewMemory(), err: ErrThrottled, remaining: 2}
-	if err := f.Memory.Insert(ctx, "t", "k", Record{"f": []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-	d := Chain(f, retry(3, time.Microsecond))
-	if _, err := d.Read(ctx, "t", "k", nil); err != nil {
-		t.Fatalf("read after retries = %v", err)
-	}
-	if f.calls != 3 {
-		t.Errorf("calls = %d, want 3 (two throttled + one success)", f.calls)
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	ctx := context.Background()
-	f := &flaky{Memory: NewMemory(), err: ErrThrottled, remaining: 100}
-	d := Chain(f, retry(4, time.Microsecond))
-	if _, err := d.Read(ctx, "t", "k", nil); !errors.Is(err, ErrThrottled) {
-		t.Fatalf("want throttled, got %v", err)
-	}
-	if f.calls != 4 {
-		t.Errorf("calls = %d, want 4", f.calls)
-	}
-}
-
-// Conflicts are never retried, neither on a raw operation nor on a
-// commit.
-func TestRetryNeverRetriesCommitConflicts(t *testing.T) {
-	ctx := context.Background()
-	f := &flaky{Memory: NewMemory(), err: ErrConflict, remaining: 100}
-	d := Chain(f, retry(5, time.Microsecond))
-	if _, err := d.Read(ctx, "t", "k", nil); !errors.Is(err, ErrConflict) {
-		t.Fatalf("read: want conflict, got %v", err)
-	}
-	if f.calls != 1 {
-		t.Errorf("raw conflict retried: calls = %d, want 1", f.calls)
-	}
-	f.calls = 0
-	tdb := d.(TransactionalDB)
-	tctx, _ := tdb.Start(ctx)
-	if err := tdb.Commit(ctx, tctx); !errors.Is(err, ErrConflict) {
-		t.Fatalf("want conflict, got %v", err)
-	}
-	if f.calls != 1 {
-		t.Errorf("commit conflict retried: calls = %d, want 1", f.calls)
-	}
-}
-
-func TestRetryStopsOnContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	f := &flaky{Memory: NewMemory(), err: ErrThrottled, remaining: 100}
-	d := Chain(f, retry(1000, time.Hour))
-	start := time.Now()
-	if _, err := d.Read(ctx, "t", "k", nil); !errors.Is(err, ErrThrottled) {
-		t.Fatalf("want throttled, got %v", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Error("retry did not bail on cancelled context")
-	}
-	if f.calls != 1 {
-		t.Errorf("calls = %d, want 1", f.calls)
-	}
-}
-
-func TestFaultInjectDeterministicExtremes(t *testing.T) {
-	ctx := context.Background()
-	mem := NewMemory()
-	if err := mem.Insert(ctx, "t", "k", Record{"f": []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-
-	always := Chain(mem, FaultInject(1))
-	for i := 0; i < 50; i++ {
-		if _, err := always.Read(ctx, "t", "k", nil); !errors.Is(err, ErrThrottled) {
-			t.Fatalf("probability 1: read %d = %v", i, err)
-		}
-	}
-	// Demarcation is spared even at probability 1.
-	if _, err := always.(TransactionalDB).Start(ctx); err != nil {
-		t.Errorf("Start injected: %v", err)
-	}
-
-	never := Chain(mem, FaultInject(0))
-	for i := 0; i < 50; i++ {
-		if _, err := never.Read(ctx, "t", "k", nil); err != nil {
-			t.Fatalf("probability 0: read %d = %v", i, err)
-		}
-	}
-}
-
-func TestFaultInjectApproximatesProbability(t *testing.T) {
-	ctx := context.Background()
-	mem := NewMemory()
-	if err := mem.Insert(ctx, "t", "k", Record{"f": []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-	d := Chain(mem, FaultInject(0.25))
-	const n = 4000
-	failed := 0
-	for i := 0; i < n; i++ {
-		if _, err := d.Read(ctx, "t", "k", nil); err != nil {
-			if !errors.Is(err, ErrThrottled) {
-				t.Fatalf("unexpected injected error %v", err)
-			}
-			failed++
-		}
-	}
-	if failed < n/5 || failed > n/3 {
-		t.Errorf("injected %d/%d faults, want ≈ %d", failed, n, n/4)
-	}
-}
-
 func TestParseAndBuildMiddlewares(t *testing.T) {
-	names, err := ParseMiddlewares(" metered, trace ,retry,,faultinject ")
+	names, err := ParseMiddlewares(" testnoop, metered ,,testnoop ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(names) != fmt.Sprint([]string{"metered", "trace", "retry", "faultinject"}) {
+	if fmt.Sprint(names) != fmt.Sprint([]string{"testnoop", "metered", "testnoop"}) {
 		t.Errorf("names = %v", names)
 	}
 	if _, err := ParseMiddlewares("metered,nosuch"); err == nil {
@@ -270,12 +129,7 @@ func TestParseAndBuildMiddlewares(t *testing.T) {
 	}
 
 	reg := measurement.NewRegistry(0)
-	env := MiddlewareEnv{
-		Props:    properties.New(),
-		Recorder: reg.Recorder(),
-		Observer: observerFunc(func(OpInfo, time.Duration, error) {}),
-	}
-	mws, err := BuildMiddlewares(names, env)
+	mws, err := BuildMiddlewares(names, MiddlewareEnv{Recorder: reg.Recorder()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,23 +144,19 @@ func TestParseAndBuildMiddlewares(t *testing.T) {
 		t.Errorf("INSERT ops through built stack = %d", got)
 	}
 
-	// Missing environment dependencies are build-time errors.
+	// Missing environment dependencies and failing factories are
+	// build-time errors.
 	if _, err := BuildMiddlewares([]string{"metered"}, MiddlewareEnv{}); err == nil {
 		t.Error("metered built without a recorder")
 	}
-	if _, err := BuildMiddlewares([]string{"trace"}, MiddlewareEnv{}); err == nil {
-		t.Error("trace built without an observer")
-	}
-	p := properties.New()
-	p.Set("faultinject.probability", "1.5")
-	if _, err := BuildMiddlewares([]string{"faultinject"}, MiddlewareEnv{Props: p}); err == nil {
-		t.Error("faultinject accepted probability 1.5")
+	if _, err := BuildMiddlewares([]string{"testnoop", "testbroken"}, MiddlewareEnv{}); err == nil {
+		t.Error("a failing factory built")
 	}
 }
 
 func TestMiddlewareNamesSorted(t *testing.T) {
 	names := MiddlewareNames()
-	for _, want := range []string{"faultinject", "metered", "retry", "trace"} {
+	for _, want := range []string{"metered", "testbroken", "testnoop"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -321,5 +171,96 @@ func TestMiddlewareNamesSorted(t *testing.T) {
 		if names[i-1] > names[i] {
 			t.Errorf("MiddlewareNames() not sorted: %v", names)
 		}
+	}
+}
+
+// TestInterceptRoutesEveryOp drives every DB method through one
+// Intercept layer over the memory binding: each of the eight
+// operations reaches the interceptor once with its Op and key, while
+// Init, Cleanup and Unwrap reach the binding untouched.
+func TestInterceptRoutesEveryOp(t *testing.T) {
+	ctx := context.Background()
+	var seen []OpInfo
+	record := func(ctx context.Context, info OpInfo, call func(context.Context) error) error {
+		seen = append(seen, info)
+		return call(ctx)
+	}
+	mem := NewMemory()
+	d := Intercept(record)(mem)
+	if got := d.(*intercepted).Unwrap(); got != mem {
+		t.Fatalf("Unwrap = %v, want the memory binding", got)
+	}
+	if err := d.Init(properties.New()); err != nil {
+		t.Fatal(err)
+	}
+	tdb := d.(TransactionalDB)
+	for _, c := range []struct {
+		op  Op
+		key string
+		run func() error
+	}{
+		{OpInsert, "k", func() error { return d.Insert(ctx, "t", "k", Record{"f": []byte("v")}) }},
+		{OpUpdate, "k", func() error { return d.Update(ctx, "t", "k", Record{"f": []byte("w")}) }},
+		{OpRead, "k", func() error {
+			rec, err := d.Read(ctx, "t", "k", nil)
+			if err == nil && string(rec["f"]) != "w" {
+				return fmt.Errorf("read f = %q, want \"w\"", rec["f"])
+			}
+			return err
+		}},
+		{OpScan, "", func() error {
+			kvs, err := d.Scan(ctx, "t", "", 10, nil)
+			if err == nil && len(kvs) != 1 {
+				return fmt.Errorf("scan saw %d records, want 1", len(kvs))
+			}
+			return err
+		}},
+		{OpDelete, "k", func() error { return d.Delete(ctx, "t", "k") }},
+		{OpStart, "", func() error { _, err := tdb.Start(ctx); return err }},
+		{OpCommit, "", func() error { return tdb.Commit(ctx, &TransactionContext{}) }},
+		{OpAbort, "", func() error { return tdb.Abort(ctx, &TransactionContext{}) }},
+	} {
+		t.Run(c.op.String(), func(t *testing.T) {
+			seen = nil
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(seen) != 1 || seen[0].Op != c.op || seen[0].Key != c.key {
+				t.Errorf("interceptor saw %+v, want one %v of key %q", seen, c.op, c.key)
+			}
+			if c.op.String() != c.op.Series() {
+				t.Errorf("String() = %q, Series() = %q", c.op.String(), c.op.Series())
+			}
+			if want := c.op >= OpStart; c.op.Demarcation() != want {
+				t.Errorf("Demarcation() = %v, want %v", c.op.Demarcation(), want)
+			}
+		})
+	}
+	if got := Op(numOps).String(); got != fmt.Sprintf("OP(%d)", numOps) {
+		t.Errorf("out-of-range op String() = %q", got)
+	}
+
+	// A binding without views: WithTx returns the wrapper itself.
+	if v := d.(ContextualDB).WithTx(&TransactionContext{}); v != d {
+		t.Errorf("WithTx over a binding without views = %v, want the wrapper", v)
+	}
+	// Over a layer with views, the view flows through the same
+	// interceptor.
+	outer := Intercept(record)(d)
+	view := outer.(ContextualDB).WithTx(&TransactionContext{})
+	seen = nil
+	if err := view.Insert(ctx, "t", "v", Record{"f": []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 {
+		t.Errorf("an insert on the view passed %d interceptors, want 2", len(seen))
+	}
+	// A plain YCSB binding adapted by Transactional forwards WithTx.
+	plain := struct{ DB }{mem}
+	if v := Transactional(plain).(ContextualDB).WithTx(&TransactionContext{}); v != DB(plain) {
+		t.Errorf("Transactional(plain).WithTx = %v, want the binding", v)
+	}
+	if err := d.Cleanup(); err != nil {
+		t.Fatal(err)
 	}
 }

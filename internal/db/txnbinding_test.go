@@ -67,6 +67,7 @@ func TestTxnBindingConformance(t *testing.T) {
 		{"abort leaves nothing", testAbortLeavesNothing},
 		{"conflicting commit aborts", testConflictAborts},
 		{"auto-commit update retries a conflict", testAutoCommitRetries},
+		{"a context it did not start fails every call", testForeignContext},
 	}
 	for _, lib := range txnLibraries {
 		for _, c := range cases {
@@ -222,5 +223,31 @@ func testAutoCommitRetries(t *testing.T, _ txnLibrary, b db.TransactionalDB, hs 
 	}
 	if n, other := readField(t, b, "k", "n"), readField(t, b, "k", "other"); n != "1" || other != "x" {
 		t.Errorf("after retry = n:%q other:%q, want both updates", n, other)
+	}
+}
+
+func testForeignContext(t *testing.T, _ txnLibrary, b db.TransactionalDB, _ *hookStore) {
+	ctx := context.Background()
+	for _, tctx := range []*db.TransactionContext{nil, {Handle: "foreign"}} {
+		view := db.TxView(b, tctx)
+		if err := view.Init(properties.New()); err != nil {
+			t.Errorf("view Init = %v", err)
+		}
+		if err := view.Cleanup(); err != nil {
+			t.Errorf("view Cleanup = %v", err)
+		}
+		for name, call := range map[string]func() error{
+			"read":   func() error { _, err := view.Read(ctx, "t", "k", nil); return err },
+			"scan":   func() error { _, err := view.Scan(ctx, "t", "", 10, nil); return err },
+			"update": func() error { return view.Update(ctx, "t", "k", db.Record{"f": []byte("v")}) },
+			"insert": func() error { return view.Insert(ctx, "t", "k", db.Record{"f": []byte("v")}) },
+			"delete": func() error { return view.Delete(ctx, "t", "k") },
+			"commit": func() error { return b.Commit(ctx, tctx) },
+			"abort":  func() error { return b.Abort(ctx, tctx) },
+		} {
+			if err := call(); err == nil {
+				t.Errorf("%s in context %+v succeeded", name, tctx)
+			}
+		}
 	}
 }

@@ -25,12 +25,11 @@ var captureSeq atomic.Uint64
 // db.ReportReadVersion / db.ReportWriteVersion context protocol — and
 // records it with start/commit timestamps and outcome. Operations
 // outside a demarcated transaction become single-op auto-commit
-// records. Scans and batch flushes carry no per-record version and
-// are not captured.
+// records. Scans carry no per-record version and are not captured.
 //
-// Stack it innermost (last), directly over the binding, so retry and
-// fault-injection layers above it do not distort the recorded
-// history. A middleware instance is confined to one client thread,
+// Stack it innermost (last), directly over the binding, so the layers
+// above it (a middleware that re-invokes or skips a call) do not
+// distort the recorded history. A middleware instance is confined to one client thread,
 // like every middleware built per thread.
 //
 // The wrapper is hand-written rather than lifted through db.Intercept:

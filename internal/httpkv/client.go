@@ -51,9 +51,6 @@ type Client struct {
 	// never changed after (see wire.go). A client that was never
 	// initialised is HTTP.
 	wire *kvwire.Endpoint
-	// asOf, when non-zero, serves every read at that snapshot timestamp
-	// (the "as_of" property); frames only.
-	asOf int64
 	// retries / maxBackoff bound the frame throttle retry loop (see
 	// exec): up to retries re-sends, each sleeping the server's retry
 	// hint (doubled per attempt) capped at maxBackoff. NewClient sets
@@ -116,8 +113,8 @@ func init() {
 	db.Register("rawhttp", func() (db.DB, error) { return NewClient("", nil), nil })
 }
 
-// Init reads the "rawhttp.url", "rawhttp.wire" and "as_of" properties,
-// and settles the endpoint's transport. A URL that is not
+// Init reads the "rawhttp.url" and "rawhttp.wire" properties, and
+// settles the endpoint's transport. A URL that is not
 // http://host:port[/prefix] fails it.
 func (c *Client) Init(p *properties.Properties) error {
 	if c.base == "" {
@@ -126,7 +123,6 @@ func (c *Client) Init(p *properties.Properties) error {
 	if c.restErr != nil {
 		return c.restErr
 	}
-	ctx := context.Background()
 	if c.wire == nil {
 		// The frame listener's address: named outright, none, or
 		// whatever the server advertises.
@@ -136,29 +132,13 @@ func (c *Client) Init(p *properties.Properties) error {
 			addr = ""
 		case WireModeAuto:
 			var err error
-			if addr, err = c.probeWire(ctx); err != nil {
+			if addr, err = c.probeWire(context.Background()); err != nil {
 				return err
 			}
 		}
 		if addr != "" {
 			c.wire = kvwire.NewEndpoint(addr, 0)
 		}
-	}
-	// as_of pins every read this binding issues to one snapshot
-	// timestamp: an explicit positive commit ts, or -1 to freeze at
-	// whatever the server's clock reads now (fetched once via /v1/ts).
-	if ts := p.GetInt64("as_of", 0); ts != 0 {
-		if c.wire == nil {
-			return fmt.Errorf("httpkv: as_of=%d against %s: %w", ts, c.base, errAsOfNeedsFrames)
-		}
-		if ts < 0 {
-			now, err := c.SnapshotTS(ctx)
-			if err != nil {
-				return fmt.Errorf("httpkv: resolving as_of=-1: %w", err)
-			}
-			ts = now
-		}
-		c.asOf = ts
 	}
 	return nil
 }
@@ -186,7 +166,7 @@ func (c *Client) get(ctx context.Context, table, key string, asOf int64) (*kvsto
 		return &kvstore.VersionedRecord{Version: res.Version, Fields: res.Fields}, nil
 	}
 	if asOf != 0 {
-		return nil, errAsOfNeedsFrames
+		return nil, fmt.Errorf("httpkv: %s: %w", c.base, errAsOfNeedsFrames)
 	}
 	rep, err := c.roundTrip(ctx, &request{method: http.MethodGet, table: table, key: key})
 	if err != nil {
@@ -202,7 +182,7 @@ func (c *Client) get(ctx context.Context, table, key string, asOf int64) (*kvsto
 
 // Read implements db.DB.
 func (c *Client) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
-	rec, err := c.get(ctx, table, key, c.asOf)
+	rec, err := c.get(ctx, table, key, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +233,7 @@ func scanPrealloc(count int) int {
 // version history and needs frames.
 func scanInto[T any](ctx context.Context, c *Client, table, start string, count int, asOf int64, conv func(*kvwire.StreamRecord) T) ([]T, error) {
 	if c.wire == nil && asOf != 0 {
-		return nil, errAsOfNeedsFrames
+		return nil, fmt.Errorf("httpkv: %s: %w", c.base, errAsOfNeedsFrames)
 	}
 	out := make([]T, 0, scanPrealloc(count))
 	if c.wire != nil {
@@ -312,7 +292,7 @@ func scanInto[T any](ctx context.Context, c *Client, table, start string, count 
 
 // Scan implements db.DB.
 func (c *Client) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
-	return scanInto(ctx, c, table, startKey, count, c.asOf, kvConv(fields))
+	return scanInto(ctx, c, table, startKey, count, 0, kvConv(fields))
 }
 
 // mutate runs one put, patch or delete conditional on expect and

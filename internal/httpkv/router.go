@@ -20,23 +20,17 @@ import (
 // Router is the "cluster" DB binding: a client-side, coordinator-free
 // router over a fleet of cluster-mode kvservers. It caches the
 // versioned shard map, routes every single-key operation to the key's
-// owner, fans batches out as one request frame per owner node (merging
-// results back in request order), and merges scans across the fleet. When a
-// node answers 410 moved — its map is newer, or the router's copy is
-// stale, or the key's slot is mid-migration — the router re-fetches
-// the map and retries with bounded attempts and backoff, so a live
-// rebalance costs clients a blip, not an error.
+// owner, and merges scans across the fleet. When a node answers 410
+// moved — its map is newer, or the router's copy is stale, or the
+// key's slot is mid-migration — the router re-fetches the map and
+// retries with bounded attempts and backoff, so a live rebalance costs
+// clients a blip, not an error.
 //
 // Each node has one Client, which carries the node's control calls over
 // its REST exchange — the shard map (GET /v1/shardmap) and the probe for
 // the frame listener — and, once mounted, its frames. The data plane is
 // frames only: a node is mounted once, by that probe, and a node that
 // advertises no listener fails the call with a NoWireError naming it.
-//
-// The router does not support the "as_of" property: commit timestamps
-// are per-store logical clocks, so one timestamp has no meaning
-// across node boundaries. Snapshot transactions against a cluster
-// need a cluster-wide clock — future work, out of scope here.
 type Router struct {
 	db.NoTransactions
 
@@ -147,8 +141,8 @@ func (r *Router) dials() float64 {
 }
 
 // Init reads the "cluster.nodes" (comma-separated base URLs, required)
-// and "obs.enabled" properties, and refuses "as_of" and any
-// "rawhttp.wire" but "auto": each node's frame listener is discovered
+// and "obs.enabled" properties, and refuses any "rawhttp.wire" but
+// "auto": each node's frame listener is discovered
 // from its base URL, and the router has no HTTP data plane to fall back
 // to.
 func (r *Router) Init(p *properties.Properties) error {
@@ -161,9 +155,6 @@ func (r *Router) Init(p *properties.Properties) error {
 	}
 	if mode := p.GetString("rawhttp.wire", WireModeAuto); mode != WireModeAuto {
 		return fmt.Errorf("cluster: rawhttp.wire=%q: the cluster binding rides each node's advertised frame listener and nothing else", mode)
-	}
-	if p.GetInt64("as_of", 0) != 0 {
-		return fmt.Errorf("%w: the cluster binding cannot serve as-of reads (per-store commit clocks)", db.ErrNotSupported)
 	}
 	return r.open(seeds, obs.Enabled(p.GetBool("obs.enabled", false)))
 }

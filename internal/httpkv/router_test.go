@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"ycsbt/internal/db"
 	"ycsbt/internal/obs"
-	"ycsbt/internal/properties"
 )
 
 func newTestRouter(t *testing.T, nodes []*testNode, reg *obs.Registry) *Router {
@@ -304,20 +302,6 @@ func TestRouterMovedStorm(t *testing.T) {
 	}
 	t.Logf("storm: %d refetches, %d moved answers",
 		refetches, reg.Counter("httpkv_client_moved_total").Value())
-}
-
-// The cluster binding rejects as_of: commit timestamps are per-store
-// logical clocks with no cross-node meaning.
-func TestRouterRejectsAsOf(t *testing.T) {
-	nodes := startTestCluster(t, 1, 4)
-	r := &Router{}
-	p := properties.New()
-	p.Set("cluster.nodes", nodes[0].URL)
-	p.Set("as_of", "123")
-	err := r.Init(p)
-	if !errors.Is(err, db.ErrNotSupported) {
-		t.Fatalf("as_of init: got %v, want ErrNotSupported", err)
-	}
 }
 
 // A routed scan merges per-node paged scans: every node's page counter

@@ -134,62 +134,70 @@ func TestInitFailedProbeIsNotADowngrade(t *testing.T) {
 // newAsOfNode seeds a node with a known snapshot and mutates past it:
 // at ts k1..k4 = "old"; after it k1 = "new", k3 deleted, k5 inserted.
 // Its readers hold no pin on the server, so the node keeps a minute of
-// overwritten versions (kvserver -retention 1m).
+// overwritten versions (kvserver -retention 1m). The node serves an
+// audited engine: the test fails if a record it handed out was mutated.
 func newAsOfNode(t *testing.T) (tn *testNode, ts int64) {
 	t.Helper()
-	tn = startNode(t, openRetainingStore(t, time.Minute))
+	audit := kvstore.NewAuditEngine(openRetainingStore(t, time.Minute))
+	t.Cleanup(func() {
+		if err := audit.Verify(); err != nil {
+			t.Error(err)
+		}
+	})
+	tn = startNode(t, audit)
 	for i := 1; i <= 4; i++ {
-		if _, err := tn.store.Put("t", "k"+strconv.Itoa(i), map[string][]byte{"v": []byte("old")}); err != nil {
+		if _, err := tn.eng.Put("t", "k"+strconv.Itoa(i), map[string][]byte{"v": []byte("old")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ts = tn.store.SnapshotTS()
-	if _, err := tn.store.Put("t", "k1", map[string][]byte{"v": []byte("new")}); err != nil {
+	ts = tn.eng.SnapshotTS()
+	if _, err := tn.eng.Put("t", "k1", map[string][]byte{"v": []byte("new")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.store.Delete("t", "k3"); err != nil {
+	if err := tn.eng.Delete("t", "k3"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tn.store.Put("t", "k5", map[string][]byte{"v": []byte("late")}); err != nil {
+	if _, err := tn.eng.Put("t", "k5", map[string][]byte{"v": []byte("late")}); err != nil {
 		t.Fatal(err)
 	}
 	return tn, ts
 }
 
-// With as_of set, get, scan and a frame of gets all answer from the
+// At a snapshot ts, get, scan and a frame of gets all answer from the
 // frozen snapshot — over frames, the only place as-of reads exist.
 func TestAsOfReadsOverFrames(t *testing.T) {
 	ctx := context.Background()
 	tn, ts := newAsOfNode(t)
-	c := tn.client(t, WireModeAuto, "as_of", strconv.FormatInt(ts, 10))
+	c := tn.client(t, WireModeAuto)
+	rs := &RemoteStore{name: "remote", c: c}
 
 	if now, err := c.SnapshotTS(ctx); err != nil || now <= ts {
 		t.Fatalf("SnapshotTS = %d, %v; want > snapshot", now, err)
 	}
 	for key, want := range map[string]string{"k1": "old", "k3": "old"} {
-		rec, err := c.Read(ctx, "t", key, nil)
-		if err != nil || string(rec["v"]) != want {
-			t.Fatalf("Read %s = %q, %v; want %q", key, rec["v"], err, want)
+		rec, err := rs.GetAsOf(ctx, "t", key, ts)
+		if err != nil || string(rec.Field("v")) != want {
+			t.Fatalf("GetAsOf %s = %v, %v; want %q", key, rec, err, want)
 		}
 	}
-	if _, err := c.Read(ctx, "t", "k5", nil); !errors.Is(err, db.ErrNotFound) {
-		t.Fatalf("Read later-inserted k5: %v, want ErrNotFound", err)
+	if _, err := rs.GetAsOf(ctx, "t", "k5", ts); !errors.Is(err, db.ErrNotFound) {
+		t.Fatalf("GetAsOf later-inserted k5: %v, want ErrNotFound", err)
 	}
-	kvs, err := c.Scan(ctx, "t", "", 10, nil)
+	kvs, err := rs.ScanAsOf(ctx, "t", "", 10, ts)
 	if err != nil || len(kvs) != 4 {
 		t.Fatalf("as-of scan saw %d keys, %v; want 4", len(kvs), err)
 	}
 	for _, kv := range kvs {
-		if got := string(kv.Fields.Map()["v"]); got != "old" {
+		if got := string(kv.Record.Field("v")); got != "old" {
 			t.Fatalf("as-of scan %s = %q, want \"old\"", kv.Key, got)
 		}
 	}
 	// Several as-of gets in one request frame, each stamped with the
-	// client's snapshot as its reads are.
+	// snapshot as the single reads are.
 	res, err := c.exec(ctx, []kvwire.Op{
-		{Kind: kvwire.KindGet, Table: "t", Key: "k1", AsOf: c.asOf},
-		{Kind: kvwire.KindGet, Table: "t", Key: "k3", AsOf: c.asOf},
-		{Kind: kvwire.KindGet, Table: "t", Key: "k5", AsOf: c.asOf},
+		{Kind: kvwire.KindGet, Table: "t", Key: "k1", AsOf: ts},
+		{Kind: kvwire.KindGet, Table: "t", Key: "k3", AsOf: ts},
+		{Kind: kvwire.KindGet, Table: "t", Key: "k5", AsOf: ts},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,13 +210,17 @@ func TestAsOfReadsOverFrames(t *testing.T) {
 	if err := wireResultErr(res[2]); !errors.Is(err, db.ErrNotFound) {
 		t.Fatalf("batch read of later-inserted k5: %v, want ErrNotFound", err)
 	}
-	// as_of=-1 freezes at the server's clock now: the head, as of Init.
-	head := tn.client(t, WireModeAuto, "as_of", "-1")
-	if _, err := tn.store.Put("t", "k1", map[string][]byte{"v": []byte("newer")}); err != nil {
+	// A ts drawn from the server's clock now freezes the head as of
+	// the draw.
+	now, err := c.SnapshotTS(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, err := head.Read(ctx, "t", "k1", nil); err != nil || string(rec["v"]) != "new" {
-		t.Fatalf("as_of=-1 read = %q, %v; want \"new\"", rec["v"], err)
+	if _, err := tn.eng.Put("t", "k1", map[string][]byte{"v": []byte("newer")}); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := rs.GetAsOf(ctx, "t", "k1", now); err != nil || string(rec.Field("v")) != "new" {
+		t.Fatalf("read at the drawn ts = %v, %v; want \"new\"", rec, err)
 	}
 }
 
@@ -229,7 +241,7 @@ func TestAsOfRemoteStoreSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release()
-	if _, err := tn.store.Put("t", "k1", map[string][]byte{"v": []byte("newer")}); err != nil {
+	if _, err := tn.eng.Put("t", "k1", map[string][]byte{"v": []byte("newer")}); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := rs.GetAsOf(ctx, "t", "k1", ts)

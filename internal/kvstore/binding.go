@@ -18,12 +18,6 @@ type Binding struct {
 	db.NoTransactions
 	eng  Engine
 	owns bool // Close the engine on Cleanup
-
-	// asOf pins every read to a fixed snapshot timestamp (the "as_of"
-	// property); 0 reads at head. unpin releases the retention pin
-	// taken for it on Cleanup.
-	asOf  int64
-	unpin func()
 }
 
 // NewBinding wraps an existing store; Cleanup leaves it open.
@@ -38,23 +32,17 @@ func init() {
 }
 
 // Init opens the store per the "kvstore.path", "kvstore.sync",
-// "kvstore.shards", "kvstore.wal.group_commit_ms",
-// "kvstore.retention_ms" and "kvstore.vacuum_interval_ms" properties
-// unless NewBinding supplied one. The "as_of" property (a commit
-// timestamp, or -1 for "now") pins every read this binding serves to
-// that snapshot: reads resolve through version chains and never see
-// later writes, and the pinned versions are protected from vacuum
-// until Cleanup.
+// "kvstore.shards", "kvstore.wal.group_commit_ms" and
+// "kvstore.retention_ms" properties unless NewBinding supplied one.
 func (b *Binding) Init(p *properties.Properties) error {
 	if b.eng == nil {
 		s, err := Open(Options{
-			Path:           p.GetString("kvstore.path", ""),
-			SyncWrites:     p.GetBool("kvstore.sync", false),
-			Shards:         p.GetInt("kvstore.shards", DefaultShards),
-			GroupCommit:    time.Duration(p.GetInt64("kvstore.wal.group_commit_ms", 0)) * time.Millisecond,
-			Retention:      time.Duration(p.GetInt64("kvstore.retention_ms", 0)) * time.Millisecond,
-			VacuumInterval: time.Duration(p.GetInt64("kvstore.vacuum_interval_ms", 0)) * time.Millisecond,
-			Metrics:        obs.Enabled(p.GetBool("obs.enabled", false)),
+			Path:        p.GetString("kvstore.path", ""),
+			SyncWrites:  p.GetBool("kvstore.sync", false),
+			Shards:      p.GetInt("kvstore.shards", DefaultShards),
+			GroupCommit: time.Duration(p.GetInt64("kvstore.wal.group_commit_ms", 0)) * time.Millisecond,
+			Retention:   time.Duration(p.GetInt64("kvstore.retention_ms", 0)) * time.Millisecond,
+			Metrics:     obs.Enabled(p.GetBool("obs.enabled", false)),
 		})
 		if err != nil {
 			return err
@@ -62,23 +50,11 @@ func (b *Binding) Init(p *properties.Properties) error {
 		b.eng = s
 		b.owns = true
 	}
-	if ts := p.GetInt64("as_of", 0); ts != 0 {
-		pinned, release := b.eng.Pin()
-		if ts < 0 {
-			ts = pinned
-		}
-		b.asOf, b.unpin = ts, release
-	}
 	return nil
 }
 
-// Cleanup releases the as-of pin and closes the store when this
-// binding opened it.
+// Cleanup closes the store when this binding opened it.
 func (b *Binding) Cleanup() error {
-	if b.unpin != nil {
-		b.unpin()
-		b.unpin = nil
-	}
 	if b.owns && b.eng != nil {
 		return b.eng.Close()
 	}
@@ -87,13 +63,7 @@ func (b *Binding) Cleanup() error {
 
 // Read implements db.DB.
 func (b *Binding) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
-	var rec *VersionedRecord
-	var err error
-	if b.asOf != 0 {
-		rec, err = b.eng.GetAsOf(table, key, b.asOf)
-	} else {
-		rec, err = b.eng.Get(table, key)
-	}
+	rec, err := b.eng.Get(table, key)
 	if err != nil {
 		return nil, err
 	}
@@ -103,13 +73,7 @@ func (b *Binding) Read(ctx context.Context, table, key string, fields []string) 
 
 // Scan implements db.DB.
 func (b *Binding) Scan(_ context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
-	var kvs []VersionedKV
-	var err error
-	if b.asOf != 0 {
-		kvs, err = b.eng.ScanAsOf(table, startKey, count, b.asOf)
-	} else {
-		kvs, err = b.eng.Scan(table, startKey, count)
-	}
+	kvs, err := b.eng.Scan(table, startKey, count)
 	if err != nil {
 		return nil, err
 	}

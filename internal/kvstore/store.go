@@ -220,12 +220,6 @@ type Options struct {
 	// min(pin floor, vacuum watermark), and an unpinned as-of read
 	// below it fails with ErrBelowHorizon.
 	Retention time.Duration
-	// VacuumInterval, when positive, runs a background Vacuum sweep on
-	// that period (trimming cold chains and purging the tombstoned keys
-	// a pin, the watermark or Retention held). Zero disables the loop;
-	// hot keys are still trimmed inline on every write, and a delete
-	// whose tombstone nothing holds purges its key inline.
-	VacuumInterval time.Duration
 }
 
 // Store is a concurrent, versioned, ordered key-value store with
@@ -256,10 +250,6 @@ type Store struct {
 	// extFloor is the externally published min-active-ts watermark
 	// (SetVacuumFloor) — the txn layer's oldest snapshot reader.
 	extFloor atomic.Int64
-
-	vacStop chan struct{}
-	vacDone chan struct{}
-	vacOnce sync.Once
 }
 
 // newStore builds the shared store shell (clock, pins, retention).
@@ -375,7 +365,6 @@ func Open(opts Options) (*Store, error) {
 			s.parts[i] = newPartition(nil, s)
 		}
 		s.instrument(opts.Metrics)
-		s.startVacuumLoop(opts.VacuumInterval)
 		return s, nil
 	}
 
@@ -457,7 +446,6 @@ func Open(opts Options) (*Store, error) {
 		p.vacuum(s.cutTS(opened), false)
 	}
 	s.instrument(opts.Metrics)
-	s.startVacuumLoop(opts.VacuumInterval)
 	return s, nil
 }
 
@@ -697,7 +685,6 @@ func (s *Store) Sync() error {
 // Close flushes and closes every partition. Further operations return
 // ErrClosed.
 func (s *Store) Close() error {
-	s.stopVacuumLoop()
 	var first error
 	for _, p := range s.parts {
 		if err := p.close(); err != nil && first == nil {

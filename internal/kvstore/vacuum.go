@@ -1,7 +1,5 @@
 package kvstore
 
-import "time"
-
 // Vacuum trims MVCC garbage across every partition: each key's chain
 // is cut after the newest version at or below the reclaim horizon
 // (now − retention, clamped by pins and the external watermark), and
@@ -23,38 +21,6 @@ func (s *Store) Vacuum() (versions int64, keys int) {
 		keys += k
 	}
 	return versions, keys
-}
-
-// startVacuumLoop runs Vacuum on the given period until Close.
-func (s *Store) startVacuumLoop(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	s.vacStop = make(chan struct{})
-	s.vacDone = make(chan struct{})
-	go func() {
-		defer close(s.vacDone)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.vacStop:
-				return
-			case <-t.C:
-				s.Vacuum()
-			}
-		}
-	}()
-}
-
-func (s *Store) stopVacuumLoop() {
-	if s.vacStop == nil {
-		return
-	}
-	s.vacOnce.Do(func() {
-		close(s.vacStop)
-		<-s.vacDone
-	})
 }
 
 // cutChainAt unlinks everything older than the newest version ≤ cut,

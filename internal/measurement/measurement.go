@@ -423,10 +423,16 @@ func (r *Registry) TotalOperations(names ...string) int64 {
 	return total
 }
 
-// ExportText writes every series in the paper's Listing 3 format,
-// sorted by series name.
+// ExportText writes every series that measured at least one
+// operation in the paper's Listing 3 format, sorted by series name. A
+// series registered up front for a kind the run never issued prints
+// nothing, as YCSB's report lists only measured kinds; ExportJSON
+// keeps every series.
 func (r *Registry) ExportText(w io.Writer) error {
 	for _, s := range r.Snapshots() {
+		if s.Operations == 0 {
+			continue
+		}
 		if err := exportSeriesText(w, s, r); err != nil {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"time"
 
 	"ycsbt/internal/kvstore"
 )
@@ -69,23 +68,6 @@ func (m *Manager) Vacuum(ctx context.Context) (tsrsRemoved, recordsResolved int,
 		}
 	}
 	return tsrsRemoved, recordsResolved, err
-}
-
-// VacuumLoop runs Vacuum on the given interval until the context is
-// cancelled; errors are delivered to onError (nil ignores them).
-func (m *Manager) VacuumLoop(ctx context.Context, interval time.Duration, onError func(error)) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if _, _, err := m.Vacuum(ctx); err != nil && onError != nil {
-				onError(err)
-			}
-		}
-	}
 }
 
 // encodeWriteSet serializes the written keys for the TSR.

@@ -144,30 +144,6 @@ func TestVacuumEmptyStore(t *testing.T) {
 	}
 }
 
-func TestVacuumLoop(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	m, inner := newTestManager(t, Options{RecoveryTimeout: time.Millisecond})
-	m.RunInTxn(ctx, 0, func(tx *Txn) error {
-		return tx.Insert("", "t", "a", bal(1))
-	})
-	flush(t, m)
-	installCrashedCommit(t, inner, []string{"a"}, time.Second)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		m.VacuumLoop(ctx, 5*time.Millisecond, nil)
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for inner.Len(tsrTable) > 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	cancel()
-	<-done
-	if inner.Len(tsrTable) != 0 {
-		t.Error("vacuum loop never cleaned the TSR")
-	}
-}
-
 func TestWriteSetRoundTrip(t *testing.T) {
 	in := []wkey{{"s1", "t1", "k1"}, {"s2", "t2", "key with spaces"}}
 	got := decodeWriteSet(encodeWriteSet(in))

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -62,9 +61,9 @@ func plainOutcomes(b db.DB) []outcome {
 
 // asOfOutcomes are the reads of a binding pinned to a snapshot taken
 // before "k" was overwritten, with nothing keeping the old version.
-func asOfOutcomes(b db.DB) []outcome {
+func asOfOutcomes(read func(context.Context) error) []outcome {
 	return []outcome{
-		{"as-of read below the horizon", func(ctx context.Context) error { _, err := b.Read(ctx, "t", "k", nil); return err }, db.CodeUnknown},
+		{"as-of read below the horizon", read, db.CodeUnknown},
 	}
 }
 
@@ -149,12 +148,7 @@ func TestReturnCodeEveryBinding(t *testing.T) {
 		if _, err := s.Put("t", "k", rcRec("v2")); err != nil {
 			t.Fatal(err)
 		}
-		asOf := kvstore.NewBinding(s)
-		if err := asOf.Init(properties.FromMap(map[string]string{"as_of": strconv.FormatInt(ts, 10)})); err != nil {
-			t.Fatal(err)
-		}
-		defer asOf.Cleanup()
-		checkOutcomes(t, asOfOutcomes(asOf))
+		checkOutcomes(t, asOfOutcomes(func(context.Context) error { _, err := s.GetAsOf("t", "k", ts); return err }))
 	})
 
 	t.Run("cloudsim", func(t *testing.T) {
@@ -207,15 +201,24 @@ func TestReturnCodeEveryBinding(t *testing.T) {
 			if _, err := store.Put("t", "k", rcRec("v2")); err != nil {
 				t.Fatal(err)
 			}
-			props := map[string]string{"as_of": strconv.FormatInt(ts, 10), "rawhttp.wire": wire}
 			if wire == httpkv.WireModeOff {
-				err := httpkv.NewClient(url, nil).Init(properties.FromMap(props))
+				// A node over the same store that serves HTTP only.
+				ln := listenLoopback(t)
+				defer shutdown(httpkv.ServeNode(store, ln, nil, httpkv.NodeOptions{}))
+				url = "http://" + ln.Addr().String()
+			}
+			rs, err := httpkv.NewRemoteStore("remote", url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wire == httpkv.WireModeOff {
+				_, err := rs.GetAsOf(ctx, "t", "k", ts)
 				if got := db.ReturnCode(err); got != db.CodeNotSupported {
 					t.Errorf("as-of over REST: ReturnCode(%v) = %d, want %d", err, got, db.CodeNotSupported)
 				}
 				return
 			}
-			checkOutcomes(t, asOfOutcomes(open(t, props)))
+			checkOutcomes(t, asOfOutcomes(func(ctx context.Context) error { _, err := rs.GetAsOf(ctx, "t", "k", ts); return err }))
 		})
 	}
 

@@ -199,9 +199,9 @@ func TestWireLoadFidelity(t *testing.T) {
 	}
 }
 
-// Batches, as-of reads, routed scans and migration exist on frames
-// only, so each place that would need a frame listener and finds none
-// says so at once, by name, instead of degrading.
+// As-of reads, routing and migration exist on frames only, so each
+// place that would need a frame listener and finds none says so at
+// once, by name, instead of degrading.
 func TestMissingFrameListenerFailsLoud(t *testing.T) {
 	// Two cluster nodes and a standalone node that serve HTTP only.
 	store, err := kvstore.Open(kvstore.Options{})
@@ -261,9 +261,11 @@ func TestMissingFrameListenerFailsLoud(t *testing.T) {
 			return noWire(err, urls[1])
 		}, urls[1]},
 		{"rawhttp as_of on an HTTP endpoint", func() error {
-			c := httpkv.NewClient(plainURL, nil)
-			defer c.Cleanup()
-			err := c.Init(properties.FromMap(map[string]string{"as_of": "-1"}))
+			rs, err := httpkv.NewRemoteStore("plain", plainURL)
+			if err != nil {
+				return err
+			}
+			_, err = rs.GetAsOf(context.Background(), "t", "k", 1)
 			if err != nil && !errors.Is(err, db.ErrNotSupported) {
 				return fmt.Errorf("not ErrNotSupported: %w", err)
 			}
