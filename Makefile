@@ -3,10 +3,11 @@
 
 GO ?= go
 
-.PHONY: check fmt one-http-client vet build test test-race test-allocs fuzz-smoke bench bench-quick bench-cluster bench-smoke clean
+.PHONY: check fmt one-http-client vet build test test-race test-twice test-allocs fuzz-smoke bench bench-quick bench-cluster bench-smoke clean
 
 # The full tier-1 gate: gofmt, vet, build everything, the race-enabled short
-# test run, the allocation pins without the race detector, then a short coverage-guided fuzz of the binary frame
+# test run, every short test twice in one process, the allocation pins
+# without the race detector, then a short coverage-guided fuzz of the binary frame
 # codec (hostile bytes off the network must never panic the decoder),
 # of the REST record codec (it must decode every body exactly as
 # encoding/json does, and what it writes must read back), of the REST
@@ -18,7 +19,7 @@ GO ?= go
 # codec's corpus holds a 100 000-deep body and the reply reader's a
 # 4 KiB head line, and minimizing each new input grown from them would
 # take the whole budget, so minimization is capped.
-check: fmt one-http-client vet build test-race test-allocs fuzz-smoke
+check: fmt one-http-client vet build test-race test-twice test-allocs fuzz-smoke
 
 # gofmt must list no file of the root module or of benchmark/.
 fmt:
@@ -54,15 +55,18 @@ test:
 # sharded measurement path and the per-thread middleware chains. It is
 # also where the transaction schedule is guarded: internal/txn's
 # TestCommitScheduleStoreCalls counts the store calls a commit waits
-# for and the ones its finish makes behind it (exact, so no benchmark
-# is needed to notice an extra round trip), next to the read-set trap
+# for and the ones its finish makes behind it, or before it returns over
+# an in-process store (exact, so no benchmark is needed to notice an
+# extra round trip), next to the read-set trap
 # tests and kvwire's frame segmentation tests; and where the deferred
 # finish runs under the detector: TestFinishAccounting (eight
 # committers past the bound on outstanding finishes, then Flush, an
 # empty _tsr and the goroutine count back at its baseline),
 # TestSameThreadReadsItsCommit (a client that reads its own commit
 # while its finish is in flight, call for call),
-# TestReaderWaitsForItsManagersFinish, TestFinishOutlivesItsStore and
+# TestReaderWaitsForItsManagersFinish, TestFinishOutlivesItsStore,
+# TestLocalStoreFinishesOnCommitter (four committers finishing their
+# own commits over one in-process store, then no debris without Flush) and
 # internal/client's TestPhaseEndsSettled;
 # internal/httpkv's TestRouterScanResultsCrossGoroutines reads one
 # scan's results on two goroutines while the router scans again. kvwire's
@@ -73,11 +77,18 @@ test-race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=10 -run TestCloseFailsExecInFlight ./internal/kvwire/
 
+# A test must pass when it runs again in the same process: one that
+# leaves process-wide state behind (a registration, a global) fails its
+# second iteration here.
+test-twice:
+	$(GO) test -count=2 -short ./...
+
 # Allocation counts mean something only without the race detector (the
 # pins it would upset skip themselves under it), so every test named
 # *Alloc* runs again here without it: the codecs' and the engine's
 # zero-allocation paths, the metered middleware's zero allocations per
-# call, the one-key read-only transaction's count, and what a scan
+# call, the one-key read-only transaction's count, a CEW transfer's
+# over an in-process store (its finish on the committer), and what a scan
 # costs per record (a router scan ≤ 2 allocations a record, an embedded
 # kvstore scan and the integrity check of a scanned record none).
 test-allocs:

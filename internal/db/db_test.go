@@ -38,6 +38,13 @@ func TestReturnCode(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	Register("test-binding", func() (DB, error) { return NewMemory(), nil })
+	// The registry is the process's: take the binding out again, so the
+	// test can run twice in one process (go test -count=2).
+	t.Cleanup(func() {
+		registryMu.Lock()
+		delete(registry, "test-binding")
+		registryMu.Unlock()
+	})
 	d, err := Open("test-binding")
 	if err != nil {
 		t.Fatal(err)

@@ -508,3 +508,33 @@ func BenchmarkScrambledZipfianNext(b *testing.B) {
 		s.Next(r)
 	}
 }
+
+// TestLastIsWhatNextReturned: every generator whose Last is documented
+// as "the most recent value produced" reports what its Next just
+// returned, without advancing the sequence.
+func TestLastIsWhatNextReturned(t *testing.T) {
+	gens := map[string]Integer{
+		"Constant":         NewConstant(7),
+		"Counter":          NewCounter(3),
+		"Uniform":          NewUniform(10, 20),
+		"Zipfian":          NewZipfian(0, 100),
+		"ScrambledZipfian": NewScrambledZipfian(0, 100),
+		"SkewedLatest":     NewSkewedLatest(NewCounter(100)),
+		"Hotspot":          NewHotspot(0, 99, 0.2, 0.8),
+		"Exponential":      NewExponential(95, 0.8571, 100),
+		"ExponentialMean":  NewExponentialMean(10),
+		"Sequential":       NewSequential(5, 8),
+	}
+	for name, g := range gens {
+		r := newRand()
+		for i := 0; i < 50; i++ {
+			v := g.Next(r)
+			if got := g.Last(); got != v {
+				t.Fatalf("%s: draw %d: Last = %d, want %d, what Next returned", name, i, got, v)
+			}
+			if got := g.Last(); got != v {
+				t.Fatalf("%s: draw %d: a second Last = %d, want %d", name, i, got, v)
+			}
+		}
+	}
+}

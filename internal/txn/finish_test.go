@@ -372,3 +372,142 @@ func TestFinishOutlivesItsStore(t *testing.T) {
 		t.Errorf("%d goroutines after the finish failed, %d before", n, baseline)
 	}
 }
+
+// TestLocalStoreFinishesOnCommitter: over a raw LocalStore every store
+// runs its calls on the caller, so each commit makes its own finish
+// before it returns. Transfers run without a Flush, by four clients at
+// once and then by one; the engine holds no prepared record and no TSR
+// afterwards, no finish counted as back-pressure, none is pending, and
+// no goroutine outlives the commit that would have started it.
+func TestLocalStoreFinishesOnCommitter(t *testing.T) {
+	const (
+		workers   = 4
+		transfers = 100
+		accounts  = 8
+	)
+	ctx := context.Background()
+	inner := kvstore.OpenMemory()
+	defer inner.Close()
+	reg := obs.NewRegistry()
+	m, err := NewManager(Options{Metrics: reg}, NewLocalStore("local", inner))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acct := func(i int) string { return fmt.Sprintf("acct%02d", i) }
+	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
+		for i := 0; i < accounts; i++ {
+			if err := tx.Insert("", "t", acct(i), bal(100)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	transfer := func(rng *rand.Rand) error {
+		from := rng.Intn(accounts)
+		to := (from + 1 + rng.Intn(accounts-1)) % accounts
+		return m.RunInTxn(ctx, 1000, func(tx *Txn) error {
+			var b [2]int64
+			for j, k := range []string{acct(from), acct(to)} {
+				f, err := tx.Read(ctx, "", "t", k)
+				if err != nil {
+					return err
+				}
+				if b[j], err = strconv.ParseInt(string(f["balance"]), 10, 64); err != nil {
+					return err
+				}
+			}
+			if err := tx.Write("", "t", acct(from), bal(b[0]-1)); err != nil {
+				return err
+			}
+			return tx.Write("", "t", acct(to), bal(b[1]+1))
+		})
+	}
+
+	baseline := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for i := 0; i < transfers; i++ {
+				if err := transfer(rng); err != nil {
+					t.Errorf("worker %d transfer %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	wantNoDebris(t, inner, "t")
+	if n := settledGoroutines(baseline); n > baseline {
+		t.Errorf("%d goroutines once the clients returned, %d before", n, baseline)
+	}
+
+	rng := rand.New(rand.NewSource(0))
+	for i := 0; i < transfers; i++ {
+		if err := transfer(rng); err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("transfer %d: %d goroutines after Commit returned, %d before", i, n, baseline)
+		}
+	}
+	wantNoDebris(t, inner, "t")
+	if got := reg.Counter("txn_finish_inline_total").Value(); got != 0 {
+		t.Errorf("txn_finish_inline_total = %d, want 0: no finish waited on the bound", got)
+	}
+	m.finMu.Lock()
+	pending := m.finPending
+	m.finMu.Unlock()
+	if pending != 0 {
+		t.Errorf("%d finishes pending with every Commit returned", pending)
+	}
+	if commits, _, _, _ := m.Stats(); commits != (workers+1)*transfers+1 {
+		t.Errorf("%d commits, want %d transfers and the load", commits, (workers+1)*transfers)
+	}
+}
+
+// TestMixedManagerFinishesBehind: one store that does not say its calls
+// run on the caller — here a decorator that does not forward the
+// method — keeps its manager on the deferred schedule, though the other
+// store is a raw LocalStore. The finish is held at the decorated store's
+// roll-forward: Commit returns regardless, and the roll-forward is made
+// behind it.
+func TestMixedManagerFinishesBehind(t *testing.T) {
+	ctx := context.Background()
+	s1, s2 := kvstore.OpenMemory(), kvstore.OpenMemory()
+	defer s1.Close()
+	defer s2.Close()
+	beta := &scriptStore{Store: NewLocalStore("beta", s2)}
+	m, err := NewManager(Options{}, NewLocalStore("alpha", s1), beta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A finish on the committer would wait here until the limit, and
+	// then show its roll-forward among the calls Commit waited for.
+	hold := make(chan struct{})
+	beta.before = func(op, table, _ string, fields map[string][]byte) error {
+		if isRollForward(op, table, fields) {
+			select {
+			case <-hold:
+			case <-time.After(tsrDeleteLimit):
+			}
+		}
+		return nil
+	}
+	tx, _ := m.Begin(ctx)
+	tx.Write("alpha", "t", "a", bal(1))
+	tx.Write("beta", "t", "b", bal(2))
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wantCalls(t, "beta, when Commit returns", beta.take(), "Get t/b", "Put t/b")
+	close(hold)
+	flush(t, m)
+	wantCalls(t, "beta, behind it", beta.take(), "Put t/b")
+	wantNoDebris(t, s1, "t")
+	wantNoDebris(t, s2, "t")
+}

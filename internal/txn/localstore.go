@@ -8,8 +8,11 @@ import (
 
 // LocalStore adapts an embedded kvstore.Engine to the txn.Store
 // interface, giving it a name and a context-aware surface. It is the
-// zero-latency store used in unit tests and local examples; cloudsim
-// provides the latency-faithful equivalent.
+// product store of txnkv.backend=memory (OpenBackend), an engine in the
+// client's own process with no round trip; cloudsim provides the
+// latency-faithful equivalent. Its calls run on the caller's goroutine
+// (RunsOnCaller), so a manager over LocalStores alone finishes each
+// commit on its committer.
 //
 // Records flowing out of Get/Scan/BatchGet are the engine's shared
 // immutable snapshots (see the kvstore.Engine immutability contract);
@@ -47,6 +50,10 @@ func (l *LocalStore) Delete(_ context.Context, table, key string, expect uint64)
 func (l *LocalStore) Scan(_ context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error) {
 	return l.inner.Scan(table, startKey, count)
 }
+
+// RunsOnCaller reports true: every call is the engine's, made on the
+// caller's goroutine.
+func (l *LocalStore) RunsOnCaller() bool { return true }
 
 // BatchGet exposes the engine's multi-key read so batched protocol
 // paths (the percolator prewrite, the batch bindings) amortize lock

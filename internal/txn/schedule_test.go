@@ -23,13 +23,18 @@ import (
 // of the call, on the goroutine making it (the committer's, or a
 // finish's), and a non-nil error from it drops the call, which fails
 // with it. A call is logged when before returns, so one that before
-// holds back is not in the log yet.
+// holds back is not in the log yet. With onCaller set it reports that
+// its calls run on the caller (RunsOnCaller), as the store it wraps
+// does; a manager over it then finishes each commit on the committer.
 type scriptStore struct {
 	Store
-	mu     sync.Mutex
-	calls  []string
-	before func(op, table, key string, fields map[string][]byte) error
+	onCaller bool
+	mu       sync.Mutex
+	calls    []string
+	before   func(op, table, key string, fields map[string][]byte) error
 }
+
+func (s *scriptStore) RunsOnCaller() bool { return s.onCaller }
 
 func (s *scriptStore) note(op, table, key string, fields map[string][]byte) error {
 	var err error
@@ -122,25 +127,47 @@ func wantCalls(t *testing.T, what string, got []string, want ...string) {
 // Commit returns are what the caller waited for, the calls after Flush
 // are the finish that ran behind it. A transaction asks the store only
 // for what it does not hold — the repeated runs check the counts repeat
-// exactly.
+// exactly. Over a store whose calls run on the caller the finish makes
+// the same calls before Commit returns: all 3n + 2 are made by then,
+// and none behind.
 func TestCommitScheduleStoreCalls(t *testing.T) {
+	t.Run("behind", func(t *testing.T) { testCommitSchedule(t, false) })
+	t.Run("on the committer", func(t *testing.T) { testCommitSchedule(t, true) })
+}
+
+func testCommitSchedule(t *testing.T, onCaller bool) {
 	ctx := context.Background()
-	m, ss, _ := newScriptManager(t, Options{})
+	inner := kvstore.OpenMemory()
+	t.Cleanup(func() { inner.Close() })
+	ss := &scriptStore{Store: NewLocalStore("local", inner), onCaller: onCaller}
+	m, err := NewManager(Options{}, ss)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := NewBinding(m)
 
-	// A finish opens with a roll-forward put; holding that back until the
-	// test has looked makes "when Commit returns" a fixed list.
+	// A deferred finish opens with a roll-forward put; holding that back
+	// until the test has looked makes "when Commit returns" a fixed list.
+	// A finish on the committer is over by then, and is not held.
 	var hold chan struct{}
-	ss.before = func(op, table, _ string, fields map[string][]byte) error {
-		if isRollForward(op, table, fields) {
-			<-hold
+	if !onCaller {
+		ss.before = func(op, table, _ string, fields map[string][]byte) error {
+			if isRollForward(op, table, fields) {
+				<-hold
+			}
+			return nil
 		}
-		return nil
 	}
 	// committed checks the calls the commit just made the caller wait
 	// for, then lets the finish go and checks the calls it made.
 	committed := func(what string, blocking, behind []string) {
 		t.Helper()
+		if onCaller {
+			wantCalls(t, what+", when Commit returns", ss.take(), append(blocking, behind...)...)
+			flush(t, m)
+			wantCalls(t, what+", behind it", ss.take())
+			return
+		}
 		wantCalls(t, what+", when Commit returns", ss.take(), blocking...)
 		close(hold)
 		flush(t, m)

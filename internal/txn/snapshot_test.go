@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,6 +32,11 @@ func TestReadOnlyTxnFrozenReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, _ := m.BeginReadOnly(ctx)
+	if id := ro.ID(); !strings.HasPrefix(id, "r"+m.id+"-") || id == other.ID() {
+		t.Errorf("read-only ids %q and %q: want two distinct ids under r%s-", id, other.ID(), m.id)
+	}
+	other.Abort(ctx)
 	f, err := ro.Read(ctx, "", "t", "a")
 	if err != nil {
 		t.Fatal(err)

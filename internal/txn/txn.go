@@ -58,8 +58,11 @@
 // calls in the same order the committer used to. At most
 // maxPendingFinishes finishes are outstanding — past that the committer
 // runs its own before Commit returns — and Manager.Flush waits for
-// them. Every backend takes this path, an engine in the same process
-// included.
+// them. A finish runs where its stores run: when every store of the
+// manager runs its calls on the caller's goroutine (an engine in the
+// same process, see callerRunner), there is no round trip for the
+// deferral to hide, and the committer makes the finish itself, through
+// the same bookkeeping, before Commit returns.
 //
 // Deferring the finish adds no state to the stores: between the TSR
 // put and the last roll-forward a record is prepared with a committed
@@ -123,6 +126,18 @@ type Store interface {
 	Delete(ctx context.Context, table, key string, expect uint64) error
 	// Scan returns up to count records from startKey in key order.
 	Scan(ctx context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error)
+}
+
+// callerRunner is the optional capability of a Store whose calls run
+// to completion on the caller's goroutine, with no round trip to wait
+// out: RunsOnCaller reports true. NewManager asserts it once on every
+// store; when all of them report true, a committer runs its
+// transaction's finish itself instead of handing it to a goroutine,
+// which on an idle processor costs more than the finish. A decorator
+// that does not forward the method leaves its manager on the deferred
+// schedule.
+type callerRunner interface {
+	RunsOnCaller() bool
 }
 
 // Sentinel errors. The outcomes a binding reports wrap the db
@@ -293,6 +308,9 @@ type Manager struct {
 	// finInline counts finishes the committer ran itself because
 	// maxPendingFinishes were outstanding.
 	finInline *obs.Counter
+	// onCaller: every store runs its calls on the caller's goroutine
+	// (callerRunner), so a finish runs on its committer.
+	onCaller bool
 }
 
 // maxPendingFinishes bounds the goroutines finishing committed
@@ -312,6 +330,7 @@ func NewManager(opts Options, stores ...Store) (*Manager, error) {
 		stores:    make(map[string]Store, len(stores)),
 		watermark: oracle.NewWatermark(),
 		finishing: make(map[string]chan struct{}),
+		onCaller:  true, // until a store does not say so
 	}
 	for _, s := range stores {
 		if s.Name() == "" {
@@ -321,6 +340,9 @@ func NewManager(opts Options, stores ...Store) (*Manager, error) {
 			return nil, fmt.Errorf("txn: duplicate store name %q", s.Name())
 		}
 		m.stores[s.Name()] = s
+		if r, ok := s.(callerRunner); !ok || !r.RunsOnCaller() {
+			m.onCaller = false
+		}
 	}
 	if len(stores) == 1 {
 		m.defalt = stores[0].Name()
@@ -824,7 +846,10 @@ func (t *Txn) Commit(ctx context.Context) error {
 // the caller's deadline, nor carry the caller's values onto another
 // goroutine. Like the committer's own finish before it, it carries no
 // deadline — a store that stops answering is the transport's to give up
-// on, and Flush returns with its caller's context either way. When
+// on, and Flush returns with its caller's context either way. A manager
+// whose stores all run on the caller (onCaller) makes the same call on
+// the committer instead: the finish is registered, waited for and
+// remembered as a deferred one is, and ends before Commit returns. When
 // maxPendingFinishes are outstanding the committer runs the finish
 // itself, under detached, its own context without the cancellation.
 func (m *Manager) finishBehind(detached context.Context, t *Txn, keys []wkey) {
@@ -842,25 +867,33 @@ func (m *Manager) finishBehind(detached context.Context, t *Txn, keys []wkey) {
 		m.finish(detached, t, keys, nil)
 		return
 	}
-	go func() {
-		landed := m.finish(context.Background(), t, keys, done)
-		m.finMu.Lock()
-		if landed {
-			// Remembered in place of the oldest ended before it. One that
-			// did not land is forgotten now: its records are still
-			// prepared, and readers must go to its TSR to finish them.
-			delete(m.finishing, m.finEnded[m.finEndedAt])
-			m.finEnded[m.finEndedAt] = t.id
-			m.finEndedAt = (m.finEndedAt + 1) % len(m.finEnded)
-		} else {
-			delete(m.finishing, t.id)
-		}
-		if m.finPending--; m.finPending == 0 && m.finIdle != nil {
-			close(m.finIdle)
-			m.finIdle = nil
-		}
-		m.finMu.Unlock()
-	}()
+	if m.onCaller {
+		m.finishRegistered(t, keys, done)
+		return
+	}
+	go m.finishRegistered(t, keys, done)
+}
+
+// finishRegistered runs the finish of a transaction finishBehind
+// registered under done, then ends its registration.
+func (m *Manager) finishRegistered(t *Txn, keys []wkey, done chan struct{}) {
+	landed := m.finish(context.Background(), t, keys, done)
+	m.finMu.Lock()
+	if landed {
+		// Remembered in place of the oldest ended before it. One that
+		// did not land is forgotten now: its records are still
+		// prepared, and readers must go to its TSR to finish them.
+		delete(m.finishing, m.finEnded[m.finEndedAt])
+		m.finEnded[m.finEndedAt] = t.id
+		m.finEndedAt = (m.finEndedAt + 1) % len(m.finEnded)
+	} else {
+		delete(m.finishing, t.id)
+	}
+	if m.finPending--; m.finPending == 0 && m.finIdle != nil {
+		close(m.finIdle)
+		m.finIdle = nil
+	}
+	m.finMu.Unlock()
 }
 
 // finishOf returns the channel that closes when the finish of the
