@@ -25,14 +25,15 @@ check: fmt one-http-client vet build test-race test-twice test-allocs fuzz-smoke
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
-# internal/httpkv has one HTTP client, the REST exchange (rest.go): no
-# non-test file of it may name http.Client, http.Transport or
-# http.NewRequest. The one exception is the ignored hc parameter of
-# NewClient and NewRouter, kept while benchmark/stack.go passes it.
+# The product has one HTTP client, httpkv's REST exchange (rest.go): no
+# non-test file of internal/ or cmd/ may name http.Client,
+# http.Transport or http.NewRequest. The one exception is the ignored hc
+# parameter of httpkv's NewClient and NewRouter, kept while
+# benchmark/stack.go passes it.
 one-http-client:
-	@out="$$(grep -nE 'http\.(Client|Transport|NewRequest)' $$(ls internal/httpkv/*.go | grep -v '_test\.go$$') \
+	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' 'http\.(Client|Transport|NewRequest)' internal cmd \
 		| grep -vE '^internal/httpkv/(client|router)\.go:[0-9]+:func New(Client|Router)\(.*, hc \*http\.Client[,)]')"; \
-	if [ -n "$$out" ]; then echo "internal/httpkv names a net/http client:"; echo "$$out"; exit 1; fi
+	if [ -n "$$out" ]; then echo "a non-test file of internal/ or cmd/ names a net/http client:"; echo "$$out"; exit 1; fi
 
 fuzz-smoke:
 	$(GO) test -run xx -fuzz FuzzFrameCodec -fuzztime 10s ./internal/kvwire/

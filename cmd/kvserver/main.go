@@ -58,7 +58,7 @@ func run() error {
 	shards := flag.Int("shards", kvstore.DefaultShards, "hash partitions of the store (an existing WAL layout wins)")
 	groupCommit := flag.Duration("group-commit", 0, "WAL group-commit window, e.g. 2ms (0 = sync inline)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent request frames admitted before 429 (0 = unlimited)")
-	retention := flag.Duration("retention", kvstore.DefaultRetention, "how long overwritten record versions stay readable via unpinned as-of reads (0 = keep only what pins and the txn watermark need)")
+	retention := flag.Duration("retention", kvstore.DefaultRetention, "how long overwritten record versions stay readable to unpinned as-of reads of the engine, which neither client plane issues (0 = keep only what pins and the txn watermark need)")
 	opsAddr := flag.String("ops-addr", "", "ops listener address serving /metrics, /healthz, /debug/pprof (empty = disabled)")
 	wireAddr := flag.String("wire-addr", "", "frame listener address; advertised to clients via the X-KV-Wire response header (empty = disabled; required with -cluster-node-id)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: how long in-flight requests on the HTTP and wire listeners get to finish")

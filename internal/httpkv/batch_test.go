@@ -68,7 +68,7 @@ func TestBatchRoundTrip(t *testing.T) {
 			for i, op := range ops {
 				if op.Kind != kvwire.KindGet {
 					_, errs[i] = c.mutate(ctx, op.Kind, op.Table, op.Key, op.Fields, op.Expect)
-				} else if r, err := c.get(ctx, op.Table, op.Key, 0); err != nil {
+				} else if r, err := c.ReadVersioned(ctx, op.Table, op.Key); err != nil {
 					errs[i] = err
 				} else if i == 0 {
 					read = r.Fields

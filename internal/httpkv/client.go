@@ -154,19 +154,29 @@ func (c *Client) Cleanup() error {
 	return nil
 }
 
-// get fetches one record with its version, from the head or (asOf > 0,
-// frames only) the version history. The fields map is freshly decoded:
-// the caller's own.
-func (c *Client) get(ctx context.Context, table, key string, asOf int64) (*kvstore.VersionedRecord, error) {
+// Read implements db.DB.
+func (c *Client) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
+	rec, err := c.ReadVersioned(ctx, table, key)
+	if err != nil {
+		return nil, err
+	}
+	db.ReportReadVersion(ctx, rec.Version)
+	if fields == nil {
+		return rec.Fields, nil
+	}
+	return db.ProjectFields(rec.Fields, fields), nil
+}
+
+// ReadVersioned fetches a record together with its version (ETag), the
+// CAS handle the transaction stores need. The fields map is freshly
+// decoded: the caller's own.
+func (c *Client) ReadVersioned(ctx context.Context, table, key string) (*kvstore.VersionedRecord, error) {
 	if c.wire != nil {
-		res, err := c.execOne(ctx, kvwire.Op{Kind: kvwire.KindGet, Table: table, Key: key, AsOf: asOf})
+		res, err := c.execOne(ctx, kvwire.Op{Kind: kvwire.KindGet, Table: table, Key: key})
 		if err != nil {
 			return nil, err
 		}
 		return &kvstore.VersionedRecord{Version: res.Version, Fields: res.Fields}, nil
-	}
-	if asOf != 0 {
-		return nil, fmt.Errorf("httpkv: %s: %w", c.base, errAsOfNeedsFrames)
 	}
 	rep, err := c.roundTrip(ctx, &request{method: http.MethodGet, table: table, key: key})
 	if err != nil {
@@ -178,25 +188,6 @@ func (c *Client) get(ctx context.Context, table, key string, asOf int64) (*kvsto
 		return nil, fmt.Errorf("httpkv: decoding record: %w", err)
 	}
 	return &kvstore.VersionedRecord{Version: wr.Version, Fields: wr.Fields}, nil
-}
-
-// Read implements db.DB.
-func (c *Client) Read(ctx context.Context, table, key string, fields []string) (db.Record, error) {
-	rec, err := c.get(ctx, table, key, 0)
-	if err != nil {
-		return nil, err
-	}
-	db.ReportReadVersion(ctx, rec.Version)
-	if fields == nil {
-		return rec.Fields, nil
-	}
-	return db.ProjectFields(rec.Fields, fields), nil
-}
-
-// ReadVersioned fetches a record together with its version (ETag);
-// used by tests and by callers that need the CAS handle.
-func (c *Client) ReadVersioned(ctx context.Context, table, key string) (*kvstore.VersionedRecord, error) {
-	return c.get(ctx, table, key, 0)
 }
 
 // kvConv renders scan records as db.KVs projected to fields. A record
@@ -227,17 +218,14 @@ func scanPrealloc(count int) int {
 	return max(0, min(count, kvwire.ScanPageCap))
 }
 
-// scanInto fetches up to count records (count < 0: the rest of the
-// table) from start in key order, built once through conv: frame pages
-// on a frame endpoint, REST pages otherwise. asOf > 0 reads the
-// version history and needs frames.
-func scanInto[T any](ctx context.Context, c *Client, table, start string, count int, asOf int64, conv func(*kvwire.StreamRecord) T) ([]T, error) {
-	if c.wire == nil && asOf != 0 {
-		return nil, fmt.Errorf("httpkv: %s: %w", c.base, errAsOfNeedsFrames)
-	}
-	out := make([]T, 0, scanPrealloc(count))
+// Scan implements db.DB: up to count records (count < 0: the rest of
+// the table) from start in key order, each projected to fields — frame
+// pages on a frame endpoint, REST pages otherwise.
+func (c *Client) Scan(ctx context.Context, table, start string, count int, fields []string) ([]db.KV, error) {
+	conv := kvConv(fields)
+	out := make([]db.KV, 0, scanPrealloc(count))
 	if c.wire != nil {
-		s, err := c.wire.Scan(ctx, &kvwire.ScanRequest{Table: table, Start: start, Count: count, AsOf: asOf, Slot: -1})
+		s, err := c.wire.Scan(ctx, &kvwire.ScanRequest{Table: table, Start: start, Count: count, Slot: -1})
 		if err != nil {
 			return nil, fmt.Errorf("httpkv: %w", err)
 		}
@@ -288,11 +276,6 @@ func scanInto[T any](ctx context.Context, c *Client, table, start string, count 
 		start = page[len(page)-1].Key + "\x00"
 	}
 	return out, nil
-}
-
-// Scan implements db.DB.
-func (c *Client) Scan(ctx context.Context, table, startKey string, count int, fields []string) ([]db.KV, error) {
-	return scanInto(ctx, c, table, startKey, count, 0, kvConv(fields))
 }
 
 // mutate runs one put, patch or delete conditional on expect and

@@ -128,15 +128,7 @@ func startHTTPNode(t testing.TB, eng kvstore.Engine, o NodeOptions) *testNode {
 
 func openTestStore(t testing.TB) *kvstore.Store {
 	t.Helper()
-	return openRetainingStore(t, kvstore.DefaultRetention)
-}
-
-// openRetainingStore is openTestStore with a retention window, as
-// kvserver -retention sets one: unpinned as-of reads inside it are
-// exact.
-func openRetainingStore(t testing.TB, retention time.Duration) *kvstore.Store {
-	t.Helper()
-	store, err := kvstore.Open(kvstore.Options{Shards: 2, Retention: retention})
+	store, err := kvstore.Open(kvstore.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

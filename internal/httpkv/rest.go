@@ -20,7 +20,7 @@ import (
 )
 
 // The REST exchange, the one HTTP client of this package: it carries
-// the data plane (record requests, scan pages, /v1/ts) and the control
+// the data plane (record requests, scan pages) and the control
 // plane (the frame-listener probe, the shard map, migration) alike. A
 // request owns one pooled connection (connpool.Pool, as a frame does)
 // from its write to its reply: the request is written from the
@@ -103,7 +103,7 @@ type restHead struct {
 type request struct {
 	method string
 	table  string
-	key    string // "" for a scan page or /v1/ts
+	key    string // "" for a scan page
 	path   string // a control request's path, already escaped; "" for a record request
 	query  string // already escaped
 	cond   bool

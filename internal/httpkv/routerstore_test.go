@@ -6,30 +6,64 @@ import (
 	"net"
 	"strconv"
 	"testing"
+	"time"
 
+	"ycsbt/internal/cluster"
 	"ycsbt/internal/httpkv"
 	"ycsbt/internal/kvstore"
+	"ycsbt/internal/kvwire"
 	"ycsbt/internal/obs"
 	"ycsbt/internal/txn"
 )
 
-func newRemote(t *testing.T, name string) (*httpkv.RemoteStore, *kvstore.Store) {
+// These tests build transaction managers, and txn imports httpkv, so
+// they live outside the package and boot their nodes through ServeNode.
+
+// serve boots a node over a fresh store with both listeners; cs nil
+// serves it outside any cluster. The node and the store are closed when
+// the test ends.
+func serve(t *testing.T, httpLn net.Listener, cs *cluster.State, reg *obs.Registry) (*kvstore.Store, string) {
 	t.Helper()
 	store := kvstore.OpenMemory()
+	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := httpkv.ServeNode(store, httpLn, wireLn, httpkv.NodeOptions{Cluster: cs, Metrics: reg})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		node.Shutdown(ctx)
+		store.Close()
+	})
+	return store, wireLn.Addr().String()
+}
+
+// newRemote boots a one-node fleet and returns it as a named
+// transaction store, with the node's engine for the test to inspect.
+// The router is closed when the test ends.
+func newRemote(t *testing.T, name string) (*httpkv.RouterStore, *kvstore.Store) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := httpkv.ServeNode(store, ln, nil, httpkv.NodeOptions{})
-	t.Cleanup(func() {
-		node.Shutdown(context.Background())
-		store.Close()
-	})
-	rs, err := httpkv.NewRemoteStore(name, "http://"+ln.Addr().String())
+	url := "http://" + ln.Addr().String()
+	m, err := cluster.NewUniform(cluster.PlacementHash, 8, []string{url}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rs, store
+	cs, err := cluster.NewState(url, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, _ := serve(t, ln, cs, nil)
+	r, err := httpkv.NewRouter([]string{url}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Cleanup() })
+	return httpkv.NewRouterStore(name, r), store
 }
 
 func TestRemoteStoreVersionedOps(t *testing.T) {
@@ -72,56 +106,44 @@ func TestRemoteStoreVersionedOps(t *testing.T) {
 }
 
 // A scan for every record (count -1) over frames on a node outside a
-// cluster answers every record, and so a transaction manager's Vacuum,
-// which scans its TSR table that way, runs against a plain node with a
-// frame listener as it does over REST. Unbounded frame scans used to be
-// refused with 400 "bad count" outside cluster mode.
+// cluster answers every record, as a transaction manager's Vacuum,
+// which scans its TSR table that way, needs. Unbounded frame scans used
+// to be refused with 400 "bad count" outside cluster mode.
 func TestRemoteStoreUnboundedScanOverFrames(t *testing.T) {
-	ctx := context.Background()
-	store := kvstore.OpenMemory()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
-	node := httpkv.ServeNode(store, ln, wireLn, httpkv.NodeOptions{Metrics: reg})
-	t.Cleanup(func() {
-		node.Shutdown(context.Background())
-		store.Close()
-	})
-	r, err := httpkv.NewRemoteStore("r", "http://"+ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, wireAddr := serve(t, ln, nil, reg)
 	for _, k := range []string{"a", "b", "c"} {
-		if _, err := r.Put(ctx, "t", k, map[string][]byte{"f": []byte(k)}, kvstore.MustNotExist); err != nil {
+		if _, err := store.Put("t", k, map[string][]byte{"f": []byte(k)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	kvs, err := r.Scan(ctx, "t", "", -1)
-	if err != nil || len(kvs) != 3 {
-		t.Fatalf("Scan(-1) = %d records, %v; want 3", len(kvs), err)
-	}
-	if reg.Counter("kvwire_scan_chunks_total").Value() == 0 {
-		t.Fatal("the scan did not ride frames")
-	}
-	m, err := txn.NewManager(txn.Options{}, r)
+	ep := kvwire.NewEndpoint(wireAddr, 1)
+	t.Cleanup(func() { ep.Close() })
+	s, err := ep.Scan(context.Background(), &kvwire.ScanRequest{Table: "t", Count: -1, Slot: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Vacuum(ctx); err != nil {
-		t.Fatalf("Vacuum: %v", err)
+	defer s.Close()
+	n := 0
+	for s.Next() {
+		n++
+	}
+	if err := s.Err(); err != nil || n != 3 {
+		t.Fatalf("Scan(-1) = %d records, %v; want 3", n, err)
+	}
+	if reg.Counter("kvwire_scan_chunks_total").Value() == 0 {
+		t.Fatal("the scan did not ride frames")
 	}
 }
 
 func TestTransactionAcrossRemoteStores(t *testing.T) {
 	// A single client-coordinated transaction spanning two separate
-	// HTTP servers — the paper's heterogeneous multi-region scenario,
-	// over actual network sockets.
+	// fleets — the paper's heterogeneous multi-region scenario, over
+	// actual network sockets.
 	ctx := context.Background()
 	east, eastInner := newRemote(t, "east")
 	west, westInner := newRemote(t, "west")

@@ -20,20 +20,19 @@
 //	DELETE /v1/{table}/{key}          → 204; If-Match honored; 404/412
 //	GET    /v1/{table}?start=k&count=n → 200 [{"key":k,"version":v,"fields":{...}},...]
 //	                                     one page: count defaults to 100 and is clamped to kvwire.ScanPageCap
-//	GET    /v1/ts                     → 200 {"ts":n} snapshot timestamp (see asof.go)
 //	GET    /v1/tables                 → 200 {"tables":[...]}
 //	GET/PUT /v1/shardmap, POST /v1/shardmap/{freeze,copy,drop}   cluster mode (see cluster.go)
 //	GET    /healthz                   → 200 "ok"
 //
 // Every successful record response carries the version in the "ETag"
 // header, the idiom the simulated cloud stores share. The table names
-// "ts", "tables" and "shardmap" are reserved by those routes.
+// "tables" and "shardmap" are reserved by those routes.
 //
-// Everything else — multi-key batches, as-of reads, multi-page and slot
-// scans (the records of a migration copy) — exists on the
-// framed binary protocol only (internal/kvwire), served from the same
-// kvwire.Core by the listener ServerOptions.WireAddr advertises in the
-// X-KV-Wire header of the /healthz response. A client picks one
+// Everything else — multi-key batches, multi-page and slot scans (the
+// records of a migration copy) — exists on the framed binary protocol
+// only (internal/kvwire), served from the same kvwire.Core by the
+// listener ServerOptions.WireAddr advertises in the X-KV-Wire header
+// of the /healthz response. A client picks one
 // transport per endpoint, once (wire.go). ServeNode (node.go) wires a
 // node: both listeners and the admin routes.
 //
@@ -111,7 +110,6 @@ func NewServerWithOptions(store kvstore.Engine, opts ServerOptions) *Server {
 	s.metrics = newServerMetrics(opts.Metrics)
 	s.opts.Cluster = s.core.Cluster()
 	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.mux.HandleFunc("/v1/ts", s.handleSnapshotTS)
 	s.mux.HandleFunc("/v1/shardmap", s.handleShardMap)
 	s.mux.HandleFunc("/v1/shardmap/freeze", s.handleFreeze)
 	s.mux.HandleFunc("/v1/shardmap/copy", s.handleCopy)

@@ -9,10 +9,8 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
-	"time"
 
 	"ycsbt/internal/db"
-	"ycsbt/internal/kvstore"
 	"ycsbt/internal/kvwire"
 )
 
@@ -128,178 +126,6 @@ func TestInitFailedProbeIsNotADowngrade(t *testing.T) {
 	}
 	if c.wire != nil {
 		t.Fatal("failed probe left an endpoint behind")
-	}
-}
-
-// newAsOfNode seeds a node with a known snapshot and mutates past it:
-// at ts k1..k4 = "old"; after it k1 = "new", k3 deleted, k5 inserted.
-// Its readers hold no pin on the server, so the node keeps a minute of
-// overwritten versions (kvserver -retention 1m). The node serves an
-// audited engine: the test fails if a record it handed out was mutated.
-func newAsOfNode(t *testing.T) (tn *testNode, ts int64) {
-	t.Helper()
-	audit := kvstore.NewAuditEngine(openRetainingStore(t, time.Minute))
-	t.Cleanup(func() {
-		if err := audit.Verify(); err != nil {
-			t.Error(err)
-		}
-	})
-	tn = startNode(t, audit)
-	for i := 1; i <= 4; i++ {
-		if _, err := tn.eng.Put("t", "k"+strconv.Itoa(i), map[string][]byte{"v": []byte("old")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts = tn.eng.SnapshotTS()
-	if _, err := tn.eng.Put("t", "k1", map[string][]byte{"v": []byte("new")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tn.eng.Delete("t", "k3"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tn.eng.Put("t", "k5", map[string][]byte{"v": []byte("late")}); err != nil {
-		t.Fatal(err)
-	}
-	return tn, ts
-}
-
-// At a snapshot ts, get, scan and a frame of gets all answer from the
-// frozen snapshot — over frames, the only place as-of reads exist.
-func TestAsOfReadsOverFrames(t *testing.T) {
-	ctx := context.Background()
-	tn, ts := newAsOfNode(t)
-	c := tn.client(t, WireModeAuto)
-	rs := &RemoteStore{name: "remote", c: c}
-
-	if now, err := c.SnapshotTS(ctx); err != nil || now <= ts {
-		t.Fatalf("SnapshotTS = %d, %v; want > snapshot", now, err)
-	}
-	for key, want := range map[string]string{"k1": "old", "k3": "old"} {
-		rec, err := rs.GetAsOf(ctx, "t", key, ts)
-		if err != nil || string(rec.Field("v")) != want {
-			t.Fatalf("GetAsOf %s = %v, %v; want %q", key, rec, err, want)
-		}
-	}
-	if _, err := rs.GetAsOf(ctx, "t", "k5", ts); !errors.Is(err, db.ErrNotFound) {
-		t.Fatalf("GetAsOf later-inserted k5: %v, want ErrNotFound", err)
-	}
-	kvs, err := rs.ScanAsOf(ctx, "t", "", 10, ts)
-	if err != nil || len(kvs) != 4 {
-		t.Fatalf("as-of scan saw %d keys, %v; want 4", len(kvs), err)
-	}
-	for _, kv := range kvs {
-		if got := string(kv.Record.Field("v")); got != "old" {
-			t.Fatalf("as-of scan %s = %q, want \"old\"", kv.Key, got)
-		}
-	}
-	// Several as-of gets in one request frame, each stamped with the
-	// snapshot as the single reads are.
-	res, err := c.exec(ctx, []kvwire.Op{
-		{Kind: kvwire.KindGet, Table: "t", Key: "k1", AsOf: ts},
-		{Kind: kvwire.KindGet, Table: "t", Key: "k3", AsOf: ts},
-		{Kind: kvwire.KindGet, Table: "t", Key: "k5", AsOf: ts},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := wireResultErr(res[i]); err != nil || string(res[i].Fields["v"]) != "old" {
-			t.Fatalf("batch item %d = %v, %v; want \"old\"", i, res[i].Fields, err)
-		}
-	}
-	if err := wireResultErr(res[2]); !errors.Is(err, db.ErrNotFound) {
-		t.Fatalf("batch read of later-inserted k5: %v, want ErrNotFound", err)
-	}
-	// A ts drawn from the server's clock now freezes the head as of
-	// the draw.
-	now, err := c.SnapshotTS(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tn.eng.Put("t", "k1", map[string][]byte{"v": []byte("newer")}); err != nil {
-		t.Fatal(err)
-	}
-	if rec, err := rs.GetAsOf(ctx, "t", "k1", now); err != nil || string(rec.Field("v")) != "new" {
-		t.Fatalf("read at the drawn ts = %v, %v; want \"new\"", rec, err)
-	}
-}
-
-// TestAsOfRemoteStoreSnapshot drives the txn-facing SnapshotStore
-// capability end to end: draw a ts, keep reading the frozen cut through
-// GetAsOf/ScanAsOf while the head moves on.
-func TestAsOfRemoteStoreSnapshot(t *testing.T) {
-	ctx := context.Background()
-	tn, _ := newAsOfNode(t)
-	rs, err := NewRemoteStore("remote", tn.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.c.Cleanup()
-
-	ts, release, err := rs.Snapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	if _, err := tn.eng.Put("t", "k1", map[string][]byte{"v": []byte("newer")}); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := rs.GetAsOf(ctx, "t", "k1", ts)
-	if err != nil || string(rec.Field("v")) != "new" {
-		t.Fatalf("remote GetAsOf = %v, %v; want \"new\"", rec, err)
-	}
-	if _, err := rs.GetAsOf(ctx, "t", "k3", ts); !errors.Is(err, kvstore.ErrNotFound) {
-		t.Fatalf("remote GetAsOf deleted key: %v, want kvstore.ErrNotFound", err)
-	}
-	kvs, err := rs.ScanAsOf(ctx, "t", "", 10, ts)
-	if err != nil || len(kvs) != 4 {
-		t.Fatalf("remote ScanAsOf = %d keys, %v; want 4", len(kvs), err)
-	}
-}
-
-// An unpinned as-of read over frames — RemoteStore.Snapshot cannot pin
-// the server — fails typed against a default node once the version it
-// wants is overwritten, on the point and the scan path; against a node
-// run with -retention 1m the same reads are exact.
-func TestRemoteAsOfBelowHorizon(t *testing.T) {
-	ctx := context.Background()
-	for _, retention := range []time.Duration{kvstore.DefaultRetention, time.Minute} {
-		t.Run("retention="+retention.String(), func(t *testing.T) {
-			tn := startNode(t, openRetainingStore(t, retention))
-			put := func(v string) {
-				t.Helper()
-				if _, err := tn.store.Put("t", "k", map[string][]byte{"v": []byte(v)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			put("old")
-			rs, err := NewRemoteStore("remote", tn.URL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rs.c.Cleanup()
-			ts, release, err := rs.Snapshot(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer release()
-			put("new")
-
-			rec, getErr := rs.GetAsOf(ctx, "t", "k", ts)
-			kvs, scanErr := rs.ScanAsOf(ctx, "t", "", 10, ts)
-			if retention == 0 {
-				if !errors.Is(getErr, kvstore.ErrBelowHorizon) || !errors.Is(scanErr, kvstore.ErrBelowHorizon) {
-					t.Fatalf("default node: GetAsOf = %v, ScanAsOf = %v; want kvstore.ErrBelowHorizon from both", getErr, scanErr)
-				}
-				return
-			}
-			if getErr != nil || string(rec.Field("v")) != "old" {
-				t.Fatalf("GetAsOf = %v, %v; want \"old\"", rec, getErr)
-			}
-			if scanErr != nil || len(kvs) != 1 || string(kvs[0].Record.Field("v")) != "old" {
-				t.Fatalf("ScanAsOf = %d records, %v; want k=\"old\"", len(kvs), scanErr)
-			}
-		})
 	}
 }
 

@@ -166,16 +166,13 @@ func (c *Client) execOne(ctx context.Context, op kvwire.Op) (kvwire.Result, erro
 // error. A 410 becomes a typed *cluster.MovedError carrying the
 // responding node's map version and owner hint, so routers and
 // middleware can tell a stale shard map apart from a genuine client
-// error. An as-of read the node could no longer answer is
-// kvstore.ErrBelowHorizon, which db.ReturnCode does not file as a miss.
+// error.
 func wireResultErr(r kvwire.Result) error {
 	switch r.Status {
 	case http.StatusOK, http.StatusNoContent:
 		return nil
 	case http.StatusNotFound:
 		return fmt.Errorf("%w: %s", kvstore.ErrNotFound, r.Err)
-	case kvwire.StatusBelowHorizon:
-		return fmt.Errorf("%w: %s", kvstore.ErrBelowHorizon, r.Err)
 	case http.StatusPreconditionFailed:
 		return fmt.Errorf("%w: %s", kvstore.ErrVersionMismatch, r.Err)
 	case http.StatusTooManyRequests:

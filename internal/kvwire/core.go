@@ -14,7 +14,6 @@ package kvwire
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"ycsbt/internal/cluster"
@@ -51,9 +50,6 @@ type Op struct {
 	Key    string
 	Fields map[string][]byte
 	Expect uint64
-	// AsOf, on a get, asks for the newest version with commit ts ≤
-	// AsOf instead of the head; results echo it.
-	AsOf int64
 	// Reason carries the 400 message of a KindInvalid op.
 	Reason string
 }
@@ -70,10 +66,6 @@ type Result struct {
 	Fields map[string][]byte
 	rec    *kvstore.VersionedRecord
 	Err    string
-	// AsOf echoes the op's as_of when the read was served from the
-	// version history (the echo is the client's proof the snapshot was
-	// honored).
-	AsOf int64
 	// Owner and MapVersion carry a 410's routing hints in cluster
 	// mode. Owner is empty while the key's slot drains for migration.
 	Owner      string
@@ -165,7 +157,7 @@ const ScanPageCap = 1024
 // client has gone away stops paging.
 func (c *Core) Scan(ctx context.Context, table, start string, count int) ([]kvstore.VersionedKV, error) {
 	var out []kvstore.VersionedKV
-	_, _, err := c.scanPages(ctx, table, start, count, 0, -1, -1, func(kv kvstore.VersionedKV) int {
+	_, _, err := c.scanPages(ctx, table, start, count, -1, -1, func(kv kvstore.VersionedKV) int {
 		out = append(out, kv)
 		return -1
 	})
@@ -196,7 +188,7 @@ func (c *Core) Scan(ctx context.Context, table, start string, count int) ([]kvst
 // read at the cap from the start. A consumer with less room than count
 // sizes the calls in its stead, so a page cut by its bytes reads about
 // what it ships.
-func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts int64, slot int, room int, emit func(kvstore.VersionedKV) int) (mapVer int64, last string, err error) {
+func (c *Core) scanPages(ctx context.Context, table, start string, count, slot, room int, emit func(kvstore.VersionedKV) int) (mapVer int64, last string, err error) {
 	keep := func(string) bool { return true }
 	if c.cluster != nil {
 		m := c.cluster.Map()
@@ -226,13 +218,7 @@ func (c *Core) scanPages(ctx context.Context, table, start string, count int, ts
 		if err := ctx.Err(); err != nil {
 			return mapVer, "", err
 		}
-		var page []kvstore.VersionedKV
-		var err error
-		if ts != 0 {
-			page, err = c.store.ScanAsOf(table, start, pageSize, ts)
-		} else {
-			page, err = c.store.Scan(table, start, pageSize)
-		}
+		page, err := c.store.Scan(table, start, pageSize)
 		if err != nil {
 			return mapVer, "", err
 		}
@@ -287,8 +273,6 @@ func (c *Core) validateScan(req *ScanRequest) error {
 		msg = "not a cluster node"
 	case c.cluster != nil && req.Slot >= c.cluster.Map().Slots:
 		msg = "bad slot"
-	case req.AsOf < 0:
-		msg = "bad as-of ts"
 	default:
 		return nil
 	}
@@ -326,7 +310,7 @@ func (c *Core) ScanPage(ctx context.Context, req *ScanRequest, emit func(kvstore
 		room = 1
 	}
 	emitted := 0
-	mapVer, last, err := c.scanPages(ctx, req.Table, req.Start, limit, req.AsOf, req.Slot, room, func(kv kvstore.VersionedKV) int {
+	mapVer, last, err := c.scanPages(ctx, req.Table, req.Start, limit, req.Slot, room, func(kv kvstore.VersionedKV) int {
 		emitted++
 		return emit(kv)
 	})
@@ -375,9 +359,9 @@ func (c *Core) StreamIngest(ctx context.Context, table string, next func() ([]kv
 
 // ExecBatch answers the decoded ops through the engine's multi-key
 // path, splitting the batch into maximal runs of one kind — consecutive
-// gets at one timestamp share one BatchGet or BatchGetAsOf, consecutive
-// mutations one BatchApply — so order within the batch is preserved
-// while each run pays one lock round per touched partition. If the
+// gets share one BatchGet, consecutive mutations one BatchApply — so
+// order within the batch is preserved while each run pays one lock
+// round per touched partition. If the
 // request deadline expires between runs, the remaining items report 504
 // instead of running. In cluster mode each item is ownership-gated (410
 // + routing hints) and mutation runs hold the freeze barrier across
@@ -396,7 +380,7 @@ func (c *Core) ExecBatchInto(ctx context.Context, ops []Op, out []Result) {
 	for lo := 0; lo < len(ops); {
 		get := ops[lo].Kind == KindGet
 		hi := lo + 1
-		for hi < len(ops) && (ops[hi].Kind == KindGet) == get && (!get || ops[hi].AsOf == ops[lo].AsOf) {
+		for hi < len(ops) && (ops[hi].Kind == KindGet) == get {
 			hi++
 		}
 		if ctx.Err() != nil {
@@ -414,17 +398,10 @@ func (c *Core) ExecBatchInto(ctx context.Context, ops []Op, out []Result) {
 	}
 }
 
-// execGetRun serves a run of gets at one timestamp (0: the head) in one
-// engine call. An item this node does not own answers 410 in place; the
-// items the engine serves are the ones whose result is left at status 0.
+// execGetRun serves a run of head gets in one engine call. An item this
+// node does not own answers 410 in place; the items the engine serves
+// are the ones whose result is left at status 0.
 func (c *Core) execGetRun(ops []Op, out []Result) {
-	ts := ops[0].AsOf
-	if ts < 0 {
-		for i := range out {
-			out[i] = Result{Status: http.StatusBadRequest, Err: fmt.Sprintf("bad as_of %d", ts)}
-		}
-		return
-	}
 	reqs := make([]kvstore.GetReq, 0, len(ops))
 	for i, op := range ops {
 		out[i] = Result{}
@@ -439,12 +416,7 @@ func (c *Core) execGetRun(ops []Op, out []Result) {
 	if len(reqs) == 0 {
 		return
 	}
-	var results []kvstore.GetResult
-	if ts == 0 {
-		results = c.store.BatchGet(reqs)
-	} else {
-		results = c.store.BatchGetAsOf(reqs, ts)
-	}
+	results := c.store.BatchGet(reqs)
 	j := 0
 	for i := range out {
 		if out[i].Status != 0 {
@@ -457,7 +429,6 @@ func (c *Core) execGetRun(ops []Op, out []Result) {
 		} else {
 			out[i] = Result{Status: http.StatusOK, Version: r.Record.Version, HasVersion: true, rec: r.Record}
 		}
-		out[i].AsOf = ts
 	}
 }
 
@@ -522,12 +493,6 @@ func (c *Core) execMutRun(ops []Op, out []Result) {
 	}
 }
 
-// StatusBelowHorizon is the status of an as-of read the node can no
-// longer answer exactly (kvstore.ErrBelowHorizon): the point in time it
-// asked for is a range the store cannot satisfy. A client maps it back
-// to kvstore.ErrBelowHorizon, never to a plain not-found.
-const StatusBelowHorizon = http.StatusRequestedRangeNotSatisfiable
-
 // ErrResult maps an error to a result in the HTTP status space: the one
 // table behind per-item results, scan error frames and the REST routes'
 // statuses. A *RequestError keeps its own status.
@@ -535,8 +500,6 @@ func ErrResult(err error) Result {
 	status := http.StatusInternalServerError
 	var re *RequestError
 	switch {
-	case errors.Is(err, kvstore.ErrBelowHorizon): // before ErrNotFound, which it also matches
-		status = StatusBelowHorizon
 	case errors.Is(err, kvstore.ErrNotFound):
 		status = http.StatusNotFound
 	case errors.Is(err, kvstore.ErrVersionMismatch), errors.Is(err, kvstore.ErrExists):

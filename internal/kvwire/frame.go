@@ -12,7 +12,7 @@ import (
 )
 
 // The framed binary protocol. A connection opens with a 4-byte magic
-// ("KVW3") from the client; after the server echoes it, both sides
+// ("KVW4") from the client; after the server echoes it, both sides
 // exchange length-prefixed frames:
 //
 //	u32 LE payload length | u8 frame type | u64 LE request id | payload
@@ -30,7 +30,7 @@ import (
 // the client sends is answered by exactly one frame.
 //
 // Ops and results use uvarint lengths and values, varint (zigzag) for
-// signed timestamps, and single flags bytes for optional payload
+// signed values, and single flags bytes for optional payload
 // sections — the encoding equivalent of omitempty. Strings ride as
 // raw bytes; there is no text anywhere on the hot path. A record's
 // fields ride as one length-prefixed kvstore field section — the bytes
@@ -45,10 +45,10 @@ import (
 // close the connection: framing is the only resync point.
 
 // Magic opens every connection, both directions. The trailing digit is
-// the protocol version: 3 pages scans (frames 4 and 5 changed layout;
-// 6 and 7 are gone), so a version-2 peer fails the handshake instead of
-// misreading frames.
-const Magic = "KVW3"
+// the protocol version: 4 reads at the head only (the scan request lost
+// its as-of varint, and the op and result flags their as-of bits), so
+// an older peer fails the handshake instead of misreading frames.
+const Magic = "KVW4"
 
 // Frame types.
 const (
@@ -69,21 +69,24 @@ const MaxOpsPerFrame = 4096
 // maxFieldsPerOp bounds the per-record field map claimed by a frame.
 const maxFieldsPerOp = 1 << 16
 
-// Op flags.
+// Op flags. Any other bit is refused: bit 2 carried a snapshot
+// timestamp in version 3, and skipping it would read the timestamp as
+// the next section.
 const (
 	opFlagExpect       = 1 << 0 // exact-version conditional follows
 	opFlagMustNotExist = 1 << 1 // create-only conditional
-	opFlagAsOf         = 1 << 2 // snapshot timestamp follows
 	opFlagFields       = 1 << 3 // field map follows
+	opFlags            = opFlagExpect | opFlagMustNotExist | opFlagFields
 )
 
-// Result flags.
+// Result flags. Any other bit is refused, bit 3 (version 3's as-of
+// echo) included.
 const (
 	resFlagVersion = 1 << 0
 	resFlagFields  = 1 << 1
 	resFlagErr     = 1 << 2
-	resFlagAsOf    = 1 << 3
 	resFlagMoved   = 1 << 4
+	resFlags       = resFlagVersion | resFlagFields | resFlagErr | resFlagMoved
 )
 
 // ErrFrameTooLarge reports a length prefix over MaxFramePayload.
@@ -132,9 +135,6 @@ func appendOp(buf []byte, op *Op) []byte {
 	case op.Expect != ^uint64(0): // not kvstore.AnyVersion
 		flags |= opFlagExpect
 	}
-	if op.AsOf != 0 {
-		flags |= opFlagAsOf
-	}
 	if op.Fields != nil {
 		flags |= opFlagFields
 	}
@@ -143,9 +143,6 @@ func appendOp(buf []byte, op *Op) []byte {
 	buf = appendBytes(buf, op.Key)
 	if flags&opFlagExpect != 0 {
 		buf = binary.AppendUvarint(buf, op.Expect)
-	}
-	if flags&opFlagAsOf != 0 {
-		buf = binary.AppendVarint(buf, op.AsOf)
 	}
 	if flags&opFlagFields != 0 {
 		buf = appendFieldSection(buf, nil, op.Fields)
@@ -196,9 +193,6 @@ func appendResult(buf []byte, r *Result) []byte {
 	if r.Err != "" {
 		flags |= resFlagErr
 	}
-	if r.AsOf != 0 {
-		flags |= resFlagAsOf
-	}
 	if r.Owner != "" || r.MapVersion != 0 {
 		flags |= resFlagMoved
 	}
@@ -211,9 +205,6 @@ func appendResult(buf []byte, r *Result) []byte {
 	}
 	if flags&resFlagErr != 0 {
 		buf = appendBytes(buf, r.Err)
-	}
-	if flags&resFlagAsOf != 0 {
-		buf = binary.AppendVarint(buf, r.AsOf)
 	}
 	if flags&resFlagMoved != 0 {
 		buf = appendBytes(buf, r.Owner)
@@ -311,6 +302,9 @@ func (d *fieldDecoder) readOp(b []byte) (Op, []byte, error) {
 	if kind == KindInvalid || kind >= kindMax {
 		return op, b, fmt.Errorf("kvwire: bad op kind %d", kind)
 	}
+	if flags&^opFlags != 0 {
+		return op, b, fmt.Errorf("kvwire: unknown op flags %#x", flags)
+	}
 	op.Kind = kind
 	b = b[2:]
 	var err error
@@ -329,11 +323,6 @@ func (d *fieldDecoder) readOp(b []byte) (Op, []byte, error) {
 		op.Expect = 0 // kvstore.MustNotExist
 	default:
 		op.Expect = ^uint64(0) // kvstore.AnyVersion
-	}
-	if flags&opFlagAsOf != 0 {
-		if op.AsOf, b, err = readVarint(b); err != nil {
-			return op, b, err
-		}
 	}
 	if flags&opFlagFields != 0 {
 		if op.Fields, b, err = d.readFields(b); err != nil {
@@ -389,6 +378,9 @@ func (d *fieldDecoder) readResult(b []byte) (Result, []byte, error) {
 		return r, b, errTruncated
 	}
 	flags := b[0]
+	if flags&^resFlags != 0 {
+		return r, b, fmt.Errorf("kvwire: unknown result flags %#x", flags)
+	}
 	b = b[1:]
 	if flags&resFlagVersion != 0 {
 		r.HasVersion = true
@@ -403,11 +395,6 @@ func (d *fieldDecoder) readResult(b []byte) (Result, []byte, error) {
 	}
 	if flags&resFlagErr != 0 {
 		if r.Err, b, err = readString(b); err != nil {
-			return r, b, err
-		}
-	}
-	if flags&resFlagAsOf != 0 {
-		if r.AsOf, b, err = readVarint(b); err != nil {
 			return r, b, err
 		}
 	}

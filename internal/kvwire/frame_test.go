@@ -16,7 +16,6 @@ import (
 func sampleOps() []Op {
 	return []Op{
 		{Kind: KindGet, Table: "usertable", Key: "user42"},
-		{Kind: KindGet, Table: "t", Key: "k", AsOf: 123456789},
 		{Kind: KindPut, Table: "t", Key: "k2", Fields: map[string][]byte{"field0": []byte("v0"), "field1": {}}, Expect: kvstore.AnyVersion},
 		{Kind: KindPut, Table: "t", Key: "new", Fields: map[string][]byte{"a": []byte("b")}, Expect: kvstore.MustNotExist},
 		{Kind: KindPatch, Table: "t", Key: "k3", Fields: map[string][]byte{"f": []byte("x")}, Expect: kvstore.AnyVersion},
@@ -27,7 +26,7 @@ func sampleOps() []Op {
 func sampleResults() []Result {
 	return []Result{
 		{Status: 200, Version: 3, HasVersion: true, Fields: map[string][]byte{"f": []byte("v")}},
-		{Status: 200, Version: 9, HasVersion: true, Fields: map[string][]byte{"f": []byte("v")}, AsOf: 42},
+		{Status: 200, Version: 9, HasVersion: true, Fields: map[string][]byte{"g": []byte("w")}},
 		{Status: 404, Err: "not found"},
 		{Status: 204, Version: 8, HasVersion: true},
 		{Status: 410, Err: "moved", Owner: "http://127.0.0.1:9999", MapVersion: 4},
@@ -138,6 +137,35 @@ func TestDecodeChunkRejectsUnknownRecordFlags(t *testing.T) {
 	}
 }
 
+// An op or a result carrying a flag bit its decoder does not know is
+// refused, not skipped: a skipped bit would leave its section to be
+// read as the next one. Bit 2 of an op and bit 3 of a result carried a
+// snapshot timestamp once.
+func TestDecodeRejectsUnknownOpAndResultFlags(t *testing.T) {
+	req := AppendRequest(nil, 1, 0, []Op{{Kind: KindGet, Table: "t", Key: "k", Expect: kvstore.AnyVersion}})[frameHeaderLen:]
+	res := AppendResponse(nil, 1, []Result{{Status: 404, Err: "not found"}})[frameHeaderLen:]
+	for _, tc := range []struct {
+		payload []byte
+		at      int // the flags byte: after deadline, count and kind; after count and a two-byte status
+		bits    []byte
+		mode    byte
+	}{
+		{req, 3, []byte{1 << 2, 1 << 4, 1 << 7}, 0},
+		{res, 3, []byte{1 << 3, 1 << 5, 1 << 7}, 1},
+	} {
+		if err := decodeAs(tc.payload, tc.mode); err != nil {
+			t.Fatal(err)
+		}
+		for _, bit := range tc.bits {
+			bad := bytes.Clone(tc.payload)
+			bad[tc.at] |= bit
+			if err := decodeAs(bad, tc.mode); err == nil {
+				t.Errorf("mode %d: flags %#x accepted", tc.mode, bad[tc.at])
+			}
+		}
+	}
+}
+
 // FuzzFrameCodec checks every frame decoder never panics on hostile
 // input and that whatever it accepts re-encodes to a frame that
 // decodes equal (structure round trip — overlong uvarints mean
@@ -158,7 +186,7 @@ func TestDecodeChunkRejectsUnknownRecordFlags(t *testing.T) {
 func FuzzFrameCodec(f *testing.F) {
 	reqSeed := AppendRequest(nil, 1, 250, sampleOps())
 	resSeed := AppendResponse(nil, 2, sampleResults())
-	scanSeed := AppendScanRequest(nil, 3, &ScanRequest{Table: "t", Start: "user1", Count: 100, AsOf: 42, Slot: 3})
+	scanSeed := AppendScanRequest(nil, 3, &ScanRequest{Table: "t", Start: "user1", Count: 100, Slot: 3})
 	pageSeed, _ := encodePage(nil, 4, sampleScanRecords(f), 7, "")
 	moreSeed, _ := encodePage(nil, 5, sampleScanRecords(f), 7, "user3\x00")
 	drainSeed := AppendScanRequest(nil, 6, &ScanRequest{Table: "t", Count: -1, Slot: 0})
@@ -200,6 +228,23 @@ func FuzzFrameCodec(f *testing.F) {
 		f.Add(append([]byte{1, 0xc8, 1, resFlagFields}, sec...), byte(1))
 		f.Add(append(append([]byte{1, recFlagFields, 1, 'k', 1, 2}, sec...), 0, 0), byte(3))
 		f.Add(append([]byte{0, 1, byte(KindPut), opFlagFields, 1, 't', 1, 'k'}, sec...), byte(0))
+	}
+	// Version 3's as-of sections, which no decoder may read as anything
+	// else now: a get carrying the retired op bit and its timestamp, a
+	// result carrying the retired result bit and its echo, and a scan
+	// request with the as-of varint between count and slot.
+	for _, old := range []struct {
+		payload []byte
+		mode    byte
+	}{
+		{binary.AppendVarint([]byte{0, 1, byte(KindGet), opFlagMustNotExist | 1<<2, 1, 't', 1, 'k'}, 123456789), 0},
+		{binary.AppendVarint([]byte{1, 0xc8, 1, resFlagVersion | 1<<3, 9}, 42), 1},
+		{binary.AppendVarint(binary.AppendVarint(binary.AppendVarint([]byte("\x01t\x05user1"), 100), 42), 3), 2},
+	} {
+		if err := decodeAs(old.payload, old.mode); err == nil {
+			f.Fatalf("mode %d: a version-3 as-of payload %x decoded", old.mode, old.payload)
+		}
+		f.Add(old.payload, old.mode)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte, mode byte) {
 		checkSectionAgreement(t, payload)
@@ -261,6 +306,21 @@ func FuzzFrameCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodeAs runs the decoder FuzzFrameCodec's mode selects.
+func decodeAs(payload []byte, mode byte) (err error) {
+	switch mode % 4 {
+	case 0:
+		_, _, err = DecodeRequest(payload, nil)
+	case 1:
+		_, err = DecodeResponse(payload, nil)
+	case 2:
+		_, err = DecodeScanRequest(payload)
+	default:
+		_, _, _, err = DecodePage(payload)
+	}
+	return err
 }
 
 // checkSectionAgreement tries sec as a bare field section and as the

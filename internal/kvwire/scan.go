@@ -15,9 +15,9 @@ import (
 // is such a scan too, which the destination runs against the source
 // (httpkv's copy route).
 //
-//	4 scan-request — table, start, varint count, varint as-of ts,
-//	                 varint slot: asks for one page, answered by a page
-//	                 or an error frame under the same request id.
+//	4 scan-request — table, start, varint count, varint slot: asks
+//	                 for one page, answered by a page or an error
+//	                 frame under the same request id.
 //	5 page         — uvarint record count, records, varint map version,
 //	                 bytes next-start: at most ScanPageCap records, cut
 //	                 once the encoded records reach scanPageBytes. The
@@ -44,7 +44,6 @@ type ScanRequest struct {
 	Table string
 	Start string
 	Count int
-	AsOf  int64
 	Slot  int
 }
 
@@ -96,7 +95,6 @@ func AppendScanRequest(buf []byte, id uint64, req *ScanRequest) []byte {
 	buf = appendBytes(buf, req.Table)
 	buf = appendBytes(buf, req.Start)
 	buf = binary.AppendVarint(buf, int64(req.Count))
-	buf = binary.AppendVarint(buf, req.AsOf)
 	buf = binary.AppendVarint(buf, int64(req.Slot))
 	return finishFrame(buf, off)
 }
@@ -114,9 +112,6 @@ func DecodeScanRequest(payload []byte) (req ScanRequest, err error) {
 		return req, err
 	}
 	req.Count = int(v)
-	if req.AsOf, payload, err = readVarint(payload); err != nil {
-		return req, err
-	}
 	if v, payload, err = readVarint(payload); err != nil {
 		return req, err
 	}

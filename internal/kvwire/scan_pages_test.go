@@ -69,7 +69,7 @@ func newClusterCore(t *testing.T, n int) (*Core, *pageRecorder, []string) {
 func scanKeys(t *testing.T, core *Core, start string, count, slot int) []string {
 	t.Helper()
 	var keys []string
-	_, _, err := core.scanPages(context.Background(), "t", start, count, 0, slot, -1, func(kv kvstore.VersionedKV) int {
+	_, _, err := core.scanPages(context.Background(), "t", start, count, slot, -1, func(kv kvstore.VersionedKV) int {
 		keys = append(keys, kv.Key)
 		return -1
 	})

@@ -337,31 +337,36 @@ func TestClientRefusesFrameTypes6And7(t *testing.T) {
 	}
 }
 
-// A version-2 peer fails the handshake, in either direction: a client
-// that meets a KVW2 echo reports ErrUnavailable (nothing was sent), and
-// the server hangs up on a KVW2 client without echoing.
+// An older peer — version 2, or version 3 with its as-of sections —
+// fails the handshake, in either direction: a client that meets its
+// echo reports ErrUnavailable (nothing was sent), and the server hangs
+// up on such a client without echoing.
 func TestKVW2HandshakeRefused(t *testing.T) {
-	ep := NewEndpoint(scriptedPeer(t, "KVW2", func(net.Conn) {}), 1)
-	defer ep.Close()
-	if _, err := ep.Exec(context.Background(), []Op{{Kind: KindGet, Table: "t", Key: "k"}}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("client against a KVW2 server: err = %v, want ErrUnavailable", err)
-	}
+	for _, old := range []string{"KVW2", "KVW3"} {
+		ep := NewEndpoint(scriptedPeer(t, old, func(net.Conn) {}), 1)
+		_, err := ep.Exec(context.Background(), []Op{{Kind: KindGet, Table: "t", Key: "k"}})
+		ep.Close()
+		if !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("client against a %s server: err = %v, want ErrUnavailable", old, err)
+		}
 
-	srv, addr := startWireServer(t, newTestCore(t), ServerOptions{Metrics: obs.NewRegistry()})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Write([]byte("KVW2")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := io.ReadAll(conn); err != nil || len(got) != 0 {
-		t.Fatalf("server answered a KVW2 client with %q, %v; want a hang-up", got, err)
-	}
-	if n := srv.metrics.decodeErrs.Value(); n != 1 {
-		t.Errorf("kvwire_decode_errors_total = %d, want 1", n)
+		srv, addr := startWireServer(t, newTestCore(t), ServerOptions{Metrics: obs.NewRegistry()})
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write([]byte(old)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(conn)
+		conn.Close()
+		if err != nil || len(got) != 0 {
+			t.Fatalf("server answered a %s client with %q, %v; want a hang-up", old, got, err)
+		}
+		if n := srv.metrics.decodeErrs.Value(); n != 1 {
+			t.Errorf("%s: kvwire_decode_errors_total = %d, want 1", old, n)
+		}
 	}
 }
 
@@ -373,9 +378,8 @@ func TestStreamScanRejectsBadParams(t *testing.T) {
 	defer ep.Close()
 
 	for _, req := range []ScanRequest{
-		{Table: "t", Count: -2, Slot: -1},           // no count below -1
-		{Table: "t", Count: 10, Slot: 3},            // slot filter is cluster-only
-		{Table: "t", Count: 10, Slot: -1, AsOf: -1}, // negative snapshot
+		{Table: "t", Count: -2, Slot: -1}, // no count below -1
+		{Table: "t", Count: 10, Slot: 3},  // slot filter is cluster-only
 	} {
 		s, err := ep.Scan(context.Background(), &req)
 		if err != nil {

@@ -3,7 +3,6 @@ package oracle
 import (
 	"context"
 	"errors"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -70,98 +69,5 @@ func TestDelayedPaysRTT(t *testing.T) {
 	fast := NewDelayed(NewLocal(), 0)
 	if _, err := fast.Next(ctx); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHTTPOracle(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewLocal()))
-	defer srv.Close()
-	ctx := context.Background()
-
-	c := NewClient(srv.URL, srv.Client(), 1)
-	prev := int64(0)
-	for i := 0; i < 20; i++ {
-		ts, err := c.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ts <= prev {
-			t.Fatalf("not monotonic: %d after %d", ts, prev)
-		}
-		prev = ts
-	}
-}
-
-func TestHTTPOracleBatching(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewLocal()))
-	defer srv.Close()
-	ctx := context.Background()
-	c := NewClient(srv.URL, srv.Client(), 50)
-	seen := map[int64]bool{}
-	for i := 0; i < 200; i++ {
-		ts, err := c.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[ts] {
-			t.Fatalf("duplicate %d", ts)
-		}
-		seen[ts] = true
-	}
-}
-
-func TestHTTPOracleConcurrentClients(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewLocal()))
-	defer srv.Close()
-	ctx := context.Background()
-	var mu sync.Mutex
-	seen := map[int64]bool{}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := NewClient(srv.URL, srv.Client(), 10)
-			for i := 0; i < 100; i++ {
-				ts, err := c.Next(ctx)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				if seen[ts] {
-					t.Errorf("duplicate across clients: %d", ts)
-					mu.Unlock()
-					return
-				}
-				seen[ts] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestHTTPOracleBadRequests(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewLocal()))
-	defer srv.Close()
-	for _, q := range []string{"/ts?n=0", "/ts?n=-3", "/ts?n=xyz", "/ts?n=99999999"} {
-		resp, err := srv.Client().Get(srv.URL + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 400 {
-			t.Errorf("GET %s = %d, want 400", q, resp.StatusCode)
-		}
-	}
-}
-
-func TestHTTPOracleServerDown(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewLocal()))
-	srv.Close() // immediately dead
-	c := NewClient(srv.URL, nil, 1)
-	if _, err := c.Next(context.Background()); err == nil {
-		t.Error("dead server accepted")
 	}
 }

@@ -49,9 +49,6 @@ func (b *Binding) Init(p *properties.Properties) error {
 		return fmt.Errorf("percolator: backend %q spans %d stores; the protocol runs over one", backend, len(stores))
 	}
 	var to oracle.Oracle = oracle.NewLocal()
-	if u := p.GetString("percolator.oracle_url", ""); u != "" {
-		to = oracle.NewClient(u, nil, p.GetInt64("percolator.oracle_batch", 1))
-	}
 	if rtt := p.GetInt64("percolator.oracle_rtt_us", 0); rtt > 0 {
 		to = oracle.NewDelayed(to, time.Duration(rtt)*time.Microsecond)
 	}

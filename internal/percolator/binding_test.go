@@ -3,7 +3,6 @@ package percolator
 import (
 	"context"
 	"errors"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -146,15 +145,14 @@ func TestPercolatorCEWInvariant(t *testing.T) {
 }
 
 func TestPercolatorWithRemoteOracle(t *testing.T) {
-	// Two managers ("client hosts") share one HTTP timestamp oracle
-	// and one store — the multi-process Percolator deployment shape.
-	srv := httptest.NewServer(oracle.NewServer(oracle.NewLocal()))
-	defer srv.Close()
+	// Two managers ("client hosts") share one timestamp oracle and one
+	// store — the multi-client Percolator deployment shape.
+	to := oracle.NewLocal()
 	inner := kvstore.OpenMemory()
 	defer inner.Close()
 	store := txn.NewLocalStore("local", inner)
 	newM := func() *Manager {
-		m, err := NewManager(Options{}, store, oracle.NewClient(srv.URL, srv.Client(), 1))
+		m, err := NewManager(Options{}, store, to)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,28 +192,5 @@ func TestPercolatorWithRemoteOracle(t *testing.T) {
 	}
 	if err := t2.Commit(ctx); !errors.Is(err, ErrConflict) {
 		t.Errorf("cross-manager conflict = %v", err)
-	}
-}
-
-func TestBindingInitRemoteOracle(t *testing.T) {
-	srv := httptest.NewServer(oracle.NewServer(oracle.NewLocal()))
-	defer srv.Close()
-	b := &Binding{}
-	p := properties.FromMap(map[string]string{
-		"percolator.backend":      "memory",
-		"percolator.oracle_url":   srv.URL,
-		"percolator.oracle_batch": "10",
-	})
-	if err := b.Init(p); err != nil {
-		t.Fatal(err)
-	}
-	defer b.Cleanup()
-	ctx := context.Background()
-	if err := b.Insert(ctx, "t", "k", db.Record{"f": []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := b.Read(ctx, "t", "k", nil)
-	if err != nil || string(rec["f"]) != "v" {
-		t.Fatalf("read through remote-oracle binding = %v, %v", rec, err)
 	}
 }

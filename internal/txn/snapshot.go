@@ -13,10 +13,9 @@ import (
 // SnapshotStore is the optional capability a Store exposes when its
 // backing engine keeps MVCC version chains: pinning a snapshot
 // timestamp and reading as of one. LocalStore implements it over any
-// engine with time-travel support; the HTTP remote store implements it
-// over the as-of wire protocol. Stores without the capability (e.g.
-// the cloudsim simulator) simply don't, and BeginReadOnly reads
-// against them fail with ErrSnapshotUnsupported.
+// engine with time-travel support. Stores without the capability (the
+// cloudsim simulator, the fleet's RouterStore) simply don't, and
+// BeginReadOnly reads against them fail with ErrSnapshotUnsupported.
 type SnapshotStore interface {
 	Store
 	// Snapshot draws a snapshot timestamp in this store's commit-ts

@@ -219,8 +219,8 @@ func TestStaleReadFailsAfterDeleteAndReinsert(t *testing.T) {
 }
 
 // unpinnedStore is a LocalStore whose snapshots pin nothing and which
-// the manager's snapshot watermark does not reach — how a fleet node
-// sees a RemoteStore reader today.
+// the manager's snapshot watermark does not reach — how a node would
+// see a snapshot reader that cannot pin it remotely.
 type unpinnedStore struct {
 	Store
 	inner *kvstore.Store

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ycsbt/internal/cloudsim"
+	"ycsbt/internal/cluster"
 	"ycsbt/internal/db"
 	"ycsbt/internal/httpkv"
 	"ycsbt/internal/kvstore"
@@ -196,29 +198,6 @@ func TestReturnCodeEveryBinding(t *testing.T) {
 					return cas.PutIfVersion(ctx, "t", "k", rcRec("v"), kvstore.MustNotExist)
 				}, db.CodeConflict},
 			})
-
-			ts := store.SnapshotTS()
-			if _, err := store.Put("t", "k", rcRec("v2")); err != nil {
-				t.Fatal(err)
-			}
-			if wire == httpkv.WireModeOff {
-				// A node over the same store that serves HTTP only.
-				ln := listenLoopback(t)
-				defer shutdown(httpkv.ServeNode(store, ln, nil, httpkv.NodeOptions{}))
-				url = "http://" + ln.Addr().String()
-			}
-			rs, err := httpkv.NewRemoteStore("remote", url)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wire == httpkv.WireModeOff {
-				_, err := rs.GetAsOf(ctx, "t", "k", ts)
-				if got := db.ReturnCode(err); got != db.CodeNotSupported {
-					t.Errorf("as-of over REST: ReturnCode(%v) = %d, want %d", err, got, db.CodeNotSupported)
-				}
-				return
-			}
-			checkOutcomes(t, asOfOutcomes(func(ctx context.Context) error { _, err := rs.GetAsOf(ctx, "t", "k", ts); return err }))
 		})
 	}
 
@@ -249,18 +228,72 @@ func TestReturnCodeEveryBinding(t *testing.T) {
 		return m, b
 	}
 
+	// A one-node fleet: the subtest keeps the name of the single-node
+	// adapter it ran over before the fleet store replaced it.
 	t.Run("txnkv over RemoteStore", func(t *testing.T) {
-		_, url := startKVServer(t, 0)
-		rs, err := httpkv.NewRemoteStore("remote", url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, b := txnkvOver(t, rs)
+		nodes, _ := startFleet(t, 1, 8, nil)
+		_, b := txnkvOver(t, httpkv.NewRouterStore("cluster", openRouter(t, nodeURLs(nodes))))
 		seed(t, b)
 		checkOutcomes(t, txnOutcomes(b, db.CodeAborted))
 		checkOutcomes(t, []outcome{deadlineOutcome(b)})
+	})
 
-		// A snapshot read of a version overwritten since the snapshot.
+	// A one-node fleet whose node sheds: its one admission slot is held
+	// by a read the engine has not answered yet.
+	t.Run("txnkv over throttled RemoteStore", func(t *testing.T) {
+		ln := listenLoopback(t)
+		url := "http://" + ln.Addr().String()
+		m, err := cluster.NewUniform(cluster.PlacementHash, 8, []string{url}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := cluster.NewState(url, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := &heldEngine{Engine: kvstore.OpenMemory(), entered: make(chan struct{}), release: make(chan struct{})}
+		t.Cleanup(func() { eng.Close() })
+		nd := httpkv.ServeNode(eng, ln, listenLoopback(t), httpkv.NodeOptions{Cluster: cs, MaxInflight: 1})
+		t.Cleanup(func() { shutdown(nd) })
+		store := httpkv.NewRouterStore("cluster", openRouter(t, []string{url}))
+		_, b := txnkvOver(t, store)
+		held := make(chan error, 1)
+		go func() { _, err := store.Get(ctx, "t", "held"); held <- err }()
+		<-eng.entered
+		checkOutcomes(t, []outcome{
+			// A deadline inside the server's retry hint: the client gives
+			// up at the first shed instead of sleeping through its retries.
+			{"read throttled", func(ctx context.Context) error {
+				ctx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
+				defer cancel()
+				_, err := b.Read(ctx, "t", "k", nil)
+				return err
+			}, db.CodeThrottled},
+		})
+		close(eng.release)
+		if err := <-held; !errors.Is(err, kvstore.ErrNotFound) {
+			t.Fatalf("held read: %v, want ErrNotFound", err)
+		}
+	})
+
+	t.Run("txnkv over RouterStore", func(t *testing.T) {
+		nodes, _ := startFleet(t, 2, 16, nil)
+		_, b := txnkvOver(t, httpkv.NewRouterStore("cluster", openRouter(t, nodeURLs(nodes))))
+		seed(t, b)
+		checkOutcomes(t, txnOutcomes(b, db.CodeAborted))
+		checkOutcomes(t, []outcome{deadlineOutcome(b)})
+	})
+
+	t.Run("txnkv", func(t *testing.T) {
+		s := kvstore.OpenMemory()
+		defer s.Close()
+		_, b := txnkvOver(t, txn.NewLocalStore("local", s))
+		seed(t, b)
+		checkOutcomes(t, txnOutcomes(b, db.CodeAborted))
+
+		// A snapshot read of a version overwritten since the snapshot,
+		// through a store whose snapshots pin nothing.
+		m, b := txnkvOver(t, unpinnedStore{txn.NewLocalStore("unpinned", s), s})
 		if err := b.Insert(ctx, "t", "other", rcRec("v1")); err != nil {
 			t.Fatal(err)
 		}
@@ -282,40 +315,6 @@ func TestReturnCodeEveryBinding(t *testing.T) {
 			_, err := ro.Read(ctx, "", "t", "k")
 			return err
 		}, db.CodeUnknown}})
-	})
-
-	t.Run("txnkv over throttled RemoteStore", func(t *testing.T) {
-		srv := httptest.NewServer(throttlingHandler())
-		defer srv.Close()
-		rs, err := httpkv.NewRemoteStore("remote", srv.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, b := txnkvOver(t, rs)
-		checkOutcomes(t, []outcome{
-			{"read throttled", func(ctx context.Context) error { _, err := b.Read(ctx, "t", "k", nil); return err }, db.CodeThrottled},
-		})
-	})
-
-	t.Run("txnkv over RouterStore", func(t *testing.T) {
-		nodes, _ := startFleet(t, 2, 16, nil)
-		router, err := httpkv.NewRouter(nodeURLs(nodes), nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer router.Cleanup()
-		_, b := txnkvOver(t, httpkv.NewRouterStore("cluster", router))
-		seed(t, b)
-		checkOutcomes(t, txnOutcomes(b, db.CodeAborted))
-		checkOutcomes(t, []outcome{deadlineOutcome(b)})
-	})
-
-	t.Run("txnkv", func(t *testing.T) {
-		s := kvstore.OpenMemory()
-		defer s.Close()
-		_, b := txnkvOver(t, txn.NewLocalStore("local", s))
-		seed(t, b)
-		checkOutcomes(t, txnOutcomes(b, db.CodeAborted))
 	})
 
 	t.Run("percolator", func(t *testing.T) {
@@ -356,6 +355,54 @@ func TestReturnCodeEveryBinding(t *testing.T) {
 			return err
 		}, db.CodeAborted}})
 	})
+}
+
+// openRouter opens a router over the fleet at urls, closed when the
+// test ends.
+func openRouter(t *testing.T, urls []string) *httpkv.Router {
+	t.Helper()
+	r, err := httpkv.NewRouter(urls, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Cleanup() })
+	return r
+}
+
+// heldEngine holds its first batched read until release is closed, so
+// the read keeps its node's admission slot.
+type heldEngine struct {
+	kvstore.Engine
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (e *heldEngine) BatchGet(reqs []kvstore.GetReq) []kvstore.GetResult {
+	e.once.Do(func() {
+		close(e.entered)
+		<-e.release
+	})
+	return e.Engine.BatchGet(reqs)
+}
+
+// unpinnedStore is a LocalStore whose snapshots pin nothing and which
+// the manager's snapshot watermark does not reach, so a version
+// overwritten since a snapshot is reclaimed under it.
+type unpinnedStore struct {
+	txn.Store
+	inner *kvstore.Store
+}
+
+func (u unpinnedStore) Snapshot(context.Context) (int64, func(), error) {
+	return u.inner.SnapshotTS(), func() {}, nil
+}
+
+func (u unpinnedStore) GetAsOf(_ context.Context, table, key string, ts int64) (*kvstore.VersionedRecord, error) {
+	return u.inner.GetAsOf(table, key, ts)
+}
+
+func (u unpinnedStore) ScanAsOf(_ context.Context, table, startKey string, count int, ts int64) ([]kvstore.VersionedKV, error) {
+	return u.inner.ScanAsOf(table, startKey, count, ts)
 }
 
 // throttlingHandler answers every data request 429 and the health

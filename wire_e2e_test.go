@@ -22,7 +22,6 @@ import (
 
 	"ycsbt/internal/client"
 	"ycsbt/internal/cluster"
-	"ycsbt/internal/db"
 	"ycsbt/internal/httpkv"
 	"ycsbt/internal/kvstore"
 	"ycsbt/internal/kvwire"
@@ -199,11 +198,11 @@ func TestWireLoadFidelity(t *testing.T) {
 	}
 }
 
-// As-of reads, routing and migration exist on frames only, so each
-// place that would need a frame listener and finds none says so at
-// once, by name, instead of degrading.
+// Routing and migration exist on frames only, so each place that would
+// need a frame listener and finds none says so at once, by name,
+// instead of degrading.
 func TestMissingFrameListenerFailsLoud(t *testing.T) {
-	// Two cluster nodes and a standalone node that serve HTTP only.
+	// Two cluster nodes that serve HTTP only.
 	store, err := kvstore.Open(kvstore.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -222,9 +221,6 @@ func TestMissingFrameListenerFailsLoud(t *testing.T) {
 		}
 		defer shutdown(httpkv.ServeNode(store, ln, nil, httpkv.NodeOptions{Cluster: cs}))
 	}
-	plainLn := listenLoopback(t)
-	plainURL := "http://" + plainLn.Addr().String()
-	defer shutdown(httpkv.ServeNode(store, plainLn, nil, httpkv.NodeOptions{}))
 	noWire := func(err error, node string) error {
 		var nw *httpkv.NoWireError
 		if err != nil && (!errors.As(err, &nw) || nw.Node != node) {
@@ -260,17 +256,6 @@ func TestMissingFrameListenerFailsLoud(t *testing.T) {
 			_, err := httpkv.MigrateSlot(context.Background(), m, m.SlotsOf(urls[1])[0], urls[0])
 			return noWire(err, urls[1])
 		}, urls[1]},
-		{"rawhttp as_of on an HTTP endpoint", func() error {
-			rs, err := httpkv.NewRemoteStore("plain", plainURL)
-			if err != nil {
-				return err
-			}
-			_, err = rs.GetAsOf(context.Background(), "t", "k", 1)
-			if err != nil && !errors.Is(err, db.ErrNotSupported) {
-				return fmt.Errorf("not ErrNotSupported: %w", err)
-			}
-			return err
-		}, plainURL},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.run()
@@ -314,7 +299,7 @@ func TestKVServerPrintsBoundAddress(t *testing.T) {
 	}
 
 	wireAddr := wireAddrOf(t, url)
-	ep := kvwire.NewEndpoint(wireAddr, 1) // its first dial is the KVW3 handshake
+	ep := kvwire.NewEndpoint(wireAddr, 1) // its first dial is the KVW4 handshake
 	defer ep.Close()
 	if _, err := ep.Exec(context.Background(), []kvwire.Op{{Kind: kvwire.KindGet, Table: "t", Key: "k"}}); err != nil {
 		t.Fatalf("a request frame to %s: %v", wireAddr, err)
