@@ -14,8 +14,10 @@ GO ?= go
 # reply reader (whatever it accepts, net/http reads the same; an
 # over-long head line or body is always refused), of the
 # history NDJSON decoder (hostile history files must never panic the
-# offline checker) and of the WAL record decoder (a damaged log must
-# never panic recovery, and what it accepts re-encodes). The record
+# offline checker), of the WAL record decoder (a damaged log must
+# never panic recovery, and what it accepts re-encodes) and of the
+# engine's copy-on-write B-tree (it must match a map, and every root
+# it kept along the way must still read what it held). The record
 # codec's corpus holds a 100 000-deep body and the reply reader's a
 # 4 KiB head line, and minimizing each new input grown from them would
 # take the whole budget, so minimization is capped.
@@ -41,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run xx -fuzz FuzzRESTResponse -fuzztime 10s -fuzzminimizetime 100x ./internal/httpkv/
 	$(GO) test -run xx -fuzz FuzzHistoryDecoder -fuzztime 10s ./internal/history/
 	$(GO) test -run xx -fuzz FuzzDecodeWALRecord -fuzztime 10s ./internal/kvstore/
+	$(GO) test -run xx -fuzz FuzzBTreeOperations -fuzztime 10s ./internal/kvstore/
 
 vet:
 	$(GO) vet ./...

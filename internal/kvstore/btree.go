@@ -24,67 +24,72 @@ import "strings"
 // the root holds between t-1 and 2t-1 keys.
 const btreeMinDegree = 32
 
-// item is one key/value pair stored in the tree.
-type item struct {
-	key string
-	val *VersionedRecord
-}
+// maxTreeDepth bounds the path a write records: a tree of depth d
+// holds at least 2·t^(d-1) − 1 keys, so at t = 32 depth 14 would take
+// more than 2^63 of them.
+const maxTreeDepth = 14
 
-// node is one B-tree node. Leaf nodes have no children.
+// node is one B-tree node: keys in order, vals[i] the record stored
+// under keys[i], and, unless the node is a leaf, len(keys)+1 children.
+// A node is never written once a root reaches it, so a writer builds
+// new nodes instead, and a new node may share any of its three slices
+// with the node it replaces. Every slice's capacity is its length, so
+// an append to one can never land in an array another node sees.
 type node struct {
-	items    []item
+	keys     []string
+	vals     []*VersionedRecord
 	children []*node
+	// _ makes a node 96 bytes. At 72 it shares the allocator's 80-byte
+	// size class with VersionedRecord, and the nodes a load builds land
+	// between its records: a 100-record scan of a freshly loaded table
+	// (BenchmarkStoreScan/100) then ran about a fifth slower.
+	_ [24]byte
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
 
-// find returns the position of key in n.items, or the child index to
+// find returns the position of key in n.keys, or the child index to
 // descend into, and whether the key was found at that position.
 func (n *node) find(key string) (int, bool) {
-	lo, hi := 0, len(n.items)
+	lo, hi := 0, len(n.keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if n.items[mid].key < key {
+		if n.keys[mid] < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(n.items) && n.items[lo].key == key {
-		return lo, true
-	}
-	return lo, false
+	return lo, lo < len(n.keys) && n.keys[lo] == key
 }
 
-// btree is a CLRS B-tree mapping string keys to records, with a
-// copy-on-write write path: put and delete clone every node they touch
-// (root to leaf) instead of mutating in place, so any previously
-// obtained root pointer remains a valid, immutable snapshot of the
-// tree forever. The handle itself is not synchronized — the partition
-// serializes writers — but a *node taken from t.root may be traversed
-// concurrently with writes without any lock; superseded nodes are
-// reclaimed by Go's garbage collector, which is why no epoch or
-// hazard-pointer machinery is needed.
+// btree is a B-tree mapping string keys to records, with a
+// copy-on-write write path. put and delete descend once, recording the
+// path, then rebuild it bottom-up: the node the write lands in copies
+// the slice it changes, each ancestor copies only its children, and
+// every other slice is shared with the node it replaces. The new root
+// is installed in t.root; no node reachable from an earlier root is
+// modified, so any root pointer obtained before stays a valid,
+// immutable snapshot of the tree forever. The handle itself is not
+// synchronized — the partition serializes writers — but a *node taken
+// from t.root may be traversed concurrently with writes without any
+// lock; superseded nodes are reclaimed by Go's garbage collector,
+// which is why no epoch or hazard-pointer machinery is needed.
 type btree struct {
 	root *node
 	size int
 }
 
-// clone shallow-copies a node: fresh item and child slices, shared
-// grandchildren. A cloned node is "owned" by the writer and may be
-// edited in place; everything it still points to is shared and must
-// not be.
-func (n *node) clone() *node {
-	c := &node{items: append([]item(nil), n.items...)}
-	if len(n.children) > 0 {
-		c.children = append([]*node(nil), n.children...)
-	}
-	return c
+// pathStep is one internal node on a write's descent and the index of
+// the child it descended into.
+type pathStep struct {
+	n *node
+	i int
 }
 
 // depth returns the number of levels in the tree (≥ 1). Because every
-// write clones one root-to-leaf path, it is also the per-write
-// retired-node estimate exported by the snapshot metrics.
+// write builds one new node per level of its path, it is also the
+// per-write retired-node estimate exported by the snapshot metrics.
 func (t *btree) depth() int {
 	d := 1
 	for n := t.root; !n.leaf(); n = n.children[0] {
@@ -103,7 +108,7 @@ func (t *btree) get(key string) *VersionedRecord {
 	for {
 		i, ok := n.find(key)
 		if ok {
-			return n.items[i].val
+			return n.vals[i]
 		}
 		if n.leaf() {
 			return nil
@@ -125,239 +130,207 @@ func live(v *VersionedRecord) int {
 // put stores val under key, replacing any existing value, and returns
 // the value it replaced (nil when the key is new). The size tracks
 // live records only, so installing or replacing tombstone heads
-// adjusts it by the liveness delta. Copy-on-write: the nodes along
-// the insertion path are cloned and the new root installed in t.root;
-// no node reachable from the previous root is modified.
+// adjusts it by the liveness delta. An overwrite copies only vals
+// where the key is; an insert builds the leaf's keys and vals one
+// longer and splits whatever overflows on the way back up.
 func (t *btree) put(key string, val *VersionedRecord) *VersionedRecord {
-	var root *node
-	if len(t.root.items) == 2*btreeMinDegree-1 {
-		root = &node{children: []*node{t.root}}
-		root.splitOwnedChild(0)
-	} else {
-		root = t.root.clone()
-	}
-	old := root.insertNonFull(key, val)
-	t.root = root
-	t.size += live(val) - live(old)
-	return old
-}
-
-// splitOwnedChild splits the full (shared) child at index i of the
-// owned node n, building a fresh left and right half instead of
-// truncating the original, and moving the median item up into n. Both
-// halves are owned by the writer afterwards.
-func (n *node) splitOwnedChild(i int) {
-	child := n.children[i]
-	t := btreeMinDegree
-	median := child.items[t-1]
-	left := &node{items: append([]item(nil), child.items[:t-1]...)}
-	right := &node{items: append([]item(nil), child.items[t:]...)}
-	if !child.leaf() {
-		left.children = append([]*node(nil), child.children[:t]...)
-		right.children = append([]*node(nil), child.children[t:]...)
-	}
-	n.children[i] = left
-	n.items = append(n.items, item{})
-	copy(n.items[i+1:], n.items[i:])
-	n.items[i] = median
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
-}
-
-// insertNonFull inserts into an owned node known not to be full; it
-// returns the value it replaced (nil when the key is new). Shared
-// children are cloned (or, when full, split into fresh halves) before
-// descending, so the writer only ever edits nodes it owns.
-func (n *node) insertNonFull(key string, val *VersionedRecord) *VersionedRecord {
-	for {
-		i, ok := n.find(key)
-		if ok {
-			old := n.items[i].val
-			n.items[i].val = val
+	var path [maxTreeDepth]pathStep
+	d := 0
+	for n := t.root; ; d++ {
+		i, found := n.find(key)
+		if found {
+			old := n.vals[i]
+			t.root = rebuild(path[:d], &node{keys: n.keys, vals: with(n.vals, i, val), children: n.children})
+			t.size += live(val) - live(old)
 			return old
 		}
 		if n.leaf() {
-			n.items = append(n.items, item{})
-			copy(n.items[i+1:], n.items[i:])
-			n.items[i] = item{key: key, val: val}
+			t.root = grow(path[:d], insertAt(n.keys, i, key), insertAt(n.vals, i, val))
+			t.size += live(val)
 			return nil
 		}
-		if len(n.children[i].items) == 2*btreeMinDegree-1 {
-			n.splitOwnedChild(i)
-			if key == n.items[i].key {
-				old := n.items[i].val
-				n.items[i].val = val
-				return old
-			}
-			if key > n.items[i].key {
-				i++
-			}
-			// The split halves are freshly built, hence owned.
-			n = n.children[i]
-			continue
-		}
-		c := n.children[i].clone()
-		n.children[i] = c
-		n = c
+		path[d] = pathStep{n, i}
+		n = n.children[i]
 	}
+}
+
+// rebuild returns the root of the tree in which c replaces the node
+// path descends to: each ancestor copies only its children.
+func rebuild(path []pathStep, c *node) *node {
+	for d := len(path) - 1; d >= 0; d-- {
+		p := path[d]
+		c = &node{keys: p.n.keys, vals: p.n.vals, children: with(p.n.children, p.i, c)}
+	}
+	return c
+}
+
+// grow returns the root of the tree in which a leaf with keys and vals
+// replaces the leaf path descends to. A node that overflows splits
+// around its median, which moves up into a rebuilt parent, and a root
+// that splits gains a new root above it.
+func grow(path []pathStep, keys []string, vals []*VersionedRecord) *node {
+	var children []*node
+	for len(keys) == 2*btreeMinDegree {
+		m := len(keys) / 2
+		left := &node{keys: keys[:m:m], vals: vals[:m:m]}
+		right := &node{keys: keys[m+1:], vals: vals[m+1:]}
+		if children != nil {
+			left.children, right.children = children[:m+1:m+1], children[m+1:]
+		}
+		if len(path) == 0 {
+			return &node{keys: keys[m : m+1 : m+1], vals: vals[m : m+1 : m+1], children: []*node{left, right}}
+		}
+		p := path[len(path)-1]
+		path = path[:len(path)-1]
+		keys, vals = insertAt(p.n.keys, p.i, keys[m]), insertAt(p.n.vals, p.i, vals[m])
+		children = insertAt(p.n.children, p.i+1, right)
+		children[p.i] = left
+	}
+	return rebuild(path, &node{keys: keys, vals: vals, children: children})
 }
 
 // delete hard-removes key (chain and all) and reports whether it was
 // present — used by legacy WAL replay and by Vacuum's purge of
 // expired tombstoned keys; the live write path deletes by writing a
-// tombstone head instead. Like put it is copy-on-write: the deletion
-// path is cloned and the new root installed in t.root, leaving every
-// previous root a valid snapshot.
+// tombstone head instead. A key held by an internal node is replaced
+// there by its predecessor, which leaves its leaf instead. The leaf
+// loses one entry, and on the way back up an underfull node borrows
+// from or merges with a sibling; like put, the rebuilt path is
+// installed in t.root and every previous root stays a valid snapshot.
 func (t *btree) delete(key string) bool {
-	old := t.get(key)
-	if old == nil {
-		return false
+	var path [maxTreeDepth]pathStep
+	d, hold := 0, -1
+	n := t.root
+	for ; !n.leaf(); d++ {
+		i := len(n.keys) // below the held key, its predecessor is rightmost
+		if hold < 0 {
+			var found bool
+			if i, found = n.find(key); found {
+				hold = d
+			}
+		}
+		path[d] = pathStep{n, i}
+		n = n.children[i]
 	}
-	root := t.root.clone()
-	root.remove(key)
-	if len(root.items) == 0 && !root.leaf() {
-		root = root.children[0]
+	i := len(n.keys) - 1
+	if hold < 0 {
+		var found bool
+		if i, found = n.find(key); !found {
+			return false
+		}
 	}
-	t.root = root
+	old := n.vals[i]
+	if hold >= 0 {
+		old = path[hold].n.vals[path[hold].i]
+	}
+	c := &node{keys: removeAt(n.keys, i), vals: removeAt(n.vals, i)}
+	for d--; d >= 0; d-- {
+		p := path[d]
+		keys, vals := p.n.keys, p.n.vals
+		if d == hold {
+			keys, vals = with(keys, p.i, n.keys[i]), with(vals, p.i, n.vals[i])
+		}
+		c = rebalance(keys, vals, p.n.children, p.i, c)
+	}
+	if len(c.keys) == 0 && !c.leaf() {
+		c = c.children[0]
+	}
+	t.root = c
 	t.size -= live(old)
 	return true
 }
 
-// remove implements CLRS B-tree deletion over an owned node; on entry
-// n has at least t items unless it is the root. Children are cloned
-// (or rebuilt fresh by the borrow/merge helpers) before being edited
-// or descended into.
-func (n *node) remove(key string) bool {
-	t := btreeMinDegree
-	i, found := n.find(key)
-	if found {
-		if n.leaf() {
-			// Case 1: delete from leaf directly (owned slices).
-			n.items = append(n.items[:i], n.items[i+1:]...)
-			return true
-		}
-		// Case 2: key in internal node.
-		if len(n.children[i].items) >= t {
-			// 2a: replace with predecessor from the left subtree.
-			pred := n.children[i].maxItem()
-			n.items[i] = pred
-			c := n.children[i].clone()
-			n.children[i] = c
-			return c.remove(pred.key)
-		}
-		if len(n.children[i+1].items) >= t {
-			// 2b: replace with successor from the right subtree.
-			succ := n.children[i+1].minItem()
-			n.items[i] = succ
-			c := n.children[i+1].clone()
-			n.children[i+1] = c
-			return c.remove(succ.key)
-		}
-		// 2c: merge the two t-1 children around the key, recurse. The
-		// merged node is freshly built, hence owned.
-		n.mergeOwnedChildren(i)
-		return n.children[i].remove(key)
+// rebalance returns the internal node with keys, vals and children in
+// which c replaces child i. When c is underfull it takes an entry
+// through the separator from a sibling that can spare one, or else
+// merges with a sibling and the separator; the nodes that change are
+// fresh, and a sibling that gives up an entry shares its arrays.
+func rebalance(keys []string, vals []*VersionedRecord, children []*node, i int, c *node) *node {
+	const t = btreeMinDegree
+	if len(c.keys) >= t-1 {
+		return &node{keys: keys, vals: vals, children: with(children, i, c)}
 	}
-	if n.leaf() {
-		return false
+	if i > 0 && len(children[i-1].keys) >= t {
+		l := children[i-1]
+		m := len(l.keys) - 1
+		nc := &node{keys: insertAt(c.keys, 0, keys[i-1]), vals: insertAt(c.vals, 0, vals[i-1])}
+		nl := &node{keys: l.keys[:m:m], vals: l.vals[:m:m]}
+		if !c.leaf() {
+			nc.children = insertAt(c.children, 0, l.children[m+1])
+			nl.children = l.children[: m+1 : m+1]
+		}
+		kids := with(children, i, nc)
+		kids[i-1] = nl
+		return &node{keys: with(keys, i-1, l.keys[m]), vals: with(vals, i-1, l.vals[m]), children: kids}
 	}
-	// Case 3: key (if present) lives in subtree i; ensure that child
-	// has ≥ t items before descending.
-	if len(n.children[i].items) < t {
-		i = n.growOwnedChild(i)
-		// growOwnedChild leaves children[i] freshly built (owned).
-		return n.children[i].remove(key)
+	if i < len(children)-1 && len(children[i+1].keys) >= t {
+		r := children[i+1]
+		nc := &node{keys: insertAt(c.keys, len(c.keys), keys[i]), vals: insertAt(c.vals, len(c.vals), vals[i])}
+		nr := &node{keys: r.keys[1:], vals: r.vals[1:]}
+		if !c.leaf() {
+			nc.children = insertAt(c.children, len(c.children), r.children[0])
+			nr.children = r.children[1:]
+		}
+		kids := with(children, i, nc)
+		kids[i+1] = nr
+		return &node{keys: with(keys, i, r.keys[0]), vals: with(vals, i, r.vals[0]), children: kids}
 	}
-	c := n.children[i].clone()
-	n.children[i] = c
-	return c.remove(key)
+	// Merge with the right sibling, or with the left one when c is last.
+	l, r := c, (*node)(nil)
+	if i < len(children)-1 {
+		r = children[i+1]
+	} else {
+		i--
+		l, r = children[i], c
+	}
+	m := &node{keys: concat(l.keys, keys[i:i+1], r.keys), vals: concat(l.vals, vals[i:i+1], r.vals)}
+	if !c.leaf() {
+		m.children = concat(l.children, r.children)
+	}
+	kids := removeAt(children, i+1)
+	kids[i] = m
+	return &node{keys: removeAt(keys, i), vals: removeAt(vals, i), children: kids}
 }
 
-// growOwnedChild ensures child i has at least t items by borrowing
-// from a sibling or merging; it returns the (possibly shifted) child
-// index to descend into. The child at the returned index — and any
-// sibling the rotation shrank — are rebuilt as fresh nodes; the shared
-// originals are never modified.
-func (n *node) growOwnedChild(i int) int {
-	t := btreeMinDegree
-	switch {
-	case i > 0 && len(n.children[i-1].items) >= t:
-		// 3a-left: rotate an item from the left sibling through n.
-		oldChild, oldLeft := n.children[i], n.children[i-1]
-		child := &node{items: make([]item, 0, len(oldChild.items)+1)}
-		child.items = append(child.items, n.items[i-1])
-		child.items = append(child.items, oldChild.items...)
-		left := &node{items: append([]item(nil), oldLeft.items[:len(oldLeft.items)-1]...)}
-		if !oldLeft.leaf() {
-			child.children = make([]*node, 0, len(oldChild.children)+1)
-			child.children = append(child.children, oldLeft.children[len(oldLeft.children)-1])
-			child.children = append(child.children, oldChild.children...)
-			left.children = append([]*node(nil), oldLeft.children[:len(oldLeft.children)-1]...)
-		}
-		n.items[i-1] = oldLeft.items[len(oldLeft.items)-1]
-		n.children[i-1] = left
-		n.children[i] = child
-		return i
-	case i < len(n.children)-1 && len(n.children[i+1].items) >= t:
-		// 3a-right: rotate an item from the right sibling through n.
-		oldChild, oldRight := n.children[i], n.children[i+1]
-		child := &node{items: make([]item, 0, len(oldChild.items)+1)}
-		child.items = append(child.items, oldChild.items...)
-		child.items = append(child.items, n.items[i])
-		right := &node{items: append([]item(nil), oldRight.items[1:]...)}
-		if !oldRight.leaf() {
-			child.children = make([]*node, 0, len(oldChild.children)+1)
-			child.children = append(child.children, oldChild.children...)
-			child.children = append(child.children, oldRight.children[0])
-			right.children = append([]*node(nil), oldRight.children[1:]...)
-		}
-		n.items[i] = oldRight.items[0]
-		n.children[i] = child
-		n.children[i+1] = right
-		return i
-	case i > 0:
-		// 3b: merge with the left sibling.
-		n.mergeOwnedChildren(i - 1)
-		return i - 1
-	default:
-		// 3b: merge with the right sibling.
-		n.mergeOwnedChildren(i)
-		return i
-	}
+// with returns a copy of s with v at i.
+func with[T any](s []T, i int, v T) []T {
+	c := make([]T, len(s))
+	copy(c, s)
+	c[i] = v
+	return c
 }
 
-// mergeOwnedChildren merges child i, item i and child i+1 of the owned
-// node n into one freshly built node, leaving the shared originals
-// untouched.
-func (n *node) mergeOwnedChildren(i int) {
-	left, right := n.children[i], n.children[i+1]
-	m := &node{items: make([]item, 0, len(left.items)+1+len(right.items))}
-	m.items = append(m.items, left.items...)
-	m.items = append(m.items, n.items[i])
-	m.items = append(m.items, right.items...)
-	if !left.leaf() {
-		m.children = make([]*node, 0, len(left.children)+len(right.children))
-		m.children = append(m.children, left.children...)
-		m.children = append(m.children, right.children...)
-	}
-	n.items = append(n.items[:i], n.items[i+1:]...)
-	n.children[i] = m
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
+// insertAt returns a copy of s one longer, with v at i.
+func insertAt[T any](s []T, i int, v T) []T {
+	c := make([]T, len(s)+1)
+	copy(c, s[:i])
+	c[i] = v
+	copy(c[i+1:], s[i:])
+	return c
 }
 
-func (n *node) minItem() item {
-	for !n.leaf() {
-		n = n.children[0]
+// removeAt returns a copy of s without s[i], nil when none is left.
+func removeAt[T any](s []T, i int) []T {
+	if len(s) == 1 {
+		return nil
 	}
-	return n.items[0]
+	c := make([]T, len(s)-1)
+	copy(c, s[:i])
+	copy(c[i:], s[i+1:])
+	return c
 }
 
-func (n *node) maxItem() item {
-	for !n.leaf() {
-		n = n.children[len(n.children)-1]
+// concat returns the parts joined in one fresh slice.
+func concat[T any](parts ...[]T) []T {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
 	}
-	return n.items[len(n.items)-1]
+	c := make([]T, 0, n)
+	for _, p := range parts {
+		c = append(c, p...)
+	}
+	return c
 }
 
 // ascend visits every item with key ≥ start in order, until fn
@@ -368,11 +341,11 @@ func (t *btree) ascend(start string, fn func(key string, val *VersionedRecord) b
 
 func (n *node) ascend(start string, fn func(string, *VersionedRecord) bool) bool {
 	i, _ := n.find(start)
-	for ; i < len(n.items); i++ {
+	for ; i < len(n.keys); i++ {
 		if !n.leaf() && !n.children[i].ascend(start, fn) {
 			return false
 		}
-		if n.items[i].key >= start && !fn(n.items[i].key, n.items[i].val) {
+		if n.keys[i] >= start && !fn(n.keys[i], n.vals[i]) {
 			return false
 		}
 	}
@@ -383,23 +356,29 @@ func (n *node) ascend(start string, fn func(string, *VersionedRecord) bool) bool
 }
 
 // check verifies the B-tree structural invariants (used by tests):
-// sorted keys, occupancy bounds, uniform depth. It returns a
-// description of the first violation, or "".
+// sorted keys, one value per key, occupancy bounds, uniform depth, and
+// no slice with room to append into. It returns a description of the
+// first violation, or "".
 func (t *btree) check() string {
 	depth := -1
 	var walk func(n *node, d int, lo, hi string, isRoot bool) string
 	walk = func(n *node, d int, lo, hi string, isRoot bool) string {
 		tt := btreeMinDegree
-		if !isRoot && len(n.items) < tt-1 {
+		if !isRoot && len(n.keys) < tt-1 {
 			return "underfull node"
 		}
-		if len(n.items) > 2*tt-1 {
+		if len(n.keys) > 2*tt-1 {
 			return "overfull node"
 		}
-		for i := 0; i < len(n.items); i++ {
-			k := n.items[i].key
-			if i > 0 && n.items[i-1].key >= k {
-				return "unsorted items"
+		if len(n.vals) != len(n.keys) {
+			return "value count mismatch"
+		}
+		if cap(n.keys) != len(n.keys) || cap(n.vals) != len(n.vals) || cap(n.children) != len(n.children) {
+			return "slice with spare capacity"
+		}
+		for i, k := range n.keys {
+			if i > 0 && n.keys[i-1] >= k {
+				return "unsorted keys"
 			}
 			if lo != "" && k <= lo {
 				return "item below subtree bound"
@@ -416,16 +395,16 @@ func (t *btree) check() string {
 			}
 			return ""
 		}
-		if len(n.children) != len(n.items)+1 {
+		if len(n.children) != len(n.keys)+1 {
 			return "child count mismatch"
 		}
 		for i, c := range n.children {
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = n.items[i-1].key
+				clo = n.keys[i-1]
 			}
-			if i < len(n.items) {
-				chi = n.items[i].key
+			if i < len(n.keys) {
+				chi = n.keys[i]
 			}
 			if msg := walk(c, d+1, clo, chi, false); msg != "" {
 				return msg

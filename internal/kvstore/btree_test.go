@@ -2,7 +2,10 @@ package kvstore
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -119,15 +122,26 @@ func TestBTreeDeleteRebalancing(t *testing.T) {
 			case "random":
 				rand.New(rand.NewSource(7)).Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 			}
+			ref := make(map[string]uint64, n)
+			for i := 0; i < n; i++ {
+				ref[fmt.Sprintf("k%06d", i)] = uint64(i)
+			}
+			var kept []keptRoot
 			for step, i := range idx {
-				if !bt.delete(fmt.Sprintf("k%06d", i)) {
-					t.Fatalf("delete k%06d failed", i)
+				key := fmt.Sprintf("k%06d", i)
+				if !bt.delete(key) {
+					t.Fatalf("delete %s failed", key)
 				}
+				delete(ref, key)
 				if step%500 == 0 {
 					if msg := bt.check(); msg != "" {
 						t.Fatalf("invariant after %d deletes: %s", step+1, msg)
 					}
+					kept = append(kept, keptRoot{bt.root, maps.Clone(ref)})
 				}
+			}
+			if msg := checkKept(kept); msg != "" {
+				t.Fatal(msg)
 			}
 			if bt.size != 0 {
 				t.Fatalf("size = %d after deleting all", bt.size)
@@ -139,9 +153,55 @@ func TestBTreeDeleteRebalancing(t *testing.T) {
 	}
 }
 
+// keptRoot is a root a test saw installed, with the version of every
+// key it held then.
+type keptRoot struct {
+	root *node
+	want map[string]uint64
+}
+
+// checkKept re-reads every kept root with ascend and get and returns
+// the first difference from what it held when it was kept, or "". A
+// write that wrote into a node an older root still reaches shows up
+// here.
+func checkKept(kept []keptRoot) string {
+	for n, k := range kept {
+		snap := &treeSnapshot{root: k.root}
+		var msg string
+		seen, prev := 0, ""
+		snap.ascend("", func(key string, v *VersionedRecord) bool {
+			switch want, ok := k.want[key]; {
+			case !ok:
+				msg = fmt.Sprintf("kept root %d: ascend meets %q, which it did not hold", n, key)
+			case v.Version != want:
+				msg = fmt.Sprintf("kept root %d: ascend reads %q at version %d, want %d", n, key, v.Version, want)
+			case seen > 0 && key <= prev:
+				msg = fmt.Sprintf("kept root %d: ascend goes from %q to %q", n, prev, key)
+			}
+			seen, prev = seen+1, key
+			return msg == ""
+		})
+		if msg != "" {
+			return msg
+		}
+		if seen != len(k.want) {
+			return fmt.Sprintf("kept root %d: ascend visits %d keys, want %d", n, seen, len(k.want))
+		}
+		for key, want := range k.want {
+			if got := snap.get(key); got == nil || got.Version != want {
+				return fmt.Sprintf("kept root %d: get(%q) = %v, want version %d", n, key, got, want)
+			}
+		}
+	}
+	return ""
+}
+
 // TestBTreeVsMapQuick drives random operation sequences against the
 // tree and a reference map, checking equivalence and structural
-// invariants.
+// invariants. Sequences run to 2 000 operations, so the tree splits,
+// borrows and merges. Every 37th operation keeps the root and a copy
+// of the map; at the end each kept root must still read exactly what
+// it held.
 func TestBTreeVsMapQuick(t *testing.T) {
 	type op struct {
 		Kind uint8
@@ -150,8 +210,9 @@ func TestBTreeVsMapQuick(t *testing.T) {
 	f := func(ops []op) bool {
 		bt := newBTree()
 		ref := make(map[string]uint64)
+		var kept []keptRoot
 		ver := uint64(0)
-		for _, o := range ops {
+		for n, o := range ops {
 			key := fmt.Sprintf("k%04d", o.Key%500)
 			switch o.Kind % 3 {
 			case 0: // put
@@ -178,11 +239,18 @@ func TestBTreeVsMapQuick(t *testing.T) {
 					return false
 				}
 			}
+			if n%37 == 0 {
+				kept = append(kept, keptRoot{bt.root, maps.Clone(ref)})
+			}
 		}
 		if bt.size != len(ref) {
 			return false
 		}
 		if bt.check() != "" {
+			return false
+		}
+		if msg := checkKept(kept); msg != "" {
+			t.Log(msg)
 			return false
 		}
 		// Full ascend must reproduce the reference exactly, in order.
@@ -197,7 +265,15 @@ func TestBTreeVsMapQuick(t *testing.T) {
 		})
 		return len(keys) == len(ref) && sort.StringsAreSorted(keys)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	// quick's own slices stay under 50 elements, too few to split a node.
+	values := func(args []reflect.Value, r *rand.Rand) {
+		ops := make([]op, r.Intn(2000))
+		for i := range ops {
+			ops[i] = op{uint8(r.Intn(256)), uint16(r.Intn(1 << 16))}
+		}
+		args[0] = reflect.ValueOf(ops)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Values: values}); err != nil {
 		t.Error(err)
 	}
 }
@@ -213,6 +289,66 @@ func BenchmarkBTreePut(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bt.put(fmt.Sprintf("key%010d", i%100000), rec(uint64(i)))
+	}
+}
+
+// overwriteTree returns a tree of n keys inserted in shuffled order, as
+// a hashed load inserts them, and its keys.
+func overwriteTree(n int) (*btree, []string) {
+	bt := newBTree()
+	keys := make([]string, n)
+	for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
+		keys[i] = fmt.Sprintf("user%010d", j)
+		bt.put(keys[i], rec(1))
+	}
+	return bt, keys
+}
+
+// BenchmarkBTreeOverwrite overwrites every key of a 1 250-key tree in
+// turn, the size of a cew_embedded partition's user table.
+func BenchmarkBTreeOverwrite(b *testing.B) {
+	bt, keys := overwriteTree(1250)
+	v := rec(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bt.put(keys[i%len(keys)], v)
+	}
+}
+
+// TestBTreeWriteAllocs pins what a write allocates. Overwriting each
+// key of a 1 250-key tree in turn (a cew_embedded partition's user
+// table: a root over about 30 leaves) copies vals where the key is and
+// children above it: 4 objects at a leaf and 2 at the root, which
+// testing.AllocsPerRun rounds down from 3.96 to 3, and 777 B a write,
+// where copying each node's keys and values together took 4 (4.96)
+// and 2 157 B. Inserting a key into an empty table and deleting it
+// again, as a commit does with its _tsr record, takes 4 objects.
+func TestBTreeWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	bt, keys := overwriteTree(1250)
+	v := rec(2)
+	i := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	objs := testing.AllocsPerRun(len(keys), func() {
+		bt.put(keys[i%len(keys)], v)
+		i++
+	})
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls the function once more to warm up.
+	bytes := (after.TotalAlloc - before.TotalAlloc) / uint64(i)
+	if objs > 3 || bytes > 800 {
+		t.Errorf("an overwrite allocates %v objects and %d B, want at most 3 and 800", objs, bytes)
+	}
+	empty := newBTree()
+	if objs := testing.AllocsPerRun(200, func() {
+		empty.put("tsr", v)
+		empty.delete("tsr")
+	}); objs > 4 {
+		t.Errorf("an insert and delete in an empty table allocate %v objects, want at most 4", objs)
 	}
 }
 

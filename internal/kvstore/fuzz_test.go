@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 
@@ -104,32 +105,49 @@ func FuzzVersionChain(f *testing.F) {
 }
 
 // FuzzBTreeOperations drives the tree with arbitrary op/key bytes and
-// checks structural invariants throughout.
+// checks structural invariants throughout. Every seventh operation
+// keeps the root and a copy of the reference; at the end each kept
+// root must still read exactly what it held.
 func FuzzBTreeOperations(f *testing.F) {
 	f.Add([]byte("iaibicid ra rb da ia"))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 251, 252})
+	// Every one of the 130 keys, then every other one deleted: splits
+	// the root leaf, then merges its children back.
+	var grow []byte
+	for b := 0; b < 130; b++ {
+		grow = append(grow, 0, byte(b))
+	}
+	for b := 0; b < 130; b += 2 {
+		grow = append(grow, 1, byte(b))
+	}
+	f.Add(grow)
 	f.Fuzz(func(t *testing.T, script []byte) {
 		bt := newBTree()
-		ref := map[string]bool{}
+		ref := map[string]uint64{}
+		var kept []keptRoot
 		for i := 0; i+1 < len(script); i += 2 {
 			key := strings.Repeat(string(rune('a'+script[i+1]%26)), int(script[i+1]%5)+1)
+			_, had := ref[key]
 			switch script[i] % 3 {
 			case 0:
-				old := bt.put(key, rec(1))
-				if (old != nil) != ref[key] {
-					t.Fatalf("put(%q) displaced=%v but ref says %v", key, old != nil, ref[key])
+				old := bt.put(key, rec(uint64(i)))
+				if (old != nil) != had {
+					t.Fatalf("put(%q) displaced=%v but ref says %v", key, old != nil, had)
 				}
-				ref[key] = true
+				ref[key] = uint64(i)
 			case 1:
 				removed := bt.delete(key)
-				if removed != ref[key] {
-					t.Fatalf("delete(%q) = %v but ref says %v", key, removed, ref[key])
+				if removed != had {
+					t.Fatalf("delete(%q) = %v but ref says %v", key, removed, had)
 				}
 				delete(ref, key)
 			case 2:
-				if got := bt.get(key) != nil; got != ref[key] {
-					t.Fatalf("get(%q) = %v but ref says %v", key, got, ref[key])
+				if got := bt.get(key) != nil; got != had {
+					t.Fatalf("get(%q) = %v but ref says %v", key, got, had)
 				}
+			}
+			if i%14 == 0 {
+				kept = append(kept, keptRoot{bt.root, maps.Clone(ref)})
 			}
 		}
 		if msg := bt.check(); msg != "" {
@@ -137,6 +155,9 @@ func FuzzBTreeOperations(f *testing.F) {
 		}
 		if bt.size != len(ref) {
 			t.Fatalf("size %d, ref %d", bt.size, len(ref))
+		}
+		if msg := checkKept(kept); msg != "" {
+			t.Fatal(msg)
 		}
 	})
 }

@@ -91,7 +91,7 @@ func (it *snapIter) seek(root *node, start string) {
 // key order, or the stack empty at the end of the tree.
 func (it *snapIter) settle() {
 	for len(it.stack) > 0 {
-		if top := &it.stack[len(it.stack)-1]; top.i < len(top.n.items) {
+		if top := &it.stack[len(it.stack)-1]; top.i < len(top.n.keys) {
 			return
 		}
 		it.stack = it.stack[:len(it.stack)-1]
@@ -120,11 +120,10 @@ func (it *snapIter) step() {
 func (it *snapIter) load(at readAt) bool {
 	for len(it.stack) > 0 {
 		top := it.stack[len(it.stack)-1]
-		item := &top.n.items[top.i]
 		it.visited++
-		v, trimmed := at.resolve(item.val)
+		v, trimmed := at.resolve(top.n.vals[top.i])
 		if v != nil || trimmed {
-			it.key, it.rec, it.trimmed = item.key, v, trimmed
+			it.key, it.rec, it.trimmed = top.n.keys[top.i], v, trimmed
 			return !trimmed
 		}
 		it.step()

@@ -31,7 +31,7 @@ func (ts *treeSnapshot) get(key string) *VersionedRecord {
 	for {
 		i, ok := n.find(key)
 		if ok {
-			return n.items[i].val
+			return n.vals[i]
 		}
 		if n.leaf() {
 			return nil

@@ -171,7 +171,7 @@ const MustNotExist = uint64(0)
 const DefaultShards = 8
 
 // DefaultRetention is the wall-clock retention window a store keeps
-// unless told otherwise (kvserver -retention, kvstore.retention_ms):
+// unless told otherwise (Options.Retention, kvstore.retention_ms):
 // none. An overwritten version then lives only while a pin or the
 // published txn watermark can still read it, so a default store holds
 // each key's head and little else however fast it is written.

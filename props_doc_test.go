@@ -51,7 +51,7 @@ var unsetProperties = map[string]string{
 	"kvstore.path":                "kvstore binding: the WAL, kvserver -wal in process",
 	"kvstore.sync":                "kvstore binding: kvserver -sync in process",
 	"kvstore.wal.group_commit_ms": "kvstore binding: kvserver -group-commit in process",
-	"kvstore.retention_ms":        "kvstore binding: kvserver -retention in process",
+	"kvstore.retention_ms":        "kvstore binding: Options.Retention, the window in-process as-of readers that cannot pin would need",
 	"kvstore.shards":              "kvstore, cloudsim and txnkv memory bindings: kvserver -shards in process",
 	"obs.enabled":                 "ycsbt -ops-addr sets it; no CI step runs ycsbt with an ops listener",
 	"percolator.oracle_rtt_us":    "Fig 6's oracle round trip on the percolator binding (the sweep builds oracle.NewDelayed itself)",
