@@ -59,9 +59,9 @@ test:
 # sharded measurement path and the per-thread middleware chains. It is
 # also where the transaction schedule is guarded: internal/txn's
 # TestCommitScheduleStoreCalls counts the store calls a commit waits
-# for and the ones its finish makes behind it, or before it returns over
-# an in-process store (exact, so no benchmark is needed to notice an
-# extra round trip), next to the read-set trap
+# for and the ones its finish makes behind it over a store that waits,
+# or before it returns over any other (exact, so no benchmark is needed
+# to notice an extra round trip), next to the read-set trap
 # tests and kvwire's frame segmentation tests; and where the deferred
 # finish runs under the detector: TestFinishAccounting (eight
 # committers past the bound on outstanding finishes, then Flush, an
@@ -70,8 +70,12 @@ test:
 # while its finish is in flight, call for call),
 # TestReaderWaitsForItsManagersFinish, TestFinishOutlivesItsStore,
 # TestLocalStoreFinishesOnCommitter (four committers finishing their
-# own commits over one in-process store, then no debris without Flush) and
-# internal/client's TestPhaseEndsSettled;
+# own commits over one in-process store, raw and behind a decorator
+# that forwards nothing, then no debris without Flush),
+# internal/httpkv's TestFleetCommitIsFinishedWhenItReturns (the same
+# over a two-node in-process fleet, checked after every commit) and
+# internal/client's TestPhaseEndsSettled (finishes behind a store that
+# waits, drained at the end of each phase);
 # internal/httpkv's TestRouterScanResultsCrossGoroutines reads one
 # scan's results on two goroutines while the router scans again. kvwire's
 # TestCloseFailsExecInFlight runs ten more times: it shuts a server down

@@ -491,12 +491,15 @@ func TestDeadlineNeverSplitsOperations(t *testing.T) {
 	}
 }
 
-// laggedStore delays every TSR delete, so a commit's finish is still
-// running well after the commit returned.
+// laggedStore delays every TSR delete and says its calls wait, so a
+// commit's finish runs behind it and is still running well after the
+// commit returned.
 type laggedStore struct {
 	txn.Store
 	lag time.Duration
 }
+
+func (laggedStore) Waits() bool { return true }
 
 func (s laggedStore) Delete(ctx context.Context, table, key string, expect uint64) error {
 	if table == "_tsr" {

@@ -205,6 +205,14 @@ func New(cfg Config) *Store {
 // Name returns the container name.
 func (s *Store) Name() string { return s.cfg.Name }
 
+// Waits reports whether a request spends time the host's processors
+// do not: a service latency or a rate limit is configured. A
+// transaction manager over a waiting store finishes each commit behind
+// it (txn's waiter), hiding that time from the committer.
+func (s *Store) Waits() bool {
+	return s.cfg.ReadLatency > 0 || s.cfg.WriteLatency > 0 || s.cfg.RateLimit > 0
+}
+
 // Stats reports request counts and cumulative rate-limit wait time.
 func (s *Store) Stats() (reads, writes int64, waited time.Duration) {
 	return s.reads.Load(), s.writes.Load(), time.Duration(s.waited.Load())

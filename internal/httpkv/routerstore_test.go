@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,26 +46,42 @@ func serve(t *testing.T, httpLn net.Listener, cs *cluster.State, reg *obs.Regist
 // The router is closed when the test ends.
 func newRemote(t *testing.T, name string) (*httpkv.RouterStore, *kvstore.Store) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	s, engines := newFleet(t, name, 1)
+	return s, engines[0]
+}
+
+// newFleet boots n cluster-mode nodes under one hash map of 8 slots and
+// returns them as a named transaction store routed by that map, with
+// each node's engine. The router is closed when the test ends.
+func newFleet(t *testing.T, name string, n int) (*httpkv.RouterStore, []*kvstore.Store) {
+	t.Helper()
+	lns := make([]net.Listener, n)
+	urls := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], urls[i] = ln, "http://"+ln.Addr().String()
+	}
+	m, err := cluster.NewUniform(cluster.PlacementHash, 8, urls, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	url := "http://" + ln.Addr().String()
-	m, err := cluster.NewUniform(cluster.PlacementHash, 8, []string{url}, nil)
-	if err != nil {
-		t.Fatal(err)
+	engines := make([]*kvstore.Store, n)
+	for i, ln := range lns {
+		cs, err := cluster.NewState(urls[i], m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i], _ = serve(t, ln, cs, nil)
 	}
-	cs, err := cluster.NewState(url, m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, _ := serve(t, ln, cs, nil)
-	r, err := httpkv.NewRouter([]string{url}, nil, nil)
+	r, err := httpkv.NewRouter(urls, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Cleanup() })
-	return httpkv.NewRouterStore(name, r), store
+	return httpkv.NewRouterStore(name, r), engines
 }
 
 func TestRemoteStoreVersionedOps(t *testing.T) {
@@ -244,5 +262,94 @@ func TestRemoteStoreConflictAcrossClients(t *testing.T) {
 	rec, _ := inner.Get("t", "k")
 	if string(rec.Field("n")) != "1" {
 		t.Errorf("final = %s", rec.Field("n"))
+	}
+}
+
+// TestFleetCommitIsFinishedWhenItReturns: a fleet's calls are work for
+// the processors its client runs on, not a wait, so a manager over a
+// RouterStore finishes each commit on its committer. Transfers run with
+// no Flush; right after every Commit both records are clean on the
+// nodes, no node holds a TSR, txn_finish_pending reads 0 and no
+// goroutine has outlived the commit.
+func TestFleetCommitIsFinishedWhenItReturns(t *testing.T) {
+	ctx := context.Background()
+	fleet, engines := newFleet(t, "fleet", 2)
+	reg := obs.NewRegistry()
+	m, err := txn.NewManager(txn.Options{Metrics: reg}, fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accts := []string{"a", "b"}
+	if err := m.RunInTxn(ctx, 0, func(tx *txn.Txn) error {
+		for _, k := range accts {
+			if err := tx.Insert("", "acct", k, map[string][]byte{"bal": []byte("100")}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// finished fails unless every engine holds both accounts clean at
+	// want and no TSR at all.
+	finished := func(round int, want map[string]int) {
+		t.Helper()
+		for k, bal := range want {
+			var rec *kvstore.VersionedRecord
+			for _, eng := range engines {
+				if r, err := eng.Get("acct", k); err == nil {
+					rec = r
+				}
+			}
+			if rec == nil {
+				t.Fatalf("round %d: %s on no node", round, k)
+			}
+			for f := range rec.FieldMap() {
+				if strings.HasPrefix(f, "_txn:") {
+					t.Fatalf("round %d: %s still carries %s when Commit returned", round, k, f)
+				}
+			}
+			if got := string(rec.Field("bal")); got != strconv.Itoa(bal) {
+				t.Fatalf("round %d: %s = %s, want %d", round, k, got, bal)
+			}
+		}
+		for i, eng := range engines {
+			if n := eng.Len("_tsr"); n != 0 {
+				t.Fatalf("round %d: node %d holds %d TSRs when Commit returned", round, i, n)
+			}
+		}
+	}
+	finished(0, map[string]int{"a": 100, "b": 100})
+	baseline := runtime.NumGoroutine()
+	for round := 1; round <= 20; round++ {
+		if err := m.RunInTxn(ctx, 0, func(tx *txn.Txn) error {
+			var bal [2]int
+			for i, k := range accts {
+				f, err := tx.Read(ctx, "", "acct", k)
+				if err != nil {
+					return err
+				}
+				if bal[i], err = strconv.Atoi(string(f["bal"])); err != nil {
+					return err
+				}
+			}
+			if err := tx.Write("", "acct", "a", map[string][]byte{"bal": []byte(strconv.Itoa(bal[0] - 1))}); err != nil {
+				return err
+			}
+			return tx.Write("", "acct", "b", map[string][]byte{"bal": []byte(strconv.Itoa(bal[1] + 1))})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		finished(round, map[string]int{"a": 100 - round, "b": 100 + round})
+		var out strings.Builder
+		if err := reg.Export(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "\ntxn_finish_pending 0\n") {
+			t.Fatalf("round %d: exposition lacks txn_finish_pending 0", round)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("round %d: %d goroutines after Commit returned, %d before", round, n, baseline)
+		}
 	}
 }

@@ -286,10 +286,23 @@ func TestCompareKeys(t *testing.T) {
 
 func BenchmarkBTreePut(b *testing.B) {
 	bt := newBTree()
+	keys := benchKeys(100000)
+	v := rec(1)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bt.put(fmt.Sprintf("key%010d", i%100000), rec(uint64(i)))
+		bt.put(keys[i%len(keys)], v)
 	}
+}
+
+// benchKeys returns n keys in ascending order, built before a
+// benchmark's timer starts so that it times the tree, not the format.
+func benchKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%010d", i)
+	}
+	return keys
 }
 
 // overwriteTree returns a tree of n keys inserted in shuffled order, as
@@ -354,12 +367,13 @@ func TestBTreeWriteAllocs(t *testing.T) {
 
 func BenchmarkBTreeGet(b *testing.B) {
 	bt := newBTree()
-	for i := 0; i < 100000; i++ {
-		bt.put(fmt.Sprintf("key%010d", i), rec(uint64(i)))
+	keys := benchKeys(100000)
+	for i, k := range keys {
+		bt.put(k, rec(uint64(i)))
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bt.get(fmt.Sprintf("key%010d", i%100000))
+		bt.get(keys[i%len(keys)])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -17,7 +18,8 @@ import (
 )
 
 // slowStore makes every call take delay longer: the stand-in for a
-// remote backend where a call is a round trip. It spins, yielding,
+// remote backend where a call is a round trip that waits (Waits), so a
+// manager over it finishes each commit behind it. It spins, yielding,
 // where a sleep would round 50 µs up to the timer's granularity. With
 // releaseTSRDelete set, a TSR delete also parks until that returns true
 // (or tsrDeleteLimit has passed), so finishes stay outstanding for as
@@ -44,6 +46,8 @@ func (s *slowStore) wait(op, table string) {
 		}
 	}
 }
+
+func (s *slowStore) Waits() bool { return true }
 
 func (s *slowStore) Get(ctx context.Context, table, key string) (*kvstore.VersionedRecord, error) {
 	s.wait("Get", table)
@@ -272,7 +276,7 @@ func TestSameThreadReadsItsCommit(t *testing.T) {
 // prepared record after the finish has ended.
 func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 	ctx := context.Background()
-	m, ss, inner := newScriptManager(t, Options{})
+	m, ss, inner := newScriptManager(t, Options{}, true)
 	if _, err := inner.Insert("t", "k", bal(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +344,7 @@ func TestFinishOutlivesItsStore(t *testing.T) {
 	ctx := context.Background()
 	baseline := runtime.NumGoroutine()
 	reg := obs.NewRegistry()
-	m, ss, inner := newScriptManager(t, Options{Metrics: reg})
+	m, ss, inner := newScriptManager(t, Options{Metrics: reg}, true)
 	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	}); err != nil {
@@ -373,13 +377,29 @@ func TestFinishOutlivesItsStore(t *testing.T) {
 	}
 }
 
-// TestLocalStoreFinishesOnCommitter: over a raw LocalStore every store
-// runs its calls on the caller, so each commit makes its own finish
-// before it returns. Transfers run without a Flush, by four clients at
-// once and then by one; the engine holds no prepared record and no TSR
-// afterwards, no finish counted as back-pressure, none is pending, and
-// no goroutine outlives the commit that would have started it.
+// TestLocalStoreFinishesOnCommitter: a LocalStore does not wait, nor
+// does a decorator over one that forwards none of its optional methods
+// (plainDecorator, as a tracing or metering layer might be), so each
+// commit makes its own finish before it returns. Over either, transfers
+// run without a Flush, by four clients at once and then by one; the
+// engine holds no prepared record and no TSR afterwards, nor after any
+// of the one client's commits, no finish counted as back-pressure, none
+// is pending, and no goroutine outlives the commit that would have
+// started it.
 func TestLocalStoreFinishesOnCommitter(t *testing.T) {
+	t.Run("raw", func(t *testing.T) {
+		testFinishesOnCommitter(t, func(s Store) Store { return s })
+	})
+	t.Run("decorated", func(t *testing.T) {
+		testFinishesOnCommitter(t, func(s Store) Store { return plainDecorator{s} })
+	})
+}
+
+// plainDecorator wraps a Store and forwards none of its optional
+// methods.
+type plainDecorator struct{ Store }
+
+func testFinishesOnCommitter(t *testing.T, wrap func(Store) Store) {
 	const (
 		workers   = 4
 		transfers = 100
@@ -389,7 +409,7 @@ func TestLocalStoreFinishesOnCommitter(t *testing.T) {
 	inner := kvstore.OpenMemory()
 	defer inner.Close()
 	reg := obs.NewRegistry()
-	m, err := NewManager(Options{Metrics: reg}, NewLocalStore("local", inner))
+	m, err := NewManager(Options{Metrics: reg}, wrap(NewLocalStore("local", inner)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,8 +474,8 @@ func TestLocalStoreFinishesOnCommitter(t *testing.T) {
 		if n := runtime.NumGoroutine(); n > baseline {
 			t.Fatalf("transfer %d: %d goroutines after Commit returned, %d before", i, n, baseline)
 		}
+		wantNoDebris(t, inner, "t")
 	}
-	wantNoDebris(t, inner, "t")
 	if got := reg.Counter("txn_finish_inline_total").Value(); got != 0 {
 		t.Errorf("txn_finish_inline_total = %d, want 0: no finish waited on the bound", got)
 	}
@@ -470,18 +490,82 @@ func TestLocalStoreFinishesOnCommitter(t *testing.T) {
 	}
 }
 
-// TestMixedManagerFinishesBehind: one store that does not say its calls
-// run on the caller — here a decorator that does not forward the
-// method — keeps its manager on the deferred schedule, though the other
-// store is a raw LocalStore. The finish is held at the decorated store's
-// roll-forward: Commit returns regardless, and the roll-forward is made
-// behind it.
+// ctxStore logs, for every roll-forward put and TSR delete, whether
+// its context carries probeKey's value and whether it is cancelled,
+// and runs atRollForward ahead of the first roll-forward.
+type ctxStore struct {
+	Store
+	atRollForward func()
+	seen          []string
+}
+
+type probeKey struct{}
+
+func (s *ctxStore) note(ctx context.Context, op string) {
+	s.seen = append(s.seen, fmt.Sprintf("%s value=%v err=%v", op, ctx.Value(probeKey{}), ctx.Err()))
+}
+
+func (s *ctxStore) Put(ctx context.Context, table, key string, fields map[string][]byte, expect uint64) (uint64, error) {
+	if isRollForward("Put", table, fields) {
+		if s.atRollForward != nil {
+			s.atRollForward()
+			s.atRollForward = nil
+		}
+		s.note(ctx, "roll-forward")
+	}
+	return s.Store.Put(ctx, table, key, fields, expect)
+}
+
+func (s *ctxStore) Delete(ctx context.Context, table, key string, expect uint64) error {
+	if table == tsrTable {
+		s.note(ctx, "TSR delete")
+	}
+	return s.Store.Delete(ctx, table, key, expect)
+}
+
+// TestCommitterFinishKeepsCallerValues: a finish on the committer makes
+// its calls under the caller's context values, so a per-caller probe
+// of the store calls books them, and without its cancellation: a caller
+// that gives up once the TSR has landed leaves a finished commit, not a
+// TSR for readers to finish from.
+func TestCommitterFinishKeepsCallerValues(t *testing.T) {
+	inner := kvstore.OpenMemory()
+	defer inner.Close()
+	cs := &ctxStore{Store: NewLocalStore("local", inner)}
+	m, err := NewManager(Options{}, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunInTxn(context.Background(), 0, func(tx *Txn) error {
+		return tx.Insert("", "t", "k", bal(1))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), probeKey{}, "caller"))
+	defer cancel()
+	cs.seen, cs.atRollForward = nil, cancel
+	tx, _ := m.Begin(ctx)
+	tx.Write("", "t", "k", bal(2))
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"roll-forward value=caller err=<nil>", "TSR delete value=caller err=<nil>"}
+	if !reflect.DeepEqual(cs.seen, want) {
+		t.Errorf("finish calls\n got %q\nwant %q", cs.seen, want)
+	}
+	wantNoDebris(t, inner, "t")
+}
+
+// TestMixedManagerFinishesBehind: one store that waits keeps its
+// manager on the deferred schedule, though the other store is a
+// LocalStore. The finish is held at the waiting store's roll-forward:
+// Commit returns regardless, and the roll-forward is made behind it.
 func TestMixedManagerFinishesBehind(t *testing.T) {
 	ctx := context.Background()
 	s1, s2 := kvstore.OpenMemory(), kvstore.OpenMemory()
 	defer s1.Close()
 	defer s2.Close()
-	beta := &scriptStore{Store: NewLocalStore("beta", s2)}
+	beta := &scriptStore{Store: NewLocalStore("beta", s2), waits: true}
 	m, err := NewManager(Options{}, NewLocalStore("alpha", s1), beta)
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func TestReadSetInlineAndMap(t *testing.T) {
 	// c, and a transaction that has read a and then b.
 	setup := func(t *testing.T, opts Options) (*Manager, *scriptStore, *Txn) {
 		t.Helper()
-		m, ss, _ := newScriptManager(t, opts)
+		m, ss, _ := newScriptManager(t, opts, false)
 		if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
 			for _, k := range []string{"a", "b", "c"} {
 				if err := tx.Insert("", "t", k, bal(1)); err != nil {

@@ -23,18 +23,19 @@ import (
 // of the call, on the goroutine making it (the committer's, or a
 // finish's), and a non-nil error from it drops the call, which fails
 // with it. A call is logged when before returns, so one that before
-// holds back is not in the log yet. With onCaller set it reports that
-// its calls run on the caller (RunsOnCaller), as the store it wraps
-// does; a manager over it then finishes each commit on the committer.
+// holds back is not in the log yet. With waits set it reports that its
+// calls wait (Waits), as a remote store's do; a manager over it then
+// finishes each commit behind it. Without, as over the store it wraps,
+// each commit finishes on its committer.
 type scriptStore struct {
 	Store
-	onCaller bool
-	mu       sync.Mutex
-	calls    []string
-	before   func(op, table, key string, fields map[string][]byte) error
+	waits  bool
+	mu     sync.Mutex
+	calls  []string
+	before func(op, table, key string, fields map[string][]byte) error
 }
 
-func (s *scriptStore) RunsOnCaller() bool { return s.onCaller }
+func (s *scriptStore) Waits() bool { return s.waits }
 
 func (s *scriptStore) note(op, table, key string, fields map[string][]byte) error {
 	var err error
@@ -102,11 +103,13 @@ func (s *scriptStore) Scan(ctx context.Context, table, startKey string, count in
 	return s.Store.Scan(ctx, table, startKey, count)
 }
 
-func newScriptManager(t *testing.T, opts Options) (*Manager, *scriptStore, *kvstore.Store) {
+// newScriptManager opens a manager over one scriptStore around an
+// in-memory engine; waits sets the store's Waits.
+func newScriptManager(t *testing.T, opts Options, waits bool) (*Manager, *scriptStore, *kvstore.Store) {
 	t.Helper()
 	inner := kvstore.OpenMemory()
 	t.Cleanup(func() { inner.Close() })
-	ss := &scriptStore{Store: NewLocalStore("local", inner)}
+	ss := &scriptStore{Store: NewLocalStore("local", inner), waits: waits}
 	m, err := NewManager(opts, ss)
 	if err != nil {
 		t.Fatal(err)
@@ -127,19 +130,19 @@ func wantCalls(t *testing.T, what string, got []string, want ...string) {
 // Commit returns are what the caller waited for, the calls after Flush
 // are the finish that ran behind it. A transaction asks the store only
 // for what it does not hold — the repeated runs check the counts repeat
-// exactly. Over a store whose calls run on the caller the finish makes
-// the same calls before Commit returns: all 3n + 2 are made by then,
-// and none behind.
+// exactly. Over a store that does not wait the finish makes the same
+// calls before Commit returns: all 3n + 2 are made by then, and none
+// behind.
 func TestCommitScheduleStoreCalls(t *testing.T) {
-	t.Run("behind", func(t *testing.T) { testCommitSchedule(t, false) })
-	t.Run("on the committer", func(t *testing.T) { testCommitSchedule(t, true) })
+	t.Run("behind", func(t *testing.T) { testCommitSchedule(t, true) })
+	t.Run("on the committer", func(t *testing.T) { testCommitSchedule(t, false) })
 }
 
-func testCommitSchedule(t *testing.T, onCaller bool) {
+func testCommitSchedule(t *testing.T, waits bool) {
 	ctx := context.Background()
 	inner := kvstore.OpenMemory()
 	t.Cleanup(func() { inner.Close() })
-	ss := &scriptStore{Store: NewLocalStore("local", inner), onCaller: onCaller}
+	ss := &scriptStore{Store: NewLocalStore("local", inner), waits: waits}
 	m, err := NewManager(Options{}, ss)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +153,7 @@ func testCommitSchedule(t *testing.T, onCaller bool) {
 	// until the test has looked makes "when Commit returns" a fixed list.
 	// A finish on the committer is over by then, and is not held.
 	var hold chan struct{}
-	if !onCaller {
+	if waits {
 		ss.before = func(op, table, _ string, fields map[string][]byte) error {
 			if isRollForward(op, table, fields) {
 				<-hold
@@ -162,7 +165,7 @@ func testCommitSchedule(t *testing.T, onCaller bool) {
 	// for, then lets the finish go and checks the calls it made.
 	committed := func(what string, blocking, behind []string) {
 		t.Helper()
-		if onCaller {
+		if !waits {
 			wantCalls(t, what+", when Commit returns", ss.take(), append(blocking, behind...)...)
 			flush(t, m)
 			wantCalls(t, what+", behind it", ss.take())
@@ -265,7 +268,7 @@ func testCommitSchedule(t *testing.T, onCaller bool) {
 // still commit over an untouched prepared image.
 func TestReadAroundThenWriteConflicts(t *testing.T) {
 	ctx := context.Background()
-	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Hour})
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Hour}, false)
 	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	}); err != nil {
@@ -333,7 +336,7 @@ func TestReadAroundThenWriteConflicts(t *testing.T) {
 // commit, never a lost update.
 func TestCachedReadGoesStale(t *testing.T) {
 	ctx := context.Background()
-	m, _, inner := newScriptManager(t, Options{})
+	m, _, inner := newScriptManager(t, Options{}, false)
 	b := NewBinding(m)
 	if err := b.Insert(ctx, "t", "k", db.Record{"n": []byte("0"), "other": []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -366,7 +369,7 @@ func TestCachedReadGoesStale(t *testing.T) {
 // prepare back, and the insert then succeeds.
 func TestInsertOverDeadPreparedInsert(t *testing.T) {
 	ctx := context.Background()
-	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: 10 * time.Millisecond})
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: 10 * time.Millisecond}, false)
 	dead := map[string][]byte{
 		"balance":     []byte("666"),
 		metaState:     []byte("P"),
@@ -416,7 +419,7 @@ func TestInsertOverDeadPreparedInsert(t *testing.T) {
 // read — taken from the read set, not fetched again.
 func TestReadLockRewritesCachedImage(t *testing.T) {
 	ctx := context.Background()
-	m, ss, inner := newScriptManager(t, Options{SerializableReads: true})
+	m, ss, inner := newScriptManager(t, Options{SerializableReads: true}, false)
 	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		if err := tx.Insert("", "t", "x", map[string][]byte{"balance": []byte("1"), "note": []byte("keep")}); err != nil {
 			return err
@@ -541,7 +544,7 @@ func TestFailedRollForwardKeepsTSR(t *testing.T) {
 	clock := &stepClock{now: int64(time.Hour)}
 	sink := &history.MemorySink{}
 	reg := obs.NewRegistry()
-	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Second, Clock: clock, History: sink, Metrics: reg})
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Second, Clock: clock, History: sink, Metrics: reg}, false)
 	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		if err := tx.Insert("", "t", "a", bal(100)); err != nil {
 			return err
@@ -623,7 +626,7 @@ func TestFailedRollForwardKeepsTSR(t *testing.T) {
 func TestFailedTSRLookupIsNotAbsence(t *testing.T) {
 	ctx := context.Background()
 	clock := &stepClock{now: time.Now().Add(time.Hour).UnixNano()} // every prepare is an hour old
-	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Second, Clock: clock})
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Second, Clock: clock}, false)
 	if _, err := inner.Insert("t", "k", bal(100)); err != nil {
 		t.Fatal(err)
 	}
@@ -662,7 +665,7 @@ func TestFailedTSRLookupIsNotAbsence(t *testing.T) {
 // record tells the two apart, at the price of one more get.
 func TestFinishBetweenFetchAndTSRLookup(t *testing.T) {
 	ctx := context.Background()
-	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Hour})
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Hour}, false)
 	for _, k := range []string{"a", "b"} {
 		if _, err := inner.Insert("t", k, bal(100)); err != nil {
 			t.Fatal(err)

@@ -37,32 +37,35 @@
 // Store calls. On a remote backend every store call is a round trip,
 // and the ones the caller waits for are what a transaction costs, so
 // the library asks a store only for what the transaction does not
-// already hold, and makes the caller wait only up to the commit point.
-// The read set keeps each fetched image with its version (readEntry):
-// a repeated Read, the binding's read-merge-write Update and the
-// prepare of a key the transaction read are all served from it — the
-// prepare's conditional put on the version read is the validation, so
-// a concurrent change surfaces as ErrConflict there. Only a clean entry
-// licenses that put; an entry read around an in-flight writer carries
-// the version of that writer's prepared record and conflicts instead.
-// An insert prepares create-only without looking first. A
-// read-modify-write of n keys is therefore n gets, n prepare puts, the
-// TSR put, n roll-forward puts and the TSR delete — 3n+2 calls, 8 for
-// the CEW's two accounts — of which the first 2n+1 (5) block the
-// caller: Commit returns when the TSR put lands, and phase 3 (the
-// finish) runs behind it on a goroutine of its own, under a context
-// that is not the caller's. An insert is 4 calls (2 blocking); a blind
-// write or delete still fetches the previous image its prepared record
-// must carry (5, 3 blocking). The blocking calls run on the
-// transaction's own goroutine, one after another; the finish makes its
-// calls in the same order the committer used to. At most
-// maxPendingFinishes finishes are outstanding — past that the committer
-// runs its own before Commit returns — and Manager.Flush waits for
-// them. A finish runs where its stores run: when every store of the
-// manager runs its calls on the caller's goroutine (an engine in the
-// same process, see callerRunner), there is no round trip for the
-// deferral to hide, and the committer makes the finish itself, through
-// the same bookkeeping, before Commit returns.
+// already hold. The read set keeps each fetched image with its version
+// (readEntry): a repeated Read, the binding's read-merge-write Update
+// and the prepare of a key the transaction read are all served from it
+// — the prepare's conditional put on the version read is the
+// validation, so a concurrent change surfaces as ErrConflict there.
+// Only a clean entry licenses that put; an entry read around an
+// in-flight writer carries the version of that writer's prepared record
+// and conflicts instead. An insert prepares create-only without looking
+// first. A read-modify-write of n keys is therefore n gets, n prepare
+// puts, the TSR put, n roll-forward puts and the TSR delete — 3n+2
+// calls, 8 for the CEW's two accounts — and all of them block the
+// caller: the committer makes phase 3 (the finish) itself before Commit
+// returns. An insert is 4 calls; a blind write or delete still fetches
+// the previous image its prepared record must carry (5). The calls run
+// on the transaction's own goroutine, one after another.
+//
+// Behind a store that waits — its calls spend their time on a service
+// time that uses none of this host's processors, as a simulated cloud
+// container's do (see waiter) — only the first 2n+1 (5) block: Commit
+// returns when the TSR put lands, and the finish runs behind it on a
+// goroutine of its own, under a context that is not the caller's, in
+// the order the committer would have used, hiding the waits of its
+// n+1 calls from the caller. At most maxPendingFinishes finishes are
+// outstanding — past that the committer runs its own before Commit
+// returns — and Manager.Flush waits for them. Over any other store (an
+// engine in the same process, a fleet whose round trips are work for
+// the processors the client runs on) there is no wait for the deferral
+// to hide, only a goroutine hand-off that competes with the client's
+// next operation.
 //
 // Deferring the finish adds no state to the stores: between the TSR
 // put and the last roll-forward a record is prepared with a committed
@@ -128,16 +131,16 @@ type Store interface {
 	Scan(ctx context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error)
 }
 
-// callerRunner is the optional capability of a Store whose calls run
-// to completion on the caller's goroutine, with no round trip to wait
-// out: RunsOnCaller reports true. NewManager asserts it once on every
-// store; when all of them report true, a committer runs its
-// transaction's finish itself instead of handing it to a goroutine,
-// which on an idle processor costs more than the finish. A decorator
-// that does not forward the method leaves its manager on the deferred
-// schedule.
-type callerRunner interface {
-	RunsOnCaller() bool
+// waiter is the optional capability of a Store whose calls wait: they
+// spend their time on a service time that uses none of this host's
+// processors, so a finish deferred behind its commit hides that time
+// from the caller. Waits reports true. NewManager asks every store
+// once; a manager with a waiting store hands each finish to a goroutine
+// of its own, and every other manager runs the finish on its committer
+// before Commit returns. A decorator that does not forward the method
+// puts its store on the committer's schedule.
+type waiter interface {
+	Waits() bool
 }
 
 // Sentinel errors. The outcomes a binding reports wrap the db
@@ -292,10 +295,10 @@ type Manager struct {
 	// roll-forward did not land (a no-op without Options.Metrics).
 	tsrLeft *obs.Counter
 
-	// finishing holds, for every finish running behind its commit (see
-	// finishBehind), a channel closed when its roll-forwards are over,
-	// under the transaction's id: a reader of this manager that meets
-	// one of its prepared records waits on it instead of asking a store.
+	// finishing holds, for every finish in progress (see startFinish),
+	// a channel closed when its roll-forwards are over, under the
+	// transaction's id: a reader of this manager that meets one of its
+	// prepared records waits on it instead of asking a store.
 	// The last maxPendingFinishes that ended (and landed) stay in it,
 	// finEnded saying which: a reader may still hold a record it fetched
 	// while the finish ran.
@@ -308,9 +311,9 @@ type Manager struct {
 	// finInline counts finishes the committer ran itself because
 	// maxPendingFinishes were outstanding.
 	finInline *obs.Counter
-	// onCaller: every store runs its calls on the caller's goroutine
-	// (callerRunner), so a finish runs on its committer.
-	onCaller bool
+	// behind: a store waits (waiter), so a finish runs behind its
+	// commit on a goroutine of its own.
+	behind bool
 }
 
 // maxPendingFinishes bounds the goroutines finishing committed
@@ -330,7 +333,6 @@ func NewManager(opts Options, stores ...Store) (*Manager, error) {
 		stores:    make(map[string]Store, len(stores)),
 		watermark: oracle.NewWatermark(),
 		finishing: make(map[string]chan struct{}),
-		onCaller:  true, // until a store does not say so
 	}
 	for _, s := range stores {
 		if s.Name() == "" {
@@ -340,8 +342,8 @@ func NewManager(opts Options, stores ...Store) (*Manager, error) {
 			return nil, fmt.Errorf("txn: duplicate store name %q", s.Name())
 		}
 		m.stores[s.Name()] = s
-		if r, ok := s.(callerRunner); !ok || !r.RunsOnCaller() {
-			m.onCaller = false
+		if w, ok := s.(waiter); ok && w.Waits() {
+			m.behind = true
 		}
 	}
 	if len(stores) == 1 {
@@ -350,7 +352,7 @@ func NewManager(opts Options, stores ...Store) (*Manager, error) {
 	m.id = strconv.FormatInt(m.opts.Clock.Now()&0xFFFFFFFF, 36)
 	m.opts.Metrics.Help("txn_tsr_left_total", "Committed transactions whose TSR was left in place because a roll-forward failed; readers finish them from it.")
 	m.tsrLeft = m.opts.Metrics.Counter("txn_tsr_left_total")
-	m.opts.Metrics.Help("txn_finish_pending", "Committed transactions whose roll-forward and TSR delete are still running behind Commit.")
+	m.opts.Metrics.Help("txn_finish_pending", "Committed transactions whose roll-forward and TSR delete are still running.")
 	m.opts.Metrics.GaugeFunc("txn_finish_pending", func() float64 {
 		m.finMu.Lock()
 		defer m.finMu.Unlock()
@@ -832,27 +834,30 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return fmt.Errorf("%w: writing TSR: %v", ErrConflict, err)
 	}
 
-	// The transaction is durably committed and Commit returns here.
-	// Phase 3 runs behind it.
+	// The transaction is durably committed. Phase 3 runs on the
+	// committer or, behind a waiting store, after Commit returns.
 	t.done = true
 	t.m.commits.Add(1)
 	t.emitHistory(true, commitTS)
-	t.m.finishBehind(cleanupCtx, t, keys)
+	t.m.startFinish(cleanupCtx, t, keys)
 	return nil
 }
 
-// finishBehind runs a committed transaction's finish on a goroutine of
-// its own, under the background context: deferred work must not inherit
-// the caller's deadline, nor carry the caller's values onto another
-// goroutine. Like the committer's own finish before it, it carries no
-// deadline — a store that stops answering is the transport's to give up
-// on, and Flush returns with its caller's context either way. A manager
-// whose stores all run on the caller (onCaller) makes the same call on
-// the committer instead: the finish is registered, waited for and
-// remembered as a deferred one is, and ends before Commit returns. When
-// maxPendingFinishes are outstanding the committer runs the finish
-// itself, under detached, its own context without the cancellation.
-func (m *Manager) finishBehind(detached context.Context, t *Txn, keys []wkey) {
+// startFinish runs a committed transaction's finish, registered so
+// that this manager's readers wait for it rather than ask a store, and
+// remembered once it ends. Every manager makes it on the committer,
+// under detached, the caller's context without the cancellation: it
+// carries the caller's values to the store calls it makes, and a
+// caller that gives up cannot cut it short — the transaction is
+// committed, and a cut finish would leave its TSR for readers to
+// finish from. A manager with a waiting store (behind) instead runs it
+// on a goroutine of its own, under the background context: deferred
+// work must not carry the caller's values onto another goroutine.
+// Neither carries a deadline — a store that stops answering is the
+// transport's to give up on, and Flush returns with its caller's
+// context either way. When maxPendingFinishes are outstanding the
+// committer runs the finish unregistered, under detached.
+func (m *Manager) startFinish(detached context.Context, t *Txn, keys []wkey) {
 	m.finMu.Lock()
 	full := m.finPending >= maxPendingFinishes
 	var done chan struct{}
@@ -867,17 +872,17 @@ func (m *Manager) finishBehind(detached context.Context, t *Txn, keys []wkey) {
 		m.finish(detached, t, keys, nil)
 		return
 	}
-	if m.onCaller {
-		m.finishRegistered(t, keys, done)
+	if !m.behind {
+		m.finishRegistered(detached, t, keys, done)
 		return
 	}
-	go m.finishRegistered(t, keys, done)
+	go m.finishRegistered(context.Background(), t, keys, done)
 }
 
-// finishRegistered runs the finish of a transaction finishBehind
+// finishRegistered runs the finish of a transaction startFinish
 // registered under done, then ends its registration.
-func (m *Manager) finishRegistered(t *Txn, keys []wkey, done chan struct{}) {
-	landed := m.finish(context.Background(), t, keys, done)
+func (m *Manager) finishRegistered(ctx context.Context, t *Txn, keys []wkey, done chan struct{}) {
+	landed := m.finish(ctx, t, keys, done)
 	m.finMu.Lock()
 	if landed {
 		// Remembered in place of the oldest ended before it. One that
