@@ -59,23 +59,19 @@ test:
 # sharded measurement path and the per-thread middleware chains. It is
 # also where the transaction schedule is guarded: internal/txn's
 # TestCommitScheduleStoreCalls counts the store calls a commit waits
-# for and the ones its finish makes behind it over a store that waits,
-# or before it returns over any other (exact, so no benchmark is needed
-# to notice an extra round trip), next to the read-set trap
-# tests and kvwire's frame segmentation tests; and where the deferred
-# finish runs under the detector: TestFinishAccounting (eight
-# committers past the bound on outstanding finishes, then Flush, an
-# empty _tsr and the goroutine count back at its baseline),
-# TestSameThreadReadsItsCommit (a client that reads its own commit
-# while its finish is in flight, call for call),
-# TestReaderWaitsForItsManagersFinish, TestFinishOutlivesItsStore,
-# TestLocalStoreFinishesOnCommitter (four committers finishing their
-# own commits over one in-process store, raw and behind a decorator
-# that forwards nothing, then no debris without Flush),
-# internal/httpkv's TestFleetCommitIsFinishedWhenItReturns (the same
-# over a two-node in-process fleet, checked after every commit) and
-# internal/client's TestPhaseEndsSettled (finishes behind a store that
-# waits, drained at the end of each phase);
+# for, its finish's included (exact, so no benchmark is needed to
+# notice an extra round trip), next to the read-set trap tests and
+# kvwire's frame segmentation tests; and where the finish's registry
+# runs under the detector: TestFinishAccounting (eight committers on
+# one manager, then an empty _tsr and the goroutine count back at its
+# baseline), TestSameThreadReadsItsCommit (a client that reads its own
+# commit, call for call), TestReaderWaitsForItsManagersFinish (a
+# reader waiting on another goroutine's finish),
+# TestFinishOutlivesItsStore, TestLocalStoreFinishesOnCommitter (four
+# committers over one in-process store, raw and behind a decorator
+# that forwards nothing, then no debris) and internal/httpkv's
+# TestFleetCommitIsFinishedWhenItReturns (the same over a two-node
+# in-process fleet, checked after every commit);
 # internal/httpkv's TestRouterScanResultsCrossGoroutines reads one
 # scan's results on two goroutines while the router scans again. kvwire's
 # TestCloseFailsExecInFlight runs ten more times: it shuts a server down

@@ -437,9 +437,6 @@ func poolCell(b *testing.B, loadM, runM *txn.Manager) float64 {
 	if _, err := lc.Load(ctx); err != nil {
 		b.Fatal(err)
 	}
-	if err := loadM.Flush(ctx); err != nil {
-		b.Fatal(err)
-	}
 	runCfg := client.BuildConfig(p)
 	runCfg.SkipValidation = true
 	runCfg.MaxExecutionTime = 150 * time.Millisecond
@@ -449,9 +446,6 @@ func poolCell(b *testing.B, loadM, runM *txn.Manager) float64 {
 	}
 	res, err := rc.Run(ctx)
 	if err != nil {
-		b.Fatal(err)
-	}
-	if err := runM.Flush(ctx); err != nil { // the caller closes the engine next
 		b.Fatal(err)
 	}
 	return res.Throughput

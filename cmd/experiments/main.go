@@ -89,6 +89,7 @@ func run(args []string, out io.Writer) error {
 		}
 		bench.PrintOverhead(out, rows)
 		all["tier5"] = rows
+		shape("tier 5", bench.CheckTier5(rows))
 	}
 	if want(4) || want(5) {
 		fig4, fig5, err := bench.Figure45(ctx, opts)

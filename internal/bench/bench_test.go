@@ -55,6 +55,18 @@ func TestShapeChecksRejectBrokenShapes(t *testing.T) {
 		{"figure 3",
 			CheckFigure3([]Series{line("non-tx", 10, 40), line("tx", 7, 25)}),
 			CheckFigure3([]Series{line("non-tx", 10, 40), line("tx", 7, 40)})},
+		{"figure 3 overhead under 10% at the first cell",
+			nil,
+			CheckFigure3([]Series{line("non-tx", 10, 40), line("tx", 9.5, 25)})},
+		{"figure 3 overhead under 10% at the last cell",
+			nil,
+			CheckFigure3([]Series{line("non-tx", 10, 40), line("tx", 7, 38)})},
+		{"tier 5",
+			CheckTier5([]OverheadRow{{Series: "READ"}, {Series: "TX-READMODIFYWRITE", NonTxUS: 27, TxUS: 46, NonTxCount: 9, TxCount: 9}}),
+			CheckTier5([]OverheadRow{{Series: "TX-READMODIFYWRITE", NonTxUS: 27.3, TxUS: 27.2, NonTxCount: 9, TxCount: 9}})},
+		{"tier 5 without the row",
+			nil,
+			CheckTier5([]OverheadRow{{Series: "READ", NonTxUS: 1, TxUS: 2, NonTxCount: 9, TxCount: 9}})},
 		{"figures 4/5",
 			CheckFigure45(line("score", 10, 20), line("tput", 10, 20)),
 			CheckFigure45(oneThreadAnomaly, line("tput", 10, 20))},
@@ -94,6 +106,9 @@ func TestFigure3Shape(t *testing.T) {
 	series, err := Figure3(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, n := range series[0].Points {
+		t.Logf("%d threads: tx/non-tx throughput %.2f", n.Threads, series[1].Points[i].Throughput/n.Throughput)
 	}
 	if err := CheckFigure3(series); err != nil {
 		t.Error(err)
@@ -139,6 +154,9 @@ func TestTier5Overhead(t *testing.T) {
 	}
 	if _, ok := byName["READ"]; !ok {
 		t.Error("no READ row")
+	}
+	if err := CheckTier5(rows); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -193,16 +193,6 @@ func Open(cfg Config) (*Client, error) {
 	return New(cfg, w, d, reg)
 }
 
-// flusher is a binding that acknowledges an operation while store work
-// for it is still running: txnkv returns from a commit at its commit
-// point and finishes it behind the caller. Flush waits for that work.
-// Every phase drains such a binding before it takes its end time, so a
-// phase's run time covers everything it caused and whoever looks at the
-// stores next finds them settled.
-type flusher interface {
-	Flush(ctx context.Context) error
-}
-
 // Load executes the load phase: RecordCount inserts spread over the
 // configured threads, each wrapped in a transaction.
 func (c *Client) Load(ctx context.Context) (*Result, error) {
@@ -254,11 +244,6 @@ func (c *Client) phase(ctx context.Context, name string, totalOps int64) (*Resul
 		}(th, ops)
 	}
 	wg.Wait()
-	// The phase ends when its work is settled, not merely acknowledged;
-	// like the operations, the drain outlasts the phase deadline.
-	if f, ok := c.d.(flusher); ok {
-		errs = append(errs, f.Flush(context.WithoutCancel(ctx)))
-	}
 	if stopStatus != nil {
 		stopStatus()
 	}

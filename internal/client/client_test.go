@@ -490,82 +490,3 @@ func TestDeadlineNeverSplitsOperations(t *testing.T) {
 		}
 	}
 }
-
-// laggedStore delays every TSR delete and says its calls wait, so a
-// commit's finish runs behind it and is still running well after the
-// commit returned.
-type laggedStore struct {
-	txn.Store
-	lag time.Duration
-}
-
-func (laggedStore) Waits() bool { return true }
-
-func (s laggedStore) Delete(ctx context.Context, table, key string, expect uint64) error {
-	if table == "_tsr" {
-		time.Sleep(s.lag)
-	}
-	return s.Store.Delete(ctx, table, key, expect)
-}
-
-// TestPhaseEndsSettled: a txnkv commit returns before its roll-forward
-// and TSR delete have run, but a phase does not — whoever looks at the
-// engine after Load or Run (the next phase's manager, a harness reading
-// counters, a recount on disk) finds no prepared record and no TSR, also
-// when the phase ended on its deadline.
-func TestPhaseEndsSettled(t *testing.T) {
-	ctx := context.Background()
-	inner := kvstore.OpenMemory()
-	defer inner.Close()
-	m, err := txn.NewManager(txn.Options{}, laggedStore{txn.NewLocalStore("local", inner), 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := cewProps(map[string]string{
-		"recordcount":      "50",
-		"operationcount":   "100000000",
-		"maxexecutiontime": "1",
-	})
-	w, err := workload.New("closedeconomy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := measurement.NewRegistry(0)
-	if err := w.Init(p, reg); err != nil {
-		t.Fatal(err)
-	}
-	cfg := BuildConfig(p)
-	cfg.SkipValidation = true
-	cfg.MaxExecutionTime = 100 * time.Millisecond
-	c, err := New(cfg, w, txn.NewBinding(m), reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	settled := func(phase string) {
-		t.Helper()
-		if n := inner.Len("_tsr"); n != 0 {
-			t.Errorf("%d TSRs in the engine when %s returned", n, phase)
-		}
-		recs, err := inner.Scan("usertable", "", -1)
-		if err != nil || len(recs) != 50 {
-			t.Fatalf("scan after %s: %d records, %v", phase, len(recs), err)
-		}
-		for _, kv := range recs {
-			if kv.Record.Field("_txn:state") != nil {
-				t.Errorf("%s still prepared when %s returned", kv.Key, phase)
-			}
-		}
-	}
-	if _, err := c.Load(ctx); err != nil {
-		t.Fatal(err)
-	}
-	settled("Load")
-	res, err := c.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Operations == 0 {
-		t.Fatal("run phase completed no operation")
-	}
-	settled("Run")
-}

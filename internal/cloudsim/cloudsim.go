@@ -70,7 +70,7 @@ type Config struct {
 	// Shards is the hash-partition count of the backing engine; 0
 	// means kvstore.DefaultShards. The simulated latencies dominate a
 	// single request, but at high thread counts the substrate must
-	// not serialize behind one lock or it, not the simulated
+	// not serialize on one lock or it, not the simulated
 	// container, becomes the bottleneck.
 	Shards int
 	// Metrics, when non-nil, receives the cloudsim_* series, labelled
@@ -87,10 +87,10 @@ type Config struct {
 func WASPreset() Config {
 	// Calibration: with CEW 90:10 the transactional client issues
 	// ~1.7 requests per transaction and one latency-bound thread
-	// commits ~145 txn/s, so a 2600 req/s container ceiling starts to
-	// bind just past 16 threads — reproducing the paper's 16→32
+	// commits ~120 txn/s, so a 2600 req/s container ceiling binds at
+	// about 16 threads — reproducing the paper's 16→32
 	// thread plateau. Past the 32-connection pool each in-flight
-	// request pays 1.2 ms per excess waiter; at 64 threads that makes
+	// request pays 1.2 ms per excess request; at 64 threads that makes
 	// the client, not the container, the bottleneck — the paper's
 	// 64/128-thread decline ("this may be a result of thread
 	// contention").
@@ -204,14 +204,6 @@ func New(cfg Config) *Store {
 
 // Name returns the container name.
 func (s *Store) Name() string { return s.cfg.Name }
-
-// Waits reports whether a request spends time the host's processors
-// do not: a service latency or a rate limit is configured. A
-// transaction manager over a waiting store finishes each commit behind
-// it (txn's waiter), hiding that time from the committer.
-func (s *Store) Waits() bool {
-	return s.cfg.ReadLatency > 0 || s.cfg.WriteLatency > 0 || s.cfg.RateLimit > 0
-}
 
 // Stats reports request counts and cumulative rate-limit wait time.
 func (s *Store) Stats() (reads, writes int64, waited time.Duration) {

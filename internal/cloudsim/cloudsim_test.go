@@ -260,30 +260,6 @@ func TestPresets(t *testing.T) {
 	}
 }
 
-// TestWaits: a store waits when a request takes time on the simulated
-// container — latency or a rate limit — and not otherwise, so the
-// paper's presets keep their transaction finishes behind the commit.
-func TestWaits(t *testing.T) {
-	for _, c := range []struct {
-		cfg  Config
-		want bool
-	}{
-		{WASPreset(), true},
-		{GCSPreset(), true},
-		{Config{Name: "zero"}, false},
-		{Config{Name: "read", ReadLatency: time.Microsecond}, true},
-		{Config{Name: "write", WriteLatency: time.Microsecond}, true},
-		{Config{Name: "limited", RateLimit: 1000}, true},
-		{Config{Name: "pool", PoolSize: 4, ContentionPenalty: time.Millisecond, LatencyJitter: 0.5}, false},
-	} {
-		s := New(c.cfg)
-		if got := s.Waits(); got != c.want {
-			t.Errorf("%s: Waits = %v, want %v", c.cfg.Name, got, c.want)
-		}
-		s.Close()
-	}
-}
-
 func TestBindingCRUD(t *testing.T) {
 	ctx := context.Background()
 	b := NewBinding(New(fastConfig()))

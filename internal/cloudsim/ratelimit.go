@@ -7,14 +7,14 @@ import (
 )
 
 // tokenBucket is a blocking rate limiter implemented as a GCRA-style
-// reservation queue: each waiter reserves the next free token slot,
-// so concurrent waiters serialize at exactly the configured rate
+// reservation queue: each caller reserves the next free token slot,
+// so concurrent callers serialize at exactly the configured rate
 // (cloud SDK clients retry throttled requests with backoff; blocking
 // models the steady-state effect of that).
 type tokenBucket struct {
 	mu       sync.Mutex
 	interval time.Duration // time between tokens = 1/rate
-	burstDur time.Duration // how far `next` may lag behind now
+	burstDur time.Duration // how far `next` may trail now
 	next     time.Time     // when the next token becomes free
 	now      func() time.Time
 	sleep    func(context.Context, time.Duration) error

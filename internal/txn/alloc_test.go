@@ -27,7 +27,6 @@ func TestReadOnlyTxnAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Flush(context.Background())
 	b := NewBinding(m)
 	ctx := context.WithoutCancel(context.Background())
 	if err := b.Insert(ctx, "t", "k", db.Record{"field0": []byte("100")}); err != nil {
@@ -74,7 +73,7 @@ func localTransfer(ctx context.Context, b *Binding) error {
 
 // newLocalTransfers returns a binding over a raw LocalStore holding the
 // two accounts localTransfer moves money between.
-func newLocalTransfers(tb testing.TB) (*Manager, *Binding) {
+func newLocalTransfers(tb testing.TB) *Binding {
 	tb.Helper()
 	inner := kvstore.OpenMemory()
 	tb.Cleanup(func() { inner.Close() })
@@ -89,32 +88,26 @@ func newLocalTransfers(tb testing.TB) (*Manager, *Binding) {
 			tb.Fatal(err)
 		}
 	}
-	return m, b
+	return b
 }
 
 // TestLocalRMWAllocs pins what one CEW transfer allocates over an
-// in-process store, finish included: the Flush in the loop makes the
-// count a whole transfer's whichever goroutine finished it. The finish
-// runs on the committer, so no goroutine is started for it and no
-// closure is built to start one: 94 objects, where handing the finish
-// to a goroutine took 96. The table's two keys sit in one root leaf,
-// where an overwrite builds a node and one slice whether the tree
-// copies each node's keys and values together or only the values, and
-// the _tsr record's insert and delete build 4 objects between them
-// either way; so the count stayed at 94 when writes came to copy only
-// the slice they change (a deeper table is TestBTreeWriteAllocs').
+// in-process store, finish included: 94 objects. The table's two keys
+// sit in one root leaf, where an overwrite builds a node and one slice
+// whether the tree copies each node's keys and values together or only
+// the values, and the _tsr record's insert and delete build 4 objects
+// between them either way; so the count stayed at 94 when writes came
+// to copy only the slice they change (a deeper table is
+// TestBTreeWriteAllocs').
 func TestLocalRMWAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	const want = 94
-	m, b := newLocalTransfers(t)
+	b := newLocalTransfers(t)
 	ctx := context.WithoutCancel(context.Background())
 	got := testing.AllocsPerRun(200, func() {
 		if err := localTransfer(ctx, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Flush(ctx); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -127,7 +120,7 @@ func TestLocalRMWAllocs(t *testing.T) {
 // the transaction cew_embedded runs: go test -bench LocalRMW
 // -cpuprofile shows where a commit's time goes, the finish included.
 func BenchmarkLocalRMW(b *testing.B) {
-	m, bd := newLocalTransfers(b)
+	bd := newLocalTransfers(b)
 	ctx := context.WithoutCancel(context.Background())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -135,9 +128,5 @@ func BenchmarkLocalRMW(b *testing.B) {
 		if err := localTransfer(ctx, bd); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	if err := m.Flush(ctx); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -121,7 +121,6 @@ func testTxnLayerUpholdsImmutability(t *testing.T, opts Options) {
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 	// Validation-style full scan.
 	kvs, err := audit.Scan("t", "", -1)
 	if err != nil {

@@ -137,26 +137,13 @@ func OpenBackend(p *properties.Properties, backend string) ([]Store, func() erro
 	}, nil
 }
 
-// Cleanup waits for the commits still finishing behind their callers,
-// then closes the stores the binding created.
+// Cleanup closes the stores the binding created.
 func (b *Binding) Cleanup() error {
-	if b.m == nil {
+	if b.closer == nil {
 		return nil
 	}
-	// A finish stuck on a store that stopped answering is not waited for
-	// longer than readers would wait before presuming its writer dead.
-	ctx, cancel := context.WithTimeout(context.Background(), b.m.opts.RecoveryTimeout)
-	defer cancel()
-	_ = b.m.Flush(ctx)
-	if b.closer != nil {
-		return b.closer()
-	}
-	return nil
+	return b.closer()
 }
-
-// Flush waits for the commits still finishing behind their callers
-// (Manager.Flush); the client calls it at the end of every phase.
-func (b *Binding) Flush(ctx context.Context) error { return b.m.Flush(ctx) }
 
 // SetHistorySink implements history.CapableDB: the transaction
 // manager feeds the sink natively from its commit and abort paths —

@@ -2,10 +2,12 @@ package txn
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -18,54 +20,38 @@ import (
 )
 
 // slowStore makes every call take delay longer: the stand-in for a
-// remote backend where a call is a round trip that waits (Waits), so a
-// manager over it finishes each commit behind it. It spins, yielding,
-// where a sleep would round 50 µs up to the timer's granularity. With
-// releaseTSRDelete set, a TSR delete also parks until that returns true
-// (or tsrDeleteLimit has passed), so finishes stay outstanding for as
-// long as a test needs them to.
+// remote backend where a call is a round trip. It spins, yielding,
+// where a sleep would round 20 µs up to the timer's granularity.
 type slowStore struct {
 	Store
-	delay            time.Duration
-	releaseTSRDelete func() bool
-	calls            atomic.Int64
+	delay time.Duration
+	calls atomic.Int64
 }
 
-// tsrDeleteLimit bounds how long a TSR delete stays parked, so a
-// release that never comes fails the test rather than hanging it.
-const tsrDeleteLimit = 10 * time.Second
-
-func (s *slowStore) wait(op, table string) {
+func (s *slowStore) wait() {
 	s.calls.Add(1)
 	for start := time.Now(); time.Since(start) < s.delay; {
 		runtime.Gosched()
 	}
-	if op == "Delete" && table == tsrTable && s.releaseTSRDelete != nil {
-		for start := time.Now(); !s.releaseTSRDelete() && time.Since(start) < tsrDeleteLimit; {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
 }
 
-func (s *slowStore) Waits() bool { return true }
-
 func (s *slowStore) Get(ctx context.Context, table, key string) (*kvstore.VersionedRecord, error) {
-	s.wait("Get", table)
+	s.wait()
 	return s.Store.Get(ctx, table, key)
 }
 
 func (s *slowStore) Put(ctx context.Context, table, key string, fields map[string][]byte, expect uint64) (uint64, error) {
-	s.wait("Put", table)
+	s.wait()
 	return s.Store.Put(ctx, table, key, fields, expect)
 }
 
 func (s *slowStore) Delete(ctx context.Context, table, key string, expect uint64) error {
-	s.wait("Delete", table)
+	s.wait()
 	return s.Store.Delete(ctx, table, key, expect)
 }
 
 // settledGoroutines polls until the goroutine count is back at (or
-// under) base: a finish goroutine has told Flush it is done a few
+// under) base: a worker has told its WaitGroup it is done a few
 // instructions before it exits.
 func settledGoroutines(base int) int {
 	n := runtime.NumGoroutine()
@@ -92,13 +78,11 @@ func wantNoDebris(t *testing.T, inner *kvstore.Store, table string) {
 	}
 }
 
-// TestFinishAccounting drives the deferred finish past its bound: the
-// call that ends a background finish (the TSR delete) parks until a
-// finish has run inline, so eight committers outrun their finishes
-// until maxPendingFinishes are outstanding — by construction, however
-// slow the schedule — and the next commit runs its own. Whatever ran where, every Begin ends in one commit or abort, Flush leaves the
-// store clean, the cash is conserved, the history certifies, and no
-// goroutine outlives the run.
+// TestFinishAccounting: eight committers share one manager over a slow
+// store, so each one's reads meet records another has prepared or is
+// finishing. Every Begin ends in one commit or abort, the store is clean
+// once the committers have returned, the cash is conserved, the history
+// certifies, and no goroutine outlives the run.
 func TestFinishAccounting(t *testing.T) {
 	const (
 		workers   = 8
@@ -112,12 +96,7 @@ func TestFinishAccounting(t *testing.T) {
 	defer inner.Close()
 	sink := &history.MemorySink{}
 	reg := obs.NewRegistry()
-	inlineFinishes := reg.Counter("txn_finish_inline_total")
-	store := &slowStore{
-		Store:            NewLocalStore("local", inner),
-		delay:            20 * time.Microsecond,
-		releaseTSRDelete: func() bool { return inlineFinishes.Value() > 0 },
-	}
+	store := &slowStore{Store: NewLocalStore("local", inner), delay: 20 * time.Microsecond}
 	m, err := NewManager(Options{History: sink, Metrics: reg}, store)
 	if err != nil {
 		t.Fatal(err)
@@ -170,21 +149,14 @@ func TestFinishAccounting(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if err := m.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
 
 	commits, aborts, conflicts, recovered := m.Stats()
-	inline := reg.Counter("txn_finish_inline_total").Value()
-	t.Logf("%d commits, %d aborts (%d prepare conflicts), %d recoveries, %d finishes ran inline", commits, aborts, conflicts, recovered, inline)
+	t.Logf("%d commits, %d aborts (%d prepare conflicts), %d recoveries", commits, aborts, conflicts, recovered)
 	if commits+aborts != begun.Load() {
 		t.Errorf("commits %d + aborts %d != %d transactions begun", commits, aborts, begun.Load())
 	}
 	if commits != workers*transfers+1 {
 		t.Errorf("%d commits, want %d transfers and the load", commits, workers*transfers)
-	}
-	if inline == 0 {
-		t.Errorf("no finish ran inline: the store was not slow enough to reach the bound of %d", maxPendingFinishes)
 	}
 	if left := reg.Counter("txn_tsr_left_total").Value(); left != 0 {
 		t.Errorf("txn_tsr_left_total = %d on a store that never failed", left)
@@ -202,21 +174,17 @@ func TestFinishAccounting(t *testing.T) {
 		t.Errorf("history not certified: %s", res.Summary())
 	}
 	if n := settledGoroutines(baseline); n > baseline {
-		t.Errorf("%d goroutines after Flush, %d before the run", n, baseline)
+		t.Errorf("%d goroutines after the run, %d before it", n, baseline)
 	}
 }
 
 // TestSameThreadReadsItsCommit is the benchmark's client in small: one
 // goroutine commits a transfer and at once reads and transfers between
-// the same two accounts again, while the finish of the commit before
-// is still making its round trips. Each read lands somewhere in that
-// finish — record prepared with its TSR, one record forward and one
-// not, both forward and the TSR just gone — and every one of them must
-// return the committed image, clean: a stale read fails the balance
-// check, and a read-around would conflict at the next commit. A read
-// that meets a prepared record waits for its own manager's finish
-// rather than resolve it through the store, so the round makes the same
-// eight calls wherever the read landed, and nothing is "recovered".
+// the same two accounts again. Commit has finished the transfer before
+// it returns, so every read returns the committed image, clean — a
+// stale read fails the balance check, and a read-around would conflict
+// at the next commit — and every round makes the same eight calls, none
+// to resolve a record, and nothing is "recovered".
 func TestSameThreadReadsItsCommit(t *testing.T) {
 	rounds := 10000
 	if testing.Short() {
@@ -225,7 +193,7 @@ func TestSameThreadReadsItsCommit(t *testing.T) {
 	ctx := context.Background()
 	inner := kvstore.OpenMemory()
 	defer inner.Close()
-	store := &slowStore{Store: NewLocalStore("local", inner), delay: 50 * time.Microsecond}
+	store := &slowStore{Store: NewLocalStore("local", inner)}
 	m, err := NewManager(Options{}, store)
 	if err != nil {
 		t.Fatal(err)
@@ -255,9 +223,6 @@ func TestSameThreadReadsItsCommit(t *testing.T) {
 			t.Fatalf("round %d: commit = %v", i, err)
 		}
 	}
-	if err := m.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
 	commits, aborts, conflicts, recovered := m.Stats()
 	if commits != int64(rounds)+1 || aborts != 0 || conflicts != 0 || recovered != 0 {
 		t.Errorf("%d commits, %d aborts, %d conflicts, %d recoveries; want %d commits and nothing else", commits, aborts, conflicts, recovered, rounds+1)
@@ -270,33 +235,50 @@ func TestSameThreadReadsItsCommit(t *testing.T) {
 
 // TestReaderWaitsForItsManagersFinish: a reader that meets a record
 // prepared by a transaction its own manager committed and is still
-// finishing asks no store about it — the manager knows the outcome. It
-// waits for the finish and returns the committed image under the
-// version the roll-forward gave it. So does a reader still holding the
-// prepared record after the finish has ended.
+// finishing — another client thread's commit, held in its roll-forward
+// — asks no store about it: the manager knows the outcome. It waits for
+// the finish (a reader whose caller gives up meanwhile returns the
+// cancellation) and returns the committed image under the version the
+// roll-forward gave it. So does a reader still holding the prepared
+// record after the finish has ended.
 func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 	ctx := context.Background()
-	m, ss, inner := newScriptManager(t, Options{}, true)
+	m, ss, inner := newScriptManager(t, Options{})
 	if _, err := inner.Insert("t", "k", bal(1)); err != nil {
 		t.Fatal(err)
 	}
-	hold := make(chan struct{})
+	tx, _ := m.Begin(ctx)
+	if _, err := tx.Read(ctx, "", "t", "k"); err != nil {
+		t.Fatal(err)
+	}
+	tx.Write("", "t", "k", bal(2))
+	ss.take()
+	rolling, hold := make(chan struct{}), make(chan struct{})
+	fetched := make(chan struct{}, 1)
 	ss.before = func(op, table, _ string, fields map[string][]byte) error {
-		if isRollForward(op, table, fields) {
+		switch {
+		case isRollForward(op, table, fields):
+			close(rolling)
 			<-hold
+		case op == "Get":
+			fetched <- struct{}{}
 		}
 		return nil
 	}
-	tx, _ := m.Begin(ctx)
-	tx.Write("", "t", "k", bal(2))
-	if err := tx.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
+	committed := make(chan error, 1)
+	go func() { committed <- tx.Commit(ctx) }()
+	<-rolling
 	prepared, err := inner.Get("t", "k")
 	if err != nil || !isPrepared(prepared) {
 		t.Fatalf("k with its finish held = %+v, %v; want it prepared", prepared, err)
 	}
-	ss.take()
+	wantCalls(t, "the commit up to its roll-forward", ss.take(), "Put t/k", "Put _tsr")
+
+	gone, cancel := context.WithCancel(ctx)
+	cancel()
+	if r, err := m.resolveRecord(gone, ss, "t", "k", prepared); !errors.Is(err, context.Canceled) {
+		t.Errorf("reader given up during the held finish = %q, %v; want context.Canceled", r.fieldMap(), err)
+	}
 
 	read := make(chan readEntry)
 	go func() {
@@ -306,19 +288,18 @@ func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 		}
 		read <- r
 	}()
-	select {
-	case r := <-read:
-		t.Fatalf("read returned %q while the finish was held", r.fieldMap())
-	case <-time.After(20 * time.Millisecond):
-	}
-	wantCalls(t, "reader, finish held", ss.take(), "Get t/k")
+	<-fetched
 	close(hold)
 	r := <-read
 	if getBal(t, r.fieldMap()) != 2 || !r.clean || r.ver != prepared.Version+1 {
 		t.Errorf("read = %q v%d clean=%v; want the committed 2, clean, at v%d", r.fieldMap(), r.ver, r.clean, prepared.Version+1)
 	}
-	flush(t, m)
-	wantCalls(t, "the finish", ss.take(), "Put t/k", "Delete _tsr")
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	calls := ss.take()
+	sort.Strings(calls)
+	wantCalls(t, "the reader and the finish", calls, "Delete _tsr", "Get t/k", "Put t/k")
 	if cur, err := inner.Get("t", "k"); err != nil || cur.Version != r.ver {
 		t.Errorf("k after the finish = %+v, %v; want v%d, what the reader reported", cur, err, r.ver)
 	}
@@ -336,39 +317,35 @@ func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 }
 
 // TestFinishOutlivesItsStore: the benchmark closes its router right
-// after the last transaction and never tells the manager, so a finish
-// can find its store gone. It must fail quietly: no panic, the TSR
-// counted as left (a reader of the reopened store finishes from it),
-// and the goroutine gone once its calls have failed.
+// after the last transaction and never tells the manager, so a store
+// can close while a commit's finish runs. The finish must fail quietly:
+// Commit reports the commit, nothing panics, the TSR is counted as left
+// (a reader of the reopened store finishes from it), and no goroutine
+// is left behind.
 func TestFinishOutlivesItsStore(t *testing.T) {
 	ctx := context.Background()
 	baseline := runtime.NumGoroutine()
 	reg := obs.NewRegistry()
-	m, ss, inner := newScriptManager(t, Options{Metrics: reg}, true)
+	m, ss, inner := newScriptManager(t, Options{Metrics: reg})
 	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 
-	closed := make(chan struct{})
 	ss.before = func(op, table, _ string, fields map[string][]byte) error {
 		if isRollForward(op, table, fields) {
-			<-closed
+			if err := inner.Close(); err != nil {
+				t.Error(err)
+			}
 		}
 		return nil
 	}
 	tx, _ := m.Begin(ctx)
 	tx.Write("", "t", "k", bal(2))
 	if err := tx.Commit(ctx); err != nil {
-		t.Fatal(err)
+		t.Fatalf("commit whose store closed during its finish = %v; the TSR landed, so it is committed", err)
 	}
-	if err := inner.Close(); err != nil {
-		t.Fatal(err)
-	}
-	close(closed)
-	flush(t, m)
 	if got := reg.Counter("txn_tsr_left_total").Value(); got != 1 {
 		t.Errorf("txn_tsr_left_total = %d, want the one whose roll-forward met a closed store", got)
 	}
@@ -377,15 +354,13 @@ func TestFinishOutlivesItsStore(t *testing.T) {
 	}
 }
 
-// TestLocalStoreFinishesOnCommitter: a LocalStore does not wait, nor
-// does a decorator over one that forwards none of its optional methods
-// (plainDecorator, as a tracing or metering layer might be), so each
-// commit makes its own finish before it returns. Over either, transfers
-// run without a Flush, by four clients at once and then by one; the
-// engine holds no prepared record and no TSR afterwards, nor after any
-// of the one client's commits, no finish counted as back-pressure, none
-// is pending, and no goroutine outlives the commit that would have
-// started it.
+// TestLocalStoreFinishesOnCommitter: each commit makes its own finish
+// before it returns, over a LocalStore and over a decorator of one that
+// forwards none of its optional methods (plainDecorator, as a tracing or
+// metering layer might be). Over either, transfers run by four clients
+// at once and then by one; the engine holds no prepared record and no
+// TSR afterwards, nor after any of the one client's commits, and no
+// goroutine outlives the commit that would have started it.
 func TestLocalStoreFinishesOnCommitter(t *testing.T) {
 	t.Run("raw", func(t *testing.T) {
 		testFinishesOnCommitter(t, func(s Store) Store { return s })
@@ -476,15 +451,6 @@ func testFinishesOnCommitter(t *testing.T, wrap func(Store) Store) {
 		}
 		wantNoDebris(t, inner, "t")
 	}
-	if got := reg.Counter("txn_finish_inline_total").Value(); got != 0 {
-		t.Errorf("txn_finish_inline_total = %d, want 0: no finish waited on the bound", got)
-	}
-	m.finMu.Lock()
-	pending := m.finPending
-	m.finMu.Unlock()
-	if pending != 0 {
-		t.Errorf("%d finishes pending with every Commit returned", pending)
-	}
 	if commits, _, _, _ := m.Stats(); commits != (workers+1)*transfers+1 {
 		t.Errorf("%d commits, want %d transfers and the load", commits, (workers+1)*transfers)
 	}
@@ -554,44 +520,4 @@ func TestCommitterFinishKeepsCallerValues(t *testing.T) {
 		t.Errorf("finish calls\n got %q\nwant %q", cs.seen, want)
 	}
 	wantNoDebris(t, inner, "t")
-}
-
-// TestMixedManagerFinishesBehind: one store that waits keeps its
-// manager on the deferred schedule, though the other store is a
-// LocalStore. The finish is held at the waiting store's roll-forward:
-// Commit returns regardless, and the roll-forward is made behind it.
-func TestMixedManagerFinishesBehind(t *testing.T) {
-	ctx := context.Background()
-	s1, s2 := kvstore.OpenMemory(), kvstore.OpenMemory()
-	defer s1.Close()
-	defer s2.Close()
-	beta := &scriptStore{Store: NewLocalStore("beta", s2), waits: true}
-	m, err := NewManager(Options{}, NewLocalStore("alpha", s1), beta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A finish on the committer would wait here until the limit, and
-	// then show its roll-forward among the calls Commit waited for.
-	hold := make(chan struct{})
-	beta.before = func(op, table, _ string, fields map[string][]byte) error {
-		if isRollForward(op, table, fields) {
-			select {
-			case <-hold:
-			case <-time.After(tsrDeleteLimit):
-			}
-		}
-		return nil
-	}
-	tx, _ := m.Begin(ctx)
-	tx.Write("alpha", "t", "a", bal(1))
-	tx.Write("beta", "t", "b", bal(2))
-	if err := tx.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	wantCalls(t, "beta, when Commit returns", beta.take(), "Get t/b", "Put t/b")
-	close(hold)
-	flush(t, m)
-	wantCalls(t, "beta, behind it", beta.take(), "Put t/b")
-	wantNoDebris(t, s1, "t")
-	wantNoDebris(t, s2, "t")
 }

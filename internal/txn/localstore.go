@@ -10,9 +10,7 @@ import (
 // interface, giving it a name and a context-aware surface. It is the
 // product store of txnkv.backend=memory (OpenBackend), an engine in the
 // client's own process with no round trip; cloudsim provides the
-// latency-faithful equivalent. Its calls run on the caller's goroutine
-// and do not wait, so a manager over it finishes each commit on its
-// committer.
+// latency-faithful equivalent. Its calls run on the caller's goroutine.
 //
 // Records flowing out of Get/Scan/BatchGet are the engine's shared
 // immutable snapshots (see the kvstore.Engine immutability contract);

@@ -18,7 +18,7 @@ func TestReadSetInlineAndMap(t *testing.T) {
 	// c, and a transaction that has read a and then b.
 	setup := func(t *testing.T, opts Options) (*Manager, *scriptStore, *Txn) {
 		t.Helper()
-		m, ss, _ := newScriptManager(t, opts, false)
+		m, ss, _ := newScriptManager(t, opts)
 		if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
 			for _, k := range []string{"a", "b", "c"} {
 				if err := tx.Insert("", "t", k, bal(1)); err != nil {
@@ -29,7 +29,6 @@ func TestReadSetInlineAndMap(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		flush(t, m)
 		ss.take()
 		tx, err := m.Begin(db.WithSession(ctx, 7))
 		if err != nil {
@@ -60,7 +59,6 @@ func TestReadSetInlineAndMap(t *testing.T) {
 			if err := m.RunInTxn(ctx, 0, func(w *Txn) error { return w.Write("", "t", k, bal(2)) }); err != nil {
 				t.Fatal(err)
 			}
-			flush(t, m)
 			if _, err := tx.Scan(ctx, "", "t", "", 10); !errors.Is(err, ErrConflict) {
 				t.Fatalf("scan over a moved %s = %v, want ErrConflict", k, err)
 			}
@@ -68,14 +66,13 @@ func TestReadSetInlineAndMap(t *testing.T) {
 	}
 
 	t.Run("serializable materializes both", func(t *testing.T) {
-		m, ss, tx := setup(t, Options{SerializableReads: true})
+		_, ss, tx := setup(t, Options{SerializableReads: true})
 		if err := tx.Write("", "t", "c", bal(2)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
-		flush(t, m)
 		wantCalls(t, "serializable commit", ss.take(),
 			"Put t/a", "Put t/b", "Get t/c", "Put t/c", "Put _tsr",
 			"Put t/a", "Put t/b", "Put t/c", "Delete _tsr")

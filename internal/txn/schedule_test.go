@@ -20,22 +20,15 @@ import (
 // scriptStore wraps a Store for schedule tests: it logs every call as
 // "Op table/key" (TSR calls as "Op _tsr", their key being a fresh
 // transaction id) and lets a test intercept calls — before runs ahead
-// of the call, on the goroutine making it (the committer's, or a
-// finish's), and a non-nil error from it drops the call, which fails
-// with it. A call is logged when before returns, so one that before
-// holds back is not in the log yet. With waits set it reports that its
-// calls wait (Waits), as a remote store's do; a manager over it then
-// finishes each commit behind it. Without, as over the store it wraps,
-// each commit finishes on its committer.
+// of the call, on the goroutine making it, and a non-nil error from it
+// drops the call, which fails with it. A call is logged when before
+// returns, so one that before holds back is not in the log yet.
 type scriptStore struct {
 	Store
-	waits  bool
 	mu     sync.Mutex
 	calls  []string
 	before func(op, table, key string, fields map[string][]byte) error
 }
-
-func (s *scriptStore) Waits() bool { return s.waits }
 
 func (s *scriptStore) note(op, table, key string, fields map[string][]byte) error {
 	var err error
@@ -67,14 +60,6 @@ func isRollForward(op, table string, fields map[string][]byte) bool {
 	return op == "Put" && table != tsrTable && !isPrepared(&kvstore.VersionedRecord{Fields: fields})
 }
 
-// flush waits for the manager's outstanding finishes.
-func flush(t *testing.T, m *Manager) {
-	t.Helper()
-	if err := m.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func (s *scriptStore) Get(ctx context.Context, table, key string) (*kvstore.VersionedRecord, error) {
 	if err := s.note("Get", table, key, nil); err != nil {
 		return nil, err
@@ -104,12 +89,12 @@ func (s *scriptStore) Scan(ctx context.Context, table, startKey string, count in
 }
 
 // newScriptManager opens a manager over one scriptStore around an
-// in-memory engine; waits sets the store's Waits.
-func newScriptManager(t *testing.T, opts Options, waits bool) (*Manager, *scriptStore, *kvstore.Store) {
+// in-memory engine.
+func newScriptManager(t *testing.T, opts Options) (*Manager, *scriptStore, *kvstore.Store) {
 	t.Helper()
 	inner := kvstore.OpenMemory()
 	t.Cleanup(func() { inner.Close() })
-	ss := &scriptStore{Store: NewLocalStore("local", inner), waits: waits}
+	ss := &scriptStore{Store: NewLocalStore("local", inner)}
 	m, err := NewManager(opts, ss)
 	if err != nil {
 		t.Fatal(err)
@@ -126,63 +111,24 @@ func wantCalls(t *testing.T, what string, got []string, want ...string) {
 
 // TestCommitScheduleStoreCalls pins the commit schedule with a count,
 // not a clock: every store call is a round trip on a remote backend,
-// so the two lists below ARE the protocol's cost — the calls made when
-// Commit returns are what the caller waited for, the calls after Flush
-// are the finish that ran behind it. A transaction asks the store only
-// for what it does not hold — the repeated runs check the counts repeat
-// exactly. Over a store that does not wait the finish makes the same
-// calls before Commit returns: all 3n + 2 are made by then, and none
-// behind.
+// so the list below IS the protocol's cost — every call is made by the
+// time Commit returns, the finish's included. A transaction asks the
+// store only for what it does not hold — the repeated runs check the
+// counts repeat exactly.
 func TestCommitScheduleStoreCalls(t *testing.T) {
-	t.Run("behind", func(t *testing.T) { testCommitSchedule(t, true) })
-	t.Run("on the committer", func(t *testing.T) { testCommitSchedule(t, false) })
+	t.Run("on the committer", testCommitSchedule)
 }
 
-func testCommitSchedule(t *testing.T, waits bool) {
+func testCommitSchedule(t *testing.T) {
 	ctx := context.Background()
-	inner := kvstore.OpenMemory()
-	t.Cleanup(func() { inner.Close() })
-	ss := &scriptStore{Store: NewLocalStore("local", inner), waits: waits}
-	m, err := NewManager(Options{}, ss)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, ss, _ := newScriptManager(t, Options{})
 	b := NewBinding(m)
-
-	// A deferred finish opens with a roll-forward put; holding that back
-	// until the test has looked makes "when Commit returns" a fixed list.
-	// A finish on the committer is over by then, and is not held.
-	var hold chan struct{}
-	if waits {
-		ss.before = func(op, table, _ string, fields map[string][]byte) error {
-			if isRollForward(op, table, fields) {
-				<-hold
-			}
-			return nil
-		}
-	}
-	// committed checks the calls the commit just made the caller wait
-	// for, then lets the finish go and checks the calls it made.
-	committed := func(what string, blocking, behind []string) {
-		t.Helper()
-		if !waits {
-			wantCalls(t, what+", when Commit returns", ss.take(), append(blocking, behind...)...)
-			flush(t, m)
-			wantCalls(t, what+", behind it", ss.take())
-			return
-		}
-		wantCalls(t, what+", when Commit returns", ss.take(), blocking...)
-		close(hold)
-		flush(t, m)
-		wantCalls(t, what+", behind it", ss.take(), behind...)
-	}
 
 	for round := 0; round < 3; round++ {
 		a, c := fmt.Sprintf("a%d", round), fmt.Sprintf("c%d", round)
 
 		// Transactional insert (the load phase): create-only prepare
-		// with no fetch and the TSR; roll forward and TSR delete behind.
-		hold = make(chan struct{})
+		// with no fetch and the TSR; roll forward and TSR delete.
 		tctx, _ := b.Start(ctx)
 		if err := b.WithTx(tctx).Insert(ctx, "t", a, db.Record{"bal": []byte("100")}); err != nil {
 			t.Fatal(err)
@@ -190,20 +136,16 @@ func testCommitSchedule(t *testing.T, waits bool) {
 		if err := b.Commit(ctx, tctx); err != nil {
 			t.Fatal(err)
 		}
-		committed("insert",
-			[]string{"Put t/" + a, "Put _tsr"},
-			[]string{"Put t/" + a, "Delete _tsr"})
-		hold = make(chan struct{})
+		wantCalls(t, "insert", ss.take(),
+			"Put t/"+a, "Put _tsr",
+			"Put t/"+a, "Delete _tsr")
 		if err := b.Insert(ctx, "t", c, db.Record{"bal": []byte("100")}); err != nil {
 			t.Fatal(err)
 		}
-		close(hold)
-		flush(t, m)
 		ss.take()
 
 		// The CEW read-modify-write: read two accounts, update both.
 		// The updates and both prepares are served by the read set.
-		hold = make(chan struct{})
 		tctx, _ = b.Start(ctx)
 		view := b.WithTx(tctx)
 		for _, k := range []string{a, c} {
@@ -220,20 +162,15 @@ func testCommitSchedule(t *testing.T, waits bool) {
 		if err := b.Commit(ctx, tctx); err != nil {
 			t.Fatal(err)
 		}
-		committed("read-modify-write",
-			[]string{
-				"Get t/" + a, "Get t/" + c, // the workload's reads
-				"Put t/" + a, "Put t/" + c, // ordered prepare
-				"Put _tsr", // commit point
-			},
-			[]string{
-				"Put t/" + a, "Put t/" + c, // roll forward
-				"Delete _tsr",
-			})
+		wantCalls(t, "read-modify-write", ss.take(),
+			"Get t/"+a, "Get t/"+c, // the workload's reads
+			"Put t/"+a, "Put t/"+c, // ordered prepare
+			"Put _tsr",             // commit point
+			"Put t/"+a, "Put t/"+c, // roll forward
+			"Delete _tsr")
 
 		// A blind write never read the key, so prepare still fetches
 		// the previous image it must carry.
-		hold = make(chan struct{})
 		tx, _ := m.Begin(ctx)
 		if err := tx.Write("", "t", a, bal(7)); err != nil {
 			t.Fatal(err)
@@ -241,9 +178,9 @@ func testCommitSchedule(t *testing.T, waits bool) {
 		if err := tx.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
-		committed("blind write",
-			[]string{"Get t/" + a, "Put t/" + a, "Put _tsr"},
-			[]string{"Put t/" + a, "Delete _tsr"})
+		wantCalls(t, "blind write", ss.take(),
+			"Get t/"+a, "Put t/"+a, "Put _tsr",
+			"Put t/"+a, "Delete _tsr")
 
 		// Read-only: one fetch however often the key is read, and a
 		// trivial commit.
@@ -268,13 +205,12 @@ func testCommitSchedule(t *testing.T, waits bool) {
 // still commit over an untouched prepared image.
 func TestReadAroundThenWriteConflicts(t *testing.T) {
 	ctx := context.Background()
-	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Hour}, false)
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Hour})
 	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 
 	ran := false
 	// T2 runs inside T1's commit, between its prepares and its TSR.
@@ -322,7 +258,6 @@ func TestReadAroundThenWriteConflicts(t *testing.T) {
 	if !ran {
 		t.Fatal("T2 never ran")
 	}
-	flush(t, m)
 	rec, err := inner.Get("t", "k")
 	if err != nil || isPrepared(rec) || string(rec.Field("balance")) != "500" {
 		t.Errorf("final record = %+v, %v; want clean balance 500", rec, err)
@@ -336,7 +271,7 @@ func TestReadAroundThenWriteConflicts(t *testing.T) {
 // commit, never a lost update.
 func TestCachedReadGoesStale(t *testing.T) {
 	ctx := context.Background()
-	m, _, inner := newScriptManager(t, Options{}, false)
+	m, _, inner := newScriptManager(t, Options{})
 	b := NewBinding(m)
 	if err := b.Insert(ctx, "t", "k", db.Record{"n": []byte("0"), "other": []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -356,7 +291,6 @@ func TestCachedReadGoesStale(t *testing.T) {
 	if err := b.Commit(ctx, tctx); !errors.Is(err, db.ErrAborted) {
 		t.Fatalf("commit over a stale read = %v, want ErrAborted", err)
 	}
-	flush(t, m)
 	rec, err := inner.Get("t", "k")
 	if err != nil || isPrepared(rec) || string(rec.Field("n")) != "1" {
 		t.Errorf("record = %+v, %v; want the other transaction's clean n=1", rec, err)
@@ -369,7 +303,7 @@ func TestCachedReadGoesStale(t *testing.T) {
 // prepare back, and the insert then succeeds.
 func TestInsertOverDeadPreparedInsert(t *testing.T) {
 	ctx := context.Background()
-	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: 10 * time.Millisecond}, false)
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: 10 * time.Millisecond})
 	dead := map[string][]byte{
 		"balance":     []byte("666"),
 		metaState:     []byte("P"),
@@ -389,7 +323,6 @@ func TestInsertOverDeadPreparedInsert(t *testing.T) {
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatalf("insert over a dead prepared insert = %v", err)
 	}
-	flush(t, m)
 	wantCalls(t, "insert via the fallback", ss.take(),
 		"Put t/k",    // create-only: occupied
 		"Get t/k",    // fetch: a prepared record
@@ -419,7 +352,7 @@ func TestInsertOverDeadPreparedInsert(t *testing.T) {
 // read — taken from the read set, not fetched again.
 func TestReadLockRewritesCachedImage(t *testing.T) {
 	ctx := context.Background()
-	m, ss, inner := newScriptManager(t, Options{SerializableReads: true}, false)
+	m, ss, inner := newScriptManager(t, Options{SerializableReads: true})
 	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		if err := tx.Insert("", "t", "x", map[string][]byte{"balance": []byte("1"), "note": []byte("keep")}); err != nil {
 			return err
@@ -428,7 +361,6 @@ func TestReadLockRewritesCachedImage(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 	before, _ := inner.Get("t", "x")
 	ss.take()
 
@@ -448,7 +380,6 @@ func TestReadLockRewritesCachedImage(t *testing.T) {
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 	wantCalls(t, "serializable commit", ss.take(),
 		"Get t/x", "Get t/y",
 		"Put t/x", "Put t/y", "Put _tsr", "Put t/x", "Put t/y", "Delete _tsr")
@@ -487,7 +418,6 @@ func TestCoordinatorAgreesUnderUnorderedPrepare(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 
 	var dying bool
 	crashAfterCommitPoint := func(op, table, _ string, fields map[string][]byte) error {
@@ -504,7 +434,6 @@ func TestCoordinatorAgreesUnderUnorderedPrepare(t *testing.T) {
 		tx.Write("beta", "t", "b", bal(i))
 		dying = true
 		err := tx.Commit(ctx)
-		flush(t, m) // the finish is where this committer dies
 		dying = false
 		if err != nil {
 			t.Fatalf("commit %d: %v", i, err)
@@ -544,7 +473,7 @@ func TestFailedRollForwardKeepsTSR(t *testing.T) {
 	clock := &stepClock{now: int64(time.Hour)}
 	sink := &history.MemorySink{}
 	reg := obs.NewRegistry()
-	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Second, Clock: clock, History: sink, Metrics: reg}, false)
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Second, Clock: clock, History: sink, Metrics: reg})
 	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		if err := tx.Insert("", "t", "a", bal(100)); err != nil {
 			return err
@@ -553,7 +482,6 @@ func TestFailedRollForwardKeepsTSR(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 
 	rollForwards := 0
 	ss.before = func(op, table, _ string, fields map[string][]byte) error {
@@ -576,7 +504,6 @@ func TestFailedRollForwardKeepsTSR(t *testing.T) {
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatalf("commit = %v; the TSR was written, so it is committed", err)
 	}
-	flush(t, m)
 	wantCalls(t, "commit with a failed roll-forward", ss.take(),
 		"Put t/a", "Put t/b", "Put _tsr", "Put t/a", "Put t/b") // and no "Delete _tsr"
 	ss.before = nil
@@ -626,7 +553,7 @@ func TestFailedRollForwardKeepsTSR(t *testing.T) {
 func TestFailedTSRLookupIsNotAbsence(t *testing.T) {
 	ctx := context.Background()
 	clock := &stepClock{now: time.Now().Add(time.Hour).UnixNano()} // every prepare is an hour old
-	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Second, Clock: clock}, false)
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Second, Clock: clock})
 	if _, err := inner.Insert("t", "k", bal(100)); err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +592,7 @@ func TestFailedTSRLookupIsNotAbsence(t *testing.T) {
 // record tells the two apart, at the price of one more get.
 func TestFinishBetweenFetchAndTSRLookup(t *testing.T) {
 	ctx := context.Background()
-	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Hour}, false)
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Hour})
 	for _, k := range []string{"a", "b"} {
 		if _, err := inner.Insert("t", k, bal(100)); err != nil {
 			t.Fatal(err)

@@ -147,7 +147,6 @@ func TestReadOnlyTxnPreparedResolution(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 
 	// Install a prepared overwrite exactly as an in-flight writer
 	// would: new value 777 with the previous image in metadata.

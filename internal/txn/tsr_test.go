@@ -40,9 +40,6 @@ func cewTransfers(t *testing.T, m *Manager, accounts, n int) {
 			t.Fatalf("transfer %d: %v", i, err)
 		}
 	}
-	if err := m.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // loadAccounts inserts the accounts at 100 each.
@@ -178,7 +175,6 @@ func TestStaleReadFailsAfterDeleteAndReinsert(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 
 	t1, err := m.Begin(ctx)
 	if err != nil {
@@ -193,14 +189,12 @@ func TestStaleReadFailsAfterDeleteAndReinsert(t *testing.T) {
 	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error { return tx.Delete("", "acct", "k") }); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 	if kvs, err := inner.ScanVersionsAsOf("acct", "", -1, inner.SnapshotTS()); err != nil || len(kvs) != 0 {
 		t.Fatalf("sanity: k's tombstone not purged: %v, %v", kvs, err)
 	}
 	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error { return tx.Insert("", "acct", "k", bal(5)) }); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 	if rec, _ := inner.Get("acct", "k"); rec.Version <= read.Version {
 		t.Fatalf("re-inserted k at v%d, not above T1's v%d", rec.Version, read.Version)
 	}
@@ -211,7 +205,6 @@ func TestStaleReadFailsAfterDeleteAndReinsert(t *testing.T) {
 	if err := t1.Commit(ctx); !errors.Is(err, ErrConflict) {
 		t.Fatalf("T1 commit from a read of the purged chain: %v, want ErrConflict", err)
 	}
-	flush(t, m)
 	rec, err := inner.Get("acct", "k")
 	if err != nil || string(rec.Field("balance")) != "5" {
 		t.Fatalf("k after T1 = %v, %v; want T3's 5", rec, err)
@@ -260,7 +253,6 @@ func TestSnapshotReadsAroundInFlightWriterUnpinned(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 
 	// An in-flight writer's prepare of k.
 	cur, _ := inner.Get("t", "k")
@@ -288,7 +280,6 @@ func TestSnapshotReadsAroundInFlightWriterUnpinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flush(t, m)
 	if _, err := inner.GetAsOf(tsrTable, "tflight-1", ro.ReadTS("")); !errors.Is(err, kvstore.ErrBelowHorizon) {
 		t.Fatalf("sanity: the as-of TSR lookup answers %v, want ErrBelowHorizon", err)
 	}
@@ -337,7 +328,6 @@ func TestSnapshotNeverGuessesAFinishedWriter(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 
 	cur, _ := data.Get("t", "k")
 	preparedVer, err := data.PutIfVersion("t", "k", map[string][]byte{

@@ -53,39 +53,23 @@
 // the previous image its prepared record must carry (5). The calls run
 // on the transaction's own goroutine, one after another.
 //
-// Behind a store that waits — its calls spend their time on a service
-// time that uses none of this host's processors, as a simulated cloud
-// container's do (see waiter) — only the first 2n+1 (5) block: Commit
-// returns when the TSR put lands, and the finish runs behind it on a
-// goroutine of its own, under a context that is not the caller's, in
-// the order the committer would have used, hiding the waits of its
-// n+1 calls from the caller. At most maxPendingFinishes finishes are
-// outstanding — past that the committer runs its own before Commit
-// returns — and Manager.Flush waits for them. Over any other store (an
-// engine in the same process, a fleet whose round trips are work for
-// the processors the client runs on) there is no wait for the deferral
-// to hide, only a goroutine hand-off that competes with the client's
-// next operation.
-//
-// Deferring the finish adds no state to the stores: between the TSR
-// put and the last roll-forward a record is prepared with a committed
-// TSR, which is exactly what a committer that died after its commit
-// point leaves, and readers (and Vacuum) finish such records from the
-// TSR. The TSR is deleted only when every roll-forward landed, so a
-// prepared record always has its TSR while its transaction is
-// committed. What the deferral widens is one window: a reader can
-// fetch a prepared record and then find no TSR because the finish
-// completed in between, so "TSR absent" alone no longer means "not
-// committed" — resolveRecord fetches the record again, and only a
-// record still prepared at the same version is read around. That is
-// for readers of other managers. A manager's own readers do not ask a
-// store about a transaction it committed: they wait for its finish to
+// The finish adds no state to the stores: between the TSR put and the
+// last roll-forward a record is prepared with a committed TSR, which is
+// exactly what a committer that died after its commit point leaves, and
+// readers (and Vacuum) finish such records from the TSR. The TSR is
+// deleted only when every roll-forward landed, so a prepared record
+// always has its TSR while its transaction is committed. A reader of
+// another manager can still fetch a prepared record and then find no
+// TSR because the finish completed in between, so "TSR absent" alone
+// does not mean "not committed" — resolveRecord fetches the record
+// again, and only a record still prepared at the same version is read
+// around. A manager's own readers (its other client threads) do not ask
+// a store about a transaction it committed: they wait for its finish to
 // roll forward and take the image from the prepared record they hold
-// (Manager.finishing), so one client's transactions make the same
-// calls wherever its reads fall relative to the finish before. A
+// (Manager.finishing), so one client's transactions make the same calls
+// wherever its reads fall relative to another thread's finish. A
 // committer that dies before its TSR is rolled back by readers after
-// the recovery timeout; one that dies after it is finished by them, as
-// before.
+// the recovery timeout; one that dies after it is finished by them.
 //
 // Records need no gateway or daemon: transaction state lives in
 // reserved "_txn:" fields of the records themselves and in the "_tsr"
@@ -129,18 +113,6 @@ type Store interface {
 	Delete(ctx context.Context, table, key string, expect uint64) error
 	// Scan returns up to count records from startKey in key order.
 	Scan(ctx context.Context, table, startKey string, count int) ([]kvstore.VersionedKV, error)
-}
-
-// waiter is the optional capability of a Store whose calls wait: they
-// spend their time on a service time that uses none of this host's
-// processors, so a finish deferred behind its commit hides that time
-// from the caller. Waits reports true. NewManager asks every store
-// once; a manager with a waiting store hands each finish to a goroutine
-// of its own, and every other manager runs the finish on its committer
-// before Commit returns. A decorator that does not forward the method
-// puts its store on the committer's schedule.
-type waiter interface {
-	Waits() bool
 }
 
 // Sentinel errors. The outcomes a binding reports wrap the db
@@ -219,7 +191,7 @@ type Options struct {
 	// (internal/history, cmd/histcheck: the Zellag & Kemme approach the
 	// paper discusses). Aborts are included, which the checker needs
 	// for dirty-read detection. Deleted keys leave a tombstone version
-	// behind, so a later re-create continues the version sequence and
+	// in place, so a later re-create continues the version sequence and
 	// the version-ordered graph stays sound across delete/insert
 	// cycles. Install it before the first Begin. Read-only snapshot
 	// transactions (BeginReadOnly) are not recorded: they read a fixed
@@ -291,36 +263,26 @@ type Manager struct {
 	aborts    atomic.Int64
 	conflicts atomic.Int64
 	recovered atomic.Int64
-	// tsrLeft counts commits that left their TSR behind because a
+	// tsrLeft counts commits that left their TSR in place because a
 	// roll-forward did not land (a no-op without Options.Metrics).
 	tsrLeft *obs.Counter
 
-	// finishing holds, for every finish in progress (see startFinish),
-	// a channel closed when its roll-forwards are over, under the
+	// finishing holds, for every finish in progress (see finish), a
+	// channel closed when its roll-forwards are over, under the
 	// transaction's id: a reader of this manager that meets one of its
 	// prepared records waits on it instead of asking a store.
-	// The last maxPendingFinishes that ended (and landed) stay in it,
+	// The last endedFinishes that ended (and landed) stay in it,
 	// finEnded saying which: a reader may still hold a record it fetched
 	// while the finish ran.
 	finMu      sync.Mutex
 	finishing  map[string]chan struct{}
-	finPending int
-	finEnded   [maxPendingFinishes]string // a ring; finEndedAt is the oldest
+	finEnded   [endedFinishes]string // a ring; finEndedAt is the oldest
 	finEndedAt int
-	finIdle    chan struct{} // closed when finPending drops to 0; nil unless a Flush waits
-	// finInline counts finishes the committer ran itself because
-	// maxPendingFinishes were outstanding.
-	finInline *obs.Counter
-	// behind: a store waits (waiter), so a finish runs behind its
-	// commit on a goroutine of its own.
-	behind bool
 }
 
-// maxPendingFinishes bounds the goroutines finishing committed
-// transactions behind their committers. A committer that finds this
-// many outstanding runs its own finish before Commit returns, which is
-// the schedule every commit had before finishes were deferred.
-const maxPendingFinishes = 64
+// endedFinishes is how many ended finishes a manager remembers for the
+// readers still holding a record fetched while one ran.
+const endedFinishes = 64
 
 // NewManager returns a manager over the given stores. With exactly
 // one store, the empty store name refers to it.
@@ -342,9 +304,6 @@ func NewManager(opts Options, stores ...Store) (*Manager, error) {
 			return nil, fmt.Errorf("txn: duplicate store name %q", s.Name())
 		}
 		m.stores[s.Name()] = s
-		if w, ok := s.(waiter); ok && w.Waits() {
-			m.behind = true
-		}
 	}
 	if len(stores) == 1 {
 		m.defalt = stores[0].Name()
@@ -352,14 +311,6 @@ func NewManager(opts Options, stores ...Store) (*Manager, error) {
 	m.id = strconv.FormatInt(m.opts.Clock.Now()&0xFFFFFFFF, 36)
 	m.opts.Metrics.Help("txn_tsr_left_total", "Committed transactions whose TSR was left in place because a roll-forward failed; readers finish them from it.")
 	m.tsrLeft = m.opts.Metrics.Counter("txn_tsr_left_total")
-	m.opts.Metrics.Help("txn_finish_pending", "Committed transactions whose roll-forward and TSR delete are still running.")
-	m.opts.Metrics.GaugeFunc("txn_finish_pending", func() float64 {
-		m.finMu.Lock()
-		defer m.finMu.Unlock()
-		return float64(m.finPending)
-	})
-	m.opts.Metrics.Help("txn_finish_inline_total", "Commits that ran their own finish before returning because the bound on outstanding finishes was reached.")
-	m.finInline = m.opts.Metrics.Counter("txn_finish_inline_total")
 	return m, nil
 }
 
@@ -729,11 +680,10 @@ func (t *Txn) rollbackPrepared(ctx context.Context) error {
 	return firstErr
 }
 
-// Commit prepares the write set and writes the TSR, and returns once
-// that put lands: the transaction is then durably committed, and its
-// roll-forward runs behind the call (see finish; Manager.Flush waits
-// for it). On conflict it rolls back and returns ErrConflict; the
-// transaction is finished either way.
+// Commit prepares the write set, writes the TSR — the commit point —
+// and finishes the transaction (see finish) before it returns. On
+// conflict it rolls back and returns ErrConflict; the transaction is
+// finished either way.
 func (t *Txn) Commit(ctx context.Context) error {
 	if t.done {
 		return ErrTxnDone
@@ -834,71 +784,13 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return fmt.Errorf("%w: writing TSR: %v", ErrConflict, err)
 	}
 
-	// The transaction is durably committed. Phase 3 runs on the
-	// committer or, behind a waiting store, after Commit returns.
+	// The transaction is durably committed; phase 3 runs on the
+	// committer.
 	t.done = true
 	t.m.commits.Add(1)
 	t.emitHistory(true, commitTS)
-	t.m.startFinish(cleanupCtx, t, keys)
+	t.m.finish(cleanupCtx, t, keys)
 	return nil
-}
-
-// startFinish runs a committed transaction's finish, registered so
-// that this manager's readers wait for it rather than ask a store, and
-// remembered once it ends. Every manager makes it on the committer,
-// under detached, the caller's context without the cancellation: it
-// carries the caller's values to the store calls it makes, and a
-// caller that gives up cannot cut it short — the transaction is
-// committed, and a cut finish would leave its TSR for readers to
-// finish from. A manager with a waiting store (behind) instead runs it
-// on a goroutine of its own, under the background context: deferred
-// work must not carry the caller's values onto another goroutine.
-// Neither carries a deadline — a store that stops answering is the
-// transport's to give up on, and Flush returns with its caller's
-// context either way. When maxPendingFinishes are outstanding the
-// committer runs the finish unregistered, under detached.
-func (m *Manager) startFinish(detached context.Context, t *Txn, keys []wkey) {
-	m.finMu.Lock()
-	full := m.finPending >= maxPendingFinishes
-	var done chan struct{}
-	if !full {
-		done = make(chan struct{})
-		m.finishing[t.id] = done
-		m.finPending++
-	}
-	m.finMu.Unlock()
-	if full {
-		m.finInline.Inc()
-		m.finish(detached, t, keys, nil)
-		return
-	}
-	if !m.behind {
-		m.finishRegistered(detached, t, keys, done)
-		return
-	}
-	go m.finishRegistered(context.Background(), t, keys, done)
-}
-
-// finishRegistered runs the finish of a transaction startFinish
-// registered under done, then ends its registration.
-func (m *Manager) finishRegistered(ctx context.Context, t *Txn, keys []wkey, done chan struct{}) {
-	landed := m.finish(ctx, t, keys, done)
-	m.finMu.Lock()
-	if landed {
-		// Remembered in place of the oldest ended before it. One that
-		// did not land is forgotten now: its records are still
-		// prepared, and readers must go to its TSR to finish them.
-		delete(m.finishing, m.finEnded[m.finEndedAt])
-		m.finEnded[m.finEndedAt] = t.id
-		m.finEndedAt = (m.finEndedAt + 1) % len(m.finEnded)
-	} else {
-		delete(m.finishing, t.id)
-	}
-	if m.finPending--; m.finPending == 0 && m.finIdle != nil {
-		close(m.finIdle)
-		m.finIdle = nil
-	}
-	m.finMu.Unlock()
 }
 
 // finishOf returns the channel that closes when the finish of the
@@ -912,54 +804,50 @@ func (m *Manager) finishOf(id string) <-chan struct{} {
 }
 
 // finish is phase 3 of a committed transaction: roll every prepared
-// record forward in prepare order, close rolled (when not nil) for the
-// readers waiting on those records, then remove the TSR. A failed
+// record forward in prepare order, then remove the TSR. A failed
 // roll-forward is benign only while the TSR exists — readers finish the
 // job from it, and without it they would presume this writer dead and
 // roll back an acknowledged commit — so the TSR goes only when every
-// record landed, which is what finish reports. A TSR left behind is
-// Vacuum's to collect.
-func (m *Manager) finish(ctx context.Context, t *Txn, keys []wkey, rolled chan<- struct{}) (landed bool) {
-	landed = true // until a roll-forward fails
+// record landed. A TSR left in place is Vacuum's to collect.
+//
+// The finish is registered while it runs, so that this manager's
+// readers wait for its roll-forwards rather than ask a store, and
+// remembered once it has landed. It runs under detached, the caller's
+// context without the cancellation: it carries the caller's values to
+// the store calls it makes, and a caller that gives up cannot cut it
+// short — the transaction is committed, and a cut finish would leave
+// its TSR for readers to finish from. It carries no deadline: a store
+// that stops answering is the transport's to give up on.
+func (m *Manager) finish(detached context.Context, t *Txn, keys []wkey) {
+	rolled := make(chan struct{})
+	m.finMu.Lock()
+	m.finishing[t.id] = rolled
+	m.finMu.Unlock()
+	landed := true // until a roll-forward fails
 	for _, k := range keys {
-		if err := m.rollForwardRecord(ctx, m.stores[k.store], k.table, k.key, t.writes[k]); err != nil {
+		if err := m.rollForwardRecord(detached, m.stores[k.store], k.table, k.key, t.writes[k]); err != nil {
 			landed = false
 		}
 	}
-	if rolled != nil {
-		close(rolled)
-	}
+	close(rolled)
 	if landed {
 		// Dropping this error leaves a TSR nothing points at.
-		_ = m.stores[keys[0].store].Delete(ctx, tsrTable, t.id, kvstore.AnyVersion)
+		_ = m.stores[keys[0].store].Delete(detached, tsrTable, t.id, kvstore.AnyVersion)
 	} else {
 		m.tsrLeft.Inc()
 	}
-	return landed
-}
-
-// Flush waits until no finish is outstanding: every transaction
-// committed before the call has been rolled forward and its TSR removed
-// (or left, see finish). Commits made while Flush waits are waited for
-// too. Call it before closing the stores or inspecting them directly.
-func (m *Manager) Flush(ctx context.Context) error {
-	for {
-		m.finMu.Lock()
-		if m.finPending == 0 {
-			m.finMu.Unlock()
-			return nil
-		}
-		if m.finIdle == nil {
-			m.finIdle = make(chan struct{})
-		}
-		idle := m.finIdle
-		m.finMu.Unlock()
-		select {
-		case <-idle:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	m.finMu.Lock()
+	if landed {
+		// Remembered in place of the oldest ended before it. One that
+		// did not land is forgotten now: its records are still
+		// prepared, and readers must go to its TSR to finish them.
+		delete(m.finishing, m.finEnded[m.finEndedAt])
+		m.finEnded[m.finEndedAt] = t.id
+		m.finEndedAt = (m.finEndedAt + 1) % len(m.finEnded)
+	} else {
+		delete(m.finishing, t.id)
 	}
+	m.finMu.Unlock()
 }
 
 // emitHistory reports this finished transaction to the history sink.

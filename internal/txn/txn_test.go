@@ -58,7 +58,6 @@ func TestCommitBasic(t *testing.T) {
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 
 	// Both records visible, clean (no metadata), and the TSR cleaned up.
 	for key, want := range map[string]int64{"a": 100, "b": 200} {
@@ -236,7 +235,6 @@ func TestTransactionalDelete(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 	if _, err := inner.Get("t", "k"); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Errorf("record survived transactional delete: %v", err)
 	}
@@ -382,7 +380,6 @@ func TestReadAroundInFlightWriter(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	})
-	flush(t, m)
 
 	// Manually install a prepared record as an in-flight writer
 	// would: new value 999, prev image balance=1.
@@ -422,7 +419,6 @@ func TestRecoveryRollsBackDeadWriter(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(42))
 	})
-	flush(t, m)
 	cur, _ := inner.Get("t", "k")
 	prepared := map[string][]byte{
 		"balance":     []byte("999"),
@@ -466,7 +462,6 @@ func TestRecoveryRollsForwardCommittedWriter(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	})
-	flush(t, m)
 	cur, _ := inner.Get("t", "k")
 	prepared := map[string][]byte{
 		"balance":     []byte("777"),
@@ -506,7 +501,6 @@ func TestRecoveryCommittedDelete(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	})
-	flush(t, m)
 	cur, _ := inner.Get("t", "k")
 	prepared := map[string][]byte{
 		metaState:     []byte("P"),
@@ -617,7 +611,6 @@ func TestMultiStoreTransaction(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	flush(t, m)
 	ra, _ := s1.Get("acct", "a")
 	rb, _ := s2.Get("acct", "b")
 	if string(ra.Field("balance")) != "70" || string(rb.Field("balance")) != "130" {
@@ -662,7 +655,6 @@ func TestReadOnlyCommitIsTrivial(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "k", bal(1))
 	})
-	flush(t, m)
 	before := inner.Len(tsrTable)
 	tx, _ := m.Begin(ctx)
 	if _, err := tx.Read(ctx, "", "t", "k"); err != nil {

@@ -12,7 +12,7 @@ import (
 
 // Vacuum is the maintenance sweep for transaction garbage: a
 // committer that crashes after its commit point leaves a committed
-// TSR and possibly prepared records behind. Readers repair records
+// TSR and possibly prepared records. Readers repair records
 // lazily, but keys that are never read again would stay prepared and
 // their TSRs would accumulate forever. Vacuum finishes the job
 // eagerly: for every TSR older than the recovery timeout it resolves

@@ -52,7 +52,6 @@ func crashWriter(t *testing.T, inner *kvstore.Store, keys []string, balance int6
 		}
 	}
 	err = tx.Commit(ctx)
-	flush(t, m)
 	if !dead.Load() {
 		t.Fatal("the writer finished without dying")
 	}
@@ -80,7 +79,6 @@ func TestVacuumFinishesCrashedCommits(t *testing.T) {
 		}
 		return nil
 	})
-	flush(t, m)
 	installCrashedCommit(t, inner, []string{"a", "b"}, time.Second)
 
 	removed, resolved, err := m.Vacuum(ctx)
@@ -122,7 +120,6 @@ func TestVacuumSkipsYoungTSRs(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "a", bal(1))
 	})
-	flush(t, m)
 	installCrashedCommit(t, inner, []string{"a"}, 0)
 	removed, _, err := m.Vacuum(ctx)
 	if err != nil {

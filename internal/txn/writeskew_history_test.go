@@ -93,7 +93,6 @@ func runWriteSkewHistory(t *testing.T, serializable bool) (*history.Result, int)
 		}(w)
 	}
 	wg.Wait()
-	flush(t, m)
 
 	violations := 0
 	for i := 0; i < pairs; i++ {

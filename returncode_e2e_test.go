@@ -297,18 +297,12 @@ func TestReturnCodeEveryBinding(t *testing.T) {
 		if err := b.Insert(ctx, "t", "other", rcRec("v1")); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Flush(ctx); err != nil { // its roll-forward lands before the snapshot
-			t.Fatal(err)
-		}
 		ro, _ := m.BeginReadOnly(ctx)
 		defer ro.Abort(ctx)
 		if _, err := ro.Read(ctx, "", "t", "other"); err != nil { // draws the snapshot
 			t.Fatal(err)
 		}
 		if err := b.Update(ctx, "t", "k", rcRec("v3")); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Flush(ctx); err != nil {
 			t.Fatal(err)
 		}
 		checkOutcomes(t, []outcome{{"snapshot read below the horizon", func(ctx context.Context) error {

@@ -7,8 +7,8 @@
 // read set, so a stale image can only be caught by the prepare's
 // conditional put — under real conflicts cash must still be conserved,
 // the history must certify, every Begin must end in exactly one commit
-// or abort, and once the manager has flushed its finishes nothing may
-// be left prepared.
+// or abort, and once the transfers have returned nothing may be left
+// prepared.
 package ycsbt_test
 
 import (
@@ -121,9 +121,6 @@ func TestClusterTransfersUnderContentionBalance(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if err := m.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
 
 	// Accounting: every Begin ended in exactly one commit or abort.
 	commits, aborts, conflicts, recovered := m.Stats()
