@@ -92,7 +92,8 @@ test-twice:
 # *Alloc* runs again here without it: the codecs' and the engine's
 # zero-allocation paths, the metered middleware's zero allocations per
 # call, the one-key read-only transaction's count, a CEW transfer's
-# over an in-process store (its finish on the committer), and what a scan
+# over an in-process store (its finish on the committer), a one-key
+# insert's (its one write the whole commit), and what a scan
 # costs per record (a router scan ≤ 2 allocations a record, an embedded
 # kvstore scan and the integrity check of a scanned record none).
 test-allocs:

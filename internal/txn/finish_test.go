@@ -240,7 +240,8 @@ func TestSameThreadReadsItsCommit(t *testing.T) {
 // the finish (a reader whose caller gives up meanwhile returns the
 // cancellation) and returns the committed image under the version the
 // roll-forward gave it. So does a reader still holding the prepared
-// record after the finish has ended.
+// record after the finish has ended. The writer inserts a second key,
+// l, so that its commit is a two-phase one with a finish to wait for.
 func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 	ctx := context.Background()
 	m, ss, inner := newScriptManager(t, Options{})
@@ -252,12 +253,13 @@ func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx.Write("", "t", "k", bal(2))
+	tx.Insert("", "t", "l", bal(1))
 	ss.take()
 	rolling, hold := make(chan struct{}), make(chan struct{})
 	fetched := make(chan struct{}, 1)
-	ss.before = func(op, table, _ string, fields map[string][]byte) error {
+	ss.before = func(op, table, key string, fields map[string][]byte) error {
 		switch {
-		case isRollForward(op, table, fields):
+		case isRollForward(op, table, fields) && key == "k":
 			close(rolling)
 			<-hold
 		case op == "Get":
@@ -272,7 +274,7 @@ func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 	if err != nil || !isPrepared(prepared) {
 		t.Fatalf("k with its finish held = %+v, %v; want it prepared", prepared, err)
 	}
-	wantCalls(t, "the commit up to its roll-forward", ss.take(), "Put t/k", "Put _tsr")
+	wantCalls(t, "the commit up to its roll-forward", ss.take(), "Put t/k", "Put t/l", "Put _tsr")
 
 	gone, cancel := context.WithCancel(ctx)
 	cancel()
@@ -299,7 +301,7 @@ func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 	}
 	calls := ss.take()
 	sort.Strings(calls)
-	wantCalls(t, "the reader and the finish", calls, "Delete _tsr", "Get t/k", "Put t/k")
+	wantCalls(t, "the reader and the finish", calls, "Delete _tsr", "Get t/k", "Put t/k", "Put t/l")
 	if cur, err := inner.Get("t", "k"); err != nil || cur.Version != r.ver {
 		t.Errorf("k after the finish = %+v, %v; want v%d, what the reader reported", cur, err, r.ver)
 	}
@@ -321,7 +323,8 @@ func TestReaderWaitsForItsManagersFinish(t *testing.T) {
 // can close while a commit's finish runs. The finish must fail quietly:
 // Commit reports the commit, nothing panics, the TSR is counted as left
 // (a reader of the reopened store finishes from it), and no goroutine
-// is left behind.
+// is left behind. The commit writes two keys: a one-key commit has no
+// finish.
 func TestFinishOutlivesItsStore(t *testing.T) {
 	ctx := context.Background()
 	baseline := runtime.NumGoroutine()
@@ -343,6 +346,7 @@ func TestFinishOutlivesItsStore(t *testing.T) {
 	}
 	tx, _ := m.Begin(ctx)
 	tx.Write("", "t", "k", bal(2))
+	tx.Insert("", "t", "l", bal(1))
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatalf("commit whose store closed during its finish = %v; the TSR landed, so it is committed", err)
 	}
@@ -493,7 +497,8 @@ func (s *ctxStore) Delete(ctx context.Context, table, key string, expect uint64)
 // its calls under the caller's context values, so a per-caller probe
 // of the store calls books them, and without its cancellation: a caller
 // that gives up once the TSR has landed leaves a finished commit, not a
-// TSR for readers to finish from.
+// TSR for readers to finish from. The commit writes two keys: a one-key
+// commit has no finish.
 func TestCommitterFinishKeepsCallerValues(t *testing.T) {
 	inner := kvstore.OpenMemory()
 	defer inner.Close()
@@ -512,10 +517,11 @@ func TestCommitterFinishKeepsCallerValues(t *testing.T) {
 	cs.seen, cs.atRollForward = nil, cancel
 	tx, _ := m.Begin(ctx)
 	tx.Write("", "t", "k", bal(2))
+	tx.Insert("", "t", "l", bal(1))
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"roll-forward value=caller err=<nil>", "TSR delete value=caller err=<nil>"}
+	want := []string{"roll-forward value=caller err=<nil>", "roll-forward value=caller err=<nil>", "TSR delete value=caller err=<nil>"}
 	if !reflect.DeepEqual(cs.seen, want) {
 		t.Errorf("finish calls\n got %q\nwant %q", cs.seen, want)
 	}

@@ -114,21 +114,30 @@ func wantCalls(t *testing.T, what string, got []string, want ...string) {
 // so the list below IS the protocol's cost — every call is made by the
 // time Commit returns, the finish's included. A transaction asks the
 // store only for what it does not hold — the repeated runs check the
-// counts repeat exactly.
+// counts repeat exactly. A write set of one key commits with its one
+// write and leaves no TSR; two keys or more take the two-phase
+// schedule.
 func TestCommitScheduleStoreCalls(t *testing.T) {
 	t.Run("on the committer", testCommitSchedule)
 }
 
 func testCommitSchedule(t *testing.T) {
 	ctx := context.Background()
-	m, ss, _ := newScriptManager(t, Options{})
+	m, ss, inner := newScriptManager(t, Options{})
 	b := NewBinding(m)
+	oneKey := func(what string, want ...string) {
+		t.Helper()
+		wantCalls(t, what, ss.take(), want...)
+		if n := inner.Len(tsrTable); n != 0 {
+			t.Errorf("%s: %d TSRs after the commit, want none", what, n)
+		}
+	}
 
 	for round := 0; round < 3; round++ {
-		a, c := fmt.Sprintf("a%d", round), fmt.Sprintf("c%d", round)
+		a, c, d := fmt.Sprintf("a%d", round), fmt.Sprintf("c%d", round), fmt.Sprintf("d%d", round)
 
-		// Transactional insert (the load phase): create-only prepare
-		// with no fetch and the TSR; roll forward and TSR delete.
+		// Transactional insert of one key (the load phase): its one
+		// create-only put is the commit.
 		tctx, _ := b.Start(ctx)
 		if err := b.WithTx(tctx).Insert(ctx, "t", a, db.Record{"bal": []byte("100")}); err != nil {
 			t.Fatal(err)
@@ -136,13 +145,22 @@ func testCommitSchedule(t *testing.T) {
 		if err := b.Commit(ctx, tctx); err != nil {
 			t.Fatal(err)
 		}
-		wantCalls(t, "insert", ss.take(),
-			"Put t/"+a, "Put _tsr",
-			"Put t/"+a, "Delete _tsr")
-		if err := b.Insert(ctx, "t", c, db.Record{"bal": []byte("100")}); err != nil {
+		oneKey("insert", "Put t/"+a)
+
+		// An insert of two keys: create-only prepares with no fetch and
+		// the TSR; roll forward and TSR delete.
+		tx, _ := m.Begin(ctx)
+		for _, k := range []string{c, d} {
+			if err := tx.Insert("", "t", k, bal(100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
-		ss.take()
+		wantCalls(t, "two-key insert", ss.take(),
+			"Put t/"+c, "Put t/"+d, "Put _tsr",
+			"Put t/"+c, "Put t/"+d, "Delete _tsr")
 
 		// The CEW read-modify-write: read two accounts, update both.
 		// The updates and both prepares are served by the read set.
@@ -169,18 +187,44 @@ func testCommitSchedule(t *testing.T) {
 			"Put t/"+a, "Put t/"+c, // roll forward
 			"Delete _tsr")
 
-		// A blind write never read the key, so prepare still fetches
-		// the previous image it must carry.
-		tx, _ := m.Begin(ctx)
+		// A read-modify-write of one key: the read, then the commit's
+		// one put on the version read.
+		tctx, _ = b.Start(ctx)
+		view = b.WithTx(tctx)
+		if _, err := view.Read(ctx, "t", a, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := view.Update(ctx, "t", a, db.Record{"bal": []byte("98")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Commit(ctx, tctx); err != nil {
+			t.Fatal(err)
+		}
+		oneKey("one-key read-modify-write", "Get t/"+a, "Put t/"+a)
+
+		// A blind write never read the key, so it fetches the version its
+		// conditional write expects — and, prepared, the previous image
+		// its prepared record must carry.
+		tx, _ = m.Begin(ctx)
 		if err := tx.Write("", "t", a, bal(7)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
-		wantCalls(t, "blind write", ss.take(),
-			"Get t/"+a, "Put t/"+a, "Put _tsr",
-			"Put t/"+a, "Delete _tsr")
+		oneKey("blind write", "Get t/"+a, "Put t/"+a)
+		tx, _ = m.Begin(ctx)
+		for _, k := range []string{c, d} {
+			if err := tx.Write("", "t", k, bal(7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		wantCalls(t, "two-key blind write", ss.take(),
+			"Get t/"+c, "Put t/"+c, "Get t/"+d, "Put t/"+d, "Put _tsr",
+			"Put t/"+c, "Put t/"+d, "Delete _tsr")
 
 		// Read-only: one fetch however often the key is read, and a
 		// trivial commit.
@@ -194,6 +238,20 @@ func testCommitSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantCalls(t, "read-only", ss.take(), "Get t/"+a)
+
+		// A blind delete of one key fetches the version its conditional
+		// delete expects.
+		tx, _ = m.Begin(ctx)
+		if err := tx.Delete("", "t", a); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+		oneKey("delete", "Get t/"+a, "Delete t/"+a)
+		if _, err := inner.Get("t", a); !errors.Is(err, kvstore.ErrNotFound) {
+			t.Errorf("%s after its delete committed: %v, want ErrNotFound", a, err)
+		}
 	}
 }
 
@@ -202,7 +260,9 @@ func testCommitSchedule(t *testing.T) {
 // that of T1's PREPARED record. If that entry licensed T2's
 // conditional put, T2 would overwrite the prepare. It must conflict —
 // decided from the read set, without touching the store — and T1 must
-// still commit over an untouched prepared image.
+// still commit over an untouched prepared image. T1 also inserts a
+// second key, l, so that it prepares: a one-key commit has no prepare
+// to read around.
 func TestReadAroundThenWriteConflicts(t *testing.T) {
 	ctx := context.Background()
 	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Hour})
@@ -250,6 +310,9 @@ func TestReadAroundThenWriteConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := t1.Write("", "t", "k", bal(500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := t1.Insert("", "t", "l", bal(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := t1.Commit(ctx); err != nil {
@@ -300,43 +363,71 @@ func TestCachedReadGoesStale(t *testing.T) {
 // TestInsertOverDeadPreparedInsert: the create-only prepare finds the
 // key occupied by a crashed writer's prepared insert; the mismatch
 // sends it down the fetch-and-resolve path, which rolls the dead
-// prepare back, and the insert then succeeds.
+// prepare back, and the insert then succeeds — prepared and finished
+// when the transaction inserts a second key too, and as the commit's
+// one write when it inserts only this one.
 func TestInsertOverDeadPreparedInsert(t *testing.T) {
 	ctx := context.Background()
 	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: 10 * time.Millisecond})
-	dead := map[string][]byte{
-		"balance":     []byte("666"),
-		metaState:     []byte("P"),
-		metaID:        []byte("tdead-1"),
-		metaCoord:     []byte("local"),
-		metaPrepareTS: []byte(strconv.FormatInt(m.opts.Clock.Now()-int64(time.Second), 10)),
-		metaPrev:      nil,
+	deadInsert := func(key string) {
+		t.Helper()
+		dead := map[string][]byte{
+			"balance":     []byte("666"),
+			metaState:     []byte("P"),
+			metaID:        []byte("tdead-" + key),
+			metaCoord:     []byte("local"),
+			metaPrepareTS: []byte(strconv.FormatInt(m.opts.Clock.Now()-int64(time.Second), 10)),
+			metaPrev:      nil,
+		}
+		if _, err := inner.PutIfVersion("t", key, dead, kvstore.MustNotExist); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := inner.PutIfVersion("t", "k", dead, kvstore.MustNotExist); err != nil {
-		t.Fatal(err)
+	// The fallback: create-only, occupied; fetch a prepared record; no
+	// TSR, and the same prepared record still there, past the timeout;
+	// roll the dead insert back; gone; put.
+	fallback := func(key string) []string {
+		return []string{"Put t/" + key, "Get t/" + key, "Get _tsr", "Get t/" + key, "Delete t/" + key, "Get t/" + key, "Put t/" + key}
+	}
+	wantClean := func(key string, balance string) {
+		t.Helper()
+		rec, err := inner.Get("t", key)
+		if err != nil || isPrepared(rec) || string(rec.Field("balance")) != balance {
+			t.Errorf("%s = %+v, %v; want clean balance %s", key, rec, err, balance)
+		}
 	}
 
+	deadInsert("k")
 	tx, _ := m.Begin(ctx)
 	if err := tx.Insert("", "t", "k", bal(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert("", "t", "l", bal(6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatalf("insert over a dead prepared insert = %v", err)
 	}
 	wantCalls(t, "insert via the fallback", ss.take(),
-		"Put t/k",    // create-only: occupied
-		"Get t/k",    // fetch: a prepared record
-		"Get _tsr",   // no TSR...
-		"Get t/k",    // ...and the same prepared record still there, past the timeout
-		"Delete t/k", // roll the dead insert back
-		"Get t/k",    // gone
-		"Put t/k", "Put _tsr", "Put t/k", "Delete _tsr")
-	rec, err := inner.Get("t", "k")
-	if err != nil || isPrepared(rec) || string(rec.Field("balance")) != "5" {
-		t.Errorf("record = %+v, %v; want clean balance 5", rec, err)
-	}
+		append(fallback("k"), "Put t/l", "Put _tsr", "Put t/k", "Put t/l", "Delete _tsr")...)
+	wantClean("k", "5")
+	wantClean("l", "6")
 	if _, _, _, recovered := m.Stats(); recovered != 1 {
 		t.Errorf("recovered = %d, want 1", recovered)
+	}
+
+	deadInsert("m")
+	tx, _ = m.Begin(ctx)
+	if err := tx.Insert("", "t", "m", bal(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatalf("one-key insert over a dead prepared insert = %v", err)
+	}
+	wantCalls(t, "one-key insert via the fallback", ss.take(), fallback("m")...)
+	wantClean("m", "7")
+	if _, _, _, recovered := m.Stats(); recovered != 2 {
+		t.Errorf("recovered = %d, want 2", recovered)
 	}
 
 	// And an insert over a live committed record still conflicts.
@@ -557,7 +648,7 @@ func TestFailedTSRLookupIsNotAbsence(t *testing.T) {
 	if _, err := inner.Insert("t", "k", bal(100)); err != nil {
 		t.Fatal(err)
 	}
-	installCrashedCommit(t, inner, []string{"k"}, time.Minute)
+	installCrashedCommit(t, inner, []string{"k", "l"}, time.Minute)
 
 	unreachable := errors.New("coordinator unreachable")
 	failed := false
@@ -625,13 +716,14 @@ func TestFinishBetweenFetchAndTSRLookup(t *testing.T) {
 
 	// The in-flight case is unchanged: the record is still prepared at
 	// the same version after the second get, so it is read around.
-	// Its writer dies at its commit point: the TSR put never lands.
+	// Its writer, which writes b and a new key c, dies at its commit
+	// point: the TSR put never lands.
 	cur, err := inner.Get("t", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	atCommitPoint := func(op, table string, _ map[string][]byte) bool { return op == "Put" && table == tsrTable }
-	if err := crashWriter(t, inner, []string{"b"}, 5, 0, atCommitPoint); err == nil {
+	if err := crashWriter(t, inner, []string{"b", "c"}, 5, 0, atCommitPoint); err == nil {
 		t.Fatal("a writer that died before its TSR landed reported a commit")
 	}
 	r, err = m.readResolved(ctx, ss, "t", "b")
@@ -640,4 +732,200 @@ func TestFinishBetweenFetchAndTSRLookup(t *testing.T) {
 			r.fieldMap(), r.ver, r.clean, err, cur.Version+1)
 	}
 	wantCalls(t, "read around an in-flight writer", ss.take(), "Get t/b", "Get _tsr", "Get t/b")
+}
+
+// TestOneKeyCommitRacesTwoPhaseCommit: a one-key commit and a two-key
+// commit both read-modify-write k. However their store calls
+// interleave, exactly one commits, the other returns ErrConflict, and
+// no record is left prepared: the one-key write lands before the
+// two-key prepare (which then fails its put on the version it read), or
+// while the two-key commit holds k prepared (and then fails its own),
+// or the two race on goroutines of their own. Either way the one-key
+// commit makes its one put and nothing after it.
+func TestOneKeyCommitRacesTwoPhaseCommit(t *testing.T) {
+	ctx := context.Background()
+	m, ss, inner := newScriptManager(t, Options{RecoveryTimeout: time.Hour})
+	for _, k := range []string{"k", "l"} {
+		if _, err := inner.Insert("t", k, bal(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// rmw reads keys and buffers each one's increment.
+	rmw := func(keys ...string) *Txn {
+		t.Helper()
+		tx, _ := m.Begin(ctx)
+		for _, k := range keys {
+			f, err := tx.Read(ctx, "", "t", k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Write("", "t", k, bal(getBal(t, f)+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tx
+	}
+	// blind buffers a write of k without reading it.
+	blind := func() *Txn {
+		tx, _ := m.Begin(ctx)
+		if err := tx.Write("", "t", "k", bal(-1)); err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	// exactlyOne checks one of the two outcomes is a commit and the
+	// other a conflict, that nothing is left prepared, and that k holds
+	// the winner's write.
+	exactlyOne := func(what string, one, two error, wantK int64) {
+		t.Helper()
+		switch {
+		case one == nil && errors.Is(two, ErrConflict), two == nil && errors.Is(one, ErrConflict):
+		default:
+			t.Errorf("%s: one-key commit = %v, two-key commit = %v; want exactly one ErrConflict", what, one, two)
+		}
+		wantNoDebris(t, inner, "t")
+		rec, err := inner.Get("t", "k")
+		if err != nil || string(rec.Field("balance")) != strconv.FormatInt(wantK, 10) {
+			t.Errorf("%s: k = %+v, %v; want balance %d", what, rec, err, wantK)
+		}
+	}
+	// duringTwoPhase runs fn inside the next two-key commit, between its
+	// prepares and its TSR.
+	duringTwoPhase := func(fn func()) {
+		ss.before = func(op, table, _ string, _ map[string][]byte) error {
+			if op == "Put" && table == tsrTable {
+				ss.before = nil
+				fn()
+			}
+			return nil
+		}
+	}
+
+	two, one := rmw("k", "l"), rmw("k")
+	ss.take()
+	oneErr := one.Commit(ctx)
+	wantCalls(t, "one-key commit before the two-key prepares", ss.take(), "Put t/k")
+	exactlyOne("one-key commit before the two-key prepares", oneErr, two.Commit(ctx), 1)
+
+	one, two = rmw("k"), rmw("k", "l")
+	duringTwoPhase(func() {
+		ss.take()
+		oneErr = one.Commit(ctx)
+		wantCalls(t, "one-key commit over a two-key prepare", ss.take(), "Put t/k")
+	})
+	twoErr := two.Commit(ctx)
+	exactlyOne("one-key commit over a two-key prepare", oneErr, twoErr, 2)
+
+	one, two = blind(), rmw("k", "l")
+	duringTwoPhase(func() { oneErr = one.Commit(ctx) })
+	twoErr = two.Commit(ctx)
+	exactlyOne("blind one-key write over a two-key prepare", oneErr, twoErr, 3)
+
+	for i := 0; i < 50; i++ {
+		cur, err := inner.Get("t", "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, _ := strconv.ParseInt(string(cur.Field("balance")), 10, 64)
+		one, two := rmw("k"), rmw("k", "l")
+		var wg sync.WaitGroup
+		var oneErr, twoErr error
+		wg.Add(2)
+		go func() { defer wg.Done(); oneErr = one.Commit(ctx) }()
+		go func() { defer wg.Done(); twoErr = two.Commit(ctx) }()
+		wg.Wait()
+		exactlyOne(fmt.Sprintf("race %d", i), oneErr, twoErr, before+1)
+	}
+}
+
+// TestOneKeyHistoryVersions: the history record of a one-key commit
+// carries the version its one write installed — the store's reply to a
+// put, and for a delete the tombstone's — so a key inserted, updated,
+// deleted and inserted again by one-key transactions reads v1, v2, v3
+// (the tombstone) and v4, each one past the last.
+func TestOneKeyHistoryVersions(t *testing.T) {
+	ctx := context.Background()
+	sink := &history.MemorySink{}
+	m, _, inner := newScriptManager(t, Options{History: sink})
+	commit := func(fn func(tx *Txn) error) {
+		t.Helper()
+		if err := m.RunInTxn(ctx, 0, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	written := func(what, kind string, want uint64) {
+		t.Helper()
+		recs := sink.Records()
+		var got []history.Op
+		for _, op := range recs[len(recs)-1].Ops {
+			if op.Kind != history.OpRead {
+				got = append(got, op)
+			}
+		}
+		if len(got) != 1 || got[0].Kind != kind || got[0].Ver != want {
+			t.Errorf("%s: history writes %+v; want one %q of k at v%d", what, got, kind, want)
+		}
+		if kind == history.OpDelete {
+			return
+		}
+		if rec, err := inner.Get("t", "k"); err != nil || rec.Version != want {
+			t.Errorf("%s: k = %+v, %v; want the store at v%d", what, rec, err, want)
+		}
+	}
+
+	commit(func(tx *Txn) error { return tx.Insert("", "t", "k", bal(1)) })
+	written("insert", history.OpWrite, 1)
+	commit(func(tx *Txn) error {
+		f, err := tx.Read(ctx, "", "t", "k")
+		if err != nil {
+			return err
+		}
+		return tx.Write("", "t", "k", bal(getBal(t, f)+1))
+	})
+	written("read-modify-write", history.OpWrite, 2)
+	commit(func(tx *Txn) error { return tx.Delete("", "t", "k") })
+	written("delete", history.OpDelete, 3)
+	commit(func(tx *Txn) error { return tx.Insert("", "t", "k", bal(4)) })
+	written("insert after the delete", history.OpWrite, 4)
+	if res := history.Check(sink.Records()); !res.Serializable {
+		t.Errorf("history not certified: %s", res.Summary())
+	}
+}
+
+// TestSerializableReadLockKeepsTwoPhase: under SerializableReads the
+// one-key count is taken after the read-locks join the write set. A
+// transaction that reads and writes k alone commits with its one put; one
+// that reads k and writes another key, j, holds two keys — k's
+// read-lock and j — and takes the two-phase schedule.
+func TestSerializableReadLockKeepsTwoPhase(t *testing.T) {
+	ctx := context.Background()
+	m, ss, _ := newScriptManager(t, Options{SerializableReads: true})
+	if err := m.RunInTxn(ctx, 0, func(tx *Txn) error { return tx.Insert("", "t", "k", bal(1)) }); err != nil {
+		t.Fatal(err)
+	}
+	ss.take()
+
+	tx, _ := m.Begin(ctx)
+	f, err := tx.Read(ctx, "", "t", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.Write("", "t", "k", bal(getBal(t, f)+1))
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wantCalls(t, "read and write k", ss.take(), "Get t/k", "Put t/k")
+
+	tx, _ = m.Begin(ctx)
+	if f, err = tx.Read(ctx, "", "t", "k"); err != nil {
+		t.Fatal(err)
+	}
+	tx.Insert("", "t", "j", bal(getBal(t, f)))
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wantCalls(t, "read k, write j", ss.take(),
+		"Get t/k",
+		"Put t/j", "Put t/k", "Put _tsr", // j's prepare, k's read-lock, the commit point
+		"Put t/j", "Put t/k", "Delete _tsr")
 }

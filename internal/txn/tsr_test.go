@@ -274,9 +274,15 @@ func TestSnapshotReadsAroundInFlightWriterUnpinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Other transactions commit on the same coordinator after the
-	// snapshot; each one's TSR is purged with its delete.
+	// snapshot; each one's TSR is purged with its delete. Each writes two
+	// keys: a one-key commit writes no TSR.
 	for i := 0; i < 3; i++ {
-		if err := m.RunInTxn(ctx, 0, func(tx *Txn) error { return tx.Write("", "t", fmt.Sprint("w", i), bal(int64(i))) }); err != nil {
+		if err := m.RunInTxn(ctx, 0, func(tx *Txn) error {
+			if err := tx.Write("", "t", fmt.Sprint("w", i), bal(int64(i))); err != nil {
+				return err
+			}
+			return tx.Write("", "t", fmt.Sprint("x", i), bal(int64(i)))
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,6 +25,14 @@
 //     committed image (conditional on the prepared version); deletes
 //     are applied. Then the TSR is removed.
 //
+// A write set of one key skips all three: its conditional write, on the
+// same expected version a prepare would use, puts the clean image (or
+// deletes) and is the commit point — one conditional write is atomic at
+// the store, so no other record needs to agree with it. Readers never
+// meet a prepared record of such a transaction, and it leaves no TSR.
+// The one-key count is taken after SerializableReads has added its
+// read-locks.
+//
 // Readers that encounter a prepared record resolve it: if the
 // writer's TSR exists the new image is committed (the reader may
 // opportunistically roll the record forward); otherwise the reader
@@ -45,13 +53,14 @@
 // Only a clean entry licenses that put; an entry read around an
 // in-flight writer carries the version of that writer's prepared record
 // and conflicts instead. An insert prepares create-only without looking
-// first. A read-modify-write of n keys is therefore n gets, n prepare
-// puts, the TSR put, n roll-forward puts and the TSR delete — 3n+2
-// calls, 8 for the CEW's two accounts — and all of them block the
+// first. A read-modify-write of n ≥ 2 keys is therefore n gets, n
+// prepare puts, the TSR put, n roll-forward puts and the TSR delete —
+// 3n+2 calls, 8 for the CEW's two accounts — and all of them block the
 // caller: the committer makes phase 3 (the finish) itself before Commit
-// returns. An insert is 4 calls; a blind write or delete still fetches
-// the previous image its prepared record must carry (5). The calls run
-// on the transaction's own goroutine, one after another.
+// returns. A one-key transaction makes its one write: an insert is 1
+// call, and a one-key read-modify-write, blind write or delete is 2 (the
+// get that learns the version, then the write). The calls run on the
+// transaction's own goroutine, one after another.
 //
 // The finish adds no state to the stores: between the TSR put and the
 // last roll-forward a record is prepared with a committed TSR, which is
@@ -435,11 +444,17 @@ type pendingWrite struct {
 	kind   writeKind
 	fields map[string][]byte
 
-	// Set during prepare:
-	prepared    bool
-	preparedVer uint64
-	prevImage   []byte // encoded previous committed image ("" for insert)
-	prevExisted bool
+	// Set when the write lands. installedVer is the version its commit
+	// installs (0 until then): the store's reply to a one-key commit's
+	// write, or for a prepared record the version its roll-forward
+	// installs, preparedVer+1 — every roll-forward, whoever makes it, is
+	// a conditional put on preparedVer, and versions advance by one per
+	// put.
+	installedVer uint64
+	prepared     bool // a prepared image holds the key (two-phase commits only)
+	preparedVer  uint64
+	prevImage    []byte // encoded previous committed image ("" for insert)
+	prevExisted  bool
 }
 
 // Txn is one client-coordinated transaction. A Txn is confined to a
@@ -450,6 +465,9 @@ type Txn struct {
 	startTS int64
 	session int
 	done    bool
+	// commitTS is a one-key commit's timestamp, drawn just before its
+	// write (see putPrepared).
+	commitTS int64
 
 	// reads holds what was read, not just its version: a key is
 	// fetched at most once per transaction, and prepare takes the
@@ -681,9 +699,10 @@ func (t *Txn) rollbackPrepared(ctx context.Context) error {
 }
 
 // Commit prepares the write set, writes the TSR — the commit point —
-// and finishes the transaction (see finish) before it returns. On
-// conflict it rolls back and returns ErrConflict; the transaction is
-// finished either way.
+// and finishes the transaction (see finish) before it returns. A write
+// set of one key commits with that key's conditional write alone (see
+// putPrepared). On conflict it rolls back and returns ErrConflict; the
+// transaction is finished either way.
 func (t *Txn) Commit(ctx context.Context) error {
 	if t.done {
 		return ErrTxnDone
@@ -746,7 +765,9 @@ func (t *Txn) Commit(ctx context.Context) error {
 	// complete even when the caller's context caused the failure.
 	cleanupCtx := context.WithoutCancel(ctx)
 
-	// Phase 1: prepare every write in order.
+	// Phase 1: prepare every write in order. A write set of one key
+	// commits here: its one write is the commit point, and no TSR or
+	// finish follows.
 	for _, k := range keys {
 		if err := t.prepareOne(ctx, k, coordName, prepTS); err != nil {
 			t.done = true
@@ -756,6 +777,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 			t.rollbackPrepared(cleanupCtx)
 			return fmt.Errorf("%w: preparing %s: %v", ErrConflict, k, err)
 		}
+	}
+	if len(keys) == 1 {
+		t.done = true
+		t.m.commits.Add(1)
+		t.emitHistory(true, t.commitTS)
+		return nil
 	}
 
 	// Enforce the commit deadline so readers' crash recovery can
@@ -854,11 +881,8 @@ func (m *Manager) finish(detached context.Context, t *Txn, keys []wkey) {
 // It fires for aborts too (the checker needs them for dirty-read
 // analysis) and includes reads of keys the transaction also wrote.
 // Aborted transactions report only their reads: their prepared images
-// were rolled back, so no version was durably installed. The installed
-// version of each write is the roll-forward version, preparedVer+1
-// (versions advance by exactly one per successful conditional put, and
-// the roll-forward — whether performed by this committer or by a
-// racing reader — always CASes on preparedVer). Read-around reads report
+// were rolled back, so no version was durably installed. Each write
+// reports its installedVer. Read-around reads report
 // the in-flight prepared record's version (see resolveRecord): the
 // checker then sees no committed writer for that version — losing a
 // WR edge, never inventing a cycle — while the RW anti-dependency to
@@ -884,14 +908,14 @@ func (t *Txn) emitHistory(committed bool, commitTS int64) {
 	})
 	if committed {
 		for k, w := range t.writes {
-			if !w.prepared {
+			if w.installedVer == 0 {
 				continue
 			}
 			kind := history.OpWrite
 			if w.kind == kindDelete {
 				kind = history.OpDelete
 			}
-			rec.Ops = append(rec.Ops, history.Op{Kind: kind, Store: k.store, Table: k.table, Key: k.key, Ver: w.preparedVer + 1})
+			rec.Ops = append(rec.Ops, history.Op{Kind: kind, Store: k.store, Table: k.table, Key: k.key, Ver: w.installedVer})
 		}
 	}
 	if len(rec.Ops) > 0 {
@@ -899,8 +923,9 @@ func (t *Txn) emitHistory(committed bool, commitTS int64) {
 	}
 }
 
-// prepareOne installs the prepared image for one write, asking the
-// store only for what the transaction does not already know:
+// prepareOne installs the prepared image for one write — or, for a
+// write set of one key, the committed write itself (see putPrepared) —
+// asking the store only for what the transaction does not already know:
 //
 //   - a key the transaction read clean is prepared straight from the
 //     read set — the conditional put on the version read is the
@@ -953,6 +978,16 @@ func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS i
 // committed image prev, conditional on expect: prev's version, or
 // kvstore.MustNotExist when there is no committed image (prev is then
 // the zero entry).
+//
+// When k is the write set's only key, the write is the commit itself:
+// one conditional write is atomic at the store, so it writes the clean
+// image (or deletes) under the same expect, and leaves nothing to roll
+// forward or back. A reader never meets a prepared record of it; a
+// concurrent two-phase writer of k either fails its own conditional put
+// on the version this one moves, or holds a prepared record this one's
+// expect does not match. The commit timestamp is drawn just before the
+// write, after every read of k this transaction makes, so the commit
+// order agrees with the key's version order.
 func (t *Txn) putPrepared(ctx context.Context, k wkey, coordName string, prepTS int64, prev readEntry, expect uint64) error {
 	w := t.writes[k]
 	prevExisted := expect != kvstore.MustNotExist
@@ -966,6 +1001,24 @@ func (t *Txn) putPrepared(ctx context.Context, k wkey, coordName string, prepTS 
 		// read-lock's key is always in the read set, so prev exists).
 		w.fields = prev.fieldMap()
 	}
+	s := t.m.stores[k.store]
+	if len(t.writes) == 1 {
+		t.commitTS = t.m.opts.Clock.Now()
+		if w.kind == kindDelete {
+			if err := s.Delete(ctx, k.table, k.key, expect); err != nil {
+				return err
+			}
+			w.installedVer = expect + 1 // the tombstone's version
+			return nil
+		}
+		ver, err := s.Put(ctx, k.table, k.key, w.fields, expect)
+		if err != nil {
+			return err
+		}
+		w.installedVer = ver
+		return nil
+	}
+
 	var prevImage []byte
 	if prevExisted {
 		prevImage = prev.image()
@@ -984,10 +1037,11 @@ func (t *Txn) putPrepared(ctx context.Context, k wkey, coordName string, prepTS 
 		prepared[metaDelete] = []byte("1")
 	}
 
-	ver, err := t.m.stores[k.store].Put(ctx, k.table, k.key, prepared, expect)
+	ver, err := s.Put(ctx, k.table, k.key, prepared, expect)
 	if err != nil {
 		return err
 	}
+	w.installedVer = ver + 1
 	w.prepared = true
 	w.preparedVer = ver
 	w.prevImage = prevImage

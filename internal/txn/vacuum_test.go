@@ -60,7 +60,8 @@ func crashWriter(t *testing.T, inner *kvstore.Store, keys []string, balance int6
 
 // installCrashedCommit leaves the debris of a committer that died
 // right after writing its TSR, commitAge ago: keys prepared with
-// balance 777 under a committed TSR naming them.
+// balance 777 under a committed TSR naming them. keys must hold two or
+// more: a one-key commit writes no TSR and has no finish to die in.
 func installCrashedCommit(t *testing.T, inner *kvstore.Store, keys []string, commitAge time.Duration) {
 	t.Helper()
 	if err := crashWriter(t, inner, keys, 777, commitAge, afterCommitPoint); err != nil {
@@ -120,7 +121,7 @@ func TestVacuumSkipsYoungTSRs(t *testing.T) {
 	m.RunInTxn(ctx, 0, func(tx *Txn) error {
 		return tx.Insert("", "t", "a", bal(1))
 	})
-	installCrashedCommit(t, inner, []string{"a"}, 0)
+	installCrashedCommit(t, inner, []string{"a", "b"}, 0)
 	removed, _, err := m.Vacuum(ctx)
 	if err != nil {
 		t.Fatal(err)
