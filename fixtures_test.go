@@ -18,11 +18,11 @@ import (
 )
 
 // serviceModel is the engine-side stand-in for a slower or
-// capacity-bound store: every batched engine call — what a request
-// frame becomes — sleeps delay, holding one of the node's service slots
-// while it does when the model has any (sem non-nil). It sits under the
-// Core so that it is in the path whichever listener the request came
-// through.
+// capacity-bound store: every engine call a request frame becomes — a
+// run of one get (Get) or more (BatchGet), or of mutations — sleeps
+// delay, holding one of the node's service slots while it does when the
+// model has any (sem non-nil). It sits under the Core so that it is in
+// the path whichever listener the request came through.
 type serviceModel struct {
 	kvstore.Engine
 	delay time.Duration
@@ -35,6 +35,11 @@ func (e *serviceModel) service() {
 		defer func() { <-e.sem }()
 	}
 	time.Sleep(e.delay)
+}
+
+func (e *serviceModel) Get(table, key string) (*kvstore.VersionedRecord, error) {
+	e.service()
+	return e.Engine.Get(table, key)
 }
 
 func (e *serviceModel) BatchGet(reqs []kvstore.GetReq) []kvstore.GetResult {

@@ -342,12 +342,17 @@ func figure45Cell(ctx context.Context, o SweepOptions, threads int, dist string)
 	return point(threads, res, v), nil
 }
 
-// SlowEngine sleeps Delay in every multi-key read and apply it serves:
-// the engine calls a node makes for every data op, REST or framed
-// (kvwire.Core.ExecBatchInto).
+// SlowEngine sleeps Delay in every point read, multi-key read and
+// apply it serves: the engine calls a node makes for every data op,
+// REST or framed (kvwire.Core.ExecBatchInto).
 type SlowEngine struct {
 	kvstore.Engine
 	Delay time.Duration
+}
+
+func (e SlowEngine) Get(table, key string) (*kvstore.VersionedRecord, error) {
+	time.Sleep(e.Delay)
+	return e.Engine.Get(table, key)
 }
 
 func (e SlowEngine) BatchGet(reqs []kvstore.GetReq) []kvstore.GetResult {

@@ -164,6 +164,10 @@ func ProjectFields(all map[string][]byte, fields []string) Record {
 type TransactionContext struct {
 	// Handle is binding-private per-transaction state.
 	Handle any
+
+	// view is the one view TxnBinding.WithTx hands out for this
+	// context.
+	view txnView
 }
 
 // TransactionalDB is a DB that supports wrapping operations in

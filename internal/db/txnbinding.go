@@ -98,9 +98,16 @@ func (b *TxnBinding) Abort(ctx context.Context, tctx *TransactionContext) error 
 	return b.txn(tctx).Abort(ctx)
 }
 
-// WithTx implements ContextualDB. A context the binding did not start
+// WithTx implements ContextualDB. The view is the one tctx keeps, so
+// handing it out allocates nothing. A context the binding did not start
 // yields a view whose every operation fails with that error.
-func (b *TxnBinding) WithTx(tctx *TransactionContext) DB { return txnView{b.txn(tctx)} }
+func (b *TxnBinding) WithTx(tctx *TransactionContext) DB {
+	if tctx == nil {
+		return txnView{b.txn(nil)}
+	}
+	tctx.view.t = b.txn(tctx)
+	return &tctx.view
+}
 
 // autoCommit runs fn on the view of a transaction of its own.
 func (b *TxnBinding) autoCommit(ctx context.Context, fn func(txnView) error) error {

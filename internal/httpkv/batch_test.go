@@ -16,14 +16,20 @@ import (
 	"ycsbt/internal/kvwire"
 )
 
-// slowEngine delays the engine's batched reads, which every request
-// frame's gets become, so admission-control tests can hold a request
-// in flight deterministically.
+// slowEngine delays the engine's reads, a request frame's run of one
+// get (Get) or more (BatchGet), so admission-control tests can hold a
+// request in flight deterministically.
 type slowEngine struct {
 	kvstore.Engine
 	delay   time.Duration
-	entered chan struct{} // closed once the first batch starts
+	entered chan struct{} // closed once the first read starts
 	once    sync.Once
+}
+
+func (e *slowEngine) Get(table, key string) (*kvstore.VersionedRecord, error) {
+	e.once.Do(func() { close(e.entered) })
+	time.Sleep(e.delay)
+	return e.Engine.Get(table, key)
 }
 
 func (e *slowEngine) BatchGet(reqs []kvstore.GetReq) []kvstore.GetResult {

@@ -3,8 +3,10 @@ package kvstore
 import "sync"
 
 // Multi-key engine operations. A batch is the engine-side half of a
-// request frame (kvwire.Core runs every frame, and every REST record
-// route, as BatchGet/BatchApply calls) and of percolator's batched
+// request frame (kvwire.Core runs a frame's runs of two gets or more,
+// and every run of mutations — a REST write route's included — as
+// BatchGet/BatchApply calls; a run of one get is a Get) and of
+// percolator's batched
 // prewrite: the partitioned store executes the whole group with one
 // lock acquisition and one group-commit wait per touched partition —
 // concurrent across partitions — instead of one of each per key.

@@ -174,15 +174,19 @@ func encodeImage(fs []field) []byte {
 }
 
 // buildImage copies a caller's field map into a fresh image. A map of
-// the partition's last shape — every record of a YCSB table — is read
-// out in that shape's order, with no sort. Requires p.mu (write) or
-// single-threaded open. The caller keeps ownership of fields and
-// everything in it.
+// one of the partition's recent shapes — every record of a YCSB table,
+// and each kind of record a transaction writes — is read out in that
+// shape's order, with no sort. Requires p.mu (write) or single-threaded
+// open. The caller keeps ownership of fields and everything in it.
 func (p *partition) buildImage(fields map[string][]byte) ([]byte, *shape) {
 	var scratch [16]field
 	fs := scratch[:0]
-	if p.shape != nil && len(fields) == len(p.shape.names) {
-		for _, name := range p.shape.names {
+	for _, s := range p.shapes {
+		if s == nil || len(s.names) != len(fields) {
+			continue
+		}
+		fs = fs[:0]
+		for _, name := range s.names {
 			val, ok := fields[name]
 			if !ok {
 				break
@@ -190,7 +194,7 @@ func (p *partition) buildImage(fields map[string][]byte) ([]byte, *shape) {
 			fs = append(fs, field{name, val})
 		}
 		if len(fs) == len(fields) {
-			return encodeImage(fs), p.shape
+			return encodeImage(fs), s
 		}
 	}
 	fs = sortedFields(fs[:0], fields)
@@ -228,11 +232,14 @@ func (p *partition) mergeImage(cur *VersionedRecord, fields map[string][]byte) (
 	return encodeImage(out), p.shapeOf(out)
 }
 
-// shapeOf returns the shape of sorted pairs: the partition's last one
-// when the names match, else a new one, which becomes the last. Same
-// locking as buildImage.
+// shapeOf returns the shape of sorted pairs: a recent one of the
+// partition's when the names match, else a new one, which becomes the
+// newest. Same locking as buildImage.
 func (p *partition) shapeOf(fs []field) *shape {
-	if s := p.shape; s != nil && len(s.names) == len(fs) {
+	for _, s := range p.shapes {
+		if s == nil || len(s.names) != len(fs) {
+			continue
+		}
 		match := true
 		for i, f := range fs {
 			if s.names[i] != f.name {
@@ -248,7 +255,7 @@ func (p *partition) shapeOf(fs []field) *shape {
 	for i, f := range fs {
 		s.names[i] = f.name
 	}
-	p.shape = s
+	p.addShape(s)
 	return s
 }
 
@@ -257,7 +264,10 @@ func (p *partition) shapeOf(fs []field) *shape {
 // when they make a new shape.
 func (p *partition) shapeOfImage(image []byte) *shape {
 	n, body := db.SectionPairs(image)
-	if s := p.shape; s != nil && len(s.names) == n {
+	for _, s := range p.shapes {
+		if s == nil || len(s.names) != n {
+			continue
+		}
 		b, i := body, 0
 		for ; i < n; i++ {
 			var nb []byte
@@ -276,8 +286,15 @@ func (p *partition) shapeOfImage(image []byte) *shape {
 		nb, _, body = db.NextPair(body)
 		s.names[i] = string(nb)
 	}
-	p.shape = s
+	p.addShape(s)
 	return s
+}
+
+// addShape makes s the partition's newest recent shape, in place of its
+// oldest. Same locking as buildImage.
+func (p *partition) addShape(s *shape) {
+	p.shapes[p.shapeNext] = s
+	p.shapeNext = (p.shapeNext + 1) % len(p.shapes)
 }
 
 // newRecord builds the stored form of a caller's full record under a

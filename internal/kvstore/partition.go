@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 )
 
+// recentShapes is how many image shapes a partition remembers.
+const recentShapes = 4
+
 // partition is one shard of the store: a private set of B-trees (one
 // per table) plus an optional WAL segment. The Store front routes
 // every point operation to exactly one partition by key hash, so
@@ -20,10 +23,15 @@ import (
 type partition struct {
 	mu     sync.RWMutex
 	tables map[string]*btree // writer-side handles; guarded by mu
-	shape  *shape            // names of the last image stored; guarded by mu
-	wal    *wal
-	store  *Store // shared state: commit clock, retention horizon
-	closed atomic.Bool
+	// shapes holds the names of the last few images of distinct
+	// shapes stored, a ring whose newest is before shapeNext; guarded
+	// by mu. A transaction writes records of three shapes into one
+	// partition (prepared, clean, status), so one would not do.
+	shapes    [recentShapes]*shape
+	shapeNext int
+	wal       *wal
+	store     *Store // shared state: commit clock, retention horizon
+	closed    atomic.Bool
 
 	// snaps is the read side: the atomically published per-table
 	// snapshots the lock-free read path traverses.

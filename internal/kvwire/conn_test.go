@@ -20,6 +20,11 @@ type stalledEngine struct {
 	release chan struct{}
 }
 
+func (e *stalledEngine) Get(table, key string) (*kvstore.VersionedRecord, error) {
+	<-e.release
+	return e.Engine.Get(table, key)
+}
+
 func (e *stalledEngine) BatchGet(reqs []kvstore.GetReq) []kvstore.GetResult {
 	<-e.release
 	return e.Engine.BatchGet(reqs)

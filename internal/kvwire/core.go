@@ -398,20 +398,23 @@ func (c *Core) ExecBatchInto(ctx context.Context, ops []Op, out []Result) {
 	}
 }
 
-// execGetRun serves a run of head gets in one engine call. An item this
+// execGetRun serves a run of head gets in one engine call: a run of
+// one — every REST GET is one — the engine's point get, which needs no
+// request or result slice, and a longer run one BatchGet. An item this
 // node does not own answers 410 in place; the items the engine serves
 // are the ones whose result is left at status 0.
 func (c *Core) execGetRun(ops []Op, out []Result) {
+	if len(ops) == 1 {
+		if out[0] = c.checkRead(ops[0].Key); out[0].Status == 0 {
+			out[0] = getResult(c.store.Get(ops[0].Table, ops[0].Key))
+		}
+		return
+	}
 	reqs := make([]kvstore.GetReq, 0, len(ops))
 	for i, op := range ops {
-		out[i] = Result{}
-		if c.cluster != nil {
-			if err := c.cluster.CheckRead(op.Key); err != nil {
-				out[i] = MovedResult(err.(*cluster.MovedError))
-				continue
-			}
+		if out[i] = c.checkRead(op.Key); out[i].Status == 0 {
+			reqs = append(reqs, kvstore.GetReq{Table: op.Table, Key: op.Key})
 		}
-		reqs = append(reqs, kvstore.GetReq{Table: op.Table, Key: op.Key})
 	}
 	if len(reqs) == 0 {
 		return
@@ -422,14 +425,28 @@ func (c *Core) execGetRun(ops []Op, out []Result) {
 		if out[i].Status != 0 {
 			continue
 		}
-		r := results[j]
+		out[i] = getResult(results[j].Record, results[j].Err)
 		j++
-		if r.Err != nil {
-			out[i] = ErrResult(r.Err)
-		} else {
-			out[i] = Result{Status: http.StatusOK, Version: r.Record.Version, HasVersion: true, rec: r.Record}
+	}
+}
+
+// checkRead answers a get of a key this node does not own with 410, and
+// one it serves with the zero Result.
+func (c *Core) checkRead(key string) Result {
+	if c.cluster != nil {
+		if err := c.cluster.CheckRead(key); err != nil {
+			return MovedResult(err.(*cluster.MovedError))
 		}
 	}
+	return Result{}
+}
+
+// getResult is the answer to a get the engine served.
+func getResult(rec *kvstore.VersionedRecord, err error) Result {
+	if err != nil {
+		return ErrResult(err)
+	}
+	return Result{Status: http.StatusOK, Version: rec.Version, HasVersion: true, rec: rec}
 }
 
 // execMutRun applies a run of mutations in one BatchApply. In cluster

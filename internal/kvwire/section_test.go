@@ -2,6 +2,7 @@ package kvwire
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -35,6 +36,28 @@ func TestChunkEncodeIsACopy(t *testing.T) {
 	}
 	if !bytes.Contains(out, kvs[0].Record.Image()) {
 		t.Error("response does not carry the image as it stands")
+	}
+}
+
+// TestCoreGetAllocs pins a one-op get through the core — every REST
+// GET's path — at no allocation when the caller owns the op and result
+// slices: it is the engine's point get. It built a one-element request
+// slice and a result slice when every get run went through BatchGet.
+func TestCoreGetAllocs(t *testing.T) {
+	store := kvstore.OpenMemory()
+	defer store.Close()
+	if _, err := store.Put("usertable", "user1", map[string][]byte{"field0": []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	core := NewCore(store, nil, 0)
+	ctx := context.Background()
+	ops := []Op{{Kind: KindGet, Table: "usertable", Key: "user1"}}
+	out := make([]Result, 1)
+	if per := testing.AllocsPerRun(200, func() { core.ExecBatchInto(ctx, ops, out) }); per != 0 {
+		t.Errorf("one-op get = %.1f allocs, want 0", per)
+	}
+	if out[0].Status != 200 || out[0].Version != 1 {
+		t.Errorf("one-op get = %+v, want 200 at version 1", out[0])
 	}
 }
 

@@ -125,11 +125,16 @@ func TestWireBatchConditionals(t *testing.T) {
 	}
 }
 
-// slowGets delays BatchGet so a frame's deadline can expire between
-// its runs.
+// slowGets delays every get, a run of one (Get) or more (BatchGet), so
+// a frame's deadline can expire between its runs.
 type slowGets struct {
 	kvstore.Engine
 	delay time.Duration
+}
+
+func (e *slowGets) Get(table, key string) (*kvstore.VersionedRecord, error) {
+	time.Sleep(e.delay)
+	return e.Engine.Get(table, key)
 }
 
 func (e *slowGets) BatchGet(reqs []kvstore.GetReq) []kvstore.GetResult {

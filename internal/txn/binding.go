@@ -27,7 +27,6 @@ import (
 type Binding struct {
 	db.TxnBinding
 	m      *Manager
-	names  []string // sorted store names for partitioning
 	closer func() error
 }
 
@@ -41,11 +40,7 @@ func NewBinding(m *Manager) *Binding {
 // use binds b to m.
 func (b *Binding) use(m *Manager) {
 	b.m = m
-	for n := range m.stores {
-		b.names = append(b.names, n)
-	}
-	sort.Strings(b.names)
-	b.TxnBinding = db.NewTxnBinding(library{b})
+	b.TxnBinding = db.NewTxnBinding(library{m})
 }
 
 func init() {
@@ -158,65 +153,69 @@ var (
 	_ history.CapableDB  = (*Binding)(nil)
 )
 
-// storeFor partitions a key across the registered stores.
-func (b *Binding) storeFor(key string) string {
-	if len(b.names) == 1 {
-		return b.names[0]
+// storeFor partitions a key across the registered stores, as the
+// binding lays records out.
+func (m *Manager) storeFor(key string) string {
+	if len(m.names) == 1 {
+		return m.names[0]
 	}
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return b.names[int(h.Sum32())%len(b.names)]
+	return m.names[int(h.Sum32())%len(m.names)]
 }
 
 // library is the manager as db.TxnBinding runs it, each key on the
 // store storeFor picks.
-type library struct{ b *Binding }
+type library struct{ m *Manager }
 
-func (l library) Begin(ctx context.Context) (any, error) { return l.b.m.Begin(ctx) }
+func (l library) Begin(ctx context.Context) (any, error) { return l.m.Begin(ctx) }
 
 func (l library) Txn(handle any) (db.Txn, bool) {
 	t, ok := handle.(*Txn)
-	if !ok {
-		return nil, false
-	}
-	return boundTxn{t, l.b}, true
+	return (*boundTxn)(t), ok
 }
 
 func (l library) RunInTxn(ctx context.Context, retries int, fn func(db.Txn) error) error {
-	return l.b.m.RunInTxn(ctx, retries, func(t *Txn) error { return fn(boundTxn{t, l.b}) })
+	return l.m.RunInTxn(ctx, retries, func(t *Txn) error { return fn((*boundTxn)(t)) })
 }
 
-// boundTxn is a transaction with its keys partitioned across the
-// binding's stores; Commit and Abort are the transaction's own.
-type boundTxn struct {
-	*Txn
-	b *Binding
+// boundTxn is a transaction as a db.Txn, with its keys partitioned
+// across the manager's stores. It is the Txn itself under db.Txn's
+// method set, so each transaction is its one bound view and handing it
+// out allocates nothing.
+type boundTxn Txn
+
+func (x *boundTxn) txn() *Txn { return (*Txn)(x) }
+
+func (x *boundTxn) Read(ctx context.Context, table, key string) (db.Record, error) {
+	return x.txn().Read(ctx, x.m.storeFor(key), table, key)
 }
 
-func (x boundTxn) Read(ctx context.Context, table, key string) (db.Record, error) {
-	return x.Txn.Read(ctx, x.b.storeFor(key), table, key)
+func (x *boundTxn) Write(table, key string, values db.Record) error {
+	return x.txn().Write(x.m.storeFor(key), table, key, values)
 }
 
-func (x boundTxn) Write(table, key string, values db.Record) error {
-	return x.Txn.Write(x.b.storeFor(key), table, key, values)
+func (x *boundTxn) Insert(table, key string, values db.Record) error {
+	return x.txn().Insert(x.m.storeFor(key), table, key, values)
 }
 
-func (x boundTxn) Insert(table, key string, values db.Record) error {
-	return x.Txn.Insert(x.b.storeFor(key), table, key, values)
+func (x *boundTxn) Delete(table, key string) error {
+	return x.txn().Delete(x.m.storeFor(key), table, key)
 }
 
-func (x boundTxn) Delete(table, key string) error {
-	return x.Txn.Delete(x.b.storeFor(key), table, key)
-}
+func (x *boundTxn) Commit(ctx context.Context) error { return x.txn().Commit(ctx) }
+
+func (x *boundTxn) Abort(ctx context.Context) error { return x.txn().Abort(ctx) }
 
 // Scan merges the scans of every store in key order.
-func (x boundTxn) Scan(ctx context.Context, table, startKey string, count int) ([]db.KV, error) {
-	if len(x.b.names) == 1 {
-		return x.Txn.Scan(ctx, x.b.names[0], table, startKey, count)
+func (x *boundTxn) Scan(ctx context.Context, table, startKey string, count int) ([]db.KV, error) {
+	names := x.m.names
+	if len(names) == 1 {
+		return x.txn().Scan(ctx, names[0], table, startKey, count)
 	}
 	var out []db.KV
-	for _, name := range x.b.names {
-		kvs, err := x.Txn.Scan(ctx, name, table, startKey, count)
+	for _, name := range names {
+		kvs, err := x.txn().Scan(ctx, name, table, startKey, count)
 		if err != nil {
 			return nil, err
 		}

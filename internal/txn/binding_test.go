@@ -135,8 +135,8 @@ func TestBindingInitBackends(t *testing.T) {
 		if backend == "was+gcs" {
 			wantStores = 2
 		}
-		if len(b.names) != wantStores {
-			t.Errorf("%s: %d stores", backend, len(b.names))
+		if len(b.m.names) != wantStores {
+			t.Errorf("%s: %d stores", backend, len(b.m.names))
 		}
 		b.Cleanup()
 	}

@@ -59,8 +59,13 @@
 // caller: the committer makes phase 3 (the finish) itself before Commit
 // returns. A one-key transaction makes its one write: an insert is 1
 // call, and a one-key read-modify-write, blind write or delete is 2 (the
-// get that learns the version, then the write). The calls run on the
-// transaction's own goroutine, one after another.
+// get that learns the version, then the write). A read-only transaction
+// is one get per distinct key and a commit that calls no store, and it
+// pays for nothing it does not read: without a history sink it draws no
+// timestamp and makes no id (see Begin and ID), and through the binding
+// it allocates its Txn, its db.TransactionContext and the record each
+// Read hands out. The calls run on the transaction's own goroutine, one
+// after another.
 //
 // The finish adds no state to the stores: between the TSR put and the
 // last roll-forward a record is prepared with a committed TSR, which is
@@ -87,13 +92,15 @@
 package txn
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -195,14 +202,19 @@ type Options struct {
 	Clock Clock
 	// History, when set, receives one record per finished transaction
 	// — committed or aborted — with the versions read and installed,
-	// the session (from db.WithSession on the Begin context), and
-	// start/commit timestamps, for dependency-graph certification
+	// the session (from db.WithSession on the Begin context), the id,
+	// and start/commit timestamps, for dependency-graph certification
 	// (internal/history, cmd/histcheck: the Zellag & Kemme approach the
 	// paper discusses). Aborts are included, which the checker needs
 	// for dirty-read detection. Deleted keys leave a tombstone version
 	// in place, so a later re-create continues the version sequence and
 	// the version-ordered graph stays sound across delete/insert
-	// cycles. Install it before the first Begin. Read-only snapshot
+	// cycles. Only the record reads the start timestamp and the session,
+	// so Begin draws and looks them up only while a sink is installed,
+	// and a read-only transaction then draws one more timestamp at
+	// Commit, its commit point; the record also makes the id of a
+	// transaction that has none yet (see Txn.ID). Install it before the
+	// first Begin. Read-only snapshot
 	// transactions (BeginReadOnly) are not recorded: they read a fixed
 	// as-of timestamp, take no part in the version-ordered graph, and
 	// would need their own snapshot-read semantics in the checker.
@@ -257,7 +269,8 @@ const noActiveSnapshot = int64(math.MaxInt64)
 type Manager struct {
 	opts   Options
 	stores map[string]Store
-	defalt string // the sole store's name, for single-store shorthand
+	names  []string // the store names, sorted (see storeFor)
+	defalt string   // the sole store's name, for single-store shorthand
 	seq    atomic.Uint64
 	id     string // manager instance id, part of txn ids
 
@@ -313,7 +326,9 @@ func NewManager(opts Options, stores ...Store) (*Manager, error) {
 			return nil, fmt.Errorf("txn: duplicate store name %q", s.Name())
 		}
 		m.stores[s.Name()] = s
+		m.names = append(m.names, s.Name())
 	}
+	slices.Sort(m.names)
 	if len(stores) == 1 {
 		m.defalt = stores[0].Name()
 	}
@@ -343,20 +358,15 @@ func (m *Manager) store(name string) (Store, error) {
 	return s, nil
 }
 
-// Begin starts a transaction. When the context carries a session id
-// (db.WithSession) it is recorded into the transaction's history
-// record.
+// Begin starts a transaction. It allocates the Txn and nothing else
+// unless a history sink is installed: only the history record carries
+// the start timestamp and the session (db.WithSession on ctx), so only
+// then does Begin draw the one and look up the other. The id is made
+// when first used (see ID).
 func (m *Manager) Begin(ctx context.Context) (*Txn, error) {
-	startTS := m.opts.Clock.Now()
-	// "t<manager>-<start ts>-<seq>", both numbers in hex.
-	id := append(make([]byte, 0, 40), 't')
-	id = append(append(id, m.id...), '-')
-	id = append(strconv.AppendInt(id, startTS, 16), '-')
-	id = strconv.AppendUint(id, m.seq.Add(1), 16)
-	t := &Txn{m: m, id: string(id), startTS: startTS}
+	t := &Txn{m: m}
 	if m.opts.History != nil {
-		// Only the history record carries the session, and the lookup
-		// allocates on some contexts (context.WithoutCancel's).
+		t.startTS = m.opts.Clock.Now()
 		t.session = db.SessionFromContext(ctx)
 	}
 	return t, nil
@@ -461,8 +471,8 @@ type pendingWrite struct {
 // single goroutine.
 type Txn struct {
 	m       *Manager
-	id      string
-	startTS int64
+	id      string // "" until first used (see ID)
+	startTS int64  // drawn by Begin only for a history sink (0 otherwise)
 	session int
 	done    bool
 	// commitTS is a one-key commit's timestamp, drawn just before its
@@ -526,8 +536,33 @@ func (s *readSet) each(fn func(k wkey, r readEntry)) {
 	}
 }
 
-// ID returns the transaction id.
-func (t *Txn) ID() string { return t.id }
+// ID returns the transaction id, "t<manager>-<ts>-<seq>" with both
+// numbers in hex: ts is the start timestamp when a history sink drew
+// one, else a timestamp drawn when the id is made, and seq counts the
+// ids the manager has made. It is made on first use — by a commit of two
+// or more keys before its first prepare, by the history record, or here
+// — so a read-only or one-key transaction without a history sink never
+// makes one.
+func (t *Txn) ID() string { return t.idAt(0) }
+
+// idAt returns the id, making it on first use from the start timestamp,
+// else ts, else a timestamp drawn now.
+func (t *Txn) idAt(ts int64) string {
+	if t.id != "" {
+		return t.id
+	}
+	if t.startTS != 0 {
+		ts = t.startTS
+	} else if ts == 0 {
+		ts = t.m.opts.Clock.Now()
+	}
+	id := append(make([]byte, 0, 40), 't')
+	id = append(append(id, t.m.id...), '-')
+	id = append(strconv.AppendInt(id, ts, 16), '-')
+	id = strconv.AppendUint(id, t.m.seq.Add(1), 16)
+	t.id = string(id)
+	return t.id
+}
 
 // Read returns the committed user fields of store/table/key, seeing
 // the transaction's own buffered writes first. A key already in the
@@ -659,7 +694,7 @@ func (t *Txn) Scan(ctx context.Context, store, table, startKey string, count int
 			resolved = append(resolved, db.KV{Key: k.key, Fields: db.MapFields(w.fields)})
 		}
 	}
-	sort.Slice(resolved, func(i, j int) bool { return resolved[i].Key < resolved[j].Key })
+	slices.SortFunc(resolved, func(a, b db.KV) int { return strings.Compare(a.Key, b.Key) })
 	if count >= 0 && len(resolved) > count {
 		resolved = resolved[:count]
 	}
@@ -740,36 +775,34 @@ func (t *Txn) Commit(ctx context.Context) error {
 		keys = append(keys, k)
 	}
 	if !t.m.opts.DisableOrderedPrepare {
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := keys[i], keys[j]
-			if a.store != b.store {
-				return a.store < b.store
-			}
-			if a.table != b.table {
-				return a.table < b.table
-			}
-			return a.key < b.key
+		slices.SortFunc(keys, func(a, b wkey) int {
+			return cmp.Or(strings.Compare(a.store, b.store), strings.Compare(a.table, b.table), strings.Compare(a.key, b.key))
 		})
 	}
-
-	// The coordinating store — where the TSR goes, and what every
-	// prepared record names so readers know where to look for it — is
-	// the store of the first write in prepare order.
-	coordName := keys[0].store
-	coord := t.m.stores[coordName]
-
-	prepareStart := time.Now()
-	prepTS := t.m.opts.Clock.Now()
 
 	// Failure-path rollbacks run on a detached context: cleanup must
 	// complete even when the caller's context caused the failure.
 	cleanupCtx := context.WithoutCancel(ctx)
 
+	// A write set of one key prepares nothing (see putPrepared), so it
+	// needs no id, prepare timestamp or coordinator. A larger one's
+	// prepared records all carry the same metadata values, made here
+	// once; their coordinating store — where the TSR goes, and what every
+	// prepared record names so readers know where to look for it — is the
+	// store of the first write in prepare order.
+	var meta prepareMeta
+	if len(keys) > 1 {
+		meta.ts = t.m.opts.Clock.Now()
+		meta.id = []byte(t.idAt(meta.ts))
+		meta.coord = []byte(keys[0].store)
+		meta.prepTS = strconv.AppendInt(nil, meta.ts, 10)
+	}
+
 	// Phase 1: prepare every write in order. A write set of one key
 	// commits here: its one write is the commit point, and no TSR or
 	// finish follows.
 	for _, k := range keys {
-		if err := t.prepareOne(ctx, k, coordName, prepTS); err != nil {
+		if err := t.prepareOne(ctx, k, &meta); err != nil {
 			t.done = true
 			t.m.conflicts.Add(1)
 			t.m.aborts.Add(1)
@@ -785,9 +818,11 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return nil
 	}
 
-	// Enforce the commit deadline so readers' crash recovery can
-	// never roll back a live committer.
-	if time.Since(prepareStart) > t.m.opts.RecoveryTimeout/2 {
+	// Enforce the commit deadline so readers' crash recovery can never
+	// roll back a live committer. It is measured on the clock readers
+	// age a prepare by, and the reading is the commit timestamp.
+	commitTS := t.m.opts.Clock.Now()
+	if time.Duration(commitTS-meta.ts) > t.m.opts.RecoveryTimeout/2 {
 		t.done = true
 		t.m.aborts.Add(1)
 		t.emitHistory(false, 0)
@@ -797,13 +832,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 
 	// Phase 2: the commit point — write the TSR to the coordinating
 	// store.
-	commitTS := t.m.opts.Clock.Now()
 	tsrFields := map[string][]byte{
 		tsrState:    []byte(tsrCommitted),
 		tsrCommitTS: []byte(strconv.FormatInt(commitTS, 10)),
 		tsrWriteSet: encodeWriteSet(keys),
 	}
-	if _, err := coord.Put(ctx, tsrTable, t.id, tsrFields, kvstore.MustNotExist); err != nil {
+	if _, err := t.m.stores[keys[0].store].Put(ctx, tsrTable, t.id, tsrFields, kvstore.MustNotExist); err != nil {
 		t.done = true
 		t.m.aborts.Add(1)
 		t.emitHistory(false, 0)
@@ -893,7 +927,7 @@ func (t *Txn) emitHistory(committed bool, commitTS int64) {
 		return
 	}
 	rec := &history.TxnRecord{
-		ID:      t.id,
+		ID:      t.ID(),
 		Session: t.session,
 		StartTS: t.startTS,
 		Outcome: history.OutcomeAbort,
@@ -937,15 +971,15 @@ func (t *Txn) emitHistory(committed bool, commitTS int64) {
 //     already-committed prepare);
 //   - anything else (a blind write or delete) fetches the current
 //     record, resolving a prepared one, to learn the previous image.
-func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS int64) error {
+func (t *Txn) prepareOne(ctx context.Context, k wkey, meta *prepareMeta) error {
 	if r, ok := t.reads.get(k); ok {
 		if !r.clean {
 			return errors.New("read around an in-flight writer")
 		}
-		return t.putPrepared(ctx, k, coordName, prepTS, r, r.ver)
+		return t.putPrepared(ctx, k, meta, r, r.ver)
 	}
 	if t.writes[k].kind == kindInsert {
-		err := t.putPrepared(ctx, k, coordName, prepTS, readEntry{}, kvstore.MustNotExist)
+		err := t.putPrepared(ctx, k, meta, readEntry{}, kvstore.MustNotExist)
 		if !errors.Is(err, db.ErrConflict) {
 			return err // prepared, or a failure a fetch would not explain
 		}
@@ -966,13 +1000,29 @@ func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS i
 	}
 	switch {
 	case err == nil:
-		return t.putPrepared(ctx, k, coordName, prepTS, readEntry{rec: cur}, cur.Version)
+		return t.putPrepared(ctx, k, meta, readEntry{rec: cur}, cur.Version)
 	case errors.Is(err, kvstore.ErrNotFound):
-		return t.putPrepared(ctx, k, coordName, prepTS, readEntry{}, kvstore.MustNotExist)
+		return t.putPrepared(ctx, k, meta, readEntry{}, kvstore.MustNotExist)
 	default:
 		return err
 	}
 }
+
+// prepareMeta is what every prepared record of one commit carries
+// besides its own fields and previous image: the transaction id, the
+// coordinating store and the prepare timestamp (ts, and as the decimal
+// value stored). Stores copy what they are given, so the prepares share
+// one set of values.
+type prepareMeta struct {
+	ts                int64
+	id, coord, prepTS []byte
+}
+
+// The constant metadata values a prepared record carries.
+var (
+	preparedState = []byte("P")
+	deleteMark    = []byte("1")
+)
 
 // putPrepared writes the prepared image of k's buffered write over the
 // committed image prev, conditional on expect: prev's version, or
@@ -988,7 +1038,7 @@ func (t *Txn) prepareOne(ctx context.Context, k wkey, coordName string, prepTS i
 // expect does not match. The commit timestamp is drawn just before the
 // write, after every read of k this transaction makes, so the commit
 // order agrees with the key's version order.
-func (t *Txn) putPrepared(ctx context.Context, k wkey, coordName string, prepTS int64, prev readEntry, expect uint64) error {
+func (t *Txn) putPrepared(ctx context.Context, k wkey, meta *prepareMeta, prev readEntry, expect uint64) error {
 	w := t.writes[k]
 	prevExisted := expect != kvstore.MustNotExist
 	switch {
@@ -1028,13 +1078,13 @@ func (t *Txn) putPrepared(ctx context.Context, k wkey, coordName string, prepTS 
 	for f, v := range w.fields {
 		prepared[f] = v
 	}
-	prepared[metaState] = []byte("P")
-	prepared[metaID] = []byte(t.id)
-	prepared[metaCoord] = []byte(coordName)
-	prepared[metaPrepareTS] = []byte(strconv.FormatInt(prepTS, 10))
+	prepared[metaState] = preparedState
+	prepared[metaID] = meta.id
+	prepared[metaCoord] = meta.coord
+	prepared[metaPrepareTS] = meta.prepTS
 	prepared[metaPrev] = prevImage
 	if w.kind == kindDelete {
-		prepared[metaDelete] = []byte("1")
+		prepared[metaDelete] = deleteMark
 	}
 
 	ver, err := s.Put(ctx, k.table, k.key, prepared, expect)

@@ -363,19 +363,28 @@ func openRouter(t *testing.T, urls []string) *httpkv.Router {
 	return r
 }
 
-// heldEngine holds its first batched read until release is closed, so
-// the read keeps its node's admission slot.
+// heldEngine holds its first read, single or batched, until release is
+// closed, so the read keeps its node's admission slot.
 type heldEngine struct {
 	kvstore.Engine
 	entered, release chan struct{}
 	once             sync.Once
 }
 
-func (e *heldEngine) BatchGet(reqs []kvstore.GetReq) []kvstore.GetResult {
+func (e *heldEngine) hold() {
 	e.once.Do(func() {
 		close(e.entered)
 		<-e.release
 	})
+}
+
+func (e *heldEngine) Get(table, key string) (*kvstore.VersionedRecord, error) {
+	e.hold()
+	return e.Engine.Get(table, key)
+}
+
+func (e *heldEngine) BatchGet(reqs []kvstore.GetReq) []kvstore.GetResult {
+	e.hold()
 	return e.Engine.BatchGet(reqs)
 }
 
