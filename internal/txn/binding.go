@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 
 	"ycsbt/internal/cloudsim"
 	"ycsbt/internal/db"
@@ -221,7 +222,7 @@ func (x *boundTxn) Scan(ctx context.Context, table, startKey string, count int) 
 		}
 		out = append(out, kvs...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b db.KV) int { return strings.Compare(a.Key, b.Key) })
 	if count >= 0 && len(out) > count {
 		out = out[:count]
 	}
