@@ -15,14 +15,13 @@
 // embedded kvstore engine, volatile or backed by the -wal log.
 //
 // With -cluster-node-id set the node joins a shared-nothing fleet: it
-// boots a versioned shard map (-peers for a uniform bootstrap map,
-// -shardmap for an explicit one), serves only the slots the map
-// assigns it, and answers everything else 410 Gone with routing
-// hints. POST /admin/migrate?slot=N&dest=URL live-migrates one slot
-// to another member (freeze, copy onto the emptied destination slot,
-// map version bump, source drop). A
-// cluster node must run a frame listener (-wire-addr): routers and
-// migrations reach its data over frames only.
+// boots a uniform versioned shard map over -peers, serves only the
+// slots the map assigns it, and answers everything else 410 Gone with
+// routing hints. POST /admin/migrate?slot=N&dest=URL live-migrates
+// one slot to another member (freeze, copy onto the emptied
+// destination slot, map version bump, source drop). A cluster node
+// must run a frame listener (-wire-addr): routers and migrations reach
+// its data over frames only.
 //
 // The node itself, drain included, is httpkv.ServeNode, which the
 // in-process test fleets boot too.
@@ -51,19 +50,19 @@ func main() {
 	}
 }
 
+// drainTimeout bounds a graceful shutdown: how long in-flight requests
+// on the HTTP and wire listeners get to finish.
+const drainTimeout = 5 * time.Second
+
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:8077", "listen address")
 	wal := flag.String("wal", "", "write-ahead-log path: a file for one shard, a directory of wal-<shard>.log segments otherwise (empty = volatile)")
 	syncWrites := flag.Bool("sync", false, "fsync the WAL on every write")
-	shards := flag.Int("shards", kvstore.DefaultShards, "hash partitions of the store (an existing WAL layout wins)")
-	groupCommit := flag.Duration("group-commit", 0, "WAL group-commit window, e.g. 2ms (0 = sync inline)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent request frames admitted before 429 (0 = unlimited)")
 	opsAddr := flag.String("ops-addr", "", "ops listener address serving /metrics, /healthz, /debug/pprof (empty = disabled)")
 	wireAddr := flag.String("wire-addr", "", "frame listener address; advertised to clients via the X-KV-Wire response header (empty = disabled; required with -cluster-node-id)")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown bound: how long in-flight requests on the HTTP and wire listeners get to finish")
 	clusterNodeID := flag.String("cluster-node-id", "", "this node's base URL in the shard map, e.g. http://127.0.0.1:8077 (enables cluster mode)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every cluster member, this node included; builds a uniform round-robin shard map at version 1 (with -cluster-node-id)")
-	shardmapPath := flag.String("shardmap", "", "path to a shard map JSON file to boot from instead of -peers (with -cluster-node-id)")
 	clusterSlots := flag.Int("cluster-slots", cluster.DefaultSlots, "key-space slots in the bootstrap shard map (with -peers)")
 	flag.Parse()
 	if *clusterNodeID != "" && *wireAddr == "" {
@@ -78,11 +77,10 @@ func run() error {
 	}
 
 	eng, err := kvstore.Open(kvstore.Options{
-		Path:        *wal,
-		SyncWrites:  *syncWrites,
-		Shards:      *shards,
-		GroupCommit: *groupCommit,
-		Metrics:     metrics,
+		Path:       *wal,
+		SyncWrites: *syncWrites,
+		Shards:     kvstore.DefaultShards,
+		Metrics:    metrics,
 	})
 	if err != nil {
 		return err
@@ -93,19 +91,10 @@ func run() error {
 	// Cluster mode: boot a shard map and serve only the owned slots.
 	var cs *cluster.State
 	if *clusterNodeID != "" {
-		var m *cluster.Map
-		switch {
-		case *shardmapPath != "":
-			doc, rerr := os.ReadFile(*shardmapPath)
-			if rerr != nil {
-				return fmt.Errorf("reading -shardmap: %w", rerr)
-			}
-			m, err = cluster.Decode(doc)
-		case *peers != "":
-			m, err = cluster.NewUniform(cluster.PlacementHash, *clusterSlots, httpkv.SplitNodes(*peers), nil)
-		default:
-			return fmt.Errorf("cluster mode needs -peers or -shardmap")
+		if *peers == "" {
+			return fmt.Errorf("cluster mode needs -peers")
 		}
+		m, err := cluster.NewUniform(cluster.PlacementHash, *clusterSlots, httpkv.SplitNodes(*peers), nil)
 		if err != nil {
 			return fmt.Errorf("bootstrapping shard map: %w", err)
 		}
@@ -146,7 +135,7 @@ func run() error {
 	})
 	fmt.Printf("kvserver listening on http://%s (%s)\n", httpLn.Addr(), desc)
 	fmt.Printf("kvserver: received %v, shutting down\n", <-sig)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := node.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "kvserver: drain:", err)

@@ -65,9 +65,6 @@ type SweepOptions struct {
 	CellTime time.Duration
 	// Threads overrides the thread counts swept.
 	Threads []int
-	// Shards is the partition count of every embedded engine a cell
-	// constructs; 0 means kvstore.DefaultShards.
-	Shards int
 	// Log receives progress lines (nil = silent).
 	Log io.Writer
 }
@@ -93,16 +90,13 @@ func (o SweepOptions) withDefaults(fullThreads []int) SweepOptions {
 			o.Threads = fullThreads[:4]
 		}
 	}
-	if o.Shards == 0 {
-		o.Shards = kvstore.DefaultShards
-	}
 	return o
 }
 
 // newInner builds the embedded partitioned engine one cell runs
 // against.
-func (o SweepOptions) newInner() *kvstore.Store {
-	s, err := kvstore.Open(kvstore.Options{Shards: o.Shards})
+func newInner() *kvstore.Store {
+	s, err := kvstore.Open(kvstore.Options{Shards: kvstore.DefaultShards})
 	if err != nil {
 		panic(err) // unreachable: in-memory opens perform no I/O
 	}
@@ -205,7 +199,7 @@ func Figure2(ctx context.Context, o SweepOptions) ([]Series, error) {
 	for _, mix := range mixes {
 		s := Series{Label: "read:write " + mix.label}
 		for _, th := range o.Threads {
-			inner := o.newInner()
+			inner := newInner()
 			cloud := cloudsim.NewOver(cloudsim.WASPreset(), inner)
 			loadM, err := txn.NewManager(txn.Options{}, txn.NewLocalStore("was", inner))
 			if err != nil {
@@ -239,7 +233,7 @@ func Figure3(ctx context.Context, o SweepOptions) ([]Series, error) {
 	for _, th := range o.Threads {
 		// Non-transactional: the cloudsim binding directly.
 		{
-			inner := o.newInner()
+			inner := newInner()
 			cloud := cloudsim.NewOver(cloudsim.WASPreset(), inner)
 			raw := cloudsim.NewBinding(cloud)
 			// CEW writes full records, so the raw client's update is a
@@ -256,7 +250,7 @@ func Figure3(ctx context.Context, o SweepOptions) ([]Series, error) {
 		}
 		// Transactional: the txn library over the same kind of store.
 		{
-			inner := o.newInner()
+			inner := newInner()
 			cloud := cloudsim.NewOver(cloudsim.WASPreset(), inner)
 			loadM, err := txn.NewManager(txn.Options{}, txn.NewLocalStore("was", inner))
 			if err != nil {
@@ -313,7 +307,7 @@ func Figure45WithDistribution(ctx context.Context, o SweepOptions, dist string) 
 }
 
 func figure45Cell(ctx context.Context, o SweepOptions, threads int, dist string) (Point, error) {
-	inner := o.newInner()
+	inner := newInner()
 	defer inner.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -391,7 +385,7 @@ func Tier5Overhead(ctx context.Context, o SweepOptions) ([]OverheadRow, error) {
 		return res.Registry, nil
 	}
 
-	innerA := o.newInner()
+	innerA := newInner()
 	defer innerA.Close()
 	cloudA := cloudsim.NewOver(cloudsim.WASPreset(), innerA)
 	nontxReg, err := collect(kvstore.NewBinding(innerA), cloudsim.NewBinding(cloudA))
@@ -399,7 +393,7 @@ func Tier5Overhead(ctx context.Context, o SweepOptions) ([]OverheadRow, error) {
 		return nil, err
 	}
 
-	innerB := o.newInner()
+	innerB := newInner()
 	defer innerB.Close()
 	cloudB := cloudsim.NewOver(cloudsim.WASPreset(), innerB)
 	loadM, err := txn.NewManager(txn.Options{}, txn.NewLocalStore("was", innerB))

@@ -230,7 +230,7 @@ func TestMultiHostShape(t *testing.T) {
 // only TestFigure45Shape's timing would notice.
 func TestSlowEngineServesEveryRESTOp(t *testing.T) {
 	ctx := context.Background()
-	inner := quickOpts().newInner()
+	inner := newInner()
 	defer inner.Close()
 	if _, err := inner.Put("t", "k", map[string][]byte{"f": []byte("x")}); err != nil {
 		t.Fatal(err)

@@ -50,7 +50,7 @@ func MultiHost(ctx context.Context, o SweepOptions) ([]MultiHostPoint, error) {
 }
 
 func multiHostCell(ctx context.Context, o SweepOptions, instances, threadsEach int) (MultiHostPoint, error) {
-	inner := o.newInner()
+	inner := newInner()
 	defer inner.Close()
 
 	// Pre-load the shared store through the zero-latency path.

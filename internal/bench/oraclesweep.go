@@ -47,7 +47,7 @@ func OracleSweep(ctx context.Context, o SweepOptions) ([]Series, error) {
 	for _, rtt := range rtts {
 		// Percolator-style with a Delayed oracle.
 		{
-			inner := o.newInner()
+			inner := newInner()
 			cloud := cloudsim.NewOver(storeCfg, inner)
 			to := oracle.NewDelayed(oracle.NewLocal(), rtt)
 			loadM, err := percolator.NewManager(percolator.Options{},
@@ -70,7 +70,7 @@ func OracleSweep(ctx context.Context, o SweepOptions) ([]Series, error) {
 		}
 		// Client-coordinated over the same store profile (no oracle).
 		{
-			inner := o.newInner()
+			inner := newInner()
 			cloud := cloudsim.NewOver(storeCfg, inner)
 			loadM, err := txn.NewManager(txn.Options{}, txn.NewLocalStore("was", inner))
 			if err != nil {

@@ -59,7 +59,6 @@ func (b *Binding) Init(p *properties.Properties) error {
 	cfg.RateLimit = p.GetFloat("cloudsim.ratelimit", cfg.RateLimit)
 	cfg.PoolSize = p.GetInt("cloudsim.poolsize", cfg.PoolSize)
 	cfg.ContentionPenalty = time.Duration(p.GetInt64("cloudsim.contention_us", cfg.ContentionPenalty.Microseconds())) * time.Microsecond
-	cfg.Shards = p.GetInt("kvstore.shards", kvstore.DefaultShards)
 	b.BlindUpdates = p.GetBool("cloudsim.blindupdates", false)
 	cfg.Metrics = obs.Enabled(p.GetBool("obs.enabled", false))
 	b.store = New(cfg)

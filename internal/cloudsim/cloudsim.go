@@ -67,12 +67,6 @@ type Config struct {
 	// Seed seeds the jitter source; 0 uses a fixed default so runs
 	// are reproducible.
 	Seed int64
-	// Shards is the hash-partition count of the backing engine; 0
-	// means kvstore.DefaultShards. The simulated latencies dominate a
-	// single request, but at high thread counts the substrate must
-	// not serialize on one lock or it, not the simulated
-	// container, becomes the bottleneck.
-	Shards int
 	// Metrics, when non-nil, receives the cloudsim_* series, labelled
 	// store=Name: request counters, rate-limit wait histogram, and
 	// inflight/pool-excess gauges.
@@ -158,11 +152,10 @@ func New(cfg Config) *Store {
 	if seed == 0 {
 		seed = 1
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = kvstore.DefaultShards
-	}
-	inner, _ := kvstore.Open(kvstore.Options{Shards: shards}) // in-memory open cannot fail
+	// The simulated latencies dominate a single request, but at high
+	// thread counts the substrate must not serialize on one lock or
+	// it, not the simulated container, becomes the bottleneck.
+	inner, _ := kvstore.Open(kvstore.Options{Shards: kvstore.DefaultShards}) // in-memory open cannot fail
 	s := &Store{
 		cfg:   cfg,
 		inner: inner,

@@ -84,22 +84,6 @@ func (a *AuditEngine) GetAsOf(table, key string, ts int64) (*VersionedRecord, er
 	return rec, err
 }
 
-func (a *AuditEngine) BatchGetAsOf(reqs []GetReq, ts int64) []GetResult {
-	out := a.Engine.BatchGetAsOf(reqs, ts)
-	for i, r := range out {
-		a.record(r.Record, reqs[i].Table, reqs[i].Key)
-	}
-	return out
-}
-
-func (a *AuditEngine) ScanAsOf(table, startKey string, count int, ts int64) ([]VersionedKV, error) {
-	kvs, err := a.Engine.ScanAsOf(table, startKey, count, ts)
-	for _, kv := range kvs {
-		a.record(kv.Record, table, kv.Key)
-	}
-	return kvs, err
-}
-
 func (a *AuditEngine) ForEach(table string, fn func(key string, rec *VersionedRecord) bool) error {
 	return a.Engine.ForEach(table, func(key string, rec *VersionedRecord) bool {
 		a.record(rec, table, key)

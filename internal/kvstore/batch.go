@@ -8,8 +8,8 @@ import "sync"
 // BatchGet/BatchApply calls; a run of one get is a Get) and of
 // percolator's batched
 // prewrite: the partitioned store executes the whole group with one
-// lock acquisition and one group-commit wait per touched partition —
-// concurrent across partitions — instead of one of each per key.
+// lock acquisition per touched partition — concurrent across
+// partitions — instead of one per key.
 
 // GetReq names one record of a batched read.
 type GetReq struct {
@@ -217,18 +217,9 @@ func (p *partition) applyBatch(muts []Mutation, idx []int, out []MutResult) {
 		each(len(muts), idx, func(i int) { out[i] = MutResult{Err: err} })
 		return
 	}
-	var logged []int // items whose durability rides on the section's wait
 	each(len(muts), idx, func(i int) {
-		seq := ws.seq
 		ver, err := p.applyOneLocked(&ws, muts[i])
 		out[i] = MutResult{Version: ver, Err: err}
-		if ws.seq != seq {
-			logged = append(logged, i)
-		}
 	})
-	if err := ws.end(nil); err != nil {
-		for _, i := range logged {
-			out[i] = MutResult{Err: err}
-		}
-	}
+	ws.end()
 }

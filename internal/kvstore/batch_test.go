@@ -103,12 +103,42 @@ func TestBatchApplyMixedOutcomes(t *testing.T) {
 	}
 }
 
+// TestBatchApplyUnknownOpFailsOnlyItsItem: a mutation with an op code
+// the engine does not know fails with errBadMutOp's error, and the
+// items around it apply.
+func TestBatchApplyUnknownOpFailsOnlyItsItem(t *testing.T) {
+	s := OpenMemoryShards(4)
+	defer s.Close()
+	const bad = MutDelete + 1
+	res := s.BatchApply([]Mutation{
+		{Op: MutPut, Table: "t", Key: "before", Fields: fieldsOf("b"), Expect: AnyVersion},
+		{Op: bad, Table: "t", Key: "odd", Fields: fieldsOf("x")},
+		{Op: MutPut, Table: "t", Key: "after", Fields: fieldsOf("a"), Expect: AnyVersion},
+	})
+	if res[1].Err == nil || res[1].Err.Error() != errBadMutOp(bad).Error() {
+		t.Fatalf("unknown op: got %v, want %v", res[1].Err, errBadMutOp(bad))
+	}
+	for _, i := range []int{0, 2} {
+		if res[i].Err != nil || res[i].Version != 1 {
+			t.Fatalf("item %d: %+v", i, res[i])
+		}
+	}
+	for key, want := range map[string]string{"before": "b", "after": "a"} {
+		rec, err := s.Get("t", key)
+		if err != nil || string(rec.Field("f")) != want {
+			t.Fatalf("%s: %v %v", key, rec, err)
+		}
+	}
+	if _, err := s.Get("t", "odd"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("odd: got %v, want ErrNotFound", err)
+	}
+}
+
 // TestBatchApplyDurableAcrossReopen writes a cross-shard batch under
-// sync+group-commit and checks every item survives a reopen — the
-// single durability wait per partition must cover the whole group.
+// SyncWrites and checks every item survives a reopen.
 func TestBatchApplyDurableAcrossReopen(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "walz")
-	opts := Options{Path: dir, Shards: 4, SyncWrites: true, GroupCommit: time.Millisecond}
+	opts := Options{Path: dir, Shards: 4, SyncWrites: true}
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +184,7 @@ func TestBatchApplyDurableAcrossReopen(t *testing.T) {
 // well-formed records.
 func TestBatchConcurrentWithCompactAndScan(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "walz")
-	s, err := Open(Options{Path: dir, Shards: 4, SyncWrites: true, GroupCommit: time.Millisecond})
+	s, err := Open(Options{Path: dir, Shards: 4, SyncWrites: true})
 	if err != nil {
 		t.Fatal(err)
 	}

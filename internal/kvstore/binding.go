@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"context"
-	"time"
 
 	"ycsbt/internal/db"
 	"ycsbt/internal/obs"
@@ -31,18 +30,14 @@ func init() {
 	db.Register("kvstore", func() (db.DB, error) { return &Binding{}, nil })
 }
 
-// Init opens the store per the "kvstore.path", "kvstore.sync",
-// "kvstore.shards", "kvstore.wal.group_commit_ms" and
-// "kvstore.retention_ms" properties unless NewBinding supplied one.
+// Init opens a DefaultShards store at the "kvstore.path" property
+// (empty: volatile) unless NewBinding supplied one.
 func (b *Binding) Init(p *properties.Properties) error {
 	if b.eng == nil {
 		s, err := Open(Options{
-			Path:        p.GetString("kvstore.path", ""),
-			SyncWrites:  p.GetBool("kvstore.sync", false),
-			Shards:      p.GetInt("kvstore.shards", DefaultShards),
-			GroupCommit: time.Duration(p.GetInt64("kvstore.wal.group_commit_ms", 0)) * time.Millisecond,
-			Retention:   time.Duration(p.GetInt64("kvstore.retention_ms", 0)) * time.Millisecond,
-			Metrics:     obs.Enabled(p.GetBool("obs.enabled", false)),
+			Path:    p.GetString("kvstore.path", ""),
+			Shards:  DefaultShards,
+			Metrics: obs.Enabled(p.GetBool("obs.enabled", false)),
 		})
 		if err != nil {
 			return err

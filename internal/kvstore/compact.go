@@ -114,13 +114,11 @@ func (p *partition) compact() error {
 	}
 
 	// Swap the new segment in: close the old handle, rename, reopen
-	// for appending at the end (restarting the group-commit syncer
-	// when one is configured). Once the old WAL is closed the
+	// for appending at the end. Once the old WAL is closed the
 	// partition has no live log: any failure before the new one is
 	// installed marks the partition closed, so later mutations fail
-	// fast instead of buffering into a closed file (or, in
-	// group-commit mode, blocking forever on a syncer that exited).
-	oldSync, oldGC, oldMetrics := p.wal.syncOn, p.wal.gcInterval, p.wal.metrics
+	// fast instead of buffering into a closed file.
+	oldSync, oldMetrics := p.wal.syncOn, p.wal.metrics
 	if err := p.wal.close(); err != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -135,7 +133,7 @@ func (p *partition) compact() error {
 		p.closed.Store(true)
 		return fmt.Errorf("kvstore: compacting: %w", err)
 	}
-	nw, err := openWAL(path, oldSync, oldGC)
+	nw, err := openWAL(path, oldSync)
 	if err != nil {
 		p.closed.Store(true)
 		return err

@@ -82,20 +82,13 @@ func TestCompactShrinksLogAndPreservesState(t *testing.T) {
 	}
 }
 
-// TestCompactConcurrentWithGroupCommitWrites races Compact against
-// writers in group-commit + sync mode. Compact swaps each partition's
-// WAL under the partition lock, so a writer must wait for durability
-// on the WAL it appended to (captured under the lock), never on the
-// fresh WAL whose sequence numbers restarted at zero — the old code
-// read p.wal after unlock, an unsynchronized access -race catches and
-// a potential indefinite hang on an idle store.
-func TestCompactConcurrentWithGroupCommitWrites(t *testing.T) {
-	s, err := Open(Options{
-		Path:        t.TempDir(),
-		Shards:      4,
-		SyncWrites:  true,
-		GroupCommit: time.Millisecond,
-	})
+// TestCompactConcurrentWithSyncWrites races Compact against writers
+// under SyncWrites. Compact swaps each partition's WAL under the
+// partition lock, so a writer appends and fsyncs on whichever segment
+// is live while it holds that lock; no write may be lost or fail, and
+// the idle store must take a write on the post-compaction segment.
+func TestCompactConcurrentWithSyncWrites(t *testing.T) {
+	s, err := Open(Options{Path: t.TempDir(), Shards: 4, SyncWrites: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +120,7 @@ func TestCompactConcurrentWithGroupCommitWrites(t *testing.T) {
 	for err := range errCh {
 		t.Fatalf("writer during compact: %v", err)
 	}
-	// A write on the now-idle store must not hang waiting on the
-	// post-compaction WAL's restarted sequence numbers.
+	// A write on the now-idle store lands on the post-compaction WAL.
 	if _, err := s.Put("t", "final", fields("v")); err != nil {
 		t.Fatal(err)
 	}

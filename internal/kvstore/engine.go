@@ -19,10 +19,10 @@ package kvstore
 // decoded. This is what lets the partitioned store serve reads
 // wait-free with zero allocations.
 //
-// Durability caveat: when a mutation returns an error after its WAL
-// append (e.g. a failed group-commit fsync), the write's durability
-// is unknown — it may already be visible to readers and recorded in
-// the log, so it can survive a restart. An error from a mutation
+// Durability caveat: when a mutation fails in its WAL append (e.g. a
+// failed fsync under SyncWrites), it is not applied in memory, but its
+// frame may already be in the log, or in the buffer a later append
+// flushes, so it can survive a restart. An error from a mutation
 // means "not known durable", not "rolled back".
 type Engine interface {
 	// Point operations.
@@ -37,9 +37,8 @@ type Engine interface {
 	// Multi-key operations. Results are positional (out[i] answers
 	// in[i]); per-item failures never abort the rest of the batch.
 	// Implementations should amortize per-call costs across the batch
-	// — the partitioned store takes one lock acquisition and one
-	// group-commit wait per touched partition, concurrent across
-	// partitions.
+	// — the partitioned store takes one lock acquisition per touched
+	// partition, concurrent across partitions.
 	BatchGet(reqs []GetReq) []GetResult
 	BatchApply(muts []Mutation) []MutResult
 

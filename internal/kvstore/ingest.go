@@ -92,7 +92,8 @@ func (p *partition) ingest(table string, kvs []BulkKV) error {
 		p.retireLocked(rec)
 		ws.touch(table)
 	}
-	return ws.end(err)
+	ws.end()
+	return err
 }
 
 // Drop removes every key of table that keep rejects, with its whole
@@ -134,7 +135,8 @@ func (p *partition) drop(table string, keep func(key string) bool) (int, error) 
 		return 0, err
 	}
 	if len(doomed) == 0 {
-		return 0, ws.end(nil)
+		ws.end()
+		return 0, nil
 	}
 	t := p.table(table)
 	ts := p.store.nextTS()
@@ -149,5 +151,6 @@ func (p *partition) drop(table string, keep func(key string) bool) (int, error) 
 	}
 	p.purgeTS.Store(ts)
 	ws.touch(table)
-	return dropped, ws.end(err)
+	ws.end()
+	return dropped, err
 }

@@ -37,12 +37,8 @@ type partMetrics struct {
 // object but hands the same metrics block to the replacement, so a
 // shard's fsync series is continuous across compactions.
 type walMetrics struct {
-	// fsync observes the duration of every fsync (inline or group),
-	// in seconds.
+	// fsync observes the duration of every fsync, in seconds.
 	fsync *obs.Histogram
-	// occupancy observes how many appended frames each group-commit
-	// sync covered — the batch size the group commit actually achieved.
-	occupancy *obs.Histogram
 }
 
 // instrument registers the engine series on reg and hands every
@@ -55,7 +51,6 @@ func (s *Store) instrument(reg *obs.Registry) {
 	}
 	reg.Help("kvstore_ops_total", "Engine operations started, by kind and shard.")
 	reg.Help("kvstore_wal_fsync_seconds", "WAL fsync latency per shard.")
-	reg.Help("kvstore_wal_group_commit_frames", "Frames covered by each group-commit sync, per shard.")
 	reg.Help("kvstore_compactions_total", "Completed WAL segment compactions, by shard.")
 	reg.Help("kvstore_wal_bytes", "Total WAL size across all segments.")
 	reg.Help("kvstore_snapshot_root_swaps_total", "B-tree roots atomically published to the lock-free read path, by shard.")
@@ -79,8 +74,7 @@ func (s *Store) instrument(reg *obs.Registry) {
 		}
 		if p.wal != nil {
 			p.wal.metrics = &walMetrics{
-				fsync:     reg.Histogram("kvstore_wal_fsync_seconds", obs.DurationBuckets, "shard", sh),
-				occupancy: reg.Histogram("kvstore_wal_group_commit_frames", obs.CountBuckets, "shard", sh),
+				fsync: reg.Histogram("kvstore_wal_fsync_seconds", obs.DurationBuckets, "shard", sh),
 			}
 		}
 	}

@@ -495,11 +495,10 @@ func TestWALReplayRebuildsChains(t *testing.T) {
 func TestPinnedReadsStableUnderChurn(t *testing.T) {
 	const shards, keys = 4, 64
 	s, err := Open(Options{
-		Path:        filepath.Join(t.TempDir(), "wal"),
-		Shards:      shards,
-		GroupCommit: 200 * time.Microsecond,
-		SyncWrites:  true,
-		Retention:   5 * time.Millisecond,
+		Path:       filepath.Join(t.TempDir(), "wal"),
+		Shards:     shards,
+		SyncWrites: true,
+		Retention:  5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

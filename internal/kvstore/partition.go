@@ -206,13 +206,11 @@ func errBadMutOp(op MutOp) error {
 // writeSection is one pass through the partition's write protocol,
 // which every mutation of a partition runs inside; DESIGN.md §7 ("One
 // write section") gives the reasons for each step. begin locks the
-// partition and captures its WAL segment, the writer logs each frame
+// partition, the writer logs each frame to the partition's WAL segment
 // and touches each table it changes through the section, and end
-// publishes, unlocks and waits.
+// publishes and unlocks.
 type writeSection struct {
-	p   *partition
-	w   *wal   // p.wal as begin found it
-	seq uint64 // the section's last WAL frame; 0: nothing to wait for
+	p *partition
 
 	// The tables the section changed, each published once by end. The
 	// first is held inline, so a single-key write allocates nothing
@@ -229,20 +227,16 @@ func (p *partition) begin() (writeSection, error) {
 		p.mu.Unlock()
 		return writeSection{}, ErrClosed
 	}
-	return writeSection{p: p, w: p.wal}, nil
+	return writeSection{p: p}, nil
 }
 
-// log appends rec to the section's WAL segment (none: a volatile
+// log appends rec to the partition's WAL segment (none: a volatile
 // store).
 func (ws *writeSection) log(rec walRecord) error {
-	if ws.w == nil {
+	if ws.p.wal == nil {
 		return nil
 	}
-	seq, err := ws.w.append(rec)
-	if seq != 0 {
-		ws.seq = seq
-	}
-	return err
+	return ws.p.wal.append(rec)
 }
 
 // touch records that the section changed table.
@@ -255,11 +249,9 @@ func (ws *writeSection) touch(table string) {
 	}
 }
 
-// end closes the section: it publishes each touched table once,
-// unlocks, and then — unless err says the writer stopped short — waits
-// once for the group commit that covers the section's last frame. It
-// returns err, or else the wait's error.
-func (ws *writeSection) end(err error) error {
+// end closes the section: it publishes each touched table once and
+// unlocks.
+func (ws *writeSection) end() {
 	if ws.touched {
 		ws.p.publishLocked(ws.first)
 		for _, t := range ws.more {
@@ -267,10 +259,6 @@ func (ws *writeSection) end(err error) error {
 		}
 	}
 	ws.p.mu.Unlock()
-	if err != nil || ws.seq == 0 {
-		return err
-	}
-	return ws.w.waitDurable(ws.seq)
 }
 
 // apply runs one mutation in a write section of its own.
@@ -280,10 +268,8 @@ func (p *partition) apply(m Mutation) (uint64, error) {
 		return 0, err
 	}
 	ver, err := p.applyOneLocked(&ws, m)
-	if err = ws.end(err); err != nil {
-		return 0, err
-	}
-	return ver, nil
+	ws.end()
+	return ver, err
 }
 
 // applyOneLocked evaluates and applies one mutation inside ws,

@@ -24,10 +24,9 @@ import (
 func TestSnapshotReadsVsWritersVsCompact(t *testing.T) {
 	const shards = 4
 	s, err := Open(Options{
-		Path:        filepath.Join(t.TempDir(), "wal"),
-		Shards:      shards,
-		GroupCommit: 200 * time.Microsecond,
-		SyncWrites:  true,
+		Path:       filepath.Join(t.TempDir(), "wal"),
+		Shards:     shards,
+		SyncWrites: true,
 	})
 	if err != nil {
 		t.Fatal(err)

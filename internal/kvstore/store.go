@@ -166,12 +166,12 @@ const AnyVersion = ^uint64(0)
 // MustNotExist is the expected version for create-only puts.
 const MustNotExist = uint64(0)
 
-// DefaultShards is the partition count bindings use when the
-// "kvstore.shards" property is absent.
+// DefaultShards is the partition count of every store the bindings,
+// cloudsim, cmd/kvserver and the figure sweeps open.
 const DefaultShards = 8
 
 // DefaultRetention is the wall-clock retention window a store keeps
-// unless told otherwise (Options.Retention, kvstore.retention_ms):
+// unless told otherwise (Options.Retention):
 // none. An overwritten version then lives only while a pin or the
 // published txn watermark can still read it, so a default store holds
 // each key's head and little else however fast it is written.
@@ -191,10 +191,9 @@ type Options struct {
 	// shards it names a directory holding one segment per shard
 	// (wal-<shard>.log) plus a MANIFEST pinning the shard count.
 	Path string
-	// SyncWrites forces an fsync after every logged mutation (or, with
-	// GroupCommit, makes every mutation wait for the window's shared
-	// fsync). Off by default, trading durability for latency exactly
-	// as the paper's "latency versus durability" discussion describes.
+	// SyncWrites forces an fsync after every logged mutation. Off by
+	// default, trading durability for latency exactly as the paper's
+	// "latency versus durability" discussion describes.
 	SyncWrites bool
 	// Shards is the number of hash partitions; values <= 1 mean a
 	// single partition, which behaves exactly like the pre-sharding
@@ -203,13 +202,9 @@ type Options struct {
 	// MANIFEST's count, so reopening never re-routes keys away from
 	// the segment that holds their history.
 	Shards int
-	// GroupCommit is the WAL group-commit window; zero disables it.
-	// When positive, a per-shard background syncer fsyncs once per
-	// window instead of once per mutation.
-	GroupCommit time.Duration
 	// Metrics, when non-nil, receives the engine's kvstore_* series
-	// (per-shard op counts, WAL fsync latency, group-commit occupancy,
-	// compactions, WAL size, version-chain lengths, vacuumed versions).
+	// (per-shard op counts, WAL fsync latency, compactions, WAL size,
+	// version-chain lengths, vacuumed versions).
 	// Nil disables instrumentation entirely — the hot paths then touch
 	// only nil no-op series.
 	Metrics *obs.Registry
@@ -408,7 +403,7 @@ func Open(opts Options) (*Store, error) {
 	// newest-at-head exactly as they were written.
 	var maxTS int64
 	for i, path := range segments {
-		w, err := openWAL(path, opts.SyncWrites, opts.GroupCommit)
+		w, err := openWAL(path, opts.SyncWrites)
 		if err != nil {
 			s.closePartial()
 			return nil, err

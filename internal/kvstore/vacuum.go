@@ -91,7 +91,7 @@ func (p *partition) vacuum(cut int64, trim bool) (int64, int) {
 				p.purgeLocked(&ws, dk.table, dk.key, cur)
 				keys++
 			}
-			_ = ws.end(nil) // nothing logged: no wait, so no error
+			ws.end()
 		}
 	}
 	// A purged key drops its tombstone version too; the purge is not

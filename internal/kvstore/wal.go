@@ -77,48 +77,32 @@ func walFrameOf(table, key string, v *VersionedRecord) walRecord {
 // truncated away on open, so a crashed store reopens to its last
 // complete mutation.
 //
-// With a group-commit window (gcInterval > 0) a background syncer
-// flushes and fsyncs the log once per window. Appends then never sync
-// inline; when SyncWrites is also set, the caller waits for the group
-// sync that covers its frame instead — one fsync amortized over every
-// commit of the window, the classic group-commit trade.
+// With syncOn (Options.SyncWrites) every append flushes and fsyncs the
+// log before it returns.
 type wal struct {
 	syncOn bool
 
-	mu      sync.Mutex // guards f and w against the group-commit syncer
+	mu      sync.Mutex // guards f and w: size runs under the partition's read lock
 	f       *os.File
 	w       *bufio.Writer
 	replayN int64 // bytes of valid replayed prefix
 
-	// Group-commit state. appendSeq counts buffered frames; syncSeq is
-	// the highest frame covered by a completed fsync. syncErr is sticky:
-	// once a group sync fails every waiter gets the error.
-	gcInterval time.Duration
-	gcMu       sync.Mutex
-	gcCond     *sync.Cond
-	appendSeq  uint64
-	syncSeq    uint64
-	syncErr    error
-	gcStop     chan struct{}
-	gcDone     chan struct{}
-
-	// metrics instruments fsync latency and group-commit occupancy;
-	// nil when the store is uninstrumented. Set before the wal is
-	// shared (Store.instrument / compact's swap), read-only after.
+	// metrics instruments fsync latency; nil when the store is
+	// uninstrumented. Set before the wal is shared (Store.instrument /
+	// compact's swap), read-only after.
 	metrics *walMetrics
 }
 
-func openWAL(path string, syncWrites bool, groupCommit time.Duration) (*wal, error) {
+func openWAL(path string, syncWrites bool) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: opening WAL: %w", err)
 	}
-	return &wal{f: f, syncOn: syncWrites, gcInterval: groupCommit}, nil
+	return &wal{f: f, syncOn: syncWrites}, nil
 }
 
 // replay streams every complete record to fn, then positions the file
-// for appending, truncating any torn tail, and starts the group-commit
-// syncer when one is configured. A checksummed frame that does not
+// for appending, truncating any torn tail. A checksummed frame that does not
 // decode fails with ErrCorruptWAL before anything is truncated.
 func (w *wal) replay(fn func(walRecord) error) error {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
@@ -169,7 +153,6 @@ func (w *wal) replay(fn func(walRecord) error) error {
 		return err
 	}
 	w.w = bufio.NewWriter(w.f)
-	w.startSyncer()
 	return nil
 }
 
@@ -182,7 +165,6 @@ func (w *wal) seekEnd() error {
 	}
 	w.replayN = off
 	w.w = bufio.NewWriter(w.f)
-	w.startSyncer()
 	return nil
 }
 
@@ -194,11 +176,9 @@ func (w *wal) seekEnd() error {
 // that capacity.
 var walBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
-// append buffers one frame. It returns a non-zero sequence number when
-// the caller must wait for durability via waitDurable — that is, when
-// both SyncWrites and a group-commit window are configured. Without a
-// window, SyncWrites syncs inline exactly as before.
-func (w *wal) append(rec walRecord) (uint64, error) {
+// append buffers one frame, and with syncOn flushes and fsyncs it
+// before returning.
+func (w *wal) append(rec walRecord) error {
 	bp := walBufPool.Get().(*[]byte)
 	payload := appendWALRecord((*bp)[:0], rec)
 	*bp = payload[:0] // keep the (possibly grown) buffer for reuse
@@ -207,96 +187,17 @@ func (w *wal) append(rec walRecord) (uint64, error) {
 	binary.LittleEndian.PutUint32(header[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(header[4:], crc32.ChecksumIEEE(payload))
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if _, err := w.w.Write(header[:]); err != nil {
-		w.mu.Unlock()
-		return 0, fmt.Errorf("kvstore: WAL append: %w", err)
+		return fmt.Errorf("kvstore: WAL append: %w", err)
 	}
 	if _, err := w.w.Write(payload); err != nil {
-		w.mu.Unlock()
-		return 0, fmt.Errorf("kvstore: WAL append: %w", err)
-	}
-	w.mu.Unlock()
-	if w.gcInterval > 0 {
-		// The frame is buffered before the sequence is published, so a
-		// group sync that observes seq N has frames 1..N in the buffer.
-		w.gcMu.Lock()
-		w.appendSeq++
-		seq := w.appendSeq
-		w.gcMu.Unlock()
-		if w.syncOn {
-			return seq, nil
-		}
-		return 0, nil
+		return fmt.Errorf("kvstore: WAL append: %w", err)
 	}
 	if w.syncOn {
-		return 0, w.sync()
+		return w.flushAndSync()
 	}
-	return 0, nil
-}
-
-// waitDurable blocks until the group-commit syncer has fsynced the
-// frame with the given sequence number (or a sync failed).
-func (w *wal) waitDurable(seq uint64) error {
-	w.gcMu.Lock()
-	defer w.gcMu.Unlock()
-	for w.syncSeq < seq && w.syncErr == nil {
-		w.gcCond.Wait()
-	}
-	return w.syncErr
-}
-
-// startSyncer launches the group-commit goroutine when a window is
-// configured. Called once per open/seekEnd, before any appends.
-func (w *wal) startSyncer() {
-	if w.gcInterval <= 0 {
-		return
-	}
-	w.gcCond = sync.NewCond(&w.gcMu)
-	w.gcStop = make(chan struct{})
-	w.gcDone = make(chan struct{})
-	go w.syncLoop()
-}
-
-func (w *wal) syncLoop() {
-	defer close(w.gcDone)
-	tick := time.NewTicker(w.gcInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			w.groupSync()
-		case <-w.gcStop:
-			w.groupSync() // cover appends still waiting at close
-			return
-		}
-	}
-}
-
-// groupSync fsyncs everything appended so far and wakes the waiters it
-// covered.
-func (w *wal) groupSync() {
-	w.gcMu.Lock()
-	target := w.appendSeq
-	covered := target - w.syncSeq
-	if target == w.syncSeq || w.syncErr != nil {
-		w.gcMu.Unlock()
-		return
-	}
-	w.gcMu.Unlock()
-	w.mu.Lock()
-	err := w.flushAndSync()
-	w.mu.Unlock()
-	w.gcMu.Lock()
-	if err != nil {
-		w.syncErr = err
-	} else {
-		w.syncSeq = target
-	}
-	w.gcCond.Broadcast()
-	w.gcMu.Unlock()
-	if err == nil && w.metrics != nil {
-		w.metrics.occupancy.Observe(float64(covered))
-	}
+	return nil
 }
 
 func (w *wal) sync() error {
@@ -336,11 +237,6 @@ func (w *wal) size() (int64, error) {
 }
 
 func (w *wal) close() error {
-	if w.gcDone != nil {
-		close(w.gcStop)
-		<-w.gcDone
-		w.gcDone = nil
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.w != nil {

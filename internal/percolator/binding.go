@@ -3,7 +3,6 @@ package percolator
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"ycsbt/internal/db"
 	"ycsbt/internal/oracle"
@@ -32,9 +31,8 @@ func init() {
 
 // Init builds the manager from properties when opened by name:
 // "percolator.backend" names the store (txn.OpenBackend: memory, was,
-// gcs or cluster; the protocol runs over one store, so not was+gcs),
-// "percolator.oracle_rtt_us" (simulated round trip to the timestamp
-// oracle, default 0).
+// gcs or cluster; the protocol runs over one store, so not was+gcs)
+// over a local timestamp oracle.
 func (b *Binding) Init(p *properties.Properties) error {
 	if b.m != nil {
 		return nil
@@ -48,11 +46,7 @@ func (b *Binding) Init(p *properties.Properties) error {
 		closer()
 		return fmt.Errorf("percolator: backend %q spans %d stores; the protocol runs over one", backend, len(stores))
 	}
-	var to oracle.Oracle = oracle.NewLocal()
-	if rtt := p.GetInt64("percolator.oracle_rtt_us", 0); rtt > 0 {
-		to = oracle.NewDelayed(to, time.Duration(rtt)*time.Microsecond)
-	}
-	m, err := NewManager(Options{}, stores[0], to)
+	m, err := NewManager(Options{}, stores[0], oracle.NewLocal())
 	if err != nil {
 		closer()
 		return err

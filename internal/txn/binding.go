@@ -95,7 +95,7 @@ func OpenBackend(p *properties.Properties, backend string) ([]Store, func() erro
 	switch backend {
 	case "memory":
 		inner, err := kvstore.Open(kvstore.Options{
-			Shards:  p.GetInt("kvstore.shards", kvstore.DefaultShards),
+			Shards:  kvstore.DefaultShards,
 			Metrics: reg,
 		})
 		if err != nil {

@@ -41,20 +41,15 @@ var unsetProperties = map[string]string{
 	"zeropadding":             "YCSB core workload property",
 	// The model bindings' knobs: each default is the model the figures
 	// and CI use, and the property is how a run departs from it.
-	"cloudsim.preset":             "cloudsim binding: the container model (txnkv's was/gcs backends build the presets directly)",
-	"cloudsim.readlatency_us":     "cloudsim binding: overrides the preset's read latency",
-	"cloudsim.writelatency_us":    "cloudsim binding: overrides the preset's write latency",
-	"cloudsim.ratelimit":          "cloudsim binding: overrides the preset's request-rate ceiling",
-	"cloudsim.poolsize":           "cloudsim binding: overrides the preset's connection pool",
-	"cloudsim.contention_us":      "cloudsim binding: overrides the preset's per-waiter wait",
-	"cloudsim.blindupdates":       "cloudsim binding: an update as one unconditional PUT instead of read-merge-write",
-	"kvstore.path":                "kvstore binding: the WAL, kvserver -wal in process",
-	"kvstore.sync":                "kvstore binding: kvserver -sync in process",
-	"kvstore.wal.group_commit_ms": "kvstore binding: kvserver -group-commit in process",
-	"kvstore.retention_ms":        "kvstore binding: Options.Retention, the window in-process as-of readers that cannot pin would need",
-	"kvstore.shards":              "kvstore, cloudsim and txnkv memory bindings: kvserver -shards in process",
-	"obs.enabled":                 "ycsbt -ops-addr sets it; no CI step runs ycsbt with an ops listener",
-	"percolator.oracle_rtt_us":    "Fig 6's oracle round trip on the percolator binding (the sweep builds oracle.NewDelayed itself)",
+	"cloudsim.preset":          "cloudsim binding: the container model (txnkv's was/gcs backends build the presets directly)",
+	"cloudsim.readlatency_us":  "cloudsim binding: overrides the preset's read latency",
+	"cloudsim.writelatency_us": "cloudsim binding: overrides the preset's write latency",
+	"cloudsim.ratelimit":       "cloudsim binding: overrides the preset's request-rate ceiling",
+	"cloudsim.poolsize":        "cloudsim binding: overrides the preset's connection pool",
+	"cloudsim.contention_us":   "cloudsim binding: overrides the preset's per-waiter wait",
+	"cloudsim.blindupdates":    "cloudsim binding: an update as one unconditional PUT instead of read-merge-write",
+	"kvstore.path":             "kvstore binding: a path, the WAL (kvserver -wal in process)",
+	"obs.enabled":              "ycsbt -ops-addr sets it; no CI step runs ycsbt with an ops listener",
 }
 
 // propertyGetters are the properties.Properties accessors that read a
@@ -377,7 +372,7 @@ func TestPropertyDriftIsCaught(t *testing.T) {
 	readme := string(raw)
 	read := readProperties(t, os.DirFS("."))
 
-	row := "| `kvstore.sync` |"
+	row := "| `kvstore.path` |"
 	if !strings.Contains(readme, row) {
 		t.Fatalf("README.md has no %s row to delete", row)
 	}
@@ -388,8 +383,8 @@ func TestPropertyDriftIsCaught(t *testing.T) {
 		}
 	}
 	got := propertyDrift(documentedProperties(strings.Join(kept, "\n")), read)
-	if len(got) != 1 || !strings.Contains(got[0], `"kvstore.sync" is read at`) {
-		t.Errorf("deleting the kvstore.sync row: drift = %q", got)
+	if len(got) != 1 || !strings.Contains(got[0], `"kvstore.path" is read at`) {
+		t.Errorf("deleting the kvstore.path row: drift = %q", got)
 	}
 
 	extra := fstest.MapFS{"x.go": {Data: []byte("package x\n\nfunc f(p interface{ GetInt(string, int) int }) int { return p.GetInt(\"x\", 1) }\n")}}
@@ -417,5 +412,184 @@ func TestUnsetPropertyIsCaught(t *testing.T) {
 	got := unsetReads(read, set, unsetProperties)
 	if len(got) != 1 || !strings.Contains(got[0], `"x" is read at x.go:3 but no run sets it`) {
 		t.Errorf("a GetInt(\"x\", 1) no run sets: unset = %q", got)
+	}
+}
+
+// Every flag cmd/kvserver declares must be passed where some kvserver
+// run starts — a kvserver command line in CI or the Makefile, or a
+// root e2e test that execs the binary — or sit on unpassedFlags with
+// the reason it stays. A flag no run passes is an option nothing
+// exercises.
+
+// unpassedFlags are the kvserver flags no run passes, each with why it
+// stays.
+var unpassedFlags = map[string]string{
+	"-max-inflight": "admission control: tests shed through its in-process twin, NodeOptions.MaxInflight, and the benchmark harness pins kvwire.NewCore's bound at 0",
+}
+
+// kvserverCmd matches a word that runs the kvserver binary
+// (/tmp/kvserver, ./cmd/kvserver).
+var kvserverCmd = regexp.MustCompile(`^["']?[\w./$-]*kvserver["']?$`)
+
+// declaredFlags returns every flag cmd/kvserver declares through the
+// flag package ("-addr"), each with where it is declared.
+func declaredFlags(t *testing.T, fsys fs.FS) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	walkGo(t, fsys, "cmd/kvserver", func(fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) < 2 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				out["-"+name] = fset.Position(lit.Pos()).String()
+			}
+			return true
+		})
+	})
+	return out
+}
+
+// flagName is the flag an argument passes ("-wal" for -wal=x or
+// --wal), or "" for an argument that is no flag.
+func flagName(arg string) string {
+	if !strings.HasPrefix(arg, "-") {
+		return ""
+	}
+	name, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+	return "-" + name
+}
+
+// passedFlags returns every flag some kvserver run passes, each with
+// the first place that passes it: the kvserver command lines of CI and
+// the Makefile (continuations joined, up to the end of the command),
+// and the string arguments of the root e2e tests' exec.Command calls
+// that run the buildKVServer binary.
+func passedFlags(t *testing.T, fsys fs.FS) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	add := func(name, where string) {
+		if _, seen := out[name]; !seen && name != "" {
+			out[name] = where
+		}
+	}
+	for _, file := range []string{".github/workflows/ci.yml", "Makefile"} {
+		src, err := fs.ReadFile(fsys, file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.ReplaceAll(string(src), "\\\n", " "), "\n") {
+			in := false // inside a kvserver command
+			for _, field := range strings.Fields(line) {
+				switch {
+				case kvserverCmd.MatchString(field):
+					in = true
+				case strings.ContainsAny(field, "&;|)"):
+					in = false
+				case in:
+					add(flagName(field), file)
+				}
+			}
+		}
+	}
+	tests, err := fs.Glob(fsys, "*_e2e_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, file := range tests {
+		src, err := fs.ReadFile(fsys, file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parser.ParseFile(fset, file, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !runsKVServer(call) {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					v, _ := strconv.Unquote(lit.Value)
+					add(flagName(v), fset.Position(lit.Pos()).String())
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// runsKVServer reports whether call is an exec.Command or
+// exec.CommandContext whose arguments include a buildKVServer call.
+func runsKVServer(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Command" && sel.Sel.Name != "CommandContext") {
+		return false
+	}
+	for _, arg := range call.Args {
+		if c, ok := arg.(*ast.CallExpr); ok {
+			if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "buildKVServer" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// unpassed lists each declared flag that no run passes and allow does
+// not excuse, and each allow entry that is not such a flag.
+func unpassed(declared, passed, allow map[string]string) []string {
+	var out []string
+	for name, where := range declared {
+		if _, ok := passed[name]; !ok && allow[name] == "" {
+			out = append(out, "kvserver flag "+name+" is declared at "+where+" but no run passes it")
+		}
+	}
+	for name := range allow {
+		if _, ok := declared[name]; !ok {
+			out = append(out, "unpassedFlags excuses "+name+", which cmd/kvserver does not declare")
+		} else if where, ok := passed[name]; ok {
+			out = append(out, "unpassedFlags excuses "+name+", which "+where+" passes")
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestEveryKVServerFlagIsPassedByARun(t *testing.T) {
+	fsys := os.DirFS(".")
+	declared := declaredFlags(t, fsys)
+	if len(declared) == 0 {
+		t.Fatal("found no flag declared in cmd/kvserver")
+	}
+	for _, msg := range unpassed(declared, passedFlags(t, fsys), unpassedFlags) {
+		t.Error(msg)
+	}
+}
+
+// The check fails on a hand-added kvserver flag that nothing passes.
+func TestUnpassedFlagIsCaught(t *testing.T) {
+	fsys := os.DirFS(".")
+	declared, passed := declaredFlags(t, fsys), passedFlags(t, fsys)
+	extra := fstest.MapFS{"cmd/kvserver/x.go": {Data: []byte("package main\n\nimport \"flag\"\n\nvar x = flag.Int(\"x\", 0, \"\")\n")}}
+	for name, where := range declaredFlags(t, extra) {
+		declared[name] = where
+	}
+	got := unpassed(declared, passed, unpassedFlags)
+	if len(got) != 1 || !strings.Contains(got[0], "kvserver flag -x is declared at cmd/kvserver/x.go:5") {
+		t.Errorf("a flag.Int(\"x\", ...) no run passes: unpassed = %q", got)
 	}
 }
